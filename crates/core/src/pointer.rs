@@ -448,6 +448,25 @@ impl PointerHierarchy {
         None
     }
 
+    /// Was a packet to `dst_addr` recorded at *exact* (level-1) resolution
+    /// in any epoch of `[lo, hi]`? Bit-identical to
+    /// `(lo..=hi).any(|e| contains_within(dst_addr, e, 1) == Some(true))`,
+    /// but costs one hash plus a scan of the ≤ α level-1 slots — only
+    /// their labelled periods can answer, however long the range is.
+    pub fn contains_exact_in(&self, dst_addr: u64, lo: u64, hi: u64) -> bool {
+        let Some(bit) = self.mphf.index(&dst_addr) else {
+            return false;
+        };
+        // The per-epoch probe finds epoch `p` only in the slot `p` maps
+        // to; rotation always labels slots that way, but a wire-decoded
+        // hierarchy is not trusted to, so the check is kept.
+        self.levels[0].iter().enumerate().any(|(idx, slot)| {
+            slot.period.is_some_and(|p| {
+                lo <= p && p <= hi && self.slot_index(1, p) == idx && slot.bits.test(bit)
+            })
+        })
+    }
+
     /// The finest-grained live pointer set covering `epoch`: level 1 if the
     /// epoch's slot is still live, else level 2, ... else the archive.
     /// Returns the bit set and the number of epochs it aggregates
@@ -1039,6 +1058,21 @@ mod tests {
         // The coarse query *does* report epoch 8 (top-level span covers it):
         // a false positive by design — wider search radius, never a miss.
         assert!(h.contains(addrs[5], 8));
+    }
+
+    #[test]
+    fn ranged_probe_ignores_a_slot_labelled_for_another_index() {
+        // Rotation never produces this, but a wire-decoded hierarchy is
+        // only shape-checked: a level-1 slot carrying a period that maps
+        // to a different index is invisible to the per-epoch probe, so
+        // the ranged probe must not see it either.
+        let (mut h, addrs) = hierarchy(16, 4, 2);
+        h.update(addrs[3], 5); // slot 5 % 4 = 1
+        assert!(h.contains_exact_in(addrs[3], 0, 9));
+        h.levels[0][1].period = Some(6); // 6 maps to slot 2, not 1
+        let per_epoch = (0..=9u64).any(|e| h.contains_within(addrs[3], e, 1) == Some(true));
+        assert!(!per_epoch);
+        assert!(!h.contains_exact_in(addrs[3], 0, 9));
     }
 
     #[test]

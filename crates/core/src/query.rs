@@ -124,6 +124,35 @@ pub trait StateView {
             })
             .collect()
     }
+
+    /// *Presence* wave: per switch, was `addr` seen at exact (level-1)
+    /// resolution in any epoch of `range`? Switches without a component
+    /// report `false`. The default is [`presence_by_epoch`] — the
+    /// reference every override must equal bit for bit.
+    fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool> {
+        presence_by_epoch(self, switches, addr, range)
+    }
+}
+
+/// The per-epoch form of [`StateView::presence_wave`]: one
+/// [`StateView::pointer_contains_exact`] probe per `(switch, epoch)` until
+/// the first hit. O(range) probes per switch — the reference the ranged
+/// overrides are property-tested against, and the call pattern of the
+/// naive (uncoalesced) router.
+pub fn presence_by_epoch<V: StateView + ?Sized>(
+    view: &V,
+    switches: &[NodeId],
+    addr: u64,
+    range: EpochRange,
+) -> Vec<bool> {
+    switches
+        .iter()
+        .map(|&sw| {
+            range
+                .iter()
+                .any(|e| view.pointer_contains_exact(sw, addr, e) == Some(Some(true)))
+        })
+        .collect()
 }
 
 /// One debugging query, ready to schedule. `Hash`/`Eq` make the request
@@ -914,14 +943,13 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
 
         // Presence must be read at *exact* (level-1) epoch resolution:
         // coarser levels aggregate pre-onset epochs and would report the
-        // destination everywhere.
-        let mut per_switch = Vec::with_capacity(path.len());
-        for &sw in &path {
-            let present = range
-                .iter()
-                .any(|e| self.view.pointer_contains_exact(sw, dst.addr(), e) == Some(Some(true)));
-            per_switch.push((sw, present));
-        }
+        // destination everywhere. One wave covers the whole path — the
+        // single retrieval round `push_round` charges below.
+        let per_switch: Vec<(NodeId, bool)> = path
+            .iter()
+            .copied()
+            .zip(self.view.presence_wave(&path, dst.addr(), range))
+            .collect();
 
         let last_seen = per_switch
             .iter()

@@ -43,8 +43,8 @@ use crate::cost::CostModel;
 use crate::host::TriggerEvent;
 use crate::hoststore::FlowRecord;
 use crate::query::{
-    ExecutionTrace, FilterWaveReply, QueryExecutor, QueryRequest, QueryResponse, SizesWaveReply,
-    StateView, TopKWaveReply,
+    presence_by_epoch, ExecutionTrace, FilterWaveReply, QueryExecutor, QueryRequest, QueryResponse,
+    SizesWaveReply, StateView, TopKWaveReply,
 };
 
 /// The directory shard owning `host`: the same stable splitmix64
@@ -386,6 +386,15 @@ impl<V: StateView> StateView for ShardedView<'_, V> {
         self.inner.pointer_contains_exact(switch, addr, epoch)
     }
 
+    fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool> {
+        // One probe (one hash + a bounded slot scan) per switch, answered
+        // by the shard owning the probed address's slot.
+        if let Some(s) = self.dir.owner_of_addr(addr) {
+            self.decode_bits[s].add(switches.len() as u64);
+        }
+        self.inner.presence_wave(switches, addr, range)
+    }
+
     fn store_len(&self, host: NodeId) -> Option<usize> {
         self.note_host_read(host);
         self.inner.store_len(host)
@@ -445,6 +454,10 @@ pub trait ShardBackend {
     /// probed address's slot).
     fn probe_exact(&self, switch: NodeId, addr: u64, epoch: u64) -> Option<Option<bool>>;
 
+    /// Exact-resolution presence of `addr` over `range` at every switch
+    /// of `switches`, in one call ([`StateView::presence_wave`]).
+    fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool>;
+
     /// Point read: store size of one owned host.
     fn store_len(&self, host: NodeId) -> Option<usize>;
 
@@ -494,6 +507,10 @@ impl<V: StateView> ShardBackend for LocalBackend<'_, V> {
 
     fn probe_exact(&self, switch: NodeId, addr: u64, epoch: u64) -> Option<Option<bool>> {
         self.view.pointer_contains_exact(switch, addr, epoch)
+    }
+
+    fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool> {
+        self.view.presence_wave(switches, addr, range)
     }
 
     fn store_len(&self, host: NodeId) -> Option<usize> {
@@ -733,6 +750,25 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
         self.rpcs.inc();
         self.rounds.inc();
         self.backends[s].probe_exact(switch, addr, epoch)
+    }
+
+    fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool> {
+        // The naive regime is the per-(switch, epoch) probe loop: one
+        // backend call each, the baseline the single wave is measured
+        // against.
+        if !self.coalesce {
+            return presence_by_epoch(self, switches, addr, range);
+        }
+        if switches.is_empty() {
+            return Vec::new();
+        }
+        // One call — one round — to the shard owning the address's slot
+        // (shard 0 for addresses outside the directory, as for probes).
+        let s = self.dir.owner_of_addr(addr).unwrap_or(0);
+        self.decode_bits[s].add(switches.len() as u64);
+        self.rpcs.inc();
+        self.rounds.inc();
+        self.backends[s].presence_wave(switches, addr, range)
     }
 
     fn store_len(&self, host: NodeId) -> Option<usize> {

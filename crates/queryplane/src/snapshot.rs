@@ -867,6 +867,17 @@ impl StateView for Snapshot {
             .map(|p| p.contains_within(addr, epoch, 1))
     }
 
+    fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool> {
+        switches
+            .iter()
+            .map(|sw| {
+                self.switches
+                    .get(sw)
+                    .is_some_and(|p| p.contains_exact_in(addr, range.lo, range.hi))
+            })
+            .collect()
+    }
+
     fn store_len(&self, host: NodeId) -> Option<usize> {
         self.hosts.get(&host).map(|h| h.len())
     }

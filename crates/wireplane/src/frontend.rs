@@ -475,6 +475,22 @@ impl ShardBackend for RemoteShard {
         )
     }
 
+    fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool> {
+        self.expect(
+            self.call(&Frame::PresenceWaveReq {
+                switches: switches.to_vec(),
+                addr,
+                range,
+            }),
+            |f| match f {
+                // A reply of the wrong length is as much a protocol
+                // error as one of the wrong type.
+                Frame::PresenceWaveRep(v) if v.len() == switches.len() => Some(v),
+                _ => None,
+            },
+        )
+    }
+
     fn store_len(&self, host: NodeId) -> Option<usize> {
         self.expect(self.call(&Frame::StoreLenReq { host }), |f| match f {
             Frame::StoreLenRep(v) => Some(v.map(|n| n as usize)),

@@ -11,8 +11,9 @@
 //! * **[`ShardServer`]** — owns one
 //!   [`DirectoryShard`](switchpointer::shard::DirectoryShard) plus its
 //!   per-shard snapshot slice ([`queryplane::Snapshot::shard_slice`]) and
-//!   answers decode / host-read / fan-out RPCs. Thread-per-connection
-//!   with a bounded accept pool and graceful shutdown.
+//!   answers decode / host-read / fan-out RPCs. One read loop per
+//!   connection behind a bounded accept pool, multiplexed requests
+//!   served on parked workers, graceful shutdown.
 //! * **[`FrontEnd`]** — embeds the core
 //!   [`BackendRouter`](switchpointer::shard::BackendRouter) over
 //!   [`RemoteShard`] connections: pointer unions reassemble from masked

@@ -23,8 +23,9 @@
 //! ([`Frame::encode_into`]), so a steady-state sender allocates only
 //! for payload bodies. Replication frames, scrapes and query waves all
 //! share the link: the server answers tagged requests out of order on
-//! a serve pool but keeps sequenced replication frames in-band, so the
-//! `SeqGap` protocol's ordering survives multiplexing.
+//! the connection's parked serve workers (see [`crate::server`]) but
+//! keeps sequenced replication frames in-band, so the `SeqGap`
+//! protocol's ordering survives multiplexing.
 //!
 //! Failure model: any transport error **poisons** the connection — the
 //! reader marks it dead with a peer-tagged [`WireError`] and wakes every

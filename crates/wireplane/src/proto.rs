@@ -21,6 +21,7 @@
 //! |---|---|---|
 //! | `UnionSliceReq/Rep` | front → shard | masked pointer-union slice |
 //! | `ProbeExactReq/Rep` | front → shard | exact-epoch presence probe |
+//! | `PresenceWaveReq/Rep` | front → shard | exact presence over an epoch range, one flag per switch |
 //! | `StoreLenReq/Rep`, `RecordReq/Rep`, `TriggerReq/Rep` | front → shard | host point reads |
 //! | `StoreLenWaveReq/Rep`, `FilterWaveReq/Rep`, `TopKWaveReq/Rep`, `SizesWaveReq/Rep` | front → shard | one coalesced wave per shard |
 //! | `HorizonReq/Rep` | front → shard | snapshot epoch horizon |
@@ -1276,6 +1277,17 @@ pub enum Frame {
         epoch: u64,
     },
     ProbeExactRep(Option<Option<bool>>),
+    /// A whole silent-drop sweep in one request: was `addr` seen at exact
+    /// resolution in any epoch of `range`, at each of `switches`? Served
+    /// in O(switches × α) whatever the range length.
+    PresenceWaveReq {
+        switches: Vec<NodeId>,
+        addr: u64,
+        range: EpochRange,
+    },
+    /// One flag per requested switch, in request order (`false` for a
+    /// switch the shard holds no pointers for).
+    PresenceWaveRep(Vec<bool>),
     StoreLenReq {
         host: NodeId,
     },
@@ -1435,6 +1447,7 @@ impl Frame {
             Frame::HorizonReq => 0x19,
             Frame::StatsScrapeReq => 0x1A,
             Frame::TraceScrapeReq => 0x1B,
+            Frame::PresenceWaveReq { .. } => 0x1C,
             Frame::UnionSliceRep(_) => 0x20,
             Frame::ProbeExactRep(_) => 0x21,
             Frame::StoreLenRep(_) => 0x22,
@@ -1447,6 +1460,7 @@ impl Frame {
             Frame::HorizonRep(_) => 0x29,
             Frame::StatsScrapeRep(_) => 0x2A,
             Frame::TraceScrapeRep(_) => 0x2B,
+            Frame::PresenceWaveRep(_) => 0x2C,
             Frame::QueryReq(_) => 0x30,
             Frame::QueryRep(_) => 0x31,
             Frame::SubscribeReq { .. } => 0x32,
@@ -1482,6 +1496,7 @@ impl Frame {
             Frame::HorizonReq => "HorizonReq",
             Frame::StatsScrapeReq => "StatsScrapeReq",
             Frame::TraceScrapeReq => "TraceScrapeReq",
+            Frame::PresenceWaveReq { .. } => "PresenceWaveReq",
             Frame::UnionSliceRep(_) => "UnionSliceRep",
             Frame::ProbeExactRep(_) => "ProbeExactRep",
             Frame::StoreLenRep(_) => "StoreLenRep",
@@ -1494,6 +1509,7 @@ impl Frame {
             Frame::HorizonRep(_) => "HorizonRep",
             Frame::StatsScrapeRep(_) => "StatsScrapeRep",
             Frame::TraceScrapeRep(_) => "TraceScrapeRep",
+            Frame::PresenceWaveRep(_) => "PresenceWaveRep",
             Frame::QueryReq(_) => "QueryReq",
             Frame::QueryRep(_) => "QueryRep",
             Frame::SubscribeReq { .. } => "SubscribeReq",
@@ -1534,6 +1550,16 @@ impl Frame {
                 e.put_u64(*epoch);
             }
             Frame::ProbeExactRep(v) => v.enc(&mut e),
+            Frame::PresenceWaveReq {
+                switches,
+                addr,
+                range,
+            } => {
+                switches.enc(&mut e);
+                e.put_u64(*addr);
+                range.enc(&mut e);
+            }
+            Frame::PresenceWaveRep(v) => v.enc(&mut e),
             Frame::StoreLenReq { host } => host.enc(&mut e),
             Frame::StoreLenRep(v) => v.enc(&mut e),
             Frame::RecordReq { host, flow } => {
@@ -1811,6 +1837,11 @@ impl Frame {
             0x19 => Frame::HorizonReq,
             0x1A => Frame::StatsScrapeReq,
             0x1B => Frame::TraceScrapeReq,
+            0x1C => Frame::PresenceWaveReq {
+                switches: Vec::dec(&mut d)?,
+                addr: d.get_u64()?,
+                range: EpochRange::dec(&mut d)?,
+            },
             0x20 => Frame::UnionSliceRep(Option::dec(&mut d)?),
             0x21 => Frame::ProbeExactRep(Option::dec(&mut d)?),
             0x22 => Frame::StoreLenRep(Option::dec(&mut d)?),
@@ -1823,6 +1854,7 @@ impl Frame {
             0x29 => Frame::HorizonRep(d.get_u64()?),
             0x2A => Frame::StatsScrapeRep(Vec::dec(&mut d)?),
             0x2B => Frame::TraceScrapeRep(Vec::dec(&mut d)?),
+            0x2C => Frame::PresenceWaveRep(Vec::dec(&mut d)?),
             0x30 => Frame::QueryReq(QueryRequest::dec(&mut d)?),
             0x31 => Frame::QueryRep(QueryResponse::dec(&mut d)?),
             0x32 => Frame::SubscribeReq {

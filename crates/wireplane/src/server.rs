@@ -12,19 +12,26 @@
 //! makes the front-end's batched fan-out a single wire round trip per
 //! shard.
 //!
-//! Serving model: thread-per-connection with a **bounded accept pool** —
-//! beyond `WireConfig::max_conns` concurrent connections the server
-//! greets with a typed [`WireError::Remote`] error frame and closes
-//! instead of queueing unboundedly. Listeners always bind
-//! `127.0.0.1:0`; the kernel-chosen port travels back through
-//! [`ShardServer::local_addr`], so nothing in tests or CI ever races for
-//! a fixed port. Shutdown is graceful: the accept loop is woken by a
-//! sentinel connection and every connection thread is joined.
+//! Serving model: one read-loop thread per connection behind a **bounded
+//! accept pool** — beyond `WireConfig::max_conns` concurrent connections
+//! the server greets with a typed [`WireError::Remote`] error frame and
+//! closes instead of queueing unboundedly. Legacy untagged requests and
+//! sequenced replication frames are served on the read loop, in arrival
+//! order. Multiplexed (`Tagged`/`Batch`) reads are handed to the
+//! connection's **parked serve workers**: threads grown on demand up to
+//! `MAX_INFLIGHT_SERVES`, parked on a condvar between requests and joined
+//! when the connection exits, so a request costs a wake-up, not a thread
+//! spawn; past the cap the read loop serves inline (backpressure).
+//! Listeners always bind `127.0.0.1:0`; the kernel-chosen port travels
+//! back through [`ShardServer::local_addr`], so nothing in tests or CI
+//! ever races for a fixed port. Shutdown is graceful: the accept loop is
+//! woken by a sentinel connection and every connection thread is joined.
 
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -47,6 +54,9 @@ pub(crate) struct WireLoopMetrics {
     pub(crate) decode_ns: Arc<Histogram>,
     pub(crate) serve_ns: Arc<Histogram>,
     pub(crate) encode_ns: Arc<Histogram>,
+    /// Serve-worker threads ever started. Tracks peak concurrency per
+    /// connection, never request count — workers are reused.
+    pub(crate) serve_spawns: Arc<Counter>,
 }
 
 impl WireLoopMetrics {
@@ -56,6 +66,7 @@ impl WireLoopMetrics {
             decode_ns: reg.histogram("wire.decode_ns"),
             serve_ns: reg.histogram("wire.serve_ns"),
             encode_ns: reg.histogram("wire.encode_ns"),
+            serve_spawns: reg.counter("wire.serve_spawns"),
         }
     }
 }
@@ -271,6 +282,11 @@ impl ShardState {
                 addr,
                 epoch,
             } => Frame::ProbeExactRep(self.view.pointer_contains_exact(*switch, *addr, *epoch)),
+            Frame::PresenceWaveReq {
+                switches,
+                addr,
+                range,
+            } => Frame::PresenceWaveRep(self.view.presence_wave(switches, *addr, *range)),
             Frame::StoreLenReq { host } => {
                 Frame::StoreLenRep(self.view.store_len(*host).map(|n| n as u64))
             }
@@ -366,11 +382,7 @@ impl Listener {
                         if active.load(Ordering::SeqCst) >= max_conns {
                             // Bounded accept pool: refuse with a typed
                             // error frame rather than queueing.
-                            let mut s = stream;
-                            let _ = Frame::Error(WireError::Remote(
-                                "accept pool exhausted".to_string(),
-                            ))
-                            .write(&mut s);
+                            refuse(stream, "accept pool exhausted");
                             continue;
                         }
                         let _ = stream.set_nodelay(true);
@@ -386,17 +398,33 @@ impl Listener {
                             Err(_) => continue,
                         }
                         active.fetch_add(1, Ordering::SeqCst);
-                        let handle = Arc::clone(&handle);
-                        let active = Arc::clone(&active);
-                        let streams = Arc::clone(&streams);
-                        let jh = std::thread::Builder::new()
-                            .name(format!("{name}-conn"))
-                            .spawn(move || {
-                                handle(stream);
-                                streams.lock().unwrap().remove(&conn_id);
+                        let spawned = {
+                            let handle = Arc::clone(&handle);
+                            let active = Arc::clone(&active);
+                            let streams = Arc::clone(&streams);
+                            std::thread::Builder::new()
+                                .name(format!("{name}-conn"))
+                                .spawn(move || {
+                                    handle(stream);
+                                    streams.lock().unwrap().remove(&conn_id);
+                                    active.fetch_sub(1, Ordering::SeqCst);
+                                })
+                        };
+                        let jh = match spawned {
+                            Ok(jh) => jh,
+                            // A transient spawn failure costs this one
+                            // connection, not the listener: undo the
+                            // bookkeeping and refuse like a full pool.
+                            // The stream itself died with the closure;
+                            // the registered clone is the same socket.
+                            Err(_) => {
                                 active.fetch_sub(1, Ordering::SeqCst);
-                            })
-                            .expect("spawn connection thread");
+                                if let Some(s) = streams.lock().unwrap().remove(&conn_id) {
+                                    refuse(s, "connection thread unavailable");
+                                }
+                                continue;
+                            }
+                        };
                         let mut guard = conns.lock().unwrap();
                         // Reap finished threads so the vec stays bounded.
                         let mut kept = Vec::new();
@@ -444,6 +472,11 @@ impl Listener {
     }
 }
 
+/// Turns a connection away with a typed error frame, then closes it.
+fn refuse(mut stream: TcpStream, why: &str) {
+    let _ = Frame::Error(WireError::Remote(why.to_string())).write(&mut stream);
+}
+
 impl Drop for Listener {
     fn drop(&mut self) {
         self.shutdown();
@@ -455,13 +488,13 @@ impl Drop for Listener {
 /// requests to complete out of order.
 pub type ServeDelay = Arc<dyn Fn(&Frame) -> std::time::Duration + Send + Sync>;
 
-/// In-flight spawned serves per connection before the loop falls back to
-/// serving in-band (backpressure, and a bound on thread count).
+/// Serve workers per connection — the most multiplexed requests served
+/// concurrently before the read loop falls back to serving in-band
+/// (backpressure, and a bound on thread count).
 const MAX_INFLIGHT_SERVES: usize = 32;
 
 /// Everything one connection loop needs to answer a single read-only
-/// request, shared with the per-request serve threads the multiplexed
-/// path spawns.
+/// request, shared with the connection's serve workers.
 struct ServeCtx {
     state: Arc<RwLock<Arc<ShardState>>>,
     metrics: WireLoopMetrics,
@@ -533,12 +566,12 @@ impl ServeCtx {
 }
 
 /// Writes one whole frame through the shared per-connection writer in a
-/// single `write_all`, so spawned serve threads never interleave partial
-/// frames on the socket.
+/// single `write_all`, so serve workers never interleave partial frames
+/// on the socket.
 ///
 /// Any failure — an unencodable reply (e.g. oversize) as much as a
 /// broken pipe — shuts the socket down before reporting `false`. A
-/// spawned serve thread has no connection loop to `break` out of; if
+/// serve worker has no connection loop to `break` out of; if
 /// its reply were silently dropped with the socket left healthy, the
 /// client's demux would wait on that `req_id` forever. Killing the
 /// socket makes the connection-loop read fail, the peer's reader
@@ -573,17 +606,141 @@ fn write_shared_observed(
     ok
 }
 
-/// Reaps finished serve threads; joins everything when `all` is set.
-fn reap(serves: &mut Vec<JoinHandle<()>>, all: bool) {
-    let mut kept = Vec::new();
-    for h in serves.drain(..) {
-        if all || h.is_finished() {
-            let _ = h.join();
-        } else {
-            kept.push(h);
+/// One multiplexed serve: runs the request (or a whole batch) and returns
+/// the reply envelope, plus whether its encode is observed in
+/// `wire.encode_ns` (scrapes are not — they stay side-effect-free).
+type ServeJob = Box<dyn FnOnce() -> (Frame, bool) + Send>;
+
+/// Hand-off state between a connection's read loop and its workers.
+struct ServeQueue {
+    jobs: VecDeque<ServeJob>,
+    /// Workers not inside a job: parked, about to park, or writing a
+    /// reply. Every queued job is matched by one of them, so a job never
+    /// waits behind another job's serve.
+    free: usize,
+    closed: bool,
+}
+
+/// A connection's serve workers: grown on demand up to
+/// [`MAX_INFLIGHT_SERVES`], parked on a condvar between requests, joined
+/// on drop. Owned by the connection's read loop — the only submitter.
+struct ServeWorkers {
+    shared: Arc<(Mutex<ServeQueue>, Condvar)>,
+    workers: Vec<JoinHandle<()>>,
+    name: String,
+    writer: Arc<Mutex<TcpStream>>,
+    metrics: WireLoopMetrics,
+}
+
+impl ServeWorkers {
+    fn new(name: String, writer: Arc<Mutex<TcpStream>>, metrics: WireLoopMetrics) -> Self {
+        ServeWorkers {
+            shared: Arc::new((
+                Mutex::new(ServeQueue {
+                    jobs: VecDeque::new(),
+                    free: 0,
+                    closed: false,
+                }),
+                Condvar::new(),
+            )),
+            workers: Vec::new(),
+            name,
+            writer,
+            metrics,
         }
     }
-    *serves = kept;
+
+    /// Serves `job` on a worker — or, past the cap, right here on the
+    /// calling read loop, which also throttles the reader (backpressure).
+    /// `false` means an inline reply could not be written: the socket is
+    /// gone and the loop should exit.
+    fn dispatch(&mut self, job: ServeJob) -> bool {
+        let Some(job) = self.submit(job) else {
+            return true;
+        };
+        let (reply, observed) = job();
+        write_shared_observed(&self.writer, &reply, observed.then_some(&self.metrics))
+    }
+
+    /// Hands `job` to a free worker, starting one if all are busy and the
+    /// cap allows. Gives the job back when it must be served inline: at
+    /// the cap, or when no thread could be started for it.
+    fn submit(&mut self, job: ServeJob) -> Option<ServeJob> {
+        let (lock, wake) = &*self.shared;
+        let mut q = lock.lock().expect("serve queue lock: jobs run outside it");
+        if q.jobs.len() < q.free {
+            q.jobs.push_back(job);
+            wake.notify_one();
+            return None;
+        }
+        if self.workers.len() >= MAX_INFLIGHT_SERVES {
+            return Some(job);
+        }
+        q.jobs.push_back(job);
+        drop(q);
+        let shared = Arc::clone(&self.shared);
+        let writer = Arc::clone(&self.writer);
+        let metrics = self.metrics.clone();
+        let spawned = std::thread::Builder::new()
+            .name(self.name.clone())
+            .spawn(move || serve_worker(&shared, &writer, &metrics));
+        match spawned {
+            Ok(h) => {
+                self.metrics.serve_spawns.inc();
+                self.workers.push(h);
+                None
+            }
+            // This loop is the only submitter, so the newest queued job
+            // is the one just pushed — unless a worker that freed up in
+            // the meantime already took it.
+            Err(_) => lock
+                .lock()
+                .expect("serve queue lock: jobs run outside it")
+                .jobs
+                .pop_back(),
+        }
+    }
+}
+
+impl Drop for ServeWorkers {
+    /// Lets the workers finish what was handed to them, then joins them.
+    fn drop(&mut self) {
+        let (lock, wake) = &*self.shared;
+        lock.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
+        wake.notify_all();
+        for h in self.workers.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+/// A serve worker's life: take a job, serve it, write the reply, park.
+/// The worker counts as free again *before* it writes the reply, so a
+/// client that sends its next request the moment the reply lands finds
+/// this worker rather than forcing a new one.
+fn serve_worker(
+    shared: &(Mutex<ServeQueue>, Condvar),
+    writer: &Mutex<TcpStream>,
+    metrics: &WireLoopMetrics,
+) {
+    let (lock, wake) = shared;
+    let relock = || lock.lock().expect("serve queue lock: jobs run outside it");
+    let mut q = relock();
+    q.free += 1;
+    loop {
+        if let Some(job) = q.jobs.pop_front() {
+            q.free -= 1;
+            drop(q);
+            let (reply, observed) = job();
+            relock().free += 1;
+            let _ = write_shared_observed(writer, &reply, observed.then_some(metrics));
+            q = relock();
+        } else if q.closed {
+            return;
+        } else {
+            q = wake.wait(q).expect("serve queue lock: jobs run outside it");
+        }
+    }
 }
 
 /// A running shard server.
@@ -652,7 +809,11 @@ impl ShardServer {
                     shard: shard as u32,
                     delay: Arc::clone(&delay_hook),
                 });
-                let mut serves: Vec<JoinHandle<()>> = Vec::new();
+                let mut workers = ServeWorkers::new(
+                    format!("wireplane-shard{shard}-serve"),
+                    Arc::clone(&writer),
+                    m.clone(),
+                );
                 loop {
                     let (tag, payload) = match read_frame(&mut stream, max_frame) {
                         Ok(fr) => fr,
@@ -675,7 +836,7 @@ impl ShardServer {
                     let decode_elapsed = decode_started.elapsed();
                     match req {
                         // Multiplexed fast path: tagged requests complete
-                        // out of order on spawned serve threads, so a
+                        // out of order on the serve workers, so a
                         // slow fan-out never convoys the scrapes and
                         // replication acks sharing the link. Sequenced
                         // replication frames are the exception — they
@@ -714,51 +875,22 @@ impl ShardServer {
                                 }
                                 continue;
                             }
-                            reap(&mut serves, false);
-                            let inner = Arc::new(*inner);
-                            let mut inline = true;
-                            if serves.len() < MAX_INFLIGHT_SERVES {
+                            let job: ServeJob = {
                                 let ctx = Arc::clone(&ctx);
-                                let writer = Arc::clone(&writer);
-                                let inner = Arc::clone(&inner);
-                                let spawn = std::thread::Builder::new()
-                                    .name(format!("wireplane-shard{shard}-serve"))
-                                    .spawn(move || {
-                                        let reply = ctx.serve_read(&inner, tctx);
-                                        let _ = write_shared_observed(
-                                            &writer,
-                                            &Frame::Tagged {
-                                                req_id,
-                                                ctx: None,
-                                                inner: Box::new(reply),
-                                            },
-                                            (!is_scrape).then_some(&ctx.metrics),
-                                        );
-                                    });
-                                if let Ok(h) = spawn {
-                                    serves.push(h);
-                                    inline = false;
-                                }
-                            }
-                            // Beyond the in-flight cap (or on spawn
-                            // failure) the loop serves inline, which
-                            // also throttles the reader — backpressure.
-                            if inline {
-                                let reply = ctx.serve_read(&inner, tctx);
-                                if !write_shared_observed(
-                                    &writer,
-                                    &Frame::Tagged {
+                                Box::new(move || {
+                                    let reply = Frame::Tagged {
                                         req_id,
                                         ctx: None,
-                                        inner: Box::new(reply),
-                                    },
-                                    (!is_scrape).then_some(&m),
-                                ) {
-                                    break;
-                                }
+                                        inner: Box::new(ctx.serve_read(&inner, tctx)),
+                                    };
+                                    (reply, !is_scrape)
+                                })
+                            };
+                            if !workers.dispatch(job) {
+                                break;
                             }
                         }
-                        // A whole wave batch serves on one thread and
+                        // A whole wave batch serves on one worker and
                         // answers with one BatchRep; other tagged traffic
                         // keeps flowing meanwhile. Batches carrying
                         // replication serve in-band for the same ordering
@@ -803,46 +935,17 @@ impl ShardServer {
                                 }
                                 continue;
                             }
-                            reap(&mut serves, false);
-                            // Captures only Arcs, so the closure is Clone:
-                            // one copy can go to a spawned thread while
-                            // the original stays callable inline.
-                            let serve_batch = {
+                            let job: ServeJob = {
                                 let ctx = Arc::clone(&ctx);
-                                let writer = Arc::clone(&writer);
-                                let entries = Arc::new(entries);
-                                move || {
+                                Box::new(move || {
                                     let replies: Vec<(u32, Frame)> = entries
                                         .iter()
                                         .map(|(id, tctx, f)| (*id, ctx.serve_read(f, *tctx)))
                                         .collect();
-                                    write_shared_observed(
-                                        &writer,
-                                        &Frame::BatchRep(replies),
-                                        (!all_scrapes).then_some(&ctx.metrics),
-                                    )
-                                }
+                                    (Frame::BatchRep(replies), !all_scrapes)
+                                })
                             };
-                            let mut inline = true;
-                            if serves.len() < MAX_INFLIGHT_SERVES {
-                                let sb = serve_batch.clone();
-                                let spawn = std::thread::Builder::new()
-                                    .name(format!("wireplane-shard{shard}-serve"))
-                                    .spawn(move || {
-                                        let _ = sb();
-                                    });
-                                if let Ok(h) = spawn {
-                                    serves.push(h);
-                                    inline = false;
-                                }
-                            }
-                            // Beyond the in-flight cap — or on a transient
-                            // spawn failure, which must not kill the
-                            // connection and every exchange in flight on
-                            // it — serve inline, mirroring the Tagged
-                            // path (inline also throttles the reader:
-                            // backpressure).
-                            if inline && !serve_batch() {
+                            if !workers.dispatch(job) {
                                 break;
                             }
                         }
@@ -913,7 +1016,8 @@ impl ShardServer {
                         }
                     }
                 }
-                reap(&mut serves, true);
+                // Leaving the loop drops `workers`: in-flight serves
+                // finish and every worker is joined.
             },
         )?;
         Ok(ShardServer {
@@ -1004,6 +1108,201 @@ mod tests {
     use super::*;
     use std::io::Read;
     use std::time::Duration;
+
+    use netsim::prelude::*;
+    use switchpointer::testbed::{Testbed, TestbedConfig};
+
+    use crate::{MuxConn, WireCluster};
+
+    /// One shard server (plus front-end) over a small chain deployment.
+    fn one_shard_cluster() -> WireCluster {
+        let topo = Topology::chain(3, 2, GBPS);
+        let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
+        let (a, f) = (tb.node("A"), tb.node("F"));
+        tb.sim.add_udp_flow(UdpFlowSpec {
+            src: a,
+            dst: f,
+            priority: Priority::LOW,
+            start: SimTime::ZERO,
+            duration: SimTime::from_ms(2),
+            rate_bps: 100_000_000,
+            payload_bytes: 1458,
+        });
+        tb.sim.run_until(SimTime::from_ms(5));
+        WireCluster::launch(&tb.analyzer(), 1, WireConfig::default()).unwrap()
+    }
+
+    fn serve_spawns(cluster: &WireCluster) -> u64 {
+        cluster
+            .server_metrics(0)
+            .snapshot()
+            .counter("wire.serve_spawns")
+    }
+
+    /// Sequential tagged traffic is served by one parked worker, woken per
+    /// request — the worker count follows concurrency, not request count.
+    #[test]
+    fn sequential_tagged_calls_reuse_one_serve_worker() {
+        let cluster = one_shard_cluster();
+        let (mux, _, _) = MuxConn::connect(cluster.shard_addrs()[0], MAX_FRAME).unwrap();
+        let before = serve_spawns(&cluster);
+        for _ in 0..1000 {
+            assert!(matches!(
+                mux.call(&Frame::HorizonReq).unwrap(),
+                Frame::HorizonRep(_)
+            ));
+        }
+        assert_eq!(
+            serve_spawns(&cluster) - before,
+            1,
+            "1000 sequential requests must wake one worker, not start more"
+        );
+        cluster.shutdown();
+    }
+
+    /// 40 requests in flight at once on one connection: the first
+    /// `MAX_INFLIGHT_SERVES` each get a worker, the next is served inline
+    /// on the read loop (which therefore stops reading — backpressure),
+    /// and every reply still pairs with its request.
+    #[test]
+    fn concurrent_requests_past_the_worker_cap_are_served_inline() {
+        const REQUESTS: u32 = 40;
+        let cluster = one_shard_cluster();
+        let before = serve_spawns(&cluster);
+
+        // A gate instead of a timer: every serve announces itself, then
+        // blocks until the test opens the gate.
+        let gate = Arc::new((Mutex::new((0usize, false)), Condvar::new()));
+        let delay: ServeDelay = {
+            let gate = Arc::clone(&gate);
+            Arc::new(move |_: &Frame| {
+                let (lock, cond) = &*gate;
+                let mut g = lock.lock().unwrap();
+                g.0 += 1;
+                cond.notify_all();
+                while !g.1 {
+                    g = cond.wait(g).unwrap();
+                }
+                Duration::ZERO
+            })
+        };
+        cluster.server(0).set_serve_delay(Some(delay));
+
+        // A raw socket, so the 40 requests travel as 40 `Tagged` frames
+        // (a `MuxConn` would combine concurrent callers into batches).
+        let mut stream = TcpStream::connect(cluster.shard_addrs()[0]).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        assert!(matches!(
+            Frame::read(&mut stream, MAX_FRAME).unwrap(),
+            Frame::Hello { .. }
+        ));
+        // Even ids ask for the horizon, odd ids for an unknown host's
+        // store: a reply crossing wires would show up as the wrong type.
+        for req_id in 0..REQUESTS {
+            let inner = if req_id % 2 == 0 {
+                Frame::HorizonReq
+            } else {
+                Frame::StoreLenReq {
+                    host: NodeId(u32::MAX),
+                }
+            };
+            Frame::Tagged {
+                req_id,
+                ctx: None,
+                inner: Box::new(inner),
+            }
+            .write(&mut stream)
+            .unwrap();
+        }
+
+        let (lock, cond) = &*gate;
+        let inline_and_workers = MAX_INFLIGHT_SERVES + 1;
+        {
+            let mut g = lock.lock().unwrap();
+            while g.0 < inline_and_workers {
+                let (next, timeout) = cond.wait_timeout(g, Duration::from_secs(30)).unwrap();
+                assert!(!timeout.timed_out(), "only {} serves started", next.0);
+                g = next;
+            }
+        }
+        // The read loop is stuck inside the inline serve: with the gate
+        // shut, no further request can start however long we wait.
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(lock.lock().unwrap().0, inline_and_workers);
+        assert_eq!(
+            serve_spawns(&cluster) - before,
+            MAX_INFLIGHT_SERVES as u64,
+            "the cap bounds the workers; the overflow request got none"
+        );
+
+        lock.lock().unwrap().1 = true;
+        cond.notify_all();
+        let mut seen = vec![false; REQUESTS as usize];
+        for _ in 0..REQUESTS {
+            match Frame::read(&mut stream, MAX_FRAME).unwrap() {
+                Frame::Tagged { req_id, inner, .. } => {
+                    assert!(!std::mem::replace(&mut seen[req_id as usize], true));
+                    match (*inner, req_id % 2) {
+                        (Frame::HorizonRep(_), 0) | (Frame::StoreLenRep(None), 1) => {}
+                        (other, _) => panic!("request {req_id} got {other:?}"),
+                    }
+                }
+                other => panic!("expected a tagged reply, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            serve_spawns(&cluster) - before,
+            MAX_INFLIGHT_SERVES as u64,
+            "draining the backlog reuses the parked workers"
+        );
+        cluster.server(0).set_serve_delay(None);
+        cluster.shutdown();
+    }
+
+    /// Shutdown with a serve in flight: the worker is joined (not
+    /// abandoned), shutdown does not hang on it, and the caller whose
+    /// connection was closed under it sees a transport error — never a
+    /// reply written after the close.
+    #[test]
+    fn shutdown_joins_a_worker_that_is_mid_serve() {
+        let cluster = one_shard_cluster();
+        let (mux, _, _) = MuxConn::connect(cluster.shard_addrs()[0], MAX_FRAME).unwrap();
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
+        let entered_tx = Mutex::new(entered_tx);
+        let finished = Arc::new(AtomicBool::new(false));
+        let delay: ServeDelay = {
+            let mux = Arc::clone(&mux);
+            let finished = Arc::clone(&finished);
+            Arc::new(move |_: &Frame| {
+                let _ = entered_tx.lock().unwrap().send(());
+                // Hold the serve open until the server has closed this
+                // very connection (the client side observes the close).
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while !mux.is_dead() && Instant::now() < deadline {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                finished.store(true, Ordering::SeqCst);
+                Duration::ZERO
+            })
+        };
+        cluster.server(0).set_serve_delay(Some(delay));
+
+        std::thread::scope(|scope| {
+            let call = scope.spawn(|| mux.call(&Frame::HorizonReq));
+            entered_rx.recv().expect("the serve never started");
+            cluster.shutdown();
+            assert!(
+                finished.load(Ordering::SeqCst),
+                "shutdown returned before the in-flight serve was joined"
+            );
+            match call.join().unwrap() {
+                Err(WireError::Io { .. }) => {}
+                other => panic!("expected a transport error, got {other:?}"),
+            }
+        });
+    }
 
     /// A reply that cannot be encoded (or written) must kill the socket,
     /// not leave it healthy with the reply silently dropped — otherwise a

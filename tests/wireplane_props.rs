@@ -443,6 +443,12 @@ fn gen_frames(rng: &mut TestRng) -> Vec<Frame> {
             1 => Some(None),
             _ => Some(Some(rng.below(2) == 0)),
         }),
+        Frame::PresenceWaveReq {
+            switches: hosts(rng),
+            addr: rng.next_u64(),
+            range: gen_epoch_range(rng),
+        },
+        Frame::PresenceWaveRep((0..rng.below(6)).map(|_| rng.below(2) == 0).collect()),
         Frame::StoreLenReq {
             host: NodeId(rng.below(64) as u32),
         },
@@ -1533,6 +1539,27 @@ fn envelope_frames_reject_truncation_corruption_and_hostile_counts() {
             "hostile batch count not refused"
         );
     }
+    // A presence wave — bare, tagged or batched — whose switch or flag
+    // count promises more elements than the payload holds: refused before
+    // any reservation it would justify.
+    for (tag, filler) in [(0x1Cu8, 24usize), (0x2C, 0)] {
+        let mut bare = (u64::MAX / 2).to_le_bytes().to_vec();
+        bare.extend(std::iter::repeat_n(0u8, filler));
+        assert!(
+            matches!(Frame::decode(tag, &bare), Err(WireError::Truncated { .. })),
+            "hostile presence-wave count {tag:#04x} not refused"
+        );
+        let mut tagged = vec![0, 0, 0, 3, tag];
+        tagged.extend_from_slice(&bare);
+        assert!(Frame::decode(0x50, &tagged).is_err());
+        let mut batched = Vec::new();
+        leb(1, &mut batched);
+        batched.extend_from_slice(&[0, 0, 0, 3, tag]);
+        leb(bare.len() as u64, &mut batched);
+        batched.extend_from_slice(&bare);
+        assert!(Frame::decode(0x51, &batched).is_err());
+        assert!(Frame::decode(0x52, &batched).is_err());
+    }
     // A delta-packed id list (Tagged StoreLenWaveReq) with a count far
     // beyond its bytes: refused before allocation.
     let mut hostile_ids = vec![0, 0, 0, 7, 0x18];
@@ -2065,6 +2092,277 @@ fn transport_errors_name_the_peer_through_retry_rotation() {
         msg.contains("transport error talking to 127.0.0.1:"),
         "rotated shard error lost its peer: {msg}"
     );
+}
+
+// ----------------------------------------------------------------------
+// (g) The silent-drop sweep in one round trip: PresenceWave over the wire
+// ----------------------------------------------------------------------
+
+/// The chain fixture with a mid-run blackhole: A→F crosses S1–S2–S3, and
+/// the S2–S3 link dies at 8 ms, so post-onset epochs show the destination
+/// at S1 and S2 but not S3 — whose level-1 slots, never rotated again,
+/// still hold the pre-onset epochs 0–7. Nothing is ever sent to E.
+fn blackhole_testbed() -> (Testbed, FlowId) {
+    let topo = Topology::chain(3, 2, GBPS);
+    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
+    let (a, f) = (tb.node("A"), tb.node("F"));
+    let flow = tb.sim.add_udp_flow(UdpFlowSpec {
+        src: a,
+        dst: f,
+        priority: Priority::LOW,
+        start: SimTime::ZERO,
+        duration: SimTime::from_ms(20),
+        rate_bps: 300_000_000,
+        payload_bytes: 1458,
+    });
+    let (s2, s3) = (tb.node("S2"), tb.node("S3"));
+    let bad = tb
+        .sim
+        .topo()
+        .ports(s2)
+        .iter()
+        .find(|&&(_, peer)| peer == s3)
+        .map(|&(link, _)| link)
+        .expect("S2-S3 link");
+    tb.sim.schedule_link_state(bad, false, SimTime::from_ms(8));
+    tb.sim.run_until(SimTime::from_ms(20));
+    (tb, flow)
+}
+
+/// Absent from midway, never seen, present everywhere (a retention sweep
+/// far longer than any live window), and present only downstream (S1 and
+/// S2 have recycled the early epochs S3 still holds).
+fn sweep_queries(tb: &Testbed, flow: FlowId) -> Vec<QueryRequest> {
+    let (a, e, f) = (tb.node("A"), tb.node("E"), tb.node("F"));
+    let sweep = |dst, lo, hi| QueryRequest::SilentDrop {
+        flow,
+        src: a,
+        dst,
+        range: EpochRange { lo, hi },
+    };
+    vec![
+        sweep(f, 14, 19),
+        sweep(e, 0, 19),
+        sweep(f, 0, 999),
+        sweep(f, 0, 5),
+    ]
+}
+
+fn frames_served(cluster: &WireCluster, n_shards: usize) -> u64 {
+    (0..n_shards)
+        .map(|i| {
+            cluster
+                .server_metrics(i)
+                .snapshot()
+                .counter("wire.frames_served")
+        })
+        .sum()
+}
+
+/// `SilentDrop` through the wire ≡ `ShardedAnalyzer` ≡ `Analyzer` at
+/// 1/2/4/8 shards — and the count the one-round-trip claim rests on:
+/// exactly one shard RPC, one round and one served frame per sweep,
+/// however many epochs it covers.
+#[test]
+fn silent_drop_sweep_is_one_round_trip_and_bit_identical_at_1_2_4_8_shards() {
+    let (tb, flow) = blackhole_testbed();
+    let analyzer = tb.analyzer();
+    let reqs = sweep_queries(&tb, flow);
+    // The fixture really covers the shapes it claims.
+    let shapes: Vec<Vec<bool>> = reqs
+        .iter()
+        .map(|r| match analyzer.execute(r) {
+            QueryResponse::SilentDrop(d) => d.per_switch.iter().map(|&(_, p)| p).collect(),
+            other => panic!("unexpected response {other:?}"),
+        })
+        .collect();
+    assert_eq!(shapes[0], [true, true, false], "absent from midway");
+    assert_eq!(shapes[1], [false, false, false], "never seen");
+    assert_eq!(shapes[2], [true, true, true], "present everywhere");
+    assert_eq!(shapes[3], [false, false, true], "present only downstream");
+
+    for n_shards in [1usize, 2, 4, 8] {
+        let sharded = ShardedAnalyzer::new(&analyzer, n_shards);
+        let cluster = WireCluster::launch(&analyzer, n_shards, WireConfig::default()).unwrap();
+        let mut client = cluster.client().unwrap();
+        for (i, req) in reqs.iter().enumerate() {
+            let flat = format!("{:?}", analyzer.execute(req));
+            assert_eq!(format!("{:?}", sharded.execute(req)), flat);
+
+            let served_before = frames_served(&cluster, n_shards);
+            let frames_before = cluster.front().wire_frames_sent();
+            let (resp, _, counters) = cluster.front().execute(req);
+            assert_eq!(
+                format!("{resp:?}"),
+                flat,
+                "sweep {i} diverged across the wire at {n_shards} shards"
+            );
+            assert_eq!(
+                (counters.rpcs, counters.rounds),
+                (1, 1),
+                "sweep {i} at {n_shards} shards: a whole sweep is one RPC in one round"
+            );
+            assert_eq!(cluster.front().wire_frames_sent() - frames_before, 1);
+            assert_eq!(frames_served(&cluster, n_shards) - served_before, 1);
+
+            // Through a real client connection, and again right after
+            // every shard link was killed (the reconnect is transparent
+            // and still costs a single served frame).
+            assert_eq!(format!("{:?}", client.query(req).unwrap()), flat);
+            cluster.front().kill_shard_connections();
+            let served_before = frames_served(&cluster, n_shards);
+            assert_eq!(format!("{:?}", client.query(req).unwrap()), flat);
+            assert_eq!(frames_served(&cluster, n_shards) - served_before, 1);
+        }
+        assert!(cluster.front().shard_reconnects() >= 1);
+        cluster.shutdown();
+    }
+}
+
+/// A connection kill landing *inside* the sweep's one RPC: the exchange
+/// fails over to a fresh connection and the verdict is unchanged.
+#[test]
+fn silent_drop_sweep_survives_a_connection_kill_mid_query() {
+    let (tb, flow) = blackhole_testbed();
+    let analyzer = tb.analyzer();
+    let reqs = sweep_queries(&tb, flow);
+    for n_shards in [1usize, 2, 4, 8] {
+        let cluster = WireCluster::launch(&analyzer, n_shards, WireConfig::default()).unwrap();
+        for req in &reqs {
+            // The first serve of the wave announces itself and then
+            // stalls, so the kill provably lands while it is in flight.
+            let (tx, rx) = std::sync::mpsc::channel::<()>();
+            let tx = std::sync::Mutex::new(Some(tx));
+            let delay: ServeDelay = Arc::new(move |f: &Frame| {
+                let first = matches!(f, Frame::PresenceWaveReq { .. })
+                    .then(|| tx.lock().unwrap().take())
+                    .flatten();
+                match first {
+                    Some(tx) => {
+                        let _ = tx.send(());
+                        Duration::from_millis(100)
+                    }
+                    None => Duration::ZERO,
+                }
+            });
+            // Every shard gets the same hook; only the one owning the
+            // destination's slot ever sees the wave.
+            for s in 0..n_shards {
+                cluster.server(s).set_serve_delay(Some(Arc::clone(&delay)));
+            }
+            let reconnects_before = cluster.front().shard_reconnects();
+            let (resp, counters) = std::thread::scope(|scope| {
+                let cluster = &cluster;
+                let killer = scope.spawn(move || {
+                    rx.recv().expect("the wave never reached a shard");
+                    cluster.front().kill_shard_connections();
+                });
+                let (resp, _, counters) = cluster.front().execute(req);
+                killer.join().unwrap();
+                (resp, counters)
+            });
+            for s in 0..n_shards {
+                cluster.server(s).set_serve_delay(None);
+            }
+            assert_eq!(
+                format!("{resp:?}"),
+                format!("{:?}", analyzer.execute(req)),
+                "sweep diverged across a mid-query kill at {n_shards} shards"
+            );
+            // The router still issued one call; the transport retried it.
+            assert_eq!((counters.rpcs, counters.rounds), (1, 1));
+            assert!(
+                cluster.front().shard_reconnects() > reconnects_before,
+                "the kill missed the in-flight wave"
+            );
+        }
+        cluster.shutdown();
+    }
+}
+
+/// Server work for a presence wave is O(switches × α), never O(range): a
+/// sweep of every epoch there is, over a switch list filling the whole
+/// frame, answers promptly — and a switch the shard has never heard of is
+/// `false`, not an error.
+#[test]
+fn presence_wave_over_the_full_epoch_space_answers_promptly() {
+    let (tb, _flow) = blackhole_testbed();
+    let analyzer = tb.analyzer();
+    let cfg = WireConfig {
+        max_frame: 1 << 20,
+        ..WireConfig::default()
+    };
+    let cluster = WireCluster::launch(&analyzer, 1, cfg).unwrap();
+    let (mux, _, _) = MuxConn::connect(cluster.shard_addrs()[0], cfg.max_frame).unwrap();
+
+    let path = [tb.node("S1"), tb.node("S2"), tb.node("S3")];
+    let unknown = NodeId(9_999_999);
+    // As many switches as one frame can carry (4 bytes each, minus the
+    // envelope and the fixed fields): the real path first, then unknown
+    // switches, then the path again.
+    let n = ((cfg.max_frame as usize) - 128) / 4;
+    let mut switches = vec![unknown; n];
+    switches[..3].copy_from_slice(&path);
+    switches[n - 3..].copy_from_slice(&path);
+    let everything = EpochRange {
+        lo: 0,
+        hi: u64::MAX,
+    };
+    let addr = tb.node("F").addr();
+
+    let started = Instant::now();
+    let reply = mux
+        .call(&Frame::PresenceWaveReq {
+            switches: switches.clone(),
+            addr,
+            range: everything,
+        })
+        .unwrap();
+    let elapsed = started.elapsed();
+    let Frame::PresenceWaveRep(flags) = reply else {
+        panic!("expected a presence reply, got {reply:?}");
+    };
+    // An O(range) server would need 2^64 probes per switch; O(switches)
+    // work on a quarter-million entries is milliseconds.
+    assert!(
+        elapsed < Duration::from_secs(20),
+        "presence wave took {elapsed:?}"
+    );
+    assert_eq!(flags.len(), n);
+    // Somewhere in all of time every path switch saw F (S3 before the
+    // blackhole).
+    assert_eq!(flags[..3], [true, true, true]);
+    assert_eq!(flags[n - 3..], [true, true, true]);
+    assert!(
+        flags[3..n - 3].iter().all(|&p| !p),
+        "an unknown switch must answer false"
+    );
+
+    // The range is honoured, not ignored: post-onset, S3 is dark.
+    match mux
+        .call(&Frame::PresenceWaveReq {
+            switches: path.to_vec(),
+            addr,
+            range: EpochRange { lo: 14, hi: 19 },
+        })
+        .unwrap()
+    {
+        Frame::PresenceWaveRep(flags) => assert_eq!(flags, [true, true, false]),
+        other => panic!("expected a presence reply, got {other:?}"),
+    }
+
+    // One switch past the frame budget is refused by framing — typed,
+    // on the sender, before a byte moves.
+    let mut too_many = switches;
+    too_many.extend(std::iter::repeat_n(unknown, 64));
+    assert!(mux
+        .call(&Frame::PresenceWaveReq {
+            switches: too_many,
+            addr,
+            range: everything,
+        })
+        .is_err());
+    cluster.shutdown();
 }
 
 // ----------------------------------------------------------------------
