@@ -17,6 +17,7 @@ use std::time::{Duration, Instant};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netsim::prelude::*;
 use obsplane::{HistogramSnapshot, Percentiles, RegistrySnapshot};
+use queryplane::model::ModelReplay;
 use queryplane::{QueryPlane, QueryPlaneConfig, RetentionPolicy, Snapshot};
 use replicaplane::ReplicaCluster;
 use streamplane::{StandingQuery, StreamConfig, StreamPlane};
@@ -138,8 +139,8 @@ fn workload() -> (Testbed, Vec<QueryRequest>) {
     (tb, reqs)
 }
 
-/// Modelled accounting of one batch (worker-independent: the accounting
-/// pass is a sequential replay in submission order).
+/// Modelled accounting of one batch (worker-independent: the replay is a
+/// pure function of the outcomes in submission order).
 struct BatchAccounting {
     cache_hit_rate: f64,
     modelled_speedup: f64,
@@ -152,16 +153,20 @@ struct ThroughputPoint {
     warm_qps: f64,
 }
 
+/// Times one `execute_batch`, then — outside the timed region — replays
+/// its outcomes through `model` for the batch's modelled figures.
 fn batch_delta(
     plane: &mut QueryPlane,
+    model: &mut ModelReplay,
     reqs: &[QueryRequest],
 ) -> (std::time::Duration, BatchAccounting) {
-    let before = plane.stats();
     let t0 = Instant::now();
     let outcomes = plane.execute_batch(reqs);
     let dt = t0.elapsed();
     assert_eq!(outcomes.len(), reqs.len());
-    let after = plane.stats();
+    let before = model.report();
+    model.replay(&outcomes);
+    let after = model.report();
     let hits = after.pointer_hits - before.pointer_hits;
     let misses = after.pointer_misses - before.pointer_misses;
     let sequential = (after.sequential_total - before.sequential_total).as_ns() as f64;
@@ -192,14 +197,14 @@ fn measure(
             workers,
             shards: 8,
             directory_shards: 1,
-            cache_capacity: 4096,
             retention: None,
         },
     );
-    let (cold_dt, cold) = batch_delta(&mut plane, reqs);
-    let (mut warm_dt, warm) = batch_delta(&mut plane, reqs);
+    let mut model = ModelReplay::new(*analyzer.cost(), 4096);
+    let (cold_dt, cold) = batch_delta(&mut plane, &mut model, reqs);
+    let (mut warm_dt, warm) = batch_delta(&mut plane, &mut model, reqs);
     for _ in 0..4 {
-        let (dt, _) = batch_delta(&mut plane, reqs);
+        let (dt, _) = batch_delta(&mut plane, &mut model, reqs);
         warm_dt = warm_dt.min(dt);
     }
     (
@@ -247,19 +252,20 @@ fn measure_shards(tb: &Testbed, reqs: &[QueryRequest]) -> Vec<ShardPoint> {
                 workers: 8,
                 shards: 8,
                 directory_shards: shards,
-                cache_capacity: 4096,
                 retention: None,
             },
         );
         let outcomes = plane.execute_batch(reqs);
         assert_eq!(outcomes.len(), reqs.len());
         let fanout = plane.fanout();
-        let stats = plane.stats();
+        let mut model = ModelReplay::new(*analyzer.cost(), 4096);
+        model.replay(&outcomes);
+        let stats = model.report();
         points.push(ShardPoint {
             shards,
             decode_bits: fanout.decode_bits,
             host_reads: fanout.host_reads,
-            cross_shard_merges: stats.cross_shard_merges,
+            cross_shard_merges: fanout.merges,
             modelled_decode_us: stats.modelled_decode_total.as_ns() as f64 / 1e3,
             decode_speedup: stats.decode_speedup(),
         });
@@ -327,7 +333,6 @@ fn measure_stream() -> StreamSummary {
                 workers: 8,
                 shards: 8,
                 directory_shards: 1,
-                cache_capacity: 4096,
                 retention: None,
             },
             result_cache_capacity: 1024,
@@ -362,7 +367,6 @@ fn measure_stream() -> StreamSummary {
             workers: 1,
             shards: 8,
             directory_shards: 1,
-            cache_capacity: 4096,
             retention: None,
         },
     );
@@ -431,7 +435,6 @@ fn measure_retention() -> RetentionSummary {
             workers: 4,
             shards: 8,
             directory_shards: dir_shards,
-            cache_capacity: 4096,
             retention: Some(RetentionPolicy::budgeted(12, budget)),
         },
     );
@@ -505,7 +508,6 @@ fn measure_latency(tb: &Testbed, reqs: &[QueryRequest]) -> Vec<(&'static str, Pe
             workers: 8,
             shards: 8,
             directory_shards: 1,
-            cache_capacity: 4096,
             retention: None,
         },
     );
@@ -566,7 +568,6 @@ fn measure_worker_scaling(tb: &Testbed, reqs: &[QueryRequest]) -> WorkerScalingS
                     workers,
                     shards: 8,
                     directory_shards: 1,
-                    cache_capacity: 4096,
                     retention: None,
                 },
             );
@@ -1099,7 +1100,6 @@ fn bench_queryplane(c: &mut Criterion) {
                         workers: w,
                         shards: 8,
                         directory_shards: 1,
-                        cache_capacity: 4096,
                         retention: None,
                     },
                 );

@@ -135,7 +135,8 @@ impl CostModel {
 /// how many flow records each of those requests scans.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchedHostLoad {
-    /// Coalesced requests carried by the one RPC (≥ 1).
+    /// Coalesced requests carried by the one RPC. A load with zero
+    /// requests contacts nobody and is billed nothing.
     pub requests: usize,
     /// Total records scanned across those requests.
     pub records: usize,
@@ -149,12 +150,15 @@ impl CostModel {
     /// the cheap marshalling increment. Query execution still scales with
     /// the records actually scanned, so batching never hides real work.
     pub fn batched_query_wave(&self, loads: &[BatchedHostLoad]) -> QueryWaveCost {
-        if loads.is_empty() {
+        let hosts = loads.iter().filter(|l| l.requests > 0).count() as u64;
+        if hosts == 0 {
             return QueryWaveCost::default();
         }
-        let hosts = loads.len() as u64;
-        let extra_requests: u64 = loads.iter().map(|l| (l.requests - 1) as u64).sum();
         let total_requests: u64 = loads.iter().map(|l| l.requests as u64).sum();
+        let extra_requests: u64 = loads
+            .iter()
+            .map(|l| l.requests.saturating_sub(1) as u64)
+            .sum();
         let total_records: u64 = loads.iter().map(|l| l.records as u64).sum();
         QueryWaveCost {
             connection_initiation: self.conn_init_per_host * hosts,
@@ -291,6 +295,26 @@ mod tests {
         assert!(
             batched * 2 < sequential,
             "batched {batched} vs 4 sequential waves {sequential}"
+        );
+    }
+
+    #[test]
+    fn zero_request_loads_are_not_contacted() {
+        // `requests` is a public usize: a zero must neither underflow the
+        // extra-request term nor be billed a connection.
+        let c = CostModel::paper_calibrated();
+        let idle = BatchedHostLoad {
+            requests: 0,
+            records: 0,
+        };
+        assert_eq!(c.batched_query_wave(&[idle]).total(), SimTime::ZERO);
+        let busy = BatchedHostLoad {
+            requests: 3,
+            records: 12,
+        };
+        assert_eq!(
+            c.batched_query_wave(&[idle, busy, idle]).total(),
+            c.batched_query_wave(&[busy]).total()
         );
     }
 

@@ -13,7 +13,7 @@
 //!
 //! | module | paper section | contents |
 //! |---|---|---|
-//! | [`pointer`] | §4.1.1-4.1.2 | hierarchical pointer structure, line-rate update, flush/recycling, memory & bandwidth accounting |
+//! | [`mod@pointer`] | §4.1.1-4.1.2 | hierarchical pointer structure, line-rate update, flush/recycling, memory & bandwidth accounting |
 //! | [`bitset`] | §4.1.2 | the n-bit pointer sets |
 //! | [`switch`] | §4.1 | the switch component (runs in the simulator's forwarding pipeline) |
 //! | [`host`] | §4.2 | the end-host component: telemetry decoding, flow records, throughput trigger |
@@ -68,8 +68,10 @@
 //! For query *streams* — many tenants debugging the same incident window —
 //! wrap the analyzer state in the `queryplane` crate's service front-end.
 //! Responses stay bit-identical to the sequential analyzer's at any worker
-//! count; repeated pointer retrievals hit an epoch-keyed LRU and
-//! same-host fan-outs coalesce into batched RPCs:
+//! count. What the batch would have cost on the paper's RPC fabric
+//! (repeated pointer retrievals hitting an epoch-keyed LRU, same-host
+//! fan-outs coalescing into batched RPCs) is an analysis pass over the
+//! returned outcomes:
 //!
 //! ```ignore
 //! // (runs as a doctest in the `queryplane` crate, which depends on this one)
@@ -82,7 +84,9 @@
 //!     QueryRequest::TopK { switch: s2, k: 10, range: window },
 //!     QueryRequest::Contention { victim, victim_dst, trigger_window },
 //! ]);
-//! println!("cache hit rate: {:.0}%", plane.stats().cache_hit_rate() * 100.0);
+//! let mut model = queryplane::model::ModelReplay::new(*analyzer.cost(), 4096);
+//! model.replay(&outcomes);
+//! println!("cache hit rate: {:.0}%", model.report().cache_hit_rate() * 100.0);
 //! ```
 
 pub mod analyzer;

@@ -1,9 +1,10 @@
 //! Reusable per-application query executors behind a uniform
 //! [`QueryRequest`] / [`QueryResponse`] API.
 //!
-//! The §5 debugging applications were originally methods on [`Analyzer`];
-//! this module is the same logic hoisted over an abstract [`StateView`] so
-//! two front-ends can share it bit-for-bit:
+//! The §5 debugging applications were originally methods on
+//! [`Analyzer`](crate::Analyzer); this module is the same logic hoisted
+//! over an abstract [`StateView`] so two front-ends can share it
+//! bit-for-bit:
 //!
 //! * the sequential [`Analyzer`](crate::Analyzer), reading the live
 //!   `Rc<RefCell<…>>` component handles wired into the simulator; and

@@ -5,7 +5,7 @@
 //! this engine guarantees). It provides:
 //!
 //! * a single-threaded, deterministic discrete-event engine
-//!   ([`Simulator`]) with store-and-forward links, per-port egress queues
+//!   ([`engine::Simulator`]) with store-and-forward links, per-port egress queues
 //!   and per-node clock offsets;
 //! * queue disciplines the paper's experiments toggle between: strict
 //!   priority and FIFO tail-drop ([`queue`]);

@@ -3,7 +3,7 @@
 //! All simulator state advances on a single virtual clock measured in
 //! nanoseconds. Per-node *local* clocks (which SwitchPointer's epoch
 //! machinery reads) are derived by adding a bounded per-node offset — see
-//! [`crate::node::Node::clock_offset`] and the paper's §4.2.1 asynchrony
+//! [`Simulator::set_clock_offset`](crate::engine::Simulator::set_clock_offset) and the paper's §4.2.1 asynchrony
 //! handling.
 
 use std::fmt;

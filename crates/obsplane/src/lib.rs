@@ -2,12 +2,11 @@
 //!
 //! One std-only metrics layer shared by every plane in the workspace,
 //! replacing the ad-hoc counter structs (`ShardFanout`,
-//! `RouterCounters`, `QueryPlaneStats`, `StreamStats`) that each crate
-//! grew independently. Three primitives:
+//! `RouterCounters`, `StreamStats`) that each crate grew independently. Three primitives:
 //!
 //! * **[`Counter`] / [`Gauge`]** — relaxed atomics behind `Arc`
 //!   handles; the planes resolve handles once at construction and bump
-//!   them lock-free on the hot path. The legacy stats structs survive
+//!   them lock-free on the hot path. Those legacy stats structs survive
 //!   as *thin views* assembled from these on demand.
 //! * **[`Histogram`]** — HDR-style log-bucketed latency histograms
 //!   (`grid_bits` sub-bucket precision, relative quantile error

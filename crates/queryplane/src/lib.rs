@@ -29,27 +29,21 @@
 //!    chunk size, and steal schedule. Snapshots are published through an
 //!    epoch-stamped [`SnapshotSlot`], so a refresh installs new state
 //!    without quiescing in-flight batches.
-//! 3. **Pointer cache** — an epoch-keyed LRU over `(switch, epoch window)`
-//!    retrieval keys. Replayed over each query's
-//!    [`ExecutionTrace`](switchpointer::query::ExecutionTrace) in
-//!    submission order, it converts repeated retrieval rounds (the
-//!    dominant modelled term, ≈ 7.5 ms each) into ≈ 5 µs cache hits.
-//! 4. **Batched host fan-out** — all queries of a batch destined for the
-//!    same host coalesce into one modelled RPC:
-//!    [`CostModel::batched_query_wave`] pays the serialized per-host
-//!    connection initiation (the Fig. 12-dominant term) once per host per
-//!    batch instead of once per (query, host) pair.
-//! 5. **Sharded directory** — with
+//! 3. **Sharded directory** — with
 //!    [`QueryPlaneConfig::directory_shards`] > 1 the bit → host directory
 //!    is hash-partitioned across analyzer instances
 //!    ([`switchpointer::shard`], DESIGN.md §11): workers execute through
 //!    the shard router (bit-identical answers at any shard count),
-//!    dispatch is keyed by each request's [`home_shard`], and the stats
-//!    report per-shard fan-out plus the modelled concurrent-decode win.
+//!    dispatch is keyed by each request's [`home_shard`], and the measured
+//!    per-shard fan-out lands in the registry ([`QueryPlane::fanout`]).
 //!
-//! The *answers* come straight out of the executors; the cache and
-//! batching only shape the modelled latency accounting — the same
-//! real-answers / calibrated-latency split the sequential analyzer uses.
+//! `execute_batch` is scatter → stitch and nothing else: each
+//! [`QueryOutcome`] is what the worker produced — response, executor
+//! trace, fan-out. What the same batch *would have cost* on the paper's
+//! RPC fabric (an LRU pointer cache over retrieval rounds, host fan-out
+//! coalesced per batch, per-shard decode) is computed by whoever wants to
+//! print it, by replaying the outcomes through [`model::ModelReplay`] —
+//! the model reads what the plane returns and shapes nothing in it.
 //!
 //! ## Quickstart
 //!
@@ -57,6 +51,7 @@
 //! use netsim::prelude::*;
 //! use switchpointer::query::QueryRequest;
 //! use switchpointer::testbed::{Testbed, TestbedConfig};
+//! use queryplane::model::ModelReplay;
 //! use queryplane::{QueryPlane, QueryPlaneConfig};
 //! use telemetry::EpochRange;
 //!
@@ -79,31 +74,29 @@
 //! ];
 //! let outcomes = plane.execute_batch(&reqs);
 //! assert_eq!(outcomes.len(), 8);
-//! // 7 of the 8 identical queries hit the pointer cache.
-//! assert_eq!(plane.stats().pointer_hits, 7);
+//! // Analysis, off the serving path: had the analyzer cached pointer
+//! // pulls, 7 of the 8 identical queries would have hit.
+//! let mut model = ModelReplay::new(*analyzer.cost(), 64);
+//! model.replay(&outcomes);
+//! assert_eq!(model.report().pointer_hits, 7);
 //! ```
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use netsim::packet::NodeId;
 use netsim::routing::RouteTable;
-use netsim::time::SimTime;
 use obsplane::{Counter, MetricsRegistry};
-use switchpointer::cost::BatchedHostLoad;
-use switchpointer::query::{QueryRequest, QueryResponse, TraceDeps, QUERY_CLASS_NAMES};
+use switchpointer::query::QueryRequest;
 use switchpointer::retention;
 use switchpointer::shard::{host_shard_of, ShardFanout, ShardedDirectory};
 use switchpointer::Analyzer;
 
-mod cache;
+pub mod model;
 mod pool;
 mod repl;
 mod slot;
 mod snapshot;
 
-pub use cache::{key_of, PointerCache, PointerKey};
-pub use pool::{chunk_size, PoolMetrics, PoolResult, SharedCtx, WorkerPool};
+pub use pool::{chunk_size, PoolMetrics, QueryOutcome, SharedCtx, WorkerPool};
 pub use repl::{DeltaRecord, HostPatch, HostPatchKind, SwitchPatch};
 pub use slot::SnapshotSlot;
 pub use snapshot::{ShardedHostStore, Snapshot, SnapshotDelta};
@@ -111,7 +104,7 @@ pub use switchpointer::retention::{RetentionPolicy, SweepReport};
 
 /// A rejected [`QueryPlaneConfig`]: the typed reason construction
 /// refused it, surfaced at the service boundary instead of panicking
-/// deep inside the pool or the LRU.
+/// deep inside the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ConfigError {
     /// `workers == 0`: a plane with no executors can never answer.
@@ -121,10 +114,6 @@ pub enum ConfigError {
     /// `directory_shards == 0`: the directory partition needs at least
     /// the single-coordinator layout.
     ZeroDirectoryShards,
-    /// `cache_capacity == 0`: an LRU that can hold nothing would turn
-    /// every retrieval round into a modelled miss forever; an explicit
-    /// zero is a configuration mistake, not a tuning choice.
-    ZeroCacheCapacity,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -135,7 +124,6 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "shards (per-host record shards) must be >= 1")
             }
             ConfigError::ZeroDirectoryShards => write!(f, "directory_shards must be >= 1"),
-            ConfigError::ZeroCacheCapacity => write!(f, "cache_capacity must be >= 1"),
         }
     }
 }
@@ -152,10 +140,8 @@ pub struct QueryPlaneConfig {
     /// Directory shards: analyzer instances the bit→host directory is
     /// hash-partitioned across. 1 = the single-coordinator layout.
     /// Verdicts are identical at any value (property-pinned); only the
-    /// modelled decode cost and the dispatch affinity change.
+    /// per-shard fan-out and the dispatch affinity change.
     pub directory_shards: usize,
-    /// Pointer-cache capacity in `(switch, epoch window)` keys.
-    pub cache_capacity: usize,
     /// Retention policy for [`QueryPlane::sweep_retention`]: a trailing
     /// epoch horizon plus a per-directory-shard flow-record budget. `None`
     /// disables GC — the snapshot accretes state forever (the pre-PR-4
@@ -169,7 +155,6 @@ impl Default for QueryPlaneConfig {
             workers: 4,
             shards: 8,
             directory_shards: 1,
-            cache_capacity: 4096,
             retention: None,
         }
     }
@@ -177,7 +162,7 @@ impl Default for QueryPlaneConfig {
 
 impl QueryPlaneConfig {
     /// Rejects degenerate sizings with a typed [`ConfigError`] before any
-    /// thread is spawned or capacity allocated. [`QueryPlane::try_from_analyzer`]
+    /// thread is spawned. [`QueryPlane::try_from_analyzer`]
     /// (and everything layered over it — the stream plane, the wire
     /// front-end) calls this at the boundary.
     pub fn validate(&self) -> Result<(), ConfigError> {
@@ -189,9 +174,6 @@ impl QueryPlaneConfig {
         }
         if self.directory_shards == 0 {
             return Err(ConfigError::ZeroDirectoryShards);
-        }
-        if self.cache_capacity == 0 {
-            return Err(ConfigError::ZeroCacheCapacity);
         }
         Ok(())
     }
@@ -213,157 +195,32 @@ pub fn home_shard(req: &QueryRequest, n_shards: usize) -> usize {
     host_shard_of(node, n_shards)
 }
 
-/// Modelled cost of one query, sequential versus under the plane.
-#[derive(Debug, Clone, Copy)]
-pub struct QueryCost {
-    /// Pointer retrieval + host query waves when executed alone (no cache,
-    /// no batching) — the sequential analyzer's service latency.
-    pub sequential: SimTime,
-    /// The same work under the plane: cache-served retrieval rounds plus
-    /// this query's share of the batched fan-out wave.
-    pub batched: SimTime,
-    /// Pointer keys served from the cache / retrieved from switches.
-    pub pointer_hits: u32,
-    pub pointer_misses: u32,
-}
-
-/// One scheduled query's result: the (bit-identical) response plus the
-/// plane's cost accounting for it and the exact state the answer depended
-/// on (what the stream plane's result cache keys invalidation by).
-#[derive(Debug, Clone)]
-pub struct QueryOutcome {
-    pub response: QueryResponse,
-    pub cost: QueryCost,
-    pub deps: TraceDeps,
-}
-
-/// Cumulative service counters — a *thin view* assembled on demand from
-/// the plane's [`MetricsRegistry`] counters (`queryplane.*`), kept as a
-/// plain struct so existing callers and tests read it unchanged.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QueryPlaneStats {
-    pub queries: u64,
-    pub batches: u64,
-    /// Pointer keys served from / missing the LRU cache.
-    pub pointer_hits: u64,
-    pub pointer_misses: u64,
-    /// Retrieval rounds fully served from cache (the ≈ 7.5 ms skips).
-    pub rounds_skipped: u64,
-    /// Host RPCs actually issued after coalescing.
-    pub host_rpcs_issued: u64,
-    /// (query, host) request pairs before coalescing.
-    pub host_requests: u64,
-    /// Cross-shard merges the directory router performed (0 with a
-    /// single-shard directory).
-    pub cross_shard_merges: u64,
-    /// Σ modelled pointer-decode wall time under the configured directory
-    /// sharding (per-shard decode runs concurrently; the merge is serial).
-    pub modelled_decode_total: SimTime,
-    /// Σ modelled decode wall time the same queries would cost through a
-    /// single-shard directory — the counterfactual the shard ablation
-    /// compares against.
-    pub modelled_decode_unsharded: SimTime,
-    /// Σ sequential service latency of all queries.
-    pub sequential_total: SimTime,
-    /// Σ modelled service latency under caching + batching.
-    pub batched_total: SimTime,
-}
-
-impl QueryPlaneStats {
-    /// Fraction of pointer lookups served from cache.
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.pointer_hits + self.pointer_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.pointer_hits as f64 / total as f64
-        }
-    }
-
-    /// Modelled speedup of the plane over sequential execution.
-    pub fn modelled_speedup(&self) -> f64 {
-        if self.batched_total.as_ns() == 0 {
-            1.0
-        } else {
-            self.sequential_total.as_ns() as f64 / self.batched_total.as_ns() as f64
-        }
-    }
-
-    /// Host RPCs avoided by fan-out coalescing.
-    pub fn rpcs_saved(&self) -> u64 {
-        self.host_requests - self.host_rpcs_issued
-    }
-
-    /// Modelled decode speedup of the configured directory sharding over
-    /// the single-coordinator counterfactual.
-    pub fn decode_speedup(&self) -> f64 {
-        if self.modelled_decode_total.as_ns() == 0 {
-            1.0
-        } else {
-            self.modelled_decode_unsharded.as_ns() as f64
-                / self.modelled_decode_total.as_ns() as f64
-        }
-    }
-}
-
-/// The plane's registry handles, resolved once at construction so the
-/// accounting pass bumps counters without any name lookups. The legacy
-/// [`QueryPlaneStats`] / [`ShardFanout`] accessors assemble their thin
-/// views from these.
+/// The plane's registry handles, resolved once at construction so a
+/// batch bumps counters without any name lookups.
 struct QpMetrics {
     queries: Arc<Counter>,
     batches: Arc<Counter>,
-    pointer_hits: Arc<Counter>,
-    pointer_misses: Arc<Counter>,
-    rounds_skipped: Arc<Counter>,
-    host_rpcs_issued: Arc<Counter>,
-    host_requests: Arc<Counter>,
-    cross_shard_merges: Arc<Counter>,
-    modelled_decode_total_ns: Arc<Counter>,
-    modelled_decode_unsharded_ns: Arc<Counter>,
-    sequential_total_ns: Arc<Counter>,
-    batched_total_ns: Arc<Counter>,
     fanout_merges: Arc<Counter>,
     fanout_merged_bits: Arc<Counter>,
     /// Per directory shard.
     fanout_decode_bits: Vec<Arc<Counter>>,
     fanout_host_reads: Vec<Arc<Counter>>,
-    /// Per query class ([`QUERY_CLASS_NAMES`] order).
-    cache_hits_by_class: Vec<Arc<Counter>>,
-    cache_misses_by_class: Vec<Arc<Counter>>,
 }
 
 impl QpMetrics {
     fn new(reg: &MetricsRegistry, dir_shards: usize) -> QpMetrics {
+        let per_shard = |what: &str| {
+            (0..dir_shards)
+                .map(|s| reg.counter(&format!("queryplane.fanout.{what}.shard{s}")))
+                .collect()
+        };
         QpMetrics {
             queries: reg.counter("queryplane.queries"),
             batches: reg.counter("queryplane.batches"),
-            pointer_hits: reg.counter("queryplane.pointer_hits"),
-            pointer_misses: reg.counter("queryplane.pointer_misses"),
-            rounds_skipped: reg.counter("queryplane.rounds_skipped"),
-            host_rpcs_issued: reg.counter("queryplane.host_rpcs_issued"),
-            host_requests: reg.counter("queryplane.host_requests"),
-            cross_shard_merges: reg.counter("queryplane.cross_shard_merges"),
-            modelled_decode_total_ns: reg.counter("queryplane.modelled_decode_total_ns"),
-            modelled_decode_unsharded_ns: reg.counter("queryplane.modelled_decode_unsharded_ns"),
-            sequential_total_ns: reg.counter("queryplane.sequential_total_ns"),
-            batched_total_ns: reg.counter("queryplane.batched_total_ns"),
             fanout_merges: reg.counter("queryplane.fanout.merges"),
             fanout_merged_bits: reg.counter("queryplane.fanout.merged_bits"),
-            fanout_decode_bits: (0..dir_shards)
-                .map(|s| reg.counter(&format!("queryplane.fanout.decode_bits.shard{s}")))
-                .collect(),
-            fanout_host_reads: (0..dir_shards)
-                .map(|s| reg.counter(&format!("queryplane.fanout.host_reads.shard{s}")))
-                .collect(),
-            cache_hits_by_class: QUERY_CLASS_NAMES
-                .iter()
-                .map(|c| reg.counter(&format!("queryplane.cache_hits.{c}")))
-                .collect(),
-            cache_misses_by_class: QUERY_CLASS_NAMES
-                .iter()
-                .map(|c| reg.counter(&format!("queryplane.cache_misses.{c}")))
-                .collect(),
+            fanout_decode_bits: per_shard("decode_bits"),
+            fanout_host_reads: per_shard("host_reads"),
         }
     }
 }
@@ -382,7 +239,6 @@ pub struct QueryPlane {
     /// baselines instead of cloning the current snapshot.
     spare: Option<Arc<Snapshot>>,
     pool: WorkerPool,
-    cache: PointerCache,
     /// Registry-backed counters (service totals + cumulative per-shard
     /// fan-out across every executed query).
     m: QpMetrics,
@@ -396,8 +252,8 @@ impl QueryPlane {
     /// [`QueryPlane::refresh_delta`] (incremental) after running the
     /// simulation further.
     ///
-    /// Panics on a degenerate config (zero workers / shards / cache
-    /// capacity) with the typed [`ConfigError`] message; use
+    /// Panics on a degenerate config (zero workers / shards) with the
+    /// typed [`ConfigError`] message; use
     /// [`QueryPlane::try_from_analyzer`] to handle it as a value.
     pub fn from_analyzer(analyzer: &Analyzer, cfg: QueryPlaneConfig) -> Self {
         Self::try_from_analyzer(analyzer, cfg)
@@ -405,9 +261,9 @@ impl QueryPlane {
     }
 
     /// [`QueryPlane::from_analyzer`] with the config validated up front:
-    /// a zero worker pool, zero record/directory shards or a
-    /// zero-capacity pointer cache is rejected here, as a typed
-    /// [`ConfigError`], instead of panicking deep in the pool.
+    /// a zero worker pool or zero record/directory shards is rejected
+    /// here, as a typed [`ConfigError`], instead of panicking deep in the
+    /// pool.
     pub fn try_from_analyzer(
         analyzer: &Analyzer,
         cfg: QueryPlaneConfig,
@@ -437,17 +293,14 @@ impl QueryPlane {
             ))),
             spare: None,
             pool,
-            cache: PointerCache::new(cfg.cache_capacity),
             m,
         })
     }
 
     /// Re-freezes the deployment state from scratch (e.g. after more
-    /// simulated time) and publishes it under a new epoch. The pointer
-    /// cache is cleared — cached windows may have rotated — but
-    /// cumulative stats are kept. In-flight readers keep their loaded
-    /// snapshot; the old published state becomes the spare write buffer
-    /// for the next incremental refresh.
+    /// simulated time) and publishes it under a new epoch. In-flight
+    /// readers keep their loaded snapshot; the old published state
+    /// becomes the spare write buffer for the next incremental refresh.
     pub fn refresh(&mut self, analyzer: &Analyzer) {
         let old = self.slot.load().0;
         self.slot.install(Arc::new(Snapshot::capture_with(
@@ -456,21 +309,12 @@ impl QueryPlane {
             self.cfg.directory_shards.max(1),
         )));
         self.spare = Some(old);
-        self.cache = PointerCache::new(self.cfg.cache_capacity);
     }
 
     /// Incrementally re-freezes the deployment state, copying only what
-    /// changed since the last freeze (see [`Snapshot::apply_delta`]). The
-    /// modelled pointer cache is invalidated *precisely* for pointer
-    /// state: only keys of switches the delta touched are dropped — with
-    /// one exception. When the delta carries eviction-forced full rescans
-    /// (`SnapshotDelta::rescanned_hosts`), the whole cache is cleared:
-    /// cached `(switch, window)` keys whose decoded fan-out reaches the
-    /// evicting stores would otherwise keep billing retrieval rounds as
-    /// hits against host state that no longer exists, and the per-flow
-    /// journal that would let us invalidate precisely was itself
-    /// invalidated by the eviction. Returns the delta summary (dirty
-    /// sets, rescans, copy-work counters).
+    /// changed since the last freeze (see [`Snapshot::apply_delta`]).
+    /// Returns the delta summary (dirty sets, rescans, copy-work
+    /// counters).
     ///
     /// Publication is quiesce-free: the refreshed snapshot is installed
     /// into the epoch-stamped [`SnapshotSlot`] while any in-flight batch
@@ -480,7 +324,8 @@ impl QueryPlane {
     /// baselines (`apply_delta` is baseline-relative, so the result is
     /// bit-identical to a fresh capture; the dirty sets it reports are a
     /// conservative superset covering both windows, which only widens
-    /// cache invalidation). If something still holds the spare (an
+    /// the stream plane's result-cache invalidation). If something still
+    /// holds the spare (an
     /// unusually long-lived reader), the plane falls back to cloning the
     /// current snapshot rather than waiting.
     pub fn refresh_delta(&mut self, analyzer: &Analyzer) -> SnapshotDelta {
@@ -510,11 +355,6 @@ impl QueryPlane {
             None => superset,
         };
         self.spare = Some(retired);
-        if delta.rescanned_hosts.is_empty() {
-            self.cache.invalidate_switches(&delta.dirty_switches);
-        } else {
-            self.cache = PointerCache::new(self.cfg.cache_capacity);
-        }
         delta
     }
 
@@ -578,25 +418,6 @@ impl QueryPlane {
         &self.ctx.metrics
     }
 
-    /// Cumulative counters since construction (a thin view assembled
-    /// from the registry).
-    pub fn stats(&self) -> QueryPlaneStats {
-        QueryPlaneStats {
-            queries: self.m.queries.get(),
-            batches: self.m.batches.get(),
-            pointer_hits: self.m.pointer_hits.get(),
-            pointer_misses: self.m.pointer_misses.get(),
-            rounds_skipped: self.m.rounds_skipped.get(),
-            host_rpcs_issued: self.m.host_rpcs_issued.get(),
-            host_requests: self.m.host_requests.get(),
-            cross_shard_merges: self.m.cross_shard_merges.get(),
-            modelled_decode_total: SimTime(self.m.modelled_decode_total_ns.get()),
-            modelled_decode_unsharded: SimTime(self.m.modelled_decode_unsharded_ns.get()),
-            sequential_total: SimTime(self.m.sequential_total_ns.get()),
-            batched_total: SimTime(self.m.batched_total_ns.get()),
-        }
-    }
-
     /// Cumulative per-shard fan-out: decode bits and host reads per
     /// directory shard, plus the cross-shard merge volume (a thin view
     /// assembled from the registry).
@@ -609,22 +430,14 @@ impl QueryPlane {
         }
     }
 
-    /// Convenience: a single query (a batch of one).
-    pub fn execute(&mut self, req: QueryRequest) -> QueryOutcome {
-        self.execute_batch(std::slice::from_ref(&req))
-            .pop()
-            .expect("one request in, one outcome out")
-    }
-
     /// Executes a batch of queries over the worker pool and returns
-    /// outcomes in submission order.
+    /// outcomes in submission order: load the published snapshot, scatter,
+    /// return what the workers stitched.
     ///
     /// Responses are computed concurrently but are bit-identical to
     /// running each query alone on the sequential analyzer over the same
-    /// state. Cost accounting happens afterwards in one sequential pass
-    /// over the execution traces, in submission order: the pointer cache
-    /// is consulted per retrieval round, and all (query, host) contacts of
-    /// the batch coalesce into one batched fan-out wave per host.
+    /// state. The only per-batch bookkeeping is folding the measured
+    /// per-shard fan-out into the registry, once.
     pub fn execute_batch(&mut self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
         if requests.is_empty() {
             return Vec::new();
@@ -636,151 +449,29 @@ impl QueryPlane {
         // landing mid-batch serves later batches, never this one.
         let snapshot = self.slot.load().0;
         let n_dir = self.ctx.dir.n_shards();
-        let results = if n_dir > 1 {
-            let keys: Vec<usize> = requests.iter().map(|r| home_shard(r, n_dir)).collect();
-            self.pool
-                .run_keyed(&self.ctx, &snapshot, requests, Some(&keys))
-        } else {
-            self.pool.run(&self.ctx, &snapshot, requests)
-        };
-        self.account(results)
-    }
+        let keys: Option<Vec<usize>> =
+            (n_dir > 1).then(|| requests.iter().map(|r| home_shard(r, n_dir)).collect());
+        let outcomes = self
+            .pool
+            .run_keyed(&self.ctx, &snapshot, requests, keys.as_deref());
 
-    /// The sequential accounting pass: pointer-cache replay, batched
-    /// fan-out coalescing, and per-shard decode pricing over the batch's
-    /// execution traces.
-    fn account(&mut self, results: Vec<PoolResult>) -> Vec<QueryOutcome> {
+        let mut fanout = ShardFanout::new(n_dir);
+        for o in &outcomes {
+            fanout.absorb(&o.fanout);
+        }
+        self.m.queries.add(outcomes.len() as u64);
         self.m.batches.inc();
-
-        /// Per-query accounting scratch.
-        struct PerQuery {
-            sequential: SimTime,
-            batched_pointer: SimTime,
-            hits: u32,
-            misses: u32,
-            requests: u64,
+        self.m.fanout_merges.add(fanout.merges);
+        self.m.fanout_merged_bits.add(fanout.merged_bits);
+        for (s, (&bits, &reads)) in fanout
+            .decode_bits
+            .iter()
+            .zip(&fanout.host_reads)
+            .enumerate()
+        {
+            self.m.fanout_decode_bits[s].add(bits);
+            self.m.fanout_host_reads[s].add(reads);
         }
-
-        // Coalesced per-host load across the whole batch. BTreeMap keeps
-        // the host order deterministic.
-        let mut per_host: BTreeMap<NodeId, BatchedHostLoad> = BTreeMap::new();
-        let mut per_query: Vec<PerQuery> = Vec::with_capacity(results.len());
-        let mut batched_pointer_total = SimTime::ZERO;
-
-        for (resp, trace, fanout) in &results {
-            // Per-shard decode pricing: shards decode their slices
-            // concurrently (max term), the router pays the serial merge;
-            // the counterfactual bills the same bits through one shard.
-            for (s, &bits) in fanout.decode_bits.iter().enumerate() {
-                self.m.fanout_decode_bits[s].add(bits);
-            }
-            for (s, &reads) in fanout.host_reads.iter().enumerate() {
-                self.m.fanout_host_reads[s].add(reads);
-            }
-            self.m.fanout_merges.add(fanout.merges);
-            self.m.fanout_merged_bits.add(fanout.merged_bits);
-            self.m.cross_shard_merges.add(fanout.merges);
-            self.m
-                .modelled_decode_total_ns
-                .add(fanout.modelled_decode(&self.ctx.cost).as_ns());
-            let total_bits: u64 = fanout.decode_bits.iter().sum();
-            self.m
-                .modelled_decode_unsharded_ns
-                .add(self.ctx.cost.sharded_decode(&[total_bits], 0).as_ns());
-            // Pointer rounds against the LRU cache, in submission order.
-            let mut hits = 0u32;
-            let mut misses = 0u32;
-            let mut batched_pointer = SimTime::ZERO;
-            for round in &trace.pointer_rounds {
-                let mut round_missed = false;
-                for &(sw, range) in &round.keys {
-                    if self.cache.touch(key_of(sw, range)) {
-                        hits += 1;
-                    } else {
-                        misses += 1;
-                        round_missed = true;
-                    }
-                }
-                if round.keys.is_empty() || round_missed {
-                    batched_pointer += round.modelled;
-                } else {
-                    batched_pointer += self.ctx.cost.pointer_cache_hit;
-                    self.m.rounds_skipped.inc();
-                }
-            }
-            batched_pointer_total += batched_pointer;
-
-            // Sequential baseline: each wave billed alone; meanwhile fold
-            // the wave's contacts into the batch-wide per-host load.
-            let mut sequential_waves = SimTime::ZERO;
-            let mut requests = 0u64;
-            for wave in &trace.waves {
-                let counts: Vec<usize> = wave.iter().map(|&(_, records)| records).collect();
-                sequential_waves += self.ctx.cost.query_wave(wave.len(), &counts).total();
-                requests += wave.len() as u64;
-                for &(host, records) in wave {
-                    let load = per_host.entry(host).or_insert(BatchedHostLoad {
-                        requests: 0,
-                        records: 0,
-                    });
-                    load.requests += 1;
-                    load.records += records;
-                }
-            }
-
-            self.m.pointer_hits.add(hits as u64);
-            self.m.pointer_misses.add(misses as u64);
-            // Per-class cache effectiveness (the response variant names
-            // the class).
-            self.m.cache_hits_by_class[resp.class_index()].add(hits as u64);
-            self.m.cache_misses_by_class[resp.class_index()].add(misses as u64);
-            per_query.push(PerQuery {
-                sequential: trace.pointer_total() + sequential_waves,
-                batched_pointer,
-                hits,
-                misses,
-                requests,
-            });
-        }
-
-        // One batched fan-out wave covers the whole batch's host contacts.
-        let loads: Vec<BatchedHostLoad> = per_host.values().copied().collect();
-        let batched_wave_total = self.ctx.cost.batched_query_wave(&loads).total();
-        let total_requests: u64 = per_query.iter().map(|q| q.requests).sum();
-        self.m.host_rpcs_issued.add(loads.len() as u64);
-        self.m.host_requests.add(total_requests);
-        self.m
-            .batched_total_ns
-            .add((batched_pointer_total + batched_wave_total).as_ns());
-
-        results
-            .into_iter()
-            .zip(per_query)
-            .map(|((response, trace, _), q)| {
-                // This query's share of the batched wave, proportional to
-                // its request count (ns math; stats totals above use the
-                // exact batch quantities, not these rounded shares).
-                let share = if total_requests == 0 {
-                    SimTime::ZERO
-                } else {
-                    SimTime(
-                        ((batched_wave_total.as_ns() as u128 * q.requests as u128)
-                            / total_requests as u128) as u64,
-                    )
-                };
-                self.m.queries.inc();
-                self.m.sequential_total_ns.add(q.sequential.as_ns());
-                QueryOutcome {
-                    response,
-                    cost: QueryCost {
-                        sequential: q.sequential,
-                        batched: q.batched_pointer + share,
-                        pointer_hits: q.hits,
-                        pointer_misses: q.misses,
-                    },
-                    deps: trace.deps,
-                }
-            })
-            .collect()
+        outcomes
     }
 }

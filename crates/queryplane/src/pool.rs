@@ -144,8 +144,16 @@ impl SharedCtx {
     }
 }
 
-/// One executed query: its response, trace, and per-shard fan-out.
-pub type PoolResult = (QueryResponse, ExecutionTrace, ShardFanout);
+/// One executed query, exactly as the worker that ran it produced it: the
+/// (bit-identical) response, the executor's trace of what the answer
+/// read — `trace.deps` is what the stream plane's result cache keys
+/// invalidation by — and the measured per-shard fan-out.
+#[derive(Debug, Clone)]
+pub struct QueryOutcome {
+    pub response: QueryResponse,
+    pub trace: ExecutionTrace,
+    pub fanout: ShardFanout,
+}
 
 /// Chunks per worker a batch is aimed to split into; with the
 /// [`MIN_CHUNK`] floor this is the `max(batch/(4·W), 8)` sizing rule.
@@ -565,29 +573,20 @@ impl WorkerPool {
         shared.slots.into_results()
     }
 
-    /// Executes `requests` across the pool and returns responses + traces
-    /// in submission order. A panic inside any executor is re-raised here.
-    pub fn run(
-        &self,
-        ctx: &Arc<SharedCtx>,
-        snapshot: &Arc<Snapshot>,
-        requests: &[QueryRequest],
-    ) -> Vec<PoolResult> {
-        self.run_keyed(ctx, snapshot, requests, None)
-    }
-
-    /// Like [`WorkerPool::run`], but with an optional dispatch key per
+    /// Executes `requests` across the pool and returns one outcome per
+    /// request in submission order, with an optional dispatch key per
     /// request (the sharded plane keys by each query's home directory
     /// shard). Keys steer initial chunk placement only — see
     /// [`WorkerPool::scatter`] — so answers remain independent of worker
-    /// count, chunk size, key choice, and steal schedule.
+    /// count, chunk size, key choice, and steal schedule. A panic inside
+    /// any executor is re-raised here.
     pub fn run_keyed(
         &self,
         ctx: &Arc<SharedCtx>,
         snapshot: &Arc<Snapshot>,
         requests: &[QueryRequest],
         keys: Option<&[usize]>,
-    ) -> Vec<PoolResult> {
+    ) -> Vec<QueryOutcome> {
         self.run_keyed_chunked(ctx, snapshot, requests, keys, None)
     }
 
@@ -601,7 +600,7 @@ impl WorkerPool {
         requests: &[QueryRequest],
         keys: Option<&[usize]>,
         chunk: Option<usize>,
-    ) -> Vec<PoolResult> {
+    ) -> Vec<QueryOutcome> {
         if requests.is_empty() {
             return Vec::new();
         }
@@ -621,7 +620,7 @@ impl WorkerPool {
                     let req = &reqs[i];
                     let exec = QueryExecutor::new(ctx.query_ctx(), &view);
                     let started = Instant::now();
-                    let (resp, trace) = exec.execute_traced(req);
+                    let (response, trace) = exec.execute_traced(req);
                     // Real wall time of this executor run, recorded per
                     // query class — the p50/p95/p99 the bench JSON
                     // publishes — plus a span keyed (class, epoch, home
@@ -633,7 +632,11 @@ impl WorkerPool {
                         crate::home_shard(req, ctx.dir.n_shards()) as u32,
                         started,
                     );
-                    (resp, trace, view.take_fanout())
+                    QueryOutcome {
+                        response,
+                        trace,
+                        fanout: view.take_fanout(),
+                    }
                 })
                 .collect()
         })
@@ -692,7 +695,7 @@ mod tests {
         (ctx, snapshot, tb)
     }
 
-    /// Exercises the production `run` path end-to-end: every request
+    /// Exercises the production `run_keyed` path end-to-end: every request
     /// executes, results come back in submission order (each request's
     /// distinct epoch range is echoed through its trace's pointer keys,
     /// so a mis-assigned or mis-merged chunk is detectable even where
@@ -718,12 +721,12 @@ mod tests {
             assert_eq!(pool.workers(), workers);
             // Pool reuse across batches (the point of persistence).
             for _ in 0..2 {
-                let out = pool.run(&ctx, &snapshot, &reqs);
+                let out = pool.run_keyed(&ctx, &snapshot, &reqs, None);
                 assert_eq!(out.len(), reqs.len());
-                for (i, (resp, trace, fanout)) in out.iter().enumerate() {
-                    assert_eq!(fanout.decode_bits.len(), 2, "fan-out sized to dir shards");
+                for (i, o) in out.iter().enumerate() {
+                    assert_eq!(o.fanout.decode_bits.len(), 2, "fan-out sized to dir shards");
                     assert_eq!(
-                        trace.pointer_rounds[0].keys,
+                        o.trace.pointer_rounds[0].keys,
                         vec![(
                             s2,
                             EpochRange {
@@ -734,20 +737,20 @@ mod tests {
                         "chunk for index {i} misrouted at {workers} workers"
                     );
                     assert_eq!(
-                        format!("{resp:?}"),
+                        format!("{:?}", o.response),
                         expected[i],
                         "index {i} at {workers} workers"
                     );
                 }
             }
             // An empty batch is a no-op (no task churn, no deadlock).
-            assert!(pool.run(&ctx, &snapshot, &[]).is_empty());
+            assert!(pool.run_keyed(&ctx, &snapshot, &[], None).is_empty());
             // Shard-keyed dispatch changes scheduling, never answers.
             let keyed: Vec<usize> = (0..reqs.len()).map(|i| i / 3).collect();
             let out = pool.run_keyed(&ctx, &snapshot, &reqs, Some(&keyed));
-            for (i, (resp, _, _)) in out.iter().enumerate() {
+            for (i, o) in out.iter().enumerate() {
                 assert_eq!(
-                    format!("{resp:?}"),
+                    format!("{:?}", o.response),
                     expected[i],
                     "keyed dispatch diverged at index {i}, {workers} workers"
                 );
@@ -779,15 +782,15 @@ mod tests {
             })
             .collect();
         let pool = WorkerPool::new(4);
-        let baseline = pool.run(&ctx, &snapshot, &reqs);
+        let baseline = pool.run_keyed(&ctx, &snapshot, &reqs, None);
         // If anything in the keyed path allocated `max(key)+1` anything,
         // this would abort the process rather than fail the assert.
         let keyed = pool.run_keyed(&ctx, &snapshot, &reqs, Some(&sparse));
         assert_eq!(baseline.len(), keyed.len());
         for (i, (b, k)) in baseline.iter().zip(&keyed).enumerate() {
             assert_eq!(
-                format!("{:?}", b.0),
-                format!("{:?}", k.0),
+                format!("{:?}", b.response),
+                format!("{:?}", k.response),
                 "sparse keys changed answer at index {i}"
             );
         }

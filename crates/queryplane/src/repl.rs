@@ -73,9 +73,9 @@ pub struct HostPatch {
     pub kind: HostPatchKind,
 }
 
-/// Everything one [`Snapshot::apply_delta_journaled`] advance changed, as
+/// Everything one [`crate::Snapshot::apply_delta_journaled`] advance changed, as
 /// shippable data. Applying it to a snapshot at the same baseline (via
-/// [`Snapshot::apply_record`]) reproduces the owner's post-advance state.
+/// [`crate::Snapshot::apply_record`]) reproduces the owner's post-advance state.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaRecord {
     /// The owner's epoch horizon after the advance.

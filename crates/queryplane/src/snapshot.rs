@@ -273,8 +273,8 @@ impl ShardedHostStore {
 /// Bound on the computational pointer-union memo: beyond this many
 /// distinct keys, further unions are recomputed rather than cached, so a
 /// long-lived snapshot serving sliding epoch windows cannot grow without
-/// limit. (The *modelled* LRU cache is bounded separately by
-/// `QueryPlaneConfig::cache_capacity`.)
+/// limit. (This memo is the only pointer cache the plane has; the
+/// *modelled* LRU lives in [`crate::model`], off the serving path.)
 const UNION_MEMO_CAP: usize = 4096;
 
 /// Lock stripes the union memo is split across. A single global mutex

@@ -16,8 +16,7 @@
 //!    `tests/streamplane_props.rs`.
 //! 2. **Arrival-window admission** — one-shot queries submitted between
 //!    windows ride the next window's batch together with the standing
-//!    queries, feeding the plane's epoch-keyed pointer cache and batched
-//!    host fan-out as one coalesced wave.
+//!    queries, as one scatter over the plane's worker pool.
 //! 3. **Result cache** — whole outcomes keyed by the concrete
 //!    [`QueryRequest`] (and the snapshot epoch horizon they were computed
 //!    at), invalidated *precisely* by the delta's dirty switch/host sets
@@ -60,9 +59,9 @@ use netsim::packet::{FlowId, NodeId};
 use netsim::time::SimTime;
 use obsplane::{Counter, Histogram, MetricsRegistry};
 use queryplane::{home_shard, QueryOutcome, QueryPlane, QueryPlaneConfig, SnapshotDelta};
-use switchpointer::query::{QueryRequest, QueryResponse, StateView};
+use switchpointer::query::{ExecutionTrace, QueryRequest, QueryResponse, StateView};
 use switchpointer::retention::{self, SweepReport};
-use switchpointer::shard::host_shard_of;
+use switchpointer::shard::{host_shard_of, ShardFanout};
 use switchpointer::Analyzer;
 use telemetry::EpochRange;
 
@@ -220,7 +219,7 @@ impl StandingQuery {
 /// Service tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
-    /// Inner query-plane sizing (worker pool, shards, pointer cache).
+    /// Inner query-plane sizing (worker pool, shards, retention).
     pub plane: QueryPlaneConfig,
     /// Whole-result cache capacity (entries).
     pub result_cache_capacity: usize,
@@ -257,9 +256,6 @@ pub struct StreamStats {
     pub delta_copied: u64,
     /// What full recaptures would have copied instead.
     pub full_copied_equiv: u64,
-    /// Σ modelled latency avoided by result-cache hits (each hit skips the
-    /// entry's batched-execution cost).
-    pub modelled_saved: SimTime,
     /// Retention sweeps run (one per window when a policy is configured).
     pub sweeps: u64,
     /// Flow records reclaimed by retention sweeps.
@@ -368,7 +364,6 @@ struct SpMetrics {
     incidents: Arc<Counter>,
     delta_copied: Arc<Counter>,
     full_copied_equiv: Arc<Counter>,
-    modelled_saved_ns: Arc<Counter>,
     sweeps: Arc<Counter>,
     records_reclaimed: Arc<Counter>,
     pointer_sets_retired: Arc<Counter>,
@@ -393,7 +388,6 @@ impl SpMetrics {
             incidents: reg.counter("streamplane.incidents"),
             delta_copied: reg.counter("streamplane.delta_copied"),
             full_copied_equiv: reg.counter("streamplane.full_copied_equiv"),
-            modelled_saved_ns: reg.counter("streamplane.modelled_saved_ns"),
             sweeps: reg.counter("streamplane.sweeps"),
             records_reclaimed: reg.counter("streamplane.records_reclaimed"),
             pointer_sets_retired: reg.counter("streamplane.pointer_sets_retired"),
@@ -525,7 +519,7 @@ impl StreamPlane {
     }
 
     /// [`StreamPlane::new`] with the inner [`QueryPlaneConfig`] validated
-    /// up front: zero workers / shards / cache capacity surface as a
+    /// up front: zero workers / shards surface as a
     /// typed [`queryplane::ConfigError`] instead of a panic deep in the
     /// pool.
     pub fn try_new(
@@ -675,7 +669,6 @@ impl StreamPlane {
             match self.results.lookup(&req) {
                 Some(cached) => {
                     self.m.result_hits.inc();
-                    self.m.modelled_saved_ns.add(cached.cost.batched.as_ns());
                     served_from_cache += 1;
                     evaluations.push((origin, req, Evaluation::Cached(cached)));
                 }
@@ -696,9 +689,13 @@ impl StreamPlane {
         for (slots, outcome) in miss_slots.into_iter().zip(outcomes) {
             let req = evaluations[slots[0]].1;
             self.results.insert(&req, &outcome, horizon);
-            for slot in slots {
+            // Duplicates get copies; the (usual) sole asker gets the
+            // outcome itself.
+            let (&last, dups) = slots.split_last().expect("a miss has an asker");
+            for &slot in dups {
                 evaluations[slot].2 = Evaluation::Fresh(outcome.clone());
             }
+            evaluations[last].2 = Evaluation::Fresh(outcome);
         }
 
         // 4. Change detection over standing verdicts (+ pending states).
@@ -732,12 +729,18 @@ impl StreamPlane {
                 }
                 Origin::Ticket(t) => match eval {
                     Evaluation::Fresh(o) => one_shot_out.push((t, o)),
+                    // Served from cache: nothing ran this window, so the
+                    // trace carries the entry's dependency set and no
+                    // rounds, waves or fan-out.
                     Evaluation::Cached(c) => one_shot_out.push((
                         t,
                         QueryOutcome {
                             response: c.response,
-                            cost: c.cost,
-                            deps: c.deps,
+                            trace: ExecutionTrace {
+                                deps: c.deps,
+                                ..ExecutionTrace::default()
+                            },
+                            fanout: ShardFanout::default(),
                         },
                     )),
                     Evaluation::Pending => unreachable!("one-shots are always concrete"),
@@ -912,7 +915,6 @@ impl StreamPlane {
             incidents: self.m.incidents.get(),
             delta_copied: self.m.delta_copied.get(),
             full_copied_equiv: self.m.full_copied_equiv.get(),
-            modelled_saved: SimTime(self.m.modelled_saved_ns.get()),
             sweeps: self.m.sweeps.get(),
             records_reclaimed: self.m.records_reclaimed.get(),
             pointer_sets_retired: self.m.pointer_sets_retired.get(),
@@ -927,8 +929,8 @@ impl StreamPlane {
         self.plane.metrics()
     }
 
-    /// The inner query plane (its stats cover pool execution, pointer
-    /// cache and batched fan-out).
+    /// The inner query plane (configuration, published snapshot,
+    /// per-shard fan-out).
     pub fn plane(&self) -> &QueryPlane {
         &self.plane
     }

@@ -1,10 +1,10 @@
 //! The whole-result cache.
 //!
-//! Where the query plane's pointer cache shaves the *modelled* cost of a
-//! retrieval round, this cache skips the *computation* of an entire query:
-//! a standing query whose dependency state did not change between windows
-//! is served its previous (bit-identical) outcome without touching the
-//! worker pool at all.
+//! This cache skips the *computation* of an entire query: a standing
+//! query whose dependency state did not change between windows is served
+//! its previous (bit-identical) response without touching the worker pool
+//! at all. An entry keeps the response and the dependency set its
+//! validity hangs on — never the whole execution trace.
 //!
 //! **Key.** A cached entry is keyed by the concrete [`QueryRequest`] and
 //! remembers the snapshot epoch horizon it was computed at.
@@ -34,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use netsim::packet::NodeId;
-use queryplane::{QueryCost, QueryOutcome, SnapshotDelta};
+use queryplane::{QueryOutcome, SnapshotDelta};
 use switchpointer::query::{QueryRequest, QueryResponse, TraceDeps};
 use switchpointer::shard::host_shard_of;
 
@@ -42,7 +42,6 @@ use switchpointer::shard::host_shard_of;
 #[derive(Debug, Clone)]
 pub struct CachedResult {
     pub response: QueryResponse,
-    pub cost: QueryCost,
     pub deps: TraceDeps,
     /// The shard dimension of the dependency set: the directory shards
     /// owning the hosts in `deps` (under the cache's configured shard
@@ -55,8 +54,8 @@ pub struct CachedResult {
 
 /// Bounded LRU of whole query results, keyed by the concrete
 /// [`QueryRequest`] itself (a small `Copy + Hash + Eq` enum — no render
-/// step on the hot path). Same dual-index recency scheme as the plane's
-/// pointer cache; stamps are unique so eviction is O(log n).
+/// step on the hot path). Recency is a dual index (request → stamp,
+/// stamp → request); stamps are unique so eviction is O(log n).
 #[derive(Debug, Default)]
 pub struct ResultCache {
     capacity: usize,
@@ -124,8 +123,8 @@ impl ResultCache {
             }
         }
         self.by_stamp.insert(self.clock, *req);
-        let dep_shards: BTreeSet<usize> = outcome
-            .deps
+        let deps = &outcome.trace.deps;
+        let dep_shards: BTreeSet<usize> = deps
             .hosts
             .iter()
             .map(|&h| host_shard_of(h, self.dir_shards))
@@ -136,8 +135,7 @@ impl ResultCache {
                 self.clock,
                 CachedResult {
                     response: outcome.response.clone(),
-                    cost: outcome.cost,
-                    deps: outcome.deps.clone(),
+                    deps: deps.clone(),
                     dep_shards,
                     computed_at_horizon: horizon,
                 },
@@ -232,6 +230,8 @@ mod tests {
     use std::collections::BTreeSet;
     use switchpointer::analyzer::TopKResult;
     use switchpointer::cost::QueryWaveCost;
+    use switchpointer::query::ExecutionTrace;
+    use switchpointer::shard::ShardFanout;
     use telemetry::EpochRange;
 
     fn req(switch: u32) -> QueryRequest {
@@ -250,16 +250,14 @@ mod tests {
                 pointer_retrieval: SimTime::ZERO,
                 wave: QueryWaveCost::default(),
             }),
-            cost: QueryCost {
-                sequential: SimTime::ZERO,
-                batched: SimTime::ZERO,
-                pointer_hits: 0,
-                pointer_misses: 0,
+            trace: ExecutionTrace {
+                deps: TraceDeps {
+                    switches: BTreeSet::from([NodeId(switch)]),
+                    hosts: hosts.iter().map(|&h| NodeId(h)).collect(),
+                },
+                ..ExecutionTrace::default()
             },
-            deps: TraceDeps {
-                switches: BTreeSet::from([NodeId(switch)]),
-                hosts: hosts.iter().map(|&h| NodeId(h)).collect(),
-            },
+            fanout: ShardFanout::default(),
         }
     }
 

@@ -7,7 +7,7 @@
 //! carried whole (the paper's footprint argument — MPHF + pointer bits
 //! are the cheap replicated layer, host stores the heavy partitioned
 //! one). It answers the decode / host-read / fan-out RPCs of
-//! [`Frame`](crate::proto::Frame): a whole per-shard query wave arrives
+//! [`Frame`]: a whole per-shard query wave arrives
 //! as *one* request frame and leaves as one reply frame, which is what
 //! makes the front-end's batched fan-out a single wire round trip per
 //! shard.
@@ -41,7 +41,7 @@ use queryplane::Snapshot;
 use switchpointer::bitset::BitSet;
 use switchpointer::query::StateView;
 use switchpointer::shard::DirectoryShard;
-use telemetry::frame::{read_frame, Dec, Enc, WireError, MAX_FRAME};
+use telemetry::frame::{read_frame, Dec, WireError, MAX_FRAME};
 use telemetry::EpochRange;
 
 use crate::proto::Frame;
@@ -750,7 +750,6 @@ pub struct ShardServer {
     /// Replication-log position: the seq of the last applied record.
     applied: Arc<AtomicU64>,
     shard: usize,
-    max_frame: u32,
     metrics: Arc<MetricsRegistry>,
     /// Test hook: artificial per-request serve delay (see [`ServeDelay`]).
     delay: Arc<RwLock<Option<ServeDelay>>>,
@@ -1025,7 +1024,6 @@ impl ShardServer {
             state,
             applied,
             shard,
-            max_frame: cfg.max_frame,
             metrics,
             delay,
         })
@@ -1066,35 +1064,6 @@ impl ShardServer {
     /// this — both must be bit-identical at every applied seq.
     pub fn state(&self) -> Arc<ShardState> {
         Arc::clone(&self.state.read().unwrap())
-    }
-
-    /// Legacy out-of-band state swap, kept so old drivers keep working.
-    /// State ingestion is in-band now: this shim encodes the new view and
-    /// forwards it to the server's own listener as a synthetic
-    /// [`Frame::SnapshotInstall`] at the next seq, so the swap moves the
-    /// replication-log position exactly like a real bootstrap would. The
-    /// directory slice of `state` is dropped — the partition is fixed at
-    /// spawn and a swap cannot change shard ownership.
-    #[deprecated(note = "publish the replication log instead (Frame::DeltaAppend / \
-                Frame::SnapshotInstall via wireplane::repl::ReplicaWriter)")]
-    pub fn swap_state(&self, state: ShardState) {
-        let mut e = Enc::new();
-        state.view.wire_enc(&mut e);
-        let frame = Frame::SnapshotInstall {
-            shard: self.shard as u16,
-            seq: self.applied.load(Ordering::SeqCst) + 1,
-            view: e.into_bytes(),
-        };
-        let Ok(mut stream) = TcpStream::connect(self.local_addr()) else {
-            return;
-        };
-        let _ = stream.set_nodelay(true);
-        // Greeting, install, ack — errors are the shim's to swallow (the
-        // legacy API had no failure channel either).
-        if Frame::read(&mut stream, self.max_frame).is_ok() && frame.write(&mut stream).is_ok() {
-            let _ = stream.flush();
-            let _ = Frame::read(&mut stream, self.max_frame);
-        }
     }
 
     /// Graceful shutdown: stop accepting, join every connection thread.

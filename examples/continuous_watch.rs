@@ -79,7 +79,6 @@ fn main() {
                 workers: 8,
                 shards: 8,
                 directory_shards: 1,
-                cache_capacity: 4096,
                 retention: None,
             },
             result_cache_capacity: 1024,
@@ -144,8 +143,9 @@ fn main() {
         }
         for (ticket, outcome) in &report.one_shot {
             println!(
-                "    one-shot {ticket:?} answered: batched cost {}",
-                outcome.cost.batched
+                "    one-shot {ticket:?} answered: read {} switches, {} hosts",
+                outcome.trace.deps.switches.len(),
+                outcome.trace.deps.hosts.len()
             );
         }
         // Sanity: the contention watch appears in every report.
@@ -153,7 +153,7 @@ fn main() {
     }
 
     let stats = sp.stats();
-    let plane = sp.plane().stats();
+    let counter = |name: &str| sp.metrics().counter(name).get();
     println!("\n== stream accounting ==");
     println!("epoch ticks observed    : {}", epochs_seen.borrow());
     println!(
@@ -167,19 +167,16 @@ fn main() {
         stats.delta_savings(),
     );
     println!(
-        "result cache            : {} hits / {} misses ({:.0}% hit rate), {} invalidated, saved {}",
+        "result cache            : {} hits / {} misses ({:.0}% hit rate), {} invalidated",
         stats.result_hits,
         stats.result_misses,
         stats.result_hit_rate() * 100.0,
         stats.invalidated,
-        stats.modelled_saved,
     );
     println!(
-        "pool execution          : {} queries in {} batches, pointer cache {:.0}% hits, {:.1}x modelled speedup",
-        plane.queries,
-        plane.batches,
-        plane.cache_hit_rate() * 100.0,
-        plane.modelled_speedup(),
+        "pool execution          : {} queries in {} batches",
+        counter("queryplane.queries"),
+        counter("queryplane.batches"),
     );
     println!("incident log            : {} entries", sp.incidents().len());
     for inc in sp.incidents() {

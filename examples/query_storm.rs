@@ -1,11 +1,13 @@
 //! Query storm: drive 100+ mixed debugging queries through the concurrent
-//! query plane and compare its modelled accounting against sequential
-//! execution — cache hit-rate, coalesced RPCs, and the speedup from
-//! batched fan-out + pointer caching.
+//! query plane, then replay the returned outcomes through the cost model
+//! (`queryplane::model`, analysis only) to compare against sequential
+//! execution — cache hit-rate, coalesced RPCs, and the modelled speedup
+//! from batched fan-out + pointer caching.
 //!
 //! Run with: `cargo run --release --example query_storm`
 
 use netsim::prelude::*;
+use queryplane::model::ModelReplay;
 use queryplane::{QueryPlane, QueryPlaneConfig};
 use switchpointer::query::QueryRequest;
 use switchpointer::testbed::{Testbed, TestbedConfig};
@@ -94,7 +96,6 @@ fn main() {
             workers: 8,
             shards: 8,
             directory_shards: 1,
-            cache_capacity: 4096,
             retention: None,
         },
     );
@@ -105,9 +106,11 @@ fn main() {
     assert_eq!(format!("{:?}", outcomes[0].response), check);
     println!("determinism spot-check: plane response == sequential analyzer response");
 
-    let stats = plane.stats();
-    println!("\n== plane accounting ==");
-    println!("queries executed        : {}", stats.queries);
+    let mut model = ModelReplay::new(*analyzer.cost(), 4096);
+    let costs = model.replay(&outcomes);
+    let stats = model.report();
+    println!("\n== modelled accounting (replayed from the outcomes) ==");
+    println!("queries executed        : {}", outcomes.len());
     println!(
         "pointer cache           : {} hits / {} misses ({:.0}% hit rate), {} rounds skipped",
         stats.pointer_hits,
@@ -129,16 +132,16 @@ fn main() {
     );
 
     // The slowest and cheapest individual queries under the plane.
-    let mut by_batched: Vec<_> = outcomes.iter().enumerate().collect();
-    by_batched.sort_by_key(|(_, o)| o.cost.batched);
+    let mut by_batched: Vec<_> = costs.iter().enumerate().collect();
+    by_batched.sort_by_key(|(_, c)| c.batched);
     let (cheap_i, cheap) = by_batched.first().unwrap();
     let (dear_i, dear) = by_batched.last().unwrap();
     println!(
         "cheapest query #{cheap_i}: batched {} (sequential {})",
-        cheap.cost.batched, cheap.cost.sequential
+        cheap.batched, cheap.sequential
     );
     println!(
         "dearest  query #{dear_i}: batched {} (sequential {})",
-        dear.cost.batched, dear.cost.sequential
+        dear.batched, dear.sequential
     );
 }

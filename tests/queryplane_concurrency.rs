@@ -1,9 +1,11 @@
 //! The query plane's contract: (a) verdicts are bit-identical to the
 //! sequential analyzer's no matter how many workers execute the batch;
-//! (b) pointer-cache hit accounting is deterministic and matches a
-//! hand-computed schedule.
+//! (b) the modelled accounting replayed from the returned outcomes
+//! (`queryplane::model`) is deterministic — a pure function of submission
+//! order — and matches a hand-computed schedule.
 
 use netsim::prelude::*;
+use queryplane::model::{ModelReplay, ModelReport, ModelledCost};
 use queryplane::{QueryPlane, QueryPlaneConfig};
 use switchpointer::query::QueryRequest;
 use switchpointer::testbed::{Testbed, TestbedConfig};
@@ -115,7 +117,6 @@ fn verdicts_identical_across_worker_counts() {
         .map(|r| format!("{:?}", analyzer.execute(r)))
         .collect();
 
-    let mut per_worker_costs = Vec::new();
     for workers in [1usize, 2, 8] {
         let mut plane = QueryPlane::from_analyzer(
             &analyzer,
@@ -123,7 +124,6 @@ fn verdicts_identical_across_worker_counts() {
                 workers,
                 shards: 8,
                 directory_shards: 1,
-                cache_capacity: 4096,
                 retention: None,
             },
         );
@@ -136,18 +136,83 @@ fn verdicts_identical_across_worker_counts() {
                 "query {i} diverged from the sequential analyzer at {workers} workers"
             );
         }
-        // Cost accounting must be deterministic too, not just verdicts.
-        per_worker_costs.push(
-            outcomes
-                .iter()
-                .map(|o| format!("{:?}", o.cost))
-                .collect::<Vec<_>>(),
-        );
-        // The repeated TopK hit every pointer key of its round.
-        assert!(plane.stats().pointer_hits >= 1);
     }
-    assert_eq!(per_worker_costs[0], per_worker_costs[1]);
-    assert_eq!(per_worker_costs[0], per_worker_costs[2]);
+}
+
+/// A hot incident window: many tenants ask overlapping questions.
+fn storm_set(tb: &Testbed) -> Vec<QueryRequest> {
+    let mut reqs = Vec::new();
+    let window = EpochRange { lo: 10, hi: 20 };
+    for round in 0..8 {
+        for name in ["edge0_0", "agg0_0", "edge2_0"] {
+            reqs.push(QueryRequest::TopK {
+                switch: tb.node(name),
+                k: 10,
+                range: window,
+            });
+            if round % 2 == 0 {
+                reqs.push(QueryRequest::LoadImbalance {
+                    switch: tb.node(name),
+                    range: window,
+                });
+            }
+        }
+    }
+    reqs
+}
+
+/// The replay is a pure function of the outcomes in submission order:
+/// however many workers ran the batch and however the directory was
+/// sharded, the per-query costs and the cumulative report come out the
+/// same. Only the priced decode follows the measured per-shard fan-out,
+/// so that one figure is compared per shard count.
+#[test]
+fn replayed_accounting_is_a_pure_function_of_submission_order() {
+    let (tb, victim) = fat_tree_testbed();
+    let analyzer = tb.analyzer();
+    let mut reqs = query_set(&tb, victim);
+    reqs.extend(storm_set(&tb));
+
+    // One (per-query costs, report) per directory shard count: the
+    // 1-worker run, which the 2- and 8-worker runs must reproduce exactly.
+    let mut per_sharding: Vec<(Vec<ModelledCost>, ModelReport)> = Vec::new();
+    for directory_shards in [1usize, 4] {
+        let mut reference = None;
+        for workers in [1usize, 2, 8] {
+            let mut plane = QueryPlane::from_analyzer(
+                &analyzer,
+                QueryPlaneConfig {
+                    workers,
+                    shards: 8,
+                    directory_shards,
+                    retention: None,
+                },
+            );
+            let mut model = ModelReplay::new(*analyzer.cost(), 4096);
+            // Two batches: the second replays against the warm LRU.
+            let mut costs = model.replay(&plane.execute_batch(&reqs));
+            costs.extend(model.replay(&plane.execute_batch(&reqs)));
+            let got = (costs, model.report());
+            let want = reference.get_or_insert_with(|| got.clone());
+            assert_eq!(
+                &got, want,
+                "{workers} workers, {directory_shards} directory shards"
+            );
+        }
+        per_sharding.extend(reference);
+    }
+    let (costs_1, report_1) = &per_sharding[0];
+    let (costs_4, report_4) = &per_sharding[1];
+    // The repeated TopK hit every pointer key of its round.
+    assert!(report_1.pointer_hits >= 1);
+    assert_eq!(costs_1, costs_4);
+    assert_eq!(
+        ModelReport {
+            modelled_decode_total: report_1.modelled_decode_total,
+            ..*report_4
+        },
+        *report_1
+    );
 }
 
 #[test]
@@ -163,7 +228,6 @@ fn sharding_choice_does_not_change_answers() {
                 workers: 4,
                 shards,
                 directory_shards: 1,
-                cache_capacity: 4096,
                 retention: None,
             },
         );
@@ -220,92 +284,74 @@ fn pointer_cache_accounting_matches_hand_computed_schedule() {
         topk(s1, r1),
     ];
 
-    let mut roomy = QueryPlane::from_analyzer(
+    let mut plane = QueryPlane::from_analyzer(
         &analyzer,
         QueryPlaneConfig {
             workers: 2,
             shards: 4,
             directory_shards: 1,
-            cache_capacity: 64,
             retention: None,
         },
     );
-    let outcomes = roomy.execute_batch(&reqs);
-    let hit_pattern: Vec<(u32, u32)> = outcomes
+    let outcomes = plane.execute_batch(&reqs);
+
+    let mut roomy = ModelReplay::new(*analyzer.cost(), 64);
+    let costs = roomy.replay(&outcomes);
+    let hit_pattern: Vec<(u32, u32)> = costs
         .iter()
-        .map(|o| (o.cost.pointer_hits, o.cost.pointer_misses))
+        .map(|c| (c.pointer_hits, c.pointer_misses))
         .collect();
     assert_eq!(
         hit_pattern,
         vec![(0, 1), (1, 0), (0, 1), (0, 1), (1, 0)],
         "roomy cache schedule"
     );
-    assert_eq!(roomy.stats().pointer_hits, 2);
-    assert_eq!(roomy.stats().pointer_misses, 3);
-    assert_eq!(roomy.stats().rounds_skipped, 2);
+    assert_eq!(roomy.report().pointer_hits, 2);
+    assert_eq!(roomy.report().pointer_misses, 3);
+    assert_eq!(roomy.report().rounds_skipped, 2);
 
     // Cache-served rounds skip the ≈7.5 ms retrieval: the two hit queries
     // must be billed far less than their sequential baseline.
-    for (i, o) in outcomes.iter().enumerate() {
+    for (i, c) in costs.iter().enumerate() {
         if hit_pattern[i].0 > 0 {
             assert!(
-                o.cost.batched + analyzer.cost().pointer_retrieval(1)
-                    < o.cost.sequential + analyzer.cost().pointer_cache_hit,
+                c.batched + analyzer.cost().pointer_retrieval(1)
+                    < c.sequential + analyzer.cost().pointer_cache_hit,
                 "query {i} should have skipped its retrieval round"
             );
         }
     }
 
-    let mut tiny = QueryPlane::from_analyzer(
-        &analyzer,
-        QueryPlaneConfig {
-            workers: 2,
-            shards: 4,
-            directory_shards: 1,
-            cache_capacity: 1,
-            retention: None,
-        },
-    );
-    let outcomes = tiny.execute_batch(&reqs);
-    let hit_pattern: Vec<(u32, u32)> = outcomes
+    let mut tiny = ModelReplay::new(*analyzer.cost(), 1);
+    let hit_pattern: Vec<(u32, u32)> = tiny
+        .replay(&outcomes)
         .iter()
-        .map(|o| (o.cost.pointer_hits, o.cost.pointer_misses))
+        .map(|c| (c.pointer_hits, c.pointer_misses))
         .collect();
     assert_eq!(
         hit_pattern,
         vec![(0, 1), (1, 0), (0, 1), (0, 1), (0, 1)],
         "capacity-1 LRU schedule"
     );
-    assert_eq!(tiny.stats().pointer_hits, 1);
-    assert_eq!(tiny.stats().pointer_misses, 4);
+    assert_eq!(tiny.report().pointer_hits, 1);
+    assert_eq!(tiny.report().pointer_misses, 4);
 }
 
 #[test]
 fn batching_and_caching_beat_sequential_accounting() {
     let (tb, _victim) = fat_tree_testbed();
     let analyzer = tb.analyzer();
-    // A hot incident window: many tenants ask overlapping questions.
-    let mut reqs = Vec::new();
-    let window = EpochRange { lo: 10, hi: 20 };
-    for round in 0..8 {
-        for name in ["edge0_0", "agg0_0", "edge2_0"] {
-            reqs.push(QueryRequest::TopK {
-                switch: tb.node(name),
-                k: 10,
-                range: window,
-            });
-            if round % 2 == 0 {
-                reqs.push(QueryRequest::LoadImbalance {
-                    switch: tb.node(name),
-                    range: window,
-                });
-            }
-        }
-    }
+    let reqs = storm_set(&tb);
     let mut plane = QueryPlane::from_analyzer(&analyzer, QueryPlaneConfig::default());
     let outcomes = plane.execute_batch(&reqs);
-    let stats = plane.stats();
-    assert_eq!(stats.queries, reqs.len() as u64);
+    assert_eq!(outcomes.len(), reqs.len());
+    assert_eq!(
+        plane.metrics().counter("queryplane.queries").get(),
+        reqs.len() as u64
+    );
+    let mut model = ModelReplay::new(*analyzer.cost(), 4096);
+    model.replay(&outcomes);
+    let stats = model.report();
     assert!(
         stats.cache_hit_rate() > 0.5,
         "repeat-heavy workload must hit"
@@ -326,5 +372,4 @@ fn batching_and_caching_beat_sequential_accounting() {
     // Batch-level invariant: the coalesced accounting never exceeds the
     // sequential baseline.
     assert!(stats.batched_total <= stats.sequential_total);
-    assert_eq!(outcomes.len(), reqs.len());
 }

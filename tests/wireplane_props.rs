@@ -853,7 +853,6 @@ fn run_stream_parity(n_shards: usize, inject_failures: bool) {
                 workers: 4,
                 shards: 8,
                 directory_shards: n_shards,
-                cache_capacity: 4096,
                 retention: None,
             },
             result_cache_capacity: 1024,
@@ -989,7 +988,6 @@ fn incident_stream_bit_identical_across_primary_kill() {
                 workers: 4,
                 shards: 8,
                 directory_shards: n_shards,
-                cache_capacity: 4096,
                 retention: None,
             },
             result_cache_capacity: 1024,
@@ -1140,13 +1138,6 @@ fn degenerate_plane_configs_are_rejected_with_typed_errors() {
             },
             ConfigError::ZeroDirectoryShards,
         ),
-        (
-            QueryPlaneConfig {
-                cache_capacity: 0,
-                ..QueryPlaneConfig::default()
-            },
-            ConfigError::ZeroCacheCapacity,
-        ),
     ];
     for (cfg, want) in cases {
         assert_eq!(cfg.validate(), Err(want));
@@ -1173,14 +1164,14 @@ fn degenerate_plane_configs_are_rejected_with_typed_errors() {
             &analyzer,
             StreamConfig {
                 plane: QueryPlaneConfig {
-                    cache_capacity: 0,
+                    shards: 0,
                     ..QueryPlaneConfig::default()
                 },
                 result_cache_capacity: 16,
             }
         )
         .err(),
-        Some(ConfigError::ZeroCacheCapacity)
+        Some(ConfigError::ZeroHostShards)
     );
     // The wire layer validates through the same path.
     assert!(WireCluster::launch(&analyzer, 0, WireConfig::default()).is_err());
