@@ -441,6 +441,15 @@ impl<V: StateView> StateView for ShardedView<'_, V> {
 /// The wave methods mirror [`StateView`]'s batched forms: one call per
 /// query wave per shard, which is what lets a remote backend carry a
 /// whole fan-out in a single round trip.
+///
+/// The five methods a router fans out to *several* shards at once
+/// (`union_slice` and the four host waves) return a [`Deferred`]: the
+/// call **issues** the request and returns, [`Deferred::wait`] collects
+/// the answer. A router that issues to every involved shard before it
+/// waits on the first keeps all of a fan-out's requests in flight
+/// together — one round trip of latency, whatever the shard count. The
+/// single-shard reads return their value directly; there is nothing to
+/// overlap them with.
 pub trait ShardBackend {
     /// The directory shard this backend serves.
     fn shard_id(&self) -> usize;
@@ -448,7 +457,7 @@ pub trait ShardBackend {
     /// This shard's masked slice of the pointer union for `range` at
     /// `switch` (`None` if the switch has no component). Slices across
     /// the shards partition the full union bit-for-bit.
-    fn union_slice(&self, switch: NodeId, range: EpochRange) -> Option<BitSet>;
+    fn union_slice(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>>;
 
     /// Exact-resolution presence probe (answered by the shard owning the
     /// probed address's slot).
@@ -468,16 +477,45 @@ pub trait ShardBackend {
     fn first_trigger_for(&self, host: NodeId, flow: FlowId) -> Option<TriggerEvent>;
 
     /// Batched store sizes for owned hosts.
-    fn store_len_wave(&self, hosts: &[NodeId]) -> Vec<Option<usize>>;
+    fn store_len_wave(&self, hosts: &[NodeId]) -> Deferred<'_, Vec<Option<usize>>>;
 
     /// Batched filter wave over owned hosts.
-    fn filter_wave(&self, hosts: &[NodeId], switch: NodeId, range: EpochRange) -> FilterWaveReply;
+    fn filter_wave(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+        range: EpochRange,
+    ) -> Deferred<'_, FilterWaveReply>;
 
     /// Batched top-k wave over owned hosts.
-    fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply;
+    fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize)
+        -> Deferred<'_, TopKWaveReply>;
 
     /// Batched link-sizes wave over owned hosts.
-    fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> SizesWaveReply;
+    fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> Deferred<'_, SizesWaveReply>;
+}
+
+/// A backend reply that may still be on its way: what the fanned-out
+/// [`ShardBackend`] methods return. An in-process backend answers
+/// `Ready`; a remote one has already put its request on the wire and
+/// hands back the collect half of the exchange as `Pending`. Dropping a
+/// `Deferred` un-waited abandons the exchange (the closure owns
+/// whatever must be released).
+pub enum Deferred<'a, T> {
+    /// The reply is already here.
+    Ready(T),
+    /// Running the closure waits for the reply and returns it.
+    Pending(Box<dyn FnOnce() -> T + 'a>),
+}
+
+impl<T> Deferred<'_, T> {
+    /// Collects the reply, blocking until it has arrived.
+    pub fn wait(self) -> T {
+        match self {
+            Deferred::Ready(value) => value,
+            Deferred::Pending(wait) => wait(),
+        }
+    }
 }
 
 /// The in-process [`ShardBackend`]: one shard's slice of a shared
@@ -499,10 +537,12 @@ impl<V: StateView> ShardBackend for LocalBackend<'_, V> {
         self.shard.id()
     }
 
-    fn union_slice(&self, switch: NodeId, range: EpochRange) -> Option<BitSet> {
-        self.view
-            .pointer_union(switch, range)
-            .map(|u| self.shard.mask(&u))
+    fn union_slice(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>> {
+        Deferred::Ready(
+            self.view
+                .pointer_union(switch, range)
+                .map(|u| self.shard.mask(&u)),
+        )
     }
 
     fn probe_exact(&self, switch: NodeId, addr: u64, epoch: u64) -> Option<Option<bool>> {
@@ -525,28 +565,39 @@ impl<V: StateView> ShardBackend for LocalBackend<'_, V> {
         self.view.first_trigger_for(host, flow)
     }
 
-    fn store_len_wave(&self, hosts: &[NodeId]) -> Vec<Option<usize>> {
-        self.view.store_len_wave(hosts)
+    fn store_len_wave(&self, hosts: &[NodeId]) -> Deferred<'_, Vec<Option<usize>>> {
+        Deferred::Ready(self.view.store_len_wave(hosts))
     }
 
-    fn filter_wave(&self, hosts: &[NodeId], switch: NodeId, range: EpochRange) -> FilterWaveReply {
-        self.view.filter_wave(hosts, switch, range)
+    fn filter_wave(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+        range: EpochRange,
+    ) -> Deferred<'_, FilterWaveReply> {
+        Deferred::Ready(self.view.filter_wave(hosts, switch, range))
     }
 
-    fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply {
-        self.view.top_k_wave(hosts, switch, k)
+    fn top_k_wave(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+        k: usize,
+    ) -> Deferred<'_, TopKWaveReply> {
+        Deferred::Ready(self.view.top_k_wave(hosts, switch, k))
     }
 
-    fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> SizesWaveReply {
-        self.view.sizes_wave(hosts, switch)
+    fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> Deferred<'_, SizesWaveReply> {
+        Deferred::Ready(self.view.sizes_wave(hosts, switch))
     }
 }
 
 /// Cumulative routing counters a [`BackendRouter`] keeps on top of the
 /// per-shard [`ShardFanout`]: how many backend calls it issued (each a
 /// wire RPC for a remote backend) and how many *rounds* of latency those
-/// cost (a fan-out to several shards counts one round — the requests
-/// overlap).
+/// cost. A fan-out to several shards counts one round because it *is*
+/// one: the coalescing router issues every shard's request before it
+/// waits on the first, so they are in flight together.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouterCounters {
     pub fanout: ShardFanout,
@@ -556,16 +607,15 @@ pub struct RouterCounters {
     /// per-shard coalescing shrinks (one per shard per wave, vs one per
     /// host per wave without coalescing).
     pub wave_rpcs: u64,
-    /// Wave fan-outs routed. Under a deployment that issues the
-    /// per-shard requests concurrently, each fan-out is one round trip
-    /// of latency; this router issues them sequentially (pipelined on
-    /// the per-shard connections), so as a *latency* statement the
-    /// count is the model's concurrent-fan-out interpretation — the
-    /// same answers-real / latency-modelled split as everywhere else.
+    /// Wave fan-outs routed, each one round trip of latency: the
+    /// per-shard requests of a fan-out overlap (issued to every involved
+    /// shard, then collected). Without coalescing the per-host calls of
+    /// a fan-out run one after another and the count is only the number
+    /// of fan-outs.
     pub wave_rounds: u64,
     /// Routed operations: one per union reassembly, wave fan-out or
-    /// point read, however many shards it fanned out to (the round-trip
-    /// count under the concurrent-fan-out interpretation above).
+    /// point read, however many shards it fanned out to — the number of
+    /// sequential round trips the coalescing router waited through.
     pub rounds: u64,
 }
 
@@ -574,11 +624,18 @@ pub struct RouterCounters {
 /// slices (the slot masks partition the directory range, so the union is
 /// bit-identical to the flat view's); host reads route to the owning
 /// shard; wave reads coalesce per shard — one backend call, and for a
-/// remote backend one wire round trip, per shard per wave.
+/// remote backend one wire request, per shard per wave.
 ///
-/// With `coalesce` off, wave reads degrade to one backend call per host:
-/// the naive per-host RPC regime the paper's Fig. 12 measures, kept as a
-/// measurable counterfactual for the batching win.
+/// Fan-outs are **issue-then-collect**: a union reassembly or a wave
+/// first issues its request to every involved shard, then collects the
+/// [`Deferred`] replies in shard order. The collect order is the old
+/// call order, so slices OR together and replies scatter back exactly as
+/// they always did — only the waiting overlaps.
+///
+/// With `coalesce` off, wave reads degrade to one backend call per host,
+/// each waited on before the next is issued: the naive per-host RPC
+/// regime the paper's Fig. 12 measures, kept as a measurable
+/// counterfactual for the batching win.
 pub struct BackendRouter<'a, B: ShardBackend> {
     backends: &'a [B],
     dir: &'a ShardedDirectory,
@@ -655,13 +712,14 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
     }
 
     /// Routes one wave: groups `hosts` by owning shard (input order kept
-    /// within each group), issues one backend call per involved shard
-    /// (or per host without coalescing), and scatters the replies back
-    /// into input order.
+    /// within each group), issues one backend call to every involved
+    /// shard, then collects the replies in shard order and scatters them
+    /// back into input order. Without coalescing it is one call per
+    /// host, each collected before the next is issued.
     fn route_wave<T>(
         &self,
         hosts: &[NodeId],
-        call: impl Fn(&B, &[NodeId]) -> Vec<T>,
+        call: impl Fn(&'a B, &[NodeId]) -> Deferred<'a, Vec<T>>,
         empty: impl Fn() -> T,
     ) -> Vec<T> {
         if hosts.is_empty() {
@@ -677,6 +735,7 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
             by_shard[s].1.push(h);
         }
         let mut out: Vec<Option<T>> = (0..hosts.len()).map(|_| None).collect();
+        let mut issued = Vec::with_capacity(self.backends.len());
         for (s, (idxs, shard_hosts)) in by_shard.into_iter().enumerate() {
             if shard_hosts.is_empty() {
                 continue;
@@ -685,18 +744,21 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
             if self.coalesce {
                 self.rpcs.inc();
                 self.wave_rpcs.inc();
-                let replies = call(&self.backends[s], &shard_hosts);
-                debug_assert_eq!(replies.len(), shard_hosts.len());
-                for (i, reply) in idxs.into_iter().zip(replies) {
-                    out[i] = Some(reply);
-                }
+                issued.push((idxs, call(&self.backends[s], &shard_hosts)));
             } else {
                 for (i, h) in idxs.into_iter().zip(shard_hosts) {
                     self.rpcs.inc();
                     self.wave_rpcs.inc();
-                    let mut replies = call(&self.backends[s], std::slice::from_ref(&h));
+                    let mut replies = call(&self.backends[s], std::slice::from_ref(&h)).wait();
                     out[i] = replies.pop();
                 }
+            }
+        }
+        for (idxs, reply) in issued {
+            let replies = reply.wait();
+            debug_assert_eq!(replies.len(), idxs.len());
+            for (i, reply) in idxs.into_iter().zip(replies) {
+                out[i] = Some(reply);
             }
         }
         out.into_iter().map(|r| r.unwrap_or_else(&empty)).collect()
@@ -708,20 +770,27 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
         // Every shard contributes its masked slice; ORing the disjoint
         // slices reproduces the flat union byte-for-byte (the slot masks
         // partition the directory range — pinned by the DirectoryShard
-        // partition tests). Counted as one round: a deployment issues
-        // the slice requests concurrently (here they are pipelined
-        // sequentially — see `RouterCounters::wave_rounds`).
+        // partition tests). One round: every slice request is issued
+        // before the first is collected, and collecting in shard order
+        // keeps the ORing order of the sequential loop this replaces.
         self.rounds.inc();
+        let issued: Vec<_> = self
+            .backends
+            .iter()
+            .map(|b| {
+                self.rpcs.inc();
+                (b.shard_id(), b.union_slice(switch, range))
+            })
+            .collect();
         let mut acc: Option<BitSet> = None;
         let mut total = 0u64;
-        for b in self.backends {
-            self.rpcs.inc();
-            let Some(slice) = b.union_slice(switch, range) else {
+        for (shard, slice) in issued {
+            let Some(slice) = slice.wait() else {
                 continue;
             };
             let ones = slice.count() as u64;
             if ones > 0 {
-                self.decode_bits[b.shard_id()].add(ones);
+                self.decode_bits[shard].add(ones);
                 total += ones;
             }
             match &mut acc {
@@ -788,6 +857,7 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
         self.note_point_read(s);
         self.backends[s]
             .filter_wave(std::slice::from_ref(&host), switch, range)
+            .wait()
             .pop()
             .map(|(_, recs)| recs)
             .unwrap_or_default()
@@ -798,6 +868,7 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
         self.note_point_read(s);
         self.backends[s]
             .top_k_wave(std::slice::from_ref(&host), switch, k)
+            .wait()
             .pop()
             .map(|(_, flows)| flows)
             .unwrap_or_default()
@@ -808,6 +879,7 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
         self.note_point_read(s);
         self.backends[s]
             .sizes_wave(std::slice::from_ref(&host), switch)
+            .wait()
             .pop()
             .map(|(_, sizes)| sizes)
             .unwrap_or_default()

@@ -12,18 +12,27 @@
 //! * the `CostModel`'s corresponding per-host RPC budget
 //!   (`host_requests`, from the same queries' in-process traces) — the
 //!   bound measured batched RPCs must stay within;
-//! * wire wall-clock per query, as an honest transport sanity number.
+//! * wire wall-clock per query, as an honest transport sanity number;
+//! * the **overlap ratio** of a shard fan-out: the wall-clock of serial
+//!   `TopK` queries on the 8-shard cluster over the sum of their RPCs'
+//!   round trips (the front-end's own `wire.rtt_ns.shard{N}` samples of
+//!   exactly those RPCs). A router that waits on each shard before
+//!   asking the next spends at least the sum, so its ratio is ≥ 1 on any
+//!   machine; one with a fan-out's requests in flight together lands
+//!   well below.
 //!
 //! Load-bearing shape checks (the CI smoke): verdicts through the wire
 //! are bit-identical to the in-process `ShardedAnalyzer` at every shard
 //! count; the naive regime measures at least the model's per-host RPC
 //! term (the model is measurable, not just assumed — on this sweep it
-//! matches exactly); coalesced wave *fan-outs* — one round trip each
-//! under the concurrent-fan-out interpretation the cost model prices
-//! (the model's per-host conn-init term is serialized, a wave's
-//! per-shard frames are not) — stay at or below the modelled per-host
-//! budget at every shard count; and batched fan-out beats naive
-//! per-host RPCs by ≥ 4× on the storm workload.
+//! matches exactly); coalesced wave *fan-outs* — one round trip each,
+//! the per-shard frames being in flight together (the model's per-host
+//! conn-init term is serialized, a wave's per-shard frames are not) —
+//! stay at or below the modelled per-host budget at every shard count;
+//! batched fan-out beats naive per-host RPCs by ≥ 4× on the storm
+//! workload; and the overlap ratio stays under [`OVERLAP_RATIO_MAX`] — a
+//! same-run ratio, so the gate holds on a runner with any number of
+//! cores.
 
 use netsim::prelude::*;
 use switchpointer::query::QueryRequest;
@@ -159,6 +168,48 @@ fn diagnosis_queries(tb: &Testbed, victim: FlowId, victim_dst: NodeId) -> Vec<Qu
     ]
 }
 
+/// Ceiling on the overlap ratio (see the module docs). Sequential issue
+/// gives ≥ 1 by construction (1.05 measured at the last commit that
+/// issued sequentially); the overlapped router measures 0.23–0.32 on a
+/// 2-vCPU box, so 0.7 leaves a slow runner a 2× margin and still sits
+/// clear of the regime it exists to catch.
+const OVERLAP_RATIO_MAX: f64 = 0.7;
+
+/// Serial repeats of the fan-out query behind the overlap ratio.
+const OVERLAP_REPEATS: usize = 200;
+
+/// Sum and count of every `wire.rtt_ns.shard{N}` sample the front-end
+/// has recorded so far.
+fn rtt_totals(cluster: &WireCluster, n_shards: usize) -> (u64, u64) {
+    let snap = cluster.front_metrics().snapshot();
+    (0..n_shards)
+        .filter_map(|s| snap.hist(&format!("wire.rtt_ns.shard{s}")))
+        .fold((0, 0), |(sum, count), h| (sum + h.sum, count + h.count))
+}
+
+/// Runs `req` serially [`OVERLAP_REPEATS`] times and returns
+/// `(rpcs per query, wall ns per query, mean RTT ns of those RPCs)`.
+fn overlap_probe(cluster: &WireCluster, n_shards: usize, req: &QueryRequest) -> (u64, f64, f64) {
+    let (rtt_sum0, rtt_count0) = rtt_totals(cluster, n_shards);
+    let mut rpcs = 0u64;
+    let t0 = std::time::Instant::now();
+    for _ in 0..OVERLAP_REPEATS {
+        rpcs += cluster.front().execute(req).2.rpcs;
+    }
+    let wall_ns = t0.elapsed().as_nanos() as f64;
+    let (rtt_sum, rtt_count) = rtt_totals(cluster, n_shards);
+    assert_eq!(
+        rtt_count - rtt_count0,
+        rpcs,
+        "every routed RPC must leave exactly one RTT sample"
+    );
+    (
+        rpcs / OVERLAP_REPEATS as u64,
+        wall_ns / OVERLAP_REPEATS as f64,
+        (rtt_sum - rtt_sum0) as f64 / rpcs as f64,
+    )
+}
+
 pub fn wire() -> Vec<FigureData> {
     let (tb, victim, victim_dst) = testbed();
     let analyzer = tb.analyzer();
@@ -195,8 +246,11 @@ pub fn wire() -> Vec<FigureData> {
     let mut wire_us_per_query = Series::new("wire_wall_us_per_query");
 
     let mut headline: Vec<(usize, u64, u64, u64, u64)> = Vec::new();
-    // (n_shards, serial us/query, wave us/query): the fast-path gate.
+    // (n_shards, serial us/query, wave us/query).
     let mut speedups: Vec<(usize, f64, f64)> = Vec::new();
+    // (rpcs, wall ns, mean RTT ns) of one TopK fan-out at the widest
+    // deployment: the overlap gate.
+    let mut overlap = None;
     // Generous worker pool: the wave path's concurrency is what the
     // multiplexed links combine into batch frames.
     let cfg = WireConfig {
@@ -222,8 +276,8 @@ pub fn wire() -> Vec<FigureData> {
 
         // Measured, batched: one wave frame per shard per wave. The
         // serial loop is the legacy transport shape — one blocking query
-        // at a time, so nothing overlaps and nothing combines — and its
-        // wall-clock is the baseline the fast-path gate divides by.
+        // at a time, so queries neither overlap nor combine (each
+        // query's own shard fan-outs still do).
         let cluster =
             WireCluster::launch(&analyzer, n_shards, cfg).expect("launch batched cluster");
         let t0 = std::time::Instant::now();
@@ -269,6 +323,9 @@ pub fn wire() -> Vec<FigureData> {
             let results = cluster.front().execute_wave(&reqs);
             wave_wall = wave_wall.min(t0.elapsed());
             check_wave(&results);
+        }
+        if n_shards == 8 {
+            overlap = Some(overlap_probe(&cluster, n_shards, &reqs[0]));
         }
         cluster.shutdown();
         let serial_us = serial_wall.as_micros() as f64 / reqs.len() as f64;
@@ -361,13 +418,8 @@ pub fn wire() -> Vec<FigureData> {
         at4.2
     );
 
-    // The wire fast-path gate: the multiplexed/batched/pipelined wave
-    // path must beat the serial legacy transport shape by >= 10x in
-    // wall-clock per query at some shard count (the win grows with
-    // shards — serial pays rounds x shards x RTT per query, the wave
-    // overlaps all of it). Wall-clock needs real parallelism, so on
-    // constrained runners the gate is skipped with a visible notice
-    // instead of flaking.
+    // Serial vs pipelined-wave wall-clock, for the record only: how far
+    // apart they are depends on the runner's cores.
     for &(n, serial_us, wave_us) in &speedups {
         fig.note(format!(
             "{n} shard(s): serial {serial_us:.0} us/query vs wave {wave_us:.0} us/query \
@@ -375,29 +427,27 @@ pub fn wire() -> Vec<FigureData> {
             serial_us / wave_us.max(f64::EPSILON)
         ));
     }
-    let best = speedups
-        .iter()
-        .map(|&(n, s, w)| (n, s / w.max(f64::EPSILON)))
-        .fold((0usize, 0.0f64), |acc, v| if v.1 > acc.1 { v } else { acc });
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cores < 4 {
-        fig.note(format!(
-            "wire fast-path gate skipped: {cores} core(s) < 4 (best observed {:.1}x at \
-             {} shard(s))",
-            best.1, best.0
-        ));
-    } else {
-        assert!(
-            best.1 >= 10.0,
-            "wire fast path must be >= 10x serial in wall-clock per query; best was \
-             {:.1}x at {} shard(s)",
-            best.1,
-            best.0
-        );
-        fig.note(format!(
-            "wire fast-path gate: enforced — {:.1}x at {} shard(s) (>= 10x required)",
-            best.1, best.0
-        ));
-    }
+
+    // The overlap gate: a fan-out's round trips must overlap. Both sides
+    // of the ratio come from the same queries on the same cluster, so
+    // the runner's speed and core count cancel out.
+    let (rpcs, wall_ns, rtt_ns) = overlap.expect("the sweep includes the 8-shard deployment");
+    let sequential_ns = rpcs as f64 * rtt_ns;
+    let ratio = wall_ns / sequential_ns;
+    assert!(
+        ratio < OVERLAP_RATIO_MAX,
+        "8 shards: a TopK of {rpcs} RPCs took {:.0} us against {:.0} us of summed round trips \
+         (ratio {ratio:.2}, must stay under {OVERLAP_RATIO_MAX}): the shard fan-out is not overlapped",
+        wall_ns / 1e3,
+        sequential_ns / 1e3
+    );
+    fig.note(format!(
+        "wire overlap gate: enforced — 8 shard(s), serial TopK of {rpcs} RPCs: wall {:.0} us vs \
+         {rpcs} x mean RTT {:.0} us = {:.0} us back to back (ratio {ratio:.2}, < \
+         {OVERLAP_RATIO_MAX} required; >= 1 without overlap)",
+        wall_ns / 1e3,
+        rtt_ns / 1e3,
+        sequential_ns / 1e3
+    ));
     vec![fig]
 }

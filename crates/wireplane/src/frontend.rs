@@ -12,6 +12,17 @@
 //! *measured* here, not just modelled: [`FrontEnd::counters`] reports
 //! actual RPCs and round trips.
 //!
+//! A fan-out is **issue-then-collect**. The fanned-out
+//! [`ShardBackend`] methods of a [`RemoteShard`] put their request on
+//! the wire and return a [`Deferred`]; the router issues to every
+//! involved shard, then collects in shard order, so the per-shard round
+//! trips of one union reassembly or one host wave overlap and a round
+//! costs its slowest shard, not the sum. [`FrontEnd::close_window`]
+//! reads the shards' horizons the same way. Each exchange's RTT
+//! (`wire.rtt_ns.shard{N}`, and its `wire` span) runs from issue to the
+//! reply's *arrival* — stamped by the link's demux reader — so a shard
+//! collected late is not billed for the wait on its siblings.
+//!
 //! Towards clients the front-end is a server itself: `QueryReq` frames
 //! run the shared [`QueryExecutor`] over the remote router and return the
 //! full response; `SubscribeReq` frames register standing queries whose
@@ -31,6 +42,15 @@
 //! survives a primary kill and subscription streams resume on the
 //! standby. A shard whose every replica stays unreachable is fatal to
 //! the in-flight query.
+//!
+//! An exchange that fails *in flight* — the connection dies between its
+//! issue and its collect — is handled where it is collected, by the
+//! same loop and under the same budget: that death is the exchange's
+//! first failure, not a fresh start, and the request re-sent over the
+//! next dial is the identical idempotent read. When a shard exhausts
+//! its budget the collecting query panics past its still-in-flight
+//! siblings; their handles release their reply slots on drop, and
+//! replies that land afterwards are discarded by the demux reader.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -41,7 +61,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use netsim::packet::{FlowId, NodeId};
-use obsplane::{Histogram, RegistrySnapshot, SpanEvent};
+use obsplane::{Histogram, RegistrySnapshot, SpanEvent, TraceContext};
 use queryplane::{SharedCtx, WorkerPool};
 use streamplane::{
     fingerprint, pending_fp, summarize, transition_kind, Incident, StandingQuery, SubscriptionId,
@@ -50,12 +70,15 @@ use streamplane::{
 use switchpointer::bitset::BitSet;
 use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::FlowRecord;
-use switchpointer::query::{ExecutionTrace, QueryExecutor, QueryRequest, QueryResponse};
-use switchpointer::shard::{BackendRouter, RouterCounters, ShardBackend};
+use switchpointer::query::{
+    ExecutionTrace, FilterWaveReply, QueryExecutor, QueryRequest, QueryResponse, SizesWaveReply,
+    TopKWaveReply,
+};
+use switchpointer::shard::{BackendRouter, Deferred, RouterCounters, ShardBackend};
 use telemetry::frame::WireError;
 use telemetry::EpochRange;
 
-use crate::mux::MuxConn;
+use crate::mux::{InFlight, MuxConn};
 use crate::proto::{Frame, WindowSummary, WireSpan, FRONT_ROLE};
 use crate::retry::RetryPolicy;
 use crate::server::{Listener, WireConfig};
@@ -196,141 +219,78 @@ impl RemoteShard {
         }
     }
 
-    /// One request/reply exchange. A transport failure drops the
-    /// connection and retries over fresh dials under the retry policy,
-    /// rotating to the next replica when the active one exhausts its
-    /// budget — the server keeps no per-connection state and all shard
-    /// RPCs are reads, so the retried request is idempotent by
-    /// construction and a mid-query failover is invisible to the caller.
-    fn call(&self, req: &Frame) -> Result<Frame, WireError> {
-        self.call_inner(req, true)
+    /// One request/reply exchange: [`RemoteShard::issue`] and
+    /// [`Exchange::wait`] back to back.
+    fn call(&self, req: Frame) -> Result<Frame, WireError> {
+        self.issue(req, true).wait()
     }
 
-    /// [`RemoteShard::call`] without touching the RPC counter or RTT
-    /// histogram — the scrape path uses this so pulling metrics never
+    /// The issue half of an exchange: makes the first attempt to put
+    /// `req` on the wire and returns without waiting for the answer.
+    /// Everything that can go wrong — including that first attempt —
+    /// is dealt with in [`Exchange::wait`], so issuing to the next shard
+    /// never queues behind this one's backoff.
+    ///
+    /// `observe: false` leaves the RPC counter, RTT histogram and tracer
+    /// untouched — the scrape path uses it so pulling metrics never
     /// perturbs the metrics being pulled.
-    fn call_inner(&self, req: &Frame, observe: bool) -> Result<Frame, WireError> {
-        let n = self.addrs.len();
-        let per_replica = self.retry.attempts();
-        let budget = per_replica * n;
-        let mut failures = 0usize;
-        let mut first_failure: Option<Instant> = None;
-        let mut failed_over = false;
-        loop {
-            // Short-lock acquisition: take (or dial) the shared mux under
-            // the slot lock, then exchange *outside* it — concurrent
-            // callers multiplex on the socket instead of queueing on the
-            // mutex, which is the whole point of the fast path.
-            let dialed = {
-                let mut guard = self.conn.lock().unwrap();
-                match guard.as_ref() {
-                    Some(m) => Ok(Arc::clone(m)),
-                    None => {
-                        let idx = self.active.load(Ordering::Relaxed);
-                        self.dial(self.addrs[idx]).inspect(|m| {
-                            if failures > 0 || self.rpcs.load(Ordering::Relaxed) > 0 {
-                                self.reconnects.fetch_add(1, Ordering::Relaxed);
-                            }
-                            *guard = Some(Arc::clone(m));
-                        })
+    fn issue(&self, req: Frame, observe: bool) -> Exchange<'_> {
+        Exchange {
+            attempt: self.send(&req, observe, 0),
+            shard: self,
+            req,
+            observe,
+            failures: 0,
+            first_failure: None,
+            failed_over: false,
+        }
+    }
+
+    /// One attempt to put `req` on the wire, after `failures` earlier
+    /// ones. `Err` is a failed dial; a connection that dies under the
+    /// request surfaces when the [`Flight`] is waited on.
+    fn send(&self, req: &Frame, observe: bool, failures: usize) -> Result<Flight, WireError> {
+        // Short-lock acquisition: take (or dial) the shared mux under
+        // the slot lock, then exchange *outside* it — concurrent
+        // callers multiplex on the socket instead of queueing on the
+        // mutex, which is the whole point of the fast path.
+        let mux = {
+            let mut guard = self.conn.lock().unwrap();
+            match guard.as_ref() {
+                Some(m) => Arc::clone(m),
+                None => {
+                    let idx = self.active.load(Ordering::Relaxed);
+                    let m = self.dial(self.addrs[idx])?;
+                    if failures > 0 || self.rpcs.load(Ordering::Relaxed) > 0 {
+                        self.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
-                }
-            };
-            let mux = match dialed {
-                Ok(m) => m,
-                Err(e) => {
-                    failures += 1;
-                    first_failure.get_or_insert_with(Instant::now);
-                    if failures >= budget {
-                        return Err(e);
-                    }
-                    // A replica that exhausted its attempts is presumed
-                    // dead: rotate to the next one.
-                    if failures.is_multiple_of(per_replica) && n > 1 {
-                        let idx = self.active.load(Ordering::Relaxed);
-                        self.active.store((idx + 1) % n, Ordering::Relaxed);
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                        failed_over = true;
-                    }
-                    std::thread::sleep(self.retry.backoff(failures as u32 - 1));
-                    continue;
-                }
-            };
-            // Wire-stage span: when the calling thread carries a trace
-            // context (a query executing on the front pool), the
-            // envelope entry gets a child context so the server's
-            // serve-stage span links under this exchange. Scrapes
-            // (`observe: false`) never carry context — pulling traces
-            // must not mint traces.
-            let trace = if observe {
-                self.trace_reg.as_ref().and_then(|reg| {
-                    obsplane::current()
-                        .map(|parent| (parent, parent.child(reg.tracer().next_span_id())))
-                })
-            } else {
-                None
-            };
-            let started = Instant::now();
-            match mux.call_ctx(req, trace.map(|(_, wire)| wire)) {
-                Ok(Frame::Error(e)) => return Err(e),
-                Ok(reply) => {
-                    if observe {
-                        self.rpcs.fetch_add(1, Ordering::Relaxed);
-                        if let Some(h) = &self.rtt_ns {
-                            h.record_duration(started.elapsed());
-                        }
-                    }
-                    if let (Some((parent, wire)), Some(reg)) = (trace, &self.trace_reg) {
-                        let t = reg.tracer();
-                        t.submit(
-                            SpanEvent {
-                                class: req.kind_name(),
-                                stage: "wire",
-                                epoch: 0,
-                                shard: self.shard as u32,
-                                start_ns: t.offset_ns(started),
-                                dur_ns: started.elapsed().as_nanos() as u64,
-                                trace_id: wire.trace_id,
-                                span_id: wire.span_id,
-                                parent_id: parent.span_id,
-                                steals: 0,
-                            },
-                            wire.sampled,
-                        );
-                    }
-                    if failed_over {
-                        if let (Some(h), Some(t0)) = (&self.failover_ns, first_failure) {
-                            h.record_duration(t0.elapsed());
-                        }
-                    }
-                    return Ok(reply);
-                }
-                Err(e @ WireError::Io { .. }) => {
-                    // Connection died (killed primary, injected failure):
-                    // retire it and go back around under the same budget.
-                    // The mux poisons itself with a peer-tagged error, so
-                    // `e` already names the replica that failed.
-                    self.retire(&mux);
-                    failures += 1;
-                    first_failure.get_or_insert_with(Instant::now);
-                    if failures >= budget {
-                        let idx = self.active.load(Ordering::Relaxed);
-                        return Err(e.with_peer(self.addrs[idx]));
-                    }
-                    if failures.is_multiple_of(per_replica) && n > 1 {
-                        let idx = self.active.load(Ordering::Relaxed);
-                        self.active.store((idx + 1) % n, Ordering::Relaxed);
-                        self.failovers.fetch_add(1, Ordering::Relaxed);
-                        failed_over = true;
-                    }
-                    std::thread::sleep(self.retry.backoff(failures as u32 - 1));
-                }
-                Err(e) => {
-                    self.retire(&mux);
-                    return Err(e);
+                    *guard = Some(Arc::clone(&m));
+                    m
                 }
             }
-        }
+        };
+        // Wire-stage span: when the calling thread carries a trace
+        // context (a query executing on the front pool), the
+        // envelope entry gets a child context so the server's
+        // serve-stage span links under this exchange. Scrapes
+        // (`observe: false`) never carry context — pulling traces
+        // must not mint traces.
+        let trace = if observe {
+            self.trace_reg.as_ref().and_then(|reg| {
+                obsplane::current()
+                    .map(|parent| (parent, parent.child(reg.tracer().next_span_id())))
+            })
+        } else {
+            None
+        };
+        let started = Instant::now();
+        let reply = mux.issue(req, trace.map(|(_, wire)| wire));
+        Ok(Flight {
+            mux,
+            reply,
+            started,
+            trace,
+        })
     }
 
     /// A reply of the wrong type is a protocol error.
@@ -357,9 +317,21 @@ impl RemoteShard {
         }
     }
 
-    /// The shard's snapshot epoch horizon.
-    pub fn horizon(&self) -> u64 {
-        self.expect(self.call(&Frame::HorizonReq), |f| match f {
+    /// Issues `req` and defers the typed answer: the request is on the
+    /// wire when this returns, [`Deferred::wait`] collects it.
+    fn deferred<'a, T>(
+        &'a self,
+        req: Frame,
+        extract: impl FnOnce(Frame) -> Option<T> + 'a,
+    ) -> Deferred<'a, T> {
+        let exchange = self.issue(req, true);
+        Deferred::Pending(Box::new(move || self.expect(exchange.wait(), extract)))
+    }
+
+    /// The shard's snapshot epoch horizon — deferred, so a caller asking
+    /// every shard overlaps the round trips.
+    pub fn horizon(&self) -> Deferred<'_, u64> {
+        self.deferred(Frame::HorizonReq, |f| match f {
             Frame::HorizonRep(h) => Some(h),
             _ => None,
         })
@@ -370,7 +342,7 @@ impl RemoteShard {
     /// recorded server-side), so the snapshot is exactly the server's
     /// and repeated scrapes of a quiesced cluster are identical.
     pub fn scrape(&self) -> Result<Vec<(String, RegistrySnapshot)>, WireError> {
-        match self.call_inner(&Frame::StatsScrapeReq, false)? {
+        match self.issue(Frame::StatsScrapeReq, false).wait()? {
             Frame::StatsScrapeRep(v) => Ok(v),
             other => Err(WireError::Remote(format!(
                 "expected StatsScrapeRep, got frame {:#04x}",
@@ -383,7 +355,7 @@ impl RemoteShard {
     /// exemplars) as a labelled dump. Unobserved on both ends like
     /// [`RemoteShard::scrape`], so pulling traces never makes traces.
     pub fn scrape_traces(&self) -> Result<Vec<(String, Vec<WireSpan>)>, WireError> {
-        match self.call_inner(&Frame::TraceScrapeReq, false)? {
+        match self.issue(Frame::TraceScrapeReq, false).wait()? {
             Frame::TraceScrapeRep(v) => Ok(v),
             other => Err(WireError::Remote(format!(
                 "expected TraceScrapeRep, got frame {:#04x}",
@@ -446,24 +418,149 @@ impl RemoteShard {
     }
 }
 
+/// One attempt of an [`Exchange`] that made it onto the wire.
+struct Flight {
+    mux: Arc<MuxConn>,
+    reply: InFlight,
+    started: Instant,
+    /// `(parent, wire)` contexts when the issuing thread was traced.
+    trace: Option<(TraceContext, TraceContext)>,
+}
+
+/// One shard exchange between its issue ([`RemoteShard::issue`]) and its
+/// answer ([`Exchange::wait`]), with the retry budget it draws on. The
+/// budget belongs to the exchange, not to an attempt: a request that
+/// dies in flight is the first failure of the same
+/// `RetryPolicy::attempts() × replicas` budget a failed dial draws on,
+/// rotates replicas at the same multiples, and `wire.failover_ns` runs
+/// from that first failure. The server keeps no per-connection state and
+/// all shard RPCs are reads, so the re-sent request is idempotent by
+/// construction and a mid-query failover is invisible to the caller.
+///
+/// Dropped un-waited, the exchange abandons its in-flight attempt: the
+/// [`InFlight`] handle releases the reply slot.
+struct Exchange<'a> {
+    shard: &'a RemoteShard,
+    req: Frame,
+    observe: bool,
+    failures: usize,
+    first_failure: Option<Instant>,
+    failed_over: bool,
+    /// The latest attempt: on the wire, or a dial that failed.
+    attempt: Result<Flight, WireError>,
+}
+
+impl Exchange<'_> {
+    /// The collect half: waits for the reply; on a transport failure
+    /// retires the connection and re-sends over fresh dials under the
+    /// retry policy, rotating to the next replica when the active one
+    /// exhausts its attempts.
+    fn wait(self) -> Result<Frame, WireError> {
+        let Exchange {
+            shard,
+            req,
+            observe,
+            mut failures,
+            mut first_failure,
+            mut failed_over,
+            mut attempt,
+        } = self;
+        let n = shard.addrs.len();
+        let per_replica = shard.retry.attempts();
+        loop {
+            let err = match attempt {
+                Ok(Flight {
+                    mux,
+                    reply,
+                    started,
+                    trace,
+                }) => match reply.wait() {
+                    Ok((Frame::Error(e), _)) => return Err(e),
+                    Ok((reply, arrived)) => {
+                        // Issue → reply *arrival*: collecting in shard
+                        // order must not bill this shard for the time
+                        // spent waiting on the ones collected before it.
+                        let rtt = arrived.saturating_duration_since(started);
+                        if observe {
+                            shard.rpcs.fetch_add(1, Ordering::Relaxed);
+                            if let Some(h) = &shard.rtt_ns {
+                                h.record_duration(rtt);
+                            }
+                        }
+                        if let (Some((parent, wire)), Some(reg)) = (trace, &shard.trace_reg) {
+                            let t = reg.tracer();
+                            t.submit(
+                                SpanEvent {
+                                    class: req.kind_name(),
+                                    stage: "wire",
+                                    epoch: 0,
+                                    shard: shard.shard as u32,
+                                    start_ns: t.offset_ns(started),
+                                    dur_ns: saturating_ns(rtt),
+                                    trace_id: wire.trace_id,
+                                    span_id: wire.span_id,
+                                    parent_id: parent.span_id,
+                                    steals: 0,
+                                },
+                                wire.sampled,
+                            );
+                        }
+                        if failed_over {
+                            if let (Some(h), Some(t0)) = (&shard.failover_ns, first_failure) {
+                                h.record_duration(t0.elapsed());
+                            }
+                        }
+                        return Ok(reply);
+                    }
+                    // Connection died under the request (killed primary,
+                    // injected failure): retire it and go back around.
+                    // The mux poisons itself with a peer-tagged error,
+                    // so `e` already names the replica that failed.
+                    Err(e @ WireError::Io { .. }) => {
+                        shard.retire(&mux);
+                        e
+                    }
+                    Err(e) => {
+                        shard.retire(&mux);
+                        return Err(e);
+                    }
+                },
+                Err(e) => e,
+            };
+            failures += 1;
+            first_failure.get_or_insert_with(Instant::now);
+            let idx = shard.active.load(Ordering::Relaxed);
+            if failures >= per_replica * n {
+                return Err(err.with_peer(shard.addrs[idx]));
+            }
+            // A replica that exhausted its attempts is presumed dead:
+            // rotate to the next one.
+            if failures.is_multiple_of(per_replica) && n > 1 {
+                shard.active.store((idx + 1) % n, Ordering::Relaxed);
+                shard.failovers.fetch_add(1, Ordering::Relaxed);
+                failed_over = true;
+            }
+            std::thread::sleep(shard.retry.backoff(failures as u32 - 1));
+            attempt = shard.send(&req, observe, failures);
+        }
+    }
+}
+
 impl ShardBackend for RemoteShard {
     fn shard_id(&self) -> usize {
         self.shard
     }
 
-    fn union_slice(&self, switch: NodeId, range: EpochRange) -> Option<BitSet> {
-        self.expect(
-            self.call(&Frame::UnionSliceReq { switch, range }),
-            |f| match f {
-                Frame::UnionSliceRep(v) => Some(v),
-                _ => None,
-            },
-        )
+    fn union_slice(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>> {
+        self.deferred(Frame::UnionSliceReq { switch, range }, |f| match f {
+            Frame::UnionSliceRep(v) => Some(v),
+            _ => None,
+        })
     }
 
     fn probe_exact(&self, switch: NodeId, addr: u64, epoch: u64) -> Option<Option<bool>> {
         self.expect(
-            self.call(&Frame::ProbeExactReq {
+            self.call(Frame::ProbeExactReq {
                 switch,
                 addr,
                 epoch,
@@ -477,7 +574,7 @@ impl ShardBackend for RemoteShard {
 
     fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool> {
         self.expect(
-            self.call(&Frame::PresenceWaveReq {
+            self.call(Frame::PresenceWaveReq {
                 switches: switches.to_vec(),
                 addr,
                 range,
@@ -492,31 +589,31 @@ impl ShardBackend for RemoteShard {
     }
 
     fn store_len(&self, host: NodeId) -> Option<usize> {
-        self.expect(self.call(&Frame::StoreLenReq { host }), |f| match f {
+        self.expect(self.call(Frame::StoreLenReq { host }), |f| match f {
             Frame::StoreLenRep(v) => Some(v.map(|n| n as usize)),
             _ => None,
         })
     }
 
     fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord> {
-        self.expect(self.call(&Frame::RecordReq { host, flow }), |f| match f {
+        self.expect(self.call(Frame::RecordReq { host, flow }), |f| match f {
             Frame::RecordRep(v) => Some(v),
             _ => None,
         })
     }
 
     fn first_trigger_for(&self, host: NodeId, flow: FlowId) -> Option<TriggerEvent> {
-        self.expect(self.call(&Frame::TriggerReq { host, flow }), |f| match f {
+        self.expect(self.call(Frame::TriggerReq { host, flow }), |f| match f {
             Frame::TriggerRep(v) => Some(v),
             _ => None,
         })
     }
 
-    fn store_len_wave(&self, hosts: &[NodeId]) -> Vec<Option<usize>> {
-        self.expect(
-            self.call(&Frame::StoreLenWaveReq {
+    fn store_len_wave(&self, hosts: &[NodeId]) -> Deferred<'_, Vec<Option<usize>>> {
+        self.deferred(
+            Frame::StoreLenWaveReq {
                 hosts: hosts.to_vec(),
-            }),
+            },
             |f| match f {
                 Frame::StoreLenWaveRep(v) => {
                     Some(v.into_iter().map(|l| l.map(|n| n as usize)).collect())
@@ -531,13 +628,13 @@ impl ShardBackend for RemoteShard {
         hosts: &[NodeId],
         switch: NodeId,
         range: EpochRange,
-    ) -> Vec<(Option<usize>, Vec<FlowRecord>)> {
-        self.expect(
-            self.call(&Frame::FilterWaveReq {
+    ) -> Deferred<'_, FilterWaveReply> {
+        self.deferred(
+            Frame::FilterWaveReq {
                 switch,
                 range,
                 hosts: hosts.to_vec(),
-            }),
+            },
             |f| match f {
                 Frame::FilterWaveRep(v) => Some(
                     v.into_iter()
@@ -554,13 +651,13 @@ impl ShardBackend for RemoteShard {
         hosts: &[NodeId],
         switch: NodeId,
         k: usize,
-    ) -> Vec<(Option<usize>, Vec<(FlowId, u64)>)> {
-        self.expect(
-            self.call(&Frame::TopKWaveReq {
+    ) -> Deferred<'_, TopKWaveReply> {
+        self.deferred(
+            Frame::TopKWaveReq {
                 switch,
                 k: k as u64,
                 hosts: hosts.to_vec(),
-            }),
+            },
             |f| match f {
                 Frame::TopKWaveRep(v) => Some(
                     v.into_iter()
@@ -572,16 +669,12 @@ impl ShardBackend for RemoteShard {
         )
     }
 
-    fn sizes_wave(
-        &self,
-        hosts: &[NodeId],
-        switch: NodeId,
-    ) -> Vec<(Option<usize>, Vec<(u16, u64)>)> {
-        self.expect(
-            self.call(&Frame::SizesWaveReq {
+    fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> Deferred<'_, SizesWaveReply> {
+        self.deferred(
+            Frame::SizesWaveReq {
                 switch,
                 hosts: hosts.to_vec(),
-            }),
+            },
             |f| match f {
                 Frame::SizesWaveRep(v) => Some(
                     v.into_iter()
@@ -1159,7 +1252,9 @@ impl FrontEnd {
     pub fn close_window(&self) -> WindowSummary {
         let inner = &*self.inner;
         let window = inner.window.fetch_add(1, Ordering::SeqCst);
-        let horizon = inner.shards.iter().map(|s| s.horizon()).max().unwrap_or(0);
+        // One overlapped round: ask every shard, then collect.
+        let horizons: Vec<_> = inner.shards.iter().map(|s| s.horizon()).collect();
+        let horizon = horizons.into_iter().map(|h| h.wait()).max().unwrap_or(0);
         inner.absorb(&RouterCounters {
             rpcs: inner.shards.len() as u64,
             rounds: 1,

@@ -20,7 +20,9 @@
 //!   per-shard slices, host reads route to the owner, and a whole query
 //!   wave coalesces into **one request frame per shard** — the
 //!   batched-RPC term the cost model prices, made measurable
-//!   ([`FrontEnd::counters`]). Serves clients: blocking queries plus
+//!   ([`FrontEnd::counters`]). A fan-out's frames are issued to every
+//!   shard before the first reply is collected, so its round trips
+//!   overlap. Serves clients: blocking queries plus
 //!   standing-query subscriptions whose incidents push as windows close.
 //! * **[`WireClient`]** — the blocking client library: `query()`,
 //!   `subscribe()`, `next_incident()`/`drain_window()` streaming, and

@@ -27,12 +27,25 @@
 //! keeps sequenced replication frames in-band, so the `SeqGap`
 //! protocol's ordering survives multiplexing.
 //!
+//! An exchange has two halves. [`MuxConn::issue`] registers the reply
+//! slot, enqueues and flushes, and returns an [`InFlight`] handle with
+//! the request already on the wire; [`InFlight::wait`] blocks for the
+//! reply. A caller that issues on several connections before it waits on
+//! any has all of those round trips in flight together —
+//! [`MuxConn::call`] is simply the two halves back to back. The demux
+//! reader stamps each reply with its **arrival** instant, so a caller
+//! that collects late can still tell how long the exchange itself took.
+//!
 //! Failure model: any transport error **poisons** the connection — the
 //! reader marks it dead with a peer-tagged [`WireError`] and wakes every
-//! waiter; replies completed before death still deliver. The owner
+//! waiter; replies completed before death still deliver. An exchange
+//! that is in flight when the connection dies fails at its `wait` with
+//! the death cause (`issue` itself never fails: on an already-dead
+//! connection nothing is sent and the `wait` reports why). The owner
 //! ([`RemoteShard`](crate::frontend::RemoteShard)) drops the poisoned
 //! connection and redials under its retry/failover policy, exactly as
-//! it did per-stream.
+//! it did per-stream. An [`InFlight`] dropped un-waited releases its
+//! reply slot; a reply that lands afterwards is discarded.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -40,6 +53,7 @@ use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 use obsplane::TraceContext;
 use telemetry::frame::WireError;
@@ -55,8 +69,9 @@ struct Shared {
 
 struct SlotState {
     /// `req_id` → reply slot. A request registers `None` before it is
-    /// written; the reader fills it and wakes the condvar.
-    waiting: HashMap<u32, Option<Result<Frame, WireError>>>,
+    /// written; the reader fills it with the reply and the instant it
+    /// arrived, and wakes the condvar.
+    waiting: HashMap<u32, Option<(Frame, Instant)>>,
     /// Set once on the first transport failure; every waiter whose slot
     /// is still empty observes it and fails with the same cause.
     dead: Option<WireError>,
@@ -64,10 +79,11 @@ struct SlotState {
 
 impl Shared {
     fn complete(&self, id: u32, reply: Frame) {
+        let arrived = Instant::now();
         let mut st = self.slots.lock().unwrap();
         if let Some(slot) = st.waiting.get_mut(&id) {
             // An unknown id means the waiter gave up; drop the reply.
-            *slot = Some(Ok(reply));
+            *slot = Some((reply, arrived));
             self.cond.notify_all();
         }
     }
@@ -194,11 +210,25 @@ impl MuxConn {
     /// entry carries `ctx` to the server, so its serve-stage span joins
     /// the caller's trace.
     pub fn call_ctx(&self, req: &Frame, ctx: Option<TraceContext>) -> Result<Frame, WireError> {
+        self.issue(req, ctx).wait().map(|(reply, _arrived)| reply)
+    }
+
+    /// The issue half of an exchange: registers the reply slot, enqueues
+    /// the request and flushes. On return the request is on the wire (or
+    /// the connection is dead, which the handle's [`InFlight::wait`]
+    /// reports — a flush failure poisons the connection, so there is no
+    /// separate error path here).
+    pub fn issue(&self, req: &Frame, ctx: Option<TraceContext>) -> InFlight {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        let handle = InFlight {
+            shared: Arc::clone(&self.shared),
+            id,
+            collected: false,
+        };
         {
             let mut st = self.shared.slots.lock().unwrap();
-            if let Some(e) = &st.dead {
-                return Err(e.clone());
+            if st.dead.is_some() {
+                return handle;
             }
             st.waiting.insert(id, None);
         }
@@ -206,10 +236,8 @@ impl MuxConn {
             .lock()
             .unwrap()
             .push_back((id, ctx, req.clone()));
-        // A flush failure poisons the connection, which `wait_reply`
-        // observes — no separate error path needed here.
         let _ = self.flush_pending();
-        self.wait_reply(id)
+        handle
     }
 
     /// Drains the pending queue into envelope frames under the writer
@@ -256,27 +284,6 @@ impl MuxConn {
                     return Err(e);
                 }
             }
-        }
-    }
-
-    fn wait_reply(&self, id: u32) -> Result<Frame, WireError> {
-        let mut st = self.shared.slots.lock().unwrap();
-        loop {
-            if st.waiting.get(&id).is_some_and(|slot| slot.is_some()) {
-                return st
-                    .waiting
-                    .remove(&id)
-                    .expect("checked present")
-                    .expect("checked filled");
-            }
-            // Replies completed before death still deliver (checked
-            // above); only still-empty slots fail.
-            if let Some(e) = &st.dead {
-                let e = e.clone();
-                st.waiting.remove(&id);
-                return Err(e);
-            }
-            st = self.shared.cond.wait(st).unwrap();
         }
     }
 
@@ -332,9 +339,151 @@ impl MuxConn {
     }
 }
 
+/// One request on the wire whose reply has not been collected yet — the
+/// handle [`MuxConn::issue`] returns. Holds only the connection's shared
+/// reply slots, not the connection: the owner keeps the [`MuxConn`]
+/// alive for as long as it wants the reply.
+pub struct InFlight {
+    shared: Arc<Shared>,
+    id: u32,
+    collected: bool,
+}
+
+impl InFlight {
+    /// The collect half: blocks until the reply has arrived and returns
+    /// it with its arrival instant (stamped by the demux reader, so time
+    /// the caller spent elsewhere before collecting is not in it), or
+    /// fails with the connection's death cause.
+    pub fn wait(mut self) -> Result<(Frame, Instant), WireError> {
+        let mut st = self.shared.slots.lock().unwrap();
+        self.collected = true;
+        loop {
+            if st.waiting.get(&self.id).is_some_and(|slot| slot.is_some()) {
+                return Ok(st
+                    .waiting
+                    .remove(&self.id)
+                    .expect("checked present")
+                    .expect("checked filled"));
+            }
+            // Replies completed before death still deliver (checked
+            // above); only still-empty slots fail.
+            if let Some(e) = &st.dead {
+                let e = e.clone();
+                st.waiting.remove(&self.id);
+                return Err(e);
+            }
+            st = self.shared.cond.wait(st).unwrap();
+        }
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        // Abandoned un-waited (the owner unwound past it): release the
+        // slot so it cannot outlive the exchange. A reply that arrives
+        // later finds no slot and is discarded like any other whose
+        // waiter gave up.
+        if !self.collected {
+            if let Ok(mut st) = self.shared.slots.lock() {
+                st.waiting.remove(&self.id);
+            }
+        }
+    }
+}
+
 impl Drop for MuxConn {
     fn drop(&mut self) {
         // Pop the detached reader thread out of its blocked read.
         let _ = self.sock.shutdown(std::net::Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::net::TcpListener;
+    use std::sync::mpsc;
+
+    use super::*;
+
+    const MAX_FRAME: u32 = 1 << 16;
+
+    /// A peer that greets, reads `hold` tagged requests, answers none of
+    /// them until told to, and from then on answers each request as it
+    /// arrives — every reply is `HorizonRep(req_id)`.
+    fn holding_peer(hold: usize) -> (SocketAddr, mpsc::Sender<()>, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (release, released) = mpsc::channel::<()>();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            Frame::Hello {
+                shard: 0,
+                n_shards: 1,
+            }
+            .write(&mut stream)
+            .unwrap();
+            let mut held = Vec::new();
+            let mut released_yet = false;
+            while let Ok(frame) = Frame::read(&mut stream, MAX_FRAME) {
+                match frame {
+                    Frame::Tagged { req_id, .. } => held.push(req_id),
+                    Frame::Batch(entries) => held.extend(entries.into_iter().map(|(id, ..)| id)),
+                    other => panic!("unexpected frame {:#04x}", other.tag()),
+                }
+                if !released_yet && held.len() >= hold {
+                    released.recv().unwrap();
+                    released_yet = true;
+                }
+                if released_yet {
+                    for req_id in held.drain(..) {
+                        let reply = Frame::Tagged {
+                            req_id,
+                            ctx: None,
+                            inner: Box::new(Frame::HorizonRep(u64::from(req_id))),
+                        };
+                        if reply.write(&mut stream).is_err() {
+                            return;
+                        }
+                    }
+                }
+            }
+        });
+        (addr, release, peer)
+    }
+
+    fn waiting(conn: &MuxConn) -> usize {
+        conn.shared.slots.lock().unwrap().waiting.len()
+    }
+
+    /// Exchanges abandoned between issue and collect release their reply
+    /// slots at once; their replies, landing later, are discarded and the
+    /// connection goes on serving.
+    #[test]
+    fn mux_in_flight_handles_dropped_unwaited_release_their_slots() {
+        const N: usize = 8;
+        let (addr, release, peer) = holding_peer(N);
+        let (conn, _, _) = MuxConn::connect(addr, MAX_FRAME).unwrap();
+        let handles: Vec<InFlight> = (0..N)
+            .map(|_| conn.issue(&Frame::HorizonReq, None))
+            .collect();
+        assert_eq!(waiting(&conn), N, "every issued request holds a slot");
+        drop(handles);
+        assert_eq!(waiting(&conn), 0, "a dropped handle must release its slot");
+
+        // The N late replies precede this call's reply on the socket, so
+        // by the time it returns the reader has seen — and dropped — them.
+        release.send(()).unwrap();
+        let next = conn.issue(&Frame::HorizonReq, None);
+        let id = next.id;
+        match next.wait().unwrap() {
+            (Frame::HorizonRep(h), _) => {
+                assert_eq!(h, u64::from(id), "reply paired with a stale id")
+            }
+            (other, _) => panic!("unexpected reply {:#04x}", other.tag()),
+        }
+        assert_eq!(waiting(&conn), 0);
+        assert!(!conn.is_dead());
+        drop(conn);
+        peer.join().unwrap();
     }
 }

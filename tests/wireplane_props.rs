@@ -18,7 +18,8 @@
 //!     a typed error frame.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use netsim::prelude::*;
@@ -2759,4 +2760,399 @@ fn rigged_serve_delay_pins_a_slow_query_exemplar() {
         "serve-stage span ({serve_dur}ns) does not cover the injected 25ms delay"
     );
     cluster.shutdown();
+}
+
+// ----------------------------------------------------------------------
+// (e) Overlapped shard fan-out: issue to every shard, then collect
+// ----------------------------------------------------------------------
+
+/// How long a parked serve waits for the rest of its fan-out before the
+/// test is declared failed (a router that waits on each shard before it
+/// issues to the next never completes the rendezvous).
+const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// A serve-side meeting point shared by every shard server of a
+/// cluster: an arriving request parks until `parties` requests are
+/// parked (and, when `held`, until the test opens the gate). Timing out
+/// is recorded, never panicked — a panic would only kill a serve worker
+/// and hang the query under test.
+struct Rendezvous {
+    parties: usize,
+    state: Mutex<(usize, bool)>,
+    cv: Condvar,
+    timed_out: AtomicBool,
+}
+
+impl Rendezvous {
+    fn new(parties: usize, held: bool) -> Arc<Self> {
+        Arc::new(Rendezvous {
+            parties,
+            state: Mutex::new((0, !held)),
+            cv: Condvar::new(),
+            timed_out: AtomicBool::new(false),
+        })
+    }
+
+    fn wait_until(&self, ready: impl Fn(&(usize, bool)) -> bool) {
+        let st = self.state.lock().unwrap();
+        let (_st, res) = self
+            .cv
+            .wait_timeout_while(st, RENDEZVOUS_TIMEOUT, |st| !ready(st))
+            .unwrap();
+        if res.timed_out() {
+            self.timed_out.store(true, Ordering::SeqCst);
+        }
+    }
+
+    /// Called from a serve: park until everyone is here and the gate is
+    /// open.
+    fn arrive(&self) {
+        self.state.lock().unwrap().0 += 1;
+        self.cv.notify_all();
+        let parties = self.parties;
+        self.wait_until(|&(arrived, open)| arrived >= parties && open);
+    }
+
+    /// Called from the test: block until `parties` serves are parked.
+    fn wait_all_parked(&self) {
+        let parties = self.parties;
+        self.wait_until(|&(arrived, _)| arrived >= parties);
+    }
+
+    fn open(&self) {
+        self.state.lock().unwrap().1 = true;
+        self.cv.notify_all();
+    }
+
+    fn arrived(&self) -> usize {
+        self.state.lock().unwrap().0
+    }
+
+    fn timed_out(&self) -> bool {
+        self.timed_out.load(Ordering::SeqCst)
+    }
+}
+
+fn set_serve_delay_everywhere(cluster: &WireCluster, n_shards: usize, delay: Option<ServeDelay>) {
+    for s in 0..n_shards {
+        cluster.server(s).set_serve_delay(delay.clone());
+    }
+}
+
+/// Every host of a k=4 fat tree sending across pods, so that a core
+/// switch's pointer union decodes hosts owned by every directory shard.
+fn wide_testbed() -> Testbed {
+    let topo = Topology::fat_tree(4, GBPS);
+    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
+    for pod in 0..4 {
+        for edge in 0..2 {
+            for x in 0..2 {
+                let src = tb.node(&format!("h{pod}_{edge}_{x}"));
+                let dst = tb.node(&format!("h{}_{edge}_{x}", (pod + 2) % 4));
+                tb.sim.add_udp_flow(UdpFlowSpec {
+                    src,
+                    dst,
+                    priority: Priority::LOW,
+                    start: SimTime::ZERO,
+                    duration: SimTime::from_ms(30),
+                    rate_bps: 100_000_000,
+                    payload_bytes: 1458,
+                });
+            }
+        }
+    }
+    tb.sim.run_until(SimTime::from_ms(40));
+    tb
+}
+
+/// A core-switch `TopK` over the wide fixture whose host wave reaches
+/// every one of the cluster's shards, with its clean-run response and
+/// counters.
+fn full_fanout_top_k(
+    tb: &Testbed,
+    cluster: &WireCluster,
+    n_shards: u64,
+) -> (QueryRequest, String, switchpointer::shard::RouterCounters) {
+    ["core0_0", "core0_1", "core1_0", "core1_1"]
+        .iter()
+        .find_map(|name| {
+            let req = QueryRequest::TopK {
+                switch: tb.node(name),
+                k: 10,
+                range: EpochRange { lo: 5, hi: 25 },
+            };
+            let (resp, _, c) = cluster.front().execute(&req);
+            (c.wave_rpcs == n_shards).then(|| (req, format!("{resp:?}"), c))
+        })
+        .expect("fixture regressed: no TopK fans out to every shard")
+}
+
+fn rtt_count(cluster: &WireCluster, shard: usize) -> u64 {
+    cluster
+        .front_metrics()
+        .snapshot()
+        .hist(&format!("wire.rtt_ns.shard{shard}"))
+        .map_or(0, |h| h.count)
+}
+
+/// The overlap itself, not a clock reading of it: every shard's serve of
+/// the union round parks until all four shards hold a `UnionSliceReq`,
+/// then every serve of the wave round parks until all four hold a
+/// `TopKWaveReq`. Only a router with the four requests of a round in
+/// flight together ever completes either rendezvous.
+#[test]
+fn mux_fanout_requests_of_one_round_are_in_flight_together() {
+    const N: usize = 4;
+    let tb = wide_testbed();
+    let analyzer = tb.analyzer();
+    let cluster = WireCluster::launch(&analyzer, N, WireConfig::default()).unwrap();
+    let (req, clean, clean_counters) = full_fanout_top_k(&tb, &cluster, N as u64);
+
+    let unions = Rendezvous::new(N, false);
+    let waves = Rendezvous::new(N, false);
+    let delay: ServeDelay = {
+        let (unions, waves) = (Arc::clone(&unions), Arc::clone(&waves));
+        Arc::new(move |f: &Frame| {
+            match f {
+                Frame::UnionSliceReq { .. } => unions.arrive(),
+                Frame::TopKWaveReq { .. } => waves.arrive(),
+                _ => {}
+            }
+            Duration::ZERO
+        })
+    };
+    set_serve_delay_everywhere(&cluster, N, Some(delay));
+    let (resp, _, counters) = cluster.front().execute(&req);
+    set_serve_delay_everywhere(&cluster, N, None);
+
+    assert!(
+        !unions.timed_out() && !waves.timed_out(),
+        "a shard's request waited {RENDEZVOUS_TIMEOUT:?} for its siblings: the fan-out is not overlapped"
+    );
+    assert_eq!((unions.arrived(), waves.arrived()), (N, N));
+    assert_eq!(format!("{resp:?}"), clean);
+    assert_eq!(format!("{resp:?}"), format!("{:?}", analyzer.execute(&req)));
+    assert_eq!(counters, clean_counters);
+    assert_eq!(
+        (counters.rpcs, counters.rounds, counters.wave_rounds),
+        (2 * N as u64, 2, 1)
+    );
+    cluster.shutdown();
+}
+
+/// Every shard link dies while all four requests of one fan-out are
+/// parked server-side: each exchange re-sends over a fresh dial and the
+/// query answers as if nothing happened — one reconnect per shard, and
+/// every exchange counted (and timed) once, when it was answered.
+#[test]
+fn mux_connection_kill_between_issue_and_collect_is_retried_in_place() {
+    const N: usize = 4;
+    let tb = wide_testbed();
+    let analyzer = tb.analyzer();
+    let cluster = WireCluster::launch(&analyzer, N, WireConfig::default()).unwrap();
+    let (req, clean, clean_counters) = full_fanout_top_k(&tb, &cluster, N as u64);
+
+    let gate = Rendezvous::new(N, true);
+    let delay: ServeDelay = {
+        let gate = Arc::clone(&gate);
+        Arc::new(move |f: &Frame| {
+            if matches!(f, Frame::UnionSliceReq { .. }) {
+                gate.arrive();
+            }
+            Duration::ZERO
+        })
+    };
+    set_serve_delay_everywhere(&cluster, N, Some(delay));
+    let reconnects_before = cluster.front().shard_reconnects();
+    let rtts_before: Vec<u64> = (0..N).map(|s| rtt_count(&cluster, s)).collect();
+    let (resp, counters) = std::thread::scope(|scope| {
+        let killer = scope.spawn(|| {
+            gate.wait_all_parked();
+            cluster.front().kill_shard_connections();
+            gate.open();
+        });
+        let (resp, _, counters) = cluster.front().execute(&req);
+        killer.join().unwrap();
+        (resp, counters)
+    });
+    set_serve_delay_everywhere(&cluster, N, None);
+
+    assert!(
+        !gate.timed_out(),
+        "the four union requests were never in flight together"
+    );
+    assert_eq!(format!("{resp:?}"), clean);
+    assert_eq!(counters, clean_counters);
+    assert_eq!(
+        cluster.front().shard_reconnects() - reconnects_before,
+        N as u64,
+        "each shard link reconnects exactly once"
+    );
+    for (s, before) in rtts_before.iter().enumerate() {
+        assert_eq!(
+            rtt_count(&cluster, s) - before,
+            2,
+            "shard {s}: one union + one wave exchange answered, each observed once"
+        );
+    }
+    cluster.shutdown();
+}
+
+/// An exchange that dies in flight has spent the first attempt of its
+/// retry budget: with one attempt allowed it is not re-sent, with two it
+/// is re-sent once.
+#[test]
+fn mux_in_flight_death_is_the_first_failure_of_the_exchange_budget() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use switchpointer::shard::ShardBackend;
+
+    let (mut tb, _victim, _) = watch_testbed();
+    tb.sim.run_until(SimTime::from_ms(40));
+    let analyzer = tb.analyzer();
+    let cluster = WireCluster::launch(&analyzer, 1, WireConfig::default()).unwrap();
+    let addr = cluster.shard_addrs()[0];
+    let (switch, range) = (tb.node("agg0_0"), EpochRange { lo: 10, hi: 20 });
+    let connect = |attempts| {
+        RemoteShard::connect_replicated(
+            0,
+            vec![addr],
+            MAX_FRAME,
+            RetryPolicy::immediate(attempts),
+            None,
+            None,
+        )
+        .unwrap()
+    };
+    let expected = connect(2).union_slice(switch, range).wait();
+    assert!(expected.is_some(), "fixture regressed: empty union slice");
+
+    for attempts in [1usize, 2] {
+        let shard = connect(attempts);
+        let gate = Rendezvous::new(1, true);
+        let delay: ServeDelay = {
+            let gate = Arc::clone(&gate);
+            Arc::new(move |_: &Frame| {
+                gate.arrive();
+                Duration::ZERO
+            })
+        };
+        cluster.server(0).set_serve_delay(Some(delay));
+        let in_flight = shard.union_slice(switch, range);
+        gate.wait_all_parked();
+        shard.kill_connection();
+        gate.open();
+        let got = catch_unwind(AssertUnwindSafe(|| in_flight.wait()));
+        cluster.server(0).set_serve_delay(None);
+        assert!(!gate.timed_out());
+        if attempts == 1 {
+            assert!(got.is_err(), "a spent budget must not buy a re-send");
+            assert_eq!((shard.reconnects(), shard.rpcs()), (0, 0));
+        } else {
+            assert_eq!(got.expect("one attempt was left"), expected);
+            assert_eq!((shard.reconnects(), shard.rpcs()), (1, 1));
+        }
+    }
+    cluster.shutdown();
+}
+
+/// Collecting in shard order must not bill the later shards for the wait
+/// on the first: with only shard 0's serve stretched by `D`, the query
+/// takes `D` but shards 1–3's recorded round trips stay far below it.
+#[test]
+fn mux_rtt_runs_from_issue_to_reply_arrival_not_to_collection() {
+    const N: usize = 4;
+    const D: Duration = Duration::from_millis(400);
+    let tb = wide_testbed();
+    let analyzer = tb.analyzer();
+    // A fresh cluster per phase: the RTT histograms below must hold the
+    // stretched query's exchanges and nothing else.
+    let probe = WireCluster::launch(&analyzer, N, WireConfig::default()).unwrap();
+    let (req, clean, _) = full_fanout_top_k(&tb, &probe, N as u64);
+    probe.shutdown();
+
+    let cluster = WireCluster::launch(&analyzer, N, WireConfig::default()).unwrap();
+    let delay: ServeDelay = Arc::new(|f: &Frame| match f {
+        Frame::UnionSliceReq { .. } => D,
+        _ => Duration::ZERO,
+    });
+    cluster.server(0).set_serve_delay(Some(delay));
+    let started = Instant::now();
+    let (resp, _, _) = cluster.front().execute(&req);
+    let took = started.elapsed();
+    assert_eq!(format!("{resp:?}"), clean);
+    assert!(took >= D, "the query cannot beat its slowest shard");
+
+    let snap = cluster.front_metrics().snapshot();
+    let max_rtt = |s: usize| {
+        let h = snap
+            .hist(&format!("wire.rtt_ns.shard{s}"))
+            .expect("rtt histogram");
+        assert_eq!(h.count, 2, "shard {s}: one union + one wave exchange");
+        Duration::from_nanos(h.max)
+    };
+    assert!(max_rtt(0) >= D);
+    for s in 1..N {
+        assert!(
+            max_rtt(s) < D / 4,
+            "shard {s} was billed {:?} for a wait on shard 0 ({D:?})",
+            max_rtt(s)
+        );
+    }
+    cluster.shutdown();
+}
+
+/// All six query classes at 1/2/4/8 shards: the overlapped wire router
+/// answers exactly what `ShardedAnalyzer` and the flat `Analyzer` answer,
+/// and routes exactly as the same router does over in-process
+/// `LocalBackend`s — every `RouterCounters` field, fan-out included.
+#[test]
+fn mux_overlapped_fanout_parity_and_counters_at_1_2_4_8_shards() {
+    use queryplane::Snapshot;
+    use switchpointer::query::QueryExecutor;
+    use switchpointer::shard::{BackendRouter, LocalBackend, ShardedDirectory};
+
+    let (mut tb, victim, _) = watch_testbed();
+    tb.sim.run_until(SimTime::from_ms(40));
+    let analyzer = tb.analyzer();
+    let reqs = storm_queries(&tb, victim);
+    let classes: std::collections::BTreeSet<_> = reqs.iter().map(|r| r.class_name()).collect();
+    assert_eq!(classes.len(), 6, "fixture must cover every query class");
+    let snapshot = Snapshot::capture(&analyzer, 8);
+    for n_shards in [1usize, 2, 4, 8] {
+        let sharded = ShardedAnalyzer::new(&analyzer, n_shards);
+        let dir = ShardedDirectory::new(
+            analyzer.directory().mphf().clone(),
+            &analyzer.all_hosts(),
+            n_shards,
+        );
+        let backends: Vec<LocalBackend<'_, Snapshot>> = dir
+            .shards()
+            .iter()
+            .map(|s| LocalBackend::new(s, &snapshot))
+            .collect();
+        let cluster = WireCluster::launch(&analyzer, n_shards, WireConfig::default()).unwrap();
+        for (i, req) in reqs.iter().enumerate() {
+            let (wire, _, wire_counters) = cluster.front().execute(req);
+            let wire = format!("{wire:?}");
+            assert_eq!(
+                wire,
+                format!("{:?}", sharded.execute(req)),
+                "query {i} diverged from ShardedAnalyzer at {n_shards} shards"
+            );
+            assert_eq!(
+                wire,
+                format!("{:?}", analyzer.execute(req)),
+                "query {i} diverged from Analyzer at {n_shards} shards"
+            );
+            let router = BackendRouter::new(&backends, &dir);
+            let local = QueryExecutor::new(analyzer.ctx(), &router).execute(req);
+            assert_eq!(wire, format!("{local:?}"));
+            assert_eq!(
+                wire_counters,
+                router.counters(),
+                "query {i} routed differently over the wire at {n_shards} shards"
+            );
+        }
+        cluster.shutdown();
+    }
 }
