@@ -16,6 +16,12 @@
 //!   worker drains its own queue head-first, then scans the other
 //!   queues tail-first and steals whatever is still unclaimed, so a
 //!   skewed batch (or a descheduled worker) no longer strands work.
+//!   A batch wakes only the workers it can use: those dealt a chunk,
+//!   then thieves, `min(chunks, W)` in all — and a batch that cuts into
+//!   **exactly one chunk** wakes none: it runs on the thread that called
+//!   `scatter`, since handing one chunk to another thread and sleeping
+//!   until it is done buys nothing but two wake-ups. The rule reads only
+//!   the batch's own geometry.
 //! * **Lock-free result publication.** Results are written straight
 //!   into a preallocated per-batch slot array — each submission index
 //!   lives in exactly one chunk and each chunk is claimed by exactly
@@ -41,7 +47,8 @@
 //! the stream plane's window evaluation flows through
 //! `QueryPlane::execute_batch`, and the wire front-end submits whole
 //! decoded waves instead of running executors inline on connection
-//! threads. Scheduler behaviour is observable through `pool.*` metrics:
+//! threads (a wave of one is one chunk, so it does run there).
+//! Scheduler behaviour is observable through `pool.*` metrics:
 //! `pool.steals`, `pool.chunks`, `pool.batches`, the `pool.queue_depth`
 //! gauge, and per-worker `pool.worker<w>.busy_ns` / `idle_ns`.
 
@@ -248,7 +255,8 @@ impl<T: Send> BatchShared<T> {
     /// panic anywhere inside is captured per chunk — the worker moves on
     /// to its next chunk, so one poisoned query never strands the rest
     /// of the batch — and re-raised on the caller after the barrier.
-    fn run_chunk(&self, w: usize, c: usize, stolen: bool, busy: &mut Duration) {
+    /// Returns the time the chunk took.
+    fn run_chunk(&self, w: usize, c: usize, stolen: bool) -> Duration {
         let chunk = &self.chunks[c];
         let idxs = &self.order[chunk.lo..chunk.hi];
         let started = Instant::now();
@@ -271,11 +279,12 @@ impl<T: Send> BatchShared<T> {
             }
         }));
         obsplane::set_chunk_stolen(false);
-        *busy += started.elapsed();
+        let took = started.elapsed();
         if let Err(p) = result {
             self.record_panic(p);
         }
         self.m.queue_depth.add(-1);
+        took
     }
 
     /// One worker's whole contribution to a batch: drain the own queue
@@ -289,7 +298,7 @@ impl<T: Send> BatchShared<T> {
         let mut busy = Duration::ZERO;
         for &c in &self.queues[w] {
             if self.claim(c) {
-                self.run_chunk(w, c, false, &mut busy);
+                busy += self.run_chunk(w, c, false);
             }
         }
         let workers = self.queues.len();
@@ -300,7 +309,7 @@ impl<T: Send> BatchShared<T> {
                 for &c in self.queues[victim].iter().rev() {
                     if self.claim(c) {
                         self.m.steals.inc();
-                        self.run_chunk(w, c, true, &mut busy);
+                        busy += self.run_chunk(w, c, true);
                         claimed_any = true;
                     }
                 }
@@ -458,6 +467,10 @@ impl WorkerPool {
     /// chunk granularity is what lets callers hoist per-chunk scratch
     /// (views, routers) out of their per-item loop. A panic inside
     /// `work` is re-raised here after every other chunk has completed.
+    ///
+    /// A batch that cuts into exactly one chunk runs on the calling
+    /// thread (with the chunk's home worker id); any other batch runs on
+    /// `min(chunks, W)` pool workers while the caller waits.
     pub fn scatter<T, F>(
         &self,
         n_items: usize,
@@ -535,7 +548,7 @@ impl WorkerPool {
         self.m.chunks.add(total_chunks as u64);
         self.m.queue_depth.add(total_chunks as i64);
 
-        let shared = Arc::new(BatchShared {
+        let shared = BatchShared {
             work: Box::new(work),
             order,
             chunks,
@@ -543,34 +556,73 @@ impl WorkerPool {
             slots: Slots::new(n_items),
             panic: Mutex::new(None),
             m: self.m.clone(),
-        });
-        let done = Arc::new(DoneSignal::new(workers));
-        for tx in &self.senders {
-            let sh = Arc::clone(&shared);
-            let dn = Arc::clone(&done);
-            tx.send(Box::new(move |wid: usize| {
-                // Participation is infallible by design (chunk panics are
-                // caught inside), but a panic here must never strand the
-                // caller on the barrier or leave the batch state alive.
-                if let Err(p) = catch_unwind(AssertUnwindSafe(|| sh.participate(wid))) {
-                    sh.record_panic(p);
-                }
-                drop(sh);
-                dn.worker_done();
-            }))
-            .expect("query-plane worker thread is alive");
-        }
-        done.wait();
-        // Every worker has dropped its reference (the barrier counts
-        // that, not just chunk completion), so ownership is unique again
-        // — and with it the snapshot references the work fn carried.
-        let shared = Arc::try_unwrap(shared)
-            .ok()
-            .expect("workers released the batch state at the barrier");
+        };
+        let shared = if total_chunks == 1 {
+            // Nothing to spread: the caller is the one thread this batch
+            // needs, so it runs the chunk itself — no task posted, no
+            // barrier, no worker counter touched. The batch state never
+            // leaves this thread, so the chunk's claim is trivially ours.
+            let home = shared
+                .queues
+                .iter()
+                .position(|q| !q.is_empty())
+                .expect("the one chunk was dealt to a queue");
+            shared.run_chunk(home, 0, false);
+            shared
+        } else {
+            self.run_on_workers(shared, total_chunks)
+        };
         if let Some(p) = shared.panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
             resume_unwind(p);
         }
         shared.slots.into_results()
+    }
+
+    /// Posts one participation task per worker the batch can use — the
+    /// workers dealt a chunk first, then as many thieves as there are
+    /// chunks left over — waits for all of them, and hands the batch
+    /// state back. A batch of fewer chunks than workers leaves the rest
+    /// of the pool alone: nothing to wake, and no barrier held up by a
+    /// worker that is busy with another caller's chunk.
+    fn run_on_workers<T: Send + 'static>(
+        &self,
+        shared: BatchShared<T>,
+        total_chunks: usize,
+    ) -> BatchShared<T> {
+        let workers = self.senders.len();
+        let participants = total_chunks.min(workers);
+        let shared = Arc::new(shared);
+        let done = Arc::new(DoneSignal::new(participants));
+        let dealt = |w: &usize| !shared.queues[*w].is_empty();
+        let thief = |w: &usize| !dealt(w);
+        for w in (0..workers)
+            .filter(dealt)
+            .chain((0..workers).filter(thief))
+            .take(participants)
+        {
+            let sh = Arc::clone(&shared);
+            let dn = Arc::clone(&done);
+            self.senders[w]
+                .send(Box::new(move |wid: usize| {
+                    // Participation is infallible by design (chunk panics
+                    // are caught inside), but a panic here must never
+                    // strand the caller on the barrier or leave the batch
+                    // state alive.
+                    if let Err(p) = catch_unwind(AssertUnwindSafe(|| sh.participate(wid))) {
+                        sh.record_panic(p);
+                    }
+                    drop(sh);
+                    dn.worker_done();
+                }))
+                .expect("query-plane worker thread is alive");
+        }
+        done.wait();
+        // Every participant has dropped its reference (the barrier counts
+        // that, not just chunk completion), so ownership is unique again
+        // — and with it the snapshot references the work fn carried.
+        Arc::try_unwrap(shared)
+            .ok()
+            .expect("workers released the batch state at the barrier")
     }
 
     /// Executes `requests` across the pool and returns one outcome per

@@ -342,26 +342,14 @@ impl RemoteShard {
     /// recorded server-side), so the snapshot is exactly the server's
     /// and repeated scrapes of a quiesced cluster are identical.
     pub fn scrape(&self) -> Result<Vec<(String, RegistrySnapshot)>, WireError> {
-        match self.issue(Frame::StatsScrapeReq, false).wait()? {
-            Frame::StatsScrapeRep(v) => Ok(v),
-            other => Err(WireError::Remote(format!(
-                "expected StatsScrapeRep, got frame {:#04x}",
-                other.tag()
-            ))),
-        }
+        stats_scrape_rep(self.issue(Frame::StatsScrapeReq, false).wait()?)
     }
 
     /// Pulls the shard server's retained spans (ring plus slow-query
     /// exemplars) as a labelled dump. Unobserved on both ends like
     /// [`RemoteShard::scrape`], so pulling traces never makes traces.
     pub fn scrape_traces(&self) -> Result<Vec<(String, Vec<WireSpan>)>, WireError> {
-        match self.issue(Frame::TraceScrapeReq, false).wait()? {
-            Frame::TraceScrapeRep(v) => Ok(v),
-            other => Err(WireError::Remote(format!(
-                "expected TraceScrapeRep, got frame {:#04x}",
-                other.tag()
-            ))),
-        }
+        trace_scrape_rep(self.issue(Frame::TraceScrapeReq, false).wait()?)
     }
 
     /// Wire RPCs issued over this connection so far.
@@ -415,6 +403,26 @@ impl RemoteShard {
         if let Some(m) = taken {
             m.kill();
         }
+    }
+}
+
+fn stats_scrape_rep(reply: Frame) -> Result<Vec<(String, RegistrySnapshot)>, WireError> {
+    match reply {
+        Frame::StatsScrapeRep(v) => Ok(v),
+        other => Err(WireError::Remote(format!(
+            "expected StatsScrapeRep, got frame {:#04x}",
+            other.tag()
+        ))),
+    }
+}
+
+fn trace_scrape_rep(reply: Frame) -> Result<Vec<(String, Vec<WireSpan>)>, WireError> {
+    match reply {
+        Frame::TraceScrapeRep(v) => Ok(v),
+        other => Err(WireError::Remote(format!(
+            "expected TraceScrapeRep, got frame {:#04x}",
+            other.tag()
+        ))),
     }
 }
 
@@ -739,8 +747,8 @@ struct FrontInner {
     coalesce: bool,
     /// The shared execution pool: decoded query waves and window
     /// evaluations run through the same chunked work-stealing scheduler
-    /// the in-process query plane uses, instead of inline on connection
-    /// threads. Sized by [`WireConfig::front_workers`].
+    /// the in-process query plane uses (which runs a wave of one on the
+    /// submitting thread). Sized by [`WireConfig::front_workers`].
     pool: WorkerPool,
     topics: Mutex<Topics>,
     window: AtomicU64,
@@ -757,7 +765,8 @@ struct FrontInner {
 
 impl FrontInner {
     /// Executes one request through the remote router, accumulating the
-    /// routing counters — a wave of one on the shared pool.
+    /// routing counters — a wave of one, which the pool runs on the
+    /// calling thread.
     fn execute(
         self: &Arc<Self>,
         req: &QueryRequest,
@@ -894,9 +903,7 @@ impl FrontInner {
     /// RPCs are unobserved, so scraping never shows up in the scrape.
     fn scrape_all(&self) -> Result<Vec<(String, RegistrySnapshot)>, WireError> {
         let mut out = vec![("front".to_string(), self.ctx.metrics.snapshot())];
-        for shard in &self.shards {
-            out.extend(shard.scrape()?);
-        }
+        out.extend(self.scrape_shards(&Frame::StatsScrapeReq, stats_scrape_rep)?);
         Ok(out)
     }
 
@@ -909,8 +916,25 @@ impl FrontInner {
             "front".to_string(),
             crate::traces::dump_spans(self.ctx.metrics.tracer()),
         )];
-        for shard in &self.shards {
-            out.extend(shard.scrape_traces()?);
+        out.extend(self.scrape_shards(&Frame::TraceScrapeReq, trace_scrape_rep)?);
+        Ok(out)
+    }
+
+    /// One overlapped, unobserved scrape round: `req` is issued to every
+    /// shard, then the replies are collected in shard order.
+    fn scrape_shards<T>(
+        &self,
+        req: &Frame,
+        rep: fn(Frame) -> Result<Vec<T>, WireError>,
+    ) -> Result<Vec<T>, WireError> {
+        let asked: Vec<_> = self
+            .shards
+            .iter()
+            .map(|s| s.issue(req.clone(), false))
+            .collect();
+        let mut out = Vec::new();
+        for exchange in asked {
+            out.extend(rep(exchange.wait()?)?);
         }
         Ok(out)
     }

@@ -11,9 +11,10 @@
 //! * **[`ShardServer`]** — owns one
 //!   [`DirectoryShard`](switchpointer::shard::DirectoryShard) plus its
 //!   per-shard snapshot slice ([`queryplane::Snapshot::shard_slice`]) and
-//!   answers decode / host-read / fan-out RPCs. One read loop per
-//!   connection behind a bounded accept pool, multiplexed requests
-//!   served on parked workers, graceful shutdown.
+//!   answers decode / host-read / fan-out RPCs. Leader/followers per
+//!   connection behind a bounded accept pool — the thread that decodes
+//!   a multiplexed request passes the read half on and answers the
+//!   request itself — graceful shutdown.
 //! * **[`FrontEnd`]** — embeds the core
 //!   [`BackendRouter`](switchpointer::shard::BackendRouter) over
 //!   [`RemoteShard`] connections: pointer unions reassemble from masked

@@ -22,9 +22,9 @@
 //! Encoding reuses one scratch buffer per connection
 //! ([`Frame::encode_into`]), so a steady-state sender allocates only
 //! for payload bodies. Replication frames, scrapes and query waves all
-//! share the link: the server answers tagged requests out of order on
-//! the connection's parked serve workers (see [`crate::server`]) but
-//! keeps sequenced replication frames in-band, so the `SeqGap`
+//! share the link: the server's connection threads answer tagged
+//! requests out of order (leader/followers, see [`crate::server`]) but
+//! serve sequenced replication frames in arrival order, so the `SeqGap`
 //! protocol's ordering survives multiplexing.
 //!
 //! An exchange has two halves. [`MuxConn::issue`] registers the reply

@@ -12,31 +12,38 @@
 //! makes the front-end's batched fan-out a single wire round trip per
 //! shard.
 //!
-//! Serving model: one read-loop thread per connection behind a **bounded
+//! Serving model: **leader/followers** per connection, behind a **bounded
 //! accept pool** — beyond `WireConfig::max_conns` concurrent connections
 //! the server greets with a typed [`WireError::Remote`] error frame and
-//! closes instead of queueing unboundedly. Legacy untagged requests and
-//! sequenced replication frames are served on the read loop, in arrival
-//! order. Multiplexed (`Tagged`/`Batch`) reads are handed to the
-//! connection's **parked serve workers**: threads grown on demand up to
-//! `MAX_INFLIGHT_SERVES`, parked on a condvar between requests and joined
-//! when the connection exits, so a request costs a wake-up, not a thread
-//! spawn; past the cap the read loop serves inline (backpressure).
+//! closes instead of queueing unboundedly. A connection's read half is a
+//! token. The thread holding it (the leader) reads and decodes one frame
+//! at a time. Frames ordered by arrival — legacy untagged requests,
+//! sequenced replication frames, batches carrying replication — it
+//! serves right there, token held. For any other multiplexed
+//! (`Tagged`/`Batch`) read it **passes the token on first** — to a
+//! thread parked on it, or to a follower started for it while fewer than
+//! `MAX_INFLIGHT_SERVES` exist — and then serves the request and writes
+//! the reply itself: the thread that decoded a request is the thread that
+//! answers it, so no request waits on a hand-off, and the wake-up of the
+//! next reader happens beside the serve instead of in front of it.
+//! Replies complete out of order through one shared writer. At the
+//! follower cap the leader keeps the token and serves with it held, which
+//! stops the reading (backpressure; counted in `wire.serve_inline`).
+//! Followers are joined when the connection exits.
 //! Listeners always bind `127.0.0.1:0`; the kernel-chosen port travels
 //! back through [`ShardServer::local_addr`], so nothing in tests or CI
 //! ever races for a fixed port. Shutdown is graceful: the accept loop is
 //! woken by a sentinel connection and every connection thread is joined.
 
-use std::collections::VecDeque;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
 use netsim::packet::NodeId;
-use obsplane::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, TraceContext, Tracer};
+use obsplane::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, TraceContext};
 use queryplane::Snapshot;
 use switchpointer::bitset::BitSet;
 use switchpointer::query::StateView;
@@ -54,9 +61,13 @@ pub(crate) struct WireLoopMetrics {
     pub(crate) decode_ns: Arc<Histogram>,
     pub(crate) serve_ns: Arc<Histogram>,
     pub(crate) encode_ns: Arc<Histogram>,
-    /// Serve-worker threads ever started. Tracks peak concurrency per
-    /// connection, never request count — workers are reused.
+    /// Follower threads ever started. Tracks peak concurrency per
+    /// connection, never request count — threads are reused.
     pub(crate) serve_spawns: Arc<Counter>,
+    /// Multiplexed requests served with the read token held, because the
+    /// follower cap was reached or no follower could be started: the
+    /// connection's saturation signal.
+    pub(crate) serve_inline: Arc<Counter>,
 }
 
 impl WireLoopMetrics {
@@ -67,6 +78,7 @@ impl WireLoopMetrics {
             serve_ns: reg.histogram("wire.serve_ns"),
             encode_ns: reg.histogram("wire.encode_ns"),
             serve_spawns: reg.counter("wire.serve_spawns"),
+            serve_inline: reg.counter("wire.serve_inline"),
         }
     }
 }
@@ -80,8 +92,9 @@ pub struct WireConfig {
     /// Largest frame either side accepts, in bytes.
     pub max_frame: u32,
     /// Worker threads in the front-end's shared execution pool: decoded
-    /// query waves and window evaluations run there (work-stealing,
-    /// chunked) instead of inline on connection threads.
+    /// query waves and window evaluations of two or more queries run
+    /// there (work-stealing, chunked); a wave of one runs on the thread
+    /// that submitted it.
     pub front_workers: usize,
     /// Head-sampling rate for causal traces minted at the front-end:
     /// keep 1-in-N traces in the span rings (`0` disables tracing,
@@ -127,14 +140,9 @@ impl ReplMetrics {
 
 /// Serves one replication frame against the shared state. Returns `None`
 /// for non-replication frames (the read-only `serve` path handles those).
-fn serve_replication(
-    req: &Frame,
-    my_shard: usize,
-    state: &RwLock<Arc<ShardState>>,
-    applied: &AtomicU64,
-    m: &ReplMetrics,
-    tracer: &Tracer,
-) -> Option<Frame> {
+fn serve_replication(req: &Frame, ctx: &ServeCtx) -> Option<Frame> {
+    let (my_shard, state, applied, m) = (ctx.shard, &ctx.state, &ctx.applied, &ctx.repl_metrics);
+    let tracer = ctx.scrape_reg.tracer();
     match req {
         Frame::DeltaAppend {
             shard,
@@ -488,27 +496,33 @@ impl Drop for Listener {
 /// requests to complete out of order.
 pub type ServeDelay = Arc<dyn Fn(&Frame) -> std::time::Duration + Send + Sync>;
 
-/// Serve workers per connection — the most multiplexed requests served
-/// concurrently before the read loop falls back to serving in-band
-/// (backpressure, and a bound on thread count).
+/// Followers one connection starts at most — with the connection thread,
+/// the most multiplexed requests served concurrently before the thread
+/// holding the read token serves with it held (backpressure, and a bound
+/// on thread count).
 const MAX_INFLIGHT_SERVES: usize = 32;
 
-/// Everything one connection loop needs to answer a single read-only
-/// request, shared with the connection's serve workers.
+/// Everything a server's connections share: the state they answer from,
+/// the replication-log position, and the metric handles, resolved once
+/// at spawn so the hot path never touches the registry's lock.
 struct ServeCtx {
     state: Arc<RwLock<Arc<ShardState>>>,
+    /// Replication-log position: the seq of the last applied record.
+    applied: Arc<AtomicU64>,
     metrics: WireLoopMetrics,
+    repl_metrics: ReplMetrics,
     scrape_label: String,
     scrape_reg: Arc<MetricsRegistry>,
-    shard: u32,
+    shard: usize,
+    max_frame: u32,
     delay: Arc<RwLock<Option<ServeDelay>>>,
 }
 
 impl ServeCtx {
     /// Serves one read-only request (scrape or shard read) and returns
     /// the reply frame. Replication is NOT handled here — it must stay
-    /// in-band on the connection loop so the sequenced-log ordering
-    /// survives out-of-order tagged dispatch.
+    /// in arrival order under the read token so the sequenced-log
+    /// ordering survives out-of-order tagged completion.
     ///
     /// When the request's envelope carried a [`TraceContext`], the whole
     /// serve — *including* any rigged [`ServeDelay`] — records as a
@@ -522,17 +536,8 @@ impl ServeCtx {
         // Scrapes are side-effect-free: snapshot-based, excluded from
         // the wire histograms, and they never record spans of their own,
         // so repeated scrapes of a quiesced server are identical.
-        if matches!(req, Frame::StatsScrapeReq) {
-            return Frame::StatsScrapeRep(vec![(
-                self.scrape_label.clone(),
-                self.scrape_reg.snapshot(),
-            )]);
-        }
-        if matches!(req, Frame::TraceScrapeReq) {
-            return Frame::TraceScrapeRep(vec![(
-                self.scrape_label.clone(),
-                crate::traces::dump_spans(self.scrape_reg.tracer()),
-            )]);
+        if let Some(reply) = self.serve_scrape(req) {
+            return reply;
         }
         let serve_started = Instant::now();
         let reply = {
@@ -550,7 +555,7 @@ impl ServeCtx {
                     class: req.kind_name(),
                     stage: "serve",
                     epoch: 0,
-                    shard: self.shard,
+                    shard: self.shard as u32,
                     start_ns: tracer.offset_ns(span_started),
                     dur_ns: span_started.elapsed().as_nanos() as u64,
                     trace_id: c.trace_id,
@@ -563,18 +568,45 @@ impl ServeCtx {
         }
         reply
     }
+
+    /// Answers a scrape request from this server's registry; `None` for
+    /// every other frame.
+    fn serve_scrape(&self, req: &Frame) -> Option<Frame> {
+        match req {
+            Frame::StatsScrapeReq => Some(Frame::StatsScrapeRep(vec![(
+                self.scrape_label.clone(),
+                self.scrape_reg.snapshot(),
+            )])),
+            Frame::TraceScrapeReq => Some(Frame::TraceScrapeRep(vec![(
+                self.scrape_label.clone(),
+                crate::traces::dump_spans(self.scrape_reg.tracer()),
+            )])),
+            _ => None,
+        }
+    }
+}
+
+fn is_scrape(f: &Frame) -> bool {
+    matches!(f, Frame::StatsScrapeReq | Frame::TraceScrapeReq)
+}
+
+fn is_replication(f: &Frame) -> bool {
+    matches!(
+        f,
+        Frame::DeltaAppend { .. } | Frame::SnapshotInstall { .. } | Frame::ReplicaStatusReq
+    )
 }
 
 /// Writes one whole frame through the shared per-connection writer in a
-/// single `write_all`, so serve workers never interleave partial frames
-/// on the socket.
+/// single `write_all`, so concurrently serving threads never interleave
+/// partial frames on the socket.
 ///
 /// Any failure — an unencodable reply (e.g. oversize) as much as a
 /// broken pipe — shuts the socket down before reporting `false`. A
-/// serve worker has no connection loop to `break` out of; if
+/// thread that has let go of the read token has no read loop to leave; if
 /// its reply were silently dropped with the socket left healthy, the
 /// client's demux would wait on that `req_id` forever. Killing the
-/// socket makes the connection-loop read fail, the peer's reader
+/// socket makes the token holder's read fail, the peer's reader
 /// poisons every in-flight waiter, and the client fails over.
 fn write_shared(writer: &Mutex<TcpStream>, frame: &Frame) -> bool {
     write_shared_observed(writer, frame, None)
@@ -606,139 +638,242 @@ fn write_shared_observed(
     ok
 }
 
-/// One multiplexed serve: runs the request (or a whole batch) and returns
-/// the reply envelope, plus whether its encode is observed in
-/// `wire.encode_ns` (scrapes are not — they stay side-effect-free).
-type ServeJob = Box<dyn FnOnce() -> (Frame, bool) + Send>;
-
-/// Hand-off state between a connection's read loop and its workers.
-struct ServeQueue {
-    jobs: VecDeque<ServeJob>,
-    /// Workers not inside a job: parked, about to park, or writing a
-    /// reply. Every queued job is matched by one of them, so a job never
-    /// waits behind another job's serve.
-    free: usize,
+/// A connection's read half — the token its threads pass around. Only
+/// the holder reads the socket, starts followers, or ends the
+/// connection, so none of the three needs a lock of its own.
+struct ReadToken {
+    stream: TcpStream,
+    /// Followers started so far (at most [`MAX_INFLIGHT_SERVES`]), joined
+    /// by the connection thread once the connection is over.
+    followers: Vec<JoinHandle<()>>,
+    /// Set by the holder that saw the connection end; everyone taking
+    /// the token after that leaves.
     closed: bool,
 }
 
-/// A connection's serve workers: grown on demand up to
-/// [`MAX_INFLIGHT_SERVES`], parked on a condvar between requests, joined
-/// on drop. Owned by the connection's read loop — the only submitter.
-struct ServeWorkers {
-    shared: Arc<(Mutex<ServeQueue>, Condvar)>,
-    workers: Vec<JoinHandle<()>>,
-    name: String,
-    writer: Arc<Mutex<TcpStream>>,
-    metrics: WireLoopMetrics,
+/// One connection, shared by its leader/followers threads.
+struct Conn {
+    ctx: Arc<ServeCtx>,
+    token: Mutex<ReadToken>,
+    /// Threads neither serving nor holding the token: parked on it, about
+    /// to park, or writing a reply. While one exists a released token
+    /// gets picked up, so the holder need not start a thread for it.
+    free: AtomicUsize,
+    /// All replies funnel through one writer so concurrently serving
+    /// threads never interleave partial frames.
+    writer: Mutex<TcpStream>,
 }
 
-impl ServeWorkers {
-    fn new(name: String, writer: Arc<Mutex<TcpStream>>, metrics: WireLoopMetrics) -> Self {
-        ServeWorkers {
-            shared: Arc::new((
-                Mutex::new(ServeQueue {
-                    jobs: VecDeque::new(),
-                    free: 0,
-                    closed: false,
-                }),
-                Condvar::new(),
-            )),
-            workers: Vec::new(),
-            name,
-            writer,
-            metrics,
-        }
+impl Conn {
+    /// The token, for a thread about to lead — `None` once the connection
+    /// is over: closed, or a serve panicked with the token held (the
+    /// socket's position in the frame stream is then unknown).
+    fn take_token(&self) -> Option<MutexGuard<'_, ReadToken>> {
+        self.token.lock().ok().filter(|t| !t.closed)
     }
 
-    /// Serves `job` on a worker — or, past the cap, right here on the
-    /// calling read loop, which also throttles the reader (backpressure).
-    /// `false` means an inline reply could not be written: the socket is
-    /// gone and the loop should exit.
-    fn dispatch(&mut self, job: ServeJob) -> bool {
-        let Some(job) = self.submit(job) else {
-            return true;
-        };
-        let (reply, observed) = job();
-        write_shared_observed(&self.writer, &reply, observed.then_some(&self.metrics))
-    }
-
-    /// Hands `job` to a free worker, starting one if all are busy and the
-    /// cap allows. Gives the job back when it must be served inline: at
-    /// the cap, or when no thread could be started for it.
-    fn submit(&mut self, job: ServeJob) -> Option<ServeJob> {
-        let (lock, wake) = &*self.shared;
-        let mut q = lock.lock().expect("serve queue lock: jobs run outside it");
-        if q.jobs.len() < q.free {
-            q.jobs.push_back(job);
-            wake.notify_one();
-            return None;
-        }
-        if self.workers.len() >= MAX_INFLIGHT_SERVES {
-            return Some(job);
-        }
-        q.jobs.push_back(job);
-        drop(q);
-        let shared = Arc::clone(&self.shared);
-        let writer = Arc::clone(&self.writer);
-        let metrics = self.metrics.clone();
-        let spawned = std::thread::Builder::new()
-            .name(self.name.clone())
-            .spawn(move || serve_worker(&shared, &writer, &metrics));
-        match spawned {
-            Ok(h) => {
-                self.metrics.serve_spawns.inc();
-                self.workers.push(h);
-                None
+    /// One thread's life on the connection — follower and leader by
+    /// turns. As a follower it parks on the token. As the leader it reads
+    /// and decodes one frame at a time and serves everything ordered by
+    /// arrival right there ([`Conn::serve_in_order`]); when a read that
+    /// may complete out of order comes in, it passes the token on *first*
+    /// ([`Conn::release`]) and then serves and answers the request itself,
+    /// so the request never changes hands. It counts as free again before
+    /// it writes the reply: a client that sends its next request the
+    /// moment the reply lands finds this thread rather than forcing a
+    /// new one.
+    fn run(self: &Arc<Self>) {
+        while let Some(mut token) = self.take_token() {
+            self.free.fetch_sub(1, Ordering::SeqCst);
+            loop {
+                let Some(req) = self.serve_in_order(&mut token) else {
+                    token.closed = true;
+                    return;
+                };
+                let kept = self.release(token);
+                let (reply, observed) = self.serve_envelope(req);
+                if kept.is_none() {
+                    self.free.fetch_add(1, Ordering::SeqCst);
+                }
+                let written = write_shared_observed(
+                    &self.writer,
+                    &reply,
+                    observed.then_some(&self.ctx.metrics),
+                );
+                match kept {
+                    // Not the leader any more; a failed write shut the
+                    // socket down, which the leader's read will notice.
+                    None => break,
+                    Some(t) => token = t,
+                }
+                if !written {
+                    token.closed = true;
+                    return;
+                }
             }
-            // This loop is the only submitter, so the newest queued job
-            // is the one just pushed — unless a worker that freed up in
-            // the meantime already took it.
-            Err(_) => lock
-                .lock()
-                .expect("serve queue lock: jobs run outside it")
-                .jobs
-                .pop_back(),
         }
     }
-}
 
-impl Drop for ServeWorkers {
-    /// Lets the workers finish what was handed to them, then joins them.
-    fn drop(&mut self) {
-        let (lock, wake) = &*self.shared;
-        lock.lock().unwrap_or_else(|e| e.into_inner()).closed = true;
-        wake.notify_all();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+    /// Lets go of the token so the next frame is read while this thread
+    /// serves: to a free thread if there is one, else to a follower
+    /// started for it. At the follower cap — or when no thread can be
+    /// started — the token comes back and the caller serves with it held,
+    /// which also stops the reading (backpressure).
+    fn release<'a>(
+        self: &'a Arc<Self>,
+        mut token: MutexGuard<'a, ReadToken>,
+    ) -> Option<MutexGuard<'a, ReadToken>> {
+        // Only the token holder takes threads out of `free`, so a non-zero
+        // reading stays non-zero until the token is dropped.
+        if self.free.load(Ordering::SeqCst) == 0 {
+            let started = token.followers.len() < MAX_INFLIGHT_SERVES && {
+                let conn = Arc::clone(self);
+                std::thread::Builder::new()
+                    .name(format!("wireplane-shard{}-serve", self.ctx.shard))
+                    .spawn(move || conn.run())
+                    .map(|h| token.followers.push(h))
+                    .is_ok()
+            };
+            if !started {
+                self.ctx.metrics.serve_inline.inc();
+                return Some(token);
+            }
+            self.ctx.metrics.serve_spawns.inc();
+            self.free.fetch_add(1, Ordering::SeqCst);
+        }
+        None
+    }
+
+    /// The leader's read loop: returns the next `Tagged`/`Batch` read that
+    /// may complete out of order, after serving — token held, in arrival
+    /// order — every frame before it that may not: sequenced replication
+    /// frames (or `SeqGap` would fire on every reordering), batches
+    /// carrying them, and legacy untagged requests. `None` when the
+    /// connection is over.
+    fn serve_in_order(&self, token: &mut ReadToken) -> Option<Frame> {
+        let ctx = &*self.ctx;
+        let m = &ctx.metrics;
+        loop {
+            let (tag, payload) = match read_frame(&mut token.stream, ctx.max_frame) {
+                Ok(fr) => fr,
+                Err(WireError::Io { .. }) => return None, // peer gone
+                Err(e) => {
+                    // Framing is lost: report the typed error and drop
+                    // the connection (the client reconnects).
+                    let _ = write_shared(&self.writer, &Frame::Error(e));
+                    return None;
+                }
+            };
+            let decode_started = Instant::now();
+            let req = match Frame::decode(tag, &payload) {
+                Ok(req) => req,
+                Err(e) => {
+                    let _ = write_shared(&self.writer, &Frame::Error(e));
+                    return None;
+                }
+            };
+            let decode_elapsed = decode_started.elapsed();
+            let (reply, observed) = match req {
+                Frame::Tagged {
+                    req_id, ref inner, ..
+                } => {
+                    // Tagged scrapes stay side-effect-free: not even
+                    // their decode is recorded.
+                    if !is_scrape(inner) {
+                        m.decode_ns.record_duration(decode_elapsed);
+                    }
+                    let Some(reply) = serve_replication(inner, ctx) else {
+                        return Some(req);
+                    };
+                    (
+                        Frame::Tagged {
+                            req_id,
+                            ctx: None,
+                            inner: Box::new(reply),
+                        },
+                        true,
+                    )
+                }
+                Frame::Batch(ref entries) if entries.iter().any(|(_, _, f)| is_replication(f)) => {
+                    m.decode_ns.record_duration(decode_elapsed);
+                    let replies = entries
+                        .iter()
+                        .map(|(id, tctx, f)| {
+                            let reply = serve_replication(f, ctx)
+                                .unwrap_or_else(|| ctx.serve_read(f, *tctx));
+                            (*id, reply)
+                        })
+                        .collect();
+                    (Frame::BatchRep(replies), true)
+                }
+                Frame::Batch(ref entries) => {
+                    if !entries.iter().all(|(_, _, f)| is_scrape(f)) {
+                        m.decode_ns.record_duration(decode_elapsed);
+                    }
+                    return Some(req);
+                }
+                // Legacy untagged path. Scrapes are answered entirely
+                // side-effect-free — not even their own decode/encode is
+                // recorded — so the snapshot that crosses the wire is
+                // exactly the server registry's.
+                req => match ctx.serve_scrape(&req) {
+                    Some(reply) => (reply, false),
+                    None => match serve_replication(&req, ctx) {
+                        // Replication frames are the one write path (the
+                        // shared `serve` is read-only).
+                        Some(reply) => (reply, false),
+                        None => {
+                            m.decode_ns.record_duration(decode_elapsed);
+                            let serve_started = Instant::now();
+                            let reply = {
+                                let state = ctx.state.read().unwrap().clone();
+                                state.serve(&req)
+                            };
+                            m.serve_ns.record_duration(serve_started.elapsed());
+                            m.frames_served.inc();
+                            (reply, true)
+                        }
+                    },
+                },
+            };
+            if !write_shared_observed(&self.writer, &reply, observed.then_some(m)) {
+                return None;
+            }
         }
     }
-}
 
-/// A serve worker's life: take a job, serve it, write the reply, park.
-/// The worker counts as free again *before* it writes the reply, so a
-/// client that sends its next request the moment the reply lands finds
-/// this worker rather than forcing a new one.
-fn serve_worker(
-    shared: &(Mutex<ServeQueue>, Condvar),
-    writer: &Mutex<TcpStream>,
-    metrics: &WireLoopMetrics,
-) {
-    let (lock, wake) = shared;
-    let relock = || lock.lock().expect("serve queue lock: jobs run outside it");
-    let mut q = relock();
-    q.free += 1;
-    loop {
-        if let Some(job) = q.jobs.pop_front() {
-            q.free -= 1;
-            drop(q);
-            let (reply, observed) = job();
-            relock().free += 1;
-            let _ = write_shared_observed(writer, &reply, observed.then_some(metrics));
-            q = relock();
-        } else if q.closed {
-            return;
-        } else {
-            q = wake.wait(q).expect("serve queue lock: jobs run outside it");
+    /// Serves one multiplexed read — a tagged request, or a whole wave
+    /// batch answered with one `BatchRep` — and returns the reply
+    /// envelope, plus whether its encode is observed in `wire.encode_ns`
+    /// (scrapes are not — they stay side-effect-free).
+    fn serve_envelope(&self, req: Frame) -> (Frame, bool) {
+        match req {
+            Frame::Tagged {
+                req_id,
+                ctx: tctx,
+                inner,
+            } => (
+                Frame::Tagged {
+                    req_id,
+                    ctx: None,
+                    inner: Box::new(self.ctx.serve_read(&inner, tctx)),
+                },
+                !is_scrape(&inner),
+            ),
+            Frame::Batch(entries) => {
+                let replies = entries
+                    .iter()
+                    .map(|(id, tctx, f)| (*id, self.ctx.serve_read(f, *tctx)))
+                    .collect();
+                (
+                    Frame::BatchRep(replies),
+                    !entries.iter().all(|(_, _, f)| is_scrape(f)),
+                )
+            }
+            other => unreachable!(
+                "serve_in_order hands off envelopes only, got frame {:#04x}",
+                other.tag()
+            ),
         }
     }
 }
@@ -761,10 +896,7 @@ impl ShardServer {
     pub fn spawn(state: ShardState, n_shards: usize, cfg: WireConfig) -> Result<Self, WireError> {
         let shard = state.shard.id();
         let state = Arc::new(RwLock::new(Arc::new(state)));
-        let serving = Arc::clone(&state);
         let applied = Arc::new(AtomicU64::new(0));
-        let applying = Arc::clone(&applied);
-        let max_frame = cfg.max_frame;
         let metrics = Arc::new(MetricsRegistry::new());
         // Perturb the span-id seed per shard (deterministically) so ids
         // minted by different processes of one cluster never collide in
@@ -772,12 +904,18 @@ impl ShardServer {
         metrics
             .tracer()
             .set_id_seed((shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let m = WireLoopMetrics::new(&metrics);
-        let repl_m = ReplMetrics::new(&metrics);
-        let scrape_label = format!("shard{shard}");
-        let scrape_reg = Arc::clone(&metrics);
         let delay: Arc<RwLock<Option<ServeDelay>>> = Arc::new(RwLock::new(None));
-        let delay_hook = Arc::clone(&delay);
+        let ctx = Arc::new(ServeCtx {
+            state: Arc::clone(&state),
+            applied: Arc::clone(&applied),
+            metrics: WireLoopMetrics::new(&metrics),
+            repl_metrics: ReplMetrics::new(&metrics),
+            scrape_label: format!("shard{shard}"),
+            scrape_reg: Arc::clone(&metrics),
+            shard,
+            max_frame: cfg.max_frame,
+            delay: Arc::clone(&delay),
+        });
         let listener = Listener::spawn(
             &format!("wireplane-shard{shard}"),
             cfg.max_conns,
@@ -793,230 +931,35 @@ impl ShardServer {
                 {
                     return;
                 }
-                // All replies funnel through one shared writer so the
-                // spawned tagged-serve threads below never interleave
-                // partial frames with the loop's own replies.
-                let writer = match stream.try_clone() {
-                    Ok(s) => Arc::new(Mutex::new(s)),
-                    Err(_) => return,
+                let Ok(writer) = stream.try_clone() else {
+                    return;
                 };
-                let ctx = Arc::new(ServeCtx {
-                    state: Arc::clone(&serving),
-                    metrics: m.clone(),
-                    scrape_label: scrape_label.clone(),
-                    scrape_reg: Arc::clone(&scrape_reg),
-                    shard: shard as u32,
-                    delay: Arc::clone(&delay_hook),
+                let conn = Arc::new(Conn {
+                    ctx: Arc::clone(&ctx),
+                    token: Mutex::new(ReadToken {
+                        stream,
+                        followers: Vec::new(),
+                        closed: false,
+                    }),
+                    // This thread, about to take the token.
+                    free: AtomicUsize::new(1),
+                    writer: Mutex::new(writer),
                 });
-                let mut workers = ServeWorkers::new(
-                    format!("wireplane-shard{shard}-serve"),
-                    Arc::clone(&writer),
-                    m.clone(),
+                conn.run();
+                // The connection is over: each follower finishes what it
+                // is serving, finds the token closed and leaves. The
+                // handle list is whole even if a serve panicked with the
+                // token held — it is only ever pushed to.
+                let followers = std::mem::take(
+                    &mut conn
+                        .token
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .followers,
                 );
-                loop {
-                    let (tag, payload) = match read_frame(&mut stream, max_frame) {
-                        Ok(fr) => fr,
-                        Err(WireError::Io { .. }) => break, // peer gone
-                        Err(e) => {
-                            // Framing is lost: report the typed error and
-                            // drop the connection (the client reconnects).
-                            let _ = write_shared(&writer, &Frame::Error(e));
-                            break;
-                        }
-                    };
-                    let decode_started = Instant::now();
-                    let req = match Frame::decode(tag, &payload) {
-                        Ok(req) => req,
-                        Err(e) => {
-                            let _ = write_shared(&writer, &Frame::Error(e));
-                            break;
-                        }
-                    };
-                    let decode_elapsed = decode_started.elapsed();
-                    match req {
-                        // Multiplexed fast path: tagged requests complete
-                        // out of order on the serve workers, so a
-                        // slow fan-out never convoys the scrapes and
-                        // replication acks sharing the link. Sequenced
-                        // replication frames are the exception — they
-                        // serve in-band, in arrival order, or SeqGap
-                        // would fire on every reordering.
-                        Frame::Tagged {
-                            req_id,
-                            ctx: tctx,
-                            inner,
-                        } => {
-                            // Tagged scrapes stay side-effect-free: not
-                            // even their decode is recorded.
-                            let is_scrape =
-                                matches!(*inner, Frame::StatsScrapeReq | Frame::TraceScrapeReq);
-                            if !is_scrape {
-                                m.decode_ns.record_duration(decode_elapsed);
-                            }
-                            if let Some(reply) = serve_replication(
-                                &inner,
-                                shard,
-                                &serving,
-                                &applying,
-                                &repl_m,
-                                scrape_reg.tracer(),
-                            ) {
-                                if !write_shared_observed(
-                                    &writer,
-                                    &Frame::Tagged {
-                                        req_id,
-                                        ctx: None,
-                                        inner: Box::new(reply),
-                                    },
-                                    Some(&m),
-                                ) {
-                                    break;
-                                }
-                                continue;
-                            }
-                            let job: ServeJob = {
-                                let ctx = Arc::clone(&ctx);
-                                Box::new(move || {
-                                    let reply = Frame::Tagged {
-                                        req_id,
-                                        ctx: None,
-                                        inner: Box::new(ctx.serve_read(&inner, tctx)),
-                                    };
-                                    (reply, !is_scrape)
-                                })
-                            };
-                            if !workers.dispatch(job) {
-                                break;
-                            }
-                        }
-                        // A whole wave batch serves on one worker and
-                        // answers with one BatchRep; other tagged traffic
-                        // keeps flowing meanwhile. Batches carrying
-                        // replication serve in-band for the same ordering
-                        // reason as above.
-                        Frame::Batch(entries) => {
-                            let all_scrapes = entries.iter().all(|(_, _, f)| {
-                                matches!(f, Frame::StatsScrapeReq | Frame::TraceScrapeReq)
-                            });
-                            if !all_scrapes {
-                                m.decode_ns.record_duration(decode_elapsed);
-                            }
-                            let has_repl = entries.iter().any(|(_, _, f)| {
-                                matches!(
-                                    f,
-                                    Frame::DeltaAppend { .. }
-                                        | Frame::SnapshotInstall { .. }
-                                        | Frame::ReplicaStatusReq
-                                )
-                            });
-                            if has_repl {
-                                let replies: Vec<(u32, Frame)> = entries
-                                    .iter()
-                                    .map(|(id, tctx, f)| {
-                                        let reply = serve_replication(
-                                            f,
-                                            shard,
-                                            &serving,
-                                            &applying,
-                                            &repl_m,
-                                            scrape_reg.tracer(),
-                                        )
-                                        .unwrap_or_else(|| ctx.serve_read(f, *tctx));
-                                        (*id, reply)
-                                    })
-                                    .collect();
-                                if !write_shared_observed(
-                                    &writer,
-                                    &Frame::BatchRep(replies),
-                                    Some(&m),
-                                ) {
-                                    break;
-                                }
-                                continue;
-                            }
-                            let job: ServeJob = {
-                                let ctx = Arc::clone(&ctx);
-                                Box::new(move || {
-                                    let replies: Vec<(u32, Frame)> = entries
-                                        .iter()
-                                        .map(|(id, tctx, f)| (*id, ctx.serve_read(f, *tctx)))
-                                        .collect();
-                                    (Frame::BatchRep(replies), !all_scrapes)
-                                })
-                            };
-                            if !workers.dispatch(job) {
-                                break;
-                            }
-                        }
-                        // Legacy untagged path: serve in arrival order.
-                        req => {
-                            // Scrapes are answered entirely side-effect-
-                            // free — not even their own decode/encode is
-                            // recorded — so the snapshot that crosses the
-                            // wire is exactly the server registry's, and
-                            // repeated scrapes of a quiesced server are
-                            // identical.
-                            if matches!(req, Frame::StatsScrapeReq) {
-                                let reply = Frame::StatsScrapeRep(vec![(
-                                    scrape_label.clone(),
-                                    scrape_reg.snapshot(),
-                                )]);
-                                if !write_shared(&writer, &reply) {
-                                    break;
-                                }
-                                continue;
-                            }
-                            if matches!(req, Frame::TraceScrapeReq) {
-                                let reply = Frame::TraceScrapeRep(vec![(
-                                    scrape_label.clone(),
-                                    crate::traces::dump_spans(scrape_reg.tracer()),
-                                )]);
-                                if !write_shared(&writer, &reply) {
-                                    break;
-                                }
-                                continue;
-                            }
-                            // Replication frames are the one write path:
-                            // handled here (the shared `serve` is
-                            // read-only).
-                            if let Some(reply) = serve_replication(
-                                &req,
-                                shard,
-                                &serving,
-                                &applying,
-                                &repl_m,
-                                scrape_reg.tracer(),
-                            ) {
-                                if !write_shared(&writer, &reply) {
-                                    break;
-                                }
-                                continue;
-                            }
-                            m.decode_ns.record_duration(decode_elapsed);
-                            let serve_started = Instant::now();
-                            let reply = {
-                                let state = serving.read().unwrap().clone();
-                                state.serve(&req)
-                            };
-                            m.serve_ns.record_duration(serve_started.elapsed());
-                            let encode_started = Instant::now();
-                            let Ok(buf) = reply.to_frame_bytes() else {
-                                break;
-                            };
-                            m.encode_ns.record_duration(encode_started.elapsed());
-                            m.frames_served.inc();
-                            let ok = {
-                                let mut w = writer.lock().unwrap();
-                                w.write_all(&buf).is_ok() && w.flush().is_ok()
-                            };
-                            if !ok {
-                                break;
-                            }
-                        }
-                    }
+                for h in followers {
+                    let _ = h.join();
                 }
-                // Leaving the loop drops `workers`: in-flight serves
-                // finish and every worker is joined.
             },
         )?;
         Ok(ShardServer {
@@ -1076,6 +1019,7 @@ impl ShardServer {
 mod tests {
     use super::*;
     use std::io::Read;
+    use std::sync::Condvar;
     use std::time::Duration;
 
     use netsim::prelude::*;
@@ -1083,8 +1027,8 @@ mod tests {
 
     use crate::{MuxConn, WireCluster};
 
-    /// One shard server (plus front-end) over a small chain deployment.
-    fn one_shard_cluster() -> WireCluster {
+    /// A small chain deployment with one flow's worth of state.
+    fn chain_testbed() -> Testbed {
         let topo = Topology::chain(3, 2, GBPS);
         let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
         let (a, f) = (tb.node("A"), tb.node("F"));
@@ -1098,7 +1042,12 @@ mod tests {
             payload_bytes: 1458,
         });
         tb.sim.run_until(SimTime::from_ms(5));
-        WireCluster::launch(&tb.analyzer(), 1, WireConfig::default()).unwrap()
+        tb
+    }
+
+    /// One shard server (plus front-end) over the chain deployment.
+    fn one_shard_cluster() -> WireCluster {
+        WireCluster::launch(&chain_testbed().analyzer(), 1, WireConfig::default()).unwrap()
     }
 
     fn serve_spawns(cluster: &WireCluster) -> u64 {
@@ -1307,5 +1256,392 @@ mod tests {
         assert_eq!(got, good);
         let mut rest = Vec::new();
         assert_eq!(peer.read_to_end(&mut rest).unwrap(), 0, "expected EOF");
+    }
+
+    // ------------------------------------------------------------------
+    // Leader/followers: helpers and tests added with the serving model
+    // ------------------------------------------------------------------
+
+    fn serve_inline(reg: &MetricsRegistry) -> u64 {
+        reg.snapshot().counter("wire.serve_inline")
+    }
+
+    /// One shard server on its own (no front-end, no replication writer),
+    /// so every accept slot and the replication log are the test's.
+    fn lone_server(cfg: WireConfig) -> ShardServer {
+        use switchpointer::shard::ShardedDirectory;
+
+        let analyzer = chain_testbed().analyzer();
+        let dir = ShardedDirectory::new(
+            analyzer.directory().mphf().clone(),
+            &analyzer.all_hosts(),
+            1,
+        );
+        let shard = dir.shards()[0].clone();
+        let keep = shard.hosts().iter().copied().collect();
+        let view = Snapshot::capture_with(&analyzer, 8, 1).shard_slice(&keep);
+        ShardServer::spawn(ShardState { shard, view }, 1, cfg).unwrap()
+    }
+
+    /// A serve gate instead of a timer: every multiplexed serve announces
+    /// itself, then blocks until the test opens the gate.
+    struct Gate {
+        state: Mutex<(usize, bool)>,
+        cond: Condvar,
+    }
+
+    impl Gate {
+        fn install(server: &ShardServer) -> Arc<Gate> {
+            let gate = Arc::new(Gate {
+                state: Mutex::new((0, false)),
+                cond: Condvar::new(),
+            });
+            let hook = Arc::clone(&gate);
+            server.set_serve_delay(Some(Arc::new(move |_: &Frame| {
+                let mut g = hook.state.lock().unwrap();
+                g.0 += 1;
+                hook.cond.notify_all();
+                while !g.1 {
+                    g = hook.cond.wait(g).unwrap();
+                }
+                Duration::ZERO
+            })));
+            gate
+        }
+
+        fn wait_parked(&self, n: usize) {
+            let g = self.state.lock().unwrap();
+            let (g, timeout) = self
+                .cond
+                .wait_timeout_while(g, Duration::from_secs(30), |g| g.0 < n)
+                .unwrap();
+            assert!(!timeout.timed_out(), "only {} of {n} serves started", g.0);
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.cond.notify_all();
+        }
+    }
+
+    /// Dials `addr` and returns the socket with the first frame the
+    /// server sent on it: the greeting, or a refusal.
+    fn dial(addr: SocketAddr) -> (TcpStream, Frame) {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let first = Frame::read(&mut stream, MAX_FRAME).unwrap();
+        (stream, first)
+    }
+
+    fn tagged(req_id: u32, inner: Frame) -> Frame {
+        Frame::Tagged {
+            req_id,
+            ctx: None,
+            inner: Box::new(inner),
+        }
+    }
+
+    /// `wire.serve_inline` is the saturation signal and nothing else: a
+    /// closed loop never moves it, overrunning the follower cap does.
+    #[test]
+    fn serve_inline_counts_only_serves_with_the_token_held() {
+        let cluster = one_shard_cluster();
+        let reg = cluster.server_metrics(0);
+        let (mux, _, _) = MuxConn::connect(cluster.shard_addrs()[0], MAX_FRAME).unwrap();
+        for _ in 0..1000 {
+            assert!(matches!(
+                mux.call(&Frame::HorizonReq).unwrap(),
+                Frame::HorizonRep(_)
+            ));
+        }
+        assert_eq!(serve_inline(reg), 0, "a closed loop never holds the token");
+
+        const REQUESTS: u32 = 40;
+        let gate = Gate::install(cluster.server(0));
+        let (mut stream, hello) = dial(cluster.shard_addrs()[0]);
+        assert!(matches!(hello, Frame::Hello { .. }));
+        for req_id in 0..REQUESTS {
+            tagged(req_id, Frame::HorizonReq)
+                .write(&mut stream)
+                .unwrap();
+        }
+        gate.wait_parked(MAX_INFLIGHT_SERVES + 1);
+        assert_eq!(
+            serve_inline(reg),
+            1,
+            "the request past the cap kept the token"
+        );
+        gate.open();
+        for _ in 0..REQUESTS {
+            assert!(matches!(
+                Frame::read(&mut stream, MAX_FRAME).unwrap(),
+                Frame::Tagged { .. }
+            ));
+        }
+        assert!(serve_inline(reg) >= 1);
+        cluster.server(0).set_serve_delay(None);
+        cluster.shutdown();
+    }
+
+    /// A client that leaves with reads still being served leaves no
+    /// thread behind: the connection's slot stays taken while its serves
+    /// are parked, and comes back — every follower joined — once they
+    /// finish.
+    #[test]
+    fn a_dropped_connection_with_parked_serves_frees_its_accept_slot() {
+        let server = lone_server(WireConfig {
+            max_conns: 1,
+            ..WireConfig::default()
+        });
+        let addr = server.local_addr();
+        let gate = Gate::install(&server);
+        let (mut stream, hello) = dial(addr);
+        assert!(matches!(hello, Frame::Hello { .. }));
+        for req_id in 0..3 {
+            tagged(req_id, Frame::HorizonReq)
+                .write(&mut stream)
+                .unwrap();
+        }
+        gate.wait_parked(3);
+        drop(stream);
+        // The connection thread is one of the three parked serves, so the
+        // slot cannot have been given back yet.
+        assert!(
+            matches!(dial(addr).1, Frame::Error(WireError::Remote(_))),
+            "the only accept slot was free while its connection still had threads"
+        );
+        gate.open();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !matches!(dial(addr).1, Frame::Hello { .. }) {
+            assert!(
+                Instant::now() < deadline,
+                "the dropped connection never gave its accept slot back"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        server.set_serve_delay(None);
+        server.shutdown();
+    }
+
+    /// Sequenced replication frames are served by whoever holds the read
+    /// token, in arrival order, however many reads are parked around
+    /// them: 16 appends interleaved with 16 gated reads all ack in
+    /// sequence — no `SeqGap` — before a single read has answered.
+    #[test]
+    fn appends_interleaved_with_parked_reads_apply_in_arrival_order() {
+        const APPENDS: u64 = 16;
+        let server = lone_server(WireConfig::default());
+        let gate = Gate::install(&server);
+        let (mut stream, hello) = dial(server.local_addr());
+        assert!(matches!(hello, Frame::Hello { .. }));
+        for seq in 1..=APPENDS {
+            tagged(1000 + seq as u32, Frame::HorizonReq)
+                .write(&mut stream)
+                .unwrap();
+            let append = Frame::DeltaAppend {
+                shard: 0,
+                seq,
+                record: queryplane::DeltaRecord {
+                    epoch_horizon: 5000 + seq,
+                    ..Default::default()
+                },
+                ctx: None,
+            };
+            // Odd seqs travel tagged, even ones as legacy frames.
+            let ack = if seq % 2 == 1 {
+                tagged(seq as u32, append).write(&mut stream).unwrap();
+                match Frame::read(&mut stream, MAX_FRAME).unwrap() {
+                    Frame::Tagged { req_id, inner, .. } if req_id == seq as u32 => *inner,
+                    other => panic!("append {seq}: expected its tagged ack, got {other:?}"),
+                }
+            } else {
+                append.write(&mut stream).unwrap();
+                Frame::read(&mut stream, MAX_FRAME).unwrap()
+            };
+            match ack {
+                Frame::DeltaAck { applied, .. } => assert_eq!(applied, seq),
+                other => panic!("append {seq} was not applied: {other:?}"),
+            }
+        }
+        assert_eq!(server.applied_seq(), APPENDS);
+        // Every ack above arrived with the gate shut: all reads are
+        // still parked, none has answered.
+        gate.wait_parked(APPENDS as usize);
+        gate.open();
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..APPENDS {
+            match Frame::read(&mut stream, MAX_FRAME).unwrap() {
+                Frame::Tagged { req_id, inner, .. } => {
+                    assert!(seen.insert(req_id), "read {req_id} answered twice");
+                    assert!(
+                        matches!(*inner, Frame::HorizonRep(h) if h == 5000 + APPENDS),
+                        "read {req_id} got {inner:?}"
+                    );
+                }
+                other => panic!("expected a tagged reply, got {other:?}"),
+            }
+        }
+        assert_eq!(seen, (1001..=1000 + APPENDS as u32).collect());
+        server.set_serve_delay(None);
+        server.shutdown();
+    }
+
+    /// Random mixes of tagged, batched, legacy and replication frames on
+    /// one socket, with some serves stretched so replies reorder: every
+    /// `req_id` is answered exactly once with what `ShardState::serve`
+    /// (or the replication log) answers for that request alone, batches
+    /// answer whole and in entry order, and untagged replies keep their
+    /// arrival order.
+    #[test]
+    fn any_frame_mix_on_one_socket_answers_what_each_request_alone_would() {
+        use netsim::rng::DetRng;
+        use std::collections::{BTreeMap, VecDeque};
+
+        let server = lone_server(WireConfig::default());
+        let state = server.state();
+        // Stretch some serves so later requests overtake earlier ones.
+        server.set_serve_delay(Some(Arc::new(|f: &Frame| match f {
+            Frame::StoreLenReq { .. } => Duration::from_millis(2),
+            Frame::UnionSliceReq { .. } => Duration::from_micros(300),
+            _ => Duration::ZERO,
+        })));
+        let gen_read = |rng: &mut DetRng| match rng.next_below(6) {
+            0 => Frame::HorizonReq,
+            1 => Frame::StoreLenReq {
+                host: NodeId(rng.next_below(12) as u32),
+            },
+            2 => Frame::UnionSliceReq {
+                switch: NodeId(rng.next_below(12) as u32),
+                range: EpochRange {
+                    lo: 0,
+                    hi: rng.next_below(6),
+                },
+            },
+            3 => Frame::StoreLenWaveReq {
+                hosts: (0..rng.next_below(4))
+                    .map(|_| NodeId(rng.next_below(12) as u32))
+                    .collect(),
+            },
+            4 => Frame::ProbeExactReq {
+                switch: NodeId(rng.next_below(12) as u32),
+                addr: rng.next_u64(),
+                epoch: rng.next_below(6),
+            },
+            // Not a request at all: answered with a typed error.
+            _ => Frame::HorizonRep(rng.next_u64()),
+        };
+        // Replication that never moves the log (the oracle stays
+        // stateless): a status read, or an append from the future.
+        let gen_repl = |rng: &mut DetRng| match rng.next_below(2) {
+            0 => Frame::ReplicaStatusReq,
+            _ => Frame::DeltaAppend {
+                shard: 0,
+                seq: 2 + rng.next_below(50),
+                record: Default::default(),
+                ctx: None,
+            },
+        };
+        let oracle = |req: &Frame| match req {
+            Frame::ReplicaStatusReq => Frame::ReplicaStatusRep {
+                shard: 0,
+                applied: 0,
+            },
+            Frame::DeltaAppend { seq, .. } => Frame::Error(WireError::SeqGap {
+                expected: 1,
+                got: *seq,
+            }),
+            read => state.serve(read),
+        };
+
+        for seed in 0..12u64 {
+            let mut rng = DetRng::new(0x5EED_0000 + seed);
+            let (mut stream, hello) = dial(server.local_addr());
+            assert!(matches!(hello, Frame::Hello { .. }));
+            let mut next_id = 0u32;
+            let mut by_id: BTreeMap<u32, String> = BTreeMap::new();
+            let mut batches: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
+            let mut legacy: VecDeque<String> = VecDeque::new();
+            let frames = 24 + rng.next_below(40);
+            for _ in 0..frames {
+                let mut entry = |rng: &mut DetRng, repl: bool| {
+                    let req = if repl { gen_repl(rng) } else { gen_read(rng) };
+                    let id = next_id;
+                    next_id += 1;
+                    by_id.insert(id, format!("{:?}", oracle(&req)));
+                    (id, req)
+                };
+                let frame = match rng.next_below(6) {
+                    0 => {
+                        let req = gen_read(&mut rng);
+                        legacy.push_back(format!("{:?}", oracle(&req)));
+                        req
+                    }
+                    1 => {
+                        let req = gen_repl(&mut rng);
+                        legacy.push_back(format!("{:?}", oracle(&req)));
+                        req
+                    }
+                    2 => {
+                        let (id, req) = entry(&mut rng, false);
+                        tagged(id, req)
+                    }
+                    3 => {
+                        let (id, req) = entry(&mut rng, true);
+                        tagged(id, req)
+                    }
+                    kind => {
+                        // A batch of reads; every other one also carries
+                        // replication, which pins it to arrival order.
+                        let n = 1 + rng.next_below(4);
+                        let repl_at = (kind == 5).then(|| rng.next_below(n));
+                        let entries: Vec<_> = (0..n)
+                            .map(|i| {
+                                let (id, req) = entry(&mut rng, repl_at == Some(i));
+                                (id, None, req)
+                            })
+                            .collect();
+                        batches.insert(entries[0].0, entries.iter().map(|e| e.0).collect());
+                        Frame::Batch(entries)
+                    }
+                };
+                frame.write(&mut stream).unwrap();
+            }
+            let mut check = |id: u32, reply: &Frame| {
+                let want = by_id
+                    .remove(&id)
+                    .unwrap_or_else(|| panic!("seed {seed}: req_id {id} answered twice"));
+                assert_eq!(format!("{reply:?}"), want, "seed {seed}: req_id {id}");
+            };
+            for _ in 0..frames {
+                match Frame::read(&mut stream, MAX_FRAME).unwrap() {
+                    Frame::Tagged { req_id, inner, .. } => check(req_id, &inner),
+                    Frame::BatchRep(replies) => {
+                        let ids: Vec<u32> = replies.iter().map(|(id, _)| *id).collect();
+                        assert_eq!(
+                            batches.remove(&ids[0]),
+                            Some(ids),
+                            "seed {seed}: a batch was not answered whole and in entry order"
+                        );
+                        for (id, reply) in &replies {
+                            check(*id, reply);
+                        }
+                    }
+                    untagged => assert_eq!(
+                        Some(format!("{untagged:?}")),
+                        legacy.pop_front(),
+                        "seed {seed}: untagged replies out of arrival order"
+                    ),
+                }
+            }
+            assert!(
+                by_id.is_empty() && batches.is_empty() && legacy.is_empty(),
+                "seed {seed}: unanswered requests {by_id:?}"
+            );
+        }
+        assert_eq!(server.applied_seq(), 0, "a refused append moved the log");
+        server.set_serve_delay(None);
+        server.shutdown();
     }
 }

@@ -270,3 +270,138 @@ fn full_plane_parity_holds_under_randomized_chunking_with_steal_pressure() {
         }
     }
 }
+
+/// Sum of every per-worker scheduler counter of `pool`.
+fn worker_ns(pool: &WorkerPool) -> u64 {
+    let m = pool.metrics();
+    m.busy.iter().chain(&m.idle).map(|c| c.get()).sum()
+}
+
+#[test]
+fn a_one_chunk_batch_runs_on_the_thread_that_called_scatter() {
+    let reg = Arc::new(MetricsRegistry::new());
+    let pool = WorkerPool::with_metrics(4, &reg);
+    let caller = thread::current().id();
+
+    // Five items under the default rule (one chunk of ≤ 8), and a single
+    // item with an explicit chunk size of 1: both are one chunk.
+    for (n, chunk) in [(5usize, None), (1, Some(1))] {
+        let out = pool.scatter(n, None, chunk, move |_w, idxs| {
+            assert_eq!(idxs.len(), n, "the batch must arrive as one chunk");
+            idxs.iter().map(|&i| (i, thread::current().id())).collect()
+        });
+        assert_eq!(out, (0..n).map(|i| (i, caller)).collect::<Vec<_>>());
+    }
+    let m = pool.metrics();
+    assert_eq!((m.batches.get(), m.chunks.get()), (2, 2));
+    assert_eq!(worker_ns(&pool), 0, "no worker took part in either batch");
+    assert_eq!((m.steals.get(), m.queue_depth.get()), (0, 0));
+
+    // A panic in the work fn re-raises on the caller, as it does from a
+    // worker, and neither the pool nor its accounting is the worse for it.
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        pool.scatter(1, None, Some(1), |_w, _idxs| -> Vec<usize> {
+            panic!("rigged one-chunk panic")
+        })
+    }))
+    .expect_err("the work fn's panic must reach the caller");
+    assert_eq!(
+        err.downcast_ref::<&str>().copied(),
+        Some("rigged one-chunk panic")
+    );
+    assert_eq!((worker_ns(&pool), m.queue_depth.get()), (0, 0));
+    let again = pool.scatter(48, None, None, |_w, idxs| {
+        idxs.iter().map(|&i| i + 1).collect()
+    });
+    assert_eq!(again, (1..=48).collect::<Vec<_>>());
+    assert!(
+        worker_ns(&pool) > 0,
+        "a six-chunk batch does use the workers"
+    );
+}
+
+#[test]
+fn one_chunk_batches_need_no_worker_while_a_wide_batch_holds_them_all() {
+    use std::sync::{Condvar, Mutex};
+
+    let pool = WorkerPool::new(4);
+    // The wide batch parks every chunk until the small batches are done,
+    // so all four workers are held for as long as those run: a one-chunk
+    // scatter that needed a worker could never return.
+    let release = Arc::new((Mutex::new(false), Condvar::new()));
+    let starved = Arc::new(AtomicUsize::new(0));
+    thread::scope(|scope| {
+        let wide = scope.spawn(|| {
+            let (release, starved) = (Arc::clone(&release), Arc::clone(&starved));
+            pool.scatter(64, None, Some(1), move |_w, idxs| {
+                let (lock, cv) = &*release;
+                let (mut done, res) = cv
+                    .wait_timeout_while(lock.lock().unwrap(), Duration::from_secs(30), |done| {
+                        !*done
+                    })
+                    .unwrap();
+                if res.timed_out() {
+                    // Fail once, not once per chunk: let the rest go.
+                    starved.fetch_add(1, Ordering::SeqCst);
+                    *done = true;
+                    cv.notify_all();
+                }
+                idxs.iter().map(|&i| i * 2).collect()
+            })
+        });
+        let callers: Vec<_> = (0..8usize)
+            .map(|t| {
+                let pool = &pool;
+                scope.spawn(move || {
+                    for round in 0..1000usize {
+                        let n = 1 + (t + round) % 8;
+                        let base = t * 1_000_000 + round * 10;
+                        let out = pool.scatter(n, None, None, move |_w, idxs| {
+                            idxs.iter().map(|&i| base + i).collect()
+                        });
+                        assert_eq!(out, (base..base + n).collect::<Vec<_>>());
+                    }
+                })
+            })
+            .collect();
+        for c in callers {
+            c.join().unwrap();
+        }
+        *release.0.lock().unwrap() = true;
+        release.1.notify_all();
+        assert_eq!(
+            wide.join().unwrap(),
+            (0..64).map(|i| i * 2).collect::<Vec<_>>()
+        );
+    });
+    assert_eq!(
+        starved.load(Ordering::SeqCst),
+        0,
+        "the small batches waited on the workers the wide batch held"
+    );
+}
+
+#[test]
+fn a_batch_of_fewer_chunks_than_workers_leaves_the_rest_of_the_pool_alone() {
+    let reg = Arc::new(MetricsRegistry::new());
+    let pool = WorkerPool::with_metrics(4, &reg);
+    for round in 0..100usize {
+        let out = pool.scatter(2, None, Some(1), move |_w, idxs| {
+            idxs.iter().map(|&i| round * 2 + i).collect()
+        });
+        assert_eq!(out, vec![round * 2, round * 2 + 1]);
+    }
+    let m = pool.metrics();
+    assert_eq!((m.batches.get(), m.chunks.get()), (100, 200));
+    let per_worker: Vec<u64> = (0..4).map(|w| m.busy[w].get() + m.idle[w].get()).collect();
+    assert!(
+        per_worker[0] > 0 && per_worker[1] > 0,
+        "the two workers dealt a chunk ran them: {per_worker:?}"
+    );
+    assert_eq!(
+        per_worker[2..],
+        [0, 0],
+        "two chunks must not wake a third worker"
+    );
+    assert_eq!(m.queue_depth.get(), 0);
+}

@@ -3156,3 +3156,58 @@ fn mux_overlapped_fanout_parity_and_counters_at_1_2_4_8_shards() {
         cluster.shutdown();
     }
 }
+
+/// The front-end's whole-deployment scrapes ask the shards in one
+/// overlapped round: each shard's serve of the scrape parks until all
+/// four shards hold one, which only completes if the four requests are
+/// in flight together. The labelled output and the scrape identity —
+/// every shard's entry is exactly that server's registry — are what
+/// they were when the shards were asked one after another.
+#[test]
+fn mux_scrape_requests_of_every_shard_are_in_flight_together() {
+    const N: usize = 4;
+    let tb = wide_testbed();
+    let analyzer = tb.analyzer();
+    let cluster = WireCluster::launch(&analyzer, N, WireConfig::default()).unwrap();
+    // Some served traffic first, so the scraped registries are not empty.
+    let (req, _, _) = full_fanout_top_k(&tb, &cluster, N as u64);
+    cluster.front().execute(&req);
+    let clean_stats = cluster.front().scrape().unwrap();
+    let clean_traces = cluster.front().scrape_traces().unwrap();
+
+    let stats = Rendezvous::new(N, false);
+    let traces = Rendezvous::new(N, false);
+    let delay: ServeDelay = {
+        let (stats, traces) = (Arc::clone(&stats), Arc::clone(&traces));
+        Arc::new(move |f: &Frame| {
+            match f {
+                Frame::StatsScrapeReq => stats.arrive(),
+                Frame::TraceScrapeReq => traces.arrive(),
+                _ => {}
+            }
+            Duration::ZERO
+        })
+    };
+    set_serve_delay_everywhere(&cluster, N, Some(delay));
+    let scraped_stats = cluster.front().scrape().unwrap();
+    let scraped_traces = cluster.front().scrape_traces().unwrap();
+    set_serve_delay_everywhere(&cluster, N, None);
+
+    assert!(
+        !stats.timed_out() && !traces.timed_out(),
+        "a shard's scrape waited {RENDEZVOUS_TIMEOUT:?} for its siblings: the scrape round is not overlapped"
+    );
+    assert_eq!((stats.arrived(), traces.arrived()), (N, N));
+    let labels: Vec<&str> = scraped_stats.iter().map(|(l, _)| l.as_str()).collect();
+    assert_eq!(labels, ["front", "shard0", "shard1", "shard2", "shard3"]);
+    for (i, (label, snap)) in scraped_stats.iter().skip(1).enumerate() {
+        assert_eq!(
+            snap,
+            &cluster.server_metrics(i).snapshot(),
+            "{label}: scraped snapshot diverged from the server registry"
+        );
+    }
+    assert_eq!(scraped_stats, clean_stats, "scraping perturbed the metrics");
+    assert_eq!(format!("{scraped_traces:?}"), format!("{clean_traces:?}"));
+    cluster.shutdown();
+}
