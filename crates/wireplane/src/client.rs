@@ -49,25 +49,18 @@ impl WireClient {
     /// carry the dialed address, so an error that bubbles through retry
     /// rotation still names the peer that refused.
     pub fn connect(addr: SocketAddr, max_frame: u32) -> Result<Self, WireError> {
-        let mut stream =
-            TcpStream::connect(addr).map_err(|e| WireError::from(e).with_peer(addr))?;
-        stream.set_nodelay(true).ok();
-        match Frame::read(&mut stream, max_frame).map_err(|e| e.with_peer(addr))? {
-            Frame::Hello { shard, .. } if shard == FRONT_ROLE => Ok(WireClient {
-                stream,
-                max_frame,
-                pending: VecDeque::new(),
-                send_buf: Vec::new(),
-            }),
-            Frame::Hello { shard, .. } => Err(WireError::Remote(format!(
-                "dialed the front-end but shard {shard} answered"
-            ))),
-            Frame::Error(e) => Err(e),
-            other => Err(WireError::Remote(format!(
-                "expected greeting, got frame {:#04x}",
-                other.tag()
-            ))),
+        let (stream, role, _n_shards) = crate::dial(addr, max_frame)?;
+        if role != FRONT_ROLE {
+            return Err(WireError::Remote(format!(
+                "dialed the front-end but shard {role} answered at {addr}"
+            )));
         }
+        Ok(WireClient {
+            stream,
+            max_frame,
+            pending: VecDeque::new(),
+            send_buf: Vec::new(),
+        })
     }
 
     fn send(&mut self, frame: &Frame) -> Result<(), WireError> {

@@ -72,6 +72,7 @@
 //! ```
 
 use std::collections::BTreeSet;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 
 use netsim::routing::RouteTable;
@@ -102,6 +103,30 @@ pub use traces::{assemble, dump_spans, TraceTree};
 /// Flow-record shards per host inside each server's snapshot slice (the
 /// same default the query plane uses).
 const HOST_SHARDS: usize = 8;
+
+/// Dials `addr` and consumes the server's greeting: the connected stream
+/// (`TCP_NODELAY` set) plus the greeting's `(shard, n_shards)`, for the
+/// caller to check it reached the role it meant to. Every failure names
+/// `addr`, so an error that bubbles through retry rotation still says
+/// which peer refused.
+pub(crate) fn dial(addr: SocketAddr, max_frame: u32) -> Result<(TcpStream, u16, u16), WireError> {
+    let mut stream = TcpStream::connect(addr).map_err(|e| WireError::from(e).with_peer(addr))?;
+    stream.set_nodelay(true).ok();
+    let greeting = Frame::read(&mut stream, max_frame).map_err(|e| match e.with_peer(addr) {
+        e @ WireError::Io { .. } => e,
+        e => WireError::Remote(format!("undecodable greeting from {addr}: {e}")),
+    })?;
+    match greeting {
+        Frame::Hello { shard, n_shards } => Ok((stream, shard, n_shards)),
+        Frame::Error(e) => Err(WireError::Remote(format!(
+            "{addr} refused the connection: {e}"
+        ))),
+        other => Err(WireError::Remote(format!(
+            "expected a greeting from {addr}, got frame {:#04x}",
+            other.tag()
+        ))),
+    }
+}
 
 /// The cluster's owner-side replication state: the authoritative
 /// snapshot the deltas are journaled against, one seq counter and one
@@ -268,12 +293,12 @@ impl WireCluster {
     }
 
     /// The client-facing front-end address (ephemeral loopback port).
-    pub fn front_addr(&self) -> std::net::SocketAddr {
+    pub fn front_addr(&self) -> SocketAddr {
         self.front.local_addr()
     }
 
     /// The per-shard server addresses, in shard order.
-    pub fn shard_addrs(&self) -> Vec<std::net::SocketAddr> {
+    pub fn shard_addrs(&self) -> Vec<SocketAddr> {
         self.servers.iter().map(|s| s.local_addr()).collect()
     }
 

@@ -1,9 +1,10 @@
 //! Connection multiplexing: one socket, many concurrent exchanges.
 //!
-//! The legacy transport pattern — lock the connection, write a request,
-//! block on the reply — serializes every caller sharing a shard link:
-//! a 16-worker query wave degrades to 16 sequential round trips per
-//! shard. [`MuxConn`] replaces it with the classic tagged-frame design:
+//! Lock the connection, write a request, block on the reply: that
+//! pattern serializes every caller sharing a shard link — a 16-worker
+//! query wave degrades to 16 sequential round trips per shard.
+//! [`MuxConn`] is the classic tagged-frame design instead, and the only
+//! way reads and scrapes reach a shard:
 //!
 //! * every request is stamped with a `req_id u32` and travels as
 //!   [`Frame::Tagged`] (or packed with its contemporaries into one
@@ -21,11 +22,12 @@
 //!
 //! Encoding reuses one scratch buffer per connection
 //! ([`Frame::encode_into`]), so a steady-state sender allocates only
-//! for payload bodies. Replication frames, scrapes and query waves all
-//! share the link: the server's connection threads answer tagged
-//! requests out of order (leader/followers, see [`crate::server`]) but
-//! serve sequenced replication frames in arrival order, so the `SeqGap`
-//! protocol's ordering survives multiplexing.
+//! for payload bodies. Scrapes and query waves share the link: the
+//! server's connection threads answer enveloped requests out of order
+//! (leader/followers, see [`crate::server`]). Replication does not ride
+//! here — a shard applies sequenced frames only when they arrive bare
+//! (a [`ReplicaWriter`](crate::repl::ReplicaWriter)'s socket) and
+//! refuses an enveloped one with a typed error.
 //!
 //! An exchange has two halves. [`MuxConn::issue`] registers the reply
 //! slot, enqueues and flushes, and returns an [`InFlight`] handle with
@@ -43,9 +45,9 @@
 //! the death cause (`issue` itself never fails: on an already-dead
 //! connection nothing is sent and the `wait` reports why). The owner
 //! ([`RemoteShard`](crate::frontend::RemoteShard)) drops the poisoned
-//! connection and redials under its retry/failover policy, exactly as
-//! it did per-stream. An [`InFlight`] dropped un-waited releases its
-//! reply slot; a reply that lands afterwards is discarded.
+//! connection and redials under its retry/failover policy. An
+//! [`InFlight`] dropped un-waited releases its reply slot; a reply that
+//! lands afterwards is discarded.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -131,20 +133,7 @@ impl MuxConn {
         addr: SocketAddr,
         max_frame: u32,
     ) -> Result<(Arc<MuxConn>, u16, u16), WireError> {
-        let mut stream =
-            TcpStream::connect(addr).map_err(|e| WireError::from(e).with_peer(addr))?;
-        stream.set_nodelay(true).ok();
-        let (shard, n_shards) =
-            match Frame::read(&mut stream, max_frame).map_err(|e| e.with_peer(addr))? {
-                Frame::Hello { shard, n_shards } => (shard, n_shards),
-                Frame::Error(e) => return Err(e),
-                other => {
-                    return Err(WireError::Remote(format!(
-                        "expected greeting from {addr}, got frame {:#04x}",
-                        other.tag()
-                    )))
-                }
-            };
+        let (stream, shard, n_shards) = crate::dial(addr, max_frame)?;
         let sock = stream
             .try_clone()
             .map_err(|e| WireError::from(e).with_peer(addr))?;
@@ -201,7 +190,7 @@ impl MuxConn {
     /// threads may call this at once and their exchanges interleave on
     /// the shared socket. Returns the enveloped reply as-is — a shard's
     /// [`Frame::Error`] answer comes back as `Ok(Frame::Error(..))` for
-    /// the caller to map, matching the legacy exchange surface.
+    /// the caller to map.
     pub fn call(&self, req: &Frame) -> Result<Frame, WireError> {
         self.call_ctx(req, None)
     }

@@ -4,8 +4,13 @@
 //!
 //! Design rules:
 //!
-//! * **Fixed-width little-endian, no padding** — encode→decode is the
-//!   identity for every frame type (property-pinned in
+//! * **One payload form per frame.** Scalars are fixed-width
+//!   little-endian with no padding; the wave requests' host lists, the
+//!   union-slice bitset and the store-length list — the collections that
+//!   dominate a fan-out's bytes — are var-int / delta / run-length packed.
+//!   A frame encodes the same bytes bare and inside an envelope, and
+//!   encode→decode is the identity for every frame type (property-pinned,
+//!   with golden bytes for the packed layouts, in
 //!   `tests/wireplane_props.rs`), so a verdict that crosses the wire is
 //!   bit-identical to one that never left the process.
 //! * **Decoding never panics.** Truncated or corrupt input surfaces as a
@@ -35,6 +40,11 @@
 //! | `SnapshotInstall` | owner → replica | full-state bootstrap at a seq |
 //! | `ReplicaStatusReq/Rep` | any → replica | applied-seq probe |
 //! | `Error` | any | typed failure |
+//!
+//! On a shard socket the read and scrape requests (`0x1x`) travel only
+//! inside [`Frame::Tagged`]/[`Frame::Batch`] envelopes and the
+//! replication frames only bare; [`crate::server`] refuses either shape
+//! carrying the other's content. The client plane is bare throughout.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
@@ -283,27 +293,6 @@ impl Wire for EpochRange {
             lo: d.get_u64()?,
             hi: d.get_u64()?,
         })
-    }
-}
-
-impl Wire for BitSet {
-    fn enc(&self, e: &mut Enc) {
-        e.put_usize(self.capacity());
-        self.words().to_vec().enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        let nbits = d.get_usize()?;
-        let words = Vec::<u64>::dec(d)?;
-        // The capacity must match the words actually present: a corrupt
-        // `nbits` must not drive `from_words`'s zero-fill allocation
-        // (the encoder always writes exactly ⌈nbits/64⌉ words).
-        if nbits.div_ceil(64) != words.len() {
-            return Err(WireError::Truncated {
-                needed: nbits.div_ceil(64),
-                have: words.len(),
-            });
-        }
-        Ok(BitSet::from_words(nbits, &words))
     }
 }
 
@@ -1050,13 +1039,13 @@ impl Wire for WireSpan {
 //
 // Envelope entries may carry a compact [`TraceContext`] between the
 // correlation id and the inner tag, introduced by a marker byte that is
-// never a valid frame tag. A context-free envelope therefore encodes
-// byte-identically to the PR 9 layout (differentially pinned in
-// `tests/wireplane_props.rs`), and old endpoints keep decoding frames
-// from new peers that have tracing disabled.
+// never a valid frame tag, so a context-free envelope pays no byte for
+// the extension (both layouts are pinned byte for byte in
+// `tests/wireplane_props.rs`).
 
 /// Marker byte announcing an embedded trace context. `0xFF` is not a
-/// frame tag and never will be, so old payloads are unambiguous.
+/// frame tag and never will be, so the byte after a correlation id is
+/// unambiguous.
 const TRACE_CTX_MARKER: u8 = 0xFF;
 
 /// Appends the optional context: nothing, or `0xFF | trace | span | flags`.
@@ -1097,16 +1086,13 @@ fn dec_ctx_then_tag(d: &mut Dec) -> Result<(Option<TraceContext>, u8), WireError
 }
 
 // ----------------------------------------------------------------------
-// Compact batch codec helpers
+// Packed collection helpers
 // ----------------------------------------------------------------------
 //
-// Inside a [`Frame::Tagged`]/[`Frame::Batch`] envelope, payloads use a
-// *compact* encoding: var-int lengths, delta-packed host-id lists and
-// run-length bitsets, instead of the fixed-width legacy layout. The
-// compact codec is differential-tested against the legacy one — for
-// every frame type, compact decode(compact encode(f)) == legacy
-// decode(legacy encode(f)) — so a value that crosses the wire in a
-// batch is bit-identical to one that crossed frame-per-call.
+// The collections that dominate a fan-out's bytes — the wave requests'
+// host-id lists, the union-slice bitset, the store-length list — travel
+// var-int packed: delta-coded ids, run-length bitsets, var-int lengths.
+// Each is the frame's only payload form, bare or enveloped.
 
 /// Delta-packed id list: `count | first | zigzag deltas`. A sorted host
 /// list costs ~1 byte per id instead of 4.
@@ -1145,15 +1131,15 @@ fn dec_ids_delta(d: &mut Dec) -> Result<Vec<NodeId>, WireError> {
 }
 
 /// Cumulative allocation budget, in bytes of decoded bitset backing
-/// words, shared by ALL compact payloads of one frame. A run-length
-/// bitset legitimately compresses far below its word array, so capacity
-/// cannot be bounded by the bytes encoding *it* — but it can be bounded
-/// by what one maximal legacy frame could carry: [`MAX_FRAME`] bytes of
-/// words. Charging every bitset in a frame against one shared budget
-/// means a hostile `Batch` of many compactly-encoded huge bitsets
-/// allocates no more in total than a single maximal legacy frame would,
-/// instead of 64 MB *per ~10-byte entry*.
-const COMPACT_BITSET_BUDGET: usize = MAX_FRAME as usize;
+/// words, shared by every bitset of one frame — a bare `UnionSliceRep`
+/// or all the entries of an envelope. A run-length bitset legitimately
+/// compresses far below its word array, so capacity cannot be bounded by
+/// the bytes encoding *it* — but it can be bounded by what one maximal
+/// frame could carry as a plain word array: [`MAX_FRAME`] bytes.
+/// Charging every bitset in a frame against one shared budget means a
+/// hostile `Batch` of many huge run-length bitsets allocates no more in
+/// total than that, instead of 64 MB *per ~10-byte entry*.
+const BITSET_BUDGET: usize = MAX_FRAME as usize;
 
 /// Run-length bitset: `capacity | runs…`, alternating zero/one runs
 /// starting with a zero run. Pointer-union slices are sparse and
@@ -1179,10 +1165,9 @@ fn enc_bitset_runs(b: &BitSet, e: &mut Enc) {
 fn dec_bitset_runs(d: &mut Dec, budget: &mut usize) -> Result<BitSet, WireError> {
     let nbits = d.get_varint()? as usize;
     // Charge the decoded word-array size against the frame's shared
-    // [`COMPACT_BITSET_BUDGET`]: a single bitset may claim at most what
-    // one maximal legacy frame could carry, and every bitset in the
-    // same frame draws down the same budget, so hostile repetition
-    // inside a `Batch` cannot multiply the allocation.
+    // [`BITSET_BUDGET`] before allocating: every bitset in the same
+    // frame draws down the same budget, so hostile repetition inside a
+    // `Batch` cannot multiply the allocation.
     let word_bytes = nbits.div_ceil(64).saturating_mul(8);
     if word_bytes > *budget {
         return Err(WireError::Oversize(u32::MAX));
@@ -1401,9 +1386,8 @@ pub enum Frame {
         applied: u64,
     },
 
-    // Multiplexing envelopes (fast path; PR 9). Inner frames travel in
-    // their *compact* payload form ([`Frame::compact_payload`]) so the
-    // envelope is also where the var-int/delta codec pays off.
+    // Multiplexing envelopes: how every shard read and scrape travels.
+    // An inner frame's bytes are exactly its bare payload.
     /// One request or reply stamped with the caller's correlation id, so
     /// many exchanges can share a socket and complete out of order.
     Tagged {
@@ -1539,7 +1523,13 @@ impl Frame {
                 switch.enc(&mut e);
                 range.enc(&mut e);
             }
-            Frame::UnionSliceRep(v) => v.enc(&mut e),
+            Frame::UnionSliceRep(v) => match v {
+                None => e.put_u8(0),
+                Some(b) => {
+                    e.put_u8(1);
+                    enc_bitset_runs(b, &mut e);
+                }
+            },
             Frame::ProbeExactReq {
                 switch,
                 addr,
@@ -1572,8 +1562,8 @@ impl Frame {
                 flow.enc(&mut e);
             }
             Frame::TriggerRep(v) => v.enc(&mut e),
-            Frame::StoreLenWaveReq { hosts } => hosts.enc(&mut e),
-            Frame::StoreLenWaveRep(v) => v.enc(&mut e),
+            Frame::StoreLenWaveReq { hosts } => enc_ids_delta(hosts, &mut e),
+            Frame::StoreLenWaveRep(v) => enc_opt_u64s(v, &mut e),
             Frame::FilterWaveReq {
                 switch,
                 range,
@@ -1581,18 +1571,18 @@ impl Frame {
             } => {
                 switch.enc(&mut e);
                 range.enc(&mut e);
-                hosts.enc(&mut e);
+                enc_ids_delta(hosts, &mut e);
             }
             Frame::FilterWaveRep(v) => v.enc(&mut e),
             Frame::TopKWaveReq { switch, k, hosts } => {
                 switch.enc(&mut e);
-                e.put_u64(*k);
-                hosts.enc(&mut e);
+                e.put_varint(*k);
+                enc_ids_delta(hosts, &mut e);
             }
             Frame::TopKWaveRep(v) => v.enc(&mut e),
             Frame::SizesWaveReq { switch, hosts } => {
                 switch.enc(&mut e);
-                hosts.enc(&mut e);
+                enc_ids_delta(hosts, &mut e);
             }
             Frame::SizesWaveRep(v) => v.enc(&mut e),
             Frame::HorizonReq => {}
@@ -1629,8 +1619,7 @@ impl Frame {
                 e.put_u64(*seq);
                 record.enc(&mut e);
                 // Optional trailer: `DeltaRecord` is self-delimiting, so
-                // old decoders see a context-free frame unchanged and new
-                // decoders recognize the marker after the record.
+                // a marker after the record is unambiguous.
                 enc_ctx(ctx, &mut e);
             }
             Frame::SnapshotInstall { shard, seq, view } => {
@@ -1651,7 +1640,7 @@ impl Frame {
                 e.put_u32(*req_id);
                 enc_ctx(ctx, &mut e);
                 e.put_u8(inner.tag());
-                e.put_raw(&inner.compact_payload());
+                e.put_raw(&inner.payload());
             }
             Frame::Batch(entries) => {
                 e.put_varint(entries.len() as u64);
@@ -1659,7 +1648,7 @@ impl Frame {
                     e.put_u32(*id);
                     enc_ctx(ctx, &mut e);
                     e.put_u8(f.tag());
-                    let p = f.compact_payload();
+                    let p = f.payload();
                     e.put_varint(p.len() as u64);
                     e.put_raw(&p);
                 }
@@ -1669,7 +1658,7 @@ impl Frame {
                 for (id, f) in entries {
                     e.put_u32(*id);
                     e.put_u8(f.tag());
-                    let p = f.compact_payload();
+                    let p = f.payload();
                     e.put_varint(p.len() as u64);
                     e.put_raw(&p);
                 }
@@ -1677,88 +1666,6 @@ impl Frame {
             Frame::Error(err) => err.enc(&mut e),
         }
         e.into_bytes()
-    }
-
-    /// The frame's payload in compact form: wave requests and their
-    /// replies swap fixed-width id lists and bitsets for the delta /
-    /// run-length codec. Only envelope interiors use this encoding — a
-    /// bare frame on the wire always carries its legacy [`payload`]
-    /// (`Frame::payload`), so old and new endpoints interoperate frame
-    /// by frame.
-    fn compact_payload(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        match self {
-            Frame::StoreLenWaveReq { hosts } => enc_ids_delta(hosts, &mut e),
-            Frame::FilterWaveReq {
-                switch,
-                range,
-                hosts,
-            } => {
-                switch.enc(&mut e);
-                range.enc(&mut e);
-                enc_ids_delta(hosts, &mut e);
-            }
-            Frame::TopKWaveReq { switch, k, hosts } => {
-                switch.enc(&mut e);
-                e.put_varint(*k);
-                enc_ids_delta(hosts, &mut e);
-            }
-            Frame::SizesWaveReq { switch, hosts } => {
-                switch.enc(&mut e);
-                enc_ids_delta(hosts, &mut e);
-            }
-            Frame::UnionSliceRep(v) => match v {
-                None => e.put_u8(0),
-                Some(b) => {
-                    e.put_u8(1);
-                    enc_bitset_runs(b, &mut e);
-                }
-            },
-            Frame::StoreLenWaveRep(v) => enc_opt_u64s(v, &mut e),
-            _ => return self.payload(),
-        }
-        e.into_bytes()
-    }
-
-    /// Decodes a payload produced by [`Frame::compact_payload`]. Rejects
-    /// the envelope tags themselves (`0x50..=0x52`): envelopes never
-    /// nest, which also bounds decode recursion at one level. `budget`
-    /// is the enclosing frame's shared [`COMPACT_BITSET_BUDGET`]
-    /// remainder — every bitset decoded anywhere in the frame draws it
-    /// down.
-    fn decode_compact(tag: u8, payload: &[u8], budget: &mut usize) -> Result<Frame, WireError> {
-        if (0x50..=0x52).contains(&tag) {
-            return Err(WireError::BadTag(tag));
-        }
-        let mut d = Dec::new(payload);
-        let frame = match tag {
-            0x15 => Frame::StoreLenWaveReq {
-                hosts: dec_ids_delta(&mut d)?,
-            },
-            0x16 => Frame::FilterWaveReq {
-                switch: NodeId::dec(&mut d)?,
-                range: EpochRange::dec(&mut d)?,
-                hosts: dec_ids_delta(&mut d)?,
-            },
-            0x17 => Frame::TopKWaveReq {
-                switch: NodeId::dec(&mut d)?,
-                k: d.get_varint()?,
-                hosts: dec_ids_delta(&mut d)?,
-            },
-            0x18 => Frame::SizesWaveReq {
-                switch: NodeId::dec(&mut d)?,
-                hosts: dec_ids_delta(&mut d)?,
-            },
-            0x20 => Frame::UnionSliceRep(match d.get_u8()? {
-                0 => None,
-                1 => Some(dec_bitset_runs(&mut d, budget)?),
-                t => return Err(WireError::BadTag(t)),
-            }),
-            0x25 => Frame::StoreLenWaveRep(dec_opt_u64s(&mut d)?),
-            _ => return Frame::decode(tag, payload),
-        };
-        d.finish()?;
-        Ok(frame)
     }
 
     /// Serializes the whole frame (length prefix + tag + payload) into a
@@ -1791,6 +1698,24 @@ impl Frame {
     /// Decodes a frame from its tag and payload. Any trailing bytes in
     /// the payload are a protocol error.
     pub fn decode(tag: u8, payload: &[u8]) -> Result<Frame, WireError> {
+        let mut budget = BITSET_BUDGET;
+        Self::decode_budgeted(tag, payload, &mut budget)
+    }
+
+    /// Decodes an envelope's interior: any frame but another envelope
+    /// (`0x50..=0x52`). Envelopes never nest, which also bounds decode
+    /// recursion at one level.
+    fn decode_inner(tag: u8, payload: &[u8], budget: &mut usize) -> Result<Frame, WireError> {
+        if (0x50..=0x52).contains(&tag) {
+            return Err(WireError::BadTag(tag));
+        }
+        Self::decode_budgeted(tag, payload, budget)
+    }
+
+    /// [`Frame::decode`] against the remainder of the outermost frame's
+    /// [`BITSET_BUDGET`]: every bitset decoded anywhere in that frame
+    /// draws it down.
+    fn decode_budgeted(tag: u8, payload: &[u8], budget: &mut usize) -> Result<Frame, WireError> {
         let mut d = Dec::new(payload);
         let frame = match tag {
             0x01 => Frame::Hello {
@@ -1818,21 +1743,21 @@ impl Frame {
                 flow: FlowId::dec(&mut d)?,
             },
             0x15 => Frame::StoreLenWaveReq {
-                hosts: Vec::dec(&mut d)?,
+                hosts: dec_ids_delta(&mut d)?,
             },
             0x16 => Frame::FilterWaveReq {
                 switch: NodeId::dec(&mut d)?,
                 range: EpochRange::dec(&mut d)?,
-                hosts: Vec::dec(&mut d)?,
+                hosts: dec_ids_delta(&mut d)?,
             },
             0x17 => Frame::TopKWaveReq {
                 switch: NodeId::dec(&mut d)?,
-                k: d.get_u64()?,
-                hosts: Vec::dec(&mut d)?,
+                k: d.get_varint()?,
+                hosts: dec_ids_delta(&mut d)?,
             },
             0x18 => Frame::SizesWaveReq {
                 switch: NodeId::dec(&mut d)?,
-                hosts: Vec::dec(&mut d)?,
+                hosts: dec_ids_delta(&mut d)?,
             },
             0x19 => Frame::HorizonReq,
             0x1A => Frame::StatsScrapeReq,
@@ -1842,12 +1767,16 @@ impl Frame {
                 addr: d.get_u64()?,
                 range: EpochRange::dec(&mut d)?,
             },
-            0x20 => Frame::UnionSliceRep(Option::dec(&mut d)?),
+            0x20 => Frame::UnionSliceRep(match d.get_u8()? {
+                0 => None,
+                1 => Some(dec_bitset_runs(&mut d, budget)?),
+                t => return Err(WireError::BadTag(t)),
+            }),
             0x21 => Frame::ProbeExactRep(Option::dec(&mut d)?),
             0x22 => Frame::StoreLenRep(Option::dec(&mut d)?),
             0x23 => Frame::RecordRep(Option::dec(&mut d)?),
             0x24 => Frame::TriggerRep(Option::dec(&mut d)?),
-            0x25 => Frame::StoreLenWaveRep(Vec::dec(&mut d)?),
+            0x25 => Frame::StoreLenWaveRep(dec_opt_u64s(&mut d)?),
             0x26 => Frame::FilterWaveRep(Vec::dec(&mut d)?),
             0x27 => Frame::TopKWaveRep(Vec::dec(&mut d)?),
             0x28 => Frame::SizesWaveRep(Vec::dec(&mut d)?),
@@ -1875,8 +1804,7 @@ impl Frame {
                 let seq = d.get_u64()?;
                 let record = DeltaRecord::dec(&mut d)?;
                 // The record is self-delimiting: any trailer must be a
-                // marked trace context, otherwise it is a protocol error
-                // (the old decoder's trailing-bytes rejection, kept).
+                // marked trace context, otherwise it is a protocol error.
                 let ctx = if d.remaining() > 0 {
                     let marker = d.get_u8()?;
                     if marker != TRACE_CTX_MARKER {
@@ -1910,8 +1838,7 @@ impl Frame {
             0x50 => {
                 let req_id = d.get_u32()?;
                 let (ctx, tag) = dec_ctx_then_tag(&mut d)?;
-                let mut budget = COMPACT_BITSET_BUDGET;
-                let inner = Frame::decode_compact(tag, d.take_rest(), &mut budget)?;
+                let inner = Frame::decode_inner(tag, d.take_rest(), budget)?;
                 Frame::Tagged {
                     req_id,
                     ctx,
@@ -1928,17 +1855,15 @@ impl Frame {
                         have: d.remaining(),
                     });
                 }
-                // One bitset-allocation budget for the whole batch: the
-                // entries share it, so N compact entries cannot decode
-                // into N maximal bitsets.
-                let mut budget = COMPACT_BITSET_BUDGET;
+                // The entries share the frame's bitset budget, so N small
+                // entries cannot decode into N maximal bitsets.
                 let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
                     let id = d.get_u32()?;
                     let (ctx, etag) = dec_ctx_then_tag(&mut d)?;
                     let len = d.get_varint()? as usize;
                     let payload = d.get_raw(len)?;
-                    entries.push((id, ctx, Frame::decode_compact(etag, payload, &mut budget)?));
+                    entries.push((id, ctx, Frame::decode_inner(etag, payload, budget)?));
                 }
                 Frame::Batch(entries)
             }
@@ -1950,14 +1875,13 @@ impl Frame {
                         have: d.remaining(),
                     });
                 }
-                let mut budget = COMPACT_BITSET_BUDGET;
                 let mut entries = Vec::with_capacity(count);
                 for _ in 0..count {
                     let id = d.get_u32()?;
                     let etag = d.get_u8()?;
                     let len = d.get_varint()? as usize;
                     let payload = d.get_raw(len)?;
-                    entries.push((id, Frame::decode_compact(etag, payload, &mut budget)?));
+                    entries.push((id, Frame::decode_inner(etag, payload, budget)?));
                 }
                 Frame::BatchRep(entries)
             }

@@ -4,7 +4,9 @@
 //! The writer is deliberately thin — it moves [`Frame::DeltaAppend`] /
 //! [`Frame::SnapshotInstall`] frames and surfaces the replica's typed
 //! answers ([`WireError::SeqGap`] when the replica's log position does
-//! not match, transport errors with peer context attached). Deciding
+//! not match, transport errors with peer context attached). The frames
+//! travel bare, never in an envelope: that is what makes the shard apply
+//! them in arrival order (see [`crate::server`]). Deciding
 //! *what* to do about a gap — replay the missing suffix from the log, or
 //! re-bootstrap — is policy, and lives in `replicaplane`'s publisher.
 
@@ -56,22 +58,14 @@ impl ReplicaWriter {
     }
 
     fn dial(&self) -> Result<TcpStream, WireError> {
-        let mut stream =
-            TcpStream::connect(self.addr).map_err(|e| WireError::from(e).with_peer(self.addr))?;
-        stream.set_nodelay(true).ok();
-        match Frame::read(&mut stream, self.max_frame).map_err(|e| e.with_peer(self.addr))? {
-            Frame::Hello { shard, .. } if shard as usize == self.shard => Ok(stream),
-            Frame::Hello { shard, .. } => Err(WireError::Remote(format!(
+        let (stream, shard, _n_shards) = crate::dial(self.addr, self.max_frame)?;
+        if shard as usize != self.shard {
+            return Err(WireError::Remote(format!(
                 "dialed replica of shard {} but shard {} answered at {}",
                 self.shard, shard, self.addr
-            ))),
-            Frame::Error(e) => Err(e),
-            other => Err(WireError::Remote(format!(
-                "expected greeting from {}, got frame {:#04x}",
-                self.addr,
-                other.tag()
-            ))),
+            )));
         }
+        Ok(stream)
     }
 
     /// One request/reply exchange with bounded reconnect-and-retry on

@@ -17,19 +17,24 @@
 //! the server greets with a typed [`WireError::Remote`] error frame and
 //! closes instead of queueing unboundedly. A connection's read half is a
 //! token. The thread holding it (the leader) reads and decodes one frame
-//! at a time. Frames ordered by arrival — legacy untagged requests,
-//! sequenced replication frames, batches carrying replication — it
-//! serves right there, token held. For any other multiplexed
-//! (`Tagged`/`Batch`) read it **passes the token on first** — to a
-//! thread parked on it, or to a follower started for it while fewer than
-//! `MAX_INFLIGHT_SERVES` exist — and then serves the request and writes
+//! at a time, and the socket has one grammar. *A bare frame is a
+//! sequenced replication frame* (`DeltaAppend`, `SnapshotInstall`,
+//! `ReplicaStatusReq`): the leader applies it right there, token held, so
+//! the log moves in arrival order. *A `Tagged`/`Batch` envelope is a read
+//! or a scrape* and may complete out of order: the leader **passes the
+//! token on first** — to a thread parked on it, or to a follower started
+//! for it while fewer than `MAX_INFLIGHT_SERVES` exist — and then serves
+//! the request and writes
 //! the reply itself: the thread that decoded a request is the thread that
 //! answers it, so no request waits on a hand-off, and the wake-up of the
 //! next reader happens beside the serve instead of in front of it.
 //! Replies complete out of order through one shared writer. At the
 //! follower cap the leader keeps the token and serves with it held, which
 //! stops the reading (backpressure; counted in `wire.serve_inline`).
-//! Followers are joined when the connection exits.
+//! Followers are joined when the connection exits. Anything else — a
+//! bare read or scrape, replication inside an envelope — is answered
+//! with a typed [`WireError::Remote`], moves no state and leaves the
+//! connection serving.
 //! Listeners always bind `127.0.0.1:0`; the kernel-chosen port travels
 //! back through [`ShardServer::local_addr`], so nothing in tests or CI
 //! ever races for a fixed port. Shutdown is graceful: the accept loop is
@@ -139,7 +144,7 @@ impl ReplMetrics {
 }
 
 /// Serves one replication frame against the shared state. Returns `None`
-/// for non-replication frames (the read-only `serve` path handles those).
+/// for every other frame.
 fn serve_replication(req: &Frame, ctx: &ServeCtx) -> Option<Frame> {
     let (my_shard, state, applied, m) = (ctx.shard, &ctx.state, &ctx.applied, &ctx.repl_metrics);
     let tracer = ctx.scrape_reg.tracer();
@@ -520,9 +525,11 @@ struct ServeCtx {
 
 impl ServeCtx {
     /// Serves one read-only request (scrape or shard read) and returns
-    /// the reply frame. Replication is NOT handled here — it must stay
-    /// in arrival order under the read token so the sequenced-log
-    /// ordering survives out-of-order tagged completion.
+    /// the reply frame. Replication never comes this way — it travels
+    /// bare and is applied in arrival order under the read token, so the
+    /// sequenced log is indifferent to out-of-order envelope completion;
+    /// an enveloped replication frame gets [`ShardState::serve`]'s typed
+    /// refusal like any other frame this role does not answer.
     ///
     /// When the request's envelope carried a [`TraceContext`], the whole
     /// serve — *including* any rigged [`ServeDelay`] — records as a
@@ -590,13 +597,6 @@ fn is_scrape(f: &Frame) -> bool {
     matches!(f, Frame::StatsScrapeReq | Frame::TraceScrapeReq)
 }
 
-fn is_replication(f: &Frame) -> bool {
-    matches!(
-        f,
-        Frame::DeltaAppend { .. } | Frame::SnapshotInstall { .. } | Frame::ReplicaStatusReq
-    )
-}
-
 /// Writes one whole frame through the shared per-connection writer in a
 /// single `write_all`, so concurrently serving threads never interleave
 /// partial frames on the socket.
@@ -608,19 +608,11 @@ fn is_replication(f: &Frame) -> bool {
 /// client's demux would wait on that `req_id` forever. Killing the
 /// socket makes the token holder's read fail, the peer's reader
 /// poisons every in-flight waiter, and the client fails over.
-fn write_shared(writer: &Mutex<TcpStream>, frame: &Frame) -> bool {
-    write_shared_observed(writer, frame, None)
-}
-
-/// [`write_shared`] with optional encode observation: the envelope
-/// paths pass the loop metrics here so `Tagged`/`Batch` replies land in
-/// `wire.encode_ns` like legacy replies do (scrape replies stay
-/// unobserved to keep scrapes side-effect-free).
-fn write_shared_observed(
-    writer: &Mutex<TcpStream>,
-    frame: &Frame,
-    m: Option<&WireLoopMetrics>,
-) -> bool {
+///
+/// Read replies pass the loop metrics as `m`, so their encode lands in
+/// `wire.encode_ns`; everything else (scrape replies, which stay
+/// side-effect-free, replication acks, errors) passes `None`.
+fn write_shared(writer: &Mutex<TcpStream>, frame: &Frame, m: Option<&WireLoopMetrics>) -> bool {
     let encode_started = Instant::now();
     let ok = match frame.to_frame_bytes() {
         Ok(buf) => {
@@ -674,9 +666,9 @@ impl Conn {
 
     /// One thread's life on the connection — follower and leader by
     /// turns. As a follower it parks on the token. As the leader it reads
-    /// and decodes one frame at a time and serves everything ordered by
-    /// arrival right there ([`Conn::serve_in_order`]); when a read that
-    /// may complete out of order comes in, it passes the token on *first*
+    /// and decodes one frame at a time and applies bare replication
+    /// frames right there ([`Conn::serve_in_order`]); when an enveloped
+    /// read comes in, it passes the token on *first*
     /// ([`Conn::release`]) and then serves and answers the request itself,
     /// so the request never changes hands. It counts as free again before
     /// it writes the reply: a client that sends its next request the
@@ -686,20 +678,17 @@ impl Conn {
         while let Some(mut token) = self.take_token() {
             self.free.fetch_sub(1, Ordering::SeqCst);
             loop {
-                let Some(req) = self.serve_in_order(&mut token) else {
+                let Some((req, observed)) = self.serve_in_order(&mut token) else {
                     token.closed = true;
                     return;
                 };
                 let kept = self.release(token);
-                let (reply, observed) = self.serve_envelope(req);
+                let reply = self.serve_envelope(req);
                 if kept.is_none() {
                     self.free.fetch_add(1, Ordering::SeqCst);
                 }
-                let written = write_shared_observed(
-                    &self.writer,
-                    &reply,
-                    observed.then_some(&self.ctx.metrics),
-                );
+                let m = observed.then_some(&self.ctx.metrics);
+                let written = write_shared(&self.writer, &reply, m);
                 match kept {
                     // Not the leader any more; a failed write shut the
                     // socket down, which the leader's read will notice.
@@ -744,13 +733,16 @@ impl Conn {
         None
     }
 
-    /// The leader's read loop: returns the next `Tagged`/`Batch` read that
-    /// may complete out of order, after serving — token held, in arrival
-    /// order — every frame before it that may not: sequenced replication
-    /// frames (or `SeqGap` would fire on every reordering), batches
-    /// carrying them, and legacy untagged requests. `None` when the
-    /// connection is over.
-    fn serve_in_order(&self, token: &mut ReadToken) -> Option<Frame> {
+    /// The leader's read loop: returns the next `Tagged`/`Batch` envelope
+    /// — a read or scrape that may complete out of order — after
+    /// applying, token held and in arrival order, every bare replication
+    /// frame before it (`SeqGap` would fire on any reordering). A bare
+    /// frame that is not replication is refused with a typed error and
+    /// the loop goes on. With the envelope comes whether its decode and
+    /// encode are observed in the `wire.*_ns` histograms: an envelope of
+    /// nothing but scrapes is not — scrapes stay side-effect-free.
+    /// `None` when the connection is over.
+    fn serve_in_order(&self, token: &mut ReadToken) -> Option<(Frame, bool)> {
         let ctx = &*self.ctx;
         let m = &ctx.metrics;
         loop {
@@ -760,7 +752,7 @@ impl Conn {
                 Err(e) => {
                     // Framing is lost: report the typed error and drop
                     // the connection (the client reconnects).
-                    let _ = write_shared(&self.writer, &Frame::Error(e));
+                    let _ = write_shared(&self.writer, &Frame::Error(e), None);
                     return None;
                 }
             };
@@ -768,108 +760,55 @@ impl Conn {
             let req = match Frame::decode(tag, &payload) {
                 Ok(req) => req,
                 Err(e) => {
-                    let _ = write_shared(&self.writer, &Frame::Error(e));
+                    let _ = write_shared(&self.writer, &Frame::Error(e), None);
                     return None;
                 }
             };
             let decode_elapsed = decode_started.elapsed();
-            let (reply, observed) = match req {
-                Frame::Tagged {
-                    req_id, ref inner, ..
-                } => {
-                    // Tagged scrapes stay side-effect-free: not even
-                    // their decode is recorded.
-                    if !is_scrape(inner) {
-                        m.decode_ns.record_duration(decode_elapsed);
+            let observed = match &req {
+                Frame::Tagged { inner, .. } => !is_scrape(inner),
+                Frame::Batch(entries) => !entries.iter().all(|(_, _, f)| is_scrape(f)),
+                bare => {
+                    let reply = serve_replication(bare, ctx).unwrap_or_else(|| {
+                        Frame::Error(WireError::Remote(format!(
+                            "shard {} serves frame {tag:#04x} only inside a Tagged/Batch \
+                             envelope; bare frames are replication",
+                            ctx.shard
+                        )))
+                    });
+                    if !write_shared(&self.writer, &reply, None) {
+                        return None;
                     }
-                    let Some(reply) = serve_replication(inner, ctx) else {
-                        return Some(req);
-                    };
-                    (
-                        Frame::Tagged {
-                            req_id,
-                            ctx: None,
-                            inner: Box::new(reply),
-                        },
-                        true,
-                    )
+                    continue;
                 }
-                Frame::Batch(ref entries) if entries.iter().any(|(_, _, f)| is_replication(f)) => {
-                    m.decode_ns.record_duration(decode_elapsed);
-                    let replies = entries
-                        .iter()
-                        .map(|(id, tctx, f)| {
-                            let reply = serve_replication(f, ctx)
-                                .unwrap_or_else(|| ctx.serve_read(f, *tctx));
-                            (*id, reply)
-                        })
-                        .collect();
-                    (Frame::BatchRep(replies), true)
-                }
-                Frame::Batch(ref entries) => {
-                    if !entries.iter().all(|(_, _, f)| is_scrape(f)) {
-                        m.decode_ns.record_duration(decode_elapsed);
-                    }
-                    return Some(req);
-                }
-                // Legacy untagged path. Scrapes are answered entirely
-                // side-effect-free — not even their own decode/encode is
-                // recorded — so the snapshot that crosses the wire is
-                // exactly the server registry's.
-                req => match ctx.serve_scrape(&req) {
-                    Some(reply) => (reply, false),
-                    None => match serve_replication(&req, ctx) {
-                        // Replication frames are the one write path (the
-                        // shared `serve` is read-only).
-                        Some(reply) => (reply, false),
-                        None => {
-                            m.decode_ns.record_duration(decode_elapsed);
-                            let serve_started = Instant::now();
-                            let reply = {
-                                let state = ctx.state.read().unwrap().clone();
-                                state.serve(&req)
-                            };
-                            m.serve_ns.record_duration(serve_started.elapsed());
-                            m.frames_served.inc();
-                            (reply, true)
-                        }
-                    },
-                },
             };
-            if !write_shared_observed(&self.writer, &reply, observed.then_some(m)) {
-                return None;
+            if observed {
+                m.decode_ns.record_duration(decode_elapsed);
             }
+            return Some((req, observed));
         }
     }
 
     /// Serves one multiplexed read — a tagged request, or a whole wave
     /// batch answered with one `BatchRep` — and returns the reply
-    /// envelope, plus whether its encode is observed in `wire.encode_ns`
-    /// (scrapes are not — they stay side-effect-free).
-    fn serve_envelope(&self, req: Frame) -> (Frame, bool) {
+    /// envelope.
+    fn serve_envelope(&self, req: Frame) -> Frame {
         match req {
             Frame::Tagged {
                 req_id,
                 ctx: tctx,
                 inner,
-            } => (
-                Frame::Tagged {
-                    req_id,
-                    ctx: None,
-                    inner: Box::new(self.ctx.serve_read(&inner, tctx)),
-                },
-                !is_scrape(&inner),
-            ),
-            Frame::Batch(entries) => {
-                let replies = entries
+            } => Frame::Tagged {
+                req_id,
+                ctx: None,
+                inner: Box::new(self.ctx.serve_read(&inner, tctx)),
+            },
+            Frame::Batch(entries) => Frame::BatchRep(
+                entries
                     .iter()
                     .map(|(id, tctx, f)| (*id, self.ctx.serve_read(f, *tctx)))
-                    .collect();
-                (
-                    Frame::BatchRep(replies),
-                    !entries.iter().all(|(_, _, f)| is_scrape(f)),
-                )
-            }
+                    .collect(),
+            ),
             other => unreachable!(
                 "serve_in_order hands off envelopes only, got frame {:#04x}",
                 other.tag()
@@ -1057,10 +996,11 @@ mod tests {
             .counter("wire.serve_spawns")
     }
 
-    /// Sequential tagged traffic is served by one parked worker, woken per
-    /// request — the worker count follows concurrency, not request count.
+    /// Sequential tagged traffic is served by one parked follower, woken
+    /// per request — the follower count follows concurrency, not request
+    /// count.
     #[test]
-    fn sequential_tagged_calls_reuse_one_serve_worker() {
+    fn sequential_tagged_calls_reuse_one_follower() {
         let cluster = one_shard_cluster();
         let (mux, _, _) = MuxConn::connect(cluster.shard_addrs()[0], MAX_FRAME).unwrap();
         let before = serve_spawns(&cluster);
@@ -1079,11 +1019,11 @@ mod tests {
     }
 
     /// 40 requests in flight at once on one connection: the first
-    /// `MAX_INFLIGHT_SERVES` each get a worker, the next is served inline
-    /// on the read loop (which therefore stops reading — backpressure),
-    /// and every reply still pairs with its request.
+    /// `MAX_INFLIGHT_SERVES` each get a follower, the next is served by
+    /// the leader with the token held (which therefore stops reading —
+    /// backpressure), and every reply still pairs with its request.
     #[test]
-    fn concurrent_requests_past_the_worker_cap_are_served_inline() {
+    fn concurrent_requests_past_the_follower_cap_are_served_inline() {
         const REQUESTS: u32 = 40;
         let cluster = one_shard_cluster();
         let before = serve_spawns(&cluster);
@@ -1179,12 +1119,12 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// Shutdown with a serve in flight: the worker is joined (not
+    /// Shutdown with a serve in flight: the serving thread is joined (not
     /// abandoned), shutdown does not hang on it, and the caller whose
     /// connection was closed under it sees a transport error — never a
     /// reply written after the close.
     #[test]
-    fn shutdown_joins_a_worker_that_is_mid_serve() {
+    fn shutdown_joins_a_follower_that_is_mid_serve() {
         let cluster = one_shard_cluster();
         let (mux, _, _) = MuxConn::connect(cluster.shard_addrs()[0], MAX_FRAME).unwrap();
         let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
@@ -1235,7 +1175,7 @@ mod tests {
         let writer = Mutex::new(server_side);
 
         // An encodable frame goes through and reports success.
-        assert!(write_shared(&writer, &Frame::HorizonRep(7)));
+        assert!(write_shared(&writer, &Frame::HorizonRep(7), None));
 
         // A payload over MAX_FRAME fails to encode: write_shared must
         // report failure AND shut the stream down.
@@ -1244,7 +1184,7 @@ mod tests {
             seq: 1,
             view: vec![0u8; MAX_FRAME as usize],
         };
-        assert!(!write_shared(&writer, &oversize));
+        assert!(!write_shared(&writer, &oversize, None));
 
         // Drain the good frame, then expect EOF — not a hang, and not
         // more data.
@@ -1284,15 +1224,19 @@ mod tests {
     }
 
     /// A serve gate instead of a timer: every multiplexed serve announces
-    /// itself, then blocks until the test opens the gate.
-    struct Gate {
+    /// itself, then blocks until the test opens the gate. Dropping it
+    /// opens it, so a failing assertion unwinds into a server whose
+    /// threads can be joined instead of one parked for good.
+    struct Gate(Arc<GateState>);
+
+    struct GateState {
         state: Mutex<(usize, bool)>,
         cond: Condvar,
     }
 
     impl Gate {
-        fn install(server: &ShardServer) -> Arc<Gate> {
-            let gate = Arc::new(Gate {
+        fn install(server: &ShardServer) -> Gate {
+            let gate = Arc::new(GateState {
                 state: Mutex::new((0, false)),
                 cond: Condvar::new(),
             });
@@ -1306,12 +1250,13 @@ mod tests {
                 }
                 Duration::ZERO
             })));
-            gate
+            Gate(gate)
         }
 
         fn wait_parked(&self, n: usize) {
-            let g = self.state.lock().unwrap();
+            let g = self.0.state.lock().unwrap();
             let (g, timeout) = self
+                .0
                 .cond
                 .wait_timeout_while(g, Duration::from_secs(30), |g| g.0 < n)
                 .unwrap();
@@ -1319,17 +1264,25 @@ mod tests {
         }
 
         fn open(&self) {
-            self.state.lock().unwrap().1 = true;
-            self.cond.notify_all();
+            // Runs on unwind too, where a second panic would abort.
+            self.0.state.lock().unwrap_or_else(|e| e.into_inner()).1 = true;
+            self.0.cond.notify_all();
+        }
+    }
+
+    impl Drop for Gate {
+        fn drop(&mut self) {
+            self.open();
         }
     }
 
     /// Dials `addr` and returns the socket with the first frame the
-    /// server sent on it: the greeting, or a refusal.
+    /// server sent on it: the greeting, or a refusal. Reads time out, so
+    /// a reply that never comes fails the test instead of hanging it.
     fn dial(addr: SocketAddr) -> (TcpStream, Frame) {
         let mut stream = TcpStream::connect(addr).unwrap();
         stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
+            .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         let first = Frame::read(&mut stream, MAX_FRAME).unwrap();
         (stream, first)
@@ -1425,9 +1378,9 @@ mod tests {
         server.shutdown();
     }
 
-    /// Sequenced replication frames are served by whoever holds the read
+    /// Bare replication frames are applied by whoever holds the read
     /// token, in arrival order, however many reads are parked around
-    /// them: 16 appends interleaved with 16 gated reads all ack in
+    /// them: 16 appends interleaved with 16 gated tagged reads all ack in
     /// sequence — no `SeqGap` — before a single read has answered.
     #[test]
     fn appends_interleaved_with_parked_reads_apply_in_arrival_order() {
@@ -1440,7 +1393,7 @@ mod tests {
             tagged(1000 + seq as u32, Frame::HorizonReq)
                 .write(&mut stream)
                 .unwrap();
-            let append = Frame::DeltaAppend {
+            Frame::DeltaAppend {
                 shard: 0,
                 seq,
                 record: queryplane::DeltaRecord {
@@ -1448,19 +1401,10 @@ mod tests {
                     ..Default::default()
                 },
                 ctx: None,
-            };
-            // Odd seqs travel tagged, even ones as legacy frames.
-            let ack = if seq % 2 == 1 {
-                tagged(seq as u32, append).write(&mut stream).unwrap();
-                match Frame::read(&mut stream, MAX_FRAME).unwrap() {
-                    Frame::Tagged { req_id, inner, .. } if req_id == seq as u32 => *inner,
-                    other => panic!("append {seq}: expected its tagged ack, got {other:?}"),
-                }
-            } else {
-                append.write(&mut stream).unwrap();
-                Frame::read(&mut stream, MAX_FRAME).unwrap()
-            };
-            match ack {
+            }
+            .write(&mut stream)
+            .unwrap();
+            match Frame::read(&mut stream, MAX_FRAME).unwrap() {
                 Frame::DeltaAck { applied, .. } => assert_eq!(applied, seq),
                 other => panic!("append {seq} was not applied: {other:?}"),
             }
@@ -1488,12 +1432,14 @@ mod tests {
         server.shutdown();
     }
 
-    /// Random mixes of tagged, batched, legacy and replication frames on
-    /// one socket, with some serves stretched so replies reorder: every
-    /// `req_id` is answered exactly once with what `ShardState::serve`
-    /// (or the replication log) answers for that request alone, batches
-    /// answer whole and in entry order, and untagged replies keep their
-    /// arrival order.
+    /// Random mixes of every shape a shard socket can be sent — bare
+    /// replication, tagged reads, read batches, and the two refused
+    /// shapes (a bare read, replication inside an envelope) — with some
+    /// serves stretched so replies reorder: every `req_id` is answered
+    /// exactly once with what `ShardState::serve` answers for that
+    /// request alone, batches answer whole and in entry order, bare
+    /// replies keep their arrival order, and a refusal is a typed error
+    /// that moves no state and leaves the link serving.
     #[test]
     fn any_frame_mix_on_one_socket_answers_what_each_request_alone_would() {
         use netsim::rng::DetRng;
@@ -1532,7 +1478,7 @@ mod tests {
             // Not a request at all: answered with a typed error.
             _ => Frame::HorizonRep(rng.next_u64()),
         };
-        // Replication that never moves the log (the oracle stays
+        // Bare replication that never moves the log (the oracle stays
         // stateless): a status read, or an append from the future.
         let gen_repl = |rng: &mut DetRng| match rng.next_below(2) {
             0 => Frame::ReplicaStatusReq,
@@ -1543,7 +1489,7 @@ mod tests {
                 ctx: None,
             },
         };
-        let oracle = |req: &Frame| match req {
+        let repl_oracle = |req: &Frame| match req {
             Frame::ReplicaStatusReq => Frame::ReplicaStatusRep {
                 shard: 0,
                 applied: 0,
@@ -1552,8 +1498,24 @@ mod tests {
                 expected: 1,
                 got: *seq,
             }),
-            read => state.serve(read),
+            other => panic!("not replication: {other:?}"),
         };
+        // Replication inside an envelope: the very next record of the
+        // log, so serving it by mistake would move `applied_seq` (and
+        // break every later `SeqGap { expected: 1, .. }` above).
+        let enveloped_append = Frame::DeltaAppend {
+            shard: 0,
+            seq: 1,
+            record: Default::default(),
+            ctx: None,
+        };
+        assert!(
+            matches!(
+                state.serve(&enveloped_append),
+                Frame::Error(WireError::Remote(_))
+            ),
+            "the envelope path must refuse replication"
+        );
 
         for seed in 0..12u64 {
             let mut rng = DetRng::new(0x5EED_0000 + seed);
@@ -1562,25 +1524,32 @@ mod tests {
             let mut next_id = 0u32;
             let mut by_id: BTreeMap<u32, String> = BTreeMap::new();
             let mut batches: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-            let mut legacy: VecDeque<String> = VecDeque::new();
+            // What each bare frame must be answered with, in arrival
+            // order; `None` for a bare read — any typed refusal.
+            let mut bare: VecDeque<Option<String>> = VecDeque::new();
             let frames = 24 + rng.next_below(40);
             for _ in 0..frames {
+                // Whatever an envelope carries, it is answered as
+                // `ShardState::serve` answers it.
                 let mut entry = |rng: &mut DetRng, repl: bool| {
-                    let req = if repl { gen_repl(rng) } else { gen_read(rng) };
+                    let req = if repl {
+                        enveloped_append.clone()
+                    } else {
+                        gen_read(rng)
+                    };
                     let id = next_id;
                     next_id += 1;
-                    by_id.insert(id, format!("{:?}", oracle(&req)));
+                    by_id.insert(id, format!("{:?}", state.serve(&req)));
                     (id, req)
                 };
                 let frame = match rng.next_below(6) {
                     0 => {
-                        let req = gen_read(&mut rng);
-                        legacy.push_back(format!("{:?}", oracle(&req)));
-                        req
+                        bare.push_back(None);
+                        gen_read(&mut rng)
                     }
                     1 => {
                         let req = gen_repl(&mut rng);
-                        legacy.push_back(format!("{:?}", oracle(&req)));
+                        bare.push_back(Some(format!("{:?}", repl_oracle(&req))));
                         req
                     }
                     2 => {
@@ -1593,7 +1562,7 @@ mod tests {
                     }
                     kind => {
                         // A batch of reads; every other one also carries
-                        // replication, which pins it to arrival order.
+                        // a replication entry, refused in its slot.
                         let n = 1 + rng.next_below(4);
                         let repl_at = (kind == 5).then(|| rng.next_below(n));
                         let entries: Vec<_> = (0..n)
@@ -1628,15 +1597,22 @@ mod tests {
                             check(*id, reply);
                         }
                     }
-                    untagged => assert_eq!(
-                        Some(format!("{untagged:?}")),
-                        legacy.pop_front(),
-                        "seed {seed}: untagged replies out of arrival order"
-                    ),
+                    untagged => match bare.pop_front() {
+                        Some(Some(want)) => assert_eq!(
+                            format!("{untagged:?}"),
+                            want,
+                            "seed {seed}: bare replies out of arrival order"
+                        ),
+                        Some(None) => assert!(
+                            matches!(untagged, Frame::Error(WireError::Remote(_))),
+                            "seed {seed}: a bare read was answered with {untagged:?}"
+                        ),
+                        None => panic!("seed {seed}: unasked bare reply {untagged:?}"),
+                    },
                 }
             }
             assert!(
-                by_id.is_empty() && batches.is_empty() && legacy.is_empty(),
+                by_id.is_empty() && batches.is_empty() && bare.is_empty(),
                 "seed {seed}: unanswered requests {by_id:?}"
             );
         }
