@@ -343,14 +343,20 @@ impl Analyzer {
         switch: NodeId,
         range: EpochRange,
     ) -> LoadImbalanceDiagnosis {
-        self.with_executor(|e| e.diagnose_load_imbalance(switch, range))
+        match self.execute(&QueryRequest::LoadImbalance { switch, range }) {
+            QueryResponse::LoadImbalance(d) => d,
+            other => unreachable!("LoadImbalance answered {}", other.class_name()),
+        }
     }
 
     /// Top-k flows through `switch` over `range` (§6.2). SwitchPointer
     /// contacts only hosts named by the pointer; the PathDump baseline must
     /// contact every server.
     pub fn top_k(&self, switch: NodeId, k: usize, range: EpochRange) -> TopKResult {
-        self.with_executor(|e| e.top_k(switch, k, range))
+        match self.execute(&QueryRequest::TopK { switch, k, range }) {
+            QueryResponse::TopK(r) => r,
+            other => unreachable!("TopK answered {}", other.class_name()),
+        }
     }
 
     /// Localizes where a flow's packets stopped flowing, using switch

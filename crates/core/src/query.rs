@@ -17,6 +17,27 @@
 //! batching and pointer-cache accounting replays these traces; the
 //! *answers* never depend on them, which is what makes "same seed + same
 //! queries ⇒ same verdicts, any worker count" hold by construction.
+//!
+//! ## Stages
+//!
+//! A query is a few *rounds* of state reads, and over a remote view each
+//! round is a network round trip. [`QueryExecutor::start`] therefore runs
+//! a query only as far as its next round: it returns [`Staged::Done`], or
+//! [`Staged::Pending`] with that round's requests already issued through
+//! the view's deferred forms ([`StateView::pointer_union_deferred`] and
+//! friends, each returning a [`Deferred`]) and a [`Stage`] to resume once
+//! they were sent. Whoever holds the stage is the **driver**: it calls
+//! [`StateView::flush`] — or, holding many stages over the same links,
+//! flushes the links once for all of them — and then resumes.
+//! [`QueryExecutor::execute_traced`] is the driver of one query; the wire
+//! front-end drives a whole wave in lock-step, so the wave's round leaves
+//! as one frame per shard however many queries it holds.
+//!
+//! The two aggregate classes ([`QueryRequest::TopK`],
+//! [`QueryRequest::LoadImbalance`]) are written once, in staged form;
+//! the other four run to `Done` inside `start`. A view that answers in
+//! process returns [`Deferred::Ready`], the continuation runs on the spot
+//! and no stage is ever allocated — `start` returns `Done`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -132,6 +153,77 @@ pub trait StateView {
     /// reference every override must equal bit for bit.
     fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool> {
         presence_by_epoch(self, switches, addr, range)
+    }
+
+    // ------------------------------------------------------------------
+    // Deferred forms of the reads the staged executors issue: the call
+    // *issues* the read and returns, [`Deferred::wait`] collects it.
+    // An in-process view has nothing to wait for, so the defaults answer
+    // `Ready` with the blocking form's result; a view over remote shards
+    // overrides them and [`StateView::flush`].
+    // ------------------------------------------------------------------
+
+    /// [`StateView::pointer_union`], issued now and collected later.
+    fn pointer_union_deferred(
+        &self,
+        switch: NodeId,
+        range: EpochRange,
+    ) -> Deferred<'_, Option<BitSet>> {
+        Deferred::Ready(self.pointer_union(switch, range))
+    }
+
+    /// [`StateView::top_k_wave`], issued now and collected later.
+    fn top_k_wave_deferred(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+        k: usize,
+    ) -> Deferred<'_, TopKWaveReply> {
+        Deferred::Ready(self.top_k_wave(hosts, switch, k))
+    }
+
+    /// [`StateView::sizes_wave`], issued now and collected later.
+    fn sizes_wave_deferred(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+    ) -> Deferred<'_, SizesWaveReply> {
+        Deferred::Ready(self.sizes_wave(hosts, switch))
+    }
+
+    /// Sends whatever the deferred forms have issued and not yet put on
+    /// the wire. Every pending [`Deferred`] must see a flush before it is
+    /// waited on, or its round trips run one after another. Nothing to do
+    /// for a view that answers in process.
+    fn flush(&self) {}
+}
+
+/// A reply that may still be on its way: what the deferred
+/// [`StateView`] forms and the fanned-out
+/// [`ShardBackend`](crate::shard::ShardBackend) methods return. An
+/// in-process source answers `Ready`; a remote one has issued its request
+/// and hands back the collect half of the exchange as `Pending`. Dropping
+/// a `Deferred` un-waited abandons the exchange (the closure owns
+/// whatever must be released).
+pub enum Deferred<'a, T> {
+    /// The reply is already here.
+    Ready(T),
+    /// Running the closure waits for the reply and returns it.
+    Pending(Box<dyn FnOnce() -> T + 'a>),
+}
+
+impl<T> Deferred<'_, T> {
+    /// Collects the reply, blocking until it has arrived.
+    pub fn wait(self) -> T {
+        match self {
+            Deferred::Ready(value) => value,
+            Deferred::Pending(wait) => wait(),
+        }
+    }
+
+    /// Whether [`Deferred::wait`] returns without waiting on anything.
+    pub fn is_ready(&self) -> bool {
+        matches!(self, Deferred::Ready(_))
     }
 }
 
@@ -360,6 +452,42 @@ pub struct QueryCtx<'a> {
     pub cost: &'a CostModel,
 }
 
+/// A query part-way through its rounds — what [`QueryExecutor::start`]
+/// and [`Stage::resume`] return.
+// `Done` is the common variant and is returned by value once per query;
+// boxing it would put an allocation on the in-process hot path.
+#[allow(clippy::large_enum_variant)]
+pub enum Staged<'a> {
+    /// The query ran to its answer.
+    Done(QueryResponse, ExecutionTrace),
+    /// The next round's requests are issued; flush the view, then resume
+    /// the stage to collect them and run on.
+    Pending(Stage<'a>),
+}
+
+/// The rest of a query whose current round is in flight.
+pub struct Stage<'a>(Box<dyn FnOnce() -> Staged<'a> + 'a>);
+
+impl<'a> Stage<'a> {
+    /// Collects the round in flight and runs the query to its next round
+    /// or its answer. The caller flushes the view first (see the module
+    /// docs); a resume without one still completes, one round trip at a
+    /// time.
+    pub fn resume(self) -> Staged<'a> {
+        (self.0)()
+    }
+}
+
+/// Runs `next` on `reply`: at once when the reply is already here, as the
+/// query's next [`Stage`] when it is still in flight. The only place a
+/// stage is allocated — a `Ready` reply never boxes anything.
+fn then<'a, T: 'a>(reply: Deferred<'a, T>, next: impl FnOnce(T) -> Staged<'a> + 'a) -> Staged<'a> {
+    match reply {
+        Deferred::Ready(value) => next(value),
+        Deferred::Pending(wait) => Staged::Pending(Stage(Box::new(move || next(wait())))),
+    }
+}
+
 /// The per-application query algorithms of §5, runnable over any
 /// [`StateView`].
 pub struct QueryExecutor<'a, V: StateView> {
@@ -382,8 +510,27 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
         self.execute_traced(req).0
     }
 
-    /// Runs `req` and additionally returns the execution trace.
-    pub fn execute_traced(mut self, req: &QueryRequest) -> (QueryResponse, ExecutionTrace) {
+    /// Runs `req` and additionally returns the execution trace: drives
+    /// [`QueryExecutor::start`] to completion, flushing the view before
+    /// every resume.
+    pub fn execute_traced(self, req: &QueryRequest) -> (QueryResponse, ExecutionTrace) {
+        let view = self.view;
+        let mut staged = self.start(req);
+        loop {
+            match staged {
+                Staged::Done(resp, trace) => return (resp, trace),
+                Staged::Pending(stage) => {
+                    view.flush();
+                    staged = stage.resume();
+                }
+            }
+        }
+    }
+
+    /// Runs `req` up to its first round still in flight. The aggregate
+    /// classes stop at every round a remote view defers; the diagnoses
+    /// and the drop localization always return [`Staged::Done`].
+    pub fn start(mut self, req: &QueryRequest) -> Staged<'a> {
         let resp = match *req {
             QueryRequest::Contention {
                 victim,
@@ -415,11 +562,9 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
                 max_depth,
             )),
             QueryRequest::LoadImbalance { switch, range } => {
-                QueryResponse::LoadImbalance(self.diagnose_load_imbalance(switch, range))
+                return self.diagnose_load_imbalance(switch, range)
             }
-            QueryRequest::TopK { switch, k, range } => {
-                QueryResponse::TopK(self.top_k(switch, k, range))
-            }
+            QueryRequest::TopK { switch, k, range } => return self.top_k(switch, k, range),
             QueryRequest::SilentDrop {
                 flow,
                 src,
@@ -427,7 +572,7 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
                 range,
             } => QueryResponse::SilentDrop(self.localize_silent_drop(flow, src, dst, range)),
         };
-        (resp, self.trace)
+        Staged::Done(resp, self.trace)
     }
 
     // ------------------------------------------------------------------
@@ -436,10 +581,12 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
 
     /// Pulls the pointer union for `range` from `switch` and decodes it.
     pub fn hosts_for(&self, switch: NodeId, range: EpochRange) -> Vec<NodeId> {
-        let bits = self
-            .view
-            .pointer_union(switch, range)
-            .unwrap_or_else(|| panic!("no SwitchPointer component on {switch}"));
+        self.decode_union(switch, self.view.pointer_union(switch, range))
+    }
+
+    /// Decodes `switch`'s pulled pointer union into host ids.
+    fn decode_union(&self, switch: NodeId, bits: Option<BitSet>) -> Vec<NodeId> {
+        let bits = bits.unwrap_or_else(|| panic!("no SwitchPointer component on {switch}"));
         self.ctx.directory.hosts_in(&bits)
     }
 
@@ -813,17 +960,32 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     // §5.4 Load imbalance
     // ------------------------------------------------------------------
 
-    pub fn diagnose_load_imbalance(
+    /// Staged: one pointer-union round, then one link-sizes wave.
+    fn diagnose_load_imbalance(mut self, switch: NodeId, range: EpochRange) -> Staged<'a> {
+        let view = self.view;
+        then(view.pointer_union_deferred(switch, range), move |bits| {
+            let hosts = self.decode_union(switch, bits);
+            self.trace
+                .push_round(vec![(switch, range)], self.ctx.cost.pointer_retrieval(1));
+            let wave = view.sizes_wave_deferred(&hosts, switch);
+            then(wave, move |replies| {
+                let diagnosis = self.separate_links(hosts, replies);
+                Staged::Done(QueryResponse::LoadImbalance(diagnosis), self.trace)
+            })
+        })
+    }
+
+    /// The second half of the load-imbalance diagnosis: groups the wave's
+    /// flow sizes per egress link and tests the two busiest for a clean
+    /// separation.
+    fn separate_links(
         &mut self,
-        switch: NodeId,
-        range: EpochRange,
+        hosts: Vec<NodeId>,
+        replies: SizesWaveReply,
     ) -> LoadImbalanceDiagnosis {
-        let hosts = self.hosts_for(switch, range);
-        self.trace
-            .push_round(vec![(switch, range)], self.ctx.cost.pointer_retrieval(1));
         let mut per_link: BTreeMap<u16, Vec<u64>> = BTreeMap::new();
         let mut record_counts = Vec::with_capacity(hosts.len());
-        for (len, sizes) in self.view.sizes_wave(&hosts, switch) {
+        for (len, sizes) in replies {
             let Some(len) = len else {
                 record_counts.push(0);
                 continue;
@@ -882,13 +1044,27 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     // §6.2 Top-k query
     // ------------------------------------------------------------------
 
-    pub fn top_k(&mut self, switch: NodeId, k: usize, range: EpochRange) -> TopKResult {
-        let hosts = self.hosts_for(switch, range);
-        self.trace
-            .push_round(vec![(switch, range)], self.ctx.cost.pointer_retrieval(1));
+    /// Staged: one pointer-union round, then one top-k wave.
+    fn top_k(mut self, switch: NodeId, k: usize, range: EpochRange) -> Staged<'a> {
+        let view = self.view;
+        then(view.pointer_union_deferred(switch, range), move |bits| {
+            let hosts = self.decode_union(switch, bits);
+            self.trace
+                .push_round(vec![(switch, range)], self.ctx.cost.pointer_retrieval(1));
+            let wave = view.top_k_wave_deferred(&hosts, switch, k);
+            then(wave, move |replies| {
+                let result = self.merge_top_k(hosts, k, replies);
+                Staged::Done(QueryResponse::TopK(result), self.trace)
+            })
+        })
+    }
+
+    /// The second half of the top-k query: merges the per-host top-k
+    /// lists of the wave into the global one.
+    fn merge_top_k(&mut self, hosts: Vec<NodeId>, k: usize, replies: TopKWaveReply) -> TopKResult {
         let mut merged: Vec<(FlowId, u64)> = Vec::new();
         let mut record_counts = Vec::with_capacity(hosts.len());
-        for (len, flows) in self.view.top_k_wave(&hosts, switch, k) {
+        for (len, flows) in replies {
             let Some(len) = len else {
                 record_counts.push(0);
                 continue;

@@ -42,6 +42,7 @@ use crate::bitset::BitSet;
 use crate::cost::CostModel;
 use crate::host::TriggerEvent;
 use crate::hoststore::FlowRecord;
+pub use crate::query::Deferred;
 use crate::query::{
     presence_by_epoch, ExecutionTrace, FilterWaveReply, QueryExecutor, QueryRequest, QueryResponse,
     SizesWaveReply, StateView, TopKWaveReply,
@@ -444,15 +445,21 @@ impl<V: StateView> StateView for ShardedView<'_, V> {
 ///
 /// The five methods a router fans out to *several* shards at once
 /// (`union_slice` and the four host waves) return a [`Deferred`]: the
-/// call **issues** the request and returns, [`Deferred::wait`] collects
-/// the answer. A router that issues to every involved shard before it
-/// waits on the first keeps all of a fan-out's requests in flight
-/// together — one round trip of latency, whatever the shard count. The
-/// single-shard reads return their value directly; there is nothing to
-/// overlap them with.
+/// call **issues** the request and returns, [`ShardBackend::flush`] puts
+/// what was issued on the wire, [`Deferred::wait`] collects the answer.
+/// A router that issues to every involved shard, flushes them, and only
+/// then waits on the first keeps all of a fan-out's requests in flight
+/// together — one round trip of latency, whatever the shard count — and
+/// a driver holding many queries' routers flushes once for all of them.
+/// The single-shard reads return their value directly; there is nothing
+/// to overlap them with.
 pub trait ShardBackend {
     /// The directory shard this backend serves.
     fn shard_id(&self) -> usize;
+
+    /// Sends every request issued to this shard and not yet sent, as one
+    /// unit. Nothing to do for a backend that answers `Ready`.
+    fn flush(&self) {}
 
     /// This shard's masked slice of the pointer union for `range` at
     /// `switch` (`None` if the switch has no component). Slices across
@@ -493,29 +500,6 @@ pub trait ShardBackend {
 
     /// Batched link-sizes wave over owned hosts.
     fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> Deferred<'_, SizesWaveReply>;
-}
-
-/// A backend reply that may still be on its way: what the fanned-out
-/// [`ShardBackend`] methods return. An in-process backend answers
-/// `Ready`; a remote one has already put its request on the wire and
-/// hands back the collect half of the exchange as `Pending`. Dropping a
-/// `Deferred` un-waited abandons the exchange (the closure owns
-/// whatever must be released).
-pub enum Deferred<'a, T> {
-    /// The reply is already here.
-    Ready(T),
-    /// Running the closure waits for the reply and returns it.
-    Pending(Box<dyn FnOnce() -> T + 'a>),
-}
-
-impl<T> Deferred<'_, T> {
-    /// Collects the reply, blocking until it has arrived.
-    pub fn wait(self) -> T {
-        match self {
-            Deferred::Ready(value) => value,
-            Deferred::Pending(wait) => wait(),
-        }
-    }
 }
 
 /// The in-process [`ShardBackend`]: one shard's slice of a shared
@@ -630,7 +614,14 @@ pub struct RouterCounters {
 /// first issues its request to every involved shard, then collects the
 /// [`Deferred`] replies in shard order. The collect order is the old
 /// call order, so slices OR together and replies scatter back exactly as
-/// they always did — only the waiting overlaps.
+/// they always did — only the waiting overlaps. The seam between the two
+/// halves is public as the deferred [`StateView`] forms: they return
+/// after the issue half with the collect half as the [`Deferred`]
+/// (`Ready` when every backend answered in process), and the blocking
+/// forms are *issue, flush every backend, collect*. Counters move where
+/// the work happens — calls and rounds at issue, decoded bits and merges
+/// at collect — so a query's [`RouterCounters`] do not depend on who
+/// drove it.
 ///
 /// With `coalesce` off, wave reads degrade to one backend call per host,
 /// each waited on before the next is issued: the naive per-host RPC
@@ -712,18 +703,19 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
     }
 
     /// Routes one wave: groups `hosts` by owning shard (input order kept
-    /// within each group), issues one backend call to every involved
-    /// shard, then collects the replies in shard order and scatters them
-    /// back into input order. Without coalescing it is one call per
-    /// host, each collected before the next is issued.
-    fn route_wave<T>(
-        &self,
+    /// within each group) and issues one backend call to every involved
+    /// shard; the returned [`Deferred`] collects the replies in shard
+    /// order and scatters them back into input order. Without coalescing
+    /// it is one call per host, each flushed and collected before the
+    /// next is issued, and the reply is `Ready`.
+    fn route_wave<'s, T: 's>(
+        &'s self,
         hosts: &[NodeId],
         call: impl Fn(&'a B, &[NodeId]) -> Deferred<'a, Vec<T>>,
-        empty: impl Fn() -> T,
-    ) -> Vec<T> {
+        empty: impl Fn() -> T + 's,
+    ) -> Deferred<'s, Vec<T>> {
         if hosts.is_empty() {
-            return Vec::new();
+            return Deferred::Ready(Vec::new());
         }
         self.rounds.inc();
         self.wave_rounds.inc();
@@ -749,24 +741,61 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
                 for (i, h) in idxs.into_iter().zip(shard_hosts) {
                     self.rpcs.inc();
                     self.wave_rpcs.inc();
-                    let mut replies = call(&self.backends[s], std::slice::from_ref(&h)).wait();
-                    out[i] = replies.pop();
+                    out[i] = self
+                        .point_wave(s, |b| call(b, std::slice::from_ref(&h)))
+                        .pop();
                 }
             }
         }
-        for (idxs, reply) in issued {
-            let replies = reply.wait();
-            debug_assert_eq!(replies.len(), idxs.len());
-            for (i, reply) in idxs.into_iter().zip(replies) {
-                out[i] = Some(reply);
+        let pending = issued.iter().any(|(_, reply)| !reply.is_ready());
+        deferred(pending, move || {
+            for (idxs, reply) in issued {
+                let replies = reply.wait();
+                debug_assert_eq!(replies.len(), idxs.len());
+                for (i, reply) in idxs.into_iter().zip(replies) {
+                    out[i] = Some(reply);
+                }
             }
-        }
-        out.into_iter().map(|r| r.unwrap_or_else(&empty)).collect()
+            out.into_iter().map(|r| r.unwrap_or_else(&empty)).collect()
+        })
+    }
+
+    /// A point read that travels as a wave of one: issue to shard `s`,
+    /// flush it, collect.
+    fn point_wave<T>(&self, s: usize, call: impl FnOnce(&'a B) -> Deferred<'a, T>) -> T {
+        let reply = call(&self.backends[s]);
+        self.backends[s].flush();
+        reply.wait()
+    }
+
+    /// The blocking form of a routed read: flush what its issue half put
+    /// on the backends, then collect.
+    fn now<T>(&self, reply: Deferred<'_, T>) -> T {
+        self.flush();
+        reply.wait()
+    }
+}
+
+/// `collect` as a [`Deferred`]: run on the spot when nothing it collects
+/// is `pending`, boxed as the collect half otherwise.
+fn deferred<'s, T>(pending: bool, collect: impl FnOnce() -> T + 's) -> Deferred<'s, T> {
+    if pending {
+        Deferred::Pending(Box::new(collect))
+    } else {
+        Deferred::Ready(collect())
     }
 }
 
 impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
     fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Option<BitSet> {
+        self.now(self.pointer_union_deferred(switch, range))
+    }
+
+    fn pointer_union_deferred(
+        &self,
+        switch: NodeId,
+        range: EpochRange,
+    ) -> Deferred<'_, Option<BitSet>> {
         // Every shard contributes its masked slice; ORing the disjoint
         // slices reproduces the flat union byte-for-byte (the slot masks
         // partition the directory range — pinned by the DirectoryShard
@@ -782,27 +811,36 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
                 (b.shard_id(), b.union_slice(switch, range))
             })
             .collect();
-        let mut acc: Option<BitSet> = None;
-        let mut total = 0u64;
-        for (shard, slice) in issued {
-            let Some(slice) = slice.wait() else {
-                continue;
-            };
-            let ones = slice.count() as u64;
-            if ones > 0 {
-                self.decode_bits[shard].add(ones);
-                total += ones;
+        let pending = issued.iter().any(|(_, slice)| !slice.is_ready());
+        deferred(pending, move || {
+            let mut acc: Option<BitSet> = None;
+            let mut total = 0u64;
+            for (shard, slice) in issued {
+                let Some(slice) = slice.wait() else {
+                    continue;
+                };
+                let ones = slice.count() as u64;
+                if ones > 0 {
+                    self.decode_bits[shard].add(ones);
+                    total += ones;
+                }
+                match &mut acc {
+                    None => acc = Some(slice),
+                    Some(a) => a.union_with(&slice),
+                }
             }
-            match &mut acc {
-                None => acc = Some(slice),
-                Some(a) => a.union_with(&slice),
+            if self.backends.len() > 1 && acc.is_some() {
+                self.merges.inc();
+                self.merged_bits.add(total);
             }
+            acc
+        })
+    }
+
+    fn flush(&self) {
+        for b in self.backends {
+            b.flush();
         }
-        if self.backends.len() > 1 && acc.is_some() {
-            self.merges.inc();
-            self.merged_bits.add(total);
-        }
-        acc
     }
 
     fn pointer_contains_exact(
@@ -855,20 +893,18 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
     fn flows_matching(&self, host: NodeId, switch: NodeId, range: EpochRange) -> Vec<FlowRecord> {
         let s = self.owner(host);
         self.note_point_read(s);
-        self.backends[s]
-            .filter_wave(std::slice::from_ref(&host), switch, range)
-            .wait()
-            .pop()
-            .map(|(_, recs)| recs)
-            .unwrap_or_default()
+        self.point_wave(s, |b| {
+            b.filter_wave(std::slice::from_ref(&host), switch, range)
+        })
+        .pop()
+        .map(|(_, recs)| recs)
+        .unwrap_or_default()
     }
 
     fn top_k_through(&self, host: NodeId, switch: NodeId, k: usize) -> Vec<(FlowId, u64)> {
         let s = self.owner(host);
         self.note_point_read(s);
-        self.backends[s]
-            .top_k_wave(std::slice::from_ref(&host), switch, k)
-            .wait()
+        self.point_wave(s, |b| b.top_k_wave(std::slice::from_ref(&host), switch, k))
             .pop()
             .map(|(_, flows)| flows)
             .unwrap_or_default()
@@ -877,9 +913,7 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
     fn sizes_by_link(&self, host: NodeId, switch: NodeId) -> Vec<(u16, u64)> {
         let s = self.owner(host);
         self.note_point_read(s);
-        self.backends[s]
-            .sizes_wave(std::slice::from_ref(&host), switch)
-            .wait()
+        self.point_wave(s, |b| b.sizes_wave(std::slice::from_ref(&host), switch))
             .pop()
             .map(|(_, sizes)| sizes)
             .unwrap_or_default()
@@ -892,29 +926,46 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
     }
 
     fn store_len_wave(&self, hosts: &[NodeId]) -> Vec<Option<usize>> {
-        self.route_wave(hosts, |b, hs| b.store_len_wave(hs), || None)
+        self.now(self.route_wave(hosts, |b, hs| b.store_len_wave(hs), || None))
     }
 
     fn filter_wave(&self, hosts: &[NodeId], switch: NodeId, range: EpochRange) -> FilterWaveReply {
-        self.route_wave(
+        self.now(self.route_wave(
             hosts,
             |b, hs| b.filter_wave(hs, switch, range),
             || (None, Vec::new()),
-        )
+        ))
     }
 
     fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply {
+        self.now(self.top_k_wave_deferred(hosts, switch, k))
+    }
+
+    fn top_k_wave_deferred(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+        k: usize,
+    ) -> Deferred<'_, TopKWaveReply> {
         self.route_wave(
             hosts,
-            |b, hs| b.top_k_wave(hs, switch, k),
+            move |b, hs| b.top_k_wave(hs, switch, k),
             || (None, Vec::new()),
         )
     }
 
     fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> SizesWaveReply {
+        self.now(self.sizes_wave_deferred(hosts, switch))
+    }
+
+    fn sizes_wave_deferred(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+    ) -> Deferred<'_, SizesWaveReply> {
         self.route_wave(
             hosts,
-            |b, hs| b.sizes_wave(hs, switch),
+            move |b, hs| b.sizes_wave(hs, switch),
             || (None, Vec::new()),
         )
     }

@@ -25,7 +25,12 @@
 //!   workers have not run (a wave of one executes on the connection
 //!   thread that decoded it), every shard has started at most one
 //!   follower for the front-end's link, and no request was served with
-//!   the read token held.
+//!   the read token held;
+//! * the **window-wave counts**: one `close_window` over 40 sliding
+//!   aggregate topics on a fresh 4-shard cluster, whose standing queries
+//!   run in lock-step per front worker — so the window leaves as the
+//!   horizon round plus, per worker, one `Batch` frame per shard for its
+//!   chunk's pointer unions and one for its host waves.
 //!
 //! Load-bearing shape checks (the CI smoke): verdicts through the wire
 //! are bit-identical to the in-process `ShardedAnalyzer` at every shard
@@ -38,9 +43,11 @@
 //! batched fan-out beats naive per-host RPCs by ≥ 4× on the storm
 //! workload; the overlap ratio stays under [`OVERLAP_RATIO_MAX`] — a
 //! same-run ratio, so the gate holds on a runner with any number of
-//! cores; and the hand-off counts are exact, so that gate does too.
+//! cores; and the hand-off and window-wave counts are exact, so those
+//! gates do too.
 
 use netsim::prelude::*;
+use streamplane::StandingQuery;
 use switchpointer::query::QueryRequest;
 use switchpointer::shard::ShardedAnalyzer;
 use switchpointer::testbed::{Testbed, TestbedConfig};
@@ -287,6 +294,74 @@ fn handoff_gate(
     )
 }
 
+/// Standing aggregates behind the window-wave gate: a sliding `TopK` and
+/// a sliding `LoadImbalance` on each of the fat tree's 20 switches.
+const WINDOW_TOPICS: usize = 40;
+
+/// The window-wave gate: a window of standing aggregates must cost two
+/// batched rounds per front worker, not two round trips per topic.
+/// Counts, not clocks — exact on any runner. Returns the note.
+fn window_wave_gate(analyzer: &switchpointer::Analyzer) -> String {
+    const SHARDS: usize = 4;
+    let cfg = WireConfig::default();
+    let cluster = WireCluster::launch(analyzer, SHARDS, cfg).expect("launch window-wave cluster");
+    let mut client = cluster.client().expect("connect window-wave subscriber");
+    let mut topics = 0;
+    for switch in analyzer.all_switches() {
+        for query in [
+            StandingQuery::TopKSliding {
+                switch,
+                k: 10,
+                epochs_back: 20,
+            },
+            StandingQuery::LoadImbalanceSliding {
+                switch,
+                epochs_back: 20,
+            },
+        ] {
+            client.subscribe(query, 0).expect("subscribe");
+            topics += 1;
+        }
+    }
+    assert_eq!(topics, WINDOW_TOPICS, "fixture regressed: 20 switches");
+    let frames_before = cluster.front().wire_frames_sent();
+    let summary = cluster.close_window();
+    let frames = cluster.front().wire_frames_sent() - frames_before;
+    let wave_frames = cluster
+        .front_metrics()
+        .snapshot()
+        .hist("wire.frames_per_wave")
+        .expect("the window ran a wave")
+        .max;
+    drop(client);
+    cluster.shutdown();
+    assert_eq!(
+        (summary.evaluated, summary.pending),
+        (WINDOW_TOPICS as u64, 0)
+    );
+    // The horizon round, then per worker one frame per shard per round.
+    let window_bound = (SHARDS * (1 + 2 * cfg.front_workers)) as u64;
+    let wave_bound = (2 * SHARDS * cfg.front_workers) as u64;
+    assert!(
+        frames <= window_bound,
+        "a window of {WINDOW_TOPICS} topics put {frames} envelope frames on the wire \
+         (<= {window_bound} required): its standing queries are not leaving as one batch per \
+         shard per round"
+    );
+    assert!(
+        wave_frames <= wave_bound,
+        "wire.frames_per_wave {wave_frames} exceeds 2 x {SHARDS} shards x {} workers",
+        cfg.front_workers
+    );
+    format!(
+        "wire window-wave gate: enforced — {SHARDS} shard(s), {} front worker(s), one window of \
+         {WINDOW_TOPICS} sliding topics: {frames} envelope frames (<= {window_bound} required; \
+         ~{} query-at-a-time), wire.frames_per_wave {wave_frames} (<= {wave_bound} required)",
+        cfg.front_workers,
+        2 * SHARDS * WINDOW_TOPICS
+    )
+}
+
 pub fn wire() -> Vec<FigureData> {
     let (tb, victim, victim_dst) = testbed();
     let analyzer = tb.analyzer();
@@ -328,8 +403,8 @@ pub fn wire() -> Vec<FigureData> {
     // (rpcs, wall ns, mean RTT ns) of one TopK fan-out at the widest
     // deployment: the overlap gate.
     let mut overlap = None;
-    // Generous worker pool: the wave path's concurrency is what the
-    // multiplexed links combine into batch frames.
+    // Generous worker pool for the wave timings; the gates that count
+    // frames per worker launch their own clusters.
     let cfg = WireConfig {
         front_workers: 16,
         ..WireConfig::default()
@@ -378,12 +453,11 @@ pub fn wire() -> Vec<FigureData> {
                 "wire diagnosis {i} diverged at {n_shards} shards"
             );
         }
-        // The wire fast path: the same sweep as one concurrent wave.
-        // Queries multiplex on the per-shard links, same-shard RPCs
-        // combine into batch frames, reply decode overlaps requests in
-        // flight. Verdicts stay bit-identical, per query. One warmup
-        // wave (connection + allocator steady state), then the timed
-        // best-of-3.
+        // The wire fast path: the same sweep as one wave. Each front
+        // worker drives its chunk of queries in lock-step, so a chunk's
+        // round leaves as one batch frame per shard. Verdicts stay
+        // bit-identical, per query. One warmup wave (connection +
+        // allocator steady state), then the timed best-of-3.
         let check_wave = |results: &[(switchpointer::query::QueryResponse, _, _)]| {
             for (i, (resp, _, _)) in results.iter().enumerate() {
                 assert_eq!(
@@ -495,8 +569,10 @@ pub fn wire() -> Vec<FigureData> {
         at4.2
     );
 
-    // Serial vs pipelined-wave wall-clock, for the record only: how far
-    // apart they are depends on the runner's cores.
+    // Serial vs lock-step-wave wall-clock, for the record only (a
+    // clock, so not gated): the wave's gain is frames and wake-ups it
+    // does not pay — counted by the window-wave gate below — not cores
+    // it happens to find.
     for &(n, serial_us, wave_us) in &speedups {
         fig.note(format!(
             "{n} shard(s): serial {serial_us:.0} us/query vs wave {wave_us:.0} us/query \
@@ -527,5 +603,6 @@ pub fn wire() -> Vec<FigureData> {
         sequential_ns / 1e3
     ));
     fig.note(handoff_gate(&analyzer, cfg, &reqs, &baseline));
+    fig.note(window_wave_gate(&analyzer));
     vec![fig]
 }

@@ -13,8 +13,8 @@ use switchpointer::shard::ShardedDirectory;
 use switchpointer::Analyzer;
 use telemetry::frame::WireError;
 use wireplane::{
-    FrontEnd, ReplicaWriter, RetryPolicy, ShardServer, ShardState, WindowSummary, WireClient,
-    WireConfig,
+    FrontEnd, ReplicaWriter, RetryPolicy, ServeDelay, ShardServer, ShardState, WindowSummary,
+    WireClient, WireConfig,
 };
 
 use crate::publish::DeltaPublisher;
@@ -210,6 +210,14 @@ impl ReplicaCluster {
         debug_assert_eq!(servers[shard].len(), r, "server/replica indices aligned");
         servers[shard].push(Some(server));
         Ok(r)
+    }
+
+    /// Test hook: rigs replica `r` of `shard`'s per-request serve delay
+    /// ([`ShardServer::set_serve_delay`]); a killed replica ignores it.
+    pub fn set_serve_delay(&self, shard: usize, r: usize, delay: Option<ServeDelay>) {
+        if let Some(server) = &self.servers.lock().unwrap()[shard][r] {
+            server.set_serve_delay(delay);
+        }
     }
 
     /// Per-replica applied seqs: `applied[s][r]`, `None` for killed

@@ -199,7 +199,7 @@ impl DeltaPublisher {
                     let (seq, rec) = (e.0, &e.1);
                     let ctx = tracer.mint_trace();
                     let started = Instant::now();
-                    match slot.writer.append_traced(seq, rec, ctx) {
+                    match slot.writer.append_traced(seq, rec.clone(), ctx) {
                         Ok(applied) => {
                             slot.applied = Some(applied);
                             metrics.appends.inc();
@@ -247,7 +247,7 @@ impl DeltaPublisher {
             let (seq, rec) = (e.0, &e.1);
             let ctx = tracer.mint_trace();
             let started = Instant::now();
-            match slot.writer.append_traced(seq, rec, ctx) {
+            match slot.writer.append_traced(seq, rec.clone(), ctx) {
                 Ok(applied) => {
                     slot.applied = Some(applied);
                     metrics.appends.inc();

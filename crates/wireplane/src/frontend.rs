@@ -12,16 +12,28 @@
 //! *measured* here, not just modelled: [`FrontEnd::counters`] reports
 //! actual RPCs and round trips.
 //!
-//! A fan-out is **issue-then-collect**. The fanned-out
-//! [`ShardBackend`] methods of a [`RemoteShard`] put their request on
-//! the wire and return a [`Deferred`]; the router issues to every
-//! involved shard, then collects in shard order, so the per-shard round
-//! trips of one union reassembly or one host wave overlap and a round
-//! costs its slowest shard, not the sum. [`FrontEnd::close_window`]
-//! reads the shards' horizons the same way. Each exchange's RTT
-//! (`wire.rtt_ns.shard{N}`, and its `wire` span) runs from issue to the
-//! reply's *arrival* — stamped by the link's demux reader — so a shard
-//! collected late is not billed for the wait on its siblings.
+//! A fan-out is **issue, flush, collect**. The fanned-out
+//! [`ShardBackend`] methods of a [`RemoteShard`] enqueue their request
+//! on the shard's link and return a [`Deferred`]; the router issues to
+//! every involved shard, the links are flushed, and the replies are
+//! collected in shard order, so the per-shard round trips of one union
+//! reassembly or one host wave overlap and a round costs its slowest
+//! shard, not the sum. [`FrontEnd::close_window`] reads the shards'
+//! horizons the same way. Each exchange's RTT (`wire.rtt_ns.shard{N}`,
+//! and its `wire` span) runs from issue to the reply's *arrival* —
+//! stamped by the link's demux reader — so a shard collected late is not
+//! billed for the wait on its siblings.
+//!
+//! Every query, alone or in a wave, is driven the same way: a wave is cut
+//! into one contiguous chunk per front worker, and a chunk's queries run
+//! in **lock-step** through the staged executor
+//! ([`QueryExecutor::start`]) — start them all, then repeat {flush every
+//! shard link once; resume every unfinished query}. Each query keeps its
+//! own router and its own [`RouterCounters`]; what they share is the
+//! flush, so a chunk's round leaves as one `Batch` frame per shard
+//! however many queries it holds, and a window of standing queries costs
+//! two batched rounds per worker. A single query is a chunk of one: its
+//! frames are the `Tagged` frames a blocking router would send.
 //!
 //! Towards clients the front-end is a server itself: `QueryReq` frames
 //! run the shared [`QueryExecutor`] over the remote router and return the
@@ -47,7 +59,8 @@
 //! issue and its collect — is handled where it is collected, by the
 //! same loop and under the same budget: that death is the exchange's
 //! first failure, not a fresh start, and the request re-sent over the
-//! next dial is the identical idempotent read. When a shard exhausts
+//! next dial (and flushed there, by the exchange itself) is the
+//! identical idempotent read. When a shard exhausts
 //! its budget the collecting query panics past its still-in-flight
 //! siblings; their handles release their reply slots on drop, and
 //! replies that land afterwards are discarded by the demux reader.
@@ -71,10 +84,10 @@ use switchpointer::bitset::BitSet;
 use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::FlowRecord;
 use switchpointer::query::{
-    ExecutionTrace, FilterWaveReply, QueryExecutor, QueryRequest, QueryResponse, SizesWaveReply,
-    TopKWaveReply,
+    Deferred, ExecutionTrace, FilterWaveReply, QueryExecutor, QueryRequest, QueryResponse,
+    SizesWaveReply, Stage, Staged, TopKWaveReply,
 };
-use switchpointer::shard::{BackendRouter, Deferred, RouterCounters, ShardBackend};
+use switchpointer::shard::{BackendRouter, RouterCounters, ShardBackend};
 use telemetry::frame::WireError;
 use telemetry::EpochRange;
 
@@ -89,8 +102,8 @@ use crate::server::{Listener, WireConfig};
 /// treats it exactly like a local slice. Any number of query workers
 /// may call into the same `RemoteShard` concurrently: their exchanges
 /// interleave on the shared socket instead of convoying behind a
-/// connection mutex, and same-turn requests combine into one `Batch`
-/// frame per shard.
+/// connection mutex, and every request issued between two flushes
+/// leaves as one `Batch` frame.
 pub struct RemoteShard {
     shard: usize,
     /// The shard's replica addresses (primary first). `active` indexes
@@ -219,17 +232,20 @@ impl RemoteShard {
         }
     }
 
-    /// One request/reply exchange: [`RemoteShard::issue`] and
+    /// One request/reply exchange: [`RemoteShard::issue`], flush,
     /// [`Exchange::wait`] back to back.
-    fn call(&self, req: Frame) -> Result<Frame, WireError> {
-        self.issue(req, true).wait()
+    fn call(&self, req: Frame, observe: bool) -> Result<Frame, WireError> {
+        let exchange = self.issue(req, observe);
+        self.flush();
+        exchange.wait()
     }
 
-    /// The issue half of an exchange: makes the first attempt to put
-    /// `req` on the wire and returns without waiting for the answer.
-    /// Everything that can go wrong — including that first attempt —
-    /// is dealt with in [`Exchange::wait`], so issuing to the next shard
-    /// never queues behind this one's backoff.
+    /// The issue half of an exchange: makes the first attempt to enqueue
+    /// `req` on the live link and returns without waiting for the
+    /// answer; [`ShardBackend::flush`] sends it. Everything that can go
+    /// wrong — including that first attempt — is dealt with in
+    /// [`Exchange::wait`], so issuing to the next shard never queues
+    /// behind this one's backoff.
     ///
     /// `observe: false` leaves the RPC counter, RTT histogram and tracer
     /// untouched — the scrape path uses it so pulling metrics never
@@ -246,9 +262,10 @@ impl RemoteShard {
         }
     }
 
-    /// One attempt to put `req` on the wire, after `failures` earlier
-    /// ones. `Err` is a failed dial; a connection that dies under the
-    /// request surfaces when the [`Flight`] is waited on.
+    /// One attempt to enqueue `req` on the live link (dialing it if
+    /// there is none), after `failures` earlier ones. `Err` is a failed
+    /// dial; a connection that dies under the request surfaces when the
+    /// [`Flight`] is waited on.
     fn send(&self, req: &Frame, observe: bool, failures: usize) -> Result<Flight, WireError> {
         // Short-lock acquisition: take (or dial) the shared mux under
         // the slot lock, then exchange *outside* it — concurrent
@@ -317,8 +334,8 @@ impl RemoteShard {
         }
     }
 
-    /// Issues `req` and defers the typed answer: the request is on the
-    /// wire when this returns, [`Deferred::wait`] collects it.
+    /// Issues `req` and defers the typed answer: the request is queued
+    /// on the link when this returns, [`Deferred::wait`] collects it.
     fn deferred<'a, T>(
         &'a self,
         req: Frame,
@@ -342,14 +359,14 @@ impl RemoteShard {
     /// recorded server-side), so the snapshot is exactly the server's
     /// and repeated scrapes of a quiesced cluster are identical.
     pub fn scrape(&self) -> Result<Vec<(String, RegistrySnapshot)>, WireError> {
-        stats_scrape_rep(self.issue(Frame::StatsScrapeReq, false).wait()?)
+        stats_scrape_rep(self.call(Frame::StatsScrapeReq, false)?)
     }
 
     /// Pulls the shard server's retained spans (ring plus slow-query
     /// exemplars) as a labelled dump. Unobserved on both ends like
     /// [`RemoteShard::scrape`], so pulling traces never makes traces.
     pub fn scrape_traces(&self) -> Result<Vec<(String, Vec<WireSpan>)>, WireError> {
-        trace_scrape_rep(self.issue(Frame::TraceScrapeReq, false).wait()?)
+        trace_scrape_rep(self.call(Frame::TraceScrapeReq, false)?)
     }
 
     /// Wire RPCs issued over this connection so far.
@@ -426,7 +443,7 @@ fn trace_scrape_rep(reply: Frame) -> Result<Vec<(String, Vec<WireSpan>)>, WireEr
     }
 }
 
-/// One attempt of an [`Exchange`] that made it onto the wire.
+/// One attempt of an [`Exchange`] that made it onto a link's queue.
 struct Flight {
     mux: Arc<MuxConn>,
     reply: InFlight,
@@ -550,6 +567,11 @@ impl Exchange<'_> {
             }
             std::thread::sleep(shard.retry.backoff(failures as u32 - 1));
             attempt = shard.send(&req, observe, failures);
+            // Whoever flushed the first attempt knows nothing of this
+            // one: the exchange sends its own re-send.
+            if let Ok(flight) = &attempt {
+                flight.mux.flush();
+            }
         }
     }
 }
@@ -557,6 +579,15 @@ impl Exchange<'_> {
 impl ShardBackend for RemoteShard {
     fn shard_id(&self) -> usize {
         self.shard
+    }
+
+    fn flush(&self) {
+        // Flush outside the slot lock: a write must not hold up the
+        // callers taking the link to enqueue on it.
+        let live = self.conn.lock().unwrap().clone();
+        if let Some(mux) = live {
+            mux.flush();
+        }
     }
 
     fn union_slice(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>> {
@@ -568,11 +599,14 @@ impl ShardBackend for RemoteShard {
 
     fn probe_exact(&self, switch: NodeId, addr: u64, epoch: u64) -> Option<Option<bool>> {
         self.expect(
-            self.call(Frame::ProbeExactReq {
-                switch,
-                addr,
-                epoch,
-            }),
+            self.call(
+                Frame::ProbeExactReq {
+                    switch,
+                    addr,
+                    epoch,
+                },
+                true,
+            ),
             |f| match f {
                 Frame::ProbeExactRep(v) => Some(v),
                 _ => None,
@@ -582,11 +616,14 @@ impl ShardBackend for RemoteShard {
 
     fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool> {
         self.expect(
-            self.call(Frame::PresenceWaveReq {
-                switches: switches.to_vec(),
-                addr,
-                range,
-            }),
+            self.call(
+                Frame::PresenceWaveReq {
+                    switches: switches.to_vec(),
+                    addr,
+                    range,
+                },
+                true,
+            ),
             |f| match f {
                 // A reply of the wrong length is as much a protocol
                 // error as one of the wrong type.
@@ -597,24 +634,30 @@ impl ShardBackend for RemoteShard {
     }
 
     fn store_len(&self, host: NodeId) -> Option<usize> {
-        self.expect(self.call(Frame::StoreLenReq { host }), |f| match f {
+        self.expect(self.call(Frame::StoreLenReq { host }, true), |f| match f {
             Frame::StoreLenRep(v) => Some(v.map(|n| n as usize)),
             _ => None,
         })
     }
 
     fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord> {
-        self.expect(self.call(Frame::RecordReq { host, flow }), |f| match f {
-            Frame::RecordRep(v) => Some(v),
-            _ => None,
-        })
+        self.expect(
+            self.call(Frame::RecordReq { host, flow }, true),
+            |f| match f {
+                Frame::RecordRep(v) => Some(v),
+                _ => None,
+            },
+        )
     }
 
     fn first_trigger_for(&self, host: NodeId, flow: FlowId) -> Option<TriggerEvent> {
-        self.expect(self.call(Frame::TriggerReq { host, flow }), |f| match f {
-            Frame::TriggerRep(v) => Some(v),
-            _ => None,
-        })
+        self.expect(
+            self.call(Frame::TriggerReq { host, flow }, true),
+            |f| match f {
+                Frame::TriggerRep(v) => Some(v),
+                _ => None,
+            },
+        )
     }
 
     fn store_len_wave(&self, hosts: &[NodeId]) -> Deferred<'_, Vec<Option<usize>>> {
@@ -703,6 +746,16 @@ struct Watcher {
     sent: u64,
 }
 
+/// What one window sends one subscriber connection, built up frame by
+/// frame and written once.
+struct Outbox {
+    writer: Arc<Mutex<TcpStream>>,
+    bytes: Vec<u8>,
+    /// Cleared by a frame that would not encode; the connection is then
+    /// treated like one whose write failed.
+    ok: bool,
+}
+
 /// One standing-query topic: the subscription, its change-detection
 /// state, the full incident log (seq = index), and its watchers.
 struct Topic {
@@ -739,6 +792,18 @@ impl Topics {
     }
 }
 
+/// One query of a chunk between its start and its answer: exactly one
+/// of `stage` (a round in flight) and `answer` is set once started.
+struct InChunk<'r> {
+    req: &'r QueryRequest,
+    /// The root and exec trace contexts, when the query is traced.
+    ctx: Option<TraceContext>,
+    exec_ctx: Option<TraceContext>,
+    started: Instant,
+    stage: Option<Stage<'r>>,
+    answer: Option<(QueryResponse, ExecutionTrace)>,
+}
+
 struct FrontInner {
     ctx: Arc<SharedCtx>,
     shards: Vec<RemoteShard>,
@@ -746,9 +811,10 @@ struct FrontInner {
     /// one-RPC-per-host counterfactual).
     coalesce: bool,
     /// The shared execution pool: decoded query waves and window
-    /// evaluations run through the same chunked work-stealing scheduler
-    /// the in-process query plane uses (which runs a wave of one on the
-    /// submitting thread). Sized by [`WireConfig::front_workers`].
+    /// evaluations run through the same work-stealing scheduler the
+    /// in-process query plane uses, one chunk per worker (a wave of one
+    /// runs on the submitting thread). Sized by
+    /// [`WireConfig::front_workers`].
     pool: WorkerPool,
     topics: Mutex<Topics>,
     window: AtomicU64,
@@ -778,12 +844,13 @@ impl FrontInner {
     }
 
     /// Executes a whole decoded wave of requests on the shared pool and
-    /// returns results in submission order. Each query runs the shared
-    /// [`QueryExecutor`] over its own remote router (waves still coalesce
-    /// per shard *within* a query); routing counters accumulate exactly
-    /// as the inline path did. A panic inside any executor (shard
-    /// unreachable past the retry budget) is re-raised here after the
-    /// rest of the wave completes.
+    /// returns results in submission order. The wave is cut into one
+    /// contiguous chunk per pool worker and each chunk's queries run in
+    /// lock-step ([`FrontInner::run_chunk`]), every query through the
+    /// shared [`QueryExecutor`] over its own remote router; routing
+    /// counters accumulate exactly as a serial loop's would. A panic
+    /// inside any executor (shard unreachable past the retry budget) is
+    /// re-raised here after the other chunks complete.
     fn execute_wave(
         self: &Arc<Self>,
         reqs: &[QueryRequest],
@@ -794,95 +861,15 @@ impl FrontInner {
         let bytes_before: u64 = self.shards.iter().map(|s| s.wire_bytes_sent()).sum();
         let reqs: Arc<[QueryRequest]> = Arc::from(reqs);
         let wave_started = Instant::now();
-        // Chunk size 1: every query is its own work item, so a wave of W
-        // queries runs W-wide and their same-shard RPCs combine into
-        // batch frames on the multiplexed links. The default chunking
-        // floor (≥8 per chunk) would cap a 24-query wave at 3 workers
-        // and starve the combiner.
+        // One chunk per worker, as large as the wave allows: a chunk's
+        // round costs one frame per shard whatever its size, so more,
+        // smaller chunks would only buy more frames and more wake-ups.
+        // A wave of one is one chunk and runs on the calling thread.
+        let chunk = n_queries.div_ceil(self.pool.workers());
         let out = self
             .pool
-            .scatter(reqs.len(), None, Some(1), move |_w, idxs| {
-                idxs.iter()
-                    .map(|&i| {
-                        let req = &reqs[i];
-                        let router = inner.router();
-                        let exec = QueryExecutor::new(inner.ctx.query_ctx(), &router);
-                        let tracer = inner.ctx.metrics.tracer();
-                        // This is where a trace is born: one root per
-                        // request, minted at the wave's entry point.
-                        // The exec child context rides the thread-local
-                        // through the executor, so every shard RPC's
-                        // wire span links under the exec span.
-                        let ctx = tracer.mint_trace();
-                        let exec_ctx = ctx.map(|c| c.child(tracer.next_span_id()));
-                        let started = Instant::now();
-                        let (resp, trace) =
-                            obsplane::with_context(exec_ctx, || exec.execute_traced(req));
-                        let done = Instant::now();
-                        // Same per-class exec histograms + span stream the
-                        // in-process worker pool feeds, so `spexp wire`
-                        // latency distributions read off the identical
-                        // metric names.
-                        inner.ctx.exec_hists[req.class_index()]
-                            .record_duration(done.duration_since(started));
-                        let epoch = inner.ctx.span_epoch(req);
-                        match (ctx, exec_ctx) {
-                            (Some(c), Some(e)) => {
-                                // The root "query" span covers submit →
-                                // done (the e2e the client feels), and
-                                // its two children partition it exactly:
-                                // enqueue (pool wait) + exec (run).
-                                let span =
-                                    |stage, span_id, parent_id, from: Instant, dur, steals| {
-                                        SpanEvent {
-                                            class: req.class_name(),
-                                            stage,
-                                            epoch,
-                                            shard: u32::MAX,
-                                            start_ns: tracer.offset_ns(from),
-                                            dur_ns: saturating_ns(dur),
-                                            trace_id: c.trace_id,
-                                            span_id,
-                                            parent_id,
-                                            steals,
-                                        }
-                                    };
-                                let steals = u32::from(obsplane::chunk_stolen());
-                                let group = [
-                                    span(
-                                        "query",
-                                        c.span_id,
-                                        0,
-                                        wave_started,
-                                        done.duration_since(wave_started),
-                                        0,
-                                    ),
-                                    span(
-                                        "enqueue",
-                                        tracer.next_span_id(),
-                                        c.span_id,
-                                        wave_started,
-                                        started.duration_since(wave_started),
-                                        0,
-                                    ),
-                                    span(
-                                        "exec",
-                                        e.span_id,
-                                        c.span_id,
-                                        started,
-                                        done.duration_since(started),
-                                        steals,
-                                    ),
-                                ];
-                                tracer.submit_all(&group, c.sampled);
-                            }
-                            // Tracing disabled: keep the legacy untraced
-                            // span stream.
-                            _ => tracer.record(req.class_name(), epoch, u32::MAX, started),
-                        }
-                        (resp, trace, router.counters())
-                    })
-                    .collect()
+            .scatter(n_queries, None, Some(chunk), move |_w, idxs| {
+                inner.run_chunk(&reqs, idxs, wave_started)
             });
         for (_, _, counters) in &out {
             self.absorb(counters);
@@ -895,6 +882,147 @@ impl FrontInner {
                 .record((bytes_after - bytes_before) / n_queries as u64);
         }
         out
+    }
+
+    /// Drives one chunk of a wave in lock-step: start every query, then
+    /// repeat {flush every shard link once; resume every unfinished
+    /// query} until all have answered. Between two flushes every query
+    /// only *issues* — so the chunk's round reaches each shard as one
+    /// envelope — and a resume finds its replies sent for, if not already
+    /// there. Queries that never defer (the diagnoses, the drop sweep)
+    /// run to their answer inside their start, on blocking calls that
+    /// flush for themselves.
+    fn run_chunk(
+        &self,
+        reqs: &[QueryRequest],
+        idxs: &[usize],
+        wave_started: Instant,
+    ) -> Vec<(QueryResponse, ExecutionTrace, RouterCounters)> {
+        let tracer = self.ctx.metrics.tracer();
+        let routers: Vec<_> = idxs.iter().map(|_| self.router()).collect();
+        let mut queries: Vec<InChunk<'_>> = idxs
+            .iter()
+            .zip(&routers)
+            .map(|(&i, router)| {
+                let req = &reqs[i];
+                // This is where a trace is born: one root per request,
+                // minted at the wave's entry point. The exec child
+                // context rides the thread-local through every step of
+                // the executor, so every shard RPC's wire span links
+                // under the exec span.
+                let ctx = tracer.mint_trace();
+                let mut query = InChunk {
+                    req,
+                    ctx,
+                    exec_ctx: ctx.map(|c| c.child(tracer.next_span_id())),
+                    started: Instant::now(),
+                    stage: None,
+                    answer: None,
+                };
+                let exec = QueryExecutor::new(self.ctx.query_ctx(), router);
+                self.advance(&mut query, wave_started, || exec.start(req));
+                query
+            })
+            .collect();
+        while queries.iter().any(|q| q.stage.is_some()) {
+            self.flush_shards();
+            for query in &mut queries {
+                if let Some(stage) = query.stage.take() {
+                    self.advance(query, wave_started, || stage.resume());
+                }
+            }
+        }
+        queries
+            .into_iter()
+            .zip(&routers)
+            .map(|(query, router)| {
+                let (resp, trace) = query.answer.expect("the loop ran every query to Done");
+                (resp, trace, router.counters())
+            })
+            .collect()
+    }
+
+    /// Runs one step of `query` under its trace context and files what
+    /// comes back: the next stage, or the answer — recorded, the moment
+    /// it exists, in the same per-class exec histograms and span stream
+    /// the in-process worker pool feeds, so `spexp wire` latency
+    /// distributions read off the identical metric names.
+    fn advance<'r>(
+        &self,
+        query: &mut InChunk<'r>,
+        wave_started: Instant,
+        step: impl FnOnce() -> Staged<'r>,
+    ) {
+        let (resp, trace) = match obsplane::with_context(query.exec_ctx, step) {
+            Staged::Pending(stage) => {
+                query.stage = Some(stage);
+                return;
+            }
+            Staged::Done(resp, trace) => (resp, trace),
+        };
+        query.answer = Some((resp, trace));
+        let (req, started, done) = (query.req, query.started, Instant::now());
+        let tracer = self.ctx.metrics.tracer();
+        self.ctx.exec_hists[req.class_index()].record_duration(done.duration_since(started));
+        let epoch = self.ctx.span_epoch(req);
+        match (query.ctx, query.exec_ctx) {
+            (Some(c), Some(e)) => {
+                // The root "query" span covers submit → done (the e2e
+                // the client feels), and its two children partition it
+                // exactly: enqueue (pool wait, and in a chunk the starts
+                // ahead of this one) + exec (start → answer, the other
+                // queries' steps of the lock-step included).
+                let span = |stage, span_id, parent_id, from: Instant, dur, steals| SpanEvent {
+                    class: req.class_name(),
+                    stage,
+                    epoch,
+                    shard: u32::MAX,
+                    start_ns: tracer.offset_ns(from),
+                    dur_ns: saturating_ns(dur),
+                    trace_id: c.trace_id,
+                    span_id,
+                    parent_id,
+                    steals,
+                };
+                let steals = u32::from(obsplane::chunk_stolen());
+                let group = [
+                    span(
+                        "query",
+                        c.span_id,
+                        0,
+                        wave_started,
+                        done.duration_since(wave_started),
+                        0,
+                    ),
+                    span(
+                        "enqueue",
+                        tracer.next_span_id(),
+                        c.span_id,
+                        wave_started,
+                        started.duration_since(wave_started),
+                        0,
+                    ),
+                    span(
+                        "exec",
+                        e.span_id,
+                        c.span_id,
+                        started,
+                        done.duration_since(started),
+                        steals,
+                    ),
+                ];
+                tracer.submit_all(&group, c.sampled);
+            }
+            // Tracing disabled: keep the legacy untraced span stream.
+            _ => tracer.record(req.class_name(), epoch, u32::MAX, started),
+        }
+    }
+
+    /// Sends what has been issued on every shard link, one envelope each.
+    fn flush_shards(&self) {
+        for shard in &self.shards {
+            shard.flush();
+        }
     }
 
     /// The whole deployment's labelled snapshots: the front-end's own
@@ -921,7 +1049,7 @@ impl FrontInner {
     }
 
     /// One overlapped, unobserved scrape round: `req` is issued to every
-    /// shard, then the replies are collected in shard order.
+    /// shard and flushed, then the replies are collected in shard order.
     fn scrape_shards<T>(
         &self,
         req: &Frame,
@@ -932,6 +1060,7 @@ impl FrontInner {
             .iter()
             .map(|s| s.issue(req.clone(), false))
             .collect();
+        self.flush_shards();
         let mut out = Vec::new();
         for exchange in asked {
             out.extend(rep(exchange.wait()?)?);
@@ -1184,12 +1313,13 @@ impl FrontEnd {
         self.inner.execute(req)
     }
 
-    /// Executes a whole wave of requests concurrently on the shared
-    /// pool, returning results in submission order. Queries run one per
-    /// work item, so their same-shard RPCs combine into batch frames on
-    /// the multiplexed links and reply decode overlaps requests still in
-    /// flight — the wire fast path. Results are bit-identical to calling
-    /// [`FrontEnd::execute`] per request in order.
+    /// Executes a whole wave of requests on the shared pool, returning
+    /// results in submission order. Each pool worker drives one
+    /// contiguous chunk of the wave in lock-step, so a chunk's round of
+    /// same-shard RPCs leaves as one batch frame per shard — the wire
+    /// fast path. Results (responses, traces and per-query routing
+    /// counters) are bit-identical to calling [`FrontEnd::execute`] per
+    /// request in order.
     pub fn execute_wave(
         &self,
         reqs: &[QueryRequest],
@@ -1273,11 +1403,17 @@ impl FrontEnd {
     /// analogue of [`streamplane::StreamPlane::run_window`], sharing its
     /// resolution, fingerprint and transition rules so the two incident
     /// streams are bit-identical.
+    ///
+    /// Panics when a shard stays unreachable past its retry budget; the
+    /// window is then lost, the front-end is not — the topic table is
+    /// unlocked while shard state is read, so subscribes, teardowns and
+    /// the next `close_window` go on as before.
     pub fn close_window(&self) -> WindowSummary {
         let inner = &*self.inner;
         let window = inner.window.fetch_add(1, Ordering::SeqCst);
         // One overlapped round: ask every shard, then collect.
         let horizons: Vec<_> = inner.shards.iter().map(|s| s.horizon()).collect();
+        inner.flush_shards();
         let horizon = horizons.into_iter().map(|h| h.wait()).max().unwrap_or(0);
         inner.absorb(&RouterCounters {
             rpcs: inner.shards.len() as u64,
@@ -1285,20 +1421,26 @@ impl FrontEnd {
             ..RouterCounters::default()
         });
 
-        let mut topics = inner.topics.lock().unwrap();
-        let mut evaluated = 0u64;
+        // The window evaluates the topics subscribed as it opens. Topics
+        // are append-only, so when pass 3 re-takes the lock the first
+        // `queries.len()` entries are still exactly these; a topic
+        // subscribed in between joins the next window.
+        let queries: Vec<StandingQuery> = {
+            let topics = inner.topics.lock().unwrap();
+            topics.list.iter().map(|(_, t)| t.query).collect()
+        };
+        let evaluated = queries.len() as u64;
         let mut pending = 0u64;
         let mut incidents = 0u64;
 
         // Pass 1 — resolve every topic sequentially (resolution reads a
         // little remote state; its routing counters absorb per topic),
         // collecting the concrete requests of the window as one wave.
-        let mut outcomes: Vec<Option<usize>> = Vec::with_capacity(topics.list.len());
+        let mut outcomes: Vec<Option<usize>> = Vec::with_capacity(queries.len());
         let mut wave: Vec<QueryRequest> = Vec::new();
-        for (_, topic) in &topics.list {
-            evaluated += 1;
+        for query in &queries {
             let router = inner.router();
-            let resolved = topic.query.resolve(&router, horizon);
+            let resolved = query.resolve(&router, horizon);
             inner.absorb(&router.counters());
             match resolved {
                 None => {
@@ -1313,14 +1455,16 @@ impl FrontEnd {
         }
 
         // Pass 2 — the whole window's evaluations run as a single wave
-        // on the shared pool instead of inline, one executor per query.
-        // Results come back in submission (= topic) order, so pass 3's
-        // transition detection stays bit-identical to the inline path.
+        // on the shared pool, in lock-step per worker. Results come back
+        // in submission (= topic) order, so pass 3's transition
+        // detection stays bit-identical to the inline path.
         let results = self.inner.execute_wave(&wave);
 
         // Pass 3 — fingerprint, detect transitions, append incidents in
         // topic order.
-        for ((sub, topic), outcome) in topics.list.iter_mut().zip(outcomes) {
+        let mut topics = inner.topics.lock().unwrap();
+        let evaluated_topics = &mut topics.list[..queries.len()];
+        for ((sub, topic), outcome) in evaluated_topics.iter_mut().zip(outcomes) {
             let (fp, summary) = match outcome {
                 None => (pending_fp(), PENDING_SUMMARY.to_string()),
                 Some(i) => {
@@ -1351,30 +1495,40 @@ impl FrontEnd {
             incidents,
         };
 
-        // Push new incidents per watcher, then one window digest per
-        // distinct client connection.
-        let mut digests: HashMap<u64, Arc<Mutex<TcpStream>>> = HashMap::new();
-        for (_, topic) in &mut topics.list {
+        // One buffer, one write per subscriber connection: its watchers'
+        // new incidents in subscription order, then the window digest.
+        let mut outboxes: HashMap<u64, Outbox> = HashMap::new();
+        for (_, topic) in evaluated_topics.iter_mut() {
             let log = &topic.log;
-            topic.watchers.retain_mut(|w| {
+            for w in &mut topic.watchers {
+                let outbox = outboxes.entry(w.conn_id).or_insert_with(|| Outbox {
+                    writer: Arc::clone(&w.writer),
+                    bytes: Vec::new(),
+                    ok: true,
+                });
                 while (w.sent as usize) < log.len() {
                     let frame = Frame::IncidentPush {
                         seq: w.sent,
                         incident: log[w.sent as usize].clone(),
                     };
-                    if !FrontInner::push(&w.writer, &frame) {
-                        return false;
-                    }
+                    outbox.ok &= frame.write(&mut outbox.bytes).is_ok();
                     w.sent += 1;
                 }
-                digests
-                    .entry(w.conn_id)
-                    .or_insert_with(|| Arc::clone(&w.writer));
-                true
-            });
+            }
         }
-        for writer in digests.values() {
-            let _ = FrontInner::push(writer, &Frame::WindowPush(summary));
+        let mut gone: Vec<u64> = Vec::new();
+        for (conn_id, mut outbox) in outboxes {
+            outbox.ok &= Frame::WindowPush(summary).write(&mut outbox.bytes).is_ok();
+            let mut w = outbox.writer.lock().unwrap();
+            if !(outbox.ok && w.write_all(&outbox.bytes).and_then(|_| w.flush()).is_ok()) {
+                gone.push(conn_id);
+            }
+        }
+        // A failed write means the client is gone: reap its watchers.
+        if !gone.is_empty() {
+            for (_, topic) in &mut topics.list {
+                topic.watchers.retain(|w| !gone.contains(&w.conn_id));
+            }
         }
         summary
     }
@@ -1413,4 +1567,61 @@ impl FrontEnd {
 
 fn saturating_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+#[cfg(test)]
+mod tests {
+    use netsim::prelude::*;
+    use switchpointer::testbed::{Testbed, TestbedConfig};
+
+    use super::*;
+    use crate::WireCluster;
+
+    /// A watcher whose window write fails is reaped by `close_window`
+    /// itself. Only the *write* half of the server-side socket is shut,
+    /// so the connection's listener thread stays blocked in its read and
+    /// cannot be the one that reaped it.
+    #[test]
+    fn a_watcher_whose_window_write_fails_is_reaped() {
+        let topo = Topology::chain(3, 2, GBPS);
+        let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
+        let (a, f) = (tb.node("A"), tb.node("F"));
+        tb.sim.add_udp_flow(UdpFlowSpec {
+            src: a,
+            dst: f,
+            priority: Priority::LOW,
+            start: SimTime::ZERO,
+            duration: SimTime::from_ms(2),
+            rate_bps: 100_000_000,
+            payload_bytes: 1458,
+        });
+        tb.sim.run_until(SimTime::from_ms(5));
+        let cluster = WireCluster::launch(&tb.analyzer(), 2, WireConfig::default()).unwrap();
+        let query = StandingQuery::TopKSliding {
+            switch: tb.node("S2"),
+            k: 5,
+            epochs_back: 4,
+        };
+        let mut gone = cluster.client().unwrap();
+        let mut stays = cluster.client().unwrap();
+        gone.subscribe(query, 0).unwrap();
+        stays.subscribe(query, 0).unwrap();
+
+        let inner = &cluster.front().inner;
+        let watchers = || inner.topics.lock().unwrap().list[0].1.watchers.len();
+        assert_eq!(watchers(), 2);
+        inner.topics.lock().unwrap().list[0].1.watchers[0]
+            .writer
+            .lock()
+            .unwrap()
+            .shutdown(std::net::Shutdown::Write)
+            .unwrap();
+        let summary = cluster.close_window();
+        assert_eq!(summary.incidents, 1, "a first window opens the topic");
+        assert_eq!(watchers(), 1, "the failed watcher must be reaped");
+        let (incidents, win) = stays.drain_window().unwrap();
+        assert_eq!((incidents.len(), win.window), (1, summary.window));
+        drop(gone);
+        cluster.shutdown();
+    }
 }

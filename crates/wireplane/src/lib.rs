@@ -75,6 +75,7 @@ use std::collections::BTreeSet;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, Mutex};
 
+use netsim::packet::NodeId;
 use netsim::routing::RouteTable;
 use queryplane::{QueryPlaneConfig, SharedCtx, Snapshot, SnapshotDelta};
 use switchpointer::shard::ShardedDirectory;
@@ -129,10 +130,11 @@ pub(crate) fn dial(addr: SocketAddr, max_frame: u32) -> Result<(TcpStream, u16, 
 }
 
 /// The cluster's owner-side replication state: the authoritative
-/// snapshot the deltas are journaled against, one seq counter and one
-/// [`ReplicaWriter`] per shard.
+/// snapshot the deltas are journaled against, and per shard the host set
+/// its slice keeps, one seq counter and one [`ReplicaWriter`].
 struct Owner {
     snapshot: Snapshot,
+    keeps: Vec<BTreeSet<NodeId>>,
     seqs: Vec<u64>,
     writers: Vec<ReplicaWriter>,
 }
@@ -192,11 +194,15 @@ impl WireCluster {
             max_conns: cfg.max_conns + 1,
             ..cfg
         };
-        for shard in dir.shards() {
-            let keep: BTreeSet<_> = shard.hosts().iter().copied().collect();
+        let keeps: Vec<BTreeSet<NodeId>> = dir
+            .shards()
+            .iter()
+            .map(|shard| shard.hosts().iter().copied().collect())
+            .collect();
+        for (shard, keep) in dir.shards().iter().zip(&keeps) {
             let state = ShardState {
                 shard: shard.clone(),
-                view: snapshot.shard_slice(&keep),
+                view: snapshot.shard_slice(keep),
             };
             let server = ShardServer::spawn(state, n_shards, server_cfg)?;
             addrs.push(server.local_addr());
@@ -223,6 +229,7 @@ impl WireCluster {
             .collect::<Result<Vec<_>, _>>()?;
         let owner = Mutex::new(Owner {
             snapshot,
+            keeps,
             seqs: vec![0; n_shards],
             writers,
         });
@@ -245,18 +252,18 @@ impl WireCluster {
     /// windows, then [`WireCluster::close_window`].
     pub fn refresh(&self, analyzer: &Analyzer) -> SnapshotDelta {
         let tracer = self.ctx.metrics.tracer();
-        let mut owner = self.owner.lock().unwrap();
+        let mut guard = self.owner.lock().unwrap();
+        let owner = &mut *guard;
         let (delta, record) = owner.snapshot.apply_delta_journaled(analyzer);
-        for (i, shard) in self.ctx.dir.shards().iter().enumerate() {
-            let keep: BTreeSet<_> = shard.hosts().iter().copied().collect();
+        for (i, keep) in owner.keeps.iter().enumerate() {
             owner.seqs[i] += 1;
             let seq = owner.seqs[i];
-            let sliced = record.slice_for(&keep);
+            let sliced = record.slice_for(keep);
             // Each per-shard append is its own trace: the replica's
             // apply-stage span links back to this replicate-stage root.
             let ctx = tracer.mint_trace();
             let started = std::time::Instant::now();
-            let appended = owner.writers[i].append_traced(seq, &sliced, ctx);
+            let appended = owner.writers[i].append_traced(seq, sliced, ctx);
             if let Some(c) = ctx {
                 tracer.submit(
                     obsplane::SpanEvent {
@@ -278,7 +285,7 @@ impl WireCluster {
                 // Gap or dead transport: fall back to a full bootstrap
                 // at the owner's log position.
                 let mut e = Enc::new();
-                owner.snapshot.shard_slice(&keep).wire_enc(&mut e);
+                owner.snapshot.shard_slice(keep).wire_enc(&mut e);
                 let _ = owner.writers[i].install(seq, e.into_bytes());
             }
         }

@@ -12,38 +12,50 @@
 //! * a single **demux reader thread** per connection parses replies and
 //!   completes whichever waiter the `req_id` names, so replies may
 //!   arrive in any order;
-//! * writers **combine**: a caller enqueues its request and then drains
-//!   the whole pending queue under the writer lock. While one flush's
-//!   `write` syscall is in flight, every other caller's request piles
-//!   into the queue, and the next flush sends them all as *one*
-//!   `Batch` frame — one frame per shard per scheduling turn emerges
-//!   from contention itself, with no timers and no explicit wave
+//! * requests **combine**: [`MuxConn::issue`] only enqueues, and
+//!   [`MuxConn::flush`] drains the whole pending queue under the writer
+//!   lock into *one* envelope — `Tagged` for a single request, `Batch`
+//!   for several, answered by one `BatchRep`. Whoever flushes sends
+//!   everything enqueued so far, its own requests or another thread's,
+//!   so a driver that issues a whole round of many queries and flushes
+//!   once puts one frame per round on the link, and concurrent callers
+//!   racing for the writer lock still coalesce with no timers and no
 //!   barrier.
 //!
 //! Encoding reuses one scratch buffer per connection
 //! ([`Frame::encode_into`]), so a steady-state sender allocates only
 //! for payload bodies. Scrapes and query waves share the link: the
 //! server's connection threads answer enveloped requests out of order
-//! (leader/followers, see [`crate::server`]). Replication does not ride
+//! (leader/followers, see [`crate::server`]), and one envelope is served
+//! by one of them — a `Batch` of thirty requests is thirty serves on one
+//! server thread, which costs nothing while a deployment has at least as
+//! many shard servers as cores to run them. Replication does not ride
 //! here — a shard applies sequenced frames only when they arrive bare
 //! (a [`ReplicaWriter`](crate::repl::ReplicaWriter)'s socket) and
 //! refuses an enveloped one with a typed error.
 //!
-//! An exchange has two halves. [`MuxConn::issue`] registers the reply
-//! slot, enqueues and flushes, and returns an [`InFlight`] handle with
-//! the request already on the wire; [`InFlight::wait`] blocks for the
-//! reply. A caller that issues on several connections before it waits on
-//! any has all of those round trips in flight together —
-//! [`MuxConn::call`] is simply the two halves back to back. The demux
-//! reader stamps each reply with its **arrival** instant, so a caller
-//! that collects late can still tell how long the exchange itself took.
+//! An exchange has three steps. [`MuxConn::issue`] registers the reply
+//! slot, enqueues the request and returns an [`InFlight`] handle;
+//! [`MuxConn::flush`] writes the queue; [`InFlight::wait`] blocks for the
+//! reply. A caller that issues on several connections, flushes them, and
+//! only then waits has all of those round trips in flight together —
+//! [`MuxConn::call`] is simply the three steps back to back. Who
+//! flushes: the blocking router forms flush the links they issued on,
+//! then collect; the front-end's wave driver flushes every link once per
+//! pass over its queries; and as the safety net a `wait` that is about
+//! to block on a request still in the queue flushes the link itself — a
+//! forgotten flush costs a frame (and the overlap), never a deadlock.
+//! The demux reader stamps each reply with its **arrival** instant, so a
+//! caller that collects late can still tell how long the exchange itself
+//! took.
 //!
 //! Failure model: any transport error **poisons** the connection — the
 //! reader marks it dead with a peer-tagged [`WireError`] and wakes every
 //! waiter; replies completed before death still deliver. An exchange
 //! that is in flight when the connection dies fails at its `wait` with
-//! the death cause (`issue` itself never fails: on an already-dead
-//! connection nothing is sent and the `wait` reports why). The owner
+//! the death cause (`issue` and `flush` themselves never fail: on an
+//! already-dead connection nothing is sent, a failed write poisons, and
+//! the `wait` reports why). The owner
 //! ([`RemoteShard`](crate::frontend::RemoteShard)) drops the poisoned
 //! connection and redials under its retry/failover policy. An
 //! [`InFlight`] dropped un-waited releases its reply slot; a reply that
@@ -62,16 +74,29 @@ use telemetry::frame::WireError;
 
 use crate::proto::Frame;
 
-/// Reply slots + death flag shared with the demux reader thread.
+/// One queued request: its id, the caller's trace context, the frame.
+type Queued = (u32, Option<TraceContext>, Frame);
+
+/// Everything the connection's handles share: reply slots and death
+/// flag (with the demux reader thread), the pending queue and the write
+/// half (with every [`InFlight`], so a wait can flush).
 struct Shared {
     peer: SocketAddr,
     slots: Mutex<SlotState>,
     cond: Condvar,
+    writer: Mutex<Writer>,
+    /// Requests issued but not yet flushed. Drained wholesale under the
+    /// writer lock — the combining step.
+    pending: Mutex<VecDeque<Queued>>,
+    /// Envelope frames actually written (one `Batch` counts once).
+    frames_sent: AtomicU64,
+    /// Envelope bytes actually written, length prefixes included.
+    bytes_sent: AtomicU64,
 }
 
 struct SlotState {
     /// `req_id` → reply slot. A request registers `None` before it is
-    /// written; the reader fills it with the reply and the instant it
+    /// queued; the reader fills it with the reply and the instant it
     /// arrived, and wakes the condvar.
     waiting: HashMap<u32, Option<(Frame, Instant)>>,
     /// Set once on the first transport failure; every waiter whose slot
@@ -97,6 +122,50 @@ impl Shared {
         }
         self.cond.notify_all();
     }
+
+    /// Writes everything pending as one envelope. The thread that wins
+    /// the writer lock sends all that is queued at that moment —
+    /// including requests of threads still blocked on the lock behind
+    /// it, which then find the queue empty and write nothing. A failed
+    /// write poisons the connection.
+    fn flush(&self) {
+        let mut w = self.writer.lock().unwrap();
+        let mut batch = std::mem::take(&mut *self.pending.lock().unwrap());
+        let frame = match batch.len() {
+            0 => return,
+            1 => {
+                let (req_id, ctx, inner) = batch.pop_front().expect("len checked");
+                Frame::Tagged {
+                    req_id,
+                    ctx,
+                    inner: Box::new(inner),
+                }
+            }
+            _ => Frame::Batch(batch.into()),
+        };
+        let Writer { stream, scratch } = &mut *w;
+        let sent = frame.encode_into(scratch).and_then(|()| {
+            stream.write_all(scratch)?;
+            stream.flush()?;
+            Ok(scratch.len() as u64)
+        });
+        match sent {
+            Ok(n) => {
+                self.frames_sent.fetch_add(1, Ordering::Relaxed);
+                self.bytes_sent.fetch_add(n, Ordering::Relaxed);
+            }
+            Err(e) => self.poison(e.with_peer(self.peer)),
+        }
+    }
+
+    /// Is request `id` still in the pending queue?
+    fn is_queued(&self, id: u32) -> bool {
+        self.pending
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|(queued, ..)| *queued == id)
+    }
 }
 
 /// The write half: the stream plus the reused encode scratch buffer.
@@ -108,16 +177,7 @@ struct Writer {
 /// One multiplexed connection to a wireplane server.
 pub struct MuxConn {
     shared: Arc<Shared>,
-    writer: Mutex<Writer>,
-    /// Requests enqueued but not yet flushed (with each caller's trace
-    /// context). Drained wholesale under the writer lock — the
-    /// combining step.
-    pending: Mutex<VecDeque<(u32, Option<TraceContext>, Frame)>>,
     next_id: AtomicU32,
-    /// Envelope frames actually written (one `Batch` counts once).
-    frames_sent: AtomicU64,
-    /// Envelope bytes actually written, length prefixes included.
-    bytes_sent: AtomicU64,
     /// A clone of the socket kept aside so `kill`/`Drop` can force the
     /// reader thread out of its blocked `read`.
     sock: TcpStream,
@@ -147,17 +207,17 @@ impl MuxConn {
                 dead: None,
             }),
             cond: Condvar::new(),
-        });
-        let conn = Arc::new(MuxConn {
-            shared: Arc::clone(&shared),
             writer: Mutex::new(Writer {
                 stream,
                 scratch: Vec::with_capacity(4096),
             }),
             pending: Mutex::new(VecDeque::new()),
-            next_id: AtomicU32::new(0),
             frames_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
+        });
+        let conn = Arc::new(MuxConn {
+            shared: Arc::clone(&shared),
+            next_id: AtomicU32::new(0),
             sock,
             max_frame,
         });
@@ -178,12 +238,12 @@ impl MuxConn {
 
     /// Envelope frames written so far (a whole `Batch` counts once).
     pub fn frames_sent(&self) -> u64 {
-        self.frames_sent.load(Ordering::Relaxed)
+        self.shared.frames_sent.load(Ordering::Relaxed)
     }
 
     /// Envelope bytes written so far, length prefixes included.
     pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
+        self.shared.bytes_sent.load(Ordering::Relaxed)
     }
 
     /// One request/reply exchange, concurrency-safe: any number of
@@ -199,14 +259,16 @@ impl MuxConn {
     /// entry carries `ctx` to the server, so its serve-stage span joins
     /// the caller's trace.
     pub fn call_ctx(&self, req: &Frame, ctx: Option<TraceContext>) -> Result<Frame, WireError> {
-        self.issue(req, ctx).wait().map(|(reply, _arrived)| reply)
+        let in_flight = self.issue(req, ctx);
+        self.flush();
+        in_flight.wait().map(|(reply, _arrived)| reply)
     }
 
-    /// The issue half of an exchange: registers the reply slot, enqueues
-    /// the request and flushes. On return the request is on the wire (or
-    /// the connection is dead, which the handle's [`InFlight::wait`]
-    /// reports — a flush failure poisons the connection, so there is no
-    /// separate error path here).
+    /// The issue step of an exchange: registers the reply slot and
+    /// enqueues the request. Nothing is written until the next
+    /// [`MuxConn::flush`] (anyone's), which sends it together with
+    /// whatever else is queued. On a dead connection nothing is queued
+    /// and the handle's [`InFlight::wait`] reports why.
     pub fn issue(&self, req: &Frame, ctx: Option<TraceContext>) -> InFlight {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let handle = InFlight {
@@ -221,59 +283,20 @@ impl MuxConn {
             }
             st.waiting.insert(id, None);
         }
-        self.pending
+        self.shared
+            .pending
             .lock()
             .unwrap()
             .push_back((id, ctx, req.clone()));
-        let _ = self.flush_pending();
         handle
     }
 
-    /// Drains the pending queue into envelope frames under the writer
-    /// lock. The thread that wins the lock sends *everything* queued so
-    /// far — including requests enqueued by threads still blocked on the
-    /// lock behind it — so concurrent callers combine into `Batch`
-    /// frames without any explicit coordination.
-    fn flush_pending(&self) -> Result<(), WireError> {
-        let mut w = self.writer.lock().unwrap();
-        loop {
-            let batch: Vec<(u32, Option<TraceContext>, Frame)> = {
-                let mut p = self.pending.lock().unwrap();
-                if p.is_empty() {
-                    return Ok(());
-                }
-                p.drain(..).collect()
-            };
-            let frame = if batch.len() == 1 {
-                let (req_id, ctx, inner) = batch.into_iter().next().expect("len checked");
-                Frame::Tagged {
-                    req_id,
-                    ctx,
-                    inner: Box::new(inner),
-                }
-            } else {
-                Frame::Batch(batch)
-            };
-            let Writer { stream, scratch } = &mut *w;
-            let sent = frame
-                .encode_into(scratch)
-                .and_then(|()| {
-                    stream.write_all(scratch)?;
-                    stream.flush()?;
-                    Ok(scratch.len() as u64)
-                })
-                .map_err(|e| e.with_peer(self.shared.peer));
-            match sent {
-                Ok(n) => {
-                    self.frames_sent.fetch_add(1, Ordering::Relaxed);
-                    self.bytes_sent.fetch_add(n, Ordering::Relaxed);
-                }
-                Err(e) => {
-                    self.shared.poison(e.clone());
-                    return Err(e);
-                }
-            }
-        }
+    /// The flush step: writes every request issued so far and not yet
+    /// sent as one envelope (`Tagged` for one, `Batch` otherwise; nothing
+    /// when the queue is empty). A failed write poisons the connection —
+    /// the waits report it, so there is no error path here.
+    pub fn flush(&self) {
+        self.shared.flush();
     }
 
     /// Demultiplexes replies until the stream dies, completing waiters
@@ -328,10 +351,10 @@ impl MuxConn {
     }
 }
 
-/// One request on the wire whose reply has not been collected yet — the
+/// One issued request whose reply has not been collected yet — the
 /// handle [`MuxConn::issue`] returns. Holds only the connection's shared
-/// reply slots, not the connection: the owner keeps the [`MuxConn`]
-/// alive for as long as it wants the reply.
+/// state, not the connection: the owner keeps the [`MuxConn`] alive for
+/// as long as it wants the reply.
 pub struct InFlight {
     shared: Arc<Shared>,
     id: u32,
@@ -343,9 +366,18 @@ impl InFlight {
     /// it with its arrival instant (stamped by the demux reader, so time
     /// the caller spent elsewhere before collecting is not in it), or
     /// fails with the connection's death cause.
+    ///
+    /// A request still in the queue cannot have been answered, so the
+    /// wait would block on it forever: it flushes the link first — a
+    /// missing flush can never hang a wait. (Checked up front, on the
+    /// queue's own lock, so the reply slots are locked once per wait and
+    /// the demux reader is not contended for them a second time.)
     pub fn wait(mut self) -> Result<(Frame, Instant), WireError> {
-        let mut st = self.shared.slots.lock().unwrap();
         self.collected = true;
+        if self.shared.is_queued(self.id) {
+            self.shared.flush();
+        }
+        let mut st = self.shared.slots.lock().unwrap();
         loop {
             if st.waiting.get(&self.id).is_some_and(|slot| slot.is_some()) {
                 return Ok(st
@@ -455,6 +487,7 @@ mod tests {
         let handles: Vec<InFlight> = (0..N)
             .map(|_| conn.issue(&Frame::HorizonReq, None))
             .collect();
+        conn.flush();
         assert_eq!(waiting(&conn), N, "every issued request holds a slot");
         drop(handles);
         assert_eq!(waiting(&conn), 0, "a dropped handle must release its slot");
@@ -464,12 +497,99 @@ mod tests {
         release.send(()).unwrap();
         let next = conn.issue(&Frame::HorizonReq, None);
         let id = next.id;
+        conn.flush();
         match next.wait().unwrap() {
             (Frame::HorizonRep(h), _) => {
                 assert_eq!(h, u64::from(id), "reply paired with a stale id")
             }
             (other, _) => panic!("unexpected reply {:#04x}", other.tag()),
         }
+        assert_eq!(waiting(&conn), 0);
+        assert!(!conn.is_dead());
+        drop(conn);
+        peer.join().unwrap();
+    }
+    fn horizon_of(reply: Result<(Frame, Instant), WireError>) -> u64 {
+        match reply.unwrap() {
+            (Frame::HorizonRep(h), _) => h,
+            (other, _) => panic!("unexpected reply {:#04x}", other.tag()),
+        }
+    }
+
+    /// Forgetting a flush costs a frame, never a deadlock: a wait about
+    /// to block on a request still in the queue sends the queue itself.
+    #[test]
+    fn mux_wait_on_a_request_nobody_flushed_flushes_its_own_link() {
+        let (addr, release, peer) = holding_peer(1);
+        release.send(()).unwrap();
+        let (conn, _, _) = MuxConn::connect(addr, MAX_FRAME).unwrap();
+        let first = conn.issue(&Frame::HorizonReq, None);
+        let second = conn.issue(&Frame::HorizonReq, None);
+        assert_eq!(conn.frames_sent(), 0, "issue only enqueues");
+        let (a, b) = (first.id, second.id);
+        assert_eq!(horizon_of(first.wait()), u64::from(a));
+        assert_eq!(conn.frames_sent(), 1, "the wait flushed the whole queue");
+        assert_eq!(horizon_of(second.wait()), u64::from(b));
+        assert_eq!(conn.frames_sent(), 1, "nothing was left to send");
+        assert_eq!(waiting(&conn), 0);
+        drop(conn);
+        peer.join().unwrap();
+    }
+
+    /// A request enqueued by one thread and flushed by another is sent —
+    /// and answered — exactly once: the issuer's wait finds it gone from
+    /// the queue and only collects.
+    #[test]
+    fn mux_request_enqueued_by_one_thread_and_flushed_by_another_is_answered_once() {
+        let (addr, release, peer) = holding_peer(1);
+        release.send(()).unwrap();
+        let (conn, _, _) = MuxConn::connect(addr, MAX_FRAME).unwrap();
+        let (issued_tx, issued) = mpsc::channel::<()>();
+        let (flushed_tx, flushed) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let conn = &conn;
+            let issuer = scope.spawn(move || {
+                let in_flight = conn.issue(&Frame::HorizonReq, None);
+                let id = in_flight.id;
+                issued_tx.send(()).unwrap();
+                flushed.recv().unwrap();
+                assert_eq!(horizon_of(in_flight.wait()), u64::from(id));
+            });
+            issued.recv().unwrap();
+            conn.flush();
+            flushed_tx.send(()).unwrap();
+            issuer.join().unwrap();
+        });
+        assert_eq!(conn.frames_sent(), 1, "the request went out twice");
+        // The link is in step: the next exchange gets its own reply.
+        let next = conn.issue(&Frame::HorizonReq, None);
+        let id = next.id;
+        conn.flush();
+        assert_eq!(horizon_of(next.wait()), u64::from(id));
+        assert_eq!(waiting(&conn), 0);
+        drop(conn);
+        peer.join().unwrap();
+    }
+
+    /// An exchange abandoned before anyone flushed it holds no reply
+    /// slot; its request leaves with the next flush and the reply is
+    /// discarded.
+    #[test]
+    fn mux_in_flight_handle_dropped_unflushed_leaves_no_waiting_slot() {
+        let (addr, release, peer) = holding_peer(1);
+        release.send(()).unwrap();
+        let (conn, _, _) = MuxConn::connect(addr, MAX_FRAME).unwrap();
+        let abandoned = conn.issue(&Frame::HorizonReq, None);
+        assert_eq!(waiting(&conn), 1);
+        drop(abandoned);
+        assert_eq!(waiting(&conn), 0, "a dropped handle must release its slot");
+        assert_eq!(conn.frames_sent(), 0);
+
+        let next = conn.issue(&Frame::HorizonReq, None);
+        let id = next.id;
+        conn.flush();
+        assert_eq!(horizon_of(next.wait()), u64::from(id));
+        assert_eq!(conn.frames_sent(), 1, "both requests left as one Batch");
         assert_eq!(waiting(&conn), 0);
         assert!(!conn.is_dead());
         drop(conn);

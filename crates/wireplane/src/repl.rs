@@ -125,21 +125,23 @@ impl ReplicaWriter {
     /// `Err(SeqGap { expected, .. })` when the replica's log position is
     /// elsewhere (the caller replays from `expected` or bootstraps).
     pub fn append(&self, seq: u64, record: &DeltaRecord) -> Result<u64, WireError> {
-        self.append_traced(seq, record, None)
+        self.append_traced(seq, record.clone(), None)
     }
 
     /// [`ReplicaWriter::append`] carrying a trace context, so the
     /// replica's apply-stage span joins the owner's replication trace.
+    /// Takes the record by value — it moves into the frame — so a caller
+    /// that sliced it for this replica pays no second copy.
     pub fn append_traced(
         &self,
         seq: u64,
-        record: &DeltaRecord,
+        record: DeltaRecord,
         ctx: Option<obsplane::TraceContext>,
     ) -> Result<u64, WireError> {
         let reply = self.exchange(&Frame::DeltaAppend {
             shard: self.shard as u16,
             seq,
-            record: record.clone(),
+            record,
             ctx,
         })?;
         self.expect_ack(reply)

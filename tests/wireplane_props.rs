@@ -3062,6 +3062,7 @@ fn mux_in_flight_death_is_the_first_failure_of_the_exchange_budget() {
         };
         cluster.server(0).set_serve_delay(Some(delay));
         let in_flight = shard.union_slice(switch, range);
+        shard.flush();
         gate.wait_all_parked();
         shard.kill_connection();
         gate.open();
@@ -3233,5 +3234,358 @@ fn mux_scrape_requests_of_every_shard_are_in_flight_together() {
     }
     assert_eq!(scraped_stats, clean_stats, "scraping perturbed the metrics");
     assert_eq!(format!("{scraped_traces:?}"), format!("{clean_traces:?}"));
+    cluster.shutdown();
+}
+
+// ----------------------------------------------------------------------
+// (f) The staged executor and the lock-step wave
+// ----------------------------------------------------------------------
+
+/// Seeded mixes of all six query classes, wave sizes 1–40, at 1/2/4
+/// shards: entry `i` of `execute_wave(reqs)` is what `execute(&reqs[i])`
+/// returns — and what a `BackendRouter` over in-process `LocalBackend`s
+/// driving `execute_traced` returns — in response, execution trace
+/// **and per-query routing counters**. Who drives a query, and what else
+/// shares its flushes, never shows in anything it returns.
+#[test]
+fn wave_equals_serial_in_response_trace_and_router_counters() {
+    use queryplane::Snapshot;
+    use switchpointer::query::QueryExecutor;
+    use switchpointer::shard::{BackendRouter, LocalBackend, ShardedDirectory};
+
+    let (mut tb, victim, _) = watch_testbed();
+    tb.sim.run_until(SimTime::from_ms(40));
+    let analyzer = tb.analyzer();
+    let pool = storm_queries(&tb, victim);
+    let classes: std::collections::BTreeSet<_> = pool.iter().map(|r| r.class_name()).collect();
+    assert_eq!(classes.len(), 6, "fixture must cover every query class");
+    let snapshot = Snapshot::capture(&analyzer, 8);
+    let mut rng = rng_for("wireplane wave equals serial");
+    for n_shards in [1usize, 2, 4] {
+        let dir = ShardedDirectory::new(
+            analyzer.directory().mphf().clone(),
+            &analyzer.all_hosts(),
+            n_shards,
+        );
+        let backends: Vec<LocalBackend<'_, Snapshot>> = dir
+            .shards()
+            .iter()
+            .map(|s| LocalBackend::new(s, &snapshot))
+            .collect();
+        let cluster = WireCluster::launch(&analyzer, n_shards, WireConfig::default()).unwrap();
+        for case in 0..10 {
+            let size = 1 + rng.below(40) as usize;
+            let reqs: Vec<QueryRequest> = (0..size)
+                .map(|_| match pool[rng.below(pool.len() as u64) as usize] {
+                    // Aggregates also vary their window, so a wave holds
+                    // rounds of different width.
+                    QueryRequest::TopK { switch, k, .. } => QueryRequest::TopK {
+                        switch,
+                        k,
+                        range: gen_epoch_range(&mut rng),
+                    },
+                    QueryRequest::LoadImbalance { switch, .. } => QueryRequest::LoadImbalance {
+                        switch,
+                        range: gen_epoch_range(&mut rng),
+                    },
+                    other => other,
+                })
+                .collect();
+            let wave = cluster.front().execute_wave(&reqs);
+            assert_eq!(wave.len(), reqs.len());
+            for (i, ((resp, trace, counters), req)) in wave.iter().zip(&reqs).enumerate() {
+                let at = format!("case {case}, query {i} of {size}, {n_shards} shard(s)");
+                let (s_resp, s_trace, s_counters) = cluster.front().execute(req);
+                assert_eq!(format!("{resp:?}"), format!("{s_resp:?}"), "{at}");
+                assert_eq!(format!("{trace:?}"), format!("{s_trace:?}"), "{at}");
+                assert_eq!(*counters, s_counters, "{at}");
+                let router = BackendRouter::new(&backends, &dir);
+                let (l_resp, l_trace) =
+                    QueryExecutor::new(analyzer.ctx(), &router).execute_traced(req);
+                assert_eq!(format!("{resp:?}"), format!("{l_resp:?}"), "{at} (local)");
+                assert_eq!(format!("{trace:?}"), format!("{l_trace:?}"), "{at} (local)");
+                assert_eq!(*counters, router.counters(), "{at} (local)");
+            }
+        }
+        cluster.shutdown();
+    }
+}
+
+/// A sliding `TopK` and a sliding `LoadImbalance` on every switch of the
+/// k=4 fat tree: 40 standing aggregates.
+fn sliding_aggregates(analyzer: &switchpointer::Analyzer) -> Vec<StandingQuery> {
+    let topics: Vec<StandingQuery> = analyzer
+        .all_switches()
+        .into_iter()
+        .flat_map(|switch| {
+            [
+                StandingQuery::TopKSliding {
+                    switch,
+                    k: 10,
+                    epochs_back: 20,
+                },
+                StandingQuery::LoadImbalanceSliding {
+                    switch,
+                    epochs_back: 20,
+                },
+            ]
+        })
+        .collect();
+    assert_eq!(topics.len(), 40, "a k=4 fat tree has 20 switches");
+    topics
+}
+
+/// A window is two batched rounds per worker, in counts: 40 sliding
+/// aggregates on a 4-shard cluster close a window in at most
+/// `shards × (1 + 2 × front_workers)` envelope frames — the horizon
+/// round, then per worker one frame per shard for its chunk's unions and
+/// one for its waves (a query-at-a-time window sends ≈ 8 per topic) —
+/// while the routing counters grow by exactly what the same 40 queries
+/// add when executed one by one.
+#[test]
+fn mux_window_of_standing_aggregates_is_two_batched_rounds_per_worker() {
+    const N: usize = 4;
+    let tb = wide_testbed();
+    let analyzer = tb.analyzer();
+    let cfg = WireConfig::default();
+    let cluster = WireCluster::launch(&analyzer, N, cfg).unwrap();
+    let topics = sliding_aggregates(&analyzer);
+    let mut client = cluster.client().unwrap();
+    for q in &topics {
+        client.subscribe(*q, 0).unwrap();
+    }
+
+    let frames_before = cluster.front().wire_frames_sent();
+    let before = cluster.front().counters();
+    let summary = cluster.close_window();
+    let frames = cluster.front().wire_frames_sent() - frames_before;
+    let after = cluster.front().counters();
+    assert_eq!((summary.evaluated, summary.pending), (40, 0));
+    let bound = (N * (1 + 2 * cfg.front_workers)) as u64;
+    assert!(
+        frames <= bound,
+        "the window put {frames} envelope frames on the wire, more than {N} x (1 + 2 x {}) = {bound}",
+        cfg.front_workers
+    );
+    let wave_frames = cluster
+        .front_metrics()
+        .snapshot()
+        .hist("wire.frames_per_wave")
+        .expect("the window ran a wave")
+        .max;
+    assert!(wave_frames <= (2 * N * cfg.front_workers) as u64);
+
+    // The same 40 queries, one by one. The window's own extra is its
+    // horizon round: one RPC per shard, one round.
+    let (mut rpcs, mut rounds) = (N as u64, 1u64);
+    for q in &topics {
+        let req = q
+            .resolve(&analyzer.live_view(), summary.horizon)
+            .expect("sliding aggregates always resolve");
+        let (_, _, c) = cluster.front().execute(&req);
+        rpcs += c.rpcs;
+        rounds += c.rounds;
+    }
+    assert_eq!(
+        (after.rpcs - before.rpcs, after.rounds - before.rounds),
+        (rpcs, rounds),
+        "batching the window's frames must not change what was routed"
+    );
+    let (incidents, win) = client.drain_window().unwrap();
+    assert_eq!(win.window, summary.window);
+    assert_eq!(incidents.len() as u64, summary.incidents);
+    cluster.shutdown();
+}
+
+/// Closes a window during which every shard loses its primary: each
+/// primary reports the first union request of the window's wave and
+/// holds it while the test kills all of them — so the horizon round has
+/// been answered and the wave is in flight when they die. `Err` when the
+/// window was lost to it (`close_window` panicked).
+fn close_window_losing_primaries(
+    cluster: &ReplicaCluster,
+    n_shards: usize,
+) -> std::thread::Result<wireplane::WindowSummary> {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::mpsc;
+
+    let (tx, rx) = mpsc::channel::<()>();
+    let tx = Mutex::new(tx);
+    let delay: ServeDelay = Arc::new(move |f: &Frame| match f {
+        Frame::UnionSliceReq { .. } => {
+            let _ = tx.lock().unwrap().send(());
+            Duration::from_millis(50)
+        }
+        _ => Duration::ZERO,
+    });
+    for shard in 0..n_shards {
+        cluster.set_serve_delay(shard, 0, Some(delay.clone()));
+    }
+    std::thread::scope(|scope| {
+        let killer = scope.spawn(move || {
+            rx.recv().expect("the window's wave reached a primary");
+            for shard in 0..n_shards {
+                assert!(cluster.kill_primary(shard), "primary already dead");
+            }
+        });
+        let window = catch_unwind(AssertUnwindSafe(|| cluster.close_window()));
+        killer.join().unwrap();
+        window
+    })
+}
+
+/// A failed window must not take the front-end with it. With every shard
+/// server dying under the window's wave `close_window` panics (a shard
+/// past its retry budget) — and afterwards the same front-end still
+/// acknowledges a fresh subscribe, still serves its topic table, and
+/// still tears a dropped watcher connection down: none of them finds a
+/// poisoned lock.
+#[test]
+fn failed_window_leaves_the_front_end_serving_subscribes_and_teardowns() {
+    let (mut tb, victim, da) = watch_testbed();
+    tb.sim.run_until(SimTime::from_ms(20));
+    let analyzer = tb.analyzer();
+    let n_shards = 2usize;
+    let cluster = ReplicaCluster::launch(&analyzer, n_shards, 1, WireConfig::default()).unwrap();
+    let subs = watch_subscriptions(&tb, victim, da);
+    let mut watcher = cluster.client().unwrap();
+    for q in &subs[..3] {
+        watcher.subscribe(*q, 0).unwrap();
+    }
+    let healthy = cluster.close_window();
+    assert_eq!(healthy.evaluated, 3);
+
+    let failed = close_window_losing_primaries(&cluster, n_shards);
+    assert!(
+        failed.is_err(),
+        "a window over no shard server cannot close"
+    );
+
+    // A fresh subscribe, on a fresh connection, is acknowledged...
+    let mut late = cluster.client().unwrap();
+    let (sub, available) = late
+        .subscribe(subs[3], 0)
+        .expect("the failed window poisoned the topic table");
+    assert_eq!(sub, SubscriptionId(3));
+    assert_eq!(available, 0);
+    // ...the existing watcher's connection tears down (its listener
+    // thread takes the same lock to reap the watchers)...
+    drop(watcher);
+    // ...and the table is still there to be read and subscribed to.
+    assert_eq!(cluster.front().incident_logs().len(), 4);
+    let (again, _) = late.subscribe(subs[0], 0).unwrap();
+    assert_eq!(again, SubscriptionId(0));
+    cluster.shutdown();
+}
+
+/// Primaries lost *mid-window*: every primary is killed while it holds a
+/// request of the window's wave. Whether that window rides the failover
+/// through or is lost to the retry budget, the next one closes on the
+/// standbys and the subscriber's stream stays seq-continuous — zero
+/// duplicated, zero dropped pushes.
+#[test]
+fn primaries_lost_mid_window_leave_the_next_window_seq_continuous() {
+    let (mut tb, victim, da) = watch_testbed();
+    tb.sim.run_until(SimTime::from_ms(10));
+    let analyzer = tb.analyzer();
+    let n_shards = 2usize;
+    let cluster = ReplicaCluster::launch(&analyzer, n_shards, 2, WireConfig::default()).unwrap();
+    let subs = watch_subscriptions(&tb, victim, da);
+    let mut client = cluster.client().unwrap();
+    for q in &subs {
+        client.subscribe(*q, 0).unwrap();
+    }
+    let mut collected = Collected::default();
+    let mut drain = |client: &mut WireClient, window: u64| {
+        let (incidents, win) = client.drain_window().unwrap();
+        assert_eq!(win.window, window);
+        for (seq, incident) in incidents {
+            collected.take(seq, incident);
+        }
+    };
+    let w0 = cluster.close_window();
+    drain(&mut client, w0.window);
+
+    // Window 1 loses every primary under its wave.
+    tb.sim.run_until(SimTime::from_ms(25));
+    cluster.refresh(&analyzer);
+    let w1 = close_window_losing_primaries(&cluster, n_shards);
+    if let Ok(w1) = w1 {
+        drain(&mut client, w1.window);
+    }
+
+    // Window 2, on the standbys.
+    tb.sim.run_until(SimTime::from_ms(40));
+    cluster.refresh(&analyzer);
+    let w2 = cluster.close_window();
+    assert_eq!(w2.window, 2);
+    assert_eq!(w2.evaluated, subs.len() as u64);
+    drain(&mut client, w2.window);
+    assert!(
+        cluster.front().active_replicas().iter().all(|&r| r == 1),
+        "some shard still points at its dead primary"
+    );
+    cluster.shutdown();
+}
+
+/// What a subscriber reads for one window is the concatenation of the
+/// individual frames — each topic's new incidents in subscription order,
+/// then the window digest — and nothing else, whether the front-end
+/// writes them one by one or as one buffer.
+#[test]
+fn window_byte_stream_is_the_frames_in_subscription_order_then_the_digest() {
+    use std::io::{Read, Write};
+
+    let (mut tb, victim, da) = watch_testbed();
+    tb.sim.run_until(SimTime::from_ms(25));
+    let analyzer = tb.analyzer();
+    let cluster = WireCluster::launch(&analyzer, 2, WireConfig::default()).unwrap();
+    let subs = watch_subscriptions(&tb, victim, da);
+
+    let mut raw = std::net::TcpStream::connect(cluster.front_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert!(matches!(
+        Frame::read(&mut raw, MAX_FRAME).unwrap(),
+        Frame::Hello { .. }
+    ));
+    for (i, q) in subs.iter().enumerate() {
+        let req = Frame::SubscribeReq {
+            query: *q,
+            resume_after: 0,
+        };
+        raw.write_all(&req.to_frame_bytes().unwrap()).unwrap();
+        match Frame::read(&mut raw, MAX_FRAME).unwrap() {
+            Frame::SubscribeRep { sub, available } => {
+                assert_eq!((sub, available), (SubscriptionId(i as u64), 0))
+            }
+            other => panic!("expected a subscribe ack, got {other:?}"),
+        }
+    }
+
+    let summary = cluster.close_window();
+    assert!(
+        summary.incidents >= 3,
+        "fixture regressed: a first window opens every topic"
+    );
+    let mut expected = Vec::new();
+    for (_, log) in cluster.front().incident_logs() {
+        for (seq, incident) in log.into_iter().enumerate() {
+            let frame = Frame::IncidentPush {
+                seq: seq as u64,
+                incident,
+            };
+            expected.extend(frame.to_frame_bytes().unwrap());
+        }
+    }
+    expected.extend(Frame::WindowPush(summary).to_frame_bytes().unwrap());
+    let mut got = vec![0u8; expected.len()];
+    raw.read_exact(&mut got).unwrap();
+    assert_eq!(got, expected);
+    // Nothing follows the digest.
+    raw.set_read_timeout(Some(Duration::from_millis(50)))
+        .unwrap();
+    assert!(
+        matches!(raw.read(&mut [0u8; 1]), Err(e) if e.kind() != std::io::ErrorKind::UnexpectedEof)
+    );
     cluster.shutdown();
 }
