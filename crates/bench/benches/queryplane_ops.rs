@@ -19,7 +19,6 @@ use netsim::prelude::*;
 use obsplane::{HistogramSnapshot, Percentiles, RegistrySnapshot};
 use queryplane::model::ModelReplay;
 use queryplane::{QueryPlane, QueryPlaneConfig, RetentionPolicy, Snapshot};
-use replicaplane::ReplicaCluster;
 use streamplane::{StandingQuery, StreamConfig, StreamPlane};
 use switchpointer::query::{QueryRequest, QUERY_CLASS_NAMES};
 use switchpointer::testbed::{churn_storm, Testbed, TestbedConfig};
@@ -722,8 +721,9 @@ fn measure_replication(reqs: &[QueryRequest]) -> ReplicationSummary {
     tb.sim.run_until(SimTime::from_ms(10));
     let analyzer = tb.analyzer();
     let (shards, replicas) = (2usize, 2usize);
-    let cluster = ReplicaCluster::launch(&analyzer, shards, replicas, WireConfig::default())
-        .expect("launch replicated cluster");
+    let cluster =
+        WireCluster::launch_replicated(&analyzer, shards, replicas, WireConfig::default())
+            .expect("launch replicated cluster");
 
     // Publish a train of sequenced deltas to every replica.
     let mut publish_wall = Duration::ZERO;

@@ -697,7 +697,7 @@ impl PartialEq for PointerHierarchy {
 // ---- wire codecs ---------------------------------------------------------
 //
 // Replication ships pointer patches and whole hierarchies between shard
-// replicas (the `replicaplane` crate). The codecs are inherent methods here
+// replicas (`wireplane`'s publisher). The codecs are inherent methods here
 // because `Slot` and the patch internals are private: nothing outside this
 // module may construct a patch, but any peer may decode one. Decoding never
 // panics — malformed input is a typed [`WireError`] — and the MPHF never

@@ -61,11 +61,11 @@ pub fn trace() -> Vec<FigureData> {
         Frame::TopKWaveReq { .. } => RIGGED_DELAY,
         _ => Duration::ZERO,
     });
-    cluster.server(0).set_serve_delay(Some(rig));
+    cluster.set_serve_delay(0, 0, Some(rig));
     let t0 = Instant::now();
     client.query(&reqs[0]).expect("rigged query");
     measured_ns.push(t0.elapsed().as_nanos() as u64);
-    cluster.server(0).set_serve_delay(None);
+    cluster.set_serve_delay(0, 0, None);
 
     // One scrape, every process: the front's spans plus each shard's,
     // reassembled into causal trees by trace id.

@@ -133,33 +133,13 @@ pub struct RemoteShard {
 }
 
 impl RemoteShard {
-    /// Dials `addr` and verifies the greeting names shard `shard`.
-    pub fn connect(shard: usize, addr: SocketAddr, max_frame: u32) -> Result<Self, WireError> {
-        Self::connect_observed(shard, addr, max_frame, None)
-    }
-
-    /// [`RemoteShard::connect`], recording each exchange's round trip
-    /// into `rtt_ns` when provided.
-    pub fn connect_observed(
-        shard: usize,
-        addr: SocketAddr,
-        max_frame: u32,
-        rtt_ns: Option<Arc<Histogram>>,
-    ) -> Result<Self, WireError> {
-        Self::connect_replicated(
-            shard,
-            vec![addr],
-            max_frame,
-            RetryPolicy::immediate(2),
-            rtt_ns,
-            None,
-        )
-    }
-
-    /// Connects to a shard served by a replica set: `addrs[0]` is the
-    /// primary, the rest are standbys taken in order when the active
-    /// replica exhausts `retry`. At least one address must be dialable
-    /// now; dead standbys are tolerated until failover reaches them.
+    /// Connects to a shard served by a replica set (a lone server is a
+    /// set of one), verifying each greeting names shard `shard`:
+    /// `addrs[0]` is the primary, the rest are standbys taken in order
+    /// when the active replica exhausts `retry`. At least one address
+    /// must be dialable now; dead standbys are tolerated until failover
+    /// reaches them. Each exchange's round trip is recorded into
+    /// `rtt_ns`, a failover's wall clock into `failover_ns`, when given.
     pub fn connect_replicated(
         shard: usize,
         addrs: Vec<SocketAddr>,
@@ -1105,35 +1085,15 @@ pub struct FrontEnd {
 }
 
 impl FrontEnd {
-    /// Connects to the shard servers at `addrs` (in shard order) and
-    /// binds the client listener on `127.0.0.1:0`; the bound address
-    /// comes back via [`FrontEnd::local_addr`].
-    pub fn connect(
-        ctx: Arc<SharedCtx>,
-        addrs: &[SocketAddr],
-        cfg: WireConfig,
-    ) -> Result<Self, WireError> {
-        Self::connect_with(ctx, addrs, cfg, true)
-    }
-
-    /// [`FrontEnd::connect`] with per-shard wave coalescing configurable
-    /// — `coalesce: false` is the measurable naive per-host RPC regime.
-    pub fn connect_with(
-        ctx: Arc<SharedCtx>,
-        addrs: &[SocketAddr],
-        cfg: WireConfig,
-        coalesce: bool,
-    ) -> Result<Self, WireError> {
-        let sets: Vec<Vec<SocketAddr>> = addrs.iter().map(|&a| vec![a]).collect();
-        Self::connect_replica_sets(ctx, &sets, cfg, coalesce, RetryPolicy::immediate(2))
-    }
-
-    /// Connects each shard to a *replica set* (`addr_sets[s][0]` the
-    /// primary, the rest standbys): when a replica dies mid-query the
-    /// shard connection rotates to the next address under `retry` and
-    /// the wave completes on the standby. Subscription topics live on
-    /// the front-end, so standing-query streams keep their cursors
-    /// across the failover.
+    /// Connects each shard to its *replica set* (`addr_sets[s]`, in
+    /// shard order: `[0]` the primary, the rest standbys — a lone server
+    /// is a set of one) and binds the client listener on `127.0.0.1:0`;
+    /// the bound address comes back via [`FrontEnd::local_addr`]. When a
+    /// replica dies mid-query the shard connection rotates to the next
+    /// address under `retry` and the wave completes on the standby.
+    /// Subscription topics live on the front-end, so standing-query
+    /// streams keep their cursors across the failover. `coalesce: false`
+    /// is the measurable naive per-host RPC regime.
     pub fn connect_replica_sets(
         ctx: Arc<SharedCtx>,
         addr_sets: &[Vec<SocketAddr>],

@@ -7,8 +7,8 @@
 //! not match, transport errors with peer context attached). The frames
 //! travel bare, never in an envelope: that is what makes the shard apply
 //! them in arrival order (see [`crate::server`]). Deciding
-//! *what* to do about a gap — replay the missing suffix from the log, or
-//! re-bootstrap — is policy, and lives in `replicaplane`'s publisher.
+//! *what* to do about a refusal — re-bootstrap, or give the replica up —
+//! is policy, and lives one module over in [`crate::publish`].
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -123,27 +123,23 @@ impl ReplicaWriter {
 
     /// Appends one sequenced record. `Ok(applied)` on success;
     /// `Err(SeqGap { expected, .. })` when the replica's log position is
-    /// elsewhere (the caller replays from `expected` or bootstraps).
+    /// elsewhere.
     pub fn append(&self, seq: u64, record: &DeltaRecord) -> Result<u64, WireError> {
-        self.append_traced(seq, record.clone(), None)
-    }
-
-    /// [`ReplicaWriter::append`] carrying a trace context, so the
-    /// replica's apply-stage span joins the owner's replication trace.
-    /// Takes the record by value — it moves into the frame — so a caller
-    /// that sliced it for this replica pays no second copy.
-    pub fn append_traced(
-        &self,
-        seq: u64,
-        record: DeltaRecord,
-        ctx: Option<obsplane::TraceContext>,
-    ) -> Result<u64, WireError> {
-        let reply = self.exchange(&Frame::DeltaAppend {
+        self.append_frame(&Frame::DeltaAppend {
             shard: self.shard as u16,
             seq,
-            record,
-            ctx,
-        })?;
+            record: record.clone(),
+            ctx: None,
+        })
+    }
+
+    /// [`ReplicaWriter::append`] of a [`Frame::DeltaAppend`] the caller
+    /// built: the publisher cuts one frame per `(shard, seq)` — record
+    /// moved in, trace context attached so the replica's apply-stage
+    /// span joins the owner's trace — and every replica of the shard is
+    /// sent it by reference, so no replica costs a copy of the record.
+    pub(crate) fn append_frame(&self, append: &Frame) -> Result<u64, WireError> {
+        let reply = self.exchange(append)?;
         self.expect_ack(reply)
     }
 

@@ -1044,7 +1044,7 @@ mod tests {
                 Duration::ZERO
             })
         };
-        cluster.server(0).set_serve_delay(Some(delay));
+        cluster.set_serve_delay(0, 0, Some(delay));
 
         // A raw socket, so the 40 requests travel as 40 `Tagged` frames
         // (a `MuxConn` would combine concurrent callers into batches).
@@ -1115,7 +1115,7 @@ mod tests {
             MAX_INFLIGHT_SERVES as u64,
             "draining the backlog reuses the parked workers"
         );
-        cluster.server(0).set_serve_delay(None);
+        cluster.set_serve_delay(0, 0, None);
         cluster.shutdown();
     }
 
@@ -1145,7 +1145,7 @@ mod tests {
                 Duration::ZERO
             })
         };
-        cluster.server(0).set_serve_delay(Some(delay));
+        cluster.set_serve_delay(0, 0, Some(delay));
 
         std::thread::scope(|scope| {
             let call = scope.spawn(|| mux.call(&Frame::HorizonReq));
@@ -1235,13 +1235,14 @@ mod tests {
     }
 
     impl Gate {
-        fn install(server: &ShardServer) -> Gate {
+        /// `rig` hands the gate's hook to the server's serve-delay slot.
+        fn install(rig: impl FnOnce(Option<ServeDelay>)) -> Gate {
             let gate = Arc::new(GateState {
                 state: Mutex::new((0, false)),
                 cond: Condvar::new(),
             });
             let hook = Arc::clone(&gate);
-            server.set_serve_delay(Some(Arc::new(move |_: &Frame| {
+            rig(Some(Arc::new(move |_: &Frame| {
                 let mut g = hook.state.lock().unwrap();
                 g.0 += 1;
                 hook.cond.notify_all();
@@ -1312,7 +1313,7 @@ mod tests {
         assert_eq!(serve_inline(reg), 0, "a closed loop never holds the token");
 
         const REQUESTS: u32 = 40;
-        let gate = Gate::install(cluster.server(0));
+        let gate = Gate::install(|hook| cluster.set_serve_delay(0, 0, hook));
         let (mut stream, hello) = dial(cluster.shard_addrs()[0]);
         assert!(matches!(hello, Frame::Hello { .. }));
         for req_id in 0..REQUESTS {
@@ -1334,7 +1335,7 @@ mod tests {
             ));
         }
         assert!(serve_inline(reg) >= 1);
-        cluster.server(0).set_serve_delay(None);
+        cluster.set_serve_delay(0, 0, None);
         cluster.shutdown();
     }
 
@@ -1349,7 +1350,7 @@ mod tests {
             ..WireConfig::default()
         });
         let addr = server.local_addr();
-        let gate = Gate::install(&server);
+        let gate = Gate::install(|hook| server.set_serve_delay(hook));
         let (mut stream, hello) = dial(addr);
         assert!(matches!(hello, Frame::Hello { .. }));
         for req_id in 0..3 {
@@ -1386,7 +1387,7 @@ mod tests {
     fn appends_interleaved_with_parked_reads_apply_in_arrival_order() {
         const APPENDS: u64 = 16;
         let server = lone_server(WireConfig::default());
-        let gate = Gate::install(&server);
+        let gate = Gate::install(|hook| server.set_serve_delay(hook));
         let (mut stream, hello) = dial(server.local_addr());
         assert!(matches!(hello, Frame::Hello { .. }));
         for seq in 1..=APPENDS {

@@ -14,12 +14,11 @@
 //! hard-coded. Run with: `cargo run --release --example failover_demo`
 
 use suite::netsim::prelude::*;
-use suite::replicaplane::ReplicaCluster;
 use suite::streamplane::{IncidentKind, StandingQuery};
 use suite::switchpointer::query::QueryRequest;
 use suite::switchpointer::testbed::{Testbed, TestbedConfig};
 use suite::telemetry::EpochRange;
-use suite::wireplane::{WireConfig, WireEvent};
+use suite::wireplane::{WireCluster, WireConfig, WireEvent};
 
 fn main() {
     // The continuous-watch deployment: ECMP-colliding victim + burst.
@@ -62,7 +61,7 @@ fn main() {
     // Two shards, each with a primary and a standby fed in-band by the
     // owner's delta publisher.
     let n_shards = 2usize;
-    let cluster = ReplicaCluster::launch(&analyzer, n_shards, 2, WireConfig::default())
+    let cluster = WireCluster::launch_replicated(&analyzer, n_shards, 2, WireConfig::default())
         .expect("launch the replicated cluster");
     println!(
         "failover_demo: front-end at {} over {} shards x 2 replicas, log heads {:?}",

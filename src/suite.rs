@@ -7,7 +7,6 @@ pub use netsim;
 pub use obsplane;
 pub use pathdump;
 pub use queryplane;
-pub use replicaplane;
 pub use streamplane;
 pub use switchpointer;
 pub use telemetry;

@@ -11,11 +11,14 @@
 //! (c) **Publication is observable.** The owner's `repl.*` metrics
 //!     account one publish per refresh, every bootstrap, and a lag of
 //!     zero once every live replica acked the head.
+//! (d) **One ladder, at every replica count.** A replica that refuses
+//!     the next append climbs straight to a snapshot bootstrap and is
+//!     bit-identical to the owner again, with one replica per shard or
+//!     two.
 
 use netsim::prelude::*;
 use proptest::rng_for;
 use queryplane::{DeltaRecord, RetentionPolicy};
-use replicaplane::ReplicaCluster;
 use switchpointer::retention;
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::frame::WireError;
@@ -50,7 +53,7 @@ fn replication_testbed() -> Testbed {
 
 /// Asserts every live replica of every shard sits at the owner's head
 /// and serves a state bit-identical to the owner's slice.
-fn assert_no_divergence(cluster: &ReplicaCluster, n_shards: usize, ctx: &str) {
+fn assert_no_divergence(cluster: &WireCluster, n_shards: usize, ctx: &str) {
     let heads = cluster.heads();
     let applied = cluster.applied_seqs();
     for s in 0..n_shards {
@@ -71,18 +74,23 @@ fn assert_no_divergence(cluster: &ReplicaCluster, n_shards: usize, ctx: &str) {
 }
 
 /// (a) — the tentpole pin. Random walks over {advance+publish, sweep,
-/// add fresh standby, kill a replica}, at every shard count, with the
-/// log capacity small enough that a bootstrap is forced whenever a
-/// standby joins late.
+/// add fresh standby, kill a replica}, at every shard count, launched
+/// with one replica per shard (the deployment the benchmark runs; the
+/// walk skips the kill, which would leave a shard nobody serves) and
+/// with two.
 #[test]
 fn replicas_bit_identical_at_every_applied_seq_under_random_interleavings() {
-    for n_shards in [1usize, 2, 4, 8] {
+    for (n_shards, n_replicas) in [1usize, 2, 4, 8]
+        .into_iter()
+        .flat_map(|s| [(s, 1usize), (s, 2)])
+    {
         let mut rng = rng_for("replica divergence");
         let mut tb = replication_testbed();
         tb.sim.run_until(SimTime::from_ms(5));
         let analyzer = tb.analyzer();
         let cluster =
-            ReplicaCluster::launch_with(&analyzer, n_shards, 2, WireConfig::default(), 3).unwrap();
+            WireCluster::launch_replicated(&analyzer, n_shards, n_replicas, WireConfig::default())
+                .unwrap();
         assert_no_divergence(&cluster, n_shards, "at launch");
 
         let mut now_ms = 5u64;
@@ -113,7 +121,7 @@ fn replicas_bit_identical_at_every_applied_seq_under_random_interleavings() {
             }
             // Kill one primary exactly once, mid-walk: the standbys must
             // carry the shard alone from then on.
-            if step == 7 {
+            if step == 7 && n_replicas > 1 {
                 let shard = rng.below(n_shards as u64) as usize;
                 assert!(cluster.kill_primary(shard));
                 killed_one = true;
@@ -121,7 +129,7 @@ fn replicas_bit_identical_at_every_applied_seq_under_random_interleavings() {
             cluster.refresh(&analyzer);
             assert_no_divergence(&cluster, n_shards, &format!("step {step}"));
         }
-        assert!(killed_one);
+        assert_eq!(killed_one, n_replicas > 1);
 
         // (c) Publication accounting: one publish per refresh, at least
         // one bootstrap per standby added, zero lag at rest.
@@ -149,7 +157,7 @@ fn out_of_sequence_appends_refuse_with_a_typed_gap() {
     // One in-band refresh: the shard's replication log is at seq 1.
     tb.sim.run_until(SimTime::from_ms(8));
     cluster.refresh(&analyzer);
-    assert_eq!(cluster.applied_seqs(), vec![1]);
+    assert_eq!(cluster.applied_seqs(), vec![vec![Some(1)]]);
 
     // A second writer skips to seq 7: typed refusal, position unmoved.
     let addr = cluster.shard_addrs()[0];
@@ -168,13 +176,13 @@ fn out_of_sequence_appends_refuse_with_a_typed_gap() {
     }
     assert_eq!(
         cluster.applied_seqs(),
-        vec![1],
+        vec![vec![Some(1)]],
         "refused append must not move the log"
     );
 
     // The seq it asked for lands (an empty record is a valid no-op).
     assert_eq!(w.append(2, &DeltaRecord::default()).unwrap(), 2);
-    assert_eq!(cluster.applied_seqs(), vec![2]);
+    assert_eq!(cluster.applied_seqs(), vec![vec![Some(2)]]);
 
     // Status probe agrees.
     assert_eq!(w.status().unwrap(), 2);
@@ -207,4 +215,97 @@ fn corrupt_replication_frames_never_move_the_log() {
     // The same connection still serves well-formed traffic afterwards.
     assert_eq!(w.status().unwrap(), 0);
     cluster.shutdown();
+}
+
+/// (d) — the whole ladder, at one replica per shard and at two. A raw
+/// writer appends at `head + 1` behind the cluster's back, so the
+/// primary is one record ahead of what the owner believes and serving a
+/// state the owner never held. The next refresh's append meets a typed
+/// `SeqGap` and climbs to a bootstrap: the primary is bit-identical to
+/// the owner again, counted once, with nothing lagging — while a standby
+/// beside it took the same refresh as a plain append. The trace of a
+/// healthy append crosses the wire: the replica's apply-stage span hangs
+/// off the owner's replicate-stage root, both scraped through the front.
+#[test]
+fn a_refused_append_climbs_to_a_bootstrap_at_one_replica_and_at_two() {
+    for n_replicas in [1usize, 2] {
+        let mut tb = replication_testbed();
+        tb.sim.run_until(SimTime::from_ms(5));
+        let analyzer = tb.analyzer();
+        let cfg = WireConfig {
+            trace_sample_rate: 1,
+            ..WireConfig::default()
+        };
+        let cluster = WireCluster::launch_replicated(&analyzer, 1, n_replicas, cfg).unwrap();
+        let r = n_replicas as u64;
+
+        // A healthy refresh: one acked append per replica, and one trace
+        // whose root is the owner's and whose child is the primary's.
+        tb.sim.run_until(SimTime::from_ms(8));
+        cluster.refresh(&analyzer);
+        let owner = cluster.owner_metrics().snapshot();
+        assert_eq!(owner.counter("repl.appends"), r);
+        assert_eq!(owner.counter("repl.bootstraps"), 0);
+        let scrape = cluster.front().scrape_traces().unwrap();
+        let trees = wireplane::assemble(&scrape);
+        let replicated: Vec<_> = trees
+            .iter()
+            .filter(|t| t.root().is_some_and(|root| root.stage == "replicate"))
+            .collect();
+        assert_eq!(replicated.len(), 1, "one (shard, seq) was published");
+        let tree = replicated[0];
+        assert!(
+            tree.causally_linked(),
+            "the apply span does not hang off the replicate root"
+        );
+        assert!(tree.stage_ns("apply") > 0, "no apply-stage span scraped");
+        assert_eq!(
+            tree.processes().into_iter().collect::<Vec<_>>(),
+            ["front", "shard0"],
+            "the replication trace must span owner and replica"
+        );
+
+        // Behind the cluster's back: the primary moves to head + 1 and
+        // onto a horizon the owner never published.
+        let rogue = ReplicaWriter::connect(
+            0,
+            cluster.shard_addrs()[0],
+            cfg.max_frame,
+            RetryPolicy::immediate(1),
+        )
+        .unwrap();
+        let forged = DeltaRecord {
+            epoch_horizon: 1 << 40,
+            ..DeltaRecord::default()
+        };
+        assert_eq!(rogue.append(2, &forged).unwrap(), 2);
+        assert!(
+            cluster.replica_state(0, 0).unwrap().view != cluster.owner_slice(0),
+            "the forged record left the primary equal to the owner"
+        );
+
+        // The next refresh: SeqGap on the primary → bootstrap.
+        tb.sim.run_until(SimTime::from_ms(11));
+        cluster.refresh(&analyzer);
+        assert_no_divergence(&cluster, 1, "after the refused append");
+        assert_eq!(cluster.heads(), vec![2]);
+        let owner = cluster.owner_metrics().snapshot();
+        assert_eq!(owner.counter("repl.gaps"), 1);
+        assert_eq!(owner.counter("repl.bootstraps"), 1);
+        assert_eq!(owner.counter("repl.appends"), r + (r - 1));
+        assert_eq!(owner.gauges.get("repl.lag").copied(), Some(0));
+
+        // The front still answers, and answers what the analyzer does.
+        let req = switchpointer::query::QueryRequest::TopK {
+            switch: tb.node("S2"),
+            k: 10,
+            range: telemetry::EpochRange { lo: 0, hi: 10 },
+        };
+        let mut client = cluster.client().unwrap();
+        assert_eq!(
+            format!("{:?}", client.query(&req).unwrap()),
+            format!("{:?}", analyzer.execute(&req))
+        );
+        cluster.shutdown();
+    }
 }

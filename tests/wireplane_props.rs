@@ -30,7 +30,6 @@ use queryplane::{
     ConfigError, DeltaRecord, HostPatch, HostPatchKind, QueryPlane, QueryPlaneConfig,
     ShardedHostStore,
 };
-use replicaplane::ReplicaCluster;
 use streamplane::{Incident, StandingQuery, StreamConfig, StreamPlane, SubscriptionId};
 use switchpointer::analyzer::{
     CascadeDiagnosis, CascadeStage, ContentionDiagnosis, Culprit, DropDiagnosis,
@@ -1012,7 +1011,8 @@ fn incident_stream_bit_identical_across_primary_kill() {
         sub_ids.push(sp.subscribe(*q));
     }
 
-    let cluster = ReplicaCluster::launch(&analyzer, n_shards, 2, WireConfig::default()).unwrap();
+    let cluster =
+        WireCluster::launch_replicated(&analyzer, n_shards, 2, WireConfig::default()).unwrap();
     let mut client = Some(cluster.client().unwrap());
     for q in &subs {
         let (sub, available) = client.as_mut().unwrap().subscribe(*q, 0).unwrap();
@@ -1755,7 +1755,7 @@ fn mux_tagged_requests_complete_out_of_order_without_cross_talk() {
         Frame::HorizonReq => Duration::from_millis(300),
         _ => Duration::ZERO,
     });
-    cluster.server(0).set_serve_delay(Some(delay));
+    cluster.set_serve_delay(0, 0, Some(delay));
 
     let t0 = Instant::now();
     let barrier = std::sync::Barrier::new(host_ids.len() + 1);
@@ -1787,7 +1787,7 @@ fn mux_tagged_requests_complete_out_of_order_without_cross_talk() {
                 .collect::<Vec<_>>(),
         )
     });
-    cluster.server(0).set_serve_delay(None);
+    cluster.set_serve_delay(0, 0, None);
 
     // No cross-talk: every reply is exactly the serial answer for ITS
     // request, even though completions raced.
@@ -1866,7 +1866,7 @@ fn mux_mid_wave_connection_kill_fails_over_without_losing_incidents() {
     // Stretch every serve slightly so the kill lands inside the wave.
     for s in 0..n_shards {
         let delay: ServeDelay = Arc::new(|_: &Frame| Duration::from_millis(2));
-        cluster.server(s).set_serve_delay(Some(delay));
+        cluster.set_serve_delay(s, 0, Some(delay));
     }
     let wave = std::thread::scope(|scope| {
         let killer = scope.spawn(|| {
@@ -1878,7 +1878,7 @@ fn mux_mid_wave_connection_kill_fails_over_without_losing_incidents() {
         wave
     });
     for s in 0..n_shards {
-        cluster.server(s).set_serve_delay(None);
+        cluster.set_serve_delay(s, 0, None);
     }
 
     for (i, ((resp, _, _), req)) in wave.iter().zip(&reqs).enumerate() {
@@ -1933,7 +1933,7 @@ fn mux_enveloped_append_is_refused_and_the_link_keeps_serving() {
         "scrape refused on the multiplexed link"
     );
 
-    let applied = cluster.server(0).applied_seq();
+    let applied = cluster.applied_seqs()[0][0].expect("live primary");
     let mut rng = rng_for("wireplane mux seqgap");
     let record = gen_delta_record(&mut rng);
     match mux
@@ -1949,8 +1949,8 @@ fn mux_enveloped_append_is_refused_and_the_link_keeps_serving() {
         other => panic!("expected a typed refusal, got {other:?}"),
     }
     assert_eq!(
-        cluster.server(0).applied_seq(),
-        applied,
+        cluster.applied_seqs()[0][0],
+        Some(applied),
         "a refused append must not move the replication log"
     );
     // The refusal was an answer, not a poisoning: the link keeps serving.
@@ -2173,7 +2173,7 @@ fn silent_drop_sweep_survives_a_connection_kill_mid_query() {
             // Every shard gets the same hook; only the one owning the
             // destination's slot ever sees the wave.
             for s in 0..n_shards {
-                cluster.server(s).set_serve_delay(Some(Arc::clone(&delay)));
+                cluster.set_serve_delay(s, 0, Some(Arc::clone(&delay)));
             }
             let reconnects_before = cluster.front().shard_reconnects();
             let (resp, counters) = std::thread::scope(|scope| {
@@ -2187,7 +2187,7 @@ fn silent_drop_sweep_survives_a_connection_kill_mid_query() {
                 (resp, counters)
             });
             for s in 0..n_shards {
-                cluster.server(s).set_serve_delay(None);
+                cluster.set_serve_delay(s, 0, None);
             }
             assert_eq!(
                 format!("{resp:?}"),
@@ -2738,7 +2738,7 @@ fn rigged_serve_delay_pins_a_slow_query_exemplar() {
     // threshold is live and far below the delay we are about to inject.
     let delay = Duration::from_millis(25);
     let shard_tracer_ready = || {
-        let t = cluster.server(0).metrics().tracer();
+        let t = cluster.server_metrics(0).tracer();
         t.slow_threshold_ns() < delay.as_nanos() as u64 / 2
     };
     for _ in 0..200 {
@@ -2756,9 +2756,9 @@ fn rigged_serve_delay_pins_a_slow_query_exemplar() {
         Frame::TopKWaveReq { .. } => Duration::from_millis(25),
         _ => Duration::ZERO,
     });
-    cluster.server(0).set_serve_delay(Some(rig));
+    cluster.set_serve_delay(0, 0, Some(rig));
     client.query(&cheap).unwrap();
-    cluster.server(0).set_serve_delay(None);
+    cluster.set_serve_delay(0, 0, None);
 
     let scrape = client.scrape_traces().unwrap();
     let trees = wireplane::assemble(&scrape);
@@ -2859,7 +2859,7 @@ impl Rendezvous {
 
 fn set_serve_delay_everywhere(cluster: &WireCluster, n_shards: usize, delay: Option<ServeDelay>) {
     for s in 0..n_shards {
-        cluster.server(s).set_serve_delay(delay.clone());
+        cluster.set_serve_delay(s, 0, delay.clone());
     }
 }
 
@@ -3060,14 +3060,14 @@ fn mux_in_flight_death_is_the_first_failure_of_the_exchange_budget() {
                 Duration::ZERO
             })
         };
-        cluster.server(0).set_serve_delay(Some(delay));
+        cluster.set_serve_delay(0, 0, Some(delay));
         let in_flight = shard.union_slice(switch, range);
         shard.flush();
         gate.wait_all_parked();
         shard.kill_connection();
         gate.open();
         let got = catch_unwind(AssertUnwindSafe(|| in_flight.wait()));
-        cluster.server(0).set_serve_delay(None);
+        cluster.set_serve_delay(0, 0, None);
         assert!(!gate.timed_out());
         if attempts == 1 {
             assert!(got.is_err(), "a spent budget must not buy a re-send");
@@ -3100,7 +3100,7 @@ fn mux_rtt_runs_from_issue_to_reply_arrival_not_to_collection() {
         Frame::UnionSliceReq { .. } => D,
         _ => Duration::ZERO,
     });
-    cluster.server(0).set_serve_delay(Some(delay));
+    cluster.set_serve_delay(0, 0, Some(delay));
     let started = Instant::now();
     let (resp, _, _) = cluster.front().execute(&req);
     let took = started.elapsed();
@@ -3403,7 +3403,7 @@ fn mux_window_of_standing_aggregates_is_two_batched_rounds_per_worker() {
 /// been answered and the wave is in flight when they die. `Err` when the
 /// window was lost to it (`close_window` panicked).
 fn close_window_losing_primaries(
-    cluster: &ReplicaCluster,
+    cluster: &WireCluster,
     n_shards: usize,
 ) -> std::thread::Result<wireplane::WindowSummary> {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -3446,7 +3446,7 @@ fn failed_window_leaves_the_front_end_serving_subscribes_and_teardowns() {
     tb.sim.run_until(SimTime::from_ms(20));
     let analyzer = tb.analyzer();
     let n_shards = 2usize;
-    let cluster = ReplicaCluster::launch(&analyzer, n_shards, 1, WireConfig::default()).unwrap();
+    let cluster = WireCluster::launch(&analyzer, n_shards, WireConfig::default()).unwrap();
     let subs = watch_subscriptions(&tb, victim, da);
     let mut watcher = cluster.client().unwrap();
     for q in &subs[..3] {
@@ -3489,7 +3489,8 @@ fn primaries_lost_mid_window_leave_the_next_window_seq_continuous() {
     tb.sim.run_until(SimTime::from_ms(10));
     let analyzer = tb.analyzer();
     let n_shards = 2usize;
-    let cluster = ReplicaCluster::launch(&analyzer, n_shards, 2, WireConfig::default()).unwrap();
+    let cluster =
+        WireCluster::launch_replicated(&analyzer, n_shards, 2, WireConfig::default()).unwrap();
     let subs = watch_subscriptions(&tb, victim, da);
     let mut client = cluster.client().unwrap();
     for q in &subs {
