@@ -386,13 +386,13 @@ fn measure_stream() -> StreamSummary {
         sp.run_window(&analyzer);
     }
     let wall = t0.elapsed().as_secs_f64().max(1e-9);
-    let stats = sp.stats();
+    let stats = sp.metrics().snapshot();
     StreamSummary {
         delta_refresh,
         full_recapture,
-        delta_copied: stats.delta_copied,
-        full_copied_equiv: stats.full_copied_equiv,
-        result_hit_rate: stats.result_hit_rate(),
+        delta_copied: stats.counter("streamplane.delta_copied"),
+        full_copied_equiv: stats.counter("streamplane.full_copied_equiv"),
+        result_hit_rate: streamplane::result_hit_rate(&stats),
         incidents: sp.incidents().len(),
         incidents_per_sec: sp.incidents().len() as f64 / wall,
     }

@@ -28,6 +28,7 @@ use netsim::packet::{FlowId, NodeId, Priority};
 use netsim::routing::RouteTable;
 use netsim::time::SimTime;
 use netsim::topology::Topology;
+use telemetry::frame::{Dec, Enc, Wire, WireError};
 use telemetry::{EpochParams, EpochRange};
 
 use crate::bitset::BitSet;
@@ -185,6 +186,172 @@ pub struct TopKResult {
 impl TopKResult {
     pub fn total_latency(&self) -> SimTime {
         self.pointer_retrieval + self.wave.total()
+    }
+}
+
+impl Wire for Verdict {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u8(match self {
+            Verdict::PriorityContention => 0,
+            Verdict::Microburst => 1,
+            Verdict::NoCulprit => 2,
+        });
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        match d.get_u8()? {
+            0 => Ok(Verdict::PriorityContention),
+            1 => Ok(Verdict::Microburst),
+            2 => Ok(Verdict::NoCulprit),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
+impl Wire for Culprit {
+    fn enc(&self, e: &mut Enc) {
+        self.flow.enc(e);
+        self.src.enc(e);
+        self.dst.enc(e);
+        self.host.enc(e);
+        self.priority.enc(e);
+        e.put_u64(self.bytes);
+        self.common_epochs.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(Culprit {
+            flow: FlowId::dec(d)?,
+            src: NodeId::dec(d)?,
+            dst: NodeId::dec(d)?,
+            host: NodeId::dec(d)?,
+            priority: Priority::dec(d)?,
+            bytes: d.get_u64()?,
+            common_epochs: Vec::dec(d)?,
+        })
+    }
+}
+
+impl Wire for ContentionDiagnosis {
+    fn enc(&self, e: &mut Enc) {
+        self.victim.enc(e);
+        self.switch.enc(e);
+        self.epochs.enc(e);
+        self.culprits.enc(e);
+        e.put_usize(self.hosts_contacted);
+        self.verdict.enc(e);
+        self.breakdown.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(ContentionDiagnosis {
+            victim: FlowId::dec(d)?,
+            switch: NodeId::dec(d)?,
+            epochs: EpochRange::dec(d)?,
+            culprits: Vec::dec(d)?,
+            hosts_contacted: d.get_usize()?,
+            verdict: Verdict::dec(d)?,
+            breakdown: LatencyBreakdown::dec(d)?,
+        })
+    }
+}
+
+impl Wire for RedLightsDiagnosis {
+    fn enc(&self, e: &mut Enc) {
+        self.victim.enc(e);
+        self.per_switch.enc(e);
+        self.implicated.enc(e);
+        e.put_usize(self.hosts_contacted);
+        self.breakdown.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(RedLightsDiagnosis {
+            victim: FlowId::dec(d)?,
+            per_switch: Vec::dec(d)?,
+            implicated: Vec::dec(d)?,
+            hosts_contacted: d.get_usize()?,
+            breakdown: LatencyBreakdown::dec(d)?,
+        })
+    }
+}
+
+impl Wire for CascadeStage {
+    fn enc(&self, e: &mut Enc) {
+        self.victim.enc(e);
+        self.switch.enc(e);
+        self.culprit.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(CascadeStage {
+            victim: FlowId::dec(d)?,
+            switch: NodeId::dec(d)?,
+            culprit: Culprit::dec(d)?,
+        })
+    }
+}
+
+impl Wire for CascadeDiagnosis {
+    fn enc(&self, e: &mut Enc) {
+        self.stages.enc(e);
+        e.put_usize(self.hosts_contacted);
+        self.breakdown.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(CascadeDiagnosis {
+            stages: Vec::dec(d)?,
+            hosts_contacted: d.get_usize()?,
+            breakdown: LatencyBreakdown::dec(d)?,
+        })
+    }
+}
+
+impl Wire for LoadImbalanceDiagnosis {
+    fn enc(&self, e: &mut Enc) {
+        self.per_link.enc(e);
+        self.separation_bytes.enc(e);
+        e.put_usize(self.hosts_contacted);
+        self.breakdown.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(LoadImbalanceDiagnosis {
+            per_link: BTreeMap::dec(d)?,
+            separation_bytes: Option::dec(d)?,
+            hosts_contacted: d.get_usize()?,
+            breakdown: LatencyBreakdown::dec(d)?,
+        })
+    }
+}
+
+impl Wire for TopKResult {
+    fn enc(&self, e: &mut Enc) {
+        self.flows.enc(e);
+        e.put_usize(self.hosts_contacted);
+        self.pointer_retrieval.enc(e);
+        self.wave.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(TopKResult {
+            flows: Vec::dec(d)?,
+            hosts_contacted: d.get_usize()?,
+            pointer_retrieval: SimTime::dec(d)?,
+            wave: QueryWaveCost::dec(d)?,
+        })
+    }
+}
+
+impl Wire for DropDiagnosis {
+    fn enc(&self, e: &mut Enc) {
+        self.flow.enc(e);
+        self.path.enc(e);
+        self.per_switch.enc(e);
+        self.suspected_segment.enc(e);
+        self.pointer_retrieval.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(DropDiagnosis {
+            flow: FlowId::dec(d)?,
+            path: Vec::dec(d)?,
+            per_switch: Vec::dec(d)?,
+            suspected_segment: Option::dec(d)?,
+            pointer_retrieval: SimTime::dec(d)?,
+        })
     }
 }
 

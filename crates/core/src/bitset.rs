@@ -4,6 +4,8 @@
 //! one per end-host, indexed by the minimal perfect hash of the destination
 //! address (§4.1.2: "expresses a 4-byte IP address with 1 bit").
 
+use telemetry::frame::{Dec, Enc, Wire, WireError};
+
 /// Fixed-capacity bit array.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct BitSet {
@@ -126,17 +128,10 @@ impl BitSet {
     }
 
     /// Rebuilds a bit set from its capacity and backing words (the wire
-    /// codec's inverse of [`BitSet::words`]). `words` beyond the capacity
+    /// codecs' inverse of [`BitSet::words`]), taking ownership of the vec
+    /// so the decoder's words are not copied. `words` beyond the capacity
     /// are truncated; missing words are zero-filled, so any (nbits,
     /// words) pair yields a well-formed set.
-    pub fn from_words(nbits: usize, words: &[u64]) -> Self {
-        let n_words = nbits.div_ceil(64);
-        Self::from_word_vec(nbits, words[..words.len().min(n_words)].to_vec())
-    }
-
-    /// [`BitSet::from_words`], taking ownership of the backing vec so no
-    /// second copy is made — the wire decoder builds the words in place
-    /// and hands them over, halving its peak allocation.
     pub fn from_word_vec(nbits: usize, mut words: Vec<u64>) -> Self {
         let n_words = nbits.div_ceil(64);
         words.resize(n_words, 0);
@@ -146,6 +141,40 @@ impl BitSet {
             words[n_words - 1] &= (1u64 << (nbits % 64)) - 1;
         }
         BitSet { nbits, words }
+    }
+}
+
+/// The plain word form, `capacity | words…` with the word count implied
+/// by the capacity — how replication ships pointer slots. (The query
+/// path's union-slice reply run-length packs instead; `wireplane` owns
+/// that form beside the frame that carries it.)
+impl Wire for BitSet {
+    fn enc(&self, e: &mut Enc) {
+        e.put_usize(self.nbits);
+        for w in &self.words {
+            e.put_u64(*w);
+        }
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        let nbits = d.get_usize()?;
+        let n_words = nbits.div_ceil(64);
+        // Bound the allocation by the bytes actually present: a corrupt
+        // capacity cannot OOM the decoder.
+        if n_words
+            .checked_mul(8)
+            .map(|need| need > d.remaining())
+            .unwrap_or(true)
+        {
+            return Err(WireError::Truncated {
+                needed: n_words.saturating_mul(8),
+                have: d.remaining(),
+            });
+        }
+        let mut words = Vec::with_capacity(n_words);
+        for _ in 0..n_words {
+            words.push(d.get_u64()?);
+        }
+        Ok(BitSet::from_word_vec(nbits, words))
     }
 }
 

@@ -10,6 +10,7 @@
 //! against the numbers the paper reports, and recorded in EXPERIMENTS.md.
 
 use netsim::time::SimTime;
+use telemetry::frame::{Dec, Enc, Wire, WireError};
 
 /// Latency constants of the analyzer's RPC fabric.
 #[derive(Debug, Clone, Copy)]
@@ -189,6 +190,25 @@ impl QueryWaveCost {
     }
 }
 
+impl Wire for QueryWaveCost {
+    fn enc(&self, e: &mut Enc) {
+        self.connection_initiation.enc(e);
+        self.request.enc(e);
+        self.query_execution.enc(e);
+        self.response.enc(e);
+        self.base.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(QueryWaveCost {
+            connection_initiation: SimTime::dec(d)?,
+            request: SimTime::dec(d)?,
+            query_execution: SimTime::dec(d)?,
+            response: SimTime::dec(d)?,
+            base: SimTime::dec(d)?,
+        })
+    }
+}
+
 /// End-to-end latency breakdown of a debugging episode (the Fig. 7 stack).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatencyBreakdown {
@@ -207,6 +227,25 @@ pub struct LatencyBreakdown {
 impl LatencyBreakdown {
     pub fn total(&self) -> SimTime {
         self.detection + self.alert + self.pointer_retrieval + self.diagnosis
+    }
+}
+
+impl Wire for LatencyBreakdown {
+    fn enc(&self, e: &mut Enc) {
+        self.detection.enc(e);
+        self.alert.enc(e);
+        self.pointer_retrieval.enc(e);
+        self.diagnosis.enc(e);
+        self.diagnosis_detail.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(LatencyBreakdown {
+            detection: SimTime::dec(d)?,
+            alert: SimTime::dec(d)?,
+            pointer_retrieval: SimTime::dec(d)?,
+            diagnosis: SimTime::dec(d)?,
+            diagnosis_detail: QueryWaveCost::dec(d)?,
+        })
     }
 }
 

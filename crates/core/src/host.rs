@@ -14,6 +14,7 @@ use std::rc::Rc;
 use netsim::apps::{AppCtx, HostApp};
 use netsim::packet::{FlowId, NodeId, Packet};
 use netsim::time::SimTime;
+use telemetry::frame::{Dec, Enc, Wire, WireError};
 use telemetry::TelemetryDecoder;
 
 use crate::hoststore::FlowStore;
@@ -51,6 +52,23 @@ pub struct TriggerEvent {
     pub prev_bytes: u64,
     /// Bytes in the dropped window.
     pub cur_bytes: u64,
+}
+
+impl Wire for TriggerEvent {
+    fn enc(&self, e: &mut Enc) {
+        self.at.enc(e);
+        self.flow.enc(e);
+        e.put_u64(self.prev_bytes);
+        e.put_u64(self.cur_bytes);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(TriggerEvent {
+            at: SimTime::dec(d)?,
+            flow: FlowId::dec(d)?,
+            prev_bytes: d.get_u64()?,
+            cur_bytes: d.get_u64()?,
+        })
+    }
 }
 
 /// Shared, queryable state of one SwitchPointer host.

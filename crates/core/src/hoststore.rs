@@ -15,6 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use netsim::packet::{FlowId, NodeId, Priority, Protocol};
+use telemetry::frame::{Dec, Enc, Wire, WireError};
 use telemetry::{DecodedTelemetry, EpochRange};
 
 /// A stored flow record.
@@ -60,6 +61,37 @@ impl FlowRecord {
             .filter_map(|s| s.iter().next_back())
             .max()
             .copied()
+    }
+}
+
+impl Wire for FlowRecord {
+    fn enc(&self, e: &mut Enc) {
+        self.flow.enc(e);
+        self.src.enc(e);
+        self.dst.enc(e);
+        self.protocol.enc(e);
+        self.priority.enc(e);
+        e.put_u64(self.bytes);
+        e.put_u64(self.packets);
+        self.path.enc(e);
+        self.epochs_at.enc(e);
+        self.bytes_per_epoch.enc(e);
+        self.link_vid.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(FlowRecord {
+            flow: FlowId::dec(d)?,
+            src: NodeId::dec(d)?,
+            dst: NodeId::dec(d)?,
+            protocol: Protocol::dec(d)?,
+            priority: Priority::dec(d)?,
+            bytes: d.get_u64()?,
+            packets: d.get_u64()?,
+            path: Vec::dec(d)?,
+            epochs_at: BTreeMap::dec(d)?,
+            bytes_per_epoch: BTreeMap::dec(d)?,
+            link_vid: Option::dec(d)?,
+        })
     }
 }
 

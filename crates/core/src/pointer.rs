@@ -24,7 +24,7 @@
 use std::sync::Arc;
 
 use mphf::Mphf;
-use telemetry::frame::{Dec, Enc, WireError};
+use telemetry::frame::{Dec, Enc, Wire, WireError};
 
 use crate::bitset::BitSet;
 
@@ -697,173 +697,71 @@ impl PartialEq for PointerHierarchy {
 // ---- wire codecs ---------------------------------------------------------
 //
 // Replication ships pointer patches and whole hierarchies between shard
-// replicas (`wireplane`'s publisher). The codecs are inherent methods here
-// because `Slot` and the patch internals are private: nothing outside this
-// module may construct a patch, but any peer may decode one. Decoding never
-// panics — malformed input is a typed [`WireError`] — and the MPHF never
-// travels: a decoded hierarchy re-attaches the receiver's shared `Arc` so
-// identity-based equality keeps holding across the wire.
+// replicas (`wireplane`'s publisher). `Slot`, [`ArchivedPointer`] and
+// [`PointerPatch`] are ordinary [`Wire`] values built from the shared
+// container impls; `Slot` and the patch internals stay private — nothing
+// outside this module may construct a patch, but any peer may decode one.
+// A whole hierarchy keeps inherent `wire_enc`/`wire_dec` because its
+// decode needs context: the MPHF never travels, a decoded hierarchy
+// re-attaches the receiver's shared `Arc` so identity-based equality keeps
+// holding across the wire. Decoding never panics — malformed input is a
+// typed [`WireError`]. (Slot indices are plain `usize`s on the wire: the
+// `usize::MAX` "skip" sentinel survives a width change because
+// `put_usize`/`get_usize` carry it as `u64::MAX`.)
 
-fn enc_bits(e: &mut Enc, bits: &BitSet) {
-    e.put_usize(bits.capacity());
-    for w in bits.words() {
-        e.put_u64(*w);
-    }
-}
-
-fn dec_bits(d: &mut Dec) -> Result<BitSet, WireError> {
-    let nbits = d.get_usize()?;
-    let n_words = nbits.div_ceil(64);
-    // Bound the allocation by the bytes actually present: a corrupt
-    // capacity cannot OOM the decoder.
-    if n_words
-        .checked_mul(8)
-        .map(|need| need > d.remaining())
-        .unwrap_or(true)
-    {
-        return Err(WireError::Truncated {
-            needed: n_words.saturating_mul(8),
-            have: d.remaining(),
-        });
-    }
-    let mut words = Vec::with_capacity(n_words);
-    for _ in 0..n_words {
-        words.push(d.get_u64()?);
-    }
-    Ok(BitSet::from_words(nbits, &words))
-}
-
-fn enc_opt_u64(e: &mut Enc, v: Option<u64>) {
-    match v {
-        None => e.put_u8(0),
-        Some(x) => {
-            e.put_u8(1);
-            e.put_u64(x);
-        }
-    }
-}
-
-fn dec_opt_u64(d: &mut Dec) -> Result<Option<u64>, WireError> {
-    match d.get_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(d.get_u64()?)),
-        t => Err(WireError::BadTag(t)),
-    }
-}
-
-/// Slot indices travel as u64 with the `usize::MAX` "skip" sentinel mapped
-/// to `u64::MAX` so both ends agree regardless of platform width.
-fn enc_slot_index(e: &mut Enc, si: usize) {
-    e.put_u64(if si == usize::MAX {
-        u64::MAX
-    } else {
-        si as u64
-    });
-}
-
-fn dec_slot_index(d: &mut Dec) -> Result<usize, WireError> {
-    let v = d.get_u64()?;
-    Ok(if v == u64::MAX {
-        usize::MAX
-    } else {
-        v as usize
-    })
-}
-
-impl Slot {
-    fn wire_enc(&self, e: &mut Enc) {
-        enc_opt_u64(e, self.period);
-        enc_bits(e, &self.bits);
+impl Wire for Slot {
+    fn enc(&self, e: &mut Enc) {
+        self.period.enc(e);
+        self.bits.enc(e);
         e.put_u64(self.touched);
     }
-
-    fn wire_dec(d: &mut Dec) -> Result<Self, WireError> {
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
         Ok(Slot {
-            period: dec_opt_u64(d)?,
-            bits: dec_bits(d)?,
+            period: Option::dec(d)?,
+            bits: BitSet::dec(d)?,
             touched: d.get_u64()?,
         })
     }
 }
 
-impl ArchivedPointer {
-    /// Encodes one flushed top-level set.
-    pub fn wire_enc(&self, e: &mut Enc) {
+impl Wire for ArchivedPointer {
+    fn enc(&self, e: &mut Enc) {
         e.put_u64(self.period);
-        enc_bits(e, &self.bits);
+        self.bits.enc(e);
     }
-
-    /// Decodes one flushed top-level set; never panics.
-    pub fn wire_dec(d: &mut Dec) -> Result<Self, WireError> {
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
         Ok(ArchivedPointer {
             period: d.get_u64()?,
-            bits: dec_bits(d)?,
+            bits: BitSet::dec(d)?,
         })
     }
 }
 
-impl PointerPatch {
-    /// Encodes the patch for the replication log.
-    pub fn wire_enc(&self, e: &mut Enc) {
+/// Structural validity against a particular hierarchy is checked at apply
+/// time by [`PointerHierarchy::checked_apply_patch`].
+impl Wire for PointerPatch {
+    fn enc(&self, e: &mut Enc) {
         e.put_u64(self.version);
-        e.put_usize(self.slots.len());
-        for (li, si, slot) in &self.slots {
-            e.put_usize(*li);
-            enc_slot_index(e, *si);
-            slot.wire_enc(e);
-        }
-        e.put_usize(self.archive_tail.len());
-        for a in &self.archive_tail {
-            a.wire_enc(e);
-        }
+        self.slots.enc(e);
+        self.archive_tail.enc(e);
         e.put_usize(self.archive_retired);
         e.put_u64(self.flushed_bits);
         e.put_u64(self.updates);
         e.put_u64(self.unknown_dsts);
-        enc_opt_u64(e, self.cached_epoch);
-        e.put_usize(self.cached_slots.len());
-        for &s in &self.cached_slots {
-            enc_slot_index(e, s);
-        }
+        self.cached_epoch.enc(e);
+        self.cached_slots.enc(e);
     }
-
-    /// Decodes a patch; never panics. Structural validity against a
-    /// particular hierarchy is checked at apply time by
-    /// [`PointerHierarchy::checked_apply_patch`].
-    pub fn wire_dec(d: &mut Dec) -> Result<Self, WireError> {
-        let version = d.get_u64()?;
-        let n_slots = d.get_len()?;
-        let mut slots = Vec::with_capacity(n_slots);
-        for _ in 0..n_slots {
-            let li = d.get_usize()?;
-            let si = dec_slot_index(d)?;
-            slots.push((li, si, Slot::wire_dec(d)?));
-        }
-        let n_tail = d.get_len()?;
-        let mut archive_tail = Vec::with_capacity(n_tail);
-        for _ in 0..n_tail {
-            archive_tail.push(ArchivedPointer::wire_dec(d)?);
-        }
-        let archive_retired = d.get_usize()?;
-        let flushed_bits = d.get_u64()?;
-        let updates = d.get_u64()?;
-        let unknown_dsts = d.get_u64()?;
-        let cached_epoch = dec_opt_u64(d)?;
-        let n_cached = d.get_len()?;
-        let mut cached_slots = Vec::with_capacity(n_cached);
-        for _ in 0..n_cached {
-            cached_slots.push(dec_slot_index(d)?);
-        }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
         Ok(PointerPatch {
-            version,
-            slots,
-            archive_tail,
-            archive_retired,
-            flushed_bits,
-            updates,
-            unknown_dsts,
-            cached_epoch,
-            cached_slots,
+            version: d.get_u64()?,
+            slots: Vec::dec(d)?,
+            archive_tail: Vec::dec(d)?,
+            archive_retired: d.get_usize()?,
+            flushed_bits: d.get_u64()?,
+            updates: d.get_u64()?,
+            unknown_dsts: d.get_u64()?,
+            cached_epoch: Option::dec(d)?,
+            cached_slots: Vec::dec(d)?,
         })
     }
 }
@@ -922,21 +820,12 @@ impl PointerHierarchy {
         e.put_u32(self.cfg.alpha);
         e.put_usize(self.cfg.k);
         for level in &self.levels {
-            e.put_usize(level.len());
-            for slot in level {
-                slot.wire_enc(e);
-            }
+            level.enc(e);
         }
-        e.put_usize(self.archive.len());
-        for a in &self.archive {
-            a.wire_enc(e);
-        }
+        self.archive.enc(e);
         e.put_usize(self.archive_retired);
-        enc_opt_u64(e, self.cached_epoch);
-        e.put_usize(self.cached_slots.len());
-        for &s in &self.cached_slots {
-            enc_slot_index(e, s);
-        }
+        self.cached_epoch.enc(e);
+        self.cached_slots.enc(e);
         e.put_u64(self.version);
         e.put_u64(self.flushed_bits);
         e.put_u64(self.updates);
@@ -962,50 +851,38 @@ impl PointerHierarchy {
                 mphf.len()
             )));
         }
-        let mut levels = Vec::with_capacity(cfg.k);
+        let mut levels = Vec::with_capacity(d.reservation::<Vec<Slot>>(cfg.k));
         for h in 1..=cfg.k {
-            let n = d.get_len()?;
-            if n != cfg.slots_at(h) {
+            let slots = Vec::<Slot>::dec(d)?;
+            if slots.len() != cfg.slots_at(h) {
                 return Err(WireError::Remote(format!(
-                    "level {h} carries {n} slots, config says {}",
+                    "level {h} carries {} slots, config says {}",
+                    slots.len(),
                     cfg.slots_at(h)
                 )));
             }
-            let mut slots = Vec::with_capacity(n);
-            for _ in 0..n {
-                let slot = Slot::wire_dec(d)?;
-                if slot.bits.capacity() != cfg.n_hosts {
-                    return Err(WireError::Remote(
-                        "slot capacity does not match config".into(),
-                    ));
-                }
-                slots.push(slot);
+            if slots.iter().any(|s| s.bits.capacity() != cfg.n_hosts) {
+                return Err(WireError::Remote(
+                    "slot capacity does not match config".into(),
+                ));
             }
             levels.push(slots);
         }
-        let n_arch = d.get_len()?;
-        let mut archive = Vec::with_capacity(n_arch);
-        for _ in 0..n_arch {
-            let a = ArchivedPointer::wire_dec(d)?;
-            if a.bits.capacity() != cfg.n_hosts {
-                return Err(WireError::Remote(
-                    "archived set capacity does not match config".into(),
-                ));
-            }
-            archive.push(a);
+        let archive = Vec::<ArchivedPointer>::dec(d)?;
+        if archive.iter().any(|a| a.bits.capacity() != cfg.n_hosts) {
+            return Err(WireError::Remote(
+                "archived set capacity does not match config".into(),
+            ));
         }
         let archive_retired = d.get_usize()?;
-        let cached_epoch = dec_opt_u64(d)?;
-        let n_cached = d.get_len()?;
-        if n_cached != cfg.k {
+        let cached_epoch = Option::dec(d)?;
+        let cached_slots = Vec::<usize>::dec(d)?;
+        if cached_slots.len() != cfg.k {
             return Err(WireError::Remote(format!(
-                "cached-slot count {n_cached} != k {}",
+                "cached-slot count {} != k {}",
+                cached_slots.len(),
                 cfg.k
             )));
-        }
-        let mut cached_slots = Vec::with_capacity(n_cached);
-        for _ in 0..n_cached {
-            cached_slots.push(dec_slot_index(d)?);
         }
         Ok(PointerHierarchy {
             spans: (1..=cfg.k).map(|h| cfg.span_epochs(h)).collect(),
@@ -1454,10 +1331,10 @@ mod tests {
 
         // Patch: encode → decode → checked apply == direct apply.
         let mut e = Enc::new();
-        patch.wire_enc(&mut e);
+        patch.enc(&mut e);
         let bytes = e.into_bytes();
         let mut d = Dec::new(&bytes);
-        let decoded = PointerPatch::wire_dec(&mut d).unwrap();
+        let decoded = PointerPatch::dec(&mut d).unwrap();
         d.finish().unwrap();
         let mut patched = clone_at_base;
         patched.checked_apply_patch(&decoded).unwrap();
@@ -1486,9 +1363,9 @@ mod tests {
         let base = (0, 0);
         let patch = big.delta_since(base.0, base.1).unwrap();
         let mut e = Enc::new();
-        patch.wire_enc(&mut e);
+        patch.enc(&mut e);
         let bytes = e.into_bytes();
-        let decoded = PointerPatch::wire_dec(&mut Dec::new(&bytes)).unwrap();
+        let decoded = PointerPatch::dec(&mut Dec::new(&bytes)).unwrap();
         // A hierarchy with a different slot capacity must refuse it.
         let (mut small, _) = hierarchy(16, 4, 3);
         let before = small.clone();

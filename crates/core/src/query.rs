@@ -45,6 +45,7 @@ use netsim::packet::{FlowId, NodeId};
 use netsim::routing::RouteTable;
 use netsim::time::SimTime;
 use netsim::topology::Topology;
+use telemetry::frame::{Dec, Enc, Wire, WireError};
 use telemetry::{EpochParams, EpochRange};
 
 use crate::analyzer::{
@@ -319,6 +320,104 @@ impl QueryRequest {
     }
 }
 
+impl Wire for QueryRequest {
+    fn enc(&self, e: &mut Enc) {
+        match *self {
+            QueryRequest::Contention {
+                victim,
+                victim_dst,
+                trigger_window,
+            } => {
+                e.put_u8(0);
+                victim.enc(e);
+                victim_dst.enc(e);
+                trigger_window.enc(e);
+            }
+            QueryRequest::RedLights {
+                victim,
+                victim_dst,
+                trigger_window,
+            } => {
+                e.put_u8(1);
+                victim.enc(e);
+                victim_dst.enc(e);
+                trigger_window.enc(e);
+            }
+            QueryRequest::Cascade {
+                victim,
+                victim_dst,
+                trigger_window,
+                max_depth,
+            } => {
+                e.put_u8(2);
+                victim.enc(e);
+                victim_dst.enc(e);
+                trigger_window.enc(e);
+                e.put_usize(max_depth);
+            }
+            QueryRequest::LoadImbalance { switch, range } => {
+                e.put_u8(3);
+                switch.enc(e);
+                range.enc(e);
+            }
+            QueryRequest::TopK { switch, k, range } => {
+                e.put_u8(4);
+                switch.enc(e);
+                e.put_usize(k);
+                range.enc(e);
+            }
+            QueryRequest::SilentDrop {
+                flow,
+                src,
+                dst,
+                range,
+            } => {
+                e.put_u8(5);
+                flow.enc(e);
+                src.enc(e);
+                dst.enc(e);
+                range.enc(e);
+            }
+        }
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        match d.get_u8()? {
+            0 => Ok(QueryRequest::Contention {
+                victim: FlowId::dec(d)?,
+                victim_dst: NodeId::dec(d)?,
+                trigger_window: SimTime::dec(d)?,
+            }),
+            1 => Ok(QueryRequest::RedLights {
+                victim: FlowId::dec(d)?,
+                victim_dst: NodeId::dec(d)?,
+                trigger_window: SimTime::dec(d)?,
+            }),
+            2 => Ok(QueryRequest::Cascade {
+                victim: FlowId::dec(d)?,
+                victim_dst: NodeId::dec(d)?,
+                trigger_window: SimTime::dec(d)?,
+                max_depth: d.get_usize()?,
+            }),
+            3 => Ok(QueryRequest::LoadImbalance {
+                switch: NodeId::dec(d)?,
+                range: EpochRange::dec(d)?,
+            }),
+            4 => Ok(QueryRequest::TopK {
+                switch: NodeId::dec(d)?,
+                k: d.get_usize()?,
+                range: EpochRange::dec(d)?,
+            }),
+            5 => Ok(QueryRequest::SilentDrop {
+                flow: FlowId::dec(d)?,
+                src: NodeId::dec(d)?,
+                dst: NodeId::dec(d)?,
+                range: EpochRange::dec(d)?,
+            }),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
 /// The matching result for each [`QueryRequest`] variant.
 #[derive(Debug, Clone)]
 pub enum QueryResponse {
@@ -348,29 +447,48 @@ impl QueryResponse {
     pub fn class_name(&self) -> &'static str {
         QUERY_CLASS_NAMES[self.class_index()]
     }
+}
 
-    /// The modelled end-to-end latency of this query when executed alone
-    /// (no batching, no pointer cache) — the sequential baseline.
-    pub fn sequential_latency(&self) -> SimTime {
+impl Wire for QueryResponse {
+    fn enc(&self, e: &mut Enc) {
         match self {
-            QueryResponse::Contention(d) => d.breakdown.total(),
-            QueryResponse::RedLights(d) => d.breakdown.total(),
-            QueryResponse::Cascade(d) => d.breakdown.total(),
-            QueryResponse::LoadImbalance(d) => d.breakdown.total(),
-            QueryResponse::TopK(r) => r.total_latency(),
-            QueryResponse::SilentDrop(d) => d.pointer_retrieval,
+            QueryResponse::Contention(v) => {
+                e.put_u8(0);
+                v.enc(e);
+            }
+            QueryResponse::RedLights(v) => {
+                e.put_u8(1);
+                v.enc(e);
+            }
+            QueryResponse::Cascade(v) => {
+                e.put_u8(2);
+                v.enc(e);
+            }
+            QueryResponse::LoadImbalance(v) => {
+                e.put_u8(3);
+                v.enc(e);
+            }
+            QueryResponse::TopK(v) => {
+                e.put_u8(4);
+                v.enc(e);
+            }
+            QueryResponse::SilentDrop(v) => {
+                e.put_u8(5);
+                v.enc(e);
+            }
         }
     }
-
-    /// How many hosts the query contacted.
-    pub fn hosts_contacted(&self) -> usize {
-        match self {
-            QueryResponse::Contention(d) => d.hosts_contacted,
-            QueryResponse::RedLights(d) => d.hosts_contacted,
-            QueryResponse::Cascade(d) => d.hosts_contacted,
-            QueryResponse::LoadImbalance(d) => d.hosts_contacted,
-            QueryResponse::TopK(r) => r.hosts_contacted,
-            QueryResponse::SilentDrop(_) => 0,
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        match d.get_u8()? {
+            0 => Ok(QueryResponse::Contention(ContentionDiagnosis::dec(d)?)),
+            1 => Ok(QueryResponse::RedLights(RedLightsDiagnosis::dec(d)?)),
+            2 => Ok(QueryResponse::Cascade(CascadeDiagnosis::dec(d)?)),
+            3 => Ok(QueryResponse::LoadImbalance(LoadImbalanceDiagnosis::dec(
+                d,
+            )?)),
+            4 => Ok(QueryResponse::TopK(TopKResult::dec(d)?)),
+            5 => Ok(QueryResponse::SilentDrop(DropDiagnosis::dec(d)?)),
+            t => Err(WireError::BadTag(t)),
         }
     }
 }

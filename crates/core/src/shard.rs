@@ -265,15 +265,6 @@ impl ShardFanout {
         self.merged_bits += other.merged_bits;
     }
 
-    /// Shards that did any work for this query.
-    pub fn shards_touched(&self) -> usize {
-        self.decode_bits
-            .iter()
-            .zip(&self.host_reads)
-            .filter(|&(&d, &h)| d > 0 || h > 0)
-            .count()
-    }
-
     /// Modelled decode wall time under `cost`: concurrent per-shard
     /// decode (max term) plus the serial cross-shard merge over the host
     /// ids that actually flowed through union reassembly.

@@ -127,7 +127,7 @@ pub fn stream() -> Vec<FigureData> {
     }
     let wall = t0.elapsed().as_secs_f64().max(1e-9);
 
-    let stats = sp.stats();
+    let stats = sp.metrics().snapshot();
     let transitions = sp
         .incidents()
         .iter()
@@ -136,22 +136,22 @@ pub fn stream() -> Vec<FigureData> {
     fig.series = vec![delta_copied, full_equiv, executed, cached, incidents];
     fig.note(format!(
         "incremental refresh copy work: {} vs {} full-recapture equivalent ({:.1}x less)",
-        stats.delta_copied,
-        stats.full_copied_equiv,
-        stats.delta_savings()
+        stats.counter("streamplane.delta_copied"),
+        stats.counter("streamplane.full_copied_equiv"),
+        streamplane::delta_savings(&stats)
     ));
     fig.note(format!(
         "result cache: {} hits / {} misses ({:.0}% hit rate), {} invalidated by deltas",
-        stats.result_hits,
-        stats.result_misses,
-        stats.result_hit_rate() * 100.0,
-        stats.invalidated
+        stats.counter("streamplane.result_hits"),
+        stats.counter("streamplane.result_misses"),
+        streamplane::result_hit_rate(&stats) * 100.0,
+        stats.counter("streamplane.invalidated")
     ));
     fig.note(format!(
         "incident log: {} entries ({} transitions) over {} windows, {:.0} incidents/sec wall-clock",
         sp.incidents().len(),
         transitions,
-        stats.windows,
+        stats.counter("streamplane.windows"),
         sp.incidents().len() as f64 / wall
     ));
     fig.note(
@@ -160,7 +160,9 @@ pub fn stream() -> Vec<FigureData> {
             .to_string(),
     );
     // Shape checks a CI smoke run relies on.
-    assert!(stats.delta_copied < stats.full_copied_equiv);
+    assert!(
+        stats.counter("streamplane.delta_copied") < stats.counter("streamplane.full_copied_equiv")
+    );
     assert!(
         sp.incidents()
             .iter()

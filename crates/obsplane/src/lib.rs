@@ -1,13 +1,14 @@
 //! # obsplane — the observability plane
 //!
 //! One std-only metrics layer shared by every plane in the workspace,
-//! replacing the ad-hoc counter structs (`ShardFanout`,
-//! `RouterCounters`, `StreamStats`) that each crate grew independently. Three primitives:
+//! replacing the ad-hoc counter structs (`QueryPlaneStats`,
+//! `StreamStats`) that each crate grew independently. Three primitives:
 //!
 //! * **[`Counter`] / [`Gauge`]** — relaxed atomics behind `Arc`
 //!   handles; the planes resolve handles once at construction and bump
-//!   them lock-free on the hot path. Those legacy stats structs survive
-//!   as *thin views* assembled from these on demand.
+//!   them lock-free on the hot path; readers take
+//!   `snapshot().counter("…")`. (`ShardFanout` / `RouterCounters`, the
+//!   deterministic routing accounting, stay by-value structs.)
 //! * **[`Histogram`]** — HDR-style log-bucketed latency histograms
 //!   (`grid_bits` sub-bucket precision, relative quantile error
 //!   ≤ `2^-grid_bits`) with mergeable [`HistogramSnapshot`]s and

@@ -248,9 +248,8 @@ impl QueryPlane {
     /// Builds a plane over a frozen snapshot of `analyzer`'s deployment
     /// state and spawns its persistent worker pool. Queries submitted
     /// later see the state as of this call; re-freeze with
-    /// [`QueryPlane::refresh`] (full recapture) or
-    /// [`QueryPlane::refresh_delta`] (incremental) after running the
-    /// simulation further.
+    /// [`QueryPlane::refresh_delta`] after running the simulation
+    /// further.
     ///
     /// Panics on a degenerate config (zero workers / shards) with the
     /// typed [`ConfigError`] message; use
@@ -295,20 +294,6 @@ impl QueryPlane {
             pool,
             m,
         })
-    }
-
-    /// Re-freezes the deployment state from scratch (e.g. after more
-    /// simulated time) and publishes it under a new epoch. In-flight
-    /// readers keep their loaded snapshot; the old published state
-    /// becomes the spare write buffer for the next incremental refresh.
-    pub fn refresh(&mut self, analyzer: &Analyzer) {
-        let old = self.slot.load().0;
-        self.slot.install(Arc::new(Snapshot::capture_with(
-            analyzer,
-            self.cfg.shards,
-            self.cfg.directory_shards.max(1),
-        )));
-        self.spare = Some(old);
     }
 
     /// Incrementally re-freezes the deployment state, copying only what
@@ -397,12 +382,6 @@ impl QueryPlane {
     /// epoch — the consistent pair the stream plane stamps windows with.
     pub fn published(&self) -> (Arc<Snapshot>, u64) {
         self.slot.load()
-    }
-
-    /// The current publication epoch: the number of snapshot installs
-    /// (full or incremental refreshes) since construction.
-    pub fn publication_epoch(&self) -> u64 {
-        self.slot.epoch()
     }
 
     /// Service configuration in force.

@@ -19,16 +19,16 @@
 //! argument), while each host patch travels only to the shard that owns
 //! the host. Records are stamped with a per-shard sequence number at the
 //! transport layer (`wireplane`'s `Frame::DeltaAppend`); this module owns
-//! the payload codec, which never panics on malformed input.
+//! the payload codec — a [`DeltaRecord`] is an ordinary [`Wire`] value, as
+//! is every type inside it — which never panics on malformed input.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
-use netsim::packet::{FlowId, NodeId, Priority, Protocol};
-use netsim::time::SimTime;
+use netsim::packet::NodeId;
 use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::FlowRecord;
 use switchpointer::pointer::PointerPatch;
-use telemetry::frame::{Dec, Enc, WireError};
+use telemetry::frame::{Dec, Enc, Wire, WireError};
 
 use crate::snapshot::ShardedHostStore;
 
@@ -105,226 +105,84 @@ impl DeltaRecord {
                 .collect(),
         }
     }
+}
 
-    /// Encodes the record; the inverse of [`DeltaRecord::wire_dec`].
-    pub fn wire_enc(&self, e: &mut Enc) {
-        e.put_u64(self.epoch_horizon);
-        e.put_usize(self.switches.len());
-        for sp in &self.switches {
-            e.put_u32(sp.switch.0);
-            sp.patch.wire_enc(e);
-        }
-        e.put_usize(self.hosts.len());
-        for hp in &self.hosts {
-            e.put_u32(hp.host.0);
-            e.put_u64(hp.new_base.0);
-            e.put_u64(hp.new_base.1);
-            match &hp.kind {
-                HostPatchKind::TriggersOnly { triggers } => {
-                    e.put_u8(0);
-                    enc_triggers(e, triggers);
-                }
-                HostPatchKind::Shards {
-                    dirty,
-                    triggers,
-                    total,
-                } => {
-                    e.put_u8(1);
-                    e.put_usize(dirty.len());
-                    for (s, recs) in dirty {
-                        e.put_u64(*s);
-                        e.put_usize(recs.len());
-                        for r in recs {
-                            enc_record(e, r);
-                        }
-                    }
-                    enc_triggers(e, triggers);
-                    e.put_u64(*total);
-                }
-                HostPatchKind::Full { store } => {
-                    e.put_u8(2);
-                    store.wire_enc(e);
-                }
-            }
-        }
+// ---- wire codec ------------------------------------------------------------
+//
+// One `Wire` impl per type, built from the impls of its fields. Structural
+// validity against a particular snapshot is checked at apply time, not here.
+
+impl Wire for SwitchPatch {
+    fn enc(&self, e: &mut Enc) {
+        self.switch.enc(e);
+        self.patch.enc(e);
     }
-
-    /// Decodes a record; never panics. Structural validity against a
-    /// particular snapshot is checked at apply time.
-    pub fn wire_dec(d: &mut Dec) -> Result<Self, WireError> {
-        let epoch_horizon = d.get_u64()?;
-        let n_sw = d.get_len()?;
-        let mut switches = Vec::with_capacity(n_sw);
-        for _ in 0..n_sw {
-            switches.push(SwitchPatch {
-                switch: NodeId(d.get_u32()?),
-                patch: PointerPatch::wire_dec(d)?,
-            });
-        }
-        let n_hosts = d.get_len()?;
-        let mut hosts = Vec::with_capacity(n_hosts);
-        for _ in 0..n_hosts {
-            let host = NodeId(d.get_u32()?);
-            let new_base = (d.get_u64()?, d.get_u64()?);
-            let kind = match d.get_u8()? {
-                0 => HostPatchKind::TriggersOnly {
-                    triggers: dec_triggers(d)?,
-                },
-                1 => {
-                    let n_dirty = d.get_len()?;
-                    let mut dirty = Vec::with_capacity(n_dirty);
-                    for _ in 0..n_dirty {
-                        let s = d.get_u64()?;
-                        let n_recs = d.get_len()?;
-                        let mut recs = Vec::with_capacity(n_recs);
-                        for _ in 0..n_recs {
-                            recs.push(dec_record(d)?);
-                        }
-                        dirty.push((s, recs));
-                    }
-                    HostPatchKind::Shards {
-                        dirty,
-                        triggers: dec_triggers(d)?,
-                        total: d.get_u64()?,
-                    }
-                }
-                2 => HostPatchKind::Full {
-                    store: ShardedHostStore::wire_dec(d)?,
-                },
-                t => return Err(WireError::BadTag(t)),
-            };
-            hosts.push(HostPatch {
-                host,
-                new_base,
-                kind,
-            });
-        }
-        Ok(DeltaRecord {
-            epoch_horizon,
-            switches,
-            hosts,
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(SwitchPatch {
+            switch: NodeId::dec(d)?,
+            patch: PointerPatch::dec(d)?,
         })
     }
 }
 
-// ---- record / trigger codecs ----------------------------------------------
-//
-// `wireplane` has its own `Wire` impls for these types (the orphan rule
-// pins its trait there); the replication payload re-states the field
-// codecs here so `queryplane` stays transport-agnostic. Both formats are
-// plain little-endian field concatenation.
-
-pub(crate) fn enc_record(e: &mut Enc, r: &FlowRecord) {
-    e.put_u64(r.flow.0);
-    e.put_u32(r.src.0);
-    e.put_u32(r.dst.0);
-    e.put_u8(match r.protocol {
-        Protocol::Tcp => 0,
-        Protocol::Udp => 1,
-    });
-    e.put_u8(r.priority.0);
-    e.put_u64(r.bytes);
-    e.put_u64(r.packets);
-    e.put_usize(r.path.len());
-    for n in &r.path {
-        e.put_u32(n.0);
-    }
-    e.put_usize(r.epochs_at.len());
-    for (sw, epochs) in &r.epochs_at {
-        e.put_u32(sw.0);
-        e.put_usize(epochs.len());
-        for &ep in epochs {
-            e.put_u64(ep);
+impl Wire for HostPatch {
+    fn enc(&self, e: &mut Enc) {
+        self.host.enc(e);
+        self.new_base.enc(e);
+        match &self.kind {
+            HostPatchKind::TriggersOnly { triggers } => {
+                e.put_u8(0);
+                triggers.enc(e);
+            }
+            HostPatchKind::Shards {
+                dirty,
+                triggers,
+                total,
+            } => {
+                e.put_u8(1);
+                dirty.enc(e);
+                triggers.enc(e);
+                e.put_u64(*total);
+            }
+            HostPatchKind::Full { store } => {
+                e.put_u8(2);
+                store.enc(e);
+            }
         }
     }
-    e.put_usize(r.bytes_per_epoch.len());
-    for (&ep, &b) in &r.bytes_per_epoch {
-        e.put_u64(ep);
-        e.put_u64(b);
-    }
-    match r.link_vid {
-        None => e.put_u8(0),
-        Some(v) => {
-            e.put_u8(1);
-            e.put_u16(v);
-        }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(HostPatch {
+            host: NodeId::dec(d)?,
+            new_base: <(u64, u64)>::dec(d)?,
+            kind: match d.get_u8()? {
+                0 => HostPatchKind::TriggersOnly {
+                    triggers: Vec::dec(d)?,
+                },
+                1 => HostPatchKind::Shards {
+                    dirty: Vec::dec(d)?,
+                    triggers: Vec::dec(d)?,
+                    total: d.get_u64()?,
+                },
+                2 => HostPatchKind::Full {
+                    store: ShardedHostStore::dec(d)?,
+                },
+                t => return Err(WireError::BadTag(t)),
+            },
+        })
     }
 }
 
-pub(crate) fn dec_record(d: &mut Dec) -> Result<FlowRecord, WireError> {
-    let flow = FlowId(d.get_u64()?);
-    let src = NodeId(d.get_u32()?);
-    let dst = NodeId(d.get_u32()?);
-    let protocol = match d.get_u8()? {
-        0 => Protocol::Tcp,
-        1 => Protocol::Udp,
-        t => return Err(WireError::BadTag(t)),
-    };
-    let priority = Priority(d.get_u8()?);
-    let bytes = d.get_u64()?;
-    let packets = d.get_u64()?;
-    let n_path = d.get_len()?;
-    let mut path = Vec::with_capacity(n_path);
-    for _ in 0..n_path {
-        path.push(NodeId(d.get_u32()?));
+impl Wire for DeltaRecord {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u64(self.epoch_horizon);
+        self.switches.enc(e);
+        self.hosts.enc(e);
     }
-    let n_at = d.get_len()?;
-    let mut epochs_at = BTreeMap::new();
-    for _ in 0..n_at {
-        let sw = NodeId(d.get_u32()?);
-        let n_ep = d.get_len()?;
-        let mut epochs = BTreeSet::new();
-        for _ in 0..n_ep {
-            epochs.insert(d.get_u64()?);
-        }
-        epochs_at.insert(sw, epochs);
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(DeltaRecord {
+            epoch_horizon: d.get_u64()?,
+            switches: Vec::dec(d)?,
+            hosts: Vec::dec(d)?,
+        })
     }
-    let n_bpe = d.get_len()?;
-    let mut bytes_per_epoch = BTreeMap::new();
-    for _ in 0..n_bpe {
-        let ep = d.get_u64()?;
-        bytes_per_epoch.insert(ep, d.get_u64()?);
-    }
-    let link_vid = match d.get_u8()? {
-        0 => None,
-        1 => Some(d.get_u16()?),
-        t => return Err(WireError::BadTag(t)),
-    };
-    Ok(FlowRecord {
-        flow,
-        src,
-        dst,
-        protocol,
-        priority,
-        bytes,
-        packets,
-        path,
-        epochs_at,
-        bytes_per_epoch,
-        link_vid,
-    })
-}
-
-pub(crate) fn enc_triggers(e: &mut Enc, triggers: &[TriggerEvent]) {
-    e.put_usize(triggers.len());
-    for t in triggers {
-        e.put_u64(t.at.as_ns());
-        e.put_u64(t.flow.0);
-        e.put_u64(t.prev_bytes);
-        e.put_u64(t.cur_bytes);
-    }
-}
-
-pub(crate) fn dec_triggers(d: &mut Dec) -> Result<Vec<TriggerEvent>, WireError> {
-    let n = d.get_len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(TriggerEvent {
-            at: SimTime::from_ns(d.get_u64()?),
-            flow: FlowId(d.get_u64()?),
-            prev_bytes: d.get_u64()?,
-            cur_bytes: d.get_u64()?,
-        });
-    }
-    Ok(out)
 }

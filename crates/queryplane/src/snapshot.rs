@@ -38,7 +38,7 @@ use switchpointer::pointer::PointerHierarchy;
 use switchpointer::query::StateView;
 use switchpointer::shard::host_shard_of;
 use switchpointer::Analyzer;
-use telemetry::frame::{Dec, Enc, WireError};
+use telemetry::frame::{Dec, Enc, Wire, WireError};
 use telemetry::EpochRange;
 
 use crate::repl::{DeltaRecord, HostPatch, HostPatchKind, SwitchPatch};
@@ -72,6 +72,22 @@ impl Shard {
             self.by_switch.entry(*sw).or_default().push(idx);
         }
         self.records.push(rec);
+    }
+}
+
+/// A shard travels as its record vector; the secondary index is rebuilt
+/// by pushing the records in their carried (sorted) order, so the result
+/// is `==` to the encoded source.
+impl Wire for Shard {
+    fn enc(&self, e: &mut Enc) {
+        self.records.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        let mut shard = Shard::default();
+        for rec in Vec::<FlowRecord>::dec(d)? {
+            shard.push(rec);
+        }
+        Ok(shard)
     }
 }
 
@@ -149,42 +165,6 @@ impl ShardedHostStore {
             triggers,
             total,
         }
-    }
-
-    /// Encodes the full frozen store (bootstrap and `FullRescan` patches).
-    pub fn wire_enc(&self, e: &mut Enc) {
-        e.put_usize(self.shards.len());
-        for shard in &self.shards {
-            e.put_usize(shard.records.len());
-            for r in &shard.records {
-                crate::repl::enc_record(e, r);
-            }
-        }
-        crate::repl::enc_triggers(e, &self.triggers);
-        e.put_u64(self.total as u64);
-    }
-
-    /// Decodes a frozen store; never panics. The secondary index is
-    /// rebuilt by pushing each shard's records in their carried (sorted)
-    /// order, so the result is `==` to the encoded source.
-    pub fn wire_dec(d: &mut Dec) -> Result<Self, WireError> {
-        let n_shards = d.get_len()?.max(1);
-        let mut shards = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let n_recs = d.get_len()?;
-            let mut shard = Shard::default();
-            for _ in 0..n_recs {
-                shard.push(crate::repl::dec_record(d)?);
-            }
-            shards.push(shard);
-        }
-        let triggers = crate::repl::dec_triggers(d)?;
-        let total = d.get_u64()? as usize;
-        Ok(ShardedHostStore {
-            shards,
-            triggers,
-            total,
-        })
     }
 
     pub fn len(&self) -> usize {
@@ -267,6 +247,28 @@ impl ShardedHostStore {
             .collect();
         out.sort();
         out
+    }
+}
+
+/// The full frozen store (bootstrap and `FullRescan` patches).
+impl Wire for ShardedHostStore {
+    fn enc(&self, e: &mut Enc) {
+        self.shards.enc(e);
+        self.triggers.enc(e);
+        e.put_u64(self.total as u64);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        let shards = Vec::<Shard>::dec(d)?;
+        // Reads index `shards[shard_of(flow, n)]`: a store with no shard
+        // must never reach them.
+        if shards.is_empty() {
+            return Err(WireError::Remote("host store carries no shards".into()));
+        }
+        Ok(ShardedHostStore {
+            shards,
+            triggers: Vec::dec(d)?,
+            total: d.get_u64()? as usize,
+        })
     }
 }
 
@@ -684,21 +686,17 @@ impl Snapshot {
         switches.sort();
         e.put_usize(switches.len());
         for sw in switches {
-            e.put_u32(sw.0);
+            sw.enc(e);
             self.switches[&sw].wire_enc(e);
-            let (v, a) = self.switch_base.get(&sw).copied().unwrap_or((0, 0));
-            e.put_u64(v);
-            e.put_usize(a);
+            self.switch_base.get(&sw).copied().unwrap_or((0, 0)).enc(e);
         }
         let mut hosts: Vec<NodeId> = self.hosts.keys().copied().collect();
         hosts.sort();
         e.put_usize(hosts.len());
         for h in hosts {
-            e.put_u32(h.0);
-            self.hosts[&h].wire_enc(e);
-            let (v, t) = self.host_base.get(&h).copied().unwrap_or((0, 0));
-            e.put_u64(v);
-            e.put_u64(t);
+            h.enc(e);
+            self.hosts[&h].enc(e);
+            self.host_base.get(&h).copied().unwrap_or((0, 0)).enc(e);
         }
     }
 
@@ -709,24 +707,24 @@ impl Snapshot {
         let dir_shards = d.get_usize()?.max(1);
         let epoch_horizon = d.get_u64()?;
         let n_sw = d.get_len()?;
-        let mut switches = HashMap::with_capacity(n_sw);
-        let mut switch_base = HashMap::with_capacity(n_sw);
+        // One count sizes two maps: the bytes behind it must cover an
+        // entry of each.
+        let cap = d.reservation::<((NodeId, PointerHierarchy), (NodeId, (u64, usize)))>(n_sw);
+        let mut switches = HashMap::with_capacity(cap);
+        let mut switch_base = HashMap::with_capacity(cap);
         for _ in 0..n_sw {
-            let sw = NodeId(d.get_u32()?);
-            let h = PointerHierarchy::wire_dec(d, mphf)?;
-            let base = (d.get_u64()?, d.get_usize()?);
-            switches.insert(sw, h);
-            switch_base.insert(sw, base);
+            let sw = NodeId::dec(d)?;
+            switches.insert(sw, PointerHierarchy::wire_dec(d, mphf)?);
+            switch_base.insert(sw, <(u64, usize)>::dec(d)?);
         }
         let n_hosts = d.get_len()?;
-        let mut hosts = HashMap::with_capacity(n_hosts);
-        let mut host_base = HashMap::with_capacity(n_hosts);
+        let cap = d.reservation::<((NodeId, ShardedHostStore), (NodeId, (u64, u64)))>(n_hosts);
+        let mut hosts = HashMap::with_capacity(cap);
+        let mut host_base = HashMap::with_capacity(cap);
         for _ in 0..n_hosts {
-            let h = NodeId(d.get_u32()?);
-            let store = ShardedHostStore::wire_dec(d)?;
-            let base = (d.get_u64()?, d.get_u64()?);
-            hosts.insert(h, store);
-            host_base.insert(h, base);
+            let h = NodeId::dec(d)?;
+            hosts.insert(h, ShardedHostStore::dec(d)?);
+            host_base.insert(h, <(u64, u64)>::dec(d)?);
         }
         Ok(Snapshot {
             switches,
@@ -968,10 +966,10 @@ mod tests {
             tb.sim.run_until(SimTime::from_ms(t_ms));
             let (_, record) = owner.apply_delta_journaled(&analyzer);
             let mut e = Enc::new();
-            record.wire_enc(&mut e);
+            record.enc(&mut e);
             let bytes = e.into_bytes();
             let mut d = Dec::new(&bytes);
-            let decoded = DeltaRecord::wire_dec(&mut d).expect("record decodes");
+            let decoded = DeltaRecord::dec(&mut d).expect("record decodes");
             d.finish().expect("no trailing bytes");
             standby.apply_record(&decoded).expect("record applies");
             assert_eq!(owner, standby, "diverged after advance to {t_ms}ms");

@@ -11,6 +11,7 @@
 
 use switchpointer::analyzer::Verdict;
 use switchpointer::query::QueryResponse;
+use telemetry::frame::{Dec, Enc, Wire, WireError};
 
 use crate::SubscriptionId;
 
@@ -21,6 +22,22 @@ pub enum IncidentKind {
     Baseline,
     /// The verdict changed relative to the previous window.
     Transition,
+}
+
+impl Wire for IncidentKind {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u8(match self {
+            IncidentKind::Baseline => 0,
+            IncidentKind::Transition => 1,
+        });
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        match d.get_u8()? {
+            0 => Ok(IncidentKind::Baseline),
+            1 => Ok(IncidentKind::Transition),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
 }
 
 /// One entry of the incident stream.
@@ -38,6 +55,27 @@ pub struct Incident {
     /// Stable fingerprint of the full response (what change detection
     /// compares).
     pub fingerprint: u64,
+}
+
+impl Wire for Incident {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u64(self.window);
+        e.put_u64(self.horizon);
+        self.sub.enc(e);
+        self.kind.enc(e);
+        self.summary.enc(e);
+        e.put_u64(self.fingerprint);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(Incident {
+            window: d.get_u64()?,
+            horizon: d.get_u64()?,
+            sub: SubscriptionId::dec(d)?,
+            kind: IncidentKind::dec(d)?,
+            summary: String::dec(d)?,
+            fingerprint: d.get_u64()?,
+        })
+    }
 }
 
 /// The change-detection rule itself, shared by the in-process stream

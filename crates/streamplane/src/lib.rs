@@ -57,12 +57,13 @@ use std::time::Instant;
 
 use netsim::packet::{FlowId, NodeId};
 use netsim::time::SimTime;
-use obsplane::{Counter, Histogram, MetricsRegistry};
+use obsplane::{Counter, Histogram, MetricsRegistry, RegistrySnapshot};
 use queryplane::{home_shard, QueryOutcome, QueryPlane, QueryPlaneConfig, SnapshotDelta};
 use switchpointer::query::{ExecutionTrace, QueryRequest, QueryResponse, StateView};
 use switchpointer::retention::{self, SweepReport};
 use switchpointer::shard::{host_shard_of, ShardFanout};
 use switchpointer::Analyzer;
+use telemetry::frame::{Dec, Enc, Wire, WireError};
 use telemetry::EpochRange;
 
 mod incident;
@@ -78,6 +79,15 @@ pub struct SubscriptionId(pub u64);
 impl std::fmt::Display for SubscriptionId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "sub{}", self.0)
+    }
+}
+
+impl Wire for SubscriptionId {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u64(self.0);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(SubscriptionId(d.get_u64()?))
     }
 }
 
@@ -216,6 +226,65 @@ impl StandingQuery {
     }
 }
 
+impl Wire for StandingQuery {
+    fn enc(&self, e: &mut Enc) {
+        match *self {
+            StandingQuery::Fixed(req) => {
+                e.put_u8(0);
+                req.enc(e);
+            }
+            StandingQuery::TopKSliding {
+                switch,
+                k,
+                epochs_back,
+            } => {
+                e.put_u8(1);
+                switch.enc(e);
+                e.put_usize(k);
+                e.put_u64(epochs_back);
+            }
+            StandingQuery::LoadImbalanceSliding {
+                switch,
+                epochs_back,
+            } => {
+                e.put_u8(2);
+                switch.enc(e);
+                e.put_u64(epochs_back);
+            }
+            StandingQuery::ContentionWatch {
+                victim,
+                victim_dst,
+                trigger_window,
+            } => {
+                e.put_u8(3);
+                victim.enc(e);
+                victim_dst.enc(e);
+                trigger_window.enc(e);
+            }
+        }
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        match d.get_u8()? {
+            0 => Ok(StandingQuery::Fixed(QueryRequest::dec(d)?)),
+            1 => Ok(StandingQuery::TopKSliding {
+                switch: NodeId::dec(d)?,
+                k: d.get_usize()?,
+                epochs_back: d.get_u64()?,
+            }),
+            2 => Ok(StandingQuery::LoadImbalanceSliding {
+                switch: NodeId::dec(d)?,
+                epochs_back: d.get_u64()?,
+            }),
+            3 => Ok(StandingQuery::ContentionWatch {
+                victim: FlowId::dec(d)?,
+                victim_dst: NodeId::dec(d)?,
+                trigger_window: SimTime::dec(d)?,
+            }),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
 /// Service tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct StreamConfig {
@@ -234,60 +303,31 @@ impl Default for StreamConfig {
     }
 }
 
-/// Cumulative service counters — a *thin view* assembled on demand from
-/// the shared [`MetricsRegistry`] (`streamplane.*` counters), kept as a
-/// plain struct so existing callers and tests read it unchanged.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StreamStats {
-    /// Evaluation windows run.
-    pub windows: u64,
-    /// Standing-query evaluations (pending subscriptions included).
-    pub evaluations: u64,
-    /// One-shot submissions resolved.
-    pub one_shots: u64,
-    /// Whole results served from / missing the result cache.
-    pub result_hits: u64,
-    pub result_misses: u64,
-    /// Result-cache entries dropped by delta invalidation.
-    pub invalidated: u64,
-    /// Incidents appended to the log (baselines + transitions).
-    pub incidents: u64,
-    /// Flow records + pointer slots copied by incremental refreshes.
-    pub delta_copied: u64,
-    /// What full recaptures would have copied instead.
-    pub full_copied_equiv: u64,
-    /// Retention sweeps run (one per window when a policy is configured).
-    pub sweeps: u64,
-    /// Flow records reclaimed by retention sweeps.
-    pub records_reclaimed: u64,
-    /// Archived pointer sets retired by retention sweeps.
-    pub pointer_sets_retired: u64,
-    /// Trigger-log entries trimmed by retention sweeps.
-    pub triggers_reclaimed: u64,
+/// Fraction of resolvable evaluations served from the result cache, read
+/// off a snapshot of the plane's registry ([`StreamPlane::metrics`]).
+pub fn result_hit_rate(m: &RegistrySnapshot) -> f64 {
+    let hits = m.counter("streamplane.result_hits");
+    let total = hits + m.counter("streamplane.result_misses");
+    if total == 0 {
+        0.0
+    } else {
+        hits as f64 / total as f64
+    }
 }
 
-impl StreamStats {
-    /// Fraction of resolvable evaluations served from the result cache.
-    pub fn result_hit_rate(&self) -> f64 {
-        let total = self.result_hits + self.result_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.result_hits as f64 / total as f64
-        }
-    }
-
-    /// Copy-work ratio of full recapture over incremental refresh (same
-    /// degenerate-end guards as `SnapshotDelta::savings`: an all-GC'd
-    /// deployment reports 0.0, not NaN/∞).
-    pub fn delta_savings(&self) -> f64 {
-        if self.full_copied_equiv == 0 {
-            0.0
-        } else if self.delta_copied == 0 {
-            f64::INFINITY
-        } else {
-            self.full_copied_equiv as f64 / self.delta_copied as f64
-        }
+/// Copy-work ratio of full recapture over incremental refresh, read off a
+/// snapshot of the plane's registry (same degenerate-end guards as
+/// `SnapshotDelta::savings`: an all-GC'd deployment reports 0.0, not
+/// NaN/∞).
+pub fn delta_savings(m: &RegistrySnapshot) -> f64 {
+    let full = m.counter("streamplane.full_copied_equiv");
+    let copied = m.counter("streamplane.delta_copied");
+    if full == 0 {
+        0.0
+    } else if copied == 0 {
+        f64::INFINITY
+    } else {
+        full as f64 / copied as f64
     }
 }
 
@@ -900,26 +940,6 @@ impl StreamPlane {
     /// The full incident log since construction.
     pub fn incidents(&self) -> &[Incident] {
         &self.incidents
-    }
-
-    /// Cumulative counters (a thin view assembled from the shared
-    /// registry).
-    pub fn stats(&self) -> StreamStats {
-        StreamStats {
-            windows: self.m.windows.get(),
-            evaluations: self.m.evaluations.get(),
-            one_shots: self.m.one_shots.get(),
-            result_hits: self.m.result_hits.get(),
-            result_misses: self.m.result_misses.get(),
-            invalidated: self.m.invalidated.get(),
-            incidents: self.m.incidents.get(),
-            delta_copied: self.m.delta_copied.get(),
-            full_copied_equiv: self.m.full_copied_equiv.get(),
-            sweeps: self.m.sweeps.get(),
-            records_reclaimed: self.m.records_reclaimed.get(),
-            pointer_sets_retired: self.m.pointer_sets_retired.get(),
-            triggers_reclaimed: self.m.triggers_reclaimed.get(),
-        }
     }
 
     /// The metric registry shared with the inner query plane: all

@@ -6,7 +6,14 @@
 //! the *out-of-band* half: the control-plane RPC fabric between directory
 //! shards, the analyzer front-end and remote clients (the `wireplane`
 //! crate) speaks length-prefix-framed binary messages over TCP, and this
-//! module owns the framing and the primitive codec both ends share.
+//! module owns the framing and the codec both ends share: the primitive
+//! [`Enc`]/[`Dec`] cursors and, built on them, the value-level [`Wire`]
+//! trait with its impls for the integers, `String`, `Option`, `Vec`,
+//! tuples, `BTreeSet`/`BTreeMap`, `netsim`'s ids, [`SimTime`],
+//! [`EpochRange`] and [`WireError`]. It sits below every crate that owns
+//! a type crossing the wire, so each of them writes the one `impl Wire`
+//! for its type beside the type, and the transport defines no codec of
+//! its own for them.
 //!
 //! One frame on the wire:
 //!
@@ -26,9 +33,17 @@
 //!
 //! Decoding never panics: every malformed input — truncation, an
 //! out-of-range enum discriminant, trailing garbage — surfaces as a typed
-//! [`WireError`].
+//! [`WireError`]. A decoded count never reserves more than the bytes
+//! behind it could hold ([`Dec::reservation`]) — the one rule every
+//! collection decode goes through.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
+
+use netsim::packet::{FlowId, NodeId, Priority, Protocol};
+use netsim::time::SimTime;
+
+use crate::EpochRange;
 
 /// Default cap on a single frame's size (tag + payload), in bytes.
 pub const MAX_FRAME: u32 = 64 << 20;
@@ -183,9 +198,11 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// `usize` travels as u64 so both ends agree regardless of platform.
+    /// `usize` travels as u64 so both ends agree regardless of platform;
+    /// `usize::MAX`, the workspace's "none / skip" sentinel, travels as
+    /// `u64::MAX` whatever the sender's width.
     pub fn put_usize(&mut self, v: usize) {
-        self.put_u64(v as u64);
+        self.put_u64(if v == usize::MAX { u64::MAX } else { v as u64 });
     }
 
     /// Length-prefixed byte slice.
@@ -291,8 +308,10 @@ impl<'a> Dec<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    /// A value wider than this platform's `usize` (the `u64::MAX`
+    /// sentinel included) saturates to `usize::MAX`; it never truncates.
     pub fn get_usize(&mut self) -> Result<usize, WireError> {
-        Ok(self.get_u64()? as usize)
+        Ok(usize::try_from(self.get_u64()?).unwrap_or(usize::MAX))
     }
 
     /// A collection length, sanity-bounded by the bytes actually left in
@@ -307,6 +326,17 @@ impl<'a> Dec<'a> {
             });
         }
         Ok(n)
+    }
+
+    /// How many `T`s to reserve room for after reading a count of `n`:
+    /// never more than the bytes left in the frame could hold at `T`'s
+    /// in-memory size. [`Dec::get_len`] bounds a count by *bytes*, but
+    /// reserving `n` elements costs `n · size_of::<T>()` — for a wide `T`
+    /// a corrupt count could still drive a reservation a hundred times
+    /// the frame. Decode grows the collection normally when elements
+    /// encode smaller than they sit in memory.
+    pub fn reservation<T>(&self, n: usize) -> usize {
+        n.min(self.buf.len() / std::mem::size_of::<T>().max(1))
     }
 
     pub fn get_bytes(&mut self) -> Result<&'a [u8], WireError> {
@@ -416,6 +446,322 @@ pub fn read_frame(r: &mut impl Read, max: u32) -> Result<(u8, Vec<u8>), WireErro
     Ok((tag, body))
 }
 
+/// Value-level codec: how one type travels inside a frame payload.
+pub trait Wire: Sized {
+    fn enc(&self, e: &mut Enc);
+    fn dec(d: &mut Dec) -> Result<Self, WireError>;
+}
+
+/// Encodes one value into a standalone payload buffer.
+pub fn to_bytes<T: Wire>(v: &T) -> Vec<u8> {
+    let mut e = Enc::new();
+    v.enc(&mut e);
+    e.into_bytes()
+}
+
+/// Decodes one value from a payload, requiring full consumption.
+pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
+    let mut d = Dec::new(bytes);
+    let v = T::dec(&mut d)?;
+    d.finish()?;
+    Ok(v)
+}
+
+// ---- primitive and container impls ----------------------------------------
+
+macro_rules! wire_uint {
+    ($t:ty, $put:ident, $get:ident) => {
+        impl Wire for $t {
+            fn enc(&self, e: &mut Enc) {
+                e.$put(*self);
+            }
+            fn dec(d: &mut Dec) -> Result<Self, WireError> {
+                d.$get()
+            }
+        }
+    };
+}
+wire_uint!(u8, put_u8, get_u8);
+wire_uint!(u16, put_u16, get_u16);
+wire_uint!(u32, put_u32, get_u32);
+wire_uint!(u64, put_u64, get_u64);
+wire_uint!(bool, put_bool, get_bool);
+
+impl Wire for usize {
+    fn enc(&self, e: &mut Enc) {
+        e.put_usize(*self);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        d.get_usize()
+    }
+}
+
+// Gauges are signed; they travel as their two's-complement bit pattern
+// so the codec stays fixed-width like every other scalar.
+impl Wire for i64 {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u64(*self as u64);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(d.get_u64()? as i64)
+    }
+}
+
+impl Wire for String {
+    fn enc(&self, e: &mut Enc) {
+        e.put_str(self);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        d.get_string()
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            None => e.put_u8(0),
+            Some(v) => {
+                e.put_u8(1);
+                v.enc(e);
+            }
+        }
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        match d.get_u8()? {
+            0 => Ok(None),
+            1 => Ok(Some(T::dec(d)?)),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn enc(&self, e: &mut Enc) {
+        e.put_usize(self.len());
+        for v in self {
+            v.enc(e);
+        }
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        let n = d.get_len()?;
+        let mut out = Vec::with_capacity(d.reservation::<T>(n));
+        for _ in 0..n {
+            out.push(T::dec(d)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn enc(&self, e: &mut Enc) {
+        self.0.enc(e);
+        self.1.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok((A::dec(d)?, B::dec(d)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn enc(&self, e: &mut Enc) {
+        self.0.enc(e);
+        self.1.enc(e);
+        self.2.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok((A::dec(d)?, B::dec(d)?, C::dec(d)?))
+    }
+}
+
+impl<T: Wire + Ord> Wire for BTreeSet<T> {
+    fn enc(&self, e: &mut Enc) {
+        e.put_usize(self.len());
+        for v in self {
+            v.enc(e);
+        }
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        let n = d.get_len()?;
+        let mut out = BTreeSet::new();
+        for _ in 0..n {
+            out.insert(T::dec(d)?);
+        }
+        Ok(out)
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn enc(&self, e: &mut Enc) {
+        e.put_usize(self.len());
+        for (k, v) in self {
+            k.enc(e);
+            v.enc(e);
+        }
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        let n = d.get_len()?;
+        let mut out = BTreeMap::new();
+        for _ in 0..n {
+            let k = K::dec(d)?;
+            out.insert(k, V::dec(d)?);
+        }
+        Ok(out)
+    }
+}
+
+// ---- domain scalar impls --------------------------------------------------
+
+impl Wire for SimTime {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u64(self.as_ns());
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(SimTime::from_ns(d.get_u64()?))
+    }
+}
+
+impl Wire for NodeId {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u32(self.0);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(NodeId(d.get_u32()?))
+    }
+}
+
+impl Wire for FlowId {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u64(self.0);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(FlowId(d.get_u64()?))
+    }
+}
+
+impl Wire for Priority {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u8(self.0);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(Priority(d.get_u8()?))
+    }
+}
+
+impl Wire for Protocol {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u8(match self {
+            Protocol::Tcp => 0,
+            Protocol::Udp => 1,
+        });
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        match d.get_u8()? {
+            0 => Ok(Protocol::Tcp),
+            1 => Ok(Protocol::Udp),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
+impl Wire for EpochRange {
+    fn enc(&self, e: &mut Enc) {
+        e.put_u64(self.lo);
+        e.put_u64(self.hi);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        Ok(EpochRange {
+            lo: d.get_u64()?,
+            hi: d.get_u64()?,
+        })
+    }
+}
+
+impl Wire for WireError {
+    fn enc(&self, e: &mut Enc) {
+        match self {
+            WireError::Truncated { needed, have } => {
+                e.put_u8(0);
+                e.put_usize(*needed);
+                e.put_usize(*have);
+            }
+            WireError::BadTag(t) => {
+                e.put_u8(1);
+                e.put_u8(*t);
+            }
+            WireError::Oversize(n) => {
+                e.put_u8(2);
+                e.put_u32(*n);
+            }
+            WireError::TrailingBytes(n) => {
+                e.put_u8(3);
+                e.put_usize(*n);
+            }
+            WireError::BadUtf8 => e.put_u8(4),
+            WireError::Io { kind, peer } => {
+                e.put_u8(5);
+                e.put_str(&format!("{kind:?}"));
+                match peer {
+                    None => e.put_u8(0),
+                    Some(p) => {
+                        e.put_u8(1);
+                        e.put_str(p);
+                    }
+                }
+            }
+            WireError::Remote(msg) => {
+                e.put_u8(6);
+                e.put_str(msg);
+            }
+            WireError::SeqGap { expected, got } => {
+                e.put_u8(7);
+                e.put_u64(*expected);
+                e.put_u64(*got);
+            }
+            WireError::ReplicaLag { applied, published } => {
+                e.put_u8(8);
+                e.put_u64(*applied);
+                e.put_u64(*published);
+            }
+        }
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        match d.get_u8()? {
+            0 => Ok(WireError::Truncated {
+                needed: d.get_usize()?,
+                have: d.get_usize()?,
+            }),
+            1 => Ok(WireError::BadTag(d.get_u8()?)),
+            2 => Ok(WireError::Oversize(d.get_u32()?)),
+            3 => Ok(WireError::TrailingBytes(d.get_usize()?)),
+            4 => Ok(WireError::BadUtf8),
+            // An io kind does not round-trip as a kind; it arrives as the
+            // remote's description (peer context preserved) — the peer
+            // cannot act on the kind anyway, only report it.
+            5 => {
+                let kind = d.get_string()?;
+                let msg = match d.get_u8()? {
+                    0 => format!("remote io: {kind}"),
+                    1 => format!("remote io at {}: {kind}", d.get_string()?),
+                    t => return Err(WireError::BadTag(t)),
+                };
+                Ok(WireError::Remote(msg))
+            }
+            6 => Ok(WireError::Remote(d.get_string()?)),
+            // Replication-protocol errors round-trip exactly: the owner
+            // acts on them (replay from the gap, or re-bootstrap).
+            7 => Ok(WireError::SeqGap {
+                expected: d.get_u64()?,
+                got: d.get_u64()?,
+            }),
+            8 => Ok(WireError::ReplicaLag {
+                applied: d.get_u64()?,
+                published: d.get_u64()?,
+            }),
+            t => Err(WireError::BadTag(t)),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,6 +810,43 @@ mod tests {
         assert!(matches!(d.get_len(), Err(WireError::Truncated { .. })));
         let mut d = Dec::new(&bytes);
         assert!(matches!(d.get_bytes(), Err(WireError::Truncated { .. })));
+    }
+
+    #[test]
+    fn a_count_never_reserves_more_than_the_bytes_behind_it() {
+        let bytes = [0u8; 64];
+        let d = Dec::new(&bytes);
+        assert_eq!(d.reservation::<u8>(1000), 64);
+        assert_eq!(d.reservation::<u64>(1000), 8);
+        assert_eq!(d.reservation::<u64>(3), 3);
+        assert_eq!(d.reservation::<[u8; 100]>(5), 0);
+        // A zero-sized element cannot over-reserve; it must not divide by 0.
+        assert_eq!(d.reservation::<()>(7), 7);
+
+        // The shared `Vec` impl goes through it: a count that passes
+        // `get_len` (64 ≤ 64 bytes) over elements that then fail to
+        // decode is a typed error, not a 64 × 16-byte reservation.
+        let mut e = Enc::new();
+        e.put_usize(64);
+        let mut hostile = e.into_bytes();
+        hostile.resize(8 + 64, 0xFF);
+        assert!(from_bytes::<Vec<Option<u64>>>(&hostile).is_err());
+    }
+
+    #[test]
+    fn the_usize_sentinel_travels_as_u64_max() {
+        let mut e = Enc::new();
+        e.put_usize(usize::MAX);
+        e.put_usize(5);
+        let bytes = e.into_bytes();
+        assert_eq!(bytes[..8], [0xFF; 8]);
+        let mut d = Dec::new(&bytes);
+        assert_eq!(d.get_usize().unwrap(), usize::MAX);
+        assert_eq!(d.get_usize().unwrap(), 5);
+        assert_eq!(
+            from_bytes::<(usize, u8, Vec<usize>)>(&to_bytes(&(usize::MAX, 7u8, vec![1usize]))),
+            Ok((usize::MAX, 7, vec![1]))
+        );
     }
 
     #[test]

@@ -64,5 +64,5 @@ pub mod wire;
 
 pub use decoder::{DecodeError, DecodedTelemetry, HopTelemetry, TelemetryDecoder};
 pub use epoch::{EpochParams, EpochRange, HopDirection};
-pub use frame::{Dec, Enc, WireError};
+pub use frame::{Dec, Enc, Wire, WireError};
 pub use pathcodec::{EmbedMode, PathCodec, PathError};

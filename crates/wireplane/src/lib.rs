@@ -40,7 +40,7 @@
 //! primary kill fails over mid-query, and the publisher feeding every
 //! replica — replicas apply the same records in the same order, so
 //! primary and standby are equal at every applied seq (property-pinned
-//! in `tests/replicaplane_props.rs`).
+//! in `tests/replication_props.rs`).
 //!
 //! The repo invariant survives the wire: verdicts served through N
 //! wire-connected shard servers are **bit-identical** to the in-process
@@ -103,11 +103,12 @@ pub use client::{WireClient, WireEvent};
 pub use cluster::WireCluster;
 pub use frontend::{FrontEnd, RemoteShard};
 pub use mux::MuxConn;
-pub use proto::{Frame, WindowSummary, Wire, WireSpan, FRONT_ROLE};
+pub use proto::{Frame, WindowSummary, WireSpan, FRONT_ROLE};
 pub use publish::DeltaPublisher;
 pub use repl::ReplicaWriter;
 pub use retry::RetryPolicy;
 pub use server::{ServeDelay, ShardServer, ShardState, WireConfig};
+pub use telemetry::frame::Wire;
 pub use telemetry::frame::WireError as Error;
 pub use traces::{assemble, dump_spans, TraceTree};
 

@@ -252,14 +252,7 @@ impl MuxConn {
     /// [`Frame::Error`] answer comes back as `Ok(Frame::Error(..))` for
     /// the caller to map.
     pub fn call(&self, req: &Frame) -> Result<Frame, WireError> {
-        self.call_ctx(req, None)
-    }
-
-    /// [`MuxConn::call`] with an explicit trace context: the envelope
-    /// entry carries `ctx` to the server, so its serve-stage span joins
-    /// the caller's trace.
-    pub fn call_ctx(&self, req: &Frame, ctx: Option<TraceContext>) -> Result<Frame, WireError> {
-        let in_flight = self.issue(req, ctx);
+        let in_flight = self.issue(req, None);
         self.flush();
         in_flight.wait().map(|(reply, _arrived)| reply)
     }

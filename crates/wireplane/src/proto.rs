@@ -2,6 +2,16 @@
 //! front-end and remote clients exchange, as length-prefix-framed binary
 //! over [`telemetry::frame`].
 //!
+//! This module is the [`Frame`] table and the grammar around it — tags,
+//! the multiplexing envelopes, the trace-context extension and the packed
+//! id / run-length / var-int forms. What travels *inside* a frame is a
+//! [`Wire`] value: the trait and its container impls live in
+//! [`telemetry::frame`], and every type is encoded by the one impl in the
+//! crate that owns it (`FlowRecord`, the query and diagnosis types in
+//! `switchpointer`; `DeltaRecord` in `queryplane`; `StandingQuery`,
+//! `Incident` in `streamplane`). The impls here are for the types this
+//! crate defines ([`WindowSummary`], [`WireSpan`]).
+//!
 //! Design rules:
 //!
 //! * **One payload form per frame.** Scalars are fixed-width
@@ -13,14 +23,20 @@
 //!   with golden bytes for the packed layouts, in
 //!   `tests/wireplane_props.rs`), so a verdict that crosses the wire is
 //!   bit-identical to one that never left the process.
+//! * **One codec per type.** A frame's payload is the concatenation of
+//!   its fields' [`Wire`] encodings; no type has a second spelling for a
+//!   second frame, so a query reply and a replication record carry the
+//!   same `FlowRecord` bytes.
 //! * **Decoding never panics.** Truncated or corrupt input surfaces as a
 //!   typed [`WireError`]; collection lengths are bounded by the bytes
-//!   actually present before any allocation.
+//!   actually present, and reservations by what those bytes could hold
+//!   ([`Dec::reservation`]), before any allocation.
 //! * **One tag byte per frame type.** Requests and replies pair up
 //!   (`0x1x` shard requests, `0x2x` shard replies, `0x3x` client-plane
 //!   frames); [`Frame::Error`] carries a [`WireError`] to the peer.
 //!
-//! The RPC table (see `DESIGN.md` §13):
+//! The RPC table (see `DESIGN.md` §13) — "carries" names the [`Wire`]
+//! values in the payload; their layouts are beside their types:
 //!
 //! | frame | direction | carries |
 //! |---|---|---|
@@ -46,753 +62,19 @@
 //! replication frames only bare; [`crate::server`] refuses either shape
 //! carrying the other's content. The client plane is bare throughout.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
-use netsim::packet::{FlowId, NodeId, Priority, Protocol};
-use netsim::time::SimTime;
+use netsim::packet::{FlowId, NodeId};
 use obsplane::{HistogramSnapshot, RegistrySnapshot, SpanEvent, TraceContext};
 use queryplane::DeltaRecord;
-use streamplane::{Incident, IncidentKind, StandingQuery, SubscriptionId};
-use switchpointer::analyzer::{
-    CascadeDiagnosis, CascadeStage, ContentionDiagnosis, Culprit, DropDiagnosis,
-    LoadImbalanceDiagnosis, RedLightsDiagnosis, TopKResult, Verdict,
-};
+use streamplane::{Incident, StandingQuery, SubscriptionId};
 use switchpointer::bitset::BitSet;
-use switchpointer::cost::{LatencyBreakdown, QueryWaveCost};
 use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::FlowRecord;
 use switchpointer::query::{QueryRequest, QueryResponse};
-use telemetry::frame::{read_frame, write_frame, Dec, Enc, WireError, MAX_FRAME};
+use telemetry::frame::{read_frame, write_frame, Dec, Enc, Wire, WireError, MAX_FRAME};
 use telemetry::EpochRange;
-
-/// Value-level codec: how one type travels inside a frame payload.
-pub trait Wire: Sized {
-    fn enc(&self, e: &mut Enc);
-    fn dec(d: &mut Dec) -> Result<Self, WireError>;
-}
-
-/// Encodes one value into a standalone payload buffer.
-pub fn to_bytes<T: Wire>(v: &T) -> Vec<u8> {
-    let mut e = Enc::new();
-    v.enc(&mut e);
-    e.into_bytes()
-}
-
-/// Decodes one value from a payload, requiring full consumption.
-pub fn from_bytes<T: Wire>(bytes: &[u8]) -> Result<T, WireError> {
-    let mut d = Dec::new(bytes);
-    let v = T::dec(&mut d)?;
-    d.finish()?;
-    Ok(v)
-}
-
-// ----------------------------------------------------------------------
-// Primitive and container impls
-// ----------------------------------------------------------------------
-
-macro_rules! wire_uint {
-    ($t:ty, $put:ident, $get:ident) => {
-        impl Wire for $t {
-            fn enc(&self, e: &mut Enc) {
-                e.$put(*self);
-            }
-            fn dec(d: &mut Dec) -> Result<Self, WireError> {
-                d.$get()
-            }
-        }
-    };
-}
-wire_uint!(u8, put_u8, get_u8);
-wire_uint!(u16, put_u16, get_u16);
-wire_uint!(u32, put_u32, get_u32);
-wire_uint!(u64, put_u64, get_u64);
-wire_uint!(bool, put_bool, get_bool);
-
-impl Wire for usize {
-    fn enc(&self, e: &mut Enc) {
-        e.put_usize(*self);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        d.get_usize()
-    }
-}
-
-// Gauges are signed; they travel as their two's-complement bit pattern
-// so the codec stays fixed-width like every other scalar.
-impl Wire for i64 {
-    fn enc(&self, e: &mut Enc) {
-        e.put_u64(*self as u64);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(d.get_u64()? as i64)
-    }
-}
-
-impl Wire for String {
-    fn enc(&self, e: &mut Enc) {
-        e.put_str(self);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        d.get_string()
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn enc(&self, e: &mut Enc) {
-        match self {
-            None => e.put_u8(0),
-            Some(v) => {
-                e.put_u8(1);
-                v.enc(e);
-            }
-        }
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::dec(d)?)),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn enc(&self, e: &mut Enc) {
-        e.put_usize(self.len());
-        for v in self {
-            v.enc(e);
-        }
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        let n = d.get_len()?;
-        // `get_len` bounds n by the *bytes* remaining, but reserving n
-        // elements costs n·size_of::<T>() — for large element types a
-        // corrupt count could still drive a multi-GB reservation. Cap
-        // the reservation by what the remaining bytes could possibly
-        // hold; decode then grows normally if elements encode smaller
-        // than their in-memory size.
-        let cap = n.min(d.remaining() / std::mem::size_of::<T>().max(1));
-        let mut out = Vec::with_capacity(cap);
-        for _ in 0..n {
-            out.push(T::dec(d)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn enc(&self, e: &mut Enc) {
-        self.0.enc(e);
-        self.1.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok((A::dec(d)?, B::dec(d)?))
-    }
-}
-
-impl<T: Wire + Ord> Wire for BTreeSet<T> {
-    fn enc(&self, e: &mut Enc) {
-        e.put_usize(self.len());
-        for v in self {
-            v.enc(e);
-        }
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        let n = d.get_len()?;
-        let mut out = BTreeSet::new();
-        for _ in 0..n {
-            out.insert(T::dec(d)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
-    fn enc(&self, e: &mut Enc) {
-        e.put_usize(self.len());
-        for (k, v) in self {
-            k.enc(e);
-            v.enc(e);
-        }
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        let n = d.get_len()?;
-        let mut out = BTreeMap::new();
-        for _ in 0..n {
-            let k = K::dec(d)?;
-            out.insert(k, V::dec(d)?);
-        }
-        Ok(out)
-    }
-}
-
-// ----------------------------------------------------------------------
-// Domain scalar impls
-// ----------------------------------------------------------------------
-
-impl Wire for SimTime {
-    fn enc(&self, e: &mut Enc) {
-        e.put_u64(self.as_ns());
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(SimTime::from_ns(d.get_u64()?))
-    }
-}
-
-impl Wire for NodeId {
-    fn enc(&self, e: &mut Enc) {
-        e.put_u32(self.0);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(NodeId(d.get_u32()?))
-    }
-}
-
-impl Wire for FlowId {
-    fn enc(&self, e: &mut Enc) {
-        e.put_u64(self.0);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(FlowId(d.get_u64()?))
-    }
-}
-
-impl Wire for Priority {
-    fn enc(&self, e: &mut Enc) {
-        e.put_u8(self.0);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(Priority(d.get_u8()?))
-    }
-}
-
-impl Wire for Protocol {
-    fn enc(&self, e: &mut Enc) {
-        e.put_u8(match self {
-            Protocol::Tcp => 0,
-            Protocol::Udp => 1,
-        });
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(Protocol::Tcp),
-            1 => Ok(Protocol::Udp),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for EpochRange {
-    fn enc(&self, e: &mut Enc) {
-        e.put_u64(self.lo);
-        e.put_u64(self.hi);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(EpochRange {
-            lo: d.get_u64()?,
-            hi: d.get_u64()?,
-        })
-    }
-}
-
-impl Wire for TriggerEvent {
-    fn enc(&self, e: &mut Enc) {
-        self.at.enc(e);
-        self.flow.enc(e);
-        e.put_u64(self.prev_bytes);
-        e.put_u64(self.cur_bytes);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(TriggerEvent {
-            at: SimTime::dec(d)?,
-            flow: FlowId::dec(d)?,
-            prev_bytes: d.get_u64()?,
-            cur_bytes: d.get_u64()?,
-        })
-    }
-}
-
-impl Wire for FlowRecord {
-    fn enc(&self, e: &mut Enc) {
-        self.flow.enc(e);
-        self.src.enc(e);
-        self.dst.enc(e);
-        self.protocol.enc(e);
-        self.priority.enc(e);
-        e.put_u64(self.bytes);
-        e.put_u64(self.packets);
-        self.path.enc(e);
-        self.epochs_at.enc(e);
-        self.bytes_per_epoch.enc(e);
-        self.link_vid.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(FlowRecord {
-            flow: FlowId::dec(d)?,
-            src: NodeId::dec(d)?,
-            dst: NodeId::dec(d)?,
-            protocol: Protocol::dec(d)?,
-            priority: Priority::dec(d)?,
-            bytes: d.get_u64()?,
-            packets: d.get_u64()?,
-            path: Vec::dec(d)?,
-            epochs_at: BTreeMap::dec(d)?,
-            bytes_per_epoch: BTreeMap::dec(d)?,
-            link_vid: Option::dec(d)?,
-        })
-    }
-}
-
-// ----------------------------------------------------------------------
-// Query requests and responses
-// ----------------------------------------------------------------------
-
-impl Wire for QueryRequest {
-    fn enc(&self, e: &mut Enc) {
-        match *self {
-            QueryRequest::Contention {
-                victim,
-                victim_dst,
-                trigger_window,
-            } => {
-                e.put_u8(0);
-                victim.enc(e);
-                victim_dst.enc(e);
-                trigger_window.enc(e);
-            }
-            QueryRequest::RedLights {
-                victim,
-                victim_dst,
-                trigger_window,
-            } => {
-                e.put_u8(1);
-                victim.enc(e);
-                victim_dst.enc(e);
-                trigger_window.enc(e);
-            }
-            QueryRequest::Cascade {
-                victim,
-                victim_dst,
-                trigger_window,
-                max_depth,
-            } => {
-                e.put_u8(2);
-                victim.enc(e);
-                victim_dst.enc(e);
-                trigger_window.enc(e);
-                e.put_usize(max_depth);
-            }
-            QueryRequest::LoadImbalance { switch, range } => {
-                e.put_u8(3);
-                switch.enc(e);
-                range.enc(e);
-            }
-            QueryRequest::TopK { switch, k, range } => {
-                e.put_u8(4);
-                switch.enc(e);
-                e.put_usize(k);
-                range.enc(e);
-            }
-            QueryRequest::SilentDrop {
-                flow,
-                src,
-                dst,
-                range,
-            } => {
-                e.put_u8(5);
-                flow.enc(e);
-                src.enc(e);
-                dst.enc(e);
-                range.enc(e);
-            }
-        }
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(QueryRequest::Contention {
-                victim: FlowId::dec(d)?,
-                victim_dst: NodeId::dec(d)?,
-                trigger_window: SimTime::dec(d)?,
-            }),
-            1 => Ok(QueryRequest::RedLights {
-                victim: FlowId::dec(d)?,
-                victim_dst: NodeId::dec(d)?,
-                trigger_window: SimTime::dec(d)?,
-            }),
-            2 => Ok(QueryRequest::Cascade {
-                victim: FlowId::dec(d)?,
-                victim_dst: NodeId::dec(d)?,
-                trigger_window: SimTime::dec(d)?,
-                max_depth: d.get_usize()?,
-            }),
-            3 => Ok(QueryRequest::LoadImbalance {
-                switch: NodeId::dec(d)?,
-                range: EpochRange::dec(d)?,
-            }),
-            4 => Ok(QueryRequest::TopK {
-                switch: NodeId::dec(d)?,
-                k: d.get_usize()?,
-                range: EpochRange::dec(d)?,
-            }),
-            5 => Ok(QueryRequest::SilentDrop {
-                flow: FlowId::dec(d)?,
-                src: NodeId::dec(d)?,
-                dst: NodeId::dec(d)?,
-                range: EpochRange::dec(d)?,
-            }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for Verdict {
-    fn enc(&self, e: &mut Enc) {
-        e.put_u8(match self {
-            Verdict::PriorityContention => 0,
-            Verdict::Microburst => 1,
-            Verdict::NoCulprit => 2,
-        });
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(Verdict::PriorityContention),
-            1 => Ok(Verdict::Microburst),
-            2 => Ok(Verdict::NoCulprit),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for Culprit {
-    fn enc(&self, e: &mut Enc) {
-        self.flow.enc(e);
-        self.src.enc(e);
-        self.dst.enc(e);
-        self.host.enc(e);
-        self.priority.enc(e);
-        e.put_u64(self.bytes);
-        self.common_epochs.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(Culprit {
-            flow: FlowId::dec(d)?,
-            src: NodeId::dec(d)?,
-            dst: NodeId::dec(d)?,
-            host: NodeId::dec(d)?,
-            priority: Priority::dec(d)?,
-            bytes: d.get_u64()?,
-            common_epochs: Vec::dec(d)?,
-        })
-    }
-}
-
-impl Wire for QueryWaveCost {
-    fn enc(&self, e: &mut Enc) {
-        self.connection_initiation.enc(e);
-        self.request.enc(e);
-        self.query_execution.enc(e);
-        self.response.enc(e);
-        self.base.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(QueryWaveCost {
-            connection_initiation: SimTime::dec(d)?,
-            request: SimTime::dec(d)?,
-            query_execution: SimTime::dec(d)?,
-            response: SimTime::dec(d)?,
-            base: SimTime::dec(d)?,
-        })
-    }
-}
-
-impl Wire for LatencyBreakdown {
-    fn enc(&self, e: &mut Enc) {
-        self.detection.enc(e);
-        self.alert.enc(e);
-        self.pointer_retrieval.enc(e);
-        self.diagnosis.enc(e);
-        self.diagnosis_detail.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(LatencyBreakdown {
-            detection: SimTime::dec(d)?,
-            alert: SimTime::dec(d)?,
-            pointer_retrieval: SimTime::dec(d)?,
-            diagnosis: SimTime::dec(d)?,
-            diagnosis_detail: QueryWaveCost::dec(d)?,
-        })
-    }
-}
-
-impl Wire for ContentionDiagnosis {
-    fn enc(&self, e: &mut Enc) {
-        self.victim.enc(e);
-        self.switch.enc(e);
-        self.epochs.enc(e);
-        self.culprits.enc(e);
-        e.put_usize(self.hosts_contacted);
-        self.verdict.enc(e);
-        self.breakdown.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(ContentionDiagnosis {
-            victim: FlowId::dec(d)?,
-            switch: NodeId::dec(d)?,
-            epochs: EpochRange::dec(d)?,
-            culprits: Vec::dec(d)?,
-            hosts_contacted: d.get_usize()?,
-            verdict: Verdict::dec(d)?,
-            breakdown: LatencyBreakdown::dec(d)?,
-        })
-    }
-}
-
-impl Wire for RedLightsDiagnosis {
-    fn enc(&self, e: &mut Enc) {
-        self.victim.enc(e);
-        self.per_switch.enc(e);
-        self.implicated.enc(e);
-        e.put_usize(self.hosts_contacted);
-        self.breakdown.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(RedLightsDiagnosis {
-            victim: FlowId::dec(d)?,
-            per_switch: Vec::dec(d)?,
-            implicated: Vec::dec(d)?,
-            hosts_contacted: d.get_usize()?,
-            breakdown: LatencyBreakdown::dec(d)?,
-        })
-    }
-}
-
-impl Wire for CascadeStage {
-    fn enc(&self, e: &mut Enc) {
-        self.victim.enc(e);
-        self.switch.enc(e);
-        self.culprit.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(CascadeStage {
-            victim: FlowId::dec(d)?,
-            switch: NodeId::dec(d)?,
-            culprit: Culprit::dec(d)?,
-        })
-    }
-}
-
-impl Wire for CascadeDiagnosis {
-    fn enc(&self, e: &mut Enc) {
-        self.stages.enc(e);
-        e.put_usize(self.hosts_contacted);
-        self.breakdown.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(CascadeDiagnosis {
-            stages: Vec::dec(d)?,
-            hosts_contacted: d.get_usize()?,
-            breakdown: LatencyBreakdown::dec(d)?,
-        })
-    }
-}
-
-impl Wire for LoadImbalanceDiagnosis {
-    fn enc(&self, e: &mut Enc) {
-        self.per_link.enc(e);
-        self.separation_bytes.enc(e);
-        e.put_usize(self.hosts_contacted);
-        self.breakdown.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(LoadImbalanceDiagnosis {
-            per_link: BTreeMap::dec(d)?,
-            separation_bytes: Option::dec(d)?,
-            hosts_contacted: d.get_usize()?,
-            breakdown: LatencyBreakdown::dec(d)?,
-        })
-    }
-}
-
-impl Wire for TopKResult {
-    fn enc(&self, e: &mut Enc) {
-        self.flows.enc(e);
-        e.put_usize(self.hosts_contacted);
-        self.pointer_retrieval.enc(e);
-        self.wave.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(TopKResult {
-            flows: Vec::dec(d)?,
-            hosts_contacted: d.get_usize()?,
-            pointer_retrieval: SimTime::dec(d)?,
-            wave: QueryWaveCost::dec(d)?,
-        })
-    }
-}
-
-impl Wire for DropDiagnosis {
-    fn enc(&self, e: &mut Enc) {
-        self.flow.enc(e);
-        self.path.enc(e);
-        self.per_switch.enc(e);
-        self.suspected_segment.enc(e);
-        self.pointer_retrieval.enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(DropDiagnosis {
-            flow: FlowId::dec(d)?,
-            path: Vec::dec(d)?,
-            per_switch: Vec::dec(d)?,
-            suspected_segment: Option::dec(d)?,
-            pointer_retrieval: SimTime::dec(d)?,
-        })
-    }
-}
-
-impl Wire for QueryResponse {
-    fn enc(&self, e: &mut Enc) {
-        match self {
-            QueryResponse::Contention(v) => {
-                e.put_u8(0);
-                v.enc(e);
-            }
-            QueryResponse::RedLights(v) => {
-                e.put_u8(1);
-                v.enc(e);
-            }
-            QueryResponse::Cascade(v) => {
-                e.put_u8(2);
-                v.enc(e);
-            }
-            QueryResponse::LoadImbalance(v) => {
-                e.put_u8(3);
-                v.enc(e);
-            }
-            QueryResponse::TopK(v) => {
-                e.put_u8(4);
-                v.enc(e);
-            }
-            QueryResponse::SilentDrop(v) => {
-                e.put_u8(5);
-                v.enc(e);
-            }
-        }
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(QueryResponse::Contention(ContentionDiagnosis::dec(d)?)),
-            1 => Ok(QueryResponse::RedLights(RedLightsDiagnosis::dec(d)?)),
-            2 => Ok(QueryResponse::Cascade(CascadeDiagnosis::dec(d)?)),
-            3 => Ok(QueryResponse::LoadImbalance(LoadImbalanceDiagnosis::dec(
-                d,
-            )?)),
-            4 => Ok(QueryResponse::TopK(TopKResult::dec(d)?)),
-            5 => Ok(QueryResponse::SilentDrop(DropDiagnosis::dec(d)?)),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// Streaming types
-// ----------------------------------------------------------------------
-
-impl Wire for StandingQuery {
-    fn enc(&self, e: &mut Enc) {
-        match *self {
-            StandingQuery::Fixed(req) => {
-                e.put_u8(0);
-                req.enc(e);
-            }
-            StandingQuery::TopKSliding {
-                switch,
-                k,
-                epochs_back,
-            } => {
-                e.put_u8(1);
-                switch.enc(e);
-                e.put_usize(k);
-                e.put_u64(epochs_back);
-            }
-            StandingQuery::LoadImbalanceSliding {
-                switch,
-                epochs_back,
-            } => {
-                e.put_u8(2);
-                switch.enc(e);
-                e.put_u64(epochs_back);
-            }
-            StandingQuery::ContentionWatch {
-                victim,
-                victim_dst,
-                trigger_window,
-            } => {
-                e.put_u8(3);
-                victim.enc(e);
-                victim_dst.enc(e);
-                trigger_window.enc(e);
-            }
-        }
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(StandingQuery::Fixed(QueryRequest::dec(d)?)),
-            1 => Ok(StandingQuery::TopKSliding {
-                switch: NodeId::dec(d)?,
-                k: d.get_usize()?,
-                epochs_back: d.get_u64()?,
-            }),
-            2 => Ok(StandingQuery::LoadImbalanceSliding {
-                switch: NodeId::dec(d)?,
-                epochs_back: d.get_u64()?,
-            }),
-            3 => Ok(StandingQuery::ContentionWatch {
-                victim: FlowId::dec(d)?,
-                victim_dst: NodeId::dec(d)?,
-                trigger_window: SimTime::dec(d)?,
-            }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for IncidentKind {
-    fn enc(&self, e: &mut Enc) {
-        e.put_u8(match self {
-            IncidentKind::Baseline => 0,
-            IncidentKind::Transition => 1,
-        });
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(IncidentKind::Baseline),
-            1 => Ok(IncidentKind::Transition),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for Incident {
-    fn enc(&self, e: &mut Enc) {
-        e.put_u64(self.window);
-        e.put_u64(self.horizon);
-        e.put_u64(self.sub.0);
-        self.kind.enc(e);
-        self.summary.enc(e);
-        e.put_u64(self.fingerprint);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(Incident {
-            window: d.get_u64()?,
-            horizon: d.get_u64()?,
-            sub: SubscriptionId(d.get_u64()?),
-            kind: IncidentKind::dec(d)?,
-            summary: String::dec(d)?,
-            fingerprint: d.get_u64()?,
-        })
-    }
-}
 
 /// Compact digest of one closed window — what the front-end pushes to
 /// every subscribed client alongside the incident frames.
@@ -829,139 +111,61 @@ impl Wire for WindowSummary {
     }
 }
 
-impl Wire for WireError {
-    fn enc(&self, e: &mut Enc) {
-        match self {
-            WireError::Truncated { needed, have } => {
-                e.put_u8(0);
-                e.put_usize(*needed);
-                e.put_usize(*have);
-            }
-            WireError::BadTag(t) => {
-                e.put_u8(1);
-                e.put_u8(*t);
-            }
-            WireError::Oversize(n) => {
-                e.put_u8(2);
-                e.put_u32(*n);
-            }
-            WireError::TrailingBytes(n) => {
-                e.put_u8(3);
-                e.put_usize(*n);
-            }
-            WireError::BadUtf8 => e.put_u8(4),
-            WireError::Io { kind, peer } => {
-                e.put_u8(5);
-                e.put_str(&format!("{kind:?}"));
-                match peer {
-                    None => e.put_u8(0),
-                    Some(p) => {
-                        e.put_u8(1);
-                        e.put_str(p);
-                    }
-                }
-            }
-            WireError::Remote(msg) => {
-                e.put_u8(6);
-                e.put_str(msg);
-            }
-            WireError::SeqGap { expected, got } => {
-                e.put_u8(7);
-                e.put_u64(*expected);
-                e.put_u64(*got);
-            }
-            WireError::ReplicaLag { applied, published } => {
-                e.put_u8(8);
-                e.put_u64(*applied);
-                e.put_u64(*published);
-            }
-        }
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        match d.get_u8()? {
-            0 => Ok(WireError::Truncated {
-                needed: d.get_usize()?,
-                have: d.get_usize()?,
-            }),
-            1 => Ok(WireError::BadTag(d.get_u8()?)),
-            2 => Ok(WireError::Oversize(d.get_u32()?)),
-            3 => Ok(WireError::TrailingBytes(d.get_usize()?)),
-            4 => Ok(WireError::BadUtf8),
-            // An io kind does not round-trip as a kind; it arrives as the
-            // remote's description (peer context preserved) — the peer
-            // cannot act on the kind anyway, only report it.
-            5 => {
-                let kind = d.get_string()?;
-                let msg = match d.get_u8()? {
-                    0 => format!("remote io: {kind}"),
-                    1 => format!("remote io at {}: {kind}", d.get_string()?),
-                    t => return Err(WireError::BadTag(t)),
-                };
-                Ok(WireError::Remote(msg))
-            }
-            6 => Ok(WireError::Remote(d.get_string()?)),
-            // Replication-protocol errors round-trip exactly: the owner
-            // acts on them (replay from the gap, or re-bootstrap).
-            7 => Ok(WireError::SeqGap {
-                expected: d.get_u64()?,
-                got: d.get_u64()?,
-            }),
-            8 => Ok(WireError::ReplicaLag {
-                applied: d.get_u64()?,
-                published: d.get_u64()?,
-            }),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-// The replication payload: `queryplane` owns the codec (the record's
-// shape is its business); the `Wire` impl lives here with every other
-// impl the orphan rule pins to this crate.
-impl Wire for DeltaRecord {
-    fn enc(&self, e: &mut Enc) {
-        self.wire_enc(e);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        DeltaRecord::wire_dec(d)
-    }
-}
-
 // Obsplane snapshots cross the wire so `WireClient::scrape_stats` can
-// pull a live cluster's histograms. The codec lives here (not in
-// obsplane) to keep that crate dependency-free.
-impl Wire for HistogramSnapshot {
-    fn enc(&self, e: &mut Enc) {
-        e.put_u32(self.grid_bits);
-        self.counts.enc(e);
-        e.put_u64(self.count);
-        e.put_u64(self.sum);
-        e.put_u64(self.max);
-    }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(HistogramSnapshot {
-            grid_bits: d.get_u32()?,
-            counts: Vec::dec(d)?,
-            count: d.get_u64()?,
-            sum: d.get_u64()?,
-            max: d.get_u64()?,
-        })
+// pull a live cluster's histograms. `obsplane` stays dependency-free, so
+// it cannot see `Wire`; the body of the one frame that carries its two
+// snapshot types is encoded here, from the shared impls of their fields.
+
+/// Body of a [`Frame::StatsScrapeRep`]: `count | (label, counters,
+/// gauges, hists)…`, a histogram as `grid_bits | counts | count | sum |
+/// max`.
+fn enc_stats(v: &[(String, RegistrySnapshot)], e: &mut Enc) {
+    e.put_usize(v.len());
+    for (label, reg) in v {
+        label.enc(e);
+        reg.counters.enc(e);
+        reg.gauges.enc(e);
+        e.put_usize(reg.hists.len());
+        for (name, h) in &reg.hists {
+            name.enc(e);
+            e.put_u32(h.grid_bits);
+            h.counts.enc(e);
+            e.put_u64(h.count);
+            e.put_u64(h.sum);
+            e.put_u64(h.max);
+        }
     }
 }
 
-impl Wire for RegistrySnapshot {
-    fn enc(&self, e: &mut Enc) {
-        self.counters.enc(e);
-        self.gauges.enc(e);
-        self.hists.enc(e);
+fn dec_stats(d: &mut Dec) -> Result<Vec<(String, RegistrySnapshot)>, WireError> {
+    let n = d.get_len()?;
+    let mut out = Vec::with_capacity(d.reservation::<(String, RegistrySnapshot)>(n));
+    for _ in 0..n {
+        let label = String::dec(d)?;
+        let counters = BTreeMap::dec(d)?;
+        let gauges = BTreeMap::dec(d)?;
+        let mut hists = BTreeMap::new();
+        for _ in 0..d.get_len()? {
+            let name = String::dec(d)?;
+            let h = HistogramSnapshot {
+                grid_bits: d.get_u32()?,
+                counts: Vec::dec(d)?,
+                count: d.get_u64()?,
+                sum: d.get_u64()?,
+                max: d.get_u64()?,
+            };
+            hists.insert(name, h);
+        }
+        out.push((
+            label,
+            RegistrySnapshot {
+                counters,
+                gauges,
+                hists,
+            },
+        ));
     }
-    fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        Ok(RegistrySnapshot {
-            counters: BTreeMap::dec(d)?,
-            gauges: BTreeMap::dec(d)?,
-            hists: BTreeMap::dec(d)?,
-        })
-    }
+    Ok(out)
 }
 
 /// One span as it travels in a [`Frame::TraceScrapeRep`]: an owned
@@ -1195,7 +399,7 @@ fn dec_bitset_runs(d: &mut Dec, budget: &mut usize) -> Result<BitSet, WireError>
 
 /// Varint-packed `Option<u64>` list (`0` marker = None, `1` marker then
 /// the varint value = Some) — the store-length wave reply.
-fn enc_opt_u64s(v: &[Option<u64>], e: &mut Enc) {
+fn enc_opt_lens(v: &[Option<u64>], e: &mut Enc) {
     e.put_varint(v.len() as u64);
     for o in v {
         match o {
@@ -1208,7 +412,7 @@ fn enc_opt_u64s(v: &[Option<u64>], e: &mut Enc) {
     }
 }
 
-fn dec_opt_u64s(d: &mut Dec) -> Result<Vec<Option<u64>>, WireError> {
+fn dec_opt_lens(d: &mut Dec) -> Result<Vec<Option<u64>>, WireError> {
     let n = d.get_varint()? as usize;
     if n > d.remaining() {
         return Err(WireError::Truncated {
@@ -1563,7 +767,7 @@ impl Frame {
             }
             Frame::TriggerRep(v) => v.enc(&mut e),
             Frame::StoreLenWaveReq { hosts } => enc_ids_delta(hosts, &mut e),
-            Frame::StoreLenWaveRep(v) => enc_opt_u64s(v, &mut e),
+            Frame::StoreLenWaveRep(v) => enc_opt_lens(v, &mut e),
             Frame::FilterWaveReq {
                 switch,
                 range,
@@ -1588,7 +792,7 @@ impl Frame {
             Frame::HorizonReq => {}
             Frame::HorizonRep(v) => e.put_u64(*v),
             Frame::StatsScrapeReq => {}
-            Frame::StatsScrapeRep(v) => v.enc(&mut e),
+            Frame::StatsScrapeRep(v) => enc_stats(v, &mut e),
             Frame::TraceScrapeReq => {}
             Frame::TraceScrapeRep(v) => v.enc(&mut e),
             Frame::QueryReq(v) => v.enc(&mut e),
@@ -1601,7 +805,7 @@ impl Frame {
                 e.put_u64(*resume_after);
             }
             Frame::SubscribeRep { sub, available } => {
-                e.put_u64(sub.0);
+                sub.enc(&mut e);
                 e.put_u64(*available);
             }
             Frame::IncidentPush { seq, incident } => {
@@ -1776,12 +980,12 @@ impl Frame {
             0x22 => Frame::StoreLenRep(Option::dec(&mut d)?),
             0x23 => Frame::RecordRep(Option::dec(&mut d)?),
             0x24 => Frame::TriggerRep(Option::dec(&mut d)?),
-            0x25 => Frame::StoreLenWaveRep(dec_opt_u64s(&mut d)?),
+            0x25 => Frame::StoreLenWaveRep(dec_opt_lens(&mut d)?),
             0x26 => Frame::FilterWaveRep(Vec::dec(&mut d)?),
             0x27 => Frame::TopKWaveRep(Vec::dec(&mut d)?),
             0x28 => Frame::SizesWaveRep(Vec::dec(&mut d)?),
             0x29 => Frame::HorizonRep(d.get_u64()?),
-            0x2A => Frame::StatsScrapeRep(Vec::dec(&mut d)?),
+            0x2A => Frame::StatsScrapeRep(dec_stats(&mut d)?),
             0x2B => Frame::TraceScrapeRep(Vec::dec(&mut d)?),
             0x2C => Frame::PresenceWaveRep(Vec::dec(&mut d)?),
             0x30 => Frame::QueryReq(QueryRequest::dec(&mut d)?),
@@ -1791,7 +995,7 @@ impl Frame {
                 resume_after: d.get_u64()?,
             },
             0x33 => Frame::SubscribeRep {
-                sub: SubscriptionId(d.get_u64()?),
+                sub: SubscriptionId::dec(&mut d)?,
                 available: d.get_u64()?,
             },
             0x34 => Frame::IncidentPush {

@@ -152,26 +152,28 @@ fn main() {
         assert!(report.standing.iter().any(|(id, _)| *id == watch));
     }
 
-    let stats = sp.stats();
-    let counter = |name: &str| sp.metrics().counter(name).get();
+    let stats = sp.metrics().snapshot();
+    let counter = |name: &str| stats.counter(name);
     println!("\n== stream accounting ==");
     println!("epoch ticks observed    : {}", epochs_seen.borrow());
     println!(
         "windows                 : {} ({} evaluations, {} one-shot)",
-        stats.windows, stats.evaluations, stats.one_shots
+        counter("streamplane.windows"),
+        counter("streamplane.evaluations"),
+        counter("streamplane.one_shots")
     );
     println!(
         "incremental refresh     : copied {} vs {} full-recapture equivalent ({:.1}x less work)",
-        stats.delta_copied,
-        stats.full_copied_equiv,
-        stats.delta_savings(),
+        counter("streamplane.delta_copied"),
+        counter("streamplane.full_copied_equiv"),
+        suite::streamplane::delta_savings(&stats),
     );
     println!(
         "result cache            : {} hits / {} misses ({:.0}% hit rate), {} invalidated",
-        stats.result_hits,
-        stats.result_misses,
-        stats.result_hit_rate() * 100.0,
-        stats.invalidated,
+        counter("streamplane.result_hits"),
+        counter("streamplane.result_misses"),
+        suite::streamplane::result_hit_rate(&stats) * 100.0,
+        counter("streamplane.invalidated"),
     );
     println!(
         "pool execution          : {} queries in {} batches",
@@ -189,7 +191,7 @@ fn main() {
     // Invariants worth failing loudly on in CI:
     assert!(*epochs_seen.borrow() >= 40, "epoch hook must tick every ms");
     assert!(
-        stats.delta_copied < stats.full_copied_equiv,
+        counter("streamplane.delta_copied") < counter("streamplane.full_copied_equiv"),
         "incremental refresh must beat full recapture on a live fabric"
     );
     assert!(
@@ -212,7 +214,7 @@ fn main() {
     );
     // Quiet dependencies ⇒ whole results served from cache.
     assert!(
-        stats.result_hits >= 1,
+        counter("streamplane.result_hits") >= 1,
         "the fixed pod-3 subscription must hit the result cache once its traffic ends"
     );
 }

@@ -473,8 +473,9 @@ fn cached_and_fresh_verdicts_match_the_live_analyzer() {
         }
     }
     assert!(saw_cache_hit);
-    assert!(sp.stats().result_hits > 0);
-    assert!(sp.stats().delta_savings() > 1.0);
+    let stats = sp.metrics().snapshot();
+    assert!(stats.counter("streamplane.result_hits") > 0);
+    assert!(suite::streamplane::delta_savings(&stats) > 1.0);
 }
 
 /// The eviction-invalidation regression (the bug class this PR closes):
@@ -632,7 +633,12 @@ fn standing_watch_straddling_gc_sweeps_rederives_bit_identically() {
             "at least one sweep must land after the verdict (straddle): \
              verdict at {first_verdict_w}, reclaims at {reclaim_windows:?}"
         );
-        assert!(sp.stats().records_reclaimed > 0);
+        assert!(
+            sp.metrics()
+                .snapshot()
+                .counter("streamplane.records_reclaimed")
+                > 0
+        );
 
         // Across every sweep, the verdict re-derives bit-identically: the
         // pinned window's records were never collected.

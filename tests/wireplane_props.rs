@@ -40,7 +40,7 @@ use switchpointer::hoststore::FlowRecord;
 use switchpointer::query::{QueryRequest, QueryResponse};
 use switchpointer::shard::ShardedAnalyzer;
 use switchpointer::testbed::{Testbed, TestbedConfig};
-use telemetry::frame::{read_frame, WireError, MAX_FRAME};
+use telemetry::frame::{read_frame, Wire, WireError, MAX_FRAME};
 use telemetry::EpochRange;
 use wireplane::proto::Frame;
 use wireplane::{
@@ -1911,7 +1911,7 @@ fn mux_mid_wave_connection_kill_fails_over_without_losing_incidents() {
 /// an envelope — even the very next record of the log — is refused with
 /// a typed error, the log does not move, and the connection keeps
 /// serving reads and scrapes. (`SeqGap` enforcement on the bare path is
-/// pinned through `ReplicaWriter` in `tests/replicaplane_props.rs`.)
+/// pinned through `ReplicaWriter` in `tests/replication_props.rs`.)
 #[test]
 fn mux_enveloped_append_is_refused_and_the_link_keeps_serving() {
     let (mut tb, _victim, _) = watch_testbed();
@@ -2487,7 +2487,7 @@ fn context_free_envelope_bytes_match_pre_context_layout() {
     let mut want = 5u16.to_le_bytes().to_vec();
     want.extend_from_slice(&77u64.to_le_bytes());
     let mut e = telemetry::frame::Enc::new();
-    record.wire_enc(&mut e);
+    record.enc(&mut e);
     want.extend_from_slice(&e.into_bytes());
     assert_eq!(got, want, "context-free DeltaAppend layout drifted");
 }
