@@ -206,7 +206,7 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// The `{p50, p95, p99, max}` summary the bench JSON publishes.
+    /// The `{p50, p95, p99, max}` summary drivers print.
     pub fn percentiles(&self) -> Percentiles {
         Percentiles {
             count: self.count,

@@ -86,9 +86,8 @@ pub struct ModelReport {
     pub batched_total: SimTime,
     /// Σ pointer-decode wall time under the directory sharding the
     /// outcomes ran with (shards decode concurrently, the merge is
-    /// serial), and what a single-shard directory would have paid.
+    /// serial).
     pub modelled_decode_total: SimTime,
-    pub modelled_decode_unsharded: SimTime,
 }
 
 fn ratio(num: u64, den: u64, empty: f64) -> f64 {
@@ -121,16 +120,6 @@ impl ModelReport {
     /// Host RPCs avoided by fan-out coalescing.
     pub fn rpcs_saved(&self) -> u64 {
         self.host_requests - self.host_rpcs_issued
-    }
-
-    /// Modelled decode speedup of the directory sharding over the
-    /// single-coordinator counterfactual.
-    pub fn decode_speedup(&self) -> f64 {
-        ratio(
-            self.modelled_decode_unsharded.as_ns(),
-            self.modelled_decode_total.as_ns(),
-            1.0,
-        )
     }
 }
 
@@ -178,11 +167,8 @@ impl ModelReplay {
 
         for QueryOutcome { trace, fanout, .. } in outcomes {
             // Shards decode their slices concurrently (max term), the
-            // router pays the serial merge; the counterfactual bills the
-            // same bits through one shard.
+            // router pays the serial merge.
             r.modelled_decode_total += fanout.modelled_decode(&self.cost);
-            let total_bits: u64 = fanout.decode_bits.iter().sum();
-            r.modelled_decode_unsharded += self.cost.sharded_decode(&[total_bits], 0);
 
             let (mut hits, mut misses) = (0u32, 0u32);
             let mut batched_pointer = SimTime::ZERO;

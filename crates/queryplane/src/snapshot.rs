@@ -742,17 +742,6 @@ impl Snapshot {
         self.hosts.values().map(|h| h.len()).sum()
     }
 
-    /// Resident flow records per directory shard (hosts grouped by
-    /// [`host_shard_of`] under the snapshot's configured shard count) —
-    /// the accounting view a retention budget is asserted against.
-    pub fn records_per_shard(&self) -> Vec<usize> {
-        let mut out = vec![0usize; self.dir_shards];
-        for (&h, store) in &self.hosts {
-            out[host_shard_of(h, self.dir_shards)] += store.len();
-        }
-        out
-    }
-
     /// Number of hosts in the snapshot.
     pub fn n_hosts(&self) -> usize {
         self.hosts.len()

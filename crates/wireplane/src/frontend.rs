@@ -107,11 +107,13 @@ use crate::server::{Listener, WireConfig};
 pub struct RemoteShard {
     shard: usize,
     /// The shard's replica addresses (primary first). `active` indexes
-    /// the replica the live connection points at; it only moves forward
-    /// (mod `addrs.len()`) when a replica exhausts its retry budget.
+    /// the replica the next dial goes to; it only moves forward (mod
+    /// `addrs.len()`), once per replica that exhausts an exchange's
+    /// attempts.
     addrs: Vec<SocketAddr>,
     active: AtomicUsize,
-    conn: Mutex<Option<Arc<MuxConn>>>,
+    /// The live link and the index of the replica it was dialed to.
+    conn: Mutex<Option<(usize, Arc<MuxConn>)>>,
     /// Envelope frames/bytes written by connections already retired
     /// (dead and replaced); totals = these + the live connection's.
     retired_frames: AtomicU64,
@@ -172,7 +174,7 @@ impl RemoteShard {
             match rs.dial(rs.addrs[i]) {
                 Ok(mux) => {
                     rs.active.store(i, Ordering::Relaxed);
-                    *rs.conn.lock().unwrap() = Some(mux);
+                    *rs.conn.lock().unwrap() = Some((i, mux));
                     return Ok(rs);
                 }
                 Err(e) => last_err = Some(e),
@@ -181,7 +183,8 @@ impl RemoteShard {
         Err(last_err.expect("non-empty replica set"))
     }
 
-    /// The replica the live connection currently points at.
+    /// The replica the next dial goes to (the one a live connection was
+    /// dialed to, unless it has since been rotated past).
     pub fn active_replica(&self) -> usize {
         self.active.load(Ordering::Relaxed)
     }
@@ -203,7 +206,7 @@ impl RemoteShard {
     /// that actually removes the connection absorbs its counters.
     fn retire(&self, mux: &Arc<MuxConn>) {
         let mut guard = self.conn.lock().unwrap();
-        if guard.as_ref().is_some_and(|cur| Arc::ptr_eq(cur, mux)) {
+        if guard.as_ref().is_some_and(|(_, cur)| Arc::ptr_eq(cur, mux)) {
             self.retired_frames
                 .fetch_add(mux.frames_sent(), Ordering::Relaxed);
             self.retired_bytes
@@ -231,8 +234,10 @@ impl RemoteShard {
     /// untouched — the scrape path uses it so pulling metrics never
     /// perturbs the metrics being pulled.
     fn issue(&self, req: Frame, observe: bool) -> Exchange<'_> {
+        let (replica, attempt) = self.send(&req, observe, 0);
         Exchange {
-            attempt: self.send(&req, observe, 0),
+            replica,
+            attempt,
             shard: self,
             req,
             observe,
@@ -243,26 +248,35 @@ impl RemoteShard {
     }
 
     /// One attempt to enqueue `req` on the live link (dialing it if
-    /// there is none), after `failures` earlier ones. `Err` is a failed
-    /// dial; a connection that dies under the request surfaces when the
-    /// [`Flight`] is waited on.
-    fn send(&self, req: &Frame, observe: bool, failures: usize) -> Result<Flight, WireError> {
+    /// there is none), after `failures` earlier ones: the index of the
+    /// replica the attempt was addressed to, and the [`Flight`] or the
+    /// failed dial. A connection that dies under the request surfaces
+    /// when the flight is waited on.
+    fn send(
+        &self,
+        req: &Frame,
+        observe: bool,
+        failures: usize,
+    ) -> (usize, Result<Flight, WireError>) {
         // Short-lock acquisition: take (or dial) the shared mux under
         // the slot lock, then exchange *outside* it — concurrent
         // callers multiplex on the socket instead of queueing on the
         // mutex, which is the whole point of the fast path.
-        let mux = {
+        let (replica, mux) = {
             let mut guard = self.conn.lock().unwrap();
             match guard.as_ref() {
-                Some(m) => Arc::clone(m),
+                Some((idx, m)) => (*idx, Arc::clone(m)),
                 None => {
                     let idx = self.active.load(Ordering::Relaxed);
-                    let m = self.dial(self.addrs[idx])?;
+                    let m = match self.dial(self.addrs[idx]) {
+                        Ok(m) => m,
+                        Err(e) => return (idx, Err(e)),
+                    };
                     if failures > 0 || self.rpcs.load(Ordering::Relaxed) > 0 {
                         self.reconnects.fetch_add(1, Ordering::Relaxed);
                     }
-                    *guard = Some(Arc::clone(&m));
-                    m
+                    *guard = Some((idx, Arc::clone(&m)));
+                    (idx, m)
                 }
             }
         };
@@ -282,12 +296,13 @@ impl RemoteShard {
         };
         let started = Instant::now();
         let reply = mux.issue(req, trace.map(|(_, wire)| wire));
-        Ok(Flight {
+        let flight = Flight {
             mux,
             reply,
             started,
             trace,
-        })
+        };
+        (replica, Ok(flight))
     }
 
     /// A reply of the wrong type is a protocol error.
@@ -370,7 +385,7 @@ impl RemoteShard {
     /// under it, so the total is monotone.
     pub fn wire_frames_sent(&self) -> u64 {
         let guard = self.conn.lock().unwrap();
-        let live = guard.as_ref().map_or(0, |m| m.frames_sent());
+        let live = guard.as_ref().map_or(0, |(_, m)| m.frames_sent());
         self.retired_frames.load(Ordering::Relaxed) + live
     }
 
@@ -378,7 +393,7 @@ impl RemoteShard {
     /// included (retired connections included).
     pub fn wire_bytes_sent(&self) -> u64 {
         let guard = self.conn.lock().unwrap();
-        let live = guard.as_ref().map_or(0, |m| m.bytes_sent());
+        let live = guard.as_ref().map_or(0, |(_, m)| m.bytes_sent());
         self.retired_bytes.load(Ordering::Relaxed) + live
     }
 
@@ -389,7 +404,7 @@ impl RemoteShard {
         let taken = {
             let mut guard = self.conn.lock().unwrap();
             let taken = guard.take();
-            if let Some(m) = &taken {
+            if let Some((_, m)) = &taken {
                 self.retired_frames
                     .fetch_add(m.frames_sent(), Ordering::Relaxed);
                 self.retired_bytes
@@ -397,7 +412,7 @@ impl RemoteShard {
             }
             taken
         };
-        if let Some(m) = taken {
+        if let Some((_, m)) = taken {
             m.kill();
         }
     }
@@ -451,8 +466,10 @@ struct Exchange<'a> {
     failures: usize,
     first_failure: Option<Instant>,
     failed_over: bool,
-    /// The latest attempt: on the wire, or a dial that failed.
+    /// The latest attempt: on the wire, or a dial that failed — and the
+    /// index of the replica it was addressed to.
     attempt: Result<Flight, WireError>,
+    replica: usize,
 }
 
 impl Exchange<'_> {
@@ -469,6 +486,7 @@ impl Exchange<'_> {
             mut first_failure,
             mut failed_over,
             mut attempt,
+            mut replica,
         } = self;
         let n = shard.addrs.len();
         let per_replica = shard.retry.attempts();
@@ -534,19 +552,27 @@ impl Exchange<'_> {
             };
             failures += 1;
             first_failure.get_or_insert_with(Instant::now);
-            let idx = shard.active.load(Ordering::Relaxed);
             if failures >= per_replica * n {
-                return Err(err.with_peer(shard.addrs[idx]));
+                return Err(err.with_peer(shard.addrs[replica]));
             }
             // A replica that exhausted its attempts is presumed dead:
-            // rotate to the next one.
+            // rotate past it — once. Of several exchanges that failed on
+            // the same replica only the first finds `active` still on
+            // it; the rest follow to wherever it already moved.
             if failures.is_multiple_of(per_replica) && n > 1 {
-                shard.active.store((idx + 1) % n, Ordering::Relaxed);
-                shard.failovers.fetch_add(1, Ordering::Relaxed);
+                let rotated = shard.active.compare_exchange(
+                    replica,
+                    (replica + 1) % n,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                );
+                if rotated.is_ok() {
+                    shard.failovers.fetch_add(1, Ordering::Relaxed);
+                }
                 failed_over = true;
             }
             std::thread::sleep(shard.retry.backoff(failures as u32 - 1));
-            attempt = shard.send(&req, observe, failures);
+            (replica, attempt) = shard.send(&req, observe, failures);
             // Whoever flushed the first attempt knows nothing of this
             // one: the exchange sends its own re-send.
             if let Ok(flight) = &attempt {
@@ -565,7 +591,7 @@ impl ShardBackend for RemoteShard {
         // Flush outside the slot lock: a write must not hold up the
         // callers taking the link to enqueue on it.
         let live = self.conn.lock().unwrap().clone();
-        if let Some(mux) = live {
+        if let Some((_, mux)) = live {
             mux.flush();
         }
     }
@@ -1537,12 +1563,8 @@ mod tests {
     use super::*;
     use crate::WireCluster;
 
-    /// A watcher whose window write fails is reaped by `close_window`
-    /// itself. Only the *write* half of the server-side socket is shut,
-    /// so the connection's listener thread stays blocked in its read and
-    /// cannot be the one that reaped it.
-    #[test]
-    fn a_watcher_whose_window_write_fails_is_reaped() {
+    /// A 3-switch chain that carried one short UDP flow end to end.
+    fn one_flow_chain() -> Testbed {
         let topo = Topology::chain(3, 2, GBPS);
         let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
         let (a, f) = (tb.node("A"), tb.node("F"));
@@ -1556,6 +1578,46 @@ mod tests {
             payload_bytes: 1458,
         });
         tb.sim.run_until(SimTime::from_ms(5));
+        tb
+    }
+
+    /// Two exchanges issued on the primary's link before it dies both
+    /// fail on replica 0, and the set rotates once: the second must not
+    /// rotate again, back onto the dead primary. Single-threaded —
+    /// neither request is flushed before the kill, so neither can have
+    /// been answered.
+    #[test]
+    fn two_exchanges_failing_on_one_dead_primary_rotate_once() {
+        let tb = one_flow_chain();
+        let cluster =
+            WireCluster::launch_replicated(&tb.analyzer(), 1, 2, WireConfig::default()).unwrap();
+        let addrs = cluster.front().inner.shards[0].addrs.clone();
+        assert_eq!(addrs.len(), 2);
+        let link = RemoteShard::connect_replicated(
+            0,
+            addrs,
+            WireConfig::default().max_frame,
+            RetryPolicy::immediate(1),
+            None,
+            None,
+        )
+        .unwrap();
+        let want = link.horizon().wait();
+        let (first, second) = (link.horizon(), link.horizon());
+        assert!(cluster.kill_primary(0));
+        assert_eq!((first.wait(), second.wait()), (want, want));
+        assert_eq!(link.active_replica(), 1);
+        assert_eq!(link.failovers(), 1, "one dead replica is one failover");
+        cluster.shutdown();
+    }
+
+    /// A watcher whose window write fails is reaped by `close_window`
+    /// itself. Only the *write* half of the server-side socket is shut,
+    /// so the connection's listener thread stays blocked in its read and
+    /// cannot be the one that reaped it.
+    #[test]
+    fn a_watcher_whose_window_write_fails_is_reaped() {
+        let tb = one_flow_chain();
         let cluster = WireCluster::launch(&tb.analyzer(), 2, WireConfig::default()).unwrap();
         let query = StandingQuery::TopKSliding {
             switch: tb.node("S2"),

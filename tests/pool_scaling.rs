@@ -15,10 +15,11 @@
 //!   caller, every *other* chunk still runs exactly once, and the pool
 //!   stays usable for the next batch.
 
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread;
+use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 use netsim::prelude::*;
@@ -277,6 +278,31 @@ fn worker_ns(pool: &WorkerPool) -> u64 {
     m.busy.iter().chain(&m.idle).map(|c| c.get()).sum()
 }
 
+/// A work fn that tags each item with the thread that ran it.
+fn tag_with_thread(_worker: usize, idxs: &[usize]) -> Vec<(usize, ThreadId)> {
+    idxs.iter().map(|&i| (i, thread::current().id())).collect()
+}
+
+#[test]
+fn wide_batches_run_on_the_pools_own_threads_and_no_others() {
+    // More workers must cost a batch nothing but scheduling: the pool's
+    // threads are spawned once, not per batch. `ThreadId`s are never
+    // reused, so a pool that spawned per `scatter` would show up to 64
+    // distinct ids here; a persistent one can show at most its four.
+    let pool = WorkerPool::new(4);
+    let mut seen = HashSet::new();
+    for _ in 0..16 {
+        let out = pool.scatter(64, None, Some(1), tag_with_thread);
+        assert!(out.iter().map(|&(i, _)| i).eq(0..64));
+        seen.extend(out.into_iter().map(|(_, id)| id));
+    }
+    assert!(
+        seen.len() <= 4 && !seen.contains(&thread::current().id()),
+        "16 batches of 64 chunks ran on {} threads of a 4-worker pool",
+        seen.len()
+    );
+}
+
 #[test]
 fn a_one_chunk_batch_runs_on_the_thread_that_called_scatter() {
     let reg = Arc::new(MetricsRegistry::new());
@@ -286,9 +312,9 @@ fn a_one_chunk_batch_runs_on_the_thread_that_called_scatter() {
     // Five items under the default rule (one chunk of ≤ 8), and a single
     // item with an explicit chunk size of 1: both are one chunk.
     for (n, chunk) in [(5usize, None), (1, Some(1))] {
-        let out = pool.scatter(n, None, chunk, move |_w, idxs| {
+        let out = pool.scatter(n, None, chunk, move |w, idxs| {
             assert_eq!(idxs.len(), n, "the batch must arrive as one chunk");
-            idxs.iter().map(|&i| (i, thread::current().id())).collect()
+            tag_with_thread(w, idxs)
         });
         assert_eq!(out, (0..n).map(|i| (i, caller)).collect::<Vec<_>>());
     }

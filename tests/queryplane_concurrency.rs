@@ -7,18 +7,20 @@
 use netsim::prelude::*;
 use queryplane::model::{ModelReplay, ModelReport, ModelledCost};
 use queryplane::{QueryPlane, QueryPlaneConfig};
-use switchpointer::query::QueryRequest;
+use switchpointer::query::{QueryRequest, QUERY_CLASS_NAMES};
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
 
-/// The fat-tree contention fixture: a low-priority TCP victim sharing its
-/// edge uplink with a high-priority UDP burst, plus steady cross-pod UDP
-/// background so pointers light up across layers.
+/// The fat-tree contention fixture: a low-priority TCP victim and a
+/// high-priority UDP burst aimed at the victim's own destination host —
+/// the two share the last-hop edge link whatever ECMP does upstream, so
+/// the victim's starvation trigger fires deterministically — plus steady
+/// cross-pod UDP background so pointers light up across layers.
 fn fat_tree_testbed() -> (Testbed, FlowId) {
     let topo = Topology::fat_tree(4, GBPS);
     let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
     let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
+    let da = tb.node("h2_0_0");
     let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
         a,
         da,
@@ -27,7 +29,7 @@ fn fat_tree_testbed() -> (Testbed, FlowId) {
     ));
     tb.sim.add_udp_flow(UdpFlowSpec::burst(
         b,
-        db,
+        da,
         Priority::HIGH,
         SimTime::from_ms(15),
         SimTime::from_ms(2),
@@ -48,10 +50,9 @@ fn fat_tree_testbed() -> (Testbed, FlowId) {
     (tb, victim)
 }
 
-/// A mixed query set over the fixture. Trigger-driven applications are
-/// included only when the victim actually triggered (ECMP decides whether
-/// the two pod-0 flows share an egress beyond the edge switch — the run is
-/// deterministic, so either way the comparison below is too).
+/// A mixed query set over the fixture, covering all six §5 classes: the
+/// three range aggregates plus the trigger-anchored diagnoses of the
+/// starved victim.
 fn query_set(tb: &Testbed, victim: FlowId) -> Vec<QueryRequest> {
     let mut reqs = Vec::new();
     let window = EpochRange { lo: 10, hi: 20 };
@@ -79,28 +80,29 @@ fn query_set(tb: &Testbed, victim: FlowId) -> Vec<QueryRequest> {
         range: window,
     });
 
-    // Trigger-driven queries, if the victim starved.
+    // Trigger-driven queries: the fixture starves the victim.
     let da = tb.node("h2_0_0");
-    let triggered = tb.hosts[&da].borrow().first_trigger_for(victim).is_some();
-    if triggered {
-        let w = tb.cfg.trigger.window;
-        reqs.push(QueryRequest::Contention {
-            victim,
-            victim_dst: da,
-            trigger_window: w,
-        });
-        reqs.push(QueryRequest::RedLights {
-            victim,
-            victim_dst: da,
-            trigger_window: w,
-        });
-        reqs.push(QueryRequest::Cascade {
-            victim,
-            victim_dst: da,
-            trigger_window: w,
-            max_depth: 3,
-        });
-    }
+    assert!(
+        tb.hosts[&da].borrow().first_trigger_for(victim).is_some(),
+        "the trigger-anchored query classes need the victim's trigger"
+    );
+    let w = tb.cfg.trigger.window;
+    reqs.push(QueryRequest::Contention {
+        victim,
+        victim_dst: da,
+        trigger_window: w,
+    });
+    reqs.push(QueryRequest::RedLights {
+        victim,
+        victim_dst: da,
+        trigger_window: w,
+    });
+    reqs.push(QueryRequest::Cascade {
+        victim,
+        victim_dst: da,
+        trigger_window: w,
+        max_depth: 3,
+    });
     reqs
 }
 
@@ -109,7 +111,6 @@ fn verdicts_identical_across_worker_counts() {
     let (tb, victim) = fat_tree_testbed();
     let analyzer = tb.analyzer();
     let reqs = query_set(&tb, victim);
-    assert!(reqs.len() >= 12, "fixture produced too few queries");
 
     // The sequential ground truth straight off the live analyzer.
     let baseline: Vec<String> = reqs
@@ -134,6 +135,17 @@ fn verdicts_identical_across_worker_counts() {
                 format!("{:?}", o.response),
                 baseline[i],
                 "query {i} diverged from the sequential analyzer at {workers} workers"
+            );
+        }
+        // The set issues every §5 class, so each per-class latency
+        // histogram must hold samples: a zero count means a class
+        // silently left the workload or lost its instrumentation.
+        let snap = plane.metrics().snapshot();
+        for class in QUERY_CLASS_NAMES {
+            let name = format!("queryplane.exec_ns.{class}");
+            assert!(
+                snap.hist(&name).is_some_and(|h| !h.is_empty()),
+                "{name} recorded no samples at {workers} workers"
             );
         }
     }
