@@ -30,7 +30,12 @@
 //!   aggregate topics on a fresh 4-shard cluster, whose standing queries
 //!   run in lock-step per front worker — so the window leaves as the
 //!   horizon round plus, per worker, one `Batch` frame per shard for its
-//!   chunk's pointer unions and one for its host waves.
+//!   chunk's pointer unions and one for its host waves;
+//! * the **refresh counts**: one `refresh` of a fresh 4-shard cluster
+//!   after a 1 ms advance — four acked appends and no bootstrap, all four
+//!   on the wire before the first ack was read, and each replica's new
+//!   state sharing with its old one everything the record did not name
+//!   (counted by pointer identity, [`queryplane::Snapshot::unshared_with`]).
 //!
 //! Load-bearing shape checks (the CI smoke): verdicts through the wire
 //! are bit-identical to the in-process `ShardedAnalyzer` at every shard
@@ -43,8 +48,8 @@
 //! batched fan-out beats naive per-host RPCs by ≥ 4× on the storm
 //! workload; the overlap ratio stays under [`OVERLAP_RATIO_MAX`] — a
 //! same-run ratio, so the gate holds on a runner with any number of
-//! cores; and the hand-off and window-wave counts are exact, so those
-//! gates do too.
+//! cores; and the hand-off, window-wave and refresh counts are exact, so
+//! those gates do too.
 
 use netsim::prelude::*;
 use streamplane::StandingQuery;
@@ -60,6 +65,13 @@ use crate::common::{FigureData, Series};
 /// with an ECMP-colliding HIGH burst, so the victim's trigger fires
 /// deterministically and the diagnoses join the sweep.
 pub(crate) fn testbed() -> (Testbed, FlowId, NodeId) {
+    let (mut tb, victim, victim_dst) = storm();
+    tb.sim.run_until(SimTime::from_ms(40));
+    (tb, victim, victim_dst)
+}
+
+/// [`testbed`] before any of it has run.
+fn storm() -> (Testbed, FlowId, NodeId) {
     let topo = Topology::fat_tree(4, GBPS);
     let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
     let background = |tb: &mut Testbed, s: &str, d: &str| {
@@ -121,7 +133,6 @@ pub(crate) fn testbed() -> (Testbed, FlowId, NodeId) {
     ] {
         background(&mut tb, s, d);
     }
-    tb.sim.run_until(SimTime::from_ms(40));
     (tb, victim, da)
 }
 
@@ -359,6 +370,73 @@ fn window_wave_gate(analyzer: &switchpointer::Analyzer) -> String {
          ~{} query-at-a-time), wire.frames_per_wave {wave_frames} (<= {wave_bound} required)",
         cfg.front_workers,
         2 * SHARDS * WINDOW_TOPICS
+    )
+}
+
+/// The refresh gate: a refresh costs what changed and waits once, not
+/// once per shard. Counts, not clocks — exact on any runner. Returns the
+/// note.
+fn refresh_gate() -> String {
+    const SHARDS: usize = 4;
+    let (mut tb, _, _) = storm();
+    tb.sim.run_until(SimTime::from_ms(20));
+    let analyzer = tb.analyzer();
+    let cluster = WireCluster::launch(&analyzer, SHARDS, WireConfig::default())
+        .expect("launch refresh cluster");
+    let served = |s| cluster.replica_state(s, 0).expect("a live primary");
+    let before: Vec<_> = (0..SHARDS).map(served).collect();
+    tb.sim.run_until(SimTime::from_ms(21));
+    let delta = cluster.refresh(&analyzer);
+    let owner = cluster.owner_metrics().snapshot();
+    let (appends, bootstraps) = (
+        owner.counter("repl.appends"),
+        owner.counter("repl.bootstraps"),
+    );
+    let in_flight = owner.gauges.get("repl.in_flight").copied().unwrap_or(0);
+    let copied: Vec<_> = (0..SHARDS)
+        .map(|s| served(s).view.unshared_with(&before[s].view))
+        .collect();
+    cluster.shutdown();
+    assert!(
+        delta.cloned_slots > 0 && delta.cloned_records > 0,
+        "fixture regressed: the 1 ms advance changed nothing"
+    );
+    assert_eq!(
+        (appends, bootstraps),
+        (SHARDS as u64, 0),
+        "one refresh of {SHARDS} healthy shards is {SHARDS} acked appends and no bootstrap"
+    );
+    assert_eq!(
+        in_flight, SHARDS as i64,
+        "{in_flight} append(s) were on the wire when the publisher read its first ack: the \
+         refresh is not issue-then-collect"
+    );
+    // Pointer patches go to every shard, a host patch to the shard that
+    // owns the host.
+    for (s, c) in copied.iter().enumerate() {
+        assert_eq!(
+            (c.switches, c.slots as u64),
+            (delta.dirty_switches.len(), delta.cloned_slots),
+            "shard {s} copied hierarchy slots the record did not name"
+        );
+    }
+    let hosts: usize = copied.iter().map(|c| c.hosts).sum();
+    let records: usize = copied.iter().map(|c| c.records).sum();
+    assert_eq!(
+        (hosts, records as u64),
+        (delta.dirty_hosts.len(), delta.cloned_records),
+        "the replicas copied host state the record did not name"
+    );
+    format!(
+        "wire refresh gate: enforced — {SHARDS} shard(s), one refresh after a 1 ms advance: \
+         repl.appends {appends} (= shards required), repl.bootstraps {bootstraps} (0 required), \
+         repl.in_flight {in_flight} when the first ack was read (= shards required); copied per \
+         replica {} slots in {} hierarchies, across replicas {records} records in {hosts} host \
+         stores (= named by the record required; a full copy is {} slots and {} records)",
+        delta.cloned_slots,
+        delta.dirty_switches.len(),
+        delta.full_slots,
+        delta.full_records
     )
 }
 
@@ -604,5 +682,6 @@ pub fn wire() -> Vec<FigureData> {
     ));
     fig.note(handoff_gate(&analyzer, cfg, &reqs, &baseline));
     fig.note(window_wave_gate(&analyzer));
+    fig.note(refresh_gate());
     vec![fig]
 }

@@ -99,7 +99,7 @@ mod snapshot;
 pub use pool::{chunk_size, PoolMetrics, QueryOutcome, SharedCtx, WorkerPool};
 pub use repl::{DeltaRecord, HostPatch, HostPatchKind, SwitchPatch};
 pub use slot::SnapshotSlot;
-pub use snapshot::{ShardedHostStore, Snapshot, SnapshotDelta};
+pub use snapshot::{RecordShard, ShardedHostStore, Snapshot, SnapshotDelta, Unshared};
 pub use switchpointer::retention::{RetentionPolicy, SweepReport};
 
 /// A rejected [`QueryPlaneConfig`]: the typed reason construction
@@ -233,11 +233,6 @@ pub struct QueryPlane {
     /// frozen state from. Installs never quiesce the plane — see
     /// [`SnapshotSlot`].
     slot: SnapshotSlot,
-    /// The previous published snapshot, kept as the write buffer for the
-    /// next incremental refresh: when nothing else still holds it,
-    /// [`QueryPlane::refresh_delta`] catches it up from its own freeze
-    /// baselines instead of cloning the current snapshot.
-    spare: Option<Arc<Snapshot>>,
     pool: WorkerPool,
     /// Registry-backed counters (service totals + cumulative per-shard
     /// fan-out across every executed query).
@@ -290,7 +285,6 @@ impl QueryPlane {
             slot: SnapshotSlot::new(Arc::new(Snapshot::capture_with(
                 analyzer, cfg.shards, dir_shards,
             ))),
-            spare: None,
             pool,
             m,
         })
@@ -301,45 +295,18 @@ impl QueryPlane {
     /// Returns the delta summary (dirty sets, rescans, copy-work
     /// counters).
     ///
-    /// Publication is quiesce-free: the refreshed snapshot is installed
-    /// into the epoch-stamped [`SnapshotSlot`] while any in-flight batch
-    /// (or remote reader) keeps executing against the snapshot it
-    /// loaded. The refresh writes into the *spare* snapshot — the one
-    /// published two windows ago — catching it up from its own freeze
-    /// baselines (`apply_delta` is baseline-relative, so the result is
-    /// bit-identical to a fresh capture; the dirty sets it reports are a
-    /// conservative superset covering both windows, which only widens
-    /// the stream plane's result-cache invalidation). If something still
-    /// holds the spare (an
-    /// unusually long-lived reader), the plane falls back to cloning the
-    /// current snapshot rather than waiting.
+    /// Publication is quiesce-free: the refresh advances a *clone* of the
+    /// published snapshot — refcount bumps, every component shared — and
+    /// installs it into the epoch-stamped [`SnapshotSlot`] while any
+    /// in-flight batch (or remote reader) keeps executing against the
+    /// snapshot it loaded. `apply_delta` copies on write only what
+    /// changed, so the two snapshots resident while a reader lingers are
+    /// one snapshot plus its delta, and the report is always the exact
+    /// delta of this refresh.
     pub fn refresh_delta(&mut self, analyzer: &Analyzer) -> SnapshotDelta {
-        let current = self.slot.load().0;
-        let mut next = match self.spare.take() {
-            Some(spare) if Arc::strong_count(&spare) == 1 => spare,
-            _ => Arc::new((*current).clone()),
-        };
-        // The spare's own baselines drive the replay: they may lag the
-        // published snapshot by one window, in which case this delta is
-        // a conservative superset (correct state, over-wide report).
-        let superset = Arc::get_mut(&mut next)
-            .expect("spare snapshot is uniquely held")
-            .apply_delta(analyzer);
-        self.slot.install(next);
-        // Retire the just-unpublished snapshot as the next spare and —
-        // when no in-flight batch still reads it — catch it up NOW. Its
-        // baselines equal the state published last window, so this
-        // second replay yields the *exact* fresh-window delta (empty on
-        // an idle refresh) and keeps both buffers in lockstep, making
-        // the next refresh exact too. With readers still holding it we
-        // fall back to the superset report and let the next refresh
-        // replay the lag.
-        let mut retired = current;
-        let delta = match Arc::get_mut(&mut retired) {
-            Some(snap) => snap.apply_delta(analyzer),
-            None => superset,
-        };
-        self.spare = Some(retired);
+        let mut next = Snapshot::clone(&self.slot.load().0);
+        let delta = next.apply_delta(analyzer);
+        self.slot.install(Arc::new(next));
         delta
     }
 

@@ -13,6 +13,11 @@
 //! mutates live components, so its reclamation rides the next delta as
 //! pointer-archive retirement and `FullRescan` store rebuilds.
 //!
+//! A record holds what changed **by `Arc`**: the pointer patches and the
+//! rebuilt record shards are the very allocations the owner's snapshot
+//! now holds, so journaling, slicing and (on the far side, where decode
+//! produced the `Arc`s) applying never copy a flow record or a slot.
+//!
 //! The owner publishes one sliced record per directory shard
 //! ([`DeltaRecord::slice_for`]): pointer patches are the cheap replicated
 //! layer every shard carries (the paper's MPHF-plus-pointer-bits
@@ -23,23 +28,23 @@
 //! is every type inside it — which never panics on malformed input.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use netsim::packet::NodeId;
 use switchpointer::host::TriggerEvent;
-use switchpointer::hoststore::FlowRecord;
 use switchpointer::pointer::PointerPatch;
 use telemetry::frame::{Dec, Enc, Wire, WireError};
 
-use crate::snapshot::ShardedHostStore;
+use crate::snapshot::{RecordShard, ShardedHostStore};
 
 /// One switch's pointer advance: the patch to apply to the replica's
 /// hierarchy. The post-apply baseline is derived on the replica from the
 /// patched hierarchy itself (`(version, archive_logical_len)`), so it
-/// does not travel.
+/// does not travel. Every shard's slice shares the one patch.
 #[derive(Debug, Clone)]
 pub struct SwitchPatch {
     pub switch: NodeId,
-    pub patch: PointerPatch,
+    pub patch: Arc<PointerPatch>,
 }
 
 /// How one host's frozen store advanced since the baseline.
@@ -48,12 +53,13 @@ pub enum HostPatchKind {
     /// Only the trigger log moved (a raise or a retention trim).
     TriggersOnly { triggers: Vec<TriggerEvent> },
     /// The incremental path: the listed record shards were rebuilt;
-    /// everything else is untouched. Records arrive in the same ascending
-    /// flow-id order the owner's rebuild produced, so pushing them in
-    /// order reproduces the secondary index bit-for-bit.
+    /// everything else is untouched. A shard travels as its record vector
+    /// in the ascending flow-id order the owner's rebuild produced, so
+    /// decoding it reproduces the secondary index bit-for-bit.
     Shards {
-        /// `(shard index, that shard's full record vector)`.
-        dirty: Vec<(u64, Vec<FlowRecord>)>,
+        /// `(shard index, the rebuilt shard)` — on the owner the `Arc` its
+        /// snapshot holds, on a replica the one decode produced.
+        dirty: Vec<(u64, Arc<RecordShard>)>,
         triggers: Vec<TriggerEvent>,
         /// The live store's record count after the advance.
         total: u64,
@@ -93,6 +99,8 @@ impl DeltaRecord {
     /// The slice of this record one directory shard consumes: all switch
     /// patches (the replicated pointer layer), host patches restricted to
     /// `keep` — the host set the shard's view was sliced with at capture.
+    /// Refcount bumps plus the kept hosts' trigger logs; no record or
+    /// slot is copied.
     pub fn slice_for(&self, keep: &BTreeSet<NodeId>) -> DeltaRecord {
         DeltaRecord {
             epoch_horizon: self.epoch_horizon,
@@ -120,7 +128,7 @@ impl Wire for SwitchPatch {
     fn dec(d: &mut Dec) -> Result<Self, WireError> {
         Ok(SwitchPatch {
             switch: NodeId::dec(d)?,
-            patch: PointerPatch::dec(d)?,
+            patch: Arc::dec(d)?,
         })
     }
 }

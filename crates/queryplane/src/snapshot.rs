@@ -4,9 +4,23 @@
 //! The live deployment shares its component state through
 //! `Rc<RefCell<…>>` handles, which cannot cross threads. The query plane
 //! therefore freezes the state it queries: switch pointer hierarchies are
-//! cloned wholesale (they are plain bit sets + an `Arc<Mphf>`), and each
+//! frozen ([`FrozenHierarchy`]: bit-set slots + an `Arc<Mphf>`), and each
 //! host's flow records are partitioned into [`shard_of`] shards so
 //! concurrent queries touching different flows walk disjoint memory.
+//!
+//! ## Structural sharing
+//!
+//! Every component sits behind an `Arc`: each switch's hierarchy (and,
+//! inside it, each slot), each host's store (and, inside it, each
+//! [`RecordShard`]). [`Snapshot::clone`] and [`Snapshot::shard_slice`]
+//! are therefore refcount bumps, and an advance — [`Snapshot::apply_delta`]
+//! on the owner, [`Snapshot::apply_record`] on a replica — copies on write
+//! only the components it names (`Arc::make_mut` on the way down, a
+//! replaced `Arc` at the leaf). Nothing behind a shared `Arc` is ever
+//! mutated, so a clone handed to readers is as immutable as a deep copy
+//! was; `==` and `Debug` read through the `Arc`s and see the same values.
+//! [`Snapshot::unshared_with`] counts what two snapshots do *not* share —
+//! the identity tests hold "copied == named" with it.
 //!
 //! [`Snapshot`] implements [`StateView`] with answers *identical* to the
 //! live view's: same candidate ordering (ascending flow id), same
@@ -18,7 +32,7 @@
 //! Capturing records a per-component baseline (mutation-counter versions
 //! plus the pointer archive's logical length). [`Snapshot::apply_delta`]
 //! asks each live component what changed since its baseline — rotated pointer slots via
-//! [`PointerHierarchy::delta_since`], touched flows via
+//! [`PointerHierarchy::delta_since`](switchpointer::pointer::PointerHierarchy::delta_since), touched flows via
 //! [`FlowStore::changed_since`](switchpointer::hoststore::FlowStore::changed_since)
 //! — and re-copies *only* the dirty slots and the shards containing dirty
 //! flows. The property suite (`tests/streamplane_props.rs`) pins the
@@ -26,7 +40,7 @@
 //! yields a snapshot `==` to a fresh [`Snapshot::capture`] at the same
 //! instant.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 use mphf::Mphf;
@@ -34,7 +48,7 @@ use netsim::packet::{FlowId, NodeId};
 use switchpointer::bitset::BitSet;
 use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::{shard_of, FlowRecord, FlowStore, StoreDelta};
-use switchpointer::pointer::PointerHierarchy;
+use switchpointer::pointer::FrozenHierarchy;
 use switchpointer::query::StateView;
 use switchpointer::shard::host_shard_of;
 use switchpointer::Analyzer;
@@ -43,9 +57,10 @@ use telemetry::EpochRange;
 
 use crate::repl::{DeltaRecord, HostPatch, HostPatchKind, SwitchPatch};
 
-/// One shard of a host's frozen flow records.
+/// One shard of a host's frozen flow records — the unit a refresh
+/// rebuilds, journals and ships, always behind an `Arc`.
 #[derive(Clone, Default, PartialEq)]
-struct Shard {
+pub struct RecordShard {
     /// Records sorted by ascending flow id.
     records: Vec<FlowRecord>,
     /// Secondary index: switch -> indices into `records` (ascending).
@@ -55,17 +70,36 @@ struct Shard {
 /// Renders `by_switch` in sorted key order, so two `==` shards print
 /// identically — the wire tests' Debug-based bit-identity checks depend
 /// on deterministic rendering.
-impl std::fmt::Debug for Shard {
+impl std::fmt::Debug for RecordShard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let by_switch: std::collections::BTreeMap<_, _> = self.by_switch.iter().collect();
-        f.debug_struct("Shard")
+        f.debug_struct("RecordShard")
             .field("records", &self.records)
             .field("by_switch", &by_switch)
             .finish()
     }
 }
 
-impl Shard {
+impl RecordShard {
+    /// A shard holding `records` in the order given (a frozen shard's is
+    /// ascending flow id), with the secondary index built over them.
+    pub fn from_records(records: Vec<FlowRecord>) -> Self {
+        let mut shard = RecordShard::default();
+        for rec in records {
+            shard.push(rec);
+        }
+        shard
+    }
+
+    /// Records held.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
     fn push(&mut self, rec: FlowRecord) {
         let idx = self.records.len();
         for sw in rec.epochs_at.keys() {
@@ -78,23 +112,19 @@ impl Shard {
 /// A shard travels as its record vector; the secondary index is rebuilt
 /// by pushing the records in their carried (sorted) order, so the result
 /// is `==` to the encoded source.
-impl Wire for Shard {
+impl Wire for RecordShard {
     fn enc(&self, e: &mut Enc) {
         self.records.enc(e);
     }
     fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        let mut shard = Shard::default();
-        for rec in Vec::<FlowRecord>::dec(d)? {
-            shard.push(rec);
-        }
-        Ok(shard)
+        Vec::<FlowRecord>::dec(d).map(RecordShard::from_records)
     }
 }
 
 /// A host's frozen store: records partitioned by flow-id hash.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedHostStore {
-    shards: Vec<Shard>,
+    shards: Vec<Arc<RecordShard>>,
     triggers: Vec<TriggerEvent>,
     total: usize,
 }
@@ -104,21 +134,21 @@ impl ShardedHostStore {
         // One pass over the sorted record stream, bucketed by `shard_of`:
         // each shard's vector stays sorted without re-sorting, and the
         // store is scanned once rather than once per shard.
-        let mut shards = vec![Shard::default(); n_shards];
+        let mut shards = vec![RecordShard::default(); n_shards];
         for rec in store.records() {
             shards[shard_of(rec.flow, n_shards)].push(rec.clone());
         }
         ShardedHostStore {
-            shards,
+            shards: shards.into_iter().map(Arc::new).collect(),
             triggers: triggers.to_vec(),
             total: store.len(),
         }
     }
 
     /// Rebuilds only the shards containing `dirty` flows from the live
-    /// store (one scan, clones restricted to dirty shards). Returns the
-    /// number of records cloned and the rebuilt shard indices (sorted) —
-    /// what a replication journal ships.
+    /// store (one scan, clones restricted to dirty shards); every other
+    /// shard keeps its `Arc`. Returns the number of records cloned and the
+    /// rebuilt shard indices (sorted) — what a replication journal ships.
     fn patch_shards(
         &mut self,
         store: &FlowStore,
@@ -126,21 +156,24 @@ impl ShardedHostStore {
         dirty: &[FlowId],
     ) -> (usize, Vec<usize>) {
         let n_shards = self.shards.len();
-        let dirty_shards: BTreeSet<usize> = dirty.iter().map(|&f| shard_of(f, n_shards)).collect();
-        for &s in &dirty_shards {
-            self.shards[s] = Shard::default();
-        }
+        let mut rebuilt: BTreeMap<usize, RecordShard> = dirty
+            .iter()
+            .map(|&f| (shard_of(f, n_shards), RecordShard::default()))
+            .collect();
         let mut cloned = 0usize;
         for rec in store.records() {
-            let s = shard_of(rec.flow, n_shards);
-            if dirty_shards.contains(&s) {
-                self.shards[s].push(rec.clone());
+            if let Some(shard) = rebuilt.get_mut(&shard_of(rec.flow, n_shards)) {
+                shard.push(rec.clone());
                 cloned += 1;
             }
         }
+        let dirty_shards = rebuilt.keys().copied().collect();
+        for (s, shard) in rebuilt {
+            self.shards[s] = Arc::new(shard);
+        }
         self.triggers = triggers.to_vec();
         self.total = store.len();
-        (cloned, dirty_shards.into_iter().collect())
+        (cloned, dirty_shards)
     }
 
     /// Rebuilds a store from a flat record list (any order) partitioned
@@ -155,13 +188,13 @@ impl ShardedHostStore {
         let n_shards = n_shards.max(1);
         records.sort_by_key(|r| r.flow);
         let total = records.len();
-        let mut shards = vec![Shard::default(); n_shards];
+        let mut shards = vec![RecordShard::default(); n_shards];
         for rec in records {
             let s = shard_of(rec.flow, n_shards);
             shards[s].push(rec);
         }
         ShardedHostStore {
-            shards,
+            shards: shards.into_iter().map(Arc::new).collect(),
             triggers,
             total,
         }
@@ -258,7 +291,7 @@ impl Wire for ShardedHostStore {
         e.put_u64(self.total as u64);
     }
     fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        let shards = Vec::<Shard>::dec(d)?;
+        let shards = Vec::<Arc<RecordShard>>::dec(d)?;
         // Reads index `shards[shard_of(flow, n)]`: a store with no shard
         // must never reach them.
         if shards.is_empty() {
@@ -390,10 +423,27 @@ impl SnapshotDelta {
     }
 }
 
+/// What [`Snapshot::unshared_with`] counts: components one snapshot
+/// holds that are not the very allocation the other holds in the same
+/// place — i.e. what was copied (or decoded) to get from one to the other.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Unshared {
+    /// Pointer hierarchies.
+    pub switches: usize,
+    /// Pointer slots, live and archived, inside those hierarchies.
+    pub slots: usize,
+    /// Host stores.
+    pub hosts: usize,
+    /// Record shards inside those stores.
+    pub shards: usize,
+    /// Flow records inside those shards.
+    pub records: usize,
+}
+
 /// The frozen deployment state the worker pool queries.
 pub struct Snapshot {
-    switches: HashMap<NodeId, PointerHierarchy>,
-    hosts: HashMap<NodeId, ShardedHostStore>,
+    switches: HashMap<NodeId, Arc<FrozenHierarchy>>,
+    hosts: HashMap<NodeId, Arc<ShardedHostStore>>,
     /// Directory-shard count the deltas report ownership against.
     dir_shards: usize,
     /// Per-switch freeze baseline: (pointer version, *logical* archive
@@ -434,7 +484,7 @@ impl Snapshot {
                 (comp.pointers.version(), comp.pointers.archive_logical_len()),
             );
             epoch_horizon = epoch_horizon.max(comp.pointers.last_epoch().unwrap_or(0));
-            switches.insert(sw, comp.pointers.clone());
+            switches.insert(sw, Arc::new(comp.pointers.freeze()));
         }
         let mut hosts = HashMap::new();
         let mut host_base = HashMap::new();
@@ -443,7 +493,11 @@ impl Snapshot {
             host_base.insert(h, (comp.store.version(), comp.trigger_version()));
             hosts.insert(
                 h,
-                ShardedHostStore::freeze(&comp.store, comp.triggers(), n_shards),
+                Arc::new(ShardedHostStore::freeze(
+                    &comp.store,
+                    comp.triggers(),
+                    n_shards,
+                )),
             );
         }
         Snapshot {
@@ -465,16 +519,18 @@ impl Snapshot {
     /// Brings the snapshot up to date with the live deployment by copying
     /// only what changed since the last freeze: pointer slots rotated or
     /// written since the baseline, and host shards containing flows that
-    /// were touched. Bit-identical to a fresh [`Snapshot::capture`] at the
-    /// same instant (property-tested), at asymptotically less copy work
-    /// when the advance was small.
+    /// were touched. Everything else stays shared with whatever this
+    /// snapshot was cloned from. Bit-identical to a fresh
+    /// [`Snapshot::capture`] at the same instant (property-tested), at
+    /// asymptotically less copy work when the advance was small.
     pub fn apply_delta(&mut self, analyzer: &Analyzer) -> SnapshotDelta {
         self.apply_delta_inner(analyzer, None)
     }
 
     /// [`Snapshot::apply_delta`] that additionally journals every change
     /// as a shippable [`DeltaRecord`]: the pointer patches applied, the
-    /// host shards rebuilt (with their records), and the new freeze
+    /// host shards rebuilt (the very `Arc`s this snapshot now holds — the
+    /// journal copies nothing), and the new freeze
     /// baselines. Applying the record to a snapshot at the same prior
     /// baseline (via [`Snapshot::apply_record`]) reproduces this
     /// snapshot's post-advance state bit-for-bit — the owner side of the
@@ -504,15 +560,20 @@ impl Snapshot {
                 .expect("switch missing from snapshot baseline");
             if let Some(patch) = live.delta_since(base_v, base_a) {
                 delta.cloned_slots += patch.copied_slots() as u64;
-                self.switches
-                    .get_mut(&sw)
-                    .expect("snapshot switch set is fixed at capture")
-                    .apply_patch(&patch);
+                Arc::make_mut(
+                    self.switches
+                        .get_mut(&sw)
+                        .expect("snapshot switch set is fixed at capture"),
+                )
+                .apply_patch(&patch);
                 self.switch_base
                     .insert(sw, (live.version(), live.archive_logical_len()));
                 delta.dirty_switches.push(sw);
                 if let Some(j) = journal.as_deref_mut() {
-                    j.switches.push(SwitchPatch { switch: sw, patch });
+                    j.switches.push(SwitchPatch {
+                        switch: sw,
+                        patch: Arc::new(patch),
+                    });
                 }
             }
         }
@@ -536,32 +597,38 @@ impl Snapshot {
                 StoreDelta::Unchanged => {
                     // Only the trigger log moved (a raise, a retention
                     // trim, or both): re-clone it in place.
-                    frozen.triggers = comp.triggers().to_vec();
+                    let store = Arc::make_mut(frozen);
+                    store.triggers = comp.triggers().to_vec();
                     journal.is_some().then(|| HostPatchKind::TriggersOnly {
-                        triggers: frozen.triggers.clone(),
+                        triggers: store.triggers.clone(),
                     })
                 }
                 StoreDelta::Flows(dirty) => {
+                    let store = Arc::make_mut(frozen);
                     let (cloned, dirty_shards) =
-                        frozen.patch_shards(&comp.store, comp.triggers(), &dirty);
+                        store.patch_shards(&comp.store, comp.triggers(), &dirty);
                     delta.cloned_records += cloned as u64;
                     journal.is_some().then(|| HostPatchKind::Shards {
                         dirty: dirty_shards
                             .iter()
-                            .map(|&s| (s as u64, frozen.shards[s].records.clone()))
+                            .map(|&s| (s as u64, Arc::clone(&store.shards[s])))
                             .collect(),
-                        triggers: frozen.triggers.clone(),
-                        total: frozen.total as u64,
+                        triggers: store.triggers.clone(),
+                        total: store.total as u64,
                     })
                 }
                 StoreDelta::FullRescan => {
                     delta.cloned_records += comp.store.len() as u64;
-                    *frozen = ShardedHostStore::freeze(&comp.store, comp.triggers(), n_shards);
+                    *frozen = Arc::new(ShardedHostStore::freeze(
+                        &comp.store,
+                        comp.triggers(),
+                        n_shards,
+                    ));
                     // An eviction invalidated the per-flow journal: caches
                     // keyed on this store's contents must purge, not patch.
                     delta.rescanned_hosts.push(h);
                     journal.is_some().then(|| HostPatchKind::Full {
-                        store: frozen.clone(),
+                        store: ShardedHostStore::clone(frozen),
                     })
                 }
             };
@@ -607,13 +674,16 @@ impl Snapshot {
     /// [`Snapshot::apply_delta_journaled`] (possibly sliced per shard via
     /// [`DeltaRecord::slice_for`]). Applied in-sequence to a snapshot at
     /// the owner's prior baseline, the result is `==` to the owner's
-    /// post-advance snapshot. A mismatched or corrupt record surfaces a
+    /// post-advance snapshot. The slots and record shards the record
+    /// carries are moved in by `Arc`, not copied, and nothing the record
+    /// does not name is touched. A mismatched or corrupt record surfaces a
     /// typed error — the replica then re-bootstraps — never a panic.
     pub fn apply_record(&mut self, rec: &DeltaRecord) -> Result<(), WireError> {
         for sp in &rec.switches {
             let h = self.switches.get_mut(&sp.switch).ok_or_else(|| {
                 WireError::Remote(format!("delta names unknown switch {:?}", sp.switch))
             })?;
+            let h = Arc::make_mut(h);
             h.checked_apply_patch(&sp.patch)?;
             let base = (h.version(), h.archive_logical_len());
             self.switch_base.insert(sp.switch, base);
@@ -624,29 +694,25 @@ impl Snapshot {
             })?;
             match &hp.kind {
                 HostPatchKind::TriggersOnly { triggers } => {
-                    frozen.triggers = triggers.clone();
+                    Arc::make_mut(frozen).triggers = triggers.clone();
                 }
                 HostPatchKind::Shards {
                     dirty,
                     triggers,
                     total,
                 } => {
-                    for (s, recs) in dirty {
-                        let si = *s as usize;
-                        if si >= frozen.shards.len() {
-                            return Err(WireError::Remote(format!(
-                                "delta rebuilds shard {si} of a {}-way store",
-                                frozen.shards.len()
-                            )));
-                        }
-                        let mut shard = Shard::default();
-                        for r in recs {
-                            shard.push(r.clone());
-                        }
-                        frozen.shards[si] = shard;
+                    let store = Arc::make_mut(frozen);
+                    let n = store.shards.len();
+                    for (s, shard) in dirty {
+                        let slot = store.shards.get_mut(*s as usize).ok_or_else(|| {
+                            WireError::Remote(format!(
+                                "delta rebuilds shard {s} of a {n}-way store"
+                            ))
+                        })?;
+                        *slot = Arc::clone(shard);
                     }
-                    frozen.triggers = triggers.clone();
-                    frozen.total = *total as usize;
+                    store.triggers = triggers.clone();
+                    store.total = *total as usize;
                 }
                 HostPatchKind::Full { store } => {
                     if store.n_shards() != frozen.n_shards() {
@@ -656,7 +722,7 @@ impl Snapshot {
                             frozen.n_shards()
                         )));
                     }
-                    *frozen = store.clone();
+                    *frozen = Arc::new(store.clone());
                 }
             }
             self.host_base.insert(hp.host, hp.new_base);
@@ -709,21 +775,21 @@ impl Snapshot {
         let n_sw = d.get_len()?;
         // One count sizes two maps: the bytes behind it must cover an
         // entry of each.
-        let cap = d.reservation::<((NodeId, PointerHierarchy), (NodeId, (u64, usize)))>(n_sw);
+        let cap = d.reservation::<((NodeId, Arc<FrozenHierarchy>), (NodeId, (u64, usize)))>(n_sw);
         let mut switches = HashMap::with_capacity(cap);
         let mut switch_base = HashMap::with_capacity(cap);
         for _ in 0..n_sw {
             let sw = NodeId::dec(d)?;
-            switches.insert(sw, PointerHierarchy::wire_dec(d, mphf)?);
+            switches.insert(sw, Arc::new(FrozenHierarchy::wire_dec(d, mphf)?));
             switch_base.insert(sw, <(u64, usize)>::dec(d)?);
         }
         let n_hosts = d.get_len()?;
-        let cap = d.reservation::<((NodeId, ShardedHostStore), (NodeId, (u64, u64)))>(n_hosts);
+        let cap = d.reservation::<((NodeId, Arc<ShardedHostStore>), (NodeId, (u64, u64)))>(n_hosts);
         let mut hosts = HashMap::with_capacity(cap);
         let mut host_base = HashMap::with_capacity(cap);
         for _ in 0..n_hosts {
             let h = NodeId::dec(d)?;
-            hosts.insert(h, ShardedHostStore::dec(d)?);
+            hosts.insert(h, Arc::<ShardedHostStore>::dec(d)?);
             host_base.insert(h, <(u64, u64)>::dec(d)?);
         }
         Ok(Snapshot {
@@ -755,7 +821,7 @@ impl Snapshot {
     /// MPHF-plus-pointer-bits footprint argument), while flow records
     /// live only on the owning instance. Reads for hosts outside `keep`
     /// answer `None`/empty, exactly like unknown hosts on a full
-    /// snapshot.
+    /// snapshot. The slice shares every component it keeps with `self`.
     pub fn shard_slice(&self, keep: &std::collections::BTreeSet<NodeId>) -> Snapshot {
         Snapshot {
             switches: self.switches.clone(),
@@ -763,7 +829,7 @@ impl Snapshot {
                 .hosts
                 .iter()
                 .filter(|(h, _)| keep.contains(h))
-                .map(|(h, s)| (*h, s.clone()))
+                .map(|(h, s)| (*h, Arc::clone(s)))
                 .collect(),
             dir_shards: self.dir_shards,
             switch_base: self.switch_base.clone(),
@@ -782,6 +848,41 @@ impl Snapshot {
     pub fn epoch_horizon(&self) -> u64 {
         self.epoch_horizon
     }
+
+    /// Counts the components of `self` that `other` does not hold as the
+    /// same allocation under the same key (a component `other` lacks
+    /// counts whole). Between a snapshot and the clone it was advanced
+    /// from, this is exactly what the advance copied: a
+    /// [`SnapshotDelta`]'s `dirty_*` / `cloned_*` on the owner, what the
+    /// [`DeltaRecord`] named on a replica.
+    pub fn unshared_with(&self, other: &Snapshot) -> Unshared {
+        let mut u = Unshared::default();
+        for (sw, mine) in &self.switches {
+            let theirs = other.switches.get(sw);
+            if theirs.is_some_and(|t| Arc::ptr_eq(mine, t)) {
+                continue;
+            }
+            u.switches += 1;
+            u.slots += theirs.map_or(mine.total_slots(), |t| mine.unshared_slots(t));
+        }
+        for (h, mine) in &self.hosts {
+            let theirs = other.hosts.get(h);
+            if theirs.is_some_and(|t| Arc::ptr_eq(mine, t)) {
+                continue;
+            }
+            u.hosts += 1;
+            for (i, shard) in mine.shards.iter().enumerate() {
+                let shared = theirs
+                    .and_then(|t| t.shards.get(i))
+                    .is_some_and(|t| Arc::ptr_eq(shard, t));
+                if !shared {
+                    u.shards += 1;
+                    u.records += shard.len();
+                }
+            }
+        }
+        u
+    }
 }
 
 /// Debug renders the frozen data only (the union memo is a derived cache
@@ -799,8 +900,10 @@ impl std::fmt::Debug for Snapshot {
     }
 }
 
-/// Clones the frozen data; the union memo is a derived cache and starts
-/// empty in the clone (it cannot affect results, only recomputation).
+/// Shares the frozen data — one refcount bump per hierarchy and host
+/// store, no component is copied; the union memo is a derived cache and
+/// starts empty in the clone (it cannot affect results, only
+/// recomputation).
 impl Clone for Snapshot {
     fn clone(&self) -> Self {
         Snapshot {

@@ -9,7 +9,7 @@
 //! module owns the framing and the codec both ends share: the primitive
 //! [`Enc`]/[`Dec`] cursors and, built on them, the value-level [`Wire`]
 //! trait with its impls for the integers, `String`, `Option`, `Vec`,
-//! tuples, `BTreeSet`/`BTreeMap`, `netsim`'s ids, [`SimTime`],
+//! `Arc`, tuples, `BTreeSet`/`BTreeMap`, `netsim`'s ids, [`SimTime`],
 //! [`EpochRange`] and [`WireError`]. It sits below every crate that owns
 //! a type crossing the wire, so each of them writes the one `impl Wire`
 //! for its type beside the type, and the transport defines no codec of
@@ -39,6 +39,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Write};
+use std::sync::Arc;
 
 use netsim::packet::{FlowId, NodeId, Priority, Protocol};
 use netsim::time::SimTime;
@@ -549,6 +550,17 @@ impl<T: Wire> Wire for Vec<T> {
             out.push(T::dec(d)?);
         }
         Ok(out)
+    }
+}
+
+/// A shared value travels as the value: the `Arc` is where the decoded
+/// copy lands, so whoever applies it can keep it without copying again.
+impl<T: Wire> Wire for Arc<T> {
+    fn enc(&self, e: &mut Enc) {
+        (**self).enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        T::dec(d).map(Arc::new)
     }
 }
 

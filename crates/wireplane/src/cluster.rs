@@ -102,21 +102,23 @@ impl WireCluster {
         );
         let snapshot = Snapshot::capture_with(analyzer, HOST_SHARDS, n_shards);
 
-        // R identical replicas per shard, each serving its own copy of
-        // the shard's slice, each with one writer from the owner.
+        // R identical replicas per shard, each serving the shard's slice
+        // (shared with the owner's snapshot until a refresh replaces
+        // what it names), each with one writer from the owner.
         let mut servers = Vec::with_capacity(n_shards);
         let mut primaries = Vec::with_capacity(n_shards);
         let mut addr_sets = Vec::with_capacity(n_shards);
         let mut writers = Vec::with_capacity(n_shards);
         let mut keeps = Vec::with_capacity(n_shards);
         for shard in dir.shards() {
+            let shard = Arc::new(shard.clone());
             let keep: BTreeSet<_> = shard.hosts().iter().copied().collect();
             let mut replicas = Vec::with_capacity(n_replicas);
             let mut addrs = Vec::with_capacity(n_replicas);
             let mut wires = Vec::with_capacity(n_replicas);
             for _ in 0..n_replicas {
                 let state = ShardState {
-                    shard: shard.clone(),
+                    shard: Arc::clone(&shard),
                     view: snapshot.shard_slice(&keep),
                 };
                 let (server, writer) = spawn_replica(state, n_shards, cfg)?;
@@ -207,7 +209,7 @@ impl WireCluster {
     pub fn add_standby(&self, shard: usize) -> Result<usize, WireError> {
         let mut publisher = self.publisher.lock().unwrap();
         let state = ShardState {
-            shard: self.ctx.dir.shards()[shard].clone(),
+            shard: Arc::new(self.ctx.dir.shards()[shard].clone()),
             view: publisher.owner_slice(shard),
         };
         let (server, writer) = spawn_replica(state, self.ctx.dir.n_shards(), self.cfg)?;

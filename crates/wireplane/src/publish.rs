@@ -2,11 +2,23 @@
 //! into one sequenced [`Frame::DeltaAppend`] per shard, and feed every
 //! replica of that shard over its [`ReplicaWriter`].
 //!
+//! A publish is **issue, then collect**. The issue half cuts every
+//! shard's frame — its slice shares the journaled record's patches and
+//! record shards by `Arc`, nothing is copied — and writes it to every
+//! live replica without reading a reply, so all N × R appends are being
+//! decoded and applied at once. The collect half then walks the replicas
+//! in `(shard, replica)` order and runs the ladder below, whose first
+//! step finds its frame already on the wire and only reads the ack.
+//! Sockets are independent, a replica applies bare frames in arrival
+//! order, and an ack is a ≈ 15-byte frame that never fills a buffer, so
+//! neither per-shard seq order nor freedom from deadlock needs anything
+//! the sequential feed did not have.
+//!
 //! One ladder for every replica count (`DESIGN.md` §15):
 //!
 //! 1. **Append** — send, in order, every retained record past the seq
 //!    the replica last acked. A healthy replica is exactly one behind
-//!    when a publish starts, so this is one frame.
+//!    when a publish starts, so this is one frame — the one issued.
 //! 2. **Bootstrap** — anything but an ack (a typed
 //!    [`WireError::SeqGap`], a transport that stays down past the
 //!    writer's retry budget) installs the owner's full current slice at
@@ -31,9 +43,11 @@
 //! | `repl.bootstraps`   | counter   | full snapshot installs                    |
 //! | `repl.bootstrap_ns` | histogram | install round-trip wall clock             |
 //! | `repl.lag`          | gauge     | max over shards of `head − min(applied)`  |
+//! | `repl.in_flight`    | gauge     | appends written, none acked, last publish |
 //!
 //! plus one replicate-stage root span per `(shard, seq)` in the same
-//! registry's tracer; each replica's apply-stage span links back to it.
+//! registry's tracer, from the shard's issue to its last ack; each
+//! replica's apply-stage span links back to it.
 
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -74,8 +88,25 @@ impl ShardFeed {
         self.replicas.iter().filter_map(|slot| slot.acked).min()
     }
 
+    /// The issue half: writes every live replica the first retained
+    /// append past its acked seq — the frame [`ShardFeed::feed`] sends
+    /// first — without reading the ack. Returns how many were written.
+    fn issue(&self) -> usize {
+        let mut written = 0;
+        for slot in &self.replicas {
+            let next = slot
+                .acked
+                .and_then(|acked| self.unacked.iter().find(|(seq, _)| *seq > acked));
+            if let Some((_, frame)) = next {
+                written += usize::from(slot.writer.issue(frame));
+            }
+        }
+        written
+    }
+
     /// Brings replica `r` up to the head: the retained appends past its
-    /// acked seq, else a bootstrap, else declared dead.
+    /// acked seq (the first of them already issued), else a bootstrap,
+    /// else declared dead.
     fn feed(&mut self, r: usize, snapshot: &Snapshot, metrics: &PubMetrics) {
         let slot = &mut self.replicas[r];
         let Some(mut acked) = slot.acked else {
@@ -128,6 +159,7 @@ struct PubMetrics {
     bootstraps: Arc<Counter>,
     bootstrap_ns: Arc<Histogram>,
     lag: Arc<Gauge>,
+    in_flight: Arc<Gauge>,
 }
 
 impl PubMetrics {
@@ -139,6 +171,7 @@ impl PubMetrics {
             bootstraps: reg.counter("repl.bootstraps"),
             bootstrap_ns: reg.histogram("repl.bootstrap_ns"),
             lag: reg.gauge("repl.lag"),
+            in_flight: reg.gauge("repl.in_flight"),
         }
     }
 }
@@ -190,29 +223,36 @@ impl DeltaPublisher {
     }
 
     /// Journals one delta against the owner snapshot and feeds every
-    /// live replica its shard's slice. Empty records are published too —
+    /// live replica its shard's slice: every append is on the wire before
+    /// the first ack is waited for. Empty records are published too —
     /// seqs advance uniformly, so a replica's applied seq always names
     /// an exact owner state.
     pub fn publish(&mut self, analyzer: &Analyzer) -> SnapshotDelta {
         let (delta, record) = self.snapshot.apply_delta_journaled(analyzer);
         let tracer = self.registry.tracer();
+        // Issue. One frame — and one trace — per (shard, seq): the slice
+        // moves into it and every replica is sent the same bytes.
+        let mut in_flight = 0;
+        let mut issued = Vec::with_capacity(self.shards.len());
         for (s, shard) in self.shards.iter_mut().enumerate() {
             shard.head += 1;
-            let seq = shard.head;
-            let sliced = record.slice_for(&shard.keep);
-            // One frame — and one trace — per (shard, seq): the slice
-            // moves into it and every replica is sent the same bytes.
             let ctx = tracer.mint_trace();
-            let started = Instant::now();
+            issued.push((ctx, Instant::now()));
             shard.unacked.push_back((
-                seq,
+                shard.head,
                 Frame::DeltaAppend {
                     shard: s as u16,
-                    seq,
-                    record: sliced,
+                    seq: shard.head,
+                    record: record.slice_for(&shard.keep),
                     ctx,
                 },
             ));
+            in_flight += shard.issue();
+        }
+        self.metrics.in_flight.set(in_flight as i64);
+        // Collect, in (shard, replica) order.
+        for (s, (shard, (ctx, started))) in self.shards.iter_mut().zip(issued).enumerate() {
+            let seq = shard.head;
             for r in 0..shard.replicas.len() {
                 shard.feed(r, &self.snapshot, &self.metrics);
             }
@@ -331,7 +371,7 @@ mod tests {
         let servers: Vec<ShardServer> = (0..2)
             .map(|_| {
                 let state = ShardState {
-                    shard: shard.clone(),
+                    shard: Arc::new(shard.clone()),
                     view: snapshot.shard_slice(&keep),
                 };
                 ShardServer::spawn(state, 1, cfg).unwrap()

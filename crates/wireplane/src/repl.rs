@@ -9,6 +9,14 @@
 //! them in arrival order (see [`crate::server`]). Deciding
 //! *what* to do about a refusal — re-bootstrap, or give the replica up —
 //! is policy, and lives one module over in [`crate::publish`].
+//!
+//! An append has two halves. `ReplicaWriter::issue` writes the frame
+//! and returns; `ReplicaWriter::append_frame` of the same frame then
+//! only reads the ack — so the publisher can put every replica's append
+//! on the wire before it waits for the first. At most one frame is ever
+//! in flight per writer, so a reply always belongs to the request before
+//! it. Any transport failure in either half lands in the one bounded
+//! reconnect-and-retry loop the unsplit exchange always ran.
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -27,9 +35,18 @@ use crate::retry::RetryPolicy;
 pub struct ReplicaWriter {
     shard: usize,
     addr: SocketAddr,
-    conn: Mutex<Option<TcpStream>>,
+    link: Mutex<Link>,
     max_frame: u32,
     retry: RetryPolicy,
+}
+
+/// The writer's socket and what is on it.
+struct Link {
+    stream: Option<TcpStream>,
+    /// [`ReplicaWriter::issue`] wrote a frame whose reply has not been
+    /// read: the next exchange starts at the read. Only ever set while
+    /// `stream` is connected.
+    issued: bool,
 }
 
 impl ReplicaWriter {
@@ -43,12 +60,15 @@ impl ReplicaWriter {
         let w = ReplicaWriter {
             shard,
             addr,
-            conn: Mutex::new(None),
+            link: Mutex::new(Link {
+                stream: None,
+                issued: false,
+            }),
             max_frame,
             retry,
         };
         let stream = w.dial()?;
-        *w.conn.lock().unwrap() = Some(stream);
+        w.link.lock().unwrap().stream = Some(stream);
         Ok(w)
     }
 
@@ -71,38 +91,43 @@ impl ReplicaWriter {
     /// One request/reply exchange with bounded reconnect-and-retry on
     /// transport failure. Typed remote errors (a [`WireError::SeqGap`]
     /// refusal in particular) return immediately — they are protocol
-    /// answers, not transport faults.
+    /// answers, not transport faults. If `req` was already written by
+    /// [`ReplicaWriter::issue`], the first attempt is the read alone; a
+    /// retry reconnects and sends it again like any other.
     fn exchange(&self, req: &Frame) -> Result<Frame, WireError> {
-        let mut guard = self.conn.lock().unwrap();
+        let mut link = self.link.lock().unwrap();
+        let mut written = std::mem::take(&mut link.issued);
         let mut last_err = WireError::Remote("no attempt made".to_string());
         for attempt in 0..self.retry.attempts() as u32 {
             if attempt > 0 {
                 std::thread::sleep(self.retry.backoff(attempt - 1));
             }
-            if guard.is_none() {
+            if link.stream.is_none() {
                 match self.dial() {
-                    Ok(s) => *guard = Some(s),
+                    Ok(s) => link.stream = Some(s),
                     Err(e) => {
                         last_err = e;
                         continue;
                     }
                 }
             }
-            let stream = guard.as_mut().expect("connection just ensured");
+            let stream = link.stream.as_mut().expect("connection just ensured");
             let res = (|| -> Result<Frame, WireError> {
-                req.write(stream)?;
-                stream.flush()?;
+                if !std::mem::take(&mut written) {
+                    req.write(stream)?;
+                    stream.flush()?;
+                }
                 Frame::read(stream, self.max_frame)
             })();
             match res {
                 Ok(Frame::Error(e)) => return Err(e),
                 Ok(reply) => return Ok(reply),
                 Err(e @ WireError::Io { .. }) => {
-                    *guard = None;
+                    link.stream = None;
                     last_err = e.with_peer(self.addr);
                 }
                 Err(e) => {
-                    *guard = None;
+                    link.stream = None;
                     return Err(e.with_peer(self.addr));
                 }
             }
@@ -131,6 +156,28 @@ impl ReplicaWriter {
             record: record.clone(),
             ctx: None,
         })
+    }
+
+    /// The write half of [`ReplicaWriter::append_frame`]: puts `append`
+    /// on the wire and returns without waiting for the ack, so the caller
+    /// can issue to every other replica first. The next call on this
+    /// writer must be `append_frame` of the same frame — it reads the
+    /// ack. `true` if the frame was written; a transport failure (or a
+    /// connection already down) is not an error here — nothing is in
+    /// flight then, and `append_frame` runs the whole exchange under the
+    /// retry policy.
+    pub(crate) fn issue(&self, append: &Frame) -> bool {
+        let mut guard = self.link.lock().unwrap();
+        let link = &mut *guard;
+        debug_assert!(!link.issued, "one frame in flight per writer");
+        let Some(stream) = link.stream.as_mut() else {
+            return false;
+        };
+        link.issued = append.write(stream).is_ok() && stream.flush().is_ok();
+        if !link.issued {
+            link.stream = None;
+        }
+        link.issued
     }
 
     /// [`ReplicaWriter::append`] of a [`Frame::DeltaAppend`] the caller

@@ -49,7 +49,7 @@ use std::time::Instant;
 
 use netsim::packet::NodeId;
 use obsplane::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, TraceContext};
-use queryplane::Snapshot;
+use queryplane::{DeltaRecord, Snapshot};
 use switchpointer::bitset::BitSet;
 use switchpointer::query::StateView;
 use switchpointer::shard::DirectoryShard;
@@ -128,7 +128,10 @@ struct ReplMetrics {
     installs: Arc<Counter>,
     /// The replica's applied sequence number, as a scrapeable gauge.
     applied_seq: Arc<Gauge>,
-    /// Wall-clock to apply one record (clone + patch + swap).
+    /// Wall-clock to apply one record: share the served state, patch in
+    /// what the record names, re-check the seq and swap — everything
+    /// between an in-sequence append being decoded and its ack being
+    /// built. Only the re-check and the swap hold the state's write lock.
     apply_ns: Arc<Histogram>,
 }
 
@@ -143,131 +146,162 @@ impl ReplMetrics {
     }
 }
 
-/// Serves one replication frame against the shared state. Returns `None`
-/// for every other frame.
-fn serve_replication(req: &Frame, ctx: &ServeCtx) -> Option<Frame> {
-    let (my_shard, state, applied, m) = (ctx.shard, &ctx.state, &ctx.applied, &ctx.repl_metrics);
-    let tracer = ctx.scrape_reg.tracer();
+/// What a replication frame leaves behind: the reply, and — when the
+/// frame moved the log — the state it retired.
+type Replicated = (Frame, Option<Arc<ShardState>>);
+
+/// Serves one replication frame against the shared state. The retired
+/// state comes back beside the reply so the caller can put the ack on the
+/// wire *before* it pays for freeing what the swap replaced (the owner
+/// waits for the ack, not for the free). Returns `None` for every other
+/// frame.
+fn serve_replication(req: &Frame, ctx: &ServeCtx) -> Option<Replicated> {
+    let my_shard = ctx.shard;
+    let refuse = |what: &str, shard: u16| {
+        let why = format!("{what} for shard {shard} sent to shard {my_shard}");
+        (Frame::Error(WireError::Remote(why)), None)
+    };
     match req {
+        Frame::DeltaAppend { shard, .. } if *shard as usize != my_shard => {
+            Some(refuse("delta", *shard))
+        }
         Frame::DeltaAppend {
-            shard,
             seq,
             record,
-            ctx,
-        } => {
-            Some(if *shard as usize != my_shard {
-                Frame::Error(WireError::Remote(format!(
-                    "delta for shard {shard} sent to shard {my_shard}"
-                )))
-            } else {
-                // The log contract: records apply exactly in sequence.
-                // Anything else is a typed gap the owner resolves by
-                // replaying the missing suffix or re-bootstrapping.
-                let expected = applied.load(Ordering::SeqCst) + 1;
-                if *seq != expected {
-                    Frame::Error(WireError::SeqGap {
-                        expected,
-                        got: *seq,
-                    })
-                } else {
-                    let started = Instant::now();
-                    let mut guard = state.write().unwrap();
-                    let cur = Arc::clone(&guard);
-                    let mut view = cur.view.clone();
-                    match view.apply_record(record) {
-                        Ok(()) => {
-                            *guard = Arc::new(ShardState {
-                                shard: cur.shard.clone(),
-                                view,
-                            });
-                            applied.store(*seq, Ordering::SeqCst);
-                            m.applied_total.inc();
-                            m.applied_seq.set(*seq as i64);
-                            m.apply_ns.record_duration(started.elapsed());
-                            // The apply joins the publisher's trace: the
-                            // replica-side evidence when a slow query
-                            // overlapped a replication burst.
-                            if let Some(c) = ctx {
-                                tracer.submit(
-                                    SpanEvent {
-                                        class: "DeltaAppend",
-                                        stage: "apply",
-                                        epoch: *seq,
-                                        shard: my_shard as u32,
-                                        start_ns: tracer.offset_ns(started),
-                                        dur_ns: started.elapsed().as_nanos() as u64,
-                                        trace_id: c.trace_id,
-                                        span_id: tracer.next_span_id(),
-                                        parent_id: c.span_id,
-                                        steals: 0,
-                                    },
-                                    c.sampled,
-                                );
-                            }
-                            Frame::DeltaAck {
-                                shard: *shard,
-                                applied: *seq,
-                            }
-                        }
-                        Err(e) => Frame::Error(e),
-                    }
-                }
-            })
-        }
-        Frame::SnapshotInstall { shard, seq, view } => {
-            Some(if *shard as usize != my_shard {
-                Frame::Error(WireError::Remote(format!(
-                    "snapshot for shard {shard} sent to shard {my_shard}"
-                )))
-            } else {
-                let mut guard = state.write().unwrap();
-                let cur = Arc::clone(&guard);
-                // The snapshot bytes need the deployment's shared MPHF
-                // to decode; the replica re-attaches its own copy, so
-                // the installed hierarchies compare `Arc::ptr_eq`-equal
-                // to locally captured ones.
-                let decoded = match cur.view.mphf() {
-                    Some(mphf) => {
-                        let mut d = Dec::new(view);
-                        Snapshot::wire_dec(&mut d, mphf).and_then(|s| d.finish().map(|_| s))
-                    }
-                    None => Err(WireError::Remote(
-                        "replica holds no MPHF to decode a snapshot".to_string(),
-                    )),
-                };
-                match decoded {
-                    Ok(new_view) => {
-                        *guard = Arc::new(ShardState {
-                            shard: cur.shard.clone(),
-                            view: new_view,
-                        });
-                        // Bootstrap resets the log position unconditionally:
-                        // a fresh or fallen-behind replica rejoins here.
-                        applied.store(*seq, Ordering::SeqCst);
-                        m.installs.inc();
-                        m.applied_seq.set(*seq as i64);
-                        Frame::DeltaAck {
-                            shard: *shard,
-                            applied: *seq,
-                        }
-                    }
-                    Err(e) => Frame::Error(e),
-                }
-            })
-        }
-        Frame::ReplicaStatusReq => Some(Frame::ReplicaStatusRep {
-            shard: my_shard as u16,
-            applied: applied.load(Ordering::SeqCst),
+            ctx: tctx,
+            ..
+        } => Some(match apply_append(ctx, *seq, record, *tctx) {
+            Ok(retired) => (ack(my_shard, *seq), Some(retired)),
+            Err(e) => (Frame::Error(e), None),
         }),
+        Frame::SnapshotInstall { shard, .. } if *shard as usize != my_shard => {
+            Some(refuse("snapshot", *shard))
+        }
+        Frame::SnapshotInstall { seq, view, .. } => Some(match install(ctx, *seq, view) {
+            Ok(retired) => (ack(my_shard, *seq), Some(retired)),
+            Err(e) => (Frame::Error(e), None),
+        }),
+        Frame::ReplicaStatusReq => Some((
+            Frame::ReplicaStatusRep {
+                shard: my_shard as u16,
+                applied: ctx.applied.load(Ordering::SeqCst),
+            },
+            None,
+        )),
         _ => None,
     }
+}
+
+fn ack(shard: usize, applied: u64) -> Frame {
+    Frame::DeltaAck {
+        shard: shard as u16,
+        applied,
+    }
+}
+
+/// Applies one sequenced record and returns the state it retired. The
+/// log contract: records apply exactly in sequence; anything else is a
+/// typed [`WireError::SeqGap`] the owner resolves by re-bootstrapping.
+fn apply_append(
+    ctx: &ServeCtx,
+    seq: u64,
+    record: &DeltaRecord,
+    tctx: Option<TraceContext>,
+) -> Result<Arc<ShardState>, WireError> {
+    let (state, applied, m) = (&ctx.state, &ctx.applied, &ctx.repl_metrics);
+    let gap = |expected| WireError::SeqGap { expected, got: seq };
+    let started = Instant::now();
+    // The position only moves together with the state, under the write
+    // lock — so this pair is one point of the log.
+    let (base, expected) = {
+        let guard = state.read().unwrap();
+        (Arc::clone(&guard), applied.load(Ordering::SeqCst) + 1)
+    };
+    if seq != expected {
+        return Err(gap(expected));
+    }
+    // Built beside the readers, not in front of them: the clone shares
+    // every component and the record replaces only what it names.
+    let mut view = base.view.clone();
+    view.apply_record(record)?;
+    let next = Arc::new(ShardState {
+        shard: Arc::clone(&base.shard),
+        view,
+    });
+    let retired = {
+        // The check and the swap are one critical section: a second
+        // replication connection racing the same seq (or an install) has
+        // moved the state off `base`, and exactly one of the two may land.
+        let mut guard = state.write().unwrap();
+        let expected = applied.load(Ordering::SeqCst) + 1;
+        if seq != expected || !Arc::ptr_eq(&guard, &base) {
+            return Err(gap(expected));
+        }
+        applied.store(seq, Ordering::SeqCst);
+        std::mem::replace(&mut *guard, next)
+    };
+    m.applied_total.inc();
+    m.applied_seq.set(seq as i64);
+    m.apply_ns.record_duration(started.elapsed());
+    // The apply joins the publisher's trace: the replica-side evidence
+    // when a slow query overlapped a replication burst.
+    if let Some(c) = tctx {
+        let tracer = ctx.scrape_reg.tracer();
+        tracer.submit(
+            SpanEvent {
+                class: "DeltaAppend",
+                stage: "apply",
+                epoch: seq,
+                shard: ctx.shard as u32,
+                start_ns: tracer.offset_ns(started),
+                dur_ns: started.elapsed().as_nanos() as u64,
+                trace_id: c.trace_id,
+                span_id: tracer.next_span_id(),
+                parent_id: c.span_id,
+                steals: 0,
+            },
+            c.sampled,
+        );
+    }
+    Ok(retired)
+}
+
+/// Installs a full encoded snapshot slice at `seq` and returns the state
+/// it retired. Bootstrap resets the log position unconditionally: a
+/// fresh or fallen-behind replica rejoins here.
+fn install(ctx: &ServeCtx, seq: u64, view: &[u8]) -> Result<Arc<ShardState>, WireError> {
+    let cur = Arc::clone(&ctx.state.read().unwrap());
+    // The snapshot bytes need the deployment's shared MPHF to decode; the
+    // replica re-attaches its own copy, so the installed hierarchies
+    // compare `Arc::ptr_eq`-equal to locally captured ones.
+    let mphf = cur
+        .view
+        .mphf()
+        .ok_or_else(|| WireError::Remote("replica holds no MPHF to decode a snapshot".into()))?;
+    let mut d = Dec::new(view);
+    let view = Snapshot::wire_dec(&mut d, mphf)?;
+    d.finish()?;
+    let next = Arc::new(ShardState {
+        shard: Arc::clone(&cur.shard),
+        view,
+    });
+    // State and position move together, as for an append.
+    let retired = {
+        let mut guard = ctx.state.write().unwrap();
+        ctx.applied.store(seq, Ordering::SeqCst);
+        std::mem::replace(&mut *guard, next)
+    };
+    ctx.repl_metrics.installs.inc();
+    ctx.repl_metrics.applied_seq.set(seq as i64);
+    Ok(retired)
 }
 
 /// One shard's serving state: the directory slice plus the snapshot
 /// slice it answers reads from. Swapped wholesale on refresh.
 pub struct ShardState {
-    /// The directory shard this instance owns.
-    pub shard: DirectoryShard,
+    /// The directory shard this instance owns — fixed for the server's
+    /// life, so every state swapped in shares it.
+    pub shard: Arc<DirectoryShard>,
     /// Snapshot slice: owned hosts' stores + full pointer metadata (see
     /// [`Snapshot::shard_slice`]).
     pub view: Snapshot,
@@ -769,16 +803,20 @@ impl Conn {
                 Frame::Tagged { inner, .. } => !is_scrape(inner),
                 Frame::Batch(entries) => !entries.iter().all(|(_, _, f)| is_scrape(f)),
                 bare => {
-                    let reply = serve_replication(bare, ctx).unwrap_or_else(|| {
-                        Frame::Error(WireError::Remote(format!(
+                    let (reply, retired) = serve_replication(bare, ctx).unwrap_or_else(|| {
+                        let why = format!(
                             "shard {} serves frame {tag:#04x} only inside a Tagged/Batch \
                              envelope; bare frames are replication",
                             ctx.shard
-                        )))
+                        );
+                        (Frame::Error(WireError::Remote(why)), None)
                     });
                     if !write_shared(&self.writer, &reply, None) {
                         return None;
                     }
+                    // Only now, with the ack on the wire, is the state the
+                    // frame replaced let go (and freed, if no reader holds it).
+                    drop(retired);
                     continue;
                 }
             };
@@ -1217,7 +1255,7 @@ mod tests {
             &analyzer.all_hosts(),
             1,
         );
-        let shard = dir.shards()[0].clone();
+        let shard = Arc::new(dir.shards()[0].clone());
         let keep = shard.hosts().iter().copied().collect();
         let view = Snapshot::capture_with(&analyzer, 8, 1).shard_slice(&keep);
         ShardServer::spawn(ShardState { shard, view }, 1, cfg).unwrap()

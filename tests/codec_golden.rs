@@ -13,7 +13,9 @@ use std::sync::Arc;
 
 use mphf::Mphf;
 use netsim::prelude::*;
-use queryplane::{DeltaRecord, HostPatch, HostPatchKind, ShardedHostStore, Snapshot, SwitchPatch};
+use queryplane::{
+    DeltaRecord, HostPatch, HostPatchKind, RecordShard, ShardedHostStore, Snapshot, SwitchPatch,
+};
 use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::FlowRecord;
 use switchpointer::pointer::{PointerConfig, PointerHierarchy};
@@ -85,7 +87,7 @@ fn delta_append() -> Frame {
         epoch_horizon: 41,
         switches: vec![SwitchPatch {
             switch: NodeId(6),
-            patch: pointer_patch(),
+            patch: Arc::new(pointer_patch()),
         }],
         hosts: vec![
             HostPatch {
@@ -93,8 +95,14 @@ fn delta_append() -> Frame {
                 new_base: (12, 3),
                 kind: HostPatchKind::Shards {
                     dirty: vec![
-                        (0, vec![record(4, Some(0x0123)), record(6, None)]),
-                        (3, Vec::new()),
+                        (
+                            0,
+                            Arc::new(RecordShard::from_records(vec![
+                                record(4, Some(0x0123)),
+                                record(6, None),
+                            ])),
+                        ),
+                        (3, Arc::new(RecordShard::default())),
                     ],
                     triggers: vec![trigger(4)],
                     total: 9,

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use mphf::Mphf;
 use queryplane::Snapshot;
-use telemetry::frame::{Dec, Enc};
+use telemetry::frame::{from_bytes, Dec, Enc};
 use wireplane::Frame;
 
 struct Counting;
@@ -157,6 +157,30 @@ fn an_inflated_delta_append_count_never_reserves_beyond_the_payload() {
         let (got, largest) = largest_request(|| Frame::decode(0x40, &payload).map(|_| ()));
         println!("DeltaAppend {what}: {got:?}, largest request {largest} B");
         assert!(got.is_err(), "{what}: hostile DeltaAppend decoded");
+        assert!(
+            largest <= 2 * payload.len(),
+            "{what}: one allocation of {largest} bytes for a {}-byte payload",
+            payload.len()
+        );
+    }
+}
+
+/// `Wire for Arc<T>` is what lets a replica keep a decoded slot or record
+/// shard without copying it. A count in front of shared elements sizes a
+/// vector of *pointers*, whatever `T` weighs, and the elements are
+/// allocated one at a time as their bytes turn up — so the count still
+/// reserves no more than the frame could hold. (The `n_dirty`, `patch
+/// slots` and `patch archive tail` cases above reach the same impl
+/// through `DeltaAppend`.)
+#[test]
+fn an_inflated_count_of_shared_elements_never_reserves_beyond_the_payload() {
+    type Wide = (u64, (u64, u64, u64), (u64, u64, u64));
+    let payload = hostile(Enc::new());
+    let strings = largest_request(|| from_bytes::<Vec<Arc<String>>>(&payload).map(|_| ()));
+    let wides = largest_request(|| from_bytes::<Vec<Arc<Wide>>>(&payload).map(|_| ()));
+    for (what, (got, largest)) in [("Vec<Arc<String>>", strings), ("Vec<Arc<Wide>>", wides)] {
+        println!("{what}: {got:?}, largest request {largest} B");
+        assert!(got.is_err(), "{what}: hostile count decoded");
         assert!(
             largest <= 2 * payload.len(),
             "{what}: one allocation of {largest} bytes for a {}-byte payload",

@@ -15,14 +15,28 @@
 //!     the next append climbs straight to a snapshot bootstrap and is
 //!     bit-identical to the owner again, with one replica per shard or
 //!     two.
+//! (e) **A refresh costs what changed, and the counts say so.** Every
+//!     shard's append is on the wire before the first ack is read (a
+//!     rendezvous only N appends in flight can pass); the owner copies
+//!     exactly what its `SnapshotDelta` reports and a replica exactly
+//!     what its record names — everything else is the same allocation as
+//!     before the refresh; and two writers racing one seq land exactly
+//!     one of them.
+
+use std::collections::BTreeSet;
+use std::net::TcpListener;
+use std::sync::{Arc, Barrier, Condvar, Mutex};
+use std::time::Duration;
 
 use netsim::prelude::*;
+use obsplane::MetricsRegistry;
 use proptest::rng_for;
-use queryplane::{DeltaRecord, RetentionPolicy};
+use queryplane::{DeltaRecord, RetentionPolicy, Snapshot, Unshared};
 use switchpointer::retention;
+use switchpointer::shard::{host_shard_of, ShardedDirectory};
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::frame::WireError;
-use wireplane::{ReplicaWriter, RetryPolicy, WireCluster, WireConfig};
+use wireplane::{DeltaPublisher, Frame, ReplicaWriter, RetryPolicy, WireCluster, WireConfig};
 
 /// A chain with steady cross-traffic, so every few-ms advance journals a
 /// non-trivial delta (new epochs on every switch, record growth on the
@@ -308,4 +322,249 @@ fn a_refused_append_climbs_to_a_bootstrap_at_one_replica_and_at_two() {
         );
         cluster.shutdown();
     }
+}
+
+/// (e) — issue-then-collect, held by a rendezvous instead of a clock.
+/// Four fake replicas (plain listeners: greet, read one append, ack)
+/// withhold their ack until all four have *read* their append. A
+/// publisher that waits for shard 0's ack before it writes shard 1's
+/// frame can never get there: the first replica gives up after 5 s and
+/// the test fails instead of hanging.
+#[test]
+fn a_publish_has_every_shards_append_in_flight_before_the_first_ack() {
+    const N: usize = 4;
+    struct Rendezvous {
+        arrived: usize,
+        gave_up: bool,
+    }
+    let mut tb = replication_testbed();
+    tb.sim.run_until(SimTime::from_ms(5));
+    let analyzer = tb.analyzer();
+    let dir = ShardedDirectory::new(
+        analyzer.directory().mphf().clone(),
+        &analyzer.all_hosts(),
+        N,
+    );
+    let keeps: Vec<BTreeSet<NodeId>> = dir
+        .shards()
+        .iter()
+        .map(|shard| shard.hosts().iter().copied().collect())
+        .collect();
+    let max_frame = WireConfig::default().max_frame;
+
+    let meet = Arc::new((
+        Mutex::new(Rendezvous {
+            arrived: 0,
+            gave_up: false,
+        }),
+        Condvar::new(),
+    ));
+    let mut replicas = Vec::new();
+    let mut writers = Vec::new();
+    for s in 0..N {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let meet = Arc::clone(&meet);
+        replicas.push(std::thread::spawn(move || -> bool {
+            let (mut stream, _) = listener.accept().unwrap();
+            let hello = Frame::Hello {
+                shard: s as u16,
+                n_shards: N as u16,
+            };
+            hello.write(&mut stream).unwrap();
+            let seq = match Frame::read(&mut stream, max_frame).unwrap() {
+                Frame::DeltaAppend { seq, .. } => seq,
+                other => panic!("expected an append, got frame {:#04x}", other.tag()),
+            };
+            let (state, cv) = &*meet;
+            let mut st = state.lock().unwrap();
+            st.arrived += 1;
+            cv.notify_all();
+            let (mut st, timeout) = cv
+                .wait_timeout_while(st, Duration::from_secs(5), |st| {
+                    st.arrived < N && !st.gave_up
+                })
+                .unwrap();
+            if timeout.timed_out() {
+                st.gave_up = true;
+                cv.notify_all();
+            }
+            let together = st.arrived == N;
+            drop(st);
+            let ack = Frame::DeltaAck {
+                shard: s as u16,
+                applied: seq,
+            };
+            ack.write(&mut stream).unwrap();
+            together
+        }));
+        writers.push(vec![ReplicaWriter::connect(
+            s,
+            addr,
+            max_frame,
+            RetryPolicy::immediate(1),
+        )
+        .unwrap()]);
+    }
+
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut publisher = DeltaPublisher::new(
+        Snapshot::capture_with(&analyzer, 8, N),
+        keeps,
+        writers,
+        Arc::clone(&registry),
+    );
+    tb.sim.run_until(SimTime::from_ms(6));
+    publisher.publish(&analyzer);
+
+    for (s, replica) in replicas.into_iter().enumerate() {
+        assert!(
+            replica.join().unwrap(),
+            "replica {s} acked without the other appends in flight"
+        );
+    }
+    let owner = registry.snapshot();
+    assert_eq!(owner.counter("repl.appends"), N as u64);
+    assert_eq!(owner.counter("repl.bootstraps"), 0);
+    assert_eq!(publisher.heads(), vec![1; N]);
+}
+
+/// (e) — copied == named, by pointer identity. On the owner, one
+/// journaled advance leaves exactly the components its `SnapshotDelta`
+/// reports un-shared with the snapshot before it. On a 4-shard cluster,
+/// one refresh leaves each replica's served state sharing, with the state
+/// it served before, every hierarchy slot the patches did not carry,
+/// every host store the record did not name and every record shard it did
+/// not rebuild — the replica's copy is exactly the owner's for that shard.
+#[test]
+fn a_refresh_copies_exactly_what_the_delta_names_on_owner_and_replicas() {
+    const N: usize = 4;
+    let mut tb = replication_testbed();
+    tb.sim.run_until(SimTime::from_ms(5));
+    let analyzer = tb.analyzer();
+
+    // Owner side, no wire.
+    let mut owner = Snapshot::capture_with(&analyzer, 8, N);
+    let before = owner.clone();
+    assert_eq!(owner.unshared_with(&before), Unshared::default());
+    tb.sim.run_until(SimTime::from_ms(6));
+    let (delta, record) = owner.apply_delta_journaled(&analyzer);
+    assert!(delta.cloned_slots > 0 && delta.cloned_records > 0);
+    let copied = owner.unshared_with(&before);
+    assert_eq!(copied.switches, delta.dirty_switches.len());
+    assert_eq!(copied.slots as u64, delta.cloned_slots);
+    assert_eq!(copied.hosts, delta.dirty_hosts.len());
+    assert_eq!(copied.records as u64, delta.cloned_records);
+    // Slicing the record and applying the slice copy none of it: the
+    // replayed snapshot holds the very slots and record shards the owner
+    // does, inside its own (copied-on-write) hierarchies and stores.
+    let keep: BTreeSet<NodeId> = analyzer.all_hosts().into_iter().collect();
+    let mut replayed = before.clone();
+    replayed.apply_record(&record.slice_for(&keep)).unwrap();
+    assert!(replayed == owner);
+    let apart = replayed.unshared_with(&owner);
+    assert_eq!((apart.slots, apart.shards, apart.records), (0, 0, 0));
+
+    // Replica side, over the wire.
+    let cluster = WireCluster::launch(&analyzer, N, WireConfig::default()).unwrap();
+    let served_before: Vec<_> = (0..N)
+        .map(|s| cluster.replica_state(s, 0).unwrap())
+        .collect();
+    let owned_before: Vec<_> = (0..N).map(|s| cluster.owner_slice(s)).collect();
+    tb.sim.run_until(SimTime::from_ms(7));
+    let delta = cluster.refresh(&analyzer);
+    assert_no_divergence(&cluster, N, "after the refresh");
+    let mut total = Unshared::default();
+    for s in 0..N {
+        let served = cluster.replica_state(s, 0).unwrap();
+        let copied = served.view.unshared_with(&served_before[s].view);
+        assert_eq!(
+            copied,
+            cluster.owner_slice(s).unshared_with(&owned_before[s]),
+            "shard {s}: the replica copied something the owner did not"
+        );
+        // Pointer patches go to every shard; host patches to the owner's.
+        assert_eq!(copied.switches, delta.dirty_switches.len());
+        assert_eq!(copied.slots as u64, delta.cloned_slots);
+        let named = delta
+            .dirty_hosts
+            .iter()
+            .filter(|&&h| host_shard_of(h, N) == s)
+            .count();
+        assert_eq!(copied.hosts, named, "shard {s}: host stores copied");
+        total.hosts += copied.hosts;
+        total.records += copied.records;
+    }
+    assert_eq!(total.hosts, delta.dirty_hosts.len());
+    assert_eq!(total.records as u64, delta.cloned_records);
+    cluster.shutdown();
+}
+
+/// (e) — the seq check and the swap are one critical section. Two
+/// writers on one replica race the same seq from behind a barrier, 200
+/// times, each with its own record: exactly one is acked per seq, the
+/// other gets the typed gap naming the next seq, the replica counts one
+/// apply per ack and serves exactly the chain of acked records.
+#[test]
+fn two_writers_racing_one_seq_land_exactly_one_of_them() {
+    const ROUNDS: u64 = 200;
+    let mut tb = replication_testbed();
+    tb.sim.run_until(SimTime::from_ms(5));
+    let analyzer = tb.analyzer();
+    let cluster = WireCluster::launch(&analyzer, 1, WireConfig::default()).unwrap();
+    let mut model = cluster.owner_slice(0);
+    let record = |seq: u64, who: u64| DeltaRecord {
+        epoch_horizon: 1_000 + 2 * seq + who,
+        ..DeltaRecord::default()
+    };
+
+    let barrier = Arc::new(Barrier::new(2));
+    let racers: Vec<_> = (0..2u64)
+        .map(|who| {
+            let barrier = Arc::clone(&barrier);
+            let w = ReplicaWriter::connect(
+                0,
+                cluster.shard_addrs()[0],
+                WireConfig::default().max_frame,
+                RetryPolicy::immediate(1),
+            )
+            .unwrap();
+            std::thread::spawn(move || {
+                (1..=ROUNDS)
+                    .map(|seq| {
+                        barrier.wait();
+                        let res = w.append(seq, &record(seq, who));
+                        barrier.wait();
+                        res
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let results: Vec<Vec<_>> = racers.into_iter().map(|t| t.join().unwrap()).collect();
+
+    for seq in 1..=ROUNDS {
+        let i = (seq - 1) as usize;
+        let winners: Vec<u64> = (0..2u64)
+            .filter(|&who| results[who as usize][i] == Ok(seq))
+            .collect();
+        assert_eq!(winners.len(), 1, "seq {seq}: acked {} times", winners.len());
+        assert_eq!(
+            results[(1 - winners[0]) as usize][i],
+            Err(WireError::SeqGap {
+                expected: seq + 1,
+                got: seq
+            }),
+            "seq {seq}: the loser was not refused with the typed gap"
+        );
+        model.apply_record(&record(seq, winners[0])).unwrap();
+    }
+    assert_eq!(cluster.applied_seqs(), vec![vec![Some(ROUNDS)]]);
+    let served = cluster.server_metrics(0).snapshot();
+    assert_eq!(served.counter("repl.applied"), ROUNDS);
+    assert!(
+        cluster.replica_state(0, 0).unwrap().view == model,
+        "the replica is not the chain of acked records"
+    );
+    cluster.shutdown();
 }

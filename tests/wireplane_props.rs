@@ -27,7 +27,7 @@ use obsplane::TraceContext;
 use proptest::prelude::*;
 use proptest::rng_for;
 use queryplane::{
-    ConfigError, DeltaRecord, HostPatch, HostPatchKind, QueryPlane, QueryPlaneConfig,
+    ConfigError, DeltaRecord, HostPatch, HostPatchKind, QueryPlane, QueryPlaneConfig, RecordShard,
     ShardedHostStore,
 };
 use streamplane::{Incident, StandingQuery, StreamConfig, StreamPlane, SubscriptionId};
@@ -376,7 +376,9 @@ fn gen_delta_record(rng: &mut TestRng) -> DeltaRecord {
                         .map(|_| {
                             (
                                 rng.below(8),
-                                (0..rng.below(3)).map(|_| gen_record(rng)).collect(),
+                                Arc::new(RecordShard::from_records(
+                                    (0..rng.below(3)).map(|_| gen_record(rng)).collect(),
+                                )),
                             )
                         })
                         .collect(),
