@@ -202,7 +202,7 @@ impl HostComponent {
                 let epochs: Vec<u64> = rec
                     .epochs_at
                     .get(&sw)
-                    .map(|s| s.iter().copied().collect())
+                    .map(|s| s.iter().collect())
                     .unwrap_or_default();
                 // Byte counts are exact only at the tagging switch; other
                 // hops inherit the same series (the flow's bytes are the

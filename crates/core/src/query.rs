@@ -764,10 +764,7 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
                 if rec.flow == victim {
                     continue;
                 }
-                let common: Vec<u64> = rec.epochs_at[&switch]
-                    .range(range.lo..=range.hi)
-                    .copied()
-                    .collect();
+                let common: Vec<u64> = rec.epochs_at[&switch].epochs_in(range).collect();
                 culprits.push(Culprit {
                     flow: rec.flow,
                     src: rec.src,

@@ -361,13 +361,15 @@ impl<'a> Dec<'a> {
 
     /// LEB128 varint. Truncation is typed; an encoding longer than ten
     /// bytes (more than 64 value bits) is a [`WireError::BadTag`] on the
-    /// overflowing byte — corrupt input cannot spin the decoder.
+    /// overflowing byte — corrupt input cannot spin the decoder. So is an
+    /// overlong one (a zero final byte after the first): every accepted
+    /// varint is the bytes [`Enc::put_varint`] writes for its value.
     pub fn get_varint(&mut self) -> Result<u64, WireError> {
         let mut v = 0u64;
         let mut shift = 0u32;
         loop {
             let byte = self.get_u8()?;
-            if shift == 63 && byte > 1 {
+            if (shift == 63 && byte > 1) || (shift > 0 && byte == 0) {
                 return Err(WireError::BadTag(byte));
             }
             v |= u64::from(byte & 0x7F) << shift;
@@ -969,6 +971,11 @@ mod tests {
         // Truncated mid-continuation.
         let mut d = Dec::new(&[0x80]);
         assert!(matches!(d.get_varint(), Err(WireError::Truncated { .. })));
+        // Overlong: 0 and 1 padded with a zero continuation byte.
+        for overlong in [[0x80u8, 0x00], [0x81, 0x00]] {
+            let mut d = Dec::new(&overlong);
+            assert_eq!(d.get_varint(), Err(WireError::BadTag(0)));
+        }
     }
 
     #[test]

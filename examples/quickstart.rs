@@ -54,10 +54,15 @@ fn main() {
         rec.bytes
     );
     for (sw, epochs) in &rec.epochs_at {
+        let runs: Vec<String> = epochs
+            .runs()
+            .iter()
+            .map(|r| format!("{}..={}", r.lo, r.hi))
+            .collect();
         println!(
-            "  {}: possible epochs {:?}",
+            "  {}: possible epochs {}",
             tb.sim.topo().node(*sw).name,
-            epochs.iter().copied().collect::<Vec<_>>()
+            runs.join(", ")
         );
     }
     drop(host);

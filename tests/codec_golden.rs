@@ -6,6 +6,11 @@
 //! a byte fails here with the offset of the first difference; encode→decode
 //! identity alone cannot see a symmetric drift.
 //!
+//! The images were regenerated once on purpose, when `FlowRecord.epochs_at`
+//! became per-switch `EpochSet` runs: only each record's `epochs_at` bytes
+//! (and the length prefixes around them) moved. `record()` pins one
+//! single-run set (`{f, f+1}`) and one two-run set (`{f+1, f+2, f+9}`).
+//!
 //! The images live in `tests/golden/*.hex` (32 bytes per line).
 
 use std::collections::BTreeSet;
@@ -39,8 +44,11 @@ fn record(flow: u64, link_vid: Option<u16>) -> FlowRecord {
         packets: flow + 2,
         path: vec![NodeId(0), NodeId(1), NodeId(2)],
         epochs_at: [
-            (NodeId(0), BTreeSet::from([flow, flow + 1])),
-            (NodeId(2), BTreeSet::from([flow + 1, flow + 2, flow + 9])),
+            (NodeId(0), [flow, flow + 1].into_iter().collect()),
+            (
+                NodeId(2),
+                [flow + 1, flow + 2, flow + 9].into_iter().collect(),
+            ),
         ]
         .into(),
         bytes_per_epoch: [(flow, 1_458), (flow + 1, 2_916)].into(),

@@ -21,7 +21,8 @@ use std::sync::Arc;
 
 use mphf::Mphf;
 use queryplane::Snapshot;
-use telemetry::frame::{from_bytes, Dec, Enc};
+use switchpointer::hoststore::EpochSet;
+use telemetry::frame::{from_bytes, to_bytes, Dec, Enc, WireError};
 use wireplane::Frame;
 
 struct Counting;
@@ -163,6 +164,81 @@ fn an_inflated_delta_append_count_never_reserves_beyond_the_payload() {
             payload.len()
         );
     }
+}
+
+/// … through `n_dirty = 1 | shard 0 | n_recs = 1` and one record up to
+/// its one switch's `EpochSet` run count.
+fn epoch_set_head() -> Enc {
+    let mut e = host_patch_head(1);
+    e.put_usize(1);
+    e.put_u64(0);
+    e.put_usize(1);
+    e.put_u64(42); // flow
+    e.put_u32(1); // src
+    e.put_u32(2); // dst
+    e.put_u8(0); // protocol
+    e.put_u8(0); // priority
+    e.put_u64(1_000); // bytes
+    e.put_u64(3); // packets
+    e.put_usize(0); // path
+    e.put_usize(1); // epochs_at entries
+    e.put_u32(5); // switch
+    e
+}
+
+/// An epoch set's run count is a var-int bounded by two bytes a run; its
+/// reservation goes through `Dec::reservation` like every other count, so
+/// the largest it drives stays within the payload. And the set decodes
+/// only the canonical runs `EpochSet::insert` builds: an overflowing,
+/// overlapping, touching or unsorted run is a typed error.
+#[test]
+fn an_epoch_set_decodes_only_canonical_runs_and_never_reserves_beyond_the_payload() {
+    let mut e = epoch_set_head();
+    e.put_varint((FILLER / 2) as u64);
+    let mut payload = e.into_bytes();
+    payload.resize(payload.len() + FILLER, 0xFF);
+    let (got, largest) = largest_request(|| Frame::decode(0x40, &payload).map(|_| ()));
+    println!("DeltaAppend epoch runs: {got:?}, largest request {largest} B");
+    assert!(got.is_err(), "hostile run count decoded");
+    assert!(
+        largest <= payload.len(),
+        "one allocation of {largest} bytes for a {}-byte payload",
+        payload.len()
+    );
+
+    let runs = |pairs: &[(u64, u64)]| {
+        let mut e = Enc::new();
+        e.put_varint(pairs.len() as u64);
+        for &(lo, len) in pairs {
+            e.put_varint(lo);
+            e.put_varint(len);
+        }
+        e.into_bytes()
+    };
+    let canonical = runs(&[(3, 2), (7, 0), (u64::MAX - 1, 1)]);
+    let set = from_bytes::<EpochSet>(&canonical).expect("canonical runs decode");
+    assert_eq!(to_bytes(&set), canonical);
+    assert_eq!(set.iter().take(4).collect::<Vec<_>>(), [3, 4, 5, 7]);
+    for (what, pairs) in [
+        ("overflowing run", &[(u64::MAX, 1)][..]),
+        ("overlapping runs", &[(3, 4), (6, 2)]),
+        ("touching runs", &[(3, 2), (6, 0)]),
+        ("unsorted runs", &[(9, 0), (3, 1)]),
+        ("duplicate runs", &[(3, 0), (3, 0)]),
+        ("run after u64::MAX", &[(u64::MAX, 0), (0, 0)]),
+    ] {
+        let got = from_bytes::<EpochSet>(&runs(pairs));
+        assert!(
+            matches!(got, Err(WireError::Remote(_))),
+            "{what}: {pairs:?} decoded to {got:?}"
+        );
+    }
+    let mut frame = epoch_set_head().into_bytes();
+    frame.extend_from_slice(&runs(&[(9, 0), (3, 1)]));
+    assert!(
+        matches!(Frame::decode(0x40, &frame), Err(WireError::Remote(_))),
+        "unsorted runs inside a DeltaAppend"
+    );
 }
 
 /// `Wire for Arc<T>` is what lets a replica keep a decoded slot or record

@@ -74,7 +74,7 @@ fn int_epoch_sets_are_tighter() {
             rate_bps: 300_000_000,
             payload_bytes: 1458,
         });
-        let epochs_per_switch: Vec<usize> = {
+        let epochs_per_switch: Vec<u64> = {
             tb.sim.run_until(SimTime::from_ms(10));
             let host = tb.hosts[&f].borrow();
             let rec = host.store.record(flow).unwrap();
@@ -93,7 +93,7 @@ fn int_epoch_sets_are_tighter() {
     }
     // And strictly tighter somewhere (the extrapolation is not free).
     assert!(
-        int.iter().sum::<usize>() < commodity.iter().sum::<usize>(),
+        int.iter().sum::<u64>() < commodity.iter().sum::<u64>(),
         "extrapolation should cost precision: int={int:?} commodity={commodity:?}"
     );
 }

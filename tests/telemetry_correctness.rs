@@ -51,7 +51,7 @@ fn check_chain_consistency(offsets_us: [i64; 3], mode: EmbedMode, seed: u64) {
         for epoch in 0..20u64 {
             if comp.pointers.contains_within(f.addr(), epoch, 1) == Some(true) {
                 assert!(
-                    recorded.contains(&epoch),
+                    recorded.contains(epoch),
                     "switch {sw} truly forwarded in epoch {epoch} (offsets \
                      {offsets_us:?}, mode {mode:?}) but record only has {recorded:?}"
                 );

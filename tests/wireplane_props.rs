@@ -36,7 +36,7 @@ use switchpointer::analyzer::{
     LoadImbalanceDiagnosis, RedLightsDiagnosis, TopKResult, Verdict,
 };
 use switchpointer::cost::{LatencyBreakdown, QueryWaveCost};
-use switchpointer::hoststore::FlowRecord;
+use switchpointer::hoststore::{EpochSet, FlowRecord};
 use switchpointer::query::{QueryRequest, QueryResponse};
 use switchpointer::shard::ShardedAnalyzer;
 use switchpointer::testbed::{Testbed, TestbedConfig};
@@ -64,9 +64,9 @@ fn gen_record(rng: &mut TestRng) -> FlowRecord {
     let mut epochs_at = BTreeMap::new();
     for _ in 0..rng.below(4) {
         let sw = NodeId(rng.below(64) as u32);
-        let mut set = std::collections::BTreeSet::new();
+        let mut set = EpochSet::default();
         for _ in 0..rng.below(5) {
-            set.insert(rng.below(100));
+            set.insert(gen_epoch_range(rng));
         }
         epochs_at.insert(sw, set);
     }
