@@ -243,6 +243,23 @@ pub fn shard_of(flow: FlowId, n_shards: usize) -> usize {
     mphf::stable_shard(flow.0, n_shards)
 }
 
+/// Cuts `flows` down to its `k` largest by bytes, in `(bytes desc, flow
+/// asc)` order — the order of every top-k answer. Selects the `k` first
+/// and sorts only those; the key is a total order (flow ids are unique),
+/// so the result is exactly what sorting everything and truncating gives.
+pub fn keep_top_k(flows: &mut Vec<(FlowId, u64)>, k: usize) {
+    let key = |&(f, b): &(FlowId, u64)| (std::cmp::Reverse(b), f);
+    if k == 0 {
+        flows.clear();
+        return;
+    }
+    if flows.len() > k {
+        flows.select_nth_unstable_by_key(k - 1, key);
+        flows.truncate(k);
+    }
+    flows.sort_unstable_by_key(key);
+}
+
 /// What changed in a [`FlowStore`] since a recorded version baseline —
 /// the input to incremental snapshot refresh.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -399,8 +416,7 @@ impl FlowStore {
                     .collect()
             })
             .unwrap_or_default();
-        flows.sort_by_key(|&(f, b)| (std::cmp::Reverse(b), f));
-        flows.truncate(k);
+        keep_top_k(&mut flows, k);
         flows
     }
 

@@ -34,10 +34,17 @@
 //! as one frame per shard however many queries it holds.
 //!
 //! The two aggregate classes ([`QueryRequest::TopK`],
-//! [`QueryRequest::LoadImbalance`]) are written once, in staged form;
-//! the other four run to `Done` inside `start`. A view that answers in
-//! process returns [`Deferred::Ready`], the continuation runs on the spot
-//! and no stage is ever allocated — `start` returns `Done`.
+//! [`QueryRequest::LoadImbalance`]) are written once, in staged form,
+//! and are **one round**: the paper's analyzer pulls the switch's
+//! pointers, decodes them and contacts the hosts (§4.3, §6.2), and
+//! [`StateView::union_top_k_deferred`] / [`StateView::union_sizes_deferred`]
+//! ask the view for all three at once. Their defaults compose the
+//! unfused reads; a router over directory shards overrides them so each
+//! shard decodes its own slice of the union and answers the wave for the
+//! hosts it decoded, in one request. The other four classes run to `Done`
+//! inside `start`. A view that answers in process returns
+//! [`Deferred::Ready`], the continuation runs on the spot and no stage is
+//! ever allocated — `start` returns `Done`.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -55,7 +62,7 @@ use crate::analyzer::{
 use crate::bitset::BitSet;
 use crate::cost::{CostModel, LatencyBreakdown, QueryWaveCost};
 use crate::host::TriggerEvent;
-use crate::hoststore::FlowRecord;
+use crate::hoststore::{keep_top_k, FlowRecord};
 
 /// One host's slice of a batched *filter* wave reply: its store size
 /// (`None` for unknown hosts) and the records matching the wave's
@@ -65,6 +72,15 @@ pub type FilterWaveReply = Vec<(Option<usize>, Vec<FlowRecord>)>;
 pub type TopKWaveReply = Vec<(Option<usize>, Vec<(FlowId, u64)>)>;
 /// One host's slice of a batched *link-sizes* wave reply.
 pub type SizesWaveReply = Vec<(Option<usize>, Vec<(u16, u64)>)>;
+/// A fused aggregate read: the hosts the switch's pointer union decodes
+/// to (ascending, as [`HostDirectory::hosts_in`] returns them) and the
+/// wave's `(store size, rows)` for each, in that order; `None` if the
+/// switch has no SwitchPointer component.
+pub type UnionWave<R> = Option<(Vec<NodeId>, Vec<(Option<usize>, Vec<R>)>)>;
+/// A fused top-k read.
+pub type UnionTopK = UnionWave<(FlowId, u64)>;
+/// A fused link-sizes read.
+pub type UnionSizes = UnionWave<(u16, u64)>;
 
 /// Read-only access to deployment state (switch pointers + host stores),
 /// returning owned data so implementations may sit over `Rc<RefCell<…>>`
@@ -173,23 +189,32 @@ pub trait StateView {
         Deferred::Ready(self.pointer_union(switch, range))
     }
 
-    /// [`StateView::top_k_wave`], issued now and collected later.
-    fn top_k_wave_deferred(
-        &self,
-        hosts: &[NodeId],
+    /// The whole top-k read of `switch` over `range`: its pointer union,
+    /// decoded through `dir`, then the top-k wave over the decoded hosts.
+    /// The default is exactly that composition ([`union_then_wave`]).
+    fn union_top_k_deferred<'s>(
+        &'s self,
+        dir: &'s HostDirectory,
         switch: NodeId,
+        range: EpochRange,
         k: usize,
-    ) -> Deferred<'_, TopKWaveReply> {
-        Deferred::Ready(self.top_k_wave(hosts, switch, k))
+    ) -> Deferred<'s, UnionTopK> {
+        union_then_wave(self, dir, switch, range, move |hosts| {
+            self.top_k_wave(hosts, switch, k)
+        })
     }
 
-    /// [`StateView::sizes_wave`], issued now and collected later.
-    fn sizes_wave_deferred(
-        &self,
-        hosts: &[NodeId],
+    /// The whole link-sizes read of `switch` over `range`, as
+    /// [`StateView::union_top_k_deferred`] is the whole top-k read.
+    fn union_sizes_deferred<'s>(
+        &'s self,
+        dir: &'s HostDirectory,
         switch: NodeId,
-    ) -> Deferred<'_, SizesWaveReply> {
-        Deferred::Ready(self.sizes_wave(hosts, switch))
+        range: EpochRange,
+    ) -> Deferred<'s, UnionSizes> {
+        union_then_wave(self, dir, switch, range, move |hosts| {
+            self.sizes_wave(hosts, switch)
+        })
     }
 
     /// Sends whatever the deferred forms have issued and not yet put on
@@ -226,6 +251,45 @@ impl<T> Deferred<'_, T> {
     pub fn is_ready(&self) -> bool {
         matches!(self, Deferred::Ready(_))
     }
+}
+
+impl<'a, T: 'a> Deferred<'a, T> {
+    /// `f` applied to the reply: at once when it is here, on collection
+    /// otherwise.
+    pub fn map<U>(self, f: impl FnOnce(T) -> U + 'a) -> Deferred<'a, U> {
+        match self {
+            Deferred::Ready(value) => Deferred::Ready(f(value)),
+            Deferred::Pending(wait) => Deferred::Pending(Box::new(move || f(wait()))),
+        }
+    }
+}
+
+/// The fused aggregate read composed from the unfused ones — the default
+/// of [`StateView::union_top_k_deferred`] and
+/// [`StateView::union_sizes_deferred`], and the reference every override
+/// must equal: `switch`'s pointer union, decoded through `dir`, then
+/// `wave` over the decoded hosts. The union is deferred; the wave runs
+/// when it is collected.
+pub fn union_then_wave<'s, V: StateView + ?Sized, R: 's>(
+    view: &'s V,
+    dir: &'s HostDirectory,
+    switch: NodeId,
+    range: EpochRange,
+    wave: impl FnOnce(&[NodeId]) -> Vec<R> + 's,
+) -> Deferred<'s, Option<(Vec<NodeId>, Vec<R>)>> {
+    view.pointer_union_deferred(switch, range).map(move |bits| {
+        bits.map(|bits| {
+            let hosts = dir.hosts_in(&bits);
+            let rows = wave(&hosts);
+            (hosts, rows)
+        })
+    })
+}
+
+/// What a read of `switch`'s pointer state returned, for a switch that
+/// must have a SwitchPointer component.
+fn component<T>(switch: NodeId, read: Option<T>) -> T {
+    read.unwrap_or_else(|| panic!("no SwitchPointer component on {switch}"))
 }
 
 /// The per-epoch form of [`StateView::presence_wave`]: one
@@ -699,12 +763,7 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
 
     /// Pulls the pointer union for `range` from `switch` and decodes it.
     pub fn hosts_for(&self, switch: NodeId, range: EpochRange) -> Vec<NodeId> {
-        self.decode_union(switch, self.view.pointer_union(switch, range))
-    }
-
-    /// Decodes `switch`'s pulled pointer union into host ids.
-    fn decode_union(&self, switch: NodeId, bits: Option<BitSet>) -> Vec<NodeId> {
-        let bits = bits.unwrap_or_else(|| panic!("no SwitchPointer component on {switch}"));
+        let bits = component(switch, self.view.pointer_union(switch, range));
         self.ctx.directory.hosts_in(&bits)
     }
 
@@ -1075,18 +1134,19 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     // §5.4 Load imbalance
     // ------------------------------------------------------------------
 
-    /// Staged: one pointer-union round, then one link-sizes wave.
+    /// Staged: one round — the union, its decode and the link-sizes
+    /// wave. The trace still records the paper's two steps (a pointer
+    /// round, then a host wave): that is what the cost model prices.
     fn diagnose_load_imbalance(mut self, switch: NodeId, range: EpochRange) -> Staged<'a> {
-        let view = self.view;
-        then(view.pointer_union_deferred(switch, range), move |bits| {
-            let hosts = self.decode_union(switch, bits);
+        let read = self
+            .view
+            .union_sizes_deferred(self.ctx.directory, switch, range);
+        then(read, move |read| {
+            let (hosts, replies) = component(switch, read);
             self.trace
                 .push_round(vec![(switch, range)], self.ctx.cost.pointer_retrieval(1));
-            let wave = view.sizes_wave_deferred(&hosts, switch);
-            then(wave, move |replies| {
-                let diagnosis = self.separate_links(hosts, replies);
-                Staged::Done(QueryResponse::LoadImbalance(diagnosis), self.trace)
-            })
+            let diagnosis = self.separate_links(hosts, replies);
+            Staged::Done(QueryResponse::LoadImbalance(diagnosis), self.trace)
         })
     }
 
@@ -1159,18 +1219,18 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     // §6.2 Top-k query
     // ------------------------------------------------------------------
 
-    /// Staged: one pointer-union round, then one top-k wave.
+    /// Staged: one round — the union, its decode and the top-k wave,
+    /// traced as the paper's two steps like the load-imbalance diagnosis.
     fn top_k(mut self, switch: NodeId, k: usize, range: EpochRange) -> Staged<'a> {
-        let view = self.view;
-        then(view.pointer_union_deferred(switch, range), move |bits| {
-            let hosts = self.decode_union(switch, bits);
+        let read = self
+            .view
+            .union_top_k_deferred(self.ctx.directory, switch, range, k);
+        then(read, move |read| {
+            let (hosts, replies) = component(switch, read);
             self.trace
                 .push_round(vec![(switch, range)], self.ctx.cost.pointer_retrieval(1));
-            let wave = view.top_k_wave_deferred(&hosts, switch, k);
-            then(wave, move |replies| {
-                let result = self.merge_top_k(hosts, k, replies);
-                Staged::Done(QueryResponse::TopK(result), self.trace)
-            })
+            let result = self.merge_top_k(hosts, k, replies);
+            Staged::Done(QueryResponse::TopK(result), self.trace)
         })
     }
 
@@ -1187,8 +1247,7 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
             record_counts.push(len);
             merged.extend(flows);
         }
-        merged.sort_by_key(|&(f, b)| (std::cmp::Reverse(b), f));
-        merged.truncate(k);
+        keep_top_k(&mut merged, k);
         self.trace.push_wave(
             hosts
                 .iter()

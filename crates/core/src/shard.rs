@@ -37,15 +37,15 @@ use netsim::packet::{FlowId, NodeId};
 use obsplane::Counter;
 use telemetry::EpochRange;
 
-use crate::analyzer::Analyzer;
+use crate::analyzer::{Analyzer, HostDirectory};
 use crate::bitset::BitSet;
 use crate::cost::CostModel;
 use crate::host::TriggerEvent;
 use crate::hoststore::FlowRecord;
 pub use crate::query::Deferred;
 use crate::query::{
-    presence_by_epoch, ExecutionTrace, FilterWaveReply, QueryExecutor, QueryRequest, QueryResponse,
-    SizesWaveReply, StateView, TopKWaveReply,
+    presence_by_epoch, union_then_wave, ExecutionTrace, FilterWaveReply, QueryExecutor,
+    QueryRequest, QueryResponse, SizesWaveReply, StateView, TopKWaveReply, UnionSizes, UnionTopK,
 };
 
 /// The directory shard owning `host`: the same stable splitmix64
@@ -434,8 +434,15 @@ impl<V: StateView> StateView for ShardedView<'_, V> {
 /// query wave per shard, which is what lets a remote backend carry a
 /// whole fan-out in a single round trip.
 ///
-/// The five methods a router fans out to *several* shards at once
-/// (`union_slice` and the four host waves) return a [`Deferred`]: the
+/// The two fused aggregate reads (`union_top_k`, `union_sizes`) are the
+/// paper's retrieve → decode → contact-the-hosts sequence done where the
+/// data is: the shard decodes its own slice of the switch's pointer union
+/// and answers the host wave for exactly the hosts it decoded — which are
+/// the hosts it owns, so no second request is needed to reach them.
+///
+/// The seven methods a router fans out to *several* shards at once
+/// (`union_slice`, the two fused reads and the four host waves) return a
+/// [`Deferred`]: the
 /// call **issues** the request and returns, [`ShardBackend::flush`] puts
 /// what was issued on the wire, [`Deferred::wait`] collects the answer.
 /// A router that issues to every involved shard, flushes them, and only
@@ -491,6 +498,16 @@ pub trait ShardBackend {
 
     /// Batched link-sizes wave over owned hosts.
     fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> Deferred<'_, SizesWaveReply>;
+
+    /// This shard's share of a top-k read: the hosts its slice of the
+    /// pointer union for `range` at `switch` decodes to (ascending), with
+    /// the top-k wave's row for each. `None` if the switch has no
+    /// component.
+    fn union_top_k(&self, switch: NodeId, range: EpochRange, k: usize) -> Deferred<'_, UnionTopK>;
+
+    /// This shard's share of a link-sizes read, as
+    /// [`ShardBackend::union_top_k`].
+    fn union_sizes(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, UnionSizes>;
 }
 
 /// The in-process [`ShardBackend`]: one shard's slice of a shared
@@ -565,6 +582,34 @@ impl<V: StateView> ShardBackend for LocalBackend<'_, V> {
     fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> Deferred<'_, SizesWaveReply> {
         Deferred::Ready(self.view.sizes_wave(hosts, switch))
     }
+
+    fn union_top_k(&self, switch: NodeId, range: EpochRange, k: usize) -> Deferred<'_, UnionTopK> {
+        Deferred::Ready(self.decode_then(switch, range, |hosts| {
+            self.view.top_k_wave(hosts, switch, k)
+        }))
+    }
+
+    fn union_sizes(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, UnionSizes> {
+        Deferred::Ready(
+            self.decode_then(switch, range, |hosts| self.view.sizes_wave(hosts, switch)),
+        )
+    }
+}
+
+impl<V: StateView> LocalBackend<'_, V> {
+    /// The shard side of a fused read: decode this shard's slice of the
+    /// union, then run `wave` over the hosts it decoded.
+    fn decode_then<R>(
+        &self,
+        switch: NodeId,
+        range: EpochRange,
+        wave: impl FnOnce(&[NodeId]) -> Vec<R>,
+    ) -> Option<(Vec<NodeId>, Vec<R>)> {
+        let union = self.view.pointer_union(switch, range)?;
+        let hosts = self.shard.decode(&union);
+        let rows = wave(&hosts);
+        Some((hosts, rows))
+    }
 }
 
 /// Cumulative routing counters a [`BackendRouter`] keeps on top of the
@@ -599,7 +644,11 @@ pub struct RouterCounters {
 /// slices (the slot masks partition the directory range, so the union is
 /// bit-identical to the flat view's); host reads route to the owning
 /// shard; wave reads coalesce per shard — one backend call, and for a
-/// remote backend one wire request, per shard per wave.
+/// remote backend one wire request, per shard per wave. The fused
+/// aggregate reads ([`StateView::union_top_k_deferred`],
+/// [`StateView::union_sizes_deferred`]) are one call per shard in all:
+/// each shard decodes its slice and answers for the hosts it decoded, and
+/// the router merges the per-shard rows in host order.
 ///
 /// Fan-outs are **issue-then-collect**: a union reassembly or a wave
 /// first issues its request to every involved shard, then collects the
@@ -615,7 +664,8 @@ pub struct RouterCounters {
 /// drove it.
 ///
 /// With `coalesce` off, wave reads degrade to one backend call per host,
-/// each waited on before the next is issued: the naive per-host RPC
+/// each waited on before the next is issued, and the fused reads to the
+/// union round followed by those per-host calls: the naive per-host RPC
 /// regime the paper's Fig. 12 measures, kept as a measurable
 /// counterfactual for the batching win.
 pub struct BackendRouter<'a, B: ShardBackend> {
@@ -757,6 +807,56 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
         let reply = call(&self.backends[s]);
         self.backends[s].flush();
         reply.wait()
+    }
+
+    /// Routes one fused aggregate read: one call to every shard, each
+    /// answering for the hosts its slice of the union decodes to. One
+    /// round and one wave round; one RPC and one wave RPC per shard. At
+    /// collect, a shard's decoded hosts count as its decoded bits and its
+    /// host reads, and the rows merge in host order — the order
+    /// [`HostDirectory::hosts_in`] decodes the whole union in, since the
+    /// shards' slices partition it.
+    fn route_union_wave<'s, T: 's>(
+        &'s self,
+        call: impl Fn(&'a B) -> Deferred<'a, Option<(Vec<NodeId>, Vec<T>)>>,
+    ) -> Deferred<'s, Option<(Vec<NodeId>, Vec<T>)>> {
+        self.rounds.inc();
+        self.wave_rounds.inc();
+        let issued: Vec<_> = self
+            .backends
+            .iter()
+            .map(|b| {
+                self.rpcs.inc();
+                self.wave_rpcs.inc();
+                (b.shard_id(), call(b))
+            })
+            .collect();
+        let pending = issued.iter().any(|(_, reply)| !reply.is_ready());
+        deferred(pending, move || {
+            let mut rows: Option<Vec<(NodeId, T)>> = None;
+            let mut total = 0u64;
+            for (shard, reply) in issued {
+                let Some((hosts, replies)) = reply.wait() else {
+                    continue;
+                };
+                debug_assert_eq!(hosts.len(), replies.len());
+                let n = hosts.len() as u64;
+                if n > 0 {
+                    self.decode_bits[shard].add(n);
+                    self.host_reads[shard].add(n);
+                    total += n;
+                }
+                rows.get_or_insert_with(Vec::new)
+                    .extend(hosts.into_iter().zip(replies));
+            }
+            let mut rows = rows?;
+            if self.backends.len() > 1 {
+                self.merges.inc();
+                self.merged_bits.add(total);
+            }
+            rows.sort_unstable_by_key(|&(h, _)| h);
+            Some(rows.into_iter().unzip())
+        })
     }
 
     /// The blocking form of a routed read: flush what its issue half put
@@ -929,36 +1029,48 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
     }
 
     fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply {
-        self.now(self.top_k_wave_deferred(hosts, switch, k))
-    }
-
-    fn top_k_wave_deferred(
-        &self,
-        hosts: &[NodeId],
-        switch: NodeId,
-        k: usize,
-    ) -> Deferred<'_, TopKWaveReply> {
-        self.route_wave(
+        self.now(self.route_wave(
             hosts,
             move |b, hs| b.top_k_wave(hs, switch, k),
             || (None, Vec::new()),
-        )
+        ))
     }
 
     fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> SizesWaveReply {
-        self.now(self.sizes_wave_deferred(hosts, switch))
-    }
-
-    fn sizes_wave_deferred(
-        &self,
-        hosts: &[NodeId],
-        switch: NodeId,
-    ) -> Deferred<'_, SizesWaveReply> {
-        self.route_wave(
+        self.now(self.route_wave(
             hosts,
             move |b, hs| b.sizes_wave(hs, switch),
             || (None, Vec::new()),
-        )
+        ))
+    }
+
+    fn union_top_k_deferred<'s>(
+        &'s self,
+        dir: &'s HostDirectory,
+        switch: NodeId,
+        range: EpochRange,
+        k: usize,
+    ) -> Deferred<'s, UnionTopK> {
+        if !self.coalesce {
+            return union_then_wave(self, dir, switch, range, move |hosts| {
+                self.top_k_wave(hosts, switch, k)
+            });
+        }
+        self.route_union_wave(move |b| b.union_top_k(switch, range, k))
+    }
+
+    fn union_sizes_deferred<'s>(
+        &'s self,
+        dir: &'s HostDirectory,
+        switch: NodeId,
+        range: EpochRange,
+    ) -> Deferred<'s, UnionSizes> {
+        if !self.coalesce {
+            return union_then_wave(self, dir, switch, range, move |hosts| {
+                self.sizes_wave(hosts, switch)
+            });
+        }
+        self.route_union_wave(move |b| b.union_sizes(switch, range))
     }
 }
 

@@ -54,11 +54,11 @@ pub fn trace() -> Vec<FigureData> {
         }
     }
 
-    // The rigged tail: stretch one shard's wave serves and push one
+    // The rigged tail: stretch one shard's top-k serves and push one
     // more query through, so the flight recorder has a definite slow
     // query to pin whatever head sampling would have said.
     let rig: ServeDelay = std::sync::Arc::new(|req: &Frame| match req {
-        Frame::TopKWaveReq { .. } => RIGGED_DELAY,
+        Frame::UnionTopKReq { .. } => RIGGED_DELAY,
         _ => Duration::ZERO,
     });
     cluster.set_serve_delay(0, 0, Some(rig));

@@ -47,7 +47,7 @@ use mphf::Mphf;
 use netsim::packet::{FlowId, NodeId};
 use switchpointer::bitset::BitSet;
 use switchpointer::host::TriggerEvent;
-use switchpointer::hoststore::{shard_of, FlowRecord, FlowStore, StoreDelta};
+use switchpointer::hoststore::{keep_top_k, shard_of, FlowRecord, FlowStore, StoreDelta};
 use switchpointer::pointer::FrozenHierarchy;
 use switchpointer::query::StateView;
 use switchpointer::shard::host_shard_of;
@@ -254,8 +254,7 @@ impl ShardedHostStore {
                     .unwrap_or_default()
             })
             .collect();
-        flows.sort_by_key(|&(f, b)| (std::cmp::Reverse(b), f));
-        flows.truncate(k);
+        keep_top_k(&mut flows, k);
         flows
     }
 

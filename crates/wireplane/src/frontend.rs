@@ -31,8 +31,8 @@
 //! shard link once; resume every unfinished query}. Each query keeps its
 //! own router and its own [`RouterCounters`]; what they share is the
 //! flush, so a chunk's round leaves as one `Batch` frame per shard
-//! however many queries it holds, and a window of standing queries costs
-//! two batched rounds per worker. A single query is a chunk of one: its
+//! however many queries it holds, and a window of standing aggregates
+//! costs one batched round per worker. A single query is a chunk of one: its
 //! frames are the `Tagged` frames a blocking router would send.
 //!
 //! Towards clients the front-end is a server itself: `QueryReq` frames
@@ -85,14 +85,14 @@ use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::FlowRecord;
 use switchpointer::query::{
     Deferred, ExecutionTrace, FilterWaveReply, QueryExecutor, QueryRequest, QueryResponse,
-    SizesWaveReply, Stage, Staged, TopKWaveReply,
+    SizesWaveReply, Stage, Staged, TopKWaveReply, UnionSizes, UnionTopK, UnionWave,
 };
 use switchpointer::shard::{BackendRouter, RouterCounters, ShardBackend};
 use telemetry::frame::WireError;
 use telemetry::EpochRange;
 
 use crate::mux::{InFlight, MuxConn};
-use crate::proto::{Frame, WindowSummary, WireSpan, FRONT_ROLE};
+use crate::proto::{Frame, UnionWaveBody, WindowSummary, WireSpan, FRONT_ROLE};
 use crate::retry::RetryPolicy;
 use crate::server::{Listener, WireConfig};
 
@@ -742,6 +742,38 @@ impl ShardBackend for RemoteShard {
             },
         )
     }
+
+    fn union_top_k(&self, switch: NodeId, range: EpochRange, k: usize) -> Deferred<'_, UnionTopK> {
+        self.deferred(
+            Frame::UnionTopKReq {
+                switch,
+                range,
+                k: k as u64,
+            },
+            |f| match f {
+                Frame::UnionTopKRep(v) => Some(union_read(v)),
+                _ => None,
+            },
+        )
+    }
+
+    fn union_sizes(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, UnionSizes> {
+        self.deferred(Frame::UnionSizesReq { switch, range }, |f| match f {
+            Frame::UnionSizesRep(v) => Some(union_read(v)),
+            _ => None,
+        })
+    }
+}
+
+/// A fused read's wire answer back in the [`ShardBackend`] form: the
+/// decoded hosts, and each one's `(store size, rows)`.
+fn union_read<R>(body: UnionWaveBody<R>) -> UnionWave<R> {
+    body.map(|entries| {
+        entries
+            .into_iter()
+            .map(|(h, len, rows)| (h, (len.map(|n| n as usize), rows)))
+            .unzip()
+    })
 }
 
 /// One subscribed client connection on one topic.

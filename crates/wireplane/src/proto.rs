@@ -41,6 +41,7 @@
 //! | frame | direction | carries |
 //! |---|---|---|
 //! | `UnionSliceReq/Rep` | front → shard | masked pointer-union slice |
+//! | `UnionTopKReq/Rep`, `UnionSizesReq/Rep` | front → shard | a whole aggregate read: the shard's union slice decoded, and the top-k / link-sizes row of each host it decoded |
 //! | `ProbeExactReq/Rep` | front → shard | exact-epoch presence probe |
 //! | `PresenceWaveReq/Rep` | front → shard | exact presence over an epoch range, one flag per switch |
 //! | `StoreLenReq/Rep`, `RecordReq/Rep`, `TriggerReq/Rep` | front → shard | host point reads |
@@ -442,6 +443,14 @@ pub type FilterWaveBody = Vec<(Option<u64>, Vec<FlowRecord>)>;
 pub type TopKWaveBody = Vec<(Option<u64>, Vec<(FlowId, u64)>)>;
 /// Wire body of a link-sizes wave reply.
 pub type SizesWaveBody = Vec<(Option<u64>, Vec<(u16, u64)>)>;
+/// Wire body of a fused aggregate reply: `None` when the switch has no
+/// component, else per decoded host (ascending) its id, store size and
+/// rows.
+pub type UnionWaveBody<R> = Option<Vec<(NodeId, Option<u64>, Vec<R>)>>;
+/// Wire body of a fused top-k reply.
+pub type UnionTopKBody = UnionWaveBody<(FlowId, u64)>;
+/// Wire body of a fused link-sizes reply.
+pub type UnionSizesBody = UnionWaveBody<(u16, u64)>;
 
 /// Every message of the wireplane protocol.
 #[derive(Debug, Clone)]
@@ -512,6 +521,21 @@ pub enum Frame {
         hosts: Vec<NodeId>,
     },
     SizesWaveRep(SizesWaveBody),
+    /// A whole top-k read in one request: the shard decodes its slice of
+    /// `switch`'s pointer union over `range` and answers the top-k wave
+    /// for the hosts it decoded.
+    UnionTopKReq {
+        switch: NodeId,
+        range: EpochRange,
+        k: u64,
+    },
+    UnionTopKRep(UnionTopKBody),
+    /// A whole link-sizes read in one request, as [`Frame::UnionTopKReq`].
+    UnionSizesReq {
+        switch: NodeId,
+        range: EpochRange,
+    },
+    UnionSizesRep(UnionSizesBody),
     HorizonReq,
     HorizonRep(u64),
     /// Pull the peer's obsplane metrics. Sent by clients to the
@@ -636,6 +660,8 @@ impl Frame {
             Frame::StatsScrapeReq => 0x1A,
             Frame::TraceScrapeReq => 0x1B,
             Frame::PresenceWaveReq { .. } => 0x1C,
+            Frame::UnionTopKReq { .. } => 0x1D,
+            Frame::UnionSizesReq { .. } => 0x1E,
             Frame::UnionSliceRep(_) => 0x20,
             Frame::ProbeExactRep(_) => 0x21,
             Frame::StoreLenRep(_) => 0x22,
@@ -649,6 +675,8 @@ impl Frame {
             Frame::StatsScrapeRep(_) => 0x2A,
             Frame::TraceScrapeRep(_) => 0x2B,
             Frame::PresenceWaveRep(_) => 0x2C,
+            Frame::UnionTopKRep(_) => 0x2D,
+            Frame::UnionSizesRep(_) => 0x2E,
             Frame::QueryReq(_) => 0x30,
             Frame::QueryRep(_) => 0x31,
             Frame::SubscribeReq { .. } => 0x32,
@@ -685,6 +713,8 @@ impl Frame {
             Frame::StatsScrapeReq => "StatsScrapeReq",
             Frame::TraceScrapeReq => "TraceScrapeReq",
             Frame::PresenceWaveReq { .. } => "PresenceWaveReq",
+            Frame::UnionTopKReq { .. } => "UnionTopKReq",
+            Frame::UnionSizesReq { .. } => "UnionSizesReq",
             Frame::UnionSliceRep(_) => "UnionSliceRep",
             Frame::ProbeExactRep(_) => "ProbeExactRep",
             Frame::StoreLenRep(_) => "StoreLenRep",
@@ -698,6 +728,8 @@ impl Frame {
             Frame::StatsScrapeRep(_) => "StatsScrapeRep",
             Frame::TraceScrapeRep(_) => "TraceScrapeRep",
             Frame::PresenceWaveRep(_) => "PresenceWaveRep",
+            Frame::UnionTopKRep(_) => "UnionTopKRep",
+            Frame::UnionSizesRep(_) => "UnionSizesRep",
             Frame::QueryReq(_) => "QueryReq",
             Frame::QueryRep(_) => "QueryRep",
             Frame::SubscribeReq { .. } => "SubscribeReq",
@@ -789,6 +821,17 @@ impl Frame {
                 enc_ids_delta(hosts, &mut e);
             }
             Frame::SizesWaveRep(v) => v.enc(&mut e),
+            Frame::UnionTopKReq { switch, range, k } => {
+                switch.enc(&mut e);
+                range.enc(&mut e);
+                e.put_varint(*k);
+            }
+            Frame::UnionTopKRep(v) => v.enc(&mut e),
+            Frame::UnionSizesReq { switch, range } => {
+                switch.enc(&mut e);
+                range.enc(&mut e);
+            }
+            Frame::UnionSizesRep(v) => v.enc(&mut e),
             Frame::HorizonReq => {}
             Frame::HorizonRep(v) => e.put_u64(*v),
             Frame::StatsScrapeReq => {}
@@ -971,6 +1014,15 @@ impl Frame {
                 addr: d.get_u64()?,
                 range: EpochRange::dec(&mut d)?,
             },
+            0x1D => Frame::UnionTopKReq {
+                switch: NodeId::dec(&mut d)?,
+                range: EpochRange::dec(&mut d)?,
+                k: d.get_varint()?,
+            },
+            0x1E => Frame::UnionSizesReq {
+                switch: NodeId::dec(&mut d)?,
+                range: EpochRange::dec(&mut d)?,
+            },
             0x20 => Frame::UnionSliceRep(match d.get_u8()? {
                 0 => None,
                 1 => Some(dec_bitset_runs(&mut d, budget)?),
@@ -988,6 +1040,8 @@ impl Frame {
             0x2A => Frame::StatsScrapeRep(dec_stats(&mut d)?),
             0x2B => Frame::TraceScrapeRep(Vec::dec(&mut d)?),
             0x2C => Frame::PresenceWaveRep(Vec::dec(&mut d)?),
+            0x2D => Frame::UnionTopKRep(Option::dec(&mut d)?),
+            0x2E => Frame::UnionSizesRep(Option::dec(&mut d)?),
             0x30 => Frame::QueryReq(QueryRequest::dec(&mut d)?),
             0x31 => Frame::QueryRep(QueryResponse::dec(&mut d)?),
             0x32 => Frame::SubscribeReq {

@@ -51,12 +51,12 @@ use netsim::packet::NodeId;
 use obsplane::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, TraceContext};
 use queryplane::{DeltaRecord, Snapshot};
 use switchpointer::bitset::BitSet;
-use switchpointer::query::StateView;
-use switchpointer::shard::DirectoryShard;
+use switchpointer::query::{StateView, UnionWave};
+use switchpointer::shard::{DirectoryShard, LocalBackend, ShardBackend};
 use telemetry::frame::{read_frame, Dec, WireError, MAX_FRAME};
 use telemetry::EpochRange;
 
-use crate::proto::Frame;
+use crate::proto::{Frame, UnionWaveBody};
 
 /// Per-frame wire metrics one serving loop records, resolved once at
 /// spawn so the hot path never touches the registry's lock.
@@ -317,6 +317,12 @@ impl ShardState {
             .map(|u| self.shard.mask(&u))
     }
 
+    /// This shard as an in-process [`ShardBackend`]: the fused reads are
+    /// served by the same code the in-process router runs.
+    fn local(&self) -> LocalBackend<'_, Snapshot> {
+        LocalBackend::new(&self.shard, &self.view)
+    }
+
     /// Serves one decoded request frame. Returns the reply frame (an
     /// [`Frame::Error`] for requests this role does not answer).
     fn serve(&self, req: &Frame) -> Frame {
@@ -373,6 +379,14 @@ impl ShardState {
                     .map(|(l, sizes)| (l.map(|n| n as u64), sizes))
                     .collect(),
             ),
+            Frame::UnionTopKReq { switch, range, k } => Frame::UnionTopKRep(union_body(
+                self.local()
+                    .union_top_k(*switch, *range, *k as usize)
+                    .wait(),
+            )),
+            Frame::UnionSizesReq { switch, range } => {
+                Frame::UnionSizesRep(union_body(self.local().union_sizes(*switch, *range).wait()))
+            }
             Frame::HorizonReq => Frame::HorizonRep(self.view.epoch_horizon()),
             other => Frame::Error(WireError::Remote(format!(
                 "shard server cannot answer frame {:#04x}",
@@ -380,6 +394,18 @@ impl ShardState {
             ))),
         }
     }
+}
+
+/// A fused read's answer in its wire form: one `(host, store size, rows)`
+/// entry per decoded host.
+fn union_body<R>(read: UnionWave<R>) -> UnionWaveBody<R> {
+    read.map(|(hosts, rows)| {
+        hosts
+            .into_iter()
+            .zip(rows)
+            .map(|(h, (len, r))| (h, len.map(|n| n as u64), r))
+            .collect()
+    })
 }
 
 /// Shared listener mechanics (accept loop, bounded pool, graceful

@@ -11,6 +11,11 @@
 //! (and the length prefixes around them) moved. `record()` pins one
 //! single-run set (`{f, f+1}`) and one two-run set (`{f+1, f+2, f+9}`).
 //!
+//! One read reply is pinned beside them: `UnionTopKRep`, the fused
+//! aggregate answer a shard writes for every `TopK` — an optional list of
+//! `(host, store size, top-k rows)` entries, each field in its own `Wire`
+//! form.
+//!
 //! The images live in `tests/golden/*.hex` (32 bytes per line).
 
 use std::collections::BTreeSet;
@@ -188,6 +193,18 @@ fn snapshot_install() -> Frame {
     }
 }
 
+/// Two decoded hosts — one with rows, one whose store is unknown.
+fn union_top_k_rep() -> Frame {
+    Frame::UnionTopKRep(Some(vec![
+        (
+            NodeId(5),
+            Some(9),
+            vec![(FlowId(0x0102_0304), 90_017), (FlowId(7), 1_458)],
+        ),
+        (NodeId(12), None, Vec::new()),
+    ]))
+}
+
 fn assert_golden(name: &str, frame: &Frame, golden_hex: &str) {
     let got = frame.to_frame_bytes().unwrap();
     let want: Vec<u8> = golden_hex
@@ -222,5 +239,14 @@ fn replication_frame_bytes_match_the_golden_images() {
         "SnapshotInstall",
         &snapshot_install(),
         include_str!("golden/snapshot_install.hex"),
+    );
+}
+
+#[test]
+fn fused_read_reply_bytes_match_the_golden_image() {
+    assert_golden(
+        "UnionTopKRep",
+        &union_top_k_rep(),
+        include_str!("golden/union_top_k_rep.hex"),
     );
 }

@@ -1,5 +1,5 @@
-//! Resource exhaustion through the replication frames: a count never
-//! reserves more than the bytes behind it.
+//! Resource exhaustion through the replication frames and the fused
+//! aggregate reply: a count never reserves more than the bytes behind it.
 //!
 //! `Dec::get_len` bounds a decoded count by the *bytes* left in the frame,
 //! but a decoder that then reserves `count` elements pays
@@ -239,6 +239,33 @@ fn an_epoch_set_decodes_only_canonical_runs_and_never_reserves_beyond_the_payloa
         matches!(Frame::decode(0x40, &frame), Err(WireError::Remote(_))),
         "unsorted runs inside a DeltaAppend"
     );
+}
+
+/// A `UnionTopKRep` is the widest read reply a shard writes back: per
+/// decoded host its id, store size and top-k rows. Inflating its host
+/// count or one host's row count reserves no more than the payload.
+#[test]
+fn an_inflated_union_top_k_row_count_never_reserves_beyond_the_payload() {
+    // `Some | n_hosts`: the reply up to its host count.
+    let mut hosts_head = Enc::new();
+    hosts_head.put_u8(1);
+    // … through `n_hosts = 1 | host | Some(len)`: up to its row count.
+    let mut rows_head = Enc::new();
+    rows_head.put_u8(1);
+    rows_head.put_usize(1);
+    rows_head.put_u32(7);
+    rows_head.put_u8(1);
+    rows_head.put_u64(12);
+    for (what, payload) in [("hosts", hostile(hosts_head)), ("rows", hostile(rows_head))] {
+        let (got, largest) = largest_request(|| Frame::decode(0x2D, &payload).map(|_| ()));
+        println!("UnionTopKRep {what}: {got:?}, largest request {largest} B");
+        assert!(got.is_err(), "{what}: hostile UnionTopKRep decoded");
+        assert!(
+            largest <= payload.len(),
+            "{what}: one allocation of {largest} bytes for a {}-byte payload",
+            payload.len()
+        );
+    }
 }
 
 /// `Wire for Arc<T>` is what lets a replica keep a decoded slot or record

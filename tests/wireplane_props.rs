@@ -528,6 +528,41 @@ fn gen_frames(rng: &mut TestRng) -> Vec<Frame> {
                 })
                 .collect(),
         ),
+        Frame::UnionTopKReq {
+            switch: NodeId(rng.below(64) as u32),
+            range: gen_epoch_range(rng),
+            k: rng.below(50),
+        },
+        Frame::UnionTopKRep((rng.below(4) != 0).then(|| {
+            (0..rng.below(4))
+                .map(|_| {
+                    (
+                        NodeId(rng.below(64) as u32),
+                        opt_len(rng),
+                        (0..rng.below(4))
+                            .map(|_| (FlowId(rng.next_u64()), rng.next_u64()))
+                            .collect(),
+                    )
+                })
+                .collect()
+        })),
+        Frame::UnionSizesReq {
+            switch: NodeId(rng.below(64) as u32),
+            range: gen_epoch_range(rng),
+        },
+        Frame::UnionSizesRep((rng.below(4) != 0).then(|| {
+            (0..rng.below(4))
+                .map(|_| {
+                    (
+                        NodeId(rng.below(64) as u32),
+                        opt_len(rng),
+                        (0..rng.below(4))
+                            .map(|_| (rng.below(4096) as u16, rng.next_u64()))
+                            .collect(),
+                    )
+                })
+                .collect()
+        })),
         Frame::HorizonReq,
         Frame::HorizonRep(rng.below(10_000)),
         Frame::StatsScrapeReq,
@@ -2181,7 +2216,8 @@ fn silent_drop_sweep_survives_a_connection_kill_mid_query() {
             let (resp, counters) = std::thread::scope(|scope| {
                 let cluster = &cluster;
                 let killer = scope.spawn(move || {
-                    rx.recv().expect("the wave never reached a shard");
+                    rx.recv_timeout(RENDEZVOUS_TIMEOUT)
+                        .expect("the wave never reached a shard");
                     cluster.front().kill_shard_connections();
                 });
                 let (resp, _, counters) = cluster.front().execute(req);
@@ -2755,7 +2791,7 @@ fn rigged_serve_delay_pins_a_slow_query_exemplar() {
     );
 
     let rig: ServeDelay = Arc::new(move |req: &Frame| match req {
-        Frame::TopKWaveReq { .. } => Duration::from_millis(25),
+        Frame::UnionTopKReq { .. } => Duration::from_millis(25),
         _ => Duration::ZERO,
     });
     cluster.set_serve_delay(0, 0, Some(rig));
@@ -2891,9 +2927,9 @@ fn wide_testbed() -> Testbed {
     tb
 }
 
-/// A core-switch `TopK` over the wide fixture whose host wave reaches
-/// every one of the cluster's shards, with its clean-run response and
-/// counters.
+/// A core-switch `TopK` over the wide fixture whose union decodes hosts
+/// owned by every one of the cluster's shards, with its clean-run
+/// response and counters.
 fn full_fanout_top_k(
     tb: &Testbed,
     cluster: &WireCluster,
@@ -2908,7 +2944,8 @@ fn full_fanout_top_k(
                 range: EpochRange { lo: 5, hi: 25 },
             };
             let (resp, _, c) = cluster.front().execute(&req);
-            (c.wave_rpcs == n_shards).then(|| (req, format!("{resp:?}"), c))
+            let every_shard = c.fanout.host_reads.iter().filter(|&&r| r > 0).count();
+            (every_shard as u64 == n_shards).then(|| (req, format!("{resp:?}"), c))
         })
         .expect("fixture regressed: no TopK fans out to every shard")
 }
@@ -2922,10 +2959,9 @@ fn rtt_count(cluster: &WireCluster, shard: usize) -> u64 {
 }
 
 /// The overlap itself, not a clock reading of it: every shard's serve of
-/// the union round parks until all four shards hold a `UnionSliceReq`,
-/// then every serve of the wave round parks until all four hold a
-/// `TopKWaveReq`. Only a router with the four requests of a round in
-/// flight together ever completes either rendezvous.
+/// the query's one round parks until all four shards hold a
+/// `UnionTopKReq`. Only a router with the four requests of the round in
+/// flight together ever completes the rendezvous.
 #[test]
 fn mux_fanout_requests_of_one_round_are_in_flight_together() {
     const N: usize = 4;
@@ -2934,15 +2970,12 @@ fn mux_fanout_requests_of_one_round_are_in_flight_together() {
     let cluster = WireCluster::launch(&analyzer, N, WireConfig::default()).unwrap();
     let (req, clean, clean_counters) = full_fanout_top_k(&tb, &cluster, N as u64);
 
-    let unions = Rendezvous::new(N, false);
-    let waves = Rendezvous::new(N, false);
+    let reads = Rendezvous::new(N, false);
     let delay: ServeDelay = {
-        let (unions, waves) = (Arc::clone(&unions), Arc::clone(&waves));
+        let reads = Arc::clone(&reads);
         Arc::new(move |f: &Frame| {
-            match f {
-                Frame::UnionSliceReq { .. } => unions.arrive(),
-                Frame::TopKWaveReq { .. } => waves.arrive(),
-                _ => {}
+            if matches!(f, Frame::UnionTopKReq { .. }) {
+                reads.arrive();
             }
             Duration::ZERO
         })
@@ -2952,16 +2985,16 @@ fn mux_fanout_requests_of_one_round_are_in_flight_together() {
     set_serve_delay_everywhere(&cluster, N, None);
 
     assert!(
-        !unions.timed_out() && !waves.timed_out(),
+        !reads.timed_out(),
         "a shard's request waited {RENDEZVOUS_TIMEOUT:?} for its siblings: the fan-out is not overlapped"
     );
-    assert_eq!((unions.arrived(), waves.arrived()), (N, N));
+    assert_eq!(reads.arrived(), N);
     assert_eq!(format!("{resp:?}"), clean);
     assert_eq!(format!("{resp:?}"), format!("{:?}", analyzer.execute(&req)));
     assert_eq!(counters, clean_counters);
     assert_eq!(
         (counters.rpcs, counters.rounds, counters.wave_rounds),
-        (2 * N as u64, 2, 1)
+        (N as u64, 1, 1)
     );
     cluster.shutdown();
 }
@@ -2982,7 +3015,7 @@ fn mux_connection_kill_between_issue_and_collect_is_retried_in_place() {
     let delay: ServeDelay = {
         let gate = Arc::clone(&gate);
         Arc::new(move |f: &Frame| {
-            if matches!(f, Frame::UnionSliceReq { .. }) {
+            if matches!(f, Frame::UnionTopKReq { .. }) {
                 gate.arrive();
             }
             Duration::ZERO
@@ -3005,7 +3038,7 @@ fn mux_connection_kill_between_issue_and_collect_is_retried_in_place() {
 
     assert!(
         !gate.timed_out(),
-        "the four union requests were never in flight together"
+        "the four top-k requests were never in flight together"
     );
     assert_eq!(format!("{resp:?}"), clean);
     assert_eq!(counters, clean_counters);
@@ -3017,8 +3050,8 @@ fn mux_connection_kill_between_issue_and_collect_is_retried_in_place() {
     for (s, before) in rtts_before.iter().enumerate() {
         assert_eq!(
             rtt_count(&cluster, s) - before,
-            2,
-            "shard {s}: one union + one wave exchange answered, each observed once"
+            1,
+            "shard {s}: one exchange answered, observed once"
         );
     }
     cluster.shutdown();
@@ -3099,7 +3132,7 @@ fn mux_rtt_runs_from_issue_to_reply_arrival_not_to_collection() {
 
     let cluster = WireCluster::launch(&analyzer, N, WireConfig::default()).unwrap();
     let delay: ServeDelay = Arc::new(|f: &Frame| match f {
-        Frame::UnionSliceReq { .. } => D,
+        Frame::UnionTopKReq { .. } => D,
         _ => Duration::ZERO,
     });
     cluster.set_serve_delay(0, 0, Some(delay));
@@ -3114,7 +3147,7 @@ fn mux_rtt_runs_from_issue_to_reply_arrival_not_to_collection() {
         let h = snap
             .hist(&format!("wire.rtt_ns.shard{s}"))
             .expect("rtt histogram");
-        assert_eq!(h.count, 2, "shard {s}: one union + one wave exchange");
+        assert_eq!(h.count, 1, "shard {s}: one exchange");
         Duration::from_nanos(h.max)
     };
     assert!(max_rtt(0) >= D);
@@ -3179,6 +3212,17 @@ fn mux_overlapped_fanout_parity_and_counters_at_1_2_4_8_shards() {
                 router.counters(),
                 "query {i} routed differently over the wire at {n_shards} shards"
             );
+            if is_aggregate(req) {
+                assert_eq!(
+                    (
+                        wire_counters.rpcs,
+                        wire_counters.rounds,
+                        wire_counters.wave_rounds
+                    ),
+                    (n_shards as u64, 1, 1),
+                    "query {i}: an aggregate is one round at {n_shards} shards"
+                );
+            }
         }
         cluster.shutdown();
     }
@@ -3307,8 +3351,159 @@ fn wave_equals_serial_in_response_trace_and_router_counters() {
                 assert_eq!(format!("{resp:?}"), format!("{l_resp:?}"), "{at} (local)");
                 assert_eq!(format!("{trace:?}"), format!("{l_trace:?}"), "{at} (local)");
                 assert_eq!(*counters, router.counters(), "{at} (local)");
+                if is_aggregate(req) {
+                    assert_eq!(
+                        (counters.rpcs, counters.rounds, counters.wave_rounds),
+                        (n_shards as u64, 1, 1),
+                        "{at}"
+                    );
+                }
             }
         }
+        cluster.shutdown();
+    }
+}
+
+/// `TopK` or `LoadImbalance`: the classes answered in one fused round.
+fn is_aggregate(req: &QueryRequest) -> bool {
+    matches!(
+        req,
+        QueryRequest::TopK { .. } | QueryRequest::LoadImbalance { .. }
+    )
+}
+
+/// The payload of a caught panic, when it is a message.
+fn panic_message(caught: std::thread::Result<impl Sized>) -> String {
+    let payload = caught.err().expect("the query was meant to panic");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// Seeded switches, windows and `k` at 1/2/4/8 shards: a `TopK` or a
+/// `LoadImbalance` answered in one round — every shard decoding its own
+/// slice of the union and answering for the hosts it decoded — returns
+/// exactly the response and execution trace of `Analyzer`'s executor,
+/// over in-process `LocalBackend`s and over `RemoteShard`s alike, in one
+/// RPC per shard. Pinned on purpose: a window no pointer covers (an empty
+/// decode), and a node with no SwitchPointer component (the same panic).
+#[test]
+fn one_round_aggregates_equal_the_analyzer_in_response_and_trace() {
+    use queryplane::Snapshot;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use switchpointer::query::QueryExecutor;
+    use switchpointer::shard::{BackendRouter, LocalBackend, ShardedDirectory};
+
+    let tb = wide_testbed();
+    let analyzer = tb.analyzer();
+    let switches = analyzer.all_switches();
+    let snapshot = Snapshot::capture(&analyzer, 8);
+    let flat = |req: &QueryRequest| {
+        let live = analyzer.live_view();
+        QueryExecutor::new(analyzer.ctx(), &live).execute_traced(req)
+    };
+    let quiet = EpochRange {
+        lo: 1 << 40,
+        hi: (1 << 40) + 3,
+    };
+    let mut rng = rng_for("wireplane one-round aggregates");
+    for n_shards in [1usize, 2, 4, 8] {
+        let dir = ShardedDirectory::new(
+            analyzer.directory().mphf().clone(),
+            &analyzer.all_hosts(),
+            n_shards,
+        );
+        let backends: Vec<LocalBackend<'_, Snapshot>> = dir
+            .shards()
+            .iter()
+            .map(|s| LocalBackend::new(s, &snapshot))
+            .collect();
+        let cluster = WireCluster::launch(&analyzer, n_shards, WireConfig::default()).unwrap();
+        let mut reqs: Vec<QueryRequest> = (0..24)
+            .map(|i| {
+                let switch = switches[rng.below(switches.len() as u64) as usize];
+                let range = gen_epoch_range(&mut rng);
+                match i % 2 {
+                    0 => QueryRequest::TopK {
+                        switch,
+                        k: rng.below(12) as usize,
+                        range,
+                    },
+                    _ => QueryRequest::LoadImbalance { switch, range },
+                }
+            })
+            .collect();
+        reqs.push(QueryRequest::TopK {
+            switch: switches[0],
+            k: 5,
+            range: quiet,
+        });
+        reqs.push(QueryRequest::LoadImbalance {
+            switch: switches[0],
+            range: quiet,
+        });
+        let (mut decoded, mut empty) = (0, 0);
+        for (i, req) in reqs.iter().enumerate() {
+            let at = format!("query {i} at {n_shards} shard(s): {req:?}");
+            let (resp, trace) = flat(req);
+            let router = BackendRouter::new(&backends, &dir);
+            let (l_resp, l_trace) = QueryExecutor::new(analyzer.ctx(), &router).execute_traced(req);
+            let (w_resp, w_trace, w_counters) = cluster.front().execute(req);
+            for (path, got_resp, got_trace) in [
+                ("local", format!("{l_resp:?}"), format!("{l_trace:?}")),
+                ("wire", format!("{w_resp:?}"), format!("{w_trace:?}")),
+            ] {
+                assert_eq!(got_resp, format!("{resp:?}"), "{at} ({path})");
+                assert_eq!(got_trace, format!("{trace:?}"), "{at} ({path})");
+            }
+            assert_eq!(w_counters, router.counters(), "{at}");
+            assert_eq!(
+                (w_counters.rpcs, w_counters.rounds, w_counters.wave_rounds),
+                (n_shards as u64, 1, 1),
+                "{at}"
+            );
+            if trace.waves[0].is_empty() {
+                empty += 1;
+            } else {
+                decoded += 1;
+            }
+        }
+        assert!(
+            decoded > 0 && empty > 0,
+            "fixture regressed: {decoded} decoding and {empty} empty reads"
+        );
+
+        // A host carries no SwitchPointer component: every path refuses
+        // the read the same way, and the front-end keeps serving.
+        let host = analyzer.all_hosts()[0];
+        for req in [
+            QueryRequest::TopK {
+                switch: host,
+                k: 3,
+                range: EpochRange { lo: 5, hi: 25 },
+            },
+            QueryRequest::LoadImbalance {
+                switch: host,
+                range: EpochRange { lo: 5, hi: 25 },
+            },
+        ] {
+            let expected = panic_message(catch_unwind(AssertUnwindSafe(|| flat(&req))));
+            assert!(
+                expected.contains("no SwitchPointer component"),
+                "{expected}"
+            );
+            let router = BackendRouter::new(&backends, &dir);
+            let local = catch_unwind(AssertUnwindSafe(|| {
+                QueryExecutor::new(analyzer.ctx(), &router).execute_traced(&req)
+            }));
+            assert_eq!(panic_message(local), expected);
+            let wire = catch_unwind(AssertUnwindSafe(|| cluster.front().execute(&req)));
+            assert_eq!(panic_message(wire), expected);
+        }
+        let (resp, _, _) = cluster.front().execute(&reqs[0]);
+        assert_eq!(format!("{resp:?}"), format!("{:?}", flat(&reqs[0]).0));
         cluster.shutdown();
     }
 }
@@ -3337,15 +3532,15 @@ fn sliding_aggregates(analyzer: &switchpointer::Analyzer) -> Vec<StandingQuery> 
     topics
 }
 
-/// A window is two batched rounds per worker, in counts: 40 sliding
+/// A window is one batched round per worker, in counts: 40 sliding
 /// aggregates on a 4-shard cluster close a window in at most
-/// `shards × (1 + 2 × front_workers)` envelope frames — the horizon
-/// round, then per worker one frame per shard for its chunk's unions and
-/// one for its waves (a query-at-a-time window sends ≈ 8 per topic) —
-/// while the routing counters grow by exactly what the same 40 queries
-/// add when executed one by one.
+/// `shards × (1 + front_workers)` envelope frames — the horizon round,
+/// then per worker one frame per shard for its chunk's aggregate reads
+/// (a query-at-a-time window sends ≈ 4 per topic) — while the routing
+/// counters grow by exactly what the same 40 queries add when executed
+/// one by one.
 #[test]
-fn mux_window_of_standing_aggregates_is_two_batched_rounds_per_worker() {
+fn mux_window_of_standing_aggregates_is_one_batched_round_per_worker() {
     const N: usize = 4;
     let tb = wide_testbed();
     let analyzer = tb.analyzer();
@@ -3363,10 +3558,10 @@ fn mux_window_of_standing_aggregates_is_two_batched_rounds_per_worker() {
     let frames = cluster.front().wire_frames_sent() - frames_before;
     let after = cluster.front().counters();
     assert_eq!((summary.evaluated, summary.pending), (40, 0));
-    let bound = (N * (1 + 2 * cfg.front_workers)) as u64;
+    let bound = (N * (1 + cfg.front_workers)) as u64;
     assert!(
         frames <= bound,
-        "the window put {frames} envelope frames on the wire, more than {N} x (1 + 2 x {}) = {bound}",
+        "the window put {frames} envelope frames on the wire, more than {N} x (1 + {}) = {bound}",
         cfg.front_workers
     );
     let wave_frames = cluster
@@ -3375,7 +3570,7 @@ fn mux_window_of_standing_aggregates_is_two_batched_rounds_per_worker() {
         .hist("wire.frames_per_wave")
         .expect("the window ran a wave")
         .max;
-    assert!(wave_frames <= (2 * N * cfg.front_workers) as u64);
+    assert!(wave_frames <= (N * cfg.front_workers) as u64);
 
     // The same 40 queries, one by one. The window's own extra is its
     // horizon round: one RPC per shard, one round.
@@ -3400,10 +3595,12 @@ fn mux_window_of_standing_aggregates_is_two_batched_rounds_per_worker() {
 }
 
 /// Closes a window during which every shard loses its primary: each
-/// primary reports the first union request of the window's wave and
-/// holds it while the test kills all of them — so the horizon round has
-/// been answered and the wave is in flight when they die. `Err` when the
-/// window was lost to it (`close_window` panicked).
+/// primary reports the first read of the window's wave — any enveloped
+/// read but the horizon round's — and holds it while the test kills all
+/// of them, so the horizon round has been answered and the wave is in
+/// flight when they die. `Err` when the window was lost to it
+/// (`close_window` panicked). A wave that never reaches a primary fails
+/// the test after [`RENDEZVOUS_TIMEOUT`] instead of hanging it.
 fn close_window_losing_primaries(
     cluster: &WireCluster,
     n_shards: usize,
@@ -3414,18 +3611,19 @@ fn close_window_losing_primaries(
     let (tx, rx) = mpsc::channel::<()>();
     let tx = Mutex::new(tx);
     let delay: ServeDelay = Arc::new(move |f: &Frame| match f {
-        Frame::UnionSliceReq { .. } => {
+        Frame::HorizonReq => Duration::ZERO,
+        _ => {
             let _ = tx.lock().unwrap().send(());
             Duration::from_millis(50)
         }
-        _ => Duration::ZERO,
     });
     for shard in 0..n_shards {
         cluster.set_serve_delay(shard, 0, Some(delay.clone()));
     }
     std::thread::scope(|scope| {
         let killer = scope.spawn(move || {
-            rx.recv().expect("the window's wave reached a primary");
+            rx.recv_timeout(RENDEZVOUS_TIMEOUT)
+                .expect("the window's wave reached a primary");
             for shard in 0..n_shards {
                 assert!(cluster.kill_primary(shard), "primary already dead");
             }
