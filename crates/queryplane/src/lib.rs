@@ -37,13 +37,21 @@
 //!    dispatch is keyed by each request's [`home_shard`], and the measured
 //!    per-shard fan-out lands in the registry ([`QueryPlane::fanout`]).
 //!
-//! `execute_batch` is scatter → stitch and nothing else: each
-//! [`QueryOutcome`] is what the worker produced — response, executor
-//! trace, fan-out. What the same batch *would have cost* on the paper's
-//! RPC fabric (an LRU pointer cache over retrieval rounds, host fan-out
-//! coalesced per batch, per-shard decode) is computed by whoever wants to
-//! print it, by replaying the outcomes through [`model::ModelReplay`] —
-//! the model reads what the plane returns and shapes nothing in it.
+//! `execute_batch` is coalesce → scatter → stitch and nothing else. **A
+//! batch runs each distinct request once:** requests are keyed by the
+//! whole [`QueryRequest`], only the distinct ones are scattered (in
+//! first-occurrence order), and every slot that asked the same question
+//! gets the same response and the same `Arc`'d trace. The first
+//! occurrence keeps the measured fan-out; each later copy carries a
+//! zeroed one, because it decoded nothing — so `queryplane.fanout.*`
+//! counts work actually done, and `queryplane.coalesced` counts the
+//! copies. Each [`QueryOutcome`] is otherwise what the worker produced —
+//! response, executor trace, fan-out. What the same batch *would have
+//! cost* on the paper's RPC fabric (an LRU pointer cache over retrieval
+//! rounds, host fan-out coalesced per batch, per-shard decode) is
+//! computed by whoever wants to print it, by replaying the outcomes
+//! through [`model::ModelReplay`] — the model reads what the plane
+//! returns and shapes nothing in it.
 //!
 //! ## Quickstart
 //!
@@ -74,6 +82,8 @@
 //! ];
 //! let outcomes = plane.execute_batch(&reqs);
 //! assert_eq!(outcomes.len(), 8);
+//! // The 8 identical queries ran once; 7 slots got copies.
+//! assert_eq!(plane.metrics().counter("queryplane.coalesced").get(), 7);
 //! // Analysis, off the serving path: had the analyzer cached pointer
 //! // pulls, 7 of the 8 identical queries would have hit.
 //! let mut model = ModelReplay::new(*analyzer.cost(), 64);
@@ -81,6 +91,7 @@
 //! assert_eq!(model.report().pointer_hits, 7);
 //! ```
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use netsim::routing::RouteTable;
@@ -199,6 +210,8 @@ pub fn home_shard(req: &QueryRequest, n_shards: usize) -> usize {
 /// batch bumps counters without any name lookups.
 struct QpMetrics {
     queries: Arc<Counter>,
+    /// Submitted slots answered by another slot's execution.
+    coalesced: Arc<Counter>,
     batches: Arc<Counter>,
     fanout_merges: Arc<Counter>,
     fanout_merged_bits: Arc<Counter>,
@@ -216,6 +229,7 @@ impl QpMetrics {
         };
         QpMetrics {
             queries: reg.counter("queryplane.queries"),
+            coalesced: reg.counter("queryplane.coalesced"),
             batches: reg.counter("queryplane.batches"),
             fanout_merges: reg.counter("queryplane.fanout.merges"),
             fanout_merged_bits: reg.counter("queryplane.fanout.merged_bits"),
@@ -377,17 +391,33 @@ impl QueryPlane {
     }
 
     /// Executes a batch of queries over the worker pool and returns
-    /// outcomes in submission order: load the published snapshot, scatter,
-    /// return what the workers stitched.
+    /// outcomes in submission order: load the published snapshot, run
+    /// each distinct request once, give every slot its request's outcome.
     ///
     /// Responses are computed concurrently but are bit-identical to
     /// running each query alone on the sequential analyzer over the same
-    /// state. The only per-batch bookkeeping is folding the measured
-    /// per-shard fan-out into the registry, once.
+    /// state. A repeated request is not re-run: its later slots get the
+    /// first occurrence's response and (shared) trace with a zeroed
+    /// fan-out, and count in `queryplane.coalesced`. The only per-batch
+    /// bookkeeping is folding the measured per-shard fan-out into the
+    /// registry, once.
     pub fn execute_batch(&mut self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
         if requests.is_empty() {
             return Vec::new();
         }
+        // `first[i]` is the lowest slot asking slot `i`'s question; the
+        // slots with `first[i] == i` are the distinct requests, in
+        // first-occurrence order.
+        let mut first_slot: HashMap<QueryRequest, usize> = HashMap::with_capacity(requests.len());
+        let first: Vec<usize> = requests
+            .iter()
+            .enumerate()
+            .map(|(i, r)| *first_slot.entry(*r).or_insert(i))
+            .collect();
+        let distinct: Vec<QueryRequest> = (0..requests.len())
+            .filter(|&i| first[i] == i)
+            .map(|i| requests[i])
+            .collect();
         // With a sharded directory, dispatch is keyed by each request's
         // home shard (shard-affine initial placement; idle workers steal);
         // answers are independent of the keying either way. The batch
@@ -396,16 +426,37 @@ impl QueryPlane {
         let snapshot = self.slot.load().0;
         let n_dir = self.ctx.dir.n_shards();
         let keys: Option<Vec<usize>> =
-            (n_dir > 1).then(|| requests.iter().map(|r| home_shard(r, n_dir)).collect());
-        let outcomes = self
+            (n_dir > 1).then(|| distinct.iter().map(|r| home_shard(r, n_dir)).collect());
+        let executed = self
             .pool
-            .run_keyed(&self.ctx, &snapshot, requests, keys.as_deref());
+            .run_keyed(&self.ctx, &snapshot, &distinct, keys.as_deref());
 
         let mut fanout = ShardFanout::new(n_dir);
-        for o in &outcomes {
+        for o in &executed {
             fanout.absorb(&o.fanout);
         }
-        self.m.queries.add(outcomes.len() as u64);
+        // A first occurrence takes its execution; a repeat copies the
+        // response and shares the trace of its first occurrence, which
+        // already sits at a lower index of `outcomes`.
+        let mut executed = executed.into_iter();
+        let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(requests.len());
+        for (i, &f) in first.iter().enumerate() {
+            let outcome = if f == i {
+                executed.next().expect("one outcome per distinct request")
+            } else {
+                let original = &outcomes[f];
+                QueryOutcome {
+                    response: original.response.clone(),
+                    trace: Arc::clone(&original.trace),
+                    fanout: ShardFanout::new(n_dir),
+                }
+            };
+            outcomes.push(outcome);
+        }
+        self.m.queries.add(requests.len() as u64);
+        self.m
+            .coalesced
+            .add((requests.len() - distinct.len()) as u64);
         self.m.batches.inc();
         self.m.fanout_merges.add(fanout.merges);
         self.m.fanout_merged_bits.add(fanout.merged_bits);

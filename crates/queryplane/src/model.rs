@@ -86,7 +86,8 @@ pub struct ModelReport {
     pub batched_total: SimTime,
     /// Σ pointer-decode wall time under the directory sharding the
     /// outcomes ran with (shards decode concurrently, the merge is
-    /// serial).
+    /// serial). Only executed decodes count: a repeat the plane answered
+    /// from an identical request's run carries a zeroed fan-out.
     pub modelled_decode_total: SimTime,
 }
 

@@ -42,6 +42,13 @@
 //! independent of worker count, chunk size, and steal schedule — the
 //! property suite pins this across rigged schedules.
 //!
+//! **A batch runs each distinct request once.** The pool executes every
+//! request it is handed; it is `QueryPlane::execute_batch` that hands it
+//! only the distinct requests of a batch (in first-occurrence order) and
+//! gives each repeat a copy of its first occurrence's outcome. So one
+//! `queryplane.exec_ns.*` sample and one exec span are recorded per
+//! *execution*, not per submitted slot.
+//!
 //! The pool also exposes the generic scatter kernel
 //! ([`WorkerPool::scatter`]) so other planes reuse the same scheduler:
 //! the stream plane's window evaluation flows through
@@ -154,11 +161,13 @@ impl SharedCtx {
 /// One executed query, exactly as the worker that ran it produced it: the
 /// (bit-identical) response, the executor's trace of what the answer
 /// read — `trace.deps` is what the stream plane's result cache keys
-/// invalidation by — and the measured per-shard fan-out.
+/// invalidation by — and the measured per-shard fan-out. The trace sits
+/// behind an `Arc` so the slots of a batch that asked the same question
+/// share one (see `QueryPlane::execute_batch`).
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
     pub response: QueryResponse,
-    pub trace: ExecutionTrace,
+    pub trace: Arc<ExecutionTrace>,
     pub fanout: ShardFanout,
 }
 
@@ -686,7 +695,7 @@ impl WorkerPool {
                     );
                     QueryOutcome {
                         response,
-                        trace,
+                        trace: Arc::new(trace),
                         fanout: view.take_fanout(),
                     }
                 })

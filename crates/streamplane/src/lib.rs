@@ -51,7 +51,7 @@
 //! Drive it end-to-end with `examples/continuous_watch.rs` or
 //! `spexp stream`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -696,14 +696,11 @@ impl StreamPlane {
         }
 
         // 3. Serve from the result cache where valid; execute the misses
-        // as one batch on the worker pool. Identical requests within the
-        // window collapse to a single execution whose outcome fans out to
-        // every slot that asked for it (the cache is only populated after
-        // the batch, so without this a duplicate would execute twice).
+        // as one batch on the worker pool, which runs identical requests
+        // within the window once (`QueryPlane::execute_batch` coalesces).
         let mut evaluations: Vec<(Origin, QueryRequest, Evaluation)> = Vec::new();
         let mut miss_reqs: Vec<QueryRequest> = Vec::new();
-        let mut miss_slots: Vec<Vec<usize>> = Vec::new();
-        let mut miss_index: HashMap<QueryRequest, usize> = HashMap::new();
+        let mut miss_slots: Vec<usize> = Vec::new();
         let mut served_from_cache = 0usize;
         for (origin, req) in admitted {
             match self.results.lookup(&req) {
@@ -714,29 +711,25 @@ impl StreamPlane {
                 }
                 None => {
                     self.m.result_misses.inc();
-                    let i = *miss_index.entry(req).or_insert_with(|| {
-                        miss_reqs.push(req);
-                        miss_slots.push(Vec::new());
-                        miss_reqs.len() - 1
-                    });
-                    miss_slots[i].push(evaluations.len());
+                    miss_reqs.push(req);
+                    miss_slots.push(evaluations.len());
                     evaluations.push((origin, req, Evaluation::Pending)); // placeholder
                 }
             }
         }
-        let executed = miss_reqs.len();
         let outcomes = self.plane.execute_batch(&miss_reqs);
-        for (slots, outcome) in miss_slots.into_iter().zip(outcomes) {
-            let req = evaluations[slots[0]].1;
-            self.results.insert(&req, &outcome, horizon);
-            // Duplicates get copies; the (usual) sole asker gets the
-            // outcome itself.
-            let (&last, dups) = slots.split_last().expect("a miss has an asker");
-            for &slot in dups {
-                evaluations[slot].2 = Evaluation::Fresh(outcome.clone());
+        // Cache each distinct request once, at its first occurrence. A
+        // set rather than a cache lookup: a small cache may already have
+        // evicted a request this loop stored.
+        let mut cached: HashSet<QueryRequest> = HashSet::new();
+        for (slot, outcome) in miss_slots.into_iter().zip(outcomes) {
+            let req = evaluations[slot].1;
+            if cached.insert(req) {
+                self.results.insert(&req, &outcome, horizon);
             }
-            evaluations[last].2 = Evaluation::Fresh(outcome);
+            evaluations[slot].2 = Evaluation::Fresh(outcome);
         }
+        let executed = cached.len();
 
         // 4. Change detection over standing verdicts (+ pending states).
         let mut incidents: Vec<Incident> = Vec::new();
@@ -776,10 +769,10 @@ impl StreamPlane {
                         t,
                         QueryOutcome {
                             response: c.response,
-                            trace: ExecutionTrace {
+                            trace: Arc::new(ExecutionTrace {
                                 deps: c.deps,
                                 ..ExecutionTrace::default()
-                            },
+                            }),
                             fanout: ShardFanout::default(),
                         },
                     )),

@@ -228,6 +228,7 @@ mod tests {
     use super::*;
     use netsim::time::SimTime;
     use std::collections::BTreeSet;
+    use std::sync::Arc;
     use switchpointer::analyzer::TopKResult;
     use switchpointer::cost::QueryWaveCost;
     use switchpointer::query::ExecutionTrace;
@@ -250,13 +251,13 @@ mod tests {
                 pointer_retrieval: SimTime::ZERO,
                 wave: QueryWaveCost::default(),
             }),
-            trace: ExecutionTrace {
+            trace: Arc::new(ExecutionTrace {
                 deps: TraceDeps {
                     switches: BTreeSet::from([NodeId(switch)]),
                     hosts: hosts.iter().map(|&h| NodeId(h)).collect(),
                 },
                 ..ExecutionTrace::default()
-            },
+            }),
             fanout: ShardFanout::default(),
         }
     }

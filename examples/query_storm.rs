@@ -106,11 +106,20 @@ fn main() {
     assert_eq!(format!("{:?}", outcomes[0].response), check);
     println!("determinism spot-check: plane response == sequential analyzer response");
 
+    // The plane runs each distinct request of a batch once; the storm's
+    // ten rounds over the same eight switches are mostly repeats.
+    let submitted = plane.metrics().counter("queryplane.queries").get();
+    let coalesced = plane.metrics().counter("queryplane.coalesced").get();
+    println!(
+        "queries                 : {submitted} submitted, {} executed ({coalesced} answered by an identical query's run)",
+        submitted - coalesced
+    );
+    assert!(coalesced > 0, "repeated questions must coalesce");
+
     let mut model = ModelReplay::new(*analyzer.cost(), 4096);
     let costs = model.replay(&outcomes);
     let stats = model.report();
     println!("\n== modelled accounting (replayed from the outcomes) ==");
-    println!("queries executed        : {}", outcomes.len());
     println!(
         "pointer cache           : {} hits / {} misses ({:.0}% hit rate), {} rounds skipped",
         stats.pointer_hits,

@@ -2,12 +2,18 @@
 //! sequential analyzer's no matter how many workers execute the batch;
 //! (b) the modelled accounting replayed from the returned outcomes
 //! (`queryplane::model`) is deterministic — a pure function of submission
-//! order — and matches a hand-computed schedule.
+//! order — and matches a hand-computed schedule; (c) a batch runs each
+//! distinct request once and hands its outcome to every slot that asked.
+
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 use netsim::prelude::*;
+use proptest::{rng_for, TestRng};
 use queryplane::model::{ModelReplay, ModelReport, ModelledCost};
 use queryplane::{QueryPlane, QueryPlaneConfig};
 use switchpointer::query::{QueryRequest, QUERY_CLASS_NAMES};
+use switchpointer::shard::ShardFanout;
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
 
@@ -384,4 +390,142 @@ fn batching_and_caching_beat_sequential_accounting() {
     // Batch-level invariant: the coalesced accounting never exceeds the
     // sequential baseline.
     assert!(stats.batched_total <= stats.sequential_total);
+}
+
+fn shuffled(rng: &mut TestRng, mut v: Vec<usize>) -> Vec<usize> {
+    for i in (1..v.len()).rev() {
+        v.swap(i, rng.below(i as u64 + 1) as usize);
+    }
+    v
+}
+
+/// Seeded batch shapes over `n` distinct requests, as indices into them:
+/// no repeats, one request in every slot, repeats side by side, repeats
+/// a whole pass apart, and random multiplicities.
+fn repeat_shapes(rng: &mut TestRng, n: usize) -> Vec<(&'static str, Vec<usize>)> {
+    let pass = shuffled(rng, (0..n).collect());
+    let adjacent = shuffled(rng, (0..n).collect())
+        .into_iter()
+        .flat_map(|j| std::iter::repeat_n(j, 1 + rng.below(4) as usize))
+        .collect::<Vec<_>>();
+    vec![
+        ("no repeats", pass.clone()),
+        (
+            "one request in every slot",
+            vec![rng.below(n as u64) as usize; 33],
+        ),
+        ("adjacent repeats", adjacent),
+        ("far-apart repeats", [pass.clone(), pass].concat()),
+        (
+            "random multiplicities",
+            (0..3 * n).map(|_| rng.below(n as u64) as usize).collect(),
+        ),
+    ]
+}
+
+/// A batch runs each distinct request once. Every slot still answers as
+/// `Analyzer::execute` does and carries the trace the request has when
+/// run alone; the first occurrence keeps the measured fan-out and each
+/// later copy shares its trace with a zeroed fan-out; the registry counts
+/// one execution per distinct request, and the whole outcome vector is
+/// the same at any worker count.
+#[test]
+fn repeated_requests_in_a_batch_execute_once() {
+    let (tb, victim) = fat_tree_testbed();
+    let analyzer = tb.analyzer();
+    let mut seen = HashSet::new();
+    let mut pool = query_set(&tb, victim);
+    pool.retain(|r| seen.insert(*r));
+    let answers: Vec<String> = pool
+        .iter()
+        .map(|r| format!("{:?}", analyzer.execute(r)))
+        .collect();
+    let plane = |workers, directory_shards| {
+        QueryPlane::from_analyzer(
+            &analyzer,
+            QueryPlaneConfig {
+                workers,
+                shards: 8,
+                directory_shards,
+                retention: None,
+            },
+        )
+    };
+    let mut rng = rng_for("queryplane_concurrency::coalescing");
+    let shapes = repeat_shapes(&mut rng, pool.len());
+
+    for directory_shards in [1usize, 4] {
+        // Each request run alone: its trace and measured fan-out.
+        let mut solo = plane(1, directory_shards);
+        let alone: Vec<(String, ShardFanout)> = pool
+            .iter()
+            .map(|r| {
+                let o = solo.execute_batch(&[*r]).remove(0);
+                (format!("{:?}", o.trace), o.fanout)
+            })
+            .collect();
+
+        for (shape, ix) in &shapes {
+            let reqs: Vec<QueryRequest> = ix.iter().map(|&j| pool[j]).collect();
+            let mut seen = HashSet::new();
+            let distinct: Vec<QueryRequest> =
+                reqs.iter().copied().filter(|r| seen.insert(*r)).collect();
+            let mut only_distinct = plane(2, directory_shards);
+            only_distinct.execute_batch(&distinct);
+
+            let mut reference: Option<Vec<String>> = None;
+            for workers in [1usize, 2, 8] {
+                let at = format!("{shape}, {workers} workers, {directory_shards} dir shards");
+                let mut p = plane(workers, directory_shards);
+                let outs = p.execute_batch(&reqs);
+                assert_eq!(outs.len(), reqs.len(), "{at}");
+                let mut first: HashMap<QueryRequest, usize> = HashMap::new();
+                for (i, o) in outs.iter().enumerate() {
+                    let (trace, fanout) = &alone[ix[i]];
+                    assert_eq!(
+                        format!("{:?}", o.response),
+                        answers[ix[i]],
+                        "{at}: slot {i}"
+                    );
+                    assert_eq!(&format!("{:?}", o.trace), trace, "{at}: slot {i}");
+                    match first.get(&reqs[i]) {
+                        None => {
+                            first.insert(reqs[i], i);
+                            assert_eq!(&o.fanout, fanout, "{at}: first occurrence {i}");
+                        }
+                        Some(&f) => {
+                            assert!(Arc::ptr_eq(&o.trace, &outs[f].trace), "{at}: copy {i}");
+                            assert_eq!(o.fanout, ShardFanout::new(directory_shards), "{at}: {i}");
+                        }
+                    }
+                }
+                assert_eq!(first.len(), distinct.len(), "{at}");
+                assert_eq!(p.fanout(), only_distinct.fanout(), "{at}");
+                let snap = p.metrics().snapshot();
+                assert_eq!(
+                    snap.counter("queryplane.queries"),
+                    reqs.len() as u64,
+                    "{at}"
+                );
+                assert_eq!(
+                    snap.counter("queryplane.coalesced"),
+                    (reqs.len() - distinct.len()) as u64,
+                    "{at}"
+                );
+                let executions: u64 = QUERY_CLASS_NAMES
+                    .iter()
+                    .filter_map(|c| snap.hist(&format!("queryplane.exec_ns.{c}")))
+                    .map(|h| h.count)
+                    .sum();
+                assert_eq!(executions, distinct.len() as u64, "{at}");
+
+                let renders: Vec<String> = outs.iter().map(|o| format!("{o:?}")).collect();
+                assert_eq!(
+                    &renders,
+                    reference.get_or_insert_with(|| renders.clone()),
+                    "{at}"
+                );
+            }
+        }
+    }
 }
