@@ -35,7 +35,7 @@ use crate::bitset::BitSet;
 use crate::cost::{CostModel, LatencyBreakdown, QueryWaveCost};
 use crate::host::{HostHandle, TriggerEvent};
 use crate::hoststore::FlowRecord;
-use crate::query::{QueryCtx, QueryExecutor, QueryRequest, QueryResponse, StateView};
+use crate::query::{Deferred, QueryCtx, QueryExecutor, QueryRequest, QueryResponse, StateView};
 use crate::switch::SwitchHandle;
 
 /// Maps pointer-bit indices back to hosts (the analyzer built the MPHF, so
@@ -414,12 +414,6 @@ impl Analyzer {
         }
     }
 
-    fn with_executor<R>(&self, f: impl FnOnce(&mut QueryExecutor<'_, LiveView<'_>>) -> R) -> R {
-        let view = self.live_view();
-        let mut exec = QueryExecutor::new(self.ctx(), &view);
-        f(&mut exec)
-    }
-
     /// Runs any [`QueryRequest`] against the live deployment state.
     pub fn execute(&self, req: &QueryRequest) -> QueryResponse {
         let view = self.live_view();
@@ -428,13 +422,16 @@ impl Analyzer {
 
     /// Pulls the pointer union for `range` from `switch` and decodes it.
     pub fn hosts_for(&self, switch: NodeId, range: EpochRange) -> Vec<NodeId> {
-        self.with_executor(|e| e.hosts_for(switch, range))
+        let Some(sw) = self.switches.get(&switch) else {
+            panic!("no SwitchPointer component on {switch}")
+        };
+        let bits = sw.borrow().pointers.pointer_union(range.lo, range.hi);
+        self.directory.hosts_in(&bits)
     }
 
     /// Search-radius reduction (§4.3): keep only hosts whose traffic can
-    /// have shared the victim's egress port at `switch`. The victim's next
-    /// hop determines the port; a pointer host is relevant iff some
-    /// equal-cost route from `switch` to it uses the same port.
+    /// have shared the victim's egress port at `switch`
+    /// ([`QueryCtx::reduce_search_radius`]).
     pub fn reduce_search_radius(
         &self,
         switch: NodeId,
@@ -442,13 +439,14 @@ impl Analyzer {
         victim_flow: FlowId,
         hosts: Vec<NodeId>,
     ) -> Vec<NodeId> {
-        self.with_executor(|e| e.reduce_search_radius(switch, victim_dst, victim_flow, hosts))
+        self.ctx()
+            .reduce_search_radius(switch, victim_dst, victim_flow, hosts)
     }
 
     /// The epoch window to diagnose around a trigger, with ±⌈ε/α⌉ slack for
-    /// clock asynchrony. Covers the dropped window and the one before it.
+    /// clock asynchrony ([`QueryCtx::epoch_window`]).
     pub fn epoch_window(&self, trigger: &TriggerEvent, trigger_window: SimTime) -> EpochRange {
-        self.with_executor(|e| e.epoch_window(trigger, trigger_window))
+        self.ctx().epoch_window(trigger, trigger_window)
     }
 
     /// Diagnoses priority/microburst contention for a victim flow whose
@@ -460,7 +458,14 @@ impl Analyzer {
         victim_dst: NodeId,
         trigger_window: SimTime,
     ) -> ContentionDiagnosis {
-        self.with_executor(|e| e.diagnose_contention(victim, victim_dst, trigger_window))
+        let QueryResponse::Contention(d) = self.execute(&QueryRequest::Contention {
+            victim,
+            victim_dst,
+            trigger_window,
+        }) else {
+            unreachable!("a Contention request answers Contention")
+        };
+        d
     }
 
     /// Like [`Analyzer::diagnose_contention`] but for a specific trigger
@@ -474,9 +479,9 @@ impl Analyzer {
         trigger_window: SimTime,
         trigger: &TriggerEvent,
     ) -> ContentionDiagnosis {
-        self.with_executor(|e| {
-            e.diagnose_contention_at(victim, victim_dst, trigger_window, trigger)
-        })
+        let view = self.live_view();
+        let exec = QueryExecutor::new(self.ctx(), &view);
+        exec.contention_at(victim, victim_dst, trigger_window, *trigger)
     }
 
     /// Diagnoses accumulated contention across every switch of the victim's
@@ -487,7 +492,14 @@ impl Analyzer {
         victim_dst: NodeId,
         trigger_window: SimTime,
     ) -> RedLightsDiagnosis {
-        self.with_executor(|e| e.diagnose_red_lights(victim, victim_dst, trigger_window))
+        let QueryResponse::RedLights(d) = self.execute(&QueryRequest::RedLights {
+            victim,
+            victim_dst,
+            trigger_window,
+        }) else {
+            unreachable!("a RedLights request answers RedLights")
+        };
+        d
     }
 
     /// Recursively chases the delay chain (§5.3): who delayed the victim,
@@ -499,7 +511,15 @@ impl Analyzer {
         trigger_window: SimTime,
         max_depth: usize,
     ) -> CascadeDiagnosis {
-        self.with_executor(|e| e.diagnose_cascade(victim, victim_dst, trigger_window, max_depth))
+        let QueryResponse::Cascade(d) = self.execute(&QueryRequest::Cascade {
+            victim,
+            victim_dst,
+            trigger_window,
+            max_depth,
+        }) else {
+            unreachable!("a Cascade request answers Cascade")
+        };
+        d
     }
 
     /// Pulls pointers for `range` at `switch`, asks every pointed host for
@@ -535,7 +555,15 @@ impl Analyzer {
         dst: NodeId,
         range: EpochRange,
     ) -> DropDiagnosis {
-        self.with_executor(|e| e.localize_silent_drop(flow, src, dst, range))
+        let QueryResponse::SilentDrop(d) = self.execute(&QueryRequest::SilentDrop {
+            flow,
+            src,
+            dst,
+            range,
+        }) else {
+            unreachable!("a SilentDrop request answers SilentDrop")
+        };
+        d
     }
 
     /// All hosts known to the analyzer (used by baselines and tests).
@@ -595,10 +623,12 @@ pub struct LiveView<'a> {
 }
 
 impl StateView for LiveView<'_> {
-    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Option<BitSet> {
-        self.switches
-            .get(&switch)
-            .map(|h| h.borrow().pointers.pointer_union(range.lo, range.hi))
+    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>> {
+        Deferred::Ready(
+            self.switches
+                .get(&switch)
+                .map(|h| h.borrow().pointers.pointer_union(range.lo, range.hi)),
+        )
     }
 
     fn pointer_contains_exact(

@@ -23,28 +23,42 @@
 //! A query is a few *rounds* of state reads, and over a remote view each
 //! round is a network round trip. [`QueryExecutor::start`] therefore runs
 //! a query only as far as its next round: it returns [`Staged::Done`], or
-//! [`Staged::Pending`] with that round's requests already issued through
-//! the view's deferred forms ([`StateView::pointer_union_deferred`] and
-//! friends, each returning a [`Deferred`]) and a [`Stage`] to resume once
-//! they were sent. Whoever holds the stage is the **driver**: it calls
-//! [`StateView::flush`] — or, holding many stages over the same links,
-//! flushes the links once for all of them — and then resumes.
-//! [`QueryExecutor::execute_traced`] is the driver of one query; the wire
-//! front-end drives a whole wave in lock-step, so the wave's round leaves
-//! as one frame per shard however many queries it holds.
+//! [`Staged::Pending`] with that round's requests already issued and a
+//! [`Stage`] to resume once they were sent. Whoever holds the stage is the
+//! **driver**: it calls [`StateView::flush`] — or, holding many stages
+//! over the same links, flushes the links once for all of them — and then
+//! resumes. [`QueryExecutor::execute_traced`] is the driver of one query;
+//! the wire front-end drives a whole wave in lock-step, so the wave's
+//! round leaves as one frame per shard however many queries it holds.
 //!
-//! The two aggregate classes ([`QueryRequest::TopK`],
-//! [`QueryRequest::LoadImbalance`]) are written once, in staged form,
-//! and are **one round**: the paper's analyzer pulls the switch's
-//! pointers, decodes them and contacts the hosts (§4.3, §6.2), and
-//! [`StateView::union_top_k_deferred`] / [`StateView::union_sizes_deferred`]
-//! ask the view for all three at once. Their defaults compose the
-//! unfused reads; a router over directory shards overrides them so each
-//! shard decodes its own slice of the union and answers the wave for the
-//! hosts it decoded, in one request. The other four classes run to `Done`
-//! inside `start`. A view that answers in process returns
-//! [`Deferred::Ready`], the continuation runs on the spot and no stage is
-//! ever allocated — `start` returns `Done`.
+//! **One form per read.** A read that a router fans out to several shards
+//! — [`StateView::pointer_union`], [`StateView::filter_wave`] and the two
+//! fused aggregate reads — returns a [`Deferred`]: the call issues it and
+//! [`Deferred::wait`] collects it. A read that one shard answers (the
+//! point reads, [`StateView::presence_wave`]) returns its value. Every
+//! class is written once, staged over those reads:
+//!
+//! * the diagnoses ([`QueryRequest::Contention`],
+//!   [`QueryRequest::RedLights`], [`QueryRequest::Cascade`]) issue the
+//!   union of every switch on the victim's path as one round, then the
+//!   filter waves the decoded hosts call for as the next — two rounds for
+//!   each pointer round the trace records (a cascade records one per
+//!   stage);
+//! * the aggregates ([`QueryRequest::TopK`], [`QueryRequest::LoadImbalance`])
+//!   are **one round**: the paper's analyzer pulls the switch's pointers,
+//!   decodes them and contacts the hosts (§4.3, §6.2), and
+//!   [`StateView::union_top_k`] / [`StateView::union_sizes`] ask the view
+//!   for all three at once. Their defaults compose the unfused reads; a
+//!   router over directory shards overrides them so each shard decodes its
+//!   own slice of the union and answers the wave for the hosts it decoded,
+//!   in one request;
+//! * [`QueryRequest::SilentDrop`] is one [`StateView::presence_wave`], which
+//!   one shard answers, so it never defers.
+//!
+//! A view that answers in process returns [`Deferred::Ready`], the
+//! continuation runs on the spot and no stage is ever allocated — `start`
+//! returns `Done`. A wave over no hosts is `Ready` too, and takes no
+//! round.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -88,7 +102,7 @@ pub type UnionSizes = UnionWave<(u16, u64)>;
 pub trait StateView {
     /// Pointer-bit union for `range` at `switch`; `None` if the switch has
     /// no SwitchPointer component.
-    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Option<BitSet>;
+    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>>;
 
     /// Exact-resolution presence probe (max span 1 epoch) at `switch`;
     /// outer `None` if the switch has no component.
@@ -122,26 +136,29 @@ pub trait StateView {
     // bit-identically whether or not it overrides them.
     // ------------------------------------------------------------------
 
-    /// Store sizes for a set of hosts (`None` per unknown host).
-    fn store_len_wave(&self, hosts: &[NodeId]) -> Vec<Option<usize>> {
-        hosts.iter().map(|&h| self.store_len(h)).collect()
-    }
-
     /// *Filter* wave: per host, its store size and the records matching
     /// `(switch, range)`. Unknown hosts report `(None, [])` and their
     /// stores are never scanned — exactly the sequential per-host loop.
-    fn filter_wave(&self, hosts: &[NodeId], switch: NodeId, range: EpochRange) -> FilterWaveReply {
-        hosts
-            .iter()
-            .map(|&h| match self.store_len(h) {
-                None => (None, Vec::new()),
-                Some(len) => (Some(len), self.flows_matching(h, switch, range)),
-            })
-            .collect()
+    fn filter_wave(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+        range: EpochRange,
+    ) -> Deferred<'_, FilterWaveReply> {
+        Deferred::Ready(
+            hosts
+                .iter()
+                .map(|&h| match self.store_len(h) {
+                    None => (None, Vec::new()),
+                    Some(len) => (Some(len), self.flows_matching(h, switch, range)),
+                })
+                .collect(),
+        )
     }
 
     /// *Aggregate* wave: per host, its store size and top-k flows through
-    /// `switch`.
+    /// `switch`. No query class calls it: the top-k read is
+    /// [`StateView::union_top_k`], whose default composes it.
     fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply {
         hosts
             .iter()
@@ -153,7 +170,8 @@ pub trait StateView {
     }
 
     /// *Aggregate* wave: per host, its store size and (link VID, bytes)
-    /// pairs through `switch`.
+    /// pairs through `switch` — composed by [`StateView::union_sizes`]'s
+    /// default, as [`StateView::top_k_wave`] is by the top-k read's.
     fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> SizesWaveReply {
         hosts
             .iter()
@@ -172,27 +190,10 @@ pub trait StateView {
         presence_by_epoch(self, switches, addr, range)
     }
 
-    // ------------------------------------------------------------------
-    // Deferred forms of the reads the staged executors issue: the call
-    // *issues* the read and returns, [`Deferred::wait`] collects it.
-    // An in-process view has nothing to wait for, so the defaults answer
-    // `Ready` with the blocking form's result; a view over remote shards
-    // overrides them and [`StateView::flush`].
-    // ------------------------------------------------------------------
-
-    /// [`StateView::pointer_union`], issued now and collected later.
-    fn pointer_union_deferred(
-        &self,
-        switch: NodeId,
-        range: EpochRange,
-    ) -> Deferred<'_, Option<BitSet>> {
-        Deferred::Ready(self.pointer_union(switch, range))
-    }
-
     /// The whole top-k read of `switch` over `range`: its pointer union,
     /// decoded through `dir`, then the top-k wave over the decoded hosts.
     /// The default is exactly that composition ([`union_then_wave`]).
-    fn union_top_k_deferred<'s>(
+    fn union_top_k<'s>(
         &'s self,
         dir: &'s HostDirectory,
         switch: NodeId,
@@ -205,8 +206,8 @@ pub trait StateView {
     }
 
     /// The whole link-sizes read of `switch` over `range`, as
-    /// [`StateView::union_top_k_deferred`] is the whole top-k read.
-    fn union_sizes_deferred<'s>(
+    /// [`StateView::union_top_k`] is the whole top-k read.
+    fn union_sizes<'s>(
         &'s self,
         dir: &'s HostDirectory,
         switch: NodeId,
@@ -217,15 +218,15 @@ pub trait StateView {
         })
     }
 
-    /// Sends whatever the deferred forms have issued and not yet put on
+    /// Sends whatever the fanned-out reads have issued and not yet put on
     /// the wire. Every pending [`Deferred`] must see a flush before it is
     /// waited on, or its round trips run one after another. Nothing to do
     /// for a view that answers in process.
     fn flush(&self) {}
 }
 
-/// A reply that may still be on its way: what the deferred
-/// [`StateView`] forms and the fanned-out
+/// A reply that may still be on its way: what the fanned-out
+/// [`StateView`] reads and
 /// [`ShardBackend`](crate::shard::ShardBackend) methods return. An
 /// in-process source answers `Ready`; a remote one has issued its request
 /// and hands back the collect half of the exchange as `Pending`. Dropping
@@ -264,9 +265,25 @@ impl<'a, T: 'a> Deferred<'a, T> {
     }
 }
 
+/// Several replies as one, collected in order. Every part is issued
+/// before anything is waited on — the iterator is drained first — so the
+/// parts of one round are in flight together. `Ready` when every part is.
+impl<'a, T: 'a> FromIterator<Deferred<'a, T>> for Deferred<'a, Vec<T>> {
+    fn from_iter<I: IntoIterator<Item = Deferred<'a, T>>>(parts: I) -> Self {
+        let parts: Vec<_> = parts.into_iter().collect();
+        let ready = parts.iter().all(Deferred::is_ready);
+        let collect = move || parts.into_iter().map(Deferred::wait).collect();
+        if ready {
+            Deferred::Ready(collect())
+        } else {
+            Deferred::Pending(Box::new(collect))
+        }
+    }
+}
+
 /// The fused aggregate read composed from the unfused ones — the default
-/// of [`StateView::union_top_k_deferred`] and
-/// [`StateView::union_sizes_deferred`], and the reference every override
+/// of [`StateView::union_top_k`] and [`StateView::union_sizes`], and the
+/// reference every override
 /// must equal: `switch`'s pointer union, decoded through `dir`, then
 /// `wave` over the decoded hosts. The union is deferred; the wave runs
 /// when it is collected.
@@ -277,7 +294,7 @@ pub fn union_then_wave<'s, V: StateView + ?Sized, R: 's>(
     range: EpochRange,
     wave: impl FnOnce(&[NodeId]) -> Vec<R> + 's,
 ) -> Deferred<'s, Option<(Vec<NodeId>, Vec<R>)>> {
-    view.pointer_union_deferred(switch, range).map(move |bits| {
+    view.pointer_union(switch, range).map(move |bits| {
         bits.map(|bits| {
             let hosts = dir.hosts_in(&bits);
             let rows = wave(&hosts);
@@ -634,6 +651,58 @@ pub struct QueryCtx<'a> {
     pub cost: &'a CostModel,
 }
 
+impl QueryCtx<'_> {
+    /// Search-radius reduction (§4.3): keep only hosts whose traffic can
+    /// have shared the victim's egress port at `switch`. The victim's next
+    /// hop determines the port; a pointer host is relevant iff some
+    /// equal-cost route from `switch` to it uses the same port.
+    pub fn reduce_search_radius(
+        &self,
+        switch: NodeId,
+        victim_dst: NodeId,
+        victim_flow: FlowId,
+        hosts: Vec<NodeId>,
+    ) -> Vec<NodeId> {
+        let Some(victim_port) = self.routes.egress(switch, victim_dst, victim_flow) else {
+            return hosts;
+        };
+        hosts
+            .into_iter()
+            .filter(|&h| self.routes.ports(switch, h).contains(&victim_port))
+            .collect()
+    }
+
+    /// The epoch window to diagnose around a trigger, with ±⌈ε/α⌉ slack
+    /// for clock asynchrony. Covers the dropped window and the one before
+    /// it.
+    pub fn epoch_window(&self, trigger: &TriggerEvent, trigger_window: SimTime) -> EpochRange {
+        let p = self.params;
+        let slack = p.epsilon.as_ns().div_ceil(p.alpha.as_ns());
+        let hi = p.epoch_of(trigger.at) + slack;
+        let lo = p
+            .epoch_of(trigger.at.saturating_sub(trigger_window * 2))
+            .saturating_sub(slack);
+        EpochRange { lo, hi }
+    }
+
+    /// The latency of a diagnosis whose pointer rounds cost `retrieval`
+    /// and whose host wave cost `wave`.
+    fn breakdown(
+        &self,
+        detection: SimTime,
+        retrieval: SimTime,
+        wave: QueryWaveCost,
+    ) -> LatencyBreakdown {
+        LatencyBreakdown {
+            detection,
+            alert: self.cost.alert_rtt,
+            pointer_retrieval: retrieval,
+            diagnosis: wave.total(),
+            diagnosis_detail: wave,
+        }
+    }
+}
+
 /// A query part-way through its rounds — what [`QueryExecutor::start`]
 /// and [`Stage::resume`] return.
 // `Done` is the common variant and is returned by value once per query;
@@ -670,6 +739,61 @@ fn then<'a, T: 'a>(reply: Deferred<'a, T>, next: impl FnOnce(T) -> Staged<'a> + 
     }
 }
 
+/// The driver of one query: flushes `view` and resumes until `staged` is
+/// done.
+fn drive<V: StateView + ?Sized>(
+    view: &V,
+    mut staged: Staged<'_>,
+) -> (QueryResponse, ExecutionTrace) {
+    loop {
+        match staged {
+            Staged::Done(resp, trace) => return (resp, trace),
+            Staged::Pending(stage) => {
+                view.flush();
+                staged = stage.resume();
+            }
+        }
+    }
+}
+
+/// What a filter wave over `hosts` at `switch` found: the culprits —
+/// every matching record but the victim's own, highest priority then
+/// largest first — and each host's record count (0 for an unknown host).
+fn culprits(
+    hosts: &[NodeId],
+    replies: FilterWaveReply,
+    switch: NodeId,
+    range: EpochRange,
+    victim: FlowId,
+) -> (Vec<Culprit>, Vec<usize>) {
+    let mut culprits = Vec::new();
+    let mut record_counts = Vec::with_capacity(hosts.len());
+    for (&h, (len, matching)) in hosts.iter().zip(replies) {
+        let Some(len) = len else {
+            record_counts.push(0);
+            continue;
+        };
+        record_counts.push(len);
+        for rec in matching {
+            if rec.flow == victim {
+                continue;
+            }
+            let common: Vec<u64> = rec.epochs_at[&switch].epochs_in(range).collect();
+            culprits.push(Culprit {
+                flow: rec.flow,
+                src: rec.src,
+                dst: rec.dst,
+                host: h,
+                priority: rec.priority,
+                bytes: rec.bytes,
+                common_epochs: common,
+            });
+        }
+    }
+    culprits.sort_by_key(|c| (std::cmp::Reverse(c.priority), std::cmp::Reverse(c.bytes)));
+    (culprits, record_counts)
+}
+
 /// The per-application query algorithms of §5, runnable over any
 /// [`StateView`].
 pub struct QueryExecutor<'a, V: StateView> {
@@ -697,146 +821,123 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     /// every resume.
     pub fn execute_traced(self, req: &QueryRequest) -> (QueryResponse, ExecutionTrace) {
         let view = self.view;
-        let mut staged = self.start(req);
-        loop {
-            match staged {
-                Staged::Done(resp, trace) => return (resp, trace),
-                Staged::Pending(stage) => {
-                    view.flush();
-                    staged = stage.resume();
-                }
-            }
-        }
+        drive(view, self.start(req))
     }
 
-    /// Runs `req` up to its first round still in flight. The aggregate
-    /// classes stop at every round a remote view defers; the diagnoses
-    /// and the drop localization always return [`Staged::Done`].
+    /// Runs `req` up to its first round still in flight (see the module
+    /// docs): [`Staged::Done`] over a view that answers in process.
     pub fn start(mut self, req: &QueryRequest) -> Staged<'a> {
-        let resp = match *req {
+        match *req {
             QueryRequest::Contention {
                 victim,
                 victim_dst,
                 trigger_window,
-            } => QueryResponse::Contention(self.diagnose_contention(
-                victim,
-                victim_dst,
-                trigger_window,
-            )),
+            } => {
+                let trigger = self.victim_trigger(victim_dst, victim);
+                self.contention(victim, victim_dst, trigger_window, trigger)
+            }
             QueryRequest::RedLights {
                 victim,
                 victim_dst,
                 trigger_window,
-            } => QueryResponse::RedLights(self.diagnose_red_lights(
-                victim,
-                victim_dst,
-                trigger_window,
-            )),
+            } => self.red_lights(victim, victim_dst, trigger_window),
             QueryRequest::Cascade {
                 victim,
                 victim_dst,
                 trigger_window,
                 max_depth,
-            } => QueryResponse::Cascade(self.diagnose_cascade(
-                victim,
-                victim_dst,
-                trigger_window,
-                max_depth,
-            )),
-            QueryRequest::LoadImbalance { switch, range } => {
-                return self.diagnose_load_imbalance(switch, range)
+            } => {
+                let trigger = self.victim_trigger(victim_dst, victim);
+                let range = self.ctx.epoch_window(&trigger, trigger_window);
+                let diagnosis = CascadeDiagnosis {
+                    stages: Vec::new(),
+                    hosts_contacted: 0,
+                    breakdown: self.ctx.breakdown(
+                        trigger_window,
+                        SimTime::ZERO,
+                        QueryWaveCost::default(),
+                    ),
+                };
+                self.cascade(diagnosis, victim, victim_dst, range, max_depth)
             }
-            QueryRequest::TopK { switch, k, range } => return self.top_k(switch, k, range),
+            QueryRequest::LoadImbalance { switch, range } => self.load_imbalance(switch, range),
+            QueryRequest::TopK { switch, k, range } => self.top_k(switch, k, range),
             QueryRequest::SilentDrop {
                 flow,
                 src,
                 dst,
                 range,
-            } => QueryResponse::SilentDrop(self.localize_silent_drop(flow, src, dst, range)),
-        };
-        Staged::Done(resp, self.trace)
-    }
-
-    // ------------------------------------------------------------------
-    // Shared machinery (the pre-refactor Analyzer internals)
-    // ------------------------------------------------------------------
-
-    /// Pulls the pointer union for `range` from `switch` and decodes it.
-    pub fn hosts_for(&self, switch: NodeId, range: EpochRange) -> Vec<NodeId> {
-        let bits = component(switch, self.view.pointer_union(switch, range));
-        self.ctx.directory.hosts_in(&bits)
-    }
-
-    /// Search-radius reduction (§4.3): keep only hosts whose traffic can
-    /// have shared the victim's egress port at `switch`.
-    pub fn reduce_search_radius(
-        &self,
-        switch: NodeId,
-        victim_dst: NodeId,
-        victim_flow: FlowId,
-        hosts: Vec<NodeId>,
-    ) -> Vec<NodeId> {
-        let Some(victim_port) = self.ctx.routes.egress(switch, victim_dst, victim_flow) else {
-            return hosts;
-        };
-        hosts
-            .into_iter()
-            .filter(|&h| self.ctx.routes.ports(switch, h).contains(&victim_port))
-            .collect()
-    }
-
-    /// The epoch window to diagnose around a trigger, with ±⌈ε/α⌉ slack
-    /// for clock asynchrony.
-    pub fn epoch_window(&self, trigger: &TriggerEvent, trigger_window: SimTime) -> EpochRange {
-        let p = self.ctx.params;
-        let slack = p.epsilon.as_ns().div_ceil(p.alpha.as_ns());
-        let hi = p.epoch_of(trigger.at) + slack;
-        let lo = p
-            .epoch_of(trigger.at.saturating_sub(trigger_window * 2))
-            .saturating_sub(slack);
-        EpochRange { lo, hi }
-    }
-
-    /// Queries `hosts` for flows matching `(switch, range)`, excluding the
-    /// victim flow. Returns culprits plus per-host record counts. One
-    /// [`StateView::filter_wave`] call covers the whole wave, so a
-    /// remote-backed view pays one round trip per shard, not per host.
-    fn query_hosts(
-        &self,
-        hosts: &[NodeId],
-        switch: NodeId,
-        range: EpochRange,
-        victim: FlowId,
-    ) -> (Vec<Culprit>, Vec<usize>) {
-        let mut culprits = Vec::new();
-        let mut record_counts = Vec::with_capacity(hosts.len());
-        for (&h, (len, matching)) in hosts
-            .iter()
-            .zip(self.view.filter_wave(hosts, switch, range))
-        {
-            let Some(len) = len else {
-                record_counts.push(0);
-                continue;
-            };
-            record_counts.push(len);
-            for rec in matching {
-                if rec.flow == victim {
-                    continue;
-                }
-                let common: Vec<u64> = rec.epochs_at[&switch].epochs_in(range).collect();
-                culprits.push(Culprit {
-                    flow: rec.flow,
-                    src: rec.src,
-                    dst: rec.dst,
-                    host: h,
-                    priority: rec.priority,
-                    bytes: rec.bytes,
-                    common_epochs: common,
-                });
-            }
+            } => self.silent_drop(flow, src, dst, range),
         }
-        culprits.sort_by_key(|c| (std::cmp::Reverse(c.priority), std::cmp::Reverse(c.bytes)));
-        (culprits, record_counts)
+    }
+
+    /// [`QueryRequest::Contention`] for a given trigger rather than the
+    /// victim's first — what
+    /// [`Analyzer::diagnose_contention_at`](crate::Analyzer::diagnose_contention_at)
+    /// runs.
+    pub(crate) fn contention_at(
+        self,
+        victim: FlowId,
+        victim_dst: NodeId,
+        trigger_window: SimTime,
+        trigger: TriggerEvent,
+    ) -> ContentionDiagnosis {
+        let view = self.view;
+        let staged = self.contention(victim, victim_dst, trigger_window, trigger);
+        let (QueryResponse::Contention(d), _) = drive(view, staged) else {
+            unreachable!("a Contention request answers Contention")
+        };
+        d
+    }
+
+    // ------------------------------------------------------------------
+    // Shared machinery
+    // ------------------------------------------------------------------
+
+    /// The pointer retrieval of §4.3 for every switch of `path` over
+    /// `range`, as one round: every union is issued before the first is
+    /// collected. Collects, per switch, the decoded union less
+    /// `victim_dst`, reduced to the hosts that can have shared the
+    /// victim's egress port there — or `None` for a switch with no
+    /// SwitchPointer component.
+    fn path_hosts(
+        &self,
+        path: &[NodeId],
+        range: EpochRange,
+        victim_dst: NodeId,
+        victim: FlowId,
+    ) -> Deferred<'a, Vec<Option<Vec<NodeId>>>> {
+        let ctx = self.ctx;
+        let unions: Deferred<'a, Vec<_>> = path
+            .iter()
+            .map(|&sw| self.view.pointer_union(sw, range))
+            .collect();
+        let path = path.to_vec();
+        unions.map(move |unions| {
+            path.into_iter()
+                .zip(unions)
+                .map(|(sw, bits)| {
+                    bits.map(|bits| {
+                        let mut hosts = ctx.directory.hosts_in(&bits);
+                        hosts.retain(|&h| h != victim_dst);
+                        ctx.reduce_search_radius(sw, victim_dst, victim, hosts)
+                    })
+                })
+                .collect()
+        })
+    }
+
+    /// Records a host wave over `hosts` scanning `record_counts` records
+    /// in the trace and prices it.
+    fn wave(&mut self, hosts: &[NodeId], record_counts: &[usize]) -> QueryWaveCost {
+        self.trace.push_wave(
+            hosts
+                .iter()
+                .copied()
+                .zip(record_counts.iter().copied())
+                .collect(),
+        );
+        self.ctx.cost.query_wave(hosts.len(), record_counts)
     }
 
     fn victim_trigger(&mut self, victim_dst: NodeId, victim: FlowId) -> TriggerEvent {
@@ -846,288 +947,233 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
             .expect("victim host raised no trigger for the flow")
     }
 
-    fn victim_path(&mut self, victim_dst: NodeId, victim: FlowId) -> Vec<NodeId> {
+    fn victim_record(&mut self, victim_dst: NodeId, victim: FlowId) -> FlowRecord {
         self.trace.dep_host(victim_dst);
         self.view
             .record(victim_dst, victim)
             .expect("victim host has no record for the flow")
-            .path
     }
 
     // ------------------------------------------------------------------
     // §5.1 Too much traffic
     // ------------------------------------------------------------------
 
-    pub fn diagnose_contention(
-        &mut self,
+    /// Staged: the unions of the whole path in one round, then the filter
+    /// wave of the contended switch — the first on the path whose reduced
+    /// host set is not empty. Every switch's union is read; the trace
+    /// keeps only the walked prefix, the switches the answer depends on.
+    fn contention(
+        mut self,
         victim: FlowId,
         victim_dst: NodeId,
         trigger_window: SimTime,
-    ) -> ContentionDiagnosis {
-        let trigger = self.victim_trigger(victim_dst, victim);
-        self.diagnose_contention_at(victim, victim_dst, trigger_window, &trigger)
-    }
-
-    pub fn diagnose_contention_at(
-        &mut self,
-        victim: FlowId,
-        victim_dst: NodeId,
-        trigger_window: SimTime,
-        trigger: &TriggerEvent,
-    ) -> ContentionDiagnosis {
+        trigger: TriggerEvent,
+    ) -> Staged<'a> {
         // One record fetch serves both the path walk and the later
         // priority comparison (StateView returns owned clones).
-        self.trace.dep_host(victim_dst);
-        let victim_rec = self
-            .view
-            .record(victim_dst, victim)
-            .expect("victim host has no record for the flow");
-        let path = victim_rec.path.clone();
+        let victim_rec = self.victim_record(victim_dst, victim);
         let victim_prio = victim_rec.priority;
-        let range = self.epoch_window(trigger, trigger_window);
-
-        // Pick the contended switch: walk the path and take the first
-        // switch with a non-empty reduced host set beyond the victim's own
-        // endpoints.
-        let mut consulted: Vec<(NodeId, EpochRange)> = Vec::new();
-        let mut chosen: Option<(NodeId, Vec<NodeId>)> = None;
-        for &sw in &path {
-            consulted.push((sw, range));
-            let mut hosts = self.hosts_for(sw, range);
-            hosts.retain(|&h| h != victim_dst);
-            let reduced = self.reduce_search_radius(sw, victim_dst, victim, hosts);
-            if !reduced.is_empty() {
-                chosen = Some((sw, reduced));
-                break;
+        let path = victim_rec.path;
+        let range = self.ctx.epoch_window(&trigger, trigger_window);
+        let read = self.path_hosts(&path, range, victim_dst, victim);
+        then(read, move |per_switch| {
+            // Pick the contended switch: walk the path and take the first
+            // switch with a non-empty reduced host set beyond the victim's
+            // own endpoints.
+            let mut consulted: Vec<(NodeId, EpochRange)> = Vec::new();
+            let mut chosen: Option<(NodeId, Vec<NodeId>)> = None;
+            for (&sw, hosts) in path.iter().zip(per_switch) {
+                consulted.push((sw, range));
+                let reduced = component(sw, hosts);
+                if !reduced.is_empty() {
+                    chosen = Some((sw, reduced));
+                    break;
+                }
             }
-        }
-        let (switch, hosts) = chosen.unwrap_or_else(|| (path[0], Vec::new()));
-        self.trace
-            .push_round(consulted, self.ctx.cost.pointer_retrieval(1));
+            let (switch, hosts) = chosen.unwrap_or_else(|| (path[0], Vec::new()));
+            let retrieval = self.ctx.cost.pointer_retrieval(1);
+            self.trace.push_round(consulted, retrieval);
 
-        let (culprits, record_counts) = self.query_hosts(&hosts, switch, range, victim);
-        let verdict = if culprits
-            .iter()
-            .any(|c| c.priority > victim_prio && !c.common_epochs.is_empty())
-        {
-            Verdict::PriorityContention
-        } else if culprits.iter().any(|c| !c.common_epochs.is_empty()) {
-            Verdict::Microburst
-        } else {
-            Verdict::NoCulprit
-        };
-
-        self.trace.push_wave(
-            hosts
-                .iter()
-                .copied()
-                .zip(record_counts.iter().copied())
-                .collect(),
-        );
-        let wave = self.ctx.cost.query_wave(hosts.len(), &record_counts);
-        ContentionDiagnosis {
-            victim,
-            switch,
-            epochs: range,
-            culprits,
-            hosts_contacted: hosts.len(),
-            verdict,
-            breakdown: LatencyBreakdown {
-                detection: trigger_window,
-                alert: self.ctx.cost.alert_rtt,
-                pointer_retrieval: self.ctx.cost.pointer_retrieval(1),
-                diagnosis: wave.total(),
-                diagnosis_detail: wave,
-            },
-        }
+            let replies = self.view.filter_wave(&hosts, switch, range);
+            then(replies, move |replies| {
+                let (culprits, record_counts) = culprits(&hosts, replies, switch, range, victim);
+                let verdict = if culprits
+                    .iter()
+                    .any(|c| c.priority > victim_prio && !c.common_epochs.is_empty())
+                {
+                    Verdict::PriorityContention
+                } else if culprits.iter().any(|c| !c.common_epochs.is_empty()) {
+                    Verdict::Microburst
+                } else {
+                    Verdict::NoCulprit
+                };
+                let wave = self.wave(&hosts, &record_counts);
+                let diagnosis = ContentionDiagnosis {
+                    victim,
+                    switch,
+                    epochs: range,
+                    culprits,
+                    hosts_contacted: hosts.len(),
+                    verdict,
+                    breakdown: self.ctx.breakdown(trigger_window, retrieval, wave),
+                };
+                Staged::Done(QueryResponse::Contention(diagnosis), self.trace)
+            })
+        })
     }
 
     // ------------------------------------------------------------------
     // §5.2 Too many red lights
     // ------------------------------------------------------------------
 
-    pub fn diagnose_red_lights(
-        &mut self,
+    /// Staged: the unions of the whole path in one round, then one filter
+    /// wave per path switch, all in the next. The trace records them as
+    /// one pointer round and one wave over the union of the hosts.
+    fn red_lights(
+        mut self,
         victim: FlowId,
         victim_dst: NodeId,
         trigger_window: SimTime,
-    ) -> RedLightsDiagnosis {
+    ) -> Staged<'a> {
         let trigger = self.victim_trigger(victim_dst, victim);
-        let path = self.victim_path(victim_dst, victim);
-        let range = self.epoch_window(&trigger, trigger_window);
-
-        // One retrieval round over all path switches.
-        let mut union_hosts: BTreeSet<NodeId> = BTreeSet::new();
-        let mut per_switch_hosts: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
-        for &sw in &path {
-            let mut hosts = self.hosts_for(sw, range);
-            hosts.retain(|&h| h != victim_dst);
-            let reduced = self.reduce_search_radius(sw, victim_dst, victim, hosts);
-            union_hosts.extend(reduced.iter().copied());
-            per_switch_hosts.push((sw, reduced));
-        }
-        self.trace.push_round(
-            path.iter().map(|&sw| (sw, range)).collect(),
-            self.ctx.cost.pointer_retrieval(path.len()),
-        );
-        let all_hosts: Vec<NodeId> = union_hosts.into_iter().collect();
-
-        // One query wave over the union of hosts; evaluate per switch.
-        let mut per_switch = Vec::new();
-        let mut implicated = Vec::new();
-        let mut record_counts = vec![0usize; all_hosts.len()];
-        for (i, len) in self.view.store_len_wave(&all_hosts).into_iter().enumerate() {
-            if let Some(len) = len {
-                record_counts[i] = len;
-            }
-        }
-        for (sw, hosts) in &per_switch_hosts {
-            let (culprits, _) = self.query_hosts(hosts, *sw, range, victim);
-            if culprits.iter().any(|c| !c.common_epochs.is_empty()) {
-                implicated.push(*sw);
-            }
-            per_switch.push((*sw, culprits));
-        }
-
-        self.trace.push_wave(
-            all_hosts
+        let path = self.victim_record(victim_dst, victim).path;
+        let range = self.ctx.epoch_window(&trigger, trigger_window);
+        let read = self.path_hosts(&path, range, victim_dst, victim);
+        then(read, move |per_switch| {
+            let per_switch: Vec<(NodeId, Vec<NodeId>)> = path
                 .iter()
-                .copied()
-                .zip(record_counts.iter().copied())
-                .collect(),
-        );
-        let wave = self.ctx.cost.query_wave(all_hosts.len(), &record_counts);
-        RedLightsDiagnosis {
-            victim,
-            per_switch,
-            implicated,
-            hosts_contacted: all_hosts.len(),
-            breakdown: LatencyBreakdown {
-                detection: trigger_window,
-                alert: self.ctx.cost.alert_rtt,
-                pointer_retrieval: self.ctx.cost.pointer_retrieval(path.len()),
-                diagnosis: wave.total(),
-                diagnosis_detail: wave,
-            },
-        }
+                .zip(per_switch)
+                .map(|(&sw, hosts)| (sw, component(sw, hosts)))
+                .collect();
+            let retrieval = self.ctx.cost.pointer_retrieval(path.len());
+            self.trace
+                .push_round(path.iter().map(|&sw| (sw, range)).collect(), retrieval);
+
+            let replies: Deferred<'a, Vec<_>> = per_switch
+                .iter()
+                .map(|(sw, hosts)| self.view.filter_wave(hosts, *sw, range))
+                .collect();
+            then(replies, move |replies| {
+                // Evaluate per switch; the wave is the union of the hosts,
+                // each with the record count its reply carried.
+                let mut contacted: BTreeMap<NodeId, usize> = BTreeMap::new();
+                let mut implicated = Vec::new();
+                let mut evaluated = Vec::with_capacity(per_switch.len());
+                for ((sw, hosts), replies) in per_switch.into_iter().zip(replies) {
+                    let (culprits, record_counts) = culprits(&hosts, replies, sw, range, victim);
+                    contacted.extend(hosts.into_iter().zip(record_counts));
+                    if culprits.iter().any(|c| !c.common_epochs.is_empty()) {
+                        implicated.push(sw);
+                    }
+                    evaluated.push((sw, culprits));
+                }
+                let (all_hosts, record_counts): (Vec<NodeId>, Vec<usize>) =
+                    contacted.into_iter().unzip();
+                let wave = self.wave(&all_hosts, &record_counts);
+                let diagnosis = RedLightsDiagnosis {
+                    victim,
+                    per_switch: evaluated,
+                    implicated,
+                    hosts_contacted: all_hosts.len(),
+                    breakdown: self.ctx.breakdown(trigger_window, retrieval, wave),
+                };
+                Staged::Done(QueryResponse::RedLights(diagnosis), self.trace)
+            })
+        })
     }
 
     // ------------------------------------------------------------------
     // §5.3 Traffic cascades
     // ------------------------------------------------------------------
 
-    pub fn diagnose_cascade(
-        &mut self,
+    /// Staged, one recursion step per call: `victim`'s record (a point
+    /// read), the unions of its path in one round, then one filter wave
+    /// per path switch in the next; the strongest fresh higher-priority
+    /// culprit becomes the next step's victim, over a window widened by
+    /// one epoch, until `depth` steps ran or none is left. `diagnosis`
+    /// holds the stages so far and accumulates their cost.
+    fn cascade(
+        mut self,
+        mut diagnosis: CascadeDiagnosis,
         victim: FlowId,
         victim_dst: NodeId,
-        trigger_window: SimTime,
-        max_depth: usize,
-    ) -> CascadeDiagnosis {
-        let trigger = self.victim_trigger(victim_dst, victim);
-        let mut range = self.epoch_window(&trigger, trigger_window);
+        range: EpochRange,
+        depth: usize,
+    ) -> Staged<'a> {
+        let rec = match depth {
+            0 => None,
+            _ => {
+                self.trace.dep_host(victim_dst);
+                self.view.record(victim_dst, victim)
+            }
+        };
+        let Some(rec) = rec else {
+            return Staged::Done(QueryResponse::Cascade(diagnosis), self.trace);
+        };
+        let (path, prio) = (rec.path, rec.priority);
+        let retrieval = self.ctx.cost.pointer_retrieval(path.len());
+        diagnosis.breakdown.pointer_retrieval += retrieval;
+        self.trace
+            .push_round(path.iter().map(|&sw| (sw, range)).collect(), retrieval);
 
-        let mut stages = Vec::new();
-        let mut hosts_contacted = 0usize;
-        let mut retrieval = SimTime::ZERO;
-        let mut diagnosis = SimTime::ZERO;
-        let mut detail = QueryWaveCost::default();
-
-        let mut cur_victim = victim;
-        let mut cur_dst = victim_dst;
-
-        for _ in 0..max_depth {
-            self.trace.dep_host(cur_dst);
-            let Some(rec) = self.view.record(cur_dst, cur_victim) else {
-                break;
-            };
-            let path = rec.path.clone();
-            let cur_prio = rec.priority;
-
-            retrieval += self.ctx.cost.pointer_retrieval(path.len());
-            self.trace.push_round(
-                path.iter().map(|&sw| (sw, range)).collect(),
-                self.ctx.cost.pointer_retrieval(path.len()),
-            );
-
-            // Find the strongest higher-priority culprit across the path.
-            let mut best: Option<(NodeId, Culprit)> = None;
-            let mut wave_hosts = 0usize;
-            for &sw in &path {
-                let mut hosts = self.hosts_for(sw, range);
-                hosts.retain(|&h| h != cur_dst);
-                let reduced = self.reduce_search_radius(sw, cur_dst, cur_victim, hosts);
-                wave_hosts += reduced.len();
-                let counts: Vec<usize> = self
-                    .view
-                    .store_len_wave(&reduced)
-                    .into_iter()
-                    .map(|len| len.unwrap_or(0))
-                    .collect();
-                self.trace.push_wave(
-                    reduced
-                        .iter()
-                        .copied()
-                        .zip(counts.iter().copied())
-                        .collect(),
-                );
-                let wave = self.ctx.cost.query_wave(reduced.len(), &counts);
-                diagnosis += wave.total();
-                detail.connection_initiation += wave.connection_initiation;
-                detail.request += wave.request;
-                detail.query_execution += wave.query_execution;
-                detail.response += wave.response;
-
-                let (culprits, _) = self.query_hosts(&reduced, sw, range, cur_victim);
-                for c in culprits {
-                    let fresh = c.priority > cur_prio
-                        && !c.common_epochs.is_empty()
-                        && stages
-                            .iter()
-                            .all(|s: &CascadeStage| s.victim != c.flow && s.culprit.flow != c.flow);
-                    let better = best
-                        .as_ref()
-                        .map(|(_, b)| (c.priority, c.bytes) > (b.priority, b.bytes))
-                        .unwrap_or(true);
-                    if fresh && better {
-                        best = Some((sw, c));
+        let read = self.path_hosts(&path, range, victim_dst, victim);
+        then(read, move |per_switch| {
+            let per_switch: Vec<(NodeId, Vec<NodeId>)> = path
+                .iter()
+                .zip(per_switch)
+                .map(|(&sw, hosts)| (sw, component(sw, hosts)))
+                .collect();
+            let replies: Deferred<'a, Vec<_>> = per_switch
+                .iter()
+                .map(|(sw, hosts)| self.view.filter_wave(hosts, *sw, range))
+                .collect();
+            then(replies, move |replies| {
+                // Find the strongest higher-priority culprit across the path.
+                let mut best: Option<(NodeId, Culprit)> = None;
+                for ((sw, hosts), replies) in per_switch.into_iter().zip(replies) {
+                    let (culprits, record_counts) = culprits(&hosts, replies, sw, range, victim);
+                    let wave = self.wave(&hosts, &record_counts);
+                    diagnosis.hosts_contacted += hosts.len();
+                    let cost = &mut diagnosis.breakdown;
+                    cost.diagnosis += wave.total();
+                    cost.diagnosis_detail.connection_initiation += wave.connection_initiation;
+                    cost.diagnosis_detail.request += wave.request;
+                    cost.diagnosis_detail.query_execution += wave.query_execution;
+                    cost.diagnosis_detail.response += wave.response;
+                    for c in culprits {
+                        let fresh = c.priority > prio
+                            && !c.common_epochs.is_empty()
+                            && diagnosis
+                                .stages
+                                .iter()
+                                .all(|s| s.victim != c.flow && s.culprit.flow != c.flow);
+                        let better = best
+                            .as_ref()
+                            .map(|(_, b)| (c.priority, c.bytes) > (b.priority, b.bytes))
+                            .unwrap_or(true);
+                        if fresh && better {
+                            best = Some((sw, c));
+                        }
                     }
                 }
-            }
-            hosts_contacted += wave_hosts;
-
-            match best {
-                Some((sw, culprit)) => {
-                    // Widen the window slightly for the next stage: the
-                    // upstream cause precedes the symptom.
-                    range = EpochRange {
-                        lo: range.lo.saturating_sub(1),
-                        hi: range.hi,
-                    };
-                    let next_victim = culprit.flow;
-                    let next_dst = culprit.dst;
-                    stages.push(CascadeStage {
-                        victim: cur_victim,
-                        switch: sw,
-                        culprit,
-                    });
-                    cur_victim = next_victim;
-                    cur_dst = next_dst;
-                }
-                None => break,
-            }
-        }
-
-        CascadeDiagnosis {
-            stages,
-            hosts_contacted,
-            breakdown: LatencyBreakdown {
-                detection: trigger_window,
-                alert: self.ctx.cost.alert_rtt,
-                pointer_retrieval: retrieval,
-                diagnosis,
-                diagnosis_detail: detail,
-            },
-        }
+                let Some((switch, culprit)) = best else {
+                    return Staged::Done(QueryResponse::Cascade(diagnosis), self.trace);
+                };
+                // Widen the window slightly for the next stage: the
+                // upstream cause precedes the symptom.
+                let range = EpochRange {
+                    lo: range.lo.saturating_sub(1),
+                    hi: range.hi,
+                };
+                let (next_victim, next_dst) = (culprit.flow, culprit.dst);
+                diagnosis.stages.push(CascadeStage {
+                    victim,
+                    switch,
+                    culprit,
+                });
+                self.cascade(diagnosis, next_victim, next_dst, range, depth - 1)
+            })
+        })
     }
 
     // ------------------------------------------------------------------
@@ -1137,10 +1183,8 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     /// Staged: one round — the union, its decode and the link-sizes
     /// wave. The trace still records the paper's two steps (a pointer
     /// round, then a host wave): that is what the cost model prices.
-    fn diagnose_load_imbalance(mut self, switch: NodeId, range: EpochRange) -> Staged<'a> {
-        let read = self
-            .view
-            .union_sizes_deferred(self.ctx.directory, switch, range);
+    fn load_imbalance(mut self, switch: NodeId, range: EpochRange) -> Staged<'a> {
+        let read = self.view.union_sizes(self.ctx.directory, switch, range);
         then(read, move |read| {
             let (hosts, replies) = component(switch, read);
             self.trace
@@ -1193,25 +1237,15 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
             None
         };
 
-        self.trace.push_wave(
-            hosts
-                .iter()
-                .copied()
-                .zip(record_counts.iter().copied())
-                .collect(),
-        );
-        let wave = self.ctx.cost.query_wave(hosts.len(), &record_counts);
+        let wave = self.wave(&hosts, &record_counts);
         LoadImbalanceDiagnosis {
             per_link,
             separation_bytes,
             hosts_contacted: hosts.len(),
-            breakdown: LatencyBreakdown {
-                detection: SimTime::ZERO, // detected from interface counters
-                alert: self.ctx.cost.alert_rtt,
-                pointer_retrieval: self.ctx.cost.pointer_retrieval(1),
-                diagnosis: wave.total(),
-                diagnosis_detail: wave,
-            },
+            // Detected from interface counters, not a host trigger.
+            breakdown: self
+                .ctx
+                .breakdown(SimTime::ZERO, self.ctx.cost.pointer_retrieval(1), wave),
         }
     }
 
@@ -1222,9 +1256,7 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     /// Staged: one round — the union, its decode and the top-k wave,
     /// traced as the paper's two steps like the load-imbalance diagnosis.
     fn top_k(mut self, switch: NodeId, k: usize, range: EpochRange) -> Staged<'a> {
-        let read = self
-            .view
-            .union_top_k_deferred(self.ctx.directory, switch, range, k);
+        let read = self.view.union_top_k(self.ctx.directory, switch, range, k);
         then(read, move |read| {
             let (hosts, replies) = component(switch, read);
             self.trace
@@ -1248,18 +1280,11 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
             merged.extend(flows);
         }
         keep_top_k(&mut merged, k);
-        self.trace.push_wave(
-            hosts
-                .iter()
-                .copied()
-                .zip(record_counts.iter().copied())
-                .collect(),
-        );
         TopKResult {
             flows: merged,
             hosts_contacted: hosts.len(),
             pointer_retrieval: self.ctx.cost.pointer_retrieval(1),
-            wave: self.ctx.cost.query_wave(hosts.len(), &record_counts),
+            wave: self.wave(&hosts, &record_counts),
         }
     }
 
@@ -1267,13 +1292,15 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     // §2.4-class application: silent drop localization
     // ------------------------------------------------------------------
 
-    pub fn localize_silent_drop(
-        &mut self,
+    /// Never defers: the whole sweep is one [`StateView::presence_wave`],
+    /// which one shard answers.
+    fn silent_drop(
+        mut self,
         flow: FlowId,
         src: NodeId,
         dst: NodeId,
         range: EpochRange,
-    ) -> DropDiagnosis {
+    ) -> Staged<'a> {
         // Reconstruct the forwarding path by walking the route tables with
         // the flow's ECMP identity.
         let mut path = Vec::new();
@@ -1317,12 +1344,13 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
         self.trace
             .push_round(path.iter().map(|&sw| (sw, range)).collect(), retrieval);
 
-        DropDiagnosis {
+        let diagnosis = DropDiagnosis {
             flow,
             path,
             per_switch,
             suspected_segment,
             pointer_retrieval: retrieval,
-        }
+        };
+        Staged::Done(QueryResponse::SilentDrop(diagnosis), self.trace)
     }
 }

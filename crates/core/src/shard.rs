@@ -329,40 +329,52 @@ impl<'a, V: StateView> ShardedView<'a, V> {
     fn note_host_read(&self, host: NodeId) {
         self.host_reads[self.dir.owner_of(host)].inc();
     }
+
+    /// A wave reads each of its hosts once, as a [`BackendRouter`] counts
+    /// it — not once for the store size and again for the rows, as the
+    /// per-host reads the default waves loop over would.
+    fn note_wave(&self, hosts: &[NodeId]) {
+        for &h in hosts {
+            self.note_host_read(h);
+        }
+    }
 }
 
 impl<V: StateView> StateView for ShardedView<'_, V> {
-    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Option<BitSet> {
-        let full = self.inner.pointer_union(switch, range)?;
-        if self.dir.n_shards() == 1 {
-            self.decode_bits[0].add(full.count() as u64);
-            return Some(full);
-        }
-        // Fan the decode out: every shard takes the slice of `full` under
-        // its slot mask. The masks partition the directory's slot range,
-        // so reassembling (ORing) the slices provably reproduces `full`
-        // byte-for-byte — verdicts cannot depend on N, and the hot path
-        // therefore only *counts* each shard's slice (no per-shard
-        // allocation) and returns `full` as the reassembled union. The
-        // partition-equality itself is pinned by the DirectoryShard
-        // tests (`shards_partition_hosts_and_slots`) and checked cheaply
-        // here: the per-shard counts must sum to the whole union.
-        let mut total = 0u64;
-        for shard in self.dir.shards() {
-            let ones = shard.count_owned(&full) as u64;
-            if ones > 0 {
-                self.decode_bits[shard.id()].add(ones);
-                total += ones;
+    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>> {
+        self.inner.pointer_union(switch, range).map(move |full| {
+            let full = full?;
+            if self.dir.n_shards() == 1 {
+                self.decode_bits[0].add(full.count() as u64);
+                return Some(full);
             }
-        }
-        self.merges.inc();
-        self.merged_bits.add(total);
-        debug_assert_eq!(
-            total,
-            full.count() as u64,
-            "shard slot masks must partition the directory range"
-        );
-        Some(full)
+            // Fan the decode out: every shard takes the slice of `full`
+            // under its slot mask. The masks partition the directory's
+            // slot range, so reassembling (ORing) the slices provably
+            // reproduces `full` byte-for-byte — verdicts cannot depend on
+            // N, and the hot path therefore only *counts* each shard's
+            // slice (no per-shard allocation) and returns `full` as the
+            // reassembled union. The partition-equality itself is pinned
+            // by the DirectoryShard tests
+            // (`shards_partition_hosts_and_slots`) and checked cheaply
+            // here: the per-shard counts must sum to the whole union.
+            let mut total = 0u64;
+            for shard in self.dir.shards() {
+                let ones = shard.count_owned(&full) as u64;
+                if ones > 0 {
+                    self.decode_bits[shard.id()].add(ones);
+                    total += ones;
+                }
+            }
+            self.merges.inc();
+            self.merged_bits.add(total);
+            debug_assert_eq!(
+                total,
+                full.count() as u64,
+                "shard slot masks must partition the directory range"
+            );
+            Some(full)
+        })
     }
 
     fn pointer_contains_exact(
@@ -416,6 +428,26 @@ impl<V: StateView> StateView for ShardedView<'_, V> {
         self.note_host_read(host);
         self.inner.first_trigger_for(host, flow)
     }
+
+    fn filter_wave(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+        range: EpochRange,
+    ) -> Deferred<'_, FilterWaveReply> {
+        self.note_wave(hosts);
+        self.inner.filter_wave(hosts, switch, range)
+    }
+
+    fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply {
+        self.note_wave(hosts);
+        self.inner.top_k_wave(hosts, switch, k)
+    }
+
+    fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> SizesWaveReply {
+        self.note_wave(hosts);
+        self.inner.sizes_wave(hosts, switch)
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -440,10 +472,10 @@ impl<V: StateView> StateView for ShardedView<'_, V> {
 /// and answers the host wave for exactly the hosts it decoded — which are
 /// the hosts it owns, so no second request is needed to reach them.
 ///
-/// The seven methods a router fans out to *several* shards at once
-/// (`union_slice`, the two fused reads and the four host waves) return a
-/// [`Deferred`]: the
-/// call **issues** the request and returns, [`ShardBackend::flush`] puts
+/// The six methods a router fans out to *several* shards at once
+/// (`union_slice`, the two fused reads and the three host waves) return a
+/// [`Deferred`]: the call **issues** the request and returns,
+/// [`ShardBackend::flush`] puts
 /// what was issued on the wire, [`Deferred::wait`] collects the answer.
 /// A router that issues to every involved shard, flushes them, and only
 /// then waits on the first keeps all of a fan-out's requests in flight
@@ -480,9 +512,6 @@ pub trait ShardBackend {
 
     /// Point read: first trigger an owned host raised for `flow`.
     fn first_trigger_for(&self, host: NodeId, flow: FlowId) -> Option<TriggerEvent>;
-
-    /// Batched store sizes for owned hosts.
-    fn store_len_wave(&self, hosts: &[NodeId]) -> Deferred<'_, Vec<Option<usize>>>;
 
     /// Batched filter wave over owned hosts.
     fn filter_wave(
@@ -530,11 +559,10 @@ impl<V: StateView> ShardBackend for LocalBackend<'_, V> {
     }
 
     fn union_slice(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>> {
-        Deferred::Ready(
-            self.view
-                .pointer_union(switch, range)
-                .map(|u| self.shard.mask(&u)),
-        )
+        let shard = self.shard;
+        self.view
+            .pointer_union(switch, range)
+            .map(move |u| u.map(|u| shard.mask(&u)))
     }
 
     fn probe_exact(&self, switch: NodeId, addr: u64, epoch: u64) -> Option<Option<bool>> {
@@ -557,17 +585,13 @@ impl<V: StateView> ShardBackend for LocalBackend<'_, V> {
         self.view.first_trigger_for(host, flow)
     }
 
-    fn store_len_wave(&self, hosts: &[NodeId]) -> Deferred<'_, Vec<Option<usize>>> {
-        Deferred::Ready(self.view.store_len_wave(hosts))
-    }
-
     fn filter_wave(
         &self,
         hosts: &[NodeId],
         switch: NodeId,
         range: EpochRange,
     ) -> Deferred<'_, FilterWaveReply> {
-        Deferred::Ready(self.view.filter_wave(hosts, switch, range))
+        self.view.filter_wave(hosts, switch, range)
     }
 
     fn top_k_wave(
@@ -605,7 +629,7 @@ impl<V: StateView> LocalBackend<'_, V> {
         range: EpochRange,
         wave: impl FnOnce(&[NodeId]) -> Vec<R>,
     ) -> Option<(Vec<NodeId>, Vec<R>)> {
-        let union = self.view.pointer_union(switch, range)?;
+        let union = self.view.pointer_union(switch, range).wait()?;
         let hosts = self.shard.decode(&union);
         let rows = wave(&hosts);
         Some((hosts, rows))
@@ -634,8 +658,10 @@ pub struct RouterCounters {
     /// of fan-outs.
     pub wave_rounds: u64,
     /// Routed operations: one per union reassembly, wave fan-out or
-    /// point read, however many shards it fanned out to — the number of
-    /// sequential round trips the coalescing router waited through.
+    /// point read, however many shards it fanned out to. A driver that
+    /// issues several before it collects the first (a diagnosis issues a
+    /// whole path's unions at once) waits through fewer round trips than
+    /// this.
     pub rounds: u64,
 }
 
@@ -645,8 +671,8 @@ pub struct RouterCounters {
 /// bit-identical to the flat view's); host reads route to the owning
 /// shard; wave reads coalesce per shard — one backend call, and for a
 /// remote backend one wire request, per shard per wave. The fused
-/// aggregate reads ([`StateView::union_top_k_deferred`],
-/// [`StateView::union_sizes_deferred`]) are one call per shard in all:
+/// aggregate reads ([`StateView::union_top_k`],
+/// [`StateView::union_sizes`]) are one call per shard in all:
 /// each shard decodes its slice and answers for the hosts it decoded, and
 /// the router merges the per-shard rows in host order.
 ///
@@ -655,10 +681,11 @@ pub struct RouterCounters {
 /// [`Deferred`] replies in shard order. The collect order is the old
 /// call order, so slices OR together and replies scatter back exactly as
 /// they always did — only the waiting overlaps. The seam between the two
-/// halves is public as the deferred [`StateView`] forms: they return
-/// after the issue half with the collect half as the [`Deferred`]
-/// (`Ready` when every backend answered in process), and the blocking
-/// forms are *issue, flush every backend, collect*. Counters move where
+/// halves is public: the fanned-out [`StateView`] reads return after the
+/// issue half with the collect half as the [`Deferred`] (`Ready` when
+/// every backend answered in process); the two blocking waves
+/// (`top_k_wave`, `sizes_wave`) are *issue, flush every backend,
+/// collect*. Counters move where
 /// the work happens — calls and rounds at issue, decoded bits and merges
 /// at collect — so a query's [`RouterCounters`] do not depend on who
 /// drove it.
@@ -768,7 +795,8 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
             by_shard[s].1.push(h);
         }
         let mut out: Vec<Option<T>> = (0..hosts.len()).map(|_| None).collect();
-        let mut issued = Vec::with_capacity(self.backends.len());
+        let mut groups = Vec::with_capacity(self.backends.len());
+        let mut issued: Vec<Deferred<'s, Vec<T>>> = Vec::with_capacity(self.backends.len());
         for (s, (idxs, shard_hosts)) in by_shard.into_iter().enumerate() {
             if shard_hosts.is_empty() {
                 continue;
@@ -777,7 +805,8 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
             if self.coalesce {
                 self.rpcs.inc();
                 self.wave_rpcs.inc();
-                issued.push((idxs, call(&self.backends[s], &shard_hosts)));
+                issued.push(call(&self.backends[s], &shard_hosts));
+                groups.push(idxs);
             } else {
                 for (i, h) in idxs.into_iter().zip(shard_hosts) {
                     self.rpcs.inc();
@@ -788,10 +817,9 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
                 }
             }
         }
-        let pending = issued.iter().any(|(_, reply)| !reply.is_ready());
-        deferred(pending, move || {
-            for (idxs, reply) in issued {
-                let replies = reply.wait();
+        let issued: Deferred<'s, Vec<_>> = issued.into_iter().collect();
+        issued.map(move |replies| {
+            for (idxs, replies) in groups.into_iter().zip(replies) {
                 debug_assert_eq!(replies.len(), idxs.len());
                 for (i, reply) in idxs.into_iter().zip(replies) {
                     out[i] = Some(reply);
@@ -822,21 +850,21 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
     ) -> Deferred<'s, Option<(Vec<NodeId>, Vec<T>)>> {
         self.rounds.inc();
         self.wave_rounds.inc();
-        let issued: Vec<_> = self
+        let issued: Deferred<'s, Vec<_>> = self
             .backends
             .iter()
             .map(|b| {
                 self.rpcs.inc();
                 self.wave_rpcs.inc();
-                (b.shard_id(), call(b))
+                call(b)
             })
             .collect();
-        let pending = issued.iter().any(|(_, reply)| !reply.is_ready());
-        deferred(pending, move || {
+        issued.map(move |replies| {
             let mut rows: Option<Vec<(NodeId, T)>> = None;
             let mut total = 0u64;
-            for (shard, reply) in issued {
-                let Some((hosts, replies)) = reply.wait() else {
+            // Backends are in shard order, so the index is the shard.
+            for (shard, reply) in replies.into_iter().enumerate() {
+                let Some((hosts, replies)) = reply else {
                     continue;
                 };
                 debug_assert_eq!(hosts.len(), replies.len());
@@ -867,26 +895,8 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
     }
 }
 
-/// `collect` as a [`Deferred`]: run on the spot when nothing it collects
-/// is `pending`, boxed as the collect half otherwise.
-fn deferred<'s, T>(pending: bool, collect: impl FnOnce() -> T + 's) -> Deferred<'s, T> {
-    if pending {
-        Deferred::Pending(Box::new(collect))
-    } else {
-        Deferred::Ready(collect())
-    }
-}
-
 impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
-    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Option<BitSet> {
-        self.now(self.pointer_union_deferred(switch, range))
-    }
-
-    fn pointer_union_deferred(
-        &self,
-        switch: NodeId,
-        range: EpochRange,
-    ) -> Deferred<'_, Option<BitSet>> {
+    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>> {
         // Every shard contributes its masked slice; ORing the disjoint
         // slices reproduces the flat union byte-for-byte (the slot masks
         // partition the directory range — pinned by the DirectoryShard
@@ -894,20 +904,19 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
         // before the first is collected, and collecting in shard order
         // keeps the ORing order of the sequential loop this replaces.
         self.rounds.inc();
-        let issued: Vec<_> = self
+        let slices: Deferred<'_, Vec<_>> = self
             .backends
             .iter()
             .map(|b| {
                 self.rpcs.inc();
-                (b.shard_id(), b.union_slice(switch, range))
+                b.union_slice(switch, range)
             })
             .collect();
-        let pending = issued.iter().any(|(_, slice)| !slice.is_ready());
-        deferred(pending, move || {
+        slices.map(move |slices| {
             let mut acc: Option<BitSet> = None;
             let mut total = 0u64;
-            for (shard, slice) in issued {
-                let Some(slice) = slice.wait() else {
+            for (shard, slice) in slices.into_iter().enumerate() {
+                let Some(slice) = slice else {
                     continue;
                 };
                 let ones = slice.count() as u64;
@@ -1016,16 +1025,17 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
         self.backends[s].first_trigger_for(host, flow)
     }
 
-    fn store_len_wave(&self, hosts: &[NodeId]) -> Vec<Option<usize>> {
-        self.now(self.route_wave(hosts, |b, hs| b.store_len_wave(hs), || None))
-    }
-
-    fn filter_wave(&self, hosts: &[NodeId], switch: NodeId, range: EpochRange) -> FilterWaveReply {
-        self.now(self.route_wave(
+    fn filter_wave(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+        range: EpochRange,
+    ) -> Deferred<'_, FilterWaveReply> {
+        self.route_wave(
             hosts,
             |b, hs| b.filter_wave(hs, switch, range),
             || (None, Vec::new()),
-        ))
+        )
     }
 
     fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply {
@@ -1044,7 +1054,7 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
         ))
     }
 
-    fn union_top_k_deferred<'s>(
+    fn union_top_k<'s>(
         &'s self,
         dir: &'s HostDirectory,
         switch: NodeId,
@@ -1059,7 +1069,7 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
         self.route_union_wave(move |b| b.union_top_k(switch, range, k))
     }
 
-    fn union_sizes_deferred<'s>(
+    fn union_sizes<'s>(
         &'s self,
         dir: &'s HostDirectory,
         switch: NodeId,

@@ -49,7 +49,7 @@ use switchpointer::bitset::BitSet;
 use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::{keep_top_k, shard_of, FlowRecord, FlowStore, StoreDelta};
 use switchpointer::pointer::FrozenHierarchy;
-use switchpointer::query::StateView;
+use switchpointer::query::{Deferred, StateView};
 use switchpointer::shard::host_shard_of;
 use switchpointer::Analyzer;
 use telemetry::frame::{Dec, Enc, Wire, WireError};
@@ -932,17 +932,16 @@ impl PartialEq for Snapshot {
 }
 
 impl StateView for Snapshot {
-    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Option<BitSet> {
+    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>> {
         let key = (switch, range.lo, range.hi);
-        if let Some(bits) = self.union_memo.get(&key) {
-            return Some(bits);
-        }
-        let bits = self
-            .switches
-            .get(&switch)?
-            .pointer_union(range.lo, range.hi);
-        self.union_memo.insert_capped(key, &bits);
-        Some(bits)
+        Deferred::Ready(self.union_memo.get(&key).or_else(|| {
+            let bits = self
+                .switches
+                .get(&switch)?
+                .pointer_union(range.lo, range.hi);
+            self.union_memo.insert_capped(key, &bits);
+            Some(bits)
+        }))
     }
 
     fn pointer_contains_exact(

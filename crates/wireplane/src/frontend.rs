@@ -666,20 +666,6 @@ impl ShardBackend for RemoteShard {
         )
     }
 
-    fn store_len_wave(&self, hosts: &[NodeId]) -> Deferred<'_, Vec<Option<usize>>> {
-        self.deferred(
-            Frame::StoreLenWaveReq {
-                hosts: hosts.to_vec(),
-            },
-            |f| match f {
-                Frame::StoreLenWaveRep(v) => {
-                    Some(v.into_iter().map(|l| l.map(|n| n as usize)).collect())
-                }
-                _ => None,
-            },
-        )
-    }
-
     fn filter_wave(
         &self,
         hosts: &[NodeId],
@@ -927,9 +913,7 @@ impl FrontInner {
     /// query} until all have answered. Between two flushes every query
     /// only *issues* — so the chunk's round reaches each shard as one
     /// envelope — and a resume finds its replies sent for, if not already
-    /// there. Queries that never defer (the diagnoses, the drop sweep)
-    /// run to their answer inside their start, on blocking calls that
-    /// flush for themselves.
+    /// there.
     fn run_chunk(
         &self,
         reqs: &[QueryRequest],

@@ -15,9 +15,9 @@
 //! Design rules:
 //!
 //! * **One payload form per frame.** Scalars are fixed-width
-//!   little-endian with no padding; the wave requests' host lists, the
-//!   union-slice bitset and the store-length list — the collections that
-//!   dominate a fan-out's bytes — are var-int / delta / run-length packed.
+//!   little-endian with no padding; the wave requests' host lists and the
+//!   union-slice bitset — the collections that dominate a fan-out's
+//!   bytes — are var-int / delta / run-length packed.
 //!   A frame encodes the same bytes bare and inside an envelope, and
 //!   encode→decode is the identity for every frame type (property-pinned,
 //!   with golden bytes for the packed layouts, in
@@ -30,10 +30,14 @@
 //! * **Decoding never panics.** Truncated or corrupt input surfaces as a
 //!   typed [`WireError`]; collection lengths are bounded by the bytes
 //!   actually present, and reservations by what those bytes could hold
-//!   ([`Dec::reservation`]), before any allocation.
+//!   ([`Dec::reservation`] — the packed id list and the envelopes' entry
+//!   vectors too), before any allocation.
 //! * **One tag byte per frame type.** Requests and replies pair up
 //!   (`0x1x` shard requests, `0x2x` shard replies, `0x3x` client-plane
-//!   frames); [`Frame::Error`] carries a [`WireError`] to the peer.
+//!   frames); [`Frame::Error`] carries a [`WireError`] to the peer. A
+//!   retired tag is never reused: `0x15` / `0x25`, the store-length wave
+//!   that the filter wave's sizes made redundant, decode as
+//!   [`WireError::BadTag`].
 //!
 //! The RPC table (see `DESIGN.md` §13) — "carries" names the [`Wire`]
 //! values in the payload; their layouts are beside their types:
@@ -45,7 +49,7 @@
 //! | `ProbeExactReq/Rep` | front → shard | exact-epoch presence probe |
 //! | `PresenceWaveReq/Rep` | front → shard | exact presence over an epoch range, one flag per switch |
 //! | `StoreLenReq/Rep`, `RecordReq/Rep`, `TriggerReq/Rep` | front → shard | host point reads |
-//! | `StoreLenWaveReq/Rep`, `FilterWaveReq/Rep`, `TopKWaveReq/Rep`, `SizesWaveReq/Rep` | front → shard | one coalesced wave per shard |
+//! | `FilterWaveReq/Rep`, `TopKWaveReq/Rep`, `SizesWaveReq/Rep` | front → shard | one coalesced wave per shard; every reply row carries the host's store size |
 //! | `HorizonReq/Rep` | front → shard | snapshot epoch horizon |
 //! | `StatsScrapeReq/Rep` | client → front → shard | labelled obsplane registry snapshots |
 //! | `TraceScrapeReq/Rep` | client → front → shard | labelled span dumps for trace reassembly |
@@ -295,9 +299,9 @@ fn dec_ctx_then_tag(d: &mut Dec) -> Result<(Option<TraceContext>, u8), WireError
 // ----------------------------------------------------------------------
 //
 // The collections that dominate a fan-out's bytes — the wave requests'
-// host-id lists, the union-slice bitset, the store-length list — travel
-// var-int packed: delta-coded ids, run-length bitsets, var-int lengths.
-// Each is the frame's only payload form, bare or enveloped.
+// host-id lists and the union-slice bitset — travel var-int packed:
+// delta-coded ids and run-length bitsets. Each is the frame's only
+// payload form, bare or enveloped.
 
 /// Delta-packed id list: `count | first | zigzag deltas`. A sorted host
 /// list costs ~1 byte per id instead of 4.
@@ -313,15 +317,15 @@ fn enc_ids_delta(ids: &[NodeId], e: &mut Enc) {
 
 fn dec_ids_delta(d: &mut Dec) -> Result<Vec<NodeId>, WireError> {
     let n = d.get_varint()? as usize;
-    // Each delta costs ≥ 1 byte, so a corrupt count cannot drive a huge
-    // reservation.
+    // Each delta costs ≥ 1 byte, so a count beyond the bytes left is
+    // corrupt; the reservation is what those bytes could hold.
     if n > d.remaining() {
         return Err(WireError::Truncated {
             needed: n,
             have: d.remaining(),
         });
     }
-    let mut out = Vec::with_capacity(n);
+    let mut out = Vec::with_capacity(d.reservation::<NodeId>(n));
     let mut prev = 0i64;
     for _ in 0..n {
         // Checked: a hostile delta sequence that overflows i64 must be a
@@ -398,40 +402,6 @@ fn dec_bitset_runs(d: &mut Dec, budget: &mut usize) -> Result<BitSet, WireError>
     Ok(BitSet::from_word_vec(nbits, words))
 }
 
-/// Varint-packed `Option<u64>` list (`0` marker = None, `1` marker then
-/// the varint value = Some) — the store-length wave reply.
-fn enc_opt_lens(v: &[Option<u64>], e: &mut Enc) {
-    e.put_varint(v.len() as u64);
-    for o in v {
-        match o {
-            None => e.put_varint(0),
-            Some(n) => {
-                e.put_varint(1);
-                e.put_varint(*n);
-            }
-        }
-    }
-}
-
-fn dec_opt_lens(d: &mut Dec) -> Result<Vec<Option<u64>>, WireError> {
-    let n = d.get_varint()? as usize;
-    if n > d.remaining() {
-        return Err(WireError::Truncated {
-            needed: n,
-            have: d.remaining(),
-        });
-    }
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(match d.get_varint()? {
-            0 => None,
-            1 => Some(d.get_varint()?),
-            t => return Err(WireError::BadTag((t & 0xFF) as u8)),
-        });
-    }
-    Ok(out)
-}
-
 // ----------------------------------------------------------------------
 // Frames
 // ----------------------------------------------------------------------
@@ -500,10 +470,6 @@ pub enum Frame {
         flow: FlowId,
     },
     TriggerRep(Option<TriggerEvent>),
-    StoreLenWaveReq {
-        hosts: Vec<NodeId>,
-    },
-    StoreLenWaveRep(Vec<Option<u64>>),
     FilterWaveReq {
         switch: NodeId,
         range: EpochRange,
@@ -652,7 +618,6 @@ impl Frame {
             Frame::StoreLenReq { .. } => 0x12,
             Frame::RecordReq { .. } => 0x13,
             Frame::TriggerReq { .. } => 0x14,
-            Frame::StoreLenWaveReq { .. } => 0x15,
             Frame::FilterWaveReq { .. } => 0x16,
             Frame::TopKWaveReq { .. } => 0x17,
             Frame::SizesWaveReq { .. } => 0x18,
@@ -667,7 +632,6 @@ impl Frame {
             Frame::StoreLenRep(_) => 0x22,
             Frame::RecordRep(_) => 0x23,
             Frame::TriggerRep(_) => 0x24,
-            Frame::StoreLenWaveRep(_) => 0x25,
             Frame::FilterWaveRep(_) => 0x26,
             Frame::TopKWaveRep(_) => 0x27,
             Frame::SizesWaveRep(_) => 0x28,
@@ -705,7 +669,6 @@ impl Frame {
             Frame::StoreLenReq { .. } => "StoreLenReq",
             Frame::RecordReq { .. } => "RecordReq",
             Frame::TriggerReq { .. } => "TriggerReq",
-            Frame::StoreLenWaveReq { .. } => "StoreLenWaveReq",
             Frame::FilterWaveReq { .. } => "FilterWaveReq",
             Frame::TopKWaveReq { .. } => "TopKWaveReq",
             Frame::SizesWaveReq { .. } => "SizesWaveReq",
@@ -720,7 +683,6 @@ impl Frame {
             Frame::StoreLenRep(_) => "StoreLenRep",
             Frame::RecordRep(_) => "RecordRep",
             Frame::TriggerRep(_) => "TriggerRep",
-            Frame::StoreLenWaveRep(_) => "StoreLenWaveRep",
             Frame::FilterWaveRep(_) => "FilterWaveRep",
             Frame::TopKWaveRep(_) => "TopKWaveRep",
             Frame::SizesWaveRep(_) => "SizesWaveRep",
@@ -798,8 +760,6 @@ impl Frame {
                 flow.enc(&mut e);
             }
             Frame::TriggerRep(v) => v.enc(&mut e),
-            Frame::StoreLenWaveReq { hosts } => enc_ids_delta(hosts, &mut e),
-            Frame::StoreLenWaveRep(v) => enc_opt_lens(v, &mut e),
             Frame::FilterWaveReq {
                 switch,
                 range,
@@ -989,9 +949,6 @@ impl Frame {
                 host: NodeId::dec(&mut d)?,
                 flow: FlowId::dec(&mut d)?,
             },
-            0x15 => Frame::StoreLenWaveReq {
-                hosts: dec_ids_delta(&mut d)?,
-            },
             0x16 => Frame::FilterWaveReq {
                 switch: NodeId::dec(&mut d)?,
                 range: EpochRange::dec(&mut d)?,
@@ -1032,7 +989,6 @@ impl Frame {
             0x22 => Frame::StoreLenRep(Option::dec(&mut d)?),
             0x23 => Frame::RecordRep(Option::dec(&mut d)?),
             0x24 => Frame::TriggerRep(Option::dec(&mut d)?),
-            0x25 => Frame::StoreLenWaveRep(dec_opt_lens(&mut d)?),
             0x26 => Frame::FilterWaveRep(Vec::dec(&mut d)?),
             0x27 => Frame::TopKWaveRep(Vec::dec(&mut d)?),
             0x28 => Frame::SizesWaveRep(Vec::dec(&mut d)?),
@@ -1106,7 +1062,8 @@ impl Frame {
             0x51 => {
                 let count = d.get_varint()? as usize;
                 // Every entry costs at least 6 bytes of header, so a
-                // corrupt count cannot force a big reserve.
+                // larger count is corrupt; the reservation is what the
+                // bytes left could hold.
                 if count > d.remaining() / 6 + 1 {
                     return Err(WireError::Truncated {
                         needed: count.saturating_mul(6),
@@ -1115,7 +1072,8 @@ impl Frame {
                 }
                 // The entries share the frame's bitset budget, so N small
                 // entries cannot decode into N maximal bitsets.
-                let mut entries = Vec::with_capacity(count);
+                let mut entries =
+                    Vec::with_capacity(d.reservation::<(u32, Option<TraceContext>, Frame)>(count));
                 for _ in 0..count {
                     let id = d.get_u32()?;
                     let (ctx, etag) = dec_ctx_then_tag(&mut d)?;
@@ -1133,7 +1091,7 @@ impl Frame {
                         have: d.remaining(),
                     });
                 }
-                let mut entries = Vec::with_capacity(count);
+                let mut entries = Vec::with_capacity(d.reservation::<(u32, Frame)>(count));
                 for _ in 0..count {
                     let id = d.get_u32()?;
                     let etag = d.get_u8()?;

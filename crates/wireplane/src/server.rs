@@ -47,14 +47,11 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use netsim::packet::NodeId;
 use obsplane::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, TraceContext};
 use queryplane::{DeltaRecord, Snapshot};
-use switchpointer::bitset::BitSet;
 use switchpointer::query::{StateView, UnionWave};
 use switchpointer::shard::{DirectoryShard, LocalBackend, ShardBackend};
 use telemetry::frame::{read_frame, Dec, WireError, MAX_FRAME};
-use telemetry::EpochRange;
 
 use crate::proto::{Frame, UnionWaveBody};
 
@@ -308,17 +305,10 @@ pub struct ShardState {
 }
 
 impl ShardState {
-    /// This shard's masked slice of a pointer union — the decode RPC's
-    /// answer. Masking happens server-side, so one slice reply carries
-    /// only the bits this shard is responsible for decoding.
-    fn union_slice(&self, switch: NodeId, range: EpochRange) -> Option<BitSet> {
-        self.view
-            .pointer_union(switch, range)
-            .map(|u| self.shard.mask(&u))
-    }
-
-    /// This shard as an in-process [`ShardBackend`]: the fused reads are
-    /// served by the same code the in-process router runs.
+    /// This shard as an in-process [`ShardBackend`]: the union slice, the
+    /// filter wave and the fused reads are served by the same code the
+    /// in-process router runs. Masking a union slice happens server-side,
+    /// so one slice reply carries only the bits this shard decodes.
     fn local(&self) -> LocalBackend<'_, Snapshot> {
         LocalBackend::new(&self.shard, &self.view)
     }
@@ -328,7 +318,7 @@ impl ShardState {
     fn serve(&self, req: &Frame) -> Frame {
         match req {
             Frame::UnionSliceReq { switch, range } => {
-                Frame::UnionSliceRep(self.union_slice(*switch, *range))
+                Frame::UnionSliceRep(self.local().union_slice(*switch, *range).wait())
             }
             Frame::ProbeExactReq {
                 switch,
@@ -347,20 +337,14 @@ impl ShardState {
             Frame::TriggerReq { host, flow } => {
                 Frame::TriggerRep(self.view.first_trigger_for(*host, *flow))
             }
-            Frame::StoreLenWaveReq { hosts } => Frame::StoreLenWaveRep(
-                self.view
-                    .store_len_wave(hosts)
-                    .into_iter()
-                    .map(|l| l.map(|n| n as u64))
-                    .collect(),
-            ),
             Frame::FilterWaveReq {
                 switch,
                 range,
                 hosts,
             } => Frame::FilterWaveRep(
-                self.view
+                self.local()
                     .filter_wave(hosts, *switch, *range)
+                    .wait()
                     .into_iter()
                     .map(|(l, recs)| (l.map(|n| n as u64), recs))
                     .collect(),
@@ -1027,6 +1011,7 @@ mod tests {
 
     use netsim::prelude::*;
     use switchpointer::testbed::{Testbed, TestbedConfig};
+    use telemetry::EpochRange;
 
     use crate::{MuxConn, WireCluster};
 
@@ -1530,10 +1515,12 @@ mod tests {
                     hi: rng.next_below(6),
                 },
             },
-            3 => Frame::StoreLenWaveReq {
+            3 => Frame::FilterWaveReq {
                 hosts: (0..rng.next_below(4))
                     .map(|_| NodeId(rng.next_below(12) as u32))
                     .collect(),
+                switch: NodeId(0),
+                range: EpochRange { lo: 0, hi: 5 },
             },
             4 => Frame::ProbeExactReq {
                 switch: NodeId(rng.next_below(12) as u32),

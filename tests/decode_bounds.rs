@@ -1,5 +1,6 @@
-//! Resource exhaustion through the replication frames and the fused
-//! aggregate reply: a count never reserves more than the bytes behind it.
+//! Resource exhaustion through the replication frames, the fused
+//! aggregate reply, the read path's packed id list and the multiplexing
+//! envelopes: a count never reserves more than the bytes behind it.
 //!
 //! `Dec::get_len` bounds a decoded count by the *bytes* left in the frame,
 //! but a decoder that then reserves `count` elements pays
@@ -262,6 +263,42 @@ fn an_inflated_union_top_k_row_count_never_reserves_beyond_the_payload() {
         assert!(got.is_err(), "{what}: hostile UnionTopKRep decoded");
         assert!(
             largest <= payload.len(),
+            "{what}: one allocation of {largest} bytes for a {}-byte payload",
+            payload.len()
+        );
+    }
+}
+
+/// The read path's own counts: a `FilterWaveReq`'s delta-packed host
+/// list (at least a byte per id, four in memory) and the entry counts of
+/// a `Batch` and a `BatchRep` (at least six bytes per entry, a whole
+/// `Frame` in memory). Each count passes its minimum-wire-size check, and
+/// all-ones filler fails the first element, so the typed error comes
+/// back at once; the reservation is what the payload could hold.
+#[test]
+fn an_inflated_id_or_envelope_count_never_reserves_beyond_the_payload() {
+    let counted = |prefix: Enc, count: usize| {
+        let mut e = prefix;
+        e.put_varint(count as u64);
+        let mut bytes = e.into_bytes();
+        bytes.resize(bytes.len() + FILLER, 0xFF);
+        bytes
+    };
+    // `switch | lo | hi`: a filter wave up to its host count.
+    let mut filter_head = Enc::new();
+    filter_head.put_u32(3);
+    filter_head.put_u64(10);
+    filter_head.put_u64(20);
+    for (what, tag, payload) in [
+        ("FilterWaveReq hosts", 0x16, counted(filter_head, FILLER)),
+        ("Batch entries", 0x51, counted(Enc::new(), FILLER / 6)),
+        ("BatchRep entries", 0x52, counted(Enc::new(), FILLER / 6)),
+    ] {
+        let (got, largest) = largest_request(|| Frame::decode(tag, &payload).map(|_| ()));
+        println!("{what}: {got:?}, largest request {largest} B");
+        assert!(got.is_err(), "{what}: hostile frame decoded");
+        assert!(
+            largest <= 2 * payload.len(),
             "{what}: one allocation of {largest} bytes for a {}-byte payload",
             payload.len()
         );

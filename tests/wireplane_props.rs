@@ -478,8 +478,6 @@ fn gen_frames(rng: &mut TestRng) -> Vec<Frame> {
                 cur_bytes: rng.next_u64(),
             })
         }),
-        Frame::StoreLenWaveReq { hosts: hosts(rng) },
-        Frame::StoreLenWaveRep((0..rng.below(6)).map(|_| opt_len(rng)).collect()),
         Frame::FilterWaveReq {
             switch: NodeId(rng.below(64) as u32),
             range: gen_epoch_range(rng),
@@ -1498,29 +1496,39 @@ fn envelope_frames_reject_truncation_corruption_and_hostile_counts() {
         assert!(Frame::decode(0x51, &batched).is_err());
         assert!(Frame::decode(0x52, &batched).is_err());
     }
-    // A delta-packed id list (StoreLenWaveReq) or var-int option list
-    // (StoreLenWaveRep) with a count far beyond its bytes: refused before
-    // allocation, bare as much as tagged.
+    // A delta-packed id list (FilterWaveReq, after its switch and range)
+    // with a count far beyond its bytes: refused before allocation, bare
+    // as much as tagged.
+    let mut hostile_count = vec![0u8; 4 + 16];
+    leb(1 << 40, &mut hostile_count);
+    hostile_count.extend_from_slice(&[0; 8]);
+    assert!(
+        matches!(
+            Frame::decode(0x16, &hostile_count),
+            Err(WireError::Truncated { .. })
+        ),
+        "hostile bare id count not refused"
+    );
+    let mut tagged = vec![0, 0, 0, 7, 0x16];
+    tagged.extend_from_slice(&hostile_count);
+    assert!(
+        matches!(
+            Frame::decode(0x50, &tagged),
+            Err(WireError::Truncated { .. })
+        ),
+        "hostile tagged id count not refused"
+    );
+    // The retired store-length wave tags are unknown tags, bare or
+    // enveloped.
     for tag in [0x15u8, 0x25] {
-        let mut hostile_count = Vec::new();
-        leb(1 << 40, &mut hostile_count);
-        hostile_count.extend_from_slice(&[0; 8]);
-        assert!(
-            matches!(
-                Frame::decode(tag, &hostile_count),
-                Err(WireError::Truncated { .. })
-            ),
-            "hostile bare count {tag:#04x} not refused"
-        );
-        let mut tagged = vec![0, 0, 0, 7, tag];
-        tagged.extend_from_slice(&hostile_count);
-        assert!(
-            matches!(
-                Frame::decode(0x50, &tagged),
-                Err(WireError::Truncated { .. })
-            ),
-            "hostile tagged count {tag:#04x} not refused"
-        );
+        assert!(matches!(
+            Frame::decode(tag, &[0]),
+            Err(WireError::BadTag(t)) if t == tag
+        ));
+        assert!(matches!(
+            Frame::decode(0x50, &[0, 0, 0, 7, tag, 0]),
+            Err(WireError::BadTag(t)) if t == tag
+        ));
     }
     // A run-length bitset (UnionSliceRep) claiming a capacity no legal
     // frame could carry: typed Oversize, not a giant allocation — bare
@@ -1600,10 +1608,11 @@ fn envelope_frames_reject_truncation_corruption_and_hostile_counts() {
         }
         other => panic!("honest batch refused: {other:?}"),
     }
-    // A delta-packed id list whose running sum overflows i64 (first id
-    // 1, then delta i64::MAX) is a typed error in every build profile —
-    // never a debug-only arithmetic panic.
-    let mut overflow_ids = vec![0, 0, 0, 8, 0x15];
+    // A delta-packed id list (a SizesWaveReq's, after its switch) whose
+    // running sum overflows i64 (first id 1, then delta i64::MAX) is a
+    // typed error in every build profile — never a debug-only arithmetic
+    // panic.
+    let mut overflow_ids = vec![0, 0, 0, 8, 0x18, 5, 0, 0, 0];
     leb(2, &mut overflow_ids); // id count
     leb(2, &mut overflow_ids); // zigzag(+1)
     leb(u64::MAX - 1, &mut overflow_ids); // zigzag(i64::MAX)
@@ -2530,9 +2539,9 @@ fn context_free_envelope_bytes_match_pre_context_layout() {
     assert_eq!(got, want, "context-free DeltaAppend layout drifted");
 }
 
-/// Golden bytes for the six frames with a packed collection in their
-/// payload — delta-coded host ids, a run-length bitset, a var-int option
-/// list — hand-assembled from the layout DESIGN §17 documents, so the
+/// Golden bytes for the frames with a packed collection in their
+/// payload — delta-coded host ids, a run-length bitset — hand-assembled
+/// from the layout DESIGN §17 documents, so the
 /// format is pinned against drift by bytes rather than by a second
 /// implementation. Each frame's bytes inside a `Tagged` envelope are the
 /// same bytes: a frame has one payload form.
@@ -2546,12 +2555,14 @@ fn packed_frame_bytes_match_the_documented_layout() {
     let mut leading_one = switchpointer::bitset::BitSet::new(3);
     leading_one.set(0);
     let golden: Vec<(Frame, Vec<u8>)> = vec![
-        // `count | zigzag(first) | zigzag(delta)…`: 3, +2, −1, +196.
+        // `switch u32 LE | count | zigzag(first) | zigzag(delta)…`:
+        // 3, +2, −1, +196.
         (
-            Frame::StoreLenWaveReq {
+            Frame::SizesWaveReq {
+                switch: NodeId(5),
                 hosts: ids(&[3, 5, 4, 200]),
             },
-            vec![4, 6, 4, 1, 0x88, 0x03],
+            vec![5, 0, 0, 0, 4, 6, 4, 1, 0x88, 0x03],
         ),
         // `switch u32 LE | lo u64 LE | hi u64 LE | ids`.
         (
@@ -2593,11 +2604,6 @@ fn packed_frame_bytes_match_the_documented_layout() {
         (
             Frame::UnionSliceRep(Some(switchpointer::bitset::BitSet::new(0))),
             vec![1, 0],
-        ),
-        // `count | (0 | 1 value)…`.
-        (
-            Frame::StoreLenWaveRep(vec![None, Some(0), Some(300)]),
-            vec![3, 0, 1, 0, 1, 0xAC, 0x02],
         ),
     ];
     for (frame, want) in golden {
