@@ -24,21 +24,13 @@ use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
 
 /// The storm fixture: a fat tree under mixed traffic, the shape of the
-/// queryplane concurrency suite's but for the burst, which goes to the
-/// victim's neighbouring host. The victim is not starved, so
-/// [`storm_queries`] leaves the trigger-anchored classes out.
-fn storm_testbed() -> (Testbed, FlowId) {
-    storm("h2_0_1", false)
-}
-
-/// The storm fixture with its burst aimed at the victim's own
-/// destination, so the victim starves and its trigger fires
-/// ([`storm_testbed`]'s burst goes to the neighbouring host, and its
-/// trigger-anchored queries are left out). With `cross`, a mid-priority
-/// flow onto that neighbour shares the victim's path, so the diagnoses
-/// find culprits on hosts other than the victim's; without it, every host
-/// their pointers name is the victim's destination, and their host waves
-/// are over no hosts.
+/// queryplane concurrency suite's, with its burst aimed at the victim's
+/// own destination, so the victim starves and its trigger fires and
+/// [`storm_queries`] covers every class. With `cross`, a mid-priority
+/// flow onto the neighbouring host shares the victim's path, so the
+/// diagnoses find culprits on hosts other than the victim's; without it,
+/// every host their pointers name is the victim's destination, and their
+/// host waves are over no hosts.
 fn starved_storm_testbed(cross: bool) -> (Testbed, FlowId) {
     storm("h2_0_0", cross)
 }
@@ -132,6 +124,18 @@ fn storm_queries(tb: &Testbed, victim: FlowId) -> Vec<QueryRequest> {
     reqs
 }
 
+/// Panics unless `reqs` asks a question of every query class.
+fn assert_every_class(reqs: &[QueryRequest]) {
+    let mut classes = [0usize; 6];
+    for req in reqs {
+        classes[req.class_index()] += 1;
+    }
+    assert!(
+        classes.iter().all(|&n| n > 0),
+        "every class is asked: {classes:?}"
+    );
+}
+
 /// [`storm_queries`] plus `n` more drawn from `seed`: aggregates over
 /// seeded switches, windows and `k`, sweeps over seeded windows, and the
 /// diagnoses over seeded trigger windows and cascade depths. For a
@@ -194,10 +198,10 @@ fn seeded_storm_queries(tb: &Testbed, victim: FlowId, seed: u64, n: usize) -> Ve
 
 #[test]
 fn sharded_analyzer_verdicts_identical_on_storm_workload() {
-    let (tb, victim) = storm_testbed();
+    let (tb, victim) = starved_storm_testbed(true);
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
-    assert!(reqs.len() >= 11);
+    assert_every_class(&reqs);
     let baseline: Vec<String> = reqs
         .iter()
         .map(|r| format!("{:?}", analyzer.execute(r)))
@@ -228,9 +232,10 @@ fn sharded_analyzer_verdicts_identical_on_storm_workload() {
 
 #[test]
 fn query_plane_verdicts_identical_across_directory_shards() {
-    let (tb, victim) = storm_testbed();
+    let (tb, victim) = starved_storm_testbed(true);
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
+    assert_every_class(&reqs);
     let baseline: Vec<String> = reqs
         .iter()
         .map(|r| format!("{:?}", analyzer.execute(r)))
@@ -450,9 +455,10 @@ fn backend_router_over_local_backends_matches_flat_view() {
     use queryplane::Snapshot;
     use switchpointer::shard::{BackendRouter, LocalBackend, ShardedDirectory};
 
-    let (tb, victim) = storm_testbed();
+    let (tb, victim) = starved_storm_testbed(true);
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
+    assert_every_class(&reqs);
     let baseline: Vec<String> = reqs
         .iter()
         .map(|r| format!("{:?}", analyzer.execute(r)))
