@@ -20,7 +20,7 @@
 //! | [`hoststore`] | §4.2.2, §6 | the flow-record store, its filter/aggregate queries, and flow-id sharding |
 //! | [`analyzer`] | §4.3, §5 | the analyzer and the four debugging applications |
 //! | [`query`] | §4.3, §5 | the per-application query executors behind the `QueryRequest`/`QueryResponse` API, shared by the analyzer and the query plane |
-//! | [`shard`] | §4.3 scale-out | the hash-partitioned directory: `DirectoryShard` slices, the `ShardedView` state router, the `ShardedAnalyzer` front-end, and the `ShardBackend`/`BackendRouter` abstraction routing over local *or* remote shard instances |
+//! | [`shard`] | §4.3 scale-out | the hash-partitioned directory: `DirectoryShard` slices, the `ShardBackend`/`BackendRouter` abstraction routing over local *or* remote shard instances, and the `ShardedAnalyzer` front-end |
 //! | [`retention`] | §4.2 "flushed to local storage" | the per-directory-shard GC pass: epoch-horizon + record-budget eviction of flow records, archived-pointer retirement, standing-query pins |
 //! | [`cost`] | §5, §6.2 | calibrated RPC latency model (Fig. 7/8/12 shapes), batched-RPC and cache-hit terms |
 //! | [`pipeline`] | §6.1 | the OVS-style forwarding pipeline of the Fig. 9 benchmark |
@@ -114,8 +114,6 @@ pub use query::{
     ExecutionTrace, PointerRound, QueryCtx, QueryExecutor, QueryRequest, QueryResponse, StateView,
 };
 pub use retention::{RetentionPolicy, SweepReport};
-pub use shard::{
-    host_shard_of, DirectoryShard, ShardFanout, ShardedAnalyzer, ShardedDirectory, ShardedView,
-};
+pub use shard::{host_shard_of, DirectoryShard, ShardFanout, ShardedAnalyzer, ShardedDirectory};
 pub use switch::{SwitchComponent, SwitchHandle, SwitchPointerApp};
 pub use testbed::{Testbed, TestbedConfig};

@@ -13,8 +13,9 @@
 //!   restricting a pointer set to them, a *local* per-shard MPHF (minimal
 //!   over the owned addresses) sizing the shard's own metadata.
 //! * [`ShardedDirectory`] — the full partition plus the slot → owner map.
-//! * [`ShardedView`] — a [`StateView`] router over any underlying view:
-//!   pointer unions are decoded per shard (masked slices) and reassembled
+//! * [`BackendRouter`] — a [`StateView`] router over one
+//!   [`ShardBackend`] per shard, in process ([`LocalBackend`]) or behind a
+//!   wire: pointer unions are reassembled from the shards' masked slices
 //!   by a deterministic OR/merge; host reads route to the owning shard.
 //!   Because the shard masks partition the directory's slot range, the
 //!   reassembled state is **bit-identical** to the unsharded view's — the
@@ -105,14 +106,21 @@ impl DirectoryShard {
     }
 
     /// Decodes this shard's slice of `bits` into owned host ids
-    /// (ascending) — the per-shard half of a fan-out. Walks the owned
-    /// slot table (O(owned), not O(directory)).
+    /// (ascending) — the per-shard half of a fan-out. Walks the set bits
+    /// of `bits`, looking each owned one up in the owned slot table, so
+    /// the cost follows the pointer set, not the directory.
     pub fn decode(&self, bits: &BitSet) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .owned_slots
-            .iter()
-            .filter(|&&(slot, _)| bits.test(slot))
-            .map(|&(_, h)| h)
+        let mut out: Vec<NodeId> = bits
+            .iter_ones()
+            .take_while(|&slot| slot < self.slot_mask.capacity())
+            .filter(|&slot| self.slot_mask.test(slot))
+            .map(|slot| {
+                let i = self
+                    .owned_slots
+                    .binary_search_by_key(&slot, |&(s, _)| s)
+                    .expect("a slot under the mask is owned");
+                self.owned_slots[i].1
+            })
             .collect();
         out.sort();
         out
@@ -222,6 +230,15 @@ impl ShardedDirectory {
     pub fn metadata_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.metadata_bytes()).sum()
     }
+
+    /// One [`LocalBackend`] per shard over `view`, in shard order: what a
+    /// [`BackendRouter`] routes over in process.
+    pub fn local_backends<'a, V: StateView>(&'a self, view: &'a V) -> Vec<LocalBackend<'a, V>> {
+        self.shards
+            .iter()
+            .map(|s| LocalBackend::new(s, view))
+            .collect()
+    }
 }
 
 /// Per-query shard fan-out accounting: who decoded and answered what.
@@ -273,194 +290,15 @@ impl ShardFanout {
     }
 }
 
-/// A [`StateView`] router over any underlying view: pointer sets are
-/// decoded per owning shard and reassembled deterministically; host reads
-/// route to the owning shard. Counters are [`obsplane::Counter`]s so the
-/// router stays `Sync` over `Sync` views (the query plane's worker pool
-/// relies on it); [`ShardedView::fanout`] assembles the [`ShardFanout`]
-/// thin view from them on demand.
-pub struct ShardedView<'a, V: StateView> {
-    inner: &'a V,
-    dir: &'a ShardedDirectory,
-    decode_bits: Vec<Counter>,
-    host_reads: Vec<Counter>,
-    merges: Counter,
-    merged_bits: Counter,
-}
-
-impl<'a, V: StateView> ShardedView<'a, V> {
-    pub fn new(inner: &'a V, dir: &'a ShardedDirectory) -> Self {
-        let n = dir.n_shards();
-        ShardedView {
-            inner,
-            dir,
-            decode_bits: (0..n).map(|_| Counter::new()).collect(),
-            host_reads: (0..n).map(|_| Counter::new()).collect(),
-            merges: Counter::new(),
-            merged_bits: Counter::new(),
-        }
-    }
-
-    /// Snapshot of the fan-out counters.
-    pub fn fanout(&self) -> ShardFanout {
-        ShardFanout {
-            decode_bits: self.decode_bits.iter().map(|a| a.get()).collect(),
-            host_reads: self.host_reads.iter().map(|a| a.get()).collect(),
-            merges: self.merges.get(),
-            merged_bits: self.merged_bits.get(),
-        }
-    }
-
-    /// Snapshot of the fan-out counters, zeroing them in the same pass.
-    /// This is the scratch-reuse contract of the work-stealing query
-    /// plane: one router is built per worker per chunk and drained
-    /// between queries, so per-query fan-out still comes out while the
-    /// counter vectors are allocated once per chunk instead of once per
-    /// query.
-    pub fn take_fanout(&self) -> ShardFanout {
-        ShardFanout {
-            decode_bits: self.decode_bits.iter().map(|a| a.take()).collect(),
-            host_reads: self.host_reads.iter().map(|a| a.take()).collect(),
-            merges: self.merges.take(),
-            merged_bits: self.merged_bits.take(),
-        }
-    }
-
-    fn note_host_read(&self, host: NodeId) {
-        self.host_reads[self.dir.owner_of(host)].inc();
-    }
-
-    /// A wave reads each of its hosts once, as a [`BackendRouter`] counts
-    /// it — not once for the store size and again for the rows, as the
-    /// per-host reads the default waves loop over would.
-    fn note_wave(&self, hosts: &[NodeId]) {
-        for &h in hosts {
-            self.note_host_read(h);
-        }
-    }
-}
-
-impl<V: StateView> StateView for ShardedView<'_, V> {
-    fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>> {
-        self.inner.pointer_union(switch, range).map(move |full| {
-            let full = full?;
-            if self.dir.n_shards() == 1 {
-                self.decode_bits[0].add(full.count() as u64);
-                return Some(full);
-            }
-            // Fan the decode out: every shard takes the slice of `full`
-            // under its slot mask. The masks partition the directory's
-            // slot range, so reassembling (ORing) the slices provably
-            // reproduces `full` byte-for-byte — verdicts cannot depend on
-            // N, and the hot path therefore only *counts* each shard's
-            // slice (no per-shard allocation) and returns `full` as the
-            // reassembled union. The partition-equality itself is pinned
-            // by the DirectoryShard tests
-            // (`shards_partition_hosts_and_slots`) and checked cheaply
-            // here: the per-shard counts must sum to the whole union.
-            let mut total = 0u64;
-            for shard in self.dir.shards() {
-                let ones = shard.count_owned(&full) as u64;
-                if ones > 0 {
-                    self.decode_bits[shard.id()].add(ones);
-                    total += ones;
-                }
-            }
-            self.merges.inc();
-            self.merged_bits.add(total);
-            debug_assert_eq!(
-                total,
-                full.count() as u64,
-                "shard slot masks must partition the directory range"
-            );
-            Some(full)
-        })
-    }
-
-    fn pointer_contains_exact(
-        &self,
-        switch: NodeId,
-        addr: u64,
-        epoch: u64,
-    ) -> Option<Option<bool>> {
-        // The shard owning the probed address's slot answers the probe.
-        if let Some(s) = self.dir.owner_of_addr(addr) {
-            self.decode_bits[s].inc();
-        }
-        self.inner.pointer_contains_exact(switch, addr, epoch)
-    }
-
-    fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool> {
-        // One probe (one hash + a bounded slot scan) per switch, answered
-        // by the shard owning the probed address's slot.
-        if let Some(s) = self.dir.owner_of_addr(addr) {
-            self.decode_bits[s].add(switches.len() as u64);
-        }
-        self.inner.presence_wave(switches, addr, range)
-    }
-
-    fn store_len(&self, host: NodeId) -> Option<usize> {
-        self.note_host_read(host);
-        self.inner.store_len(host)
-    }
-
-    fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord> {
-        self.note_host_read(host);
-        self.inner.record(host, flow)
-    }
-
-    fn flows_matching(&self, host: NodeId, switch: NodeId, range: EpochRange) -> Vec<FlowRecord> {
-        self.note_host_read(host);
-        self.inner.flows_matching(host, switch, range)
-    }
-
-    fn top_k_through(&self, host: NodeId, switch: NodeId, k: usize) -> Vec<(FlowId, u64)> {
-        self.note_host_read(host);
-        self.inner.top_k_through(host, switch, k)
-    }
-
-    fn sizes_by_link(&self, host: NodeId, switch: NodeId) -> Vec<(u16, u64)> {
-        self.note_host_read(host);
-        self.inner.sizes_by_link(host, switch)
-    }
-
-    fn first_trigger_for(&self, host: NodeId, flow: FlowId) -> Option<TriggerEvent> {
-        self.note_host_read(host);
-        self.inner.first_trigger_for(host, flow)
-    }
-
-    fn filter_wave(
-        &self,
-        hosts: &[NodeId],
-        switch: NodeId,
-        range: EpochRange,
-    ) -> Deferred<'_, FilterWaveReply> {
-        self.note_wave(hosts);
-        self.inner.filter_wave(hosts, switch, range)
-    }
-
-    fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply {
-        self.note_wave(hosts);
-        self.inner.top_k_wave(hosts, switch, k)
-    }
-
-    fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> SizesWaveReply {
-        self.note_wave(hosts);
-        self.inner.sizes_wave(hosts, switch)
-    }
-}
-
 // ----------------------------------------------------------------------
 // Shard backends: one serving surface per directory shard, local or
 // remote.
 // ----------------------------------------------------------------------
 
-/// One directory shard's serving surface. [`ShardedView`] routes over
-/// in-process state it can reach by reference; this trait is the same
-/// contract with the *reach* abstracted away, so a router can run over
-/// shard instances living behind a wire (`wireplane`'s shard servers)
-/// exactly as it runs over local slices — the verdict-equality argument
-/// is shared.
+/// One directory shard's serving surface, with the *reach* abstracted
+/// away: a router runs over shard instances living behind a wire
+/// (`wireplane`'s shard servers) exactly as it runs over in-process
+/// slices ([`LocalBackend`]) — the verdict-equality argument is shared.
 ///
 /// The wave methods mirror [`StateView`]'s batched forms: one call per
 /// query wave per shard, which is what lets a remote backend carry a
@@ -541,7 +379,8 @@ pub trait ShardBackend {
 
 /// The in-process [`ShardBackend`]: one shard's slice of a shared
 /// [`StateView`]. What a wire shard server computes behind its socket,
-/// computed by reference — the parity fixture for the remote transport.
+/// computed by reference — so a shard's slice of a switch's union is
+/// computed once per shard, as a server computes it.
 pub struct LocalBackend<'a, V: StateView> {
     shard: &'a DirectoryShard,
     view: &'a V,
@@ -860,28 +699,37 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
             })
             .collect();
         issued.map(move |replies| {
-            let mut rows: Option<Vec<(NodeId, T)>> = None;
+            let mut parts: Vec<(Vec<NodeId>, Vec<T>)> = Vec::with_capacity(replies.len());
             let mut total = 0u64;
             // Backends are in shard order, so the index is the shard.
             for (shard, reply) in replies.into_iter().enumerate() {
-                let Some((hosts, replies)) = reply else {
+                let Some(part) = reply else {
                     continue;
                 };
-                debug_assert_eq!(hosts.len(), replies.len());
-                let n = hosts.len() as u64;
+                debug_assert_eq!(part.0.len(), part.1.len());
+                let n = part.0.len() as u64;
                 if n > 0 {
                     self.decode_bits[shard].add(n);
                     self.host_reads[shard].add(n);
                     total += n;
                 }
-                rows.get_or_insert_with(Vec::new)
-                    .extend(hosts.into_iter().zip(replies));
+                parts.push(part);
             }
-            let mut rows = rows?;
+            if parts.is_empty() {
+                return None;
+            }
             if self.backends.len() > 1 {
                 self.merges.inc();
                 self.merged_bits.add(total);
             }
+            // A lone shard's hosts are already ascending.
+            if parts.len() == 1 {
+                return parts.pop();
+            }
+            let mut rows: Vec<(NodeId, T)> = parts
+                .into_iter()
+                .flat_map(|(hosts, rows)| hosts.into_iter().zip(rows))
+                .collect();
             rows.sort_unstable_by_key(|&(h, _)| h);
             Some(rows.into_iter().unzip())
         })
@@ -1085,9 +933,10 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
 }
 
 /// The thin router front-end over a live [`Analyzer`]: executes any
-/// [`QueryRequest`] through a [`ShardedView`] of the live state, so the
-/// verdict is bit-identical to the unsharded analyzer's at any shard
-/// count, while the per-shard fan-out is recorded and priced.
+/// [`QueryRequest`] through a [`BackendRouter`] over [`LocalBackend`]s of
+/// the live state, so the verdict is bit-identical to the unsharded
+/// analyzer's at any shard count, while the per-shard fan-out is recorded
+/// and priced.
 pub struct ShardedAnalyzer<'a> {
     analyzer: &'a Analyzer,
     dir: ShardedDirectory,
@@ -1127,10 +976,10 @@ impl<'a> ShardedAnalyzer<'a> {
         req: &QueryRequest,
     ) -> (QueryResponse, ExecutionTrace, ShardFanout) {
         let live = self.analyzer.live_view();
-        let view = ShardedView::new(&live, &self.dir);
-        let (resp, trace) = QueryExecutor::new(self.analyzer.ctx(), &view).execute_traced(req);
-        let fanout = view.fanout();
-        (resp, trace, fanout)
+        let backends = self.dir.local_backends(&live);
+        let router = BackendRouter::new(&backends, &self.dir);
+        let (resp, trace) = QueryExecutor::new(self.analyzer.ctx(), &router).execute_traced(req);
+        (resp, trace, router.counters().fanout)
     }
 }
 

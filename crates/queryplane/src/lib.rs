@@ -22,36 +22,38 @@
 //!    construction and shared by every batch (and by the `streamplane`
 //!    crate's standing query windows). Batches are cut into
 //!    [`chunk_size`]d chunks placed by shard affinity and rebalanced by
-//!    stealing; each query runs the shared
-//!    [`QueryExecutor`](switchpointer::query::QueryExecutor) as a pure
-//!    function of the snapshot and results are stitched lock-free in
-//!    submission order, so verdicts are independent of worker count,
-//!    chunk size, and steal schedule. Snapshots are published through an
-//!    epoch-stamped [`SnapshotSlot`], so a refresh installs new state
-//!    without quiescing in-flight batches.
+//!    stealing, and results are stitched lock-free in submission order,
+//!    so verdicts are independent of worker count, chunk size, and steal
+//!    schedule. Snapshots are published through an epoch-stamped
+//!    [`SnapshotSlot`], so a refresh installs new state without quiescing
+//!    in-flight batches.
 //! 3. **Sharded directory** — with
 //!    [`QueryPlaneConfig::directory_shards`] > 1 the bit → host directory
 //!    is hash-partitioned across analyzer instances
-//!    ([`switchpointer::shard`], DESIGN.md §11): workers execute through
-//!    the shard router (bit-identical answers at any shard count),
-//!    dispatch is keyed by each request's [`home_shard`], and the measured
-//!    per-shard fan-out lands in the registry ([`QueryPlane::fanout`]).
+//!    ([`switchpointer::shard`], DESIGN.md §11): every query reads
+//!    through a shard router over one
+//!    [`LocalBackend`](switchpointer::shard::LocalBackend) per directory
+//!    shard (bit-identical answers at any shard count), dispatch is keyed
+//!    by each request's [`home_shard`], and the measured per-shard fan-out
+//!    lands in the registry ([`QueryPlane::fanout`]).
 //!
-//! `execute_batch` is coalesce → scatter → stitch and nothing else. **A
-//! batch runs each distinct request once:** requests are keyed by the
-//! whole [`QueryRequest`], only the distinct ones are scattered (in
+//! `execute_batch` is the batch driver ([`execute`], [`lock_step`]) over
+//! the published snapshot and nothing else — the same driver the wire
+//! front-end runs over its remote shard links. **A batch runs each
+//! distinct request once:** requests are keyed by the whole
+//! [`QueryRequest`], only the distinct ones are scattered (in
 //! first-occurrence order), and every slot that asked the same question
 //! gets the same response and the same `Arc`'d trace. The first
-//! occurrence keeps the measured fan-out; each later copy carries a
-//! zeroed one, because it decoded nothing — so `queryplane.fanout.*`
-//! counts work actually done, and `queryplane.coalesced` counts the
-//! copies. Each [`QueryOutcome`] is otherwise what the worker produced —
-//! response, executor trace, fan-out. What the same batch *would have
-//! cost* on the paper's RPC fabric (an LRU pointer cache over retrieval
-//! rounds, host fan-out coalesced per batch, per-shard decode) is
-//! computed by whoever wants to print it, by replaying the outcomes
-//! through [`model::ModelReplay`] — the model reads what the plane
-//! returns and shapes nothing in it.
+//! occurrence keeps its router's counters; each later copy carries zeroed
+//! ones, because it decoded nothing — so `queryplane.fanout.*` counts work
+//! actually done, and `queryplane.coalesced` counts the copies. Each
+//! [`QueryOutcome`] is otherwise what the executor produced — response,
+//! trace, router counters. What the same batch *would have cost* on the
+//! paper's RPC fabric (an LRU pointer cache over retrieval rounds, host
+//! fan-out coalesced per batch, per-shard decode) is computed by whoever
+//! wants to print it, by replaying the outcomes through
+//! [`model::ModelReplay`] — the model reads what the plane returns and
+//! shapes nothing in it.
 //!
 //! ## Quickstart
 //!
@@ -91,7 +93,6 @@
 //! assert_eq!(model.report().pointer_hits, 7);
 //! ```
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use netsim::routing::RouteTable;
@@ -101,13 +102,15 @@ use switchpointer::retention;
 use switchpointer::shard::{host_shard_of, ShardFanout, ShardedDirectory};
 use switchpointer::Analyzer;
 
+mod driver;
 pub mod model;
 mod pool;
 mod repl;
 mod slot;
 mod snapshot;
 
-pub use pool::{chunk_size, PoolMetrics, QueryOutcome, SharedCtx, WorkerPool};
+pub use driver::{execute, lock_step, QueryOutcome, SharedCtx, Spans};
+pub use pool::{chunk_size, PoolMetrics, WorkerPool};
 pub use repl::{DeltaRecord, HostPatch, HostPatchKind, SwitchPatch};
 pub use slot::SnapshotSlot;
 pub use snapshot::{RecordShard, ShardedHostStore, Snapshot, SnapshotDelta, Unshared};
@@ -210,8 +213,6 @@ pub fn home_shard(req: &QueryRequest, n_shards: usize) -> usize {
 /// batch bumps counters without any name lookups.
 struct QpMetrics {
     queries: Arc<Counter>,
-    /// Submitted slots answered by another slot's execution.
-    coalesced: Arc<Counter>,
     batches: Arc<Counter>,
     fanout_merges: Arc<Counter>,
     fanout_merged_bits: Arc<Counter>,
@@ -229,7 +230,6 @@ impl QpMetrics {
         };
         QpMetrics {
             queries: reg.counter("queryplane.queries"),
-            coalesced: reg.counter("queryplane.coalesced"),
             batches: reg.counter("queryplane.batches"),
             fanout_merges: reg.counter("queryplane.fanout.merges"),
             fanout_merged_bits: reg.counter("queryplane.fanout.merged_bits"),
@@ -391,33 +391,20 @@ impl QueryPlane {
     }
 
     /// Executes a batch of queries over the worker pool and returns
-    /// outcomes in submission order: load the published snapshot, run
-    /// each distinct request once, give every slot its request's outcome.
+    /// outcomes in submission order: load the published snapshot and run
+    /// the batch driver over one `LocalBackend` per directory shard of it.
     ///
     /// Responses are computed concurrently but are bit-identical to
     /// running each query alone on the sequential analyzer over the same
     /// state. A repeated request is not re-run: its later slots get the
-    /// first occurrence's response and (shared) trace with a zeroed
-    /// fan-out, and count in `queryplane.coalesced`. The only per-batch
+    /// first occurrence's response and (shared) trace with zeroed
+    /// counters, and count in `queryplane.coalesced`. The only per-batch
     /// bookkeeping is folding the measured per-shard fan-out into the
     /// registry, once.
     pub fn execute_batch(&mut self, requests: &[QueryRequest]) -> Vec<QueryOutcome> {
         if requests.is_empty() {
             return Vec::new();
         }
-        // `first[i]` is the lowest slot asking slot `i`'s question; the
-        // slots with `first[i] == i` are the distinct requests, in
-        // first-occurrence order.
-        let mut first_slot: HashMap<QueryRequest, usize> = HashMap::with_capacity(requests.len());
-        let first: Vec<usize> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| *first_slot.entry(*r).or_insert(i))
-            .collect();
-        let distinct: Vec<QueryRequest> = (0..requests.len())
-            .filter(|&i| first[i] == i)
-            .map(|i| requests[i])
-            .collect();
         // With a sharded directory, dispatch is keyed by each request's
         // home shard (shard-affine initial placement; idle workers steal);
         // answers are independent of the keying either way. The batch
@@ -426,37 +413,25 @@ impl QueryPlane {
         let snapshot = self.slot.load().0;
         let n_dir = self.ctx.dir.n_shards();
         let keys: Option<Vec<usize>> =
-            (n_dir > 1).then(|| distinct.iter().map(|r| home_shard(r, n_dir)).collect());
-        let executed = self
-            .pool
-            .run_keyed(&self.ctx, &snapshot, &distinct, keys.as_deref());
+            (n_dir > 1).then(|| requests.iter().map(|r| home_shard(r, n_dir)).collect());
+        let ctx = Arc::clone(&self.ctx);
+        let outcomes = execute(
+            &self.pool,
+            &self.ctx,
+            requests,
+            keys.as_deref(),
+            chunk_size,
+            move |chunk, started| {
+                let backends = ctx.dir.local_backends(&*snapshot);
+                lock_step(&ctx, &backends, true, Spans::Exec, chunk, started)
+            },
+        );
 
         let mut fanout = ShardFanout::new(n_dir);
-        for o in &executed {
-            fanout.absorb(&o.fanout);
-        }
-        // A first occurrence takes its execution; a repeat copies the
-        // response and shares the trace of its first occurrence, which
-        // already sits at a lower index of `outcomes`.
-        let mut executed = executed.into_iter();
-        let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(requests.len());
-        for (i, &f) in first.iter().enumerate() {
-            let outcome = if f == i {
-                executed.next().expect("one outcome per distinct request")
-            } else {
-                let original = &outcomes[f];
-                QueryOutcome {
-                    response: original.response.clone(),
-                    trace: Arc::clone(&original.trace),
-                    fanout: ShardFanout::new(n_dir),
-                }
-            };
-            outcomes.push(outcome);
+        for o in &outcomes {
+            fanout.absorb(&o.counters.fanout);
         }
         self.m.queries.add(requests.len() as u64);
-        self.m
-            .coalesced
-            .add((requests.len() - distinct.len()) as u64);
         self.m.batches.inc();
         self.m.fanout_merges.add(fanout.merges);
         self.m.fanout_merged_bits.add(fanout.merged_bits);

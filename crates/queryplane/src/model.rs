@@ -166,10 +166,13 @@ impl ModelReplay {
         let mut batched_pointer_total = SimTime::ZERO;
         let r = &mut self.report;
 
-        for QueryOutcome { trace, fanout, .. } in outcomes {
+        for QueryOutcome {
+            trace, counters, ..
+        } in outcomes
+        {
             // Shards decode their slices concurrently (max term), the
             // router pays the serial merge.
-            r.modelled_decode_total += fanout.modelled_decode(&self.cost);
+            r.modelled_decode_total += counters.fanout.modelled_decode(&self.cost);
 
             let (mut hits, mut misses) = (0u32, 0u32);
             let mut batched_pointer = SimTime::ZERO;

@@ -3,11 +3,10 @@
 //! The first query-plane iteration spawned scoped OS threads per
 //! `execute_batch` call; the second kept the threads but pre-sliced each
 //! batch into one message per worker, funnelled results back over an
-//! `mpsc` channel, and rebuilt a `ShardedView` + `QueryExecutor` for
-//! every query. On model-scale workloads (µs of real compute per query)
-//! that churn was the ceiling DESIGN.md §9 recorded: cold throughput
-//! *fell* as workers grew. This iteration removes the remaining
-//! barriers from the hot loop:
+//! `mpsc` channel, and rebuilt a router + `QueryExecutor` for every query.
+//! On model-scale workloads (µs of real compute per query) that churn was
+//! the ceiling DESIGN.md §9 recorded: cold throughput *fell* as workers
+//! grew. This iteration removes the remaining barriers from the hot loop:
 //!
 //! * **Chunked work-stealing dispatch.** A batch is cut into chunks of
 //!   [`chunk_size`]`= max(batch/(4·W), 8)` requests. Each chunk starts on
@@ -28,33 +27,21 @@
 //!   one worker, so the writes are disjoint by construction — and the
 //!   caller stitches them in submission order. No reply channel, no
 //!   merge pass.
-//! * **Per-worker scratch reuse.** One `ShardedView` router (with its
-//!   fan-out counter vectors) is built per claimed chunk and drained
-//!   between queries via [`ShardedView::take_fanout`], instead of being
-//!   reallocated per query. The per-class latency histograms are
-//!   pre-resolved in [`SharedCtx`] as before.
 //!
 //! Determinism is preserved by construction: which worker runs a chunk
-//! affects *scheduling only*. Each query runs the shared
-//! [`QueryExecutor`](switchpointer::query::QueryExecutor) as a pure
-//! function of the frozen [`Snapshot`](crate::Snapshot), and results are
-//! keyed by submission index, so the merged output is byte-for-byte
+//! affects *scheduling only*. Results are keyed by submission index, so
+//! a work function that is a pure function of its items (the batch
+//! driver's queries run the shared executor over a frozen snapshot or
+//! over shard servers serving one) yields output byte-for-byte
 //! independent of worker count, chunk size, and steal schedule — the
 //! property suite pins this across rigged schedules.
 //!
-//! **A batch runs each distinct request once.** The pool executes every
-//! request it is handed; it is `QueryPlane::execute_batch` that hands it
-//! only the distinct requests of a batch (in first-occurrence order) and
-//! gives each repeat a copy of its first occurrence's outcome. So one
-//! `queryplane.exec_ns.*` sample and one exec span are recorded per
-//! *execution*, not per submitted slot.
-//!
-//! The pool also exposes the generic scatter kernel
-//! ([`WorkerPool::scatter`]) so other planes reuse the same scheduler:
-//! the stream plane's window evaluation flows through
-//! `QueryPlane::execute_batch`, and the wire front-end submits whole
-//! decoded waves instead of running executors inline on connection
-//! threads (a wave of one is one chunk, so it does run there).
+//! The pool is the scheduler and nothing else: its one entry point is the
+//! generic scatter kernel ([`WorkerPool::scatter`]). The batch driver
+//! (`crate::driver`) runs both planes' queries through it — the
+//! in-process plane's batches and the stream plane's windows, and the
+//! wire front-end's decoded waves (a wave of one is one chunk, so it runs
+//! on the submitting thread).
 //! Scheduler behaviour is observable through `pool.*` metrics:
 //! `pool.steals`, `pool.chunks`, `pool.batches`, the `pool.queue_depth`
 //! gauge, and per-worker `pool.worker<w>.busy_ns` / `idle_ns`.
@@ -67,109 +54,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use netsim::routing::RouteTable;
-use netsim::topology::Topology;
-use obsplane::{Counter, Gauge, Histogram, MetricsRegistry};
-use switchpointer::analyzer::HostDirectory;
-use switchpointer::cost::CostModel;
-use switchpointer::query::{
-    ExecutionTrace, QueryCtx, QueryExecutor, QueryRequest, QueryResponse, QUERY_CLASS_NAMES,
-};
-use switchpointer::shard::{ShardFanout, ShardedDirectory, ShardedView};
-use telemetry::EpochParams;
-
-use crate::snapshot::Snapshot;
-
-/// The immutable deployment knowledge every executor needs besides the
-/// snapshot: topology, routes, epoch timing, the bit→host directory (flat
-/// and hash-partitioned) and the calibrated cost model — plus the plane's
-/// [`MetricsRegistry`], so workers record per-query-class execution
-/// latency and spans without extra plumbing. Shared across worker threads
-/// by `Arc`.
-pub struct SharedCtx {
-    pub topo: Topology,
-    pub routes: RouteTable,
-    pub params: EpochParams,
-    pub directory: HostDirectory,
-    pub dir: ShardedDirectory,
-    pub cost: CostModel,
-    /// The owning plane's metric registry (shared with the stream plane
-    /// and scrapeable over the wire).
-    pub metrics: Arc<MetricsRegistry>,
-    /// `queryplane.exec_ns.<class>` histograms pre-resolved per query
-    /// class (indexed by [`QueryRequest::class_index`]) so the worker hot
-    /// path records without a registry lookup.
-    pub exec_hists: Vec<Arc<Histogram>>,
-}
-
-impl SharedCtx {
-    /// Builds the shared context, resolving the per-class execution
-    /// histograms out of `metrics` once.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        topo: Topology,
-        routes: RouteTable,
-        params: EpochParams,
-        directory: HostDirectory,
-        dir: ShardedDirectory,
-        cost: CostModel,
-        metrics: Arc<MetricsRegistry>,
-    ) -> SharedCtx {
-        let exec_hists = QUERY_CLASS_NAMES
-            .iter()
-            .map(|class| metrics.histogram(&format!("queryplane.exec_ns.{class}")))
-            .collect();
-        SharedCtx {
-            topo,
-            routes,
-            params,
-            directory,
-            dir,
-            cost,
-            metrics,
-            exec_hists,
-        }
-    }
-
-    /// The borrow view executors take. Public because the wire front-end
-    /// builds the same executor context over remote shard backends.
-    pub fn query_ctx(&self) -> QueryCtx<'_> {
-        QueryCtx {
-            topo: &self.topo,
-            routes: &self.routes,
-            params: self.params,
-            directory: &self.directory,
-            cost: &self.cost,
-        }
-    }
-
-    /// The epoch a request is keyed to for span tracing: the range's
-    /// upper epoch for range queries, the trigger window's epoch for
-    /// trigger-anchored diagnoses.
-    pub fn span_epoch(&self, req: &QueryRequest) -> u64 {
-        match *req {
-            QueryRequest::Contention { trigger_window, .. }
-            | QueryRequest::RedLights { trigger_window, .. }
-            | QueryRequest::Cascade { trigger_window, .. } => self.params.epoch_of(trigger_window),
-            QueryRequest::LoadImbalance { range, .. }
-            | QueryRequest::TopK { range, .. }
-            | QueryRequest::SilentDrop { range, .. } => range.hi,
-        }
-    }
-}
-
-/// One executed query, exactly as the worker that ran it produced it: the
-/// (bit-identical) response, the executor's trace of what the answer
-/// read — `trace.deps` is what the stream plane's result cache keys
-/// invalidation by — and the measured per-shard fan-out. The trace sits
-/// behind an `Arc` so the slots of a batch that asked the same question
-/// share one (see `QueryPlane::execute_batch`).
-#[derive(Debug, Clone)]
-pub struct QueryOutcome {
-    pub response: QueryResponse,
-    pub trace: Arc<ExecutionTrace>,
-    pub fanout: ShardFanout,
-}
+use obsplane::{Counter, Gauge, MetricsRegistry};
 
 /// Chunks per worker a batch is aimed to split into; with the
 /// [`MIN_CHUNK`] floor this is the `max(batch/(4·W), 8)` sizing rule.
@@ -469,13 +354,14 @@ impl WorkerPool {
     /// together (warm per-shard state) without ever serializing on a hot
     /// key — idle workers steal unclaimed chunks from the tail. Without
     /// keys, chunks round-robin over the workers. `chunk` overrides the
-    /// [`chunk_size`] rule (tests sweep it; production passes `None`).
+    /// [`chunk_size`] rule.
     ///
     /// `work` is called once per claimed chunk with `(worker id, &[item
     /// indices])` and must return one result per index in order — the
-    /// chunk granularity is what lets callers hoist per-chunk scratch
-    /// (views, routers) out of their per-item loop. A panic inside
-    /// `work` is re-raised here after every other chunk has completed.
+    /// chunk granularity is what lets the batch driver run a chunk's
+    /// queries in lock-step and build its backends once per chunk. A
+    /// panic inside `work` is re-raised here after every other chunk has
+    /// completed.
     ///
     /// A batch that cuts into exactly one chunk runs on the calling
     /// thread (with the chunk's home worker id); any other batch runs on
@@ -633,78 +519,6 @@ impl WorkerPool {
             .ok()
             .expect("workers released the batch state at the barrier")
     }
-
-    /// Executes `requests` across the pool and returns one outcome per
-    /// request in submission order, with an optional dispatch key per
-    /// request (the sharded plane keys by each query's home directory
-    /// shard). Keys steer initial chunk placement only — see
-    /// [`WorkerPool::scatter`] — so answers remain independent of worker
-    /// count, chunk size, key choice, and steal schedule. A panic inside
-    /// any executor is re-raised here.
-    pub fn run_keyed(
-        &self,
-        ctx: &Arc<SharedCtx>,
-        snapshot: &Arc<Snapshot>,
-        requests: &[QueryRequest],
-        keys: Option<&[usize]>,
-    ) -> Vec<QueryOutcome> {
-        self.run_keyed_chunked(ctx, snapshot, requests, keys, None)
-    }
-
-    /// [`WorkerPool::run_keyed`] with an explicit chunk-size override —
-    /// the hook the scheduling property tests sweep; production callers
-    /// pass `None` and get the [`chunk_size`] rule.
-    pub fn run_keyed_chunked(
-        &self,
-        ctx: &Arc<SharedCtx>,
-        snapshot: &Arc<Snapshot>,
-        requests: &[QueryRequest],
-        keys: Option<&[usize]>,
-        chunk: Option<usize>,
-    ) -> Vec<QueryOutcome> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-        let ctx = Arc::clone(ctx);
-        let snapshot = Arc::clone(snapshot);
-        let reqs: Arc<[QueryRequest]> = Arc::from(requests);
-        self.scatter(reqs.len(), keys, chunk, move |_w, idxs| {
-            // Per-worker scratch, hoisted out of the per-query loop: one
-            // shard router per claimed chunk, its fan-out counters
-            // drained between queries. Every query still reads through
-            // the router, so pointer decodes split per directory shard
-            // and merge back deterministically — answers bit-identical
-            // to the unsharded view at any shard count.
-            let view = ShardedView::new(&*snapshot, &ctx.dir);
-            idxs.iter()
-                .map(|&i| {
-                    let req = &reqs[i];
-                    let exec = QueryExecutor::new(ctx.query_ctx(), &view);
-                    let started = Instant::now();
-                    let (response, trace) = exec.execute_traced(req);
-                    // Real wall time of this executor run, recorded per
-                    // query class — the p50/p95/p99 the bench JSON
-                    // publishes — plus a span keyed (class, epoch, home
-                    // shard).
-                    ctx.exec_hists[req.class_index()].record_duration(started.elapsed());
-                    ctx.metrics.tracer().record(
-                        req.class_name(),
-                        ctx.span_epoch(req),
-                        crate::home_shard(req, ctx.dir.n_shards()) as u32,
-                        started,
-                    );
-                    QueryOutcome {
-                        response,
-                        trace: Arc::new(trace),
-                        fanout: view.take_fanout(),
-                    }
-                })
-                .collect()
-        })
-        // The closure (and its snapshot/ctx Arcs) died inside `scatter`'s
-        // barrier + unwrap, so the caller again holds the only snapshot
-        // references once this returns.
-    }
 }
 
 impl Drop for WorkerPool {
@@ -720,142 +534,6 @@ impl Drop for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::prelude::*;
-    use switchpointer::testbed::{Testbed, TestbedConfig};
-    use telemetry::EpochRange;
-
-    fn test_ctx_and_snapshot() -> (Arc<SharedCtx>, Arc<Snapshot>, Testbed) {
-        let topo = Topology::chain(3, 2, GBPS);
-        let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-        let (a, f) = (tb.node("A"), tb.node("F"));
-        tb.sim.add_udp_flow(UdpFlowSpec {
-            src: a,
-            dst: f,
-            priority: Priority::LOW,
-            start: SimTime::ZERO,
-            duration: SimTime::from_ms(2),
-            rate_bps: 100_000_000,
-            payload_bytes: 1458,
-        });
-        tb.sim.run_until(SimTime::from_ms(5));
-        let analyzer = tb.analyzer();
-        let ctx = Arc::new(SharedCtx::new(
-            analyzer.topo().clone(),
-            RouteTable::build(analyzer.topo()),
-            analyzer.params(),
-            analyzer.directory().clone(),
-            ShardedDirectory::new(
-                analyzer.directory().mphf().clone(),
-                &analyzer.all_hosts(),
-                2,
-            ),
-            *analyzer.cost(),
-            Arc::new(MetricsRegistry::new()),
-        ));
-        let snapshot = Arc::new(Snapshot::capture(&analyzer, 4));
-        (ctx, snapshot, tb)
-    }
-
-    /// Exercises the production `run_keyed` path end-to-end: every request
-    /// executes, results come back in submission order (each request's
-    /// distinct epoch range is echoed through its trace's pointer keys,
-    /// so a mis-assigned or mis-merged chunk is detectable even where
-    /// responses coincide), and answers equal the sequential analyzer's.
-    #[test]
-    fn run_merges_all_requests_in_submission_order_at_any_width() {
-        let (ctx, snapshot, tb) = test_ctx_and_snapshot();
-        let analyzer = tb.analyzer();
-        let s2 = tb.node("S2");
-        let reqs: Vec<QueryRequest> = (0..10)
-            .map(|i| QueryRequest::TopK {
-                switch: s2,
-                k: 5,
-                range: EpochRange { lo: 0, hi: i },
-            })
-            .collect();
-        let expected: Vec<String> = reqs
-            .iter()
-            .map(|r| format!("{:?}", analyzer.execute(r)))
-            .collect();
-        for workers in [1usize, 3, 16] {
-            let pool = WorkerPool::new(workers);
-            assert_eq!(pool.workers(), workers);
-            // Pool reuse across batches (the point of persistence).
-            for _ in 0..2 {
-                let out = pool.run_keyed(&ctx, &snapshot, &reqs, None);
-                assert_eq!(out.len(), reqs.len());
-                for (i, o) in out.iter().enumerate() {
-                    assert_eq!(o.fanout.decode_bits.len(), 2, "fan-out sized to dir shards");
-                    assert_eq!(
-                        o.trace.pointer_rounds[0].keys,
-                        vec![(
-                            s2,
-                            EpochRange {
-                                lo: 0,
-                                hi: i as u64
-                            }
-                        )],
-                        "chunk for index {i} misrouted at {workers} workers"
-                    );
-                    assert_eq!(
-                        format!("{:?}", o.response),
-                        expected[i],
-                        "index {i} at {workers} workers"
-                    );
-                }
-            }
-            // An empty batch is a no-op (no task churn, no deadlock).
-            assert!(pool.run_keyed(&ctx, &snapshot, &[], None).is_empty());
-            // Shard-keyed dispatch changes scheduling, never answers.
-            let keyed: Vec<usize> = (0..reqs.len()).map(|i| i / 3).collect();
-            let out = pool.run_keyed(&ctx, &snapshot, &reqs, Some(&keyed));
-            for (i, o) in out.iter().enumerate() {
-                assert_eq!(
-                    format!("{:?}", o.response),
-                    expected[i],
-                    "keyed dispatch diverged at index {i}, {workers} workers"
-                );
-            }
-        }
-    }
-
-    /// The satellite regression: dispatch keys are arbitrary `usize`s,
-    /// and the scheduler must not allocate anything sized by `max(key)`
-    /// (the old stride pass allocated a `max(key)+1` `present` table,
-    /// which a sparse huge key turns into an OOM). Keys near `usize::MAX`
-    /// must schedule fine and answers must match dense keying.
-    #[test]
-    fn sparse_huge_keys_schedule_without_key_sized_allocation() {
-        let (ctx, snapshot, tb) = test_ctx_and_snapshot();
-        let s2 = tb.node("S2");
-        let reqs: Vec<QueryRequest> = (0..20)
-            .map(|i| QueryRequest::TopK {
-                switch: s2,
-                k: 3,
-                range: EpochRange { lo: 0, hi: i },
-            })
-            .collect();
-        let sparse: Vec<usize> = (0..reqs.len())
-            .map(|i| match i % 3 {
-                0 => 0,
-                1 => usize::MAX - 7,
-                _ => 1 << 40,
-            })
-            .collect();
-        let pool = WorkerPool::new(4);
-        let baseline = pool.run_keyed(&ctx, &snapshot, &reqs, None);
-        // If anything in the keyed path allocated `max(key)+1` anything,
-        // this would abort the process rather than fail the assert.
-        let keyed = pool.run_keyed(&ctx, &snapshot, &reqs, Some(&sparse));
-        assert_eq!(baseline.len(), keyed.len());
-        for (i, (b, k)) in baseline.iter().zip(&keyed).enumerate() {
-            assert_eq!(
-                format!("{:?}", b.response),
-                format!("{:?}", k.response),
-                "sparse keys changed answer at index {i}"
-            );
-        }
-    }
 
     /// The chunk sizing rule from the scheduler contract.
     #[test]

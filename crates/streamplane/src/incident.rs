@@ -8,12 +8,82 @@
 //! matter how many windows pass. Because verdicts are bit-identical at any
 //! worker count and under any admission batching (the plane's core
 //! invariant), the incident stream is too.
+//!
+//! The window step itself — resolve every subscription, run the resolved
+//! requests, fingerprint, detect transitions — is [`evaluate_window`],
+//! written once: the in-process [`StreamPlane`](crate::StreamPlane) and
+//! the wire front-end both call it, each with its own way of running the
+//! requests, so their incident streams cannot drift apart.
 
 use switchpointer::analyzer::Verdict;
-use switchpointer::query::QueryResponse;
+use switchpointer::query::{QueryRequest, QueryResponse, StateView};
 use telemetry::frame::{Dec, Enc, Wire, WireError};
 
-use crate::SubscriptionId;
+use crate::{StandingQuery, SubscriptionId};
+
+/// The summary line a pending subscription logs.
+pub const PENDING_SUMMARY: &str = "awaiting trigger";
+
+/// What one window made of its standing queries, each list in
+/// subscription order.
+#[derive(Debug, Clone)]
+pub struct WindowVerdicts {
+    /// Per subscription: the request it resolved to and that request's
+    /// response, or `None` while it pends.
+    pub verdicts: Vec<Option<(QueryRequest, QueryResponse)>>,
+    /// Per subscription: the fingerprint its next window compares against.
+    pub fingerprints: Vec<u64>,
+    /// The window's incidents.
+    pub incidents: Vec<Incident>,
+}
+
+/// The window rule. Resolves every subscription — `(id, query, last
+/// fingerprint)`, the fingerprint `None` before its first window —
+/// against `view` at `horizon`, answers the resolved requests with one
+/// call of `run` (in subscription order, one response per request),
+/// fingerprints each verdict or the pending state, and records an
+/// [`Incident`] of window `window` wherever the fingerprint transitions.
+pub fn evaluate_window(
+    subs: &[(SubscriptionId, StandingQuery, Option<u64>)],
+    view: &dyn StateView,
+    window: u64,
+    horizon: u64,
+    run: impl FnOnce(&[QueryRequest]) -> Vec<QueryResponse>,
+) -> WindowVerdicts {
+    let resolved: Vec<Option<QueryRequest>> = subs
+        .iter()
+        .map(|(_, query, _)| query.resolve(view, horizon))
+        .collect();
+    let requests: Vec<QueryRequest> = resolved.iter().flatten().copied().collect();
+    let mut responses = run(&requests).into_iter();
+    let mut out = WindowVerdicts {
+        verdicts: Vec::with_capacity(subs.len()),
+        fingerprints: Vec::with_capacity(subs.len()),
+        incidents: Vec::new(),
+    };
+    for (&(sub, _, last_fp), req) in subs.iter().zip(resolved) {
+        let verdict = req.map(|req| (req, responses.next().expect("one response per request")));
+        let fp = verdict
+            .as_ref()
+            .map_or_else(pending_fp, |(_, resp)| fingerprint(resp));
+        if let Some(kind) = transition_kind(last_fp, fp) {
+            let summary = verdict
+                .as_ref()
+                .map_or_else(|| PENDING_SUMMARY.to_string(), |(_, resp)| summarize(resp));
+            out.incidents.push(Incident {
+                window,
+                horizon,
+                sub,
+                kind,
+                summary,
+                fingerprint: fp,
+            });
+        }
+        out.fingerprints.push(fp);
+        out.verdicts.push(verdict);
+    }
+    out
+}
 
 /// Why an incident entered the log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,12 +148,10 @@ impl Wire for Incident {
     }
 }
 
-/// The change-detection rule itself, shared by the in-process stream
-/// plane and the wire front-end (their incident streams are pinned
-/// bit-identical, so the rule must live in exactly one place): first
-/// sight is a [`IncidentKind::Baseline`], a changed fingerprint is a
+/// The change-detection rule: first sight is a
+/// [`IncidentKind::Baseline`], a changed fingerprint is a
 /// [`IncidentKind::Transition`], an unchanged one is silent.
-pub fn transition_kind(prev: Option<u64>, fp: u64) -> Option<IncidentKind> {
+fn transition_kind(prev: Option<u64>, fp: u64) -> Option<IncidentKind> {
     match prev {
         None => Some(IncidentKind::Baseline),
         Some(p) if p != fp => Some(IncidentKind::Transition),
@@ -94,7 +162,7 @@ pub fn transition_kind(prev: Option<u64>, fp: u64) -> Option<IncidentKind> {
 /// FNV-1a over a byte stream — stable across runs and platforms (unlike
 /// `DefaultHasher`, which is seed-randomized by contract even though the
 /// std implementation is currently fixed).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -106,12 +174,17 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// The verdict fingerprint of a response: FNV over its full debug render.
 /// Responses are deterministic renders of deterministic state, so equal
 /// states ⇒ equal fingerprints at any worker count.
-pub fn fingerprint(resp: &QueryResponse) -> u64 {
+fn fingerprint(resp: &QueryResponse) -> u64 {
     fnv1a(format!("{resp:?}").as_bytes())
 }
 
+/// Fingerprint of the pending (no verdict yet) state.
+fn pending_fp() -> u64 {
+    fnv1a(b"<pending>")
+}
+
 /// A short operator-facing line for a response — the incident payload.
-pub fn summarize(resp: &QueryResponse) -> String {
+fn summarize(resp: &QueryResponse) -> String {
     match resp {
         QueryResponse::Contention(d) => {
             let verdict = match d.verdict {

@@ -44,9 +44,13 @@
 //!    propagates through the same delta / invalidation path as any
 //!    eviction.
 //!
-//! Execution itself is delegated to the `queryplane` crate's persistent
-//! deterministic [`WorkerPool`](queryplane::WorkerPool) — the two planes
-//! share the pool implementation and the determinism argument.
+//! Execution itself is delegated to the `queryplane` crate's batch
+//! driver over its persistent deterministic
+//! [`WorkerPool`](queryplane::WorkerPool) — the two planes share the
+//! driver and the determinism argument. The window step (resolve → run →
+//! fingerprint → transition) is [`evaluate_window`], written once: the
+//! wire front-end closes its windows through it too, with its own way of
+//! running the requests.
 //!
 //! Drive it end-to-end with `examples/continuous_watch.rs` or
 //! `spexp stream`.
@@ -61,7 +65,7 @@ use obsplane::{Counter, Histogram, MetricsRegistry, RegistrySnapshot};
 use queryplane::{home_shard, QueryOutcome, QueryPlane, QueryPlaneConfig, SnapshotDelta};
 use switchpointer::query::{ExecutionTrace, QueryRequest, QueryResponse, StateView};
 use switchpointer::retention::{self, SweepReport};
-use switchpointer::shard::{host_shard_of, ShardFanout};
+use switchpointer::shard::{host_shard_of, RouterCounters};
 use switchpointer::Analyzer;
 use telemetry::frame::{Dec, Enc, Wire, WireError};
 use telemetry::EpochRange;
@@ -69,7 +73,7 @@ use telemetry::EpochRange;
 mod incident;
 mod resultcache;
 
-pub use incident::{fingerprint, fnv1a, summarize, transition_kind, Incident, IncidentKind};
+pub use incident::{evaluate_window, Incident, IncidentKind, WindowVerdicts, PENDING_SUMMARY};
 pub use resultcache::{CachedResult, ResultCache};
 
 /// Identifies a standing query for its whole subscription lifetime.
@@ -188,10 +192,9 @@ impl StandingQuery {
     }
 
     /// Resolves to this window's concrete request, or `None` while the
-    /// subscription is pending (e.g. no trigger yet). Public because the
-    /// wire front-end resolves the same subscriptions against its remote
-    /// shard router — sharing the resolution rule is what makes the wire
-    /// incident stream bit-identical to the in-process plane's.
+    /// subscription is pending (e.g. no trigger yet). [`evaluate_window`]
+    /// resolves every subscription of a window with it, against whatever
+    /// view its caller reads through.
     pub fn resolve(&self, view: &dyn StateView, horizon: u64) -> Option<QueryRequest> {
         match *self {
             StandingQuery::Fixed(req) => Some(req),
@@ -331,17 +334,6 @@ pub fn delta_savings(m: &RegistrySnapshot) -> f64 {
     }
 }
 
-/// How one standing query fared in one window.
-#[derive(Debug, Clone)]
-pub enum Evaluation {
-    /// Not resolvable yet (e.g. contention watch with no trigger).
-    Pending,
-    /// Served bit-identically from the result cache.
-    Cached(CachedResult),
-    /// Executed on the worker pool this window.
-    Fresh(QueryOutcome),
-}
-
 /// One standing query's verdict in one window.
 #[derive(Debug, Clone)]
 pub enum StandingEval {
@@ -452,17 +444,6 @@ pub struct StreamPlane {
     window: u64,
     m: SpMetrics,
 }
-
-/// Fingerprint of the pending (no verdict yet) state. Public (as with
-/// [`StandingQuery::resolve`]) so the wire front-end's change detection
-/// agrees with the in-process plane's byte-for-byte.
-pub fn pending_fp() -> u64 {
-    fnv1a(b"<pending>")
-}
-
-/// The summary line a pending subscription logs — shared with the wire
-/// front-end for incident-stream parity.
-pub const PENDING_SUMMARY: &str = "awaiting trigger";
 
 /// The oldest epoch a concrete request reads. Range-carrying requests pin
 /// their `range.lo`; trigger-anchored diagnoses pin the low edge of the
@@ -667,136 +648,121 @@ impl StreamPlane {
             .add(delta.full_records + delta.full_slots);
         let horizon = delta.epoch_horizon;
 
-        // 2. Resolve the admitted set: standing queries in registration
-        // order, then one-shots in submission order. Resolution reads the
-        // epoch-published snapshot the refresh above just installed — an
-        // owned handle, so a concurrent install can never invalidate the
-        // state mid-window.
-        enum Origin {
-            Sub(SubscriptionId),
-            Ticket(TicketId),
-        }
+        // 2. The window rule over the standing queries, resolved against
+        // the epoch-published snapshot the refresh above just installed —
+        // an owned handle, so a concurrent install can never invalidate
+        // the state mid-window. The run step admits the queued one-shots
+        // behind the resolved standing requests, serves from the result
+        // cache where valid, and executes the misses as one batch on the
+        // worker pool, which runs identical requests within the window
+        // once (`QueryPlane::execute_batch` coalesces).
         let (published, snapshot_epoch) = self.plane.published();
         let n_dir = self.plane.config().directory_shards.max(1);
         let mut per_shard_standing = vec![0usize; n_dir];
-        let mut admitted: Vec<(Origin, QueryRequest)> = Vec::new();
-        let mut pending_subs: Vec<SubscriptionId> = Vec::new();
-        for &(id, ref q) in &self.subs {
+        for (_, q) in &self.subs {
             per_shard_standing[q.home_shard(n_dir)] += 1;
-            match q.resolve(&*published, horizon) {
-                Some(req) => admitted.push((Origin::Sub(id), req)),
-                None => pending_subs.push(id),
-            }
         }
         self.m.evaluations.add(self.subs.len() as u64);
         let one_shots = std::mem::take(&mut self.pending);
         self.m.one_shots.add(one_shots.len() as u64);
-        for &(ticket, req) in &one_shots {
-            admitted.push((Origin::Ticket(ticket), req));
-        }
-
-        // 3. Serve from the result cache where valid; execute the misses
-        // as one batch on the worker pool, which runs identical requests
-        // within the window once (`QueryPlane::execute_batch` coalesces).
-        let mut evaluations: Vec<(Origin, QueryRequest, Evaluation)> = Vec::new();
-        let mut miss_reqs: Vec<QueryRequest> = Vec::new();
-        let mut miss_slots: Vec<usize> = Vec::new();
-        let mut served_from_cache = 0usize;
-        for (origin, req) in admitted {
-            match self.results.lookup(&req) {
-                Some(cached) => {
-                    self.m.result_hits.inc();
-                    served_from_cache += 1;
-                    evaluations.push((origin, req, Evaluation::Cached(cached)));
-                }
-                None => {
-                    self.m.result_misses.inc();
-                    miss_reqs.push(req);
-                    miss_slots.push(evaluations.len());
-                    evaluations.push((origin, req, Evaluation::Pending)); // placeholder
-                }
-            }
-        }
-        let outcomes = self.plane.execute_batch(&miss_reqs);
-        // Cache each distinct request once, at its first occurrence. A
-        // set rather than a cache lookup: a small cache may already have
-        // evicted a request this loop stored.
-        let mut cached: HashSet<QueryRequest> = HashSet::new();
-        for (slot, outcome) in miss_slots.into_iter().zip(outcomes) {
-            let req = evaluations[slot].1;
-            if cached.insert(req) {
-                self.results.insert(&req, &outcome, horizon);
-            }
-            evaluations[slot].2 = Evaluation::Fresh(outcome);
-        }
-        let executed = cached.len();
-
-        // 4. Change detection over standing verdicts (+ pending states).
-        let mut incidents: Vec<Incident> = Vec::new();
+        let subs: Vec<(SubscriptionId, StandingQuery, Option<u64>)> = self
+            .subs
+            .iter()
+            .map(|&(id, q)| (id, q, self.last_fp.get(&id).copied()))
+            .collect();
+        let (results, plane, m) = (&mut self.results, &mut self.plane, &self.m);
+        let mut from_cache: Vec<bool> = Vec::new();
         let mut one_shot_out: Vec<(TicketId, QueryOutcome)> = Vec::new();
-        let mut standing: Vec<(SubscriptionId, StandingEval)> = Vec::new();
-        for (origin, req, eval) in evaluations {
-            match origin {
-                Origin::Sub(id) => {
-                    let (response, from_cache) = match eval {
-                        Evaluation::Cached(c) => (c.response, true),
-                        Evaluation::Fresh(o) => (o.response, false),
-                        Evaluation::Pending => unreachable!("resolved subs never pend"),
-                    };
-                    self.note_verdict(
-                        window,
-                        horizon,
-                        id,
-                        fingerprint(&response),
-                        summarize(&response),
-                        &mut incidents,
-                    );
-                    standing.push((
-                        id,
-                        StandingEval::Verdict {
-                            request: req,
-                            response,
-                            from_cache,
-                        },
-                    ));
-                }
-                Origin::Ticket(t) => match eval {
-                    Evaluation::Fresh(o) => one_shot_out.push((t, o)),
+        let (mut executed, mut served_from_cache) = (0usize, 0usize);
+        let verdicts = evaluate_window(&subs, &*published, window, horizon, |standing| {
+            let admitted: Vec<QueryRequest> = standing
+                .iter()
+                .copied()
+                .chain(one_shots.iter().map(|&(_, req)| req))
+                .collect();
+            let hits: Vec<Option<CachedResult>> =
+                admitted.iter().map(|req| results.lookup(req)).collect();
+            let misses: Vec<QueryRequest> = admitted
+                .iter()
+                .zip(&hits)
+                .filter(|(_, hit)| hit.is_none())
+                .map(|(req, _)| *req)
+                .collect();
+            served_from_cache = admitted.len() - misses.len();
+            m.result_hits.add(served_from_cache as u64);
+            m.result_misses.add(misses.len() as u64);
+            let mut fresh = plane.execute_batch(&misses).into_iter();
+            // Cache each distinct request once, at its first occurrence. A
+            // set rather than a cache lookup: a small cache may already
+            // have evicted a request this loop stored.
+            let mut cached: HashSet<QueryRequest> = HashSet::new();
+            let mut outcomes: Vec<(QueryOutcome, bool)> = hits
+                .into_iter()
+                .zip(&admitted)
+                .map(|(hit, req)| match hit {
                     // Served from cache: nothing ran this window, so the
                     // trace carries the entry's dependency set and no
                     // rounds, waves or fan-out.
-                    Evaluation::Cached(c) => one_shot_out.push((
-                        t,
-                        QueryOutcome {
+                    Some(c) => {
+                        let trace = ExecutionTrace {
+                            deps: c.deps,
+                            ..ExecutionTrace::default()
+                        };
+                        let outcome = QueryOutcome {
                             response: c.response,
-                            trace: Arc::new(ExecutionTrace {
-                                deps: c.deps,
-                                ..ExecutionTrace::default()
-                            }),
-                            fanout: ShardFanout::default(),
-                        },
-                    )),
-                    Evaluation::Pending => unreachable!("one-shots are always concrete"),
-                },
-            }
+                            trace: Arc::new(trace),
+                            counters: RouterCounters::default(),
+                        };
+                        (outcome, true)
+                    }
+                    None => {
+                        let outcome = fresh.next().expect("one outcome per miss");
+                        if cached.insert(*req) {
+                            results.insert(req, &outcome, horizon);
+                        }
+                        (outcome, false)
+                    }
+                })
+                .collect();
+            executed = cached.len();
+            let shots = outcomes.split_off(standing.len());
+            one_shot_out = one_shots
+                .iter()
+                .zip(shots)
+                .map(|(&(ticket, _), (outcome, _))| (ticket, outcome))
+                .collect();
+            outcomes
+                .into_iter()
+                .map(|(outcome, hit)| {
+                    from_cache.push(hit);
+                    outcome.response
+                })
+                .collect()
+        });
+        for (&(id, _, _), &fp) in subs.iter().zip(&verdicts.fingerprints) {
+            self.last_fp.insert(id, fp);
         }
-        for id in &pending_subs {
-            self.note_verdict(
-                window,
-                horizon,
-                *id,
-                pending_fp(),
-                PENDING_SUMMARY.to_string(),
-                &mut incidents,
-            );
-            standing.push((*id, StandingEval::Pending));
-        }
-        // Registration order for subs, submission order for one-shots,
-        // regardless of cache hits and pending interleaving.
-        standing.sort_by_key(|&(id, _)| id);
-        one_shot_out.sort_by_key(|&(t, _)| t);
-
-        let pending = pending_subs.len();
+        let mut from_cache = from_cache.into_iter();
+        let standing: Vec<(SubscriptionId, StandingEval)> = subs
+            .iter()
+            .zip(verdicts.verdicts)
+            .map(|(&(id, _, _), verdict)| {
+                let eval = match verdict {
+                    None => StandingEval::Pending,
+                    Some((request, response)) => StandingEval::Verdict {
+                        request,
+                        response,
+                        from_cache: from_cache.next().expect("one source per verdict"),
+                    },
+                };
+                (id, eval)
+            })
+            .collect();
+        let pending = standing
+            .iter()
+            .filter(|(_, e)| matches!(e, StandingEval::Pending))
+            .count();
+        let incidents = verdicts.incidents;
         let report = WindowReport {
             window,
             horizon,
@@ -828,29 +794,6 @@ impl StreamPlane {
             .tracer()
             .record("window_close", horizon, u32::MAX, opened);
         report
-    }
-
-    fn note_verdict(
-        &mut self,
-        window: u64,
-        horizon: u64,
-        id: SubscriptionId,
-        fp: u64,
-        summary: String,
-        incidents: &mut Vec<Incident>,
-    ) {
-        let kind = transition_kind(self.last_fp.get(&id).copied(), fp);
-        self.last_fp.insert(id, fp);
-        if let Some(kind) = kind {
-            incidents.push(Incident {
-                window,
-                horizon,
-                sub: id,
-                kind,
-                summary,
-                fingerprint: fp,
-            });
-        }
     }
 
     /// Per-directory-shard retention pins: for each shard, the oldest

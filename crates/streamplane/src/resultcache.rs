@@ -232,7 +232,7 @@ mod tests {
     use switchpointer::analyzer::TopKResult;
     use switchpointer::cost::QueryWaveCost;
     use switchpointer::query::ExecutionTrace;
-    use switchpointer::shard::ShardFanout;
+    use switchpointer::shard::RouterCounters;
     use telemetry::EpochRange;
 
     fn req(switch: u32) -> QueryRequest {
@@ -258,7 +258,7 @@ mod tests {
                 },
                 ..ExecutionTrace::default()
             }),
-            fanout: ShardFanout::default(),
+            counters: RouterCounters::default(),
         }
     }
 

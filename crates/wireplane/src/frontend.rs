@@ -1,16 +1,17 @@
 //! The front-end: the shard router served over real connections.
 //!
-//! This is the in-process [`ShardedView`](switchpointer::shard::ShardedView)
-//! architecture with the *reach* made real: the front-end embeds the
-//! [`BackendRouter`] over [`RemoteShard`] backends, each a loopback TCP
-//! connection to one shard server. Pointer unions reassemble from the
-//! shards' masked slices (bit-identical to the flat union — the slot
-//! masks partition the directory range), host reads route to the owning
-//! shard, and every query wave coalesces into **one request frame per
-//! shard** ([`Frame::FilterWaveReq`] and friends), so the batched-RPC
-//! term the [`CostModel`](switchpointer::cost::CostModel) prices is
-//! *measured* here, not just modelled: [`FrontEnd::counters`] reports
-//! actual RPCs and round trips.
+//! This is the in-process query plane's architecture with the *reach*
+//! made real: the front-end runs the [`BackendRouter`] over
+//! [`RemoteShard`] backends, each a loopback TCP connection to one shard
+//! server, where the in-process plane runs it over local slices. Pointer
+//! unions reassemble from the shards' masked slices (bit-identical to
+//! the flat union — the slot masks partition the directory range), host
+//! reads route to the owning shard, and every query wave coalesces into
+//! **one request frame per shard** ([`Frame::FilterWaveReq`] and
+//! friends), so the batched-RPC term the
+//! [`CostModel`](switchpointer::cost::CostModel) prices is *measured*
+//! here, not just modelled: [`FrontEnd::counters`] reports actual RPCs
+//! and round trips.
 //!
 //! A fan-out is **issue, flush, collect**. The fanned-out
 //! [`ShardBackend`] methods of a [`RemoteShard`] enqueue their request
@@ -24,22 +25,27 @@
 //! stamped by the link's demux reader — so a shard collected late is not
 //! billed for the wait on its siblings.
 //!
-//! Every query, alone or in a wave, is driven the same way: a wave is cut
-//! into one contiguous chunk per front worker, and a chunk's queries run
-//! in **lock-step** through the staged executor
-//! ([`QueryExecutor::start`]) — start them all, then repeat {flush every
-//! shard link once; resume every unfinished query}. Each query keeps its
-//! own router and its own [`RouterCounters`]; what they share is the
-//! flush, so a chunk's round leaves as one `Batch` frame per shard
-//! however many queries it holds, and a window of standing aggregates
-//! costs one batched round per worker. A single query is a chunk of one: its
-//! frames are the `Tagged` frames a blocking router would send.
+//! Every query, alone or in a wave, runs through the query plane's batch
+//! driver ([`queryplane::execute`]) over the shard links, exactly as the
+//! in-process plane runs it over local slices: a wave's repeated requests
+//! run once (a copy gets its first occurrence's response and trace, with
+//! zeroed [`RouterCounters`], and counts in `queryplane.coalesced`), the
+//! distinct ones are cut into one contiguous chunk per front worker, and a
+//! chunk's queries run in **lock-step** ([`queryplane::lock_step`]) —
+//! start them all, then repeat {flush every shard link once; resume every
+//! unfinished query}. Each query keeps its own router and its own
+//! [`RouterCounters`]; what they share is the flush, so a chunk's round
+//! leaves as one `Batch` frame per shard however many queries it holds,
+//! and a window of standing aggregates costs one batched round per
+//! worker. A single query is a chunk of one: its frames are the `Tagged`
+//! frames a blocking router would send.
 //!
 //! Towards clients the front-end is a server itself: `QueryReq` frames
-//! run the shared [`QueryExecutor`] over the remote router and return the
-//! full response; `SubscribeReq` frames register standing queries whose
+//! run the shared executor over the remote router and return the full
+//! response; `SubscribeReq` frames register standing queries whose
 //! incident transitions are pushed as [`Frame::IncidentPush`] when the
-//! hosting process closes a window ([`FrontEnd::close_window`]).
+//! hosting process closes a window ([`FrontEnd::close_window`], which runs
+//! the stream plane's window rule, [`streamplane::evaluate_window`]).
 //! Subscription topics keep their full incident log, and a subscribe
 //! carries a `resume_after` cursor — a client that lost its connection
 //! mid-stream resubscribes and re-derives the log bit-identically, with
@@ -75,17 +81,14 @@ use std::time::Instant;
 
 use netsim::packet::{FlowId, NodeId};
 use obsplane::{Histogram, RegistrySnapshot, SpanEvent, TraceContext};
-use queryplane::{SharedCtx, WorkerPool};
-use streamplane::{
-    fingerprint, pending_fp, summarize, transition_kind, Incident, StandingQuery, SubscriptionId,
-    PENDING_SUMMARY,
-};
+use queryplane::{QueryOutcome, SharedCtx, Spans, WorkerPool};
+use streamplane::{evaluate_window, Incident, StandingQuery, SubscriptionId};
 use switchpointer::bitset::BitSet;
 use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::FlowRecord;
 use switchpointer::query::{
-    Deferred, ExecutionTrace, FilterWaveReply, QueryExecutor, QueryRequest, QueryResponse,
-    SizesWaveReply, Stage, Staged, TopKWaveReply, UnionSizes, UnionTopK, UnionWave,
+    Deferred, ExecutionTrace, FilterWaveReply, QueryRequest, QueryResponse, SizesWaveReply,
+    TopKWaveReply, UnionSizes, UnionTopK, UnionWave,
 };
 use switchpointer::shard::{BackendRouter, RouterCounters, ShardBackend};
 use telemetry::frame::WireError;
@@ -816,18 +819,6 @@ impl Topics {
     }
 }
 
-/// One query of a chunk between its start and its answer: exactly one
-/// of `stage` (a round in flight) and `answer` is set once started.
-struct InChunk<'r> {
-    req: &'r QueryRequest,
-    /// The root and exec trace contexts, when the query is traced.
-    ctx: Option<TraceContext>,
-    exec_ctx: Option<TraceContext>,
-    started: Instant,
-    stage: Option<Stage<'r>>,
-    answer: Option<(QueryResponse, ExecutionTrace)>,
-}
-
 struct FrontInner {
     ctx: Arc<SharedCtx>,
     shards: Vec<RemoteShard>,
@@ -857,187 +848,58 @@ impl FrontInner {
     /// Executes one request through the remote router, accumulating the
     /// routing counters — a wave of one, which the pool runs on the
     /// calling thread.
-    fn execute(
-        self: &Arc<Self>,
-        req: &QueryRequest,
-    ) -> (QueryResponse, ExecutionTrace, RouterCounters) {
+    fn execute(self: &Arc<Self>, req: &QueryRequest) -> QueryOutcome {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.execute_wave(std::slice::from_ref(req))
             .pop()
             .expect("one request in, one result out")
     }
 
-    /// Executes a whole decoded wave of requests on the shared pool and
-    /// returns results in submission order. The wave is cut into one
-    /// contiguous chunk per pool worker and each chunk's queries run in
-    /// lock-step ([`FrontInner::run_chunk`]), every query through the
-    /// shared [`QueryExecutor`] over its own remote router; routing
-    /// counters accumulate exactly as a serial loop's would. A panic
-    /// inside any executor (shard unreachable past the retry budget) is
-    /// re-raised here after the other chunks complete.
-    fn execute_wave(
-        self: &Arc<Self>,
-        reqs: &[QueryRequest],
-    ) -> Vec<(QueryResponse, ExecutionTrace, RouterCounters)> {
+    /// Executes a whole decoded wave of requests through the batch driver
+    /// over the shard links and returns results in submission order: each
+    /// distinct request runs once, the distinct ones are cut into one
+    /// contiguous chunk per pool worker, and each chunk's queries run in
+    /// lock-step, every query through the shared executor over its own
+    /// remote router. The executed queries' routing counters accumulate
+    /// exactly as a serial loop's would. A panic inside any executor
+    /// (shard unreachable past the retry budget) is re-raised here after
+    /// the other chunks complete.
+    fn execute_wave(self: &Arc<Self>, reqs: &[QueryRequest]) -> Vec<QueryOutcome> {
         let inner = Arc::clone(self);
-        let n_queries = reqs.len();
         let frames_before: u64 = self.shards.iter().map(|s| s.wire_frames_sent()).sum();
         let bytes_before: u64 = self.shards.iter().map(|s| s.wire_bytes_sent()).sum();
-        let reqs: Arc<[QueryRequest]> = Arc::from(reqs);
-        let wave_started = Instant::now();
         // One chunk per worker, as large as the wave allows: a chunk's
         // round costs one frame per shard whatever its size, so more,
         // smaller chunks would only buy more frames and more wake-ups.
         // A wave of one is one chunk and runs on the calling thread.
-        let chunk = n_queries.div_ceil(self.pool.workers());
-        let out = self
-            .pool
-            .scatter(n_queries, None, Some(chunk), move |_w, idxs| {
-                inner.run_chunk(&reqs, idxs, wave_started)
-            });
-        for (_, _, counters) in &out {
-            self.absorb(counters);
+        let out = queryplane::execute(
+            &self.pool,
+            &self.ctx,
+            reqs,
+            None,
+            usize::div_ceil,
+            move |chunk, started| {
+                queryplane::lock_step(
+                    &inner.ctx,
+                    &inner.shards,
+                    inner.coalesce,
+                    Spans::Minted,
+                    chunk,
+                    started,
+                )
+            },
+        );
+        for o in &out {
+            self.absorb(&o.counters);
         }
         let frames_after: u64 = self.shards.iter().map(|s| s.wire_frames_sent()).sum();
         let bytes_after: u64 = self.shards.iter().map(|s| s.wire_bytes_sent()).sum();
         self.wave_frames.record(frames_after - frames_before);
-        if n_queries > 0 {
+        if !reqs.is_empty() {
             self.query_bytes
-                .record((bytes_after - bytes_before) / n_queries as u64);
+                .record((bytes_after - bytes_before) / reqs.len() as u64);
         }
         out
-    }
-
-    /// Drives one chunk of a wave in lock-step: start every query, then
-    /// repeat {flush every shard link once; resume every unfinished
-    /// query} until all have answered. Between two flushes every query
-    /// only *issues* — so the chunk's round reaches each shard as one
-    /// envelope — and a resume finds its replies sent for, if not already
-    /// there.
-    fn run_chunk(
-        &self,
-        reqs: &[QueryRequest],
-        idxs: &[usize],
-        wave_started: Instant,
-    ) -> Vec<(QueryResponse, ExecutionTrace, RouterCounters)> {
-        let tracer = self.ctx.metrics.tracer();
-        let routers: Vec<_> = idxs.iter().map(|_| self.router()).collect();
-        let mut queries: Vec<InChunk<'_>> = idxs
-            .iter()
-            .zip(&routers)
-            .map(|(&i, router)| {
-                let req = &reqs[i];
-                // This is where a trace is born: one root per request,
-                // minted at the wave's entry point. The exec child
-                // context rides the thread-local through every step of
-                // the executor, so every shard RPC's wire span links
-                // under the exec span.
-                let ctx = tracer.mint_trace();
-                let mut query = InChunk {
-                    req,
-                    ctx,
-                    exec_ctx: ctx.map(|c| c.child(tracer.next_span_id())),
-                    started: Instant::now(),
-                    stage: None,
-                    answer: None,
-                };
-                let exec = QueryExecutor::new(self.ctx.query_ctx(), router);
-                self.advance(&mut query, wave_started, || exec.start(req));
-                query
-            })
-            .collect();
-        while queries.iter().any(|q| q.stage.is_some()) {
-            self.flush_shards();
-            for query in &mut queries {
-                if let Some(stage) = query.stage.take() {
-                    self.advance(query, wave_started, || stage.resume());
-                }
-            }
-        }
-        queries
-            .into_iter()
-            .zip(&routers)
-            .map(|(query, router)| {
-                let (resp, trace) = query.answer.expect("the loop ran every query to Done");
-                (resp, trace, router.counters())
-            })
-            .collect()
-    }
-
-    /// Runs one step of `query` under its trace context and files what
-    /// comes back: the next stage, or the answer — recorded, the moment
-    /// it exists, in the same per-class exec histograms and span stream
-    /// the in-process worker pool feeds, so `spexp wire` latency
-    /// distributions read off the identical metric names.
-    fn advance<'r>(
-        &self,
-        query: &mut InChunk<'r>,
-        wave_started: Instant,
-        step: impl FnOnce() -> Staged<'r>,
-    ) {
-        let (resp, trace) = match obsplane::with_context(query.exec_ctx, step) {
-            Staged::Pending(stage) => {
-                query.stage = Some(stage);
-                return;
-            }
-            Staged::Done(resp, trace) => (resp, trace),
-        };
-        query.answer = Some((resp, trace));
-        let (req, started, done) = (query.req, query.started, Instant::now());
-        let tracer = self.ctx.metrics.tracer();
-        self.ctx.exec_hists[req.class_index()].record_duration(done.duration_since(started));
-        let epoch = self.ctx.span_epoch(req);
-        match (query.ctx, query.exec_ctx) {
-            (Some(c), Some(e)) => {
-                // The root "query" span covers submit → done (the e2e
-                // the client feels), and its two children partition it
-                // exactly: enqueue (pool wait, and in a chunk the starts
-                // ahead of this one) + exec (start → answer, the other
-                // queries' steps of the lock-step included).
-                let span = |stage, span_id, parent_id, from: Instant, dur, steals| SpanEvent {
-                    class: req.class_name(),
-                    stage,
-                    epoch,
-                    shard: u32::MAX,
-                    start_ns: tracer.offset_ns(from),
-                    dur_ns: saturating_ns(dur),
-                    trace_id: c.trace_id,
-                    span_id,
-                    parent_id,
-                    steals,
-                };
-                let steals = u32::from(obsplane::chunk_stolen());
-                let group = [
-                    span(
-                        "query",
-                        c.span_id,
-                        0,
-                        wave_started,
-                        done.duration_since(wave_started),
-                        0,
-                    ),
-                    span(
-                        "enqueue",
-                        tracer.next_span_id(),
-                        c.span_id,
-                        wave_started,
-                        started.duration_since(wave_started),
-                        0,
-                    ),
-                    span(
-                        "exec",
-                        e.span_id,
-                        c.span_id,
-                        started,
-                        done.duration_since(started),
-                        steals,
-                    ),
-                ];
-                tracer.submit_all(&group, c.sampled);
-            }
-            // Tracing disabled: keep the legacy untraced span stream.
-            _ => tracer.record(req.class_name(), epoch, u32::MAX, started),
-        }
     }
 
     /// Sends what has been issued on every shard link, one envelope each.
@@ -1221,7 +1083,7 @@ impl FrontEnd {
                         // surface it to the client as a typed error
                         // instead of a hung connection.
                         let reply = match catch_unwind(AssertUnwindSafe(|| serving.execute(&q))) {
-                            Ok((resp, _, _)) => Frame::QueryRep(resp),
+                            Ok(outcome) => Frame::QueryRep(outcome.response),
                             Err(_) => Frame::Error(WireError::Remote(
                                 "query execution failed (shard unreachable?)".to_string(),
                             )),
@@ -1312,16 +1174,17 @@ impl FrontEnd {
     /// the remote router — the harness-side path the drivers use for
     /// accounting.
     pub fn execute(&self, req: &QueryRequest) -> (QueryResponse, ExecutionTrace, RouterCounters) {
-        self.inner.execute(req)
+        into_parts(self.inner.execute(req))
     }
 
     /// Executes a whole wave of requests on the shared pool, returning
-    /// results in submission order. Each pool worker drives one
-    /// contiguous chunk of the wave in lock-step, so a chunk's round of
-    /// same-shard RPCs leaves as one batch frame per shard — the wire
-    /// fast path. Results (responses, traces and per-query routing
-    /// counters) are bit-identical to calling [`FrontEnd::execute`] per
-    /// request in order.
+    /// results in submission order. A repeated request runs once; each
+    /// pool worker drives one contiguous chunk of the distinct requests
+    /// in lock-step, so a chunk's round of same-shard RPCs leaves as one
+    /// batch frame per shard — the wire fast path. Results are
+    /// bit-identical to calling [`FrontEnd::execute`] per request in
+    /// order, except that a repeat's routing counters are zeroed: it cost
+    /// no RPC.
     pub fn execute_wave(
         &self,
         reqs: &[QueryRequest],
@@ -1329,7 +1192,11 @@ impl FrontEnd {
         self.inner
             .queries
             .fetch_add(reqs.len() as u64, Ordering::Relaxed);
-        self.inner.execute_wave(reqs)
+        self.inner
+            .execute_wave(reqs)
+            .into_iter()
+            .map(into_parts)
+            .collect()
     }
 
     /// Cumulative router counters (RPCs, rounds, per-shard fan-out)
@@ -1401,17 +1268,19 @@ impl FrontEnd {
     /// Closes one evaluation window: re-evaluates every subscribed topic
     /// against the shard servers' current state, appends incident
     /// transitions to the topic logs, and pushes the new frames to every
-    /// watcher. Call after the shard states were refreshed — the wire
-    /// analogue of [`streamplane::StreamPlane::run_window`], sharing its
-    /// resolution, fingerprint and transition rules so the two incident
-    /// streams are bit-identical.
+    /// watcher. Call after the shard states were refreshed. The window
+    /// step is the stream plane's own rule
+    /// ([`streamplane::evaluate_window`], which
+    /// [`streamplane::StreamPlane::run_window`] runs too), with the
+    /// resolved requests run as one wave, so the two incident streams are
+    /// bit-identical.
     ///
     /// Panics when a shard stays unreachable past its retry budget; the
     /// window is then lost, the front-end is not — the topic table is
     /// unlocked while shard state is read, so subscribes, teardowns and
     /// the next `close_window` go on as before.
     pub fn close_window(&self) -> WindowSummary {
-        let inner = &*self.inner;
+        let inner = &self.inner;
         let window = inner.window.fetch_add(1, Ordering::SeqCst);
         // One overlapped round: ask every shard, then collect.
         let horizons: Vec<_> = inner.shards.iter().map(|s| s.horizon()).collect();
@@ -1424,75 +1293,49 @@ impl FrontEnd {
         });
 
         // The window evaluates the topics subscribed as it opens. Topics
-        // are append-only, so when pass 3 re-takes the lock the first
-        // `queries.len()` entries are still exactly these; a topic
-        // subscribed in between joins the next window.
-        let queries: Vec<StandingQuery> = {
+        // are append-only and a topic's id is its index, so when the table
+        // is re-taken below the first `subs.len()` entries are still
+        // exactly these; a topic subscribed in between joins the next
+        // window.
+        let subs: Vec<(SubscriptionId, StandingQuery, Option<u64>)> = {
             let topics = inner.topics.lock().unwrap();
-            topics.list.iter().map(|(_, t)| t.query).collect()
+            topics
+                .list
+                .iter()
+                .map(|(id, t)| (*id, t.query, t.last_fp))
+                .collect()
         };
-        let evaluated = queries.len() as u64;
-        let mut pending = 0u64;
-        let mut incidents = 0u64;
+        // Resolution reads a little remote state through one router for
+        // the whole window; the resolved requests run as one wave on the
+        // shared pool, in lock-step per worker.
+        let router = inner.router();
+        let verdicts = evaluate_window(&subs, &router, window, horizon, |wave| {
+            inner
+                .execute_wave(wave)
+                .into_iter()
+                .map(|o| o.response)
+                .collect()
+        });
+        inner.absorb(&router.counters());
+        let pending = verdicts.verdicts.iter().filter(|v| v.is_none()).count() as u64;
+        let incidents = verdicts.incidents.len() as u64;
 
-        // Pass 1 — resolve every topic sequentially (resolution reads a
-        // little remote state; its routing counters absorb per topic),
-        // collecting the concrete requests of the window as one wave.
-        let mut outcomes: Vec<Option<usize>> = Vec::with_capacity(queries.len());
-        let mut wave: Vec<QueryRequest> = Vec::new();
-        for query in &queries {
-            let router = inner.router();
-            let resolved = query.resolve(&router, horizon);
-            inner.absorb(&router.counters());
-            match resolved {
-                None => {
-                    pending += 1;
-                    outcomes.push(None);
-                }
-                Some(req) => {
-                    outcomes.push(Some(wave.len()));
-                    wave.push(req);
-                }
-            }
-        }
-
-        // Pass 2 — the whole window's evaluations run as a single wave
-        // on the shared pool, in lock-step per worker. Results come back
-        // in submission (= topic) order, so pass 3's transition
-        // detection stays bit-identical to the inline path.
-        let results = self.inner.execute_wave(&wave);
-
-        // Pass 3 — fingerprint, detect transitions, append incidents in
-        // topic order.
         let mut topics = inner.topics.lock().unwrap();
-        let evaluated_topics = &mut topics.list[..queries.len()];
-        for ((sub, topic), outcome) in evaluated_topics.iter_mut().zip(outcomes) {
-            let (fp, summary) = match outcome {
-                None => (pending_fp(), PENDING_SUMMARY.to_string()),
-                Some(i) => {
-                    let resp = &results[i].0;
-                    (fingerprint(resp), summarize(resp))
-                }
-            };
-            let kind = transition_kind(topic.last_fp, fp);
+        let evaluated_topics = &mut topics.list[..subs.len()];
+        for ((_, topic), fp) in evaluated_topics.iter_mut().zip(verdicts.fingerprints) {
             topic.last_fp = Some(fp);
-            if let Some(kind) = kind {
-                topic.log.push(Incident {
-                    window,
-                    horizon,
-                    sub: *sub,
-                    kind,
-                    summary,
-                    fingerprint: fp,
-                });
-                incidents += 1;
-            }
+        }
+        for incident in verdicts.incidents {
+            evaluated_topics[incident.sub.0 as usize]
+                .1
+                .log
+                .push(incident);
         }
 
         let summary = WindowSummary {
             window,
             horizon,
-            evaluated,
+            evaluated: subs.len() as u64,
             pending,
             incidents,
         };
@@ -1565,6 +1408,11 @@ impl FrontEnd {
     pub fn shutdown(mut self) {
         self.listener.shutdown();
     }
+}
+
+/// A driver outcome in the front-end's public shape.
+fn into_parts(o: QueryOutcome) -> (QueryResponse, ExecutionTrace, RouterCounters) {
+    (o.response, Arc::unwrap_or_clone(o.trace), o.counters)
 }
 
 fn saturating_ns(d: std::time::Duration) -> u64 {

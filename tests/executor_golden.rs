@@ -9,13 +9,17 @@
 //! it: the responses and the traces — pointer rounds, host waves,
 //! dependencies — must stay what they were, over the flat live view, a
 //! 4-shard `ShardedAnalyzer` and a 4-shard `BackendRouter` over
-//! `LocalBackend`s alike.
+//! `LocalBackend`s alike. The in-process query plane's accounting of a
+//! batch — fan-out, coalesced copies, executions per class — is pinned
+//! the same way.
 
 use netsim::prelude::*;
 use netsim::rng::DetRng;
-use queryplane::Snapshot;
+use queryplane::{QueryPlane, QueryPlaneConfig, Snapshot};
 use switchpointer::host::TriggerEvent;
-use switchpointer::query::{ExecutionTrace, QueryExecutor, QueryRequest, QueryResponse};
+use switchpointer::query::{
+    ExecutionTrace, QueryExecutor, QueryRequest, QueryResponse, QUERY_CLASS_NAMES,
+};
 use switchpointer::shard::{BackendRouter, LocalBackend, ShardedAnalyzer, ShardedDirectory};
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
@@ -270,6 +274,67 @@ fn executor_answers_match_the_pinned_digests() {
         &reqs,
         &through_backends,
     );
+}
+
+/// Per directory shard count, the digest of [`plane_accounting`] after
+/// one batch of the mix submitted twice.
+const PLANE_GOLDEN: [(usize, u64); 2] = [(1, 0x92d9ee432ad68586), (4, 0x873f756ae40a37e9)];
+
+/// What a query plane's registry says one batch cost: the cumulative
+/// per-shard fan-out, the service counters and the executions per class.
+fn plane_accounting(plane: &QueryPlane) -> String {
+    let snap = plane.metrics().snapshot();
+    let mut text = format!("{:?}", plane.fanout());
+    for name in ["queries", "coalesced", "batches"] {
+        text += &format!(" {name}={}", snap.counter(&format!("queryplane.{name}")));
+    }
+    for class in QUERY_CLASS_NAMES {
+        let runs = snap
+            .hist(&format!("queryplane.exec_ns.{class}"))
+            .map_or(0, |h| h.count);
+        text += &format!(" {class}={runs}");
+    }
+    text
+}
+
+/// `QueryPlane::execute_batch` over the mix submitted twice in one batch,
+/// at 1 and 4 directory shards: every slot answers with its request's
+/// pinned digest, and the plane's accounting digests to a pinned value.
+#[test]
+fn query_plane_batches_match_the_pinned_digests() {
+    let (tb, flows) = storm_testbed();
+    let analyzer = tb.analyzer();
+    let mix = seeded_mix(&tb, flows, SEED);
+    let reqs: Vec<QueryRequest> = mix.iter().chain(&mix).copied().collect();
+    for (directory_shards, want) in PLANE_GOLDEN {
+        let mut plane = QueryPlane::from_analyzer(
+            &analyzer,
+            QueryPlaneConfig {
+                workers: 2,
+                shards: 8,
+                directory_shards,
+                retention: None,
+            },
+        );
+        let outcomes = plane.execute_batch(&reqs);
+        let got: Vec<u64> = outcomes
+            .iter()
+            .map(|o| digest(&o.response, &o.trace))
+            .collect();
+        for half in got.chunks(N_REQUESTS) {
+            assert_golden(
+                &format!("QueryPlane ({directory_shards} directory shards)"),
+                &mix,
+                half,
+            );
+        }
+        let accounting = plane_accounting(&plane);
+        assert_eq!(
+            fnv1a(&accounting),
+            want,
+            "plane accounting moved at {directory_shards} directory shards: {accounting}"
+        );
+    }
 }
 
 /// The typed `Analyzer` wrappers answer what they always answered:

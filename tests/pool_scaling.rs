@@ -26,7 +26,7 @@ use netsim::prelude::*;
 use netsim::routing::RouteTable;
 use obsplane::MetricsRegistry;
 use proptest::rng_for;
-use queryplane::{chunk_size, SharedCtx, Snapshot, WorkerPool};
+use queryplane::{chunk_size, lock_step, QueryOutcome, SharedCtx, Snapshot, Spans, WorkerPool};
 use switchpointer::query::QueryRequest;
 use switchpointer::shard::ShardedDirectory;
 use switchpointer::testbed::{Testbed, TestbedConfig};
@@ -73,6 +73,25 @@ fn shared_ctx(tb: &Testbed, reg: &Arc<MetricsRegistry>) -> Arc<SharedCtx> {
         *analyzer.cost(),
         Arc::clone(reg),
     ))
+}
+
+/// The batch driver over one `LocalBackend` per directory shard of
+/// `snapshot`, as the in-process plane runs it, with explicit dispatch
+/// keys and chunk size (`None`: the [`chunk_size`] rule).
+fn run_local(
+    pool: &WorkerPool,
+    ctx: &Arc<SharedCtx>,
+    snapshot: &Arc<Snapshot>,
+    reqs: &[QueryRequest],
+    keys: Option<&[usize]>,
+    chunk: Option<usize>,
+) -> Vec<QueryOutcome> {
+    let (c, s) = (Arc::clone(ctx), Arc::clone(snapshot));
+    let chunk = |n, workers| chunk.unwrap_or_else(|| chunk_size(n, workers));
+    queryplane::execute(pool, ctx, reqs, keys, chunk, move |chunk, started| {
+        let backends = c.dir.local_backends(&*s);
+        lock_step(&c, &backends, true, Spans::Exec, chunk, started)
+    })
 }
 
 /// A batch large enough that every worker count below 16 yields multiple
@@ -140,7 +159,7 @@ fn verdicts_invariant_across_workers_chunks_and_keys() {
         for chunk in chunk_overrides {
             for keyed in [false, true] {
                 let keys = keyed.then_some(keys.as_slice());
-                let out = pool.run_keyed_chunked(&ctx, &snapshot, &reqs, keys, chunk);
+                let out = run_local(&pool, &ctx, &snapshot, &reqs, keys, chunk);
                 assert_eq!(out.len(), reqs.len());
                 for (i, o) in out.iter().enumerate() {
                     assert_eq!(
@@ -242,7 +261,7 @@ fn mid_chunk_panic_reraises_without_dropped_or_duplicated_slots() {
 
 #[test]
 fn full_plane_parity_holds_under_randomized_chunking_with_steal_pressure() {
-    // The end-to-end variant: run_keyed_chunked (real executors over the
+    // The end-to-end variant: the batch driver (real executors over the
     // frozen snapshot) with every chunk keyed to one worker so steals are
     // guaranteed, across the full worker sweep.
     let tb = fixture();
@@ -261,7 +280,7 @@ fn full_plane_parity_holds_under_randomized_chunking_with_steal_pressure() {
     for workers in [2usize, 4, 8, 16] {
         let pool = WorkerPool::with_metrics(workers, &reg);
         let chunk = Some(1 + rng.below(7) as usize);
-        let out = pool.run_keyed_chunked(&ctx, &snapshot, &reqs, Some(&skew_keys), chunk);
+        let out = run_local(&pool, &ctx, &snapshot, &reqs, Some(&skew_keys), chunk);
         for (i, o) in out.iter().enumerate() {
             assert_eq!(
                 format!("{:?}", o.response),

@@ -8,9 +8,10 @@
 //!     and ranges that start at 0, end at `u64::MAX`, or lie wholly
 //!     before or after the live window.
 //! (b) **`StateView::presence_wave` ≡ `presence_by_epoch`** for every view
-//!     that overrides it: `Snapshot`, `ShardedView`, and a coalescing
-//!     `BackendRouter` over `LocalBackend`s at 1/2/4/8 directory shards —
-//!     while the router pays one backend call per wave, not one per
+//!     that overrides it: `Snapshot`, and a coalescing `BackendRouter` over
+//!     `LocalBackend`s of the snapshot and of the live view (what
+//!     `ShardedAnalyzer` routes over) at 1/2/4/8 directory shards — while
+//!     the router pays one backend call per wave, not one per
 //!     `(switch, epoch)`.
 
 use std::sync::Arc;
@@ -21,7 +22,7 @@ use proptest::prelude::*;
 use queryplane::Snapshot;
 use switchpointer::pointer::{PointerConfig, PointerHierarchy};
 use switchpointer::query::{presence_by_epoch, StateView};
-use switchpointer::shard::{BackendRouter, LocalBackend, ShardedDirectory, ShardedView};
+use switchpointer::shard::{BackendRouter, LocalBackend, ShardedDirectory};
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
 
@@ -153,6 +154,7 @@ fn presence_wave_equals_per_epoch_loop_on_every_overriding_view() {
     let tb = storm_testbed();
     let analyzer = tb.analyzer();
     let snapshot = Snapshot::capture(&analyzer, 8);
+    let live = analyzer.live_view();
 
     let mut switches: Vec<NodeId> = tb.switches.keys().copied().collect();
     switches.sort();
@@ -234,11 +236,12 @@ fn presence_wave_equals_per_epoch_loop_on_every_overriding_view() {
 
             for dir in &dirs {
                 let n_shards = dir.n_shards();
-                let sharded = ShardedView::new(&snapshot, dir);
+                let live_backends = dir.local_backends(&live);
+                let over_live = BackendRouter::new(&live_backends, dir);
                 assert_eq!(
-                    sharded.presence_wave(list, addr, *range),
+                    over_live.presence_wave(list, addr, *range),
                     want,
-                    "ShardedView diverged at {n_shards} shards"
+                    "the live-view router diverged at {n_shards} shards"
                 );
                 let backends: Vec<LocalBackend<'_, Snapshot>> = dir
                     .shards()

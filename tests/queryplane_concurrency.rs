@@ -426,7 +426,7 @@ fn repeat_shapes(rng: &mut TestRng, n: usize) -> Vec<(&'static str, Vec<usize>)>
 /// A batch runs each distinct request once. Every slot still answers as
 /// `Analyzer::execute` does and carries the trace the request has when
 /// run alone; the first occurrence keeps the measured fan-out and each
-/// later copy shares its trace with a zeroed fan-out; the registry counts
+/// later copy shares its trace with zeroed counters; the registry counts
 /// one execution per distinct request, and the whole outcome vector is
 /// the same at any worker count.
 #[test]
@@ -461,7 +461,7 @@ fn repeated_requests_in_a_batch_execute_once() {
             .iter()
             .map(|r| {
                 let o = solo.execute_batch(&[*r]).remove(0);
-                (format!("{:?}", o.trace), o.fanout)
+                (format!("{:?}", o.trace), o.counters.fanout)
             })
             .collect();
 
@@ -491,11 +491,15 @@ fn repeated_requests_in_a_batch_execute_once() {
                     match first.get(&reqs[i]) {
                         None => {
                             first.insert(reqs[i], i);
-                            assert_eq!(&o.fanout, fanout, "{at}: first occurrence {i}");
+                            assert_eq!(&o.counters.fanout, fanout, "{at}: first occurrence {i}");
                         }
                         Some(&f) => {
                             assert!(Arc::ptr_eq(&o.trace, &outs[f].trace), "{at}: copy {i}");
-                            assert_eq!(o.fanout, ShardFanout::new(directory_shards), "{at}: {i}");
+                            assert_eq!(
+                                o.counters.fanout,
+                                ShardFanout::new(directory_shards),
+                                "{at}: {i}"
+                            );
                         }
                     }
                 }

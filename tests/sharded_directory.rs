@@ -507,10 +507,10 @@ fn backend_router_over_local_backends_matches_flat_view() {
     }
 }
 
-/// (d) A wave reads each of its hosts once, whichever router counts it:
-/// for every class, at 1/2/4/8 shards, the in-process [`ShardedView`]'s
-/// per-shard host reads equal those of a [`BackendRouter`] over
-/// [`LocalBackend`]s running the same query.
+/// (d) A wave reads each of its hosts once, whoever drives the router:
+/// for every class, at 1/2/4/8 shards, the per-shard host reads the
+/// in-process plane's batch driver returns for a query equal those of a
+/// bare [`BackendRouter`] over [`LocalBackend`]s running the same query.
 #[test]
 fn sharded_view_and_backend_router_count_a_wave_host_once() {
     use queryplane::Snapshot;
@@ -523,6 +523,15 @@ fn sharded_view_and_backend_router_count_a_wave_host_once() {
     let snapshot = Snapshot::capture(&analyzer, 8);
     for n_shards in [1usize, 2, 4, 8] {
         let sharded = ShardedAnalyzer::new(&analyzer, n_shards);
+        let mut plane = QueryPlane::from_analyzer(
+            &analyzer,
+            QueryPlaneConfig {
+                workers: 1,
+                shards: 8,
+                directory_shards: n_shards,
+                retention: None,
+            },
+        );
         let backends: Vec<LocalBackend<'_, Snapshot>> = sharded
             .directory()
             .shards()
@@ -531,13 +540,13 @@ fn sharded_view_and_backend_router_count_a_wave_host_once() {
             .collect();
         let mut classes = [0usize; 6];
         for req in &reqs {
-            let (_, _, fanout) = sharded.execute_traced(req);
+            let driven = plane.execute_batch(std::slice::from_ref(req)).remove(0);
             let router = BackendRouter::new(&backends, sharded.directory());
             QueryExecutor::new(analyzer.ctx(), &router).execute(req);
             assert_eq!(
-                fanout.host_reads,
+                driven.counters.fanout.host_reads,
                 router.counters().fanout.host_reads,
-                "{} at {n_shards} shards: the two routers count host reads differently",
+                "{} at {n_shards} shards: the driver and the router count host reads differently",
                 req.class_name()
             );
             classes[req.class_index()] += 1;

@@ -3297,13 +3297,17 @@ fn mux_scrape_requests_of_every_shard_are_in_flight_together() {
 /// shards: entry `i` of `execute_wave(reqs)` is what `execute(&reqs[i])`
 /// returns — and what a `BackendRouter` over in-process `LocalBackend`s
 /// driving `execute_traced` returns — in response, execution trace
-/// **and per-query routing counters**. Who drives a query, and what else
-/// shares its flushes, never shows in anything it returns.
+/// **and per-query routing counters**, except that a repeated request's
+/// slot carries zeroed counters: the wave ran it once. Who drives a
+/// query, and what else shares its flushes, never shows in anything it
+/// returns.
 #[test]
 fn wave_equals_serial_in_response_trace_and_router_counters() {
     use queryplane::Snapshot;
     use switchpointer::query::QueryExecutor;
-    use switchpointer::shard::{BackendRouter, LocalBackend, ShardedDirectory};
+    use switchpointer::shard::{
+        BackendRouter, LocalBackend, RouterCounters, ShardFanout, ShardedDirectory,
+    };
 
     let (mut tb, victim, _) = watch_testbed();
     tb.sim.run_until(SimTime::from_ms(40));
@@ -3345,24 +3349,123 @@ fn wave_equals_serial_in_response_trace_and_router_counters() {
                 .collect();
             let wave = cluster.front().execute_wave(&reqs);
             assert_eq!(wave.len(), reqs.len());
+            let zeroed = RouterCounters {
+                fanout: ShardFanout::new(n_shards),
+                ..RouterCounters::default()
+            };
+            let mut seen = std::collections::HashSet::new();
             for (i, ((resp, trace, counters), req)) in wave.iter().zip(&reqs).enumerate() {
                 let at = format!("case {case}, query {i} of {size}, {n_shards} shard(s)");
                 let (s_resp, s_trace, s_counters) = cluster.front().execute(req);
                 assert_eq!(format!("{resp:?}"), format!("{s_resp:?}"), "{at}");
                 assert_eq!(format!("{trace:?}"), format!("{s_trace:?}"), "{at}");
-                assert_eq!(*counters, s_counters, "{at}");
+                let repeat = !seen.insert(*req);
+                assert_eq!(
+                    *counters,
+                    if repeat {
+                        zeroed.clone()
+                    } else {
+                        s_counters.clone()
+                    },
+                    "{at}"
+                );
                 let router = BackendRouter::new(&backends, &dir);
                 let (l_resp, l_trace) =
                     QueryExecutor::new(analyzer.ctx(), &router).execute_traced(req);
                 assert_eq!(format!("{resp:?}"), format!("{l_resp:?}"), "{at} (local)");
                 assert_eq!(format!("{trace:?}"), format!("{l_trace:?}"), "{at} (local)");
-                assert_eq!(*counters, router.counters(), "{at} (local)");
+                assert_eq!(s_counters, router.counters(), "{at} (local)");
                 if is_aggregate(req) {
                     assert_eq!(
-                        (counters.rpcs, counters.rounds, counters.wave_rounds),
+                        (s_counters.rpcs, s_counters.rounds, s_counters.wave_rounds),
                         (n_shards as u64, 1, 1),
                         "{at}"
                     );
+                }
+            }
+        }
+        cluster.shutdown();
+    }
+}
+
+/// A wave runs each distinct request once, at 1/2/4 shards, whether its
+/// repeats are absent, all of it, adjacent or far apart: every slot
+/// answers as `Analyzer::execute` does, the front registry's
+/// `queryplane.coalesced` grows by slots − distinct, a repeat's routing
+/// counters are zeroed, and the wave costs exactly the RPCs and envelope
+/// frames of the wave of its distinct requests alone. One front worker,
+/// so a wave is one chunk and its frame count is exact.
+#[test]
+fn a_wave_runs_each_distinct_request_once() {
+    use switchpointer::shard::{RouterCounters, ShardFanout};
+
+    let (mut tb, victim, _) = watch_testbed();
+    tb.sim.run_until(SimTime::from_ms(40));
+    let analyzer = tb.analyzer();
+    let mut seen = std::collections::HashSet::new();
+    let mut base = storm_queries(&tb, victim);
+    base.retain(|r| seen.insert(*r));
+    assert!(base.len() >= 6, "the base mix covers every class");
+    let shapes: [(&str, Vec<QueryRequest>); 4] = [
+        ("no repeats", base.clone()),
+        ("all the same", vec![base[0]; 6]),
+        ("adjacent", base.iter().flat_map(|&r| [r, r]).collect()),
+        ("far apart", base.iter().chain(&base).copied().collect()),
+    ];
+    let cfg = WireConfig {
+        front_workers: 1,
+        ..WireConfig::default()
+    };
+    for n_shards in [1usize, 2, 4] {
+        let cluster = WireCluster::launch(&analyzer, n_shards, cfg).unwrap();
+        let front = cluster.front();
+        let coalesced = || {
+            cluster
+                .front_metrics()
+                .counter("queryplane.coalesced")
+                .get()
+        };
+        // What a wave cost: (RPCs, envelope frames, coalesced copies).
+        let cost = |reqs: &[QueryRequest]| {
+            let before = (front.counters().rpcs, front.wire_frames_sent(), coalesced());
+            let out = front.execute_wave(reqs);
+            let after = (front.counters().rpcs, front.wire_frames_sent(), coalesced());
+            (
+                out,
+                (after.0 - before.0, after.1 - before.1, after.2 - before.2),
+            )
+        };
+        for (shape, reqs) in &shapes {
+            let at = format!("{shape}, {n_shards} shard(s)");
+            let mut seen = std::collections::HashSet::new();
+            let distinct: Vec<QueryRequest> =
+                reqs.iter().copied().filter(|r| seen.insert(*r)).collect();
+            let (_, alone) = cost(&distinct);
+            assert_eq!(alone.2, 0, "{at}: a wave of distinct requests copies none");
+            let (out, with_repeats) = cost(reqs);
+            assert_eq!(
+                (with_repeats.0, with_repeats.1),
+                (alone.0, alone.1),
+                "{at}: RPCs and frames of the wave vs its distinct requests alone"
+            );
+            assert_eq!(
+                with_repeats.2,
+                (reqs.len() - distinct.len()) as u64,
+                "{at}: queryplane.coalesced"
+            );
+            let zeroed = RouterCounters {
+                fanout: ShardFanout::new(n_shards),
+                ..RouterCounters::default()
+            };
+            let mut first = std::collections::HashSet::new();
+            for (i, ((resp, _, counters), req)) in out.iter().zip(reqs).enumerate() {
+                assert_eq!(
+                    format!("{resp:?}"),
+                    format!("{:?}", analyzer.execute(req)),
+                    "{at}: slot {i}"
+                );
+                if !first.insert(*req) {
+                    assert_eq!(*counters, zeroed, "{at}: slot {i} is a copy");
                 }
             }
         }
