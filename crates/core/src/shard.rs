@@ -106,21 +106,14 @@ impl DirectoryShard {
     }
 
     /// Decodes this shard's slice of `bits` into owned host ids
-    /// (ascending) — the per-shard half of a fan-out. Walks the set bits
-    /// of `bits`, looking each owned one up in the owned slot table, so
-    /// the cost follows the pointer set, not the directory.
+    /// (ascending) — the per-shard half of a fan-out. Walks the owned
+    /// slot table (O(owned), not O(directory)).
     pub fn decode(&self, bits: &BitSet) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = bits
-            .iter_ones()
-            .take_while(|&slot| slot < self.slot_mask.capacity())
-            .filter(|&slot| self.slot_mask.test(slot))
-            .map(|slot| {
-                let i = self
-                    .owned_slots
-                    .binary_search_by_key(&slot, |&(s, _)| s)
-                    .expect("a slot under the mask is owned");
-                self.owned_slots[i].1
-            })
+        let mut out: Vec<NodeId> = self
+            .owned_slots
+            .iter()
+            .filter(|&&(slot, _)| bits.test(slot))
+            .map(|&(_, h)| h)
             .collect();
         out.sort();
         out
@@ -699,22 +692,23 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
             })
             .collect();
         issued.map(move |replies| {
-            let mut parts: Vec<(Vec<NodeId>, Vec<T>)> = Vec::with_capacity(replies.len());
             let mut total = 0u64;
             // Backends are in shard order, so the index is the shard.
-            for (shard, reply) in replies.into_iter().enumerate() {
-                let Some(part) = reply else {
-                    continue;
-                };
-                debug_assert_eq!(part.0.len(), part.1.len());
-                let n = part.0.len() as u64;
-                if n > 0 {
-                    self.decode_bits[shard].add(n);
-                    self.host_reads[shard].add(n);
-                    total += n;
-                }
-                parts.push(part);
-            }
+            let mut parts: Vec<(Vec<NodeId>, Vec<T>)> = replies
+                .into_iter()
+                .enumerate()
+                .filter_map(|(shard, reply)| {
+                    let part = reply?;
+                    debug_assert_eq!(part.0.len(), part.1.len());
+                    let n = part.0.len() as u64;
+                    if n > 0 {
+                        self.decode_bits[shard].add(n);
+                        self.host_reads[shard].add(n);
+                        total += n;
+                    }
+                    Some(part)
+                })
+                .collect();
             if parts.is_empty() {
                 return None;
             }
