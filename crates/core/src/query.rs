@@ -331,7 +331,7 @@ pub fn presence_by_epoch<V: StateView + ?Sized>(
 }
 
 /// One debugging query, ready to schedule. `Hash`/`Eq` make the request
-/// itself the key of whole-result caches.
+/// itself the key a batch coalesces repeats by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryRequest {
     /// §5.1 — who contended with `victim` at its bottleneck switch?
@@ -584,21 +584,12 @@ pub struct PointerRound {
 
 /// The exact state a query's answer depended on: every switch whose
 /// pointer sets were read and every host whose store or trigger log was
-/// consulted. A result cached for the query stays valid precisely until a
-/// snapshot delta touches one of these — the stream plane's invalidation
-/// rule.
+/// consulted. A record of the execution only — nothing reads it to decide
+/// anything.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceDeps {
     pub switches: BTreeSet<NodeId>,
     pub hosts: BTreeSet<NodeId>,
-}
-
-impl TraceDeps {
-    /// Does any of `switches`/`hosts` intersect this dependency set?
-    pub fn intersects(&self, switches: &[NodeId], hosts: &[NodeId]) -> bool {
-        switches.iter().any(|s| self.switches.contains(s))
-            || hosts.iter().any(|h| self.hosts.contains(h))
-    }
 }
 
 /// What a query touched while executing: replayed by the query plane for
@@ -609,7 +600,7 @@ pub struct ExecutionTrace {
     pub pointer_rounds: Vec<PointerRound>,
     /// Host query waves: each wave lists (host, records scanned there).
     pub waves: Vec<Vec<(NodeId, usize)>>,
-    /// Every state read the answer depended on (result-cache invalidation).
+    /// Every state read the answer depended on.
     pub deps: TraceDeps,
 }
 

@@ -28,9 +28,9 @@
 //! A sweep mutates the *live* components. The incremental snapshot layer
 //! picks the reclamation up on its next delta: record eviction invalidates
 //! the store's per-flow journal and therefore surfaces as a
-//! [`crate::hoststore::StoreDelta::FullRescan`] (broadcast per owning
-//! shard by the result caches); archive retirement rides the pointer patch
-//! as a retired-prefix count. `tests/retention_props.rs` pins
+//! [`crate::hoststore::StoreDelta::FullRescan`], which re-freezes the
+//! host's store whole; archive retirement rides the pointer patch as a
+//! retired-prefix count. `tests/retention_props.rs` pins
 //! `apply_delta`-with-GC ≡ fresh-capture-of-the-truncated-state under
 //! arbitrary interleavings, and pins retained-epoch answers against an
 //! unswept twin deployment.

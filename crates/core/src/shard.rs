@@ -52,7 +52,7 @@ use crate::query::{
 /// The directory shard owning `host`: the same stable splitmix64
 /// assignment flow records use, applied to the host address. Pure
 /// function of the host and the shard count — every layer (directory,
-/// snapshot deltas, result caches) agrees on ownership.
+/// snapshots, retention sweeps, subscriptions) agrees on ownership.
 #[inline]
 pub fn host_shard_of(host: NodeId, n_shards: usize) -> usize {
     stable_shard(host.addr(), n_shards)

@@ -64,7 +64,6 @@ fn run_horizon(dir_shards: usize, budget: usize) -> (Vec<u64>, Vec<u64>, usize) 
                 directory_shards: dir_shards,
                 retention: Some(RetentionPolicy::budgeted(12, budget)),
             },
-            result_cache_capacity: 1024,
         },
     );
     let watch = sp.subscribe(StandingQuery::ContentionWatch {
@@ -194,7 +193,6 @@ fn run_budget_only(dir_shards: usize, budget: usize) -> (Vec<u64>, usize) {
                 directory_shards: dir_shards,
                 retention: Some(RetentionPolicy::budgeted(u64::MAX, budget)),
             },
-            result_cache_capacity: 1024,
         },
     );
     sp.subscribe(StandingQuery::TopKSliding {

@@ -3,9 +3,8 @@
 //! Not a paper figure: this subcommand exercises the §5 applications as
 //! *standing queries* over an incrementally refreshed snapshot and reports
 //! the quantities the stream plane is built around, per evaluation window:
-//! copy work of the incremental refresh vs a full recapture, result-cache
-//! hits, queries executed, and incidents fired by verdict change
-//! detection.
+//! copy work of the incremental refresh vs a full recapture, queries
+//! executed, and incidents fired by verdict change detection.
 
 use std::time::Instant;
 
@@ -71,7 +70,6 @@ pub fn stream() -> Vec<FigureData> {
                 directory_shards: 1,
                 retention: None,
             },
-            result_cache_capacity: 1024,
         },
     );
     for name in ["edge0_0", "agg0_0", "core0_0", "edge2_0"] {
@@ -105,7 +103,6 @@ pub fn stream() -> Vec<FigureData> {
     let mut delta_copied = Series::new("delta_copied");
     let mut full_equiv = Series::new("full_recapture_equiv");
     let mut executed = Series::new("executed");
-    let mut cached = Series::new("result_cache_hits");
     let mut incidents = Series::new("incidents");
 
     let t0 = Instant::now();
@@ -122,7 +119,6 @@ pub fn stream() -> Vec<FigureData> {
             (report.delta.full_records + report.delta.full_slots) as f64,
         );
         executed.push(x, report.executed as f64);
-        cached.push(x, report.served_from_cache as f64);
         incidents.push(x, report.incidents.len() as f64);
     }
     let wall = t0.elapsed().as_secs_f64().max(1e-9);
@@ -133,19 +129,12 @@ pub fn stream() -> Vec<FigureData> {
         .iter()
         .filter(|i| i.kind == streamplane::IncidentKind::Transition)
         .count();
-    fig.series = vec![delta_copied, full_equiv, executed, cached, incidents];
+    fig.series = vec![delta_copied, full_equiv, executed, incidents];
     fig.note(format!(
         "incremental refresh copy work: {} vs {} full-recapture equivalent ({:.1}x less)",
         stats.counter("streamplane.delta_copied"),
         stats.counter("streamplane.full_copied_equiv"),
         streamplane::delta_savings(&stats)
-    ));
-    fig.note(format!(
-        "result cache: {} hits / {} misses ({:.0}% hit rate), {} invalidated by deltas",
-        stats.counter("streamplane.result_hits"),
-        stats.counter("streamplane.result_misses"),
-        streamplane::result_hit_rate(&stats) * 100.0,
-        stats.counter("streamplane.invalidated")
     ));
     fig.note(format!(
         "incident log: {} entries ({} transitions) over {} windows, {:.0} incidents/sec wall-clock",

@@ -132,9 +132,8 @@ impl SharedCtx {
 }
 
 /// One query's answer as the driver hands it back: the (bit-identical)
-/// response, the executor's trace of what the answer read — `trace.deps`
-/// is what the stream plane's result cache keys invalidation by — and
-/// what its router counted: per-shard fan-out, backend calls and rounds.
+/// response, the executor's trace of what the answer read, and what its
+/// router counted: per-shard fan-out, backend calls and rounds.
 /// The trace sits behind an `Arc` so the slots of a batch that asked the
 /// same question share one.
 #[derive(Debug, Clone)]

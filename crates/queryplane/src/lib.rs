@@ -328,16 +328,13 @@ impl QueryPlane {
     /// `analyzer`, per the configured [`RetentionPolicy`] (`None` in the
     /// config ⇒ no-op returning `None`). `pins[s]` lower-bounds what the
     /// sweep may collect on directory shard `s` — the stream plane passes
-    /// the oldest epoch its standing queries homed on (or last evaluated
-    /// against) that shard can still reach.
+    /// the oldest epoch its standing queries can still reach there.
     ///
     /// The sweep mutates live component state only; call
     /// [`QueryPlane::refresh_delta`] afterwards to propagate the
     /// reclamation into the snapshot. Record eviction surfaces there as
-    /// `FullRescan` re-freezes (`SnapshotDelta::rescanned_hosts` /
-    /// `rescanned_shards`, which the stream plane's result cache
-    /// broadcasts per shard), and archived-pointer retirement rides the
-    /// pointer patches.
+    /// `FullRescan` re-freezes (`SnapshotDelta::rescanned_hosts`), and
+    /// archived-pointer retirement rides the pointer patches.
     pub fn sweep_retention(
         &mut self,
         analyzer: &Analyzer,

@@ -50,7 +50,6 @@ use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::{keep_top_k, shard_of, FlowRecord, FlowStore, StoreDelta};
 use switchpointer::pointer::FrozenHierarchy;
 use switchpointer::query::{Deferred, StateView};
-use switchpointer::shard::host_shard_of;
 use switchpointer::Analyzer;
 use telemetry::frame::{Dec, Enc, Wire, WireError};
 use telemetry::EpochRange;
@@ -365,8 +364,9 @@ impl UnionMemo {
 }
 
 /// What one [`Snapshot::apply_delta`] touched and what it cost, against
-/// the counterfactual of a full recapture. The dirty sets drive precise
-/// result-cache and pointer-cache invalidation in the stream plane.
+/// the counterfactual of a full recapture. The dirty switches drive
+/// pointer-union memo invalidation; the dirty hosts are what replication
+/// ships.
 #[derive(Debug, Clone, Default)]
 pub struct SnapshotDelta {
     /// Switches whose pointer state changed since the last freeze (sorted).
@@ -376,15 +376,8 @@ pub struct SnapshotDelta {
     pub dirty_hosts: Vec<NodeId>,
     /// The subset of `dirty_hosts` whose per-flow journal was invalidated
     /// by an eviction (`StoreDelta::FullRescan`): their frozen stores were
-    /// rebuilt from scratch, so any cache keyed on their *contents* —
-    /// fan-out coalescing state, whole results whose host reads touched
-    /// the store — must be purged, not patched (sorted).
+    /// rebuilt from scratch rather than patched (sorted).
     pub rescanned_hosts: Vec<NodeId>,
-    /// Directory shards owning at least one rescanned host, under the
-    /// snapshot's directory-shard count (sorted). Shard-granular caches
-    /// configured with the same shard count (the stream plane's result
-    /// cache) broadcast eviction invalidation against this set.
-    pub rescanned_shards: Vec<usize>,
     /// Flow records actually cloned by this delta.
     pub cloned_records: u64,
     /// Pointer slots (live + archived) actually cloned by this delta.
@@ -623,8 +616,8 @@ impl Snapshot {
                         comp.triggers(),
                         n_shards,
                     ));
-                    // An eviction invalidated the per-flow journal: caches
-                    // keyed on this store's contents must purge, not patch.
+                    // An eviction invalidated the per-flow journal: the
+                    // store was re-frozen whole, not patched.
                     delta.rescanned_hosts.push(h);
                     journal.is_some().then(|| HostPatchKind::Full {
                         store: ShardedHostStore::clone(frozen),
@@ -642,17 +635,6 @@ impl Snapshot {
             self.host_base.insert(h, new_base);
             delta.dirty_hosts.push(h);
         }
-
-        // Shard-granular rescan dirtiness: the directory shards owning an
-        // eviction-rescanned host, for caches that broadcast invalidation
-        // per shard rather than per host. Empty in the common no-eviction
-        // case, so this costs nothing between retention sweeps.
-        let shard_set: BTreeSet<usize> = delta
-            .rescanned_hosts
-            .iter()
-            .map(|&h| host_shard_of(h, self.dir_shards))
-            .collect();
-        delta.rescanned_shards = shard_set.into_iter().collect();
 
         self.epoch_horizon = horizon.max(self.epoch_horizon);
         delta.epoch_horizon = self.epoch_horizon;

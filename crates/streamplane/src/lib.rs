@@ -5,8 +5,11 @@
 //! snapshot. This crate turns it into an always-on service: clients
 //! register **standing queries** (the paper's §5 applications as
 //! long-lived subscriptions) that are re-evaluated every **evaluation
-//! window** against an **incrementally maintained snapshot**, with a
-//! whole-result cache and an incident log in front. Four pieces:
+//! window** against an **incrementally maintained snapshot**, with an
+//! incident log in front. Every window runs every resolved standing query
+//! afresh, as the paper's analyzer answers each query by retrieving
+//! pointers and contacting the hosts they name: there is no store of past
+//! answers. Four pieces:
 //!
 //! 1. **Incremental snapshot deltas** — each window calls
 //!    [`QueryPlane::refresh_delta`], which copies only the pointer slots
@@ -16,33 +19,28 @@
 //!    `tests/streamplane_props.rs`.
 //! 2. **Arrival-window admission** — one-shot queries submitted between
 //!    windows ride the next window's batch together with the standing
-//!    queries, as one scatter over the plane's worker pool.
-//! 3. **Result cache** — whole outcomes keyed by the concrete
-//!    [`QueryRequest`] (and the snapshot epoch horizon they were computed
-//!    at), invalidated *precisely* by the delta's dirty switch/host sets
-//!    against each entry's recorded dependency set
-//!    ([`switchpointer::query::TraceDeps`]). A standing query whose
-//!    dependencies did not change is served its previous bit-identical
-//!    outcome without executing at all.
-//! 4. **Incident log** — per-subscription verdict fingerprints with change
+//!    queries, as one scatter over the plane's worker pool, which runs
+//!    each distinct request of the window once.
+//! 3. **Incident log** — per-subscription verdict fingerprints with change
 //!    detection: an [`Incident`] fires only when a verdict *transitions*
 //!    (plus one `Baseline` entry at first sight). Because verdicts are
 //!    bit-identical at any worker count and under any admission batching,
 //!    the incident stream is too.
-//! 5. **Bounded retention** — with a
+//! 4. **Bounded retention** — with a
 //!    [`RetentionPolicy`](switchpointer::retention::RetentionPolicy) on
 //!    the plane config, every window opens with a GC sweep
 //!    ([`switchpointer::retention::sweep`]) that evicts flow records and
 //!    retires archived pointer sets the standing queries can no longer
-//!    reach, per directory shard. Each subscription *pins* the floor on
-//!    its home shard (and on the shards its last cached evaluation read):
-//!    a sliding window's trailing edge, a fixed range's `lo`, a resolved
-//!    contention watch's trigger window — a *pending* watch pins its
-//!    near-future window and a never-evaluated diagnosis pins every
-//!    shard for its first window — so ContentionWatch incidents never
-//!    dangle, even under pure budget pressure. The reclamation
-//!    propagates through the same delta / invalidation path as any
-//!    eviction.
+//!    reach, per directory shard. Each subscription *pins* a floor, and
+//!    where it pins follows its class alone: a trigger-anchored diagnosis
+//!    (a contention watch, a fixed contention / red-lights / cascade)
+//!    pins every shard, since its contenders' records live anywhere; any
+//!    other query pins its home shard. The floor is a sliding window's
+//!    trailing edge, a fixed range's `lo`, a resolved diagnosis's trigger
+//!    window — a *pending* one pins its near-future window — so
+//!    ContentionWatch incidents never dangle, even under pure budget
+//!    pressure. The reclamation propagates through the same delta path as
+//!    any eviction.
 //!
 //! Execution itself is delegated to the `queryplane` crate's batch
 //! driver over its persistent deterministic
@@ -63,18 +61,15 @@ use netsim::packet::{FlowId, NodeId};
 use netsim::time::SimTime;
 use obsplane::{Counter, Histogram, MetricsRegistry, RegistrySnapshot};
 use queryplane::{home_shard, QueryOutcome, QueryPlane, QueryPlaneConfig, SnapshotDelta};
-use switchpointer::query::{ExecutionTrace, QueryRequest, QueryResponse, StateView};
+use switchpointer::query::{QueryRequest, QueryResponse, StateView};
 use switchpointer::retention::{self, SweepReport};
-use switchpointer::shard::{host_shard_of, RouterCounters};
 use switchpointer::Analyzer;
 use telemetry::frame::{Dec, Enc, Wire, WireError};
 use telemetry::EpochRange;
 
 mod incident;
-mod resultcache;
 
 pub use incident::{evaluate_window, Incident, IncidentKind, WindowVerdicts, PENDING_SUMMARY};
-pub use resultcache::{CachedResult, ResultCache};
 
 /// Identifies a standing query for its whole subscription lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -103,8 +98,9 @@ pub struct TicketId(pub u64);
 /// verbatim, or a template re-resolved against the snapshot each window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StandingQuery {
-    /// Re-evaluate this exact request every window (fixed epoch range —
-    /// the result cache serves it for free while its dependencies sleep).
+    /// Re-evaluate this exact request every window (fixed epoch range). A
+    /// fixed diagnosis (contention, red-lights, cascade) pends, like a
+    /// contention watch, until its victim's destination raises a trigger.
     Fixed(QueryRequest),
     /// §6.2 top-k over the trailing `epochs_back` epochs up to the
     /// snapshot horizon (sliding window).
@@ -132,14 +128,7 @@ impl StandingQuery {
     /// queries effectively subscribe per shard: a sharded deployment
     /// evaluates each subscription on its owning instance.
     pub fn home_shard(&self, n_shards: usize) -> usize {
-        match *self {
-            StandingQuery::Fixed(req) => home_shard(&req, n_shards),
-            StandingQuery::TopKSliding { switch, .. } => host_shard_of(switch, n_shards),
-            StandingQuery::LoadImbalanceSliding { switch, .. } => host_shard_of(switch, n_shards),
-            StandingQuery::ContentionWatch { victim_dst, .. } => {
-                host_shard_of(victim_dst, n_shards)
-            }
-        }
+        home_shard(&self.request(0), n_shards)
     }
 
     /// The trailing window `[horizon - (back-1), horizon]`.
@@ -150,81 +139,71 @@ impl StandingQuery {
         }
     }
 
-    /// The oldest epoch this subscription can still reach — the floor a
-    /// retention sweep must respect on its home shard (and on the shards
-    /// its last evaluation's host reads touched). A *pending* contention
-    /// watch pins too: its trigger may fire this very window, and the
-    /// diagnosis window then reaches back about `2·trigger_window + ε`
-    /// from "now" — the policy's trailing horizon covers that span, but a
-    /// *budget*-raised floor can pass the horizon, so without this pin it
-    /// could evict the victim's live record out from under the future
-    /// diagnosis.
-    pub fn pin_floor(&self, analyzer: &Analyzer, live_horizon: u64) -> Option<u64> {
+    /// The concrete request this subscription runs at `horizon`, whether
+    /// or not its trigger has fired yet.
+    fn request(&self, horizon: u64) -> QueryRequest {
         match *self {
-            StandingQuery::Fixed(req) => request_pin(&req, analyzer),
-            StandingQuery::TopKSliding { epochs_back, .. } => {
-                Some(Self::sliding(live_horizon, epochs_back).lo)
-            }
-            StandingQuery::LoadImbalanceSliding { epochs_back, .. } => {
-                Some(Self::sliding(live_horizon, epochs_back).lo)
-            }
-            StandingQuery::ContentionWatch {
-                victim,
-                victim_dst,
-                trigger_window,
-            } => request_pin(
-                &QueryRequest::Contention {
-                    victim,
-                    victim_dst,
-                    trigger_window,
-                },
-                analyzer,
-            )
-            .or_else(|| {
-                // Pending: pin the span a trigger firing "now" would
-                // diagnose (the epoch_window shape of query.rs).
-                let p = analyzer.params();
-                let slack = p.epsilon.as_ns().div_ceil(p.alpha.as_ns());
-                let back = (trigger_window * 2).as_ns().div_ceil(p.alpha.as_ns()) + slack + 1;
-                Some(live_horizon.saturating_sub(back))
-            }),
-        }
-    }
-
-    /// Resolves to this window's concrete request, or `None` while the
-    /// subscription is pending (e.g. no trigger yet). [`evaluate_window`]
-    /// resolves every subscription of a window with it, against whatever
-    /// view its caller reads through.
-    pub fn resolve(&self, view: &dyn StateView, horizon: u64) -> Option<QueryRequest> {
-        match *self {
-            StandingQuery::Fixed(req) => Some(req),
+            StandingQuery::Fixed(req) => req,
             StandingQuery::TopKSliding {
                 switch,
                 k,
                 epochs_back,
-            } => Some(QueryRequest::TopK {
+            } => QueryRequest::TopK {
                 switch,
                 k,
                 range: Self::sliding(horizon, epochs_back),
-            }),
+            },
             StandingQuery::LoadImbalanceSliding {
                 switch,
                 epochs_back,
-            } => Some(QueryRequest::LoadImbalance {
+            } => QueryRequest::LoadImbalance {
                 switch,
                 range: Self::sliding(horizon, epochs_back),
-            }),
+            },
             StandingQuery::ContentionWatch {
                 victim,
                 victim_dst,
                 trigger_window,
-            } => view
-                .first_trigger_for(victim_dst, victim)
-                .map(|_| QueryRequest::Contention {
-                    victim,
-                    victim_dst,
-                    trigger_window,
-                }),
+            } => QueryRequest::Contention {
+                victim,
+                victim_dst,
+                trigger_window,
+            },
+        }
+    }
+
+    /// The oldest epoch this subscription can still reach — the floor a
+    /// retention sweep must respect (on every shard for a diagnosis, on
+    /// its home shard otherwise). A *pending* diagnosis pins too: its
+    /// trigger may fire this very window, and the diagnosis window then
+    /// reaches back about `2·trigger_window + ε` from "now" (one epoch
+    /// more per stage for a cascade) — the policy's trailing horizon
+    /// covers that span, but a *budget*-raised floor can pass the
+    /// horizon, so without this pin it could evict the victim's live
+    /// record out from under the future diagnosis.
+    pub fn pin_floor(&self, analyzer: &Analyzer, live_horizon: u64) -> Option<u64> {
+        let req = self.request(live_horizon);
+        request_pin(&req, analyzer).or_else(|| {
+            // Pending: pin the span a trigger firing "now" would
+            // diagnose (the epoch_window shape of query.rs).
+            let anchor = trigger_anchor(&req)?;
+            let p = analyzer.params();
+            let slack = p.epsilon.as_ns().div_ceil(p.alpha.as_ns());
+            let back = (anchor.window * 2).as_ns().div_ceil(p.alpha.as_ns()) + slack + 1;
+            Some(live_horizon.saturating_sub(back + anchor.depth))
+        })
+    }
+
+    /// Resolves to this window's concrete request, or `None` while the
+    /// subscription is pending: a diagnosis whose victim's destination has
+    /// raised no trigger yet. [`evaluate_window`] resolves every
+    /// subscription of a window with it, against whatever view its caller
+    /// reads through.
+    pub fn resolve(&self, view: &dyn StateView, horizon: u64) -> Option<QueryRequest> {
+        let req = self.request(horizon);
+        match trigger_anchor(&req) {
+            Some(a) => view.first_trigger_for(a.victim_dst, a.victim).map(|_| req),
+            None => Some(req),
         }
     }
 }
@@ -289,33 +268,10 @@ impl Wire for StandingQuery {
 }
 
 /// Service tuning.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StreamConfig {
     /// Inner query-plane sizing (worker pool, shards, retention).
     pub plane: QueryPlaneConfig,
-    /// Whole-result cache capacity (entries).
-    pub result_cache_capacity: usize,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        StreamConfig {
-            plane: QueryPlaneConfig::default(),
-            result_cache_capacity: 1024,
-        }
-    }
-}
-
-/// Fraction of resolvable evaluations served from the result cache, read
-/// off a snapshot of the plane's registry ([`StreamPlane::metrics`]).
-pub fn result_hit_rate(m: &RegistrySnapshot) -> f64 {
-    let hits = m.counter("streamplane.result_hits");
-    let total = hits + m.counter("streamplane.result_misses");
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
 }
 
 /// Copy-work ratio of full recapture over incremental refresh, read off a
@@ -343,7 +299,6 @@ pub enum StandingEval {
     Verdict {
         request: QueryRequest,
         response: QueryResponse,
-        from_cache: bool,
     },
 }
 
@@ -364,14 +319,11 @@ pub struct WindowReport {
     pub sweep: Option<SweepReport>,
     /// The incremental refresh summary (dirty sets, copy work).
     pub delta: SnapshotDelta,
-    /// Queries executed on the pool this window.
+    /// Distinct queries executed on the pool this window (the batch runs
+    /// a repeated request once).
     pub executed: usize,
-    /// Queries served from the result cache.
-    pub served_from_cache: usize,
     /// Standing queries still pending.
     pub pending: usize,
-    /// Result-cache entries the delta invalidated.
-    pub invalidated: usize,
     /// Standing-query evaluations per home directory shard this window
     /// (length = the plane's `directory_shards`; pending subscriptions
     /// counted at their home shard too).
@@ -390,9 +342,6 @@ struct SpMetrics {
     windows: Arc<Counter>,
     evaluations: Arc<Counter>,
     one_shots: Arc<Counter>,
-    result_hits: Arc<Counter>,
-    result_misses: Arc<Counter>,
-    invalidated: Arc<Counter>,
     incidents: Arc<Counter>,
     delta_copied: Arc<Counter>,
     full_copied_equiv: Arc<Counter>,
@@ -414,9 +363,6 @@ impl SpMetrics {
             windows: reg.counter("streamplane.windows"),
             evaluations: reg.counter("streamplane.evaluations"),
             one_shots: reg.counter("streamplane.one_shots"),
-            result_hits: reg.counter("streamplane.result_hits"),
-            result_misses: reg.counter("streamplane.result_misses"),
-            invalidated: reg.counter("streamplane.invalidated"),
             incidents: reg.counter("streamplane.incidents"),
             delta_copied: reg.counter("streamplane.delta_copied"),
             full_copied_equiv: reg.counter("streamplane.full_copied_equiv"),
@@ -438,11 +384,56 @@ pub struct StreamPlane {
     next_sub: u64,
     next_ticket: u64,
     pending: Vec<(TicketId, QueryRequest)>,
-    results: ResultCache,
     incidents: Vec<Incident>,
     last_fp: BTreeMap<SubscriptionId, u64>,
     window: u64,
     m: SpMetrics,
+}
+
+/// What a trigger-anchored diagnosis keys on: the victim flow, the
+/// destination host whose trigger log it reads, the trigger window, and
+/// the epochs a cascade's recursion widens its window by.
+struct TriggerAnchor {
+    victim: FlowId,
+    victim_dst: NodeId,
+    window: SimTime,
+    depth: u64,
+}
+
+/// The anchor of a diagnosis-class request (contention, red-lights,
+/// cascade); `None` for the range-carrying classes.
+fn trigger_anchor(req: &QueryRequest) -> Option<TriggerAnchor> {
+    match *req {
+        QueryRequest::Contention {
+            victim,
+            victim_dst,
+            trigger_window,
+        }
+        | QueryRequest::RedLights {
+            victim,
+            victim_dst,
+            trigger_window,
+        } => Some(TriggerAnchor {
+            victim,
+            victim_dst,
+            window: trigger_window,
+            depth: 0,
+        }),
+        QueryRequest::Cascade {
+            victim,
+            victim_dst,
+            trigger_window,
+            max_depth,
+        } => Some(TriggerAnchor {
+            victim,
+            victim_dst,
+            window: trigger_window,
+            depth: max_depth as u64,
+        }),
+        QueryRequest::TopK { .. }
+        | QueryRequest::LoadImbalance { .. }
+        | QueryRequest::SilentDrop { .. } => None,
+    }
 }
 
 /// The oldest epoch a concrete request reads. Range-carrying requests pin
@@ -455,80 +446,35 @@ fn request_pin(req: &QueryRequest, analyzer: &Analyzer) -> Option<u64> {
         QueryRequest::TopK { range, .. }
         | QueryRequest::LoadImbalance { range, .. }
         | QueryRequest::SilentDrop { range, .. } => Some(range.lo),
-        QueryRequest::Contention {
-            victim,
-            victim_dst,
-            trigger_window,
-        }
-        | QueryRequest::RedLights {
-            victim,
-            victim_dst,
-            trigger_window,
-        } => analyzer
-            .live_view()
-            .first_trigger_for(victim_dst, victim)
-            .map(|t| analyzer.epoch_window(&t, trigger_window).lo),
-        QueryRequest::Cascade {
-            victim,
-            victim_dst,
-            trigger_window,
-            max_depth,
-        } => analyzer
-            .live_view()
-            .first_trigger_for(victim_dst, victim)
-            .map(|t| {
-                analyzer
-                    .epoch_window(&t, trigger_window)
-                    .lo
-                    .saturating_sub(max_depth as u64)
-            }),
+        _ => trigger_anchor(req).and_then(|a| {
+            analyzer
+                .live_view()
+                .first_trigger_for(a.victim_dst, a.victim)
+                .map(|t| {
+                    analyzer
+                        .epoch_window(&t, a.window)
+                        .lo
+                        .saturating_sub(a.depth)
+                })
+        }),
     }
 }
 
-/// Folds `lo` into the pin slot for shard `s` (pins only ever get lower).
-fn note_pin(pins: &mut [Option<u64>], s: usize, lo: u64) {
-    pins[s] = Some(pins[s].map_or(lo, |p| p.min(lo)));
-}
-
-/// Conservative per-shard retention pins for a set of standing queries
-/// when neither an analyzer nor a result cache is at hand — the failover
-/// handoff path. A front-end promoting a standby mid-stream cannot
-/// consult the dead primary's evaluation cache for dep-shard precision,
-/// so each subscription pins its home shard at `floor`, and any
-/// subscription whose cross-shard fan-out is unknowable without an
-/// evaluation (a contention watch, which may be pending, or a fixed
-/// diagnosis-class request) pins every shard. Always at or below
-/// [`StreamPlane::retention_pins`]' precise answer for the same floor,
-/// so a sweep honoring these pins never evicts state a cursor resumed on
-/// the standby could still reach.
-pub fn handoff_pins(queries: &[StandingQuery], n_shards: usize, floor: u64) -> Vec<Option<u64>> {
-    let n = n_shards.max(1);
-    let mut pins: Vec<Option<u64>> = vec![None; n];
-    for q in queries {
-        note_pin(&mut pins, q.home_shard(n), floor);
-        let fans_out = match q {
-            StandingQuery::ContentionWatch { .. } => true,
-            StandingQuery::Fixed(req) => diagnosis_class(req),
-            _ => false,
-        };
-        if fans_out {
-            for s in 0..n {
-                note_pin(&mut pins, s, floor);
-            }
-        }
+/// The pin rule: folds floor `lo` of `req` into `pins` (pins only ever get
+/// lower). A trigger-anchored diagnosis pins every shard, since the
+/// contenders it reads can live on any of them; any other request pins
+/// its home shard. The rule reads the request's class, never its
+/// evaluation history.
+fn note_pins(pins: &mut [Option<u64>], req: &QueryRequest, lo: u64) {
+    let shards = if trigger_anchor(req).is_some() {
+        0..pins.len()
+    } else {
+        let home = home_shard(req, pins.len());
+        home..home + 1
+    };
+    for pin in &mut pins[shards] {
+        *pin = Some(pin.map_or(lo, |p| p.min(lo)));
     }
-    pins
-}
-
-/// Trigger-anchored diagnoses whose cross-shard fan-out is unknown until
-/// first evaluated — the requests whose windows must never dangle.
-fn diagnosis_class(req: &QueryRequest) -> bool {
-    matches!(
-        req,
-        QueryRequest::Contention { .. }
-            | QueryRequest::RedLights { .. }
-            | QueryRequest::Cascade { .. }
-    )
 }
 
 impl StreamPlane {
@@ -555,10 +501,6 @@ impl StreamPlane {
             next_sub: 0,
             next_ticket: 0,
             pending: Vec::new(),
-            results: ResultCache::with_shards(
-                cfg.result_cache_capacity,
-                cfg.plane.directory_shards.max(1),
-            ),
             incidents: Vec::new(),
             last_fp: BTreeMap::new(),
             window: 0,
@@ -584,7 +526,10 @@ impl StreamPlane {
 
     /// Queues a one-shot query; it joins the next window's batch (arrival-
     /// window admission) and its outcome comes back in that window's
-    /// report.
+    /// report. Unlike a standing diagnosis, a one-shot never pends: a
+    /// contention / red-lights / cascade one-shot keeps the [`Analyzer`]'s
+    /// precondition that its victim's trigger has fired by the window
+    /// that runs it.
     pub fn submit(&mut self, req: QueryRequest) -> TicketId {
         let ticket = TicketId(self.next_ticket);
         self.next_ticket += 1;
@@ -593,14 +538,13 @@ impl StreamPlane {
     }
 
     /// Closes the current arrival window: incrementally refreshes the
-    /// snapshot from `analyzer`, invalidates exactly the cached results
-    /// the delta touched, evaluates every standing query plus the queued
-    /// one-shots as one admitted batch, and runs change detection over the
-    /// standing verdicts.
+    /// snapshot from `analyzer`, evaluates every resolved standing query
+    /// plus the queued one-shots as one admitted batch, and runs change
+    /// detection over the standing verdicts.
     ///
     /// Call after advancing the simulation to the window's end. Verdicts
     /// are a pure function of the snapshot state — independent of worker
-    /// count, admission batching and result-cache hits (property-tested).
+    /// count and admission batching (property-tested).
     pub fn run_window(&mut self, analyzer: &Analyzer) -> WindowReport {
         let opened = Instant::now();
         let window = self.window;
@@ -611,7 +555,7 @@ impl StreamPlane {
         // state no standing query can still reach — the pins computed from
         // the subscriptions (and queued one-shots) floor what each
         // directory shard may collect. The delta refresh below propagates
-        // the reclamation into the snapshot and the caches.
+        // the reclamation into the snapshot.
         let sweep = if let Some(policy) = self.plane.config().retention {
             let n_dir = self.plane.config().directory_shards.max(1);
             let live_horizon = retention::newest_epoch(analyzer);
@@ -630,16 +574,12 @@ impl StreamPlane {
             None
         };
 
-        // 1. Incremental refresh + eviction-aware precise invalidation:
-        // dirty switches/hosts match per dependency set; eviction-forced
-        // rescans additionally broadcast per owning directory shard.
+        // 1. Incremental refresh.
         let delta_started = Instant::now();
         let delta = self.plane.refresh_delta(analyzer);
         self.m
             .delta_apply_ns
             .record_duration(delta_started.elapsed());
-        let invalidated = self.results.invalidate_delta(&delta);
-        self.m.invalidated.add(invalidated as u64);
         self.m
             .delta_copied
             .add(delta.cloned_records + delta.cloned_slots);
@@ -652,10 +592,9 @@ impl StreamPlane {
         // the epoch-published snapshot the refresh above just installed —
         // an owned handle, so a concurrent install can never invalidate
         // the state mid-window. The run step admits the queued one-shots
-        // behind the resolved standing requests, serves from the result
-        // cache where valid, and executes the misses as one batch on the
-        // worker pool, which runs identical requests within the window
-        // once (`QueryPlane::execute_batch` coalesces).
+        // behind the resolved standing requests and executes them all as
+        // one batch on the worker pool, which runs identical requests
+        // within the window once (`QueryPlane::execute_batch` coalesces).
         let (published, snapshot_epoch) = self.plane.published();
         let n_dir = self.plane.config().directory_shards.max(1);
         let mut per_shard_standing = vec![0usize; n_dir];
@@ -670,90 +609,35 @@ impl StreamPlane {
             .iter()
             .map(|&(id, q)| (id, q, self.last_fp.get(&id).copied()))
             .collect();
-        let (results, plane, m) = (&mut self.results, &mut self.plane, &self.m);
-        let mut from_cache: Vec<bool> = Vec::new();
+        let plane = &mut self.plane;
         let mut one_shot_out: Vec<(TicketId, QueryOutcome)> = Vec::new();
-        let (mut executed, mut served_from_cache) = (0usize, 0usize);
+        let mut executed = 0usize;
         let verdicts = evaluate_window(&subs, &*published, window, horizon, |standing| {
             let admitted: Vec<QueryRequest> = standing
                 .iter()
                 .copied()
                 .chain(one_shots.iter().map(|&(_, req)| req))
                 .collect();
-            let hits: Vec<Option<CachedResult>> =
-                admitted.iter().map(|req| results.lookup(req)).collect();
-            let misses: Vec<QueryRequest> = admitted
-                .iter()
-                .zip(&hits)
-                .filter(|(_, hit)| hit.is_none())
-                .map(|(req, _)| *req)
-                .collect();
-            served_from_cache = admitted.len() - misses.len();
-            m.result_hits.add(served_from_cache as u64);
-            m.result_misses.add(misses.len() as u64);
-            let mut fresh = plane.execute_batch(&misses).into_iter();
-            // Cache each distinct request once, at its first occurrence. A
-            // set rather than a cache lookup: a small cache may already
-            // have evicted a request this loop stored.
-            let mut cached: HashSet<QueryRequest> = HashSet::new();
-            let mut outcomes: Vec<(QueryOutcome, bool)> = hits
-                .into_iter()
-                .zip(&admitted)
-                .map(|(hit, req)| match hit {
-                    // Served from cache: nothing ran this window, so the
-                    // trace carries the entry's dependency set and no
-                    // rounds, waves or fan-out.
-                    Some(c) => {
-                        let trace = ExecutionTrace {
-                            deps: c.deps,
-                            ..ExecutionTrace::default()
-                        };
-                        let outcome = QueryOutcome {
-                            response: c.response,
-                            trace: Arc::new(trace),
-                            counters: RouterCounters::default(),
-                        };
-                        (outcome, true)
-                    }
-                    None => {
-                        let outcome = fresh.next().expect("one outcome per miss");
-                        if cached.insert(*req) {
-                            results.insert(req, &outcome, horizon);
-                        }
-                        (outcome, false)
-                    }
-                })
-                .collect();
-            executed = cached.len();
+            executed = admitted.iter().collect::<HashSet<_>>().len();
+            let mut outcomes = plane.execute_batch(&admitted);
             let shots = outcomes.split_off(standing.len());
             one_shot_out = one_shots
                 .iter()
+                .map(|&(ticket, _)| ticket)
                 .zip(shots)
-                .map(|(&(ticket, _), (outcome, _))| (ticket, outcome))
                 .collect();
-            outcomes
-                .into_iter()
-                .map(|(outcome, hit)| {
-                    from_cache.push(hit);
-                    outcome.response
-                })
-                .collect()
+            outcomes.into_iter().map(|o| o.response).collect()
         });
         for (&(id, _, _), &fp) in subs.iter().zip(&verdicts.fingerprints) {
             self.last_fp.insert(id, fp);
         }
-        let mut from_cache = from_cache.into_iter();
         let standing: Vec<(SubscriptionId, StandingEval)> = subs
             .iter()
             .zip(verdicts.verdicts)
             .map(|(&(id, _, _), verdict)| {
                 let eval = match verdict {
                     None => StandingEval::Pending,
-                    Some((request, response)) => StandingEval::Verdict {
-                        request,
-                        response,
-                        from_cache: from_cache.next().expect("one source per verdict"),
-                    },
+                    Some((request, response)) => StandingEval::Verdict { request, response },
                 };
                 (id, eval)
             })
@@ -770,9 +654,7 @@ impl StreamPlane {
             sweep,
             delta,
             executed,
-            served_from_cache,
             pending,
-            invalidated,
             per_shard_standing,
             incidents: incidents.clone(),
             standing,
@@ -798,16 +680,12 @@ impl StreamPlane {
 
     /// Per-directory-shard retention pins: for each shard, the oldest
     /// epoch some standing query (or queued one-shot) can still reach
-    /// there. A subscription pins its *home* shard always, and — when its
-    /// last evaluation is still in the result cache — every shard that
-    /// evaluation's recorded host reads touched, so a diagnosis whose
-    /// fan-out crosses shards stays re-derivable after the sweep. A
-    /// diagnosis-class request that has *never* been evaluated (a watch
-    /// whose trigger just fired, a freshly queued contention one-shot)
-    /// pins every shard for that one window: its fan-out is unknown until
-    /// it runs, and dep-shard precision takes over once the evaluation is
-    /// cached. [`switchpointer::retention::sweep`] never collects at or
-    /// above a pin on the pinned shard.
+    /// there. Where a query pins follows its class alone: a
+    /// trigger-anchored diagnosis — a contention watch, a fixed or queued
+    /// contention / red-lights / cascade — pins every shard at its floor,
+    /// since the contenders it reads live anywhere; any other query pins
+    /// its home shard. [`switchpointer::retention::sweep`] never collects
+    /// at or above a pin on the pinned shard.
     pub fn retention_pins(&self, analyzer: &Analyzer) -> Vec<Option<u64>> {
         self.retention_pins_at(analyzer, retention::newest_epoch(analyzer))
     }
@@ -817,60 +695,20 @@ impl StreamPlane {
     fn retention_pins_at(&self, analyzer: &Analyzer, horizon: u64) -> Vec<Option<u64>> {
         let n_dir = self.plane.config().directory_shards.max(1);
         let mut pins: Vec<Option<u64>> = vec![None; n_dir];
-        for (_, q) in &self.subs {
-            let Some(lo) = q.pin_floor(analyzer, horizon) else {
-                continue;
-            };
-            note_pin(&mut pins, q.home_shard(n_dir), lo);
-            match q.resolve(&analyzer.live_view(), horizon) {
-                Some(req) => self.pin_request_fanout(&req, lo, n_dir, &mut pins),
-                // A pending watch's near-future window will fan out across
-                // shards the moment its trigger fires: contender records
-                // live anywhere, so the near-past pin is global too.
-                None => {
-                    for s in 0..n_dir {
-                        note_pin(&mut pins, s, lo);
-                    }
-                }
-            }
-        }
-        for (_, req) in &self.pending {
-            if let Some(lo) = request_pin(req, analyzer) {
-                note_pin(&mut pins, home_shard(req, n_dir), lo);
-                self.pin_request_fanout(req, lo, n_dir, &mut pins);
+        let standing = self
+            .subs
+            .iter()
+            .map(|(_, q)| (q.request(horizon), q.pin_floor(analyzer, horizon)));
+        let one_shots = self
+            .pending
+            .iter()
+            .map(|(_, req)| (*req, request_pin(req, analyzer)));
+        for (req, floor) in standing.chain(one_shots) {
+            if let Some(lo) = floor {
+                note_pins(&mut pins, &req, lo);
             }
         }
         pins
-    }
-
-    /// The shared fan-out pin rule for one concrete request: a cached
-    /// prior evaluation pins every shard its recorded host reads touched
-    /// (precision — note this only engages for fixed-key requests; a
-    /// sliding subscription's key changes every window, so it always
-    /// misses here and relies on its home-shard trailing-edge pin plus
-    /// §12.5's aggregate carve-out); a *never-evaluated* diagnosis-class
-    /// request pins every shard, since its cross-shard fan-out is unknown
-    /// until it runs.
-    fn pin_request_fanout(
-        &self,
-        req: &QueryRequest,
-        lo: u64,
-        n_dir: usize,
-        pins: &mut [Option<u64>],
-    ) {
-        match self.results.peek(req) {
-            Some(cached) => {
-                for &s in &cached.dep_shards {
-                    note_pin(pins, s, lo);
-                }
-            }
-            None if diagnosis_class(req) => {
-                for s in 0..n_dir {
-                    note_pin(pins, s, lo);
-                }
-            }
-            None => {}
-        }
     }
 
     /// The full incident log since construction.

@@ -1378,20 +1378,6 @@ impl FrontEnd {
         summary
     }
 
-    /// Conservative per-shard retention pins covering every live
-    /// subscription — [`streamplane::handoff_pins`] over the topics this
-    /// front-end serves. The failover path: after a primary kill the
-    /// owner keeps sweeping retention, but it must not evict state a
-    /// cursor resumed on the standby can still reach, and the dead
-    /// primary's evaluation cache (which powers the precise pins) is
-    /// gone. `floor` is the oldest epoch the handed-off cursors may
-    /// re-derive from.
-    pub fn handoff_pins(&self, floor: u64) -> Vec<Option<u64>> {
-        let topics = self.inner.topics.lock().unwrap();
-        let queries: Vec<StandingQuery> = topics.list.iter().map(|(_, t)| t.query).collect();
-        streamplane::handoff_pins(&queries, self.inner.ctx.dir.n_shards(), floor)
-    }
-
     /// The full incident log of every topic, in subscription order — the
     /// server-side ground truth clients re-derive.
     pub fn incident_logs(&self) -> Vec<(SubscriptionId, Vec<Incident>)> {

@@ -360,7 +360,6 @@ fn continuous_watch_verdicts_identical_across_directory_shards() {
                     directory_shards,
                     retention: None,
                 },
-                result_cache_capacity: 256,
             },
         );
         for q in watch_standing(&tb) {
@@ -422,7 +421,6 @@ fn subscriptions_partition_across_shards() {
                 directory_shards: 4,
                 retention: None,
             },
-            result_cache_capacity: 64,
         },
     );
     let ids: Vec<_> = watch_standing(&tb)

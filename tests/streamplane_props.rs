@@ -8,9 +8,8 @@
 //!     flow records than a full recapture, while staying bit-identical.
 //! (c) **Verdict invariance.** Standing-query incident streams are
 //!     identical at 1/2/8 workers and across arrival-window boundaries
-//!     that admit the same query set — and every served verdict (fresh or
-//!     result-cache hit) matches the sequential analyzer re-run on the
-//!     live state.
+//!     that admit the same query set — and every verdict matches the
+//!     sequential analyzer re-run on the live state.
 
 use proptest::prelude::*;
 use suite::netsim::prelude::*;
@@ -268,7 +267,6 @@ fn drive(workers: usize, window_ms: u64, windows: u64) -> (Vec<String>, Vec<Vec<
                 directory_shards: 1,
                 retention: None,
             },
-            result_cache_capacity: 256,
         },
     );
     for q in standing_set(&tb) {
@@ -427,20 +425,19 @@ fn duplicate_requests_in_a_window_execute_once() {
 }
 
 #[test]
-fn cached_and_fresh_verdicts_match_the_live_analyzer() {
+fn idle_repeat_windows_match_the_live_analyzer() {
     let mut tb = chain_testbed();
     let analyzer = tb.analyzer();
     let mut sp = StreamPlane::new(&analyzer, StreamConfig::default());
     for q in standing_set(&tb) {
         sp.subscribe(q);
     }
-    let mut saw_cache_hit = false;
+    let mut saw_verdict = false;
     for w in 1..=5u64 {
         tb.sim.run_until(SimTime::from_ms(w * 4));
         let report = sp.run_window(&analyzer);
         // Evaluate the same window twice at the same horizon: the repeat
-        // must be served from the result cache (empty delta ⇒ nothing
-        // invalidated).
+        // sees an empty delta and must re-derive the same verdicts.
         let repeat = sp.run_window(&analyzer);
         assert!(repeat.delta.is_empty());
         for (first, second) in report.standing.iter().zip(&repeat.standing) {
@@ -449,17 +446,15 @@ fn cached_and_fresh_verdicts_match_the_live_analyzer() {
                     request, response, ..
                 },
                 StandingEval::Verdict {
-                    response: cached_response,
-                    from_cache,
+                    response: repeat_response,
                     ..
                 },
             ) = (&first.1, &second.1)
             {
-                assert!(from_cache, "idle repeat must be a result-cache hit");
-                saw_cache_hit = true;
+                saw_verdict = true;
                 let expected = format!("{:?}", analyzer.execute(request));
                 assert_eq!(format!("{response:?}"), expected);
-                assert_eq!(format!("{cached_response:?}"), expected);
+                assert_eq!(format!("{repeat_response:?}"), expected);
             }
         }
         // No duplicate-verdict transitions: change detection fires only on
@@ -472,20 +467,17 @@ fn cached_and_fresh_verdicts_match_the_live_analyzer() {
             );
         }
     }
-    assert!(saw_cache_hit);
+    assert!(saw_verdict);
     let stats = sp.metrics().snapshot();
-    assert!(stats.counter("streamplane.result_hits") > 0);
     assert!(suite::streamplane::delta_savings(&stats) > 1.0);
 }
 
-/// The eviction-invalidation regression (the bug class this PR closes):
-/// a cached verdict whose host reads touched a store that later evicted
-/// records must NOT be served stale — the `FullRescan` delta purges it and
-/// the re-derived verdict is bit-identical to the live analyzer's.
+/// The eviction regression: a verdict whose host reads touched a store
+/// that later evicted records must not repeat the stale answer — the
+/// eviction surfaces as a `FullRescan` delta and the re-derived verdict is
+/// bit-identical to the live analyzer's.
 #[test]
 fn post_eviction_cached_verdict_rederives_bit_identically() {
-    // Run with a sharded directory so the shard-granular eviction
-    // broadcast path is exercised alongside the exact per-host match.
     for directory_shards in [1usize, 4] {
         let mut tb = chain_testbed();
         let analyzer = tb.analyzer();
@@ -498,7 +490,6 @@ fn post_eviction_cached_verdict_rederives_bit_identically() {
                     directory_shards,
                     retention: None,
                 },
-                result_cache_capacity: 256,
             },
         );
         tb.sim.run_until(SimTime::from_ms(14));
@@ -515,16 +506,18 @@ fn post_eviction_cached_verdict_rederives_bit_identically() {
             StandingEval::Verdict { response, .. } => format!("{response:?}"),
             other => panic!("expected a verdict, got {other:?}"),
         };
-        // Idle repeat: served from the result cache.
+        // Idle repeat: the same verdict again.
         let repeat = sp.run_window(&analyzer);
         match &repeat.standing[0].1 {
-            StandingEval::Verdict { from_cache, .. } => assert!(from_cache),
+            StandingEval::Verdict { response, .. } => {
+                assert_eq!(format!("{response:?}"), baseline)
+            }
             other => panic!("expected a verdict, got {other:?}"),
         }
 
         // Retention sweep: drop every record whose newest epoch predates
         // 12. The D→A transfer finished early, so A's store evicts —
-        // exactly a store the cached verdict's host reads touched (the
+        // exactly a store the verdict's host reads touched (the
         // long A→F flow keeps F's store alive, so the verdict changes
         // rather than emptying).
         let mut evicted = 0;
@@ -538,20 +531,8 @@ fn post_eviction_cached_verdict_rederives_bit_identically() {
             !after.delta.rescanned_hosts.is_empty(),
             "eviction must surface as a FullRescan delta"
         );
-        assert!(
-            after.invalidated > 0,
-            "the cached verdict must be purged, not served stale"
-        );
         match &after.standing[0].1 {
-            StandingEval::Verdict {
-                request,
-                response,
-                from_cache,
-            } => {
-                assert!(
-                    !from_cache,
-                    "post-eviction verdict must re-execute ({directory_shards} shards)"
-                );
+            StandingEval::Verdict { request, response } => {
                 let expected = format!("{:?}", analyzer.execute(request));
                 assert_eq!(
                     format!("{response:?}"),
@@ -595,7 +576,6 @@ fn standing_watch_straddling_gc_sweeps_rederives_bit_identically() {
                     directory_shards,
                     retention: Some(RetentionPolicy::horizon(24)),
                 },
-                result_cache_capacity: 256,
             },
         );
         let watch = sp.subscribe(StandingQuery::ContentionWatch {
@@ -710,4 +690,241 @@ fn pending_watch_pins_its_near_future_window() {
         Some(analyzer.epoch_window(&trigger, w).lo),
         "a resolved watch pins its trigger's epoch window"
     );
+}
+
+/// A fixed diagnosis subscribed before its victim's trigger pends, as a
+/// contention watch does: `Pending` (logged as a pending baseline) until
+/// the burst raises the trigger, then every window's verdict is the live
+/// analyzer's, and the first verdict is the subscription's one transition
+/// out of pending.
+#[test]
+fn fixed_diagnosis_subscribed_before_its_trigger_pends_then_diagnoses() {
+    for directory_shards in [1usize, 4] {
+        let (mut tb, victim, da) = suite::switchpointer::testbed::churn_storm(&[]);
+        let analyzer = tb.analyzer();
+        let trigger_window = tb.cfg.trigger.window;
+        let mut sp = StreamPlane::new(
+            &analyzer,
+            StreamConfig {
+                plane: QueryPlaneConfig {
+                    workers: 2,
+                    shards: 4,
+                    directory_shards,
+                    retention: None,
+                },
+            },
+        );
+        let diagnoses = [
+            QueryRequest::Contention {
+                victim,
+                victim_dst: da,
+                trigger_window,
+            },
+            QueryRequest::RedLights {
+                victim,
+                victim_dst: da,
+                trigger_window,
+            },
+            QueryRequest::Cascade {
+                victim,
+                victim_dst: da,
+                trigger_window,
+                max_depth: 2,
+            },
+        ];
+        let subs: Vec<_> = diagnoses
+            .iter()
+            .map(|&req| sp.subscribe(StandingQuery::Fixed(req)))
+            .collect();
+        let mut pending_windows = 0;
+        for w in 1..=8u64 {
+            tb.sim.run_until(SimTime::from_ms(w * 5));
+            let fired = tb.hosts[&da].borrow().first_trigger_for(victim).is_some();
+            let report = sp.run_window(&analyzer);
+            for (i, (_, eval)) in report.standing.iter().enumerate() {
+                match eval {
+                    StandingEval::Pending => assert!(
+                        !fired,
+                        "sub {i} pends after its trigger fired ({directory_shards} shards)"
+                    ),
+                    StandingEval::Verdict { request, response } => {
+                        assert!(fired, "sub {i} ran before its trigger fired");
+                        assert_eq!(*request, diagnoses[i]);
+                        assert_eq!(
+                            format!("{response:?}"),
+                            format!("{:?}", analyzer.execute(request)),
+                            "sub {i} at window {w} ({directory_shards} shards)"
+                        );
+                    }
+                }
+            }
+            pending_windows += usize::from(!fired);
+        }
+        assert!(
+            pending_windows > 0,
+            "the fixture subscribes before the burst"
+        );
+        assert!(pending_windows < 8, "the burst must raise the trigger");
+        for &sub in &subs {
+            let log: Vec<_> = sp.incidents().iter().filter(|i| i.sub == sub).collect();
+            assert!(log.len() >= 2, "{sub}: {log:?}");
+            assert_eq!(log[0].kind, IncidentKind::Baseline);
+            assert_eq!(log[0].summary, suite::streamplane::PENDING_SUMMARY);
+            assert_eq!(log[0].window, 0);
+            assert_eq!(log[1].kind, IncidentKind::Transition);
+            assert_eq!(log[1].window as usize, pending_windows);
+        }
+    }
+}
+
+/// A pending fixed diagnosis pins the near-future window a pending watch
+/// pins — a cascade one epoch wider per stage — and, once its trigger
+/// fired, its trigger's epoch window.
+#[test]
+fn pending_fixed_diagnosis_pins_like_a_pending_watch() {
+    let (mut tb, victim, da) = suite::switchpointer::testbed::churn_storm(&[]);
+    let trigger_window = tb.cfg.trigger.window;
+    let watch = StandingQuery::ContentionWatch {
+        victim,
+        victim_dst: da,
+        trigger_window,
+    };
+    let contention = StandingQuery::Fixed(QueryRequest::Contention {
+        victim,
+        victim_dst: da,
+        trigger_window,
+    });
+    let cascade = StandingQuery::Fixed(QueryRequest::Cascade {
+        victim,
+        victim_dst: da,
+        trigger_window,
+        max_depth: 3,
+    });
+    let analyzer = tb.analyzer();
+    for t_ms in [10u64, 20] {
+        tb.sim.run_until(SimTime::from_ms(t_ms));
+        let horizon = suite::switchpointer::retention::newest_epoch(&analyzer);
+        let pin = watch.pin_floor(&analyzer, horizon).expect("a watch pins");
+        assert_eq!(contention.pin_floor(&analyzer, horizon), Some(pin));
+        assert_eq!(
+            cascade.pin_floor(&analyzer, horizon),
+            Some(pin.saturating_sub(3))
+        );
+    }
+}
+
+/// Where a query pins follows its class, not its evaluation history:
+/// diagnoses and watches pin every shard, aggregates only their home
+/// shard, and the pins are the same before the first window and after
+/// every later one at the same horizon.
+#[test]
+fn retention_pins_follow_the_class_rule() {
+    let (mut tb, victim, da) = suite::switchpointer::testbed::churn_storm(&[]);
+    tb.sim.run_until(SimTime::from_ms(25));
+    let analyzer = tb.analyzer();
+    assert!(
+        tb.hosts[&da].borrow().first_trigger_for(victim).is_some(),
+        "the burst must have raised the trigger by 25 ms"
+    );
+    let horizon = suite::switchpointer::retention::newest_epoch(&analyzer);
+    let trigger_window = tb.cfg.trigger.window;
+    // Aggregate floors sit above the diagnosis window, so a diagnosis
+    // pinning fewer than every shard would show as an unpinned shard.
+    let aggregates = [
+        StandingQuery::TopKSliding {
+            switch: tb.node("edge0_0"),
+            k: 5,
+            epochs_back: 4,
+        },
+        StandingQuery::LoadImbalanceSliding {
+            switch: tb.node("agg2_0"),
+            epochs_back: 4,
+        },
+        StandingQuery::Fixed(QueryRequest::TopK {
+            switch: tb.node("edge3_1"),
+            k: 5,
+            range: EpochRange {
+                lo: horizon - 3,
+                hi: horizon,
+            },
+        }),
+    ];
+    let diagnoses = [
+        StandingQuery::ContentionWatch {
+            victim,
+            victim_dst: da,
+            trigger_window,
+        },
+        StandingQuery::Fixed(QueryRequest::Contention {
+            victim,
+            victim_dst: da,
+            trigger_window,
+        }),
+    ];
+    let fold = |queries: &[StandingQuery], n: usize, every_shard: bool| {
+        let mut pins: Vec<Option<u64>> = vec![None; n];
+        for q in queries {
+            let lo = q
+                .pin_floor(&analyzer, horizon)
+                .expect("every query here pins");
+            let home = q.home_shard(n);
+            for (s, pin) in pins.iter_mut().enumerate() {
+                if every_shard || s == home {
+                    *pin = Some(pin.map_or(lo, |p| p.min(lo)));
+                }
+            }
+        }
+        pins
+    };
+    for directory_shards in [1usize, 4, 8] {
+        let mut sp = StreamPlane::new(
+            &analyzer,
+            StreamConfig {
+                plane: QueryPlaneConfig {
+                    workers: 2,
+                    shards: 4,
+                    directory_shards,
+                    retention: None,
+                },
+            },
+        );
+        for q in aggregates {
+            sp.subscribe(q);
+        }
+        let homes: std::collections::BTreeSet<usize> = aggregates
+            .iter()
+            .map(|q| q.home_shard(directory_shards))
+            .collect();
+        let aggregate_pins = sp.retention_pins(&analyzer);
+        assert_eq!(aggregate_pins, fold(&aggregates, directory_shards, false));
+        assert_eq!(
+            aggregate_pins.iter().flatten().count(),
+            homes.len(),
+            "aggregates pin only their home shards ({directory_shards} shards)"
+        );
+        for q in diagnoses {
+            sp.subscribe(q);
+        }
+        let diagnosis_floor = fold(&diagnoses, directory_shards, true);
+        let want: Vec<Option<u64>> = aggregate_pins
+            .iter()
+            .zip(&diagnosis_floor)
+            .map(|(a, d)| a.iter().chain(d).min().copied())
+            .collect();
+        let before = sp.retention_pins(&analyzer);
+        assert_eq!(before, want, "{directory_shards} shards");
+        assert!(
+            before.iter().all(Option::is_some),
+            "diagnoses pin every shard ({directory_shards} shards)"
+        );
+        for w in 0..3 {
+            let report = sp.run_window(&analyzer);
+            assert_eq!(report.pending, 0, "every query here resolves");
+            assert_eq!(
+                sp.retention_pins(&analyzer),
+                before,
+                "pins moved after window {w} ({directory_shards} shards)"
+            );
+        }
+    }
 }

@@ -902,7 +902,6 @@ fn run_stream_parity(n_shards: usize, inject_failures: bool) {
                 directory_shards: n_shards,
                 retention: None,
             },
-            result_cache_capacity: 1024,
         },
     );
     let subs = watch_subscriptions(&tb, victim, da);
@@ -1037,7 +1036,6 @@ fn incident_stream_bit_identical_across_primary_kill() {
                 directory_shards: n_shards,
                 retention: None,
             },
-            result_cache_capacity: 1024,
         },
     );
     let subs = watch_subscriptions(&tb, victim, da);
@@ -1158,6 +1156,62 @@ fn incident_stream_bit_identical_across_primary_kill() {
     cluster.shutdown();
 }
 
+/// A fixed diagnosis subscribed before its victim's trigger pends on the
+/// wire as it does in process: the front's incident stream (a pending
+/// baseline, then the diagnosis) equals the `StreamPlane`'s bit for bit.
+#[test]
+fn fixed_diagnosis_before_its_trigger_streams_like_the_in_process_plane() {
+    let (mut tb, victim, da) = watch_testbed();
+    tb.sim.run_until(SimTime::from_ms(5));
+    let analyzer = tb.analyzer();
+    let n_shards = 2usize;
+    let query = StandingQuery::Fixed(QueryRequest::Contention {
+        victim,
+        victim_dst: da,
+        trigger_window: tb.cfg.trigger.window,
+    });
+    let mut sp = StreamPlane::new(
+        &analyzer,
+        StreamConfig {
+            plane: QueryPlaneConfig {
+                workers: 2,
+                shards: 4,
+                directory_shards: n_shards,
+                retention: None,
+            },
+        },
+    );
+    let sub = sp.subscribe(query);
+    let cluster = WireCluster::launch(&analyzer, n_shards, WireConfig::default()).unwrap();
+    let mut client = cluster.client().unwrap();
+    assert_eq!(client.subscribe(query, 0).unwrap(), (sub, 0));
+
+    let mut collected = Collected::default();
+    for w in 1..=6u64 {
+        tb.sim.run_until(SimTime::from_ms(5 + w * 5));
+        let report = sp.run_window(&analyzer);
+        cluster.refresh(&analyzer);
+        let summary = cluster.close_window();
+        assert_eq!(
+            (summary.horizon, summary.pending),
+            (report.horizon, report.pending as u64),
+            "window {w}"
+        );
+        let (incidents, _) = client.drain_window().unwrap();
+        for (seq, incident) in incidents {
+            collected.take(seq, incident);
+        }
+    }
+    let in_process = sp.incidents();
+    assert_eq!(collected.by_sub[&sub], in_process);
+    assert_eq!(in_process[0].summary, streamplane::PENDING_SUMMARY);
+    assert!(
+        in_process.len() >= 2 && in_process[1].summary.starts_with("contention"),
+        "the fixed diagnosis must leave pending once the burst triggers: {in_process:?}"
+    );
+    cluster.shutdown();
+}
+
 // ----------------------------------------------------------------------
 // (d) Typed boundaries
 // ----------------------------------------------------------------------
@@ -1215,7 +1269,6 @@ fn degenerate_plane_configs_are_rejected_with_typed_errors() {
                     shards: 0,
                     ..QueryPlaneConfig::default()
                 },
-                result_cache_capacity: 16,
             }
         )
         .err(),
