@@ -65,17 +65,6 @@ impl BitSet {
         }
     }
 
-    /// Popcount of `self ∧ other` without materializing the intersection
-    /// (per-shard decode-work accounting on the query hot path).
-    pub fn count_and(&self, other: &BitSet) -> usize {
-        assert_eq!(self.nbits, other.nbits, "bit set size mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(a, b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// The intersection `self ∧ other` as a new set (directory-shard
     /// masking: restrict a pointer set to the slots one shard owns).
     pub fn intersect(&self, other: &BitSet) -> BitSet {

@@ -36,10 +36,6 @@ pub struct CostModel {
     pub query_exec_per_record: SimTime,
     /// Response transfer per host.
     pub response_per_host: SimTime,
-    /// Cost of answering a pointer-retrieval round from the analyzer's
-    /// epoch-keyed pointer cache instead of contacting the switches (a
-    /// local map lookup — orders of magnitude below a retrieval round).
-    pub pointer_cache_hit: SimTime,
     /// Per-extra-request marshalling overhead when several queries'
     /// requests to the same host are coalesced into one batched RPC (the
     /// expensive per-host connection initiation is paid once per batch).
@@ -74,7 +70,6 @@ impl CostModel {
             query_exec_per_host: SimTime::from_us(450),
             query_exec_per_record: SimTime::from_us(20),
             response_per_host: SimTime::from_us(300),
-            pointer_cache_hit: SimTime::from_us(5),
             batched_request_per_query: SimTime::from_us(50),
             decode_per_pointer_bit: SimTime::from_us(2),
             shard_merge_per_host: SimTime::from_ns(100),
@@ -355,12 +350,6 @@ mod tests {
             c.batched_query_wave(&[idle, busy, idle]).total(),
             c.batched_query_wave(&[busy]).total()
         );
-    }
-
-    #[test]
-    fn cache_hit_is_far_below_a_retrieval_round() {
-        let c = CostModel::paper_calibrated();
-        assert!(c.pointer_cache_hit * 100 < c.pointer_retrieval(1));
     }
 
     #[test]

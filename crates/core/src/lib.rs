@@ -22,7 +22,7 @@
 //! | [`query`] | §4.3, §5 | the per-application query executors behind the `QueryRequest`/`QueryResponse` API, shared by the analyzer and the query plane |
 //! | [`shard`] | §4.3 scale-out | the hash-partitioned directory: `DirectoryShard` slices, the `ShardBackend`/`BackendRouter` abstraction routing over local *or* remote shard instances, and the `ShardedAnalyzer` front-end |
 //! | [`retention`] | §4.2 "flushed to local storage" | the per-directory-shard GC pass: epoch-horizon + record-budget eviction of flow records, archived-pointer retirement, standing-query pins |
-//! | [`cost`] | §5, §6.2 | calibrated RPC latency model (Fig. 7/8/12 shapes), batched-RPC and cache-hit terms |
+//! | [`cost`] | §5, §6.2 | calibrated RPC latency model (Fig. 7/8/12 shapes) and its batched-RPC terms |
 //! | [`pipeline`] | §6.1 | the OVS-style forwarding pipeline of the Fig. 9 benchmark |
 //! | [`testbed`] | — | one-call deployment over a simulated topology |
 //!
@@ -69,9 +69,8 @@
 //! wrap the analyzer state in the `queryplane` crate's service front-end.
 //! Responses stay bit-identical to the sequential analyzer's at any worker
 //! count. What the batch would have cost on the paper's RPC fabric
-//! (repeated pointer retrievals hitting an epoch-keyed LRU, same-host
-//! fan-outs coalescing into batched RPCs) is an analysis pass over the
-//! returned outcomes:
+//! (each distinct request run once, same-host fan-outs coalescing into
+//! batched RPCs) is an analysis pass over the returned outcomes:
 //!
 //! ```ignore
 //! // (runs as a doctest in the `queryplane` crate, which depends on this one)
@@ -84,9 +83,9 @@
 //!     QueryRequest::TopK { switch: s2, k: 10, range: window },
 //!     QueryRequest::Contention { victim, victim_dst, trigger_window },
 //! ]);
-//! let mut model = queryplane::model::ModelReplay::new(*analyzer.cost(), 4096);
+//! let mut model = queryplane::model::ModelReplay::new(*analyzer.cost());
 //! model.replay(&outcomes);
-//! println!("cache hit rate: {:.0}%", model.report().cache_hit_rate() * 100.0);
+//! println!("modelled speedup: {:.1}x", model.report().modelled_speedup());
 //! ```
 
 pub mod analyzer;

@@ -46,7 +46,7 @@ struct EmcEntry {
 /// fallback, batching, action execution). Default calibrated so the
 /// baseline costs on the order of the paper's measured ~143 ns/packet
 /// (7 Mpps on a 3.1 GHz core); see EXPERIMENTS.md for the calibration
-/// note. Set to 0 to measure the bare emulated path.
+/// note.
 pub const DEFAULT_BASELINE_ROUNDS: u32 = 25;
 
 /// A single-core software forwarding pipeline.
@@ -54,7 +54,6 @@ pub struct ForwardingPipeline {
     emc: Vec<EmcEntry>,
     pointers: Option<PointerHierarchy>,
     epoch: u64,
-    baseline_rounds: u32,
     /// Packets processed.
     pub processed: u64,
     /// EMC misses (diagnostics).
@@ -68,7 +67,6 @@ impl ForwardingPipeline {
             emc: vec![EmcEntry { key: 0, port: 0 }; EMC_ENTRIES],
             pointers: None,
             epoch: 0,
-            baseline_rounds: DEFAULT_BASELINE_ROUNDS,
             processed: 0,
             emc_misses: 0,
         }
@@ -80,16 +78,9 @@ impl ForwardingPipeline {
             emc: vec![EmcEntry { key: 0, port: 0 }; EMC_ENTRIES],
             pointers: Some(PointerHierarchy::new(cfg, mphf)),
             epoch: 0,
-            baseline_rounds: DEFAULT_BASELINE_ROUNDS,
             processed: 0,
             emc_misses: 0,
         }
-    }
-
-    /// Overrides the baseline-work calibration (0 = bare emulated path).
-    pub fn with_baseline_rounds(mut self, rounds: u32) -> Self {
-        self.baseline_rounds = rounds;
-        self
     }
 
     /// Advances the epoch (the control-plane agent's register update).
@@ -116,7 +107,7 @@ impl ForwardingPipeline {
         h = mix64(h ^ (pkt.five_tuple >> 7));
         // Calibrated stand-in for the rest of the OVS fast path (dependent
         // chain, so it cannot be vectorized away).
-        for _ in 0..self.baseline_rounds {
+        for _ in 0..DEFAULT_BASELINE_ROUNDS {
             h = mix64(h);
         }
         // EMC probe.

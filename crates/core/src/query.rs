@@ -60,7 +60,7 @@
 //! returns `Done`. A wave over no hosts is `Ready` too, and takes no
 //! round.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use netsim::packet::{FlowId, NodeId};
 use netsim::routing::RouteTable;
@@ -582,45 +582,20 @@ pub struct PointerRound {
     pub modelled: SimTime,
 }
 
-/// The exact state a query's answer depended on: every switch whose
-/// pointer sets were read and every host whose store or trigger log was
-/// consulted. A record of the execution only — nothing reads it to decide
-/// anything.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceDeps {
-    pub switches: BTreeSet<NodeId>,
-    pub hosts: BTreeSet<NodeId>,
-}
-
-/// What a query touched while executing: replayed by the query plane for
-/// pointer-cache and batched-fan-out accounting.
+/// What a query touched while executing, in the terms the cost model
+/// prices: its pointer rounds and its host waves. `ModelReplay` in the
+/// query plane replays it for batched-fan-out accounting.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionTrace {
     /// Pointer-retrieval rounds, in execution order.
     pub pointer_rounds: Vec<PointerRound>,
     /// Host query waves: each wave lists (host, records scanned there).
     pub waves: Vec<Vec<(NodeId, usize)>>,
-    /// Every state read the answer depended on.
-    pub deps: TraceDeps,
 }
 
 impl ExecutionTrace {
     fn push_round(&mut self, keys: Vec<(NodeId, EpochRange)>, modelled: SimTime) {
-        for &(sw, _) in &keys {
-            self.deps.switches.insert(sw);
-        }
         self.pointer_rounds.push(PointerRound { keys, modelled });
-    }
-
-    fn push_wave(&mut self, wave: Vec<(NodeId, usize)>) {
-        for &(h, _) in &wave {
-            self.deps.hosts.insert(h);
-        }
-        self.waves.push(wave);
-    }
-
-    fn dep_host(&mut self, host: NodeId) {
-        self.deps.hosts.insert(host);
     }
 
     /// Total sequential charge for all pointer rounds.
@@ -817,7 +792,7 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
 
     /// Runs `req` up to its first round still in flight (see the module
     /// docs): [`Staged::Done`] over a view that answers in process.
-    pub fn start(mut self, req: &QueryRequest) -> Staged<'a> {
+    pub fn start(self, req: &QueryRequest) -> Staged<'a> {
         match *req {
             QueryRequest::Contention {
                 victim,
@@ -921,7 +896,7 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     /// Records a host wave over `hosts` scanning `record_counts` records
     /// in the trace and prices it.
     fn wave(&mut self, hosts: &[NodeId], record_counts: &[usize]) -> QueryWaveCost {
-        self.trace.push_wave(
+        self.trace.waves.push(
             hosts
                 .iter()
                 .copied()
@@ -931,15 +906,13 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
         self.ctx.cost.query_wave(hosts.len(), record_counts)
     }
 
-    fn victim_trigger(&mut self, victim_dst: NodeId, victim: FlowId) -> TriggerEvent {
-        self.trace.dep_host(victim_dst);
+    fn victim_trigger(&self, victim_dst: NodeId, victim: FlowId) -> TriggerEvent {
         self.view
             .first_trigger_for(victim_dst, victim)
             .expect("victim host raised no trigger for the flow")
     }
 
-    fn victim_record(&mut self, victim_dst: NodeId, victim: FlowId) -> FlowRecord {
-        self.trace.dep_host(victim_dst);
+    fn victim_record(&self, victim_dst: NodeId, victim: FlowId) -> FlowRecord {
         self.view
             .record(victim_dst, victim)
             .expect("victim host has no record for the flow")
@@ -1093,10 +1066,7 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     ) -> Staged<'a> {
         let rec = match depth {
             0 => None,
-            _ => {
-                self.trace.dep_host(victim_dst);
-                self.view.record(victim_dst, victim)
-            }
+            _ => self.view.record(victim_dst, victim),
         };
         let Some(rec) = rec else {
             return Staged::Done(QueryResponse::Cascade(diagnosis), self.trace);

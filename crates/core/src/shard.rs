@@ -99,12 +99,6 @@ impl DirectoryShard {
         bits.intersect(&self.slot_mask)
     }
 
-    /// How many bits of `bits` this shard decodes — `mask(bits).count()`
-    /// without materializing the slice (the hot-path accounting form).
-    pub fn count_owned(&self, bits: &BitSet) -> usize {
-        bits.count_and(&self.slot_mask)
-    }
-
     /// Decodes this shard's slice of `bits` into owned host ids
     /// (ascending) — the per-shard half of a fan-out. Walks the owned
     /// slot table (O(owned), not O(directory)).

@@ -83,11 +83,6 @@ impl SwitchComponent {
             }
         }
     }
-
-    /// The switch's current epoch given its local clock reading.
-    pub fn epoch_at(&self, local_time: netsim::time::SimTime) -> u64 {
-        self.params.epoch_of(local_time)
-    }
 }
 
 /// Shared handle the analyzer keeps.

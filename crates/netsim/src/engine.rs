@@ -312,11 +312,6 @@ impl Simulator {
         }
     }
 
-    /// Reads back a node's clock offset.
-    pub fn clock_offset(&self, node: NodeId) -> i64 {
-        self.nodes[node.0 as usize].clock_offset_ns
-    }
-
     /// Installs a per-packet egress override on a switch (the Fig. 8
     /// malfunctioning-ECMP hook).
     pub fn set_route_override(&mut self, node: NodeId, f: RouteOverride) {
@@ -414,11 +409,6 @@ impl Simulator {
     pub fn schedule_link_state(&mut self, link: crate::topology::LinkId, up: bool, at: SimTime) {
         assert!((link.0 as usize) < self.link_down.len(), "unknown link");
         self.schedule(at, Ev::LinkState { link, up });
-    }
-
-    /// Current administrative state of a link.
-    pub fn link_is_up(&self, link: crate::topology::LinkId) -> bool {
-        !self.link_down[link.0 as usize]
     }
 
     /// Installs a callback fired at every multiple of `every` after the

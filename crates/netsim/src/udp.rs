@@ -101,11 +101,6 @@ impl UdpSource {
     pub fn payload_bytes(&self) -> u32 {
         self.spec.payload_bytes
     }
-
-    /// The flow's configured end time.
-    pub fn end_time(&self) -> SimTime {
-        self.spec.start + self.spec.duration
-    }
 }
 
 #[cfg(test)]

@@ -86,11 +86,6 @@ impl FlowSizeDist {
             FlowSizeDist::Fixed { bytes } => *bytes,
         }
     }
-
-    /// Analytic-ish mean via sampling (for load calculations).
-    pub fn mean_bytes(&self, rng: &mut DetRng, samples: usize) -> f64 {
-        (0..samples).map(|_| self.sample(rng) as f64).sum::<f64>() / samples as f64
-    }
 }
 
 /// A Poisson-arrival TCP workload over a host set.

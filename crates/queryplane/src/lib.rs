@@ -49,8 +49,8 @@
 //! actually done, and `queryplane.coalesced` counts the copies. Each
 //! [`QueryOutcome`] is otherwise what the executor produced — response,
 //! trace, router counters. What the same batch *would have cost* on the
-//! paper's RPC fabric (an LRU pointer cache over retrieval rounds, host
-//! fan-out coalesced per batch, per-shard decode) is computed by whoever
+//! paper's RPC fabric (each execution's retrieval rounds billed once,
+//! host fan-out coalesced per batch, per-shard decode) is computed by whoever
 //! wants to print it, by replaying the outcomes through
 //! [`model::ModelReplay`] — the model reads what the plane returns and
 //! shapes nothing in it.
@@ -86,11 +86,12 @@
 //! assert_eq!(outcomes.len(), 8);
 //! // The 8 identical queries ran once; 7 slots got copies.
 //! assert_eq!(plane.metrics().counter("queryplane.coalesced").get(), 7);
-//! // Analysis, off the serving path: had the analyzer cached pointer
-//! // pulls, 7 of the 8 identical queries would have hit.
-//! let mut model = ModelReplay::new(*analyzer.cost(), 64);
-//! model.replay(&outcomes);
-//! assert_eq!(model.report().pointer_hits, 7);
+//! // Analysis, off the serving path: the model bills what the plane
+//! // ran, so the first query pays and the 7 repeats are billed zero.
+//! let mut model = ModelReplay::new(*analyzer.cost());
+//! let costs = model.replay(&outcomes);
+//! assert!(costs[0].batched > SimTime::ZERO);
+//! assert!(costs[1..].iter().all(|c| c.batched == SimTime::ZERO));
 //! ```
 
 use std::sync::Arc;

@@ -306,8 +306,9 @@ impl Wire for ShardedHostStore {
 /// Bound on the computational pointer-union memo: beyond this many
 /// distinct keys, further unions are recomputed rather than cached, so a
 /// long-lived snapshot serving sliding epoch windows cannot grow without
-/// limit. (This memo is the only pointer cache the plane has; the
-/// *modelled* LRU lives in [`crate::model`], off the serving path.)
+/// limit. (This memo is the only pointer cache the plane has. It saves
+/// CPU, not retrieval rounds: [`crate::model`] bills every execution's
+/// rounds in full.)
 const UNION_MEMO_CAP: usize = 4096;
 
 /// Lock stripes the union memo is split across. A single global mutex

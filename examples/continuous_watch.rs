@@ -140,9 +140,9 @@ fn main() {
         }
         for (ticket, outcome) in &report.one_shot {
             println!(
-                "    one-shot {ticket:?} answered: read {} switches, {} hosts",
-                outcome.trace.deps.switches.len(),
-                outcome.trace.deps.hosts.len()
+                "    one-shot {ticket:?} answered: {} pointer round(s), {} host contact(s)",
+                outcome.trace.pointer_rounds.len(),
+                outcome.trace.waves.iter().map(Vec::len).sum::<usize>()
             );
         }
         // Sanity: the contention watch appears in every report.

@@ -1,8 +1,8 @@
 //! Query storm: drive 100+ mixed debugging queries through the concurrent
 //! query plane, then replay the returned outcomes through the cost model
 //! (`queryplane::model`, analysis only) to compare against sequential
-//! execution — cache hit-rate, coalesced RPCs, and the modelled speedup
-//! from batched fan-out + pointer caching.
+//! execution — coalesced RPCs and the modelled speedup from running each
+//! distinct request once over one batched fan-out.
 //!
 //! Run with: `cargo run --release --example query_storm`
 
@@ -116,17 +116,10 @@ fn main() {
     );
     assert!(coalesced > 0, "repeated questions must coalesce");
 
-    let mut model = ModelReplay::new(*analyzer.cost(), 4096);
+    let mut model = ModelReplay::new(*analyzer.cost());
     let costs = model.replay(&outcomes);
     let stats = model.report();
     println!("\n== modelled accounting (replayed from the outcomes) ==");
-    println!(
-        "pointer cache           : {} hits / {} misses ({:.0}% hit rate), {} rounds skipped",
-        stats.pointer_hits,
-        stats.pointer_misses,
-        stats.cache_hit_rate() * 100.0,
-        stats.rounds_skipped,
-    );
     println!(
         "host fan-out            : {} requests coalesced into {} RPCs ({} saved)",
         stats.host_requests,

@@ -6,8 +6,8 @@
 //! Every parity test elsewhere compares one view against
 //! `Analyzer::execute`, so a change to the executor itself moves both
 //! sides together and passes them all. These digests do not move with
-//! it: the responses and the traces — pointer rounds, host waves,
-//! dependencies — must stay what they were, over the flat live view, a
+//! it: the responses and the traces — pointer rounds and host waves —
+//! must stay what they were, over the flat live view, a
 //! 4-shard `ShardedAnalyzer` and a 4-shard `BackendRouter` over
 //! `LocalBackend`s alike. The in-process query plane's accounting of a
 //! batch — fan-out, coalesced copies, executions per class — is pinned
@@ -162,46 +162,46 @@ const N_REQUESTS: usize = 40;
 /// diagnoses were staged.
 #[rustfmt::skip]
 const GOLDEN: [u64; N_REQUESTS] = [
-    0x567e7309fdcf1f46, // 0: contention
-    0xb482eb3495abe77f, // 1: red_lights
-    0xdf7c84ca0a0a045c, // 2: cascade
-    0x1c9959883651c09c, // 3: load_imbalance
-    0x78d189c62b9607e8, // 4: top_k
-    0x6388498ae9b5f4b7, // 5: silent_drop
-    0x8450cfa69b48bbe6, // 6: cascade
-    0xd3385730f5c84ef0, // 7: contention
-    0x4bfe1961c37aa628, // 8: top_k
-    0x285d1cd75bf277c2, // 9: top_k
-    0x220ddf32e847bd5b, // 10: top_k
-    0x58043604de54407b, // 11: top_k
-    0x4ade957d49793a63, // 12: cascade
-    0x69031b0201aea651, // 13: silent_drop
-    0x179c982a6cac151b, // 14: load_imbalance
-    0xd539d5f0a25fb205, // 15: contention
-    0xda80845a5dc16247, // 16: cascade
-    0x567e7309fdcf1f46, // 17: contention
-    0xd3385730f5c84ef0, // 18: contention
-    0xb497638dd2bc7205, // 19: silent_drop
-    0x567e7309fdcf1f46, // 20: contention
-    0x892eecf7a285a2a0, // 21: load_imbalance
-    0x4ade957d49793a63, // 22: cascade
-    0xd9a2d9ada04469a5, // 23: silent_drop
-    0xd539d5f0a25fb205, // 24: contention
-    0xd539d5f0a25fb205, // 25: contention
-    0x76d0c8c4ae542c09, // 26: cascade
-    0x9d163f6e9a3e84ae, // 27: silent_drop
-    0x89e44f95805e6e15, // 28: silent_drop
-    0xd8e93bcd75d8065c, // 29: load_imbalance
-    0xb482eb3495abe77f, // 30: red_lights
-    0x78875f9ede9dcb45, // 31: load_imbalance
-    0xe0fca4556b384867, // 32: red_lights
-    0x15ef1417674724fe, // 33: cascade
-    0x64fd75cafc3d7baf, // 34: silent_drop
-    0xc9f582d16703ff29, // 35: load_imbalance
-    0x973f3271b8c8cf06, // 36: silent_drop
-    0xe0fca4556b384867, // 37: red_lights
-    0x76637cd8e0f026d2, // 38: silent_drop
-    0xa521072022e98b07, // 39: red_lights
+    0x9afe77d84d9339bd, // 0: contention
+    0x595dfe58123981f6, // 1: red_lights
+    0xc4613d5fef4d6108, // 2: cascade
+    0xe28bf5f7fd9aaafb, // 3: load_imbalance
+    0xb8550795dcc2b33c, // 4: top_k
+    0xe0419b8f4c472373, // 5: silent_drop
+    0x8f7aa0d574bb5cb2, // 6: cascade
+    0x6845e330745061ab, // 7: contention
+    0x9f1e84417480125d, // 8: top_k
+    0x8dd94e46fe6ea2ac, // 9: top_k
+    0x5de9d815084d965a, // 10: top_k
+    0xf9f983377e6492fa, // 11: top_k
+    0xb41420a7fe57eca7, // 12: cascade
+    0xa3c9852b042920a5, // 13: silent_drop
+    0xdc0ed2218d0081aa, // 14: load_imbalance
+    0xfc90350ff99ecbfa, // 15: contention
+    0xbb3e91e960d782eb, // 16: cascade
+    0x9afe77d84d9339bd, // 17: contention
+    0x6845e330745061ab, // 18: contention
+    0xbd006f8515f57260, // 19: silent_drop
+    0x9afe77d84d9339bd, // 20: contention
+    0x462a44cda7a4c014, // 21: load_imbalance
+    0xb41420a7fe57eca7, // 22: cascade
+    0xb081c2422b368612, // 23: silent_drop
+    0xfc90350ff99ecbfa, // 24: contention
+    0xfc90350ff99ecbfa, // 25: contention
+    0x5846edc1eb27a265, // 26: cascade
+    0xb67a6e99b271c3bb, // 27: silent_drop
+    0x4a1bd1c77e5b2f01, // 28: silent_drop
+    0xb68954079645ebd0, // 29: load_imbalance
+    0x595dfe58123981f6, // 30: red_lights
+    0xb9e32c50b28ab99c, // 31: load_imbalance
+    0x2f9f5e2aacfc114e, // 32: red_lights
+    0xfb9b3e3cb41a634f, // 33: cascade
+    0x806d7f40b6399896, // 34: silent_drop
+    0xab78e5c3e37b313c, // 35: load_imbalance
+    0x06045415771900d3, // 36: silent_drop
+    0x2f9f5e2aacfc114e, // 37: red_lights
+    0xad06942f1e236347, // 38: silent_drop
+    0xa5d2494ccb41b06e, // 39: red_lights
 ];
 
 /// Compares `got` against [`GOLDEN`], printing the whole table on a

@@ -273,7 +273,7 @@ fn query_plane_verdicts_identical_across_directory_shards() {
             );
         }
         // Modelled decode cost, priced from the measured fan-out.
-        let mut model = ModelReplay::new(*analyzer.cost(), 4096);
+        let mut model = ModelReplay::new(*analyzer.cost());
         model.replay(&outcomes);
         decode_totals.push((directory_shards, model.report().modelled_decode_total));
     }
