@@ -12,8 +12,8 @@
 //!   (the "(switchID, epochID) pair" filter of §1);
 //! * *aggregate*: top-k flows by bytes, flow-size distributions.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use netsim::packet::{FlowId, NodeId, Priority, Protocol};
 use telemetry::frame::{Dec, Enc, Wire, WireError};
@@ -260,39 +260,198 @@ pub fn keep_top_k(flows: &mut Vec<(FlowId, u64)>, k: usize) {
     flows.sort_unstable_by_key(key);
 }
 
-/// What changed in a [`FlowStore`] since a recorded version baseline —
-/// the input to incremental snapshot refresh.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreDelta {
-    /// No mutation since the baseline.
-    Unchanged,
-    /// Only these flows were touched (ascending flow id); every shard not
-    /// containing one of them is byte-identical to the baseline.
-    Flows(Vec<FlowId>),
-    /// Records were evicted since the baseline: per-flow journaling cannot
-    /// express removals, so the caller must re-freeze the whole store.
-    FullRescan,
+/// Record shards per host store. Every layer that keeps or ships a store —
+/// the live host, a snapshot, a replica — holds it in this many shards,
+/// so a shard index means the same thing everywhere.
+pub const RECORD_SHARDS: usize = 8;
+
+/// One shard of a host's flow records: the unit a snapshot shares, a
+/// refresh compares by pointer and replication ships, always behind an
+/// `Arc`.
+#[derive(Clone, Default, PartialEq)]
+pub struct RecordShard {
+    /// Records sorted by ascending flow id.
+    records: Vec<FlowRecord>,
+    /// Secondary index: switch -> indices into `records` (ascending) of
+    /// the records whose `epochs_at` has that switch.
+    by_switch: HashMap<NodeId, Vec<usize>>,
 }
 
-/// The per-host store.
-#[derive(Debug, Default)]
+/// Renders `by_switch` in sorted key order, so two `==` shards print
+/// identically — the wire tests' Debug-based bit-identity checks depend
+/// on deterministic rendering.
+impl std::fmt::Debug for RecordShard {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let by_switch: BTreeMap<_, _> = self.by_switch.iter().collect();
+        f.debug_struct("RecordShard")
+            .field("records", &self.records)
+            .field("by_switch", &by_switch)
+            .finish()
+    }
+}
+
+impl RecordShard {
+    /// A shard holding `records` in the order given (a store's is
+    /// ascending flow id), with the secondary index built over them.
+    pub fn from_records(records: Vec<FlowRecord>) -> Self {
+        let mut shard = RecordShard {
+            records,
+            by_switch: HashMap::new(),
+        };
+        shard.reindex();
+        shard
+    }
+
+    fn reindex(&mut self) {
+        self.by_switch.clear();
+        for (i, rec) in self.records.iter().enumerate() {
+            for sw in rec.epochs_at.keys() {
+                self.by_switch.entry(*sw).or_default().push(i);
+            }
+        }
+    }
+
+    /// Records held.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.records.is_empty()
+    }
+
+    fn record(&self, flow: FlowId) -> Option<&FlowRecord> {
+        self.records
+            .binary_search_by_key(&flow, |r| r.flow)
+            .ok()
+            .map(|i| &self.records[i])
+    }
+
+    /// The records indexed under `switch`, ascending flow id.
+    fn through(&self, switch: NodeId) -> impl Iterator<Item = &FlowRecord> {
+        self.by_switch
+            .get(&switch)
+            .into_iter()
+            .flatten()
+            .map(|&i| &self.records[i])
+    }
+
+    /// The record of `flow`, created at its sorted position if absent.
+    /// An insert moves every later record up one place, so every index
+    /// entry at or past it moves with it.
+    fn entry(&mut self, flow: FlowId, create: impl FnOnce() -> FlowRecord) -> usize {
+        match self.records.binary_search_by_key(&flow, |r| r.flow) {
+            Ok(i) => i,
+            Err(i) => {
+                self.records.insert(i, create());
+                for idxs in self.by_switch.values_mut() {
+                    let from = idxs.partition_point(|&x| x < i);
+                    for x in &mut idxs[from..] {
+                        *x += 1;
+                    }
+                }
+                i
+            }
+        }
+    }
+}
+
+/// A shard travels as its record vector; decode refuses records that are
+/// not in strictly ascending flow-id order (a replica's `record()`
+/// binary-searches them) and rebuilds the secondary index, so the result
+/// is `==` to the encoded source.
+impl Wire for RecordShard {
+    fn enc(&self, e: &mut Enc) {
+        self.records.enc(e);
+    }
+    fn dec(d: &mut Dec) -> Result<Self, WireError> {
+        let records = Vec::<FlowRecord>::dec(d)?;
+        if let Some(w) = records.windows(2).find(|w| w[0].flow >= w[1].flow) {
+            return Err(WireError::Remote(format!(
+                "record shard lists flow {:?} after {:?}: flow ids must ascend strictly",
+                w[1].flow, w[0].flow
+            )));
+        }
+        Ok(RecordShard::from_records(records))
+    }
+}
+
+/// The per-host store: [`RECORD_SHARDS`] record shards, flow `f` in shard
+/// [`shard_of`]`(f, RECORD_SHARDS)`, each behind an `Arc`. The live host
+/// and every snapshot of it hold this one form. A snapshot takes the
+/// live store's shard `Arc`s, and the first ingest into a shard after
+/// that copies it (`Arc::make_mut`), so a shard whose `Arc` the two still
+/// share is unchanged since, and a refresh finds what changed by pointer
+/// ([`FlowStore::unshared_with`]).
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowStore {
-    records: HashMap<FlowId, FlowRecord>,
-    /// Secondary index: switch -> flows that reported it on their path.
-    by_switch: HashMap<NodeId, BTreeSet<FlowId>>,
-    /// Monotone mutation counter (bumps once per ingest / eviction pass).
+    shards: Vec<Arc<RecordShard>>,
+    /// Monotone mutation counter (bumps once per ingest / evicting pass).
     version: u64,
-    /// flow -> version at which it was last mutated (dirty-set journal for
-    /// incremental snapshot refresh; one u64 per live record).
-    modified_at: HashMap<FlowId, u64>,
-    /// Version of the most recent eviction, if any (evictions invalidate
-    /// the per-flow journal for older baselines).
-    last_eviction: u64,
+}
+
+impl Default for FlowStore {
+    fn default() -> Self {
+        FlowStore {
+            shards: (0..RECORD_SHARDS).map(|_| Arc::default()).collect(),
+            version: 0,
+        }
+    }
 }
 
 impl FlowStore {
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A store assembled from shards received off the wire at mutation
+    /// counter `version`. Refuses anything but [`RECORD_SHARDS`] shards,
+    /// each holding only the flows [`shard_of`] assigns it.
+    pub fn from_shards(shards: Vec<Arc<RecordShard>>, version: u64) -> Result<Self, WireError> {
+        if shards.len() != RECORD_SHARDS {
+            return Err(WireError::Remote(format!(
+                "host store carries {} record shards, not {RECORD_SHARDS}",
+                shards.len()
+            )));
+        }
+        let placed: Vec<(u64, Arc<RecordShard>)> = (0..).zip(shards).collect();
+        FlowStore::default().with_shards(&placed, version)
+    }
+
+    /// This store with replicated `(index, shard)`s put in place and its
+    /// mutation counter at `version` — a refcount bump per shard. Refuses
+    /// an index past [`RECORD_SHARDS`] or a record that belongs to another
+    /// shard.
+    pub fn with_shards(
+        &self,
+        shards: &[(u64, Arc<RecordShard>)],
+        version: u64,
+    ) -> Result<Self, WireError> {
+        let mut store = FlowStore {
+            shards: self.shards.clone(),
+            version,
+        };
+        for (i, shard) in shards {
+            let slot = usize::try_from(*i)
+                .ok()
+                .and_then(|i| store.shards.get_mut(i))
+                .ok_or_else(|| {
+                    WireError::Remote(format!("record shard {i} of a {RECORD_SHARDS}-way store"))
+                })?;
+            if let Some(r) = shard
+                .records
+                .iter()
+                .find(|r| shard_of(r.flow, RECORD_SHARDS) as u64 != *i)
+            {
+                return Err(WireError::Remote(format!(
+                    "record shard {i} holds flow {:?}, which belongs to shard {}",
+                    r.flow,
+                    shard_of(r.flow, RECORD_SHARDS)
+                )));
+            }
+            *slot = Arc::clone(shard);
+        }
+        Ok(store)
     }
 
     /// Ingests one decoded packet.
@@ -309,8 +468,8 @@ impl FlowStore {
         link_vid: Option<u16>,
     ) {
         self.version += 1;
-        self.modified_at.insert(flow, self.version);
-        let rec = self.records.entry(flow).or_insert_with(|| FlowRecord {
+        let shard = Arc::make_mut(&mut self.shards[shard_of(flow, RECORD_SHARDS)]);
+        let i = shard.entry(flow, || FlowRecord {
             flow,
             src,
             dst,
@@ -323,6 +482,7 @@ impl FlowStore {
             bytes_per_epoch: BTreeMap::new(),
             link_vid,
         });
+        let rec = &mut shard.records[i];
         rec.bytes += payload as u64;
         rec.packets += 1;
         if rec.link_vid.is_none() {
@@ -333,7 +493,10 @@ impl FlowStore {
                 .entry(hop.switch)
                 .or_default()
                 .insert(hop.epochs);
-            self.by_switch.entry(hop.switch).or_default().insert(flow);
+            let idxs = shard.by_switch.entry(hop.switch).or_default();
+            if let Err(at) = idxs.binary_search(&i) {
+                idxs.insert(at, i);
+            }
         }
         // Exact per-epoch accounting at the tagging switch.
         if let Some(tag_hop) = telemetry.hops.get(telemetry.tag_idx) {
@@ -345,165 +508,103 @@ impl FlowStore {
 
     /// Number of flow records held.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.shards.iter().map(|s| s.len()).sum()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.shards.iter().all(|s| s.is_empty())
+    }
+
+    /// The record shards, in shard order.
+    pub fn shards(&self) -> &[Arc<RecordShard>] {
+        &self.shards
+    }
+
+    /// Indices of the shards `self` does not hold as the very allocation
+    /// `other` holds in the same place — what changed between a store and
+    /// one taken from it earlier.
+    pub fn unshared_with<'a>(&'a self, other: &'a FlowStore) -> impl Iterator<Item = usize> + 'a {
+        (0..RECORD_SHARDS).filter(|&i| !Arc::ptr_eq(&self.shards[i], &other.shards[i]))
     }
 
     /// A flow's record, if stored.
     pub fn record(&self, flow: FlowId) -> Option<&FlowRecord> {
-        self.records.get(&flow)
+        self.shards[shard_of(flow, RECORD_SHARDS)].record(flow)
     }
 
-    /// All records (deterministic order by flow id).
+    /// All records, shard by shard (ascending flow id within a shard).
     pub fn records(&self) -> impl Iterator<Item = &FlowRecord> {
-        let mut v: Vec<&FlowRecord> = self.records.values().collect();
-        v.sort_by_key(|r| r.flow);
-        v.into_iter()
+        self.shards.iter().flat_map(|s| s.records.iter())
     }
 
-    /// Shard-aware iteration: the records of `shard` (of `n_shards`), in
-    /// deterministic ascending-flow-id order. The union over all shards is
-    /// exactly [`FlowStore::records`]; shards are disjoint.
-    pub fn records_in_shard(
-        &self,
-        shard: usize,
-        n_shards: usize,
-    ) -> impl Iterator<Item = &FlowRecord> {
-        self.records()
-            .filter(move |r| shard_of(r.flow, n_shards) == shard)
-    }
-
-    /// *Filter query* restricted to one shard: flows of `shard` that
-    /// traversed `switch` during `range`.
-    pub fn flows_matching_in_shard(
-        &self,
-        switch: NodeId,
-        range: EpochRange,
-        shard: usize,
-        n_shards: usize,
-    ) -> Vec<&FlowRecord> {
-        self.flows_matching(switch, range)
-            .into_iter()
-            .filter(|r| shard_of(r.flow, n_shards) == shard)
-            .collect()
-    }
-
-    /// *Filter query*: flows that traversed `switch` during `range`.
+    /// *Filter query*: flows that traversed `switch` during `range`, in
+    /// ascending flow-id order.
     pub fn flows_matching(&self, switch: NodeId, range: EpochRange) -> Vec<&FlowRecord> {
-        let Some(candidates) = self.by_switch.get(&switch) else {
-            return Vec::new();
-        };
-        candidates
+        let mut out: Vec<&FlowRecord> = self
+            .shards
             .iter()
-            .filter_map(|f| self.records.get(f))
+            .flat_map(|s| s.through(switch))
             .filter(|r| r.matches(switch, range))
-            .collect()
+            .collect();
+        out.sort_by_key(|r| r.flow);
+        out
     }
 
     /// *Aggregate query*: top-k flows through `switch` by byte count
     /// (the Fig. 12 query).
     pub fn top_k_through(&self, switch: NodeId, k: usize) -> Vec<(FlowId, u64)> {
         let mut flows: Vec<(FlowId, u64)> = self
-            .by_switch
-            .get(&switch)
-            .map(|set| {
-                set.iter()
-                    .filter_map(|f| self.records.get(f))
-                    .map(|r| (r.flow, r.bytes))
-                    .collect()
-            })
-            .unwrap_or_default();
+            .shards
+            .iter()
+            .flat_map(|s| s.through(switch))
+            .map(|r| (r.flow, r.bytes))
+            .collect();
         keep_top_k(&mut flows, k);
         flows
-    }
-
-    /// Retention: drops flow records whose newest epoch (at any switch) is
-    /// older than `horizon_epoch`. The paper's host store ("initially
-    /// maintained in memory and flushed to a local storage") is similarly
-    /// bounded; we drop instead of spooling since queries target recent
-    /// state. Returns the number of records evicted.
-    ///
-    /// An eviction also *compacts the journal*: every pre-eviction
-    /// baseline gets [`StoreDelta::FullRescan`] regardless of per-flow
-    /// stamps, and any baseline taken afterwards is ≥ the eviction
-    /// version — so no surviving `modified_at` entry can ever satisfy a
-    /// `changed_since` again. The whole journal is dropped (live records
-    /// re-enter it on their next mutation) and emptied per-switch index
-    /// sets go with it, so a long-lived store's bookkeeping shrinks with
-    /// its records instead of accreting tombstones.
-    pub fn evict_older_than(&mut self, horizon_epoch: u64) -> usize {
-        let stale: Vec<FlowId> = self
-            .records
-            .values()
-            .filter(|r| r.newest_epoch().map(|e| e < horizon_epoch).unwrap_or(true))
-            .map(|r| r.flow)
-            .collect();
-        if stale.is_empty() {
-            return 0;
-        }
-        self.version += 1;
-        self.last_eviction = self.version;
-        for f in &stale {
-            let Some(rec) = self.records.remove(f) else {
-                continue;
-            };
-            // `ingest` indexed the flow under exactly its `epochs_at` keys.
-            for sw in rec.epochs_at.keys() {
-                if let Entry::Occupied(mut set) = self.by_switch.entry(*sw) {
-                    set.get_mut().remove(f);
-                    if set.get().is_empty() {
-                        set.remove();
-                    }
-                }
-            }
-        }
-        self.modified_at.clear();
-        stale.len()
-    }
-
-    /// The monotone mutation counter (bumps once per ingest / eviction).
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// What changed since the `version` baseline. `Flows` lists touched
-    /// flows ascending; `FullRescan` means an eviction invalidated the
-    /// journal for this baseline.
-    pub fn changed_since(&self, version: u64) -> StoreDelta {
-        if self.version == version {
-            return StoreDelta::Unchanged;
-        }
-        if self.last_eviction > version {
-            return StoreDelta::FullRescan;
-        }
-        let mut flows: Vec<FlowId> = self
-            .modified_at
-            .iter()
-            .filter(|&(_, &v)| v > version)
-            .map(|(&f, _)| f)
-            .collect();
-        flows.sort();
-        StoreDelta::Flows(flows)
     }
 
     /// *Aggregate query*: (link VID, flow bytes) pairs for flows through
     /// `switch` — the Fig. 8 flow-size-distribution-per-egress query.
     pub fn sizes_by_link(&self, switch: NodeId) -> Vec<(u16, u64)> {
         let mut out: Vec<(u16, u64)> = self
-            .by_switch
-            .get(&switch)
-            .map(|set| {
-                set.iter()
-                    .filter_map(|f| self.records.get(f))
-                    .filter_map(|r| r.link_vid.map(|l| (l, r.bytes)))
-                    .collect()
-            })
-            .unwrap_or_default();
+            .shards
+            .iter()
+            .flat_map(|s| s.through(switch))
+            .filter_map(|r| r.link_vid.map(|l| (l, r.bytes)))
+            .collect();
         out.sort();
         out
+    }
+
+    /// Retention: drops flow records whose newest epoch (at any switch) is
+    /// older than `horizon_epoch`. The paper's host store ("initially
+    /// maintained in memory and flushed to a local storage") is similarly
+    /// bounded; we drop instead of spooling since queries target recent
+    /// state. Only shards that lose a record are touched (and so copied
+    /// if a snapshot shares them); their index is rebuilt. Returns the
+    /// number of records evicted.
+    pub fn evict_older_than(&mut self, horizon_epoch: u64) -> usize {
+        let stale = |r: &FlowRecord| r.newest_epoch().is_none_or(|e| e < horizon_epoch);
+        let mut evicted = 0;
+        for shard in &mut self.shards {
+            if shard.records.iter().any(stale) {
+                let shard = Arc::make_mut(shard);
+                let before = shard.records.len();
+                shard.records.retain(|r| !stale(r));
+                evicted += before - shard.records.len();
+                shard.reindex();
+            }
+        }
+        if evicted > 0 {
+            self.version += 1;
+        }
+        evicted
+    }
+
+    /// The monotone mutation counter (bumps once per ingest / evicting
+    /// pass).
+    pub fn version(&self) -> u64 {
+        self.version
     }
 }
 
@@ -644,48 +745,68 @@ mod tests {
             .all(|r| r.flow != FlowId(1)));
     }
 
+    /// Ingesting flows in any order leaves every shard exactly as
+    /// building it from its records in flow-id order does: records
+    /// sorted, each in its own shard, and the positional index shifted
+    /// past every insert.
     #[test]
-    fn shards_partition_the_store() {
+    fn ingest_in_any_order_matches_a_shard_built_sorted() {
         let mut s = FlowStore::new();
-        for f in 0..64 {
-            ingest_simple(&mut s, f, 100, &[(0, 5, 5)]);
+        for f in [40u64, 3, 17, 3, 90, 1, 64, 17, 5, 33, 2, 71] {
+            ingest_simple(&mut s, f, 100, &[(f as u32 % 3, f, f), (9, 1, 1)]);
         }
-        for n_shards in [1usize, 2, 3, 8] {
-            let mut seen = Vec::new();
-            for shard in 0..n_shards {
-                for r in s.records_in_shard(shard, n_shards) {
-                    assert_eq!(shard_of(r.flow, n_shards), shard);
-                    seen.push(r.flow);
-                }
-            }
-            seen.sort();
-            let all: Vec<FlowId> = s.records().map(|r| r.flow).collect();
-            assert_eq!(seen, all, "shards must partition exactly ({n_shards})");
+        for (i, shard) in s.shards().iter().enumerate() {
+            assert!(shard
+                .records
+                .iter()
+                .all(|r| shard_of(r.flow, RECORD_SHARDS) == i));
+            let mut sorted = shard.records.clone();
+            sorted.sort_by_key(|r| r.flow);
+            assert_eq!(**shard, RecordShard::from_records(sorted), "shard {i}");
         }
-    }
-
-    #[test]
-    fn sharded_filter_query_unions_to_unsharded() {
-        let mut s = FlowStore::new();
-        for f in 0..40 {
-            ingest_simple(&mut s, f, 100, &[(0, (f % 4) + 1, (f % 4) + 1)]);
-        }
-        let range = EpochRange { lo: 2, hi: 3 };
-        let full: Vec<FlowId> = s
-            .flows_matching(NodeId(0), range)
+        assert_eq!(s.len(), 10);
+        let through_9: Vec<FlowId> = s
+            .flows_matching(NodeId(9), EpochRange { lo: 0, hi: 5 })
             .iter()
             .map(|r| r.flow)
             .collect();
-        let mut merged: Vec<FlowId> = (0..4)
-            .flat_map(|shard| {
-                s.flows_matching_in_shard(NodeId(0), range, shard, 4)
-                    .into_iter()
-                    .map(|r| r.flow)
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        merged.sort();
-        assert_eq!(merged, full);
+        let mut all: Vec<FlowId> = s.records().map(|r| r.flow).collect();
+        all.sort();
+        assert_eq!(through_9, all);
+    }
+
+    /// Copy on write: a clone shares every shard, an ingest copies only
+    /// the shard it lands in, and an eviction only the shards that lose a
+    /// record.
+    #[test]
+    fn mutation_unshares_only_the_shards_it_touches() {
+        let mut s = FlowStore::new();
+        for f in 0..32 {
+            ingest_simple(&mut s, f, 100, &[(0, 10, 10)]);
+        }
+        let taken = s.clone();
+        assert_eq!(s.unshared_with(&taken).count(), 0);
+
+        ingest_simple(&mut s, 7, 50, &[(0, 11, 11)]);
+        let moved: Vec<usize> = s.unshared_with(&taken).collect();
+        assert_eq!(moved, vec![shard_of(FlowId(7), RECORD_SHARDS)]);
+        assert_eq!(
+            taken.record(FlowId(7)).unwrap().bytes,
+            100,
+            "the clone is untouched"
+        );
+
+        let taken = s.clone();
+        ingest_simple(&mut s, 100, 100, &[(0, 2, 2)]);
+        let taken_again = s.clone();
+        assert_eq!(s.evict_older_than(5), 1);
+        let moved: Vec<usize> = s.unshared_with(&taken_again).collect();
+        assert_eq!(moved, vec![shard_of(FlowId(100), RECORD_SHARDS)]);
+        assert_eq!(
+            s.shards(),
+            taken.shards(),
+            "evicting the stale flow restores the records"
+        );
     }
 
     #[test]
@@ -695,60 +816,6 @@ mod tests {
         assert_eq!(s.evict_older_than(0), 0);
         assert_eq!(s.evict_older_than(100), 1);
         assert!(s.is_empty());
-    }
-
-    #[test]
-    fn changed_since_journals_touched_flows_and_evictions() {
-        let mut s = FlowStore::new();
-        ingest_simple(&mut s, 1, 100, &[(0, 5, 5)]);
-        ingest_simple(&mut s, 2, 100, &[(0, 6, 6)]);
-        let base = s.version();
-        assert_eq!(s.changed_since(base), StoreDelta::Unchanged);
-
-        ingest_simple(&mut s, 2, 50, &[(0, 7, 7)]);
-        ingest_simple(&mut s, 3, 100, &[(1, 7, 7)]);
-        assert_eq!(
-            s.changed_since(base),
-            StoreDelta::Flows(vec![FlowId(2), FlowId(3)])
-        );
-        // A baseline taken now sees nothing.
-        let base2 = s.version();
-        assert_eq!(s.changed_since(base2), StoreDelta::Unchanged);
-
-        // Evictions invalidate per-flow journaling for older baselines.
-        assert_eq!(s.evict_older_than(6), 1);
-        assert_eq!(s.changed_since(base), StoreDelta::FullRescan);
-        assert_eq!(s.changed_since(base2), StoreDelta::FullRescan);
-        let base3 = s.version();
-        ingest_simple(&mut s, 4, 100, &[(0, 9, 9)]);
-        assert_eq!(s.changed_since(base3), StoreDelta::Flows(vec![FlowId(4)]));
-    }
-
-    #[test]
-    fn eviction_compacts_the_journal_without_losing_deltas() {
-        let mut s = FlowStore::new();
-        for f in 0..8 {
-            ingest_simple(&mut s, f, 100, &[(0, f, f)]);
-        }
-        assert_eq!(s.modified_at.len(), 8);
-        // Evict half: the journal empties (every pre-eviction baseline is
-        // FullRescan; post-eviction baselines only need newer stamps) and
-        // per-switch sets with no survivors disappear.
-        ingest_simple(&mut s, 100, 100, &[(7, 1, 1)]); // switch 7, stale
-        assert_eq!(s.evict_older_than(4), 5);
-        assert!(s.modified_at.is_empty(), "journal must compact on eviction");
-        assert!(
-            !s.by_switch.contains_key(&NodeId(7)),
-            "emptied per-switch index sets must be dropped"
-        );
-        // Post-eviction journaling starts clean and stays precise.
-        let base = s.version();
-        ingest_simple(&mut s, 6, 50, &[(0, 9, 9)]);
-        assert_eq!(s.changed_since(base), StoreDelta::Flows(vec![FlowId(6)]));
-        assert_eq!(s.modified_at.len(), 1);
-        // Records that survived but were not touched since are invisible
-        // to the compacted journal, as they must be.
-        assert!(s.record(FlowId(5)).is_some());
     }
 
     #[test]

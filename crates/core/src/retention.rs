@@ -26,11 +26,12 @@
 //!   keeps whatever the most conservative shard still needs.
 //!
 //! A sweep mutates the *live* components. The incremental snapshot layer
-//! picks the reclamation up on its next delta: record eviction invalidates
-//! the store's per-flow journal and therefore surfaces as a
-//! [`crate::hoststore::StoreDelta::FullRescan`], which re-freezes the
-//! host's store whole; archive retirement rides the pointer patch as a
-//! retired-prefix count. `tests/retention_props.rs` pins
+//! picks the reclamation up on its next delta like any other write:
+//! [`crate::hoststore::FlowStore::evict_older_than`] rewrites only the
+//! record shards that lose a record, so those shards — and no others —
+//! stop being shared with the snapshot and ship as changed shards;
+//! archive retirement rides the pointer patch as a retired-prefix count.
+//! `tests/retention_props.rs` pins
 //! `apply_delta`-with-GC ≡ fresh-capture-of-the-truncated-state under
 //! arbitrary interleavings, and pins retained-epoch answers against an
 //! unswept twin deployment.

@@ -445,7 +445,7 @@ mod tests {
             *analyzer.cost(),
             Arc::new(MetricsRegistry::new()),
         ));
-        let snapshot = Arc::new(Snapshot::capture(&analyzer, 4));
+        let snapshot = Arc::new(Snapshot::capture(&analyzer, 8));
         (ctx, snapshot, tb)
     }
 

@@ -10,13 +10,14 @@
 //! Architecture (see `DESIGN.md` §"The query plane"):
 //!
 //! 1. **[`Snapshot`]** — an immutable, `Sync` freeze of the deployment
-//!    state: switch pointer hierarchies cloned, host flow records
-//!    partitioned into [`shard_of`](switchpointer::hoststore::shard_of)
-//!    shards, so concurrent queries touching different flows and hosts
-//!    never contend on a shared structure. Between batches the freeze can
-//!    be brought up to date *incrementally*:
-//!    [`QueryPlane::refresh_delta`] copies only the pointer slots and host
-//!    shards that changed since the last freeze (see
+//!    state: switch pointer hierarchies cloned, host flow records held in
+//!    the live stores' own [`shard_of`](switchpointer::hoststore::shard_of)
+//!    record shards, shared by `Arc`, so concurrent queries touching
+//!    different flows and hosts never contend on a shared structure.
+//!    Between batches the freeze can be brought up to date
+//!    *incrementally*: [`QueryPlane::refresh_delta`] copies only the
+//!    pointer slots that changed since the last freeze and takes the
+//!    record shards the live stores wrote since (see
 //!    [`Snapshot::apply_delta`]).
 //! 2. **Persistent work-stealing [`WorkerPool`]** — spawned once at plane
 //!    construction and shared by every batch (and by the `streamplane`
@@ -98,6 +99,7 @@ use std::sync::Arc;
 
 use netsim::routing::RouteTable;
 use obsplane::{Counter, MetricsRegistry};
+use switchpointer::hoststore::RECORD_SHARDS;
 use switchpointer::query::QueryRequest;
 use switchpointer::retention;
 use switchpointer::shard::{host_shard_of, ShardFanout, ShardedDirectory};
@@ -114,7 +116,7 @@ pub use driver::{execute, lock_step, QueryOutcome, SharedCtx, Spans};
 pub use pool::{chunk_size, PoolMetrics, WorkerPool};
 pub use repl::{DeltaRecord, HostPatch, HostPatchKind, SwitchPatch};
 pub use slot::SnapshotSlot;
-pub use snapshot::{RecordShard, ShardedHostStore, Snapshot, SnapshotDelta, Unshared};
+pub use snapshot::{Snapshot, SnapshotDelta, Unshared};
 pub use switchpointer::retention::{RetentionPolicy, SweepReport};
 
 /// A rejected [`QueryPlaneConfig`]: the typed reason construction
@@ -124,8 +126,9 @@ pub use switchpointer::retention::{RetentionPolicy, SweepReport};
 pub enum ConfigError {
     /// `workers == 0`: a plane with no executors can never answer.
     ZeroWorkers,
-    /// `shards == 0`: flow records need at least one shard per host.
-    ZeroHostShards,
+    /// `shards` is not [`RECORD_SHARDS`]: a host store has that many
+    /// record shards and no other count.
+    RecordShards(usize),
     /// `directory_shards == 0`: the directory partition needs at least
     /// the single-coordinator layout.
     ZeroDirectoryShards,
@@ -135,9 +138,10 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::ZeroWorkers => write!(f, "workers must be >= 1"),
-            ConfigError::ZeroHostShards => {
-                write!(f, "shards (per-host record shards) must be >= 1")
-            }
+            ConfigError::RecordShards(n) => write!(
+                f,
+                "shards (per-host record shards) must be {RECORD_SHARDS}, not {n}"
+            ),
             ConfigError::ZeroDirectoryShards => write!(f, "directory_shards must be >= 1"),
         }
     }
@@ -150,7 +154,8 @@ impl std::error::Error for ConfigError {}
 pub struct QueryPlaneConfig {
     /// Worker threads executing queries (1 ⇒ run inline on the caller).
     pub workers: usize,
-    /// Flow-record shards per host in the snapshot.
+    /// Flow-record shards per host: always [`RECORD_SHARDS`], the one
+    /// count [`QueryPlaneConfig::validate`] accepts.
     pub shards: usize,
     /// Directory shards: analyzer instances the bit→host directory is
     /// hash-partitioned across. 1 = the single-coordinator layout.
@@ -168,7 +173,7 @@ impl Default for QueryPlaneConfig {
     fn default() -> Self {
         QueryPlaneConfig {
             workers: 4,
-            shards: 8,
+            shards: RECORD_SHARDS,
             directory_shards: 1,
             retention: None,
         }
@@ -184,8 +189,8 @@ impl QueryPlaneConfig {
         if self.workers == 0 {
             return Err(ConfigError::ZeroWorkers);
         }
-        if self.shards == 0 {
-            return Err(ConfigError::ZeroHostShards);
+        if self.shards != RECORD_SHARDS {
+            return Err(ConfigError::RecordShards(self.shards));
         }
         if self.directory_shards == 0 {
             return Err(ConfigError::ZeroDirectoryShards);
@@ -261,7 +266,7 @@ impl QueryPlane {
     /// [`QueryPlane::refresh_delta`] after running the simulation
     /// further.
     ///
-    /// Panics on a degenerate config (zero workers / shards) with the
+    /// Panics on a degenerate config (see [`QueryPlaneConfig::validate`]) with the
     /// typed [`ConfigError`] message; use
     /// [`QueryPlane::try_from_analyzer`] to handle it as a value.
     pub fn from_analyzer(analyzer: &Analyzer, cfg: QueryPlaneConfig) -> Self {
@@ -270,7 +275,8 @@ impl QueryPlane {
     }
 
     /// [`QueryPlane::from_analyzer`] with the config validated up front:
-    /// a zero worker pool or zero record/directory shards is rejected
+    /// a zero worker pool, a record-shard count other than
+    /// [`RECORD_SHARDS`] or zero directory shards is rejected
     /// here, as a typed [`ConfigError`], instead of panicking deep in the
     /// pool.
     pub fn try_from_analyzer(
@@ -307,8 +313,7 @@ impl QueryPlane {
 
     /// Incrementally re-freezes the deployment state, copying only what
     /// changed since the last freeze (see [`Snapshot::apply_delta`]).
-    /// Returns the delta summary (dirty sets, rescans, copy-work
-    /// counters).
+    /// Returns the delta summary (dirty sets, copy-work counters).
     ///
     /// Publication is quiesce-free: the refresh advances a *clone* of the
     /// published snapshot — refcount bumps, every component shared — and
@@ -334,8 +339,8 @@ impl QueryPlane {
     /// The sweep mutates live component state only; call
     /// [`QueryPlane::refresh_delta`] afterwards to propagate the
     /// reclamation into the snapshot. Record eviction surfaces there as
-    /// `FullRescan` re-freezes (`SnapshotDelta::rescanned_hosts`), and
-    /// archived-pointer retirement rides the pointer patches.
+    /// the record shards that lost records, and archived-pointer
+    /// retirement rides the pointer patches.
     pub fn sweep_retention(
         &mut self,
         analyzer: &Analyzer,

@@ -5,16 +5,16 @@
 //! about what changed. A standby replica on the far side of a TCP
 //! connection needs the changed *data*: the journaled variant
 //! ([`Snapshot::apply_delta_journaled`](crate::Snapshot::apply_delta_journaled))
-//! additionally captures every pointer patch and every rebuilt host shard
+//! additionally captures every pointer patch and every changed record shard
 //! as a [`DeltaRecord`] — a self-contained, byte-stable description that,
 //! applied via [`Snapshot::apply_record`](crate::Snapshot::apply_record)
 //! to a snapshot at the same baseline, reproduces the owner's state
 //! bit-for-bit (`==`). Retention sweeps need no special casing: a sweep
 //! mutates live components, so its reclamation rides the next delta as
-//! pointer-archive retirement and `FullRescan` store rebuilds.
+//! pointer-archive retirement and the record shards that lost records.
 //!
 //! A record holds what changed **by `Arc`**: the pointer patches and the
-//! rebuilt record shards are the very allocations the owner's snapshot
+//! changed record shards are the very allocations the owner's snapshot
 //! now holds, so journaling, slicing and (on the far side, where decode
 //! produced the `Arc`s) applying never copy a flow record or a slot.
 //!
@@ -32,10 +32,9 @@ use std::sync::Arc;
 
 use netsim::packet::NodeId;
 use switchpointer::host::TriggerEvent;
+use switchpointer::hoststore::RecordShard;
 use switchpointer::pointer::PointerPatch;
 use telemetry::frame::{Dec, Enc, Wire, WireError};
-
-use crate::snapshot::{RecordShard, ShardedHostStore};
 
 /// One switch's pointer advance: the patch to apply to the replica's
 /// hierarchy. The post-apply baseline is derived on the replica from the
@@ -52,21 +51,18 @@ pub struct SwitchPatch {
 pub enum HostPatchKind {
     /// Only the trigger log moved (a raise or a retention trim).
     TriggersOnly { triggers: Vec<TriggerEvent> },
-    /// The incremental path: the listed record shards were rebuilt;
-    /// everything else is untouched. A shard travels as its record vector
-    /// in the ascending flow-id order the owner's rebuild produced, so
-    /// decoding it reproduces the secondary index bit-for-bit.
+    /// The listed record shards changed (an ingest or an eviction wrote
+    /// them); everything else is untouched. A shard travels as its record
+    /// vector in ascending flow-id order, so decoding it reproduces the
+    /// secondary index bit-for-bit.
     Shards {
-        /// `(shard index, the rebuilt shard)` — on the owner the `Arc` its
+        /// `(shard index, the changed shard)` — on the owner the `Arc` its
         /// snapshot holds, on a replica the one decode produced.
         dirty: Vec<(u64, Arc<RecordShard>)>,
         triggers: Vec<TriggerEvent>,
         /// The live store's record count after the advance.
         total: u64,
     },
-    /// An eviction invalidated the per-flow journal: the whole frozen
-    /// store was rebuilt and travels wholesale.
-    Full { store: ShardedHostStore },
 }
 
 /// One host's advance plus its new freeze baseline `(store version,
@@ -152,10 +148,6 @@ impl Wire for HostPatch {
                 triggers.enc(e);
                 e.put_u64(*total);
             }
-            HostPatchKind::Full { store } => {
-                e.put_u8(2);
-                store.enc(e);
-            }
         }
     }
     fn dec(d: &mut Dec) -> Result<Self, WireError> {
@@ -170,9 +162,6 @@ impl Wire for HostPatch {
                     dirty: Vec::dec(d)?,
                     triggers: Vec::dec(d)?,
                     total: d.get_u64()?,
-                },
-                2 => HostPatchKind::Full {
-                    store: ShardedHostStore::dec(d)?,
                 },
                 t => return Err(WireError::BadTag(t)),
             },

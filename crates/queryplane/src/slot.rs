@@ -123,7 +123,7 @@ mod tests {
     fn snap(dir_shards: usize) -> Arc<Snapshot> {
         let topo = Topology::chain(2, 2, GBPS);
         let tb = Testbed::new(topo, TestbedConfig::default_ms());
-        Arc::new(Snapshot::capture_with(&tb.analyzer(), 2, dir_shards))
+        Arc::new(Snapshot::capture_with(&tb.analyzer(), 8, dir_shards))
     }
 
     /// Installs advance the epoch, loads see a consistent pair, and the

@@ -10,6 +10,7 @@ use std::sync::{Arc, Mutex};
 use netsim::routing::RouteTable;
 use obsplane::MetricsRegistry;
 use queryplane::{QueryPlaneConfig, SharedCtx, Snapshot, SnapshotDelta};
+use switchpointer::hoststore::RECORD_SHARDS;
 use switchpointer::shard::ShardedDirectory;
 use switchpointer::Analyzer;
 use telemetry::frame::WireError;
@@ -19,10 +20,6 @@ use crate::{
     FrontEnd, ReplicaWriter, RetryPolicy, ServeDelay, ShardServer, ShardState, WindowSummary,
     WireClient, WireConfig,
 };
-
-/// Flow-record shards per host inside each server's snapshot slice (the
-/// same default the query plane uses).
-const HOST_SHARDS: usize = 8;
 
 /// A whole loopback deployment launched from one analyzer's state: N
 /// directory shards × R replicas (each an ordinary [`ShardServer`]), one
@@ -100,7 +97,7 @@ impl WireCluster {
             &analyzer.all_hosts(),
             n_shards,
         );
-        let snapshot = Snapshot::capture_with(analyzer, HOST_SHARDS, n_shards);
+        let snapshot = Snapshot::capture_with(analyzer, RECORD_SHARDS, n_shards);
 
         // R identical replicas per shard, each serving the shard's slice
         // (shared with the owner's snapshot until a refresh replaces

@@ -1,6 +1,6 @@
 //! Bytes are the contract: the two replication frames — the ones whose
 //! payload is built from the most value codecs (`FlowRecord`,
-//! `TriggerEvent`, `ShardedHostStore`, `PointerPatch`, `BitSet` words,
+//! `TriggerEvent`, `RecordShard`, `PointerPatch`, `BitSet` words,
 //! `PointerHierarchy`) — are pinned against golden images captured before
 //! those codecs moved to one `Wire` impl per type. A codec edit that moves
 //! a byte fails here with the offset of the first difference; encode→decode
@@ -10,6 +10,13 @@
 //! became per-switch `EpochSet` runs: only each record's `epochs_at` bytes
 //! (and the length prefixes around them) moved. `record()` pins one
 //! single-run set (`{f, f+1}`) and one two-run set (`{f+1, f+2, f+9}`).
+//!
+//! They moved once more when a host store got one fixed form of eight
+//! record shards: the bootstrap view is captured at eight shards (its
+//! bytes are what the two-form code wrote for an 8-way capture), and the
+//! append lost its whole-store patch, a kind nothing produces any more
+//! (its bytes are the old encoding of the same record without that
+//! entry). On a mismatch the test prints the whole new image.
 //!
 //! One read reply is pinned beside them: `UnionTopKRep`, the fused
 //! aggregate answer a shard writes for every `TopK` — an optional list of
@@ -23,11 +30,9 @@ use std::sync::Arc;
 
 use mphf::Mphf;
 use netsim::prelude::*;
-use queryplane::{
-    DeltaRecord, HostPatch, HostPatchKind, RecordShard, ShardedHostStore, Snapshot, SwitchPatch,
-};
+use queryplane::{DeltaRecord, HostPatch, HostPatchKind, Snapshot, SwitchPatch};
 use switchpointer::host::TriggerEvent;
-use switchpointer::hoststore::FlowRecord;
+use switchpointer::hoststore::{FlowRecord, RecordShard};
 use switchpointer::pointer::{PointerConfig, PointerHierarchy};
 use switchpointer::shard::host_shard_of;
 use switchpointer::testbed::{Testbed, TestbedConfig};
@@ -128,17 +133,6 @@ fn delta_append() -> Frame {
                     triggers: vec![trigger(11), trigger(12)],
                 },
             },
-            HostPatch {
-                host: NodeId(10),
-                new_base: (u64::MAX, 0),
-                kind: HostPatchKind::Full {
-                    store: ShardedHostStore::from_records(
-                        vec![record(21, Some(7)), record(5, None), record(14, Some(9))],
-                        vec![trigger(21)],
-                        4,
-                    ),
-                },
-            },
         ],
     };
     Frame::DeltaAppend {
@@ -175,7 +169,7 @@ fn snapshot_install() -> Frame {
     ));
     let analyzer = tb.analyzer();
     tb.sim.run_until(SimTime::from_ms(8));
-    let snap = Snapshot::capture_with(&analyzer, 2, 2);
+    let snap = Snapshot::capture_with(&analyzer, 8, 2);
     let keep: BTreeSet<NodeId> = ["A", "B", "C", "D", "E", "F"]
         .into_iter()
         .map(|n| tb.node(n))
@@ -215,13 +209,26 @@ fn assert_golden(name: &str, frame: &Frame, golden_hex: &str) {
                 .map(|i| u8::from_str_radix(&line[i..i + 2], 16).expect("golden file is hex"))
         })
         .collect();
+    let image = || -> String {
+        got.chunks(32)
+            .map(|line| line.iter().map(|b| format!("{b:02x}")).collect::<String>() + "\n")
+            .collect()
+    };
     if let Some(at) = got.iter().zip(&want).position(|(g, w)| g != w) {
         panic!(
-            "{name}: byte {at} moved: encoder writes {:#04x}, golden image has {:#04x}",
-            got[at], want[at]
+            "{name}: byte {at} moved: encoder writes {:#04x}, golden image has {:#04x}; \
+             the encoder's image:\n{}",
+            got[at],
+            want[at],
+            image()
         );
     }
-    assert_eq!(got.len(), want.len(), "{name}: encoded length moved");
+    assert_eq!(
+        got.len(),
+        want.len(),
+        "{name}: encoded length moved; the encoder's image:\n{}",
+        image()
+    );
 
     // And the image decodes to a frame that re-encodes to itself.
     let back = Frame::read(&mut &want[..], telemetry::frame::MAX_FRAME).unwrap();

@@ -127,7 +127,7 @@ fn verdicts_invariant_across_workers_chunks_and_keys() {
     let analyzer = tb.analyzer();
     let reg = Arc::new(MetricsRegistry::new());
     let ctx = shared_ctx(&tb, &reg);
-    let snapshot = Arc::new(Snapshot::capture(&analyzer, 4));
+    let snapshot = Arc::new(Snapshot::capture(&analyzer, 8));
     let reqs = batch(&tb);
     let baseline: Vec<String> = reqs
         .iter()
@@ -268,7 +268,7 @@ fn full_plane_parity_holds_under_randomized_chunking_with_steal_pressure() {
     let analyzer = tb.analyzer();
     let reg = Arc::new(MetricsRegistry::new());
     let ctx = shared_ctx(&tb, &reg);
-    let snapshot = Arc::new(Snapshot::capture(&analyzer, 4));
+    let snapshot = Arc::new(Snapshot::capture(&analyzer, 8));
     let reqs = batch(&tb);
     let baseline: Vec<String> = reqs
         .iter()

@@ -234,34 +234,6 @@ fn replayed_accounting_is_a_pure_function_of_submission_order() {
 }
 
 #[test]
-fn sharding_choice_does_not_change_answers() {
-    let (tb, victim) = fat_tree_testbed();
-    let analyzer = tb.analyzer();
-    let reqs = query_set(&tb, victim);
-    let mut renders = Vec::new();
-    for shards in [1usize, 3, 16] {
-        let mut plane = QueryPlane::from_analyzer(
-            &analyzer,
-            QueryPlaneConfig {
-                workers: 4,
-                shards,
-                directory_shards: 1,
-                retention: None,
-            },
-        );
-        renders.push(
-            plane
-                .execute_batch(&reqs)
-                .iter()
-                .map(|o| format!("{:?}", o.response))
-                .collect::<Vec<_>>(),
-        );
-    }
-    assert_eq!(renders[0], renders[1]);
-    assert_eq!(renders[0], renders[2]);
-}
-
-#[test]
 fn replay_bills_each_execution_once() {
     // A tiny deployment: TopK and LoadImbalance each pull exactly one
     // (switch, window) union, so the billing can be checked by hand.
@@ -306,7 +278,7 @@ fn replay_bills_each_execution_once() {
         &analyzer,
         QueryPlaneConfig {
             workers: 2,
-            shards: 4,
+            shards: 8,
             directory_shards: 1,
             retention: None,
         },

@@ -22,6 +22,10 @@
 //!     what its record names — everything else is the same allocation as
 //!     before the refresh; and two writers racing one seq land exactly
 //!     one of them.
+//! (f) **A malformed store is refused before it is installed.** A record
+//!     shard whose flow ids do not ascend strictly, a record outside its
+//!     shard, a store of other than `RECORD_SHARDS` shards, and a record
+//!     count that is not the patched store's each surface a typed error.
 
 use std::collections::BTreeSet;
 use std::net::TcpListener;
@@ -31,11 +35,13 @@ use std::time::Duration;
 use netsim::prelude::*;
 use obsplane::MetricsRegistry;
 use proptest::rng_for;
-use queryplane::{DeltaRecord, RetentionPolicy, Snapshot, Unshared};
+use queryplane::{DeltaRecord, HostPatch, HostPatchKind, RetentionPolicy, Snapshot, Unshared};
+use switchpointer::host::TriggerEvent;
+use switchpointer::hoststore::{shard_of, FlowRecord, RecordShard, RECORD_SHARDS};
 use switchpointer::retention;
 use switchpointer::shard::{host_shard_of, ShardedDirectory};
 use switchpointer::testbed::{Testbed, TestbedConfig};
-use telemetry::frame::WireError;
+use telemetry::frame::{Dec, Enc, Wire, WireError};
 use wireplane::{DeltaPublisher, Frame, ReplicaWriter, RetryPolicy, WireCluster, WireConfig};
 
 /// A chain with steady cross-traffic, so every few-ms advance journals a
@@ -567,4 +573,159 @@ fn two_writers_racing_one_seq_land_exactly_one_of_them() {
         "the replica is not the chain of acked records"
     );
     cluster.shutdown();
+}
+
+// ---- (f) hostile stores ---------------------------------------------------
+
+/// A snapshot of the replication testbed and the host `F`, whose store the
+/// long flow keeps populated.
+fn hostile_fixture() -> (Testbed, Snapshot, NodeId) {
+    let mut tb = replication_testbed();
+    tb.sim.run_until(SimTime::from_ms(4));
+    let snap = Snapshot::capture(&tb.analyzer(), 8);
+    let f = tb.node("F");
+    (tb, snap, f)
+}
+
+/// The first `n` flow ids that [`shard_of`] puts in `shard`.
+fn flows_in_shard(shard: usize, n: usize) -> Vec<FlowId> {
+    (0u64..)
+        .map(FlowId)
+        .filter(|&f| shard_of(f, RECORD_SHARDS) == shard)
+        .take(n)
+        .collect()
+}
+
+fn bare_record(flow: FlowId) -> FlowRecord {
+    FlowRecord {
+        flow,
+        src: NodeId(0),
+        dst: NodeId(1),
+        protocol: Protocol::Udp,
+        priority: Priority::LOW,
+        bytes: 100,
+        packets: 1,
+        path: Vec::new(),
+        epochs_at: Default::default(),
+        bytes_per_epoch: Default::default(),
+        link_vid: None,
+    }
+}
+
+/// One host patch rewriting `shards` of `host`, with `total` as sent.
+fn shards_patch(host: NodeId, shards: Vec<(u64, RecordShard)>, total: u64) -> DeltaRecord {
+    DeltaRecord {
+        epoch_horizon: 0,
+        switches: Vec::new(),
+        hosts: vec![HostPatch {
+            host,
+            new_base: (u64::MAX, 0),
+            kind: HostPatchKind::Shards {
+                dirty: shards.into_iter().map(|(i, s)| (i, Arc::new(s))).collect(),
+                triggers: Vec::new(),
+                total,
+            },
+        }],
+    }
+}
+
+fn roundtrip(record: &DeltaRecord) -> Result<DeltaRecord, WireError> {
+    let mut e = Enc::new();
+    record.enc(&mut e);
+    let bytes = e.into_bytes();
+    DeltaRecord::dec(&mut Dec::new(&bytes))
+}
+
+/// (f) A shard listing its flows out of order would make a replica's
+/// binary-searching `record()` miss: decode refuses it.
+#[test]
+fn a_record_shard_out_of_flow_order_is_refused_at_decode() {
+    let (_tb, _snap, f) = hostile_fixture();
+    let flows = flows_in_shard(0, 2);
+    let descending = RecordShard::from_records(vec![bare_record(flows[1]), bare_record(flows[0])]);
+    let record = shards_patch(f, vec![(0, descending)], 2);
+    assert!(matches!(roundtrip(&record), Err(WireError::Remote(_))));
+    let repeated = RecordShard::from_records(vec![bare_record(flows[0]), bare_record(flows[0])]);
+    let record = shards_patch(f, vec![(0, repeated)], 2);
+    assert!(matches!(roundtrip(&record), Err(WireError::Remote(_))));
+}
+
+/// (f) A record shipped in a shard `shard_of` does not assign it is
+/// unreachable by every read: applying it is refused, and the replica is
+/// left as it was.
+#[test]
+fn a_record_outside_its_shard_is_refused_at_apply() {
+    let (_tb, mut snap, f) = hostile_fixture();
+    let stray = flows_in_shard(1, 1)[0];
+    let record = shards_patch(
+        f,
+        vec![(0, RecordShard::from_records(vec![bare_record(stray)]))],
+        1,
+    );
+    let decoded = roundtrip(&record).expect("well-formed bytes");
+    let before = snap.clone();
+    assert!(matches!(
+        snap.apply_record(&decoded),
+        Err(WireError::Remote(_))
+    ));
+    assert!(snap == before);
+    let past_the_end = shards_patch(f, vec![(RECORD_SHARDS as u64, RecordShard::default())], 0);
+    assert!(snap.apply_record(&past_the_end).is_err());
+    assert!(snap == before);
+}
+
+/// (f) A bootstrap whose host store is not `RECORD_SHARDS`-way is
+/// refused: shard indices would mean something else on each side.
+#[test]
+fn a_store_of_the_wrong_shard_count_is_refused_at_bootstrap() {
+    let (_tb, snap, f) = hostile_fixture();
+    let mphf = snap.mphf().expect("the chain has switches").clone();
+    for n in [1usize, 4, RECORD_SHARDS + 1] {
+        let mut e = Enc::new();
+        e.put_usize(1); // directory shards
+        e.put_u64(0); // epoch horizon
+        e.put_usize(0); // switches
+        e.put_usize(1); // hosts
+        f.enc(&mut e);
+        (0..n)
+            .map(|_| Arc::new(RecordShard::default()))
+            .collect::<Vec<_>>()
+            .enc(&mut e);
+        Vec::<TriggerEvent>::new().enc(&mut e);
+        e.put_u64(0); // records
+        (0u64, 0u64).enc(&mut e);
+        let bytes = e.into_bytes();
+        assert!(
+            matches!(
+                Snapshot::wire_dec(&mut Dec::new(&bytes), &mphf),
+                Err(WireError::Remote(_))
+            ),
+            "a {n}-way store must be refused"
+        );
+    }
+}
+
+/// (f) The record count travels beside the shards; one that is not the
+/// patched store's total is refused instead of trusted.
+#[test]
+fn a_record_count_that_is_not_the_stores_is_refused_at_apply() {
+    let (tb, mut snap, f) = hostile_fixture();
+    let analyzer = tb.analyzer();
+    let (len, shard) = {
+        let comp = analyzer.host(f).expect("listed host").borrow();
+        (
+            comp.store.len() as u64,
+            comp.store.shards()[0].as_ref().clone(),
+        )
+    };
+    let before = snap.clone();
+    let record = shards_patch(f, vec![(0, shard.clone())], len + 1);
+    assert!(matches!(
+        snap.apply_record(&record),
+        Err(WireError::Remote(_))
+    ));
+    assert!(snap == before);
+    // The same patch with the true count applies.
+    snap.apply_record(&shards_patch(f, vec![(0, shard)], len))
+        .expect("a consistent patch applies");
 }

@@ -23,8 +23,10 @@
 //! all-evicted deployment through the plane.
 
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use suite::netsim::prelude::*;
-use suite::queryplane::Snapshot;
+
+use suite::queryplane::{HostPatchKind, Snapshot};
 use suite::switchpointer::query::QueryRequest;
 use suite::switchpointer::retention::{self, RetentionPolicy};
 use suite::switchpointer::testbed::{Testbed, TestbedConfig};
@@ -82,13 +84,12 @@ proptest! {
             (1u64..4, any::<bool>(), prop::option::of((0u64..12, 0usize..4))),
             1..8,
         ),
-        shards in 1usize..6,
         dir_idx in 0usize..4,
     ) {
         let dir_shards = [1usize, 2, 4, 8][dir_idx];
         let (mut tb, _) = chain_testbed();
         let analyzer = tb.analyzer();
-        let mut snap = Snapshot::capture_with(&analyzer, shards, dir_shards);
+        let mut snap = Snapshot::capture_with(&analyzer, 8, dir_shards);
         let mut t_ms = 0u64;
         let mut swept = false;
         for (advance_ms, refresh_now, sweep_cfg) in steps {
@@ -124,12 +125,12 @@ proptest! {
         // Wherever the interleaving left off, one final delta must land
         // the layered snapshot exactly on a freeze of the truncated state.
         snap.apply_delta(&analyzer);
-        let fresh = Snapshot::capture_with(&analyzer, shards, dir_shards);
+        let fresh = Snapshot::capture_with(&analyzer, 8, dir_shards);
         prop_assert!(
             snap == fresh,
             "GC'd delta-applied snapshot diverged from fresh capture at t={}ms \
-             (shards={}, dir_shards={}, swept={})",
-            t_ms, shards, dir_shards, swept
+             (dir_shards={}, swept={})",
+            t_ms, dir_shards, swept
         );
         // And a delta over an unchanged (possibly truncated) deployment is
         // empty.
@@ -310,4 +311,49 @@ fn savings_is_zero_not_nan_after_an_all_reclaiming_sweep() {
         ..Default::default()
     };
     assert_eq!(record_side.savings(), 0.0);
+}
+
+/// An eviction is an ordinary shard write: the journaled refresh after a
+/// sweep ships each evicting host as a `Shards` patch naming exactly the
+/// record shards that lost records, and no shard of a host that lost
+/// none.
+#[test]
+fn a_sweep_ships_exactly_the_shards_that_lost_records() {
+    let (mut tb, _) = chain_testbed();
+    let analyzer = tb.analyzer();
+    tb.sim.run_until(SimTime::from_ms(20));
+    let mut snap = Snapshot::capture(&analyzer, 8);
+    let shard_lens = |h: NodeId| -> Vec<usize> {
+        let comp = analyzer.host(h).expect("listed host").borrow();
+        comp.store.shards().iter().map(|s| s.len()).collect()
+    };
+    let before: BTreeMap<NodeId, Vec<usize>> = analyzer
+        .all_hosts()
+        .into_iter()
+        .map(|h| (h, shard_lens(h)))
+        .collect();
+    let report = retention::sweep(&analyzer, RetentionPolicy::horizon(4), 1, &[]);
+    assert!(report.records_evicted > 0, "the sweep must evict records");
+
+    let (_, record) = snap.apply_delta_journaled(&analyzer);
+    let mut shipped_any = false;
+    for (h, lens_before) in &before {
+        let lost: Vec<u64> = (0..lens_before.len())
+            .filter(|&i| shard_lens(*h)[i] < lens_before[i])
+            .map(|i| i as u64)
+            .collect();
+        let shipped: Vec<u64> = record
+            .hosts
+            .iter()
+            .filter(|p| p.host == *h)
+            .flat_map(|p| match &p.kind {
+                HostPatchKind::Shards { dirty, .. } => dirty.iter().map(|(i, _)| *i).collect(),
+                HostPatchKind::TriggersOnly { .. } => Vec::new(),
+            })
+            .collect();
+        assert_eq!(shipped, lost, "host {h:?}");
+        shipped_any |= !shipped.is_empty();
+    }
+    assert!(shipped_any);
+    assert!(snap == Snapshot::capture(&analyzer, 8));
 }

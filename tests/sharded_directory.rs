@@ -356,7 +356,7 @@ fn continuous_watch_verdicts_identical_across_directory_shards() {
             StreamConfig {
                 plane: QueryPlaneConfig {
                     workers: 4,
-                    shards: 4,
+                    shards: 8,
                     directory_shards,
                     retention: None,
                 },
@@ -417,7 +417,7 @@ fn subscriptions_partition_across_shards() {
         StreamConfig {
             plane: QueryPlaneConfig {
                 workers: 2,
-                shards: 4,
+                shards: 8,
                 directory_shards: 4,
                 retention: None,
             },

@@ -62,11 +62,10 @@ proptest! {
     #[test]
     fn delta_applied_snapshot_equals_fresh_capture(
         steps in prop::collection::vec((1u64..4, any::<bool>()), 1..8),
-        shards in 1usize..6,
     ) {
         let mut tb = chain_testbed();
         let analyzer = tb.analyzer();
-        let mut snap = Snapshot::capture(&analyzer, shards);
+        let mut snap = Snapshot::capture(&analyzer, 8);
         let mut t_ms = 0u64;
         for (advance_ms, refresh_now) in steps {
             t_ms += advance_ms;
@@ -79,35 +78,34 @@ proptest! {
         // Wherever the interleaving left off, one final delta must land the
         // layered snapshot exactly on a from-scratch freeze.
         snap.apply_delta(&analyzer);
-        let fresh = Snapshot::capture(&analyzer, shards);
+        let fresh = Snapshot::capture(&analyzer, 8);
         prop_assert!(
             snap == fresh,
-            "delta-applied snapshot diverged from fresh capture at t={}ms (shards={})",
-            t_ms, shards
+            "delta-applied snapshot diverged from fresh capture at t={}ms",
+            t_ms
         );
         // And a delta over an unchanged deployment is empty.
         let idle = snap.apply_delta(&analyzer);
         prop_assert!(idle.is_empty());
     }
 
-    /// The eviction interleaving the original props never exercised:
-    /// `evict_older_than` (forcing `FullRescan` deltas) mixed with
-    /// advances and incremental refreshes must still pin
-    /// `Snapshot::apply_delta` == `Snapshot::capture` at every shard
-    /// count — and rescanned hosts must be reported as such.
+    /// The eviction interleaving: `evict_older_than` mixed with advances
+    /// and incremental refreshes must still pin `Snapshot::apply_delta`
+    /// == `Snapshot::capture`, and a refresh after an eviction must
+    /// report the evicting hosts dirty.
     #[test]
     fn delta_equals_capture_under_eviction_interleavings(
         steps in prop::collection::vec(
             (1u64..4, any::<bool>(), prop::option::of(1u64..12)),
             1..8,
         ),
-        shards in 1usize..6,
     ) {
         let mut tb = chain_testbed();
         let analyzer = tb.analyzer();
-        let mut snap = Snapshot::capture(&analyzer, shards);
+        let mut snap = Snapshot::capture(&analyzer, 8);
         let mut t_ms = 0u64;
-        let mut saw_rescan = false;
+        let mut evicted = 0usize;
+        let mut evicted_hosts = Vec::new();
         for (advance_ms, refresh_now, evict_back) in steps {
             t_ms += advance_ms;
             tb.sim.run_until(SimTime::from_ms(t_ms));
@@ -116,34 +114,51 @@ proptest! {
                 // epoch predates the horizon (epochs ≈ ms on this fixture).
                 let horizon = t_ms.saturating_sub(back.min(t_ms));
                 for host in analyzer.all_hosts() {
-                    tb.hosts[&host]
+                    let n = tb.hosts[&host]
                         .borrow_mut()
                         .store
                         .evict_older_than(horizon);
+                    if n > 0 {
+                        evicted += n;
+                        evicted_hosts.push(host);
+                    }
                 }
             }
             if refresh_now {
                 let delta = snap.apply_delta(&analyzer);
-                saw_rescan |= !delta.rescanned_hosts.is_empty();
-                for h in &delta.rescanned_hosts {
+                for h in evicted_hosts.drain(..) {
                     prop_assert!(
-                        delta.dirty_hosts.contains(h),
-                        "rescanned hosts must be a subset of dirty hosts"
+                        delta.dirty_hosts.contains(&h),
+                        "a host that evicted records must be dirty"
                     );
                 }
             }
         }
         snap.apply_delta(&analyzer);
-        let fresh = Snapshot::capture(&analyzer, shards);
+        let fresh = Snapshot::capture(&analyzer, 8);
         prop_assert!(
             snap == fresh,
             "delta-applied snapshot diverged from fresh capture after evictions \
-             at t={}ms (shards={}, saw_rescan={})",
-            t_ms, shards, saw_rescan
+             at t={}ms ({} records evicted)",
+            t_ms, evicted
         );
         let idle = snap.apply_delta(&analyzer);
         prop_assert!(idle.is_empty());
     }
+}
+
+/// A capture takes the live record shards by refcount: two captures with
+/// no advance between them share every record shard.
+#[test]
+fn back_to_back_captures_share_every_record_shard() {
+    let mut tb = chain_testbed();
+    let analyzer = tb.analyzer();
+    tb.sim.run_until(SimTime::from_ms(9));
+    let first = Snapshot::capture(&analyzer, 8);
+    let second = Snapshot::capture(&analyzer, 8);
+    assert!(first.total_records() > 0);
+    let apart = second.unshared_with(&first);
+    assert_eq!((apart.shards, apart.records), (0, 0));
 }
 
 /// The fat-tree storm fixture of the acceptance criterion: many flows
@@ -263,7 +278,7 @@ fn drive(workers: usize, window_ms: u64, windows: u64) -> (Vec<String>, Vec<Vec<
         StreamConfig {
             plane: QueryPlaneConfig {
                 workers,
-                shards: 4,
+                shards: 8,
                 directory_shards: 1,
                 retention: None,
             },
@@ -474,8 +489,8 @@ fn idle_repeat_windows_match_the_live_analyzer() {
 
 /// The eviction regression: a verdict whose host reads touched a store
 /// that later evicted records must not repeat the stale answer — the
-/// eviction surfaces as a `FullRescan` delta and the re-derived verdict is
-/// bit-identical to the live analyzer's.
+/// refresh after the eviction lands on a fresh capture and the re-derived
+/// verdict is bit-identical to the live analyzer's.
 #[test]
 fn post_eviction_cached_verdict_rederives_bit_identically() {
     for directory_shards in [1usize, 4] {
@@ -486,7 +501,7 @@ fn post_eviction_cached_verdict_rederives_bit_identically() {
             StreamConfig {
                 plane: QueryPlaneConfig {
                     workers: 2,
-                    shards: 4,
+                    shards: 8,
                     directory_shards,
                     retention: None,
                 },
@@ -528,8 +543,8 @@ fn post_eviction_cached_verdict_rederives_bit_identically() {
 
         let after = sp.run_window(&analyzer);
         assert!(
-            !after.delta.rescanned_hosts.is_empty(),
-            "eviction must surface as a FullRescan delta"
+            *sp.plane().snapshot() == Snapshot::capture_with(&analyzer, 8, directory_shards),
+            "the refresh after the eviction must land on a fresh capture"
         );
         match &after.standing[0].1 {
             StandingEval::Verdict { request, response } => {
@@ -572,7 +587,7 @@ fn standing_watch_straddling_gc_sweeps_rederives_bit_identically() {
             StreamConfig {
                 plane: QueryPlaneConfig {
                     workers: 2,
-                    shards: 4,
+                    shards: 8,
                     directory_shards,
                     retention: Some(RetentionPolicy::horizon(24)),
                 },
@@ -708,7 +723,7 @@ fn fixed_diagnosis_subscribed_before_its_trigger_pends_then_diagnoses() {
             StreamConfig {
                 plane: QueryPlaneConfig {
                     workers: 2,
-                    shards: 4,
+                    shards: 8,
                     directory_shards,
                     retention: None,
                 },
@@ -882,7 +897,7 @@ fn retention_pins_follow_the_class_rule() {
             StreamConfig {
                 plane: QueryPlaneConfig {
                     workers: 2,
-                    shards: 4,
+                    shards: 8,
                     directory_shards,
                     retention: None,
                 },

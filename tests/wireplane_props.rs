@@ -27,8 +27,7 @@ use obsplane::TraceContext;
 use proptest::prelude::*;
 use proptest::rng_for;
 use queryplane::{
-    ConfigError, DeltaRecord, HostPatch, HostPatchKind, QueryPlane, QueryPlaneConfig, RecordShard,
-    ShardedHostStore,
+    ConfigError, DeltaRecord, HostPatch, HostPatchKind, QueryPlane, QueryPlaneConfig,
 };
 use streamplane::{Incident, StandingQuery, StreamConfig, StreamPlane, SubscriptionId};
 use switchpointer::analyzer::{
@@ -36,7 +35,7 @@ use switchpointer::analyzer::{
     LoadImbalanceDiagnosis, RedLightsDiagnosis, TopKResult, Verdict,
 };
 use switchpointer::cost::{LatencyBreakdown, QueryWaveCost};
-use switchpointer::hoststore::{EpochSet, FlowRecord};
+use switchpointer::hoststore::{EpochSet, FlowRecord, RecordShard};
 use switchpointer::query::{QueryRequest, QueryResponse};
 use switchpointer::shard::ShardedAnalyzer;
 use switchpointer::testbed::{Testbed, TestbedConfig};
@@ -367,30 +366,25 @@ fn gen_delta_record(rng: &mut TestRng) -> DeltaRecord {
     };
     let hosts = (0..rng.below(4))
         .map(|_| {
-            let kind = match rng.below(3) {
+            let kind = match rng.below(2) {
                 0 => HostPatchKind::TriggersOnly {
                     triggers: triggers(rng),
                 },
-                1 => HostPatchKind::Shards {
+                _ => HostPatchKind::Shards {
                     dirty: (0..rng.below(3))
                         .map(|_| {
-                            (
-                                rng.below(8),
-                                Arc::new(RecordShard::from_records(
-                                    (0..rng.below(3)).map(|_| gen_record(rng)).collect(),
-                                )),
-                            )
+                            // A shard's records travel in strictly
+                            // ascending flow-id order; decode refuses
+                            // any other.
+                            let mut records: Vec<_> =
+                                (0..rng.below(3)).map(|_| gen_record(rng)).collect();
+                            records.sort_by_key(|r| r.flow);
+                            records.dedup_by_key(|r| r.flow);
+                            (rng.below(8), Arc::new(RecordShard::from_records(records)))
                         })
                         .collect(),
                     triggers: triggers(rng),
                     total: rng.below(1000),
-                },
-                _ => HostPatchKind::Full {
-                    store: ShardedHostStore::from_records(
-                        (0..rng.below(4)).map(|_| gen_record(rng)).collect(),
-                        triggers(rng),
-                        4,
-                    ),
                 },
             };
             HostPatch {
@@ -1175,7 +1169,7 @@ fn fixed_diagnosis_before_its_trigger_streams_like_the_in_process_plane() {
         StreamConfig {
             plane: QueryPlaneConfig {
                 workers: 2,
-                shards: 4,
+                shards: 8,
                 directory_shards: n_shards,
                 retention: None,
             },
@@ -1231,7 +1225,14 @@ fn degenerate_plane_configs_are_rejected_with_typed_errors() {
                 shards: 0,
                 ..QueryPlaneConfig::default()
             },
-            ConfigError::ZeroHostShards,
+            ConfigError::RecordShards(0),
+        ),
+        (
+            QueryPlaneConfig {
+                shards: 4,
+                ..QueryPlaneConfig::default()
+            },
+            ConfigError::RecordShards(4),
         ),
         (
             QueryPlaneConfig {
@@ -1272,7 +1273,7 @@ fn degenerate_plane_configs_are_rejected_with_typed_errors() {
             }
         )
         .err(),
-        Some(ConfigError::ZeroHostShards)
+        Some(ConfigError::RecordShards(0))
     );
     // The wire layer validates through the same path.
     assert!(WireCluster::launch(&analyzer, 0, WireConfig::default()).is_err());
