@@ -17,7 +17,7 @@ use netsim::time::SimTime;
 #[derive(Debug)]
 pub struct PortCounters {
     /// Poll interval.
-    pub interval: SimTime,
+    pub(crate) interval: SimTime,
     /// Accumulating live counters (bytes forwarded per egress port).
     live: HashMap<u16, u64>,
     /// Snapshots: per poll tick, the per-port byte deltas since last tick.
@@ -26,7 +26,7 @@ pub struct PortCounters {
 }
 
 impl PortCounters {
-    pub fn new(interval: SimTime) -> Self {
+    pub(crate) fn new(interval: SimTime) -> Self {
         PortCounters {
             interval,
             live: HashMap::new(),
@@ -58,14 +58,16 @@ impl PortCounters {
     }
 
     /// Ports that ever forwarded traffic.
-    pub fn ports(&self) -> Vec<u16> {
+    #[cfg(test)]
+    pub(crate) fn ports(&self) -> Vec<u16> {
         let mut v: Vec<u16> = self.live.keys().copied().collect();
         v.sort_unstable();
         v
     }
 
     /// Number of polls taken.
-    pub fn polls(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn polls(&self) -> usize {
         self.snapshots.len()
     }
 }
@@ -94,11 +96,11 @@ pub fn series_distance(a: &[u64], b: &[u64]) -> f64 {
 
 /// Simulator adapter: counts at forward time, polls on a timer.
 pub struct PortCountersApp {
-    pub state: std::rc::Rc<std::cell::RefCell<PortCounters>>,
+    pub(crate) state: std::rc::Rc<std::cell::RefCell<PortCounters>>,
 }
 
 impl PortCountersApp {
-    pub fn new(interval: SimTime) -> (Self, std::rc::Rc<std::cell::RefCell<PortCounters>>) {
+    pub(crate) fn new(interval: SimTime) -> (Self, std::rc::Rc<std::cell::RefCell<PortCounters>>) {
         let state = std::rc::Rc::new(std::cell::RefCell::new(PortCounters::new(interval)));
         (
             PortCountersApp {

@@ -17,20 +17,21 @@ use netsim::time::SimTime;
 /// One flow-cache entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetFlowRecord {
-    pub flow: FlowId,
-    pub src: NodeId,
-    pub dst: NodeId,
+    pub(crate) flow: FlowId,
+    pub(crate) src: NodeId,
+    pub(crate) dst: NodeId,
     /// Sampled packet count (scale by the sampling rate to estimate).
-    pub sampled_pkts: u64,
+    pub(crate) sampled_pkts: u64,
     /// Sampled payload bytes.
-    pub sampled_bytes: u64,
-    pub first_seen: SimTime,
-    pub last_seen: SimTime,
+    pub(crate) sampled_bytes: u64,
+    pub(crate) first_seen: SimTime,
+    pub(crate) last_seen: SimTime,
 }
 
 impl NetFlowRecord {
     /// Byte estimate after scaling by the sampling rate.
-    pub fn estimated_bytes(&self, sample_one_in: u64) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn estimated_bytes(&self, sample_one_in: u64) -> u64 {
         self.sampled_bytes * sample_one_in
     }
 }
@@ -39,15 +40,15 @@ impl NetFlowRecord {
 #[derive(Debug)]
 pub struct SampledNetFlow {
     /// Sample one packet in `sample_one_in`.
-    pub sample_one_in: u64,
+    pub(crate) sample_one_in: u64,
     cache: HashMap<FlowId, NetFlowRecord>,
     rng: DetRng,
     /// Packets offered (sampled or not).
-    pub offered: u64,
+    pub(crate) offered: u64,
 }
 
 impl SampledNetFlow {
-    pub fn new(sample_one_in: u64, seed: u64) -> Self {
+    pub(crate) fn new(sample_one_in: u64, seed: u64) -> Self {
         assert!(sample_one_in >= 1);
         SampledNetFlow {
             sample_one_in,
@@ -58,7 +59,7 @@ impl SampledNetFlow {
     }
 
     /// Offers one packet to the sampler.
-    pub fn observe(&mut self, now: SimTime, pkt: &Packet) {
+    pub(crate) fn observe(&mut self, now: SimTime, pkt: &Packet) {
         self.offered += 1;
         if self.sample_one_in > 1 && self.rng.next_below(self.sample_one_in) != 0 {
             return;
@@ -83,12 +84,14 @@ impl SampledNetFlow {
     }
 
     /// Flows with at least one sampled packet.
-    pub fn flows_seen(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn flows_seen(&self) -> usize {
         self.cache.len()
     }
 
     /// Flows whose records overlap `[from, to]`.
-    pub fn flows_active_in(&self, from: SimTime, to: SimTime) -> Vec<&NetFlowRecord> {
+    #[cfg(test)]
+    pub(crate) fn flows_active_in(&self, from: SimTime, to: SimTime) -> Vec<&NetFlowRecord> {
         let mut v: Vec<&NetFlowRecord> = self
             .cache
             .values()
@@ -101,7 +104,7 @@ impl SampledNetFlow {
 
 /// Simulator adapter sharing the cache with the experiment.
 pub struct SampledNetFlowApp {
-    pub state: std::rc::Rc<std::cell::RefCell<SampledNetFlow>>,
+    pub(crate) state: std::rc::Rc<std::cell::RefCell<SampledNetFlow>>,
 }
 
 impl SampledNetFlowApp {

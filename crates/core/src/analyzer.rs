@@ -48,7 +48,7 @@ pub struct HostDirectory {
 }
 
 impl HostDirectory {
-    pub fn new(mphf: Arc<Mphf>, hosts: &[NodeId]) -> Self {
+    pub(crate) fn new(mphf: Arc<Mphf>, hosts: &[NodeId]) -> Self {
         let mut by_slot = vec![None; mphf.len()];
         for &h in hosts {
             let idx = mphf
@@ -367,7 +367,7 @@ pub struct Analyzer {
 }
 
 impl Analyzer {
-    pub fn new(
+    pub(crate) fn new(
         topo: Topology,
         params: EpochParams,
         switches: HashMap<NodeId, SwitchHandle>,
@@ -431,7 +431,7 @@ impl Analyzer {
 
     /// Search-radius reduction (§4.3): keep only hosts whose traffic can
     /// have shared the victim's egress port at `switch`
-    /// ([`QueryCtx::reduce_search_radius`]).
+    /// (`QueryCtx::reduce_search_radius`).
     pub fn reduce_search_radius(
         &self,
         switch: NodeId,
@@ -444,7 +444,7 @@ impl Analyzer {
     }
 
     /// The epoch window to diagnose around a trigger, with ±⌈ε/α⌉ slack for
-    /// clock asynchrony ([`QueryCtx::epoch_window`]).
+    /// clock asynchrony (`QueryCtx::epoch_window`).
     pub fn epoch_window(&self, trigger: &TriggerEvent, trigger_window: SimTime) -> EpochRange {
         self.ctx().epoch_window(trigger, trigger_window)
     }
@@ -607,11 +607,6 @@ impl Analyzer {
     /// Epoch timing parameters in force.
     pub fn params(&self) -> EpochParams {
         self.params
-    }
-
-    /// The route tables the analyzer reasons over.
-    pub fn routes(&self) -> &RouteTable {
-        &self.routes
     }
 }
 

@@ -7,7 +7,7 @@
 use telemetry::frame::{Dec, Enc, Wire, WireError};
 
 /// Fixed-capacity bit array.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitSet {
     nbits: usize,
     words: Vec<u64>,
@@ -43,12 +43,12 @@ impl BitSet {
     }
 
     /// Clears all bits (slot recycling).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.words.fill(0);
     }
 
     /// Number of set bits.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
 
@@ -58,7 +58,7 @@ impl BitSet {
     }
 
     /// In-place union.
-    pub fn union_with(&mut self, other: &BitSet) {
+    pub(crate) fn union_with(&mut self, other: &BitSet) {
         assert_eq!(self.nbits, other.nbits, "bit set size mismatch");
         for (a, b) in self.words.iter_mut().zip(&other.words) {
             *a |= b;
@@ -67,7 +67,7 @@ impl BitSet {
 
     /// The intersection `self ∧ other` as a new set (directory-shard
     /// masking: restrict a pointer set to the slots one shard owns).
-    pub fn intersect(&self, other: &BitSet) -> BitSet {
+    pub(crate) fn intersect(&self, other: &BitSet) -> BitSet {
         assert_eq!(self.nbits, other.nbits, "bit set size mismatch");
         BitSet {
             nbits: self.nbits,
@@ -81,7 +81,8 @@ impl BitSet {
     }
 
     /// True if every bit of `self` is also set in `other`.
-    pub fn is_subset_of(&self, other: &BitSet) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_subset_of(&self, other: &BitSet) -> bool {
         assert_eq!(self.nbits, other.nbits, "bit set size mismatch");
         self.words
             .iter()
@@ -90,7 +91,7 @@ impl BitSet {
     }
 
     /// Iterates indices of set bits in ascending order.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
             let mut w = w;
             std::iter::from_fn(move || {
@@ -106,18 +107,13 @@ impl BitSet {
 
     /// Storage footprint in bytes (the S term of the paper's memory and
     /// bandwidth accounting).
-    pub fn storage_bytes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn storage_bytes(&self) -> usize {
         self.nbits.div_ceil(8)
     }
 
-    /// The backing words (64 bits each, low bit = lowest index) — the
-    /// wire codec serializes these directly.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// Rebuilds a bit set from its capacity and backing words (the wire
-    /// codecs' inverse of [`BitSet::words`]), taking ownership of the vec
+    /// Rebuilds a bit set from its capacity and backing words (what its
+    /// `Wire` impl writes), taking ownership of the vec
     /// so the decoder's words are not copied. `words` beyond the capacity
     /// are truncated; missing words are zero-filled, so any (nbits,
     /// words) pair yields a well-formed set.

@@ -16,39 +16,39 @@ use telemetry::frame::{Dec, Enc, Wire, WireError};
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel {
     /// Host → analyzer alert and acknowledgment round trip (§5.1: "2-3 ms").
-    pub alert_rtt: SimTime,
+    pub(crate) alert_rtt: SimTime,
     /// Fixed cost of a pointer-retrieval round to the switches.
-    pub pointer_retrieval_base: SimTime,
+    pub(crate) pointer_retrieval_base: SimTime,
     /// Incremental cost per additional switch queried in the same round
     /// (§5.1: one switch ≈ 7-8 ms; §5.2: three switches ≈ 10 ms).
-    pub pointer_retrieval_per_switch: SimTime,
+    pub(crate) pointer_retrieval_per_switch: SimTime,
     /// Fixed cost of one query wave to a set of hosts.
-    pub query_base: SimTime,
-    /// Serialized connection initiation per contacted host (the dominant
+    pub(crate) query_base: SimTime,
+    /// Sequential connection initiation per contacted host (the dominant
     /// term of Fig. 12's breakdown: the analyzer spawns one thread per
     /// server on demand).
-    pub conn_init_per_host: SimTime,
+    pub(crate) conn_init_per_host: SimTime,
     /// Request marshalling/transfer per host.
-    pub request_per_host: SimTime,
+    pub(crate) request_per_host: SimTime,
     /// Query execution fixed cost per host.
-    pub query_exec_per_host: SimTime,
+    pub(crate) query_exec_per_host: SimTime,
     /// Query execution cost per flow record scanned at a host.
-    pub query_exec_per_record: SimTime,
+    pub(crate) query_exec_per_record: SimTime,
     /// Response transfer per host.
-    pub response_per_host: SimTime,
+    pub(crate) response_per_host: SimTime,
     /// Per-extra-request marshalling overhead when several queries'
     /// requests to the same host are coalesced into one batched RPC (the
     /// expensive per-host connection initiation is paid once per batch).
-    pub batched_request_per_query: SimTime,
+    pub(crate) batched_request_per_query: SimTime,
     /// Directory decode cost per pointer bit resolved to a host id
     /// (MPHF-inverse lookup + sort insertion). With a sharded directory
     /// the shards decode their slices in parallel, so the modelled wall
     /// time is the *maximum* per-shard decode work.
-    pub decode_per_pointer_bit: SimTime,
+    pub(crate) decode_per_pointer_bit: SimTime,
     /// Cross-shard merge cost per decoded host id when N > 1 directory
     /// shards reassemble a verdict (the sorted k-way merge the router
     /// runs). Far cheaper than the decode itself.
-    pub shard_merge_per_host: SimTime,
+    pub(crate) shard_merge_per_host: SimTime,
 }
 
 impl CostModel {
@@ -83,7 +83,7 @@ impl CostModel {
     /// route to one owning shard and need no merge). Shards decode
     /// concurrently (max term); the router then pays the serial merge. A
     /// single-shard directory degenerates to the plain decode cost.
-    pub fn sharded_decode(&self, per_shard_bits: &[u64], merged_bits: u64) -> SimTime {
+    pub(crate) fn sharded_decode(&self, per_shard_bits: &[u64], merged_bits: u64) -> SimTime {
         let max = per_shard_bits.iter().copied().max().unwrap_or(0);
         if max == 0 {
             return SimTime::ZERO;

@@ -25,10 +25,10 @@ pub struct TriggerConfig {
     /// Throughput sampling interval (paper: 1 ms).
     pub window: SimTime,
     /// Fire when current window bytes < (1 - drop_fraction) × previous.
-    pub drop_fraction: f64,
+    pub(crate) drop_fraction: f64,
     /// Ignore windows whose predecessor carried less than this many bytes
     /// (suppresses noise from idle or just-started flows).
-    pub min_window_bytes: u64,
+    pub(crate) min_window_bytes: u64,
 }
 
 impl Default for TriggerConfig {
@@ -74,7 +74,7 @@ impl Wire for TriggerEvent {
 /// Shared, queryable state of one SwitchPointer host.
 pub struct HostComponent {
     /// The host this component runs on.
-    pub host: NodeId,
+    pub(crate) host: NodeId,
     /// Decoded flow records (what the analyzer queries).
     pub store: FlowStore,
     /// Alerts raised so far, in time order (oldest may have been trimmed
@@ -91,7 +91,7 @@ pub struct HostComponent {
     pub decode_failures: u64,
     /// Ignore pure ACKs when building flow records (they still count for
     /// switch pointers — this only reduces record noise at the host).
-    pub skip_pure_acks: bool,
+    pub(crate) skip_pure_acks: bool,
     decoder: Rc<TelemetryDecoder>,
     trigger_cfg: TriggerConfig,
     /// Per-flow bytes observed in the current sampling window.
@@ -101,7 +101,11 @@ pub struct HostComponent {
 }
 
 impl HostComponent {
-    pub fn new(host: NodeId, decoder: Rc<TelemetryDecoder>, trigger_cfg: TriggerConfig) -> Self {
+    pub(crate) fn new(
+        host: NodeId,
+        decoder: Rc<TelemetryDecoder>,
+        trigger_cfg: TriggerConfig,
+    ) -> Self {
         HostComponent {
             host,
             store: FlowStore::new(),
@@ -180,7 +184,7 @@ impl HostComponent {
     /// drop; a standing watch whose pin floors the sweep at or below its
     /// trigger's epoch keeps that trigger. Returns how many were trimmed
     /// (0 ⇒ no state change, no version bump).
-    pub fn trim_triggers_before(&mut self, cutoff: SimTime) -> usize {
+    pub(crate) fn trim_triggers_before(&mut self, cutoff: SimTime) -> usize {
         let n = self.triggers.iter().take_while(|t| t.at < cutoff).count();
         if n > 0 {
             self.triggers.drain(..n);
@@ -234,18 +238,18 @@ pub struct SwitchEpochs {
     /// Epochs during which this switch may have processed the flow.
     pub epochs: Vec<u64>,
     /// (epoch, payload bytes) pairs, exact at the tagging switch.
-    pub bytes_per_epoch: Vec<(u64, u64)>,
+    pub(crate) bytes_per_epoch: Vec<(u64, u64)>,
 }
 
 /// The alert a host sends the analyzer when its trigger fires (§5.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlertPayload {
-    pub flow: FlowId,
+    pub(crate) flow: FlowId,
     /// Reporting host (the flow's destination).
-    pub host: NodeId,
-    pub at: SimTime,
-    pub prev_bytes: u64,
-    pub cur_bytes: u64,
+    pub(crate) host: NodeId,
+    pub(crate) at: SimTime,
+    pub(crate) prev_bytes: u64,
+    pub(crate) cur_bytes: u64,
     /// When and where the flow's packets travelled.
     pub per_switch: Vec<SwitchEpochs>,
 }
@@ -254,14 +258,14 @@ pub struct AlertPayload {
 pub type HostHandle = Rc<RefCell<HostComponent>>;
 
 /// The simulator-facing adapter.
-pub struct SwitchPointerHostApp {
+pub(crate) struct SwitchPointerHostApp {
     state: HostHandle,
     window: SimTime,
 }
 
 impl SwitchPointerHostApp {
     /// Wraps shared host state as an installable app; returns (app, handle).
-    pub fn new(component: HostComponent) -> (Self, HostHandle) {
+    pub(crate) fn new(component: HostComponent) -> (Self, HostHandle) {
         let window = component.trigger_cfg.window;
         let state = Rc::new(RefCell::new(component));
         (
@@ -290,7 +294,7 @@ impl HostApp for SwitchPointerHostApp {
 }
 
 /// Installs the SwitchPointer host component on every host of a simulator.
-pub fn install_on_all_hosts(
+pub(crate) fn install_on_all_hosts(
     sim: &mut netsim::engine::Simulator,
     decoder: Rc<TelemetryDecoder>,
     trigger_cfg: TriggerConfig,

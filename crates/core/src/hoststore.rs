@@ -189,7 +189,7 @@ pub struct FlowRecord {
 impl FlowRecord {
     /// Did any packet of this flow possibly traverse `switch` during any
     /// epoch of `range`?
-    pub fn matches(&self, switch: NodeId, range: EpochRange) -> bool {
+    pub(crate) fn matches(&self, switch: NodeId, range: EpochRange) -> bool {
         self.epochs_at
             .get(&switch)
             .is_some_and(|set| set.intersects(range))
@@ -198,7 +198,7 @@ impl FlowRecord {
     /// The newest epoch any switch recorded for this flow — what retention
     /// sweeps compare against the eviction floor. A record whose newest
     /// epoch predates the floor cannot match any retained epoch range.
-    pub fn newest_epoch(&self) -> Option<u64> {
+    pub(crate) fn newest_epoch(&self) -> Option<u64> {
         self.epochs_at.values().filter_map(EpochSet::last).max()
     }
 }
@@ -247,7 +247,7 @@ pub fn shard_of(flow: FlowId, n_shards: usize) -> usize {
 /// asc)` order — the order of every top-k answer. Selects the `k` first
 /// and sorts only those; the key is a total order (flow ids are unique),
 /// so the result is exactly what sorting everything and truncating gives.
-pub fn keep_top_k(flows: &mut Vec<(FlowId, u64)>, k: usize) {
+pub(crate) fn keep_top_k(flows: &mut Vec<(FlowId, u64)>, k: usize) {
     let key = |&(f, b): &(FlowId, u64)| (std::cmp::Reverse(b), f);
     if k == 0 {
         flows.clear();

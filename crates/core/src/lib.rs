@@ -104,15 +104,14 @@ pub mod testbed;
 pub use analyzer::{Analyzer, ContentionDiagnosis, Culprit, HostDirectory, LiveView, Verdict};
 pub use cost::{CostModel, LatencyBreakdown, QueryWaveCost};
 pub use host::{
-    AlertPayload, HostComponent, HostHandle, SwitchEpochs, SwitchPointerHostApp, TriggerConfig,
-    TriggerEvent,
+    AlertPayload, HostComponent, HostHandle, SwitchEpochs, TriggerConfig, TriggerEvent,
 };
 pub use hoststore::{FlowRecord, FlowStore};
-pub use pointer::{PointerConfig, PointerConfigError, PointerHierarchy};
+pub use pointer::{PointerConfig, PointerHierarchy};
 pub use query::{
     ExecutionTrace, PointerRound, QueryCtx, QueryExecutor, QueryRequest, QueryResponse, StateView,
 };
 pub use retention::{RetentionPolicy, SweepReport};
 pub use shard::{host_shard_of, DirectoryShard, ShardFanout, ShardedAnalyzer, ShardedDirectory};
-pub use switch::{SwitchComponent, SwitchHandle, SwitchPointerApp};
+pub use switch::SwitchComponent;
 pub use testbed::{Testbed, TestbedConfig};

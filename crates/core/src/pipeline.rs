@@ -25,11 +25,11 @@ use crate::pointer::{PointerConfig, PointerHierarchy};
 #[derive(Debug, Clone, Copy)]
 pub struct SyntheticPacket {
     /// Destination address (MPHF key).
-    pub dst_addr: u64,
+    pub(crate) dst_addr: u64,
     /// Pre-folded 5-tuple (flow identity for the EMC).
-    pub five_tuple: u64,
+    pub(crate) five_tuple: u64,
     /// Wire size in bytes (used for Gbps conversion, not processing cost).
-    pub size_bytes: u32,
+    pub(crate) size_bytes: u32,
 }
 
 /// Number of exact-match-cache entries (OVS default: 8192).
@@ -47,7 +47,7 @@ struct EmcEntry {
 /// baseline costs on the order of the paper's measured ~143 ns/packet
 /// (7 Mpps on a 3.1 GHz core); see EXPERIMENTS.md for the calibration
 /// note.
-pub const DEFAULT_BASELINE_ROUNDS: u32 = 25;
+pub(crate) const DEFAULT_BASELINE_ROUNDS: u32 = 25;
 
 /// A single-core software forwarding pipeline.
 pub struct ForwardingPipeline {
@@ -55,9 +55,9 @@ pub struct ForwardingPipeline {
     pointers: Option<PointerHierarchy>,
     epoch: u64,
     /// Packets processed.
-    pub processed: u64,
+    pub(crate) processed: u64,
     /// EMC misses (diagnostics).
-    pub emc_misses: u64,
+    pub(crate) emc_misses: u64,
 }
 
 impl ForwardingPipeline {
@@ -128,7 +128,8 @@ impl ForwardingPipeline {
     }
 
     /// The pointer hierarchy, if this pipeline maintains one.
-    pub fn pointers(&self) -> Option<&PointerHierarchy> {
+    #[cfg(test)]
+    pub(crate) fn pointers(&self) -> Option<&PointerHierarchy> {
         self.pointers.as_ref()
     }
 }

@@ -45,10 +45,10 @@ pub struct PointerConfig {
 /// arithmetic. Deep hierarchies with large α overflow `α^(h−1)` (slot
 /// spans) or `α·(α^h − 1)` (recycling periods); these used to be a
 /// debug-build-only panic (and a silent wraparound in release) — now they
-/// are a typed construction error surfaced by [`PointerConfig::validate`]
-/// and [`PointerHierarchy::try_new`].
+/// are a typed construction error surfaced by `PointerConfig::validate`
+/// and `PointerHierarchy::try_new`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PointerConfigError {
+pub(crate) enum PointerConfigError {
     /// Need k ≥ 1 levels.
     NoLevels,
     /// Need α ≥ 2 (α = 1 would make every level span one epoch).
@@ -86,7 +86,8 @@ impl std::error::Error for PointerConfigError {}
 
 impl PointerConfig {
     /// The paper's running configuration: α = 10, k = 3.
-    pub fn paper_defaults(n_hosts: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn paper_defaults(n_hosts: usize) -> Self {
         PointerConfig {
             n_hosts,
             alpha: 10,
@@ -97,7 +98,7 @@ impl PointerConfig {
     /// Checks every level's capacity math with checked arithmetic. A config
     /// that passes cannot overflow in [`PointerConfig::span_epochs`] or
     /// [`PointerConfig::recycling_period_ms`].
-    pub fn validate(&self) -> Result<(), PointerConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), PointerConfigError> {
         if self.k < 1 {
             return Err(PointerConfigError::NoLevels);
         }
@@ -129,7 +130,7 @@ impl PointerConfig {
     }
 
     /// Epochs covered by one slot at 1-based level `h`.
-    pub fn span_epochs(&self, h: usize) -> u64 {
+    pub(crate) fn span_epochs(&self, h: usize) -> u64 {
         debug_assert!(h >= 1 && h <= self.k);
         self.checked_span_epochs(h)
             .expect("PointerConfig validated: alpha^(h-1) must fit u64")
@@ -137,7 +138,7 @@ impl PointerConfig {
 
     /// Number of slots at level `h` (α everywhere except the single-slot
     /// top level).
-    pub fn slots_at(&self, h: usize) -> usize {
+    pub(crate) fn slots_at(&self, h: usize) -> usize {
         if h == self.k {
             // Top level (and the k = 1 degenerate case) has a single slot.
             1
@@ -191,7 +192,7 @@ pub struct Slot {
 pub struct ArchivedPointer {
     /// Top-level period index (epoch / α^(k−1)).
     pub period: u64,
-    pub bits: BitSet,
+    pub(crate) bits: BitSet,
 }
 
 /// Everything that changed in a [`PointerHierarchy`] since a recorded
@@ -273,9 +274,9 @@ pub struct PointerHierarchy<S = Slot> {
     /// Total bits pushed data-plane → control-plane (bandwidth accounting).
     pub flushed_bits: u64,
     /// Packets processed.
-    pub updates: u64,
+    pub(crate) updates: u64,
     /// Packets whose destination was not in the MPHF key set.
-    pub unknown_dsts: u64,
+    pub(crate) unknown_dsts: u64,
 }
 
 /// The slot behind either holding (pins `Borrow`'s target, which a bare
@@ -291,7 +292,7 @@ pub type FrozenHierarchy = PointerHierarchy<Arc<Slot>>;
 impl PointerHierarchy {
     /// Creates the hierarchy. The MPHF must be built over (at least) the
     /// addresses that will be updated; `cfg.n_hosts` must equal its range.
-    /// Panics on an invalid config; use [`PointerHierarchy::try_new`] for
+    /// Panics on an invalid config; use `PointerHierarchy::try_new` for
     /// the typed-error path.
     pub fn new(cfg: PointerConfig, mphf: Arc<Mphf>) -> Self {
         match Self::try_new(cfg, mphf) {
@@ -303,7 +304,7 @@ impl PointerHierarchy {
     /// Fallible constructor: rejects configs whose capacity math overflows
     /// (deep hierarchies with large α) with a typed [`PointerConfigError`]
     /// instead of a debug-build panic deep inside the epoch arithmetic.
-    pub fn try_new(cfg: PointerConfig, mphf: Arc<Mphf>) -> Result<Self, PointerConfigError> {
+    pub(crate) fn try_new(cfg: PointerConfig, mphf: Arc<Mphf>) -> Result<Self, PointerConfigError> {
         cfg.validate()?;
         assert_eq!(
             cfg.n_hosts,
@@ -426,7 +427,7 @@ impl PointerHierarchy {
     /// Retention: retires flushed top-level pointer sets whose covered
     /// epochs all predate `floor_epoch`. An archived period `p` spans
     /// epochs `[p·α^(k−1), (p+1)·α^(k−1))` (the checked
-    /// [`PointerConfig::span_epochs`]); it is retired iff
+    /// `PointerConfig::span_epochs`); it is retired iff
     /// `(p+1)·span ≤ floor_epoch`, so epochs at or above the floor stay
     /// answerable. The archive is sorted by period, hence retirement
     /// removes a prefix that is folded into the logical indexing the
@@ -597,7 +598,7 @@ impl<S: Borrow<Slot>> PointerHierarchy<S> {
     /// Returns the bit set and the number of epochs it aggregates
     /// (diagnosis precision: 1 = exact epoch, larger = coarser, §4.1.1's
     /// "fine-grained view ... for real-time diagnosis").
-    pub fn pointer_for(&self, epoch: u64) -> Option<&BitSet> {
+    pub(crate) fn pointer_for(&self, epoch: u64) -> Option<&BitSet> {
         for h in 1..=self.cfg.k {
             let span = self.cfg.span_epochs(h);
             let period = epoch / span;
@@ -615,7 +616,7 @@ impl<S: Borrow<Slot>> PointerHierarchy<S> {
             .map(|a| &a.bits)
     }
 
-    /// Epochs aggregated by the set [`PointerHierarchy::pointer_for`] would
+    /// Epochs aggregated by the set `PointerHierarchy::pointer_for` would
     /// return (1 = exact).
     pub fn resolution_for(&self, epoch: u64) -> Option<u64> {
         for h in 1..=self.cfg.k {

@@ -192,7 +192,7 @@ pub trait StateView {
 
     /// The whole top-k read of `switch` over `range`: its pointer union,
     /// decoded through `dir`, then the top-k wave over the decoded hosts.
-    /// The default is exactly that composition ([`union_then_wave`]).
+    /// The default is exactly that composition (`union_then_wave`).
     fn union_top_k<'s>(
         &'s self,
         dir: &'s HostDirectory,
@@ -257,7 +257,7 @@ impl<T> Deferred<'_, T> {
 impl<'a, T: 'a> Deferred<'a, T> {
     /// `f` applied to the reply: at once when it is here, on collection
     /// otherwise.
-    pub fn map<U>(self, f: impl FnOnce(T) -> U + 'a) -> Deferred<'a, U> {
+    pub(crate) fn map<U>(self, f: impl FnOnce(T) -> U + 'a) -> Deferred<'a, U> {
         match self {
             Deferred::Ready(value) => Deferred::Ready(f(value)),
             Deferred::Pending(wait) => Deferred::Pending(Box::new(move || f(wait()))),
@@ -287,7 +287,7 @@ impl<'a, T: 'a> FromIterator<Deferred<'a, T>> for Deferred<'a, Vec<T>> {
 /// must equal: `switch`'s pointer union, decoded through `dir`, then
 /// `wave` over the decoded hosts. The union is deferred; the wave runs
 /// when it is collected.
-pub fn union_then_wave<'s, V: StateView + ?Sized, R: 's>(
+pub(crate) fn union_then_wave<'s, V: StateView + ?Sized, R: 's>(
     view: &'s V,
     dir: &'s HostDirectory,
     switch: NodeId,
@@ -513,7 +513,7 @@ pub enum QueryResponse {
 impl QueryResponse {
     /// This response's position in [`QUERY_CLASS_NAMES`] (matches the
     /// originating request's [`QueryRequest::class_index`]).
-    pub fn class_index(&self) -> usize {
+    pub(crate) fn class_index(&self) -> usize {
         match self {
             QueryResponse::Contention(_) => 0,
             QueryResponse::RedLights(_) => 1,
@@ -525,7 +525,7 @@ impl QueryResponse {
     }
 
     /// The stable class name observability keys off.
-    pub fn class_name(&self) -> &'static str {
+    pub(crate) fn class_name(&self) -> &'static str {
         QUERY_CLASS_NAMES[self.class_index()]
     }
 }
@@ -579,7 +579,7 @@ impl Wire for QueryResponse {
 #[derive(Debug, Clone)]
 pub struct PointerRound {
     pub keys: Vec<(NodeId, EpochRange)>,
-    pub modelled: SimTime,
+    pub(crate) modelled: SimTime,
 }
 
 /// What a query touched while executing, in the terms the cost model
@@ -622,7 +622,7 @@ impl QueryCtx<'_> {
     /// have shared the victim's egress port at `switch`. The victim's next
     /// hop determines the port; a pointer host is relevant iff some
     /// equal-cost route from `switch` to it uses the same port.
-    pub fn reduce_search_radius(
+    pub(crate) fn reduce_search_radius(
         &self,
         switch: NodeId,
         victim_dst: NodeId,
@@ -641,7 +641,11 @@ impl QueryCtx<'_> {
     /// The epoch window to diagnose around a trigger, with ±⌈ε/α⌉ slack
     /// for clock asynchrony. Covers the dropped window and the one before
     /// it.
-    pub fn epoch_window(&self, trigger: &TriggerEvent, trigger_window: SimTime) -> EpochRange {
+    pub(crate) fn epoch_window(
+        &self,
+        trigger: &TriggerEvent,
+        trigger_window: SimTime,
+    ) -> EpochRange {
         let p = self.params;
         let slack = p.epsilon.as_ns().div_ceil(p.alpha.as_ns());
         let hi = p.epoch_of(trigger.at) + slack;

@@ -15,7 +15,7 @@
 //!   shard can still reach) and raised, up to the pin, by the per-shard
 //!   record budget.
 //! * **Trigger logs** are trimmed at the same per-shard floor as the
-//!   records ([`crate::host::HostComponent::trim_triggers_before`]): a
+//!   records (`crate::host::HostComponent::trim_triggers_before`): a
 //!   pinned watch's trigger epoch is at or above its shard's floor, so
 //!   resolved watches keep resolving; everything older is reclaimed with
 //!   the records it indexed.
@@ -85,7 +85,7 @@ pub struct SweepReport {
     /// budgets raise it).
     pub floor_per_shard: Vec<u64>,
     /// Flow records evicted per shard.
-    pub evicted_per_shard: Vec<usize>,
+    pub(crate) evicted_per_shard: Vec<usize>,
     /// Flow records resident per shard after the sweep.
     pub resident_per_shard: Vec<usize>,
     /// Shards whose pin kept them above the record budget (best-effort:

@@ -24,7 +24,7 @@
 //!   [`Analyzer`]: fans a [`QueryRequest`]'s state reads out to the owning
 //!   shards, merges deterministically, and reports the per-shard fan-out
 //!   ([`ShardFanout`]) the cost model turns into a modelled decode time
-//!   ([`CostModel::sharded_decode`]): shards decode concurrently, the
+//!   (`CostModel::sharded_decode`): shards decode concurrently, the
 //!   router pays a serial cross-shard merge.
 //!
 //! As everywhere in this repo: *answers are real, latency is modelled*.
@@ -89,20 +89,21 @@ impl DirectoryShard {
     }
 
     /// Does this shard own `host`?
-    pub fn owns(&self, host: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn owns(&self, host: NodeId) -> bool {
         self.hosts.binary_search(&host).is_ok()
     }
 
     /// `bits` restricted to the slots this shard owns — the slice of a
     /// pointer set this instance decodes.
-    pub fn mask(&self, bits: &BitSet) -> BitSet {
+    pub(crate) fn mask(&self, bits: &BitSet) -> BitSet {
         bits.intersect(&self.slot_mask)
     }
 
     /// Decodes this shard's slice of `bits` into owned host ids
     /// (ascending) — the per-shard half of a fan-out. Walks the owned
     /// slot table (O(owned), not O(directory)).
-    pub fn decode(&self, bits: &BitSet) -> Vec<NodeId> {
+    pub(crate) fn decode(&self, bits: &BitSet) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
             .owned_slots
             .iter()
@@ -186,19 +187,14 @@ impl ShardedDirectory {
         &self.shards
     }
 
-    /// The shared global hash function.
-    pub fn mphf(&self) -> &Arc<Mphf> {
-        &self.mphf
-    }
-
     /// The shard owning `host`'s store and directory entry.
-    pub fn owner_of(&self, host: NodeId) -> usize {
+    pub(crate) fn owner_of(&self, host: NodeId) -> usize {
         host_shard_of(host, self.shards.len())
     }
 
     /// The shard owning the slot `addr` hashes to, if `addr` is in the
     /// directory's key set.
-    pub fn owner_of_addr(&self, addr: u64) -> Option<usize> {
+    pub(crate) fn owner_of_addr(&self, addr: u64) -> Option<usize> {
         self.mphf.index(&addr).map(|slot| self.owner_by_slot[slot])
     }
 
@@ -206,16 +202,11 @@ impl ShardedDirectory {
     /// slice, the router merges the sorted slices. Bit-identical to
     /// [`crate::analyzer::HostDirectory::hosts_in`] because the shard
     /// masks partition the slot range.
-    pub fn hosts_in(&self, bits: &BitSet) -> Vec<NodeId> {
+    #[cfg(test)]
+    pub(crate) fn hosts_in(&self, bits: &BitSet) -> Vec<NodeId> {
         let mut merged: Vec<NodeId> = self.shards.iter().flat_map(|s| s.decode(bits)).collect();
         merged.sort();
         merged
-    }
-
-    /// Total per-shard metadata (local MPHFs) — what the sharded
-    /// deployment holds across instances.
-    pub fn metadata_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.metadata_bytes()).sum()
     }
 
     /// One [`LocalBackend`] per shard over `view`, in shard order: what a

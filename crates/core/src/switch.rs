@@ -31,11 +31,11 @@ use crate::pointer::{PointerConfig, PointerHierarchy};
 #[derive(Debug)]
 pub struct SwitchComponent {
     /// The switch this component runs on.
-    pub switch: NodeId,
+    pub(crate) switch: NodeId,
     /// Epoch timing parameters (α, ε, Δ).
-    pub params: EpochParams,
+    pub(crate) params: EpochParams,
     /// Telemetry embedding mode.
-    pub mode: EmbedMode,
+    pub(crate) mode: EmbedMode,
     /// The hierarchical pointer structure.
     pub pointers: PointerHierarchy,
     /// Packets forwarded.
@@ -46,7 +46,7 @@ pub struct SwitchComponent {
 }
 
 impl SwitchComponent {
-    pub fn new(
+    pub(crate) fn new(
         switch: NodeId,
         params: EpochParams,
         mode: EmbedMode,
@@ -86,16 +86,16 @@ impl SwitchComponent {
 }
 
 /// Shared handle the analyzer keeps.
-pub type SwitchHandle = Rc<RefCell<SwitchComponent>>;
+pub(crate) type SwitchHandle = Rc<RefCell<SwitchComponent>>;
 
 /// The simulator-facing adapter.
-pub struct SwitchPointerApp {
+pub(crate) struct SwitchPointerApp {
     state: SwitchHandle,
 }
 
 impl SwitchPointerApp {
     /// Wraps shared switch state as an installable app; returns (app, handle).
-    pub fn new(component: SwitchComponent) -> (Self, SwitchHandle) {
+    pub(crate) fn new(component: SwitchComponent) -> (Self, SwitchHandle) {
         let state = Rc::new(RefCell::new(component));
         (
             SwitchPointerApp {
@@ -114,7 +114,7 @@ impl SwitchApp for SwitchPointerApp {
 
 /// Installs SwitchPointer on every switch of a simulator and returns the
 /// handles keyed by switch id (what the analyzer consumes).
-pub fn install_on_all_switches(
+pub(crate) fn install_on_all_switches(
     sim: &mut netsim::engine::Simulator,
     params: EpochParams,
     mode: EmbedMode,

@@ -69,7 +69,7 @@ pub struct Testbed {
     pub sim: Simulator,
     pub switches: HashMap<NodeId, SwitchHandle>,
     pub hosts: HashMap<NodeId, HostHandle>,
-    pub mphf: Arc<Mphf>,
+    pub(crate) mphf: Arc<Mphf>,
     pub cfg: TestbedConfig,
 }
 

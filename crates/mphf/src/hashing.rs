@@ -19,7 +19,7 @@ pub fn mix64(mut x: u64) -> u64 {
 /// Derived from a different rotation of the same mix so it is independent of
 /// the positional hashes used by [`HashPair`].
 #[inline]
-pub fn fingerprint(key: u64, seed: u64) -> u8 {
+pub(crate) fn fingerprint(key: u64, seed: u64) -> u8 {
     (mix64(key ^ seed.rotate_left(17) ^ 0xa5a5_a5a5_a5a5_a5a5) >> 56) as u8
 }
 
@@ -29,7 +29,7 @@ pub fn fingerprint(key: u64, seed: u64) -> u8 {
 /// two positional components with the bucket's displacement `d` to produce
 /// the final index in `0..n`.
 #[derive(Debug, Clone, Copy)]
-pub struct HashPair {
+pub(crate) struct HashPair {
     h1: u64,
     h2: u64,
     hb: u64,
@@ -39,7 +39,7 @@ impl HashPair {
     /// Evaluates the hash of `key` under `seed`. This is the single "hash
     /// operation per packet" of the paper.
     #[inline]
-    pub fn new(key: u64, seed: u64) -> Self {
+    pub(crate) fn new(key: u64, seed: u64) -> Self {
         let a = mix64(key ^ seed);
         let b = mix64(a ^ 0x6a09_e667_f3bc_c909);
         HashPair {
@@ -53,13 +53,13 @@ impl HashPair {
     /// independent of input key order (buckets are sorted before the
     /// displacement search anchors on their first element).
     #[inline]
-    pub fn sort_key(&self) -> (u64, u64) {
+    pub(crate) fn sort_key(&self) -> (u64, u64) {
         (self.h1, self.h2)
     }
 
     /// Bucket index in `0..num_buckets`.
     #[inline]
-    pub fn bucket(&self, num_buckets: usize) -> usize {
+    pub(crate) fn bucket(&self, num_buckets: usize) -> usize {
         debug_assert!(num_buckets > 0);
         // Fast range reduction (Lemire): maps uniformly without modulo bias.
         ((self.hb as u128 * num_buckets as u128) >> 64) as usize
@@ -68,11 +68,11 @@ impl HashPair {
     /// Number of bits the rotation component (`d2`) occupies in a packed
     /// displacement; bounds the key-set size at 2^20 (covers the paper's
     /// 1M-host datacenter).
-    pub const D2_BITS: u32 = 20;
+    pub(crate) const D2_BITS: u32 = 20;
 
     /// Packs the two CHD displacement components into one `u32`.
     #[inline]
-    pub fn pack_displacement(d1: u32, d2: usize) -> u32 {
+    pub(crate) fn pack_displacement(d1: u32, d2: usize) -> u32 {
         debug_assert!(d2 < (1 << Self::D2_BITS));
         debug_assert!(d1 < (1 << (32 - Self::D2_BITS)));
         (d1 << Self::D2_BITS) | d2 as u32
@@ -87,7 +87,7 @@ impl HashPair {
     /// the data-plane cost is two mixes, two multiply-shifts, one load and
     /// one conditional subtract.
     #[inline]
-    pub fn slot(&self, d: u32, n: usize) -> usize {
+    pub(crate) fn slot(&self, d: u32, n: usize) -> usize {
         debug_assert!(n > 0);
         let d1 = d >> Self::D2_BITS;
         let d2 = (d & ((1 << Self::D2_BITS) - 1)) as usize;
@@ -101,7 +101,7 @@ impl HashPair {
 
     /// The un-rotated slot for displacement component `d1` (builder use).
     #[inline]
-    pub fn base_slot(&self, d1: u32, n: usize) -> usize {
+    pub(crate) fn base_slot(&self, d1: u32, n: usize) -> usize {
         let v = self.h1.wrapping_add(self.h2.wrapping_mul(d1 as u64));
         ((v as u128 * n as u128) >> 64) as usize
     }

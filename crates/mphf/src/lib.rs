@@ -13,7 +13,7 @@
 //! * **Minimal**: `n` keys map bijectively onto `0..n`.
 //! * **O(1) lookup**: two 64-bit mixes and one displacement-table read.
 //! * **Compact**: ~2-3 bits of construction metadata per key
-//!   (the paper reports 2.1 bits/key; see [`Mphf::metadata_bits_per_key`]).
+//!   (the paper reports 2.1 bits/key; see `Mphf::metadata_bits_per_key`).
 //! * **Static**: the key set (the set of end-host addresses in the
 //!   datacenter) is known a priori and changes at coarse time scales; the
 //!   function is rebuilt by the analyzer only when hosts are added.
@@ -39,7 +39,8 @@ mod hashing;
 mod shard;
 
 pub use builder::{BuildError, MphfBuilder};
-pub use hashing::{mix64, HashPair};
+pub use hashing::mix64;
+use hashing::HashPair;
 pub use shard::{stable_shard, ShardedMphf};
 
 /// A minimal perfect hash function over a static set of `u64` keys.
@@ -49,7 +50,6 @@ pub use shard::{stable_shard, ShardedMphf};
 /// switch (§4.3); all levels of a switch's pointer hierarchy share the same
 /// function so each packet costs exactly one hash evaluation (§4.1.2).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Mphf {
     /// Number of keys (and output range).
     n: usize,
@@ -113,7 +113,7 @@ impl Mphf {
     /// Maps `key` to a slot without the membership fingerprint check.
     ///
     /// This is the operation a switch data plane performs per packet: one
-    /// [`HashPair`] evaluation plus one displacement read. Keys outside the
+    /// `HashPair` evaluation plus one displacement read. Keys outside the
     /// build set map to an arbitrary (but stable) slot.
     #[inline]
     pub fn index_unchecked(&self, key: &u64) -> usize {
@@ -128,7 +128,8 @@ impl Mphf {
     /// to the paper's "2.1 bits per end-host per level"; fingerprints are an
     /// optional integrity add-on counted separately by
     /// [`Mphf::metadata_bytes`].
-    pub fn metadata_bits_per_key(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn metadata_bits_per_key(&self) -> f64 {
         if self.n == 0 {
             return 0.0;
         }
@@ -260,17 +261,5 @@ mod tests {
         );
         // And the full footprint must stay far below the bit-array size.
         assert!(f.metadata_bytes() < 100_000 * 4);
-    }
-
-    #[cfg(feature = "serde")]
-    #[test]
-    fn serde_roundtrip_preserves_mapping() {
-        let keys: Vec<u64> = (0..3_000).map(|i| i * 131 + 17).collect();
-        let f = Mphf::build(&keys).unwrap();
-        let json = serde_json::to_string(&f).unwrap();
-        let g: Mphf = serde_json::from_str(&json).unwrap();
-        for k in &keys {
-            assert_eq!(f.index(k), g.index(k));
-        }
     }
 }

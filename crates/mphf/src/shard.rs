@@ -68,28 +68,26 @@ impl ShardedMphf {
     }
 
     /// Number of shards (including empty ones).
-    pub fn n_shards(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_shards(&self) -> usize {
         self.shards.len()
     }
 
     /// Total keys across all shards.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.total
     }
 
-    /// True when built over an empty key set (never produced by
-    /// [`ShardedMphf::build`], which rejects empty sets).
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
-    }
-
     /// Keys owned by shard `s`.
-    pub fn shard_len(&self, s: usize) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shard_len(&self, s: usize) -> usize {
         self.shards[s].as_ref().map(|m| m.len()).unwrap_or(0)
     }
 
     /// The shard owning `key` (pure function of key and shard count).
-    pub fn shard_of(&self, key: u64) -> usize {
+    #[cfg(test)]
+    pub(crate) fn shard_of(&self, key: u64) -> usize {
         stable_shard(key, self.shards.len())
     }
 
@@ -100,21 +98,11 @@ impl ShardedMphf {
 
     /// Maps `key` to `(shard, local slot)`. Like [`Mphf::index`], foreign
     /// keys are rejected with high probability via the slot fingerprint.
-    pub fn index(&self, key: &u64) -> Option<(usize, usize)> {
+    #[cfg(test)]
+    pub(crate) fn index(&self, key: &u64) -> Option<(usize, usize)> {
         let s = self.shard_of(*key);
         let slot = self.shards[s].as_ref()?.index(key)?;
         Some((s, slot))
-    }
-
-    /// Total serialized metadata across all shard functions. Comparable to
-    /// one unsharded [`Mphf::metadata_bytes`] over the same key set — the
-    /// per-shard split costs a few fixed headers, not asymptotics.
-    pub fn metadata_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .flatten()
-            .map(|m| m.metadata_bytes())
-            .sum()
     }
 }
 

@@ -56,8 +56,6 @@ pub struct EgressInfo {
     pub port: u16,
     /// The link that port attaches to (doubles as the CherryPick link id).
     pub link: LinkId,
-    /// The next-hop node on that link.
-    pub next_hop: NodeId,
 }
 
 /// Dataplane hook running on a switch.

@@ -109,11 +109,11 @@ struct Port {
 
 /// Decides the egress port for a packet, overriding the route table.
 /// Return `None` to fall back to normal routing.
-pub type RouteOverride = Box<dyn FnMut(&Packet) -> Option<u16>>;
+pub(crate) type RouteOverride = Box<dyn FnMut(&Packet) -> Option<u16>>;
 
 /// Called on every global epoch boundary (see [`Simulator::set_epoch_hook`])
 /// with the tick index (0-based) and the simulated time of the tick.
-pub type EpochHook = Box<dyn FnMut(u64, SimTime)>;
+pub(crate) type EpochHook = Box<dyn FnMut(u64, SimTime)>;
 
 /// Per-node runtime state.
 struct NodeState {
@@ -177,7 +177,6 @@ impl Ord for Scheduled {
 pub struct Simulator {
     topo: Topology,
     routes: RouteTable,
-    config: SimConfig,
     now: SimTime,
     heap: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
@@ -187,7 +186,7 @@ pub struct Simulator {
     flow_meta: HashMap<FlowId, FlowMeta>,
     next_flow: u64,
     next_pkt: u64,
-    pub rng: DetRng,
+    pub(crate) rng: DetRng,
     /// Measurement recorders (public so experiments can flip
     /// `record_switch_tx` before running).
     pub traces: TraceSet,
@@ -240,7 +239,6 @@ impl Simulator {
         Simulator {
             topo,
             routes,
-            config,
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
             seq: 0,
@@ -264,11 +262,6 @@ impl Simulator {
     /// The topology this simulator runs over.
     pub fn topo(&self) -> &Topology {
         &self.topo
-    }
-
-    /// The precomputed route table.
-    pub fn routes(&self) -> &RouteTable {
-        &self.routes
     }
 
     /// Current simulated time.
@@ -363,16 +356,6 @@ impl Simulator {
         self.schedule(source.first_send(), Ev::UdpSend { flow: id });
         self.udp.insert(id, source);
         id
-    }
-
-    /// Metadata of a registered flow.
-    pub fn flow(&self, id: FlowId) -> &FlowMeta {
-        &self.flow_meta[&id]
-    }
-
-    /// All registered flows.
-    pub fn flows(&self) -> impl Iterator<Item = &FlowMeta> {
-        self.flow_meta.values()
     }
 
     /// Read access to a TCP connection's state (stats, completion).
@@ -563,11 +546,7 @@ impl Simulator {
         if self.nodes[node.0 as usize].switch_app.is_some() {
             let info = {
                 let p = &self.nodes[node.0 as usize].ports[port as usize];
-                EgressInfo {
-                    port,
-                    link: p.link,
-                    next_hop: p.peer,
-                }
+                EgressInfo { port, link: p.link }
             };
             let mut app = self.nodes[node.0 as usize].switch_app.take();
             let mut ctx = self.ctx_for(node);
@@ -791,11 +770,6 @@ impl Simulator {
             }
         }
         self.drain_ctx(node, &mut ctx);
-    }
-
-    /// The configuration this simulator was built with.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
     }
 }
 

@@ -10,7 +10,6 @@ use crate::time::SimTime;
 
 /// Identifies a node (host or switch) in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -30,7 +29,6 @@ impl std::fmt::Display for NodeId {
 
 /// Identifies a unidirectional flow (the paper's 5-tuple).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlowId(pub u64);
 
 impl std::fmt::Display for FlowId {
@@ -42,7 +40,6 @@ impl std::fmt::Display for FlowId {
 /// DSCP-style strict priority class. Higher numeric value = served first,
 /// matching the paper's green > blue > red ordering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Priority(pub u8);
 
 impl Priority {
@@ -53,12 +50,11 @@ impl Priority {
     /// Highest class (green).
     pub const HIGH: Priority = Priority(2);
     /// Number of classes a strict-priority queue must provision by default.
-    pub const CLASSES: usize = 3;
+    pub(crate) const CLASSES: usize = 3;
 }
 
 /// Transport protocol of a packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Protocol {
     Tcp,
     Udp,
@@ -82,23 +78,22 @@ pub struct TcpHeader {
 /// from the epoch-ID tag (see `telemetry::wire`); `vid` carries 12 bits of
 /// payload exactly like a real VLAN identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct VlanTag {
     pub tpid: u16,
     pub vid: u16,
 }
 
 /// Bytes a single VLAN tag adds to the wire size of a frame.
-pub const VLAN_TAG_BYTES: u64 = 4;
+pub(crate) const VLAN_TAG_BYTES: u64 = 4;
 
 /// Ethernet + IP + transport header bytes modelled per packet (Ethernet 18
 /// incl. FCS, IPv4 20, TCP 20 / UDP 8 — we charge the TCP figure uniformly
 /// to keep accounting simple; the 12-byte difference is irrelevant at the
 /// timescales the experiments measure).
-pub const BASE_HEADER_BYTES: u64 = 58;
+pub(crate) const BASE_HEADER_BYTES: u64 = 58;
 
 /// Preamble + inter-frame gap charged on the wire per Ethernet frame.
-pub const WIRE_OVERHEAD_BYTES: u64 = 20;
+pub(crate) const WIRE_OVERHEAD_BYTES: u64 = 20;
 
 /// A simulated packet.
 #[derive(Debug, Clone, PartialEq)]
@@ -136,7 +131,7 @@ impl Packet {
     /// Bytes occupied on the wire, including preamble and inter-frame gap.
     /// This is what serialization time is computed from.
     #[inline]
-    pub fn wire_bytes(&self) -> u64 {
+    pub(crate) fn wire_bytes(&self) -> u64 {
         self.frame_bytes() + WIRE_OVERHEAD_BYTES
     }
 
@@ -156,11 +151,11 @@ impl Packet {
 /// Static description of a flow registered with the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowMeta {
-    pub id: FlowId,
-    pub src: NodeId,
-    pub dst: NodeId,
-    pub protocol: Protocol,
-    pub priority: Priority,
+    pub(crate) id: FlowId,
+    pub(crate) src: NodeId,
+    pub(crate) dst: NodeId,
+    pub(crate) protocol: Protocol,
+    pub(crate) priority: Priority,
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ pub enum Enqueue {
 pub struct QueueStats {
     pub enqueued_pkts: u64,
     pub dropped_pkts: u64,
-    pub dropped_bytes: u64,
+    pub(crate) dropped_bytes: u64,
     /// Packets CE-marked by DCTCP-style ECN (FIFO queues only).
     pub ecn_marked_pkts: u64,
     /// High-water mark of buffered bytes — the paper's microbursts are
@@ -78,7 +78,7 @@ impl FifoQueue {
 
     /// Enables DCTCP-style marking at `threshold_bytes` of queue depth
     /// (the DCTCP paper's K parameter).
-    pub fn with_ecn(mut self, threshold_bytes: u64) -> Self {
+    pub(crate) fn with_ecn(mut self, threshold_bytes: u64) -> Self {
         assert!(threshold_bytes > 0);
         self.ecn_threshold_bytes = Some(threshold_bytes);
         self
@@ -152,7 +152,8 @@ impl StrictPriorityQueue {
     }
 
     /// With the default three classes of [`Priority::CLASSES`].
-    pub fn with_default_classes(capacity_bytes: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_default_classes(capacity_bytes: u64) -> Self {
         Self::new(capacity_bytes, Priority::CLASSES)
     }
 
@@ -321,7 +322,7 @@ pub enum QueueConfig {
 impl QueueConfig {
     /// Default port buffer: 1 MB, in line with shallow-buffered commodity
     /// ToR switches (the Pica8 P-3297 class of device used in the paper).
-    pub const DEFAULT_BUFFER_BYTES: u64 = 1_000_000;
+    pub(crate) const DEFAULT_BUFFER_BYTES: u64 = 1_000_000;
 
     /// Strict-priority queue with the default buffer and classes.
     pub fn default_priority() -> Self {
@@ -339,7 +340,7 @@ impl QueueConfig {
     }
 
     /// Instantiates the discipline.
-    pub fn build(&self) -> Box<dyn Queue> {
+    pub(crate) fn build(&self) -> Box<dyn Queue> {
         match *self {
             QueueConfig::Fifo { capacity_bytes } => Box::new(FifoQueue::new(capacity_bytes)),
             QueueConfig::StrictPriority {

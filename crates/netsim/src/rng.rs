@@ -41,14 +41,14 @@ impl DetRng {
 
     /// Uniform value in the inclusive-exclusive range `[lo, hi)`.
     #[inline]
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo < hi, "empty range");
         lo + self.next_below(hi - lo)
     }
 
     /// Uniform signed value in `[-bound, bound]`.
     #[inline]
-    pub fn signed_within(&mut self, bound: i64) -> i64 {
+    pub(crate) fn signed_within(&mut self, bound: i64) -> i64 {
         if bound == 0 {
             return 0;
         }

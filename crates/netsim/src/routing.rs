@@ -17,7 +17,6 @@ pub struct RouteTable {
     /// `next[node][dst]` = ports of `node` on minimum-hop paths to `dst`.
     /// Indexed by raw node ids; empty vec = unreachable (or self).
     next: Vec<Vec<Vec<u16>>>,
-    num_nodes: usize,
 }
 
 impl RouteTable {
@@ -63,7 +62,7 @@ impl RouteTable {
             }
         }
 
-        RouteTable { next, num_nodes: n }
+        RouteTable { next }
     }
 
     /// All equal-cost egress ports of `node` toward `dst`.
@@ -83,11 +82,6 @@ impl RouteTable {
                 Some(ports[(h % k as u64) as usize])
             }
         }
-    }
-
-    /// Number of nodes the table was built for.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
     }
 }
 

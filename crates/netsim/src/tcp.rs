@@ -16,11 +16,11 @@
 //!
 //! The connection object holds *both* endpoints' state; the simulator feeds
 //! it data segments at the destination host and ACKs at the source host.
-//! Emission is expressed as [`TcpAction`]s the engine turns into packets.
+//! Emission is expressed as `TcpAction`s the engine turns into packets.
 
 use std::collections::BTreeMap;
 
-use crate::packet::{FlowMeta, Priority};
+use crate::packet::FlowMeta;
 use crate::time::SimTime;
 
 /// Tunable TCP parameters.
@@ -65,7 +65,7 @@ impl Default for TcpConfig {
 
 /// What the connection wants the engine to do.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TcpAction {
+pub(crate) enum TcpAction {
     /// Transmit a data segment `[seq, seq+len)` from the source host.
     SendData { seq: u64, len: u32 },
     /// Transmit a cumulative ACK from the destination host. `ece` echoes
@@ -111,8 +111,8 @@ pub struct TcpConn {
     dctcp_acked: u64,
     dctcp_marked: u64,
     // counters
-    pub retransmits: u64,
-    pub timeouts: u64,
+    pub(crate) retransmits: u64,
+    pub(crate) timeouts: u64,
     /// ECN-echo ACK bytes observed (diagnostics).
     pub ecn_echoed_bytes: u64,
 
@@ -129,7 +129,7 @@ impl TcpConn {
     /// Creates a connection. `bytes` bounds the stream (e.g. the 2 MB
     /// transfer of Fig. 4); `stop_at` bounds it in time (e.g. the 100 ms
     /// flow of Fig. 2).
-    pub fn new(
+    pub(crate) fn new(
         meta: FlowMeta,
         cfg: TcpConfig,
         bytes: Option<u64>,
@@ -167,23 +167,21 @@ impl TcpConn {
         }
     }
 
-    /// The configured priority (ACKs inherit it).
-    pub fn priority(&self) -> Priority {
-        self.meta.priority
-    }
-
     /// Sender's current congestion window in bytes (for tests/traces).
-    pub fn cwnd_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn cwnd_bytes(&self) -> u64 {
         self.cwnd as u64
     }
 
     /// Current RTO (for tests).
-    pub fn current_rto(&self) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn current_rto(&self) -> SimTime {
         self.rto
     }
 
     /// Smoothed RTT estimate in nanoseconds, if any sample was taken.
-    pub fn srtt_ns(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn srtt_ns(&self) -> Option<f64> {
         self.srtt_ns
     }
 
@@ -252,7 +250,7 @@ impl TcpConn {
     }
 
     /// Starts the flow: opening burst plus timer.
-    pub fn on_start(&mut self, now: SimTime) -> Vec<TcpAction> {
+    pub(crate) fn on_start(&mut self, now: SimTime) -> Vec<TcpAction> {
         let mut out = Vec::new();
         self.send_available(now, &mut out);
         self.arm_rto(now, &mut out);
@@ -260,12 +258,13 @@ impl TcpConn {
     }
 
     /// Handles a cumulative ACK arriving at the sender (no ECN echo).
-    pub fn on_ack(&mut self, now: SimTime, ack: u64) -> Vec<TcpAction> {
+    #[cfg(test)]
+    pub(crate) fn on_ack(&mut self, now: SimTime, ack: u64) -> Vec<TcpAction> {
         self.on_ack_ecn(now, ack, false)
     }
 
     /// Handles a cumulative ACK with an ECN-echo flag (DCTCP path).
-    pub fn on_ack_ecn(&mut self, now: SimTime, ack: u64, ece: bool) -> Vec<TcpAction> {
+    pub(crate) fn on_ack_ecn(&mut self, now: SimTime, ack: u64, ece: bool) -> Vec<TcpAction> {
         let mut out = Vec::new();
         if ack > self.snd_nxt {
             // Corrupt/impossible — ignore rather than poison state.
@@ -371,7 +370,7 @@ impl TcpConn {
 
     /// Handles a retransmission-timer expiry. `gen` must match the latest
     /// [`TcpAction::ArmRto`]; stale timers are no-ops.
-    pub fn on_rto(&mut self, now: SimTime, gen: u64) -> Vec<TcpAction> {
+    pub(crate) fn on_rto(&mut self, now: SimTime, gen: u64) -> Vec<TcpAction> {
         let mut out = Vec::new();
         if gen != self.rto_gen || self.snd_una >= self.snd_nxt {
             return out;
@@ -418,12 +417,19 @@ impl TcpConn {
     /// Handles a data segment arriving at the receiver; returns the ACK to
     /// send (every segment is acknowledged — no delayed ACKs, which Linux
     /// also disables under these microsecond RTTs via quickack).
-    pub fn on_data(&mut self, now: SimTime, seq: u64, len: u32) -> Vec<TcpAction> {
+    #[cfg(test)]
+    pub(crate) fn on_data(&mut self, now: SimTime, seq: u64, len: u32) -> Vec<TcpAction> {
         self.on_data_ecn(now, seq, len, false)
     }
 
     /// Like [`TcpConn::on_data`], echoing the segment's CE mark on the ACK.
-    pub fn on_data_ecn(&mut self, now: SimTime, seq: u64, len: u32, ce: bool) -> Vec<TcpAction> {
+    pub(crate) fn on_data_ecn(
+        &mut self,
+        now: SimTime,
+        seq: u64,
+        len: u32,
+        ce: bool,
+    ) -> Vec<TcpAction> {
         let end = seq + len as u64;
         if end > self.rcv_nxt {
             if seq <= self.rcv_nxt {
@@ -482,22 +488,26 @@ impl TcpConn {
     }
 
     /// Bytes the receiver has buffered out of order (diagnostics).
-    pub fn ooo_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn ooo_bytes(&self) -> u64 {
         self.ooo.iter().map(|(&s, &e)| e - s).sum()
     }
 
     /// Next in-order byte the receiver expects (diagnostics/tests).
-    pub fn rcv_next(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn rcv_next(&self) -> u64 {
         self.rcv_nxt
     }
 
     /// Highest sequence sent so far (diagnostics/tests).
-    pub fn snd_next(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn snd_next(&self) -> u64 {
         self.snd_nxt
     }
 
     /// Oldest unacknowledged byte (diagnostics/tests).
-    pub fn snd_unacked(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn snd_unacked(&self) -> u64 {
         self.snd_una
     }
 }
@@ -505,7 +515,7 @@ impl TcpConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{FlowId, NodeId, Protocol};
+    use crate::packet::{FlowId, NodeId, Priority, Protocol};
 
     fn conn(bytes: Option<u64>) -> TcpConn {
         let meta = FlowMeta {

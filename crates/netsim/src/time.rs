@@ -11,7 +11,6 @@ use std::ops::{Add, AddAssign, Mul, Sub};
 
 /// An instant of simulated time, in nanoseconds since simulation start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimTime(pub u64);
 
 impl SimTime {
@@ -45,7 +44,8 @@ impl SimTime {
     /// Constructs from fractional milliseconds (handy for experiment
     /// parameters quoted in the paper, e.g. 0.4 ms UDP bursts).
     #[inline]
-    pub fn from_ms_f64(ms: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_ms_f64(ms: f64) -> Self {
         assert!(ms >= 0.0, "negative time");
         SimTime((ms * 1_000_000.0).round() as u64)
     }
@@ -89,7 +89,7 @@ impl SimTime {
     /// Checked signed offset: local clocks may run ahead of or behind the
     /// global clock. Saturates at zero (the simulation never predates t=0).
     #[inline]
-    pub fn offset_by(self, offset_ns: i64) -> SimTime {
+    pub(crate) fn offset_by(self, offset_ns: i64) -> SimTime {
         if offset_ns >= 0 {
             SimTime(self.0.saturating_add(offset_ns as u64))
         } else {
@@ -147,7 +147,7 @@ impl fmt::Display for SimTime {
 
 /// Computes the serialization time of `bytes` on a link of `bandwidth_bps`.
 #[inline]
-pub fn serialization_time(bytes: u64, bandwidth_bps: u64) -> SimTime {
+pub(crate) fn serialization_time(bytes: u64, bandwidth_bps: u64) -> SimTime {
     assert!(bandwidth_bps > 0, "zero-bandwidth link");
     // ns = bits * 1e9 / bps, computed in u128 to avoid overflow.
     let ns = (bytes as u128 * 8 * 1_000_000_000) / bandwidth_bps as u128;

@@ -22,7 +22,6 @@ use crate::time::SimTime;
 /// link identifier (must fit 12 bits for the VLAN encoding; all paper-scale
 /// topologies are far below 4096 links).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LinkId(pub u32);
 
 impl std::fmt::Display for LinkId {
@@ -33,15 +32,13 @@ impl std::fmt::Display for LinkId {
 
 /// Role of a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-pub enum NodeKind {
+pub(crate) enum NodeKind {
     Host,
     Switch,
 }
 
 /// Structural family of the topology; drives path reconstruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TopoKind {
     /// Hosts on two switches joined by one or more core links.
     Dumbbell,
@@ -57,7 +54,6 @@ pub enum TopoKind {
 
 /// Layer of a switch within a [`TopoKind::FatTree`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FatTreeLayer {
     Edge,
     Aggregation,
@@ -67,7 +63,7 @@ pub enum FatTreeLayer {
 /// Static node description.
 #[derive(Debug, Clone)]
 pub struct NodeSpec {
-    pub kind: NodeKind,
+    pub(crate) kind: NodeKind,
     pub name: String,
 }
 
@@ -77,20 +73,8 @@ pub struct NodeSpec {
 pub struct LinkSpec {
     pub a: NodeId,
     pub b: NodeId,
-    pub bandwidth_bps: u64,
-    pub delay: SimTime,
-}
-
-impl LinkSpec {
-    /// The endpoint opposite `n`.
-    pub fn peer(&self, n: NodeId) -> NodeId {
-        if n == self.a {
-            self.b
-        } else {
-            debug_assert_eq!(n, self.b);
-            self.a
-        }
-    }
+    pub(crate) bandwidth_bps: u64,
+    pub(crate) delay: SimTime,
 }
 
 /// Default link parameters matching the paper's testbed: 1 GbE host links
@@ -134,7 +118,7 @@ impl Topology {
     }
 
     /// Adds a node; returns its id.
-    pub fn add_node(&mut self, kind: NodeKind, name: impl Into<String>) -> NodeId {
+    pub(crate) fn add_node(&mut self, kind: NodeKind, name: impl Into<String>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(NodeSpec {
             kind,
@@ -181,7 +165,7 @@ impl Topology {
         self.kind
     }
 
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
@@ -227,7 +211,7 @@ impl Topology {
     }
 
     /// The port index on `node` whose link is `link`, if attached.
-    pub fn port_for_link(&self, node: NodeId, link: LinkId) -> Option<usize> {
+    pub(crate) fn port_for_link(&self, node: NodeId, link: LinkId) -> Option<usize> {
         self.ports(node).iter().position(|&(l, _)| l == link)
     }
 

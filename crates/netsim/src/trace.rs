@@ -16,17 +16,17 @@ use crate::time::SimTime;
 pub struct PktEvent {
     pub t: SimTime,
     /// Payload bytes (0 for pure ACKs).
-    pub payload: u32,
+    pub(crate) payload: u32,
 }
 
 /// A recorded drop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DropEvent {
-    pub t: SimTime,
-    pub node: NodeId,
-    pub flow: FlowId,
+    pub(crate) t: SimTime,
+    pub(crate) node: NodeId,
+    pub(crate) flow: FlowId,
     /// True when dropped for lack of a route rather than buffer overflow.
-    pub no_route: bool,
+    pub(crate) no_route: bool,
 }
 
 /// All measurement state for one simulation run.
@@ -104,7 +104,7 @@ impl TraceSet {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ThroughputSeries {
     /// Window length.
-    pub window: SimTime,
+    pub(crate) window: SimTime,
     /// Payload Gbps per window, starting at t=0.
     pub gbps: Vec<f64>,
 }
@@ -129,7 +129,8 @@ impl ThroughputSeries {
     }
 
     /// Mean throughput over the series.
-    pub fn mean(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> f64 {
         if self.gbps.is_empty() {
             0.0
         } else {
@@ -158,7 +159,8 @@ impl ThroughputSeries {
     }
 
     /// Mean over windows `[from, to)` (indices clamped).
-    pub fn mean_over(&self, from: usize, to: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mean_over(&self, from: usize, to: usize) -> f64 {
         let to = to.min(self.gbps.len());
         if from >= to {
             return 0.0;

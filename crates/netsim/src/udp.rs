@@ -4,7 +4,7 @@
 //! blast for a fixed duration (1 ms bursts in Fig. 2, 400 µs in Fig. 3,
 //! 10 ms in Fig. 4). A [`UdpSource`] emits back-to-back packets at a
 //! configured rate between `start` and `start + duration`; the engine polls
-//! it via [`UdpSource::emit`].
+//! it via `UdpSource::emit`.
 
 use crate::packet::{FlowMeta, Priority};
 use crate::time::{serialization_time, SimTime};
@@ -52,7 +52,7 @@ impl UdpFlowSpec {
 /// Engine-side state of a UDP source.
 #[derive(Debug)]
 pub struct UdpSource {
-    pub meta: FlowMeta,
+    pub(crate) meta: FlowMeta,
     spec: UdpFlowSpec,
     /// Inter-packet gap implied by the rate.
     gap: SimTime,
@@ -62,7 +62,7 @@ pub struct UdpSource {
 }
 
 impl UdpSource {
-    pub fn new(meta: FlowMeta, spec: UdpFlowSpec) -> Self {
+    pub(crate) fn new(meta: FlowMeta, spec: UdpFlowSpec) -> Self {
         assert!(spec.rate_bps > 0, "UDP rate must be positive");
         assert!(spec.payload_bytes > 0, "UDP payload must be positive");
         // Wire bytes per packet at this payload size.
@@ -80,13 +80,13 @@ impl UdpSource {
     }
 
     /// First transmission instant.
-    pub fn first_send(&self) -> SimTime {
+    pub(crate) fn first_send(&self) -> SimTime {
         self.spec.start
     }
 
     /// Called by the engine at a send instant: records the emission and
     /// returns the next send time, or `None` once the window closes.
-    pub fn emit(&mut self, now: SimTime) -> Option<SimTime> {
+    pub(crate) fn emit(&mut self, now: SimTime) -> Option<SimTime> {
         self.sent_pkts += 1;
         self.sent_bytes += self.spec.payload_bytes as u64;
         let next = now + self.gap;
@@ -98,7 +98,7 @@ impl UdpSource {
     }
 
     /// Payload size for emitted packets.
-    pub fn payload_bytes(&self) -> u32 {
+    pub(crate) fn payload_bytes(&self) -> u32 {
         self.spec.payload_bytes
     }
 }

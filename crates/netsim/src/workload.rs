@@ -78,7 +78,7 @@ fn sample_cdf(cdf: &[(u64, f64)], u: f64) -> u64 {
 
 impl FlowSizeDist {
     /// Draws one flow size.
-    pub fn sample(&self, rng: &mut DetRng) -> u64 {
+    pub(crate) fn sample(&self, rng: &mut DetRng) -> u64 {
         match self {
             FlowSizeDist::WebSearch => sample_cdf(WEB_SEARCH_CDF, rng.f64()),
             FlowSizeDist::DataMining => sample_cdf(DATA_MINING_CDF, rng.f64()),

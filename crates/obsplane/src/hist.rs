@@ -89,7 +89,7 @@ impl Histogram {
 
     /// A histogram with `grid_bits` sub-bucket precision (relative
     /// quantile error ≤ `2^-grid_bits`). Clamped to `1..=10`.
-    pub fn with_grid_bits(grid_bits: u32) -> Histogram {
+    pub(crate) fn with_grid_bits(grid_bits: u32) -> Histogram {
         let grid_bits = grid_bits.clamp(1, 10);
         let mut buckets = Vec::with_capacity(bucket_count(grid_bits));
         buckets.resize_with(bucket_count(grid_bits), || AtomicU64::new(0));
@@ -100,11 +100,6 @@ impl Histogram {
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
-    }
-
-    /// The configured sub-bucket precision.
-    pub fn grid_bits(&self) -> u32 {
-        self.grid_bits
     }
 
     /// Records one sample. Wait-free; `&self`.
@@ -118,11 +113,6 @@ impl Histogram {
     /// Records a `Duration` as whole nanoseconds (saturating).
     pub fn record_duration(&self, d: std::time::Duration) {
         self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
-    /// Total samples recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     /// Captures a mergeable point-in-time view. Does not block writers;
@@ -176,11 +166,6 @@ impl HistogramSnapshot {
     /// True when no samples were recorded.
     pub fn is_empty(&self) -> bool {
         self.count == 0
-    }
-
-    /// Mean recorded value (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.sum.checked_div(self.count).unwrap_or(0)
     }
 
     /// The estimated `q`-quantile (`0.0 ..= 1.0`) as the upper edge of

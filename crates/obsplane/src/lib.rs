@@ -39,6 +39,5 @@ pub use export::write_atomic;
 pub use hist::{Histogram, HistogramSnapshot, Percentiles, DEFAULT_GRID_BITS};
 pub use registry::{Counter, Gauge, MetricsRegistry, RegistrySnapshot};
 pub use trace::{
-    chunk_stolen, current, set_chunk_stolen, with_context, SpanEvent, SpanGuard, TraceContext,
-    Tracer, DEFAULT_TRACE_CAPACITY,
+    chunk_stolen, current, set_chunk_stolen, with_context, SpanEvent, TraceContext, Tracer,
 };

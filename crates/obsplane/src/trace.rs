@@ -39,7 +39,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 /// Default ring capacity (events retained).
-pub const DEFAULT_TRACE_CAPACITY: usize = 4096;
+pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// Ring capacity per seqlock bucket; tracers smaller than this use a
 /// single bucket so eviction order stays exact.
@@ -250,11 +250,11 @@ impl std::fmt::Debug for Tracer {
 }
 
 impl Tracer {
-    pub fn new() -> Tracer {
+    pub(crate) fn new() -> Tracer {
         Tracer::with_capacity(DEFAULT_TRACE_CAPACITY)
     }
 
-    pub fn with_capacity(capacity: usize) -> Tracer {
+    pub(crate) fn with_capacity(capacity: usize) -> Tracer {
         let capacity = capacity.max(1);
         // Small rings keep a single bucket so eviction order is exact;
         // large rings shard into `BUCKET_CAPACITY`-slot seqlock rings.
@@ -288,11 +288,6 @@ impl Tracer {
     /// trace minting entirely; `1` (the default) samples everything.
     pub fn set_sample_rate(&self, rate: u32) {
         self.sample_rate.store(u64::from(rate), Ordering::Relaxed);
-    }
-
-    /// Current head-sampling rate.
-    pub fn sample_rate(&self) -> u32 {
-        self.sample_rate.load(Ordering::Relaxed) as u32
     }
 
     /// Mints the next span id: splitmix64 over a seeded counter, so
@@ -329,7 +324,8 @@ impl Tracer {
     }
 
     /// Starts a span; the returned guard records on drop.
-    pub fn span(&self, class: &'static str, epoch: u64, shard: u32) -> SpanGuard<'_> {
+    #[cfg(test)]
+    pub(crate) fn span(&self, class: &'static str, epoch: u64, shard: u32) -> SpanGuard<'_> {
         SpanGuard {
             tracer: self,
             class,
@@ -478,23 +474,24 @@ impl Tracer {
     }
 
     /// Times a slow trace was pinned into the exemplar store.
-    pub fn exemplars_pinned(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn exemplars_pinned(&self) -> u64 {
         self.pinned.load(Ordering::Relaxed)
     }
 
     /// Spans submitted so far, retained or not. Quiesced and
     /// uncontended, `recorded() == events().len() + dropped()` — the
     /// accounting identity that makes silent span loss test-visible.
-    pub fn recorded(&self) -> u64 {
+    pub(crate) fn recorded(&self) -> u64 {
         self.recorded.load(Ordering::Relaxed)
     }
 
     /// Events dropped so far: ring evictions plus claim-race losses.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.evicted.load(Ordering::Relaxed) + self.lost.load(Ordering::Relaxed)
     }
 
-    /// Claim-race losses alone (a subset of [`dropped`](Self::dropped)).
+    /// Claim-race losses alone (a subset of `dropped`).
     pub fn lost(&self) -> u64 {
         self.lost.load(Ordering::Relaxed)
     }
@@ -569,8 +566,9 @@ pub fn chunk_stolen() -> bool {
 }
 
 /// RAII guard: records the span into the tracer when dropped.
+#[cfg(test)]
 #[must_use = "a span records when the guard drops"]
-pub struct SpanGuard<'a> {
+pub(crate) struct SpanGuard<'a> {
     tracer: &'a Tracer,
     class: &'static str,
     epoch: u64,
@@ -578,6 +576,7 @@ pub struct SpanGuard<'a> {
     started: Instant,
 }
 
+#[cfg(test)]
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         self.tracer

@@ -32,7 +32,7 @@ impl PathDumpAnalyzer {
     }
 
     /// Every server, in id order — the fixed fan-out of every PathDump query.
-    pub fn all_hosts(&self) -> Vec<NodeId> {
+    pub(crate) fn all_hosts(&self) -> Vec<NodeId> {
         let mut v: Vec<NodeId> = self.hosts.keys().copied().collect();
         v.sort();
         v

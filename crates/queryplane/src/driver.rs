@@ -57,22 +57,22 @@ use crate::pool::WorkerPool;
 /// execution latency, spans and coalesced copies without extra plumbing.
 /// Shared across worker threads by `Arc`.
 pub struct SharedCtx {
-    pub topo: Topology,
-    pub routes: RouteTable,
-    pub params: EpochParams,
-    pub directory: HostDirectory,
+    pub(crate) topo: Topology,
+    pub(crate) routes: RouteTable,
+    pub(crate) params: EpochParams,
+    pub(crate) directory: HostDirectory,
     pub dir: ShardedDirectory,
-    pub cost: CostModel,
+    pub(crate) cost: CostModel,
     /// The owning plane's metric registry (shared with the stream plane
     /// and scrapeable over the wire).
     pub metrics: Arc<MetricsRegistry>,
     /// `queryplane.exec_ns.<class>` histograms pre-resolved per query
     /// class (indexed by [`QueryRequest::class_index`]) so the worker hot
     /// path records without a registry lookup.
-    pub exec_hists: Vec<Arc<Histogram>>,
+    pub(crate) exec_hists: Vec<Arc<Histogram>>,
     /// `queryplane.coalesced`: submitted slots answered by another slot's
     /// execution.
-    pub coalesced: Arc<Counter>,
+    pub(crate) coalesced: Arc<Counter>,
 }
 
 impl SharedCtx {
@@ -106,7 +106,7 @@ impl SharedCtx {
     }
 
     /// The borrow view executors take.
-    pub fn query_ctx(&self) -> QueryCtx<'_> {
+    pub(crate) fn query_ctx(&self) -> QueryCtx<'_> {
         QueryCtx {
             topo: &self.topo,
             routes: &self.routes,
@@ -119,7 +119,7 @@ impl SharedCtx {
     /// The epoch a request is keyed to for span tracing: the range's
     /// upper epoch for range queries, the trigger window's epoch for
     /// trigger-anchored diagnoses.
-    pub fn span_epoch(&self, req: &QueryRequest) -> u64 {
+    pub(crate) fn span_epoch(&self, req: &QueryRequest) -> u64 {
         match *req {
             QueryRequest::Contention { trigger_window, .. }
             | QueryRequest::RedLights { trigger_window, .. }

@@ -336,7 +336,7 @@ impl WorkerPool {
     }
 
     /// Worker threads in the pool.
-    pub fn workers(&self) -> usize {
+    pub(crate) fn workers(&self) -> usize {
         self.senders.len()
     }
 

@@ -87,11 +87,6 @@ pub struct DeltaRecord {
 }
 
 impl DeltaRecord {
-    /// Did the advance change anything?
-    pub fn is_empty(&self) -> bool {
-        self.switches.is_empty() && self.hosts.is_empty()
-    }
-
     /// The slice of this record one directory shard consumes: all switch
     /// patches (the replicated pointer layer), host patches restricted to
     /// `keep` — the host set the shard's view was sliced with at capture.

@@ -49,7 +49,7 @@ pub struct SnapshotSlot {
 
 impl SnapshotSlot {
     /// Publishes `snapshot` as epoch 0.
-    pub fn new(snapshot: Arc<Snapshot>) -> Self {
+    pub(crate) fn new(snapshot: Arc<Snapshot>) -> Self {
         let cell = Box::into_raw(Box::new(Published { snapshot, epoch: 0 }));
         SnapshotSlot {
             ptr: AtomicPtr::new(cell),
@@ -61,7 +61,7 @@ impl SnapshotSlot {
     /// The currently published snapshot and its publication epoch, as an
     /// owned handle: once this returns, the caller's `Arc` keeps the
     /// snapshot alive independently of any later install.
-    pub fn load(&self) -> (Arc<Snapshot>, u64) {
+    pub(crate) fn load(&self) -> (Arc<Snapshot>, u64) {
         // Pin BEFORE loading the pointer: a writer that swapped first
         // will see our pin and wait; a writer that swaps after our load
         // waits for us too. Either way the cell we dereference is alive.
@@ -76,7 +76,8 @@ impl SnapshotSlot {
     }
 
     /// The current publication epoch (number of installs since `new`).
-    pub fn epoch(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::SeqCst)
     }
 
@@ -86,7 +87,7 @@ impl SnapshotSlot {
     /// Installs are serialized by the owning plane (its refresh methods
     /// take `&mut self`); concurrent installs would still be memory-safe
     /// (each swap takes a distinct old cell) but could duplicate epochs.
-    pub fn install(&self, snapshot: Arc<Snapshot>) -> u64 {
+    pub(crate) fn install(&self, snapshot: Arc<Snapshot>) -> u64 {
         let epoch = self.epoch.load(Ordering::SeqCst) + 1;
         let cell = Box::into_raw(Box::new(Published { snapshot, epoch }));
         let old = self.ptr.swap(cell, Ordering::SeqCst);

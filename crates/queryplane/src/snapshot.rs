@@ -257,7 +257,8 @@ impl Snapshot {
     }
 
     /// Directory-shard count the deltas report ownership against.
-    pub fn dir_shards(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn dir_shards(&self) -> usize {
         self.dir_shards
     }
 
@@ -484,11 +485,6 @@ impl Snapshot {
     /// Total flow records frozen across all hosts.
     pub fn total_records(&self) -> usize {
         self.hosts.values().map(|h| h.store.len()).sum()
-    }
-
-    /// Number of hosts in the snapshot.
-    pub fn n_hosts(&self) -> usize {
-        self.hosts.len()
     }
 
     /// One directory shard's slice of this snapshot: the *host stores* —

@@ -4,7 +4,7 @@
 //! produces, per switch on the path, the range of epochs during which that
 //! switch may have processed the packet. In commodity mode only the tagging
 //! switch's epoch is known exactly; the rest are bounded via
-//! [`EpochParams::extrapolate`]. In INT mode every hop is exact.
+//! `EpochParams::extrapolate`. In INT mode every hop is exact.
 
 use netsim::packet::{NodeId, Packet};
 use netsim::time::SimTime;
@@ -86,14 +86,6 @@ impl TelemetryDecoder {
             params,
             mode,
         }
-    }
-
-    pub fn params(&self) -> EpochParams {
-        self.params
-    }
-
-    pub fn mode(&self) -> EmbedMode {
-        self.mode
     }
 
     /// Decodes a packet's telemetry. `host_local_time` is the receiving

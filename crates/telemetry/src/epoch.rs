@@ -45,7 +45,8 @@ impl EpochParams {
 
     /// Start time of an epoch on the local clock.
     #[inline]
-    pub fn epoch_start(&self, epoch: u64) -> SimTime {
+    #[cfg(test)]
+    pub(crate) fn epoch_start(&self, epoch: u64) -> SimTime {
         SimTime::from_ns(epoch * self.alpha.as_ns())
     }
 
@@ -56,7 +57,7 @@ impl EpochParams {
 
     /// Epoch range for a switch `j` hops from the tagging switch, given the
     /// tagging switch recorded epoch `e`. `j = 0` returns the exact epoch.
-    pub fn extrapolate(&self, e: u64, j: u64, dir: HopDirection) -> EpochRange {
+    pub(crate) fn extrapolate(&self, e: u64, j: u64, dir: HopDirection) -> EpochRange {
         if j == 0 {
             return EpochRange { lo: e, hi: e };
         }
@@ -79,7 +80,7 @@ impl EpochParams {
 
 /// Which side of the tagging switch a hop lies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HopDirection {
+pub(crate) enum HopDirection {
     /// Processed the packet *before* the tagging switch.
     Upstream,
     /// Processed the packet *after* the tagging switch.
@@ -122,7 +123,8 @@ impl EpochRange {
 
     /// True if two ranges share at least one epoch (the analyzer's
     /// "at least one common epochID" test, §5.2).
-    pub fn overlaps(&self, other: &EpochRange) -> bool {
+    #[cfg(test)]
+    pub(crate) fn overlaps(&self, other: &EpochRange) -> bool {
         self.lo <= other.hi && other.lo <= self.hi
     }
 }

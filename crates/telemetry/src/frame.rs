@@ -159,24 +159,10 @@ impl Enc {
         self.buf
     }
 
-    /// The encoded bytes, borrowed — for callers that reuse the buffer.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
-    }
-
-    /// Empties the buffer but keeps its allocation: the batch encoder
-    /// reuses one `Enc` across waves instead of allocating per frame.
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-
     /// Bytes written so far.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     pub fn put_u8(&mut self, v: u8) {

@@ -63,6 +63,6 @@ pub mod pathcodec;
 pub mod wire;
 
 pub use decoder::{DecodeError, DecodedTelemetry, HopTelemetry, TelemetryDecoder};
-pub use epoch::{EpochParams, EpochRange, HopDirection};
+pub use epoch::{EpochParams, EpochRange};
 pub use frame::{Dec, Enc, Wire, WireError};
 pub use pathcodec::{EmbedMode, PathCodec, PathError};

@@ -80,11 +80,6 @@ impl PathCodec {
         }
     }
 
-    /// The underlying topology.
-    pub fn topo(&self) -> &Topology {
-        &self.topo
-    }
-
     /// True if `switch` has no host attached (a spine/core switch).
     fn is_core(&self, switch: NodeId) -> bool {
         self.topo
@@ -154,7 +149,7 @@ impl PathCodec {
     /// Reconstructs the switch path of a packet from its sampled link.
     /// Returns the switches in traversal order plus the index of the
     /// tagging switch within that path.
-    pub fn reconstruct(
+    pub(crate) fn reconstruct(
         &self,
         src: NodeId,
         dst: NodeId,
@@ -214,7 +209,8 @@ impl PathCodec {
     }
 
     /// Ground-truth switch path (for tests and the INT mode).
-    pub fn true_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+    #[cfg(test)]
+    pub(crate) fn true_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
         self.topo.switch_path(src, dst)
     }
 }

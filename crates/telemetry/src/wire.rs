@@ -22,20 +22,20 @@ pub use crate::frame;
 use netsim::packet::{Packet, VlanTag};
 
 /// TPID of the CherryPick link-ID tag (802.1ad S-tag).
-pub const TPID_LINK: u16 = 0x88A8;
+pub(crate) const TPID_LINK: u16 = 0x88A8;
 /// TPID of the epoch-ID tag (802.1Q C-tag).
-pub const TPID_EPOCH: u16 = 0x8100;
+pub(crate) const TPID_EPOCH: u16 = 0x8100;
 /// TPID of an INT switch-ID tag.
-pub const TPID_INT_SWITCH: u16 = 0x9100;
+pub(crate) const TPID_INT_SWITCH: u16 = 0x9100;
 /// TPID of an INT epoch-ID tag.
-pub const TPID_INT_EPOCH: u16 = 0x9200;
+pub(crate) const TPID_INT_EPOCH: u16 = 0x9200;
 
 /// Number of distinct values a 12-bit VID can carry.
-pub const VID_SPACE: u64 = 4096;
+pub(crate) const VID_SPACE: u64 = 4096;
 
 /// Masks a value into the 12-bit VID space.
 #[inline]
-pub fn to_vid(v: u64) -> u16 {
+pub(crate) fn to_vid(v: u64) -> u16 {
     (v % VID_SPACE) as u16
 }
 
@@ -78,7 +78,7 @@ pub fn embed_int_hop(pkt: &mut Packet, switch_id: u32, epoch: u64) {
 }
 
 /// Reads all INT hop records in traversal order: `(switch_vid, epoch_vid)`.
-pub fn read_int_hops(pkt: &Packet) -> Vec<(u16, u16)> {
+pub(crate) fn read_int_hops(pkt: &Packet) -> Vec<(u16, u16)> {
     let mut out = Vec::new();
     let mut pending_switch: Option<u16> = None;
     for t in &pkt.tags {
@@ -98,7 +98,7 @@ pub fn read_int_hops(pkt: &Packet) -> Vec<(u16, u16)> {
 /// Reconstructs an absolute epoch from its 12-bit VID given a reference
 /// epoch the true value must be near (the host's own current epoch). Picks
 /// the value congruent to `vid` (mod 4096) closest to `reference`.
-pub fn unwrap_epoch(vid: u16, reference: u64) -> u64 {
+pub(crate) fn unwrap_epoch(vid: u16, reference: u64) -> u64 {
     let vid = vid as u64 % VID_SPACE;
     let base = reference / VID_SPACE * VID_SPACE;
     // Candidates in the wrap windows around the reference.

@@ -15,14 +15,13 @@ use switchpointer::shard::ShardedDirectory;
 use switchpointer::Analyzer;
 use telemetry::frame::WireError;
 
+use crate::frontend::FrontEnd;
 use crate::publish::DeltaPublisher;
-use crate::{
-    FrontEnd, ReplicaWriter, RetryPolicy, ServeDelay, ShardServer, ShardState, WindowSummary,
-    WireClient, WireConfig,
-};
+use crate::server::{ShardServer, ShardState};
+use crate::{ReplicaWriter, RetryPolicy, ServeDelay, WindowSummary, WireClient, WireConfig};
 
 /// A whole loopback deployment launched from one analyzer's state: N
-/// directory shards × R replicas (each an ordinary [`ShardServer`]), one
+/// directory shards × R replicas (each an ordinary `ShardServer`), one
 /// front-end over the replica sets, and the owner-side
 /// [`DeltaPublisher`]. Replica 0 of each shard is the primary (the
 /// front-end dials it first); the rest are standbys. The harness-side
@@ -181,7 +180,7 @@ impl WireCluster {
     /// connections drop) and retires it from publication. `false` if it
     /// was already dead. Killing the primary (`r == 0`) is the failover
     /// drill: in-flight query waves rotate to the standby.
-    pub fn kill_replica(&self, shard: usize, r: usize) -> bool {
+    pub(crate) fn kill_replica(&self, shard: usize, r: usize) -> bool {
         let server = self.servers.lock().unwrap()[shard][r].take();
         match server {
             Some(s) => {
@@ -193,7 +192,7 @@ impl WireCluster {
         }
     }
 
-    /// [`WireCluster::kill_replica`] of replica 0.
+    /// `WireCluster::kill_replica` of replica 0.
     pub fn kill_primary(&self, shard: usize) -> bool {
         self.kill_replica(shard, 0)
     }
@@ -218,7 +217,7 @@ impl WireCluster {
     }
 
     /// Test hook: rigs replica `r` of `shard`'s per-request serve delay
-    /// ([`ShardServer::set_serve_delay`]); a killed replica ignores it.
+    /// (`ShardServer::set_serve_delay`); a killed replica ignores it.
     pub fn set_serve_delay(&self, shard: usize, r: usize, delay: Option<ServeDelay>) {
         if let Some(server) = &self.servers.lock().unwrap()[shard][r] {
             server.set_serve_delay(delay);
@@ -302,7 +301,7 @@ impl WireCluster {
     }
 
     /// Closes one evaluation window on the front-end (evaluate
-    /// subscriptions, push incidents). See [`FrontEnd::close_window`].
+    /// subscriptions, push incidents). See `FrontEnd::close_window`.
     pub fn close_window(&self) -> WindowSummary {
         self.front.close_window()
     }

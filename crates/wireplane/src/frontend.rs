@@ -19,7 +19,7 @@
 //! every involved shard, the links are flushed, and the replies are
 //! collected in shard order, so the per-shard round trips of one union
 //! reassembly or one host wave overlap and a round costs its slowest
-//! shard, not the sum. [`FrontEnd::close_window`] reads the shards'
+//! shard, not the sum. `FrontEnd::close_window` reads the shards'
 //! horizons the same way. Each exchange's RTT (`wire.rtt_ns.shard{N}`,
 //! and its `wire` span) runs from issue to the reply's *arrival* —
 //! stamped by the link's demux reader — so a shard collected late is not
@@ -44,7 +44,7 @@
 //! run the shared executor over the remote router and return the full
 //! response; `SubscribeReq` frames register standing queries whose
 //! incident transitions are pushed as [`Frame::IncidentPush`] when the
-//! hosting process closes a window ([`FrontEnd::close_window`], which runs
+//! hosting process closes a window (`FrontEnd::close_window`, which runs
 //! the stream plane's window rule, [`streamplane::evaluate_window`]).
 //! Subscription topics keep their full incident log, and a subscribe
 //! carries a `resume_after` cursor — a client that lost its connection
@@ -188,7 +188,7 @@ impl RemoteShard {
 
     /// The replica the next dial goes to (the one a live connection was
     /// dialed to, unless it has since been rotated past).
-    pub fn active_replica(&self) -> usize {
+    pub(crate) fn active_replica(&self) -> usize {
         self.active.load(Ordering::Relaxed)
     }
 
@@ -345,7 +345,7 @@ impl RemoteShard {
 
     /// The shard's snapshot epoch horizon — deferred, so a caller asking
     /// every shard overlaps the round trips.
-    pub fn horizon(&self) -> Deferred<'_, u64> {
+    pub(crate) fn horizon(&self) -> Deferred<'_, u64> {
         self.deferred(Frame::HorizonReq, |f| match f {
             Frame::HorizonRep(h) => Some(h),
             _ => None,
@@ -360,13 +360,6 @@ impl RemoteShard {
         stats_scrape_rep(self.call(Frame::StatsScrapeReq, false)?)
     }
 
-    /// Pulls the shard server's retained spans (ring plus slow-query
-    /// exemplars) as a labelled dump. Unobserved on both ends like
-    /// [`RemoteShard::scrape`], so pulling traces never makes traces.
-    pub fn scrape_traces(&self) -> Result<Vec<(String, Vec<WireSpan>)>, WireError> {
-        trace_scrape_rep(self.call(Frame::TraceScrapeReq, false)?)
-    }
-
     /// Wire RPCs issued over this connection so far.
     pub fn rpcs(&self) -> u64 {
         self.rpcs.load(Ordering::Relaxed)
@@ -378,7 +371,7 @@ impl RemoteShard {
     }
 
     /// Replica rotations performed (0 until a replica actually died).
-    pub fn failovers(&self) -> u64 {
+    pub(crate) fn failovers(&self) -> u64 {
         self.failovers.load(Ordering::Relaxed)
     }
 
@@ -386,7 +379,7 @@ impl RemoteShard {
     /// included; one `Batch` carrying a whole wave counts once). Reads
     /// retired + live under the slot lock — absorption also happens
     /// under it, so the total is monotone.
-    pub fn wire_frames_sent(&self) -> u64 {
+    pub(crate) fn wire_frames_sent(&self) -> u64 {
         let guard = self.conn.lock().unwrap();
         let live = guard.as_ref().map_or(0, |(_, m)| m.frames_sent());
         self.retired_frames.load(Ordering::Relaxed) + live
@@ -394,7 +387,7 @@ impl RemoteShard {
 
     /// Envelope bytes written to this shard so far, length prefixes
     /// included (retired connections included).
-    pub fn wire_bytes_sent(&self) -> u64 {
+    pub(crate) fn wire_bytes_sent(&self) -> u64 {
         let guard = self.conn.lock().unwrap();
         let live = guard.as_ref().map_or(0, |(_, m)| m.bytes_sent());
         self.retired_bytes.load(Ordering::Relaxed) + live
@@ -998,7 +991,7 @@ impl FrontEnd {
     /// Subscription topics live on the front-end, so standing-query
     /// streams keep their cursors across the failover. `coalesce: false`
     /// is the measurable naive per-host RPC regime.
-    pub fn connect_replica_sets(
+    pub(crate) fn connect_replica_sets(
         ctx: Arc<SharedCtx>,
         addr_sets: &[Vec<SocketAddr>],
         cfg: WireConfig,
@@ -1166,7 +1159,7 @@ impl FrontEnd {
     }
 
     /// The bound client-facing loopback address.
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.listener.addr()
     }
 
@@ -1279,7 +1272,7 @@ impl FrontEnd {
     /// window is then lost, the front-end is not — the topic table is
     /// unlocked while shard state is read, so subscribes, teardowns and
     /// the next `close_window` go on as before.
-    pub fn close_window(&self) -> WindowSummary {
+    pub(crate) fn close_window(&self) -> WindowSummary {
         let inner = &self.inner;
         let window = inner.window.fetch_add(1, Ordering::SeqCst);
         // One overlapped round: ask every shard, then collect.
@@ -1391,7 +1384,7 @@ impl FrontEnd {
 
     /// Graceful shutdown of the client listener (shard connections close
     /// with the struct).
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         self.listener.shutdown();
     }
 }

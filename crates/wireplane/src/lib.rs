@@ -8,7 +8,7 @@
 //! TCP (see [`telemetry::frame`] for the framing and `DESIGN.md` §13 for
 //! the frame layout and RPC table). Four roles:
 //!
-//! * **[`ShardServer`]** — owns one
+//! * **`ShardServer`** — owns one
 //!   [`DirectoryShard`](switchpointer::shard::DirectoryShard) plus its
 //!   per-shard snapshot slice ([`queryplane::Snapshot::shard_slice`]) and
 //!   answers decode / host-read / fan-out RPCs. Leader/followers per
@@ -103,14 +103,14 @@ pub use client::{WireClient, WireEvent};
 pub use cluster::WireCluster;
 pub use frontend::{FrontEnd, RemoteShard};
 pub use mux::MuxConn;
-pub use proto::{Frame, WindowSummary, WireSpan, FRONT_ROLE};
+pub use proto::{Frame, WindowSummary, WireSpan};
 pub use publish::DeltaPublisher;
 pub use repl::ReplicaWriter;
 pub use retry::RetryPolicy;
-pub use server::{ServeDelay, ShardServer, ShardState, WireConfig};
+pub use server::{ServeDelay, ShardState, WireConfig};
 pub use telemetry::frame::Wire;
 pub use telemetry::frame::WireError as Error;
-pub use traces::{assemble, dump_spans, TraceTree};
+pub use traces::{assemble, TraceTree};
 
 /// Dials `addr` and consumes the server's greeting: the connected stream
 /// (`TCP_NODELAY` set) plus the greeting's `(shard, n_shards)`, for the

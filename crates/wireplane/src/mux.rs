@@ -12,8 +12,8 @@
 //! * a single **demux reader thread** per connection parses replies and
 //!   completes whichever waiter the `req_id` names, so replies may
 //!   arrive in any order;
-//! * requests **combine**: [`MuxConn::issue`] only enqueues, and
-//!   [`MuxConn::flush`] drains the whole pending queue under the writer
+//! * requests **combine**: `MuxConn::issue` only enqueues, and
+//!   `MuxConn::flush` drains the whole pending queue under the writer
 //!   lock into *one* envelope — `Tagged` for a single request, `Batch`
 //!   for several, answered by one `BatchRep`. Whoever flushes sends
 //!   everything enqueued so far, its own requests or another thread's,
@@ -34,9 +34,9 @@
 //! (a [`ReplicaWriter`](crate::repl::ReplicaWriter)'s socket) and
 //! refuses an enveloped one with a typed error.
 //!
-//! An exchange has three steps. [`MuxConn::issue`] registers the reply
-//! slot, enqueues the request and returns an [`InFlight`] handle;
-//! [`MuxConn::flush`] writes the queue; [`InFlight::wait`] blocks for the
+//! An exchange has three steps. `MuxConn::issue` registers the reply
+//! slot, enqueues the request and returns an `InFlight` handle;
+//! `MuxConn::flush` writes the queue; `InFlight::wait` blocks for the
 //! reply. A caller that issues on several connections, flushes them, and
 //! only then waits has all of those round trips in flight together —
 //! [`MuxConn::call`] is simply the three steps back to back. Who
@@ -58,7 +58,7 @@
 //! the `wait` reports why). The owner
 //! ([`RemoteShard`](crate::frontend::RemoteShard)) drops the poisoned
 //! connection and redials under its retry/failover policy. An
-//! [`InFlight`] dropped un-waited releases its reply slot; a reply that
+//! `InFlight` dropped un-waited releases its reply slot; a reply that
 //! lands afterwards is discarded.
 
 use std::collections::HashMap;
@@ -181,7 +181,6 @@ pub struct MuxConn {
     /// A clone of the socket kept aside so `kill`/`Drop` can force the
     /// reader thread out of its blocked `read`.
     sock: TcpStream,
-    max_frame: u32,
 }
 
 impl MuxConn {
@@ -219,7 +218,6 @@ impl MuxConn {
             shared: Arc::clone(&shared),
             next_id: AtomicU32::new(0),
             sock,
-            max_frame,
         });
         // The reader holds only `Shared`, not the MuxConn — dropping the
         // connection shuts the socket, which pops the reader out of
@@ -229,11 +227,6 @@ impl MuxConn {
             .spawn(move || Self::reader_loop(reader_stream, shared, max_frame))
             .map_err(|e| WireError::from(e).with_peer(addr))?;
         Ok((conn, shard, n_shards))
-    }
-
-    /// The peer this connection points at.
-    pub fn peer(&self) -> SocketAddr {
-        self.shared.peer
     }
 
     /// Envelope frames written so far (a whole `Batch` counts once).
@@ -262,7 +255,7 @@ impl MuxConn {
     /// [`MuxConn::flush`] (anyone's), which sends it together with
     /// whatever else is queued. On a dead connection nothing is queued
     /// and the handle's [`InFlight::wait`] reports why.
-    pub fn issue(&self, req: &Frame, ctx: Option<TraceContext>) -> InFlight {
+    pub(crate) fn issue(&self, req: &Frame, ctx: Option<TraceContext>) -> InFlight {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let handle = InFlight {
             shared: Arc::clone(&self.shared),
@@ -288,7 +281,7 @@ impl MuxConn {
     /// sent as one envelope (`Tagged` for one, `Batch` otherwise; nothing
     /// when the queue is empty). A failed write poisons the connection —
     /// the waits report it, so there is no error path here.
-    pub fn flush(&self) {
+    pub(crate) fn flush(&self) {
         self.shared.flush();
     }
 
@@ -334,21 +327,16 @@ impl MuxConn {
     /// Test hook and failover lever: force-close the socket. The reader
     /// poisons the connection and every in-flight exchange fails with a
     /// peer-tagged error; the owner redials.
-    pub fn kill(&self) {
+    pub(crate) fn kill(&self) {
         let _ = self.sock.shutdown(std::net::Shutdown::Both);
-    }
-
-    /// Largest frame this connection accepts.
-    pub fn max_frame(&self) -> u32 {
-        self.max_frame
     }
 }
 
 /// One issued request whose reply has not been collected yet — the
-/// handle [`MuxConn::issue`] returns. Holds only the connection's shared
+/// handle `MuxConn::issue` returns. Holds only the connection's shared
 /// state, not the connection: the owner keeps the [`MuxConn`] alive for
 /// as long as it wants the reply.
-pub struct InFlight {
+pub(crate) struct InFlight {
     shared: Arc<Shared>,
     id: u32,
     collected: bool,
@@ -365,7 +353,7 @@ impl InFlight {
     /// missing flush can never hang a wait. (Checked up front, on the
     /// queue's own lock, so the reply slots are locked once per wait and
     /// the demux reader is not contended for them a second time.)
-    pub fn wait(mut self) -> Result<(Frame, Instant), WireError> {
+    pub(crate) fn wait(mut self) -> Result<(Frame, Instant), WireError> {
         self.collected = true;
         if self.shared.is_queued(self.id) {
             self.shared.flush();

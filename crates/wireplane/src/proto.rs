@@ -194,7 +194,7 @@ pub struct WireSpan {
 
 impl WireSpan {
     /// Lifts a tracer event into its owned wire form.
-    pub fn from_event(ev: &SpanEvent, exemplar: bool) -> WireSpan {
+    pub(crate) fn from_event(ev: &SpanEvent, exemplar: bool) -> WireSpan {
         WireSpan {
             class: ev.class.to_string(),
             stage: ev.stage.to_string(),
@@ -408,26 +408,26 @@ fn dec_bitset_runs(d: &mut Dec, budget: &mut usize) -> Result<BitSet, WireError>
 
 /// Wire body of a filter-wave reply: per host, store size and matching
 /// records (`usize` travels as `u64`).
-pub type FilterWaveBody = Vec<(Option<u64>, Vec<FlowRecord>)>;
+pub(crate) type FilterWaveBody = Vec<(Option<u64>, Vec<FlowRecord>)>;
 /// Wire body of a top-k wave reply.
-pub type TopKWaveBody = Vec<(Option<u64>, Vec<(FlowId, u64)>)>;
+pub(crate) type TopKWaveBody = Vec<(Option<u64>, Vec<(FlowId, u64)>)>;
 /// Wire body of a link-sizes wave reply.
-pub type SizesWaveBody = Vec<(Option<u64>, Vec<(u16, u64)>)>;
+pub(crate) type SizesWaveBody = Vec<(Option<u64>, Vec<(u16, u64)>)>;
 /// Wire body of a fused aggregate reply: `None` when the switch has no
 /// component, else per decoded host (ascending) its id, store size and
 /// rows.
-pub type UnionWaveBody<R> = Option<Vec<(NodeId, Option<u64>, Vec<R>)>>;
+pub(crate) type UnionWaveBody<R> = Option<Vec<(NodeId, Option<u64>, Vec<R>)>>;
 /// Wire body of a fused top-k reply.
-pub type UnionTopKBody = UnionWaveBody<(FlowId, u64)>;
+pub(crate) type UnionTopKBody = UnionWaveBody<(FlowId, u64)>;
 /// Wire body of a fused link-sizes reply.
-pub type UnionSizesBody = UnionWaveBody<(u16, u64)>;
+pub(crate) type UnionSizesBody = UnionWaveBody<(u16, u64)>;
 
 /// Every message of the wireplane protocol.
 #[derive(Debug, Clone)]
 pub enum Frame {
     /// Server greeting on accept: which role/shard answered.
     Hello {
-        /// Serving shard id, or [`FRONT_ROLE`] for the front-end.
+        /// Serving shard id, or `u16::MAX` for the front-end.
         shard: u16,
         /// Directory shard count of the deployment.
         n_shards: u16,
@@ -606,7 +606,7 @@ pub enum Frame {
 }
 
 /// `Hello.shard` value identifying the front-end rather than a shard.
-pub const FRONT_ROLE: u16 = u16::MAX;
+pub(crate) const FRONT_ROLE: u16 = u16::MAX;
 
 impl Frame {
     /// The frame's tag byte.
@@ -661,7 +661,7 @@ impl Frame {
 
     /// A static label for the frame type, used as the span class when a
     /// server records a serve-stage span for this request.
-    pub fn kind_name(&self) -> &'static str {
+    pub(crate) fn kind_name(&self) -> &'static str {
         match self {
             Frame::Hello { .. } => "Hello",
             Frame::UnionSliceReq { .. } => "UnionSliceReq",
@@ -875,7 +875,7 @@ impl Frame {
         e.into_bytes()
     }
 
-    /// Serializes the whole frame (length prefix + tag + payload) into a
+    /// Encodes the whole frame (length prefix + tag + payload) into a
     /// buffer — callers holding a stream lock write it in one syscall so
     /// concurrent pushers never interleave partial frames.
     pub fn to_frame_bytes(&self) -> Result<Vec<u8>, WireError> {

@@ -288,7 +288,7 @@ impl DeltaPublisher {
     /// Registers a standby spawned *now* (serving the owner's current
     /// slice) as replica of shard `s`, and immediately bootstraps it so
     /// its log position matches the head. Returns its replica index.
-    pub fn register_replica(&mut self, s: usize, writer: ReplicaWriter) -> usize {
+    pub(crate) fn register_replica(&mut self, s: usize, writer: ReplicaWriter) -> usize {
         let shard = &mut self.shards[s];
         shard.replicas.push(ReplicaSlot {
             writer,
@@ -301,14 +301,14 @@ impl DeltaPublisher {
 
     /// Stops feeding replica `r` of shard `s` (it was killed on
     /// purpose); its slot stays so replica indices keep their meaning.
-    pub fn retire_replica(&mut self, s: usize, r: usize) {
+    pub(crate) fn retire_replica(&mut self, s: usize, r: usize) {
         self.shards[s].replicas[r].acked = None;
     }
 
     /// Max over shards of `head − min(acked over live replicas)` — 0
     /// when every live replica acked the head everywhere. A shard with
     /// no live replica reports its full head as lag.
-    pub fn lag(&self) -> i64 {
+    pub(crate) fn lag(&self) -> i64 {
         self.shards
             .iter()
             .map(|shard| shard.head.saturating_sub(shard.min_acked().unwrap_or(0)))
@@ -323,7 +323,7 @@ impl DeltaPublisher {
 
     /// The owner's authoritative slice of shard `s` — what every replica
     /// of `s` must equal bit-for-bit at the head seq.
-    pub fn owner_slice(&self, s: usize) -> Snapshot {
+    pub(crate) fn owner_slice(&self, s: usize) -> Snapshot {
         self.snapshot.shard_slice(&self.shards[s].keep)
     }
 }
@@ -336,7 +336,8 @@ mod tests {
     use switchpointer::shard::ShardedDirectory;
     use switchpointer::testbed::{Testbed, TestbedConfig};
 
-    use crate::{RetryPolicy, ShardServer, ShardState, WireConfig};
+    use crate::server::{ShardServer, ShardState};
+    use crate::{RetryPolicy, WireConfig};
 
     /// The derived retention, over the long run: a healthy two-replica
     /// shard is published to a hundred times, and after every publish no

@@ -72,11 +72,6 @@ impl ReplicaWriter {
         Ok(w)
     }
 
-    /// The replica this writer feeds.
-    pub fn peer(&self) -> SocketAddr {
-        self.addr
-    }
-
     fn dial(&self) -> Result<TcpStream, WireError> {
         let (stream, shard, _n_shards) = crate::dial(self.addr, self.max_frame)?;
         if shard as usize != self.shard {

@@ -17,13 +17,13 @@ use std::time::Duration;
 pub struct RetryPolicy {
     /// Attempts per replica address before giving up on it (≥ 1; 0 is
     /// treated as 1).
-    pub max_attempts: usize,
+    pub(crate) max_attempts: usize,
     /// Delay before the second attempt; doubles each further attempt.
-    pub base_delay: Duration,
+    pub(crate) base_delay: Duration,
     /// Ceiling on the computed delay, pre-jitter.
-    pub max_delay: Duration,
+    pub(crate) max_delay: Duration,
     /// Seed of the deterministic jitter stream.
-    pub jitter_seed: u64,
+    pub(crate) jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -50,7 +50,7 @@ impl RetryPolicy {
     }
 
     /// Attempts per replica, never zero.
-    pub fn attempts(&self) -> usize {
+    pub(crate) fn attempts(&self) -> usize {
         self.max_attempts.max(1)
     }
 
@@ -58,7 +58,7 @@ impl RetryPolicy {
     /// between the first failure and the second try is `backoff(0)`).
     /// Exponential in `attempt`, capped, plus 0–50% jitter drawn from the
     /// seeded stream — identical for identical `(seed, attempt)`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         let base = self
             .base_delay
             .saturating_mul(1u32.checked_shl(attempt.min(20)).unwrap_or(u32::MAX))

@@ -36,7 +36,7 @@
 //! with a typed [`WireError::Remote`], moves no state and leaves the
 //! connection serving.
 //! Listeners always bind `127.0.0.1:0`; the kernel-chosen port travels
-//! back through [`ShardServer::local_addr`], so nothing in tests or CI
+//! back through `ShardServer::local_addr`, so nothing in tests or CI
 //! ever races for a fixed port. Shutdown is graceful: the accept loop is
 //! woken by a sentinel connection and every connection thread is joined.
 
@@ -298,7 +298,7 @@ fn install(ctx: &ServeCtx, seq: u64, view: &[u8]) -> Result<Arc<ShardState>, Wir
 pub struct ShardState {
     /// The directory shard this instance owns — fixed for the server's
     /// life, so every state swapped in shares it.
-    pub shard: Arc<DirectoryShard>,
+    pub(crate) shard: Arc<DirectoryShard>,
     /// Snapshot slice: owned hosts' stores + full pointer metadata (see
     /// [`Snapshot::shard_slice`]).
     pub view: Snapshot,
@@ -866,12 +866,11 @@ impl Conn {
 }
 
 /// A running shard server.
-pub struct ShardServer {
+pub(crate) struct ShardServer {
     listener: Listener,
     state: Arc<RwLock<Arc<ShardState>>>,
     /// Replication-log position: the seq of the last applied record.
     applied: Arc<AtomicU64>,
-    shard: usize,
     metrics: Arc<MetricsRegistry>,
     /// Test hook: artificial per-request serve delay (see [`ServeDelay`]).
     delay: Arc<RwLock<Option<ServeDelay>>>,
@@ -880,7 +879,11 @@ pub struct ShardServer {
 impl ShardServer {
     /// Binds `127.0.0.1:0` and starts serving `state`. The ephemeral
     /// bound address comes back via [`ShardServer::local_addr`].
-    pub fn spawn(state: ShardState, n_shards: usize, cfg: WireConfig) -> Result<Self, WireError> {
+    pub(crate) fn spawn(
+        state: ShardState,
+        n_shards: usize,
+        cfg: WireConfig,
+    ) -> Result<Self, WireError> {
         let shard = state.shard.id();
         let state = Arc::new(RwLock::new(Arc::new(state)));
         let applied = Arc::new(AtomicU64::new(0));
@@ -953,7 +956,6 @@ impl ShardServer {
             listener,
             state,
             applied,
-            shard,
             metrics,
             delay,
         })
@@ -963,41 +965,36 @@ impl ShardServer {
     /// delay on the multiplexed path. Test hook: the interleaving suite
     /// rigs request-dependent delays so tagged replies provably complete
     /// out of order.
-    pub fn set_serve_delay(&self, delay: Option<ServeDelay>) {
+    pub(crate) fn set_serve_delay(&self, delay: Option<ServeDelay>) {
         *self.delay.write().unwrap() = delay;
-    }
-
-    /// The shard this server owns.
-    pub fn shard(&self) -> usize {
-        self.shard
     }
 
     /// This server's obsplane registry (`wire.*` frame metrics). The
     /// scrape RPC serves snapshots of exactly this registry.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
+    pub(crate) fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
     }
 
     /// The bound loopback address (ephemeral port chosen by the kernel).
-    pub fn local_addr(&self) -> SocketAddr {
+    pub(crate) fn local_addr(&self) -> SocketAddr {
         self.listener.addr()
     }
 
     /// The replica's replication-log position: seq of the last applied
     /// [`Frame::DeltaAppend`] (or [`Frame::SnapshotInstall`] bootstrap).
-    pub fn applied_seq(&self) -> u64 {
+    pub(crate) fn applied_seq(&self) -> u64 {
         self.applied.load(Ordering::SeqCst)
     }
 
     /// The state currently being served, as the connection loop sees it.
     /// Divergence tests compare a primary's and standby's views through
     /// this — both must be bit-identical at every applied seq.
-    pub fn state(&self) -> Arc<ShardState> {
+    pub(crate) fn state(&self) -> Arc<ShardState> {
         Arc::clone(&self.state.read().unwrap())
     }
 
     /// Graceful shutdown: stop accepting, join every connection thread.
-    pub fn shutdown(mut self) {
+    pub(crate) fn shutdown(mut self) {
         self.listener.shutdown();
     }
 }

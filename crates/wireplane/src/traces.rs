@@ -25,7 +25,7 @@ use crate::proto::WireSpan;
 /// store — deduplicated by span id, in deterministic order. Ring events
 /// whose trace is pinned are flagged `exemplar` too, so the flag means
 /// "this trace was slow here" regardless of which store answered.
-pub fn dump_spans(tracer: &Tracer) -> Vec<WireSpan> {
+pub(crate) fn dump_spans(tracer: &Tracer) -> Vec<WireSpan> {
     let pinned: BTreeSet<u64> = tracer.exemplar_trace_ids().into_iter().collect();
     let mut seen: BTreeSet<u64> = BTreeSet::new();
     let mut out: Vec<WireSpan> = Vec::new();

@@ -99,11 +99,11 @@ fn int_epoch_sets_are_tighter() {
 }
 
 #[test]
-fn archived_pointer_serde_roundtrip() {
-    // The control plane persists flushed pointer sets; their bit contents
-    // must survive serialization (the push model's storage format).
+fn archived_pointer_wire_roundtrip() {
+    // The control plane ships flushed pointer sets to the analyzer: each
+    // must survive the one wire codec whole, period and bits.
     use std::sync::Arc;
-    use switchpointer::pointer::{PointerConfig, PointerHierarchy};
+    use switchpointer::pointer::{ArchivedPointer, PointerConfig, PointerHierarchy};
 
     let addrs: Vec<u64> = (0..64u64).map(|i| 0x0a00_0000 + i).collect();
     let mphf = Arc::new(mphf::Mphf::build(&addrs).unwrap());
@@ -120,8 +120,9 @@ fn archived_pointer_serde_roundtrip() {
     }
     assert!(!h.archive().is_empty());
     for arch in h.archive() {
-        let json = serde_json::to_string(&arch.bits).unwrap();
-        let back: switchpointer::bitset::BitSet = serde_json::from_str(&json).unwrap();
-        assert_eq!(&back, &arch.bits);
+        let arch: &ArchivedPointer = arch;
+        let bytes = telemetry::frame::to_bytes(arch);
+        let back: ArchivedPointer = telemetry::frame::from_bytes(&bytes).unwrap();
+        assert_eq!(&back, arch);
     }
 }

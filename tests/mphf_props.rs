@@ -77,17 +77,6 @@ proptest! {
         }
     }
 
-    /// JSON round-trips preserve every mapping.
-    #[test]
-    fn serde_roundtrip(keys in prop::collection::hash_set(any::<u64>(), 1..120)) {
-        let keys: Vec<u64> = keys.into_iter().collect();
-        let f = Mphf::build(&keys).unwrap();
-        let g: Mphf = serde_json::from_str(&serde_json::to_string(&f).unwrap()).unwrap();
-        for k in &keys {
-            prop_assert_eq!(f.index(k), g.index(k));
-        }
-    }
-
     /// Larger bucket loads still build and stay bijective.
     #[test]
     fn lambda_sweep(
