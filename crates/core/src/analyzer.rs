@@ -20,6 +20,7 @@
 //! * [`Analyzer::top_k`] — the §6.2 top-k query (benchmarked against
 //!   PathDump in Fig. 12).
 
+use std::cell::Ref;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -34,8 +35,11 @@ use telemetry::{EpochParams, EpochRange};
 use crate::bitset::BitSet;
 use crate::cost::{CostModel, LatencyBreakdown, QueryWaveCost};
 use crate::host::{HostHandle, TriggerEvent};
-use crate::hoststore::FlowRecord;
-use crate::query::{Deferred, QueryCtx, QueryExecutor, QueryRequest, QueryResponse, StateView};
+use crate::hoststore::{FlowRecord, FlowStore};
+use crate::query::{
+    host_wave, Deferred, FilterWaveReply, QueryCtx, QueryExecutor, QueryRequest, QueryResponse,
+    SizesWaveReply, StateView, TopKWaveReply,
+};
 use crate::switch::SwitchHandle;
 
 /// Maps pointer-bit indices back to hosts (the analyzer built the MPHF, so
@@ -617,6 +621,13 @@ pub struct LiveView<'a> {
     hosts: &'a HashMap<NodeId, HostHandle>,
 }
 
+impl LiveView<'_> {
+    fn store(&self, host: NodeId) -> Option<Ref<'_, FlowStore>> {
+        let h = self.hosts.get(&host)?;
+        Some(Ref::map(h.borrow(), |h| &h.store))
+    }
+}
+
 impl StateView for LiveView<'_> {
     fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>> {
         Deferred::Ready(
@@ -637,39 +648,34 @@ impl StateView for LiveView<'_> {
             .map(|h| h.borrow().pointers.contains_within(addr, epoch, 1))
     }
 
-    fn store_len(&self, host: NodeId) -> Option<usize> {
-        self.hosts.get(&host).map(|h| h.borrow().store.len())
-    }
-
     fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord> {
-        self.hosts.get(&host)?.borrow().store.record(flow).cloned()
+        self.store(host)?.record(flow).cloned()
     }
 
-    fn flows_matching(&self, host: NodeId, switch: NodeId, range: EpochRange) -> Vec<FlowRecord> {
-        match self.hosts.get(&host) {
-            Some(h) => h
-                .borrow()
-                .store
-                .flows_matching(switch, range)
-                .into_iter()
-                .cloned()
-                .collect(),
-            None => Vec::new(),
-        }
+    fn filter_wave(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+        range: EpochRange,
+    ) -> Deferred<'_, FilterWaveReply> {
+        Deferred::Ready(host_wave(
+            hosts,
+            |h| self.store(h),
+            |s| {
+                s.flows_matching(switch, range)
+                    .into_iter()
+                    .cloned()
+                    .collect()
+            },
+        ))
     }
 
-    fn top_k_through(&self, host: NodeId, switch: NodeId, k: usize) -> Vec<(FlowId, u64)> {
-        match self.hosts.get(&host) {
-            Some(h) => h.borrow().store.top_k_through(switch, k),
-            None => Vec::new(),
-        }
+    fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply {
+        host_wave(hosts, |h| self.store(h), |s| s.top_k_through(switch, k))
     }
 
-    fn sizes_by_link(&self, host: NodeId, switch: NodeId) -> Vec<(u16, u64)> {
-        match self.hosts.get(&host) {
-            Some(h) => h.borrow().store.sizes_by_link(switch),
-            None => Vec::new(),
-        }
+    fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> SizesWaveReply {
+        host_wave(hosts, |h| self.store(h), |s| s.sizes_by_link(switch))
     }
 
     fn first_trigger_for(&self, host: NodeId, flow: FlowId) -> Option<TriggerEvent> {

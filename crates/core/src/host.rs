@@ -366,16 +366,15 @@ mod tests {
         p
     }
 
-    fn ctx(host: NodeId, ms: u64) -> AppCtx {
-        AppCtx::new(SimTime::from_ms(ms), SimTime::from_ms(ms), host)
+    fn ctx(ms: u64) -> AppCtx {
+        AppCtx::new(SimTime::from_ms(ms), SimTime::from_ms(ms))
     }
 
     #[test]
     fn tagged_packets_build_records() {
         let (mut c, topo) = mk_component();
-        let host = c.host;
-        c.ingest(&ctx(host, 3), &data_pkt(&topo, 1000, true));
-        c.ingest(&ctx(host, 3), &data_pkt(&topo, 500, true));
+        c.ingest(&ctx(3), &data_pkt(&topo, 1000, true));
+        c.ingest(&ctx(3), &data_pkt(&topo, 500, true));
         assert_eq!(c.store.len(), 1);
         let r = c.store.record(FlowId(1)).unwrap();
         assert_eq!(r.bytes, 1500);
@@ -386,8 +385,7 @@ mod tests {
     #[test]
     fn untagged_packets_count_as_decode_failures() {
         let (mut c, topo) = mk_component();
-        let host = c.host;
-        c.ingest(&ctx(host, 0), &data_pkt(&topo, 1000, false));
+        c.ingest(&ctx(0), &data_pkt(&topo, 1000, false));
         assert_eq!(c.store.len(), 0);
         assert_eq!(c.decode_failures, 1);
     }
@@ -395,7 +393,6 @@ mod tests {
     #[test]
     fn pure_acks_skipped_by_default() {
         let (mut c, topo) = mk_component();
-        let host = c.host;
         let mut p = data_pkt(&topo, 0, true);
         p.protocol = Protocol::Tcp;
         p.tcp = Some(TcpHeader {
@@ -404,7 +401,7 @@ mod tests {
             is_ack: true,
             ce: false,
         });
-        c.ingest(&ctx(host, 0), &p);
+        c.ingest(&ctx(0), &p);
         assert_eq!(c.store.len(), 0);
         assert_eq!(c.decode_failures, 0);
     }
@@ -412,16 +409,15 @@ mod tests {
     #[test]
     fn throughput_drop_raises_trigger() {
         let (mut c, topo) = mk_component();
-        let host = c.host;
         // Window 1: 100 KB.
         for _ in 0..100 {
-            c.ingest(&ctx(host, 0), &data_pkt(&topo, 1000, true));
+            c.ingest(&ctx(0), &data_pkt(&topo, 1000, true));
         }
         c.evaluate_triggers(SimTime::from_ms(1));
         assert!(c.triggers.is_empty(), "first window cannot trigger");
         // Window 2: 10 KB — a 90% drop.
         for _ in 0..10 {
-            c.ingest(&ctx(host, 1), &data_pkt(&topo, 1000, true));
+            c.ingest(&ctx(1), &data_pkt(&topo, 1000, true));
         }
         c.evaluate_triggers(SimTime::from_ms(2));
         assert_eq!(c.triggers.len(), 1);
@@ -435,14 +431,13 @@ mod tests {
     #[test]
     fn mild_drop_below_threshold_does_not_trigger() {
         let (mut c, topo) = mk_component();
-        let host = c.host;
         for _ in 0..100 {
-            c.ingest(&ctx(host, 0), &data_pkt(&topo, 1000, true));
+            c.ingest(&ctx(0), &data_pkt(&topo, 1000, true));
         }
         c.evaluate_triggers(SimTime::from_ms(1));
         // 60% of previous: above the 50%-drop threshold.
         for _ in 0..60 {
-            c.ingest(&ctx(host, 1), &data_pkt(&topo, 1000, true));
+            c.ingest(&ctx(1), &data_pkt(&topo, 1000, true));
         }
         c.evaluate_triggers(SimTime::from_ms(2));
         assert!(c.triggers.is_empty());
@@ -451,10 +446,9 @@ mod tests {
     #[test]
     fn quiet_flows_do_not_trigger() {
         let (mut c, topo) = mk_component();
-        let host = c.host;
         // Tiny previous window (below min_window_bytes): a stop is not a
         // reportable drop.
-        c.ingest(&ctx(host, 0), &data_pkt(&topo, 500, true));
+        c.ingest(&ctx(0), &data_pkt(&topo, 500, true));
         c.evaluate_triggers(SimTime::from_ms(1));
         c.evaluate_triggers(SimTime::from_ms(2));
         assert!(c.triggers.is_empty());
@@ -463,16 +457,15 @@ mod tests {
     #[test]
     fn alert_payload_carries_switch_epoch_bytes() {
         let (mut c, topo) = mk_component();
-        let host = c.host;
         for _ in 0..100 {
-            c.ingest(&ctx(host, 3), &data_pkt(&topo, 1000, true));
+            c.ingest(&ctx(3), &data_pkt(&topo, 1000, true));
         }
         c.evaluate_triggers(SimTime::from_ms(4));
         c.evaluate_triggers(SimTime::from_ms(5)); // starved window -> trigger
         let trig = *c.first_trigger_for(FlowId(1)).expect("trigger");
         let alert = c.alert_payload(&trig).expect("payload");
         assert_eq!(alert.flow, FlowId(1));
-        assert_eq!(alert.host, host);
+        assert_eq!(alert.host, c.host);
         assert_eq!(alert.per_switch.len(), 2, "S1 and S2 on the path");
         // The tagging switch's per-epoch byte series sums to the ingested
         // payload bytes.
@@ -503,9 +496,8 @@ mod tests {
     #[test]
     fn full_starvation_triggers() {
         let (mut c, topo) = mk_component();
-        let host = c.host;
         for _ in 0..100 {
-            c.ingest(&ctx(host, 0), &data_pkt(&topo, 1000, true));
+            c.ingest(&ctx(0), &data_pkt(&topo, 1000, true));
         }
         c.evaluate_triggers(SimTime::from_ms(1));
         // Nothing arrives in window 2.

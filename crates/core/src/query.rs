@@ -35,8 +35,10 @@
 //! — [`StateView::pointer_union`], [`StateView::filter_wave`] and the two
 //! fused aggregate reads — returns a [`Deferred`]: the call issues it and
 //! [`Deferred::wait`] collects it. A read that one shard answers (the
-//! point reads, [`StateView::presence_wave`]) returns its value. Every
-//! class is written once, staged over those reads:
+//! point reads, [`StateView::presence_wave`]) returns its value. A host
+//! wave has no per-host twin: an in-process view answers it through
+//! [`host_wave`], and its reply has one type in process and on the wire.
+//! Every class is written once, staged over those reads:
 //!
 //! * the diagnoses ([`QueryRequest::Contention`],
 //!   [`QueryRequest::RedLights`], [`QueryRequest::Cascade`]) issue the
@@ -61,6 +63,7 @@
 //! round.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 
 use netsim::packet::{FlowId, NodeId};
 use netsim::routing::RouteTable;
@@ -76,25 +79,45 @@ use crate::analyzer::{
 use crate::bitset::BitSet;
 use crate::cost::{CostModel, LatencyBreakdown, QueryWaveCost};
 use crate::host::TriggerEvent;
-use crate::hoststore::{keep_top_k, FlowRecord};
+use crate::hoststore::{keep_top_k, FlowRecord, FlowStore};
 
 /// One host's slice of a batched *filter* wave reply: its store size
 /// (`None` for unknown hosts) and the records matching the wave's
 /// `(switch, range)` key.
-pub type FilterWaveReply = Vec<(Option<usize>, Vec<FlowRecord>)>;
+pub type FilterWaveReply = Vec<(Option<u64>, Vec<FlowRecord>)>;
 /// One host's slice of a batched *top-k* wave reply.
-pub type TopKWaveReply = Vec<(Option<usize>, Vec<(FlowId, u64)>)>;
+pub type TopKWaveReply = Vec<(Option<u64>, Vec<(FlowId, u64)>)>;
 /// One host's slice of a batched *link-sizes* wave reply.
-pub type SizesWaveReply = Vec<(Option<usize>, Vec<(u16, u64)>)>;
-/// A fused aggregate read: the hosts the switch's pointer union decodes
-/// to (ascending, as [`HostDirectory::hosts_in`] returns them) and the
-/// wave's `(store size, rows)` for each, in that order; `None` if the
-/// switch has no SwitchPointer component.
-pub type UnionWave<R> = Option<(Vec<NodeId>, Vec<(Option<usize>, Vec<R>)>)>;
+pub type SizesWaveReply = Vec<(Option<u64>, Vec<(u16, u64)>)>;
+/// A wave's rows with the host each one answers for: per host, its id,
+/// store size (`None` for unknown hosts) and rows.
+pub type HostRows<R> = Vec<(NodeId, Option<u64>, Vec<R>)>;
+/// A fused aggregate read: a row per host the switch's pointer union
+/// decodes to, ascending (as [`HostDirectory::hosts_in`] returns them);
+/// `None` if the switch has no SwitchPointer component.
+pub type UnionWave<R> = Option<HostRows<R>>;
 /// A fused top-k read.
 pub type UnionTopK = UnionWave<(FlowId, u64)>;
 /// A fused link-sizes read.
 pub type UnionSizes = UnionWave<(u16, u64)>;
+
+/// A wave over in-process host stores: per host, its store size and
+/// `scan` of its store. An unknown host (`store_of` returns `None`)
+/// reports `(None, [])` and is never scanned. Each host's store is
+/// looked up once.
+pub fn host_wave<S: Deref<Target = FlowStore>, R>(
+    hosts: &[NodeId],
+    store_of: impl Fn(NodeId) -> Option<S>,
+    scan: impl Fn(&FlowStore) -> Vec<R>,
+) -> Vec<(Option<u64>, Vec<R>)> {
+    hosts
+        .iter()
+        .map(|&h| match store_of(h) {
+            None => (None, Vec::new()),
+            Some(store) => (Some(store.len() as u64), scan(&store)),
+        })
+        .collect()
+}
 
 /// Read-only access to deployment state (switch pointers + host stores),
 /// returning owned data so implementations may sit over `Rc<RefCell<…>>`
@@ -109,78 +132,39 @@ pub trait StateView {
     fn pointer_contains_exact(&self, switch: NodeId, addr: u64, epoch: u64)
         -> Option<Option<bool>>;
 
-    /// Number of flow records held by `host`; `None` for unknown hosts.
-    fn store_len(&self, host: NodeId) -> Option<usize>;
-
     /// `host`'s record for `flow`, if any.
     fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord>;
-
-    /// *Filter query* at `host`: records that traversed `switch` during
-    /// `range` (deterministic order: ascending flow id).
-    fn flows_matching(&self, host: NodeId, switch: NodeId, range: EpochRange) -> Vec<FlowRecord>;
-
-    /// *Aggregate query* at `host`: top-k flows through `switch` by bytes.
-    fn top_k_through(&self, host: NodeId, switch: NodeId, k: usize) -> Vec<(FlowId, u64)>;
-
-    /// *Aggregate query* at `host`: (link VID, bytes) pairs through `switch`.
-    fn sizes_by_link(&self, host: NodeId, switch: NodeId) -> Vec<(u16, u64)>;
 
     /// First trigger `host` raised for `flow`.
     fn first_trigger_for(&self, host: NodeId, flow: FlowId) -> Option<TriggerEvent>;
 
     // ------------------------------------------------------------------
-    // Batched wave forms. One call covers a whole query wave, so a view
-    // backed by remote shard servers (`wireplane`) can coalesce the
-    // fan-out into one wire round-trip per shard. The defaults loop the
-    // per-host reads above, so every in-process view answers
-    // bit-identically whether or not it overrides them.
+    // Host waves: the filter and aggregate queries of §4.3. One call
+    // covers a whole query wave, so a view backed by remote shard
+    // servers (`wireplane`) can coalesce the fan-out into one wire
+    // round-trip per shard; an in-process view answers through
+    // [`host_wave`]. Unknown hosts report `(None, [])` and their stores
+    // are never scanned.
     // ------------------------------------------------------------------
 
-    /// *Filter* wave: per host, its store size and the records matching
-    /// `(switch, range)`. Unknown hosts report `(None, [])` and their
-    /// stores are never scanned — exactly the sequential per-host loop.
+    /// *Filter* wave: per host, its store size and the records that
+    /// traversed `switch` during `range` (ascending flow id).
     fn filter_wave(
         &self,
         hosts: &[NodeId],
         switch: NodeId,
         range: EpochRange,
-    ) -> Deferred<'_, FilterWaveReply> {
-        Deferred::Ready(
-            hosts
-                .iter()
-                .map(|&h| match self.store_len(h) {
-                    None => (None, Vec::new()),
-                    Some(len) => (Some(len), self.flows_matching(h, switch, range)),
-                })
-                .collect(),
-        )
-    }
+    ) -> Deferred<'_, FilterWaveReply>;
 
     /// *Aggregate* wave: per host, its store size and top-k flows through
-    /// `switch`. No query class calls it: the top-k read is
+    /// `switch` by bytes. No query class calls it: the top-k read is
     /// [`StateView::union_top_k`], whose default composes it.
-    fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply {
-        hosts
-            .iter()
-            .map(|&h| match self.store_len(h) {
-                None => (None, Vec::new()),
-                Some(len) => (Some(len), self.top_k_through(h, switch, k)),
-            })
-            .collect()
-    }
+    fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply;
 
     /// *Aggregate* wave: per host, its store size and (link VID, bytes)
     /// pairs through `switch` — composed by [`StateView::union_sizes`]'s
     /// default, as [`StateView::top_k_wave`] is by the top-k read's.
-    fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> SizesWaveReply {
-        hosts
-            .iter()
-            .map(|&h| match self.store_len(h) {
-                None => (None, Vec::new()),
-                Some(len) => (Some(len), self.sizes_by_link(h, switch)),
-            })
-            .collect()
-    }
+    fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> SizesWaveReply;
 
     /// *Presence* wave: per switch, was `addr` seen at exact (level-1)
     /// resolution in any epoch of `range`? Switches without a component
@@ -292,15 +276,23 @@ pub(crate) fn union_then_wave<'s, V: StateView + ?Sized, R: 's>(
     dir: &'s HostDirectory,
     switch: NodeId,
     range: EpochRange,
-    wave: impl FnOnce(&[NodeId]) -> Vec<R> + 's,
-) -> Deferred<'s, Option<(Vec<NodeId>, Vec<R>)>> {
-    view.pointer_union(switch, range).map(move |bits| {
-        bits.map(|bits| {
-            let hosts = dir.hosts_in(&bits);
-            let rows = wave(&hosts);
-            (hosts, rows)
-        })
-    })
+    wave: impl FnOnce(&[NodeId]) -> Vec<(Option<u64>, Vec<R>)> + 's,
+) -> Deferred<'s, UnionWave<R>> {
+    view.pointer_union(switch, range)
+        .map(move |bits| bits.map(|bits| with_hosts(dir.hosts_in(&bits), wave)))
+}
+
+/// `wave` over `hosts`, each row beside the host it answers for.
+pub(crate) fn with_hosts<R>(
+    hosts: Vec<NodeId>,
+    wave: impl FnOnce(&[NodeId]) -> Vec<(Option<u64>, Vec<R>)>,
+) -> HostRows<R> {
+    let rows = wave(&hosts);
+    hosts
+        .into_iter()
+        .zip(rows)
+        .map(|(h, (len, rows))| (h, len, rows))
+        .collect()
 }
 
 /// What a read of `switch`'s pointer state returned, for a switch that
@@ -743,7 +735,7 @@ fn culprits(
             record_counts.push(0);
             continue;
         };
-        record_counts.push(len);
+        record_counts.push(len as usize);
         for rec in matching {
             if rec.flow == victim {
                 continue;
@@ -1151,10 +1143,10 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     fn load_imbalance(mut self, switch: NodeId, range: EpochRange) -> Staged<'a> {
         let read = self.view.union_sizes(self.ctx.directory, switch, range);
         then(read, move |read| {
-            let (hosts, replies) = component(switch, read);
+            let rows = component(switch, read);
             self.trace
                 .push_round(vec![(switch, range)], self.ctx.cost.pointer_retrieval(1));
-            let diagnosis = self.separate_links(hosts, replies);
+            let diagnosis = self.separate_links(rows);
             Staged::Done(QueryResponse::LoadImbalance(diagnosis), self.trace)
         })
     }
@@ -1162,19 +1154,17 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     /// The second half of the load-imbalance diagnosis: groups the wave's
     /// flow sizes per egress link and tests the two busiest for a clean
     /// separation.
-    fn separate_links(
-        &mut self,
-        hosts: Vec<NodeId>,
-        replies: SizesWaveReply,
-    ) -> LoadImbalanceDiagnosis {
+    fn separate_links(&mut self, rows: HostRows<(u16, u64)>) -> LoadImbalanceDiagnosis {
         let mut per_link: BTreeMap<u16, Vec<u64>> = BTreeMap::new();
-        let mut record_counts = Vec::with_capacity(hosts.len());
-        for (len, sizes) in replies {
+        let mut hosts = Vec::with_capacity(rows.len());
+        let mut record_counts = Vec::with_capacity(rows.len());
+        for (h, len, sizes) in rows {
+            hosts.push(h);
             let Some(len) = len else {
                 record_counts.push(0);
                 continue;
             };
-            record_counts.push(len);
+            record_counts.push(len as usize);
             for (link, bytes) in sizes {
                 per_link.entry(link).or_default().push(bytes);
             }
@@ -1223,25 +1213,27 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     fn top_k(mut self, switch: NodeId, k: usize, range: EpochRange) -> Staged<'a> {
         let read = self.view.union_top_k(self.ctx.directory, switch, range, k);
         then(read, move |read| {
-            let (hosts, replies) = component(switch, read);
+            let rows = component(switch, read);
             self.trace
                 .push_round(vec![(switch, range)], self.ctx.cost.pointer_retrieval(1));
-            let result = self.merge_top_k(hosts, k, replies);
+            let result = self.merge_top_k(rows, k);
             Staged::Done(QueryResponse::TopK(result), self.trace)
         })
     }
 
     /// The second half of the top-k query: merges the per-host top-k
     /// lists of the wave into the global one.
-    fn merge_top_k(&mut self, hosts: Vec<NodeId>, k: usize, replies: TopKWaveReply) -> TopKResult {
+    fn merge_top_k(&mut self, rows: HostRows<(FlowId, u64)>, k: usize) -> TopKResult {
         let mut merged: Vec<(FlowId, u64)> = Vec::new();
-        let mut record_counts = Vec::with_capacity(hosts.len());
-        for (len, flows) in replies {
+        let mut hosts = Vec::with_capacity(rows.len());
+        let mut record_counts = Vec::with_capacity(rows.len());
+        for (h, len, flows) in rows {
+            hosts.push(h);
             let Some(len) = len else {
                 record_counts.push(0);
                 continue;
             };
-            record_counts.push(len);
+            record_counts.push(len as usize);
             merged.extend(flows);
         }
         keep_top_k(&mut merged, k);

@@ -45,8 +45,9 @@ use crate::host::TriggerEvent;
 use crate::hoststore::FlowRecord;
 pub use crate::query::Deferred;
 use crate::query::{
-    presence_by_epoch, union_then_wave, ExecutionTrace, FilterWaveReply, QueryExecutor,
-    QueryRequest, QueryResponse, SizesWaveReply, StateView, TopKWaveReply, UnionSizes, UnionTopK,
+    presence_by_epoch, union_then_wave, with_hosts, ExecutionTrace, FilterWaveReply, HostRows,
+    QueryExecutor, QueryRequest, QueryResponse, SizesWaveReply, StateView, TopKWaveReply,
+    UnionSizes, UnionTopK, UnionWave,
 };
 
 /// The directory shard owning `host`: the same stable splitmix64
@@ -320,9 +321,6 @@ pub trait ShardBackend {
     /// of `switches`, in one call ([`StateView::presence_wave`]).
     fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool>;
 
-    /// Point read: store size of one owned host.
-    fn store_len(&self, host: NodeId) -> Option<usize>;
-
     /// Point read: one owned host's record for `flow`.
     fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord>;
 
@@ -390,10 +388,6 @@ impl<V: StateView> ShardBackend for LocalBackend<'_, V> {
         self.view.presence_wave(switches, addr, range)
     }
 
-    fn store_len(&self, host: NodeId) -> Option<usize> {
-        self.view.store_len(host)
-    }
-
     fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord> {
         self.view.record(host, flow)
     }
@@ -444,12 +438,10 @@ impl<V: StateView> LocalBackend<'_, V> {
         &self,
         switch: NodeId,
         range: EpochRange,
-        wave: impl FnOnce(&[NodeId]) -> Vec<R>,
-    ) -> Option<(Vec<NodeId>, Vec<R>)> {
+        wave: impl FnOnce(&[NodeId]) -> Vec<(Option<u64>, Vec<R>)>,
+    ) -> UnionWave<R> {
         let union = self.view.pointer_union(switch, range).wait()?;
-        let hosts = self.shard.decode(&union);
-        let rows = wave(&hosts);
-        Some((hosts, rows))
+        Some(with_hosts(self.shard.decode(&union), wave))
     }
 }
 
@@ -663,8 +655,8 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
     /// shards' slices partition it.
     fn route_union_wave<'s, T: 's>(
         &'s self,
-        call: impl Fn(&'a B) -> Deferred<'a, Option<(Vec<NodeId>, Vec<T>)>>,
-    ) -> Deferred<'s, Option<(Vec<NodeId>, Vec<T>)>> {
+        call: impl Fn(&'a B) -> Deferred<'a, UnionWave<T>>,
+    ) -> Deferred<'s, UnionWave<T>> {
         self.rounds.inc();
         self.wave_rounds.inc();
         let issued: Deferred<'s, Vec<_>> = self
@@ -679,13 +671,12 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
         issued.map(move |replies| {
             let mut total = 0u64;
             // Backends are in shard order, so the index is the shard.
-            let mut parts: Vec<(Vec<NodeId>, Vec<T>)> = replies
+            let mut parts: Vec<HostRows<T>> = replies
                 .into_iter()
                 .enumerate()
                 .filter_map(|(shard, reply)| {
                     let part = reply?;
-                    debug_assert_eq!(part.0.len(), part.1.len());
-                    let n = part.0.len() as u64;
+                    let n = part.len() as u64;
                     if n > 0 {
                         self.decode_bits[shard].add(n);
                         self.host_reads[shard].add(n);
@@ -705,12 +696,9 @@ impl<'a, B: ShardBackend> BackendRouter<'a, B> {
             if parts.len() == 1 {
                 return parts.pop();
             }
-            let mut rows: Vec<(NodeId, T)> = parts
-                .into_iter()
-                .flat_map(|(hosts, rows)| hosts.into_iter().zip(rows))
-                .collect();
-            rows.sort_unstable_by_key(|&(h, _)| h);
-            Some(rows.into_iter().unzip())
+            let mut rows: HostRows<T> = parts.into_iter().flatten().collect();
+            rows.sort_unstable_by_key(|&(h, ..)| h);
+            Some(rows)
         })
     }
 
@@ -805,45 +793,10 @@ impl<B: ShardBackend> StateView for BackendRouter<'_, B> {
         self.backends[s].presence_wave(switches, addr, range)
     }
 
-    fn store_len(&self, host: NodeId) -> Option<usize> {
-        let s = self.owner(host);
-        self.note_point_read(s);
-        self.backends[s].store_len(host)
-    }
-
     fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord> {
         let s = self.owner(host);
         self.note_point_read(s);
         self.backends[s].record(host, flow)
-    }
-
-    fn flows_matching(&self, host: NodeId, switch: NodeId, range: EpochRange) -> Vec<FlowRecord> {
-        let s = self.owner(host);
-        self.note_point_read(s);
-        self.point_wave(s, |b| {
-            b.filter_wave(std::slice::from_ref(&host), switch, range)
-        })
-        .pop()
-        .map(|(_, recs)| recs)
-        .unwrap_or_default()
-    }
-
-    fn top_k_through(&self, host: NodeId, switch: NodeId, k: usize) -> Vec<(FlowId, u64)> {
-        let s = self.owner(host);
-        self.note_point_read(s);
-        self.point_wave(s, |b| b.top_k_wave(std::slice::from_ref(&host), switch, k))
-            .pop()
-            .map(|(_, flows)| flows)
-            .unwrap_or_default()
-    }
-
-    fn sizes_by_link(&self, host: NodeId, switch: NodeId) -> Vec<(u16, u64)> {
-        let s = self.owner(host);
-        self.note_point_read(s);
-        self.point_wave(s, |b| b.sizes_wave(std::slice::from_ref(&host), switch))
-            .pop()
-            .map(|(_, sizes)| sizes)
-            .unwrap_or_default()
     }
 
     fn first_trigger_for(&self, host: NodeId, flow: FlowId) -> Option<TriggerEvent> {

@@ -5,7 +5,7 @@
 //! into the simulator through these traits, mirroring how the real system
 //! hooks OVS's forwarding pipeline and the end-host packet path.
 
-use crate::packet::{NodeId, Packet};
+use crate::packet::Packet;
 use crate::time::SimTime;
 use crate::topology::LinkId;
 
@@ -21,19 +21,16 @@ pub struct AppCtx {
     pub now: SimTime,
     /// This node's local clock reading.
     pub local_time: SimTime,
-    /// The node the callback runs on.
-    pub node: NodeId,
     timer_requests: Vec<(SimTime, u64)>,
 }
 
 impl AppCtx {
     /// Builds a context. Public so downstream crates can unit-test their
     /// apps without a full simulator.
-    pub fn new(now: SimTime, local_time: SimTime, node: NodeId) -> Self {
+    pub fn new(now: SimTime, local_time: SimTime) -> Self {
         AppCtx {
             now,
             local_time,
-            node,
             timer_requests: Vec::new(),
         }
     }
@@ -91,7 +88,7 @@ mod tests {
 
     #[test]
     fn ctx_collects_timer_requests() {
-        let mut ctx = AppCtx::new(SimTime::from_ms(1), SimTime::from_ms(1), NodeId(0));
+        let mut ctx = AppCtx::new(SimTime::from_ms(1), SimTime::from_ms(1));
         ctx.schedule_timer(SimTime::from_ms(2), 7);
         ctx.schedule_timer(SimTime::from_ms(3), 8);
         let reqs = ctx.take_timer_requests();

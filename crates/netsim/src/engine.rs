@@ -334,7 +334,7 @@ impl Simulator {
         };
         self.flow_meta.insert(id, meta);
         self.tcp
-            .insert(id, TcpConn::new(meta, spec.config, spec.bytes, spec.stop));
+            .insert(id, TcpConn::new(spec.config, spec.bytes, spec.stop));
         self.schedule(spec.start, Ev::FlowStart { flow: id });
         id
     }
@@ -741,7 +741,7 @@ impl Simulator {
 
     fn ctx_for(&self, node: NodeId) -> AppCtx {
         let offset = self.nodes[node.0 as usize].clock_offset_ns;
-        AppCtx::new(self.now, self.now.offset_by(offset), node)
+        AppCtx::new(self.now, self.now.offset_by(offset))
     }
 
     fn drain_ctx(&mut self, node: NodeId, ctx: &mut AppCtx) {

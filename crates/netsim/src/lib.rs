@@ -56,7 +56,7 @@ pub mod workload;
 pub mod prelude {
     pub use crate::apps::{AppCtx, EgressInfo, HostApp, SwitchApp};
     pub use crate::engine::{SimConfig, Simulator, TcpFlowSpec};
-    pub use crate::packet::{FlowId, FlowMeta, NodeId, Packet, Priority, Protocol, VlanTag};
+    pub use crate::packet::{FlowId, NodeId, Packet, Priority, Protocol, VlanTag};
     pub use crate::queue::QueueConfig;
     pub use crate::tcp::TcpConfig;
     pub use crate::time::SimTime;

@@ -150,7 +150,7 @@ impl Packet {
 
 /// Static description of a flow registered with the simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlowMeta {
+pub(crate) struct FlowMeta {
     pub(crate) id: FlowId,
     pub(crate) src: NodeId,
     pub(crate) dst: NodeId,

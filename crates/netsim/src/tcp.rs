@@ -20,7 +20,6 @@
 
 use std::collections::BTreeMap;
 
-use crate::packet::FlowMeta;
 use crate::time::SimTime;
 
 /// Tunable TCP parameters.
@@ -82,7 +81,6 @@ pub(crate) enum TcpAction {
 /// reverse path carries pure ACKs).
 #[derive(Debug)]
 pub struct TcpConn {
-    pub meta: FlowMeta,
     cfg: TcpConfig,
 
     // ---- sender state ----
@@ -129,14 +127,8 @@ impl TcpConn {
     /// Creates a connection. `bytes` bounds the stream (e.g. the 2 MB
     /// transfer of Fig. 4); `stop_at` bounds it in time (e.g. the 100 ms
     /// flow of Fig. 2).
-    pub(crate) fn new(
-        meta: FlowMeta,
-        cfg: TcpConfig,
-        bytes: Option<u64>,
-        stop_at: Option<SimTime>,
-    ) -> Self {
+    pub(crate) fn new(cfg: TcpConfig, bytes: Option<u64>, stop_at: Option<SimTime>) -> Self {
         TcpConn {
-            meta,
             cfg,
             snd_una: 0,
             snd_nxt: 0,
@@ -515,17 +507,9 @@ impl TcpConn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::{FlowId, NodeId, Priority, Protocol};
 
     fn conn(bytes: Option<u64>) -> TcpConn {
-        let meta = FlowMeta {
-            id: FlowId(1),
-            src: NodeId(0),
-            dst: NodeId(1),
-            protocol: Protocol::Tcp,
-            priority: Priority::LOW,
-        };
-        TcpConn::new(meta, TcpConfig::default(), bytes, None)
+        TcpConn::new(TcpConfig::default(), bytes, None)
     }
 
     fn data_actions(actions: &[TcpAction]) -> Vec<(u64, u32)> {
@@ -716,14 +700,7 @@ mod tests {
 
     #[test]
     fn time_bounded_flow_stops_offering_data() {
-        let meta = FlowMeta {
-            id: FlowId(1),
-            src: NodeId(0),
-            dst: NodeId(1),
-            protocol: Protocol::Tcp,
-            priority: Priority::LOW,
-        };
-        let mut c = TcpConn::new(meta, TcpConfig::default(), None, Some(SimTime::from_ms(1)));
+        let mut c = TcpConn::new(TcpConfig::default(), None, Some(SimTime::from_ms(1)));
         c.on_start(SimTime::ZERO);
         let sent = c.snd_next();
         // Past the stop time: ACKs open the window but no new data appears.
@@ -733,19 +710,12 @@ mod tests {
 
     #[test]
     fn rwnd_caps_inflight() {
-        let meta = FlowMeta {
-            id: FlowId(1),
-            src: NodeId(0),
-            dst: NodeId(1),
-            protocol: Protocol::Tcp,
-            priority: Priority::LOW,
-        };
         let cfg = TcpConfig {
             rwnd: 4 * 1448,
             init_cwnd_segments: 100,
             ..TcpConfig::default()
         };
-        let mut c = TcpConn::new(meta, cfg, Some(10_000_000), None);
+        let mut c = TcpConn::new(cfg, Some(10_000_000), None);
         let acts = c.on_start(SimTime::ZERO);
         assert_eq!(data_actions(&acts).len(), 4, "rwnd limits the burst");
     }

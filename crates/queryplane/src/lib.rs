@@ -362,12 +362,6 @@ impl QueryPlane {
         self.slot.load().0
     }
 
-    /// The currently published snapshot together with its publication
-    /// epoch — the consistent pair the stream plane stamps windows with.
-    pub fn published(&self) -> (Arc<Snapshot>, u64) {
-        self.slot.load()
-    }
-
     /// Service configuration in force.
     pub fn config(&self) -> QueryPlaneConfig {
         self.cfg

@@ -53,7 +53,9 @@ use switchpointer::bitset::BitSet;
 use switchpointer::host::{HostComponent, TriggerEvent};
 use switchpointer::hoststore::{FlowRecord, FlowStore, RECORD_SHARDS};
 use switchpointer::pointer::FrozenHierarchy;
-use switchpointer::query::{Deferred, StateView};
+use switchpointer::query::{
+    host_wave, Deferred, FilterWaveReply, SizesWaveReply, StateView, TopKWaveReply,
+};
 use switchpointer::Analyzer;
 use telemetry::frame::{Dec, Enc, Wire, WireError};
 use telemetry::EpochRange;
@@ -550,6 +552,12 @@ impl Snapshot {
     }
 }
 
+impl Snapshot {
+    fn store(&self, host: NodeId) -> Option<&FlowStore> {
+        self.hosts.get(&host).map(|h| &h.store)
+    }
+}
+
 impl StateView for Snapshot {
     fn pointer_union(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, Option<BitSet>> {
         Deferred::Ready(
@@ -581,38 +589,34 @@ impl StateView for Snapshot {
             .collect()
     }
 
-    fn store_len(&self, host: NodeId) -> Option<usize> {
-        self.hosts.get(&host).map(|h| h.store.len())
-    }
-
     fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord> {
-        self.hosts.get(&host)?.store.record(flow).cloned()
+        self.store(host)?.record(flow).cloned()
     }
 
-    fn flows_matching(&self, host: NodeId, switch: NodeId, range: EpochRange) -> Vec<FlowRecord> {
-        match self.hosts.get(&host) {
-            Some(h) => h
-                .store
-                .flows_matching(switch, range)
-                .into_iter()
-                .cloned()
-                .collect(),
-            None => Vec::new(),
-        }
+    fn filter_wave(
+        &self,
+        hosts: &[NodeId],
+        switch: NodeId,
+        range: EpochRange,
+    ) -> Deferred<'_, FilterWaveReply> {
+        Deferred::Ready(host_wave(
+            hosts,
+            |h| self.store(h),
+            |s| {
+                s.flows_matching(switch, range)
+                    .into_iter()
+                    .cloned()
+                    .collect()
+            },
+        ))
     }
 
-    fn top_k_through(&self, host: NodeId, switch: NodeId, k: usize) -> Vec<(FlowId, u64)> {
-        match self.hosts.get(&host) {
-            Some(h) => h.store.top_k_through(switch, k),
-            None => Vec::new(),
-        }
+    fn top_k_wave(&self, hosts: &[NodeId], switch: NodeId, k: usize) -> TopKWaveReply {
+        host_wave(hosts, |h| self.store(h), |s| s.top_k_through(switch, k))
     }
 
-    fn sizes_by_link(&self, host: NodeId, switch: NodeId) -> Vec<(u16, u64)> {
-        match self.hosts.get(&host) {
-            Some(h) => h.store.sizes_by_link(switch),
-            None => Vec::new(),
-        }
+    fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> SizesWaveReply {
+        host_wave(hosts, |h| self.store(h), |s| s.sizes_by_link(switch))
     }
 
     fn first_trigger_for(&self, host: NodeId, flow: FlowId) -> Option<TriggerEvent> {

@@ -309,11 +309,6 @@ pub struct WindowReport {
     pub window: u64,
     /// Snapshot epoch horizon after the delta refresh.
     pub horizon: u64,
-    /// Publication epoch of the snapshot this window evaluated against
-    /// (the [`queryplane::SnapshotSlot`] install counter): the window
-    /// consumed exactly the state its delta refresh published, even if
-    /// another refresh lands while the window is still evaluating.
-    pub snapshot_epoch: u64,
     /// The retention sweep this window ran before refreshing, if a policy
     /// is configured (per-shard floors, evicted/resident counts).
     pub sweep: Option<SweepReport>,
@@ -595,7 +590,7 @@ impl StreamPlane {
         // behind the resolved standing requests and executes them all as
         // one batch on the worker pool, which runs identical requests
         // within the window once (`QueryPlane::execute_batch` coalesces).
-        let (published, snapshot_epoch) = self.plane.published();
+        let published = self.plane.snapshot();
         let n_dir = self.plane.config().directory_shards.max(1);
         let mut per_shard_standing = vec![0usize; n_dir];
         for (_, q) in &self.subs {
@@ -650,7 +645,6 @@ impl StreamPlane {
         let report = WindowReport {
             window,
             horizon,
-            snapshot_epoch,
             sweep,
             delta,
             executed,

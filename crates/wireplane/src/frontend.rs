@@ -88,14 +88,14 @@ use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::FlowRecord;
 use switchpointer::query::{
     Deferred, ExecutionTrace, FilterWaveReply, QueryRequest, QueryResponse, SizesWaveReply,
-    TopKWaveReply, UnionSizes, UnionTopK, UnionWave,
+    TopKWaveReply, UnionSizes, UnionTopK,
 };
 use switchpointer::shard::{BackendRouter, RouterCounters, ShardBackend};
 use telemetry::frame::WireError;
 use telemetry::EpochRange;
 
 use crate::mux::{InFlight, MuxConn};
-use crate::proto::{Frame, UnionWaveBody, WindowSummary, WireSpan, FRONT_ROLE};
+use crate::proto::{Frame, WindowSummary, WireSpan, FRONT_ROLE};
 use crate::retry::RetryPolicy;
 use crate::server::{Listener, WireConfig};
 
@@ -635,13 +635,6 @@ impl ShardBackend for RemoteShard {
         )
     }
 
-    fn store_len(&self, host: NodeId) -> Option<usize> {
-        self.expect(self.call(Frame::StoreLenReq { host }, true), |f| match f {
-            Frame::StoreLenRep(v) => Some(v.map(|n| n as usize)),
-            _ => None,
-        })
-    }
-
     fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord> {
         self.expect(
             self.call(Frame::RecordReq { host, flow }, true),
@@ -668,18 +661,18 @@ impl ShardBackend for RemoteShard {
         switch: NodeId,
         range: EpochRange,
     ) -> Deferred<'_, FilterWaveReply> {
+        let n = hosts.len();
         self.deferred(
             Frame::FilterWaveReq {
                 switch,
                 range,
                 hosts: hosts.to_vec(),
             },
-            |f| match f {
-                Frame::FilterWaveRep(v) => Some(
-                    v.into_iter()
-                        .map(|(l, recs)| (l.map(|n| n as usize), recs))
-                        .collect(),
-                ),
+            // A reply of the wrong length is as much a protocol error as
+            // one of the wrong type: a missing row would read as an
+            // unknown host.
+            move |f| match f {
+                Frame::FilterWaveRep(v) if v.len() == n => Some(v),
                 _ => None,
             },
         )
@@ -691,35 +684,29 @@ impl ShardBackend for RemoteShard {
         switch: NodeId,
         k: usize,
     ) -> Deferred<'_, TopKWaveReply> {
+        let n = hosts.len();
         self.deferred(
             Frame::TopKWaveReq {
                 switch,
                 k: k as u64,
                 hosts: hosts.to_vec(),
             },
-            |f| match f {
-                Frame::TopKWaveRep(v) => Some(
-                    v.into_iter()
-                        .map(|(l, flows)| (l.map(|n| n as usize), flows))
-                        .collect(),
-                ),
+            move |f| match f {
+                Frame::TopKWaveRep(v) if v.len() == n => Some(v),
                 _ => None,
             },
         )
     }
 
     fn sizes_wave(&self, hosts: &[NodeId], switch: NodeId) -> Deferred<'_, SizesWaveReply> {
+        let n = hosts.len();
         self.deferred(
             Frame::SizesWaveReq {
                 switch,
                 hosts: hosts.to_vec(),
             },
-            |f| match f {
-                Frame::SizesWaveRep(v) => Some(
-                    v.into_iter()
-                        .map(|(l, sizes)| (l.map(|n| n as usize), sizes))
-                        .collect(),
-                ),
+            move |f| match f {
+                Frame::SizesWaveRep(v) if v.len() == n => Some(v),
                 _ => None,
             },
         )
@@ -733,7 +720,7 @@ impl ShardBackend for RemoteShard {
                 k: k as u64,
             },
             |f| match f {
-                Frame::UnionTopKRep(v) => Some(union_read(v)),
+                Frame::UnionTopKRep(v) => Some(v),
                 _ => None,
             },
         )
@@ -741,21 +728,10 @@ impl ShardBackend for RemoteShard {
 
     fn union_sizes(&self, switch: NodeId, range: EpochRange) -> Deferred<'_, UnionSizes> {
         self.deferred(Frame::UnionSizesReq { switch, range }, |f| match f {
-            Frame::UnionSizesRep(v) => Some(union_read(v)),
+            Frame::UnionSizesRep(v) => Some(v),
             _ => None,
         })
     }
-}
-
-/// A fused read's wire answer back in the [`ShardBackend`] form: the
-/// decoded hosts, and each one's `(store size, rows)`.
-fn union_read<R>(body: UnionWaveBody<R>) -> UnionWave<R> {
-    body.map(|entries| {
-        entries
-            .into_iter()
-            .map(|(h, len, rows)| (h, (len.map(|n| n as usize), rows)))
-            .unzip()
-    })
 }
 
 /// One subscribed client connection on one topic.
@@ -1402,6 +1378,7 @@ fn saturating_ns(d: std::time::Duration) -> u64 {
 mod tests {
     use netsim::prelude::*;
     use switchpointer::testbed::{Testbed, TestbedConfig};
+    use telemetry::frame::MAX_FRAME;
 
     use super::*;
     use crate::WireCluster;
@@ -1452,6 +1429,67 @@ mod tests {
         assert_eq!(link.active_replica(), 1);
         assert_eq!(link.failovers(), 1, "one dead replica is one failover");
         cluster.shutdown();
+    }
+
+    /// A wave reply whose row count differs from the request's host
+    /// count is a protocol error, as a presence wave's is: read as rows,
+    /// the missing hosts would turn into unknown hosts and their culprits
+    /// would drop out of the verdict. The peer greets as shard 0 and
+    /// answers a two-host filter wave with one row.
+    #[test]
+    fn a_wave_reply_with_the_wrong_row_count_is_a_protocol_error() {
+        use std::net::TcpListener;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            Frame::Hello {
+                shard: 0,
+                n_shards: 1,
+            }
+            .write(&mut stream)
+            .unwrap();
+            while let Ok(frame) = Frame::read(&mut stream, MAX_FRAME) {
+                let ids = match frame {
+                    Frame::Tagged { req_id, .. } => vec![req_id],
+                    Frame::Batch(entries) => entries.into_iter().map(|(id, ..)| id).collect(),
+                    other => panic!("unexpected frame {:#04x}", other.tag()),
+                };
+                for req_id in ids {
+                    let reply = Frame::Tagged {
+                        req_id,
+                        ctx: None,
+                        inner: Box::new(Frame::FilterWaveRep(vec![(Some(0), Vec::new())])),
+                    };
+                    if reply.write(&mut stream).is_err() {
+                        return;
+                    }
+                }
+            }
+        });
+        let link = RemoteShard::connect_replicated(
+            0,
+            vec![addr],
+            MAX_FRAME,
+            RetryPolicy::immediate(1),
+            None,
+            None,
+        )
+        .unwrap();
+        let reply = link.filter_wave(
+            &[NodeId(1), NodeId(2)],
+            NodeId(0),
+            EpochRange { lo: 0, hi: 1 },
+        );
+        link.flush();
+        let panic = catch_unwind(AssertUnwindSafe(|| reply.wait()))
+            .expect_err("a one-row reply to a two-host wave was collected");
+        let msg = panic.downcast_ref::<String>().expect("a formatted panic");
+        assert!(msg.contains("mismatched reply frame"), "{msg}");
+        drop(link);
+        peer.join().unwrap();
     }
 
     /// A watcher whose window write fails is reaped by `close_window`

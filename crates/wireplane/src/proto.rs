@@ -36,8 +36,12 @@
 //!   (`0x1x` shard requests, `0x2x` shard replies, `0x3x` client-plane
 //!   frames); [`Frame::Error`] carries a [`WireError`] to the peer. A
 //!   retired tag is never reused: `0x15` / `0x25`, the store-length wave
-//!   that the filter wave's sizes made redundant, decode as
+//!   that the filter wave's sizes made redundant, and `0x12` / `0x22`,
+//!   the store-length point read no query sent, decode as
 //!   [`WireError::BadTag`].
+//! * **One reply type per wave.** A wave reply frame carries the
+//!   `switchpointer::query` reply type itself (store sizes are `u64` in
+//!   process too), so neither end converts a reply on its way through.
 //!
 //! The RPC table (see `DESIGN.md` §13) — "carries" names the [`Wire`]
 //! values in the payload; their layouts are beside their types:
@@ -48,7 +52,7 @@
 //! | `UnionTopKReq/Rep`, `UnionSizesReq/Rep` | front → shard | a whole aggregate read: the shard's union slice decoded, and the top-k / link-sizes row of each host it decoded |
 //! | `ProbeExactReq/Rep` | front → shard | exact-epoch presence probe |
 //! | `PresenceWaveReq/Rep` | front → shard | exact presence over an epoch range, one flag per switch |
-//! | `StoreLenReq/Rep`, `RecordReq/Rep`, `TriggerReq/Rep` | front → shard | host point reads |
+//! | `RecordReq/Rep`, `TriggerReq/Rep` | front → shard | host point reads |
 //! | `FilterWaveReq/Rep`, `TopKWaveReq/Rep`, `SizesWaveReq/Rep` | front → shard | one coalesced wave per shard; every reply row carries the host's store size |
 //! | `HorizonReq/Rep` | front → shard | snapshot epoch horizon |
 //! | `StatsScrapeReq/Rep` | client → front → shard | labelled obsplane registry snapshots |
@@ -77,7 +81,10 @@ use streamplane::{Incident, StandingQuery, SubscriptionId};
 use switchpointer::bitset::BitSet;
 use switchpointer::host::TriggerEvent;
 use switchpointer::hoststore::FlowRecord;
-use switchpointer::query::{QueryRequest, QueryResponse};
+use switchpointer::query::{
+    FilterWaveReply, QueryRequest, QueryResponse, SizesWaveReply, TopKWaveReply, UnionSizes,
+    UnionTopK,
+};
 use telemetry::frame::{read_frame, write_frame, Dec, Enc, Wire, WireError, MAX_FRAME};
 use telemetry::EpochRange;
 
@@ -406,22 +413,6 @@ fn dec_bitset_runs(d: &mut Dec, budget: &mut usize) -> Result<BitSet, WireError>
 // Frames
 // ----------------------------------------------------------------------
 
-/// Wire body of a filter-wave reply: per host, store size and matching
-/// records (`usize` travels as `u64`).
-pub(crate) type FilterWaveBody = Vec<(Option<u64>, Vec<FlowRecord>)>;
-/// Wire body of a top-k wave reply.
-pub(crate) type TopKWaveBody = Vec<(Option<u64>, Vec<(FlowId, u64)>)>;
-/// Wire body of a link-sizes wave reply.
-pub(crate) type SizesWaveBody = Vec<(Option<u64>, Vec<(u16, u64)>)>;
-/// Wire body of a fused aggregate reply: `None` when the switch has no
-/// component, else per decoded host (ascending) its id, store size and
-/// rows.
-pub(crate) type UnionWaveBody<R> = Option<Vec<(NodeId, Option<u64>, Vec<R>)>>;
-/// Wire body of a fused top-k reply.
-pub(crate) type UnionTopKBody = UnionWaveBody<(FlowId, u64)>;
-/// Wire body of a fused link-sizes reply.
-pub(crate) type UnionSizesBody = UnionWaveBody<(u16, u64)>;
-
 /// Every message of the wireplane protocol.
 #[derive(Debug, Clone)]
 pub enum Frame {
@@ -456,10 +447,6 @@ pub enum Frame {
     /// One flag per requested switch, in request order (`false` for a
     /// switch the shard holds no pointers for).
     PresenceWaveRep(Vec<bool>),
-    StoreLenReq {
-        host: NodeId,
-    },
-    StoreLenRep(Option<u64>),
     RecordReq {
         host: NodeId,
         flow: FlowId,
@@ -475,18 +462,18 @@ pub enum Frame {
         range: EpochRange,
         hosts: Vec<NodeId>,
     },
-    FilterWaveRep(FilterWaveBody),
+    FilterWaveRep(FilterWaveReply),
     TopKWaveReq {
         switch: NodeId,
         k: u64,
         hosts: Vec<NodeId>,
     },
-    TopKWaveRep(TopKWaveBody),
+    TopKWaveRep(TopKWaveReply),
     SizesWaveReq {
         switch: NodeId,
         hosts: Vec<NodeId>,
     },
-    SizesWaveRep(SizesWaveBody),
+    SizesWaveRep(SizesWaveReply),
     /// A whole top-k read in one request: the shard decodes its slice of
     /// `switch`'s pointer union over `range` and answers the top-k wave
     /// for the hosts it decoded.
@@ -495,13 +482,13 @@ pub enum Frame {
         range: EpochRange,
         k: u64,
     },
-    UnionTopKRep(UnionTopKBody),
+    UnionTopKRep(UnionTopK),
     /// A whole link-sizes read in one request, as [`Frame::UnionTopKReq`].
     UnionSizesReq {
         switch: NodeId,
         range: EpochRange,
     },
-    UnionSizesRep(UnionSizesBody),
+    UnionSizesRep(UnionSizes),
     HorizonReq,
     HorizonRep(u64),
     /// Pull the peer's obsplane metrics. Sent by clients to the
@@ -615,7 +602,6 @@ impl Frame {
             Frame::Hello { .. } => 0x01,
             Frame::UnionSliceReq { .. } => 0x10,
             Frame::ProbeExactReq { .. } => 0x11,
-            Frame::StoreLenReq { .. } => 0x12,
             Frame::RecordReq { .. } => 0x13,
             Frame::TriggerReq { .. } => 0x14,
             Frame::FilterWaveReq { .. } => 0x16,
@@ -629,7 +615,6 @@ impl Frame {
             Frame::UnionSizesReq { .. } => 0x1E,
             Frame::UnionSliceRep(_) => 0x20,
             Frame::ProbeExactRep(_) => 0x21,
-            Frame::StoreLenRep(_) => 0x22,
             Frame::RecordRep(_) => 0x23,
             Frame::TriggerRep(_) => 0x24,
             Frame::FilterWaveRep(_) => 0x26,
@@ -666,7 +651,6 @@ impl Frame {
             Frame::Hello { .. } => "Hello",
             Frame::UnionSliceReq { .. } => "UnionSliceReq",
             Frame::ProbeExactReq { .. } => "ProbeExactReq",
-            Frame::StoreLenReq { .. } => "StoreLenReq",
             Frame::RecordReq { .. } => "RecordReq",
             Frame::TriggerReq { .. } => "TriggerReq",
             Frame::FilterWaveReq { .. } => "FilterWaveReq",
@@ -680,7 +664,6 @@ impl Frame {
             Frame::UnionSizesReq { .. } => "UnionSizesReq",
             Frame::UnionSliceRep(_) => "UnionSliceRep",
             Frame::ProbeExactRep(_) => "ProbeExactRep",
-            Frame::StoreLenRep(_) => "StoreLenRep",
             Frame::RecordRep(_) => "RecordRep",
             Frame::TriggerRep(_) => "TriggerRep",
             Frame::FilterWaveRep(_) => "FilterWaveRep",
@@ -748,8 +731,6 @@ impl Frame {
                 range.enc(&mut e);
             }
             Frame::PresenceWaveRep(v) => v.enc(&mut e),
-            Frame::StoreLenReq { host } => host.enc(&mut e),
-            Frame::StoreLenRep(v) => v.enc(&mut e),
             Frame::RecordReq { host, flow } => {
                 host.enc(&mut e);
                 flow.enc(&mut e);
@@ -938,9 +919,6 @@ impl Frame {
                 addr: d.get_u64()?,
                 epoch: d.get_u64()?,
             },
-            0x12 => Frame::StoreLenReq {
-                host: NodeId::dec(&mut d)?,
-            },
             0x13 => Frame::RecordReq {
                 host: NodeId::dec(&mut d)?,
                 flow: FlowId::dec(&mut d)?,
@@ -986,7 +964,6 @@ impl Frame {
                 t => return Err(WireError::BadTag(t)),
             }),
             0x21 => Frame::ProbeExactRep(Option::dec(&mut d)?),
-            0x22 => Frame::StoreLenRep(Option::dec(&mut d)?),
             0x23 => Frame::RecordRep(Option::dec(&mut d)?),
             0x24 => Frame::TriggerRep(Option::dec(&mut d)?),
             0x26 => Frame::FilterWaveRep(Vec::dec(&mut d)?),

@@ -49,11 +49,11 @@ use std::time::Instant;
 
 use obsplane::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, TraceContext};
 use queryplane::{DeltaRecord, Snapshot};
-use switchpointer::query::{StateView, UnionWave};
+use switchpointer::query::StateView;
 use switchpointer::shard::{DirectoryShard, LocalBackend, ShardBackend};
 use telemetry::frame::{read_frame, Dec, WireError, MAX_FRAME};
 
-use crate::proto::{Frame, UnionWaveBody};
+use crate::proto::Frame;
 
 /// Per-frame wire metrics one serving loop records, resolved once at
 /// spawn so the hot path never touches the registry's lock.
@@ -330,9 +330,6 @@ impl ShardState {
                 addr,
                 range,
             } => Frame::PresenceWaveRep(self.view.presence_wave(switches, *addr, *range)),
-            Frame::StoreLenReq { host } => {
-                Frame::StoreLenRep(self.view.store_len(*host).map(|n| n as u64))
-            }
             Frame::RecordReq { host, flow } => Frame::RecordRep(self.view.record(*host, *flow)),
             Frame::TriggerReq { host, flow } => {
                 Frame::TriggerRep(self.view.first_trigger_for(*host, *flow))
@@ -341,35 +338,20 @@ impl ShardState {
                 switch,
                 range,
                 hosts,
-            } => Frame::FilterWaveRep(
-                self.local()
-                    .filter_wave(hosts, *switch, *range)
-                    .wait()
-                    .into_iter()
-                    .map(|(l, recs)| (l.map(|n| n as u64), recs))
-                    .collect(),
-            ),
-            Frame::TopKWaveReq { switch, k, hosts } => Frame::TopKWaveRep(
-                self.view
-                    .top_k_wave(hosts, *switch, *k as usize)
-                    .into_iter()
-                    .map(|(l, flows)| (l.map(|n| n as u64), flows))
-                    .collect(),
-            ),
-            Frame::SizesWaveReq { switch, hosts } => Frame::SizesWaveRep(
-                self.view
-                    .sizes_wave(hosts, *switch)
-                    .into_iter()
-                    .map(|(l, sizes)| (l.map(|n| n as u64), sizes))
-                    .collect(),
-            ),
-            Frame::UnionTopKReq { switch, range, k } => Frame::UnionTopKRep(union_body(
+            } => Frame::FilterWaveRep(self.local().filter_wave(hosts, *switch, *range).wait()),
+            Frame::TopKWaveReq { switch, k, hosts } => {
+                Frame::TopKWaveRep(self.view.top_k_wave(hosts, *switch, *k as usize))
+            }
+            Frame::SizesWaveReq { switch, hosts } => {
+                Frame::SizesWaveRep(self.view.sizes_wave(hosts, *switch))
+            }
+            Frame::UnionTopKReq { switch, range, k } => Frame::UnionTopKRep(
                 self.local()
                     .union_top_k(*switch, *range, *k as usize)
                     .wait(),
-            )),
+            ),
             Frame::UnionSizesReq { switch, range } => {
-                Frame::UnionSizesRep(union_body(self.local().union_sizes(*switch, *range).wait()))
+                Frame::UnionSizesRep(self.local().union_sizes(*switch, *range).wait())
             }
             Frame::HorizonReq => Frame::HorizonRep(self.view.epoch_horizon()),
             other => Frame::Error(WireError::Remote(format!(
@@ -378,18 +360,6 @@ impl ShardState {
             ))),
         }
     }
-}
-
-/// A fused read's answer in its wire form: one `(host, store size, rows)`
-/// entry per decoded host.
-fn union_body<R>(read: UnionWave<R>) -> UnionWaveBody<R> {
-    read.map(|(hosts, rows)| {
-        hosts
-            .into_iter()
-            .zip(rows)
-            .map(|(h, (len, r))| (h, len.map(|n| n as u64), r))
-            .collect()
-    })
 }
 
 /// Shared listener mechanics (accept loop, bounded pool, graceful
@@ -1103,13 +1073,14 @@ mod tests {
             Frame::Hello { .. }
         ));
         // Even ids ask for the horizon, odd ids for an unknown host's
-        // store: a reply crossing wires would show up as the wrong type.
+        // record: a reply crossing wires would show up as the wrong type.
         for req_id in 0..REQUESTS {
             let inner = if req_id % 2 == 0 {
                 Frame::HorizonReq
             } else {
-                Frame::StoreLenReq {
+                Frame::RecordReq {
                     host: NodeId(u32::MAX),
+                    flow: FlowId(0),
                 }
             };
             Frame::Tagged {
@@ -1149,7 +1120,7 @@ mod tests {
                 Frame::Tagged { req_id, inner, .. } => {
                     assert!(!std::mem::replace(&mut seen[req_id as usize], true));
                     match (*inner, req_id % 2) {
-                        (Frame::HorizonRep(_), 0) | (Frame::StoreLenRep(None), 1) => {}
+                        (Frame::HorizonRep(_), 0) | (Frame::RecordRep(None), 1) => {}
                         (other, _) => panic!("request {req_id} got {other:?}"),
                     }
                 }
@@ -1496,14 +1467,15 @@ mod tests {
         let state = server.state();
         // Stretch some serves so later requests overtake earlier ones.
         server.set_serve_delay(Some(Arc::new(|f: &Frame| match f {
-            Frame::StoreLenReq { .. } => Duration::from_millis(2),
+            Frame::RecordReq { .. } => Duration::from_millis(2),
             Frame::UnionSliceReq { .. } => Duration::from_micros(300),
             _ => Duration::ZERO,
         })));
         let gen_read = |rng: &mut DetRng| match rng.next_below(6) {
             0 => Frame::HorizonReq,
-            1 => Frame::StoreLenReq {
+            1 => Frame::RecordReq {
                 host: NodeId(rng.next_below(12) as u32),
+                flow: FlowId(0),
             },
             2 => Frame::UnionSliceReq {
                 switch: NodeId(rng.next_below(12) as u32),

@@ -602,9 +602,6 @@ fn measured_rounds_equal_modelled_rounds_per_class() {
         fn presence_wave(&self, switches: &[NodeId], addr: u64, range: EpochRange) -> Vec<bool> {
             self.0.presence_wave(switches, addr, range)
         }
-        fn store_len(&self, host: NodeId) -> Option<usize> {
-            self.0.store_len(host)
-        }
         fn record(&self, host: NodeId, flow: FlowId) -> Option<FlowRecord> {
             self.0.record(host, flow)
         }

@@ -445,10 +445,6 @@ fn gen_frames(rng: &mut TestRng) -> Vec<Frame> {
             range: gen_epoch_range(rng),
         },
         Frame::PresenceWaveRep((0..rng.below(6)).map(|_| rng.below(2) == 0).collect()),
-        Frame::StoreLenReq {
-            host: NodeId(rng.below(64) as u32),
-        },
-        Frame::StoreLenRep(opt_len(rng)),
         Frame::RecordReq {
             host: NodeId(rng.below(64) as u32),
             flow: FlowId(rng.next_u64()),
@@ -1572,9 +1568,9 @@ fn envelope_frames_reject_truncation_corruption_and_hostile_counts() {
         ),
         "hostile tagged id count not refused"
     );
-    // The retired store-length wave tags are unknown tags, bare or
-    // enveloped.
-    for tag in [0x15u8, 0x25] {
+    // The retired store-length wave and point-read tags are unknown
+    // tags, bare or enveloped.
+    for tag in [0x15u8, 0x25, 0x12, 0x22] {
         assert!(matches!(
             Frame::decode(tag, &[0]),
             Err(WireError::BadTag(t)) if t == tag
@@ -1799,7 +1795,11 @@ fn batched_wave_frames_do_not_scale_with_host_count() {
     );
     let wave_bytes = mux.bytes_sent() - b0;
     for &h in &all_hosts {
-        mux.call(&Frame::StoreLenReq { host: h }).unwrap();
+        mux.call(&Frame::RecordReq {
+            host: h,
+            flow: FlowId(0),
+        })
+        .unwrap();
     }
     assert_eq!(
         mux.frames_sent() - f0,
@@ -1843,14 +1843,27 @@ fn mux_tagged_requests_complete_out_of_order_without_cross_talk() {
     .map(|n| tb.node(n))
     .collect();
 
-    // Ground truth, serially, before any delay rigging.
-    let expected_lens: Vec<String> = host_ids
+    // Each host's request names a flow it holds (if any), so the
+    // replies differ from host to host.
+    let record_reqs: Vec<Frame> = host_ids
         .iter()
-        .map(|&h| format!("{:?}", mux.call(&Frame::StoreLenReq { host: h }).unwrap()))
+        .map(|&h| Frame::RecordReq {
+            host: h,
+            flow: analyzer
+                .host(h)
+                .and_then(|c| c.borrow().store.records().next().map(|r| r.flow))
+                .unwrap_or(FlowId(0)),
+        })
+        .collect();
+
+    // Ground truth, serially, before any delay rigging.
+    let expected_records: Vec<String> = record_reqs
+        .iter()
+        .map(|req| format!("{:?}", mux.call(req).unwrap()))
         .collect();
     let expected_horizon = format!("{:?}", mux.call(&Frame::HorizonReq).unwrap());
 
-    // Rig the server: horizon reads crawl, store-length reads fly.
+    // Rig the server: horizon reads crawl, record reads fly.
     let delay: ServeDelay = Arc::new(|req: &Frame| match req {
         Frame::HorizonReq => Duration::from_millis(300),
         _ => Duration::ZERO,
@@ -1865,16 +1878,16 @@ fn mux_tagged_requests_complete_out_of_order_without_cross_talk() {
             let r = mux.call(&Frame::HorizonReq).unwrap();
             (format!("{r:?}"), t0.elapsed())
         });
-        let handles: Vec<_> = host_ids
+        let handles: Vec<_> = record_reqs
             .iter()
-            .map(|&h| {
+            .map(|req| {
                 let barrier = &barrier;
                 let mux = &mux;
                 s.spawn(move || {
                     barrier.wait();
                     // Let the slow request hit the socket first.
                     std::thread::sleep(Duration::from_millis(30));
-                    let r = mux.call(&Frame::StoreLenReq { host: h }).unwrap();
+                    let r = mux.call(req).unwrap();
                     (format!("{r:?}"), t0.elapsed())
                 })
             })
@@ -1894,7 +1907,7 @@ fn mux_tagged_requests_complete_out_of_order_without_cross_talk() {
     assert_eq!(slow.0, expected_horizon, "slow reply crossed wires");
     for (i, (got, _)) in fast.iter().enumerate() {
         assert_eq!(
-            *got, expected_lens[i],
+            *got, expected_records[i],
             "fast reply {i} crossed wires with another request"
         );
     }
