@@ -109,8 +109,10 @@ pub struct TcpConn {
     dctcp_acked: u64,
     dctcp_marked: u64,
     // counters
-    pub(crate) retransmits: u64,
-    pub(crate) timeouts: u64,
+    /// Segments resent: fast retransmits, partial-ACK holes and timeouts.
+    pub retransmits: u64,
+    /// Retransmission timeouts that fired.
+    pub timeouts: u64,
     /// ECN-echo ACK bytes observed (diagnostics).
     pub ecn_echoed_bytes: u64,
 
