@@ -717,7 +717,7 @@ mod tests {
         };
         let codec = Rc::new(PathCodec::new(topo.clone()));
         let decoder = Rc::new(TelemetryDecoder::new(
-            PathCodec::new(topo.clone()),
+            codec.clone(),
             params,
             EmbedMode::Commodity,
         ));

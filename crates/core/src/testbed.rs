@@ -82,11 +82,7 @@ impl Testbed {
         let addrs: Vec<u64> = sim.topo().hosts().iter().map(|h| h.addr()).collect();
         let mphf = Arc::new(Mphf::build(&addrs).expect("MPHF over host set"));
         let codec = Rc::new(PathCodec::new(sim.topo().clone()));
-        let decoder = Rc::new(TelemetryDecoder::new(
-            PathCodec::new(sim.topo().clone()),
-            cfg.params,
-            cfg.mode,
-        ));
+        let decoder = Rc::new(TelemetryDecoder::new(codec.clone(), cfg.params, cfg.mode));
 
         let pointer_cfg = PointerConfig {
             n_hosts: addrs.len(),

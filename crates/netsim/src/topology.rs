@@ -85,6 +85,10 @@ pub const TEN_GBPS: u64 = 10 * GBPS;
 /// Default intra-datacenter propagation delay.
 pub const DEFAULT_DELAY: SimTime = SimTime(1_000); // 1 us
 
+/// The parent [`Topology::bfs_tree`] gives a tree's root and every node
+/// the root cannot reach.
+pub const NO_PARENT: u32 = u32::MAX;
+
 /// A complete topology.
 #[derive(Debug, Clone)]
 pub struct Topology {
@@ -165,7 +169,7 @@ impl Topology {
         self.kind
     }
 
-    pub(crate) fn num_nodes(&self) -> usize {
+    pub fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 
@@ -223,40 +227,61 @@ impl Topology {
             .map(|i| NodeId(i as u32))
     }
 
+    /// Breadth-first search from `src`, exploring neighbours in port order
+    /// (ids ascend with creation order, which makes the tie-break
+    /// deterministic). Returns each node's parent as a raw id:
+    /// [`NO_PARENT`] for `src` and for every node not reached. With
+    /// `stop`, the search ends as soon as that node is discovered, which
+    /// leaves the parents of everything discovered so far as they are.
+    fn bfs(&self, src: NodeId, stop: Option<NodeId>) -> Vec<u32> {
+        let n = self.nodes.len();
+        let mut parent = vec![NO_PARENT; n];
+        let mut visited = vec![false; n];
+        let mut queue = std::collections::VecDeque::new();
+        visited[src.0 as usize] = true;
+        queue.push_back(src);
+        while let Some(u) = queue.pop_front() {
+            for &(_, v) in self.ports(u) {
+                if !visited[v.0 as usize] {
+                    visited[v.0 as usize] = true;
+                    parent[v.0 as usize] = u.0;
+                    if Some(v) == stop {
+                        return parent;
+                    }
+                    queue.push_back(v);
+                }
+            }
+        }
+        parent
+    }
+
+    /// The whole BFS parent tree rooted at `src`, indexed by raw node id:
+    /// the path [`Topology::shortest_path`] returns from `src` to `v` is
+    /// `v`, `tree[v]`, `tree[tree[v]]`, … back to `src`, reversed.
+    /// [`NO_PARENT`] marks `src` itself and every node it cannot reach.
+    pub fn bfs_tree(&self, src: NodeId) -> Vec<u32> {
+        self.bfs(src, None)
+    }
+
     /// BFS shortest path between two nodes (deterministic tie-break on
     /// lowest-id neighbour). Returns the node sequence including endpoints.
     pub fn shortest_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
         if src == dst {
             return Some(vec![src]);
         }
-        let n = self.nodes.len();
-        let mut prev: Vec<Option<NodeId>> = vec![None; n];
-        let mut visited = vec![false; n];
-        let mut queue = std::collections::VecDeque::new();
-        visited[src.0 as usize] = true;
-        queue.push_back(src);
-        while let Some(u) = queue.pop_front() {
-            // Neighbours in port order; ids ascend with creation order which
-            // makes the tie-break deterministic.
-            for &(_, v) in self.ports(u) {
-                if !visited[v.0 as usize] {
-                    visited[v.0 as usize] = true;
-                    prev[v.0 as usize] = Some(u);
-                    if v == dst {
-                        let mut path = vec![dst];
-                        let mut cur = dst;
-                        while let Some(p) = prev[cur.0 as usize] {
-                            path.push(p);
-                            cur = p;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(v);
-                }
+        let parent = self.bfs(src, Some(dst));
+        let mut path = vec![dst];
+        let mut cur = dst;
+        while cur != src {
+            let p = parent[cur.0 as usize];
+            if p == NO_PARENT {
+                return None;
             }
+            cur = NodeId(p);
+            path.push(cur);
         }
-        None
+        path.reverse();
+        Some(path)
     }
 
     /// The switches on the shortest path between two hosts, in order.
@@ -506,6 +531,24 @@ mod tests {
         let b = t.add_host("b");
         assert_eq!(t.shortest_path(a, a), Some(vec![a]));
         assert_eq!(t.shortest_path(a, b), None);
+        assert_eq!(t.bfs_tree(a), vec![NO_PARENT, NO_PARENT]);
+    }
+
+    #[test]
+    fn bfs_tree_holds_every_shortest_path() {
+        for t in [Topology::fat_tree(4, 1), Topology::leaf_spine(3, 2, 2, 1)] {
+            for a in 0..t.num_nodes() as u32 {
+                let tree = t.bfs_tree(NodeId(a));
+                for b in 0..t.num_nodes() as u32 {
+                    let mut walk = vec![NodeId(b)];
+                    while walk.last() != Some(&NodeId(a)) {
+                        walk.push(NodeId(tree[walk.last().unwrap().0 as usize]));
+                    }
+                    walk.reverse();
+                    assert_eq!(Some(walk), t.shortest_path(NodeId(a), NodeId(b)));
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,8 @@
 //! switch's epoch is known exactly; the rest are bounded via
 //! `EpochParams::extrapolate`. In INT mode every hop is exact.
 
+use std::rc::Rc;
+
 use netsim::packet::{NodeId, Packet};
 use netsim::time::SimTime;
 
@@ -74,15 +76,19 @@ impl From<PathError> for DecodeError {
 /// The host-side decoder.
 #[derive(Debug, Clone)]
 pub struct TelemetryDecoder {
-    codec: PathCodec,
+    /// Shared with the switch apps of the same deployment: one set of BFS
+    /// trees serves both the tagging policy and the host decode.
+    codec: Rc<PathCodec>,
     params: EpochParams,
     mode: EmbedMode,
 }
 
 impl TelemetryDecoder {
-    pub fn new(codec: PathCodec, params: EpochParams, mode: EmbedMode) -> Self {
+    /// A decoder over `codec`: an owned codec, or an `Rc` the switch apps
+    /// already hold.
+    pub fn new(codec: impl Into<Rc<PathCodec>>, params: EpochParams, mode: EmbedMode) -> Self {
         TelemetryDecoder {
-            codec,
+            codec: codec.into(),
             params,
             mode,
         }

@@ -14,11 +14,18 @@
 //!   first switch tags its egress link.
 //!
 //! Reconstruction is uniform: for tagged link `t → n` (with `t` the endpoint
-//! nearer the source), the path is
-//! `switches(shortest_path(src, t)) ++ switches(shortest_path(n, dst))`.
+//! nearer the source), the path is the switches of the shortest path from
+//! `src` to `t`, then those of the shortest path from `n` to `dst`.
+//!
+//! The codec answers both questions per packet without searching the
+//! graph. At construction it stores every node's BFS parent tree
+//! ([`Topology::bfs_tree`], the search behind
+//! [`Topology::shortest_path`]), n² raw ids; a distance or a path is then a
+//! walk up one tree, O(hops), and the only allocation a reconstruction
+//! makes is the path it returns.
 
 use netsim::packet::{NodeId, Packet};
-use netsim::topology::{LinkId, TopoKind, Topology};
+use netsim::topology::{LinkId, TopoKind, Topology, NO_PARENT};
 
 /// Telemetry embedding mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,11 +40,10 @@ pub enum EmbedMode {
 #[derive(Debug, Clone)]
 pub struct PathCodec {
     topo: Topology,
-    /// Memoized tagging decisions: (switch, src, dst) -> bool. The policy
-    /// is pure topology, so caching is sound; it keeps the per-packet
-    /// `should_tag` O(1) after the first flow packet (the BFS otherwise
-    /// runs per packet on fat-trees).
-    tag_memo: std::cell::RefCell<std::collections::HashMap<(u32, u32, u32), bool>>,
+    /// Every node's BFS parent tree, row-major: `trees[r * n + v]` is
+    /// `v`'s parent in the tree rooted at `r` ([`NO_PARENT`] for `r`
+    /// itself and for nodes `r` cannot reach).
+    trees: Vec<u32>,
 }
 
 /// Errors surfaced during path reconstruction.
@@ -74,10 +80,51 @@ impl PathCodec {
             "link ids must fit a 12-bit VID ({} links)",
             topo.num_links()
         );
-        PathCodec {
-            topo,
-            tag_memo: Default::default(),
+        let trees = (0..topo.num_nodes() as u32)
+            .flat_map(|r| topo.bfs_tree(NodeId(r)))
+            .collect();
+        PathCodec { topo, trees }
+    }
+
+    /// The next node from `v` toward `root` in `root`'s BFS tree.
+    fn parent(&self, root: NodeId, v: NodeId) -> Option<NodeId> {
+        let p = self.trees[root.0 as usize * self.topo.num_nodes() + v.0 as usize];
+        (p != NO_PARENT).then_some(NodeId(p))
+    }
+
+    /// Hops on the shortest path from `root` to `v`, if `v` is reachable.
+    fn hops(&self, root: NodeId, v: NodeId) -> Option<usize> {
+        let (mut cur, mut hops) = (v, 0);
+        while cur != root {
+            cur = self.parent(root, cur)?;
+            hops += 1;
         }
+        Some(hops)
+    }
+
+    /// Appends the switches of the shortest path from `root` to `v` to
+    /// `out`, in traversal order; `None` (with `out` as it was) when `v` is
+    /// unreachable.
+    fn push_switches(&self, root: NodeId, v: NodeId, out: &mut Vec<NodeId>) -> Option<()> {
+        let start = out.len();
+        let mut cur = v;
+        loop {
+            if self.topo.is_switch(cur) {
+                out.push(cur);
+            }
+            if cur == root {
+                break;
+            }
+            match self.parent(root, cur) {
+                Some(p) => cur = p,
+                None => {
+                    out.truncate(start);
+                    return None;
+                }
+            }
+        }
+        out[start..].reverse();
+        Some(())
     }
 
     /// True if `switch` has no host attached (a spine/core switch).
@@ -97,16 +144,6 @@ impl PathCodec {
     /// tagged — relevant only to defensive coding, the policy designates
     /// exactly one switch per path.)
     pub fn should_tag(&self, switch: NodeId, pkt: &Packet) -> bool {
-        let key = (switch.0, pkt.src.0, pkt.dst.0);
-        if let Some(&v) = self.tag_memo.borrow().get(&key) {
-            return v;
-        }
-        let v = self.should_tag_uncached(switch, pkt);
-        self.tag_memo.borrow_mut().insert(key, v);
-        v
-    }
-
-    fn should_tag_uncached(&self, switch: NodeId, pkt: &Packet) -> bool {
         match self.topo.kind() {
             TopoKind::LeafSpine => {
                 // Spine tags inter-leaf traffic; the (single) leaf tags
@@ -136,7 +173,7 @@ impl PathCodec {
         // position: [edge, dst] = 2 (same edge), [edge, agg, edge', dst] = 4
         // (intra-pod), [agg, core, agg', edge', dst] = 5 (inter-pod upward
         // aggregation).
-        let Some(d) = self.topo.shortest_path(switch, pkt.dst).map(|p| p.len()) else {
+        let Some(d) = self.hops(switch, pkt.dst).map(|h| h + 1) else {
             return false;
         };
         match layer {
@@ -160,17 +197,13 @@ impl PathCodec {
         }
         let link = LinkId(link_vid as u32);
         let spec = *self.topo.link(link);
+        let inconsistent = PathError::InconsistentLink { link };
 
         // Orient the link: `t` is the endpoint nearer the source.
-        let d = |n: NodeId| {
-            self.topo
-                .shortest_path(src, n)
-                .map(|p| p.len())
-                .unwrap_or(usize::MAX)
-        };
+        let d = |n: NodeId| self.hops(src, n).unwrap_or(usize::MAX);
         let (da, db) = (d(spec.a), d(spec.b));
         if da == usize::MAX && db == usize::MAX {
-            return Err(PathError::InconsistentLink { link });
+            return Err(inconsistent);
         }
         let (t, n) = if da <= db {
             (spec.a, spec.b)
@@ -180,38 +213,22 @@ impl PathCodec {
 
         // The tagger must be a switch on a path from src.
         if !self.topo.is_switch(t) {
-            return Err(PathError::InconsistentLink { link });
+            return Err(inconsistent);
         }
 
-        let up = self
-            .topo
-            .switch_path(src, t)
-            .ok_or(PathError::InconsistentLink { link })?;
-        // `up` ends at `t` because `t` is a switch.
-        let down = if n == dst {
-            Vec::new()
-        } else if self.topo.is_host(n) {
-            // Tagged link points at a host that is not the destination.
-            return Err(PathError::InconsistentLink { link });
-        } else {
-            self.topo
-                .switch_path(n, dst)
-                .ok_or(PathError::InconsistentLink { link })?
-        };
-
-        let tag_idx = up
-            .len()
-            .checked_sub(1)
-            .ok_or(PathError::InconsistentLink { link })?;
-        let mut path = up;
-        path.extend(down);
+        let mut path = Vec::new();
+        self.push_switches(src, t, &mut path)
+            .ok_or_else(|| inconsistent.clone())?;
+        // The upward part ends at `t` because `t` is a switch.
+        let tag_idx = path.len() - 1;
+        if n != dst {
+            if self.topo.is_host(n) {
+                // Tagged link points at a host that is not the destination.
+                return Err(inconsistent);
+            }
+            self.push_switches(n, dst, &mut path).ok_or(inconsistent)?;
+        }
         Ok((path, tag_idx))
-    }
-
-    /// Ground-truth switch path (for tests and the INT mode).
-    #[cfg(test)]
-    pub(crate) fn true_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
-        self.topo.switch_path(src, dst)
     }
 }
 
@@ -234,6 +251,178 @@ mod tests {
             tcp: None,
             tags: Vec::new(),
             sent_at: SimTime::ZERO,
+        }
+    }
+
+    /// The per-packet algorithm the BFS trees replaced, kept as the
+    /// reference: every distance and path comes from a
+    /// [`Topology::shortest_path`] search. The searches are pure, so all
+    /// n² of them run once up front to keep the all-pairs sweeps short.
+    struct Reference<'a> {
+        topo: &'a Topology,
+        /// `paths[a * n + b]` = `topo.shortest_path(a, b)`.
+        paths: Vec<Option<Vec<NodeId>>>,
+    }
+
+    impl<'a> Reference<'a> {
+        fn new(topo: &'a Topology) -> Self {
+            let n = topo.num_nodes() as u32;
+            let paths = (0..n)
+                .flat_map(|a| (0..n).map(move |b| topo.shortest_path(NodeId(a), NodeId(b))))
+                .collect();
+            Reference { topo, paths }
+        }
+
+        fn shortest_path(&self, a: NodeId, b: NodeId) -> Option<&[NodeId]> {
+            self.paths[a.0 as usize * self.topo.num_nodes() + b.0 as usize].as_deref()
+        }
+
+        fn switch_path(&self, a: NodeId, b: NodeId) -> Option<Vec<NodeId>> {
+            let path = self.shortest_path(a, b)?;
+            Some(
+                path.iter()
+                    .copied()
+                    .filter(|&n| self.topo.is_switch(n))
+                    .collect(),
+            )
+        }
+
+        fn is_core(&self, switch: NodeId) -> bool {
+            let topo = self.topo;
+            topo.ports(switch).iter().all(|&(_, p)| topo.is_switch(p))
+        }
+
+        fn adjacent(&self, switch: NodeId, host: NodeId) -> bool {
+            self.topo.ports(switch).iter().any(|&(_, p)| p == host)
+        }
+
+        fn should_tag(&self, switch: NodeId, pkt: &Packet) -> bool {
+            use netsim::topology::FatTreeLayer as L;
+            match self.topo.kind() {
+                TopoKind::LeafSpine => {
+                    self.is_core(switch)
+                        || (self.adjacent(switch, pkt.src) && self.adjacent(switch, pkt.dst))
+                }
+                TopoKind::FatTree => {
+                    let Some(layer) = self.topo.fat_tree_layer(switch) else {
+                        return false;
+                    };
+                    let Some(d) = self.shortest_path(switch, pkt.dst).map(|p| p.len()) else {
+                        return false;
+                    };
+                    match layer {
+                        L::Edge => d == 2 || d == 4,
+                        L::Aggregation => d == 5,
+                        L::Core => false,
+                    }
+                }
+                _ => self.adjacent(switch, pkt.src),
+            }
+        }
+
+        fn reconstruct(
+            &self,
+            src: NodeId,
+            dst: NodeId,
+            link_vid: u16,
+        ) -> Result<(Vec<NodeId>, usize), PathError> {
+            if link_vid as usize >= self.topo.num_links() {
+                return Err(PathError::UnknownLink(link_vid));
+            }
+            let link = LinkId(link_vid as u32);
+            let spec = *self.topo.link(link);
+            let d = |n: NodeId| {
+                self.shortest_path(src, n)
+                    .map(|p| p.len())
+                    .unwrap_or(usize::MAX)
+            };
+            let (da, db) = (d(spec.a), d(spec.b));
+            if da == usize::MAX && db == usize::MAX {
+                return Err(PathError::InconsistentLink { link });
+            }
+            let (t, n) = if da <= db {
+                (spec.a, spec.b)
+            } else {
+                (spec.b, spec.a)
+            };
+            if !self.topo.is_switch(t) {
+                return Err(PathError::InconsistentLink { link });
+            }
+            let up = self
+                .switch_path(src, t)
+                .ok_or(PathError::InconsistentLink { link })?;
+            let down = if n == dst {
+                Vec::new()
+            } else if self.topo.is_host(n) {
+                return Err(PathError::InconsistentLink { link });
+            } else {
+                self.switch_path(n, dst)
+                    .ok_or(PathError::InconsistentLink { link })?
+            };
+            let tag_idx = up
+                .len()
+                .checked_sub(1)
+                .ok_or(PathError::InconsistentLink { link })?;
+            let mut path = up;
+            path.extend(down);
+            Ok((path, tag_idx))
+        }
+    }
+
+    fn equivalence_topologies() -> Vec<Topology> {
+        vec![
+            Topology::chain(3, 2, GBPS),
+            Topology::dumbbell(3, 2, GBPS),
+            Topology::dumbbell_multi(2, 2, 3, GBPS),
+            Topology::star(4, GBPS),
+            Topology::leaf_spine(3, 3, 2, GBPS),
+            Topology::fat_tree(4, GBPS),
+            Topology::fat_tree(8, GBPS),
+        ]
+    }
+
+    #[test]
+    fn reconstruct_matches_the_per_packet_search() {
+        for topo in equivalence_topologies() {
+            let (codec, reference) = (PathCodec::new(topo.clone()), Reference::new(&topo));
+            // Every link, one VID past the last and the top of the VID space.
+            let vids: Vec<u16> = (0..=topo.num_links() as u16).chain([4095]).collect();
+            let mut errors = 0;
+            for &src in topo.hosts() {
+                for &dst in topo.hosts() {
+                    for &vid in &vids {
+                        let got = codec.reconstruct(src, dst, vid);
+                        errors += usize::from(got.is_err());
+                        assert_eq!(
+                            got,
+                            reference.reconstruct(src, dst, vid),
+                            "{:?} {src:?}->{dst:?} vid {vid}",
+                            topo.kind()
+                        );
+                    }
+                }
+            }
+            assert!(errors > 0, "{:?}: no error case reached", topo.kind());
+        }
+    }
+
+    #[test]
+    fn should_tag_matches_the_per_packet_search() {
+        for topo in equivalence_topologies() {
+            let (codec, reference) = (PathCodec::new(topo.clone()), Reference::new(&topo));
+            for &switch in topo.switches() {
+                for &src in topo.hosts() {
+                    for &dst in topo.hosts() {
+                        let p = pkt(src, dst);
+                        assert_eq!(
+                            codec.should_tag(switch, &p),
+                            reference.should_tag(switch, &p),
+                            "{:?} {switch:?} {src:?}->{dst:?}",
+                            topo.kind()
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -464,7 +653,7 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let true_path = codec.true_path(src, dst).unwrap();
+                let true_path = topo.switch_path(src, dst).unwrap();
                 if true_path.len() == 1 {
                     continue; // same-leaf covered elsewhere
                 }
