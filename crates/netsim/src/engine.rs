@@ -6,6 +6,11 @@
 //! function of the topology, flow specs and seed. Ties in time are broken
 //! by insertion sequence number.
 //!
+//! The queue holds only live events. A heap entry is its `(at, seq)` key
+//! and a slab slot holding the event; TCP flow starts wait in a queue of
+//! their own; and a TCP connection keeps at most one entry for its
+//! retransmission timer however often it re-arms (see [`RtoTimer`]).
+//!
 //! Store-and-forward semantics: a packet fully serializes on a port (at the
 //! link's bandwidth), then propagates (link delay), then arrives at the
 //! peer node. Each port owns an egress queue built from the configured
@@ -131,11 +136,12 @@ enum Ev {
     Arrive { node: NodeId, pkt: Packet },
     /// A port finished serializing its current packet.
     TxDone { node: NodeId, port: u16 },
-    /// TCP retransmission timer.
-    TcpTimer { flow: FlowId, gen: u64 },
+    /// TCP retransmission timer: the connection's one queued entry (see
+    /// [`RtoTimer`]).
+    TcpTimer { flow: FlowId },
     /// Next UDP emission instant for a flow.
     UdpSend { flow: FlowId },
-    /// TCP connection start.
+    /// TCP connection start, popped from the start queue.
     FlowStart { flow: FlowId },
     /// App timer (switch or host app on `node`).
     AppTimer { node: NodeId, token: u64 },
@@ -150,27 +156,57 @@ enum Ev {
     EpochTick { index: u64, gen: u64 },
 }
 
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
-    ev: Ev,
+/// An event's place in the total order: its time, then the sequence number
+/// it took when scheduled.
+type Key = (SimTime, u64);
+
+/// A queued event: its order key and the slab slot holding the event.
+struct Entry {
+    key: Key,
+    slot: u32,
 }
 
-impl PartialEq for Scheduled {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key.cmp(&other.key)
     }
+}
+
+/// A TCP connection's retransmission timer, after NS-2's timers: the
+/// timer owns one queued entry and reschedules it, instead of leaving one
+/// stale entry per re-arm.
+///
+/// Every arm takes its `(at, seq)` key as an event would, so the keys of
+/// all other events stay what they were. An arm enters the queue only
+/// when nothing is queued for the connection or its key is earlier than
+/// the queued one's; the entry it overtakes stays behind, superseded, and
+/// is dropped without dispatch when it pops. When the queued entry pops,
+/// it fires the latest arm if it is that arm, and otherwise re-queues
+/// under the latest arm's own key. Either way the timer that counts pops
+/// exactly where a queue holding every arm would have dispatched it.
+#[derive(Debug, Default)]
+struct RtoTimer {
+    /// The latest arm: its key and generation.
+    armed: Option<(Key, u64)>,
+    /// Key of the one live entry queued for this connection.
+    queued: Option<Key>,
+}
+
+/// A TCP connection and its retransmission timer.
+struct TcpFlow {
+    conn: TcpConn,
+    rto: RtoTimer,
 }
 
 /// The simulator.
@@ -178,10 +214,17 @@ pub struct Simulator {
     topo: Topology,
     routes: RouteTable,
     now: SimTime,
-    heap: BinaryHeap<Reverse<Scheduled>>,
+    heap: BinaryHeap<Reverse<Entry>>,
+    /// The events the heap's entries point at; `None` marks a free slot.
+    slab: Vec<Option<Ev>>,
+    /// Free slots of `slab`.
+    free: Vec<u32>,
+    /// TCP flow starts by key: registered up front, often seconds ahead
+    /// of the traffic being simulated, so kept out of the event heap.
+    starts: BinaryHeap<Reverse<(Key, FlowId)>>,
     seq: u64,
     nodes: Vec<NodeState>,
-    tcp: HashMap<FlowId, TcpConn>,
+    tcp: HashMap<FlowId, TcpFlow>,
     udp: HashMap<FlowId, UdpSource>,
     flow_meta: HashMap<FlowId, FlowMeta>,
     next_flow: u64,
@@ -241,6 +284,9 @@ impl Simulator {
             routes,
             now: SimTime::ZERO,
             heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            starts: BinaryHeap::new(),
             seq: 0,
             nodes,
             tcp: HashMap::new(),
@@ -269,7 +315,10 @@ impl Simulator {
         self.now
     }
 
-    /// Events dispatched so far (diagnostics).
+    /// Events dispatched so far (diagnostics). A superseded timer entry is
+    /// not an event: it is dropped without dispatch and not counted, so a
+    /// TCP run counts fewer events than a queue that kept one entry per
+    /// re-arm would have.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -333,9 +382,11 @@ impl Simulator {
             priority: spec.priority,
         };
         self.flow_meta.insert(id, meta);
-        self.tcp
-            .insert(id, TcpConn::new(spec.config, spec.bytes, spec.stop));
-        self.schedule(spec.start, Ev::FlowStart { flow: id });
+        let conn = TcpConn::new(spec.config, spec.bytes, spec.stop);
+        let rto = RtoTimer::default();
+        self.tcp.insert(id, TcpFlow { conn, rto });
+        let key = self.next_key(spec.start);
+        self.starts.push(Reverse((key, id)));
         id
     }
 
@@ -360,7 +411,7 @@ impl Simulator {
 
     /// Read access to a TCP connection's state (stats, completion).
     pub fn tcp(&self, id: FlowId) -> &TcpConn {
-        &self.tcp[&id]
+        &self.tcp[&id].conn
     }
 
     /// Read access to a UDP source's counters.
@@ -428,29 +479,72 @@ impl Simulator {
 
     // ---- event loop ---------------------------------------------------------
 
-    fn schedule(&mut self, at: SimTime, ev: Ev) {
-        let at = at.max(self.now);
+    /// The key of an event scheduled now for `at` (never in the past).
+    fn next_key(&mut self, at: SimTime) -> Key {
         self.seq += 1;
-        self.heap.push(Reverse(Scheduled {
-            at,
-            seq: self.seq,
-            ev,
-        }));
+        (at.max(self.now), self.seq)
+    }
+
+    fn schedule(&mut self, at: SimTime, ev: Ev) {
+        let key = self.next_key(at);
+        self.push(key, ev);
+    }
+
+    /// Queues `ev` under `key`, in a free slab slot if there is one.
+    fn push(&mut self, key: Key, ev: Ev) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(ev);
+                slot
+            }
+            None => {
+                self.slab.push(Some(ev));
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.heap.push(Reverse(Entry { key, slot }));
+    }
+
+    /// Pops the first entry of the event heap and the start queue taken
+    /// together, if its time is within `horizon`.
+    fn pop_due(&mut self, horizon: SimTime) -> Option<(Key, Ev)> {
+        let event = self.heap.peek().map(|Reverse(e)| e.key);
+        let start = self.starts.peek().map(|Reverse((key, _))| *key);
+        let (key, from_starts) = match (event, start) {
+            (Some(e), Some(s)) => (e.min(s), s < e),
+            (Some(e), None) => (e, false),
+            (None, Some(s)) => (s, true),
+            (None, None) => return None,
+        };
+        if key.0 > horizon {
+            return None;
+        }
+        if from_starts {
+            let Reverse((_, flow)) = self.starts.pop()?;
+            return Some((key, Ev::FlowStart { flow }));
+        }
+        let Reverse(Entry { slot, .. }) = self.heap.pop()?;
+        let ev = self.slab[slot as usize]
+            .take()
+            .expect("queued slot holds its event");
+        self.free.push(slot);
+        Some((key, ev))
     }
 
     /// Runs until the event queue drains or `horizon` passes; returns the
     /// final simulated time. Events scheduled beyond the horizon remain
     /// queued (the clock stops *at* the horizon).
     pub fn run_until(&mut self, horizon: SimTime) -> SimTime {
-        while let Some(Reverse(head)) = self.heap.peek() {
-            if head.at > horizon {
-                break;
+        while let Some((key, ev)) = self.pop_due(horizon) {
+            debug_assert!(key.0 >= self.now, "time went backwards");
+            self.now = key.0;
+            if let Ev::TcpTimer { flow } = ev {
+                if !self.rto_due(flow, key) {
+                    continue;
+                }
             }
-            let Reverse(sch) = self.heap.pop().unwrap();
-            debug_assert!(sch.at >= self.now, "time went backwards");
-            self.now = sch.at;
             self.events_processed += 1;
-            self.dispatch(sch.ev);
+            self.dispatch(ev);
         }
         self.now = self.now.max(horizon);
         self.now
@@ -471,19 +565,18 @@ impl Simulator {
                 self.nodes[node.0 as usize].ports[port as usize].busy = false;
                 self.try_start_tx(node, port);
             }
-            Ev::TcpTimer { flow, gen } => {
+            Ev::TcpTimer { flow } => {
                 let now = self.now;
-                let actions = match self.tcp.get_mut(&flow) {
-                    Some(conn) => conn.on_rto(now, gen),
-                    None => Vec::new(),
-                };
+                let tcp = self.tcp.get_mut(&flow).expect("timer of a TCP flow");
+                let (_, gen) = tcp.rto.armed.expect("a due timer is armed");
+                let actions = tcp.conn.on_rto(now, gen);
                 self.apply_tcp_actions(flow, actions);
             }
             Ev::UdpSend { flow } => self.udp_emit(flow),
             Ev::FlowStart { flow } => {
                 let now = self.now;
                 let actions = match self.tcp.get_mut(&flow) {
-                    Some(conn) => conn.on_start(now),
+                    Some(tcp) => tcp.conn.on_start(now),
                     None => Vec::new(),
                 };
                 self.apply_tcp_actions(flow, actions);
@@ -635,7 +728,7 @@ impl Simulator {
             let now = self.now;
             let hdr = pkt.tcp.expect("TCP packet without header");
             let actions = match self.tcp.get_mut(&flow) {
-                Some(conn) => {
+                Some(TcpFlow { conn, .. }) => {
                     if hdr.is_ack {
                         conn.on_ack_ecn(now, hdr.ack, hdr.ce)
                     } else {
@@ -685,11 +778,40 @@ impl Simulator {
                     );
                     self.host_send(meta.dst, pkt);
                 }
-                TcpAction::ArmRto { at, gen } => {
-                    self.schedule(at, Ev::TcpTimer { flow, gen });
-                }
+                TcpAction::ArmRto { at, gen } => self.arm_rto(flow, at, gen),
             }
         }
+    }
+
+    /// Arms `flow`'s retransmission timer for `at`; the latest arm wins.
+    /// Queues an entry only when none is queued or this arm is earlier
+    /// than the queued one (see [`RtoTimer`]).
+    fn arm_rto(&mut self, flow: FlowId, at: SimTime, gen: u64) {
+        let key = self.next_key(at);
+        let rto = &mut self.tcp.get_mut(&flow).expect("timer of a TCP flow").rto;
+        rto.armed = Some((key, gen));
+        if rto.queued.is_none_or(|queued| key < queued) {
+            rto.queued = Some(key);
+            self.push(key, Ev::TcpTimer { flow });
+        }
+    }
+
+    /// Whether the timer entry of `flow` popped under `key` fires now.
+    /// A superseded entry is dropped. The queued entry fires when it is
+    /// the latest arm, and otherwise re-queues under that arm's key.
+    fn rto_due(&mut self, flow: FlowId, key: Key) -> bool {
+        let rto = &mut self.tcp.get_mut(&flow).expect("timer of a TCP flow").rto;
+        if rto.queued != Some(key) {
+            return false;
+        }
+        let (armed, _) = rto.armed.expect("a queued timer is armed");
+        if armed == key {
+            rto.queued = None;
+            return true;
+        }
+        rto.queued = Some(armed);
+        self.push(armed, Ev::TcpTimer { flow });
+        false
     }
 
     fn make_packet(
@@ -770,6 +892,18 @@ impl Simulator {
             }
         }
         self.drain_ctx(node, &mut ctx);
+    }
+
+    /// Keys of every timer entry queued for `flow`, live or superseded.
+    #[cfg(test)]
+    fn rto_entries(&self, flow: FlowId) -> Vec<Key> {
+        self.heap
+            .iter()
+            .filter(|Reverse(e)| {
+                matches!(self.slab[e.slot as usize], Some(Ev::TcpTimer { flow: f }) if f == flow)
+            })
+            .map(|Reverse(e)| e.key)
+            .collect()
     }
 }
 
@@ -1181,5 +1315,107 @@ mod tests {
         sim.run_to_completion();
         let (now, local) = probe.borrow().unwrap();
         assert_eq!(local, now + SimTime::from_ms(2));
+    }
+
+    fn core_link(sim: &Simulator) -> crate::topology::LinkId {
+        let (sl, sr) = (
+            sim.topo().node_by_name("SL").unwrap(),
+            sim.topo().node_by_name("SR").unwrap(),
+        );
+        let ports = sim.topo().ports(sl);
+        ports.iter().find(|&&(_, p)| p == sr).unwrap().0
+    }
+
+    #[test]
+    fn a_long_lived_flow_queues_one_rto_entry() {
+        let mut sim = dumbbell_sim(QueueConfig::default_priority());
+        let a = sim.topo().node_by_name("L0").unwrap();
+        let b = sim.topo().node_by_name("R0").unwrap();
+        let stop = SimTime::from_ms(100);
+        let f = sim.add_tcp_flow(TcpFlowSpec::running_until(a, b, Priority::LOW, stop));
+        let (mut t, mut most) = (SimTime::ZERO, 0);
+        while t < SimTime::from_ms(110) {
+            t += SimTime::from_us(50);
+            sim.run_until(t);
+            let entries = sim.rto_entries(f);
+            let live = sim.tcp[&f].rto.queued;
+            most = most.max(entries.len());
+            // Besides the live entry, only entries an earlier arm
+            // overtook may wait: each has a later deadline than it.
+            for stale in entries.into_iter().filter(|&k| Some(k) != live) {
+                assert!(live.is_some_and(|l| stale > l), "at {t}: {stale:?}");
+            }
+        }
+        // The RTO sits at its 10 ms floor, so no arm moves earlier.
+        assert_eq!(most, 1, "one queued entry per connection");
+        assert!(
+            sim.tcp(f).rto_gen() > 1_000,
+            "{} arms: one entry each would have crowded the heap",
+            sim.tcp(f).rto_gen()
+        );
+    }
+
+    #[test]
+    fn a_rearm_to_an_earlier_deadline_fires_there() {
+        let mut sim = dumbbell_sim(QueueConfig::default_priority());
+        let a = sim.topo().node_by_name("L0").unwrap();
+        let b = sim.topo().node_by_name("R0").unwrap();
+        // The core link is down from the start: the opening window is
+        // lost and no ACK ever re-arms the timer.
+        sim.schedule_link_state(core_link(&sim), false, SimTime::ZERO);
+        let f = sim.add_tcp_flow(TcpFlowSpec::running_until(
+            a,
+            b,
+            Priority::LOW,
+            SimTime::from_ms(50),
+        ));
+        sim.run_until(SimTime::from_ms(1));
+        let gen = sim.tcp(f).rto_gen();
+        let first = sim.rto_entries(f);
+        assert_eq!(first.len(), 1);
+        assert_eq!(first[0].0, SimTime::from_ms(10), "initial RTO");
+        // A later re-arm queues nothing; an earlier one overtakes.
+        sim.arm_rto(f, SimTime::from_ms(30), gen);
+        assert_eq!(sim.rto_entries(f), first);
+        sim.arm_rto(f, SimTime::from_ms(4), gen);
+        assert_eq!(sim.rto_entries(f).len(), 2);
+
+        sim.run_until(SimTime::from_ns(SimTime::from_ms(4).as_ns() - 1));
+        assert_eq!(sim.tcp(f).timeouts, 0);
+        sim.run_until(SimTime::from_ms(4));
+        assert_eq!(sim.tcp(f).timeouts, 1, "fires at the earlier deadline");
+        // The backed-off re-arm (4 ms + 2 x 10 ms) is the next to fire:
+        // the overtaken 10 ms entry is dropped on the way.
+        sim.run_until(SimTime::from_ns(SimTime::from_ms(24).as_ns() - 1));
+        assert_eq!(sim.tcp(f).timeouts, 1);
+        assert_eq!(sim.rto_entries(f).len(), 1);
+        sim.run_until(SimTime::from_ms(24));
+        assert_eq!(sim.tcp(f).timeouts, 2);
+    }
+
+    #[test]
+    fn a_forced_loss_fires_at_the_latest_arm() {
+        let mut sim = dumbbell_sim(QueueConfig::default_priority());
+        let a = sim.topo().node_by_name("L0").unwrap();
+        let b = sim.topo().node_by_name("R0").unwrap();
+        let f = sim.add_tcp_flow(TcpFlowSpec::running_until(
+            a,
+            b,
+            Priority::LOW,
+            SimTime::from_ms(50),
+        ));
+        sim.schedule_link_state(core_link(&sim), false, SimTime::from_ms(5));
+        sim.run_until(SimTime::from_ms(6));
+        let ((deadline, _), gen) = sim.tcp[&f].rto.armed.unwrap();
+        assert_eq!(gen, sim.tcp(f).rto_gen(), "the latest arm is the conn's");
+        assert!(deadline > SimTime::from_ms(6), "{deadline}");
+        let (timeouts, retransmits) = (sim.tcp(f).timeouts, sim.tcp(f).retransmits);
+        assert_eq!(timeouts, 0);
+
+        sim.run_until(SimTime::from_ns(deadline.as_ns() - 1));
+        assert_eq!(sim.tcp(f).timeouts, 0, "nothing fires before the deadline");
+        sim.run_until(deadline);
+        assert_eq!(sim.tcp(f).timeouts, 1, "the RTO fires at {deadline}");
+        assert_eq!(sim.tcp(f).retransmits, retransmits + 1, "go-back-N once");
     }
 }

@@ -173,6 +173,12 @@ impl TcpConn {
         self.rto
     }
 
+    /// Generation of the latest RTO arm (for tests).
+    #[cfg(test)]
+    pub(crate) fn rto_gen(&self) -> u64 {
+        self.rto_gen
+    }
+
     /// Smoothed RTT estimate in nanoseconds, if any sample was taken.
     #[cfg(test)]
     pub(crate) fn srtt_ns(&self) -> Option<f64> {
