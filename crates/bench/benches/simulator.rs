@@ -1,6 +1,10 @@
 //! Simulator throughput: events/second of the discrete-event core with and
 //! without the SwitchPointer apps installed — the cost of the telemetry
 //! instrumentation itself on the testbed substitute.
+//!
+//! An event is a dispatched one: a TCP timer entry a later re-arm
+//! superseded is dropped uncounted, so a TCP run reports fewer events than
+//! an engine that kept one queued entry per re-arm.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use netsim::prelude::*;
