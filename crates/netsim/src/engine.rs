@@ -9,7 +9,7 @@
 //! The queue holds only live events. A heap entry is its `(at, seq)` key
 //! and a slab slot holding the event; TCP flow starts wait in a queue of
 //! their own; and a TCP connection keeps at most one entry for its
-//! retransmission timer however often it re-arms (see [`RtoTimer`]).
+//! retransmission timer however often it re-arms (see `RtoTimer`).
 //!
 //! Store-and-forward semantics: a packet fully serializes on a port (at the
 //! link's bandwidth), then propagates (link delay), then arrives at the
@@ -203,12 +203,6 @@ struct RtoTimer {
     queued: Option<Key>,
 }
 
-/// A TCP connection and its retransmission timer.
-struct TcpFlow {
-    conn: TcpConn,
-    rto: RtoTimer,
-}
-
 /// The simulator.
 pub struct Simulator {
     topo: Topology,
@@ -224,7 +218,10 @@ pub struct Simulator {
     starts: BinaryHeap<Reverse<(Key, FlowId)>>,
     seq: u64,
     nodes: Vec<NodeState>,
-    tcp: HashMap<FlowId, TcpFlow>,
+    tcp: HashMap<FlowId, TcpConn>,
+    /// Retransmission timers of the connections that armed one. Kept
+    /// apart from `tcp`, which also holds every flow yet to start.
+    rto: HashMap<FlowId, RtoTimer>,
     udp: HashMap<FlowId, UdpSource>,
     flow_meta: HashMap<FlowId, FlowMeta>,
     next_flow: u64,
@@ -290,6 +287,7 @@ impl Simulator {
             seq: 0,
             nodes,
             tcp: HashMap::new(),
+            rto: HashMap::new(),
             udp: HashMap::new(),
             flow_meta: HashMap::new(),
             next_flow: 0,
@@ -382,9 +380,8 @@ impl Simulator {
             priority: spec.priority,
         };
         self.flow_meta.insert(id, meta);
-        let conn = TcpConn::new(spec.config, spec.bytes, spec.stop);
-        let rto = RtoTimer::default();
-        self.tcp.insert(id, TcpFlow { conn, rto });
+        self.tcp
+            .insert(id, TcpConn::new(spec.config, spec.bytes, spec.stop));
         let key = self.next_key(spec.start);
         self.starts.push(Reverse((key, id)));
         id
@@ -411,7 +408,7 @@ impl Simulator {
 
     /// Read access to a TCP connection's state (stats, completion).
     pub fn tcp(&self, id: FlowId) -> &TcpConn {
-        &self.tcp[&id].conn
+        &self.tcp[&id]
     }
 
     /// Read access to a UDP source's counters.
@@ -567,16 +564,16 @@ impl Simulator {
             }
             Ev::TcpTimer { flow } => {
                 let now = self.now;
-                let tcp = self.tcp.get_mut(&flow).expect("timer of a TCP flow");
-                let (_, gen) = tcp.rto.armed.expect("a due timer is armed");
-                let actions = tcp.conn.on_rto(now, gen);
+                let (_, gen) = self.rto[&flow].armed.expect("a due timer is armed");
+                let conn = self.tcp.get_mut(&flow).expect("timer of a TCP flow");
+                let actions = conn.on_rto(now, gen);
                 self.apply_tcp_actions(flow, actions);
             }
             Ev::UdpSend { flow } => self.udp_emit(flow),
             Ev::FlowStart { flow } => {
                 let now = self.now;
                 let actions = match self.tcp.get_mut(&flow) {
-                    Some(tcp) => tcp.conn.on_start(now),
+                    Some(conn) => conn.on_start(now),
                     None => Vec::new(),
                 };
                 self.apply_tcp_actions(flow, actions);
@@ -728,7 +725,7 @@ impl Simulator {
             let now = self.now;
             let hdr = pkt.tcp.expect("TCP packet without header");
             let actions = match self.tcp.get_mut(&flow) {
-                Some(TcpFlow { conn, .. }) => {
+                Some(conn) => {
                     if hdr.is_ack {
                         conn.on_ack_ecn(now, hdr.ack, hdr.ce)
                     } else {
@@ -788,7 +785,7 @@ impl Simulator {
     /// than the queued one (see [`RtoTimer`]).
     fn arm_rto(&mut self, flow: FlowId, at: SimTime, gen: u64) {
         let key = self.next_key(at);
-        let rto = &mut self.tcp.get_mut(&flow).expect("timer of a TCP flow").rto;
+        let rto = self.rto.entry(flow).or_default();
         rto.armed = Some((key, gen));
         if rto.queued.is_none_or(|queued| key < queued) {
             rto.queued = Some(key);
@@ -800,7 +797,7 @@ impl Simulator {
     /// A superseded entry is dropped. The queued entry fires when it is
     /// the latest arm, and otherwise re-queues under that arm's key.
     fn rto_due(&mut self, flow: FlowId, key: Key) -> bool {
-        let rto = &mut self.tcp.get_mut(&flow).expect("timer of a TCP flow").rto;
+        let rto = self.rto.get_mut(&flow).expect("a queued timer is armed");
         if rto.queued != Some(key) {
             return false;
         }
@@ -1338,7 +1335,7 @@ mod tests {
             t += SimTime::from_us(50);
             sim.run_until(t);
             let entries = sim.rto_entries(f);
-            let live = sim.tcp[&f].rto.queued;
+            let live = sim.rto[&f].queued;
             most = most.max(entries.len());
             // Besides the live entry, only entries an earlier arm
             // overtook may wait: each has a later deadline than it.
@@ -1406,7 +1403,7 @@ mod tests {
         ));
         sim.schedule_link_state(core_link(&sim), false, SimTime::from_ms(5));
         sim.run_until(SimTime::from_ms(6));
-        let ((deadline, _), gen) = sim.tcp[&f].rto.armed.unwrap();
+        let ((deadline, _), gen) = sim.rto[&f].armed.unwrap();
         assert_eq!(gen, sim.tcp(f).rto_gen(), "the latest arm is the conn's");
         assert!(deadline > SimTime::from_ms(6), "{deadline}");
         let (timeouts, retransmits) = (sim.tcp(f).timeouts, sim.tcp(f).retransmits);

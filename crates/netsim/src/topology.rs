@@ -285,7 +285,8 @@ impl Topology {
     }
 
     /// The switches on the shortest path between two hosts, in order.
-    pub fn switch_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
+    #[cfg(test)]
+    pub(crate) fn switch_path(&self, src: NodeId, dst: NodeId) -> Option<Vec<NodeId>> {
         Some(
             self.shortest_path(src, dst)?
                 .into_iter()

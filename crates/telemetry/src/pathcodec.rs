@@ -647,13 +647,13 @@ mod tests {
         // For every host pair and every valid spine choice, tagging that
         // spine's egress link reconstructs a consistent 3-switch path.
         let topo = Topology::leaf_spine(3, 3, 2, GBPS);
-        let codec = PathCodec::new(topo.clone());
+        let (codec, reference) = (PathCodec::new(topo.clone()), Reference::new(&topo));
         for &src in topo.hosts() {
             for &dst in topo.hosts() {
                 if src == dst {
                     continue;
                 }
-                let true_path = topo.switch_path(src, dst).unwrap();
+                let true_path = reference.switch_path(src, dst).unwrap();
                 if true_path.len() == 1 {
                     continue; // same-leaf covered elsewhere
                 }
