@@ -195,7 +195,7 @@ impl Ord for Entry {
 /// it fires the latest arm if it is that arm, and otherwise re-queues
 /// under the latest arm's own key. Either way the timer that counts pops
 /// exactly where a queue holding every arm would have dispatched it.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct RtoTimer {
     /// The latest arm: its key and generation.
     armed: Option<(Key, u64)>,
@@ -1321,6 +1321,13 @@ mod tests {
         );
         let ports = sim.topo().ports(sl);
         ports.iter().find(|&&(_, p)| p == sr).unwrap().0
+    }
+
+    #[test]
+    fn heap_entries_are_keys_and_slots() {
+        // A sift moves 24 bytes, not an event with its packet.
+        assert_eq!(std::mem::size_of::<Reverse<Entry>>(), 24);
+        assert!(std::mem::size_of::<Ev>() > 64);
     }
 
     #[test]
