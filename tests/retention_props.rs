@@ -26,7 +26,8 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use suite::netsim::prelude::*;
 
-use suite::queryplane::{HostPatchKind, Snapshot};
+use suite::queryplane::{HostPatchKind, QueryPlaneConfig, Snapshot};
+use suite::streamplane::{StandingEval, StandingQuery, StreamConfig, StreamPlane};
 use suite::switchpointer::query::QueryRequest;
 use suite::switchpointer::retention::{self, RetentionPolicy};
 use suite::switchpointer::testbed::{Testbed, TestbedConfig};
@@ -357,3 +358,248 @@ fn a_sweep_ships_exactly_the_shards_that_lost_records() {
     assert!(shipped_any);
     assert!(snap == Snapshot::capture(&analyzer, 8));
 }
+
+/// FNV-1a, 64 bits: a digest that is the same on every platform and
+/// toolchain, unlike `std`'s hashers.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Windows of the churn-storm runs, and their length.
+const CHURN_WINDOWS: u64 = 9;
+const CHURN_WINDOW_MS: u64 = 5;
+
+/// The shared churn storm (`testbed::churn_storm`) with a 6 ms wave to a
+/// fresh destination every 5 ms: each wave's record goes stale shortly
+/// after it ends.
+fn churn_testbed() -> (Testbed, FlowId, NodeId) {
+    suite::switchpointer::testbed::churn_storm(&[
+        ("h1_0_1", "h3_0_0", 0, 6),
+        ("h1_1_0", "h3_0_1", 5, 6),
+        ("h1_1_1", "h3_1_0", 10, 6),
+        ("h1_0_1", "h2_1_0", 15, 6),
+        ("h1_1_0", "h2_1_1", 20, 6),
+        ("h1_1_1", "h0_1_1", 25, 6),
+    ])
+}
+
+/// A stream plane over `analyzer` at `dir_shards` with `policy`.
+fn churn_plane(
+    analyzer: &suite::switchpointer::Analyzer,
+    dir_shards: usize,
+    policy: RetentionPolicy,
+) -> StreamPlane {
+    StreamPlane::new(
+        analyzer,
+        StreamConfig {
+            plane: QueryPlaneConfig {
+                workers: 4,
+                shards: 8,
+                directory_shards: dir_shards,
+                retention: Some(policy),
+            },
+        },
+    )
+}
+
+/// Panics unless every shard of `sweep` is within `budget` or reported
+/// over it (a pin held it there).
+fn assert_budget_bounds(sweep: &retention::SweepReport, budget: usize, ctx: &str) {
+    for (s, &r) in sweep.resident_per_shard.iter().enumerate() {
+        assert!(
+            r <= budget || sweep.over_budget_shards.contains(&s),
+            "{ctx}: shard {s} resident {r} > budget {budget} and not reported over budget"
+        );
+    }
+}
+
+/// The horizon-driven churn run at `dir_shards` under a 12-epoch horizon
+/// and a per-shard `budget`, beside an unswept twin driven by the same
+/// schedule: a pinned contention watch, four sliding top-k subscriptions
+/// and a presence probe over the previous window's trailing epochs in
+/// every window. Returns resident and reclaimed records per window.
+fn churn_horizon_run(dir_shards: usize, budget: usize) -> (Vec<u64>, Vec<u64>) {
+    let (mut tb, victim, da) = churn_testbed();
+    let (mut twin_tb, _, _) = churn_testbed();
+    let analyzer = tb.analyzer();
+    let twin = twin_tb.analyzer();
+    let mut sp = churn_plane(&analyzer, dir_shards, RetentionPolicy::budgeted(12, budget));
+    let watch = sp.subscribe(StandingQuery::ContentionWatch {
+        victim,
+        victim_dst: da,
+        trigger_window: tb.cfg.trigger.window,
+    });
+    for name in ["edge0_0", "agg0_0", "core0_0", "edge2_0"] {
+        sp.subscribe(StandingQuery::TopKSliding {
+            switch: tb.node(name),
+            k: 10,
+            epochs_back: 8,
+        });
+    }
+
+    let (mut resident, mut reclaimed) = (Vec::new(), Vec::new());
+    let mut watch_renders: Vec<String> = Vec::new();
+    let mut watch_open = true;
+    let mut prev_horizon = 0u64;
+    for w in 1..=CHURN_WINDOWS {
+        tb.sim.run_until(SimTime::from_ms(w * CHURN_WINDOW_MS));
+        twin_tb.sim.run_until(SimTime::from_ms(w * CHURN_WINDOW_MS));
+        // Its pointer reads never touch reclaimable state, so it renders
+        // as on the unswept twin.
+        let probe = QueryRequest::SilentDrop {
+            flow: victim,
+            src: tb.node("h0_0_0"),
+            dst: da,
+            range: EpochRange {
+                lo: prev_horizon.saturating_sub(4),
+                hi: prev_horizon,
+            },
+        };
+        let ticket = sp.submit(probe);
+        let report = sp.run_window(&analyzer);
+        let sweep = report.sweep.as_ref().expect("retention configured");
+        reclaimed.push(sweep.records_evicted as u64);
+        resident.push(sweep.resident_total() as u64);
+        assert_eq!(
+            sp.plane().snapshot().total_records(),
+            sweep.resident_total(),
+            "snapshot resident must equal post-sweep live resident"
+        );
+        // Steady state: the budget bounds every shard a pin does not
+        // hold over it.
+        if w >= 4 {
+            assert_budget_bounds(sweep, budget, &format!("window {w}, {dir_shards} shards"));
+        }
+        let (_, probe_outcome) = report
+            .one_shot
+            .iter()
+            .find(|(t, _)| *t == ticket)
+            .expect("one-shot resolves in its window");
+        assert_eq!(
+            format!("{:?}", probe_outcome.response),
+            format!("{:?}", twin.execute(&probe)),
+            "retained-window presence probe diverged from the unswept twin"
+        );
+        for (id, eval) in &report.standing {
+            if let StandingEval::Verdict {
+                request, response, ..
+            } = eval
+            {
+                let render = format!("{response:?}");
+                assert_eq!(
+                    render,
+                    format!("{:?}", analyzer.execute(request)),
+                    "standing verdict diverged from the live analyzer"
+                );
+                // The pinned watch's window was never collected.
+                if *id == watch {
+                    assert_eq!(
+                        render,
+                        format!("{:?}", twin.execute(request)),
+                        "pinned contention verdict diverged from the unswept twin"
+                    );
+                    watch_renders.push(render);
+                }
+            }
+        }
+        // Once the incident has re-derived across three windows, the
+        // watch closes and its pin lifts.
+        if watch_open && watch_renders.len() >= 3 {
+            assert!(sp.unsubscribe(watch));
+            watch_open = false;
+        }
+        prev_horizon = report.horizon;
+    }
+    assert!(
+        watch_renders.len() >= 3 && watch_renders.windows(2).all(|w| w[0] == w[1]),
+        "the contention watch must resolve and re-derive stably across sweeps"
+    );
+    (resident, reclaimed)
+}
+
+/// The budget-driven churn run: no epoch horizon, so only a shard over
+/// its record budget evicts, pins capping it where the sliding
+/// subscription still reaches. Returns resident records per window and
+/// the number of reclaiming sweeps.
+fn churn_budget_run(dir_shards: usize, budget: usize) -> (Vec<u64>, usize) {
+    let (mut tb, _, _) = churn_testbed();
+    let analyzer = tb.analyzer();
+    let mut sp = churn_plane(
+        &analyzer,
+        dir_shards,
+        RetentionPolicy::budgeted(u64::MAX, budget),
+    );
+    sp.subscribe(StandingQuery::TopKSliding {
+        switch: tb.node("edge2_0"),
+        k: 10,
+        epochs_back: 6,
+    });
+    let (mut resident, mut reclaiming) = (Vec::new(), 0);
+    for w in 1..=CHURN_WINDOWS {
+        tb.sim.run_until(SimTime::from_ms(w * CHURN_WINDOW_MS));
+        let report = sp.run_window(&analyzer);
+        let sweep = report.sweep.as_ref().expect("retention configured");
+        reclaiming += usize::from(sweep.records_evicted > 0);
+        resident.push(sweep.resident_total() as u64);
+        assert_budget_bounds(sweep, budget, &format!("budget-only window {w}"));
+        for (id, eval) in &report.standing {
+            if let StandingEval::Verdict {
+                request, response, ..
+            } = eval
+            {
+                assert_eq!(
+                    format!("{response:?}"),
+                    format!("{:?}", analyzer.execute(request)),
+                    "budget-only verdict diverged from the live analyzer ({id})"
+                );
+            }
+        }
+    }
+    (resident, reclaiming)
+}
+
+/// (b) and (c) through the stream plane, over the churn storm at 1/2/4/8
+/// directory shards with a budget of 10 records per shard: once churn
+/// reaches steady state the budget bounds every shard a pin does not
+/// hold over it, at least 3 sweeps reclaim, and the pinned contention
+/// watch and the presence probes answer as on the unswept twin. With no
+/// horizon (budget 3, 4 shards) the budget alone evicts. The resident
+/// and reclaimed series are pinned by digest, rendered one `name x y`
+/// line per point.
+#[test]
+fn churn_storm_stays_within_budget_and_is_pinned() {
+    const BUDGET: usize = 10;
+    let mut text = String::new();
+    let mut push = |name: &str, ys: &[u64]| {
+        for (w, y) in ys.iter().enumerate() {
+            text += &format!("{name} {:?} {:?}\n", (w + 1) as f64, *y as f64);
+        }
+    };
+    for n in [1usize, 2, 4, 8] {
+        let (resident, reclaimed) = churn_horizon_run(n, BUDGET);
+        let sweeps = reclaimed.iter().filter(|&&r| r > 0).count();
+        assert!(
+            sweeps >= 3,
+            "churn must drive >= 3 reclaiming sweeps at {n} shards (got {sweeps})"
+        );
+        push(&format!("resident_{n}shards"), &resident);
+        push(&format!("reclaimed_{n}shards"), &reclaimed);
+    }
+    let (resident, reclaiming) = churn_budget_run(4, 3);
+    assert!(
+        reclaiming >= 1,
+        "the budget alone must force eviction once churn accumulates"
+    );
+    push("resident_budget_only_4shards", &resident);
+    assert_eq!(
+        fnv1a(&text),
+        CHURN_STORM_DIGEST,
+        "the churn-storm trajectory moved:\n{text}"
+    );
+}
+
+/// `fnv1a` of [`churn_storm_stays_within_budget_and_is_pinned`]'s
+/// rendering.
+const CHURN_STORM_DIGEST: u64 = 866425780410232375;

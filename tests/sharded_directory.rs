@@ -724,3 +724,172 @@ fn measured_rounds_equal_modelled_rounds_per_class() {
     // The mix covers both shapes of a diagnosis round.
     assert!(busy_diagnoses > 0 && idle_wave_rounds > 0);
 }
+
+/// FNV-1a, 64 bits: a digest that is the same on every platform and
+/// toolchain, unlike `std`'s hashers.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The ablation's storm: a k=4 fat tree, a starved victim beside a
+/// high-priority burst, and 12 flows to 12 distinct destinations across
+/// all pods, so pointer unions decode many hosts and the decode work has
+/// something to spread across directory shards.
+fn ablation_testbed() -> (Testbed, FlowId, NodeId) {
+    let topo = Topology::fat_tree(4, GBPS);
+    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
+    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
+    let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
+    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
+        a,
+        da,
+        Priority::LOW,
+        SimTime::from_ms(40),
+    ));
+    tb.sim.add_udp_flow(UdpFlowSpec::burst(
+        b,
+        db,
+        Priority::HIGH,
+        SimTime::from_ms(15),
+        SimTime::from_ms(2),
+        GBPS,
+    ));
+    for (s, d) in [
+        ("h0_0_0", "h2_0_0"),
+        ("h0_0_1", "h2_0_1"),
+        ("h0_1_0", "h2_1_0"),
+        ("h0_1_1", "h2_1_1"),
+        ("h1_0_0", "h3_0_0"),
+        ("h1_0_1", "h3_0_1"),
+        ("h1_1_0", "h3_1_0"),
+        ("h1_1_1", "h3_1_1"),
+        ("h2_0_0", "h0_0_0"),
+        ("h2_1_0", "h0_1_0"),
+        ("h3_0_0", "h1_0_0"),
+        ("h3_1_0", "h1_1_0"),
+    ] {
+        let (s, d) = (tb.node(s), tb.node(d));
+        tb.sim.add_udp_flow(UdpFlowSpec {
+            src: s,
+            dst: d,
+            priority: Priority::LOW,
+            start: SimTime::ZERO,
+            duration: SimTime::from_ms(30),
+            rate_bps: 100_000_000,
+            payload_bytes: 1458,
+        });
+    }
+    tb.sim.run_until(SimTime::from_ms(40));
+    (tb, victim, da)
+}
+
+/// (c), pinned: the directory-sharding ablation over 1/2/4/8 shards on
+/// [`ablation_testbed`] — a `TopK` and a `LoadImbalance` at each of the
+/// 20 switches plus one presence probe, whose exact-epoch probes target a
+/// single owning shard (the case sharding cannot parallelise). Per shard
+/// count: the modelled decode time, the largest and total per-shard
+/// decode bits, the bits through the cross-shard merge and the largest
+/// shard's directory metadata. Verdicts equal the sequential analyzer's
+/// at every count, the 4-shard decode models below the single
+/// coordinator, and the whole series is pinned by digest, rendered one
+/// `name x y` line per point in the order the series are listed.
+#[test]
+fn sharding_ablation_series_are_pinned() {
+    use switchpointer::shard::ShardFanout;
+
+    let (tb, victim, victim_dst) = ablation_testbed();
+    let analyzer = tb.analyzer();
+    let window = EpochRange { lo: 10, hi: 20 };
+    let mut reqs = Vec::new();
+    for name in [
+        "edge0_0", "edge0_1", "edge1_0", "edge1_1", "edge2_0", "edge2_1", "edge3_0", "edge3_1",
+        "agg0_0", "agg0_1", "agg1_0", "agg1_1", "agg2_0", "agg2_1", "agg3_0", "agg3_1", "core0_0",
+        "core0_1", "core1_0", "core1_1",
+    ] {
+        let switch = tb.node(name);
+        reqs.push(QueryRequest::TopK {
+            switch,
+            k: 10,
+            range: window,
+        });
+        reqs.push(QueryRequest::LoadImbalance {
+            switch,
+            range: window,
+        });
+    }
+    reqs.push(QueryRequest::SilentDrop {
+        flow: victim,
+        src: tb.node("h0_0_0"),
+        dst: victim_dst,
+        range: window,
+    });
+    let baseline: Vec<String> = reqs
+        .iter()
+        .map(|r| format!("{:?}", analyzer.execute(r)))
+        .collect();
+
+    let mut series: [(&str, Vec<(f64, f64)>); 5] = [
+        ("modelled_decode_us", Vec::new()),
+        ("max_shard_decode_bits", Vec::new()),
+        ("total_decode_bits", Vec::new()),
+        ("cross_shard_merge_bits", Vec::new()),
+        ("max_shard_metadata_bytes", Vec::new()),
+    ];
+    let mut decode_ns = Vec::new();
+    for n_shards in [1usize, 2, 4, 8] {
+        let sharded = ShardedAnalyzer::new(&analyzer, n_shards);
+        let mut fanout = ShardFanout::new(n_shards);
+        let mut decode_total_ns = 0u64;
+        for (i, req) in reqs.iter().enumerate() {
+            let (resp, _, f) = sharded.execute_traced(req);
+            assert_eq!(
+                format!("{resp:?}"),
+                baseline[i],
+                "query {i} diverged at {n_shards} directory shards"
+            );
+            decode_total_ns += f.modelled_decode(analyzer.cost()).as_ns();
+            fanout.absorb(&f);
+        }
+        let max_metadata = sharded
+            .directory()
+            .shards()
+            .iter()
+            .map(|s| s.metadata_bytes())
+            .max()
+            .unwrap_or(0);
+        let x = n_shards as f64;
+        let points = [
+            decode_total_ns as f64 / 1e3,
+            fanout.decode_bits.iter().copied().max().unwrap_or(0) as f64,
+            fanout.decode_bits.iter().sum::<u64>() as f64,
+            fanout.merged_bits as f64,
+            max_metadata as f64,
+        ];
+        for ((_, s), y) in series.iter_mut().zip(points) {
+            s.push((x, y));
+        }
+        decode_ns.push(decode_total_ns);
+    }
+    assert!(
+        decode_ns[2] < decode_ns[0],
+        "4-shard decode ({} ns) must model below 1-shard ({} ns)",
+        decode_ns[2],
+        decode_ns[0]
+    );
+    let mut text = String::new();
+    for (name, points) in &series {
+        for (x, y) in points {
+            text += &format!("{name} {x:?} {y:?}\n");
+        }
+    }
+    assert_eq!(
+        fnv1a(&text),
+        SHARDING_ABLATION_DIGEST,
+        "the sharding ablation moved:\n{text}"
+    );
+}
+
+/// `fnv1a` of [`sharding_ablation_series_are_pinned`]'s rendering.
+const SHARDING_ABLATION_DIGEST: u64 = 5553459742281066377;

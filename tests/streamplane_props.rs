@@ -943,3 +943,141 @@ fn retention_pins_follow_the_class_rule() {
         }
     }
 }
+
+/// FNV-1a, 64 bits: a digest that is the same on every platform and
+/// toolchain, unlike `std`'s hashers.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The continuous-watch deployment `examples/continuous_watch.rs`
+/// narrates: a k=4 fat tree, a TCP victim starved by a HIGH-priority
+/// burst on an ECMP-colliding path, and cross-pod background.
+fn watch_storm_testbed() -> (Testbed, FlowId, NodeId) {
+    let topo = Topology::fat_tree(4, GBPS);
+    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
+    let background = |tb: &mut Testbed, s: &str, d: &str| {
+        let (s, d) = (tb.node(s), tb.node(d));
+        tb.sim.add_udp_flow(UdpFlowSpec {
+            src: s,
+            dst: d,
+            priority: Priority::LOW,
+            start: SimTime::ZERO,
+            duration: SimTime::from_ms(30),
+            rate_bps: 100_000_000,
+            payload_bytes: 1458,
+        });
+    };
+    background(&mut tb, "h1_0_0", "h3_1_1");
+    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
+    let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
+    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
+        a,
+        da,
+        Priority::LOW,
+        SimTime::from_ms(40),
+    ));
+    tb.sim.add_udp_flow(UdpFlowSpec::burst(
+        b,
+        db,
+        Priority::HIGH,
+        SimTime::from_ms(15),
+        SimTime::from_ms(2),
+        GBPS,
+    ));
+    background(&mut tb, "h1_1_0", "h2_1_1");
+    background(&mut tb, "h3_0_0", "h0_1_0");
+    (tb, victim, da)
+}
+
+/// (b) and the watch, over eight 5 ms windows of the fat-tree watch
+/// deployment with seven standing queries: the incremental refresh copies
+/// less than a full recapture would, the contention watch resolves, and
+/// the per-window series — copy work, its full-recapture equivalent,
+/// queries executed and incidents fired — are pinned by digest, rendered
+/// one `name x y` line per point.
+#[test]
+fn watch_storm_trajectory_is_pinned() {
+    let (mut tb, victim, victim_dst) = watch_storm_testbed();
+    let analyzer = tb.analyzer();
+    let mut sp = StreamPlane::new(
+        &analyzer,
+        StreamConfig {
+            plane: QueryPlaneConfig {
+                workers: 8,
+                shards: 8,
+                directory_shards: 1,
+                retention: None,
+            },
+        },
+    );
+    for name in ["edge0_0", "agg0_0", "core0_0", "edge2_0"] {
+        sp.subscribe(StandingQuery::TopKSliding {
+            switch: tb.node(name),
+            k: 5,
+            epochs_back: 8,
+        });
+    }
+    sp.subscribe(StandingQuery::LoadImbalanceSliding {
+        switch: tb.node("agg0_0"),
+        epochs_back: 8,
+    });
+    sp.subscribe(StandingQuery::Fixed(QueryRequest::TopK {
+        switch: tb.node("edge3_1"),
+        k: 5,
+        range: EpochRange { lo: 5, hi: 20 },
+    }));
+    sp.subscribe(StandingQuery::ContentionWatch {
+        victim,
+        victim_dst,
+        trigger_window: tb.cfg.trigger.window,
+    });
+
+    let mut series: [(&str, Vec<(u64, usize)>); 4] = [
+        ("delta_copied", Vec::new()),
+        ("full_recapture_equiv", Vec::new()),
+        ("executed", Vec::new()),
+        ("incidents", Vec::new()),
+    ];
+    for w in 1..=8u64 {
+        tb.sim.run_until(SimTime::from_ms(w * 5));
+        let report = sp.run_window(&analyzer);
+        let d = &report.delta;
+        let points = [
+            (d.cloned_records + d.cloned_slots) as usize,
+            (d.full_records + d.full_slots) as usize,
+            report.executed,
+            report.incidents.len(),
+        ];
+        for ((_, s), y) in series.iter_mut().zip(points) {
+            s.push((report.window, y));
+        }
+    }
+    let stats = sp.metrics().snapshot();
+    assert!(
+        stats.counter("streamplane.delta_copied") < stats.counter("streamplane.full_copied_equiv"),
+        "the incremental refresh must copy less than a full recapture"
+    );
+    assert!(
+        sp.incidents()
+            .iter()
+            .any(|i| i.summary.starts_with("contention")),
+        "the contention watch must resolve on this deterministic fixture"
+    );
+    let mut text = String::new();
+    for (name, points) in &series {
+        for &(x, y) in points {
+            text += &format!("{name} {:?} {:?}\n", x as f64, y as f64);
+        }
+    }
+    assert_eq!(
+        fnv1a(&text),
+        WATCH_STORM_DIGEST,
+        "the watch-storm trajectory moved:\n{text}"
+    );
+}
+
+/// `fnv1a` of [`watch_storm_trajectory_is_pinned`]'s rendering.
+const WATCH_STORM_DIGEST: u64 = 8814705647361960758;
