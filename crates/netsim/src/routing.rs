@@ -6,68 +6,57 @@
 //! the paper's leaf-spine testbed). Experiments can override a switch's
 //! choice per packet — the Fig. 8 "malfunctioning switch" does exactly that.
 
-use std::collections::VecDeque;
-
 use crate::packet::{FlowId, NodeId};
-use crate::topology::Topology;
+use crate::topology::{Topology, NO_PARENT};
 
-/// All-pairs next-hop table.
+/// All-pairs next-hop table, flat: the equal-cost ports of `node` toward
+/// `dst` are `ports[offsets[i]..offsets[i + 1]]` with `i = dst · n + node`,
+/// in the order `node` lists its ports. An empty range means unreachable
+/// (or `node == dst`).
 #[derive(Debug, Clone)]
 pub struct RouteTable {
-    /// `next[node][dst]` = ports of `node` on minimum-hop paths to `dst`.
-    /// Indexed by raw node ids; empty vec = unreachable (or self).
-    next: Vec<Vec<Vec<u16>>>,
+    /// Number of nodes, the stride of `offsets`.
+    n: usize,
+    /// `n² + 1` prefix offsets into `ports`.
+    offsets: Vec<u32>,
+    ports: Vec<u16>,
 }
 
 impl RouteTable {
-    /// Builds the table by running a BFS from every node.
+    /// Builds the table from one BFS tree per destination
+    /// ([`Topology::bfs_tree`]): a port of `node` is on a minimum-hop path
+    /// to `dst` iff its peer is one hop closer to `dst` (the graph is
+    /// undirected, so the tree's depths are distances *to* its root).
     ///
     /// Complexity O(V·(V+E)) — trivial at fixture scale (≤ a few hundred
     /// nodes).
     pub fn build(topo: &Topology) -> Self {
         let n = topo.num_nodes();
-        let mut next = vec![vec![Vec::new(); n]; n];
-
-        for src_raw in 0..n {
-            let src = NodeId(src_raw as u32);
-            // BFS distances from src.
-            let mut dist = vec![u32::MAX; n];
-            dist[src_raw] = 0;
-            let mut q = VecDeque::new();
-            q.push_back(src);
-            while let Some(u) = q.pop_front() {
-                for &(_, v) in topo.ports(u) {
-                    if dist[v.0 as usize] == u32::MAX {
-                        dist[v.0 as usize] = dist[u.0 as usize] + 1;
-                        q.push_back(v);
+        let mut offsets = Vec::with_capacity(n * n + 1);
+        offsets.push(0u32);
+        let mut ports = Vec::new();
+        let mut dist = vec![0u32; n];
+        for dst in 0..n {
+            let tree = topo.bfs_tree(NodeId(dst as u32));
+            depths(&tree, dst, &mut dist);
+            for (node, &d) in dist.iter().enumerate() {
+                if node != dst && d != u32::MAX {
+                    for (port, &(_, peer)) in topo.ports(NodeId(node as u32)).iter().enumerate() {
+                        if dist[peer.0 as usize] + 1 == d {
+                            ports.push(port as u16);
+                        }
                     }
                 }
-            }
-            // A port is on a shortest path to dst iff dist(peer, dst)… we
-            // need distances *to* dst, but the graph is undirected so the
-            // BFS from src gives distances from src; instead compute per-dst
-            // below. To stay O(V·(V+E)) we run the BFS from every *dst* and
-            // fill column dst for all nodes.
-            let dst = src; // rename for clarity: this BFS was rooted at `dst`
-            for node_raw in 0..n {
-                if node_raw == dst.0 as usize || dist[node_raw] == u32::MAX {
-                    continue;
-                }
-                let node = NodeId(node_raw as u32);
-                for (port, &(_, peer)) in topo.ports(node).iter().enumerate() {
-                    if dist[peer.0 as usize] + 1 == dist[node_raw] {
-                        next[node_raw][dst.0 as usize].push(port as u16);
-                    }
-                }
+                offsets.push(ports.len() as u32);
             }
         }
-
-        RouteTable { next }
+        RouteTable { n, offsets, ports }
     }
 
     /// All equal-cost egress ports of `node` toward `dst`.
     pub fn ports(&self, node: NodeId, dst: NodeId) -> &[u16] {
-        &self.next[node.0 as usize][dst.0 as usize]
+        let i = dst.0 as usize * self.n + node.0 as usize;
+        &self.ports[self.offsets[i] as usize..self.offsets[i + 1] as usize]
     }
 
     /// The egress port `node` uses for `flow` toward `dst` (flow-hash ECMP).
@@ -81,6 +70,34 @@ impl RouteTable {
                 let h = ecmp_hash(flow, node);
                 Some(ports[(h % k as u64) as usize])
             }
+        }
+    }
+}
+
+/// Fills `dist` with every node's hop count to the root of the BFS parent
+/// `tree` (`u32::MAX` where the root is unreachable): each node climbs to
+/// the first ancestor whose depth is known, then the climbed chain is
+/// numbered on the way back down.
+fn depths(tree: &[u32], root: usize, dist: &mut [u32]) {
+    const UNSET: u32 = u32::MAX - 1;
+    dist.fill(UNSET);
+    dist[root] = 0;
+    let mut chain = Vec::new();
+    for v in 0..tree.len() {
+        let mut u = v;
+        let mut d = loop {
+            if dist[u] != UNSET {
+                break dist[u];
+            }
+            chain.push(u);
+            match tree[u] {
+                NO_PARENT => break u32::MAX,
+                p => u = p as usize,
+            }
+        };
+        while let Some(w) = chain.pop() {
+            d = d.saturating_add(1);
+            dist[w] = d;
         }
     }
 }
@@ -177,6 +194,30 @@ mod tests {
                     cur = peer;
                     hops += 1;
                     assert!(hops <= 8, "routing loop {src}->{dst}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ports_are_every_hop_toward_the_destination_in_port_order() {
+        let hops = |t: &Topology, a: NodeId, b: NodeId| t.shortest_path(a, b).map(|p| p.len());
+        for t in [
+            Topology::fat_tree(4, GBPS),
+            Topology::leaf_spine(3, 2, 2, GBPS),
+            Topology::dumbbell_multi(2, 2, 3, GBPS),
+            Topology::chain(3, 2, GBPS),
+        ] {
+            let rt = RouteTable::build(&t);
+            for node in (0..t.num_nodes() as u32).map(NodeId) {
+                for dst in (0..t.num_nodes() as u32).map(NodeId) {
+                    let want: Vec<u16> = match hops(&t, node, dst) {
+                        Some(h) if node != dst => (0..t.ports(node).len() as u16)
+                            .filter(|&p| hops(&t, t.ports(node)[p as usize].1, dst) == Some(h - 1))
+                            .collect(),
+                        _ => Vec::new(),
+                    };
+                    assert_eq!(rt.ports(node, dst), want, "{node} -> {dst}");
                 }
             }
         }
