@@ -50,8 +50,8 @@
 //! wire front-end closes its windows through it too, with its own way of
 //! running the requests.
 //!
-//! Drive it end-to-end with `examples/continuous_watch.rs` or
-//! `spexp stream`.
+//! Drive it end-to-end with `examples/continuous_watch.rs`;
+//! `tests/streamplane_props.rs` pins its copy work and incident stream.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;

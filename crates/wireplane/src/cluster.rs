@@ -53,7 +53,8 @@ impl WireCluster {
 
     /// [`WireCluster::launch`] with per-shard wave coalescing
     /// configurable (`coalesce: false` = the naive one-RPC-per-host
-    /// counterfactual the `spexp wire` ablation measures against).
+    /// counterfactual that `tests/wireplane_props.rs` counts against the
+    /// cost model's per-host budget).
     pub fn launch_with(
         analyzer: &Analyzer,
         n_shards: usize,

@@ -110,7 +110,7 @@ pub use retry::RetryPolicy;
 pub use server::{ServeDelay, ShardState, WireConfig};
 pub use telemetry::frame::Wire;
 pub use telemetry::frame::WireError as Error;
-pub use traces::{assemble, TraceTree};
+pub use traces::assemble;
 
 /// Dials `addr` and consumes the server's greeting: the connected stream
 /// (`TCP_NODELAY` set) plus the greeting's `(shard, n_shards)`, for the

@@ -110,11 +110,6 @@ impl TraceTree {
     pub fn has_exemplar(&self) -> bool {
         self.spans.iter().any(|(_, s)| s.exemplar)
     }
-
-    /// Chunk-steal annotations summed over the tree.
-    pub fn steals(&self) -> u64 {
-        self.spans.iter().map(|(_, s)| u64::from(s.steals)).sum()
-    }
 }
 
 /// Reassembles scraped span dumps into per-trace trees. Untraced spans

@@ -441,7 +441,9 @@ fn a_publish_has_every_shards_append_in_flight_before_the_first_ack() {
 /// one refresh leaves each replica's served state sharing, with the state
 /// it served before, every hierarchy slot the patches did not carry,
 /// every host store the record did not name and every record shard it did
-/// not rebuild — the replica's copy is exactly the owner's for that shard.
+/// not rebuild — the replica's copy is exactly the owner's for that shard;
+/// and the owner counts one acked append per shard, no bootstrap, and all
+/// four appends in flight when it read the first ack.
 #[test]
 fn a_refresh_copies_exactly_what_the_delta_names_on_owner_and_replicas() {
     const N: usize = 4;
@@ -480,6 +482,18 @@ fn a_refresh_copies_exactly_what_the_delta_names_on_owner_and_replicas() {
     tb.sim.run_until(SimTime::from_ms(7));
     let delta = cluster.refresh(&analyzer);
     assert_no_divergence(&cluster, N, "after the refresh");
+    // One refresh of healthy shards is one acked append each and no
+    // bootstrap, every append on the wire before the first ack was read.
+    let owner_metrics = cluster.owner_metrics().snapshot();
+    assert_eq!(
+        (
+            owner_metrics.counter("repl.appends"),
+            owner_metrics.counter("repl.bootstraps"),
+            owner_metrics.gauges.get("repl.in_flight").copied(),
+        ),
+        (N as u64, 0, Some(N as i64)),
+        "appends, bootstraps and appends in flight at the first ack"
+    );
     let mut total = Unshared::default();
     for s in 0..N {
         let served = cluster.replica_state(s, 0).unwrap();

@@ -787,23 +787,25 @@ fn wire_verdicts_bit_identical_to_sharded_analyzer_at_1_2_4_8_shards() {
 // injection
 // ----------------------------------------------------------------------
 
+/// A 100 Mb/s low-priority UDP flow from `s` to `d` over the first 30 ms.
+fn background(tb: &mut Testbed, s: &str, d: &str) {
+    let (s, d) = (tb.node(s), tb.node(d));
+    tb.sim.add_udp_flow(UdpFlowSpec {
+        src: s,
+        dst: d,
+        priority: Priority::LOW,
+        start: SimTime::ZERO,
+        duration: SimTime::from_ms(30),
+        rate_bps: 100_000_000,
+        payload_bytes: 1458,
+    });
+}
+
 /// The continuous-watch fixture: background cross-pod UDP plus a
 /// HIGH-priority burst that starves a TCP victim mid-run.
 fn watch_testbed() -> (Testbed, FlowId, NodeId) {
     let topo = Topology::fat_tree(4, GBPS);
     let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let background = |tb: &mut Testbed, s: &str, d: &str| {
-        let (s, d) = (tb.node(s), tb.node(d));
-        tb.sim.add_udp_flow(UdpFlowSpec {
-            src: s,
-            dst: d,
-            priority: Priority::LOW,
-            start: SimTime::ZERO,
-            duration: SimTime::from_ms(30),
-            rate_bps: 100_000_000,
-            payload_bytes: 1458,
-        });
-    };
     background(&mut tb, "h1_0_0", "h3_1_1");
     let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
     let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
@@ -3965,4 +3967,261 @@ fn window_byte_stream_is_the_frames_in_subscription_order_then_the_digest() {
         matches!(raw.read(&mut [0u8; 1]), Err(e) if e.kind() != std::io::ErrorKind::UnexpectedEof)
     );
     cluster.shutdown();
+}
+
+// ----------------------------------------------------------------------
+// Counted bars: coalescing against the modelled budget, fan-out overlap,
+// thread hand-offs of a closed loop
+// ----------------------------------------------------------------------
+
+/// A `TopK` and a `LoadImbalance` at each aggregation and core switch over
+/// a wide trailing window: pointer unions that decode much of the fabric,
+/// so every query fans out to many hosts.
+fn aggregate_sweep(tb: &Testbed) -> Vec<QueryRequest> {
+    let range = EpochRange { lo: 5, hi: 25 };
+    [
+        "agg0_0", "agg0_1", "agg1_0", "agg1_1", "agg2_0", "agg2_1", "agg3_0", "agg3_1", "core0_0",
+        "core0_1", "core1_0", "core1_1",
+    ]
+    .iter()
+    .flat_map(|name| {
+        let switch = tb.node(name);
+        [
+            QueryRequest::TopK {
+                switch,
+                k: 10,
+                range,
+            },
+            QueryRequest::LoadImbalance { switch, range },
+        ]
+    })
+    .collect()
+}
+
+/// [`watch_testbed`] widened by 21 more cross-pod flows (after the victim
+/// and burst, so their flow ids and the ECMP collision are unchanged), run
+/// for 40 ms: pointer unions decode much of the fabric, so a wave has
+/// many hosts to coalesce.
+fn storm_testbed() -> Testbed {
+    let (mut tb, _, _) = watch_testbed();
+    for (s, d) in [
+        ("h3_0_0", "h0_1_0"),
+        ("h0_0_0", "h2_0_0"),
+        ("h0_0_1", "h2_0_1"),
+        ("h0_1_0", "h2_1_0"),
+        ("h0_1_1", "h2_1_1"),
+        ("h1_0_0", "h3_0_0"),
+        ("h1_0_1", "h3_0_1"),
+        ("h1_1_0", "h3_1_0"),
+        ("h1_1_1", "h3_1_1"),
+        ("h2_0_0", "h0_0_0"),
+        ("h2_0_1", "h0_0_1"),
+        ("h2_1_0", "h0_1_0"),
+        ("h2_1_1", "h0_1_1"),
+        ("h3_0_0", "h1_0_0"),
+        ("h3_0_1", "h1_0_1"),
+        ("h3_1_0", "h1_1_0"),
+        ("h3_1_1", "h1_1_1"),
+        ("h0_1_0", "h3_0_0"),
+        ("h0_1_1", "h3_0_1"),
+        ("h1_0_0", "h2_0_0"),
+        ("h1_0_1", "h2_0_1"),
+    ] {
+        background(&mut tb, s, d);
+    }
+    tb.sim.run_until(SimTime::from_ms(40));
+    tb
+}
+
+/// The cost model's per-host RPC term against what the wire measures, on
+/// [`aggregate_sweep`] of [`storm_testbed`] at 1/2/4/8 shards. The term
+/// is one RPC per (wave, host) pair of the in-process traces. A coalesced
+/// wave is one round trip however many hosts it reaches, so the batched
+/// regime's wave rounds stay within the term; the naive regime (one RPC
+/// per host) pays at least all of it, and more frames in all than the
+/// batched one (whose fused aggregate read asks every shard but carries
+/// the union round the naive regime pays apart). At 4 shards coalescing
+/// saves at least 4×. Verdicts equal the analyzer's in both regimes.
+#[test]
+fn coalesced_waves_stay_within_the_modelled_per_host_budget_at_1_2_4_8_shards() {
+    let tb = storm_testbed();
+    let analyzer = tb.analyzer();
+    let reqs = aggregate_sweep(&tb);
+    let baseline: Vec<String> = reqs
+        .iter()
+        .map(|r| format!("{:?}", analyzer.execute(r)))
+        .collect();
+    for n_shards in [1usize, 2, 4, 8] {
+        let sharded = ShardedAnalyzer::new(&analyzer, n_shards);
+        let budget: u64 = reqs
+            .iter()
+            .map(|r| {
+                let (_, trace, _) = sharded.execute_traced(r);
+                trace.waves.iter().map(|w| w.len() as u64).sum::<u64>()
+            })
+            .sum();
+        let mut counters = Vec::new();
+        for coalesce in [true, false] {
+            let cluster =
+                WireCluster::launch_with(&analyzer, n_shards, WireConfig::default(), coalesce)
+                    .unwrap();
+            for (i, req) in reqs.iter().enumerate() {
+                let (resp, _, _) = cluster.front().execute(req);
+                assert_eq!(
+                    format!("{resp:?}"),
+                    baseline[i],
+                    "query {i} diverged at {n_shards} shards (coalesce {coalesce})"
+                );
+            }
+            counters.push(cluster.front().counters());
+            cluster.shutdown();
+        }
+        let (batched, naive) = (&counters[0], &counters[1]);
+        assert!(
+            batched.wave_rounds <= budget,
+            "{n_shards} shards: {} coalesced wave round trips exceed the modelled per-host \
+             budget {budget}",
+            batched.wave_rounds
+        );
+        assert!(
+            naive.rpcs > batched.rpcs,
+            "{n_shards} shards: coalescing saved no frames ({} vs naive {})",
+            batched.rpcs,
+            naive.rpcs
+        );
+        assert!(
+            naive.wave_rpcs >= budget,
+            "{n_shards} shards: the naive regime paid {} per-host RPCs, under the modelled {budget}",
+            naive.wave_rpcs
+        );
+        if n_shards == 4 {
+            assert!(
+                naive.wave_rpcs >= 4 * batched.wave_rounds,
+                "4 shards: naive {} per-host RPCs vs {} coalesced round trips is under 4x",
+                naive.wave_rpcs,
+                batched.wave_rounds
+            );
+        }
+    }
+}
+
+/// Ceiling on the overlap ratio of [`a_serial_fanout_overlaps_its_round_trips`].
+/// A router that waits on each shard before asking the next spends at
+/// least the sum of its round trips, so its ratio is ≥ 1 on any machine.
+const OVERLAP_RATIO_MAX: f64 = 0.7;
+
+/// The overlap of a shard fan-out, as a same-run ratio: the wall clock
+/// of 200 serial `TopK`s that each ask all 8 shards, over the sum of the
+/// round trips of their RPCs (the front-end's own `wire.rtt_ns.shard{N}`
+/// samples of exactly those RPCs, one per RPC). Both sides come from the
+/// same queries on the same cluster, so the runner's speed and core count
+/// cancel out.
+#[test]
+fn a_serial_fanout_overlaps_its_round_trips() {
+    const N: usize = 8;
+    const REPEATS: u64 = 200;
+    let tb = wide_testbed();
+    let analyzer = tb.analyzer();
+    let cluster = WireCluster::launch(&analyzer, N, WireConfig::default()).unwrap();
+    let req = QueryRequest::TopK {
+        switch: tb.node("core0_0"),
+        k: 10,
+        range: EpochRange { lo: 5, hi: 25 },
+    };
+    let rtt_totals = || {
+        let snap = cluster.front_metrics().snapshot();
+        (0..N)
+            .filter_map(|s| snap.hist(&format!("wire.rtt_ns.shard{s}")))
+            .fold((0, 0), |(sum, count), h| (sum + h.sum, count + h.count))
+    };
+    let (sum0, count0) = rtt_totals();
+    let mut rpcs = 0u64;
+    let t0 = Instant::now();
+    for _ in 0..REPEATS {
+        rpcs += cluster.front().execute(&req).2.rpcs;
+    }
+    let wall_ns = t0.elapsed().as_nanos() as f64;
+    let (sum, count) = rtt_totals();
+    cluster.shutdown();
+    assert_eq!(rpcs, REPEATS * N as u64, "each TopK asks every shard once");
+    assert_eq!(
+        count - count0,
+        rpcs,
+        "every routed RPC must leave exactly one RTT sample"
+    );
+    let ratio = wall_ns / (sum - sum0) as f64;
+    assert!(
+        ratio < OVERLAP_RATIO_MAX,
+        "{REPEATS} serial TopKs of {N} RPCs took {:.0} us against {:.0} us of summed round \
+         trips (ratio {ratio:.2}, must stay under {OVERLAP_RATIO_MAX}): the fan-out is not \
+         overlapped",
+        wall_ns / 1e3,
+        (sum - sum0) as f64 / 1e3
+    );
+}
+
+/// A closed loop costs no thread hand-off, in counts: 500 sequential
+/// client queries on a fresh 4-shard cluster leave the front-end's pool
+/// workers untouched (a wave of one runs on the connection thread that
+/// decoded it), start at most one follower per shard for the front-end's
+/// link (the replication writer's link stays idle) and are never served
+/// with the read token held. Every answer equals the analyzer's.
+#[test]
+fn a_closed_loop_of_client_queries_costs_no_thread_hand_off() {
+    const N: usize = 4;
+    const QUERIES: usize = 500;
+    let tb = wide_testbed();
+    let analyzer = tb.analyzer();
+    let reqs = aggregate_sweep(&tb);
+    let baseline: Vec<String> = reqs
+        .iter()
+        .map(|r| format!("{:?}", analyzer.execute(r)))
+        .collect();
+    let cfg = WireConfig::default();
+    let cluster = WireCluster::launch(&analyzer, N, cfg).unwrap();
+    let mut client = cluster.client().unwrap();
+    let pool_ns = || {
+        let snap = cluster.front_metrics().snapshot();
+        (0..cfg.front_workers)
+            .map(|w| {
+                snap.counter(&format!("pool.worker{w}.busy_ns"))
+                    + snap.counter(&format!("pool.worker{w}.idle_ns"))
+            })
+            .sum::<u64>()
+    };
+    let pool_before = pool_ns();
+    for i in 0..QUERIES {
+        let resp = client.query(&reqs[i % reqs.len()]).unwrap();
+        assert_eq!(
+            format!("{resp:?}"),
+            baseline[i % reqs.len()],
+            "query {i} diverged"
+        );
+    }
+    let pool_moved = pool_ns() - pool_before;
+    let per_shard = |name: &str| -> Vec<u64> {
+        (0..N)
+            .map(|s| cluster.server_metrics(s).snapshot().counter(name))
+            .collect()
+    };
+    let (spawns, inline) = (
+        per_shard("wire.serve_spawns"),
+        per_shard("wire.serve_inline"),
+    );
+    drop(client);
+    cluster.shutdown();
+    assert_eq!(
+        pool_moved, 0,
+        "{QUERIES} sequential client queries moved the front-end's pool workers by \
+         {pool_moved} ns: a wave of one must run on its connection thread"
+    );
+    assert!(
+        spawns.iter().all(|&n| n <= 1),
+        "a closed loop started more than one follower per connection: {spawns:?}"
+    );
+    assert_eq!(
+        inline,
+        vec![0; N],
+        "a closed loop was served with the read token held"
+    );
 }
