@@ -4040,8 +4040,11 @@ fn storm_testbed() -> Testbed {
 /// regime's wave rounds stay within the term; the naive regime (one RPC
 /// per host) pays at least all of it, and more frames in all than the
 /// batched one (whose fused aggregate read asks every shard but carries
-/// the union round the naive regime pays apart). At 4 shards coalescing
-/// saves at least 4×. Verdicts equal the analyzer's in both regimes.
+/// the union round the naive regime pays apart). At 4 shards the naive
+/// regime's per-host wave RPCs are at least 4× the batched regime's wave
+/// round trips. (The naive regime's per-host RPCs of one wave are in
+/// flight together too, so both regimes take as many wave rounds: the
+/// saving is in frames.) Verdicts equal the analyzer's in both regimes.
 #[test]
 fn coalesced_waves_stay_within_the_modelled_per_host_budget_at_1_2_4_8_shards() {
     let tb = storm_testbed();
