@@ -37,7 +37,7 @@ use crate::cost::{CostModel, LatencyBreakdown, QueryWaveCost};
 use crate::host::{HostHandle, TriggerEvent};
 use crate::hoststore::{FlowRecord, FlowStore};
 use crate::query::{
-    host_wave, Deferred, FilterWaveReply, QueryCtx, QueryExecutor, QueryRequest, QueryResponse,
+    host_wave, Deferred, FilterWaveReply, QueryExecutor, QueryRequest, QueryResponse,
     SizesWaveReply, StateView, TopKWaveReply,
 };
 use crate::switch::SwitchHandle;
@@ -45,7 +45,7 @@ use crate::switch::SwitchHandle;
 /// Maps pointer-bit indices back to hosts (the analyzer built the MPHF, so
 /// it owns the inverse mapping; §4.3 "constructs a minimal perfect hash
 /// function ... distributes it to all the switches").
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HostDirectory {
     mphf: Arc<Mphf>,
     by_slot: Vec<Option<NodeId>>,
@@ -76,6 +76,77 @@ impl HostDirectory {
             .collect();
         out.sort();
         out
+    }
+}
+
+/// One deployment: the static picture of the network the analyzer
+/// reasons over (§4.3) — the topology, its ECMP routes, the epoch timing,
+/// the bit → host directory of the MPHF the switches share, and the
+/// calibrated cost model. [`Testbed::new`](crate::testbed::Testbed::new)
+/// builds it once, around the simulator's own topology and route table,
+/// and every analyzer, executor and plane over that testbed shares it
+/// behind one `Arc`. Nothing in it changes after.
+pub struct Deployment {
+    pub topo: Arc<Topology>,
+    pub routes: Arc<RouteTable>,
+    pub params: EpochParams,
+    pub directory: HostDirectory,
+    pub cost: CostModel,
+}
+
+impl Deployment {
+    /// Search-radius reduction (§4.3): keep only hosts whose traffic can
+    /// have shared the victim's egress port at `switch`. The victim's next
+    /// hop determines the port; a pointer host is relevant iff some
+    /// equal-cost route from `switch` to it uses the same port.
+    pub(crate) fn reduce_search_radius(
+        &self,
+        switch: NodeId,
+        victim_dst: NodeId,
+        victim_flow: FlowId,
+        hosts: Vec<NodeId>,
+    ) -> Vec<NodeId> {
+        let Some(victim_port) = self.routes.egress(switch, victim_dst, victim_flow) else {
+            return hosts;
+        };
+        hosts
+            .into_iter()
+            .filter(|&h| self.routes.ports(switch, h).contains(&victim_port))
+            .collect()
+    }
+
+    /// The epoch window to diagnose around a trigger, with ±⌈ε/α⌉ slack
+    /// for clock asynchrony. Covers the dropped window and the one before
+    /// it.
+    pub(crate) fn epoch_window(
+        &self,
+        trigger: &TriggerEvent,
+        trigger_window: SimTime,
+    ) -> EpochRange {
+        let p = self.params;
+        let slack = p.epsilon.as_ns().div_ceil(p.alpha.as_ns());
+        let hi = p.epoch_of(trigger.at) + slack;
+        let lo = p
+            .epoch_of(trigger.at.saturating_sub(trigger_window * 2))
+            .saturating_sub(slack);
+        EpochRange { lo, hi }
+    }
+
+    /// The latency of a diagnosis whose pointer rounds cost `retrieval`
+    /// and whose host wave cost `wave`.
+    pub(crate) fn breakdown(
+        &self,
+        detection: SimTime,
+        retrieval: SimTime,
+        wave: QueryWaveCost,
+    ) -> LatencyBreakdown {
+        LatencyBreakdown {
+            detection,
+            alert: self.cost.alert_rtt,
+            pointer_retrieval: retrieval,
+            diagnosis: wave.total(),
+            diagnosis_detail: wave,
+        }
     }
 }
 
@@ -359,55 +430,38 @@ impl Wire for DropDiagnosis {
     }
 }
 
-/// The analyzer.
+/// The analyzer: the shared [`Deployment`] plus the live switch and host
+/// components it queries.
 pub struct Analyzer {
-    topo: Topology,
-    routes: RouteTable,
-    params: EpochParams,
+    deployment: Arc<Deployment>,
     switches: HashMap<NodeId, SwitchHandle>,
     hosts: HashMap<NodeId, HostHandle>,
-    directory: HostDirectory,
-    cost: CostModel,
 }
 
 impl Analyzer {
     pub(crate) fn new(
-        topo: Topology,
-        params: EpochParams,
+        deployment: Arc<Deployment>,
         switches: HashMap<NodeId, SwitchHandle>,
         hosts: HashMap<NodeId, HostHandle>,
-        directory: HostDirectory,
-        cost: CostModel,
     ) -> Self {
-        let routes = RouteTable::build(&topo);
         Analyzer {
-            topo,
-            routes,
-            params,
+            deployment,
             switches,
             hosts,
-            directory,
-            cost,
         }
     }
 
     /// The directory (bit → host decoding).
     pub fn directory(&self) -> &HostDirectory {
-        &self.directory
+        &self.deployment.directory
     }
 
-    /// The executor context: everything the analyzer knows about the
-    /// deployment besides the mutable component state. Public so
-    /// alternative routers (the backend router, the wire front-end) can
-    /// run the shared executor over their own views.
-    pub fn ctx(&self) -> QueryCtx<'_> {
-        QueryCtx {
-            topo: &self.topo,
-            routes: &self.routes,
-            params: self.params,
-            directory: &self.directory,
-            cost: &self.cost,
-        }
+    /// The deployment this analyzer reasons over — what executors take
+    /// besides the state they read, so alternative routers (the backend
+    /// router, the wire front-end) run the shared executor over their own
+    /// views. Every analyzer of one testbed returns the same `Arc`.
+    pub fn ctx(&self) -> &Arc<Deployment> {
+        &self.deployment
     }
 
     /// A [`StateView`] over the live simulator component handles.
@@ -430,12 +484,12 @@ impl Analyzer {
             panic!("no SwitchPointer component on {switch}")
         };
         let bits = sw.borrow().pointers.pointer_union(range.lo, range.hi);
-        self.directory.hosts_in(&bits)
+        self.directory().hosts_in(&bits)
     }
 
     /// Search-radius reduction (§4.3): keep only hosts whose traffic can
     /// have shared the victim's egress port at `switch`
-    /// (`QueryCtx::reduce_search_radius`).
+    /// (`Deployment::reduce_search_radius`).
     pub fn reduce_search_radius(
         &self,
         switch: NodeId,
@@ -443,14 +497,14 @@ impl Analyzer {
         victim_flow: FlowId,
         hosts: Vec<NodeId>,
     ) -> Vec<NodeId> {
-        self.ctx()
+        self.deployment
             .reduce_search_radius(switch, victim_dst, victim_flow, hosts)
     }
 
     /// The epoch window to diagnose around a trigger, with ±⌈ε/α⌉ slack for
-    /// clock asynchrony (`QueryCtx::epoch_window`).
+    /// clock asynchrony (`Deployment::epoch_window`).
     pub fn epoch_window(&self, trigger: &TriggerEvent, trigger_window: SimTime) -> EpochRange {
-        self.ctx().epoch_window(trigger, trigger_window)
+        self.deployment.epoch_window(trigger, trigger_window)
     }
 
     /// Diagnoses priority/microburst contention for a victim flow whose
@@ -596,21 +650,17 @@ impl Analyzer {
 
     /// The cost model in force.
     pub fn cost(&self) -> &CostModel {
-        self.cost_ref()
-    }
-
-    fn cost_ref(&self) -> &CostModel {
-        &self.cost
+        &self.deployment.cost
     }
 
     /// The topology the analyzer reasons over.
     pub fn topo(&self) -> &Topology {
-        &self.topo
+        &self.deployment.topo
     }
 
     /// Epoch timing parameters in force.
     pub fn params(&self) -> EpochParams {
-        self.params
+        self.deployment.params
     }
 }
 
@@ -690,17 +740,14 @@ impl StateView for LiveView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host::{HostComponent, TriggerConfig, TriggerEvent};
-    use crate::pointer::PointerConfig;
-    use crate::switch::SwitchComponent;
+    use crate::host::TriggerEvent;
+    use crate::testbed::{Testbed, TestbedConfig};
     use netsim::packet::Protocol;
     use netsim::topology::GBPS;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-    use telemetry::{DecodedTelemetry, EmbedMode, HopTelemetry, PathCodec, TelemetryDecoder};
+    use telemetry::{DecodedTelemetry, HopTelemetry};
 
-    /// Hand-wires an analyzer over the 3-switch chain with no simulation:
-    /// switch pointers and host stores are populated directly.
+    /// An analyzer over the 3-switch chain, never simulated: tests
+    /// populate switch pointers and host stores directly.
     struct Fixture {
         analyzer: Analyzer,
         topo: Topology,
@@ -708,56 +755,11 @@ mod tests {
 
     fn fixture() -> Fixture {
         let topo = Topology::chain(3, 2, GBPS);
-        let addrs: Vec<u64> = topo.hosts().iter().map(|h| h.addr()).collect();
-        let mphf = Arc::new(Mphf::build(&addrs).unwrap());
-        let params = EpochParams {
-            alpha: netsim::time::SimTime::from_ms(1),
-            epsilon: netsim::time::SimTime::from_ms(1),
-            delta: netsim::time::SimTime::from_ms(2),
-        };
-        let codec = Rc::new(PathCodec::new(topo.clone()));
-        let decoder = Rc::new(TelemetryDecoder::new(
-            codec.clone(),
-            params,
-            EmbedMode::Commodity,
-        ));
-        let mut switches = HashMap::new();
-        for &sw in topo.switches() {
-            let comp = SwitchComponent::new(
-                sw,
-                params,
-                EmbedMode::Commodity,
-                PointerConfig {
-                    n_hosts: addrs.len(),
-                    alpha: 10,
-                    k: 3,
-                },
-                mphf.clone(),
-                codec.clone(),
-            );
-            switches.insert(sw, Rc::new(RefCell::new(comp)));
+        let tb = Testbed::new(topo.clone(), TestbedConfig::default_ms());
+        Fixture {
+            analyzer: tb.analyzer(),
+            topo,
         }
-        let mut hosts = HashMap::new();
-        for &h in topo.hosts() {
-            hosts.insert(
-                h,
-                Rc::new(RefCell::new(HostComponent::new(
-                    h,
-                    decoder.clone(),
-                    TriggerConfig::default(),
-                ))),
-            );
-        }
-        let directory = HostDirectory::new(mphf, topo.hosts());
-        let analyzer = Analyzer::new(
-            topo.clone(),
-            params,
-            switches,
-            hosts,
-            directory,
-            CostModel::paper_calibrated(),
-        );
-        Fixture { analyzer, topo }
     }
 
     fn node(topo: &Topology, name: &str) -> NodeId {

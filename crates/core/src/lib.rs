@@ -101,7 +101,9 @@ pub mod shard;
 pub mod switch;
 pub mod testbed;
 
-pub use analyzer::{Analyzer, ContentionDiagnosis, Culprit, HostDirectory, LiveView, Verdict};
+pub use analyzer::{
+    Analyzer, ContentionDiagnosis, Culprit, Deployment, HostDirectory, LiveView, Verdict,
+};
 pub use cost::{CostModel, LatencyBreakdown, QueryWaveCost};
 pub use host::{
     AlertPayload, HostComponent, HostHandle, SwitchEpochs, TriggerConfig, TriggerEvent,
@@ -109,7 +111,7 @@ pub use host::{
 pub use hoststore::{FlowRecord, FlowStore};
 pub use pointer::{PointerConfig, PointerHierarchy};
 pub use query::{
-    ExecutionTrace, PointerRound, QueryCtx, QueryExecutor, QueryRequest, QueryResponse, StateView,
+    ExecutionTrace, PointerRound, QueryExecutor, QueryRequest, QueryResponse, StateView,
 };
 pub use retention::{RetentionPolicy, SweepReport};
 pub use shard::{host_shard_of, DirectoryShard, ShardFanout, ShardedAnalyzer, ShardedDirectory};

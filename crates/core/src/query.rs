@@ -66,18 +66,16 @@ use std::collections::BTreeMap;
 use std::ops::Deref;
 
 use netsim::packet::{FlowId, NodeId};
-use netsim::routing::RouteTable;
 use netsim::time::SimTime;
-use netsim::topology::Topology;
 use telemetry::frame::{Dec, Enc, Wire, WireError};
-use telemetry::{EpochParams, EpochRange};
+use telemetry::EpochRange;
 
 use crate::analyzer::{
-    CascadeDiagnosis, CascadeStage, ContentionDiagnosis, Culprit, DropDiagnosis, HostDirectory,
-    LoadImbalanceDiagnosis, RedLightsDiagnosis, TopKResult, Verdict,
+    CascadeDiagnosis, CascadeStage, ContentionDiagnosis, Culprit, Deployment, DropDiagnosis,
+    HostDirectory, LoadImbalanceDiagnosis, RedLightsDiagnosis, TopKResult, Verdict,
 };
 use crate::bitset::BitSet;
-use crate::cost::{CostModel, LatencyBreakdown, QueryWaveCost};
+use crate::cost::QueryWaveCost;
 use crate::host::TriggerEvent;
 use crate::hoststore::{keep_top_k, FlowRecord, FlowStore};
 
@@ -598,73 +596,6 @@ impl ExecutionTrace {
     }
 }
 
-/// Shared immutable context of an executor: what the analyzer knows about
-/// the deployment (topology, routes, epoch timing, directory, costs).
-#[derive(Clone, Copy)]
-pub struct QueryCtx<'a> {
-    pub topo: &'a Topology,
-    pub routes: &'a RouteTable,
-    pub params: EpochParams,
-    pub directory: &'a HostDirectory,
-    pub cost: &'a CostModel,
-}
-
-impl QueryCtx<'_> {
-    /// Search-radius reduction (§4.3): keep only hosts whose traffic can
-    /// have shared the victim's egress port at `switch`. The victim's next
-    /// hop determines the port; a pointer host is relevant iff some
-    /// equal-cost route from `switch` to it uses the same port.
-    pub(crate) fn reduce_search_radius(
-        &self,
-        switch: NodeId,
-        victim_dst: NodeId,
-        victim_flow: FlowId,
-        hosts: Vec<NodeId>,
-    ) -> Vec<NodeId> {
-        let Some(victim_port) = self.routes.egress(switch, victim_dst, victim_flow) else {
-            return hosts;
-        };
-        hosts
-            .into_iter()
-            .filter(|&h| self.routes.ports(switch, h).contains(&victim_port))
-            .collect()
-    }
-
-    /// The epoch window to diagnose around a trigger, with ±⌈ε/α⌉ slack
-    /// for clock asynchrony. Covers the dropped window and the one before
-    /// it.
-    pub(crate) fn epoch_window(
-        &self,
-        trigger: &TriggerEvent,
-        trigger_window: SimTime,
-    ) -> EpochRange {
-        let p = self.params;
-        let slack = p.epsilon.as_ns().div_ceil(p.alpha.as_ns());
-        let hi = p.epoch_of(trigger.at) + slack;
-        let lo = p
-            .epoch_of(trigger.at.saturating_sub(trigger_window * 2))
-            .saturating_sub(slack);
-        EpochRange { lo, hi }
-    }
-
-    /// The latency of a diagnosis whose pointer rounds cost `retrieval`
-    /// and whose host wave cost `wave`.
-    fn breakdown(
-        &self,
-        detection: SimTime,
-        retrieval: SimTime,
-        wave: QueryWaveCost,
-    ) -> LatencyBreakdown {
-        LatencyBreakdown {
-            detection,
-            alert: self.cost.alert_rtt,
-            pointer_retrieval: retrieval,
-            diagnosis: wave.total(),
-            diagnosis_detail: wave,
-        }
-    }
-}
-
 /// A query part-way through its rounds — what [`QueryExecutor::start`]
 /// and [`Stage::resume`] return.
 // `Done` is the common variant and is returned by value once per query;
@@ -759,13 +690,13 @@ fn culprits(
 /// The per-application query algorithms of §5, runnable over any
 /// [`StateView`].
 pub struct QueryExecutor<'a, V: StateView> {
-    ctx: QueryCtx<'a>,
+    ctx: &'a Deployment,
     view: &'a V,
     trace: ExecutionTrace,
 }
 
 impl<'a, V: StateView> QueryExecutor<'a, V> {
-    pub fn new(ctx: QueryCtx<'a>, view: &'a V) -> Self {
+    pub fn new(ctx: &'a Deployment, view: &'a V) -> Self {
         QueryExecutor {
             ctx,
             view,
@@ -1141,7 +1072,7 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     /// wave. The trace still records the paper's two steps (a pointer
     /// round, then a host wave): that is what the cost model prices.
     fn load_imbalance(mut self, switch: NodeId, range: EpochRange) -> Staged<'a> {
-        let read = self.view.union_sizes(self.ctx.directory, switch, range);
+        let read = self.view.union_sizes(&self.ctx.directory, switch, range);
         then(read, move |read| {
             let rows = component(switch, read);
             self.trace
@@ -1211,7 +1142,7 @@ impl<'a, V: StateView> QueryExecutor<'a, V> {
     /// Staged: one round — the union, its decode and the top-k wave,
     /// traced as the paper's two steps like the load-imbalance diagnosis.
     fn top_k(mut self, switch: NodeId, k: usize, range: EpochRange) -> Staged<'a> {
-        let read = self.view.union_top_k(self.ctx.directory, switch, range, k);
+        let read = self.view.union_top_k(&self.ctx.directory, switch, range, k);
         then(read, move |read| {
             let rows = component(switch, read);
             self.trace

@@ -18,7 +18,7 @@ use netsim::topology::{Topology, GBPS};
 use netsim::udp::UdpFlowSpec;
 use telemetry::{EmbedMode, EpochParams, PathCodec, TelemetryDecoder};
 
-use crate::analyzer::{Analyzer, HostDirectory};
+use crate::analyzer::{Analyzer, Deployment, HostDirectory};
 use crate::cost::CostModel;
 use crate::host::{install_on_all_hosts, HostHandle, TriggerConfig};
 use crate::pointer::PointerConfig;
@@ -69,7 +69,7 @@ pub struct Testbed {
     pub sim: Simulator,
     pub switches: HashMap<NodeId, SwitchHandle>,
     pub hosts: HashMap<NodeId, HostHandle>,
-    pub(crate) mphf: Arc<Mphf>,
+    deployment: Arc<Deployment>,
     pub cfg: TestbedConfig,
 }
 
@@ -81,7 +81,7 @@ impl Testbed {
         // Analyzer-side bootstrap: hash function over all host addresses.
         let addrs: Vec<u64> = sim.topo().hosts().iter().map(|h| h.addr()).collect();
         let mphf = Arc::new(Mphf::build(&addrs).expect("MPHF over host set"));
-        let codec = Rc::new(PathCodec::new(sim.topo().clone()));
+        let codec = Rc::new(PathCodec::new(Arc::clone(sim.topo())));
         let decoder = Rc::new(TelemetryDecoder::new(codec.clone(), cfg.params, cfg.mode));
 
         let pointer_cfg = PointerConfig {
@@ -98,27 +98,31 @@ impl Testbed {
             codec,
         );
         let hosts = install_on_all_hosts(&mut sim, decoder, cfg.trigger);
+        let deployment = Arc::new(Deployment {
+            topo: Arc::clone(sim.topo()),
+            routes: Arc::clone(sim.routes()),
+            params: cfg.params,
+            directory: HostDirectory::new(mphf, sim.topo().hosts()),
+            cost: cfg.cost,
+        });
 
         Testbed {
             sim,
             switches,
             hosts,
-            mphf,
+            deployment,
             cfg,
         }
     }
 
-    /// Builds the analyzer view over the deployment (call after — or
-    /// during — the simulation; handles are shared).
+    /// An analyzer over the deployment (call after — or during — the
+    /// simulation; handles are shared). Cheap: every analyzer of one
+    /// testbed shares the [`Deployment`] built in [`Testbed::new`].
     pub fn analyzer(&self) -> Analyzer {
-        let directory = HostDirectory::new(self.mphf.clone(), self.sim.topo().hosts());
         Analyzer::new(
-            self.sim.topo().clone(),
-            self.cfg.params,
+            Arc::clone(&self.deployment),
             self.switches.clone(),
             self.hosts.clone(),
-            directory,
-            self.cfg.cost,
         )
     }
 

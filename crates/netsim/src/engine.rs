@@ -18,6 +18,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::sync::Arc;
 
 use crate::apps::{AppCtx, EgressInfo, HostApp, SwitchApp};
 use crate::packet::{FlowId, FlowMeta, NodeId, Packet, Priority, Protocol, TcpHeader};
@@ -205,8 +206,8 @@ struct RtoTimer {
 
 /// The simulator.
 pub struct Simulator {
-    topo: Topology,
-    routes: RouteTable,
+    topo: Arc<Topology>,
+    routes: Arc<RouteTable>,
     now: SimTime,
     heap: BinaryHeap<Reverse<Entry>>,
     /// The events the heap's entries point at; `None` marks a free slot.
@@ -243,9 +244,12 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Builds a simulator over `topo` with routes precomputed.
-    pub fn new(topo: Topology, config: SimConfig) -> Self {
-        let routes = RouteTable::build(&topo);
+    /// Builds a simulator over `topo` with routes precomputed — the one
+    /// route table of a deployment: whoever else reasons over the
+    /// network shares it through [`Simulator::routes`].
+    pub fn new(topo: impl Into<Arc<Topology>>, config: SimConfig) -> Self {
+        let topo = topo.into();
+        let routes = Arc::new(RouteTable::build(&topo));
         let num_links = topo.num_links();
         let mut nodes = Vec::with_capacity(topo.num_nodes());
         for raw in 0..topo.num_nodes() {
@@ -304,8 +308,13 @@ impl Simulator {
     // ---- configuration ----------------------------------------------------
 
     /// The topology this simulator runs over.
-    pub fn topo(&self) -> &Topology {
+    pub fn topo(&self) -> &Arc<Topology> {
         &self.topo
+    }
+
+    /// The ECMP route table it forwards by.
+    pub fn routes(&self) -> &Arc<RouteTable> {
+        &self.routes
     }
 
     /// Current simulated time.

@@ -34,35 +34,25 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use netsim::routing::RouteTable;
-use netsim::topology::Topology;
 use obsplane::{Counter, Histogram, MetricsRegistry, SpanEvent, TraceContext};
-use switchpointer::analyzer::HostDirectory;
-use switchpointer::cost::CostModel;
 use switchpointer::query::{
-    ExecutionTrace, QueryCtx, QueryExecutor, QueryRequest, QueryResponse, Stage, Staged,
-    QUERY_CLASS_NAMES,
+    ExecutionTrace, QueryExecutor, QueryRequest, QueryResponse, Stage, Staged, QUERY_CLASS_NAMES,
 };
 use switchpointer::shard::{
     BackendRouter, RouterCounters, ShardBackend, ShardFanout, ShardedDirectory,
 };
-use telemetry::EpochParams;
+use switchpointer::{Analyzer, Deployment};
 
 use crate::pool::WorkerPool;
 
-/// The immutable deployment knowledge every executor needs besides the
-/// state it reads: topology, routes, epoch timing, the bit→host directory
-/// (flat and hash-partitioned) and the calibrated cost model — plus the
-/// plane's [`MetricsRegistry`], so the driver records per-query-class
-/// execution latency, spans and coalesced copies without extra plumbing.
-/// Shared across worker threads by `Arc`.
+/// What every executor of a plane shares: the analyzer's [`Deployment`]
+/// (the same `Arc`, not a copy), its directory hash-partitioned into the
+/// plane's shards, and the plane's [`MetricsRegistry`], so the driver
+/// records per-query-class execution latency, spans and coalesced copies
+/// without extra plumbing. Shared across worker threads by `Arc`.
 pub struct SharedCtx {
-    pub(crate) topo: Topology,
-    pub(crate) routes: RouteTable,
-    pub(crate) params: EpochParams,
-    pub(crate) directory: HostDirectory,
+    pub deployment: Arc<Deployment>,
     pub dir: ShardedDirectory,
-    pub(crate) cost: CostModel,
     /// The owning plane's metric registry (shared with the stream plane
     /// and scrapeable over the wire).
     pub metrics: Arc<MetricsRegistry>,
@@ -76,43 +66,25 @@ pub struct SharedCtx {
 }
 
 impl SharedCtx {
-    /// Builds the shared context, resolving the per-class execution
-    /// histograms and the coalesced-copy counter out of `metrics` once.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        topo: Topology,
-        routes: RouteTable,
-        params: EpochParams,
-        directory: HostDirectory,
-        dir: ShardedDirectory,
-        cost: CostModel,
-        metrics: Arc<MetricsRegistry>,
-    ) -> SharedCtx {
+    /// The context of a plane over `analyzer`'s deployment with its
+    /// directory cut into `dir_shards` shards, resolving the per-class
+    /// execution histograms and the coalesced-copy counter out of
+    /// `metrics` once.
+    pub fn new(analyzer: &Analyzer, dir_shards: usize, metrics: Arc<MetricsRegistry>) -> Self {
         let exec_hists = QUERY_CLASS_NAMES
             .iter()
             .map(|class| metrics.histogram(&format!("queryplane.exec_ns.{class}")))
             .collect();
         SharedCtx {
-            topo,
-            routes,
-            params,
-            directory,
-            dir,
-            cost,
+            deployment: Arc::clone(analyzer.ctx()),
+            dir: ShardedDirectory::new(
+                analyzer.directory().mphf().clone(),
+                &analyzer.all_hosts(),
+                dir_shards,
+            ),
             coalesced: metrics.counter("queryplane.coalesced"),
             metrics,
             exec_hists,
-        }
-    }
-
-    /// The borrow view executors take.
-    pub(crate) fn query_ctx(&self) -> QueryCtx<'_> {
-        QueryCtx {
-            topo: &self.topo,
-            routes: &self.routes,
-            params: self.params,
-            directory: &self.directory,
-            cost: &self.cost,
         }
     }
 
@@ -123,7 +95,9 @@ impl SharedCtx {
         match *req {
             QueryRequest::Contention { trigger_window, .. }
             | QueryRequest::RedLights { trigger_window, .. }
-            | QueryRequest::Cascade { trigger_window, .. } => self.params.epoch_of(trigger_window),
+            | QueryRequest::Cascade { trigger_window, .. } => {
+                self.deployment.params.epoch_of(trigger_window)
+            }
             QueryRequest::LoadImbalance { range, .. }
             | QueryRequest::TopK { range, .. }
             | QueryRequest::SilentDrop { range, .. } => range.hi,
@@ -295,7 +269,7 @@ pub fn lock_step<B: ShardBackend>(
                 stage: None,
                 answer: None,
             };
-            let exec = QueryExecutor::new(ctx.query_ctx(), router);
+            let exec = QueryExecutor::new(&ctx.deployment, router);
             advance(ctx, spans, &mut query, batch_started, || exec.start(req));
             query
         })
@@ -433,16 +407,8 @@ mod tests {
         tb.sim.run_until(SimTime::from_ms(5));
         let analyzer = tb.analyzer();
         let ctx = Arc::new(SharedCtx::new(
-            analyzer.topo().clone(),
-            RouteTable::build(analyzer.topo()),
-            analyzer.params(),
-            analyzer.directory().clone(),
-            ShardedDirectory::new(
-                analyzer.directory().mphf().clone(),
-                &analyzer.all_hosts(),
-                2,
-            ),
-            *analyzer.cost(),
+            &analyzer,
+            2,
             Arc::new(MetricsRegistry::new()),
         ));
         let snapshot = Arc::new(Snapshot::capture(&analyzer, 8));

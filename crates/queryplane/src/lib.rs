@@ -97,12 +97,11 @@
 
 use std::sync::Arc;
 
-use netsim::routing::RouteTable;
 use obsplane::{Counter, MetricsRegistry};
 use switchpointer::hoststore::RECORD_SHARDS;
 use switchpointer::query::QueryRequest;
 use switchpointer::retention;
-use switchpointer::shard::{host_shard_of, ShardFanout, ShardedDirectory};
+use switchpointer::shard::{host_shard_of, ShardFanout};
 use switchpointer::Analyzer;
 
 mod driver;
@@ -289,19 +288,7 @@ impl QueryPlane {
         let m = QpMetrics::new(&metrics, dir_shards);
         let pool = WorkerPool::with_metrics(cfg.workers, &metrics);
         Ok(QueryPlane {
-            ctx: Arc::new(SharedCtx::new(
-                analyzer.topo().clone(),
-                RouteTable::build(analyzer.topo()),
-                analyzer.params(),
-                analyzer.directory().clone(),
-                ShardedDirectory::new(
-                    analyzer.directory().mphf().clone(),
-                    &analyzer.all_hosts(),
-                    dir_shards,
-                ),
-                *analyzer.cost(),
-                metrics,
-            )),
+            ctx: Arc::new(SharedCtx::new(analyzer, dir_shards, metrics)),
             cfg,
             slot: SnapshotSlot::new(Arc::new(Snapshot::capture_with(
                 analyzer, cfg.shards, dir_shards,
@@ -373,6 +360,12 @@ impl QueryPlane {
     /// registry; snapshots of it are what a wire scrape ships.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.ctx.metrics
+    }
+
+    /// What the plane's executors share: the analyzer's deployment and
+    /// the plane's directory partition.
+    pub fn ctx(&self) -> &Arc<SharedCtx> {
+        &self.ctx
     }
 
     /// Cumulative per-shard fan-out: decode bits and host reads per

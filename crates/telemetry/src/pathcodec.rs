@@ -24,6 +24,8 @@
 //! walk up one tree, O(hops), and the only allocation a reconstruction
 //! makes is the path it returns.
 
+use std::sync::Arc;
+
 use netsim::packet::{NodeId, Packet};
 use netsim::topology::{LinkId, TopoKind, Topology, NO_PARENT};
 
@@ -39,7 +41,9 @@ pub enum EmbedMode {
 /// Per-topology tagging policy and path reconstruction.
 #[derive(Debug, Clone)]
 pub struct PathCodec {
-    topo: Topology,
+    /// Shared with the simulator and the analyzer: one topology per
+    /// deployment.
+    topo: Arc<Topology>,
     /// Every node's BFS parent tree, row-major: `trees[r * n + v]` is
     /// `v`'s parent in the tree rooted at `r` ([`NO_PARENT`] for `r`
     /// itself and for nodes `r` cannot reach).
@@ -74,7 +78,8 @@ impl std::error::Error for PathError {}
 impl PathCodec {
     /// Builds a codec over a topology. The VLAN encoding caps the number of
     /// links at 4096.
-    pub fn new(topo: Topology) -> Self {
+    pub fn new(topo: impl Into<Arc<Topology>>) -> Self {
+        let topo = topo.into();
         assert!(
             topo.num_links() <= 4096,
             "link ids must fit a 12-bit VID ({} links)",

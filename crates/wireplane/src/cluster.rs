@@ -7,11 +7,9 @@ use std::collections::BTreeSet;
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
-use netsim::routing::RouteTable;
 use obsplane::MetricsRegistry;
 use queryplane::{QueryPlaneConfig, SharedCtx, Snapshot, SnapshotDelta};
 use switchpointer::hoststore::RECORD_SHARDS;
-use switchpointer::shard::ShardedDirectory;
 use switchpointer::Analyzer;
 use telemetry::frame::WireError;
 
@@ -83,20 +81,29 @@ impl WireCluster {
         cfg: WireConfig,
         coalesce: bool,
     ) -> Result<WireCluster, WireError> {
-        assert!(n_replicas >= 1, "a shard needs at least one replica");
-        // Validated like any plane config: a zero-shard deployment is a
-        // config error, not a panic deep in the partition builder.
+        // Validated before any server spawns: a zero-replica or
+        // zero-shard deployment is a config error, not a panic.
+        if n_replicas == 0 {
+            return Err(WireError::Remote(
+                "invalid wire deployment: a shard needs at least one replica".into(),
+            ));
+        }
         QueryPlaneConfig {
             directory_shards: n_shards,
             ..QueryPlaneConfig::default()
         }
         .validate()
         .map_err(|e| WireError::Remote(format!("invalid wire deployment: {e}")))?;
-        let dir = ShardedDirectory::new(
-            analyzer.directory().mphf().clone(),
-            &analyzer.all_hosts(),
+        // The analyzer side's own registry: per-class execution latency
+        // for queries the front-end serves, RTT/encode/decode for the
+        // frames it moves, and the owner's `repl.*` and replicate-stage
+        // spans — owner and front-end are one process, with one tracer
+        // minting ids for both.
+        let ctx = Arc::new(SharedCtx::new(
+            analyzer,
             n_shards,
-        );
+            Arc::new(MetricsRegistry::new()),
+        ));
         let snapshot = Snapshot::capture_with(analyzer, RECORD_SHARDS, n_shards);
 
         // R identical replicas per shard, each serving the shard's slice
@@ -107,7 +114,7 @@ impl WireCluster {
         let mut addr_sets = Vec::with_capacity(n_shards);
         let mut writers = Vec::with_capacity(n_shards);
         let mut keeps = Vec::with_capacity(n_shards);
-        for shard in dir.shards() {
+        for shard in ctx.dir.shards() {
             let shard = Arc::new(shard.clone());
             let keep: BTreeSet<_> = shard.hosts().iter().copied().collect();
             let mut replicas = Vec::with_capacity(n_replicas);
@@ -131,20 +138,6 @@ impl WireCluster {
             keeps.push(keep);
         }
 
-        // The analyzer side's own registry: per-class execution latency
-        // for queries the front-end serves, RTT/encode/decode for the
-        // frames it moves, and the owner's `repl.*` and replicate-stage
-        // spans — owner and front-end are one process, with one tracer
-        // minting ids for both.
-        let ctx = Arc::new(SharedCtx::new(
-            analyzer.topo().clone(),
-            RouteTable::build(analyzer.topo()),
-            analyzer.params(),
-            analyzer.directory().clone(),
-            dir,
-            *analyzer.cost(),
-            Arc::new(MetricsRegistry::new()),
-        ));
         // The front-end's shard links re-dial without sleeping: a shard
         // server keeps no per-connection state, so a reconnect is free,
         // the wait would sit on a query's critical path, and with
@@ -286,6 +279,12 @@ impl WireCluster {
     /// primary serves.
     pub fn server_metrics(&self, i: usize) -> &Arc<MetricsRegistry> {
         &self.primaries[i].1
+    }
+
+    /// What the front-end's executors share: the analyzer's deployment
+    /// and the cluster's shard partition.
+    pub fn ctx(&self) -> &Arc<SharedCtx> {
+        &self.ctx
     }
 
     /// The front-end's registry (per-class exec latency, per-shard RTT,

@@ -153,7 +153,11 @@ impl RemoteShard {
         rtt_ns: Option<Arc<Histogram>>,
         failover_ns: Option<Arc<Histogram>>,
     ) -> Result<Self, WireError> {
-        assert!(!addrs.is_empty(), "a shard needs at least one replica");
+        if addrs.is_empty() {
+            return Err(WireError::Remote(format!(
+                "shard {shard} has no replica to connect to"
+            )));
+        }
         let rs = RemoteShard {
             shard,
             addrs,

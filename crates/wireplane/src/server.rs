@@ -465,8 +465,7 @@ impl Listener {
                         *guard = kept;
                         guard.push(jh);
                     }
-                })
-                .expect("spawn accept thread")
+                })?
         };
         Ok(Listener {
             addr,

@@ -23,12 +23,10 @@ use std::thread::{self, ThreadId};
 use std::time::Duration;
 
 use netsim::prelude::*;
-use netsim::routing::RouteTable;
 use obsplane::MetricsRegistry;
 use proptest::rng_for;
 use queryplane::{chunk_size, lock_step, QueryOutcome, SharedCtx, Snapshot, Spans, WorkerPool};
 use switchpointer::query::QueryRequest;
-use switchpointer::shard::ShardedDirectory;
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
 
@@ -59,20 +57,7 @@ fn fixture() -> Testbed {
 }
 
 fn shared_ctx(tb: &Testbed, reg: &Arc<MetricsRegistry>) -> Arc<SharedCtx> {
-    let analyzer = tb.analyzer();
-    Arc::new(SharedCtx::new(
-        analyzer.topo().clone(),
-        RouteTable::build(analyzer.topo()),
-        analyzer.params(),
-        analyzer.directory().clone(),
-        ShardedDirectory::new(
-            analyzer.directory().mphf().clone(),
-            &analyzer.all_hosts(),
-            4,
-        ),
-        *analyzer.cost(),
-        Arc::clone(reg),
-    ))
+    Arc::new(SharedCtx::new(&tb.analyzer(), 4, Arc::clone(reg)))
 }
 
 /// The batch driver over one `LocalBackend` per directory shard of
