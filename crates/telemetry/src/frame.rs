@@ -584,7 +584,11 @@ impl<T: Wire + Ord> Wire for BTreeSet<T> {
         let n = d.get_len()?;
         let mut out = BTreeSet::new();
         for _ in 0..n {
-            out.insert(T::dec(d)?);
+            let v = T::dec(d)?;
+            if out.last().is_some_and(|last| *last >= v) {
+                return Err(unsorted_keys());
+            }
+            out.insert(v);
         }
         Ok(out)
     }
@@ -599,14 +603,32 @@ impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
         }
     }
     fn dec(d: &mut Dec) -> Result<Self, WireError> {
-        let n = d.get_len()?;
-        let mut out = BTreeMap::new();
-        for _ in 0..n {
-            let k = K::dec(d)?;
-            out.insert(k, V::dec(d)?);
-        }
-        Ok(out)
+        dec_map(d, V::dec)
     }
+}
+
+/// Decodes a `count | (key, value)…` map, each value by `value`. The
+/// keys must arrive strictly ascending, the order a `BTreeMap` or
+/// `BTreeSet` encodes in: a repeated or descending key would drop an
+/// entry silently and re-encode to other bytes, so it is a typed error.
+pub fn dec_map<K: Wire + Ord, V>(
+    d: &mut Dec,
+    mut value: impl FnMut(&mut Dec) -> Result<V, WireError>,
+) -> Result<BTreeMap<K, V>, WireError> {
+    let n = d.get_len()?;
+    let mut out = BTreeMap::new();
+    for _ in 0..n {
+        let k = K::dec(d)?;
+        if out.last_key_value().is_some_and(|(last, _)| *last >= k) {
+            return Err(unsorted_keys());
+        }
+        out.insert(k, value(d)?);
+    }
+    Ok(out)
+}
+
+fn unsorted_keys() -> WireError {
+    WireError::Remote("map or set keys not strictly ascending".to_string())
 }
 
 // ---- domain scalar impls --------------------------------------------------

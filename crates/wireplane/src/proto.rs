@@ -14,6 +14,12 @@
 //!
 //! Design rules:
 //!
+//! * **One row per frame.** Every frame but the three envelopes is one
+//!   row of the `frames!` table below — tag, name, fields — and the enum,
+//!   [`Frame::tag`], the span class name, the encoder and the decoder are
+//!   generated from the rows, so a frame's tag and layout are declared in
+//!   exactly one place (`DESIGN.md` §13.2 says what each family carries
+//!   and which socket it travels on).
 //! * **One payload form per frame.** Scalars are fixed-width
 //!   little-endian with no padding; the wave requests' host lists and the
 //!   union-slice bitset — the collections that dominate a fan-out's
@@ -23,10 +29,12 @@
 //!   with golden bytes for the packed layouts, in
 //!   `tests/wireplane_props.rs`), so a verdict that crosses the wire is
 //!   bit-identical to one that never left the process.
-//! * **One codec per type.** A frame's payload is the concatenation of
-//!   its fields' [`Wire`] encodings; no type has a second spelling for a
-//!   second frame, so a query reply and a replication record carry the
-//!   same `FlowRecord` bytes.
+//! * **One codec per type.** A frame's payload is its fields in row
+//!   order, each as its type's [`Wire`] encoding unless the row names a
+//!   field codec (the packed forms, the stats-scrape body, a snapshot
+//!   view's byte slice, the replication trace trailer); no type has a
+//!   second spelling for a second frame, so a query reply and a
+//!   replication record carry the same `FlowRecord` bytes.
 //! * **Decoding never panics.** Truncated or corrupt input surfaces as a
 //!   typed [`WireError`]; collection lengths are bounded by the bytes
 //!   actually present, and reservations by what those bytes could hold
@@ -42,29 +50,6 @@
 //! * **One reply type per wave.** A wave reply frame carries the
 //!   `switchpointer::query` reply type itself (store sizes are `u64` in
 //!   process too), so neither end converts a reply on its way through.
-//!
-//! The RPC table (see `DESIGN.md` §13) — "carries" names the [`Wire`]
-//! values in the payload; their layouts are beside their types:
-//!
-//! | frame | direction | carries |
-//! |---|---|---|
-//! | `UnionSliceReq/Rep` | front → shard | masked pointer-union slice |
-//! | `UnionTopKReq/Rep`, `UnionSizesReq/Rep` | front → shard | a whole aggregate read: the shard's union slice decoded, and the top-k / link-sizes row of each host it decoded |
-//! | `ProbeExactReq/Rep` | front → shard | exact-epoch presence probe |
-//! | `PresenceWaveReq/Rep` | front → shard | exact presence over an epoch range, one flag per switch |
-//! | `RecordReq/Rep`, `TriggerReq/Rep` | front → shard | host point reads |
-//! | `FilterWaveReq/Rep`, `TopKWaveReq/Rep`, `SizesWaveReq/Rep` | front → shard | one coalesced wave per shard; every reply row carries the host's store size |
-//! | `HorizonReq/Rep` | front → shard | snapshot epoch horizon |
-//! | `StatsScrapeReq/Rep` | client → front → shard | labelled obsplane registry snapshots |
-//! | `TraceScrapeReq/Rep` | client → front → shard | labelled span dumps for trace reassembly |
-//! | `Hello` | server → peer | greeting: role + shard id |
-//! | `QueryReq/Rep` | client → front | one-shot query / full response |
-//! | `SubscribeReq/Rep` | client → front | standing query + resume point |
-//! | `IncidentPush`, `WindowPush` | front → client | streamed frames on window close |
-//! | `DeltaAppend` / `DeltaAck` | owner → replica | one sequenced replication-log record |
-//! | `SnapshotInstall` | owner → replica | full-state bootstrap at a seq |
-//! | `ReplicaStatusReq/Rep` | any → replica | applied-seq probe |
-//! | `Error` | any | typed failure |
 //!
 //! On a shard socket the read and scrape requests (`0x1x`) travel only
 //! inside [`Frame::Tagged`]/[`Frame::Batch`] envelopes and the
@@ -85,7 +70,7 @@ use switchpointer::query::{
     FilterWaveReply, QueryRequest, QueryResponse, SizesWaveReply, TopKWaveReply, UnionSizes,
     UnionTopK,
 };
-use telemetry::frame::{read_frame, write_frame, Dec, Enc, Wire, WireError, MAX_FRAME};
+use telemetry::frame::{dec_map, read_frame, write_frame, Dec, Enc, Wire, WireError, MAX_FRAME};
 use telemetry::EpochRange;
 
 /// Compact digest of one closed window — what the front-end pushes to
@@ -121,63 +106,6 @@ impl Wire for WindowSummary {
             incidents: d.get_u64()?,
         })
     }
-}
-
-// Obsplane snapshots cross the wire so `WireClient::scrape_stats` can
-// pull a live cluster's histograms. `obsplane` stays dependency-free, so
-// it cannot see `Wire`; the body of the one frame that carries its two
-// snapshot types is encoded here, from the shared impls of their fields.
-
-/// Body of a [`Frame::StatsScrapeRep`]: `count | (label, counters,
-/// gauges, hists)…`, a histogram as `grid_bits | counts | count | sum |
-/// max`.
-fn enc_stats(v: &[(String, RegistrySnapshot)], e: &mut Enc) {
-    e.put_usize(v.len());
-    for (label, reg) in v {
-        label.enc(e);
-        reg.counters.enc(e);
-        reg.gauges.enc(e);
-        e.put_usize(reg.hists.len());
-        for (name, h) in &reg.hists {
-            name.enc(e);
-            e.put_u32(h.grid_bits);
-            h.counts.enc(e);
-            e.put_u64(h.count);
-            e.put_u64(h.sum);
-            e.put_u64(h.max);
-        }
-    }
-}
-
-fn dec_stats(d: &mut Dec) -> Result<Vec<(String, RegistrySnapshot)>, WireError> {
-    let n = d.get_len()?;
-    let mut out = Vec::with_capacity(d.reservation::<(String, RegistrySnapshot)>(n));
-    for _ in 0..n {
-        let label = String::dec(d)?;
-        let counters = BTreeMap::dec(d)?;
-        let gauges = BTreeMap::dec(d)?;
-        let mut hists = BTreeMap::new();
-        for _ in 0..d.get_len()? {
-            let name = String::dec(d)?;
-            let h = HistogramSnapshot {
-                grid_bits: d.get_u32()?,
-                counts: Vec::dec(d)?,
-                count: d.get_u64()?,
-                sum: d.get_u64()?,
-                max: d.get_u64()?,
-            };
-            hists.insert(name, h);
-        }
-        out.push((
-            label,
-            RegistrySnapshot {
-                counters,
-                gauges,
-                hists,
-            },
-        ));
-    }
-    Ok(out)
 }
 
 /// One span as it travels in a [`Frame::TraceScrapeRep`]: an owned
@@ -302,48 +230,82 @@ fn dec_ctx_then_tag(d: &mut Dec) -> Result<(Option<TraceContext>, u8), WireError
 }
 
 // ----------------------------------------------------------------------
-// Packed collection helpers
+// Field codecs
 // ----------------------------------------------------------------------
 //
-// The collections that dominate a fan-out's bytes — the wave requests'
-// host-id lists and the union-slice bitset — travel var-int packed:
-// delta-coded ids and run-length bitsets. Each is the frame's only
-// payload form, bare or enveloped.
+// A frame field travels as its type's [`Wire`] encoding unless its row
+// names one of these after `as`. Each is a zero-sized type whose two
+// functions the generated encoder and decoder call directly.
 
-/// Delta-packed id list: `count | first | zigzag deltas`. A sorted host
-/// list costs ~1 byte per id instead of 4.
-fn enc_ids_delta(ids: &[NodeId], e: &mut Enc) {
-    e.put_varint(ids.len() as u64);
-    let mut prev = 0i64;
-    for id in ids {
-        let v = i64::from(id.0);
-        e.put_zigzag(v - prev);
-        prev = v;
+/// How one frame field travels.
+trait Codec<T> {
+    fn enc(v: &T, e: &mut Enc);
+    /// `budget` is what is left of the outermost frame's
+    /// [`BITSET_BUDGET`].
+    fn dec(d: &mut Dec, budget: &mut usize) -> Result<T, WireError>;
+}
+
+/// The default: the field type's own [`Wire`] encoding.
+struct AsWire;
+
+impl<T: Wire> Codec<T> for AsWire {
+    fn enc(v: &T, e: &mut Enc) {
+        v.enc(e);
+    }
+    fn dec(d: &mut Dec, _: &mut usize) -> Result<T, WireError> {
+        T::dec(d)
     }
 }
 
-fn dec_ids_delta(d: &mut Dec) -> Result<Vec<NodeId>, WireError> {
-    let n = d.get_varint()? as usize;
-    // Each delta costs ≥ 1 byte, so a count beyond the bytes left is
-    // corrupt; the reservation is what those bytes could hold.
-    if n > d.remaining() {
-        return Err(WireError::Truncated {
-            needed: n,
-            have: d.remaining(),
-        });
+/// A `u64` as one LEB128 var-int: a top-k `k` costs a byte, not eight.
+struct VarInt;
+
+impl Codec<u64> for VarInt {
+    fn enc(v: &u64, e: &mut Enc) {
+        e.put_varint(*v);
     }
-    let mut out = Vec::with_capacity(d.reservation::<NodeId>(n));
-    let mut prev = 0i64;
-    for _ in 0..n {
-        // Checked: a hostile delta sequence that overflows i64 must be a
-        // typed error in every build profile, not a debug-only panic.
-        prev = prev
-            .checked_add(d.get_zigzag()?)
-            .ok_or(WireError::Oversize(u32::MAX))?;
-        let id = u32::try_from(prev).map_err(|_| WireError::Oversize(u32::MAX))?;
-        out.push(NodeId(id));
+    fn dec(d: &mut Dec, _: &mut usize) -> Result<u64, WireError> {
+        d.get_varint()
     }
-    Ok(out)
+}
+
+/// Delta-packed id list: `count | first | zigzag deltas`. A sorted host
+/// list costs ~1 byte per id instead of 4.
+struct IdsDelta;
+
+impl Codec<Vec<NodeId>> for IdsDelta {
+    fn enc(ids: &Vec<NodeId>, e: &mut Enc) {
+        e.put_varint(ids.len() as u64);
+        let mut prev = 0i64;
+        for id in ids {
+            let v = i64::from(id.0);
+            e.put_zigzag(v - prev);
+            prev = v;
+        }
+    }
+    fn dec(d: &mut Dec, _: &mut usize) -> Result<Vec<NodeId>, WireError> {
+        let n = d.get_varint()? as usize;
+        // Each delta costs ≥ 1 byte, so a count beyond the bytes left is
+        // corrupt; the reservation is what those bytes could hold.
+        if n > d.remaining() {
+            return Err(WireError::Truncated {
+                needed: n,
+                have: d.remaining(),
+            });
+        }
+        let mut out = Vec::with_capacity(d.reservation::<NodeId>(n));
+        let mut prev = 0i64;
+        for _ in 0..n {
+            // Checked: a hostile delta sequence that overflows i64 must be a
+            // typed error in every build profile, not a debug-only panic.
+            prev = prev
+                .checked_add(d.get_zigzag()?)
+                .ok_or(WireError::Oversize(u32::MAX))?;
+            let id = u32::try_from(prev).map_err(|_| WireError::Oversize(u32::MAX))?;
+            out.push(NodeId(id));
+        }
+        Ok(out)
+    }
 }
 
 /// Cumulative allocation budget, in bytes of decoded bitset backing
@@ -357,67 +319,289 @@ fn dec_ids_delta(d: &mut Dec) -> Result<Vec<NodeId>, WireError> {
 /// total than that, instead of 64 MB *per ~10-byte entry*.
 const BITSET_BUDGET: usize = MAX_FRAME as usize;
 
-/// Run-length bitset: `capacity | runs…`, alternating zero/one runs
-/// starting with a zero run. Pointer-union slices are sparse and
-/// clustered, so runs beat the word array by a wide margin.
-fn enc_bitset_runs(b: &BitSet, e: &mut Enc) {
-    e.put_varint(b.capacity() as u64);
-    let mut cur = false;
-    let mut run = 0u64;
-    for i in 0..b.capacity() {
-        if b.test(i) == cur {
-            run += 1;
-        } else {
+/// An optional run-length bitset: `0` for none, or `1 | capacity |
+/// runs…`, alternating zero/one runs starting with a zero run.
+/// Pointer-union slices are sparse and clustered, so runs beat the word
+/// array by a wide margin.
+struct BitsetRuns;
+
+impl Codec<Option<BitSet>> for BitsetRuns {
+    fn enc(v: &Option<BitSet>, e: &mut Enc) {
+        let Some(b) = v else {
+            e.put_u8(0);
+            return;
+        };
+        e.put_u8(1);
+        e.put_varint(b.capacity() as u64);
+        let mut cur = false;
+        let mut run = 0u64;
+        for i in 0..b.capacity() {
+            if b.test(i) == cur {
+                run += 1;
+            } else {
+                e.put_varint(run);
+                cur = !cur;
+                run = 1;
+            }
+        }
+        if b.capacity() > 0 {
             e.put_varint(run);
-            cur = !cur;
-            run = 1;
         }
     }
-    if b.capacity() > 0 {
-        e.put_varint(run);
+    fn dec(d: &mut Dec, budget: &mut usize) -> Result<Option<BitSet>, WireError> {
+        match d.get_u8()? {
+            0 => return Ok(None),
+            1 => {}
+            t => return Err(WireError::BadTag(t)),
+        }
+        let nbits = d.get_varint()? as usize;
+        // Charge the decoded word-array size against the frame's shared
+        // [`BITSET_BUDGET`] before allocating: every bitset in the same
+        // frame draws down the same budget, so hostile repetition inside a
+        // `Batch` cannot multiply the allocation.
+        let word_bytes = nbits.div_ceil(64).saturating_mul(8);
+        if word_bytes > *budget {
+            return Err(WireError::Oversize(u32::MAX));
+        }
+        *budget -= word_bytes;
+        let mut words = vec![0u64; nbits.div_ceil(64)];
+        let mut at = 0usize;
+        let mut ones = false;
+        while at < nbits {
+            let run = d.get_varint()? as usize;
+            let end = at.checked_add(run).ok_or(WireError::Oversize(u32::MAX))?;
+            if end > nbits {
+                return Err(WireError::TrailingBytes(end - nbits));
+            }
+            if ones {
+                for i in at..end {
+                    words[i / 64] |= 1u64 << (i % 64);
+                }
+            }
+            at = end;
+            ones = !ones;
+        }
+        Ok(Some(BitSet::from_word_vec(nbits, words)))
     }
 }
 
-fn dec_bitset_runs(d: &mut Dec, budget: &mut usize) -> Result<BitSet, WireError> {
-    let nbits = d.get_varint()? as usize;
-    // Charge the decoded word-array size against the frame's shared
-    // [`BITSET_BUDGET`] before allocating: every bitset in the same
-    // frame draws down the same budget, so hostile repetition inside a
-    // `Batch` cannot multiply the allocation.
-    let word_bytes = nbits.div_ceil(64).saturating_mul(8);
-    if word_bytes > *budget {
-        return Err(WireError::Oversize(u32::MAX));
-    }
-    *budget -= word_bytes;
-    let mut words = vec![0u64; nbits.div_ceil(64)];
-    let mut at = 0usize;
-    let mut ones = false;
-    while at < nbits {
-        let run = d.get_varint()? as usize;
-        let end = at.checked_add(run).ok_or(WireError::Oversize(u32::MAX))?;
-        if end > nbits {
-            return Err(WireError::TrailingBytes(end - nbits));
-        }
-        if ones {
-            for i in at..end {
-                words[i / 64] |= 1u64 << (i % 64);
+/// Body of a [`Frame::StatsScrapeRep`]: `count | (label, counters,
+/// gauges, hists)…`, a histogram as `grid_bits | counts | count | sum |
+/// max`. Obsplane snapshots cross the wire so `WireClient::scrape_stats`
+/// can pull a live cluster's histograms; `obsplane` stays
+/// dependency-free, so it cannot see `Wire`, and the one frame that
+/// carries its two snapshot types encodes them here from the shared
+/// impls of their fields.
+struct StatsBody;
+
+impl Codec<Vec<(String, RegistrySnapshot)>> for StatsBody {
+    fn enc(v: &Vec<(String, RegistrySnapshot)>, e: &mut Enc) {
+        e.put_usize(v.len());
+        for (label, reg) in v {
+            label.enc(e);
+            reg.counters.enc(e);
+            reg.gauges.enc(e);
+            e.put_usize(reg.hists.len());
+            for (name, h) in &reg.hists {
+                name.enc(e);
+                e.put_u32(h.grid_bits);
+                h.counts.enc(e);
+                e.put_u64(h.count);
+                e.put_u64(h.sum);
+                e.put_u64(h.max);
             }
         }
-        at = end;
-        ones = !ones;
     }
-    Ok(BitSet::from_word_vec(nbits, words))
+    fn dec(d: &mut Dec, _: &mut usize) -> Result<Vec<(String, RegistrySnapshot)>, WireError> {
+        let n = d.get_len()?;
+        let mut out = Vec::with_capacity(d.reservation::<(String, RegistrySnapshot)>(n));
+        for _ in 0..n {
+            let label = String::dec(d)?;
+            let counters = BTreeMap::dec(d)?;
+            let gauges = BTreeMap::dec(d)?;
+            let hists = dec_map(d, |d| {
+                Ok(HistogramSnapshot {
+                    grid_bits: d.get_u32()?,
+                    counts: Vec::dec(d)?,
+                    count: d.get_u64()?,
+                    sum: d.get_u64()?,
+                    max: d.get_u64()?,
+                })
+            })?;
+            let reg = RegistrySnapshot {
+                counters,
+                gauges,
+                hists,
+            };
+            out.push((label, reg));
+        }
+        Ok(out)
+    }
+}
+
+/// Length-prefixed bytes, decoded as one slice copy. `Vec<u8>`'s own
+/// [`Wire`] encoding writes the same bytes but decodes them one by one.
+struct ByteSlice;
+
+impl Codec<Vec<u8>> for ByteSlice {
+    fn enc(v: &Vec<u8>, e: &mut Enc) {
+        e.put_bytes(v);
+    }
+    fn dec(d: &mut Dec, _: &mut usize) -> Result<Vec<u8>, WireError> {
+        Ok(d.get_bytes()?.to_vec())
+    }
+}
+
+/// An optional trace context as a frame's trailer: nothing, or the
+/// marked context. Only a row's last field, after a self-delimiting
+/// value, may use it — the marker is then unambiguous, and any other
+/// trailer is a protocol error.
+struct CtxTrailer;
+
+impl Codec<Option<TraceContext>> for CtxTrailer {
+    fn enc(v: &Option<TraceContext>, e: &mut Enc) {
+        enc_ctx(v, e);
+    }
+    fn dec(d: &mut Dec, _: &mut usize) -> Result<Option<TraceContext>, WireError> {
+        if d.remaining() == 0 {
+            return Ok(None);
+        }
+        if d.get_u8()? != TRACE_CTX_MARKER {
+            return Err(WireError::TrailingBytes(d.remaining() + 1));
+        }
+        dec_ctx_body(d).map(Some)
+    }
 }
 
 // ----------------------------------------------------------------------
 // Frames
 // ----------------------------------------------------------------------
 
-/// Every message of the wireplane protocol.
-#[derive(Debug, Clone)]
-pub enum Frame {
+/// Declares [`Frame`] from one row per frame: doc comments, `tag =>
+/// Name`, then the variant's fields in struct, tuple or unit shape, each
+/// field optionally followed by `as` and the [`Codec`] it travels by.
+/// From the rows it generates the enum, [`Frame::tag`],
+/// [`Frame::kind_name`] (the variant's name), the payload encoder and the
+/// decoder. A repeated tag is an unreachable decoder arm, which clippy's
+/// `-D warnings` refuses. The three envelopes (`0x50`–`0x52`) are
+/// written out in the generated items by hand.
+macro_rules! frames {
+    (
+        $(
+            $(#[$doc:meta])*
+            $tag:literal => $name:ident
+            $({ $( $(#[$fdoc:meta])* $field:ident : $fty:ty $(as $fcodec:ty)? ),* $(,)? })?
+            $(( $tty:ty $(as $tcodec:ty)? ))?
+        ),* $(,)?
+    ) => {
+        // One field list per shape: a struct field binds its own name, a
+        // tuple variant's one field binds `v` under index `0`, and a unit
+        // variant has none (`Frame::Name {}` builds and matches it).
+        frames!(@rows $(
+            [$tag $name [$(#[$doc])*]
+                [$({ $( $(#[$fdoc])* $field: $fty ),* })? $(($tty))?]
+                $($( ($field $field: $fty $(as $fcodec)?) )*)?
+                $( (0 v: $tty $(as $tcodec)?) )?]
+        )*);
+    };
+    (@codec) => { AsWire };
+    (@codec $codec:ty) => { $codec };
+    (@rows $(
+        [$tag:literal $name:ident [$($doc:tt)*] [$($decl:tt)*]
+            $( ($field:tt $bind:ident : $ty:ty $(as $codec:ty)?) )*]
+    )*) => {
+        /// Every message of the wireplane protocol.
+        #[derive(Debug, Clone)]
+        pub enum Frame {
+            $( $($doc)* $name $($decl)*, )*
+
+            // Multiplexing envelopes: how every shard read and scrape
+            // travels. An inner frame's bytes are exactly its bare payload.
+            /// One request or reply stamped with the caller's correlation
+            /// id, so many exchanges can share a socket and complete out of
+            /// order.
+            Tagged {
+                /// Correlation id; a reply carries the id of its request.
+                req_id: u32,
+                /// Optional trace context of the caller, propagated so the
+                /// server's serve span joins the caller's trace.
+                ctx: Option<TraceContext>,
+                /// The enveloped frame. Envelopes never nest.
+                inner: Box<Frame>,
+            },
+            /// A whole wave of tagged requests in one frame: the per-shard
+            /// batch a front-end flushes per scheduling turn. Each entry
+            /// carries its own caller's optional trace context.
+            Batch(Vec<(u32, Option<TraceContext>, Frame)>),
+            /// The replies to a [`Frame::Batch`], in whatever order the
+            /// shard finished them; each entry names its request by id.
+            BatchRep(Vec<(u32, Frame)>),
+        }
+
+        impl Frame {
+            /// The frame's tag byte.
+            pub fn tag(&self) -> u8 {
+                match self {
+                    $( Frame::$name { .. } => $tag, )*
+                    Frame::Tagged { .. } => 0x50,
+                    Frame::Batch(_) => 0x51,
+                    Frame::BatchRep(_) => 0x52,
+                }
+            }
+
+            /// A static label for the frame type, used as the span class
+            /// when a server records a serve-stage span for this request.
+            pub(crate) fn kind_name(&self) -> &'static str {
+                match self {
+                    $( Frame::$name { .. } => stringify!($name), )*
+                    Frame::Tagged { .. } => "Tagged",
+                    Frame::Batch(_) => "Batch",
+                    Frame::BatchRep(_) => "BatchRep",
+                }
+            }
+
+            fn payload(&self) -> Vec<u8> {
+                let mut e = Enc::new();
+                match self {
+                    $( Frame::$name { $($field: $bind),* } => {
+                        $( <frames!(@codec $($codec)?) as Codec<$ty>>::enc($bind, &mut e); )*
+                    } )*
+                    Frame::Tagged { req_id, ctx, inner } => enc_tagged(*req_id, ctx, inner, &mut e),
+                    Frame::Batch(entries) => enc_batch(entries, &mut e),
+                    Frame::BatchRep(entries) => enc_batch_rep(entries, &mut e),
+                }
+                e.into_bytes()
+            }
+
+            /// [`Frame::decode`] against the remainder of the outermost
+            /// frame's [`BITSET_BUDGET`]: every bitset decoded anywhere in
+            /// that frame draws it down.
+            fn decode_budgeted(
+                tag: u8,
+                payload: &[u8],
+                budget: &mut usize,
+            ) -> Result<Frame, WireError> {
+                let mut d = Dec::new(payload);
+                let frame = match tag {
+                    $( $tag => Frame::$name {
+                        $( $field:
+                            <frames!(@codec $($codec)?) as Codec<$ty>>::dec(&mut d, budget)?, )*
+                    }, )*
+                    0x50 => dec_tagged(&mut d, budget)?,
+                    0x51 => dec_batch(&mut d, budget)?,
+                    0x52 => dec_batch_rep(&mut d, budget)?,
+                    t => return Err(WireError::BadTag(t)),
+                };
+                d.finish()?;
+                Ok(frame)
+            }
+        }
+    };
+}
+
+frames! {
     /// Server greeting on accept: which role/shard answered.
-    Hello {
+    0x01 => Hello {
         /// Serving shard id, or `u16::MAX` for the front-end.
         shard: u16,
         /// Directory shard count of the deployment.
@@ -425,117 +609,81 @@ pub enum Frame {
     },
 
     // Shard RPCs (front-end → shard server).
-    UnionSliceReq {
-        switch: NodeId,
-        range: EpochRange,
-    },
-    UnionSliceRep(Option<BitSet>),
-    ProbeExactReq {
-        switch: NodeId,
-        addr: u64,
-        epoch: u64,
-    },
-    ProbeExactRep(Option<Option<bool>>),
+    0x10 => UnionSliceReq { switch: NodeId, range: EpochRange },
+    0x20 => UnionSliceRep(Option<BitSet> as BitsetRuns),
+    0x11 => ProbeExactReq { switch: NodeId, addr: u64, epoch: u64 },
+    0x21 => ProbeExactRep(Option<Option<bool>>),
     /// A whole silent-drop sweep in one request: was `addr` seen at exact
     /// resolution in any epoch of `range`, at each of `switches`? Served
     /// in O(switches × α) whatever the range length.
-    PresenceWaveReq {
-        switches: Vec<NodeId>,
-        addr: u64,
-        range: EpochRange,
-    },
+    0x1C => PresenceWaveReq { switches: Vec<NodeId>, addr: u64, range: EpochRange },
     /// One flag per requested switch, in request order (`false` for a
     /// switch the shard holds no pointers for).
-    PresenceWaveRep(Vec<bool>),
-    RecordReq {
-        host: NodeId,
-        flow: FlowId,
-    },
-    RecordRep(Option<FlowRecord>),
-    TriggerReq {
-        host: NodeId,
-        flow: FlowId,
-    },
-    TriggerRep(Option<TriggerEvent>),
-    FilterWaveReq {
-        switch: NodeId,
-        range: EpochRange,
-        hosts: Vec<NodeId>,
-    },
-    FilterWaveRep(FilterWaveReply),
-    TopKWaveReq {
-        switch: NodeId,
-        k: u64,
-        hosts: Vec<NodeId>,
-    },
-    TopKWaveRep(TopKWaveReply),
-    SizesWaveReq {
-        switch: NodeId,
-        hosts: Vec<NodeId>,
-    },
-    SizesWaveRep(SizesWaveReply),
+    0x2C => PresenceWaveRep(Vec<bool>),
+    0x13 => RecordReq { host: NodeId, flow: FlowId },
+    0x23 => RecordRep(Option<FlowRecord>),
+    0x14 => TriggerReq { host: NodeId, flow: FlowId },
+    0x24 => TriggerRep(Option<TriggerEvent>),
+    0x16 => FilterWaveReq { switch: NodeId, range: EpochRange, hosts: Vec<NodeId> as IdsDelta },
+    0x26 => FilterWaveRep(FilterWaveReply),
+    0x17 => TopKWaveReq { switch: NodeId, k: u64 as VarInt, hosts: Vec<NodeId> as IdsDelta },
+    0x27 => TopKWaveRep(TopKWaveReply),
+    0x18 => SizesWaveReq { switch: NodeId, hosts: Vec<NodeId> as IdsDelta },
+    0x28 => SizesWaveRep(SizesWaveReply),
     /// A whole top-k read in one request: the shard decodes its slice of
     /// `switch`'s pointer union over `range` and answers the top-k wave
     /// for the hosts it decoded.
-    UnionTopKReq {
-        switch: NodeId,
-        range: EpochRange,
-        k: u64,
-    },
-    UnionTopKRep(UnionTopK),
+    0x1D => UnionTopKReq { switch: NodeId, range: EpochRange, k: u64 as VarInt },
+    0x2D => UnionTopKRep(UnionTopK),
     /// A whole link-sizes read in one request, as [`Frame::UnionTopKReq`].
-    UnionSizesReq {
-        switch: NodeId,
-        range: EpochRange,
-    },
-    UnionSizesRep(UnionSizes),
-    HorizonReq,
-    HorizonRep(u64),
+    0x1E => UnionSizesReq { switch: NodeId, range: EpochRange },
+    0x2E => UnionSizesRep(UnionSizes),
+    0x19 => HorizonReq,
+    0x29 => HorizonRep(u64),
     /// Pull the peer's obsplane metrics. Sent by clients to the
     /// front-end (which fans it out) or by the front-end to one shard.
-    StatsScrapeReq,
+    0x1A => StatsScrapeReq,
     /// Labelled registry snapshots: `("front", ..)` then one
     /// `("shard{i}", ..)` per shard when the front-end answers; a single
     /// `("shard{i}", ..)` when a shard server answers directly.
-    StatsScrapeRep(Vec<(String, RegistrySnapshot)>),
+    0x2A => StatsScrapeRep(Vec<(String, RegistrySnapshot)> as StatsBody),
     /// Pull the peer's retained spans (ring + pinned exemplars) for
     /// cross-process trace reassembly. Side-effect-free like a stats
     /// scrape: snapshot-based, never draining, and excluded from the
     /// wire histograms, so scraping cannot perturb what it observes.
-    TraceScrapeReq,
+    0x1B => TraceScrapeReq,
     /// Labelled span dumps, grouped like [`Frame::StatsScrapeRep`]:
     /// `("front", ..)` plus one `("shard{i}", ..)` per shard when the
     /// front-end answers.
-    TraceScrapeRep(Vec<(String, Vec<WireSpan>)>),
+    0x2B => TraceScrapeRep(Vec<(String, Vec<WireSpan>)>),
 
     // Client plane (client ↔ front-end).
-    QueryReq(QueryRequest),
-    QueryRep(QueryResponse),
-    SubscribeReq {
+    0x30 => QueryReq(QueryRequest),
+    0x31 => QueryRep(QueryResponse),
+    0x32 => SubscribeReq {
         query: StandingQuery,
         /// Incidents of this topic the client has already consumed; the
         /// front-end replays from here, so a reconnecting subscriber
         /// re-derives the log with zero duplicates and zero drops.
         resume_after: u64,
     },
-    SubscribeRep {
+    0x33 => SubscribeRep {
         sub: SubscriptionId,
         /// Incidents currently in the topic's log (the replay backlog
         /// upper bound).
         available: u64,
     },
-    IncidentPush {
-        seq: u64,
-        incident: Incident,
-    },
-    WindowPush(WindowSummary),
+    0x34 => IncidentPush { seq: u64, incident: Incident },
+    0x35 => WindowPush(WindowSummary),
+    /// Typed failure, either direction.
+    0x3F => Error(WireError),
 
     // Replication plane (owner → replica shard server).
     /// One sequenced record of shard `shard`'s replication log. The
     /// replica applies it only when `seq` is exactly its applied seq + 1;
     /// anything else answers [`WireError::SeqGap`] and the owner replays
     /// or re-bootstraps.
-    DeltaAppend {
+    0x40 => DeltaAppend {
         shard: u16,
         seq: u64,
         record: DeltaRecord,
@@ -543,319 +691,118 @@ pub enum Frame {
         /// record, so replica applies join the originating trace.
         /// Encoded as an optional trailer — context-free frames are
         /// byte-identical to the pre-trace layout.
-        ctx: Option<TraceContext>,
+        ctx: Option<TraceContext> as CtxTrailer,
     },
     /// Full-state bootstrap: an encoded per-shard snapshot slice
     /// ([`queryplane::Snapshot`] bytes — opaque here because decoding
     /// them needs the deployment's shared MPHF, which a context-free
     /// frame decoder does not hold) that replaces the replica's state and
     /// sets its applied seq to `seq` unconditionally.
-    SnapshotInstall {
-        shard: u16,
-        seq: u64,
-        view: Vec<u8>,
-    },
+    0x41 => SnapshotInstall { shard: u16, seq: u64, view: Vec<u8> as ByteSlice },
     /// Replica acknowledgement: the log is applied through `applied`.
-    DeltaAck {
-        shard: u16,
-        applied: u64,
-    },
+    0x42 => DeltaAck { shard: u16, applied: u64 },
     /// Probe a replica's replication progress.
-    ReplicaStatusReq,
-    ReplicaStatusRep {
-        shard: u16,
-        applied: u64,
-    },
-
-    // Multiplexing envelopes: how every shard read and scrape travels.
-    // An inner frame's bytes are exactly its bare payload.
-    /// One request or reply stamped with the caller's correlation id, so
-    /// many exchanges can share a socket and complete out of order.
-    Tagged {
-        /// Correlation id; a reply carries the id of its request.
-        req_id: u32,
-        /// Optional trace context of the caller, propagated so the
-        /// server's serve span joins the caller's trace.
-        ctx: Option<TraceContext>,
-        /// The enveloped frame. Envelopes never nest.
-        inner: Box<Frame>,
-    },
-    /// A whole wave of tagged requests in one frame: the per-shard batch
-    /// a front-end flushes per scheduling turn. Each entry carries its
-    /// own caller's optional trace context.
-    Batch(Vec<(u32, Option<TraceContext>, Frame)>),
-    /// The replies to a [`Frame::Batch`], in whatever order the shard
-    /// finished them; each entry names its request by id.
-    BatchRep(Vec<(u32, Frame)>),
-
-    /// Typed failure, either direction.
-    Error(WireError),
+    0x43 => ReplicaStatusReq,
+    0x44 => ReplicaStatusRep { shard: u16, applied: u64 },
 }
 
 /// `Hello.shard` value identifying the front-end rather than a shard.
 pub(crate) const FRONT_ROLE: u16 = u16::MAX;
 
+// ----------------------------------------------------------------------
+// Envelopes
+// ----------------------------------------------------------------------
+//
+// `Tagged` is `req_id u32 | [ctx] | inner tag | inner payload`; `Batch`
+// and `BatchRep` are `count varint`, then per entry `req_id u32 | [ctx]
+// | inner tag | len varint | inner payload` (`BatchRep` entries carry no
+// context). An inner payload is exactly the frame's bare payload.
+
+fn enc_tagged(req_id: u32, ctx: &Option<TraceContext>, inner: &Frame, e: &mut Enc) {
+    e.put_u32(req_id);
+    enc_ctx(ctx, e);
+    e.put_u8(inner.tag());
+    e.put_raw(&inner.payload());
+}
+
+fn enc_batch(entries: &[(u32, Option<TraceContext>, Frame)], e: &mut Enc) {
+    e.put_varint(entries.len() as u64);
+    for (id, ctx, f) in entries {
+        e.put_u32(*id);
+        enc_ctx(ctx, e);
+        e.put_u8(f.tag());
+        let p = f.payload();
+        e.put_varint(p.len() as u64);
+        e.put_raw(&p);
+    }
+}
+
+fn enc_batch_rep(entries: &[(u32, Frame)], e: &mut Enc) {
+    e.put_varint(entries.len() as u64);
+    for (id, f) in entries {
+        e.put_u32(*id);
+        e.put_u8(f.tag());
+        let p = f.payload();
+        e.put_varint(p.len() as u64);
+        e.put_raw(&p);
+    }
+}
+
+fn dec_tagged(d: &mut Dec, budget: &mut usize) -> Result<Frame, WireError> {
+    let req_id = d.get_u32()?;
+    let (ctx, tag) = dec_ctx_then_tag(d)?;
+    let inner = Frame::decode_inner(tag, d.take_rest(), budget)?;
+    Ok(Frame::Tagged {
+        req_id,
+        ctx,
+        inner: Box::new(inner),
+    })
+}
+
+fn dec_batch(d: &mut Dec, budget: &mut usize) -> Result<Frame, WireError> {
+    let count = d.get_varint()? as usize;
+    // Every entry costs at least 6 bytes of header, so a larger count is
+    // corrupt; the reservation is what the bytes left could hold.
+    if count > d.remaining() / 6 + 1 {
+        return Err(WireError::Truncated {
+            needed: count.saturating_mul(6),
+            have: d.remaining(),
+        });
+    }
+    // The entries share the frame's bitset budget, so N small entries
+    // cannot decode into N maximal bitsets.
+    let mut entries =
+        Vec::with_capacity(d.reservation::<(u32, Option<TraceContext>, Frame)>(count));
+    for _ in 0..count {
+        let id = d.get_u32()?;
+        let (ctx, etag) = dec_ctx_then_tag(d)?;
+        let len = d.get_varint()? as usize;
+        let payload = d.get_raw(len)?;
+        entries.push((id, ctx, Frame::decode_inner(etag, payload, budget)?));
+    }
+    Ok(Frame::Batch(entries))
+}
+
+fn dec_batch_rep(d: &mut Dec, budget: &mut usize) -> Result<Frame, WireError> {
+    let count = d.get_varint()? as usize;
+    if count > d.remaining() / 6 + 1 {
+        return Err(WireError::Truncated {
+            needed: count.saturating_mul(6),
+            have: d.remaining(),
+        });
+    }
+    let mut entries = Vec::with_capacity(d.reservation::<(u32, Frame)>(count));
+    for _ in 0..count {
+        let id = d.get_u32()?;
+        let etag = d.get_u8()?;
+        let len = d.get_varint()? as usize;
+        let payload = d.get_raw(len)?;
+        entries.push((id, Frame::decode_inner(etag, payload, budget)?));
+    }
+    Ok(Frame::BatchRep(entries))
+}
+
 impl Frame {
-    /// The frame's tag byte.
-    pub fn tag(&self) -> u8 {
-        match self {
-            Frame::Hello { .. } => 0x01,
-            Frame::UnionSliceReq { .. } => 0x10,
-            Frame::ProbeExactReq { .. } => 0x11,
-            Frame::RecordReq { .. } => 0x13,
-            Frame::TriggerReq { .. } => 0x14,
-            Frame::FilterWaveReq { .. } => 0x16,
-            Frame::TopKWaveReq { .. } => 0x17,
-            Frame::SizesWaveReq { .. } => 0x18,
-            Frame::HorizonReq => 0x19,
-            Frame::StatsScrapeReq => 0x1A,
-            Frame::TraceScrapeReq => 0x1B,
-            Frame::PresenceWaveReq { .. } => 0x1C,
-            Frame::UnionTopKReq { .. } => 0x1D,
-            Frame::UnionSizesReq { .. } => 0x1E,
-            Frame::UnionSliceRep(_) => 0x20,
-            Frame::ProbeExactRep(_) => 0x21,
-            Frame::RecordRep(_) => 0x23,
-            Frame::TriggerRep(_) => 0x24,
-            Frame::FilterWaveRep(_) => 0x26,
-            Frame::TopKWaveRep(_) => 0x27,
-            Frame::SizesWaveRep(_) => 0x28,
-            Frame::HorizonRep(_) => 0x29,
-            Frame::StatsScrapeRep(_) => 0x2A,
-            Frame::TraceScrapeRep(_) => 0x2B,
-            Frame::PresenceWaveRep(_) => 0x2C,
-            Frame::UnionTopKRep(_) => 0x2D,
-            Frame::UnionSizesRep(_) => 0x2E,
-            Frame::QueryReq(_) => 0x30,
-            Frame::QueryRep(_) => 0x31,
-            Frame::SubscribeReq { .. } => 0x32,
-            Frame::SubscribeRep { .. } => 0x33,
-            Frame::IncidentPush { .. } => 0x34,
-            Frame::WindowPush(_) => 0x35,
-            Frame::DeltaAppend { .. } => 0x40,
-            Frame::SnapshotInstall { .. } => 0x41,
-            Frame::DeltaAck { .. } => 0x42,
-            Frame::ReplicaStatusReq => 0x43,
-            Frame::ReplicaStatusRep { .. } => 0x44,
-            Frame::Tagged { .. } => 0x50,
-            Frame::Batch(_) => 0x51,
-            Frame::BatchRep(_) => 0x52,
-            Frame::Error(_) => 0x3F,
-        }
-    }
-
-    /// A static label for the frame type, used as the span class when a
-    /// server records a serve-stage span for this request.
-    pub(crate) fn kind_name(&self) -> &'static str {
-        match self {
-            Frame::Hello { .. } => "Hello",
-            Frame::UnionSliceReq { .. } => "UnionSliceReq",
-            Frame::ProbeExactReq { .. } => "ProbeExactReq",
-            Frame::RecordReq { .. } => "RecordReq",
-            Frame::TriggerReq { .. } => "TriggerReq",
-            Frame::FilterWaveReq { .. } => "FilterWaveReq",
-            Frame::TopKWaveReq { .. } => "TopKWaveReq",
-            Frame::SizesWaveReq { .. } => "SizesWaveReq",
-            Frame::HorizonReq => "HorizonReq",
-            Frame::StatsScrapeReq => "StatsScrapeReq",
-            Frame::TraceScrapeReq => "TraceScrapeReq",
-            Frame::PresenceWaveReq { .. } => "PresenceWaveReq",
-            Frame::UnionTopKReq { .. } => "UnionTopKReq",
-            Frame::UnionSizesReq { .. } => "UnionSizesReq",
-            Frame::UnionSliceRep(_) => "UnionSliceRep",
-            Frame::ProbeExactRep(_) => "ProbeExactRep",
-            Frame::RecordRep(_) => "RecordRep",
-            Frame::TriggerRep(_) => "TriggerRep",
-            Frame::FilterWaveRep(_) => "FilterWaveRep",
-            Frame::TopKWaveRep(_) => "TopKWaveRep",
-            Frame::SizesWaveRep(_) => "SizesWaveRep",
-            Frame::HorizonRep(_) => "HorizonRep",
-            Frame::StatsScrapeRep(_) => "StatsScrapeRep",
-            Frame::TraceScrapeRep(_) => "TraceScrapeRep",
-            Frame::PresenceWaveRep(_) => "PresenceWaveRep",
-            Frame::UnionTopKRep(_) => "UnionTopKRep",
-            Frame::UnionSizesRep(_) => "UnionSizesRep",
-            Frame::QueryReq(_) => "QueryReq",
-            Frame::QueryRep(_) => "QueryRep",
-            Frame::SubscribeReq { .. } => "SubscribeReq",
-            Frame::SubscribeRep { .. } => "SubscribeRep",
-            Frame::IncidentPush { .. } => "IncidentPush",
-            Frame::WindowPush(_) => "WindowPush",
-            Frame::DeltaAppend { .. } => "DeltaAppend",
-            Frame::SnapshotInstall { .. } => "SnapshotInstall",
-            Frame::DeltaAck { .. } => "DeltaAck",
-            Frame::ReplicaStatusReq => "ReplicaStatusReq",
-            Frame::ReplicaStatusRep { .. } => "ReplicaStatusRep",
-            Frame::Tagged { .. } => "Tagged",
-            Frame::Batch(_) => "Batch",
-            Frame::BatchRep(_) => "BatchRep",
-            Frame::Error(_) => "Error",
-        }
-    }
-
-    fn payload(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        match self {
-            Frame::Hello { shard, n_shards } => {
-                e.put_u16(*shard);
-                e.put_u16(*n_shards);
-            }
-            Frame::UnionSliceReq { switch, range } => {
-                switch.enc(&mut e);
-                range.enc(&mut e);
-            }
-            Frame::UnionSliceRep(v) => match v {
-                None => e.put_u8(0),
-                Some(b) => {
-                    e.put_u8(1);
-                    enc_bitset_runs(b, &mut e);
-                }
-            },
-            Frame::ProbeExactReq {
-                switch,
-                addr,
-                epoch,
-            } => {
-                switch.enc(&mut e);
-                e.put_u64(*addr);
-                e.put_u64(*epoch);
-            }
-            Frame::ProbeExactRep(v) => v.enc(&mut e),
-            Frame::PresenceWaveReq {
-                switches,
-                addr,
-                range,
-            } => {
-                switches.enc(&mut e);
-                e.put_u64(*addr);
-                range.enc(&mut e);
-            }
-            Frame::PresenceWaveRep(v) => v.enc(&mut e),
-            Frame::RecordReq { host, flow } => {
-                host.enc(&mut e);
-                flow.enc(&mut e);
-            }
-            Frame::RecordRep(v) => v.enc(&mut e),
-            Frame::TriggerReq { host, flow } => {
-                host.enc(&mut e);
-                flow.enc(&mut e);
-            }
-            Frame::TriggerRep(v) => v.enc(&mut e),
-            Frame::FilterWaveReq {
-                switch,
-                range,
-                hosts,
-            } => {
-                switch.enc(&mut e);
-                range.enc(&mut e);
-                enc_ids_delta(hosts, &mut e);
-            }
-            Frame::FilterWaveRep(v) => v.enc(&mut e),
-            Frame::TopKWaveReq { switch, k, hosts } => {
-                switch.enc(&mut e);
-                e.put_varint(*k);
-                enc_ids_delta(hosts, &mut e);
-            }
-            Frame::TopKWaveRep(v) => v.enc(&mut e),
-            Frame::SizesWaveReq { switch, hosts } => {
-                switch.enc(&mut e);
-                enc_ids_delta(hosts, &mut e);
-            }
-            Frame::SizesWaveRep(v) => v.enc(&mut e),
-            Frame::UnionTopKReq { switch, range, k } => {
-                switch.enc(&mut e);
-                range.enc(&mut e);
-                e.put_varint(*k);
-            }
-            Frame::UnionTopKRep(v) => v.enc(&mut e),
-            Frame::UnionSizesReq { switch, range } => {
-                switch.enc(&mut e);
-                range.enc(&mut e);
-            }
-            Frame::UnionSizesRep(v) => v.enc(&mut e),
-            Frame::HorizonReq => {}
-            Frame::HorizonRep(v) => e.put_u64(*v),
-            Frame::StatsScrapeReq => {}
-            Frame::StatsScrapeRep(v) => enc_stats(v, &mut e),
-            Frame::TraceScrapeReq => {}
-            Frame::TraceScrapeRep(v) => v.enc(&mut e),
-            Frame::QueryReq(v) => v.enc(&mut e),
-            Frame::QueryRep(v) => v.enc(&mut e),
-            Frame::SubscribeReq {
-                query,
-                resume_after,
-            } => {
-                query.enc(&mut e);
-                e.put_u64(*resume_after);
-            }
-            Frame::SubscribeRep { sub, available } => {
-                sub.enc(&mut e);
-                e.put_u64(*available);
-            }
-            Frame::IncidentPush { seq, incident } => {
-                e.put_u64(*seq);
-                incident.enc(&mut e);
-            }
-            Frame::WindowPush(v) => v.enc(&mut e),
-            Frame::DeltaAppend {
-                shard,
-                seq,
-                record,
-                ctx,
-            } => {
-                e.put_u16(*shard);
-                e.put_u64(*seq);
-                record.enc(&mut e);
-                // Optional trailer: `DeltaRecord` is self-delimiting, so
-                // a marker after the record is unambiguous.
-                enc_ctx(ctx, &mut e);
-            }
-            Frame::SnapshotInstall { shard, seq, view } => {
-                e.put_u16(*shard);
-                e.put_u64(*seq);
-                e.put_bytes(view);
-            }
-            Frame::DeltaAck { shard, applied } => {
-                e.put_u16(*shard);
-                e.put_u64(*applied);
-            }
-            Frame::ReplicaStatusReq => {}
-            Frame::ReplicaStatusRep { shard, applied } => {
-                e.put_u16(*shard);
-                e.put_u64(*applied);
-            }
-            Frame::Tagged { req_id, ctx, inner } => {
-                e.put_u32(*req_id);
-                enc_ctx(ctx, &mut e);
-                e.put_u8(inner.tag());
-                e.put_raw(&inner.payload());
-            }
-            Frame::Batch(entries) => {
-                e.put_varint(entries.len() as u64);
-                for (id, ctx, f) in entries {
-                    e.put_u32(*id);
-                    enc_ctx(ctx, &mut e);
-                    e.put_u8(f.tag());
-                    let p = f.payload();
-                    e.put_varint(p.len() as u64);
-                    e.put_raw(&p);
-                }
-            }
-            Frame::BatchRep(entries) => {
-                e.put_varint(entries.len() as u64);
-                for (id, f) in entries {
-                    e.put_u32(*id);
-                    e.put_u8(f.tag());
-                    let p = f.payload();
-                    e.put_varint(p.len() as u64);
-                    e.put_raw(&p);
-                }
-            }
-            Frame::Error(err) => err.enc(&mut e),
-        }
-        e.into_bytes()
-    }
-
     /// Encodes the whole frame (length prefix + tag + payload) into a
     /// buffer — callers holding a stream lock write it in one syscall so
     /// concurrent pushers never interleave partial frames.
@@ -898,190 +845,5 @@ impl Frame {
             return Err(WireError::BadTag(tag));
         }
         Self::decode_budgeted(tag, payload, budget)
-    }
-
-    /// [`Frame::decode`] against the remainder of the outermost frame's
-    /// [`BITSET_BUDGET`]: every bitset decoded anywhere in that frame
-    /// draws it down.
-    fn decode_budgeted(tag: u8, payload: &[u8], budget: &mut usize) -> Result<Frame, WireError> {
-        let mut d = Dec::new(payload);
-        let frame = match tag {
-            0x01 => Frame::Hello {
-                shard: d.get_u16()?,
-                n_shards: d.get_u16()?,
-            },
-            0x10 => Frame::UnionSliceReq {
-                switch: NodeId::dec(&mut d)?,
-                range: EpochRange::dec(&mut d)?,
-            },
-            0x11 => Frame::ProbeExactReq {
-                switch: NodeId::dec(&mut d)?,
-                addr: d.get_u64()?,
-                epoch: d.get_u64()?,
-            },
-            0x13 => Frame::RecordReq {
-                host: NodeId::dec(&mut d)?,
-                flow: FlowId::dec(&mut d)?,
-            },
-            0x14 => Frame::TriggerReq {
-                host: NodeId::dec(&mut d)?,
-                flow: FlowId::dec(&mut d)?,
-            },
-            0x16 => Frame::FilterWaveReq {
-                switch: NodeId::dec(&mut d)?,
-                range: EpochRange::dec(&mut d)?,
-                hosts: dec_ids_delta(&mut d)?,
-            },
-            0x17 => Frame::TopKWaveReq {
-                switch: NodeId::dec(&mut d)?,
-                k: d.get_varint()?,
-                hosts: dec_ids_delta(&mut d)?,
-            },
-            0x18 => Frame::SizesWaveReq {
-                switch: NodeId::dec(&mut d)?,
-                hosts: dec_ids_delta(&mut d)?,
-            },
-            0x19 => Frame::HorizonReq,
-            0x1A => Frame::StatsScrapeReq,
-            0x1B => Frame::TraceScrapeReq,
-            0x1C => Frame::PresenceWaveReq {
-                switches: Vec::dec(&mut d)?,
-                addr: d.get_u64()?,
-                range: EpochRange::dec(&mut d)?,
-            },
-            0x1D => Frame::UnionTopKReq {
-                switch: NodeId::dec(&mut d)?,
-                range: EpochRange::dec(&mut d)?,
-                k: d.get_varint()?,
-            },
-            0x1E => Frame::UnionSizesReq {
-                switch: NodeId::dec(&mut d)?,
-                range: EpochRange::dec(&mut d)?,
-            },
-            0x20 => Frame::UnionSliceRep(match d.get_u8()? {
-                0 => None,
-                1 => Some(dec_bitset_runs(&mut d, budget)?),
-                t => return Err(WireError::BadTag(t)),
-            }),
-            0x21 => Frame::ProbeExactRep(Option::dec(&mut d)?),
-            0x23 => Frame::RecordRep(Option::dec(&mut d)?),
-            0x24 => Frame::TriggerRep(Option::dec(&mut d)?),
-            0x26 => Frame::FilterWaveRep(Vec::dec(&mut d)?),
-            0x27 => Frame::TopKWaveRep(Vec::dec(&mut d)?),
-            0x28 => Frame::SizesWaveRep(Vec::dec(&mut d)?),
-            0x29 => Frame::HorizonRep(d.get_u64()?),
-            0x2A => Frame::StatsScrapeRep(dec_stats(&mut d)?),
-            0x2B => Frame::TraceScrapeRep(Vec::dec(&mut d)?),
-            0x2C => Frame::PresenceWaveRep(Vec::dec(&mut d)?),
-            0x2D => Frame::UnionTopKRep(Option::dec(&mut d)?),
-            0x2E => Frame::UnionSizesRep(Option::dec(&mut d)?),
-            0x30 => Frame::QueryReq(QueryRequest::dec(&mut d)?),
-            0x31 => Frame::QueryRep(QueryResponse::dec(&mut d)?),
-            0x32 => Frame::SubscribeReq {
-                query: StandingQuery::dec(&mut d)?,
-                resume_after: d.get_u64()?,
-            },
-            0x33 => Frame::SubscribeRep {
-                sub: SubscriptionId::dec(&mut d)?,
-                available: d.get_u64()?,
-            },
-            0x34 => Frame::IncidentPush {
-                seq: d.get_u64()?,
-                incident: Incident::dec(&mut d)?,
-            },
-            0x35 => Frame::WindowPush(WindowSummary::dec(&mut d)?),
-            0x40 => {
-                let shard = d.get_u16()?;
-                let seq = d.get_u64()?;
-                let record = DeltaRecord::dec(&mut d)?;
-                // The record is self-delimiting: any trailer must be a
-                // marked trace context, otherwise it is a protocol error.
-                let ctx = if d.remaining() > 0 {
-                    let marker = d.get_u8()?;
-                    if marker != TRACE_CTX_MARKER {
-                        return Err(WireError::TrailingBytes(d.remaining() + 1));
-                    }
-                    Some(dec_ctx_body(&mut d)?)
-                } else {
-                    None
-                };
-                Frame::DeltaAppend {
-                    shard,
-                    seq,
-                    record,
-                    ctx,
-                }
-            }
-            0x41 => Frame::SnapshotInstall {
-                shard: d.get_u16()?,
-                seq: d.get_u64()?,
-                view: d.get_bytes()?.to_vec(),
-            },
-            0x42 => Frame::DeltaAck {
-                shard: d.get_u16()?,
-                applied: d.get_u64()?,
-            },
-            0x43 => Frame::ReplicaStatusReq,
-            0x44 => Frame::ReplicaStatusRep {
-                shard: d.get_u16()?,
-                applied: d.get_u64()?,
-            },
-            0x50 => {
-                let req_id = d.get_u32()?;
-                let (ctx, tag) = dec_ctx_then_tag(&mut d)?;
-                let inner = Frame::decode_inner(tag, d.take_rest(), budget)?;
-                Frame::Tagged {
-                    req_id,
-                    ctx,
-                    inner: Box::new(inner),
-                }
-            }
-            0x51 => {
-                let count = d.get_varint()? as usize;
-                // Every entry costs at least 6 bytes of header, so a
-                // larger count is corrupt; the reservation is what the
-                // bytes left could hold.
-                if count > d.remaining() / 6 + 1 {
-                    return Err(WireError::Truncated {
-                        needed: count.saturating_mul(6),
-                        have: d.remaining(),
-                    });
-                }
-                // The entries share the frame's bitset budget, so N small
-                // entries cannot decode into N maximal bitsets.
-                let mut entries =
-                    Vec::with_capacity(d.reservation::<(u32, Option<TraceContext>, Frame)>(count));
-                for _ in 0..count {
-                    let id = d.get_u32()?;
-                    let (ctx, etag) = dec_ctx_then_tag(&mut d)?;
-                    let len = d.get_varint()? as usize;
-                    let payload = d.get_raw(len)?;
-                    entries.push((id, ctx, Frame::decode_inner(etag, payload, budget)?));
-                }
-                Frame::Batch(entries)
-            }
-            0x52 => {
-                let count = d.get_varint()? as usize;
-                if count > d.remaining() / 6 + 1 {
-                    return Err(WireError::Truncated {
-                        needed: count.saturating_mul(6),
-                        have: d.remaining(),
-                    });
-                }
-                let mut entries = Vec::with_capacity(d.reservation::<(u32, Frame)>(count));
-                for _ in 0..count {
-                    let id = d.get_u32()?;
-                    let etag = d.get_u8()?;
-                    let len = d.get_varint()? as usize;
-                    let payload = d.get_raw(len)?;
-                    entries.push((id, Frame::decode_inner(etag, payload, budget)?));
-                }
-                Frame::BatchRep(entries)
-            }
-            0x3F => Frame::Error(WireError::dec(&mut d)?),
-            t => return Err(WireError::BadTag(t)),
-        };
-        d.finish()?;
-        Ok(frame)
     }
 }

@@ -17,7 +17,7 @@
 //!     with [`queryplane::ConfigError`]; a full accept pool refuses with
 //!     a typed error frame.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -39,7 +39,7 @@ use switchpointer::hoststore::{EpochSet, FlowRecord, RecordShard};
 use switchpointer::query::{QueryRequest, QueryResponse};
 use switchpointer::shard::ShardedAnalyzer;
 use switchpointer::testbed::{Testbed, TestbedConfig};
-use telemetry::frame::{read_frame, Wire, WireError, MAX_FRAME};
+use telemetry::frame::{from_bytes, read_frame, to_bytes, Wire, WireError, MAX_FRAME};
 use telemetry::EpochRange;
 use wireplane::proto::Frame;
 use wireplane::{
@@ -637,11 +637,15 @@ fn gen_frames(rng: &mut TestRng) -> Vec<Frame> {
 /// Every frame type, bare and inside each of the three envelopes
 /// (`Tagged` per frame, one `Batch` and one `BatchRep` of the whole
 /// sample set): decode(encode(f)) renders exactly as the generated `f`.
+/// And every tag byte the decoder knows is one of those samples' or an
+/// envelope's, so a frame declared without a sample here fails.
 #[test]
 fn every_frame_type_roundtrips_and_rejects_truncation_and_corruption() {
     let mut rng = rng_for("wireplane frame roundtrip");
+    let mut sampled = BTreeSet::new();
     for round in 0..20 {
         let bare = gen_frames(&mut rng);
+        sampled.extend(bare.iter().map(Frame::tag));
         let tagged = bare.iter().enumerate().map(|(i, f)| Frame::Tagged {
             req_id: i as u32 * 7 + 1,
             ctx: None,
@@ -685,6 +689,26 @@ fn every_frame_type_roundtrips_and_rejects_truncation_and_corruption() {
             ));
         }
     }
+
+    // Tag sweep: a byte the decoder does not answer with `BadTag(t)` on
+    // an empty payload is a tag it knows, and it knows exactly the
+    // sampled tags and the three envelopes. A retired tag stays retired.
+    let known: BTreeSet<u8> = (0..=255u8)
+        .filter(|&t| !matches!(Frame::decode(t, &[]), Err(WireError::BadTag(b)) if b == t))
+        .collect();
+    let mut want = sampled;
+    want.extend([0x50, 0x51, 0x52]);
+    let odd: Vec<u8> = known.symmetric_difference(&want).copied().collect();
+    assert!(
+        odd.is_empty(),
+        "tags decodable without a sample, or sampled but refused: {odd:#04x?}"
+    );
+    for retired in [0x12, 0x15, 0x22, 0x25] {
+        assert!(
+            !known.contains(&retired),
+            "retired tag {retired:#04x} decodes"
+        );
+    }
 }
 
 #[test]
@@ -701,6 +725,30 @@ fn corrupt_interior_bytes_never_panic() {
             corrupt[i] ^= 0xA5;
             let _ = Frame::decode(tag, &corrupt); // must return, not panic
         }
+    }
+
+    // A map or set whose keys repeat or descend — a record's
+    // `epochs_at` / `bytes_per_epoch`, a stats scrape's maps — is a typed
+    // error, not a decode that keeps the last value: that would drop an
+    // entry and re-encode to other bytes.
+    let ascending = to_bytes(&vec![(3u64, 30u64), (7, 70)]);
+    let map = from_bytes::<BTreeMap<u64, u64>>(&ascending).expect("ascending keys decode");
+    assert_eq!(to_bytes(&map), ascending);
+    for (what, pairs) in [
+        ("repeated key", vec![(3u64, 30u64), (3, 31)]),
+        ("descending keys", vec![(7, 70), (3, 30)]),
+    ] {
+        let got = from_bytes::<BTreeMap<u64, u64>>(&to_bytes(&pairs));
+        assert!(
+            matches!(got, Err(WireError::Remote(_))),
+            "{what}: {pairs:?} decoded to {got:?}"
+        );
+        let keys: Vec<u64> = pairs.iter().map(|&(k, _)| k).collect();
+        let got = from_bytes::<BTreeSet<u64>>(&to_bytes(&keys));
+        assert!(
+            matches!(got, Err(WireError::Remote(_))),
+            "{what}: {keys:?} decoded to {got:?}"
+        );
     }
 }
 
