@@ -16,6 +16,8 @@
 //! `spexp motivation` runs both against the Fig. 2 scenarios next to
 //! SwitchPointer; see EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 pub mod counters;
 pub mod netflow;
 

@@ -11,3 +11,5 @@
 //!
 //! The query, stream and wire planes are measured end to end and layer
 //! by layer by `spbench/` (`BENCHMARK.json`), the repo's one benchmark.
+
+#![forbid(unsafe_code)]

@@ -8,6 +8,8 @@
 //! samples, and prints `name ... mean <t> (min <t>, N samples)` — enough
 //! to compare hot paths run-over-run without the real crate's statistics.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 use std::hint;
 use std::time::{Duration, Instant};

@@ -9,6 +9,8 @@
 //! sequence (no shrinking, no persistence files — failures print the
 //! failing values via the assertion message instead).
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Deterministic splitmix64 stream.

@@ -88,6 +88,8 @@
 //! println!("modelled speedup: {:.1}x", model.report().modelled_speedup());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analyzer;
 pub mod bitset;
 pub mod cost;

@@ -14,6 +14,8 @@
 //!
 //! `--quick` shrinks the Fig. 9 measurement loop (CI-friendly).
 
+#![forbid(unsafe_code)]
+
 mod ablations;
 mod common;
 mod fig10;

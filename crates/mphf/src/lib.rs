@@ -36,6 +36,8 @@
 //! assert!(seen.iter().all(|&b| b), "minimal: every slot used");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod hashing;
 mod shard;

@@ -39,6 +39,8 @@
 //! assert!(sim.traces.rx_bytes(f) > 500_000); // ~1 Gbps for 10 ms
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod apps;
 pub mod engine;
 pub mod packet;

@@ -15,7 +15,7 @@
 //!   p50/p95/p99/max extraction. Query execution, window close,
 //!   delta apply, incident lag and wire encode/decode/RTT all record
 //!   here.
-//! * **[`Tracer`]** — a sharded lock-free ring of completed spans with
+//! * **[`Tracer`]** — a sharded, bucket-locked ring of completed spans with
 //!   causal identity ([`TraceContext`]: 64-bit trace ids + parent span
 //!   ids), head sampling, and a tail-latency flight recorder that pins
 //!   slow-query span trees as exemplars. See `DESIGN.md` §18.
@@ -29,6 +29,8 @@
 //!
 //! See `DESIGN.md` §14 for the bucketing scheme, span model and scrape
 //! frame layout.
+
+#![forbid(unsafe_code)]
 
 pub mod export;
 pub mod hist;

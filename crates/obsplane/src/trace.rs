@@ -3,8 +3,8 @@
 //!
 //! Spans are cheap enough to leave on: starting one snapshots a
 //! monotonic clock, and finishing it publishes a fixed-size
-//! [`SpanEvent`] into a sharded, lock-free ring (oldest evicted first,
-//! with eviction/loss counters so silent span loss is impossible). The
+//! [`SpanEvent`] into a sharded ring (oldest evicted first, with an
+//! eviction counter so silent span loss is impossible). The
 //! ring answers *postmortem* questions — "what ran lately, how long did
 //! each stage take, on which shard" — while aggregate distributions
 //! live in the registry's histograms.
@@ -27,12 +27,13 @@
 //!   eviction and 1-in-1024 sampling.
 //!
 //! The ring itself is a set of per-thread-affine buckets, each a
-//! seqlock ring: writers claim a slot by ticket and never block — a
-//! writer that loses the claim race counts the span as lost instead of
-//! spinning — and readers discard slots whose sequence moved under
-//! them. Scrapes therefore cost the readers, never the hot path.
+//! `Mutex` around a fixed-capacity ring. A writer holds its bucket while
+//! it copies in one span group, and a scrape while it copies out one
+//! bucket, so threads that share a bucket only wait for each other's
+//! copy. No span is lost to contention: every submitted, sampled span is
+//! either retained or counted as evicted.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -41,8 +42,8 @@ use std::time::Instant;
 /// Default ring capacity (events retained).
 pub(crate) const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
-/// Ring capacity per seqlock bucket; tracers smaller than this use a
-/// single bucket so eviction order stays exact.
+/// Ring capacity per bucket; tracers smaller than this use a single
+/// bucket so eviction order stays exact.
 const BUCKET_CAPACITY: usize = 1024;
 
 /// Traces retained in the exemplar store (slowest kept).
@@ -115,95 +116,41 @@ pub struct SpanEvent {
     pub steals: u32,
 }
 
-/// One slot of a seqlock ring. `seq` counts `2*lap` when the slot
-/// holds lap `lap-1`'s published value (or is fresh for lap 0), and
-/// `2*lap + 1` while the lap-`lap` writer is mid-write.
-struct Slot {
-    seq: AtomicU64,
-    ev: UnsafeCell<SpanEvent>,
+/// One writer-affine ring of at most `cap` events: ticket `t` sits at
+/// `events[t % cap]`, so the retained tickets are the last `cap` below
+/// `head`.
+struct Ring {
+    cap: usize,
+    head: u64,
+    events: Vec<SpanEvent>,
 }
 
-// SAFETY: `ev` is only written by the thread that won the seq CAS for
-// its lap and only read back under a double-checked seq validation;
-// torn reads are detected by the second check and discarded unused.
-unsafe impl Sync for Slot {}
-
-const EMPTY_EVENT: SpanEvent = SpanEvent {
-    class: "",
-    stage: "",
-    epoch: 0,
-    shard: 0,
-    start_ns: 0,
-    dur_ns: 0,
-    trace_id: 0,
-    span_id: 0,
-    parent_id: 0,
-    steals: 0,
-};
-
-/// One writer-affine seqlock ring.
-struct Bucket {
-    head: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-impl Bucket {
-    fn new(capacity: usize) -> Bucket {
-        let slots = (0..capacity)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                ev: UnsafeCell::new(EMPTY_EVENT),
-            })
-            .collect();
-        Bucket {
-            head: AtomicU64::new(0),
-            slots,
+impl Ring {
+    fn new(cap: usize) -> Ring {
+        Ring {
+            cap,
+            head: 0,
+            events: Vec::with_capacity(cap),
         }
     }
 
-    /// Publishes one event. Returns `(evicted, lost)`: whether an older
-    /// event was overwritten, and whether *this* event was dropped
-    /// because a straggling writer still held the slot (writers never
-    /// block or spin).
-    fn push(&self, ev: SpanEvent) -> (bool, bool) {
-        let cap = self.slots.len() as u64;
-        let t = self.head.fetch_add(1, Ordering::Relaxed);
-        let lap = t / cap;
-        let slot = &self.slots[(t % cap) as usize];
-        let claimed = slot
-            .seq
-            .compare_exchange(2 * lap, 2 * lap + 1, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok();
-        if !claimed {
-            return (t >= cap, true);
+    /// Appends one event; returns whether an older event was evicted.
+    fn push(&mut self, ev: SpanEvent) -> bool {
+        let evicted = self.events.len() == self.cap;
+        if evicted {
+            self.events[(self.head % self.cap as u64) as usize] = ev;
+        } else {
+            self.events.push(ev);
         }
-        // SAFETY: the CAS above made this thread the unique lap-`lap`
-        // writer for the slot; readers validate seq around their copy.
-        unsafe { std::ptr::write_volatile(slot.ev.get(), ev) };
-        slot.seq.store(2 * lap + 2, Ordering::Release);
-        (t >= cap, false)
+        self.head += 1;
+        evicted
     }
 
-    /// Copies out the retained window in ticket order. Slots that a
-    /// writer moved mid-copy are skipped — they are counted as
-    /// evictions by the writer that claimed them.
+    /// Copies out the retained window with its tickets, oldest first.
     fn snapshot(&self, out: &mut Vec<(u64, SpanEvent)>) {
-        let cap = self.slots.len() as u64;
-        let head = self.head.load(Ordering::Acquire);
-        for t in head.saturating_sub(cap)..head {
-            let lap = t / cap;
-            let want = 2 * lap + 2;
-            let slot = &self.slots[(t % cap) as usize];
-            if slot.seq.load(Ordering::Acquire) != want {
-                continue;
-            }
-            // SAFETY: the copy may race a writer; the re-check below
-            // discards the copy if the slot changed underneath it.
-            let ev = unsafe { std::ptr::read_volatile(slot.ev.get()) };
-            if slot.seq.load(Ordering::Acquire) != want {
-                continue;
-            }
-            out.push((t, ev));
+        let cap = self.cap as u64;
+        for t in self.head.saturating_sub(cap)..self.head {
+            out.push((t, self.events[(t % cap) as usize]));
         }
     }
 }
@@ -220,13 +167,11 @@ struct ExemplarTrace {
 pub struct Tracer {
     origin: Instant,
     capacity: usize,
-    buckets: Box<[Bucket]>,
+    buckets: Box<[Mutex<Ring>]>,
     /// Spans submitted (whether retained or not).
     recorded: AtomicU64,
     /// Spans evicted by ring wraparound.
     evicted: AtomicU64,
-    /// Spans dropped because the writer lost the slot claim race.
-    lost: AtomicU64,
     /// EWMA of span durations (ns), α = 1/16; feeds the slow threshold.
     mean_ns: AtomicU64,
     /// Head-sampling rate: keep 1-in-N traces; 0 disables minting.
@@ -257,17 +202,16 @@ impl Tracer {
     pub(crate) fn with_capacity(capacity: usize) -> Tracer {
         let capacity = capacity.max(1);
         // Small rings keep a single bucket so eviction order is exact;
-        // large rings shard into `BUCKET_CAPACITY`-slot seqlock rings.
+        // large rings shard into `BUCKET_CAPACITY`-event rings.
         let nbuckets = (capacity / BUCKET_CAPACITY).clamp(1, 8);
         let per = capacity.div_ceil(nbuckets);
-        let buckets = (0..nbuckets).map(|_| Bucket::new(per)).collect();
+        let buckets = (0..nbuckets).map(|_| Mutex::new(Ring::new(per))).collect();
         Tracer {
             origin: Instant::now(),
             capacity,
             buckets,
             recorded: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
-            lost: AtomicU64::new(0),
             mean_ns: AtomicU64::new(0),
             sample_rate: AtomicU64::new(1),
             id_seed: AtomicU64::new(DEFAULT_ID_SEED),
@@ -372,21 +316,24 @@ impl Tracer {
             return;
         }
         let threshold = self.slow_threshold_ns();
-        let bucket = &self.buckets[thread_slot() % self.buckets.len()];
+        self.recorded
+            .fetch_add(events.len() as u64, Ordering::Relaxed);
+        if sampled {
+            let bucket = &self.buckets[thread_slot() % self.buckets.len()];
+            let mut ring = bucket.lock().unwrap_or_else(|e| e.into_inner());
+            let mut evicted = 0u64;
+            for ev in events {
+                evicted += u64::from(ring.push(*ev));
+            }
+            drop(ring);
+            if evicted > 0 {
+                self.evicted.fetch_add(evicted, Ordering::Relaxed);
+            }
+        }
         let mut max_dur = 0u64;
         let mut trace_id = 0u64;
         for ev in events {
-            self.recorded.fetch_add(1, Ordering::Relaxed);
             self.update_mean(ev.dur_ns);
-            if sampled {
-                let (evicted, lost) = bucket.push(*ev);
-                if evicted {
-                    self.evicted.fetch_add(1, Ordering::Relaxed);
-                }
-                if lost {
-                    self.lost.fetch_add(1, Ordering::Relaxed);
-                }
-            }
             max_dur = max_dur.max(ev.dur_ns);
             if ev.trace_id != 0 {
                 trace_id = ev.trace_id;
@@ -450,7 +397,9 @@ impl Tracer {
     pub fn events(&self) -> Vec<SpanEvent> {
         let mut keyed: Vec<(u64, SpanEvent)> = Vec::new();
         for b in self.buckets.iter() {
-            b.snapshot(&mut keyed);
+            b.lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .snapshot(&mut keyed);
         }
         keyed.sort_by_key(|(t, ev)| (ev.start_ns, *t, ev.span_id));
         keyed.into_iter().map(|(_, ev)| ev).collect()
@@ -479,21 +428,25 @@ impl Tracer {
         self.pinned.load(Ordering::Relaxed)
     }
 
-    /// Spans submitted so far, retained or not. Quiesced and
-    /// uncontended, `recorded() == events().len() + dropped()` — the
-    /// accounting identity that makes silent span loss test-visible.
+    /// Spans submitted so far, retained or not. Once the writers are
+    /// done, and with every span sampled, `recorded() == events().len() +
+    /// dropped()` — the accounting identity that makes silent span loss
+    /// test-visible.
     pub(crate) fn recorded(&self) -> u64 {
         self.recorded.load(Ordering::Relaxed)
     }
 
-    /// Events dropped so far: ring evictions plus claim-race losses.
+    /// Events dropped so far: ring evictions, the only way a sampled span
+    /// leaves the ring.
     pub(crate) fn dropped(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed) + self.lost.load(Ordering::Relaxed)
+        self.evicted.load(Ordering::Relaxed)
     }
 
-    /// Claim-race losses alone (a subset of `dropped`).
+    /// Spans lost to writer contention: always 0, since a writer waits
+    /// for its bucket instead of dropping the span. Kept only because
+    /// spbench still reports it as `trace.spans_lost`; both go together.
     pub fn lost(&self) -> u64 {
-        self.lost.load(Ordering::Relaxed)
+        0
     }
 }
 
@@ -641,8 +594,8 @@ mod tests {
         for th in threads {
             th.join().unwrap();
         }
-        // Below capacity every writer gets its own lap-0 slot: no
-        // eviction, no claim races, and the identity must hold exactly.
+        // Below capacity nothing is evicted, writers sharing a bucket
+        // wait for each other, and the identity must hold exactly.
         assert_eq!(t.recorded(), 800);
         assert_eq!(t.dropped(), 0);
         assert_eq!(t.events().len(), 800);
@@ -665,11 +618,55 @@ mod tests {
             th.join().unwrap();
         }
         assert_eq!(t.recorded(), 2000);
-        // Every missing span is accounted for: evictions plus claim
-        // losses (a claim loss strands at most one extra older span).
+        // Every missing span is accounted for, exactly, as an eviction.
         let retained = t.events().len() as u64;
         assert!(retained <= 64);
-        assert!(t.recorded() <= retained + t.dropped() + t.lost());
+        assert_eq!(t.recorded(), retained + t.dropped());
+    }
+
+    #[test]
+    fn a_live_scrape_sees_no_torn_event_and_loses_no_span() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::{Arc, Barrier};
+        let t = Arc::new(Tracer::with_capacity(4096));
+        let stop = Arc::new(AtomicBool::new(false));
+        // The scraper and the four writers start together.
+        let start = Arc::new(Barrier::new(5));
+        let scraper = {
+            let (t, stop, start) = (Arc::clone(&t), Arc::clone(&stop), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                let mut scrapes = 0u64;
+                while scrapes == 0 || !stop.load(Ordering::Relaxed) {
+                    for ev in t.events() {
+                        // Each writer puts its id in both fields.
+                        assert_eq!(u64::from(ev.shard), ev.epoch, "torn event {ev:?}");
+                    }
+                    scrapes += 1;
+                }
+                scrapes
+            })
+        };
+        let writers: Vec<_> = (0..4u32)
+            .map(|w| {
+                let (t, start) = (Arc::clone(&t), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..250 {
+                        t.record("load", u64::from(w), w, Instant::now());
+                    }
+                })
+            })
+            .collect();
+        for th in writers {
+            th.join().unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        assert!(scraper.join().unwrap() > 0);
+        // 1 000 spans fit one bucket, however the writers share them.
+        assert_eq!(t.recorded(), 1000);
+        assert_eq!(t.recorded(), t.events().len() as u64 + t.dropped());
+        assert_eq!(t.dropped(), 0);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! host stack is PathDump-derived) and swaps the analyzer for one that
 //! fans out to all hosts with zero pointer-retrieval cost.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 use netsim::packet::{FlowId, NodeId};

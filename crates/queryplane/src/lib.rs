@@ -23,11 +23,11 @@
 //!    construction and shared by every batch (and by the `streamplane`
 //!    crate's standing query windows). Batches are cut into
 //!    [`chunk_size`]d chunks placed by shard affinity and rebalanced by
-//!    stealing, and results are stitched lock-free in submission order,
-//!    so verdicts are independent of worker count, chunk size, and steal
-//!    schedule. Snapshots are published through an epoch-stamped
-//!    [`SnapshotSlot`], so a refresh installs new state without quiescing
-//!    in-flight batches.
+//!    stealing, and each chunk's results are reassembled in submission
+//!    order, so verdicts are independent of worker count, chunk size, and
+//!    steal schedule. The published snapshot is a plain `Arc`: a batch
+//!    holds its own clone, so a refresh replaces the plane's handle
+//!    without waiting on anyone who still reads the old state.
 //! 3. **Sharded directory** — with
 //!    [`QueryPlaneConfig::directory_shards`] > 1 the bit → host directory
 //!    is hash-partitioned across analyzer instances
@@ -95,6 +95,8 @@
 //! assert!(costs[1..].iter().all(|c| c.batched == SimTime::ZERO));
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use obsplane::{Counter, MetricsRegistry};
@@ -108,13 +110,11 @@ mod driver;
 pub mod model;
 mod pool;
 mod repl;
-mod slot;
 mod snapshot;
 
 pub use driver::{execute, lock_step, QueryOutcome, SharedCtx, Spans};
 pub use pool::{chunk_size, PoolMetrics, WorkerPool};
 pub use repl::{DeltaRecord, HostPatch, HostPatchKind, SwitchPatch};
-pub use slot::SnapshotSlot;
 pub use snapshot::{Snapshot, SnapshotDelta, Unshared};
 pub use switchpointer::retention::{RetentionPolicy, SweepReport};
 
@@ -248,10 +248,10 @@ impl QpMetrics {
 pub struct QueryPlane {
     ctx: Arc<SharedCtx>,
     cfg: QueryPlaneConfig,
-    /// The epoch-stamped publication slot batches and readers load the
-    /// frozen state from. Installs never quiesce the plane — see
-    /// [`SnapshotSlot`].
-    slot: SnapshotSlot,
+    /// The published frozen state. Batches and readers clone the `Arc`;
+    /// [`QueryPlane::refresh_delta`] replaces it, and `&mut self` there
+    /// and in `execute_batch` keeps a replacement from racing a clone.
+    published: Arc<Snapshot>,
     pool: WorkerPool,
     /// Registry-backed counters (service totals + cumulative per-shard
     /// fan-out across every executed query).
@@ -290,9 +290,7 @@ impl QueryPlane {
         Ok(QueryPlane {
             ctx: Arc::new(SharedCtx::new(analyzer, dir_shards, metrics)),
             cfg,
-            slot: SnapshotSlot::new(Arc::new(Snapshot::capture_with(
-                analyzer, cfg.shards, dir_shards,
-            ))),
+            published: Arc::new(Snapshot::capture_with(analyzer, cfg.shards, dir_shards)),
             pool,
             m,
         })
@@ -304,16 +302,16 @@ impl QueryPlane {
     ///
     /// Publication is quiesce-free: the refresh advances a *clone* of the
     /// published snapshot — refcount bumps, every component shared — and
-    /// installs it into the epoch-stamped [`SnapshotSlot`] while any
-    /// in-flight batch (or remote reader) keeps executing against the
-    /// snapshot it loaded. `apply_delta` copies on write only what
-    /// changed, so the two snapshots resident while a reader lingers are
-    /// one snapshot plus its delta, and the report is always the exact
+    /// replaces the plane's handle with it, while any reader still holding
+    /// the old handle (a [`QueryPlane::snapshot`] caller, a remote scrape)
+    /// keeps reading the state it took. `apply_delta` copies on write only
+    /// what changed, so the two snapshots resident while a reader lingers
+    /// are one snapshot plus its delta, and the report is always the exact
     /// delta of this refresh.
     pub fn refresh_delta(&mut self, analyzer: &Analyzer) -> SnapshotDelta {
-        let mut next = Snapshot::clone(&self.slot.load().0);
+        let mut next = Snapshot::clone(&self.published);
         let delta = next.apply_delta(analyzer);
-        self.slot.install(Arc::new(next));
+        self.published = Arc::new(next);
         delta
     }
 
@@ -343,10 +341,10 @@ impl QueryPlane {
     }
 
     /// The currently published frozen state, as an owned handle: later
-    /// installs never invalidate it, so a caller can read it for as long
+    /// refreshes never invalidate it, so a caller can read it for as long
     /// as it likes without blocking a refresh.
     pub fn snapshot(&self) -> Arc<Snapshot> {
-        self.slot.load().0
+        Arc::clone(&self.published)
     }
 
     /// Service configuration in force.
@@ -397,10 +395,8 @@ impl QueryPlane {
         }
         // With a sharded directory, dispatch is keyed by each request's
         // home shard (shard-affine initial placement; idle workers steal);
-        // answers are independent of the keying either way. The batch
-        // executes against the snapshot published *now* — a refresh
-        // landing mid-batch serves later batches, never this one.
-        let snapshot = self.slot.load().0;
+        // answers are independent of the keying either way.
+        let snapshot = Arc::clone(&self.published);
         let n_dir = self.ctx.dir.n_shards();
         let keys: Option<Vec<usize>> =
             (n_dir > 1).then(|| requests.iter().map(|r| home_shard(r, n_dir)).collect());

@@ -21,12 +21,11 @@
 //!   `scatter`, since handing one chunk to another thread and sleeping
 //!   until it is done buys nothing but two wake-ups. The rule reads only
 //!   the batch's own geometry.
-//! * **Lock-free result publication.** Results are written straight
-//!   into a preallocated per-batch slot array — each submission index
-//!   lives in exactly one chunk and each chunk is claimed by exactly
-//!   one worker, so the writes are disjoint by construction — and the
-//!   caller stitches them in submission order. No reply channel, no
-//!   merge pass.
+//! * **Per-chunk result cells.** Each chunk carries a `OnceLock` that
+//!   its one claimant sets with the chunk's results; after the
+//!   completion barrier the caller walks the chunks and places each
+//!   result at its submission index. No reply channel, and one
+//!   uncontended set per chunk of at least `MIN_CHUNK` items.
 //!
 //! Determinism is preserved by construction: which worker runs a chunk
 //! affects *scheduling only*. Results are keyed by submission index, so
@@ -47,10 +46,9 @@
 //! gauge, and per-worker `pool.worker<w>.busy_ns` / `idle_ns`.
 
 use std::any::Any;
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -72,39 +70,31 @@ pub fn chunk_size(batch: usize, workers: usize) -> usize {
 }
 
 /// A contiguous run of `order[lo..hi]` claimed atomically by exactly one
-/// worker. The claim flag only ever goes `false → true`.
-struct Chunk {
+/// worker. The claim flag only ever goes `false → true`, and the
+/// claimant sets `out` once, with one result per index in order. A chunk
+/// whose work fn panicked leaves `out` unset.
+struct Chunk<T> {
     lo: usize,
     hi: usize,
     claimed: AtomicBool,
+    out: OnceLock<Vec<T>>,
 }
 
-/// The per-batch result slots. Writes are disjoint by construction (each
-/// submission index lives in exactly one chunk, each chunk is claimed by
-/// exactly one worker) and reads happen only after the completion
-/// barrier, so plain `UnsafeCell` access is sound.
-struct Slots<T>(Vec<UnsafeCell<Option<T>>>);
-
-// SAFETY: see `Slots` — disjoint indices per writer, barrier before read.
-unsafe impl<T: Send> Sync for Slots<T> {}
-
-impl<T> Slots<T> {
-    fn new(n: usize) -> Self {
-        Slots((0..n).map(|_| UnsafeCell::new(None)).collect())
+/// Places every chunk's results at their submission indices. Runs after
+/// the completion barrier, once no panic was captured, so every chunk has
+/// set its results.
+fn reassemble<T>(order: &[usize], chunks: Vec<Chunk<T>>) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(order.len()).collect();
+    for c in chunks {
+        let out = c.out.into_inner().expect("every chunk set its results");
+        for (&i, r) in order[c.lo..c.hi].iter().zip(out) {
+            slots[i] = Some(r);
+        }
     }
-
-    /// SAFETY: caller must be the unique claimant of the chunk containing
-    /// index `i`, and no reader may run before the completion barrier.
-    unsafe fn write(&self, i: usize, v: T) {
-        *self.0[i].get() = Some(v);
-    }
-
-    fn into_results(self) -> Vec<T> {
-        self.0
-            .into_iter()
-            .map(|c| c.into_inner().expect("every chunk filled its slots"))
-            .collect()
-    }
+    slots
+        .into_iter()
+        .map(|r| r.expect("every index lies in one chunk"))
+        .collect()
 }
 
 /// The per-chunk work function a batch shares: `(worker, submission
@@ -113,23 +103,22 @@ type ChunkWork<T> = Box<dyn Fn(usize, &[usize]) -> Vec<T> + Send + Sync>;
 
 /// Everything a batch's participating workers share. Lives in an `Arc`
 /// for the duration of one [`WorkerPool::scatter`] call; the caller
-/// reclaims unique ownership (and with it the slots) once every worker
-/// has signalled completion.
+/// reclaims unique ownership (and with it the chunks' results) once every
+/// worker has signalled completion.
 struct BatchShared<T> {
     work: ChunkWork<T>,
     /// Dispatch order: submission indices grouped by initial placement.
     order: Vec<usize>,
-    chunks: Vec<Chunk>,
+    chunks: Vec<Chunk<T>>,
     /// Per-worker chunk-id queues (initial placement). Owners drain
     /// head-first; thieves scan tail-first.
     queues: Vec<Vec<usize>>,
-    slots: Slots<T>,
     /// First captured worker panic, re-raised on the caller.
     panic: Mutex<Option<Box<dyn Any + Send>>>,
     m: PoolMetrics,
 }
 
-impl<T: Send> BatchShared<T> {
+impl<T> BatchShared<T> {
     fn claim(&self, c: usize) -> bool {
         self.chunks[c]
             .claimed
@@ -145,7 +134,7 @@ impl<T: Send> BatchShared<T> {
     }
 
     /// Runs one claimed chunk: executes the work fn over the chunk's
-    /// submission indices and publishes each result into its slot. A
+    /// submission indices and sets the chunk's results. A
     /// panic anywhere inside is captured per chunk — the worker moves on
     /// to its next chunk, so one poisoned query never strands the rest
     /// of the batch — and re-raised on the caller after the barrier.
@@ -165,12 +154,7 @@ impl<T: Send> BatchShared<T> {
                 idxs.len(),
                 "chunk work fn must return one result per index"
             );
-            for (j, r) in out.into_iter().enumerate() {
-                // SAFETY: this thread holds the chunk's claim; indices of
-                // distinct chunks are disjoint; the caller reads only
-                // after the completion barrier.
-                unsafe { self.slots.write(idxs[j], r) };
-            }
+            assert!(chunk.out.set(out).is_ok(), "a chunk runs once");
         }));
         obsplane::set_chunk_stolen(false);
         let took = started.elapsed();
@@ -361,7 +345,8 @@ impl WorkerPool {
     /// chunk granularity is what lets the batch driver run a chunk's
     /// queries in lock-step and build its backends once per chunk. A
     /// panic inside `work` is re-raised here after every other chunk has
-    /// completed.
+    /// completed. Results wait in their chunk's shared `OnceLock` until
+    /// the barrier, so `T` must be `Sync` as well as `Send`.
     ///
     /// A batch that cuts into exactly one chunk runs on the calling
     /// thread (with the chunk's home worker id); any other batch runs on
@@ -374,7 +359,7 @@ impl WorkerPool {
         work: F,
     ) -> Vec<T>
     where
-        T: Send + 'static,
+        T: Send + Sync + 'static,
         F: Fn(usize, &[usize]) -> Vec<T> + Send + Sync + 'static,
     {
         if n_items == 0 {
@@ -387,12 +372,12 @@ impl WorkerPool {
         let chunk = chunk.unwrap_or_else(|| chunk_size(n_items, workers)).max(1);
 
         let mut order: Vec<usize> = Vec::with_capacity(n_items);
-        let mut chunks: Vec<Chunk> = Vec::new();
+        let mut chunks: Vec<Chunk<T>> = Vec::new();
         let mut queues: Vec<Vec<usize>> = vec![Vec::new(); workers];
         let cut = |from: usize,
                    to: usize,
                    home: usize,
-                   chunks: &mut Vec<Chunk>,
+                   chunks: &mut Vec<Chunk<T>>,
                    queues: &mut Vec<Vec<usize>>| {
             let mut lo = from;
             while lo < to {
@@ -402,6 +387,7 @@ impl WorkerPool {
                     lo,
                     hi,
                     claimed: AtomicBool::new(false),
+                    out: OnceLock::new(),
                 });
                 lo = hi;
             }
@@ -448,7 +434,6 @@ impl WorkerPool {
             order,
             chunks,
             queues,
-            slots: Slots::new(n_items),
             panic: Mutex::new(None),
             m: self.m.clone(),
         };
@@ -467,10 +452,16 @@ impl WorkerPool {
         } else {
             self.run_on_workers(shared, total_chunks)
         };
-        if let Some(p) = shared.panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
+        let BatchShared {
+            order,
+            chunks,
+            panic,
+            ..
+        } = shared;
+        if let Some(p) = panic.into_inner().unwrap_or_else(|e| e.into_inner()) {
             resume_unwind(p);
         }
-        shared.slots.into_results()
+        reassemble(&order, chunks)
     }
 
     /// Posts one participation task per worker the batch can use — the
@@ -479,7 +470,7 @@ impl WorkerPool {
     /// state back. A batch of fewer chunks than workers leaves the rest
     /// of the pool alone: nothing to wake, and no barrier held up by a
     /// worker that is busy with another caller's chunk.
-    fn run_on_workers<T: Send + 'static>(
+    fn run_on_workers<T: Send + Sync + 'static>(
         &self,
         shared: BatchShared<T>,
         total_chunks: usize,

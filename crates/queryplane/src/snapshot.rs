@@ -258,12 +258,6 @@ impl Snapshot {
         }
     }
 
-    /// Directory-shard count the deltas report ownership against.
-    #[cfg(test)]
-    pub(crate) fn dir_shards(&self) -> usize {
-        self.dir_shards
-    }
-
     /// Brings the snapshot up to date with the live deployment by copying
     /// only what changed since the last freeze: pointer slots rotated or
     /// written since the baseline, and — by refcount — the host record

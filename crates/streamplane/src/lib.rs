@@ -53,6 +53,8 @@
 //! Drive it end-to-end with `examples/continuous_watch.rs`;
 //! `tests/streamplane_props.rs` pins its copy work and incident stream.
 
+#![forbid(unsafe_code)]
+
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -584,9 +586,9 @@ impl StreamPlane {
         let horizon = delta.epoch_horizon;
 
         // 2. The window rule over the standing queries, resolved against
-        // the epoch-published snapshot the refresh above just installed —
-        // an owned handle, so a concurrent install can never invalidate
-        // the state mid-window. The run step admits the queued one-shots
+        // the snapshot the refresh above just published — an owned
+        // handle, so a later refresh can never invalidate the state
+        // mid-window. The run step admits the queued one-shots
         // behind the resolved standing requests and executes them all as
         // one batch on the worker pool, which runs identical requests
         // within the window once (`QueryPlane::execute_batch` coalesces).

@@ -56,6 +56,8 @@
 //! assert!(d.epochs_at(s2).unwrap().contains(42));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod decoder;
 pub mod epoch;
 pub mod frame;

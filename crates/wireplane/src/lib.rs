@@ -84,6 +84,8 @@
 //! cluster.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::net::{SocketAddr, TcpStream};
 
 use telemetry::frame::WireError;

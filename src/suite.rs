@@ -1,6 +1,8 @@
 //! Workspace umbrella crate: re-exports the public crates so the top-level
 //! `examples/` and `tests/` can use a single dependency surface.
 
+#![forbid(unsafe_code)]
+
 pub use baselines;
 pub use mphf;
 pub use netsim;

@@ -488,3 +488,54 @@ fn repeated_requests_in_a_batch_execute_once() {
         }
     }
 }
+
+/// A refresh publishes a new snapshot without touching the old one: a
+/// handle taken before it keeps reading the state it took, the handle
+/// after it is a different snapshot, and the next batch answers from the
+/// new state.
+#[test]
+fn a_refresh_publishes_new_state_and_old_handles_keep_theirs() {
+    let mut tb = Testbed::new(Topology::chain(3, 2, GBPS), TestbedConfig::default_ms());
+    let (a, b, e, f) = (tb.node("A"), tb.node("B"), tb.node("E"), tb.node("F"));
+    let udp = |src, dst, start_ms| UdpFlowSpec {
+        src,
+        dst,
+        priority: Priority::LOW,
+        start: SimTime::from_ms(start_ms),
+        duration: SimTime::from_ms(3),
+        rate_bps: 200_000_000,
+        payload_bytes: 1458,
+    };
+    tb.sim.add_udp_flow(udp(a, f, 0));
+    // Starts after the first freeze, through the same switch.
+    tb.sim.add_udp_flow(udp(b, e, 8));
+    tb.sim.run_until(SimTime::from_ms(5));
+
+    let top_k = [QueryRequest::TopK {
+        switch: tb.node("S2"),
+        k: 10,
+        range: EpochRange { lo: 0, hi: 64 },
+    }];
+    let mut plane = QueryPlane::from_analyzer(&tb.analyzer(), QueryPlaneConfig::default());
+    let before = plane.snapshot();
+    let (horizon, records) = (before.epoch_horizon(), before.total_records());
+    let answer_before = format!("{:?}", plane.execute_batch(&top_k)[0].response);
+
+    tb.sim.run_until(SimTime::from_ms(15));
+    let analyzer = tb.analyzer();
+    plane.refresh_delta(&analyzer);
+    let after = plane.snapshot();
+
+    assert_eq!(before.epoch_horizon(), horizon, "the old handle moved");
+    assert_eq!(before.total_records(), records, "the old handle moved");
+    assert!(!Arc::ptr_eq(&before, &after));
+    assert!(after.epoch_horizon() > horizon);
+    assert!(after.total_records() > records);
+
+    let live = format!("{:?}", analyzer.execute(&top_k[0]));
+    assert_ne!(live, answer_before, "the fixture must change the answer");
+    assert_eq!(
+        format!("{:?}", plane.execute_batch(&top_k)[0].response),
+        live
+    );
+}
