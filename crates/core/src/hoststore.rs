@@ -400,7 +400,7 @@ impl Default for FlowStore {
 }
 
 impl FlowStore {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -456,7 +456,7 @@ impl FlowStore {
 
     /// Ingests one decoded packet.
     #[allow(clippy::too_many_arguments)]
-    pub fn ingest(
+    pub(crate) fn ingest(
         &mut self,
         flow: FlowId,
         src: NodeId,

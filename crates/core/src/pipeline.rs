@@ -8,7 +8,7 @@
 //! * **baseline** — emulated OVS fast-path work: 5-tuple hash plus an
 //!   exact-match-cache lookup/update;
 //! * **SwitchPointer** — the same work plus one MPHF evaluation and k bit
-//!   writes ([`PointerHierarchy::update_unchecked`]).
+//!   writes ([`PointerHierarchy`]'s `update_unchecked`).
 //!
 //! Absolute packets-per-second on a modern core differ from the paper's
 //! 3.1 GHz Xeon + DPDK figure (~7 Mpps), so the experiment harness reports

@@ -417,7 +417,7 @@ impl PointerHierarchy {
     /// The data-plane fast-path variant used by the Fig. 9 pipeline: skips
     /// the membership fingerprint check, exactly one hash evaluation.
     #[inline]
-    pub fn update_unchecked(&mut self, dst_addr: u64, epoch: u64) {
+    pub(crate) fn update_unchecked(&mut self, dst_addr: u64, epoch: u64) {
         self.version += 1;
         self.updates += 1;
         let bit = self.mphf.index_unchecked(&dst_addr);
@@ -1493,6 +1493,62 @@ mod tests {
         // Top level spans 16 epochs; archives + live levels must cover all.
         for (a, e) in expected {
             assert!(h.contains(a, e), "lost ({a:#x}, epoch {e})");
+        }
+    }
+
+    #[test]
+    fn an_update_is_k_bit_writes_at_the_keys_index() {
+        // §4.1.2: a packet costs one hash and one bit write per level;
+        // relabelling and clearing slots is the once-per-epoch rotation
+        // (`refresh_slots`). So against the hierarchy rotated to a fresh
+        // epoch, one update sets exactly the key's MPHF index in each of
+        // the k current slots, and changes no other bit.
+        for k in [1usize, 3, 5] {
+            let (mut h, addrs) = hierarchy(64, 4, k);
+            // History on the lower half of the keys, across recycled
+            // slots and archive flushes.
+            for e in (0..300u64).step_by(3) {
+                h.update(addrs[(e as usize * 7) % 32], e);
+            }
+            for (i, fresh) in [301u64, 302, 320, 1_024].into_iter().enumerate() {
+                // Never updated, so its bit is clear in every slot.
+                let key = addrs[32 + i];
+                let bit = h.mphf().index(&key).unwrap();
+                let mut rotated = h.clone();
+                rotated.refresh_slots(fresh);
+                h.update(key, fresh);
+                assert_eq!(h.cached_slots, rotated.cached_slots);
+                assert_eq!(h.archive, rotated.archive);
+                assert_eq!(h.flushed_bits, rotated.flushed_bits);
+                for (lv, (now, was)) in h.levels.iter().zip(&rotated.levels).enumerate() {
+                    let current = h.cached_slots[lv];
+                    assert_ne!(current, usize::MAX, "a fresh epoch is never stale");
+                    for (idx, (s, r)) in now.iter().zip(was).enumerate() {
+                        let mut expected = r.bits.clone();
+                        if idx == current {
+                            assert!(!r.bits.test(bit));
+                            expected.set(bit);
+                        }
+                        assert_eq!(s.period, r.period);
+                        assert_eq!(s.bits, expected, "k={k} level {} slot {idx}", lv + 1);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn unchecked_update_equals_update_on_build_keys() {
+        for k in [1usize, 3, 5] {
+            let (mut checked, addrs) = hierarchy(64, 4, k);
+            let mut unchecked = checked.clone();
+            for i in 0..600u64 {
+                let key = addrs[(i as usize * 13) % addrs.len()];
+                checked.update(key, i / 2);
+                unchecked.update_unchecked(key, i / 2);
+            }
+            assert_eq!(checked.unknown_dsts, 0);
+            assert_eq!(checked, unchecked, "k={k}");
         }
     }
 }

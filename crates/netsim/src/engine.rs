@@ -326,7 +326,8 @@ impl Simulator {
     /// not an event: it is dropped without dispatch and not counted, so a
     /// TCP run counts fewer events than a queue that kept one entry per
     /// re-arm would have.
-    pub fn events_processed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn events_processed(&self) -> u64 {
         self.events_processed
     }
 

@@ -55,44 +55,43 @@ fn main() {
     tb.sim.run_until(SimTime::from_ms(60));
 
     let total_hosts = tb.sim.topo().hosts().len();
-    // Pick the trigger tied to the incident (under background load the
-    // victim may also have triggered earlier for unrelated reasons).
-    let trig = tb.hosts[&b]
+    // Pick the victim's first trigger once the burst has started (under
+    // background load it also triggers for unrelated reasons). With
+    // workload seed 7 that trigger, at 36 ms, is explained by MID
+    // background flows at the first switch of the victim's path, where
+    // the contention walk stops: the verdict holds with or without the
+    // burst.
+    let t = tb.hosts[&b]
         .borrow()
         .triggers()
         .iter()
         .find(|t| t.flow == victim && t.at >= SimTime::from_ms(30))
-        .copied();
-    match trig {
-        Some(t) => {
-            println!("victim triggered at {}", t.at);
-            let d = tb
-                .analyzer()
-                .diagnose_contention_at(victim, b, tb.cfg.trigger.window, &t);
-            println!(
-                "verdict {:?}; consulted {} of {} hosts in {}",
-                d.verdict,
-                d.hosts_contacted,
-                total_hosts,
-                d.breakdown.total()
-            );
-            for c in d.culprits.iter().take(5) {
-                println!(
-                    "  culprit {}: prio {:?}, {} bytes, epochs {:?}",
-                    c.flow, c.priority, c.bytes, c.common_epochs
-                );
-            }
-            assert!(
-                d.hosts_contacted < total_hosts,
-                "reduction must beat contact-everyone"
-            );
-            assert_ne!(d.verdict, Verdict::NoCulprit, "trigger unexplained");
-            let _ = v;
-        }
-        None => {
-            // The burst may not starve the victim if ECMP separated their
-            // spine paths — rerun with another seed in that case.
-            println!("no trigger this seed (flows took disjoint spine paths)");
-        }
+        .copied()
+        .expect("the victim triggers after 30 ms (workload seed 7)");
+    println!("victim triggered at {}", t.at);
+    let d = tb
+        .analyzer()
+        .diagnose_contention_at(victim, b, tb.cfg.trigger.window, &t);
+    println!(
+        "verdict {:?}; consulted {} of {} hosts in {}",
+        d.verdict,
+        d.hosts_contacted,
+        total_hosts,
+        d.breakdown.total()
+    );
+    for c in d.culprits.iter().take(5) {
+        println!(
+            "  culprit {}: prio {:?}, {} bytes, epochs {:?}",
+            c.flow, c.priority, c.bytes, c.common_epochs
+        );
     }
+    assert!(
+        d.hosts_contacted < total_hosts,
+        "reduction must beat contact-everyone"
+    );
+    assert_eq!(
+        d.verdict,
+        Verdict::PriorityContention,
+        "trigger unexplained"
+    );
 }

@@ -83,8 +83,9 @@ fn main() {
     }
     let implicated: Vec<String> = diag.implicated.iter().map(|&s| names(s)).collect();
     println!("implicated switches: {implicated:?}");
-    assert!(
-        diag.implicated.len() >= 2,
-        "red-lights requires contention at multiple switches"
+    assert_eq!(
+        implicated,
+        ["S1", "S2"],
+        "red lights at two of the victim's three switches, each named"
     );
 }

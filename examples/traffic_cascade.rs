@@ -25,7 +25,7 @@ fn main() {
     );
 
     // High priority B-D, "rerouted" into A-F's window at S1.
-    tb.sim.add_udp_flow(UdpFlowSpec {
+    let bd = tb.sim.add_udp_flow(UdpFlowSpec {
         src: b,
         dst: d,
         priority: Priority::HIGH,
@@ -35,7 +35,7 @@ fn main() {
         payload_bytes: 1458,
     });
     // Mid priority A-F: would have finished by 20 ms unobstructed.
-    tb.sim.add_udp_flow(UdpFlowSpec {
+    let af = tb.sim.add_udp_flow(UdpFlowSpec {
         src: a,
         dst: f,
         priority: Priority::MID,
@@ -83,4 +83,11 @@ fn main() {
         2,
         "must find both links of the chain: C-E <- A-F <- B-D"
     );
+    let st = &diag.stages[1];
+    assert_eq!(
+        (st.victim, st.switch, st.culprit.flow),
+        (af, tb.node("S1"), bd),
+        "stage 2: A-F delayed at S1 by B-D"
+    );
+    assert_eq!((st.culprit.src, st.culprit.dst), (b, d));
 }
