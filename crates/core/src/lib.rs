@@ -25,6 +25,7 @@
 //! | [`cost`] | §5, §6.2 | calibrated RPC latency model (Fig. 7/8/12 shapes) and its batched-RPC terms |
 //! | [`pipeline`] | §6.1 | the OVS-style forwarding pipeline of the Fig. 9 benchmark |
 //! | [`testbed`] | — | one-call deployment over a simulated topology |
+//! | [`scenarios`] | §2, §5 | the scenario catalogue: each traffic scenario's one builder and its planted answer |
 //!
 //! Substrates live in sibling crates: `netsim` (the simulated datacenter),
 //! `telemetry` (header embedding/decoding), `mphf` (minimal perfect
@@ -99,6 +100,7 @@ pub mod pipeline;
 pub mod pointer;
 pub mod query;
 pub mod retention;
+pub mod scenarios;
 pub mod shard;
 pub mod switch;
 pub mod testbed;

@@ -421,6 +421,12 @@ impl Simulator {
         &self.tcp[&id]
     }
 
+    /// Every registered flow in registration (= id) order, with its TCP
+    /// connection if it is a TCP flow.
+    pub fn flows(&self) -> impl Iterator<Item = (FlowId, Option<&TcpConn>)> + '_ {
+        (0..self.next_flow).map(|i| (FlowId(i), self.tcp.get(&FlowId(i))))
+    }
+
     /// Read access to a UDP source's counters.
     pub fn udp(&self, id: FlowId) -> &UdpSource {
         &self.udp[&id]

@@ -1,5 +1,6 @@
 //! Workspace umbrella crate: re-exports the public crates so the top-level
-//! `examples/` and `tests/` can use a single dependency surface.
+//! `examples/` and `tests/` can use a single dependency surface, plus the
+//! one state digest the root tests pin runs with ([`digest`]).
 
 #![forbid(unsafe_code)]
 
@@ -13,3 +14,5 @@ pub use streamplane;
 pub use switchpointer;
 pub use telemetry;
 pub use wireplane;
+
+pub mod digest;
