@@ -16,6 +16,7 @@
 use netsim::prelude::*;
 use netsim::rng::DetRng;
 use queryplane::{QueryPlane, QueryPlaneConfig, Snapshot};
+use suite::digest::fnv1a;
 use switchpointer::host::TriggerEvent;
 use switchpointer::query::{
     ExecutionTrace, QueryExecutor, QueryRequest, QueryResponse, QUERY_CLASS_NAMES,
@@ -140,14 +141,6 @@ fn seeded_mix(tb: &Testbed, flows: [FlowId; 4], seed: u64) -> Vec<QueryRequest> 
             }
         })
         .collect()
-}
-
-/// FNV-1a, 64 bits: a digest that is the same on every platform and
-/// toolchain, unlike `std`'s hashers.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 fn digest(resp: &QueryResponse, trace: &ExecutionTrace) -> u64 {

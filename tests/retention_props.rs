@@ -26,6 +26,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use suite::netsim::prelude::*;
 
+use suite::digest::fnv1a;
 use suite::queryplane::{HostPatchKind, QueryPlaneConfig, Snapshot};
 use suite::streamplane::{StandingEval, StandingQuery, StreamConfig, StreamPlane};
 use suite::switchpointer::query::QueryRequest;
@@ -357,14 +358,6 @@ fn a_sweep_ships_exactly_the_shards_that_lost_records() {
     }
     assert!(shipped_any);
     assert!(snap == Snapshot::capture(&analyzer, 8));
-}
-
-/// FNV-1a, 64 bits: a digest that is the same on every platform and
-/// toolchain, unlike `std`'s hashers.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// Windows of the churn-storm runs, and their length.

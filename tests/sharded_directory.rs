@@ -18,6 +18,7 @@ use netsim::prelude::*;
 use queryplane::model::ModelReplay;
 use queryplane::{QueryPlane, QueryPlaneConfig};
 use streamplane::{StandingEval, StandingQuery, StreamConfig, StreamPlane};
+use suite::digest::fnv1a;
 use switchpointer::query::QueryRequest;
 use switchpointer::shard::ShardedAnalyzer;
 use switchpointer::testbed::{Testbed, TestbedConfig};
@@ -723,14 +724,6 @@ fn measured_rounds_equal_modelled_rounds_per_class() {
     }
     // The mix covers both shapes of a diagnosis round.
     assert!(busy_diagnoses > 0 && idle_wave_rounds > 0);
-}
-
-/// FNV-1a, 64 bits: a digest that is the same on every platform and
-/// toolchain, unlike `std`'s hashers.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// The ablation's storm: a k=4 fat tree, a starved victim beside a

@@ -16,53 +16,8 @@
 
 use netsim::prelude::*;
 use netsim::workload;
+use suite::digest::{fnv1a, render};
 use switchpointer::testbed::{Testbed, TestbedConfig};
-
-/// FNV-1a, 64 bits: a digest that is the same on every platform and
-/// toolchain, unlike `std`'s hashers.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
-/// What one run leaves behind, as text in a fixed order, with the TCP
-/// timeout total alongside.
-fn render(tb: &Testbed, flows: &[FlowId], tcp: &[FlowId]) -> (String, u64) {
-    let topo = tb.sim.topo();
-    let mut out = String::new();
-    for h in topo.hosts() {
-        let host = tb.hosts[h].borrow();
-        out += &format!(
-            "host {h:?} {:?} {:?} {}\n",
-            host.store,
-            host.triggers(),
-            host.decode_failures
-        );
-    }
-    for s in topo.switches() {
-        let sw = tb.switches[s].borrow();
-        out += &format!(
-            "switch {s:?} {:?} {} {}\n",
-            sw.pointers, sw.forwarded, sw.tagged
-        );
-    }
-    for &f in flows {
-        out += &format!(
-            "flow {f:?} {} {}\n",
-            tb.sim.traces.rx_events(f).len(),
-            tb.sim.traces.rx_bytes(f)
-        );
-    }
-    out += &format!("drops {:?}\n", tb.sim.traces.drops);
-    let mut timeouts = 0;
-    for &f in tcp {
-        let conn = tb.sim.tcp(f);
-        out += &format!("tcp {f:?} {} {}\n", conn.retransmits, conn.timeouts);
-        timeouts += conn.timeouts;
-    }
-    (out, timeouts)
-}
 
 /// A k = 4 fat tree: a starved victim, a high-priority burst onto its
 /// destination, and a Poisson background of 1 000 flows/s over four
@@ -73,13 +28,13 @@ fn fat_tree_run() -> (String, usize, u64) {
     let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
     let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
     let da = tb.node("h2_0_0");
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
+    tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
         a,
         da,
         Priority::LOW,
         SimTime::from_ms(20),
     ));
-    let burst = tb.sim.add_udp_flow(UdpFlowSpec::burst(
+    tb.sim.add_udp_flow(UdpFlowSpec::burst(
         b,
         da,
         Priority::HIGH,
@@ -90,11 +45,7 @@ fn fat_tree_run() -> (String, usize, u64) {
     let spec = WorkloadSpec::background(1_000.0, SimTime::from_secs(4));
     let background = workload::install(&mut tb.sim, &spec, 0x5eed_0042);
     tb.sim.run_until(SimTime::from_ms(40));
-    let mut tcp = vec![victim];
-    tcp.extend(&background);
-    let mut flows = vec![victim, burst];
-    flows.extend(&background);
-    let (text, timeouts) = render(&tb, &flows, &tcp);
+    let (text, timeouts) = render(&tb);
     (text, background.len(), timeouts)
 }
 
@@ -110,19 +61,18 @@ fn lossy_dumbbell_run() -> (String, u64) {
     };
     let mut tb = Testbed::new(topo, cfg);
     let r0 = tb.node("R0");
-    let mut tcp = Vec::new();
     for i in 0..4 {
         let src = tb.node(&format!("L{i}"));
-        tcp.push(tb.sim.add_tcp_flow(TcpFlowSpec::transfer(
+        tb.sim.add_tcp_flow(TcpFlowSpec::transfer(
             src,
             r0,
             Priority::LOW,
             SimTime::from_us(100 * i),
             600_000,
-        )));
+        ));
     }
     let (l4, r1) = (tb.node("L4"), tb.node("R1"));
-    let blast = tb.sim.add_udp_flow(UdpFlowSpec::burst(
+    tb.sim.add_udp_flow(UdpFlowSpec::burst(
         l4,
         r1,
         Priority::HIGH,
@@ -131,9 +81,7 @@ fn lossy_dumbbell_run() -> (String, u64) {
         GBPS,
     ));
     tb.sim.run_until(SimTime::from_ms(120));
-    let mut flows = tcp.clone();
-    flows.push(blast);
-    render(&tb, &flows, &tcp)
+    render(&tb)
 }
 
 #[test]

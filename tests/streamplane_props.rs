@@ -12,6 +12,7 @@
 //!     sequential analyzer re-run on the live state.
 
 use proptest::prelude::*;
+use suite::digest::fnv1a;
 use suite::netsim::prelude::*;
 use suite::queryplane::{QueryPlaneConfig, Snapshot};
 use suite::streamplane::{IncidentKind, StandingEval, StandingQuery, StreamConfig, StreamPlane};
@@ -942,14 +943,6 @@ fn retention_pins_follow_the_class_rule() {
             );
         }
     }
-}
-
-/// FNV-1a, 64 bits: a digest that is the same on every platform and
-/// toolchain, unlike `std`'s hashers.
-fn fnv1a(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
 }
 
 /// The continuous-watch deployment `examples/continuous_watch.rs`
