@@ -1,5 +1,5 @@
 //! The executor's answers, pinned by digest: a seeded mix of all six §5
-//! query classes on the storm fixture (`tests/sharded_directory.rs`),
+//! query classes on the storm (`switchpointer::scenarios::storm`),
 //! each request's `format!("{response:?}{trace:?}")` hashed and compared
 //! against a constant.
 //!
@@ -21,56 +21,10 @@ use switchpointer::host::TriggerEvent;
 use switchpointer::query::{
     ExecutionTrace, QueryExecutor, QueryRequest, QueryResponse, QUERY_CLASS_NAMES,
 };
+use switchpointer::scenarios::{self, Planted, Scenario};
 use switchpointer::shard::{BackendRouter, LocalBackend, ShardedAnalyzer, ShardedDirectory};
-use switchpointer::testbed::{Testbed, TestbedConfig};
+use switchpointer::testbed::Testbed;
 use telemetry::EpochRange;
-
-/// The storm fixture: a fat tree under mixed traffic. A high-priority
-/// burst onto the victim's destination starves it, so its trigger fires;
-/// a mid-priority cross flow onto the neighbouring host shares its path,
-/// so the diagnoses find culprits on hosts other than the victim's.
-/// Returns the testbed and its four flows (victim first).
-fn storm_testbed() -> (Testbed, [FlowId; 4]) {
-    let topo = Topology::fat_tree(4, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let da = tb.node("h2_0_0");
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        da,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    let burst = tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        da,
-        Priority::HIGH,
-        SimTime::from_ms(15),
-        SimTime::from_ms(2),
-        GBPS,
-    ));
-    let cross = tb.sim.add_udp_flow(UdpFlowSpec {
-        src: b,
-        dst: tb.node("h2_0_1"),
-        priority: Priority::MID,
-        start: SimTime::from_ms(10),
-        duration: SimTime::from_ms(10),
-        rate_bps: 300_000_000,
-        payload_bytes: 1458,
-    });
-    let (c, dc) = (tb.node("h1_0_0"), tb.node("h3_1_1"));
-    let background = tb.sim.add_udp_flow(UdpFlowSpec {
-        src: c,
-        dst: dc,
-        priority: Priority::LOW,
-        start: SimTime::ZERO,
-        duration: SimTime::from_ms(30),
-        rate_bps: 100_000_000,
-        payload_bytes: 1458,
-    });
-    tb.sim.run_until(SimTime::from_ms(40));
-    (tb, [victim, burst, cross, background])
-}
 
 const SWITCHES: [&str; 8] = [
     "edge0_0", "edge0_1", "agg0_0", "agg0_1", "core0_0", "core1_1", "agg2_0", "edge2_0",
@@ -79,16 +33,10 @@ const SWITCHES: [&str; 8] = [
 /// `N_REQUESTS` requests, the first six one of each class in
 /// [`switchpointer::query::QUERY_CLASS_NAMES`] order, the rest drawn from
 /// `seed`: windows, switches, `k`, trigger windows and cascade depths.
-fn seeded_mix(tb: &Testbed, flows: [FlowId; 4], seed: u64) -> Vec<QueryRequest> {
-    let [victim, burst, cross, background] = flows;
-    let victim_dst = tb.node("h2_0_0");
-    assert!(
-        tb.hosts[&victim_dst]
-            .borrow()
-            .first_trigger_for(victim)
-            .is_some(),
-        "fixture regressed: the victim raised no trigger"
-    );
+fn seeded_mix(tb: &Testbed, planted: &Planted, seed: u64) -> Vec<QueryRequest> {
+    let (victim, victim_dst) = planted.victim();
+    let (burst, cross) = (planted.culprits[0], planted.culprits[1]);
+    let background = planted.background[0];
     let sweeps = [
         (victim, "h0_0_0", "h2_0_0"),
         (burst, "h0_0_1", "h2_0_0"),
@@ -211,9 +159,9 @@ fn assert_golden(what: &str, reqs: &[QueryRequest], got: &[u64]) {
 
 #[test]
 fn executor_answers_match_the_pinned_digests() {
-    let (tb, flows) = storm_testbed();
+    let Scenario { tb, planted } = scenarios::storm("h2_0_0", true).run();
     let analyzer = tb.analyzer();
-    let reqs = seeded_mix(&tb, flows, SEED);
+    let reqs = seeded_mix(&tb, &planted, SEED);
     for class in 0..6 {
         assert!(
             reqs.iter().any(|r| r.class_index() == class),
@@ -295,9 +243,9 @@ fn plane_accounting(plane: &QueryPlane) -> String {
 /// pinned digest, and the plane's accounting digests to a pinned value.
 #[test]
 fn query_plane_batches_match_the_pinned_digests() {
-    let (tb, flows) = storm_testbed();
+    let Scenario { tb, planted } = scenarios::storm("h2_0_0", true).run();
     let analyzer = tb.analyzer();
-    let mix = seeded_mix(&tb, flows, SEED);
+    let mix = seeded_mix(&tb, &planted, SEED);
     let reqs: Vec<QueryRequest> = mix.iter().chain(&mix).copied().collect();
     for (directory_shards, want) in PLANE_GOLDEN {
         let mut plane = QueryPlane::from_analyzer(
@@ -337,7 +285,8 @@ fn query_plane_batches_match_the_pinned_digests() {
 /// digested as above.
 #[test]
 fn analyzer_wrappers_match_the_pinned_digests() {
-    let (tb, [victim, ..]) = storm_testbed();
+    let Scenario { tb, planted } = scenarios::storm("h2_0_0", true).run();
+    let (victim, _) = planted.victim();
     let analyzer = tb.analyzer();
     let dst = tb.node("h2_0_0");
     let w = tb.cfg.trigger.window;

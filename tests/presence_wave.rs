@@ -22,8 +22,8 @@ use proptest::prelude::*;
 use queryplane::Snapshot;
 use switchpointer::pointer::{PointerConfig, PointerHierarchy};
 use switchpointer::query::{presence_by_epoch, StateView};
+use switchpointer::scenarios::{self, Scenario};
 use switchpointer::shard::{BackendRouter, LocalBackend, ShardedDirectory};
-use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
 
 const N_HOSTS: usize = 16;
@@ -114,44 +114,11 @@ proptest! {
     }
 }
 
-/// A fat tree under mixed traffic, long enough that level-1 slots have
-/// recycled several times (default α = 10 epochs of 1 ms).
-fn storm_testbed() -> Testbed {
-    let topo = Topology::fat_tree(4, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
-    tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        da,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        db,
-        Priority::HIGH,
-        SimTime::from_ms(15),
-        SimTime::from_ms(2),
-        GBPS,
-    ));
-    let (c, dc) = (tb.node("h1_0_0"), tb.node("h3_1_1"));
-    tb.sim.add_udp_flow(UdpFlowSpec {
-        src: c,
-        dst: dc,
-        priority: Priority::LOW,
-        start: SimTime::ZERO,
-        duration: SimTime::from_ms(30),
-        rate_bps: 100_000_000,
-        payload_bytes: 1458,
-    });
-    tb.sim.run_until(SimTime::from_ms(40));
-    tb
-}
-
 #[test]
 fn presence_wave_equals_per_epoch_loop_on_every_overriding_view() {
-    let tb = storm_testbed();
+    // A fat tree under mixed traffic, long enough that level-1 slots have
+    // recycled several times (default α = 10 epochs of 1 ms).
+    let Scenario { tb, .. } = scenarios::storm("h2_0_1", false).run();
     let analyzer = tb.analyzer();
     let snapshot = Snapshot::capture(&analyzer, 8);
     let live = analyzer.live_view();

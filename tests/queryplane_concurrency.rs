@@ -13,48 +13,10 @@ use proptest::{rng_for, TestRng};
 use queryplane::model::{ModelReplay, ModelReport, ModelledCost};
 use queryplane::{QueryPlane, QueryPlaneConfig};
 use switchpointer::query::{QueryRequest, QUERY_CLASS_NAMES};
+use switchpointer::scenarios::{self, Scenario};
 use switchpointer::shard::ShardFanout;
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
-
-/// The fat-tree contention fixture: a low-priority TCP victim and a
-/// high-priority UDP burst aimed at the victim's own destination host —
-/// the two share the last-hop edge link whatever ECMP does upstream, so
-/// the victim's starvation trigger fires deterministically — plus steady
-/// cross-pod UDP background so pointers light up across layers.
-fn fat_tree_testbed() -> (Testbed, FlowId) {
-    let topo = Topology::fat_tree(4, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let da = tb.node("h2_0_0");
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        da,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        da,
-        Priority::HIGH,
-        SimTime::from_ms(15),
-        SimTime::from_ms(2),
-        GBPS,
-    ));
-    // Background pair in another pod.
-    let (c, dc) = (tb.node("h1_0_0"), tb.node("h3_1_1"));
-    tb.sim.add_udp_flow(UdpFlowSpec {
-        src: c,
-        dst: dc,
-        priority: Priority::LOW,
-        start: SimTime::ZERO,
-        duration: SimTime::from_ms(30),
-        rate_bps: 100_000_000,
-        payload_bytes: 1458,
-    });
-    tb.sim.run_until(SimTime::from_ms(40));
-    (tb, victim)
-}
 
 /// A mixed query set over the fixture, covering all six §5 classes: the
 /// three range aggregates plus the trigger-anchored diagnoses of the
@@ -114,7 +76,8 @@ fn query_set(tb: &Testbed, victim: FlowId) -> Vec<QueryRequest> {
 
 #[test]
 fn verdicts_identical_across_worker_counts() {
-    let (tb, victim) = fat_tree_testbed();
+    let Scenario { tb, planted } = scenarios::storm("h2_0_0", false).run();
+    let (victim, _) = planted.victim();
     let analyzer = tb.analyzer();
     let reqs = query_set(&tb, victim);
 
@@ -186,7 +149,8 @@ fn storm_set(tb: &Testbed) -> Vec<QueryRequest> {
 /// so that one figure is compared per shard count.
 #[test]
 fn replayed_accounting_is_a_pure_function_of_submission_order() {
-    let (tb, victim) = fat_tree_testbed();
+    let Scenario { tb, planted } = scenarios::storm("h2_0_0", false).run();
+    let (victim, _) = planted.victim();
     let analyzer = tb.analyzer();
     let mut reqs = query_set(&tb, victim);
     reqs.extend(storm_set(&tb));
@@ -316,7 +280,7 @@ fn replay_bills_each_execution_once() {
 
 #[test]
 fn batching_beats_sequential_accounting() {
-    let (tb, _victim) = fat_tree_testbed();
+    let Scenario { tb, .. } = scenarios::storm("h2_0_0", false).run();
     let analyzer = tb.analyzer();
     let reqs = storm_set(&tb);
     let mut plane = QueryPlane::from_analyzer(&analyzer, QueryPlaneConfig::default());
@@ -386,7 +350,8 @@ fn repeat_shapes(rng: &mut TestRng, n: usize) -> Vec<(&'static str, Vec<usize>)>
 /// the same at any worker count.
 #[test]
 fn repeated_requests_in_a_batch_execute_once() {
-    let (tb, victim) = fat_tree_testbed();
+    let Scenario { tb, planted } = scenarios::storm("h2_0_0", false).run();
+    let (victim, _) = planted.victim();
     let analyzer = tb.analyzer();
     let mut seen = HashSet::new();
     let mut pool = query_set(&tb, victim);

@@ -20,110 +20,10 @@ use queryplane::{QueryPlane, QueryPlaneConfig};
 use streamplane::{StandingEval, StandingQuery, StreamConfig, StreamPlane};
 use suite::digest::fnv1a;
 use switchpointer::query::QueryRequest;
+use switchpointer::scenarios::{self, storm_queries, Scenario};
 use switchpointer::shard::ShardedAnalyzer;
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
-
-/// The storm fixture: a fat tree under mixed traffic, the shape of the
-/// queryplane concurrency suite's, with its burst aimed at the victim's
-/// own destination, so the victim starves and its trigger fires and
-/// [`storm_queries`] covers every class. With `cross`, a mid-priority
-/// flow onto the neighbouring host shares the victim's path, so the
-/// diagnoses find culprits on hosts other than the victim's; without it,
-/// every host their pointers name is the victim's destination, and their
-/// host waves are over no hosts.
-fn starved_storm_testbed(cross: bool) -> (Testbed, FlowId) {
-    storm("h2_0_0", cross)
-}
-
-/// The storm's fat tree and flows, its high-priority burst aimed at
-/// `burst_dst`, with or without the cross flow.
-fn storm(burst_dst: &str, cross: bool) -> (Testbed, FlowId) {
-    let topo = Topology::fat_tree(4, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let da = tb.node("h2_0_0");
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        da,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        tb.node(burst_dst),
-        Priority::HIGH,
-        SimTime::from_ms(15),
-        SimTime::from_ms(2),
-        GBPS,
-    ));
-    if cross {
-        tb.sim.add_udp_flow(UdpFlowSpec {
-            src: b,
-            dst: tb.node("h2_0_1"),
-            priority: Priority::MID,
-            start: SimTime::from_ms(10),
-            duration: SimTime::from_ms(10),
-            rate_bps: 300_000_000,
-            payload_bytes: 1458,
-        });
-    }
-    let (c, dc) = (tb.node("h1_0_0"), tb.node("h3_1_1"));
-    tb.sim.add_udp_flow(UdpFlowSpec {
-        src: c,
-        dst: dc,
-        priority: Priority::LOW,
-        start: SimTime::ZERO,
-        duration: SimTime::from_ms(30),
-        rate_bps: 100_000_000,
-        payload_bytes: 1458,
-    });
-    tb.sim.run_until(SimTime::from_ms(40));
-    (tb, victim)
-}
-
-fn storm_queries(tb: &Testbed, victim: FlowId) -> Vec<QueryRequest> {
-    let window = EpochRange { lo: 10, hi: 20 };
-    let mut reqs = Vec::new();
-    for name in ["edge0_0", "agg0_0", "agg0_1", "core0_0", "edge2_0"] {
-        reqs.push(QueryRequest::TopK {
-            switch: tb.node(name),
-            k: 10,
-            range: window,
-        });
-        reqs.push(QueryRequest::LoadImbalance {
-            switch: tb.node(name),
-            range: window,
-        });
-    }
-    reqs.push(QueryRequest::SilentDrop {
-        flow: victim,
-        src: tb.node("h0_0_0"),
-        dst: tb.node("h2_0_0"),
-        range: window,
-    });
-    let da = tb.node("h2_0_0");
-    if tb.hosts[&da].borrow().first_trigger_for(victim).is_some() {
-        let w = tb.cfg.trigger.window;
-        reqs.push(QueryRequest::Contention {
-            victim,
-            victim_dst: da,
-            trigger_window: w,
-        });
-        reqs.push(QueryRequest::RedLights {
-            victim,
-            victim_dst: da,
-            trigger_window: w,
-        });
-        reqs.push(QueryRequest::Cascade {
-            victim,
-            victim_dst: da,
-            trigger_window: w,
-            max_depth: 3,
-        });
-    }
-    reqs
-}
 
 /// Panics unless `reqs` asks a question of every query class.
 fn assert_every_class(reqs: &[QueryRequest]) {
@@ -140,7 +40,7 @@ fn assert_every_class(reqs: &[QueryRequest]) {
 /// [`storm_queries`] plus `n` more drawn from `seed`: aggregates over
 /// seeded switches, windows and `k`, sweeps over seeded windows, and the
 /// diagnoses over seeded trigger windows and cascade depths. For a
-/// starved victim ([`starved_storm_testbed`]).
+/// starved victim (`scenarios::storm("h2_0_0", ..)`).
 fn seeded_storm_queries(tb: &Testbed, victim: FlowId, seed: u64, n: usize) -> Vec<QueryRequest> {
     assert!(
         tb.hosts[&tb.node("h2_0_0")]
@@ -199,7 +99,8 @@ fn seeded_storm_queries(tb: &Testbed, victim: FlowId, seed: u64, n: usize) -> Ve
 
 #[test]
 fn sharded_analyzer_verdicts_identical_on_storm_workload() {
-    let (tb, victim) = starved_storm_testbed(true);
+    let Scenario { tb, planted } = scenarios::storm("h2_0_0", true).run();
+    let (victim, _) = planted.victim();
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
     assert_every_class(&reqs);
@@ -233,7 +134,8 @@ fn sharded_analyzer_verdicts_identical_on_storm_workload() {
 
 #[test]
 fn query_plane_verdicts_identical_across_directory_shards() {
-    let (tb, victim) = starved_storm_testbed(true);
+    let Scenario { tb, planted } = scenarios::storm("h2_0_0", true).run();
+    let (victim, _) = planted.victim();
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
     assert_every_class(&reqs);
@@ -454,7 +356,8 @@ fn backend_router_over_local_backends_matches_flat_view() {
     use queryplane::Snapshot;
     use switchpointer::shard::{BackendRouter, LocalBackend, ShardedDirectory};
 
-    let (tb, victim) = starved_storm_testbed(true);
+    let Scenario { tb, planted } = scenarios::storm("h2_0_0", true).run();
+    let (victim, _) = planted.victim();
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
     assert_every_class(&reqs);
@@ -516,7 +419,8 @@ fn sharded_view_and_backend_router_count_a_wave_host_once() {
     use switchpointer::query::QueryExecutor;
     use switchpointer::shard::{BackendRouter, LocalBackend};
 
-    let (tb, victim) = starved_storm_testbed(true);
+    let Scenario { tb, planted } = scenarios::storm("h2_0_0", true).run();
+    let (victim, _) = planted.victim();
     let analyzer = tb.analyzer();
     let reqs = seeded_storm_queries(&tb, victim, 0x5eed_000d, 24);
     let snapshot = Snapshot::capture(&analyzer, 8);
@@ -667,7 +571,8 @@ fn measured_rounds_equal_modelled_rounds_per_class() {
 
     let (mut busy_diagnoses, mut idle_wave_rounds) = (0usize, 0usize);
     for cross in [true, false] {
-        let (tb, victim) = starved_storm_testbed(cross);
+        let Scenario { tb, planted } = scenarios::storm("h2_0_0", cross).run();
+        let (victim, _) = planted.victim();
         let analyzer = tb.analyzer();
         let reqs = seeded_storm_queries(&tb, victim, 0x5eed_000d, 24);
         let live = analyzer.live_view();

@@ -37,6 +37,7 @@ use switchpointer::analyzer::{
 use switchpointer::cost::{LatencyBreakdown, QueryWaveCost};
 use switchpointer::hoststore::{EpochSet, FlowRecord, RecordShard};
 use switchpointer::query::{QueryRequest, QueryResponse};
+use switchpointer::scenarios::storm_queries;
 use switchpointer::shard::ShardedAnalyzer;
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::frame::{from_bytes, read_frame, to_bytes, Wire, WireError, MAX_FRAME};
@@ -755,49 +756,6 @@ fn corrupt_interior_bytes_never_panic() {
 // ----------------------------------------------------------------------
 // (b) Verdict invariance across the wire
 // ----------------------------------------------------------------------
-
-fn storm_queries(tb: &Testbed, victim: FlowId) -> Vec<QueryRequest> {
-    let window = EpochRange { lo: 10, hi: 20 };
-    let mut reqs = Vec::new();
-    for name in ["edge0_0", "agg0_0", "agg0_1", "core0_0", "edge2_0"] {
-        reqs.push(QueryRequest::TopK {
-            switch: tb.node(name),
-            k: 10,
-            range: window,
-        });
-        reqs.push(QueryRequest::LoadImbalance {
-            switch: tb.node(name),
-            range: window,
-        });
-    }
-    reqs.push(QueryRequest::SilentDrop {
-        flow: victim,
-        src: tb.node("h0_0_0"),
-        dst: tb.node("h2_0_0"),
-        range: window,
-    });
-    let da = tb.node("h2_0_0");
-    if tb.hosts[&da].borrow().first_trigger_for(victim).is_some() {
-        let w = tb.cfg.trigger.window;
-        reqs.push(QueryRequest::Contention {
-            victim,
-            victim_dst: da,
-            trigger_window: w,
-        });
-        reqs.push(QueryRequest::RedLights {
-            victim,
-            victim_dst: da,
-            trigger_window: w,
-        });
-        reqs.push(QueryRequest::Cascade {
-            victim,
-            victim_dst: da,
-            trigger_window: w,
-            max_depth: 3,
-        });
-    }
-    reqs
-}
 
 #[test]
 fn wire_verdicts_bit_identical_to_sharded_analyzer_at_1_2_4_8_shards() {
