@@ -31,46 +31,18 @@ use suite::queryplane::{HostPatchKind, QueryPlaneConfig, Snapshot};
 use suite::streamplane::{StandingEval, StandingQuery, StreamConfig, StreamPlane};
 use suite::switchpointer::query::QueryRequest;
 use suite::switchpointer::retention::{self, RetentionPolicy};
+use suite::switchpointer::scenarios::{self, Scenario};
 use suite::switchpointer::testbed::{Testbed, TestbedConfig};
 use suite::telemetry::EpochRange;
 
-/// The chain fixture of the streamplane props, with a shallow 2×2 pointer
-/// hierarchy so top-level sets archive every 2 epochs and retirement has
-/// something to reclaim inside short runs.
-fn chain_testbed() -> (Testbed, FlowId) {
-    let topo = Topology::chain(3, 2, GBPS);
+/// The chain watch's deployment with a shallow 2×2 pointer hierarchy, so
+/// top-level sets archive every 2 epochs and retirement has something to
+/// reclaim inside short runs.
+fn shallow_cfg() -> TestbedConfig {
     let mut cfg = TestbedConfig::default_ms();
     cfg.pointer_alpha = 2;
     cfg.pointer_k = 2;
-    let mut tb = Testbed::new(topo, cfg);
-    let (a, b) = (tb.node("A"), tb.node("B"));
-    let (d, f) = (tb.node("D"), tb.node("F"));
-    let long_flow = tb.sim.add_udp_flow(UdpFlowSpec {
-        src: a,
-        dst: f,
-        priority: Priority::LOW,
-        start: SimTime::ZERO,
-        duration: SimTime::from_ms(30),
-        rate_bps: 80_000_000,
-        payload_bytes: 1458,
-    });
-    tb.sim.add_udp_flow(UdpFlowSpec {
-        src: b,
-        dst: d,
-        priority: Priority::LOW,
-        start: SimTime::from_ms(4),
-        duration: SimTime::from_ms(10),
-        rate_bps: 60_000_000,
-        payload_bytes: 1000,
-    });
-    tb.sim.add_tcp_flow(TcpFlowSpec::transfer(
-        d,
-        a,
-        Priority::LOW,
-        SimTime::ZERO,
-        400_000,
-    ));
-    (tb, long_flow)
+    cfg
 }
 
 proptest! {
@@ -89,7 +61,7 @@ proptest! {
         dir_idx in 0usize..4,
     ) {
         let dir_shards = [1usize, 2, 4, 8][dir_idx];
-        let (mut tb, _) = chain_testbed();
+        let mut tb = scenarios::chain_watch(shallow_cfg()).tb;
         let analyzer = tb.analyzer();
         let mut snap = Snapshot::capture_with(&analyzer, 8, dir_shards);
         let mut t_ms = 0u64;
@@ -146,8 +118,12 @@ proptest! {
 /// unions, and a full pointer-presence diagnosis.
 #[test]
 fn retained_epochs_answer_identically_to_an_unswept_twin() {
-    let (mut swept_tb, flow) = chain_testbed();
-    let (mut twin_tb, _) = chain_testbed();
+    let Scenario {
+        tb: mut swept_tb,
+        planted,
+    } = scenarios::chain_watch(shallow_cfg());
+    let flow = planted.background[0];
+    let mut twin_tb = scenarios::chain_watch(shallow_cfg()).tb;
     swept_tb.sim.run_until(SimTime::from_ms(20));
     twin_tb.sim.run_until(SimTime::from_ms(20));
     let swept = swept_tb.analyzer();
@@ -242,7 +218,7 @@ fn retained_epochs_answer_identically_to_an_unswept_twin() {
 /// the shard is reported over budget rather than violated.
 #[test]
 fn pins_floor_the_sweep_and_win_over_the_budget() {
-    let (mut tb, _) = chain_testbed();
+    let mut tb = scenarios::chain_watch(shallow_cfg()).tb;
     tb.sim.run_until(SimTime::from_ms(20));
     let analyzer = tb.analyzer();
     let before: usize = analyzer
@@ -282,7 +258,7 @@ fn pins_floor_the_sweep_and_win_over_the_budget() {
 /// 0/0 guard is pinned by the direct unit test in `queryplane::snapshot`.)
 #[test]
 fn savings_is_zero_not_nan_after_an_all_reclaiming_sweep() {
-    let (mut tb, _) = chain_testbed();
+    let mut tb = scenarios::chain_watch(shallow_cfg()).tb;
     tb.sim.run_until(SimTime::from_ms(6));
     let analyzer = tb.analyzer();
     let mut plane = suite::queryplane::QueryPlane::from_analyzer(
@@ -321,7 +297,7 @@ fn savings_is_zero_not_nan_after_an_all_reclaiming_sweep() {
 /// none.
 #[test]
 fn a_sweep_ships_exactly_the_shards_that_lost_records() {
-    let (mut tb, _) = chain_testbed();
+    let mut tb = scenarios::chain_watch(shallow_cfg()).tb;
     let analyzer = tb.analyzer();
     tb.sim.run_until(SimTime::from_ms(20));
     let mut snap = Snapshot::capture(&analyzer, 8);

@@ -190,41 +190,6 @@ fn query_plane_verdicts_identical_across_directory_shards() {
     );
 }
 
-/// The continuous-watch fixture: the chain deployment with standing
-/// queries over advancing windows (the streamplane props fixture).
-fn watch_testbed() -> Testbed {
-    let topo = Topology::chain(3, 2, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let (a, b) = (tb.node("A"), tb.node("B"));
-    let (d, f) = (tb.node("D"), tb.node("F"));
-    tb.sim.add_udp_flow(UdpFlowSpec {
-        src: a,
-        dst: f,
-        priority: Priority::LOW,
-        start: SimTime::ZERO,
-        duration: SimTime::from_ms(30),
-        rate_bps: 80_000_000,
-        payload_bytes: 1458,
-    });
-    tb.sim.add_udp_flow(UdpFlowSpec {
-        src: b,
-        dst: d,
-        priority: Priority::LOW,
-        start: SimTime::from_ms(4),
-        duration: SimTime::from_ms(10),
-        rate_bps: 60_000_000,
-        payload_bytes: 1000,
-    });
-    tb.sim.add_tcp_flow(TcpFlowSpec::transfer(
-        d,
-        a,
-        Priority::LOW,
-        SimTime::ZERO,
-        400_000,
-    ));
-    tb
-}
-
 fn watch_standing(tb: &Testbed) -> Vec<StandingQuery> {
     vec![
         StandingQuery::TopKSliding {
@@ -252,7 +217,7 @@ fn watch_standing(tb: &Testbed) -> Vec<StandingQuery> {
 #[test]
 fn continuous_watch_verdicts_identical_across_directory_shards() {
     let drive = |directory_shards: usize| -> (Vec<String>, Vec<Vec<String>>) {
-        let mut tb = watch_testbed();
+        let mut tb = scenarios::chain_watch(TestbedConfig::default_ms()).tb;
         let analyzer = tb.analyzer();
         let mut sp = StreamPlane::new(
             &analyzer,
@@ -313,7 +278,7 @@ fn continuous_watch_verdicts_identical_across_directory_shards() {
 
 #[test]
 fn subscriptions_partition_across_shards() {
-    let mut tb = watch_testbed();
+    let mut tb = scenarios::chain_watch(TestbedConfig::default_ms()).tb;
     let analyzer = tb.analyzer();
     let mut sp = StreamPlane::new(
         &analyzer,

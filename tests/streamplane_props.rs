@@ -18,44 +18,9 @@ use suite::queryplane::{QueryPlaneConfig, Snapshot};
 use suite::streamplane::{IncidentKind, StandingEval, StandingQuery, StreamConfig, StreamPlane};
 use suite::switchpointer::query::QueryRequest;
 use suite::switchpointer::retention::RetentionPolicy;
+use suite::switchpointer::scenarios;
 use suite::switchpointer::testbed::{Testbed, TestbedConfig};
 use suite::telemetry::EpochRange;
-
-/// The cheap fixture: a 3-switch chain with one long UDP flow, one
-/// staggered UDP flow and a TCP transfer, so pointer slots rotate and
-/// several host stores keep mutating as time advances.
-fn chain_testbed() -> Testbed {
-    let topo = Topology::chain(3, 2, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let (a, b) = (tb.node("A"), tb.node("B"));
-    let (d, f) = (tb.node("D"), tb.node("F"));
-    tb.sim.add_udp_flow(UdpFlowSpec {
-        src: a,
-        dst: f,
-        priority: Priority::LOW,
-        start: SimTime::ZERO,
-        duration: SimTime::from_ms(30),
-        rate_bps: 80_000_000,
-        payload_bytes: 1458,
-    });
-    tb.sim.add_udp_flow(UdpFlowSpec {
-        src: b,
-        dst: d,
-        priority: Priority::LOW,
-        start: SimTime::from_ms(4),
-        duration: SimTime::from_ms(10),
-        rate_bps: 60_000_000,
-        payload_bytes: 1000,
-    });
-    tb.sim.add_tcp_flow(TcpFlowSpec::transfer(
-        d,
-        a,
-        Priority::LOW,
-        SimTime::ZERO,
-        400_000,
-    ));
-    tb
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
@@ -64,7 +29,7 @@ proptest! {
     fn delta_applied_snapshot_equals_fresh_capture(
         steps in prop::collection::vec((1u64..4, any::<bool>()), 1..8),
     ) {
-        let mut tb = chain_testbed();
+        let mut tb = scenarios::chain_watch(TestbedConfig::default_ms()).tb;
         let analyzer = tb.analyzer();
         let mut snap = Snapshot::capture(&analyzer, 8);
         let mut t_ms = 0u64;
@@ -101,7 +66,7 @@ proptest! {
             1..8,
         ),
     ) {
-        let mut tb = chain_testbed();
+        let mut tb = scenarios::chain_watch(TestbedConfig::default_ms()).tb;
         let analyzer = tb.analyzer();
         let mut snap = Snapshot::capture(&analyzer, 8);
         let mut t_ms = 0u64;
@@ -152,7 +117,7 @@ proptest! {
 /// no advance between them share every record shard.
 #[test]
 fn back_to_back_captures_share_every_record_shard() {
-    let mut tb = chain_testbed();
+    let mut tb = scenarios::chain_watch(TestbedConfig::default_ms()).tb;
     let analyzer = tb.analyzer();
     tb.sim.run_until(SimTime::from_ms(9));
     let first = Snapshot::capture(&analyzer, 8);
@@ -272,7 +237,7 @@ fn standing_set(tb: &Testbed) -> Vec<StandingQuery> {
 /// chain fixture and returns (incident renders, per-window standing
 /// verdict renders).
 fn drive(workers: usize, window_ms: u64, windows: u64) -> (Vec<String>, Vec<Vec<String>>) {
-    let mut tb = chain_testbed();
+    let mut tb = scenarios::chain_watch(TestbedConfig::default_ms()).tb;
     let analyzer = tb.analyzer();
     let mut sp = StreamPlane::new(
         &analyzer,
@@ -334,7 +299,7 @@ fn window_boundaries_do_not_change_verdicts() {
     // horizon into two admission windows of two. Verdicts and incident
     // streams must agree query-for-query.
     let run = |split: bool| {
-        let mut tb = chain_testbed();
+        let mut tb = scenarios::chain_watch(TestbedConfig::default_ms()).tb;
         let analyzer = tb.analyzer();
         let mut sp = StreamPlane::new(&analyzer, StreamConfig::default());
         for q in standing_set(&tb) {
@@ -409,7 +374,7 @@ fn window_boundaries_do_not_change_verdicts() {
 
 #[test]
 fn duplicate_requests_in_a_window_execute_once() {
-    let mut tb = chain_testbed();
+    let mut tb = scenarios::chain_watch(TestbedConfig::default_ms()).tb;
     let analyzer = tb.analyzer();
     let mut sp = StreamPlane::new(&analyzer, StreamConfig::default());
     tb.sim.run_until(SimTime::from_ms(8));
@@ -442,7 +407,7 @@ fn duplicate_requests_in_a_window_execute_once() {
 
 #[test]
 fn idle_repeat_windows_match_the_live_analyzer() {
-    let mut tb = chain_testbed();
+    let mut tb = scenarios::chain_watch(TestbedConfig::default_ms()).tb;
     let analyzer = tb.analyzer();
     let mut sp = StreamPlane::new(&analyzer, StreamConfig::default());
     for q in standing_set(&tb) {
@@ -495,7 +460,7 @@ fn idle_repeat_windows_match_the_live_analyzer() {
 #[test]
 fn post_eviction_cached_verdict_rederives_bit_identically() {
     for directory_shards in [1usize, 4] {
-        let mut tb = chain_testbed();
+        let mut tb = scenarios::chain_watch(TestbedConfig::default_ms()).tb;
         let analyzer = tb.analyzer();
         let mut sp = StreamPlane::new(
             &analyzer,
