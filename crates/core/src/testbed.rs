@@ -11,11 +11,9 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use mphf::Mphf;
-use netsim::engine::{SimConfig, Simulator, TcpFlowSpec};
-use netsim::packet::{FlowId, NodeId, Priority};
-use netsim::time::SimTime;
-use netsim::topology::{Topology, GBPS};
-use netsim::udp::UdpFlowSpec;
+use netsim::engine::{SimConfig, Simulator};
+use netsim::packet::NodeId;
+use netsim::topology::Topology;
 use telemetry::{EmbedMode, EpochParams, PathCodec, TelemetryDecoder};
 
 use crate::analyzer::{Analyzer, Deployment, HostDirectory};
@@ -133,52 +131,4 @@ impl Testbed {
             .node_by_name(name)
             .unwrap_or_else(|| panic!("no node named {name}"))
     }
-}
-
-/// The churn-storm fixture shared by the retention drivers, benches and
-/// regression tests: the deterministic continuous-watch contention
-/// incident over a k=4 fat tree — the flow-id order (background, victim,
-/// burst, background) fixes the victim/burst ECMP collision at `edge0_0`,
-/// so the HIGH-priority burst starves the TCP victim at 15 ms and its
-/// destination raises a trigger — plus caller-chosen churn waves
-/// `(src, dst, start_ms, duration_ms)` whose records go stale one wave at
-/// a time (the reclaimable tail retention sweeps chew through). Returns
-/// the testbed, the victim flow and the victim's destination host.
-pub fn churn_storm(waves: &[(&str, &str, u64, u64)]) -> (Testbed, FlowId, NodeId) {
-    let topo = Topology::fat_tree(4, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let udp = |tb: &mut Testbed, s: &str, d: &str, start: u64, ms: u64| {
-        let (s, d) = (tb.node(s), tb.node(d));
-        tb.sim.add_udp_flow(UdpFlowSpec {
-            src: s,
-            dst: d,
-            priority: Priority::LOW,
-            start: SimTime::from_ms(start),
-            duration: SimTime::from_ms(ms),
-            rate_bps: 100_000_000,
-            payload_bytes: 1458,
-        });
-    };
-    udp(&mut tb, "h1_0_0", "h3_1_1", 0, 40);
-    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        da,
-        Priority::LOW,
-        SimTime::from_ms(50),
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        db,
-        Priority::HIGH,
-        SimTime::from_ms(15),
-        SimTime::from_ms(2),
-        GBPS,
-    ));
-    udp(&mut tb, "h3_0_0", "h0_1_0", 0, 40);
-    for &(s, d, start, ms) in waves {
-        udp(&mut tb, s, d, start, ms);
-    }
-    (tb, victim, da)
 }

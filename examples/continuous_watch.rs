@@ -17,49 +17,17 @@ use suite::netsim::prelude::*;
 use suite::queryplane::QueryPlaneConfig;
 use suite::streamplane::{StandingQuery, StreamConfig, StreamPlane};
 use suite::switchpointer::query::QueryRequest;
-use suite::switchpointer::testbed::{Testbed, TestbedConfig};
+use suite::switchpointer::scenarios::{self, Scenario};
 use suite::telemetry::EpochRange;
 
 fn main() {
-    let topo = Topology::fat_tree(4, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-
     // Victim and aggressor leave the same edge switch for pod 2; with
-    // this flow-id ordering their ECMP hashes land on the same edge0_0
-    // uplink, so the HIGH-priority burst deterministically starves the
-    // victim there mid-run. Background UDP crosses pods so pointers light
-    // up fabric-wide.
-    let background = |tb: &mut Testbed, s: &str, d: &str| {
-        let (s, d) = (tb.node(s), tb.node(d));
-        tb.sim.add_udp_flow(UdpFlowSpec {
-            src: s,
-            dst: d,
-            priority: Priority::LOW,
-            start: SimTime::ZERO,
-            duration: SimTime::from_ms(30),
-            rate_bps: 100_000_000,
-            payload_bytes: 1458,
-        });
-    };
-    background(&mut tb, "h1_0_0", "h3_1_1");
-    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        da,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        db,
-        Priority::HIGH,
-        SimTime::from_ms(15),
-        SimTime::from_ms(2),
-        GBPS,
-    ));
-    background(&mut tb, "h1_1_0", "h2_1_1");
-    background(&mut tb, "h3_0_0", "h0_1_0");
+    // the catalogue's flow-id ordering their ECMP hashes land on the same
+    // edge0_0 uplink, so the HIGH-priority burst deterministically starves
+    // the victim there mid-run. Background UDP crosses pods so pointers
+    // light up fabric-wide.
+    let Scenario { mut tb, planted } = scenarios::watch(1);
+    let (victim, da) = planted.victim();
 
     // netsim's epoch-tick hook paces the monitoring loop honestly: count
     // every epoch boundary the simulation crosses.

@@ -6,51 +6,17 @@
 //!
 //! Run with: `cargo run --release --example query_storm`
 
-use netsim::prelude::*;
 use queryplane::model::ModelReplay;
 use queryplane::{QueryPlane, QueryPlaneConfig};
 use switchpointer::query::QueryRequest;
-use switchpointer::testbed::{Testbed, TestbedConfig};
+use switchpointer::scenarios::{self, Scenario};
 use telemetry::EpochRange;
 
 fn main() {
-    // A k=4 fat tree under mixed traffic: one starved TCP victim, one
-    // high-priority burst, and cross-pod UDP background.
-    let topo = Topology::fat_tree(4, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        da,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        db,
-        Priority::HIGH,
-        SimTime::from_ms(15),
-        SimTime::from_ms(2),
-        GBPS,
-    ));
-    for (s, d) in [
-        ("h1_0_0", "h3_1_1"),
-        ("h1_1_0", "h2_1_1"),
-        ("h3_0_0", "h0_1_0"),
-    ] {
-        let (s, d) = (tb.node(s), tb.node(d));
-        tb.sim.add_udp_flow(UdpFlowSpec {
-            src: s,
-            dst: d,
-            priority: Priority::LOW,
-            start: SimTime::ZERO,
-            duration: SimTime::from_ms(30),
-            rate_bps: 100_000_000,
-            payload_bytes: 1458,
-        });
-    }
-    tb.sim.run_until(SimTime::from_ms(40));
+    // A k=4 fat tree under mixed traffic: one TCP flow, one high-priority
+    // burst onto its neighbour host, and cross-pod UDP background.
+    let Scenario { tb, planted } = scenarios::query_storm().run();
+    let (victim, da) = (planted.background[0], tb.node("h2_0_0"));
 
     // The storm: every tenant asks overlapping questions about the same
     // incident window — top-k and load-imbalance sweeps over the pod-0 and

@@ -15,44 +15,14 @@
 use suite::netsim::prelude::*;
 use suite::streamplane::StandingQuery;
 use suite::switchpointer::query::QueryRequest;
-use suite::switchpointer::testbed::{Testbed, TestbedConfig};
+use suite::switchpointer::scenarios::{self, Scenario};
 use suite::telemetry::EpochRange;
 use suite::wireplane::{WireCluster, WireConfig, WireEvent};
 
 fn main() {
     // The continuous-watch deployment: ECMP-colliding victim + burst.
-    let topo = Topology::fat_tree(4, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let background = |tb: &mut Testbed, s: &str, d: &str| {
-        let (s, d) = (tb.node(s), tb.node(d));
-        tb.sim.add_udp_flow(UdpFlowSpec {
-            src: s,
-            dst: d,
-            priority: Priority::LOW,
-            start: SimTime::ZERO,
-            duration: SimTime::from_ms(30),
-            rate_bps: 100_000_000,
-            payload_bytes: 1458,
-        });
-    };
-    background(&mut tb, "h1_0_0", "h3_1_1");
-    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        da,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        db,
-        Priority::HIGH,
-        SimTime::from_ms(15),
-        SimTime::from_ms(2),
-        GBPS,
-    ));
-    background(&mut tb, "h1_1_0", "h2_1_1");
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, da) = planted.victim();
 
     tb.sim.run_until(SimTime::from_ms(10));
     let analyzer = tb.analyzer();

@@ -32,7 +32,7 @@ use suite::streamplane::{StandingEval, StandingQuery, StreamConfig, StreamPlane}
 use suite::switchpointer::query::QueryRequest;
 use suite::switchpointer::retention::{self, RetentionPolicy};
 use suite::switchpointer::scenarios::{self, Scenario};
-use suite::switchpointer::testbed::{Testbed, TestbedConfig};
+use suite::switchpointer::testbed::TestbedConfig;
 use suite::telemetry::EpochRange;
 
 /// The chain watch's deployment with a shallow 2×2 pointer hierarchy, so
@@ -340,11 +340,11 @@ fn a_sweep_ships_exactly_the_shards_that_lost_records() {
 const CHURN_WINDOWS: u64 = 9;
 const CHURN_WINDOW_MS: u64 = 5;
 
-/// The shared churn storm (`testbed::churn_storm`) with a 6 ms wave to a
+/// The churn storm (`scenarios::churn_storm`) with a 6 ms wave to a
 /// fresh destination every 5 ms: each wave's record goes stale shortly
 /// after it ends.
-fn churn_testbed() -> (Testbed, FlowId, NodeId) {
-    suite::switchpointer::testbed::churn_storm(&[
+fn churn_testbed() -> Scenario {
+    scenarios::churn_storm(&[
         ("h1_0_1", "h3_0_0", 0, 6),
         ("h1_1_0", "h3_0_1", 5, 6),
         ("h1_1_1", "h3_1_0", 10, 6),
@@ -390,8 +390,9 @@ fn assert_budget_bounds(sweep: &retention::SweepReport, budget: usize, ctx: &str
 /// and a presence probe over the previous window's trailing epochs in
 /// every window. Returns resident and reclaimed records per window.
 fn churn_horizon_run(dir_shards: usize, budget: usize) -> (Vec<u64>, Vec<u64>) {
-    let (mut tb, victim, da) = churn_testbed();
-    let (mut twin_tb, _, _) = churn_testbed();
+    let Scenario { mut tb, planted } = churn_testbed();
+    let (victim, da) = planted.victim();
+    let mut twin_tb = churn_testbed().tb;
     let analyzer = tb.analyzer();
     let twin = twin_tb.analyzer();
     let mut sp = churn_plane(&analyzer, dir_shards, RetentionPolicy::budgeted(12, budget));
@@ -493,7 +494,7 @@ fn churn_horizon_run(dir_shards: usize, budget: usize) -> (Vec<u64>, Vec<u64>) {
 /// subscription still reaches. Returns resident records per window and
 /// the number of reclaiming sweeps.
 fn churn_budget_run(dir_shards: usize, budget: usize) -> (Vec<u64>, usize) {
-    let (mut tb, _, _) = churn_testbed();
+    let mut tb = churn_testbed().tb;
     let analyzer = tb.analyzer();
     let mut sp = churn_plane(
         &analyzer,

@@ -596,60 +596,8 @@ fn measured_rounds_equal_modelled_rounds_per_class() {
     assert!(busy_diagnoses > 0 && idle_wave_rounds > 0);
 }
 
-/// The ablation's storm: a k=4 fat tree, a starved victim beside a
-/// high-priority burst, and 12 flows to 12 distinct destinations across
-/// all pods, so pointer unions decode many hosts and the decode work has
-/// something to spread across directory shards.
-fn ablation_testbed() -> (Testbed, FlowId, NodeId) {
-    let topo = Topology::fat_tree(4, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        da,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        db,
-        Priority::HIGH,
-        SimTime::from_ms(15),
-        SimTime::from_ms(2),
-        GBPS,
-    ));
-    for (s, d) in [
-        ("h0_0_0", "h2_0_0"),
-        ("h0_0_1", "h2_0_1"),
-        ("h0_1_0", "h2_1_0"),
-        ("h0_1_1", "h2_1_1"),
-        ("h1_0_0", "h3_0_0"),
-        ("h1_0_1", "h3_0_1"),
-        ("h1_1_0", "h3_1_0"),
-        ("h1_1_1", "h3_1_1"),
-        ("h2_0_0", "h0_0_0"),
-        ("h2_1_0", "h0_1_0"),
-        ("h3_0_0", "h1_0_0"),
-        ("h3_1_0", "h1_1_0"),
-    ] {
-        let (s, d) = (tb.node(s), tb.node(d));
-        tb.sim.add_udp_flow(UdpFlowSpec {
-            src: s,
-            dst: d,
-            priority: Priority::LOW,
-            start: SimTime::ZERO,
-            duration: SimTime::from_ms(30),
-            rate_bps: 100_000_000,
-            payload_bytes: 1458,
-        });
-    }
-    tb.sim.run_until(SimTime::from_ms(40));
-    (tb, victim, da)
-}
-
 /// (c), pinned: the directory-sharding ablation over 1/2/4/8 shards on
-/// [`ablation_testbed`] — a `TopK` and a `LoadImbalance` at each of the
+/// `scenarios::directory_ablation` — a `TopK` and a `LoadImbalance` at each of the
 /// 20 switches plus one presence probe, whose exact-epoch probes target a
 /// single owning shard (the case sharding cannot parallelise). Per shard
 /// count: the modelled decode time, the largest and total per-shard
@@ -662,7 +610,9 @@ fn ablation_testbed() -> (Testbed, FlowId, NodeId) {
 fn sharding_ablation_series_are_pinned() {
     use switchpointer::shard::ShardFanout;
 
-    let (tb, victim, victim_dst) = ablation_testbed();
+    // The TCP flow the burst misses, swept for a presence probe.
+    let Scenario { tb, planted } = scenarios::directory_ablation().run();
+    let (victim, victim_dst) = (planted.background[0], tb.node("h2_0_0"));
     let analyzer = tb.analyzer();
     let window = EpochRange { lo: 10, hi: 20 };
     let mut reqs = Vec::new();

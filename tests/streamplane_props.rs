@@ -18,7 +18,7 @@ use suite::queryplane::{QueryPlaneConfig, Snapshot};
 use suite::streamplane::{IncidentKind, StandingEval, StandingQuery, StreamConfig, StreamPlane};
 use suite::switchpointer::query::QueryRequest;
 use suite::switchpointer::retention::RetentionPolicy;
-use suite::switchpointer::scenarios;
+use suite::switchpointer::scenarios::{self, Scenario};
 use suite::switchpointer::testbed::{Testbed, TestbedConfig};
 use suite::telemetry::EpochRange;
 
@@ -540,13 +540,12 @@ fn post_eviction_cached_verdict_rederives_bit_identically() {
 #[test]
 fn standing_watch_straddling_gc_sweeps_rederives_bit_identically() {
     for directory_shards in [1usize, 4] {
-        // The shared churn-storm fixture (`testbed::churn_storm`): the
+        // The churn storm (`scenarios::churn_storm`): the
         // deterministic victim/burst incident plus two early-ending churn
         // flows whose records are what the sweeps reclaim.
-        let (mut tb, victim, da) = suite::switchpointer::testbed::churn_storm(&[
-            ("h1_1_0", "h2_1_1", 0, 9),
-            ("h1_0_1", "h3_0_1", 0, 6),
-        ]);
+        let Scenario { mut tb, planted } =
+            scenarios::churn_storm(&[("h1_1_0", "h2_1_1", 0, 9), ("h1_0_1", "h3_0_1", 0, 6)]);
+        let (victim, da) = planted.victim();
         let analyzer = tb.analyzer();
         let mut sp = StreamPlane::new(
             &analyzer,
@@ -639,7 +638,8 @@ fn standing_watch_straddling_gc_sweeps_rederives_bit_identically() {
 /// pin snaps to the concrete epoch window.
 #[test]
 fn pending_watch_pins_its_near_future_window() {
-    let (mut tb, victim, da) = suite::switchpointer::testbed::churn_storm(&[]);
+    let Scenario { mut tb, planted } = scenarios::churn_storm(&[]);
+    let (victim, da) = planted.victim();
     let w = tb.cfg.trigger.window;
     let q = StandingQuery::ContentionWatch {
         victim,
@@ -681,7 +681,8 @@ fn pending_watch_pins_its_near_future_window() {
 #[test]
 fn fixed_diagnosis_subscribed_before_its_trigger_pends_then_diagnoses() {
     for directory_shards in [1usize, 4] {
-        let (mut tb, victim, da) = suite::switchpointer::testbed::churn_storm(&[]);
+        let Scenario { mut tb, planted } = scenarios::churn_storm(&[]);
+        let (victim, da) = planted.victim();
         let analyzer = tb.analyzer();
         let trigger_window = tb.cfg.trigger.window;
         let mut sp = StreamPlane::new(
@@ -763,7 +764,8 @@ fn fixed_diagnosis_subscribed_before_its_trigger_pends_then_diagnoses() {
 /// fired, its trigger's epoch window.
 #[test]
 fn pending_fixed_diagnosis_pins_like_a_pending_watch() {
-    let (mut tb, victim, da) = suite::switchpointer::testbed::churn_storm(&[]);
+    let Scenario { mut tb, planted } = scenarios::churn_storm(&[]);
+    let (victim, da) = planted.victim();
     let trigger_window = tb.cfg.trigger.window;
     let watch = StandingQuery::ContentionWatch {
         victim,
@@ -800,7 +802,8 @@ fn pending_fixed_diagnosis_pins_like_a_pending_watch() {
 /// every later one at the same horizon.
 #[test]
 fn retention_pins_follow_the_class_rule() {
-    let (mut tb, victim, da) = suite::switchpointer::testbed::churn_storm(&[]);
+    let Scenario { mut tb, planted } = scenarios::churn_storm(&[]);
+    let (victim, da) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(25));
     let analyzer = tb.analyzer();
     assert!(
@@ -910,46 +913,6 @@ fn retention_pins_follow_the_class_rule() {
     }
 }
 
-/// The continuous-watch deployment `examples/continuous_watch.rs`
-/// narrates: a k=4 fat tree, a TCP victim starved by a HIGH-priority
-/// burst on an ECMP-colliding path, and cross-pod background.
-fn watch_storm_testbed() -> (Testbed, FlowId, NodeId) {
-    let topo = Topology::fat_tree(4, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    let background = |tb: &mut Testbed, s: &str, d: &str| {
-        let (s, d) = (tb.node(s), tb.node(d));
-        tb.sim.add_udp_flow(UdpFlowSpec {
-            src: s,
-            dst: d,
-            priority: Priority::LOW,
-            start: SimTime::ZERO,
-            duration: SimTime::from_ms(30),
-            rate_bps: 100_000_000,
-            payload_bytes: 1458,
-        });
-    };
-    background(&mut tb, "h1_0_0", "h3_1_1");
-    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        da,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        db,
-        Priority::HIGH,
-        SimTime::from_ms(15),
-        SimTime::from_ms(2),
-        GBPS,
-    ));
-    background(&mut tb, "h1_1_0", "h2_1_1");
-    background(&mut tb, "h3_0_0", "h0_1_0");
-    (tb, victim, da)
-}
-
 /// (b) and the watch, over eight 5 ms windows of the fat-tree watch
 /// deployment with seven standing queries: the incremental refresh copies
 /// less than a full recapture would, the contention watch resolves, and
@@ -958,7 +921,8 @@ fn watch_storm_testbed() -> (Testbed, FlowId, NodeId) {
 /// one `name x y` line per point.
 #[test]
 fn watch_storm_trajectory_is_pinned() {
-    let (mut tb, victim, victim_dst) = watch_storm_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(1);
+    let (victim, victim_dst) = planted.victim();
     let analyzer = tb.analyzer();
     let mut sp = StreamPlane::new(
         &analyzer,

@@ -37,7 +37,7 @@ use switchpointer::analyzer::{
 use switchpointer::cost::{LatencyBreakdown, QueryWaveCost};
 use switchpointer::hoststore::{EpochSet, FlowRecord, RecordShard};
 use switchpointer::query::{QueryRequest, QueryResponse};
-use switchpointer::scenarios::storm_queries;
+use switchpointer::scenarios::{self, storm_queries, Scenario};
 use switchpointer::shard::ShardedAnalyzer;
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::frame::{from_bytes, read_frame, to_bytes, Wire, WireError, MAX_FRAME};
@@ -762,7 +762,8 @@ fn wire_verdicts_bit_identical_to_sharded_analyzer_at_1_2_4_8_shards() {
     // The watch fixture's ECMP collision makes the victim's trigger fire
     // deterministically, so the trigger-anchored diagnoses are always in
     // the request set alongside the aggregate sweep.
-    let (mut tb, victim, _) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, _) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
@@ -792,46 +793,6 @@ fn wire_verdicts_bit_identical_to_sharded_analyzer_at_1_2_4_8_shards() {
 // (b continued) Standing-query incident stream parity + (c) failure
 // injection
 // ----------------------------------------------------------------------
-
-/// A 100 Mb/s low-priority UDP flow from `s` to `d` over the first 30 ms.
-fn background(tb: &mut Testbed, s: &str, d: &str) {
-    let (s, d) = (tb.node(s), tb.node(d));
-    tb.sim.add_udp_flow(UdpFlowSpec {
-        src: s,
-        dst: d,
-        priority: Priority::LOW,
-        start: SimTime::ZERO,
-        duration: SimTime::from_ms(30),
-        rate_bps: 100_000_000,
-        payload_bytes: 1458,
-    });
-}
-
-/// The continuous-watch fixture: background cross-pod UDP plus a
-/// HIGH-priority burst that starves a TCP victim mid-run.
-fn watch_testbed() -> (Testbed, FlowId, NodeId) {
-    let topo = Topology::fat_tree(4, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    background(&mut tb, "h1_0_0", "h3_1_1");
-    let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
-    let (da, db) = (tb.node("h2_0_0"), tb.node("h2_0_1"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        da,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        db,
-        Priority::HIGH,
-        SimTime::from_ms(15),
-        SimTime::from_ms(2),
-        GBPS,
-    ));
-    background(&mut tb, "h1_1_0", "h2_1_1");
-    (tb, victim, da)
-}
 
 fn watch_subscriptions(tb: &Testbed, victim: FlowId, victim_dst: NodeId) -> Vec<StandingQuery> {
     vec![
@@ -887,7 +848,8 @@ impl Collected {
 /// client-re-derived incident log equals the in-process one per
 /// subscription.
 fn run_stream_parity(n_shards: usize, inject_failures: bool) {
-    let (mut tb, victim, da) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, da) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(10));
     let analyzer = tb.analyzer();
 
@@ -1020,7 +982,8 @@ fn killed_connections_mid_stream_rederive_the_incident_log_exactly() {
 /// transitions.
 #[test]
 fn incident_stream_bit_identical_across_primary_kill() {
-    let (mut tb, victim, da) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, da) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(10));
     let analyzer = tb.analyzer();
     let n_shards = 2usize;
@@ -1159,7 +1122,8 @@ fn incident_stream_bit_identical_across_primary_kill() {
 /// baseline, then the diagnosis) equals the `StreamPlane`'s bit for bit.
 #[test]
 fn fixed_diagnosis_before_its_trigger_streams_like_the_in_process_plane() {
-    let (mut tb, victim, da) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, da) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(5));
     let analyzer = tb.analyzer();
     let n_shards = 2usize;
@@ -1330,7 +1294,8 @@ fn accept_pool_exhaustion_is_a_typed_refusal() {
 
 #[test]
 fn window_digests_report_subscriptions_and_pending_counts() {
-    let (mut tb, victim, da) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, da) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(10));
     let analyzer = tb.analyzer();
     let cluster = WireCluster::launch(&analyzer, 2, WireConfig::default()).unwrap();
@@ -1366,7 +1331,8 @@ fn window_digests_report_subscriptions_and_pending_counts() {
 
 #[test]
 fn scraped_stats_equal_server_registries_and_merge_to_totals() {
-    let (mut tb, victim, _) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, _) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
@@ -1745,7 +1711,8 @@ fn reused_encode_scratch_is_byte_identical_to_fresh_encoding_across_waves() {
 /// (`wire.frames_per_wave`, `wire.bytes_per_query`).
 #[test]
 fn batched_wave_frames_do_not_scale_with_host_count() {
-    let (mut tb, victim, _) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, _) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
@@ -1837,7 +1804,7 @@ fn batched_wave_frames_do_not_scale_with_host_count() {
 /// out-of-order completion over a single multiplexed socket.
 #[test]
 fn mux_tagged_requests_complete_out_of_order_without_cross_talk() {
-    let (mut tb, _victim, _) = watch_testbed();
+    let mut tb = scenarios::watch(0).tb;
     tb.sim.run_until(SimTime::from_ms(20));
     let analyzer = tb.analyzer();
     let cluster = WireCluster::launch(&analyzer, 1, WireConfig::default()).unwrap();
@@ -1935,7 +1902,8 @@ fn mux_tagged_requests_complete_out_of_order_without_cross_talk() {
 /// in-process sharded analyzer, in submission order.
 #[test]
 fn mux_wave_parity_with_serial_at_1_2_4_8_shards() {
-    let (mut tb, victim, _) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, _) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
@@ -1963,7 +1931,8 @@ fn mux_wave_parity_with_serial_at_1_2_4_8_shards() {
 /// stays seq-continuous (zero duplicated, zero dropped pushes).
 #[test]
 fn mux_mid_wave_connection_kill_fails_over_without_losing_incidents() {
-    let (mut tb, victim, da) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, da) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
@@ -2035,7 +2004,7 @@ fn mux_mid_wave_connection_kill_fails_over_without_losing_incidents() {
 /// pinned through `ReplicaWriter` in `tests/replication_props.rs`.)
 #[test]
 fn mux_enveloped_append_is_refused_and_the_link_keeps_serving() {
-    let (mut tb, _victim, _) = watch_testbed();
+    let mut tb = scenarios::watch(0).tb;
     tb.sim.run_until(SimTime::from_ms(20));
     let analyzer = tb.analyzer();
     let cluster = WireCluster::launch(&analyzer, 1, WireConfig::default()).unwrap();
@@ -2714,7 +2683,8 @@ fn packed_frame_bytes_match_the_documented_layout() {
 /// scrape sees no spans born of the first.
 #[test]
 fn one_query_reassembles_into_a_cross_process_stage_tree() {
-    let (mut tb, victim, _) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, _) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
@@ -2791,7 +2761,8 @@ fn one_query_reassembles_into_a_cross_process_stage_tree() {
 /// (rate 1) or sampling almost nothing (rate 1024).
 #[test]
 fn sampling_rate_never_changes_verdicts_or_incidents() {
-    let (mut tb, victim, da) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, da) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
@@ -2842,7 +2813,7 @@ fn sampling_rate_never_changes_verdicts_or_incidents() {
 /// delay — even though nothing about the query itself was unusual.
 #[test]
 fn rigged_serve_delay_pins_a_slow_query_exemplar() {
-    let (mut tb, _, _) = watch_testbed();
+    let mut tb = scenarios::watch(0).tb;
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let cluster = WireCluster::launch(&analyzer, 1, WireConfig::default()).unwrap();
@@ -3146,7 +3117,7 @@ fn mux_in_flight_death_is_the_first_failure_of_the_exchange_budget() {
     use std::panic::{catch_unwind, AssertUnwindSafe};
     use switchpointer::shard::ShardBackend;
 
-    let (mut tb, _victim, _) = watch_testbed();
+    let mut tb = scenarios::watch(0).tb;
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let cluster = WireCluster::launch(&analyzer, 1, WireConfig::default()).unwrap();
@@ -3252,7 +3223,8 @@ fn mux_overlapped_fanout_parity_and_counters_at_1_2_4_8_shards() {
     use switchpointer::query::QueryExecutor;
     use switchpointer::shard::{BackendRouter, LocalBackend, ShardedDirectory};
 
-    let (mut tb, victim, _) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, _) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let reqs = storm_queries(&tb, victim);
@@ -3384,7 +3356,8 @@ fn wave_equals_serial_in_response_trace_and_router_counters() {
         BackendRouter, LocalBackend, RouterCounters, ShardFanout, ShardedDirectory,
     };
 
-    let (mut tb, victim, _) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, _) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let pool = storm_queries(&tb, victim);
@@ -3474,7 +3447,8 @@ fn wave_equals_serial_in_response_trace_and_router_counters() {
 fn a_wave_runs_each_distinct_request_once() {
     use switchpointer::shard::{RouterCounters, ShardFanout};
 
-    let (mut tb, victim, _) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, _) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(40));
     let analyzer = tb.analyzer();
     let mut seen = std::collections::HashSet::new();
@@ -3826,7 +3800,8 @@ fn close_window_losing_primaries(
 /// poisoned lock.
 #[test]
 fn failed_window_leaves_the_front_end_serving_subscribes_and_teardowns() {
-    let (mut tb, victim, da) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, da) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(20));
     let analyzer = tb.analyzer();
     let n_shards = 2usize;
@@ -3869,7 +3844,8 @@ fn failed_window_leaves_the_front_end_serving_subscribes_and_teardowns() {
 /// duplicated, zero dropped pushes.
 #[test]
 fn primaries_lost_mid_window_leave_the_next_window_seq_continuous() {
-    let (mut tb, victim, da) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, da) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(10));
     let analyzer = tb.analyzer();
     let n_shards = 2usize;
@@ -3921,7 +3897,8 @@ fn primaries_lost_mid_window_leave_the_next_window_seq_continuous() {
 fn window_byte_stream_is_the_frames_in_subscription_order_then_the_digest() {
     use std::io::{Read, Write};
 
-    let (mut tb, victim, da) = watch_testbed();
+    let Scenario { mut tb, planted } = scenarios::watch(0);
+    let (victim, da) = planted.victim();
     tb.sim.run_until(SimTime::from_ms(25));
     let analyzer = tb.analyzer();
     let cluster = WireCluster::launch(&analyzer, 2, WireConfig::default()).unwrap();
@@ -4004,43 +3981,8 @@ fn aggregate_sweep(tb: &Testbed) -> Vec<QueryRequest> {
     .collect()
 }
 
-/// [`watch_testbed`] widened by 21 more cross-pod flows (after the victim
-/// and burst, so their flow ids and the ECMP collision are unchanged), run
-/// for 40 ms: pointer unions decode much of the fabric, so a wave has
-/// many hosts to coalesce.
-fn storm_testbed() -> Testbed {
-    let (mut tb, _, _) = watch_testbed();
-    for (s, d) in [
-        ("h3_0_0", "h0_1_0"),
-        ("h0_0_0", "h2_0_0"),
-        ("h0_0_1", "h2_0_1"),
-        ("h0_1_0", "h2_1_0"),
-        ("h0_1_1", "h2_1_1"),
-        ("h1_0_0", "h3_0_0"),
-        ("h1_0_1", "h3_0_1"),
-        ("h1_1_0", "h3_1_0"),
-        ("h1_1_1", "h3_1_1"),
-        ("h2_0_0", "h0_0_0"),
-        ("h2_0_1", "h0_0_1"),
-        ("h2_1_0", "h0_1_0"),
-        ("h2_1_1", "h0_1_1"),
-        ("h3_0_0", "h1_0_0"),
-        ("h3_0_1", "h1_0_1"),
-        ("h3_1_0", "h1_1_0"),
-        ("h3_1_1", "h1_1_1"),
-        ("h0_1_0", "h3_0_0"),
-        ("h0_1_1", "h3_0_1"),
-        ("h1_0_0", "h2_0_0"),
-        ("h1_0_1", "h2_0_1"),
-    ] {
-        background(&mut tb, s, d);
-    }
-    tb.sim.run_until(SimTime::from_ms(40));
-    tb
-}
-
 /// The cost model's per-host RPC term against what the wire measures, on
-/// [`aggregate_sweep`] of [`storm_testbed`] at 1/2/4/8 shards. The term
+/// [`aggregate_sweep`] of `scenarios::watch(21)` at 1/2/4/8 shards. The term
 /// is one RPC per (wave, host) pair of the in-process traces. A coalesced
 /// wave is one round trip however many hosts it reaches, so the batched
 /// regime's wave rounds stay within the term; the naive regime (one RPC
@@ -4053,7 +3995,7 @@ fn storm_testbed() -> Testbed {
 /// saving is in frames.) Verdicts equal the analyzer's in both regimes.
 #[test]
 fn coalesced_waves_stay_within_the_modelled_per_host_budget_at_1_2_4_8_shards() {
-    let tb = storm_testbed();
+    let tb = scenarios::watch(21).run().tb;
     let analyzer = tb.analyzer();
     let reqs = aggregate_sweep(&tb);
     let baseline: Vec<String> = reqs
