@@ -7,44 +7,16 @@
 //! Run with: `cargo run --release --example red_lights`
 
 use netsim::prelude::*;
-use switchpointer::testbed::{Testbed, TestbedConfig};
+use switchpointer::scenarios::{self, Scenario};
 
 fn main() {
-    let topo = Topology::chain(3, 2, GBPS);
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
+    // Victim: low-priority TCP A -> F across all three switches, and two
+    // sequential 400 us high-priority "red lights": B-D crosses S1-S2,
+    // C-E crosses S2-S3.
+    let Scenario { tb, planted } = scenarios::red_lights().run();
+    let (victim, f) = planted.victim();
     let topo_for_names = tb.sim.topo().clone();
     let names = move |n: NodeId| topo_for_names.node(n).name.clone();
-
-    // Victim: low-priority TCP A -> F across all three switches.
-    let (a, f) = (tb.node("A"), tb.node("F"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        f,
-        Priority::LOW,
-        SimTime::from_ms(30),
-    ));
-
-    // Two sequential 400 us high-priority "red lights": B-D crosses S1-S2,
-    // C-E crosses S2-S3.
-    let (b, d) = (tb.node("B"), tb.node("D"));
-    let (c, e) = (tb.node("C"), tb.node("E"));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        d,
-        Priority::HIGH,
-        SimTime::from_us(10_000),
-        SimTime::from_us(400),
-        GBPS,
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        c,
-        e,
-        Priority::HIGH,
-        SimTime::from_us(10_400),
-        SimTime::from_us(400),
-        GBPS,
-    ));
-    tb.sim.run_until(SimTime::from_ms(30));
 
     // F's trigger engine noticed the throughput drop.
     let trigger = tb.hosts[&f]
@@ -83,9 +55,9 @@ fn main() {
     }
     let implicated: Vec<String> = diag.implicated.iter().map(|&s| names(s)).collect();
     println!("implicated switches: {implicated:?}");
+    let planted_at: Vec<String> = planted.per_switch.iter().map(|&(s, _)| names(s)).collect();
     assert_eq!(
-        implicated,
-        ["S1", "S2"],
+        implicated, planted_at,
         "red lights at two of the victim's three switches, each named"
     );
 }

@@ -2,41 +2,15 @@
 //! (§5.3 cascades) diagnosis applications on the S1—S2—S3 chain.
 
 use netsim::prelude::*;
-use switchpointer::testbed::{Testbed, TestbedConfig};
-
-fn chain_testbed() -> Testbed {
-    Testbed::new(Topology::chain(3, 2, GBPS), TestbedConfig::default_ms())
-}
+use switchpointer::scenarios::{self, Scenario};
+use switchpointer::testbed::Testbed;
 
 #[test]
 fn red_lights_implicates_both_switches() {
-    let mut tb = chain_testbed();
-    let (a, f) = (tb.node("A"), tb.node("F"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        f,
-        Priority::LOW,
-        SimTime::from_ms(30),
-    ));
+    let Scenario { tb, planted } = scenarios::red_lights().run();
+    let (victim, f) = planted.victim();
     let (b, d) = (tb.node("B"), tb.node("D"));
-    let (c, e) = (tb.node("C"), tb.node("E"));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        b,
-        d,
-        Priority::HIGH,
-        SimTime::from_us(10_000),
-        SimTime::from_us(400),
-        GBPS,
-    ));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        c,
-        e,
-        Priority::HIGH,
-        SimTime::from_us(10_400),
-        SimTime::from_us(400),
-        GBPS,
-    ));
-    tb.sim.run_until(SimTime::from_ms(30));
+    let e = tb.node("E");
 
     let diag = tb
         .analyzer()
@@ -80,42 +54,12 @@ fn c_node(tb: &Testbed) -> NodeId {
 
 #[test]
 fn cascade_chain_recovered_in_order() {
-    let mut tb = chain_testbed();
-    let (a, b, c, d, e, f) = (
-        tb.node("A"),
-        tb.node("B"),
-        tb.node("C"),
-        tb.node("D"),
-        tb.node("E"),
-        tb.node("F"),
-    );
     // B-D high prio, rerouted into A-F's 10-20 ms window.
-    let bd = tb.sim.add_udp_flow(UdpFlowSpec {
-        src: b,
-        dst: d,
-        priority: Priority::HIGH,
-        start: SimTime::from_ms(14),
-        duration: SimTime::from_ms(10),
-        rate_bps: 950_000_000,
-        payload_bytes: 1458,
-    });
-    let af = tb.sim.add_udp_flow(UdpFlowSpec {
-        src: a,
-        dst: f,
-        priority: Priority::MID,
-        start: SimTime::from_ms(10),
-        duration: SimTime::from_ms(10),
-        rate_bps: 950_000_000,
-        payload_bytes: 1458,
-    });
-    let ce = tb.sim.add_tcp_flow(TcpFlowSpec::transfer(
-        c,
-        e,
-        Priority::LOW,
-        SimTime::from_us(20_500),
-        2_000_000,
-    ));
-    tb.sim.run_until(SimTime::from_ms(80));
+    let Scenario { tb, planted } = scenarios::traffic_cascade(true).run();
+    let (ce, e) = planted.victim();
+    let [bd, af] = planted.culprits[..] else {
+        panic!("the cascade plants B-D and A-F")
+    };
 
     let diag = tb
         .analyzer()
@@ -143,42 +87,10 @@ fn cascade_chain_recovered_in_order() {
 
 #[test]
 fn no_cascade_when_bursts_do_not_overlap() {
-    let mut tb = chain_testbed();
-    let (a, b, c, d, e, f) = (
-        tb.node("A"),
-        tb.node("B"),
-        tb.node("C"),
-        tb.node("D"),
-        tb.node("E"),
-        tb.node("F"),
-    );
-    // Same flows, but B-D runs 0-10 ms: no contention anywhere.
-    tb.sim.add_udp_flow(UdpFlowSpec {
-        src: b,
-        dst: d,
-        priority: Priority::HIGH,
-        start: SimTime::ZERO,
-        duration: SimTime::from_ms(10),
-        rate_bps: 950_000_000,
-        payload_bytes: 1458,
-    });
-    tb.sim.add_udp_flow(UdpFlowSpec {
-        src: a,
-        dst: f,
-        priority: Priority::MID,
-        start: SimTime::from_ms(10),
-        duration: SimTime::from_ms(10),
-        rate_bps: 950_000_000,
-        payload_bytes: 1458,
-    });
-    let ce = tb.sim.add_tcp_flow(TcpFlowSpec::transfer(
-        c,
-        e,
-        Priority::LOW,
-        SimTime::from_us(20_500),
-        2_000_000,
-    ));
-    tb.sim.run_until(SimTime::from_ms(80));
+    // Same flows, but B-D runs 0-10 ms: no contention anywhere. C-E is
+    // the last flow.
+    let Scenario { tb, planted } = scenarios::traffic_cascade(false).run();
+    let (ce, e) = (planted.background[2], tb.node("E"));
 
     // C-E completes promptly and never triggers *while running* (the
     // naive heuristic does fire once when the flow ends and throughput
