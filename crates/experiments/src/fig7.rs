@@ -13,7 +13,8 @@
 use netsim::prelude::*;
 use netsim::queue::QueueConfig;
 use switchpointer::analyzer::Verdict;
-use switchpointer::testbed::{Testbed, TestbedConfig};
+use switchpointer::scenarios::{self, Scenario};
+use switchpointer::testbed::TestbedConfig;
 
 use crate::common::{FigureData, Series};
 
@@ -29,40 +30,19 @@ pub fn run_episode(
     seed: u64,
     microburst: bool,
 ) -> (switchpointer::ContentionDiagnosis, f64) {
-    let topo = Topology::dumbbell(m + 1, m + 1, GBPS);
     let mut cfg = TestbedConfig::default_ms();
     cfg.sim.seed = seed;
     if microburst {
         cfg.sim.switch_queue = QueueConfig::default_fifo();
     }
-    let mut tb = Testbed::new(topo, cfg);
-
-    let a = tb.node("L0");
-    let bb = tb.node("R0");
-    let tcp = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        bb,
-        Priority::LOW,
-        SimTime::from_ms(60),
-    ));
     let burst_prio = if microburst {
         Priority::LOW
     } else {
         Priority::HIGH
     };
-    for u in 0..m {
-        let src = tb.node(&format!("L{}", u + 1));
-        let dst = tb.node(&format!("R{}", u + 1));
-        tb.sim.add_udp_flow(UdpFlowSpec::burst(
-            src,
-            dst,
-            burst_prio,
-            SimTime::from_ms(BURST_AT_MS),
-            SimTime::from_ms(1),
-            GBPS,
-        ));
-    }
-    tb.sim.run_until(SimTime::from_ms(60));
+    let Scenario { tb, planted } =
+        scenarios::contention(m, burst_prio, SimTime::from_ms(60), cfg).run();
+    let (tcp, bb) = planted.victim();
 
     let detection_ms = tb.hosts[&bb]
         .borrow()

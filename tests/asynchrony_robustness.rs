@@ -7,43 +7,22 @@
 use netsim::prelude::*;
 use proptest::prelude::*;
 use switchpointer::analyzer::Verdict;
-use switchpointer::testbed::{Testbed, TestbedConfig};
+use switchpointer::scenarios::{self, Scenario};
+use switchpointer::testbed::TestbedConfig;
 
 /// One full contention episode with per-switch offsets (ns, |x| ≤ ε/2 so
 /// pairwise skew ≤ ε = 1 ms).
 fn episode(offsets_ns: [i64; 2], seed: u64) -> switchpointer::ContentionDiagnosis {
-    let m = 3;
-    let topo = Topology::dumbbell(m + 1, m + 1, GBPS);
     let mut cfg = TestbedConfig::default_ms();
     cfg.sim.seed = seed;
-    let mut tb = Testbed::new(topo, cfg);
+    let Scenario { mut tb, planted } =
+        scenarios::contention(3, Priority::HIGH, SimTime::from_ms(40), cfg);
+    let (victim, b) = planted.victim();
     let sl = tb.node("SL");
     let sr = tb.node("SR");
     tb.sim.set_clock_offset(sl, offsets_ns[0]);
     tb.sim.set_clock_offset(sr, offsets_ns[1]);
-
-    let (a, b) = (tb.node("L0"), tb.node("R0"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        b,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    for u in 0..m {
-        let (s, d) = (
-            tb.node(&format!("L{}", u + 1)),
-            tb.node(&format!("R{}", u + 1)),
-        );
-        tb.sim.add_udp_flow(UdpFlowSpec::burst(
-            s,
-            d,
-            Priority::HIGH,
-            SimTime::from_ms(20),
-            SimTime::from_ms(1),
-            GBPS,
-        ));
-    }
-    tb.sim.run_until(SimTime::from_ms(40));
+    tb.sim.run_until(planted.horizon);
     tb.analyzer()
         .diagnose_contention(victim, b, tb.cfg.trigger.window)
 }

@@ -5,48 +5,20 @@
 use netsim::prelude::*;
 use netsim::queue::QueueConfig;
 use switchpointer::analyzer::Verdict;
+use switchpointer::scenarios::{self, Scenario};
 use switchpointer::testbed::{Testbed, TestbedConfig};
-
-/// Builds the contention fixture: low-prio TCP L0→R0 plus `m` high-prio
-/// UDP bursts at 20 ms; returns (testbed, victim flow, victim dst).
-fn contention_testbed(
-    m: usize,
-    queue: QueueConfig,
-    burst_priority: Priority,
-) -> (Testbed, FlowId, NodeId) {
-    let topo = Topology::dumbbell(m + 1, m + 1, GBPS);
-    let mut cfg = TestbedConfig::default_ms();
-    cfg.sim.switch_queue = queue;
-    let mut tb = Testbed::new(topo, cfg);
-    let a = tb.node("L0");
-    let b = tb.node("R0");
-    let tcp = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        b,
-        Priority::LOW,
-        SimTime::from_ms(50),
-    ));
-    for u in 0..m {
-        let src = tb.node(&format!("L{}", u + 1));
-        let dst = tb.node(&format!("R{}", u + 1));
-        tb.sim.add_udp_flow(UdpFlowSpec::burst(
-            src,
-            dst,
-            burst_priority,
-            SimTime::from_ms(20),
-            SimTime::from_ms(1),
-            GBPS,
-        ));
-    }
-    tb.sim.run_until(SimTime::from_ms(50));
-    (tb, tcp, b)
-}
 
 #[test]
 fn priority_contention_diagnosed_with_all_culprits() {
     for m in [1usize, 4, 8] {
-        let (tb, victim, dst) =
-            contention_testbed(m, QueueConfig::default_priority(), Priority::HIGH);
+        let Scenario { tb, planted } = scenarios::contention(
+            m,
+            Priority::HIGH,
+            SimTime::from_ms(50),
+            TestbedConfig::default_ms(),
+        )
+        .run();
+        let (victim, dst) = planted.victim();
         // The victim's host noticed the starvation on its own.
         let trig = tb.hosts[&dst].borrow().first_trigger_for(victim).copied();
         let trig = trig.unwrap_or_else(|| panic!("m={m}: no trigger"));
@@ -80,7 +52,11 @@ fn microburst_contention_gets_microburst_verdict() {
     // FIFO queue, bursts at the same priority as the victim: drops, not
     // priority starvation. 8 equal-priority line-rate bursts overflow the
     // 1 MB shared buffer.
-    let (tb, victim, dst) = contention_testbed(8, QueueConfig::default_fifo(), Priority::LOW);
+    let mut cfg = TestbedConfig::default_ms();
+    cfg.sim.switch_queue = QueueConfig::default_fifo();
+    let Scenario { tb, planted } =
+        scenarios::contention(8, Priority::LOW, SimTime::from_ms(50), cfg).run();
+    let (victim, dst) = planted.victim();
     let d = tb
         .analyzer()
         .diagnose_contention(victim, dst, tb.cfg.trigger.window);
@@ -93,8 +69,14 @@ fn microburst_contention_gets_microburst_verdict() {
 fn diagnosis_latency_grows_with_contending_hosts() {
     let mut last = SimTime::ZERO;
     for m in [1usize, 4, 16] {
-        let (tb, victim, dst) =
-            contention_testbed(m, QueueConfig::default_priority(), Priority::HIGH);
+        let Scenario { tb, planted } = scenarios::contention(
+            m,
+            Priority::HIGH,
+            SimTime::from_ms(50),
+            TestbedConfig::default_ms(),
+        )
+        .run();
+        let (victim, dst) = planted.victim();
         let d = tb
             .analyzer()
             .diagnose_contention(victim, dst, tb.cfg.trigger.window);

@@ -4,37 +4,16 @@
 
 use netsim::prelude::*;
 use switchpointer::analyzer::Verdict;
+use switchpointer::scenarios::{self, Scenario};
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EmbedMode;
 
 fn contention_episode(mode: EmbedMode) -> switchpointer::ContentionDiagnosis {
-    let m = 4;
-    let topo = Topology::dumbbell(m + 1, m + 1, GBPS);
     let mut cfg = TestbedConfig::default_ms();
     cfg.mode = mode;
-    let mut tb = Testbed::new(topo, cfg);
-    let (a, b) = (tb.node("L0"), tb.node("R0"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        b,
-        Priority::LOW,
-        SimTime::from_ms(40),
-    ));
-    for u in 0..m {
-        let (s, d) = (
-            tb.node(&format!("L{}", u + 1)),
-            tb.node(&format!("R{}", u + 1)),
-        );
-        tb.sim.add_udp_flow(UdpFlowSpec::burst(
-            s,
-            d,
-            Priority::HIGH,
-            SimTime::from_ms(20),
-            SimTime::from_ms(1),
-            GBPS,
-        ));
-    }
-    tb.sim.run_until(SimTime::from_ms(40));
+    let Scenario { tb, planted } =
+        scenarios::contention(4, Priority::HIGH, SimTime::from_ms(40), cfg).run();
+    let (victim, b) = planted.victim();
     tb.analyzer()
         .diagnose_contention(victim, b, tb.cfg.trigger.window)
 }

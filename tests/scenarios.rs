@@ -32,10 +32,8 @@ fn contention(
     scenarios::contention(m, burst, SimTime::from_ms(horizon_ms), cfg)
 }
 
-/// The default seed of `SimConfig`, which callers that set none run at.
-fn default_seed() -> u64 {
-    TestbedConfig::default_ms().sim.seed
-}
+/// `SimConfig`'s seed, which callers that set none run at.
+const DEFAULT_SEED: u64 = 1;
 
 type Row = (&'static str, fn() -> Scenario, u64);
 
@@ -74,11 +72,11 @@ const TABLE: [Row; 33] = [
     ("traffic_cascade(overlapping)", || scenarios::traffic_cascade(true), 0xc01f545e089d153a),
     ("traffic_cascade(apart)", || scenarios::traffic_cascade(false), 0xf960ce3a16e6157a),
     // tests/end_to_end_contention.rs
-    ("contention(1, HIGH, 50)", || contention(1, Priority::HIGH, 50, QueueConfig::default_priority(), default_seed(), EmbedMode::Commodity), 0xbaae3ae6ada6d5e6),
-    ("contention(4, HIGH, 50)", || contention(4, Priority::HIGH, 50, QueueConfig::default_priority(), default_seed(), EmbedMode::Commodity), 0xd83b98d2d77d7961),
-    ("contention(8, HIGH, 50)", || contention(8, Priority::HIGH, 50, QueueConfig::default_priority(), default_seed(), EmbedMode::Commodity), 0xb55490b71b9ad146),
-    ("contention(16, HIGH, 50)", || contention(16, Priority::HIGH, 50, QueueConfig::default_priority(), default_seed(), EmbedMode::Commodity), 0x77269c1c4efb9cfe),
-    ("contention(8, LOW, 50, fifo)", || contention(8, Priority::LOW, 50, QueueConfig::default_fifo(), default_seed(), EmbedMode::Commodity), 0x590eba9b6af58900),
+    ("contention(1, HIGH, 50)", || contention(1, Priority::HIGH, 50, QueueConfig::default_priority(), DEFAULT_SEED, EmbedMode::Commodity), 0xbaae3ae6ada6d5e6),
+    ("contention(4, HIGH, 50)", || contention(4, Priority::HIGH, 50, QueueConfig::default_priority(), DEFAULT_SEED, EmbedMode::Commodity), 0xd83b98d2d77d7961),
+    ("contention(8, HIGH, 50)", || contention(8, Priority::HIGH, 50, QueueConfig::default_priority(), DEFAULT_SEED, EmbedMode::Commodity), 0xb55490b71b9ad146),
+    ("contention(16, HIGH, 50)", || contention(16, Priority::HIGH, 50, QueueConfig::default_priority(), DEFAULT_SEED, EmbedMode::Commodity), 0x77269c1c4efb9cfe),
+    ("contention(8, LOW, 50, fifo)", || contention(8, Priority::LOW, 50, QueueConfig::default_fifo(), DEFAULT_SEED, EmbedMode::Commodity), 0x590eba9b6af58900),
     // crates/experiments/src/fig7.rs
     ("contention(1, HIGH, 60, seed 101)", || contention(1, Priority::HIGH, 60, QueueConfig::default_priority(), 101, EmbedMode::Commodity), 0x91e86f1c4c34e80d),
     ("contention(2, HIGH, 60, seed 102)", || contention(2, Priority::HIGH, 60, QueueConfig::default_priority(), 102, EmbedMode::Commodity), 0xfbd0547faccc8192),
@@ -90,8 +88,8 @@ const TABLE: [Row; 33] = [
     ("contention(3, HIGH, 40, seed 1)", || contention(3, Priority::HIGH, 40, QueueConfig::default_priority(), 1, EmbedMode::Commodity), 0xb1997be97fcb81f8),
     ("contention(3, HIGH, 40, seed 9)", || contention(3, Priority::HIGH, 40, QueueConfig::default_priority(), 9, EmbedMode::Commodity), 0xb1997be97fcb81f8),
     // tests/int_mode_parity.rs
-    ("contention(4, HIGH, 40)", || contention(4, Priority::HIGH, 40, QueueConfig::default_priority(), default_seed(), EmbedMode::Commodity), 0xbed4c3e33d49701f),
-    ("contention(4, HIGH, 40, INT)", || contention(4, Priority::HIGH, 40, QueueConfig::default_priority(), default_seed(), EmbedMode::Int), 0x268042fdc2e023fa),
+    ("contention(4, HIGH, 40)", || contention(4, Priority::HIGH, 40, QueueConfig::default_priority(), DEFAULT_SEED, EmbedMode::Commodity), 0xbed4c3e33d49701f),
+    ("contention(4, HIGH, 40, INT)", || contention(4, Priority::HIGH, 40, QueueConfig::default_priority(), DEFAULT_SEED, EmbedMode::Int), 0x268042fdc2e023fa),
     ("background_monitoring", scenarios::background_monitoring, 0x77a3debd16b953d5),
 ];
 
