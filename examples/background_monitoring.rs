@@ -7,52 +7,22 @@
 //! Run with: `cargo run --release --example background_monitoring`
 
 use netsim::prelude::*;
-use netsim::workload;
 use switchpointer::analyzer::Verdict;
-use switchpointer::testbed::{Testbed, TestbedConfig};
+use switchpointer::scenarios::{self, Scenario};
 
 fn main() {
-    let topo = Topology::leaf_spine(4, 2, 6, GBPS); // 24 hosts
-    let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-    tb.sim.randomize_switch_clocks(400_000); // ±0.4 ms skew
-
-    // Background: ~2000 web-search flows/s across random host pairs.
-    let spec = workload::WorkloadSpec {
-        flows_per_sec: 2_000.0,
-        sizes: FlowSizeDist::WebSearch,
-        start: SimTime::ZERO,
-        end: SimTime::from_ms(60),
-        priority: Priority::MID,
-        tcp: TcpConfig::default(),
-    };
-    let background = workload::install(&mut tb.sim, &spec, 7);
-    println!("installed {} background flows", background.len());
-
-    // The victim: low-priority TCP between two specific hosts. Note that
-    // under MID-priority background load a LOW-priority flow suffers
-    // legitimate contention from the background itself — every trigger
-    // gets a (correct) explanation, whether it names the injected burst or
-    // a heavyweight background flow.
-    let (a, b) = (tb.node("h0_0"), tb.node("h3_0"));
-    let victim = tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
-        a,
-        b,
-        Priority::LOW,
-        SimTime::from_ms(60),
-    ));
-    // The incident: a high-priority burst onto the victim's destination
-    // leaf via a different source host, 1 ms at line rate.
-    let (u, v) = (tb.node("h1_1"), tb.node("h3_1"));
-    tb.sim.add_udp_flow(UdpFlowSpec::burst(
-        u,
-        v,
-        Priority::HIGH,
-        SimTime::from_ms(30),
-        SimTime::from_ms(1),
-        GBPS,
-    ));
-
-    tb.sim.run_until(SimTime::from_ms(60));
+    // A 24-host leaf-spine fabric with ±0.4 ms switch clock skew, ~2000
+    // web-search flows/s of MID background across random host pairs, a
+    // low-priority TCP victim between two specific hosts and the incident:
+    // a 1 ms line-rate high-priority burst at 30 ms onto the victim's
+    // destination leaf via a different source host. Note that under
+    // MID-priority background load a LOW-priority flow suffers legitimate
+    // contention from the background itself — every trigger gets a
+    // (correct) explanation, whether it names the injected burst or a
+    // heavyweight background flow.
+    let Scenario { tb, planted } = scenarios::background_monitoring().run();
+    println!("installed {} background flows", planted.background.len());
+    let (victim, b) = planted.victim();
 
     let total_hosts = tb.sim.topo().hosts().len();
     // Pick the victim's first trigger once the burst has started (under
