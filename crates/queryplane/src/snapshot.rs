@@ -630,7 +630,8 @@ mod tests {
     use switchpointer::testbed::{Testbed, TestbedConfig};
     use telemetry::frame::{Dec, Enc};
 
-    fn chain_testbed() -> Testbed {
+    /// The chain with a long UDP flow `A → F` and a TCP transfer `D → B`.
+    fn two_flow_chain() -> Testbed {
         let topo = Topology::chain(3, 2, GBPS);
         let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
         let (a, b) = (tb.node("A"), tb.node("B"));
@@ -659,7 +660,7 @@ mod tests {
     /// post-advance snapshot exactly — repeatedly, across several epochs.
     #[test]
     fn journaled_delta_replays_to_equality_over_the_wire() {
-        let mut tb = chain_testbed();
+        let mut tb = two_flow_chain();
         let analyzer = tb.analyzer();
         tb.sim.run_until(SimTime::from_ms(2));
         let mut owner = Snapshot::capture_with(&analyzer, RECORD_SHARDS, 2);
@@ -684,7 +685,7 @@ mod tests {
     /// to equality when the receiver re-attaches the same shared MPHF.
     #[test]
     fn snapshot_wire_roundtrip_bootstraps_to_equality() {
-        let mut tb = chain_testbed();
+        let mut tb = two_flow_chain();
         let analyzer = tb.analyzer();
         tb.sim.run_until(SimTime::from_ms(8));
         let snap = Snapshot::capture_with(&analyzer, RECORD_SHARDS, 2);

@@ -1380,30 +1380,11 @@ fn saturating_ns(d: std::time::Duration) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use netsim::prelude::*;
-    use switchpointer::testbed::{Testbed, TestbedConfig};
+    use switchpointer::scenarios;
     use telemetry::frame::MAX_FRAME;
 
     use super::*;
     use crate::WireCluster;
-
-    /// A 3-switch chain that carried one short UDP flow end to end.
-    fn one_flow_chain() -> Testbed {
-        let topo = Topology::chain(3, 2, GBPS);
-        let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-        let (a, f) = (tb.node("A"), tb.node("F"));
-        tb.sim.add_udp_flow(UdpFlowSpec {
-            src: a,
-            dst: f,
-            priority: Priority::LOW,
-            start: SimTime::ZERO,
-            duration: SimTime::from_ms(2),
-            rate_bps: 100_000_000,
-            payload_bytes: 1458,
-        });
-        tb.sim.run_until(SimTime::from_ms(5));
-        tb
-    }
 
     /// Two exchanges issued on the primary's link before it dies both
     /// fail on replica 0, and the set rotates once: the second must not
@@ -1412,7 +1393,7 @@ mod tests {
     /// been answered.
     #[test]
     fn two_exchanges_failing_on_one_dead_primary_rotate_once() {
-        let tb = one_flow_chain();
+        let tb = scenarios::one_flow_chain().run().tb;
         let cluster =
             WireCluster::launch_replicated(&tb.analyzer(), 1, 2, WireConfig::default()).unwrap();
         let addrs = cluster.front().inner.shards[0].addrs.clone();
@@ -1502,7 +1483,7 @@ mod tests {
     /// cannot be the one that reaped it.
     #[test]
     fn a_watcher_whose_window_write_fails_is_reaped() {
-        let tb = one_flow_chain();
+        let tb = scenarios::one_flow_chain().run().tb;
         let cluster = WireCluster::launch(&tb.analyzer(), 2, WireConfig::default()).unwrap();
         let query = StandingQuery::TopKSliding {
             switch: tb.node("S2"),

@@ -976,32 +976,19 @@ mod tests {
     use std::time::Duration;
 
     use netsim::prelude::*;
-    use switchpointer::testbed::{Testbed, TestbedConfig};
+    use switchpointer::scenarios;
     use telemetry::EpochRange;
 
     use crate::{MuxConn, WireCluster};
 
-    /// A small chain deployment with one flow's worth of state.
-    fn chain_testbed() -> Testbed {
-        let topo = Topology::chain(3, 2, GBPS);
-        let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
-        let (a, f) = (tb.node("A"), tb.node("F"));
-        tb.sim.add_udp_flow(UdpFlowSpec {
-            src: a,
-            dst: f,
-            priority: Priority::LOW,
-            start: SimTime::ZERO,
-            duration: SimTime::from_ms(2),
-            rate_bps: 100_000_000,
-            payload_bytes: 1458,
-        });
-        tb.sim.run_until(SimTime::from_ms(5));
-        tb
-    }
-
     /// One shard server (plus front-end) over the chain deployment.
     fn one_shard_cluster() -> WireCluster {
-        WireCluster::launch(&chain_testbed().analyzer(), 1, WireConfig::default()).unwrap()
+        WireCluster::launch(
+            &scenarios::one_flow_chain().run().tb.analyzer(),
+            1,
+            WireConfig::default(),
+        )
+        .unwrap()
     }
 
     fn serve_spawns(cluster: &WireCluster) -> u64 {
@@ -1227,7 +1214,7 @@ mod tests {
     fn lone_server(cfg: WireConfig) -> ShardServer {
         use switchpointer::shard::ShardedDirectory;
 
-        let analyzer = chain_testbed().analyzer();
+        let analyzer = scenarios::one_flow_chain().run().tb.analyzer();
         let dir = ShardedDirectory::new(
             analyzer.directory().mphf().clone(),
             &analyzer.all_hosts(),
