@@ -144,6 +144,7 @@ impl HostComponent {
     }
 
     fn evaluate_triggers(&mut self, now: SimTime) {
+        let fired = self.triggers.len();
         for (&flow, &prev) in &self.prev_bytes {
             if prev < self.trigger_cfg.min_window_bytes {
                 continue;
@@ -159,6 +160,9 @@ impl HostComponent {
                 });
             }
         }
+        // One window's triggers in flow order, not the map's (DESIGN §2
+        // rule 4).
+        self.triggers[fired..].sort_unstable_by_key(|t| t.flow);
         self.prev_bytes = std::mem::take(&mut self.window_bytes);
     }
 
@@ -504,5 +508,23 @@ mod tests {
         c.evaluate_triggers(SimTime::from_ms(2));
         assert_eq!(c.triggers.len(), 1);
         assert_eq!(c.triggers[0].cur_bytes, 0);
+    }
+
+    /// Flows that starve in the same window trigger in flow order, however
+    /// the per-flow byte map iterates.
+    #[test]
+    fn one_windows_triggers_are_in_flow_order() {
+        let (mut c, topo) = mk_component();
+        for f in (0..64).rev() {
+            let mut p = data_pkt(&topo, 1000, true);
+            p.flow = FlowId(f);
+            for _ in 0..30 {
+                c.ingest(&ctx(0), &p);
+            }
+        }
+        c.evaluate_triggers(SimTime::from_ms(1));
+        c.evaluate_triggers(SimTime::from_ms(2));
+        let flows: Vec<u64> = c.triggers.iter().map(|t| t.flow.0).collect();
+        assert_eq!(flows, (0..64).collect::<Vec<_>>());
     }
 }
