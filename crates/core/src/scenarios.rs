@@ -59,6 +59,7 @@ impl Planted {
         self.victim.expect("this scenario plants no victim")
     }
 
+    /// Nothing harmed: only `background` flows, over by `horizon`.
     fn quiet(background: Vec<FlowId>, horizon: SimTime) -> Self {
         Planted {
             victim: None,
@@ -146,10 +147,7 @@ fn fat_tree_incident(
         Planted {
             victim: Some((victim, da)),
             culprits,
-            background,
-            per_switch: Vec::new(),
-            chain: Vec::new(),
-            horizon,
+            ..Planted::quiet(background, horizon)
         }
     } else {
         let n = lead.len();
@@ -294,10 +292,7 @@ pub fn churn_storm(waves: &[(&str, &str, u64, u64)]) -> Scenario {
         planted: Planted {
             victim: Some((victim, da)),
             culprits: vec![burst],
-            background,
-            per_switch: Vec::new(),
-            chain: Vec::new(),
-            horizon: SimTime::from_ms(50),
+            ..Planted::quiet(background, SimTime::from_ms(50))
         },
     }
 }
@@ -380,10 +375,8 @@ pub fn red_lights() -> Scenario {
         planted: Planted {
             victim: Some((victim, f)),
             culprits: vec![bd, ce],
-            background: Vec::new(),
             per_switch,
-            chain: Vec::new(),
-            horizon: SimTime::from_ms(30),
+            ..Planted::quiet(Vec::new(), SimTime::from_ms(30))
         },
     }
 }
@@ -434,10 +427,8 @@ pub fn traffic_cascade(overlapping: bool) -> Scenario {
         Planted {
             victim: Some((ce, e)),
             culprits: vec![bd, af],
-            background: Vec::new(),
-            per_switch: Vec::new(),
             chain: vec![(ce, tb.node("S2"), af), (af, tb.node("S1"), bd)],
-            horizon,
+            ..Planted::quiet(Vec::new(), horizon)
         }
     } else {
         Planted::quiet(vec![bd, af, ce], horizon)
@@ -474,10 +465,7 @@ pub fn contention(m: usize, burst: Priority, horizon: SimTime, cfg: TestbedConfi
         planted: Planted {
             victim: Some((victim, b)),
             culprits,
-            background: Vec::new(),
-            per_switch: Vec::new(),
-            chain: Vec::new(),
-            horizon,
+            ..Planted::quiet(Vec::new(), horizon)
         },
     }
 }
@@ -524,10 +512,7 @@ pub fn background_monitoring() -> Scenario {
         planted: Planted {
             victim: Some((victim, b)),
             culprits: vec![burst],
-            background,
-            per_switch: Vec::new(),
-            chain: Vec::new(),
-            horizon: SimTime::from_ms(60),
+            ..Planted::quiet(background, SimTime::from_ms(60))
         },
     }
 }
