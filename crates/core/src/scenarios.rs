@@ -436,9 +436,13 @@ pub fn traffic_cascade(overlapping: bool) -> Scenario {
     Scenario { tb, planted }
 }
 
+/// When [`contention`]'s bursts start.
+pub const CONTENTION_BURST_AT: SimTime = SimTime::from_ms(20);
+
 /// §5.1 "too much traffic" on a dumbbell of `m + 1` host pairs under
 /// `cfg`: a LOW TCP victim `L0 → R0` running until `horizon`, and `m`
-/// 1 ms line-rate bursts `Li → Ri` at `burst` priority from 20 ms. Over
+/// 1 ms line-rate bursts `Li → Ri` at `burst` priority from
+/// [`CONTENTION_BURST_AT`]. Over
 /// priority queues HIGH bursts starve the victim; over FIFO queues LOW
 /// bursts overflow the shared buffer (the microburst variant).
 pub fn contention(m: usize, burst: Priority, horizon: SimTime, cfg: TestbedConfig) -> Scenario {
@@ -454,7 +458,7 @@ pub fn contention(m: usize, burst: Priority, horizon: SimTime, cfg: TestbedConfi
                 src,
                 dst,
                 burst,
-                SimTime::from_ms(20),
+                CONTENTION_BURST_AT,
                 SimTime::from_ms(1),
                 GBPS,
             ))

@@ -19,7 +19,6 @@ use switchpointer::testbed::TestbedConfig;
 use crate::common::{FigureData, Series};
 
 pub const FLOW_COUNTS: [usize; 5] = [1, 2, 4, 8, 16];
-pub const BURST_AT_MS: u64 = 20;
 
 /// Runs one contention episode with `m` UDP burst flows and diagnoses it.
 /// Returns the diagnosis plus the *measured* detection latency (trigger
@@ -47,7 +46,7 @@ pub fn run_episode(
     let detection_ms = tb.hosts[&bb]
         .borrow()
         .first_trigger_for(tcp)
-        .map(|t| t.at.as_ms_f64() - BURST_AT_MS as f64)
+        .map(|t| t.at.as_ms_f64() - scenarios::CONTENTION_BURST_AT.as_ms_f64())
         .unwrap_or(f64::NAN);
     let analyzer = tb.analyzer();
     (
