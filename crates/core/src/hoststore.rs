@@ -12,12 +12,14 @@
 //!   (the "(switchID, epochID) pair" filter of §1);
 //! * *aggregate*: top-k flows by bytes, flow-size distributions.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use netsim::packet::{FlowId, NodeId, Priority, Protocol};
 use telemetry::frame::{Dec, Enc, Wire, WireError};
 use telemetry::{DecodedTelemetry, EpochRange};
+
+use crate::keyhash::KeyMap;
 
 /// The epochs one switch may have processed a flow in, kept as the paper
 /// keeps them — as ranges: sorted, disjoint, non-adjacent runs. A flow
@@ -274,7 +276,7 @@ pub struct RecordShard {
     records: Vec<FlowRecord>,
     /// Secondary index: switch -> indices into `records` (ascending) of
     /// the records whose `epochs_at` has that switch.
-    by_switch: HashMap<NodeId, Vec<usize>>,
+    by_switch: KeyMap<NodeId, Vec<usize>>,
 }
 
 /// Renders `by_switch` in sorted key order, so two `==` shards print
@@ -296,7 +298,7 @@ impl RecordShard {
     pub fn from_records(records: Vec<FlowRecord>) -> Self {
         let mut shard = RecordShard {
             records,
-            by_switch: HashMap::new(),
+            by_switch: KeyMap::default(),
         };
         shard.reindex();
         shard

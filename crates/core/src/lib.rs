@@ -18,6 +18,7 @@
 //! | [`switch`] | §4.1 | the switch component (runs in the simulator's forwarding pipeline) |
 //! | [`host`] | §4.2 | the end-host component: telemetry decoding, flow records, throughput trigger |
 //! | [`hoststore`] | §4.2.2, §6 | the flow-record store, its filter/aggregate queries, and flow-id sharding |
+//! | [`keyhash`] | — | the one small hasher of the node- and request-keyed maps a query reads |
 //! | [`analyzer`] | §4.3, §5 | the analyzer and the four debugging applications |
 //! | [`query`] | §4.3, §5 | the per-application query executors behind the `QueryRequest`/`QueryResponse` API, shared by the analyzer and the query plane |
 //! | [`shard`] | §4.3 scale-out | the hash-partitioned directory: `DirectoryShard` slices, the `ShardBackend`/`BackendRouter` abstraction routing over local *or* remote shard instances, and the `ShardedAnalyzer` front-end |
@@ -96,6 +97,7 @@ pub mod bitset;
 pub mod cost;
 pub mod host;
 pub mod hoststore;
+pub mod keyhash;
 pub mod pipeline;
 pub mod pointer;
 pub mod query;

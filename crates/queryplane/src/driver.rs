@@ -30,11 +30,11 @@
 //! outcomes are independent of worker count, chunk size, dispatch keys
 //! and steal schedule.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use obsplane::{Counter, Histogram, MetricsRegistry, SpanEvent, TraceContext};
+use switchpointer::keyhash::KeyMap;
 use switchpointer::query::{
     ExecutionTrace, QueryExecutor, QueryRequest, QueryResponse, Stage, Staged, QUERY_CLASS_NAMES,
 };
@@ -160,7 +160,8 @@ where
     // `first[i]` is the lowest slot asking slot `i`'s question; the slots
     // with `first[i] == i` are the distinct requests, in first-occurrence
     // order.
-    let mut first_slot: HashMap<QueryRequest, usize> = HashMap::with_capacity(requests.len());
+    let mut first_slot: KeyMap<QueryRequest, usize> =
+        KeyMap::with_capacity_and_hasher(requests.len(), Default::default());
     let first: Vec<usize> = requests
         .iter()
         .enumerate()

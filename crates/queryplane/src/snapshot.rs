@@ -44,7 +44,7 @@
 //! simulation advance and `apply_delta` yields a snapshot `==` to a fresh
 //! [`Snapshot::capture`] at the same instant.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mphf::Mphf;
@@ -52,6 +52,7 @@ use netsim::packet::{FlowId, NodeId};
 use switchpointer::bitset::BitSet;
 use switchpointer::host::{HostComponent, TriggerEvent};
 use switchpointer::hoststore::{FlowRecord, FlowStore, RECORD_SHARDS};
+use switchpointer::keyhash::KeyMap;
 use switchpointer::pointer::FrozenHierarchy;
 use switchpointer::query::{
     host_wave, Deferred, FilterWaveReply, SizesWaveReply, StateView, TopKWaveReply,
@@ -203,13 +204,13 @@ pub struct Unshared {
 /// "delta-applied ≡ freshly captured" check the property suite leans on.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    switches: HashMap<NodeId, Arc<FrozenHierarchy>>,
-    hosts: HashMap<NodeId, Arc<FrozenHost>>,
+    switches: KeyMap<NodeId, Arc<FrozenHierarchy>>,
+    hosts: KeyMap<NodeId, Arc<FrozenHost>>,
     /// Directory-shard count the deltas report ownership against.
     dir_shards: usize,
     /// Per-switch freeze baseline: (pointer version, *logical* archive
     /// length — append-only modulo the GC-retired prefix).
-    switch_base: HashMap<NodeId, (u64, usize)>,
+    switch_base: KeyMap<NodeId, (u64, usize)>,
     /// Newest epoch any frozen hierarchy has seen.
     epoch_horizon: u64,
 }
@@ -229,8 +230,8 @@ impl Snapshot {
             n_shards, RECORD_SHARDS,
             "a host store has {RECORD_SHARDS} record shards"
         );
-        let mut switches = HashMap::new();
-        let mut switch_base = HashMap::new();
+        let mut switches = KeyMap::default();
+        let mut switch_base = KeyMap::default();
         let mut epoch_horizon = 0u64;
         for sw in analyzer.all_switches() {
             let comp = analyzer.switch(sw).expect("listed switch").borrow();
@@ -456,8 +457,8 @@ impl Snapshot {
         // One count sizes two maps: the bytes behind it must cover an
         // entry of each.
         let cap = d.reservation::<((NodeId, Arc<FrozenHierarchy>), (NodeId, (u64, usize)))>(n_sw);
-        let mut switches = HashMap::with_capacity(cap);
-        let mut switch_base = HashMap::with_capacity(cap);
+        let mut switches = KeyMap::with_capacity_and_hasher(cap, Default::default());
+        let mut switch_base = KeyMap::with_capacity_and_hasher(cap, Default::default());
         for _ in 0..n_sw {
             let sw = NodeId::dec(d)?;
             switches.insert(sw, Arc::new(FrozenHierarchy::wire_dec(d, mphf)?));
@@ -465,7 +466,7 @@ impl Snapshot {
         }
         let n_hosts = d.get_len()?;
         // Grown as hosts decode, so a hostile count reserves nothing.
-        let mut hosts = HashMap::new();
+        let mut hosts = KeyMap::default();
         for _ in 0..n_hosts {
             hosts.insert(NodeId::dec(d)?, Arc::<FrozenHost>::dec(d)?);
         }
