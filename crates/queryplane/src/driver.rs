@@ -21,10 +21,10 @@
 //!    holds. Over backends that answer in process every query is done at
 //!    its start and the loop never turns.
 //! 4. **Stitch.** Every slot gets its request's outcome. A repeat shares
-//!    the first occurrence's response and `Arc`'d trace with zeroed
-//!    counters — it decoded nothing — and counts in
-//!    `queryplane.coalesced`, so per-shard fan-out sums to work actually
-//!    done.
+//!    the first occurrence's `Arc`'d response and trace — a refcount bump
+//!    each, nothing copied — with zeroed counters, since it decoded
+//!    nothing, and counts in `queryplane.coalesced`, so per-shard fan-out
+//!    sums to work actually done.
 //!
 //! Answers are a pure function of the state the backends serve, so the
 //! outcomes are independent of worker count, chunk size, dispatch keys
@@ -108,11 +108,13 @@ impl SharedCtx {
 /// One query's answer as the driver hands it back: the (bit-identical)
 /// response, the executor's trace of what the answer read, and what its
 /// router counted: per-shard fan-out, backend calls and rounds.
-/// The trace sits behind an `Arc` so the slots of a batch that asked the
-/// same question share one.
+/// The response and the trace sit behind `Arc`s so the slots of a batch
+/// that asked the same question share one of each; a caller that owns
+/// the only handle takes the value out with `Arc::unwrap_or_clone`,
+/// which then copies nothing.
 #[derive(Debug, Clone)]
 pub struct QueryOutcome {
-    pub response: QueryResponse,
+    pub response: Arc<QueryResponse>,
     pub trace: Arc<ExecutionTrace>,
     pub counters: RouterCounters,
 }
@@ -185,9 +187,9 @@ where
     );
     ctx.coalesced.add((requests.len() - distinct.len()) as u64);
 
-    // A first occurrence takes its execution; a repeat copies the
-    // response and shares the trace of its first occurrence, which
-    // already sits at a lower index of `outcomes`.
+    // A first occurrence takes its execution; a repeat shares the
+    // response and the trace of its first occurrence, which already sits
+    // at a lower index of `outcomes`.
     let n_shards = ctx.dir.n_shards();
     let mut executed = executed.into_iter();
     let mut outcomes: Vec<QueryOutcome> = Vec::with_capacity(requests.len());
@@ -197,7 +199,7 @@ where
         } else {
             let original = &outcomes[f];
             QueryOutcome {
-                response: original.response.clone(),
+                response: Arc::clone(&original.response),
                 trace: Arc::clone(&original.trace),
                 counters: RouterCounters {
                     fanout: ShardFanout::new(n_shards),
@@ -291,7 +293,7 @@ pub fn lock_step<B: ShardBackend>(
         .map(|(query, router)| {
             let (response, trace) = query.answer.expect("the loop ran every query to Done");
             QueryOutcome {
-                response,
+                response: Arc::new(response),
                 trace: Arc::new(trace),
                 counters: router.counters(),
             }

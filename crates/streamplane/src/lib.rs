@@ -623,7 +623,10 @@ impl StreamPlane {
                 .map(|&(ticket, _)| ticket)
                 .zip(shots)
                 .collect();
-            outcomes.into_iter().map(|o| o.response).collect()
+            outcomes
+                .into_iter()
+                .map(|o| Arc::unwrap_or_clone(o.response))
+                .collect()
         });
         for (&(id, _, _), &fp) in subs.iter().zip(&verdicts.fingerprints) {
             self.last_fp.insert(id, fp);

@@ -1056,7 +1056,7 @@ impl FrontEnd {
                         // surface it to the client as a typed error
                         // instead of a hung connection.
                         let reply = match catch_unwind(AssertUnwindSafe(|| serving.execute(&q))) {
-                            Ok(outcome) => Frame::QueryRep(outcome.response),
+                            Ok(outcome) => Frame::QueryRep(Arc::unwrap_or_clone(outcome.response)),
                             Err(_) => Frame::Error(WireError::Remote(
                                 "query execution failed (shard unreachable?)".to_string(),
                             )),
@@ -1286,7 +1286,7 @@ impl FrontEnd {
             inner
                 .execute_wave(wave)
                 .into_iter()
-                .map(|o| o.response)
+                .map(|o| Arc::unwrap_or_clone(o.response))
                 .collect()
         });
         inner.absorb(&router.counters());
@@ -1371,7 +1371,11 @@ impl FrontEnd {
 
 /// A driver outcome in the front-end's public shape.
 fn into_parts(o: QueryOutcome) -> (QueryResponse, ExecutionTrace, RouterCounters) {
-    (o.response, Arc::unwrap_or_clone(o.trace), o.counters)
+    (
+        Arc::unwrap_or_clone(o.response),
+        Arc::unwrap_or_clone(o.trace),
+        o.counters,
+    )
 }
 
 fn saturating_ns(d: std::time::Duration) -> u64 {
