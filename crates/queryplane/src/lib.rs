@@ -151,7 +151,9 @@ impl std::error::Error for ConfigError {}
 /// Service tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryPlaneConfig {
-    /// Worker threads executing queries (1 ⇒ run inline on the caller).
+    /// Participants executing a batch, the calling thread included: a
+    /// batch of C chunks runs on the caller and `min(C, workers) − 1`
+    /// pool threads (1 ⇒ every batch runs inline on the caller).
     pub workers: usize,
     /// Flow-record shards per host: always [`RECORD_SHARDS`], the one
     /// count [`QueryPlaneConfig::validate`] accepts.

@@ -15,12 +15,18 @@
 //!   worker drains its own queue head-first, then scans the other
 //!   queues tail-first and steals whatever is still unclaimed, so a
 //!   skewed batch (or a descheduled worker) no longer strands work.
-//!   A batch wakes only the workers it can use: those dealt a chunk,
-//!   then thieves, `min(chunks, W)` in all — and a batch that cuts into
-//!   **exactly one chunk** wakes none: it runs on the thread that called
-//!   `scatter`, since handing one chunk to another thread and sleeping
-//!   until it is done buys nothing but two wake-ups. The rule reads only
-//!   the batch's own geometry.
+//! * **The caller is a participant.** The thread that calls `scatter`
+//!   does not sleep while its batch runs: it takes the role of the worker
+//!   its first chunk was dealt to, claims and steals like any worker, and
+//!   only then waits for the others. A batch of C chunks runs on
+//!   `min(C, W)` participants — the caller and `min(C, W) − 1` pool
+//!   workers, those dealt a chunk first, then thieves — so `W` counts the
+//!   caller, and a one-chunk batch (C = 1) wakes no worker at all.
+//!   Handing a chunk to another thread costs a wake-up and a hand-back;
+//!   the rule pays that only for parallelism the batch can use, and
+//!   reads nothing but the batch's own geometry. The pool keeps `W`
+//!   threads, one per role, so worker `w` is always the same thread; the
+//!   caller's role is never posted to.
 //! * **Per-chunk result cells.** Each chunk carries a `OnceLock` that
 //!   its one claimant sets with the chunk's results; after the
 //!   completion barrier the caller walks the chunks and places each
@@ -43,7 +49,8 @@
 //! on the submitting thread).
 //! Scheduler behaviour is observable through `pool.*` metrics:
 //! `pool.steals`, `pool.chunks`, `pool.batches`, the `pool.queue_depth`
-//! gauge, and per-worker `pool.worker<w>.busy_ns` / `idle_ns`.
+//! gauge, and per pool thread `pool.worker<w>.busy_ns` / `idle_ns` (a
+//! caller's share of its own batch is in neither).
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -165,14 +172,14 @@ impl<T> BatchShared<T> {
         took
     }
 
-    /// One worker's whole contribution to a batch: drain the own queue
-    /// head-first, then sweep the other queues tail-first stealing
-    /// whatever is still unclaimed, until a full sweep finds nothing.
-    /// Never blocks — chunks still *running* on other workers are their
-    /// owners' to finish — so a worker rolls straight into the next
-    /// batch's participation task when this one's queues are dry.
-    fn participate(&self, w: usize) {
-        let t0 = Instant::now();
+    /// One participant's whole contribution to a batch, in the role of
+    /// worker `w`: drain queue `w` head-first, then sweep the other
+    /// queues tail-first stealing whatever is still unclaimed, until a
+    /// full sweep finds nothing. Never blocks — chunks still *running*
+    /// elsewhere are their claimants' to finish — so a worker rolls
+    /// straight into the next batch's participation task when this one's
+    /// queues are dry. Returns the time spent running chunks.
+    fn participate(&self, w: usize) -> Duration {
         let mut busy = Duration::ZERO;
         for &c in &self.queues[w] {
             if self.claim(c) {
@@ -196,16 +203,15 @@ impl<T> BatchShared<T> {
                 break;
             }
         }
-        let wall = t0.elapsed();
-        self.m.busy[w].add(busy.as_nanos() as u64);
-        self.m.idle[w].add(wall.saturating_sub(busy).as_nanos() as u64);
+        busy
     }
 }
 
-/// Completion barrier for one batch: counts participating workers still
-/// holding a reference to the batch state. Since a worker only finishes
-/// once no chunk anywhere is left unclaimed, `left == 0` implies every
-/// chunk has run to completion.
+/// Completion barrier for one batch: counts the posted workers still
+/// holding a reference to the batch state. Since a participant only
+/// finishes once no chunk anywhere is left unclaimed, `left == 0` after
+/// the caller's own participation implies every chunk has run to
+/// completion.
 struct DoneSignal {
     left: Mutex<usize>,
     cv: Condvar,
@@ -247,10 +253,11 @@ pub struct PoolMetrics {
     pub batches: Arc<Counter>,
     /// Chunks dispatched but not yet completed (instantaneous).
     pub queue_depth: Arc<Gauge>,
-    /// Per-worker nanoseconds spent executing chunks.
+    /// Per pool thread, nanoseconds spent executing chunks. A caller's
+    /// own share of its batch is not a pool thread's and is not counted.
     pub busy: Vec<Arc<Counter>>,
-    /// Per-worker nanoseconds spent inside a batch but not executing
-    /// (queue scans, steal sweeps, claim contention).
+    /// Per pool thread, nanoseconds spent inside a batch but not
+    /// executing (queue scans, steal sweeps, claim contention).
     pub idle: Vec<Arc<Counter>>,
 }
 
@@ -287,7 +294,8 @@ pub struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `workers` (≥ 1) threads that live until the pool is
-    /// dropped, with scheduler metrics on a private registry. Planes that
+    /// dropped, with scheduler metrics on a private registry. A batch
+    /// runs on its caller and at most `workers − 1` of them. Planes that
     /// scrape their scheduler use [`WorkerPool::with_metrics`].
     pub fn new(workers: usize) -> Self {
         Self::with_metrics(workers, &MetricsRegistry::new())
@@ -348,9 +356,10 @@ impl WorkerPool {
     /// completed. Results wait in their chunk's shared `OnceLock` until
     /// the barrier, so `T` must be `Sync` as well as `Send`.
     ///
-    /// A batch that cuts into exactly one chunk runs on the calling
-    /// thread (with the chunk's home worker id); any other batch runs on
-    /// `min(chunks, W)` pool workers while the caller waits.
+    /// A batch of C chunks runs on `min(C, W)` participants: the calling
+    /// thread, in the role of its first chunk's home worker, and
+    /// `min(C, W) − 1` pool workers woken for it. A one-chunk batch is
+    /// the case C = 1: it runs on the calling thread alone.
     pub fn scatter<T, F>(
         &self,
         n_items: usize,
@@ -429,29 +438,17 @@ impl WorkerPool {
         self.m.chunks.add(total_chunks as u64);
         self.m.queue_depth.add(total_chunks as i64);
 
-        let shared = BatchShared {
-            work: Box::new(work),
-            order,
-            chunks,
-            queues,
-            panic: Mutex::new(None),
-            m: self.m.clone(),
-        };
-        let shared = if total_chunks == 1 {
-            // Nothing to spread: the caller is the one thread this batch
-            // needs, so it runs the chunk itself — no task posted, no
-            // barrier, no worker counter touched. The batch state never
-            // leaves this thread, so the chunk's claim is trivially ours.
-            let home = shared
-                .queues
-                .iter()
-                .position(|q| !q.is_empty())
-                .expect("the one chunk was dealt to a queue");
-            shared.run_chunk(home, 0, false);
-            shared
-        } else {
-            self.run_on_workers(shared, total_chunks)
-        };
+        let shared = self.run_batch(
+            BatchShared {
+                work: Box::new(work),
+                order,
+                chunks,
+                queues,
+                panic: Mutex::new(None),
+                m: self.m.clone(),
+            },
+            total_chunks,
+        );
         let BatchShared {
             order,
             chunks,
@@ -464,27 +461,36 @@ impl WorkerPool {
         reassemble(&order, chunks)
     }
 
-    /// Posts one participation task per worker the batch can use — the
-    /// workers dealt a chunk first, then as many thieves as there are
-    /// chunks left over — waits for all of them, and hands the batch
-    /// state back. A batch of fewer chunks than workers leaves the rest
-    /// of the pool alone: nothing to wake, and no barrier held up by a
-    /// worker that is busy with another caller's chunk.
-    fn run_on_workers<T: Send + Sync + 'static>(
+    /// Runs a batch of `total_chunks` chunks on `min(chunks, W)`
+    /// participants: the caller, in the role of the worker its batch's
+    /// first chunk was dealt to, and one posted task each for the other
+    /// workers dealt a chunk, then for as many thieves as there are
+    /// chunks left over. The caller claims and steals like any worker,
+    /// then waits for the posted ones and hands the batch state back. A
+    /// one-chunk batch posts nothing, and a batch of fewer chunks than
+    /// workers leaves the rest of the pool alone: nothing to wake, and no
+    /// barrier held up by a worker that is busy with another caller's
+    /// chunk.
+    fn run_batch<T: Send + Sync + 'static>(
         &self,
         shared: BatchShared<T>,
         total_chunks: usize,
     ) -> BatchShared<T> {
         let workers = self.senders.len();
-        let participants = total_chunks.min(workers);
+        let me = shared
+            .queues
+            .iter()
+            .position(|q| !q.is_empty())
+            .expect("a batch deals at least one chunk");
+        let posted = total_chunks.min(workers) - 1;
         let shared = Arc::new(shared);
-        let done = Arc::new(DoneSignal::new(participants));
-        let dealt = |w: &usize| !shared.queues[*w].is_empty();
-        let thief = |w: &usize| !dealt(w);
+        let done = Arc::new(DoneSignal::new(posted));
+        let dealt = |w: &usize| *w != me && !shared.queues[*w].is_empty();
+        let thief = |w: &usize| shared.queues[*w].is_empty();
         for w in (0..workers)
             .filter(dealt)
             .chain((0..workers).filter(thief))
-            .take(participants)
+            .take(posted)
         {
             let sh = Arc::clone(&shared);
             let dn = Arc::clone(&done);
@@ -494,14 +500,23 @@ impl WorkerPool {
                     // are caught inside), but a panic here must never
                     // strand the caller on the barrier or leave the batch
                     // state alive.
-                    if let Err(p) = catch_unwind(AssertUnwindSafe(|| sh.participate(wid))) {
-                        sh.record_panic(p);
+                    let t0 = Instant::now();
+                    match catch_unwind(AssertUnwindSafe(|| sh.participate(wid))) {
+                        Ok(busy) => {
+                            let wall = t0.elapsed();
+                            sh.m.busy[wid].add(busy.as_nanos() as u64);
+                            sh.m.idle[wid].add(wall.saturating_sub(busy).as_nanos() as u64);
+                        }
+                        Err(p) => sh.record_panic(p),
                     }
                     drop(sh);
                     dn.worker_done();
                 }))
                 .expect("query-plane worker thread is alive");
         }
+        // A panic in a chunk the caller runs is caught per chunk like a
+        // worker's, so the caller always reaches the barrier.
+        shared.participate(me);
         done.wait();
         // Every participant has dropped its reference (the barrier counts
         // that, not just chunk completion), so ownership is unique again

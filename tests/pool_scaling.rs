@@ -13,7 +13,10 @@
 //!   rebalance actually happened;
 //! * a panic in the middle of one chunk: the batch re-raises on the
 //!   caller, every *other* chunk still runs exactly once, and the pool
-//!   stays usable for the next batch.
+//!   stays usable for the next batch — also where the panicking chunk is
+//!   one the caller ran, whose re-raise waits for every other chunk;
+//! * which threads a batch runs on: its caller and `min(C, W) − 1` pool
+//!   threads, so a one-worker plane runs everything on the caller.
 
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -25,7 +28,10 @@ use std::time::Duration;
 use netsim::prelude::*;
 use obsplane::MetricsRegistry;
 use proptest::rng_for;
-use queryplane::{chunk_size, lock_step, QueryOutcome, SharedCtx, Snapshot, Spans, WorkerPool};
+use queryplane::{
+    chunk_size, lock_step, QueryOutcome, QueryPlane, QueryPlaneConfig, SharedCtx, Snapshot, Spans,
+    WorkerPool,
+};
 use switchpointer::query::QueryRequest;
 use switchpointer::testbed::{Testbed, TestbedConfig};
 use telemetry::EpochRange;
@@ -288,21 +294,32 @@ fn tag_with_thread(_worker: usize, idxs: &[usize]) -> Vec<(usize, ThreadId)> {
 }
 
 #[test]
-fn wide_batches_run_on_the_pools_own_threads_and_no_others() {
+fn wide_batches_run_on_the_pools_own_threads_and_their_caller() {
     // More workers must cost a batch nothing but scheduling: the pool's
-    // threads are spawned once, not per batch. `ThreadId`s are never
-    // reused, so a pool that spawned per `scatter` would show up to 64
-    // distinct ids here; a persistent one can show at most its four.
+    // threads are spawned once, not per batch, and a batch of C chunks
+    // runs on its caller and `min(C, W) − 1` of them. `ThreadId`s are
+    // never reused, so a pool that spawned per `scatter` would show up to
+    // 64 distinct ids here; a persistent one shows at most its caller
+    // and three of its threads, in every batch and over all of them.
     let pool = WorkerPool::new(4);
+    let caller = thread::current().id();
     let mut seen = HashSet::new();
     for _ in 0..16 {
         let out = pool.scatter(64, None, Some(1), tag_with_thread);
         assert!(out.iter().map(|&(i, _)| i).eq(0..64));
-        seen.extend(out.into_iter().map(|(_, id)| id));
+        let batch: HashSet<ThreadId> = out.into_iter().map(|(_, id)| id).collect();
+        assert!(
+            batch.len() <= 4,
+            "a 64-chunk batch ran on {} threads at W = 4",
+            batch.len()
+        );
+        seen.extend(batch);
     }
+    let others = seen.iter().filter(|&&id| id != caller).count();
     assert!(
-        seen.len() <= 4 && !seen.contains(&thread::current().id()),
-        "16 batches of 64 chunks ran on {} threads of a 4-worker pool",
+        seen.len() <= 4 && others <= 3,
+        "16 batches of 64 chunks ran on {} threads ({others} besides the caller) of a \
+         4-worker pool",
         seen.len()
     );
 }
@@ -425,8 +442,9 @@ fn a_batch_of_fewer_chunks_than_workers_leaves_the_rest_of_the_pool_alone() {
     assert_eq!((m.batches.get(), m.chunks.get()), (100, 200));
     let per_worker: Vec<u64> = (0..4).map(|w| m.busy[w].get() + m.idle[w].get()).collect();
     assert!(
-        per_worker[0] > 0 && per_worker[1] > 0,
-        "the two workers dealt a chunk ran them: {per_worker:?}"
+        per_worker[0] == 0 && per_worker[1] > 0,
+        "the caller takes worker 0's chunk, so exactly one pool thread — worker 1, \
+         dealt the other chunk — wakes: {per_worker:?}"
     );
     assert_eq!(
         per_worker[2..],
@@ -434,4 +452,106 @@ fn a_batch_of_fewer_chunks_than_workers_leaves_the_rest_of_the_pool_alone() {
         "two chunks must not wake a third worker"
     );
     assert_eq!(m.queue_depth.get(), 0);
+}
+
+#[test]
+fn a_one_worker_plane_runs_every_batch_on_the_calling_thread() {
+    // `workers` counts the caller: at W = 1 a batch of any number of
+    // chunks posts nothing and runs where it was submitted.
+    let pool = WorkerPool::new(1);
+    let caller = thread::current().id();
+    for (n, chunk) in [(64usize, Some(1)), (200, None), (3, None)] {
+        let out = pool.scatter(n, None, chunk, tag_with_thread);
+        assert_eq!(out, (0..n).map(|i| (i, caller)).collect::<Vec<_>>());
+    }
+    assert_eq!(worker_ns(&pool), 0, "no pool thread took part");
+
+    // And so does a plane configured with one worker: its many-chunk
+    // batch leaves the one pool thread's counters untouched.
+    let tb = fixture();
+    let analyzer = tb.analyzer();
+    let mut plane = QueryPlane::from_analyzer(
+        &analyzer,
+        QueryPlaneConfig {
+            workers: 1,
+            ..QueryPlaneConfig::default()
+        },
+    );
+    let reqs = batch(&tb);
+    let out = plane.execute_batch(&reqs);
+    for (i, (o, r)) in out.iter().zip(&reqs).enumerate() {
+        assert_eq!(
+            format!("{:?}", o.response),
+            format!("{:?}", analyzer.execute(r)),
+            "query {i}"
+        );
+    }
+    let snap = plane.metrics().snapshot();
+    assert!(snap.counter("pool.chunks") > 1, "the batch cut into chunks");
+    assert_eq!(
+        snap.counter("pool.worker0.busy_ns") + snap.counter("pool.worker0.idle_ns"),
+        0,
+        "a one-worker plane woke its pool thread"
+    );
+}
+
+#[test]
+fn a_panic_in_the_callers_chunk_reraises_only_after_every_other_chunk_finished() {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Condvar, Mutex};
+
+    let pool = WorkerPool::new(4);
+    let caller = thread::current().id();
+    let n = 32usize;
+    // Every chunk a pool thread runs waits until the caller's first chunk
+    // has panicked, so the others are still running when the caller
+    // catches its own panic: a re-raise that did not wait for them would
+    // find them unfinished.
+    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    let finished = Arc::new(AtomicUsize::new(0));
+    let timed_out = Arc::new(AtomicBool::new(false));
+    let (g, f, t) = (
+        Arc::clone(&gate),
+        Arc::clone(&finished),
+        Arc::clone(&timed_out),
+    );
+    let err = catch_unwind(AssertUnwindSafe(|| {
+        pool.scatter(n, None, Some(1), move |_w, idxs| {
+            let (lock, cv) = &*g;
+            if thread::current().id() == caller {
+                let mut open = lock.lock().unwrap();
+                if !*open {
+                    *open = true;
+                    cv.notify_all();
+                    drop(open);
+                    panic!("rigged caller-chunk panic");
+                }
+            } else {
+                let (_open, res) = cv
+                    .wait_timeout_while(lock.lock().unwrap(), Duration::from_secs(30), |open| {
+                        !*open
+                    })
+                    .unwrap();
+                t.fetch_or(res.timed_out(), Ordering::SeqCst);
+            }
+            f.fetch_add(1, Ordering::SeqCst);
+            idxs.to_vec()
+        })
+    }))
+    .expect_err("the caller's chunk panic must re-raise");
+    assert_eq!(
+        err.downcast_ref::<&str>().copied(),
+        Some("rigged caller-chunk panic")
+    );
+    assert!(*gate.0.lock().unwrap(), "the caller ran a chunk");
+    assert!(
+        !timed_out.load(Ordering::SeqCst),
+        "a chunk never saw the gate open"
+    );
+    assert_eq!(
+        finished.load(Ordering::SeqCst),
+        n - 1,
+        "every chunk but the panicking one finished before the re-raise"
+    );
+    assert_eq!(pool.metrics().queue_depth.get(), 0);
 }
