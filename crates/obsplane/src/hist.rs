@@ -104,10 +104,27 @@ impl Histogram {
 
     /// Records one sample. Wait-free; `&self`.
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(self.grid_bits, v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        self.record_all([v]);
+    }
+
+    /// Records every sample of `values`, as many [`Histogram::record`]
+    /// calls would, but publishes the count, sum and max once for the
+    /// lot: a worker flushing a chunk's samples touches those three
+    /// shared atomics once instead of once per sample.
+    pub fn record_all(&self, values: impl IntoIterator<Item = u64>) {
+        let (mut count, mut sum, mut max) = (0u64, 0u64, 0u64);
+        for v in values {
+            self.buckets[bucket_index(self.grid_bits, v)].fetch_add(1, Ordering::Relaxed);
+            count += 1;
+            sum = sum.wrapping_add(v);
+            max = max.max(v);
+        }
+        if count == 0 {
+            return;
+        }
+        self.count.fetch_add(count, Ordering::Relaxed);
+        self.sum.fetch_add(sum, Ordering::Relaxed);
+        self.max.fetch_max(max, Ordering::Relaxed);
     }
 
     /// Records a `Duration` as whole nanoseconds (saturating).

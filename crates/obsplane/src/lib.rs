@@ -41,5 +41,6 @@ pub use export::write_atomic;
 pub use hist::{Histogram, HistogramSnapshot, Percentiles, DEFAULT_GRID_BITS};
 pub use registry::{Counter, Gauge, MetricsRegistry, RegistrySnapshot};
 pub use trace::{
-    chunk_stolen, current, set_chunk_stolen, with_context, SpanEvent, TraceContext, Tracer,
+    chunk_stolen, current, set_chunk_stolen, with_context, SpanEvent, SpanRecord, TraceContext,
+    Tracer,
 };

@@ -116,6 +116,21 @@ pub struct SpanEvent {
     pub steals: u32,
 }
 
+/// A finished span handed to [`Tracer::record_all`]: what it measured,
+/// where, and when it started and ended. It joins whatever trace context
+/// the recording thread has active, as [`Tracer::record`]'s span does.
+#[derive(Debug, Clone, Copy)]
+pub struct SpanRecord {
+    /// Static label, e.g. a query class name.
+    pub class: &'static str,
+    /// Epoch the work was keyed to.
+    pub epoch: u64,
+    /// Shard the work ran against (or `u32::MAX` for unsharded work).
+    pub shard: u32,
+    pub started: Instant,
+    pub done: Instant,
+}
+
 /// One writer-affine ring of at most `cap` events: ticket `t` sits at
 /// `events[t % cap]`, so the retained tickets are the last `cap` below
 /// `head`.
@@ -237,7 +252,11 @@ impl Tracer {
     /// Mints the next span id: splitmix64 over a seeded counter, so
     /// sequences are deterministic given the seed and call order.
     pub fn next_span_id(&self) -> u64 {
-        let n = self.id_ctr.fetch_add(1, Ordering::Relaxed);
+        self.span_id(self.id_ctr.fetch_add(1, Ordering::Relaxed))
+    }
+
+    /// The span id of counter value `n`.
+    fn span_id(&self, n: u64) -> u64 {
         splitmix64(
             self.id_seed
                 .load(Ordering::Relaxed)
@@ -284,21 +303,45 @@ impl Tracer {
     /// trace as a child; otherwise it records untraced, always
     /// retained regardless of sampling.
     pub fn record(&self, class: &'static str, epoch: u64, shard: u32, started: Instant) {
-        let now = Instant::now();
-        let ctx = current();
-        let ev = SpanEvent {
+        self.record_all(&[SpanRecord {
             class,
-            stage: if ctx.is_some() { "exec" } else { "span" },
             epoch,
             shard,
-            start_ns: self.offset_ns(started),
-            dur_ns: saturating_ns(now.duration_since(started)),
-            trace_id: ctx.map_or(0, |c| c.trace_id),
-            span_id: self.next_span_id(),
-            parent_id: ctx.map_or(0, |c| c.span_id),
-            steals: u32::from(chunk_stolen()),
-        };
-        self.submit_all(&[ev], ctx.is_none_or(|c| c.sampled));
+            started,
+            done: Instant::now(),
+        }]);
+    }
+
+    /// [`Tracer::record`] for a group of finished spans at once, as a
+    /// worker flushes a chunk's: their ids are drawn as one block and the
+    /// group is published with one [`Tracer::submit_all`], so the shared
+    /// counters and the ring bucket are touched once per group rather
+    /// than once per span. The calling thread's context and steal
+    /// annotation apply to every span of the group.
+    pub fn record_all(&self, spans: &[SpanRecord]) {
+        if spans.is_empty() {
+            return;
+        }
+        let ctx = current();
+        let steals = u32::from(chunk_stolen());
+        let first = self.id_ctr.fetch_add(spans.len() as u64, Ordering::Relaxed);
+        let events: Vec<SpanEvent> = spans
+            .iter()
+            .zip(first..)
+            .map(|(s, n)| SpanEvent {
+                class: s.class,
+                stage: if ctx.is_some() { "exec" } else { "span" },
+                epoch: s.epoch,
+                shard: s.shard,
+                start_ns: self.offset_ns(s.started),
+                dur_ns: saturating_ns(s.done.saturating_duration_since(s.started)),
+                trace_id: ctx.map_or(0, |c| c.trace_id),
+                span_id: self.span_id(n),
+                parent_id: ctx.map_or(0, |c| c.span_id),
+                steals,
+            })
+            .collect();
+        self.submit_all(&events, ctx.is_none_or(|c| c.sampled));
     }
 
     /// Publishes one completed span. `sampled` gates ring retention
@@ -332,13 +375,18 @@ impl Tracer {
         }
         let mut max_dur = 0u64;
         let mut trace_id = 0u64;
+        // Lossy under races on purpose: an EWMA feeding a coarse 8×
+        // threshold does not need atomicity, so a group folds its spans
+        // in locally and publishes the mean once.
+        let mut mean = self.mean_ns.load(Ordering::Relaxed);
         for ev in events {
-            self.update_mean(ev.dur_ns);
+            mean = ewma(mean, ev.dur_ns);
             max_dur = max_dur.max(ev.dur_ns);
             if ev.trace_id != 0 {
                 trace_id = ev.trace_id;
             }
         }
+        self.mean_ns.store(mean, Ordering::Relaxed);
         if trace_id != 0 && max_dur >= threshold {
             self.pin_exemplar(trace_id, events, max_dur);
         }
@@ -354,18 +402,6 @@ impl Tracer {
             .load(Ordering::Relaxed)
             .saturating_mul(8)
             .max(1)
-    }
-
-    fn update_mean(&self, dur_ns: u64) {
-        // Lossy under races on purpose: an EWMA feeding a coarse 8×
-        // threshold does not need atomicity.
-        let m = self.mean_ns.load(Ordering::Relaxed);
-        let next = if m == 0 {
-            dur_ns
-        } else {
-            m.saturating_mul(15) / 16 + dur_ns / 16
-        };
-        self.mean_ns.store(next.max(1), Ordering::Relaxed);
     }
 
     fn pin_exemplar(&self, trace_id: u64, events: &[SpanEvent], max_dur: u64) {
@@ -458,6 +494,16 @@ impl Default for Tracer {
 
 fn saturating_ns(d: std::time::Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+/// The span-duration EWMA (α = 1/16) after folding in `dur_ns`.
+fn ewma(mean: u64, dur_ns: u64) -> u64 {
+    let next = if mean == 0 {
+        dur_ns
+    } else {
+        mean.saturating_mul(15) / 16 + dur_ns / 16
+    };
+    next.max(1)
 }
 
 fn splitmix64(mut z: u64) -> u64 {

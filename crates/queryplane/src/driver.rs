@@ -33,7 +33,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use obsplane::{Counter, Histogram, MetricsRegistry, SpanEvent, TraceContext};
+use obsplane::{Counter, Histogram, MetricsRegistry, SpanEvent, SpanRecord, TraceContext};
 use switchpointer::keyhash::KeyMap;
 use switchpointer::query::{
     ExecutionTrace, QueryExecutor, QueryRequest, QueryResponse, Stage, Staged, QUERY_CLASS_NAMES,
@@ -224,6 +224,17 @@ struct Running<'r> {
     answer: Option<(QueryResponse, ExecutionTrace)>,
 }
 
+/// One execution as its chunk's metrics flush records it: a sample of its
+/// class's exec histogram and, unless its traced span group was already
+/// submitted, one untraced span.
+struct Executed {
+    class: usize,
+    started: Instant,
+    done: Instant,
+    /// The untraced span's (epoch, shard), still to be recorded.
+    span: Option<(u64, u32)>,
+}
+
 /// Drives one chunk in lock-step over `backends` (one per directory shard
 /// of `ctx.dir`, in shard order): start every query, then repeat {flush
 /// every backend once; resume every unfinished query} until all have
@@ -232,6 +243,11 @@ struct Running<'r> {
 /// replies sent for, if not already there. `coalesce: false` runs every
 /// query's router without per-shard wave coalescing (the naive per-host
 /// counterfactual). `batch_started` is when the batch entered the pool.
+///
+/// What the chunk's executions leave in the shared histograms and the
+/// tracer's ring is recorded once the chunk has answered (a traced
+/// query's span group as it answers), so those shared atomics and the
+/// ring's lock are touched once per chunk, not once per query.
 pub fn lock_step<B: ShardBackend>(
     ctx: &SharedCtx,
     backends: &[B],
@@ -252,6 +268,7 @@ pub fn lock_step<B: ShardBackend>(
             }
         })
         .collect();
+    let mut executed: Vec<Executed> = Vec::with_capacity(reqs.len());
     let mut queries: Vec<Running<'_>> = reqs
         .iter()
         .zip(&routers)
@@ -273,7 +290,9 @@ pub fn lock_step<B: ShardBackend>(
                 answer: None,
             };
             let exec = QueryExecutor::new(&ctx.deployment, router);
-            advance(ctx, spans, &mut query, batch_started, || exec.start(req));
+            advance(ctx, spans, &mut query, batch_started, &mut executed, || {
+                exec.start(req)
+            });
             query
         })
         .collect();
@@ -283,10 +302,13 @@ pub fn lock_step<B: ShardBackend>(
         }
         for query in &mut queries {
             if let Some(stage) = query.stage.take() {
-                advance(ctx, spans, query, batch_started, || stage.resume());
+                advance(ctx, spans, query, batch_started, &mut executed, || {
+                    stage.resume()
+                });
             }
         }
     }
+    flush(ctx, &executed);
     queries
         .into_iter()
         .zip(&routers)
@@ -301,14 +323,42 @@ pub fn lock_step<B: ShardBackend>(
         .collect()
 }
 
+/// Records a chunk's executions: each class's exec-histogram samples in
+/// one go, then the untraced spans as one group.
+fn flush(ctx: &SharedCtx, executed: &[Executed]) {
+    for (class, hist) in ctx.exec_hists.iter().enumerate() {
+        hist.record_all(
+            executed
+                .iter()
+                .filter(|x| x.class == class)
+                .map(|x| saturating_ns(x.done.duration_since(x.started))),
+        );
+    }
+    let spans: Vec<SpanRecord> = executed
+        .iter()
+        .filter_map(|x| {
+            x.span.map(|(epoch, shard)| SpanRecord {
+                class: QUERY_CLASS_NAMES[x.class],
+                epoch,
+                shard,
+                started: x.started,
+                done: x.done,
+            })
+        })
+        .collect();
+    ctx.metrics.tracer().record_all(&spans);
+}
+
 /// Runs one step of `query` under its trace context and files what comes
-/// back: the next stage, or the answer — recorded, the moment it exists,
-/// in the per-class exec histogram and the span stream.
+/// back: the next stage, or the answer — noted in `executed` for the
+/// chunk's metrics flush, and a traced query's span group submitted the
+/// moment it exists.
 fn advance<'r>(
     ctx: &SharedCtx,
     spans: Spans,
     query: &mut Running<'r>,
     batch_started: Instant,
+    executed: &mut Vec<Executed>,
     step: impl FnOnce() -> Staged<'r>,
 ) {
     let (resp, trace) = match obsplane::with_context(query.exec_ctx, step) {
@@ -321,9 +371,8 @@ fn advance<'r>(
     query.answer = Some((resp, trace));
     let (req, started, done) = (query.req, query.started, Instant::now());
     let tracer = ctx.metrics.tracer();
-    ctx.exec_hists[req.class_index()].record_duration(done.duration_since(started));
     let epoch = ctx.span_epoch(req);
-    match (query.ctx, query.exec_ctx) {
+    let span = match (query.ctx, query.exec_ctx) {
         (Some(c), Some(e)) => {
             // The root "query" span covers batch entry → done (the e2e the
             // client feels), and its two children partition it exactly:
@@ -370,15 +419,22 @@ fn advance<'r>(
                 ),
             ];
             tracer.submit_all(&group, c.sampled);
+            None
         }
         _ => {
             let shard = match spans {
                 Spans::Exec => crate::home_shard(req, ctx.dir.n_shards()) as u32,
                 Spans::Minted => u32::MAX,
             };
-            tracer.record(req.class_name(), epoch, shard, started);
+            Some((epoch, shard))
         }
-    }
+    };
+    executed.push(Executed {
+        class: req.class_index(),
+        started,
+        done,
+        span,
+    });
 }
 
 fn saturating_ns(d: std::time::Duration) -> u64 {

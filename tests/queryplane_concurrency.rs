@@ -3,7 +3,9 @@
 //! (b) the modelled accounting replayed from the returned outcomes
 //! (`queryplane::model`) is deterministic — a pure function of submission
 //! order — and bills each execution once; (c) a batch runs each
-//! distinct request once and hands its outcome to every slot that asked.
+//! distinct request once and hands its outcome to every slot that asked;
+//! (d) what a batch leaves in the registry — one exec-histogram sample
+//! and one span per execution — does not depend on how it was chunked.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -11,7 +13,7 @@ use std::sync::Arc;
 use netsim::prelude::*;
 use proptest::{rng_for, TestRng};
 use queryplane::model::{ModelReplay, ModelReport, ModelledCost};
-use queryplane::{QueryPlane, QueryPlaneConfig};
+use queryplane::{home_shard, QueryPlane, QueryPlaneConfig};
 use switchpointer::query::{QueryRequest, QUERY_CLASS_NAMES};
 use switchpointer::scenarios::{self, Scenario};
 use switchpointer::shard::ShardFanout;
@@ -72,6 +74,82 @@ fn query_set(tb: &Testbed, victim: FlowId) -> Vec<QueryRequest> {
         max_depth: 3,
     });
     reqs
+}
+
+/// A chunk records its executions' metrics once it has answered, not as
+/// each query does, and that moves nothing a reader sees: after one batch
+/// each class's `queryplane.exec_ns.<class>` counts that class's distinct
+/// executions, and the tracer holds exactly one untraced span per
+/// execution, keyed by its class, its epoch (the range's upper epoch, or
+/// the trigger window's) and its home directory shard.
+#[test]
+fn a_batch_records_one_sample_and_one_span_per_execution() {
+    const DIR_SHARDS: usize = 2;
+    let Scenario { tb, planted } = scenarios::storm("h2_0_0", true).run();
+    let (victim, _) = planted.victim();
+    let analyzer = tb.analyzer();
+    let set = query_set(&tb, victim);
+    let reqs: Vec<QueryRequest> = set
+        .iter()
+        .chain(set.iter().rev())
+        .chain(&set)
+        .copied()
+        .collect();
+    let mut seen = HashSet::new();
+    let distinct: Vec<QueryRequest> = reqs.iter().copied().filter(|r| seen.insert(*r)).collect();
+    let params = analyzer.ctx().params;
+    let epoch = |r: &QueryRequest| match *r {
+        QueryRequest::Contention { trigger_window, .. }
+        | QueryRequest::RedLights { trigger_window, .. }
+        | QueryRequest::Cascade { trigger_window, .. } => params.epoch_of(trigger_window),
+        QueryRequest::LoadImbalance { range, .. }
+        | QueryRequest::TopK { range, .. }
+        | QueryRequest::SilentDrop { range, .. } => range.hi,
+    };
+    let mut want: Vec<(&str, u64, u32)> = distinct
+        .iter()
+        .map(|r| (r.class_name(), epoch(r), home_shard(r, DIR_SHARDS) as u32))
+        .collect();
+    want.sort_unstable();
+    for workers in [1usize, 2, 4] {
+        let mut plane = QueryPlane::from_analyzer(
+            &analyzer,
+            QueryPlaneConfig {
+                workers,
+                directory_shards: DIR_SHARDS,
+                ..QueryPlaneConfig::default()
+            },
+        );
+        assert_eq!(plane.execute_batch(&reqs).len(), reqs.len());
+        let snap = plane.metrics().snapshot();
+        assert!(
+            snap.counter("pool.chunks") > 1,
+            "the batch spans several chunks at {workers} workers"
+        );
+        for (c, class) in QUERY_CLASS_NAMES.iter().enumerate() {
+            let executed = distinct.iter().filter(|r| r.class_index() == c).count() as u64;
+            let samples = snap
+                .hist(&format!("queryplane.exec_ns.{class}"))
+                .map_or(0, |h| h.count);
+            assert_eq!(
+                samples, executed,
+                "{class} exec samples at {workers} workers"
+            );
+        }
+        let events = plane.metrics().tracer().events();
+        assert!(
+            events
+                .iter()
+                .all(|e| e.stage == "span" && e.trace_id == 0 && e.parent_id == 0),
+            "every span is untraced at {workers} workers: {events:?}"
+        );
+        let ids: HashSet<u64> = events.iter().map(|e| e.span_id).collect();
+        assert_eq!(ids.len(), events.len(), "span ids are unique");
+        let mut got: Vec<(&str, u64, u32)> =
+            events.iter().map(|e| (e.class, e.epoch, e.shard)).collect();
+        got.sort_unstable();
+        assert_eq!(got, want, "one span per execution at {workers} workers");
+    }
 }
 
 #[test]
