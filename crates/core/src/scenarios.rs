@@ -175,13 +175,15 @@ pub fn storm(burst_dst: &str, cross: bool) -> Scenario {
 }
 
 /// The `query_storm` example's deployment: the fat-tree incident, its
-/// burst onto `h2_0_1`, with three cross-pod backgrounds. As in [`storm`]
-/// the burst misses the TCP flow, so every flow is a background.
+/// burst onto the TCP flow's own destination `h2_0_0`, with three
+/// cross-pod backgrounds. As in [`storm`] aimed there, the burst shares
+/// the TCP flow's last hop, so the TCP flow starves and is the victim
+/// whose trigger the storm's diagnoses anchor on.
 pub fn query_storm() -> Scenario {
     fat_tree_incident(
         &[],
-        "h2_0_1",
-        false,
+        "h2_0_0",
+        true,
         false,
         &[
             ("h1_0_0", "h3_1_1"),

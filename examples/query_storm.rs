@@ -14,13 +14,19 @@ use telemetry::EpochRange;
 
 fn main() {
     // A k=4 fat tree under mixed traffic: one TCP flow, one high-priority
-    // burst onto its neighbour host, and cross-pod UDP background.
+    // burst onto its destination host, and cross-pod UDP background. The
+    // burst starves the TCP flow, whose destination raises a trigger.
     let Scenario { tb, planted } = scenarios::query_storm().run();
-    let (victim, da) = (planted.background[0], tb.node("h2_0_0"));
+    let (victim, da) = planted.victim();
+    let trigger = tb.hosts[&da]
+        .borrow()
+        .first_trigger_for(victim)
+        .copied()
+        .expect("the burst starves the victim, whose destination raises a trigger");
 
     // The storm: every tenant asks overlapping questions about the same
     // incident window — top-k and load-imbalance sweeps over the pod-0 and
-    // pod-2 fabric, plus trigger-driven diagnoses when available.
+    // pod-2 fabric, plus the trigger-driven diagnosis of the victim.
     let analyzer = tb.analyzer();
     let window = EpochRange { lo: 10, hi: 25 };
     let switches = [
@@ -41,18 +47,17 @@ fn main() {
                 });
             }
         }
-        if tb.hosts[&da].borrow().first_trigger_for(victim).is_some() {
-            reqs.push(QueryRequest::Contention {
-                victim,
-                victim_dst: da,
-                trigger_window: tb.cfg.trigger.window,
-            });
-        }
+        reqs.push(QueryRequest::Contention {
+            victim,
+            victim_dst: da,
+            trigger_window: tb.cfg.trigger.window,
+        });
     }
     println!(
-        "query storm: {} mixed queries over {} switches",
+        "query storm: {} mixed queries over {} switches, victim triggered at {}",
         reqs.len(),
-        switches.len()
+        switches.len(),
+        trigger.at
     );
     assert!(reqs.len() > 100);
 
@@ -81,6 +86,13 @@ fn main() {
         submitted - coalesced
     );
     assert!(coalesced > 0, "repeated questions must coalesce");
+    let contention = plane
+        .metrics()
+        .snapshot()
+        .hist("queryplane.exec_ns.contention")
+        .map_or(0, |h| h.count);
+    println!("contention diagnoses    : 10 asked, {contention} executed");
+    assert_eq!(contention, 1, "the ten identical diagnoses run once");
 
     let mut model = ModelReplay::new(*analyzer.cost());
     let costs = model.replay(&outcomes);
