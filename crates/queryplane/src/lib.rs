@@ -23,7 +23,9 @@
 //!    construction and shared by every batch (and by the `streamplane`
 //!    crate's standing query windows). Batches are cut into
 //!    [`chunk_size`]d chunks placed by shard affinity and rebalanced by
-//!    stealing, and each chunk's results are reassembled in submission
+//!    stealing — the submitting thread runs chunks too, so a batch wakes
+//!    at most `workers − 1` pool threads — and each chunk's results are
+//!    reassembled in submission
 //!    order, so verdicts are independent of worker count, chunk size, and
 //!    steal schedule. The published snapshot is a plain `Arc`: a batch
 //!    holds its own clone, so a refresh replaces the plane's handle
@@ -44,7 +46,7 @@
 //! distinct request once:** requests are keyed by the whole
 //! [`QueryRequest`], only the distinct ones are scattered (in
 //! first-occurrence order), and every slot that asked the same question
-//! gets the same response and the same `Arc`'d trace. The first
+//! gets the same `Arc`'d response and trace. The first
 //! occurrence keeps its router's counters; each later copy carries zeroed
 //! ones, because it decoded nothing — so `queryplane.fanout.*` counts work
 //! actually done, and `queryplane.coalesced` counts the copies. Each

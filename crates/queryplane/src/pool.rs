@@ -327,7 +327,8 @@ impl WorkerPool {
         }
     }
 
-    /// Worker threads in the pool.
+    /// Workers in the pool: the most participants a batch runs on, its
+    /// caller included.
     pub(crate) fn workers(&self) -> usize {
         self.senders.len()
     }
@@ -518,7 +519,7 @@ impl WorkerPool {
         // worker's, so the caller always reaches the barrier.
         shared.participate(me);
         done.wait();
-        // Every participant has dropped its reference (the barrier counts
+        // Every posted worker has dropped its reference (the barrier counts
         // that, not just chunk completion), so ownership is unique again
         // — and with it the snapshot references the work fn carried.
         Arc::try_unwrap(shared)

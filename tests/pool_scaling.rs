@@ -497,43 +497,34 @@ fn a_one_worker_plane_runs_every_batch_on_the_calling_thread() {
 
 #[test]
 fn a_panic_in_the_callers_chunk_reraises_only_after_every_other_chunk_finished() {
-    use std::sync::atomic::AtomicBool;
     use std::sync::{Condvar, Mutex};
 
-    let pool = WorkerPool::new(4);
+    const W: usize = 4;
+    let pool = WorkerPool::new(W);
     let caller = thread::current().id();
-    let n = 32usize;
-    // Every chunk a pool thread runs waits until the caller's first chunk
-    // has panicked, so the others are still running when the caller
-    // catches its own panic: a re-raise that did not wait for them would
-    // find them unfinished.
-    let gate = Arc::new((Mutex::new(false), Condvar::new()));
+    // One chunk per worker. The caller's chunk (worker 0's) panics only
+    // once the three pool threads are inside theirs, and those then hold
+    // on before finishing: a re-raise that did not wait for every other
+    // chunk would find them unfinished.
+    let entered = Arc::new((Mutex::new(0usize), Condvar::new()));
     let finished = Arc::new(AtomicUsize::new(0));
-    let timed_out = Arc::new(AtomicBool::new(false));
-    let (g, f, t) = (
-        Arc::clone(&gate),
-        Arc::clone(&finished),
-        Arc::clone(&timed_out),
-    );
+    let (e, f) = (Arc::clone(&entered), Arc::clone(&finished));
     let err = catch_unwind(AssertUnwindSafe(|| {
-        pool.scatter(n, None, Some(1), move |_w, idxs| {
-            let (lock, cv) = &*g;
+        pool.scatter(W, None, Some(1), move |_w, idxs| {
+            let (lock, cv) = &*e;
             if thread::current().id() == caller {
-                let mut open = lock.lock().unwrap();
-                if !*open {
-                    *open = true;
-                    cv.notify_all();
-                    drop(open);
-                    panic!("rigged caller-chunk panic");
-                }
-            } else {
-                let (_open, res) = cv
-                    .wait_timeout_while(lock.lock().unwrap(), Duration::from_secs(30), |open| {
-                        !*open
+                let (inside, _) = cv
+                    .wait_timeout_while(lock.lock().unwrap(), Duration::from_secs(30), |n| {
+                        *n < W - 1
                     })
                     .unwrap();
-                t.fetch_or(res.timed_out(), Ordering::SeqCst);
+                assert_eq!(*inside, W - 1, "the pool threads entered their chunks");
+                drop(inside);
+                panic!("rigged caller-chunk panic");
             }
+            *lock.lock().unwrap() += 1;
+            cv.notify_all();
+            thread::sleep(Duration::from_millis(200));
             f.fetch_add(1, Ordering::SeqCst);
             idxs.to_vec()
         })
@@ -543,14 +534,9 @@ fn a_panic_in_the_callers_chunk_reraises_only_after_every_other_chunk_finished()
         err.downcast_ref::<&str>().copied(),
         Some("rigged caller-chunk panic")
     );
-    assert!(*gate.0.lock().unwrap(), "the caller ran a chunk");
-    assert!(
-        !timed_out.load(Ordering::SeqCst),
-        "a chunk never saw the gate open"
-    );
     assert_eq!(
         finished.load(Ordering::SeqCst),
-        n - 1,
+        W - 1,
         "every chunk but the panicking one finished before the re-raise"
     );
     assert_eq!(pool.metrics().queue_depth.get(), 0);

@@ -42,8 +42,6 @@ const TABLE: [Row; 33] = [
     ("storm(h2_0_0, cross)", || scenarios::storm("h2_0_0", true), 0xacbaaccc600395b5),
     ("storm(h2_0_0)", || scenarios::storm("h2_0_0", false), 0x7b6e2e3defbbafc4),
     ("storm(h2_0_1)", || scenarios::storm("h2_0_1", false), 0x76164a0a0cd679c3),
-    // The parent aimed this burst at h2_0_1 (0xc72a09f8533f52f3), where it
-    // starved nothing; aimed at h2_0_0 it plants the victim.
     ("query_storm", scenarios::query_storm, 0xf397afb46012bede),
     ("directory_ablation", scenarios::directory_ablation, 0x0441e420dff0fee1),
     ("watch(0)", || scenarios::watch(0), 0xa65540bd68266344),
