@@ -331,6 +331,21 @@ mod tests {
         assert_eq!(s.quantile(1.0), 1_000_003);
     }
 
+    /// A group recorded at once leaves the snapshot its samples recorded
+    /// one by one leave, wrapping sum included; an empty group leaves
+    /// nothing.
+    #[test]
+    fn record_all_equals_one_record_per_sample() {
+        let samples = [5u64, 0, 1_000_003, 17, u64::MAX - 3, 17, 64];
+        let (one, all) = (Histogram::new(), Histogram::new());
+        for v in samples {
+            one.record(v);
+        }
+        all.record_all(samples);
+        all.record_all(std::iter::empty());
+        assert_eq!(all.snapshot(), one.snapshot());
+    }
+
     #[test]
     fn merge_with_empty_is_identity() {
         let h = Histogram::new();
