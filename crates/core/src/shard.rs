@@ -10,8 +10,8 @@
 //! decode work for pointer bits landing in those slots.
 //!
 //! * [`DirectoryShard`] — one instance's slice: owned hosts, the slot mask
-//!   restricting a pointer set to them, a *local* per-shard MPHF (minimal
-//!   over the owned addresses) sizing the shard's own metadata.
+//!   restricting a pointer set to them, and the (global slot, host) table
+//!   its decode walks.
 //! * [`ShardedDirectory`] — the full partition plus the slot → owner map.
 //! * [`BackendRouter`] — a [`StateView`] router over one
 //!   [`ShardBackend`] per shard, in process ([`LocalBackend`]) or behind a
@@ -33,7 +33,7 @@
 
 use std::sync::Arc;
 
-use mphf::{stable_shard, Mphf, ShardedMphf};
+use mphf::{stable_shard, Mphf};
 use netsim::packet::{FlowId, NodeId};
 use obsplane::Counter;
 use telemetry::EpochRange;
@@ -73,9 +73,6 @@ pub struct DirectoryShard {
     /// (global slot, owned host) pairs, ascending by slot — the shard's
     /// bit → host decode table, sized by the owned slice.
     owned_slots: Vec<(usize, NodeId)>,
-    /// Per-shard MPHF over just the owned addresses — the shard's local
-    /// index; its metadata is what this instance must actually hold.
-    local: Option<Mphf>,
 }
 
 impl DirectoryShard {
@@ -114,11 +111,6 @@ impl DirectoryShard {
         out.sort();
         out
     }
-
-    /// Metadata this instance holds: its local MPHF over owned addresses.
-    pub fn metadata_bytes(&self) -> usize {
-        self.local.as_ref().map(|m| m.metadata_bytes()).unwrap_or(0)
-    }
 }
 
 /// The full hash-partitioned directory plus the slot → owner map.
@@ -135,25 +127,12 @@ impl ShardedDirectory {
     /// `n_shards` directory shards by stable address hash.
     pub fn new(mphf: Arc<Mphf>, hosts: &[NodeId], n_shards: usize) -> Self {
         let n_shards = n_shards.max(1);
-        let addrs: Vec<u64> = hosts.iter().map(|h| h.addr()).collect();
-        // Surface builder failures loudly: a directory over zero hosts is
-        // legal (every shard just owns nothing), but any real build error
-        // must not silently zero the per-shard metadata accounting.
-        let local = if addrs.is_empty() {
-            None
-        } else {
-            Some(
-                ShardedMphf::build(&addrs, n_shards)
-                    .expect("per-shard MPHF over the directory host set"),
-            )
-        };
         let mut shards: Vec<DirectoryShard> = (0..n_shards)
             .map(|s| DirectoryShard {
                 shard: s,
                 hosts: Vec::new(),
                 slot_mask: BitSet::new(mphf.len()),
                 owned_slots: Vec::new(),
-                local: local.as_ref().and_then(|l| l.shard(s).cloned()),
             })
             .collect();
         let mut owner_by_slot = vec![0usize; mphf.len()];
@@ -974,23 +953,6 @@ mod tests {
             // Per-shard decodes are disjoint and union to the full set.
             let total: usize = dir.shards().iter().map(|s| s.decode(&bits).len()).sum();
             assert_eq!(total, expected.len());
-        }
-    }
-
-    #[test]
-    fn per_shard_metadata_tracks_owned_slice() {
-        let (mphf, hosts) = directory(256);
-        let dir = ShardedDirectory::new(mphf.clone(), &hosts, 4);
-        for shard in dir.shards() {
-            assert!(
-                !shard.hosts().is_empty(),
-                "256 hosts over 4 shards: none should be empty"
-            );
-            assert!(shard.metadata_bytes() > 0);
-            assert!(
-                shard.metadata_bytes() < mphf.metadata_bytes(),
-                "a shard's local MPHF must be smaller than the global one"
-            );
         }
     }
 

@@ -45,7 +45,7 @@ mod shard;
 pub use builder::{BuildError, MphfBuilder};
 pub use hashing::mix64;
 use hashing::HashPair;
-pub use shard::{stable_shard, ShardedMphf};
+pub use shard::stable_shard;
 
 /// A minimal perfect hash function over a static set of `u64` keys.
 ///

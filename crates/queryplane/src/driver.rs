@@ -240,9 +240,8 @@ struct Executed {
 /// every backend once; resume every unfinished query} until all have
 /// answered. Between two flushes every query only *issues*, so the
 /// chunk's round reaches each shard as one unit, and a resume finds its
-/// replies sent for, if not already there. `coalesce: false` runs every
-/// query's router without per-shard wave coalescing (the naive per-host
-/// counterfactual). `batch_started` is when the batch entered the pool.
+/// replies sent for, if not already there. `batch_started` is when the
+/// batch entered the pool.
 ///
 /// What the chunk's executions leave in the shared histograms and the
 /// tracer's ring is recorded once the chunk has answered (a traced
@@ -251,7 +250,6 @@ struct Executed {
 pub fn lock_step<B: ShardBackend>(
     ctx: &SharedCtx,
     backends: &[B],
-    coalesce: bool,
     spans: Spans,
     reqs: &[QueryRequest],
     batch_started: Instant,
@@ -259,14 +257,7 @@ pub fn lock_step<B: ShardBackend>(
     let tracer = ctx.metrics.tracer();
     let routers: Vec<BackendRouter<'_, B>> = reqs
         .iter()
-        .map(|_| {
-            let router = BackendRouter::new(backends, &ctx.dir);
-            if coalesce {
-                router
-            } else {
-                router.without_coalescing()
-            }
-        })
+        .map(|_| BackendRouter::new(backends, &ctx.dir))
         .collect();
     let mut executed: Vec<Executed> = Vec::with_capacity(reqs.len());
     let mut queries: Vec<Running<'_>> = reqs
@@ -486,7 +477,7 @@ mod tests {
         let (c, s) = (Arc::clone(ctx), Arc::clone(snapshot));
         execute(pool, ctx, reqs, keys, chunk_size, move |chunk, started| {
             let backends = c.dir.local_backends(&*s);
-            lock_step(&c, &backends, true, Spans::Exec, chunk, started)
+            lock_step(&c, &backends, Spans::Exec, chunk, started)
         })
     }
 

@@ -413,7 +413,7 @@ impl QueryPlane {
             chunk_size,
             move |chunk, started| {
                 let backends = ctx.dir.local_backends(&*snapshot);
-                lock_step(&ctx, &backends, true, Spans::Exec, chunk, started)
+                lock_step(&ctx, &backends, Spans::Exec, chunk, started)
             },
         );
 

@@ -46,20 +46,7 @@ impl WireCluster {
         n_shards: usize,
         cfg: WireConfig,
     ) -> Result<WireCluster, WireError> {
-        Self::launch_with(analyzer, n_shards, cfg, true)
-    }
-
-    /// [`WireCluster::launch`] with per-shard wave coalescing
-    /// configurable (`coalesce: false` = the naive one-RPC-per-host
-    /// counterfactual that `tests/wireplane_props.rs` counts against the
-    /// cost model's per-host budget).
-    pub fn launch_with(
-        analyzer: &Analyzer,
-        n_shards: usize,
-        cfg: WireConfig,
-        coalesce: bool,
-    ) -> Result<WireCluster, WireError> {
-        Self::launch_sets(analyzer, n_shards, 1, cfg, coalesce)
+        Self::launch_sets(analyzer, n_shards, 1, cfg)
     }
 
     /// [`WireCluster::launch`] with `n_replicas` identical replicas per
@@ -71,7 +58,7 @@ impl WireCluster {
         n_replicas: usize,
         cfg: WireConfig,
     ) -> Result<WireCluster, WireError> {
-        Self::launch_sets(analyzer, n_shards, n_replicas, cfg, true)
+        Self::launch_sets(analyzer, n_shards, n_replicas, cfg)
     }
 
     fn launch_sets(
@@ -79,7 +66,6 @@ impl WireCluster {
         n_shards: usize,
         n_replicas: usize,
         cfg: WireConfig,
-        coalesce: bool,
     ) -> Result<WireCluster, WireError> {
         // Validated before any server spawns: a zero-replica or
         // zero-shard deployment is a config error, not a panic.
@@ -146,7 +132,6 @@ impl WireCluster {
             Arc::clone(&ctx),
             &addr_sets,
             cfg,
-            coalesce,
             RetryPolicy::immediate(2),
         )?;
         let publisher = DeltaPublisher::new(snapshot, keeps, writers, Arc::clone(&ctx.metrics));

@@ -795,9 +795,6 @@ impl Topics {
 struct FrontInner {
     ctx: Arc<SharedCtx>,
     shards: Vec<RemoteShard>,
-    /// Per-shard wave coalescing on the router (off = the naive
-    /// one-RPC-per-host counterfactual).
-    coalesce: bool,
     /// The shared execution pool: decoded query waves and window
     /// evaluations run through the same work-stealing scheduler the
     /// in-process query plane uses, one chunk per worker (a wave of one
@@ -852,14 +849,7 @@ impl FrontInner {
             None,
             usize::div_ceil,
             move |chunk, started| {
-                queryplane::lock_step(
-                    &inner.ctx,
-                    &inner.shards,
-                    inner.coalesce,
-                    Spans::Minted,
-                    chunk,
-                    started,
-                )
+                queryplane::lock_step(&inner.ctx, &inner.shards, Spans::Minted, chunk, started)
             },
         );
         for o in &out {
@@ -925,15 +915,6 @@ impl FrontInner {
         Ok(out)
     }
 
-    fn router(&self) -> BackendRouter<'_, RemoteShard> {
-        let r = BackendRouter::new(&self.shards, &self.ctx.dir);
-        if self.coalesce {
-            r
-        } else {
-            r.without_coalescing()
-        }
-    }
-
     fn absorb(&self, c: &RouterCounters) {
         let mut total = self.counters.lock().unwrap();
         total.fanout.absorb(&c.fanout);
@@ -969,13 +950,11 @@ impl FrontEnd {
     /// replica dies mid-query the shard connection rotates to the next
     /// address under `retry` and the wave completes on the standby.
     /// Subscription topics live on the front-end, so standing-query
-    /// streams keep their cursors across the failover. `coalesce: false`
-    /// is the measurable naive per-host RPC regime.
+    /// streams keep their cursors across the failover.
     pub(crate) fn connect_replica_sets(
         ctx: Arc<SharedCtx>,
         addr_sets: &[Vec<SocketAddr>],
         cfg: WireConfig,
-        coalesce: bool,
         retry: RetryPolicy,
     ) -> Result<Self, WireError> {
         assert_eq!(
@@ -1013,7 +992,6 @@ impl FrontEnd {
         let inner = Arc::new(FrontInner {
             ctx,
             shards,
-            coalesce,
             pool,
             topics: Mutex::new(Topics::default()),
             window: AtomicU64::new(0),
@@ -1281,7 +1259,7 @@ impl FrontEnd {
         // Resolution reads a little remote state through one router for
         // the whole window; the resolved requests run as one wave on the
         // shared pool, in lock-step per worker.
-        let router = inner.router();
+        let router = BackendRouter::new(&inner.shards, &inner.ctx.dir);
         let verdicts = evaluate_window(&subs, &router, window, horizon, |wave| {
             inner
                 .execute_wave(wave)

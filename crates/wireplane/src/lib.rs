@@ -11,10 +11,10 @@
 //! * **`ShardServer`** — owns one
 //!   [`DirectoryShard`](switchpointer::shard::DirectoryShard) plus its
 //!   per-shard snapshot slice ([`queryplane::Snapshot::shard_slice`]) and
-//!   answers decode / host-read / fan-out RPCs. Leader/followers per
-//!   connection behind a bounded accept pool — the thread that decodes
-//!   a multiplexed request passes the read half on and answers the
-//!   request itself — graceful shutdown.
+//!   answers decode / host-read / fan-out RPCs. One thread per
+//!   connection behind a bounded accept pool — it reads a request,
+//!   serves it and writes the reply before it reads the next, with TCP
+//!   flow control as the backpressure — and graceful shutdown.
 //! * **[`FrontEnd`]** — embeds the core
 //!   [`BackendRouter`](switchpointer::shard::BackendRouter) over
 //!   [`RemoteShard`] connections: pointer unions reassemble from masked

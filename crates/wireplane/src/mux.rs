@@ -10,8 +10,7 @@
 //!   [`Frame::Tagged`] (or packed with its contemporaries into one
 //!   [`Frame::Batch`]);
 //! * a single **demux reader thread** per connection parses replies and
-//!   completes whichever waiter the `req_id` names, so replies may
-//!   arrive in any order;
+//!   completes whichever waiter the `req_id` names;
 //! * requests **combine**: `MuxConn::issue` only enqueues, and
 //!   `MuxConn::flush` drains the whole pending queue under the writer
 //!   lock into *one* envelope — `Tagged` for a single request, `Batch`
@@ -25,11 +24,12 @@
 //! Encoding reuses one scratch buffer per connection
 //! ([`Frame::encode_into`]), so a steady-state sender allocates only
 //! for payload bodies. Scrapes and query waves share the link: the
-//! server's connection threads answer enveloped requests out of order
-//! (leader/followers, see [`crate::server`]), and one envelope is served
-//! by one of them — a `Batch` of thirty requests is thirty serves on one
-//! server thread, which costs nothing while a deployment has at least as
-//! many shard servers as cores to run them. Replication does not ride
+//! server answers each connection on one thread, envelope after
+//! envelope in arrival order (see [`crate::server`]), so replies come
+//! back in request order and the demux still pairs them by `req_id`. A
+//! `Batch` of thirty requests is thirty serves on that thread, which
+//! costs nothing while a deployment has at least as many shard servers
+//! as cores to run them. Replication does not ride
 //! here — a shard applies sequenced frames only when they arrive bare
 //! (a [`ReplicaWriter`](crate::repl::ReplicaWriter)'s socket) and
 //! refuses an enveloped one with a typed error.

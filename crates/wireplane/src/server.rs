@@ -12,29 +12,22 @@
 //! makes the front-end's batched fan-out a single wire round trip per
 //! shard.
 //!
-//! Serving model: **leader/followers** per connection, behind a **bounded
+//! Serving model: **one thread per connection**, behind a **bounded
 //! accept pool** — beyond `WireConfig::max_conns` concurrent connections
 //! the server greets with a typed [`WireError::Remote`] error frame and
-//! closes instead of queueing unboundedly. A connection's read half is a
-//! token. The thread holding it (the leader) reads and decodes one frame
-//! at a time, and the socket has one grammar. *A bare frame is a
-//! sequenced replication frame* (`DeltaAppend`, `SnapshotInstall`,
-//! `ReplicaStatusReq`): the leader applies it right there, token held, so
-//! the log moves in arrival order. *A `Tagged`/`Batch` envelope is a read
-//! or a scrape* and may complete out of order: the leader **passes the
-//! token on first** — to a thread parked on it, or to a follower started
-//! for it while fewer than `MAX_INFLIGHT_SERVES` exist — and then serves
-//! the request and writes
-//! the reply itself: the thread that decoded a request is the thread that
-//! answers it, so no request waits on a hand-off, and the wake-up of the
-//! next reader happens beside the serve instead of in front of it.
-//! Replies complete out of order through one shared writer. At the
-//! follower cap the leader keeps the token and serves with it held, which
-//! stops the reading (backpressure; counted in `wire.serve_inline`).
-//! Followers are joined when the connection exits. Anything else — a
-//! bare read or scrape, replication inside an envelope — is answered
-//! with a typed [`WireError::Remote`], moves no state and leaves the
-//! connection serving.
+//! closes instead of queueing unboundedly. A connection's thread reads
+//! and decodes one frame at a time, answers it, then reads the next, and
+//! the socket has one grammar. *A bare frame is a sequenced replication
+//! frame* (`DeltaAppend`, `SnapshotInstall`, `ReplicaStatusReq`), applied
+//! right there, so the log moves in arrival order. *A `Tagged`/`Batch`
+//! envelope is a read or a scrape*, served and answered before the next
+//! frame is read, so replies leave in request order. The thread does not
+//! read while it serves: a client that sends faster than the shard
+//! answers fills the socket buffers and is held back by TCP flow control,
+//! and a server's threads are bounded by `max_conns` plus its accept
+//! thread. Anything else — a bare read or scrape, replication inside an
+//! envelope — is answered with a typed [`WireError::Remote`], moves no
+//! state and leaves the connection serving.
 //! Listeners always bind `127.0.0.1:0`; the kernel-chosen port travels
 //! back through `ShardServer::local_addr`, so nothing in tests or CI
 //! ever races for a fixed port. Shutdown is graceful: the accept loop is
@@ -43,7 +36,7 @@
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -63,13 +56,6 @@ pub(crate) struct WireLoopMetrics {
     pub(crate) decode_ns: Arc<Histogram>,
     pub(crate) serve_ns: Arc<Histogram>,
     pub(crate) encode_ns: Arc<Histogram>,
-    /// Follower threads ever started. Tracks peak concurrency per
-    /// connection, never request count — threads are reused.
-    pub(crate) serve_spawns: Arc<Counter>,
-    /// Multiplexed requests served with the read token held, because the
-    /// follower cap was reached or no follower could be started: the
-    /// connection's saturation signal.
-    pub(crate) serve_inline: Arc<Counter>,
 }
 
 impl WireLoopMetrics {
@@ -79,8 +65,6 @@ impl WireLoopMetrics {
             decode_ns: reg.histogram("wire.decode_ns"),
             serve_ns: reg.histogram("wire.serve_ns"),
             encode_ns: reg.histogram("wire.encode_ns"),
-            serve_spawns: reg.counter("wire.serve_spawns"),
-            serve_inline: reg.counter("wire.serve_inline"),
         }
     }
 }
@@ -422,7 +406,10 @@ impl Listener {
                             // Without a registered clone, shutdown could
                             // not wake this connection's blocked read and
                             // would hang joining it — refuse instead.
-                            Err(_) => continue,
+                            Err(_) => {
+                                refuse(stream, "connection cannot be registered");
+                                continue;
+                            }
                         }
                         active.fetch_add(1, Ordering::SeqCst);
                         let spawned = {
@@ -510,15 +497,9 @@ impl Drop for Listener {
 }
 
 /// Test hook: an artificial per-request serve delay, keyed off the
-/// request frame. The interleaving suite rigs this to force tagged
-/// requests to complete out of order.
+/// request frame. The interleaving suite rigs this to stretch or park
+/// chosen serves.
 pub type ServeDelay = Arc<dyn Fn(&Frame) -> std::time::Duration + Send + Sync>;
-
-/// Followers one connection starts at most — with the connection thread,
-/// the most multiplexed requests served concurrently before the thread
-/// holding the read token serves with it held (backpressure, and a bound
-/// on thread count).
-const MAX_INFLIGHT_SERVES: usize = 32;
 
 /// Everything a server's connections share: the state they answer from,
 /// the replication-log position, and the metric handles, resolved once
@@ -539,9 +520,8 @@ struct ServeCtx {
 impl ServeCtx {
     /// Serves one read-only request (scrape or shard read) and returns
     /// the reply frame. Replication never comes this way — it travels
-    /// bare and is applied in arrival order under the read token, so the
-    /// sequenced log is indifferent to out-of-order envelope completion;
-    /// an enveloped replication frame gets [`ShardState::serve`]'s typed
+    /// bare and is applied where it arrives on the connection; an
+    /// enveloped replication frame gets [`ShardState::serve`]'s typed
     /// refusal like any other frame this role does not answer.
     ///
     /// When the request's envelope carried a [`TraceContext`], the whole
@@ -604,194 +584,74 @@ impl ServeCtx {
             _ => None,
         }
     }
-}
 
-fn is_scrape(f: &Frame) -> bool {
-    matches!(f, Frame::StatsScrapeReq | Frame::TraceScrapeReq)
-}
-
-/// Writes one whole frame through the shared per-connection writer in a
-/// single `write_all`, so concurrently serving threads never interleave
-/// partial frames on the socket.
-///
-/// Any failure — an unencodable reply (e.g. oversize) as much as a
-/// broken pipe — shuts the socket down before reporting `false`. A
-/// thread that has let go of the read token has no read loop to leave; if
-/// its reply were silently dropped with the socket left healthy, the
-/// client's demux would wait on that `req_id` forever. Killing the
-/// socket makes the token holder's read fail, the peer's reader
-/// poisons every in-flight waiter, and the client fails over.
-///
-/// Read replies pass the loop metrics as `m`, so their encode lands in
-/// `wire.encode_ns`; everything else (scrape replies, which stay
-/// side-effect-free, replication acks, errors) passes `None`.
-fn write_shared(writer: &Mutex<TcpStream>, frame: &Frame, m: Option<&WireLoopMetrics>) -> bool {
-    let encode_started = Instant::now();
-    let ok = match frame.to_frame_bytes() {
-        Ok(buf) => {
-            if let Some(m) = m {
-                m.encode_ns.record_duration(encode_started.elapsed());
-            }
-            let mut w = writer.lock().unwrap();
-            w.write_all(&buf).is_ok() && w.flush().is_ok()
-        }
-        Err(_) => false,
-    };
-    if !ok {
-        let _ = writer.lock().unwrap().shutdown(std::net::Shutdown::Both);
-    }
-    ok
-}
-
-/// A connection's read half — the token its threads pass around. Only
-/// the holder reads the socket, starts followers, or ends the
-/// connection, so none of the three needs a lock of its own.
-struct ReadToken {
-    stream: TcpStream,
-    /// Followers started so far (at most [`MAX_INFLIGHT_SERVES`]), joined
-    /// by the connection thread once the connection is over.
-    followers: Vec<JoinHandle<()>>,
-    /// Set by the holder that saw the connection end; everyone taking
-    /// the token after that leaves.
-    closed: bool,
-}
-
-/// One connection, shared by its leader/followers threads.
-struct Conn {
-    ctx: Arc<ServeCtx>,
-    token: Mutex<ReadToken>,
-    /// Threads neither serving nor holding the token: parked on it, about
-    /// to park, or writing a reply. While one exists a released token
-    /// gets picked up, so the holder need not start a thread for it.
-    free: AtomicUsize,
-    /// All replies funnel through one writer so concurrently serving
-    /// threads never interleave partial frames.
-    writer: Mutex<TcpStream>,
-}
-
-impl Conn {
-    /// The token, for a thread about to lead — `None` once the connection
-    /// is over: closed, or a serve panicked with the token held (the
-    /// socket's position in the frame stream is then unknown).
-    fn take_token(&self) -> Option<MutexGuard<'_, ReadToken>> {
-        self.token.lock().ok().filter(|t| !t.closed)
-    }
-
-    /// One thread's life on the connection — follower and leader by
-    /// turns. As a follower it parks on the token. As the leader it reads
-    /// and decodes one frame at a time and applies bare replication
-    /// frames right there ([`Conn::serve_in_order`]); when an enveloped
-    /// read comes in, it passes the token on *first*
-    /// ([`Conn::release`]) and then serves and answers the request itself,
-    /// so the request never changes hands. It counts as free again before
-    /// it writes the reply: a client that sends its next request the
-    /// moment the reply lands finds this thread rather than forcing a
-    /// new one.
-    fn run(self: &Arc<Self>) {
-        while let Some(mut token) = self.take_token() {
-            self.free.fetch_sub(1, Ordering::SeqCst);
-            loop {
-                let Some((req, observed)) = self.serve_in_order(&mut token) else {
-                    token.closed = true;
-                    return;
-                };
-                let kept = self.release(token);
-                let reply = self.serve_envelope(req);
-                if kept.is_none() {
-                    self.free.fetch_add(1, Ordering::SeqCst);
-                }
-                let m = observed.then_some(&self.ctx.metrics);
-                let written = write_shared(&self.writer, &reply, m);
-                match kept {
-                    // Not the leader any more; a failed write shut the
-                    // socket down, which the leader's read will notice.
-                    None => break,
-                    Some(t) => token = t,
-                }
-                if !written {
-                    token.closed = true;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Lets go of the token so the next frame is read while this thread
-    /// serves: to a free thread if there is one, else to a follower
-    /// started for it. At the follower cap — or when no thread can be
-    /// started — the token comes back and the caller serves with it held,
-    /// which also stops the reading (backpressure).
-    fn release<'a>(
-        self: &'a Arc<Self>,
-        mut token: MutexGuard<'a, ReadToken>,
-    ) -> Option<MutexGuard<'a, ReadToken>> {
-        // Only the token holder takes threads out of `free`, so a non-zero
-        // reading stays non-zero until the token is dropped.
-        if self.free.load(Ordering::SeqCst) == 0 {
-            let started = token.followers.len() < MAX_INFLIGHT_SERVES && {
-                let conn = Arc::clone(self);
-                std::thread::Builder::new()
-                    .name(format!("wireplane-shard{}-serve", self.ctx.shard))
-                    .spawn(move || conn.run())
-                    .map(|h| token.followers.push(h))
-                    .is_ok()
-            };
-            if !started {
-                self.ctx.metrics.serve_inline.inc();
-                return Some(token);
-            }
-            self.ctx.metrics.serve_spawns.inc();
-            self.free.fetch_add(1, Ordering::SeqCst);
-        }
-        None
-    }
-
-    /// The leader's read loop: returns the next `Tagged`/`Batch` envelope
-    /// — a read or scrape that may complete out of order — after
-    /// applying, token held and in arrival order, every bare replication
-    /// frame before it (`SeqGap` would fire on any reordering). A bare
-    /// frame that is not replication is refused with a typed error and
-    /// the loop goes on. With the envelope comes whether its decode and
-    /// encode are observed in the `wire.*_ns` histograms: an envelope of
-    /// nothing but scrapes is not — scrapes stay side-effect-free.
-    /// `None` when the connection is over.
-    fn serve_in_order(&self, token: &mut ReadToken) -> Option<(Frame, bool)> {
-        let ctx = &*self.ctx;
-        let m = &ctx.metrics;
+    /// One connection's life on the thread that accepted it, the only
+    /// thread it has: read and decode a frame, answer it, read the next.
+    /// A bare replication frame is applied right there, in arrival order
+    /// (`SeqGap` would fire on any reordering); a bare frame that is not
+    /// replication is refused with a typed error and the loop goes on. A
+    /// `Tagged`/`Batch` envelope is served and its reply written before
+    /// the next frame is read. Decode and encode of an envelope are
+    /// observed in the `wire.*_ns` histograms unless it holds nothing but
+    /// scrapes — scrapes stay side-effect-free. Returns when the peer is
+    /// gone, framing is lost, or a reply could not be written.
+    fn serve_conn(&self, mut stream: TcpStream) {
+        let m = &self.metrics;
         loop {
-            let (tag, payload) = match read_frame(&mut token.stream, ctx.max_frame) {
+            let (tag, payload) = match read_frame(&mut stream, self.max_frame) {
                 Ok(fr) => fr,
-                Err(WireError::Io { .. }) => return None, // peer gone
+                Err(WireError::Io { .. }) => return, // peer gone
                 Err(e) => {
                     // Framing is lost: report the typed error and drop
                     // the connection (the client reconnects).
-                    let _ = write_shared(&self.writer, &Frame::Error(e), None);
-                    return None;
+                    let _ = write_shared(&stream, &Frame::Error(e), None);
+                    return;
                 }
             };
             let decode_started = Instant::now();
             let req = match Frame::decode(tag, &payload) {
                 Ok(req) => req,
                 Err(e) => {
-                    let _ = write_shared(&self.writer, &Frame::Error(e), None);
-                    return None;
+                    let _ = write_shared(&stream, &Frame::Error(e), None);
+                    return;
                 }
             };
             let decode_elapsed = decode_started.elapsed();
-            let observed = match &req {
-                Frame::Tagged { inner, .. } => !is_scrape(inner),
-                Frame::Batch(entries) => !entries.iter().all(|(_, _, f)| is_scrape(f)),
+            // A read is answered in its envelope: one `Tagged` reply, or
+            // one `BatchRep` for a whole wave batch.
+            let (observed, reply) = match req {
+                Frame::Tagged {
+                    req_id,
+                    ctx: tctx,
+                    inner,
+                } => (
+                    !is_scrape(&inner),
+                    Frame::Tagged {
+                        req_id,
+                        ctx: None,
+                        inner: Box::new(self.serve_read(&inner, tctx)),
+                    },
+                ),
+                Frame::Batch(entries) => (
+                    !entries.iter().all(|(_, _, f)| is_scrape(f)),
+                    Frame::BatchRep(
+                        entries
+                            .iter()
+                            .map(|(id, tctx, f)| (*id, self.serve_read(f, *tctx)))
+                            .collect(),
+                    ),
+                ),
                 bare => {
-                    let (reply, retired) = serve_replication(bare, ctx).unwrap_or_else(|| {
+                    let (reply, retired) = serve_replication(&bare, self).unwrap_or_else(|| {
                         let why = format!(
                             "shard {} serves frame {tag:#04x} only inside a Tagged/Batch \
                              envelope; bare frames are replication",
-                            ctx.shard
+                            self.shard
                         );
                         (Frame::Error(WireError::Remote(why)), None)
                     });
-                    if !write_shared(&self.writer, &reply, None) {
-                        return None;
+                    if !write_shared(&stream, &reply, None) {
+                        return;
                     }
                     // Only now, with the ack on the wire, is the state the
                     // frame replaced let go (and freed, if no reader holds it).
@@ -802,36 +662,45 @@ impl Conn {
             if observed {
                 m.decode_ns.record_duration(decode_elapsed);
             }
-            return Some((req, observed));
+            if !write_shared(&stream, &reply, observed.then_some(m)) {
+                return;
+            }
         }
     }
+}
 
-    /// Serves one multiplexed read — a tagged request, or a whole wave
-    /// batch answered with one `BatchRep` — and returns the reply
-    /// envelope.
-    fn serve_envelope(&self, req: Frame) -> Frame {
-        match req {
-            Frame::Tagged {
-                req_id,
-                ctx: tctx,
-                inner,
-            } => Frame::Tagged {
-                req_id,
-                ctx: None,
-                inner: Box::new(self.ctx.serve_read(&inner, tctx)),
-            },
-            Frame::Batch(entries) => Frame::BatchRep(
-                entries
-                    .iter()
-                    .map(|(id, tctx, f)| (*id, self.ctx.serve_read(f, *tctx)))
-                    .collect(),
-            ),
-            other => unreachable!(
-                "serve_in_order hands off envelopes only, got frame {:#04x}",
-                other.tag()
-            ),
+fn is_scrape(f: &Frame) -> bool {
+    matches!(f, Frame::StatsScrapeReq | Frame::TraceScrapeReq)
+}
+
+/// Writes one whole frame on the connection's socket in a single
+/// `write_all`.
+///
+/// Any failure — an unencodable reply (e.g. oversize) as much as a
+/// broken pipe — shuts the socket down before reporting `false`. If the
+/// reply were silently dropped with the socket left healthy, the
+/// client's demux would wait on that `req_id` forever; killing the socket
+/// makes the peer's reader poison every in-flight waiter, and the client
+/// fails over.
+///
+/// Read replies pass the loop metrics as `m`, so their encode lands in
+/// `wire.encode_ns`; everything else (scrape replies, which stay
+/// side-effect-free, replication acks, errors) passes `None`.
+fn write_shared(mut stream: &TcpStream, frame: &Frame, m: Option<&WireLoopMetrics>) -> bool {
+    let encode_started = Instant::now();
+    let ok = match frame.to_frame_bytes() {
+        Ok(buf) => {
+            if let Some(m) = m {
+                m.encode_ns.record_duration(encode_started.elapsed());
+            }
+            stream.write_all(&buf).is_ok() && stream.flush().is_ok()
         }
+        Err(_) => false,
+    };
+    if !ok {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
     }
+    ok
 }
 
 /// A running shard server.
@@ -864,7 +733,7 @@ impl ShardServer {
             .tracer()
             .set_id_seed((shard as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let delay: Arc<RwLock<Option<ServeDelay>>> = Arc::new(RwLock::new(None));
-        let ctx = Arc::new(ServeCtx {
+        let ctx = ServeCtx {
             state: Arc::clone(&state),
             applied: Arc::clone(&applied),
             metrics: WireLoopMetrics::new(&metrics),
@@ -874,7 +743,7 @@ impl ShardServer {
             shard,
             max_frame: cfg.max_frame,
             delay: Arc::clone(&delay),
-        });
+        };
         let listener = Listener::spawn(
             &format!("wireplane-shard{shard}"),
             cfg.max_conns,
@@ -890,35 +759,7 @@ impl ShardServer {
                 {
                     return;
                 }
-                let Ok(writer) = stream.try_clone() else {
-                    return;
-                };
-                let conn = Arc::new(Conn {
-                    ctx: Arc::clone(&ctx),
-                    token: Mutex::new(ReadToken {
-                        stream,
-                        followers: Vec::new(),
-                        closed: false,
-                    }),
-                    // This thread, about to take the token.
-                    free: AtomicUsize::new(1),
-                    writer: Mutex::new(writer),
-                });
-                conn.run();
-                // The connection is over: each follower finishes what it
-                // is serving, finds the token closed and leaves. The
-                // handle list is whole even if a serve panicked with the
-                // token held — it is only ever pushed to.
-                let followers = std::mem::take(
-                    &mut conn
-                        .token
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .followers,
-                );
-                for h in followers {
-                    let _ = h.join();
-                }
+                ctx.serve_conn(stream);
             },
         )?;
         Ok(ShardServer {
@@ -932,8 +773,7 @@ impl ShardServer {
 
     /// Installs (or clears, with `None`) an artificial per-request serve
     /// delay on the multiplexed path. Test hook: the interleaving suite
-    /// rigs request-dependent delays so tagged replies provably complete
-    /// out of order.
+    /// rigs request-dependent delays to stretch or park chosen serves.
     pub(crate) fn set_serve_delay(&self, delay: Option<ServeDelay>) {
         *self.delay.write().unwrap() = delay;
     }
@@ -991,73 +831,21 @@ mod tests {
         .unwrap()
     }
 
-    fn serve_spawns(cluster: &WireCluster) -> u64 {
-        cluster
-            .server_metrics(0)
-            .snapshot()
-            .counter("wire.serve_spawns")
-    }
-
-    /// Sequential tagged traffic is served by one parked follower, woken
-    /// per request — the follower count follows concurrency, not request
-    /// count.
+    /// 40 requests in flight at once on one connection: the connection's
+    /// thread serves one at a time and reads nothing while it serves, so
+    /// with the first serve parked no second one starts; once it is let
+    /// go, the replies come back in arrival order, each with its own
+    /// request's answer.
     #[test]
-    fn sequential_tagged_calls_reuse_one_follower() {
-        let cluster = one_shard_cluster();
-        let (mux, _, _) = MuxConn::connect(cluster.shard_addrs()[0], MAX_FRAME).unwrap();
-        let before = serve_spawns(&cluster);
-        for _ in 0..1000 {
-            assert!(matches!(
-                mux.call(&Frame::HorizonReq).unwrap(),
-                Frame::HorizonRep(_)
-            ));
-        }
-        assert_eq!(
-            serve_spawns(&cluster) - before,
-            1,
-            "1000 sequential requests must wake one worker, not start more"
-        );
-        cluster.shutdown();
-    }
-
-    /// 40 requests in flight at once on one connection: the first
-    /// `MAX_INFLIGHT_SERVES` each get a follower, the next is served by
-    /// the leader with the token held (which therefore stops reading —
-    /// backpressure), and every reply still pairs with its request.
-    #[test]
-    fn concurrent_requests_past_the_follower_cap_are_served_inline() {
+    fn forty_requests_in_flight_on_one_connection_answer_in_arrival_order() {
         const REQUESTS: u32 = 40;
-        let cluster = one_shard_cluster();
-        let before = serve_spawns(&cluster);
-
-        // A gate instead of a timer: every serve announces itself, then
-        // blocks until the test opens the gate.
-        let gate = Arc::new((Mutex::new((0usize, false)), Condvar::new()));
-        let delay: ServeDelay = {
-            let gate = Arc::clone(&gate);
-            Arc::new(move |_: &Frame| {
-                let (lock, cond) = &*gate;
-                let mut g = lock.lock().unwrap();
-                g.0 += 1;
-                cond.notify_all();
-                while !g.1 {
-                    g = cond.wait(g).unwrap();
-                }
-                Duration::ZERO
-            })
-        };
-        cluster.set_serve_delay(0, 0, Some(delay));
+        let server = lone_server(WireConfig::default());
+        let gate = Gate::install(|hook| server.set_serve_delay(hook));
 
         // A raw socket, so the 40 requests travel as 40 `Tagged` frames
         // (a `MuxConn` would combine concurrent callers into batches).
-        let mut stream = TcpStream::connect(cluster.shard_addrs()[0]).unwrap();
-        stream
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .unwrap();
-        assert!(matches!(
-            Frame::read(&mut stream, MAX_FRAME).unwrap(),
-            Frame::Hello { .. }
-        ));
+        let (mut stream, hello) = dial(server.local_addr());
+        assert!(matches!(hello, Frame::Hello { .. }));
         // Even ids ask for the horizon, odd ids for an unknown host's
         // record: a reply crossing wires would show up as the wrong type.
         for req_id in 0..REQUESTS {
@@ -1069,42 +857,20 @@ mod tests {
                     flow: FlowId(0),
                 }
             };
-            Frame::Tagged {
-                req_id,
-                ctx: None,
-                inner: Box::new(inner),
-            }
-            .write(&mut stream)
-            .unwrap();
+            tagged(req_id, inner).write(&mut stream).unwrap();
         }
 
-        let (lock, cond) = &*gate;
-        let inline_and_workers = MAX_INFLIGHT_SERVES + 1;
-        {
-            let mut g = lock.lock().unwrap();
-            while g.0 < inline_and_workers {
-                let (next, timeout) = cond.wait_timeout(g, Duration::from_secs(30)).unwrap();
-                assert!(!timeout.timed_out(), "only {} serves started", next.0);
-                g = next;
-            }
-        }
-        // The read loop is stuck inside the inline serve: with the gate
-        // shut, no further request can start however long we wait.
+        // With the gate shut, no further serve can start however long we
+        // wait: the thread that would read the next request is parked.
+        gate.wait_parked(1);
         std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(lock.lock().unwrap().0, inline_and_workers);
-        assert_eq!(
-            serve_spawns(&cluster) - before,
-            MAX_INFLIGHT_SERVES as u64,
-            "the cap bounds the workers; the overflow request got none"
-        );
+        assert_eq!(gate.parked(), 1, "a second serve started beside the first");
 
-        lock.lock().unwrap().1 = true;
-        cond.notify_all();
-        let mut seen = vec![false; REQUESTS as usize];
-        for _ in 0..REQUESTS {
+        gate.open();
+        for want in 0..REQUESTS {
             match Frame::read(&mut stream, MAX_FRAME).unwrap() {
                 Frame::Tagged { req_id, inner, .. } => {
-                    assert!(!std::mem::replace(&mut seen[req_id as usize], true));
+                    assert_eq!(req_id, want, "replies left arrival order");
                     match (*inner, req_id % 2) {
                         (Frame::HorizonRep(_), 0) | (Frame::RecordRep(None), 1) => {}
                         (other, _) => panic!("request {req_id} got {other:?}"),
@@ -1113,19 +879,14 @@ mod tests {
                 other => panic!("expected a tagged reply, got {other:?}"),
             }
         }
-        assert_eq!(
-            serve_spawns(&cluster) - before,
-            MAX_INFLIGHT_SERVES as u64,
-            "draining the backlog reuses the parked workers"
-        );
-        cluster.set_serve_delay(0, 0, None);
-        cluster.shutdown();
+        server.set_serve_delay(None);
+        server.shutdown();
     }
 
-    /// Shutdown with a serve in flight: the serving thread is joined (not
-    /// abandoned), shutdown does not hang on it, and the caller whose
-    /// connection was closed under it sees a transport error — never a
-    /// reply written after the close.
+    /// Shutdown with a serve in flight: the connection's thread is joined
+    /// (not abandoned) once its serve ends, shutdown does not hang on it,
+    /// and the caller whose connection was closed under it sees a
+    /// transport error — never a reply written after the close.
     #[test]
     fn shutdown_joins_a_follower_that_is_mid_serve() {
         let cluster = one_shard_cluster();
@@ -1175,10 +936,9 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let mut peer = TcpStream::connect(addr).unwrap();
         let (server_side, _) = listener.accept().unwrap();
-        let writer = Mutex::new(server_side);
 
         // An encodable frame goes through and reports success.
-        assert!(write_shared(&writer, &Frame::HorizonRep(7), None));
+        assert!(write_shared(&server_side, &Frame::HorizonRep(7), None));
 
         // A payload over MAX_FRAME fails to encode: write_shared must
         // report failure AND shut the stream down.
@@ -1187,7 +947,7 @@ mod tests {
             seq: 1,
             view: vec![0u8; MAX_FRAME as usize],
         };
-        assert!(!write_shared(&writer, &oversize, None));
+        assert!(!write_shared(&server_side, &oversize, None));
 
         // Drain the good frame, then expect EOF — not a hang, and not
         // more data.
@@ -1202,12 +962,8 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Leader/followers: helpers and tests added with the serving model
+    // One thread per connection: helpers and tests of the serving model
     // ------------------------------------------------------------------
-
-    fn serve_inline(reg: &MetricsRegistry) -> u64 {
-        reg.snapshot().counter("wire.serve_inline")
-    }
 
     /// One shard server on its own (no front-end, no replication writer),
     /// so every accept slot and the replication log are the test's.
@@ -1257,6 +1013,11 @@ mod tests {
             Gate(gate)
         }
 
+        /// Serves that have reached the gate so far.
+        fn parked(&self) -> usize {
+            self.0.state.lock().unwrap().0
+        }
+
         fn wait_parked(&self, n: usize) {
             let g = self.0.state.lock().unwrap();
             let (g, timeout) = self
@@ -1300,52 +1061,10 @@ mod tests {
         }
     }
 
-    /// `wire.serve_inline` is the saturation signal and nothing else: a
-    /// closed loop never moves it, overrunning the follower cap does.
-    #[test]
-    fn serve_inline_counts_only_serves_with_the_token_held() {
-        let cluster = one_shard_cluster();
-        let reg = cluster.server_metrics(0);
-        let (mux, _, _) = MuxConn::connect(cluster.shard_addrs()[0], MAX_FRAME).unwrap();
-        for _ in 0..1000 {
-            assert!(matches!(
-                mux.call(&Frame::HorizonReq).unwrap(),
-                Frame::HorizonRep(_)
-            ));
-        }
-        assert_eq!(serve_inline(reg), 0, "a closed loop never holds the token");
-
-        const REQUESTS: u32 = 40;
-        let gate = Gate::install(|hook| cluster.set_serve_delay(0, 0, hook));
-        let (mut stream, hello) = dial(cluster.shard_addrs()[0]);
-        assert!(matches!(hello, Frame::Hello { .. }));
-        for req_id in 0..REQUESTS {
-            tagged(req_id, Frame::HorizonReq)
-                .write(&mut stream)
-                .unwrap();
-        }
-        gate.wait_parked(MAX_INFLIGHT_SERVES + 1);
-        assert_eq!(
-            serve_inline(reg),
-            1,
-            "the request past the cap kept the token"
-        );
-        gate.open();
-        for _ in 0..REQUESTS {
-            assert!(matches!(
-                Frame::read(&mut stream, MAX_FRAME).unwrap(),
-                Frame::Tagged { .. }
-            ));
-        }
-        assert!(serve_inline(reg) >= 1);
-        cluster.set_serve_delay(0, 0, None);
-        cluster.shutdown();
-    }
-
-    /// A client that leaves with reads still being served leaves no
-    /// thread behind: the connection's slot stays taken while its serves
-    /// are parked, and comes back — every follower joined — once they
-    /// finish.
+    /// A client that leaves with reads still queued leaves no thread
+    /// behind: the connection's slot stays taken while its one serve is
+    /// parked, and comes back — the connection thread joined — once the
+    /// serve finishes and the thread finds the peer gone.
     #[test]
     fn a_dropped_connection_with_parked_serves_frees_its_accept_slot() {
         let server = lone_server(WireConfig {
@@ -1361,13 +1080,13 @@ mod tests {
                 .write(&mut stream)
                 .unwrap();
         }
-        gate.wait_parked(3);
+        gate.wait_parked(1);
         drop(stream);
-        // The connection thread is one of the three parked serves, so the
-        // slot cannot have been given back yet.
+        // The connection thread is parked in the first serve, so the slot
+        // cannot have been given back yet.
         assert!(
             matches!(dial(addr).1, Frame::Error(WireError::Remote(_))),
-            "the only accept slot was free while its connection still had threads"
+            "the only accept slot was free while its connection still had a thread"
         );
         gate.open();
         let deadline = Instant::now() + Duration::from_secs(30);
@@ -1382,15 +1101,22 @@ mod tests {
         server.shutdown();
     }
 
-    /// Bare replication frames are applied by whoever holds the read
-    /// token, in arrival order, however many reads are parked around
-    /// them: 16 appends interleaved with 16 gated tagged reads all ack in
-    /// sequence — no `SeqGap` — before a single read has answered.
+    /// Bare replication frames apply in arrival order, and a read sees
+    /// the state as of its own arrival position: 16 appends interleaved
+    /// with 16 stretched horizon reads, all sent before any reply is read,
+    /// ack in sequence — no `SeqGap` — and each read answers the horizon
+    /// the append before it installed, with every reply in request order.
     #[test]
     fn appends_interleaved_with_parked_reads_apply_in_arrival_order() {
         const APPENDS: u64 = 16;
         let server = lone_server(WireConfig::default());
-        let gate = Gate::install(|hook| server.set_serve_delay(hook));
+        let initial = server.state().view.epoch_horizon();
+        // A stretched read would be overtaken by the append behind it if
+        // the connection served out of order.
+        server.set_serve_delay(Some(Arc::new(|f: &Frame| match f {
+            Frame::HorizonReq => Duration::from_millis(2),
+            _ => Duration::ZERO,
+        })));
         let (mut stream, hello) = dial(server.local_addr());
         assert!(matches!(hello, Frame::Hello { .. }));
         for seq in 1..=APPENDS {
@@ -1408,30 +1134,25 @@ mod tests {
             }
             .write(&mut stream)
             .unwrap();
+        }
+        for seq in 1..=APPENDS {
+            let before = if seq == 1 { initial } else { 5000 + seq - 1 };
+            match Frame::read(&mut stream, MAX_FRAME).unwrap() {
+                Frame::Tagged { req_id, inner, .. } => {
+                    assert_eq!(req_id, 1000 + seq as u32, "replies left arrival order");
+                    assert!(
+                        matches!(*inner, Frame::HorizonRep(h) if h == before),
+                        "read {req_id} did not see the state at its arrival: {inner:?}"
+                    );
+                }
+                other => panic!("expected read {} to answer, got {other:?}", 1000 + seq),
+            }
             match Frame::read(&mut stream, MAX_FRAME).unwrap() {
                 Frame::DeltaAck { applied, .. } => assert_eq!(applied, seq),
                 other => panic!("append {seq} was not applied: {other:?}"),
             }
         }
         assert_eq!(server.applied_seq(), APPENDS);
-        // Every ack above arrived with the gate shut: all reads are
-        // still parked, none has answered.
-        gate.wait_parked(APPENDS as usize);
-        gate.open();
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..APPENDS {
-            match Frame::read(&mut stream, MAX_FRAME).unwrap() {
-                Frame::Tagged { req_id, inner, .. } => {
-                    assert!(seen.insert(req_id), "read {req_id} answered twice");
-                    assert!(
-                        matches!(*inner, Frame::HorizonRep(h) if h == 5000 + APPENDS),
-                        "read {req_id} got {inner:?}"
-                    );
-                }
-                other => panic!("expected a tagged reply, got {other:?}"),
-            }
-        }
-        assert_eq!(seen, (1001..=1000 + APPENDS as u32).collect());
         server.set_serve_delay(None);
         server.shutdown();
     }
@@ -1439,19 +1160,19 @@ mod tests {
     /// Random mixes of every shape a shard socket can be sent — bare
     /// replication, tagged reads, read batches, and the two refused
     /// shapes (a bare read, replication inside an envelope) — with some
-    /// serves stretched so replies reorder: every `req_id` is answered
-    /// exactly once with what `ShardState::serve` answers for that
-    /// request alone, batches answer whole and in entry order, bare
-    /// replies keep their arrival order, and a refusal is a typed error
-    /// that moves no state and leaves the link serving.
+    /// serves stretched: every frame is answered once and in request
+    /// order, each `req_id` with what `ShardState::serve` answers for that
+    /// request alone, batches whole and in entry order, and a refusal is
+    /// a typed error that moves no state and leaves the link serving.
     #[test]
     fn any_frame_mix_on_one_socket_answers_what_each_request_alone_would() {
         use netsim::rng::DetRng;
-        use std::collections::{BTreeMap, VecDeque};
+        use std::collections::VecDeque;
 
         let server = lone_server(WireConfig::default());
         let state = server.state();
-        // Stretch some serves so later requests overtake earlier ones.
+        // Stretch some serves: a later, quicker request must still wait
+        // its turn.
         server.set_serve_delay(Some(Arc::new(|f: &Frame| match f {
             Frame::RecordReq { .. } => Duration::from_millis(2),
             Frame::UnionSliceReq { .. } => Duration::from_micros(300),
@@ -1529,11 +1250,9 @@ mod tests {
             let (mut stream, hello) = dial(server.local_addr());
             assert!(matches!(hello, Frame::Hello { .. }));
             let mut next_id = 0u32;
-            let mut by_id: BTreeMap<u32, String> = BTreeMap::new();
-            let mut batches: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
-            // What each bare frame must be answered with, in arrival
-            // order; `None` for a bare read — any typed refusal.
-            let mut bare: VecDeque<Option<String>> = VecDeque::new();
+            // The reply each frame must get, in request order; `None` for
+            // a bare read — any typed refusal.
+            let mut replies: VecDeque<Option<String>> = VecDeque::new();
             let frames = 24 + rng.next_below(40);
             for _ in 0..frames {
                 // Whatever an envelope carries, it is answered as
@@ -1546,26 +1265,19 @@ mod tests {
                     };
                     let id = next_id;
                     next_id += 1;
-                    by_id.insert(id, format!("{:?}", state.serve(&req)));
                     (id, req)
                 };
-                let frame = match rng.next_below(6) {
-                    0 => {
-                        bare.push_back(None);
-                        gen_read(&mut rng)
-                    }
+                let (frame, want) = match rng.next_below(6) {
+                    0 => (gen_read(&mut rng), None),
                     1 => {
                         let req = gen_repl(&mut rng);
-                        bare.push_back(Some(format!("{:?}", repl_oracle(&req))));
-                        req
+                        let want = repl_oracle(&req);
+                        (req, Some(want))
                     }
-                    2 => {
-                        let (id, req) = entry(&mut rng, false);
-                        tagged(id, req)
-                    }
-                    3 => {
-                        let (id, req) = entry(&mut rng, true);
-                        tagged(id, req)
+                    kind @ (2 | 3) => {
+                        let (id, req) = entry(&mut rng, kind == 3);
+                        let want = tagged(id, state.serve(&req));
+                        (tagged(id, req), Some(want))
                     }
                     kind => {
                         // A batch of reads; every other one also carries
@@ -1578,50 +1290,28 @@ mod tests {
                                 (id, None, req)
                             })
                             .collect();
-                        batches.insert(entries[0].0, entries.iter().map(|e| e.0).collect());
-                        Frame::Batch(entries)
+                        let want = Frame::BatchRep(
+                            entries
+                                .iter()
+                                .map(|(id, _, req)| (*id, state.serve(req)))
+                                .collect(),
+                        );
+                        (Frame::Batch(entries), Some(want))
                     }
                 };
+                replies.push_back(want.map(|f| format!("{f:?}")));
                 frame.write(&mut stream).unwrap();
             }
-            let mut check = |id: u32, reply: &Frame| {
-                let want = by_id
-                    .remove(&id)
-                    .unwrap_or_else(|| panic!("seed {seed}: req_id {id} answered twice"));
-                assert_eq!(format!("{reply:?}"), want, "seed {seed}: req_id {id}");
-            };
-            for _ in 0..frames {
-                match Frame::read(&mut stream, MAX_FRAME).unwrap() {
-                    Frame::Tagged { req_id, inner, .. } => check(req_id, &inner),
-                    Frame::BatchRep(replies) => {
-                        let ids: Vec<u32> = replies.iter().map(|(id, _)| *id).collect();
-                        assert_eq!(
-                            batches.remove(&ids[0]),
-                            Some(ids),
-                            "seed {seed}: a batch was not answered whole and in entry order"
-                        );
-                        for (id, reply) in &replies {
-                            check(*id, reply);
-                        }
-                    }
-                    untagged => match bare.pop_front() {
-                        Some(Some(want)) => assert_eq!(
-                            format!("{untagged:?}"),
-                            want,
-                            "seed {seed}: bare replies out of arrival order"
-                        ),
-                        Some(None) => assert!(
-                            matches!(untagged, Frame::Error(WireError::Remote(_))),
-                            "seed {seed}: a bare read was answered with {untagged:?}"
-                        ),
-                        None => panic!("seed {seed}: unasked bare reply {untagged:?}"),
-                    },
+            for (i, want) in replies.into_iter().enumerate() {
+                let got = Frame::read(&mut stream, MAX_FRAME).unwrap();
+                match want {
+                    Some(want) => assert_eq!(format!("{got:?}"), want, "seed {seed}: frame {i}"),
+                    None => assert!(
+                        matches!(got, Frame::Error(WireError::Remote(_))),
+                        "seed {seed}: bare read {i} was answered with {got:?}"
+                    ),
                 }
             }
-            assert!(
-                by_id.is_empty() && batches.is_empty() && bare.is_empty(),
-                "seed {seed}: unanswered requests {by_id:?}"
-            );
         }
         assert_eq!(server.applied_seq(), 0, "a refused append moved the log");
         server.set_serve_delay(None);

@@ -81,7 +81,7 @@ fn run_local(
     let chunk = |n, workers| chunk.unwrap_or_else(|| chunk_size(n, workers));
     queryplane::execute(pool, ctx, reqs, keys, chunk, move |chunk, started| {
         let backends = c.dir.local_backends(&*s);
-        lock_step(&c, &backends, true, Spans::Exec, chunk, started)
+        lock_step(&c, &backends, Spans::Exec, chunk, started)
     })
 }
 

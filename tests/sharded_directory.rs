@@ -601,8 +601,7 @@ fn measured_rounds_equal_modelled_rounds_per_class() {
 /// 20 switches plus one presence probe, whose exact-epoch probes target a
 /// single owning shard (the case sharding cannot parallelise). Per shard
 /// count: the modelled decode time, the largest and total per-shard
-/// decode bits, the bits through the cross-shard merge and the largest
-/// shard's directory metadata. Verdicts equal the sequential analyzer's
+/// decode bits and the bits through the cross-shard merge. Verdicts equal the sequential analyzer's
 /// at every count, the 4-shard decode models below the single
 /// coordinator, and the whole series is pinned by digest, rendered one
 /// `name x y` line per point in the order the series are listed.
@@ -643,12 +642,11 @@ fn sharding_ablation_series_are_pinned() {
         .map(|r| format!("{:?}", analyzer.execute(r)))
         .collect();
 
-    let mut series: [(&str, Vec<(f64, f64)>); 5] = [
+    let mut series: [(&str, Vec<(f64, f64)>); 4] = [
         ("modelled_decode_us", Vec::new()),
         ("max_shard_decode_bits", Vec::new()),
         ("total_decode_bits", Vec::new()),
         ("cross_shard_merge_bits", Vec::new()),
-        ("max_shard_metadata_bytes", Vec::new()),
     ];
     let mut decode_ns = Vec::new();
     for n_shards in [1usize, 2, 4, 8] {
@@ -665,20 +663,12 @@ fn sharding_ablation_series_are_pinned() {
             decode_total_ns += f.modelled_decode(analyzer.cost()).as_ns();
             fanout.absorb(&f);
         }
-        let max_metadata = sharded
-            .directory()
-            .shards()
-            .iter()
-            .map(|s| s.metadata_bytes())
-            .max()
-            .unwrap_or(0);
         let x = n_shards as f64;
         let points = [
             decode_total_ns as f64 / 1e3,
             fanout.decode_bits.iter().copied().max().unwrap_or(0) as f64,
             fanout.decode_bits.iter().sum::<u64>() as f64,
             fanout.merged_bits as f64,
-            max_metadata as f64,
         ];
         for ((_, s), y) in series.iter_mut().zip(points) {
             s.push((x, y));
@@ -705,4 +695,4 @@ fn sharding_ablation_series_are_pinned() {
 }
 
 /// `fnv1a` of [`sharding_ablation_series_are_pinned`]'s rendering.
-const SHARDING_ABLATION_DIGEST: u64 = 5553459742281066377;
+const SHARDING_ABLATION_DIGEST: u64 = 4270598991265056133;
