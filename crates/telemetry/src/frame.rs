@@ -419,9 +419,11 @@ pub fn frame_into(out: &mut Vec<u8>, tag: u8, payload: &[u8]) -> Result<(), Wire
     Ok(())
 }
 
-/// Reads one `(tag, payload)` frame, rejecting declared lengths of zero
-/// or above `max` before allocating.
-pub fn read_frame(r: &mut impl Read, max: u32) -> Result<(u8, Vec<u8>), WireError> {
+/// Reads one frame's body — its tag byte, then its payload — into one
+/// buffer, rejecting declared lengths of zero or above `max` before
+/// allocating. The body is never empty; decode from `body[0]` and
+/// `&body[1..]`, which costs no copy.
+pub fn read_frame_body(r: &mut impl Read, max: u32) -> Result<Vec<u8>, WireError> {
     let mut len_bytes = [0u8; 4];
     r.read_exact(&mut len_bytes)?;
     let len = u32::from_le_bytes(len_bytes);
@@ -430,9 +432,14 @@ pub fn read_frame(r: &mut impl Read, max: u32) -> Result<(u8, Vec<u8>), WireErro
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
-    let tag = body[0];
-    body.drain(..1);
-    Ok((tag, body))
+    Ok(body)
+}
+
+/// Reads one `(tag, payload)` frame with the payload in a buffer of its
+/// own (one copy more than [`read_frame_body`]), under the same bounds.
+pub fn read_frame(r: &mut impl Read, max: u32) -> Result<(u8, Vec<u8>), WireError> {
+    let body = read_frame_body(r, max)?;
+    Ok((body[0], body[1..].to_vec()))
 }
 
 /// Value-level codec: how one type travels inside a frame payload.

@@ -21,9 +21,10 @@
 //! reassembly or one host wave overlap and a round costs its slowest
 //! shard, not the sum. `FrontEnd::close_window` reads the shards'
 //! horizons the same way. Each exchange's RTT (`wire.rtt_ns.shard{N}`,
-//! and its `wire` span) runs from issue to the reply's *arrival* —
-//! stamped by the link's demux reader — so a shard collected late is not
-//! billed for the wait on its siblings.
+//! and its `wire` span) runs from issue to the instant a waiter reads the
+//! reply off the link. The link has no reader of its own: the thread
+//! collecting a reply reads it (see [`crate::mux`]), so a shard
+//! collected after a slow sibling is billed for the wait on it.
 //!
 //! Every query, alone or in a wave, runs through the query plane's batch
 //! driver ([`queryplane::execute`]) over the shard links, exactly as the
@@ -69,7 +70,8 @@
 //! identical idempotent read. When a shard exhausts
 //! its budget the collecting query panics past its still-in-flight
 //! siblings; their handles release their reply slots on drop, and
-//! replies that land afterwards are discarded by the demux reader.
+//! replies that land afterwards are discarded by whoever next reads the
+//! link.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -500,9 +502,9 @@ impl Exchange<'_> {
                 }) => match reply.wait() {
                     Ok((Frame::Error(e), _)) => return Err(e),
                     Ok((reply, arrived)) => {
-                        // Issue → reply *arrival*: collecting in shard
-                        // order must not bill this shard for the time
-                        // spent waiting on the ones collected before it.
+                        // Issue → the read that took the reply off the
+                        // link: a shard collected after a slow sibling
+                        // is billed for the wait on it.
                         let rtt = arrived.saturating_duration_since(started);
                         if observe {
                             shard.rpcs.fetch_add(1, Ordering::Relaxed);

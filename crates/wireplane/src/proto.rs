@@ -70,7 +70,9 @@ use switchpointer::query::{
     FilterWaveReply, QueryRequest, QueryResponse, SizesWaveReply, TopKWaveReply, UnionSizes,
     UnionTopK,
 };
-use telemetry::frame::{dec_map, read_frame, write_frame, Dec, Enc, Wire, WireError, MAX_FRAME};
+use telemetry::frame::{
+    dec_map, read_frame_body, write_frame, Dec, Enc, Wire, WireError, MAX_FRAME,
+};
 use telemetry::EpochRange;
 
 /// Compact digest of one closed window — what the front-end pushes to
@@ -826,8 +828,8 @@ impl Frame {
 
     /// Reads one frame from `r`, bounding the accepted size by `max`.
     pub fn read(r: &mut impl Read, max: u32) -> Result<Frame, WireError> {
-        let (tag, payload) = read_frame(r, max)?;
-        Self::decode(tag, &payload)
+        let body = read_frame_body(r, max)?;
+        Self::decode(body[0], &body[1..])
     }
 
     /// Decodes a frame from its tag and payload. Any trailing bytes in

@@ -44,7 +44,7 @@ use obsplane::{Counter, Gauge, Histogram, MetricsRegistry, SpanEvent, TraceConte
 use queryplane::{DeltaRecord, Snapshot};
 use switchpointer::query::StateView;
 use switchpointer::shard::{DirectoryShard, LocalBackend, ShardBackend};
-use telemetry::frame::{read_frame, Dec, WireError, MAX_FRAME};
+use telemetry::frame::{read_frame_body, Dec, WireError, MAX_FRAME};
 
 use crate::proto::Frame;
 
@@ -419,9 +419,12 @@ impl Listener {
                             std::thread::Builder::new()
                                 .name(format!("{name}-conn"))
                                 .spawn(move || {
+                                    let _slot = ConnSlot {
+                                        active,
+                                        streams,
+                                        conn_id,
+                                    };
                                     handle(stream);
-                                    streams.lock().unwrap().remove(&conn_id);
-                                    active.fetch_sub(1, Ordering::SeqCst);
                                 })
                         };
                         let jh = match spawned {
@@ -482,6 +485,28 @@ impl Listener {
         for h in self.conns.lock().unwrap().drain(..) {
             let _ = h.join();
         }
+    }
+}
+
+/// A connection's hold on its listener — an accept slot and the socket
+/// clone registered for shutdown — let go when the connection's thread
+/// ends, however `handle` returns: a serve that panics unwinds through
+/// this drop too, so it leaks neither.
+struct ConnSlot {
+    active: Arc<AtomicUsize>,
+    streams: Arc<Mutex<std::collections::HashMap<u64, TcpStream>>>,
+    conn_id: u64,
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        // The slot first: dropping the registered clone closes the socket,
+        // and a peer that redials on seeing the close must find it free.
+        self.active.fetch_sub(1, Ordering::SeqCst);
+        self.streams
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .remove(&self.conn_id);
     }
 }
 
@@ -598,7 +623,7 @@ impl ServeCtx {
     fn serve_conn(&self, mut stream: TcpStream) {
         let m = &self.metrics;
         loop {
-            let (tag, payload) = match read_frame(&mut stream, self.max_frame) {
+            let body = match read_frame_body(&mut stream, self.max_frame) {
                 Ok(fr) => fr,
                 Err(WireError::Io { .. }) => return, // peer gone
                 Err(e) => {
@@ -609,7 +634,8 @@ impl ServeCtx {
                 }
             };
             let decode_started = Instant::now();
-            let req = match Frame::decode(tag, &payload) {
+            let tag = body[0];
+            let req = match Frame::decode(tag, &body[1..]) {
                 Ok(req) => req,
                 Err(e) => {
                     let _ = write_shared(&stream, &Frame::Error(e), None);
@@ -1098,6 +1124,43 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         server.set_serve_delay(None);
+        server.shutdown();
+    }
+
+    /// A serve that panics unwinds its connection's thread, which must
+    /// still give back its accept slot and close its socket: the client
+    /// waiting on the reply fails with a transport error at once, and
+    /// the next dial to the one-slot server is served.
+    #[test]
+    fn a_panicking_serve_frees_its_accept_slot_and_closes_its_link() {
+        let server = lone_server(WireConfig {
+            max_conns: 1,
+            ..WireConfig::default()
+        });
+        let addr = server.local_addr();
+        server.set_serve_delay(Some(Arc::new(|_: &Frame| {
+            panic!("a serve panics on purpose")
+        })));
+        let (mux, _, _) = MuxConn::connect(addr, MAX_FRAME).unwrap();
+        let (done_tx, done) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let _ = done_tx.send(mux.call(&Frame::HorizonReq));
+        });
+        match done.recv_timeout(Duration::from_secs(10)) {
+            Ok(Err(WireError::Io { .. })) => {}
+            Ok(other) => panic!("expected a transport error, got {other:?}"),
+            Err(_) => panic!("the panicked serve left its link open"),
+        }
+        caller.join().unwrap();
+
+        server.set_serve_delay(None);
+        let (mux, _, _) =
+            MuxConn::connect(addr, MAX_FRAME).expect("the panicked serve kept its accept slot");
+        assert!(matches!(
+            mux.call(&Frame::HorizonReq),
+            Ok(Frame::HorizonRep(_))
+        ));
+        drop(mux);
         server.shutdown();
     }
 
