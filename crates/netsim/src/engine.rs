@@ -11,6 +11,11 @@
 //! their own; and a TCP connection keeps at most one entry for its
 //! retransmission timer however often it re-arms (see `RtoTimer`).
 //!
+//! A TCP flow's connection exists from its start event on. Until then
+//! the flow is its start-queue entry: its key, drawn at registration, and
+//! what its connection is built from (see `PendingTcp`). Transport state
+//! thus scales with the flows started, not the flows registered.
+//!
 //! Store-and-forward semantics: a packet fully serializes on a port (at the
 //! link's bandwidth), then propagates (link delay), then arrives at the
 //! peer node. Each port owns an egress queue built from the configured
@@ -142,8 +147,9 @@ enum Ev {
     TcpTimer { flow: FlowId },
     /// Next UDP emission instant for a flow.
     UdpSend { flow: FlowId },
-    /// TCP connection start, popped from the start queue.
-    FlowStart { flow: FlowId },
+    /// TCP connection start, popped from the start queue: the
+    /// connection is built here.
+    FlowStart(PendingTcp),
     /// App timer (switch or host app on `node`).
     AppTimer { node: NodeId, token: u64 },
     /// Administrative link state change.
@@ -161,27 +167,49 @@ enum Ev {
 /// it took when scheduled.
 type Key = (SimTime, u64);
 
-/// A queued event: its order key and the slab slot holding the event.
-struct Entry {
+/// A queued item under its order key, ordered by the key alone: the
+/// event heap queues the slab slot holding an event, the start queue a
+/// [`PendingTcp`].
+struct Entry<T> {
     key: Key,
-    slot: u32,
+    item: T,
 }
 
-impl PartialEq for Entry {
+impl<T> PartialEq for Entry<T> {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Entry {
+impl<T> Ord for Entry<T> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key.cmp(&other.key)
     }
+}
+
+/// A registered TCP flow that has not started: what its connection is
+/// built from when its start event fires.
+#[derive(Debug, Clone, Copy)]
+struct PendingTcp {
+    flow: FlowId,
+    config: TcpConfig,
+    bytes: Option<u64>,
+    stop: Option<SimTime>,
+}
+
+/// A registered flow's transport state, as [`Simulator::flows`] lists it.
+#[derive(Debug, Clone, Copy)]
+pub enum FlowState<'a> {
+    Udp,
+    /// A TCP flow whose start event has not fired: it has no connection
+    /// yet, so no retransmits and no timeouts.
+    TcpPending,
+    Tcp(&'a TcpConn),
 }
 
 /// A TCP connection's retransmission timer, after NS-2's timers: the
@@ -209,23 +237,24 @@ pub struct Simulator {
     topo: Arc<Topology>,
     routes: Arc<RouteTable>,
     now: SimTime,
-    heap: BinaryHeap<Reverse<Entry>>,
+    heap: BinaryHeap<Reverse<Entry<u32>>>,
     /// The events the heap's entries point at; `None` marks a free slot.
     slab: Vec<Option<Ev>>,
     /// Free slots of `slab`.
     free: Vec<u32>,
-    /// TCP flow starts by key: registered up front, often seconds ahead
-    /// of the traffic being simulated, so kept out of the event heap.
-    starts: BinaryHeap<Reverse<(Key, FlowId)>>,
+    /// TCP flows yet to start, by start key: registered up front, often
+    /// seconds ahead of the traffic being simulated, so kept out of the
+    /// event heap.
+    starts: BinaryHeap<Reverse<Entry<PendingTcp>>>,
     seq: u64,
     nodes: Vec<NodeState>,
+    /// Connections of the TCP flows that have started.
     tcp: HashMap<FlowId, TcpConn>,
-    /// Retransmission timers of the connections that armed one. Kept
-    /// apart from `tcp`, which also holds every flow yet to start.
+    /// Retransmission timers of the connections that armed one.
     rto: HashMap<FlowId, RtoTimer>,
     udp: HashMap<FlowId, UdpSource>,
-    flow_meta: HashMap<FlowId, FlowMeta>,
-    next_flow: u64,
+    /// Every registered flow, indexed by its dense id.
+    flow_meta: Vec<FlowMeta>,
     next_pkt: u64,
     pub(crate) rng: DetRng,
     /// Measurement recorders (public so experiments can flip
@@ -293,8 +322,7 @@ impl Simulator {
             tcp: HashMap::new(),
             rto: HashMap::new(),
             udp: HashMap::new(),
-            flow_meta: HashMap::new(),
-            next_flow: 0,
+            flow_meta: Vec::new(),
             next_pkt: 0,
             rng: DetRng::new(config.seed),
             traces: TraceSet::default(),
@@ -371,60 +399,79 @@ impl Simulator {
 
     // ---- flow registration --------------------------------------------------
 
-    fn alloc_flow(&mut self) -> FlowId {
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
-        id
+    /// Registers a flow's metadata under the next dense id.
+    fn register_flow(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        protocol: Protocol,
+        priority: Priority,
+    ) -> FlowMeta {
+        assert!(self.topo.is_host(src) && self.topo.is_host(dst));
+        assert_ne!(src, dst);
+        let meta = FlowMeta {
+            id: FlowId(self.flow_meta.len() as u64),
+            src,
+            dst,
+            protocol,
+            priority,
+        };
+        self.flow_meta.push(meta);
+        meta
     }
 
-    /// Registers a TCP flow; returns its id.
+    /// Registers a TCP flow; returns its id. The flow gets its start key
+    /// now, and its connection only when it starts.
     pub fn add_tcp_flow(&mut self, spec: TcpFlowSpec) -> FlowId {
-        assert!(self.topo.is_host(spec.src) && self.topo.is_host(spec.dst));
-        assert_ne!(spec.src, spec.dst);
-        let id = self.alloc_flow();
-        let meta = FlowMeta {
-            id,
-            src: spec.src,
-            dst: spec.dst,
-            protocol: Protocol::Tcp,
-            priority: spec.priority,
-        };
-        self.flow_meta.insert(id, meta);
-        self.tcp
-            .insert(id, TcpConn::new(spec.config, spec.bytes, spec.stop));
+        let id = self
+            .register_flow(spec.src, spec.dst, Protocol::Tcp, spec.priority)
+            .id;
         let key = self.next_key(spec.start);
-        self.starts.push(Reverse((key, id)));
+        let item = PendingTcp {
+            flow: id,
+            config: spec.config,
+            bytes: spec.bytes,
+            stop: spec.stop,
+        };
+        self.starts.push(Reverse(Entry { key, item }));
         id
     }
 
     /// Registers a UDP flow; returns its id.
     pub fn add_udp_flow(&mut self, spec: UdpFlowSpec) -> FlowId {
-        assert!(self.topo.is_host(spec.src) && self.topo.is_host(spec.dst));
-        assert_ne!(spec.src, spec.dst);
-        let id = self.alloc_flow();
-        let meta = FlowMeta {
-            id,
-            src: spec.src,
-            dst: spec.dst,
-            protocol: Protocol::Udp,
-            priority: spec.priority,
-        };
-        self.flow_meta.insert(id, meta);
+        let meta = self.register_flow(spec.src, spec.dst, Protocol::Udp, spec.priority);
         let source = UdpSource::new(meta, spec);
-        self.schedule(source.first_send(), Ev::UdpSend { flow: id });
-        self.udp.insert(id, source);
-        id
+        self.schedule(source.first_send(), Ev::UdpSend { flow: meta.id });
+        self.udp.insert(meta.id, source);
+        meta.id
     }
 
-    /// Read access to a TCP connection's state (stats, completion).
+    /// Read access to a started TCP flow's connection (stats,
+    /// completion). Panics on a flow that has no connection: a UDP flow,
+    /// or a TCP flow whose start event has not fired.
+    #[track_caller]
     pub fn tcp(&self, id: FlowId) -> &TcpConn {
-        &self.tcp[&id]
+        let is_tcp = |m: &FlowMeta| m.protocol == Protocol::Tcp;
+        match self.tcp.get(&id) {
+            Some(conn) => conn,
+            None if self.flow_meta.get(id.0 as usize).is_some_and(is_tcp) => {
+                panic!("TCP flow {id} has not started, so it has no connection yet")
+            }
+            None => panic!("flow {id} is not a TCP flow"),
+        }
     }
 
-    /// Every registered flow in registration (= id) order, with its TCP
-    /// connection if it is a TCP flow.
-    pub fn flows(&self) -> impl Iterator<Item = (FlowId, Option<&TcpConn>)> + '_ {
-        (0..self.next_flow).map(|i| (FlowId(i), self.tcp.get(&FlowId(i))))
+    /// Every registered flow in registration (= id) order, with its
+    /// transport state.
+    pub fn flows(&self) -> impl Iterator<Item = (FlowId, FlowState<'_>)> + '_ {
+        self.flow_meta.iter().map(|meta| {
+            let state = match (meta.protocol, self.tcp.get(&meta.id)) {
+                (Protocol::Udp, _) => FlowState::Udp,
+                (Protocol::Tcp, None) => FlowState::TcpPending,
+                (Protocol::Tcp, Some(conn)) => FlowState::Tcp(conn),
+            };
+            (meta.id, state)
+        })
     }
 
     /// Read access to a UDP source's counters.
@@ -515,14 +562,14 @@ impl Simulator {
                 (self.slab.len() - 1) as u32
             }
         };
-        self.heap.push(Reverse(Entry { key, slot }));
+        self.heap.push(Reverse(Entry { key, item: slot }));
     }
 
     /// Pops the first entry of the event heap and the start queue taken
     /// together, if its time is within `horizon`.
     fn pop_due(&mut self, horizon: SimTime) -> Option<(Key, Ev)> {
         let event = self.heap.peek().map(|Reverse(e)| e.key);
-        let start = self.starts.peek().map(|Reverse((key, _))| *key);
+        let start = self.starts.peek().map(|Reverse(s)| s.key);
         let (key, from_starts) = match (event, start) {
             (Some(e), Some(s)) => (e.min(s), s < e),
             (Some(e), None) => (e, false),
@@ -533,10 +580,10 @@ impl Simulator {
             return None;
         }
         if from_starts {
-            let Reverse((_, flow)) = self.starts.pop()?;
-            return Some((key, Ev::FlowStart { flow }));
+            let Reverse(Entry { item, .. }) = self.starts.pop()?;
+            return Some((key, Ev::FlowStart(item)));
         }
-        let Reverse(Entry { slot, .. }) = self.heap.pop()?;
+        let Reverse(Entry { item: slot, .. }) = self.heap.pop()?;
         let ev = self.slab[slot as usize]
             .take()
             .expect("queued slot holds its event");
@@ -586,12 +633,15 @@ impl Simulator {
                 self.apply_tcp_actions(flow, actions);
             }
             Ev::UdpSend { flow } => self.udp_emit(flow),
-            Ev::FlowStart { flow } => {
-                let now = self.now;
-                let actions = match self.tcp.get_mut(&flow) {
-                    Some(conn) => conn.on_start(now),
-                    None => Vec::new(),
-                };
+            Ev::FlowStart(PendingTcp {
+                flow,
+                config,
+                bytes,
+                stop,
+            }) => {
+                let mut conn = TcpConn::new(config, bytes, stop);
+                let actions = conn.on_start(self.now);
+                self.tcp.insert(flow, conn);
                 self.apply_tcp_actions(flow, actions);
             }
             Ev::AppTimer { node, token } => self.fire_app_timer(node, token),
@@ -760,7 +810,7 @@ impl Simulator {
         for a in actions {
             match a {
                 TcpAction::SendData { seq, len } => {
-                    let meta = self.flow_meta[&flow];
+                    let meta = self.flow_meta[flow.0 as usize];
                     let pkt = self.make_packet(
                         meta,
                         len,
@@ -776,7 +826,7 @@ impl Simulator {
                     self.host_send(meta.src, pkt);
                 }
                 TcpAction::SendAck { ack, ece } => {
-                    let meta = self.flow_meta[&flow];
+                    let meta = self.flow_meta[flow.0 as usize];
                     let pkt = self.make_packet(
                         meta,
                         0,
@@ -913,7 +963,7 @@ impl Simulator {
         self.heap
             .iter()
             .filter(|Reverse(e)| {
-                matches!(self.slab[e.slot as usize], Some(Ev::TcpTimer { flow: f }) if f == flow)
+                matches!(self.slab[e.item as usize], Some(Ev::TcpTimer { flow: f }) if f == flow)
             })
             .map(|Reverse(e)| e.key)
             .collect()
@@ -1342,8 +1392,81 @@ mod tests {
     #[test]
     fn heap_entries_are_keys_and_slots() {
         // A sift moves 24 bytes, not an event with its packet.
-        assert_eq!(std::mem::size_of::<Reverse<Entry>>(), 24);
+        assert_eq!(std::mem::size_of::<Reverse<Entry<u32>>>(), 24);
         assert!(std::mem::size_of::<Ev>() > 64);
+    }
+
+    #[test]
+    fn a_tcp_flow_gets_its_connection_at_its_start_event() {
+        let topo = Arc::new(Topology::fat_tree(8, GBPS));
+        let hosts = topo.hosts().to_vec();
+        let n = hosts.len();
+        let flow = |i: usize, start: SimTime| {
+            TcpFlowSpec::transfer(
+                hosts[i % n],
+                hosts[(i + n / 2) % n],
+                Priority::LOW,
+                start,
+                200_000,
+            )
+        };
+        // A handful start at 1 s, the rest a second later.
+        let early = |i: usize| SimTime::from_secs(1) + SimTime::from_us(100 * i as u64);
+        let (handful, total) = (4, 20_000);
+        let mut sim = Simulator::new(topo.clone(), SimConfig::default());
+        for i in 0..total {
+            let start = if i < handful {
+                early(i)
+            } else {
+                SimTime::from_secs(2) + SimTime::from_us(i as u64)
+            };
+            sim.add_tcp_flow(flow(i, start));
+        }
+        sim.run_until(SimTime::from_ms(10));
+        assert!(
+            sim.tcp.is_empty(),
+            "{} connections before any start",
+            sim.tcp.len()
+        );
+        let listed: Vec<_> = sim.flows().collect();
+        assert_eq!(listed.len(), total);
+        for (i, (f, state)) in listed.into_iter().enumerate() {
+            assert_eq!(f, FlowId(i as u64));
+            assert!(matches!(state, FlowState::TcpPending), "{f}: {state:?}");
+        }
+
+        // Past the handful's starts, each has the connection it would have
+        // had if it had been registered just before starting.
+        let horizon = SimTime::from_secs(1) + SimTime::from_ms(50);
+        sim.run_until(horizon);
+        assert_eq!(sim.tcp.len(), handful);
+        let mut fresh = Simulator::new(topo, SimConfig::default());
+        fresh.run_until(SimTime::from_ms(999));
+        let ids: Vec<_> = (0..handful)
+            .map(|i| fresh.add_tcp_flow(flow(i, early(i))))
+            .collect();
+        fresh.run_until(horizon);
+        for f in ids {
+            assert!(matches!(
+                sim.flows().nth(f.0 as usize),
+                Some((_, FlowState::Tcp(_)))
+            ));
+            assert_eq!(sim.tcp(f).delivered, 200_000, "{f} completes");
+            assert_eq!(format!("{:?}", sim.tcp(f)), format!("{:?}", fresh.tcp(f)));
+            assert_eq!(sim.traces.rx_bytes(f), fresh.traces.rx_bytes(f));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "TCP flow f0 has not started")]
+    fn an_unstarted_flow_has_no_connection_to_read() {
+        let mut sim = dumbbell_sim(QueueConfig::default_priority());
+        let a = sim.topo().node_by_name("L0").unwrap();
+        let b = sim.topo().node_by_name("R0").unwrap();
+        let start = SimTime::from_ms(5);
+        let f = sim.add_tcp_flow(TcpFlowSpec::transfer(a, b, Priority::LOW, start, 1_000));
+        sim.run_until(SimTime::from_ms(1));
+        sim.tcp(f);
     }
 
     #[test]

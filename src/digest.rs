@@ -2,6 +2,7 @@
 //! run leaves behind, and [`fnv1a`] hashes it (or any other rendering a
 //! test pins) to one platform-independent `u64`.
 
+use netsim::engine::FlowState;
 use switchpointer::testbed::Testbed;
 
 /// FNV-1a, 64 bits: a digest that is the same on every platform and
@@ -45,11 +46,14 @@ pub fn render(tb: &Testbed) -> (String, u64) {
     }
     out += &format!("drops {:?}\n", tb.sim.traces.drops);
     let mut timeouts = 0;
-    for (f, conn) in tb.sim.flows() {
-        if let Some(conn) = conn {
-            out += &format!("tcp {f:?} {} {}\n", conn.retransmits, conn.timeouts);
-            timeouts += conn.timeouts;
-        }
+    for (f, state) in tb.sim.flows() {
+        let (retransmits, flow_timeouts) = match state {
+            FlowState::Udp => continue,
+            FlowState::TcpPending => (0, 0),
+            FlowState::Tcp(conn) => (conn.retransmits, conn.timeouts),
+        };
+        out += &format!("tcp {f:?} {retransmits} {flow_timeouts}\n");
+        timeouts += flow_timeouts;
     }
     (out, timeouts)
 }
