@@ -205,7 +205,7 @@ mod tests {
             payload_bytes: 1000,
         });
         sim.run_to_completion();
-        let delivered = sim.traces.rx_events(flow).len() as u64;
+        let delivered = sim.traces.rx_packets(flow);
         let s1 = sim.topo().node_by_name("S1").unwrap();
         let s2 = sim.topo().node_by_name("S2").unwrap();
         let s3 = sim.topo().node_by_name("S3").unwrap();
@@ -229,7 +229,7 @@ mod tests {
             payload_bytes: 1000,
         });
         sim.run_to_completion();
-        let delivered = sim.traces.rx_events(flow).len() as u64;
+        let delivered = sim.traces.rx_packets(flow);
         for name in ["S1", "S2", "S3"] {
             let sw = sim.topo().node_by_name(name).unwrap();
             assert_eq!(handles[&sw].borrow().tagged, delivered, "{name}");

@@ -56,6 +56,8 @@ pub fn run_scenario(switch_queue: QueueConfig, seed: u64) -> (netsim::engine::Si
             ..Default::default()
         },
     );
+    // The panels plot arrivals packet by packet.
+    sim.traces.record_packets = true;
     let a = sim.topo().node_by_name("L0").unwrap();
     let b = sim.topo().node_by_name("R0").unwrap();
     let tcp = sim.add_tcp_flow(TcpFlowSpec::running_until(

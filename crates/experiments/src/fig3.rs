@@ -29,7 +29,7 @@ pub fn run_scenario(seed: u64) -> (netsim::engine::Simulator, FlowId, NodeId, No
             ..Default::default()
         },
     );
-    sim.traces.record_switch_tx = true;
+    sim.traces.record_packets = true;
 
     let a = sim.topo().node_by_name("A").unwrap();
     let f = sim.topo().node_by_name("F").unwrap();

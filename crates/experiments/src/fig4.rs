@@ -36,6 +36,8 @@ pub fn run_scenario(
             ..Default::default()
         },
     );
+    // The panels plot arrivals packet by packet.
+    sim.traces.record_packets = true;
     let node = |n: &str| sim.topo().node_by_name(n).unwrap();
     let (a, b, c, d, e, f) = (
         node("A"),

@@ -16,6 +16,9 @@
 //! what its connection is built from (see `PendingTcp`). Transport state
 //! thus scales with the flows started, not the flows registered.
 //!
+//! Measurement is per-flow totals unless a caller sets
+//! `traces.record_packets` before running (see [`crate::trace`]).
+//!
 //! Store-and-forward semantics: a packet fully serializes on a port (at the
 //! link's bandwidth), then propagates (link delay), then arrives at the
 //! peer node. Each port owns an egress queue built from the configured
@@ -197,7 +200,8 @@ impl<T> Ord for Entry<T> {
 #[derive(Debug, Clone, Copy)]
 struct PendingTcp {
     flow: FlowId,
-    config: TcpConfig,
+    /// Index of its config in [`Simulator::tcp_configs`].
+    config: u32,
     bytes: Option<u64>,
     stop: Option<SimTime>,
 }
@@ -246,6 +250,9 @@ pub struct Simulator {
     /// seconds ahead of the traffic being simulated, so kept out of the
     /// event heap.
     starts: BinaryHeap<Reverse<Entry<PendingTcp>>>,
+    /// The distinct configs of the registered TCP flows, which a
+    /// [`PendingTcp`] names by index: a workload's flows share one.
+    tcp_configs: Vec<TcpConfig>,
     seq: u64,
     nodes: Vec<NodeState>,
     /// Connections of the TCP flows that have started.
@@ -257,8 +264,8 @@ pub struct Simulator {
     flow_meta: Vec<FlowMeta>,
     next_pkt: u64,
     pub(crate) rng: DetRng,
-    /// Measurement recorders (public so experiments can flip
-    /// `record_switch_tx` before running).
+    /// Measurement recorders (public so the figures that plot packets
+    /// can set `record_packets` before running).
     pub traces: TraceSet,
     events_processed: u64,
     /// Administrative link state (true = down). Packets offered to a port
@@ -317,6 +324,7 @@ impl Simulator {
             slab: Vec::new(),
             free: Vec::new(),
             starts: BinaryHeap::new(),
+            tcp_configs: Vec::new(),
             seq: 0,
             nodes,
             tcp: HashMap::new(),
@@ -427,9 +435,16 @@ impl Simulator {
             .register_flow(spec.src, spec.dst, Protocol::Tcp, spec.priority)
             .id;
         let key = self.next_key(spec.start);
+        let config = match self.tcp_configs.iter().position(|c| *c == spec.config) {
+            Some(idx) => idx,
+            None => {
+                self.tcp_configs.push(spec.config);
+                self.tcp_configs.len() - 1
+            }
+        };
         let item = PendingTcp {
             flow: id,
-            config: spec.config,
+            config: u32::try_from(config).expect("fewer than 2^32 distinct TCP configs"),
             bytes: spec.bytes,
             stop: spec.stop,
         };
@@ -639,6 +654,7 @@ impl Simulator {
                 bytes,
                 stop,
             }) => {
+                let config = self.tcp_configs[config as usize];
                 let mut conn = TcpConn::new(config, bytes, stop);
                 let actions = conn.on_start(self.now);
                 self.tcp.insert(flow, conn);
@@ -990,6 +1006,7 @@ mod tests {
     #[test]
     fn solo_tcp_reaches_line_rate() {
         let mut sim = dumbbell_sim(QueueConfig::default_priority());
+        sim.traces.record_packets = true;
         let a = sim.topo().node_by_name("L0").unwrap();
         let b = sim.topo().node_by_name("R0").unwrap();
         let f = sim.add_tcp_flow(TcpFlowSpec::running_until(
@@ -1076,6 +1093,7 @@ mod tests {
     #[test]
     fn priority_queue_starves_low_priority_flow() {
         let mut sim = dumbbell_sim(QueueConfig::default_priority());
+        sim.traces.record_packets = true;
         let topo = sim.topo();
         let (a, b) = (
             topo.node_by_name("L0").unwrap(),
@@ -1139,7 +1157,7 @@ mod tests {
             sim.run_until(SimTime::from_ms(12));
             (
                 sim.traces.rx_bytes(f1),
-                sim.traces.rx_events(f1).len(),
+                sim.traces.rx_packets(f1),
                 sim.events_processed(),
             )
         };
@@ -1232,7 +1250,7 @@ mod tests {
             payload_bytes: 1458,
         });
         sim.run_to_completion();
-        let delivered = sim.traces.rx_events(f).len() as u64;
+        let delivered = sim.traces.rx_packets(f);
         assert!(delivered > 0);
         assert_eq!(*sw_count.borrow(), delivered);
         assert_eq!(*host_count.borrow(), delivered);
@@ -1394,6 +1412,10 @@ mod tests {
         // A sift moves 24 bytes, not an event with its packet.
         assert_eq!(std::mem::size_of::<Reverse<Entry<u32>>>(), 24);
         assert!(std::mem::size_of::<Ev>() > 64);
+        // A flow start names its config instead of carrying a copy, so
+        // neither it nor the event it becomes outgrows a packet arrival.
+        assert!(std::mem::size_of::<Reverse<Entry<PendingTcp>>>() <= 64);
+        assert!(std::mem::size_of::<Ev>() <= 96);
     }
 
     #[test]
@@ -1422,6 +1444,7 @@ mod tests {
             };
             sim.add_tcp_flow(flow(i, start));
         }
+        assert_eq!(sim.tcp_configs.len(), 1, "the flows share one config");
         sim.run_until(SimTime::from_ms(10));
         assert!(
             sim.tcp.is_empty(),

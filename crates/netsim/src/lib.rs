@@ -16,7 +16,8 @@
 //! * extension hooks ([`apps`]) through which the `switchpointer` crate
 //!   installs its switch component (pointer hierarchy + telemetry tagging)
 //!   and end-host component (header decoding, flow records, triggers);
-//! * measurement recorders and plot-series helpers ([`trace`]).
+//! * measurement: per-flow delivery totals, per-packet logs for the
+//!   figures that ask for them, and plot-series helpers ([`trace`]).
 //!
 //! Everything is deterministic: a run is a pure function of the topology,
 //! flow specification and seed. There is no wall-clock time, no OS I/O and

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use crate::time::SimTime;
 
 /// Tunable TCP parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TcpConfig {
     /// Maximum segment payload bytes.
     pub mss: u32,

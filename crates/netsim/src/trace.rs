@@ -1,9 +1,12 @@
 //! Measurement recorders and post-processing into the paper's plot series.
 //!
-//! The testbed figures are all derived from two raw streams: packet
-//! arrivals at destination hosts (throughput + inter-packet gaps, Fig. 2)
-//! and per-flow transmissions at switch egress ports (per-switch throughput,
-//! Fig. 3/4). [`TraceSet`] records both; the helpers turn them into
+//! Every run keeps per-flow totals: packets and payload bytes delivered to
+//! each flow's destination, and every drop. The per-packet logs are kept
+//! only when a caller asks for them with [`TraceSet::record_packets`]
+//! before running, as NS-2 writes a trace file only after `trace-all`:
+//! packet arrivals at destination hosts (throughput + inter-packet gaps,
+//! Fig. 2 and 4) and per-flow transmissions at switch egress ports
+//! (per-switch throughput, Fig. 3). The helpers turn those logs into
 //! fixed-window throughput series and gap series.
 
 use std::collections::HashMap;
@@ -16,7 +19,7 @@ use crate::time::SimTime;
 pub struct PktEvent {
     pub t: SimTime,
     /// Payload bytes (0 for pure ACKs).
-    pub(crate) payload: u32,
+    pub payload: u32,
 }
 
 /// A recorded drop.
@@ -29,27 +32,49 @@ pub struct DropEvent {
     pub(crate) no_route: bool,
 }
 
+/// What was delivered to one flow's destination.
+#[derive(Debug, Clone, Copy, Default)]
+struct RxTotals {
+    packets: u64,
+    payload_bytes: u64,
+}
+
 /// All measurement state for one simulation run.
 #[derive(Debug, Default)]
 pub struct TraceSet {
-    /// Arrivals at each flow's destination host.
+    /// Delivery totals, indexed by the dense flow id; grows on a flow's
+    /// first delivery.
+    rx_totals: Vec<RxTotals>,
+    /// Arrivals at each flow's destination (per-packet log).
     rx: HashMap<FlowId, Vec<PktEvent>>,
-    /// Transmissions of each flow at each switch (recorded when the packet
-    /// begins serialization on the egress port).
+    /// Transmissions of each flow at each switch, recorded when the packet
+    /// begins serialization on the egress port (per-packet log).
     switch_tx: HashMap<(NodeId, FlowId), Vec<PktEvent>>,
     /// Every drop.
     pub drops: Vec<DropEvent>,
-    /// Whether to record per-switch transmissions (off by default: only the
-    /// Fig. 3/4 experiments need them).
-    pub record_switch_tx: bool,
+    /// Whether to keep the per-packet logs ([`TraceSet::rx_events`],
+    /// [`TraceSet::switch_tx_events`]). Off by default: only the figures
+    /// that plot packets (Fig. 2, 3, 4 and the DRR ablation) need them,
+    /// and a 15 s monitoring run would log about a million arrivals.
+    /// Set it before running; per-flow totals are kept either way.
+    pub record_packets: bool,
 }
 
 impl TraceSet {
     pub(crate) fn record_rx(&mut self, flow: FlowId, t: SimTime, payload: u32) {
-        self.rx
-            .entry(flow)
-            .or_default()
-            .push(PktEvent { t, payload });
+        let idx = flow.0 as usize;
+        if idx >= self.rx_totals.len() {
+            self.rx_totals.resize(idx + 1, RxTotals::default());
+        }
+        let totals = &mut self.rx_totals[idx];
+        totals.packets += 1;
+        totals.payload_bytes += u64::from(payload);
+        if self.record_packets {
+            self.rx
+                .entry(flow)
+                .or_default()
+                .push(PktEvent { t, payload });
+        }
     }
 
     pub(crate) fn record_switch_tx(
@@ -59,7 +84,7 @@ impl TraceSet {
         t: SimTime,
         payload: u32,
     ) {
-        if self.record_switch_tx {
+        if self.record_packets {
             self.switch_tx
                 .entry((node, flow))
                 .or_default()
@@ -76,22 +101,51 @@ impl TraceSet {
         });
     }
 
-    /// Arrival events at the destination of `flow`.
+    /// Panics unless the per-packet logs are being kept: an empty log read
+    /// off a run that kept none would plot as a flat line.
+    #[track_caller]
+    fn assert_recording(&self) {
+        assert!(
+            self.record_packets,
+            "per-packet events were not recorded: set `traces.record_packets = true` \
+             before running"
+        );
+    }
+
+    /// Arrival events at the destination of `flow`. Panics unless
+    /// [`TraceSet::record_packets`] is set.
+    #[track_caller]
     pub fn rx_events(&self, flow: FlowId) -> &[PktEvent] {
+        self.assert_recording();
         self.rx.get(&flow).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Egress events for `flow` at switch `node`.
+    /// Egress events for `flow` at switch `node`. Panics unless
+    /// [`TraceSet::record_packets`] is set.
+    #[track_caller]
     pub fn switch_tx_events(&self, node: NodeId, flow: FlowId) -> &[PktEvent] {
+        self.assert_recording();
         self.switch_tx
             .get(&(node, flow))
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
 
+    fn rx_totals(&self, flow: FlowId) -> RxTotals {
+        self.rx_totals
+            .get(flow.0 as usize)
+            .copied()
+            .unwrap_or_default()
+    }
+
+    /// Packets delivered to the destination of `flow` (pure ACKs included).
+    pub fn rx_packets(&self, flow: FlowId) -> u64 {
+        self.rx_totals(flow).packets
+    }
+
     /// Total payload bytes delivered to the destination of `flow`.
     pub fn rx_bytes(&self, flow: FlowId) -> u64 {
-        self.rx_events(flow).iter().map(|e| e.payload as u64).sum()
+        self.rx_totals(flow).payload_bytes
     }
 
     /// Drops charged to `flow`.
@@ -259,7 +313,7 @@ mod tests {
     #[test]
     fn traceset_accumulates() {
         let mut t = TraceSet {
-            record_switch_tx: true,
+            record_packets: true,
             ..Default::default()
         };
         t.record_rx(FlowId(1), SimTime::from_us(5), 100);
@@ -267,7 +321,10 @@ mod tests {
         t.record_switch_tx(NodeId(0), FlowId(1), SimTime::from_us(2), 100);
         t.record_drop(SimTime::from_us(3), NodeId(0), FlowId(1), false);
         assert_eq!(t.rx_bytes(FlowId(1)), 300);
+        assert_eq!(t.rx_packets(FlowId(1)), 2);
+        assert_eq!(t.rx_events(FlowId(1)).len(), 2);
         assert_eq!(t.rx_events(FlowId(2)), &[]);
+        assert_eq!((t.rx_packets(FlowId(2)), t.rx_bytes(FlowId(9))), (0, 0));
         assert_eq!(t.switch_tx_events(NodeId(0), FlowId(1)).len(), 1);
         assert_eq!(t.drops_for(FlowId(1)), 1);
     }
@@ -275,7 +332,72 @@ mod tests {
     #[test]
     fn switch_tx_recording_gated_by_flag() {
         let mut t = TraceSet::default();
+        t.record_rx(FlowId(1), SimTime::ZERO, 1);
         t.record_switch_tx(NodeId(0), FlowId(1), SimTime::ZERO, 1);
-        assert!(t.switch_tx_events(NodeId(0), FlowId(1)).is_empty());
+        assert!(t.rx.is_empty() && t.switch_tx.is_empty());
+        assert_eq!((t.rx_packets(FlowId(1)), t.rx_bytes(FlowId(1))), (1, 1));
+    }
+
+    /// A dumbbell run of one TCP transfer and one UDP burst.
+    fn dumbbell_run(record_packets: bool) -> (crate::engine::Simulator, [FlowId; 2]) {
+        use crate::engine::{SimConfig, Simulator, TcpFlowSpec};
+        use crate::packet::Priority;
+        use crate::topology::{Topology, GBPS};
+        use crate::udp::UdpFlowSpec;
+
+        let mut sim = Simulator::new(Topology::dumbbell(2, 2, GBPS), SimConfig::default());
+        sim.traces.record_packets = record_packets;
+        let node = |name: &str| sim.topo().node_by_name(name).unwrap();
+        let (l0, l1, r0, r1) = (node("L0"), node("L1"), node("R0"), node("R1"));
+        let tcp = sim.add_tcp_flow(TcpFlowSpec::transfer(
+            l0,
+            r0,
+            Priority::LOW,
+            SimTime::ZERO,
+            300_000,
+        ));
+        let udp = sim.add_udp_flow(UdpFlowSpec::burst(
+            l1,
+            r1,
+            Priority::HIGH,
+            SimTime::from_ms(1),
+            SimTime::from_ms(1),
+            GBPS,
+        ));
+        sim.run_to_completion();
+        (sim, [tcp, udp])
+    }
+
+    #[test]
+    fn a_run_without_the_flag_keeps_totals_and_no_packet_events() {
+        let (sim, flows) = dumbbell_run(false);
+        assert!(sim.traces.rx.is_empty(), "arrivals logged");
+        assert!(sim.traces.switch_tx.is_empty(), "egress logged");
+        let (logged, _) = dumbbell_run(true);
+        for f in flows {
+            assert!(sim.traces.rx_packets(f) > 0, "{f} delivered nothing");
+            assert_eq!(sim.traces.rx_packets(f), logged.traces.rx_packets(f));
+            assert_eq!(sim.traces.rx_bytes(f), logged.traces.rx_bytes(f));
+            let events = logged.traces.rx_events(f);
+            assert_eq!(events.len() as u64, logged.traces.rx_packets(f));
+            let payload: u64 = events.iter().map(|e| u64::from(e.payload)).sum();
+            assert_eq!(payload, logged.traces.rx_bytes(f));
+        }
+        assert!(!logged.traces.switch_tx.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "set `traces.record_packets = true`")]
+    fn reading_arrivals_off_a_run_that_kept_none_panics() {
+        let (sim, [tcp, _]) = dumbbell_run(false);
+        sim.traces.rx_events(tcp);
+    }
+
+    #[test]
+    #[should_panic(expected = "set `traces.record_packets = true`")]
+    fn reading_egress_off_a_run_that_kept_none_panics() {
+        let (sim, [_, udp]) = dumbbell_run(false);
+        let switch = sim.topo().node_by_name("SL").unwrap();
+        sim.traces.switch_tx_events(switch, udp);
     }
 }

@@ -40,7 +40,7 @@ pub fn render(tb: &Testbed) -> (String, u64) {
     for (f, _) in tb.sim.flows() {
         out += &format!(
             "flow {f:?} {} {}\n",
-            tb.sim.traces.rx_events(f).len(),
+            tb.sim.traces.rx_packets(f),
             tb.sim.traces.rx_bytes(f)
         );
     }

@@ -117,6 +117,7 @@ fn first_hop_failure_blames_the_source_segment() {
 fn link_repair_restores_traffic() {
     let topo = Topology::chain(2, 1, GBPS);
     let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
+    tb.sim.traces.record_packets = true;
     let (a, b) = (tb.node("A"), tb.node("B"));
     let flow = tb.sim.add_udp_flow(UdpFlowSpec {
         src: a,

@@ -56,9 +56,9 @@ fn overload_conserves_bytes_with_drops() {
     }
     sim.run_to_completion();
     for &f in &flows {
-        let sent = sim.udp(f).sent_pkts as usize;
-        let delivered = sim.traces.rx_events(f).len();
-        let dropped = sim.traces.drops_for(f);
+        let sent = sim.udp(f).sent_pkts;
+        let delivered = sim.traces.rx_packets(f);
+        let dropped = sim.traces.drops_for(f) as u64;
         assert_eq!(sent, delivered + dropped, "flow {f}");
     }
     // And the contention genuinely dropped something.
@@ -70,6 +70,7 @@ fn overload_conserves_bytes_with_drops() {
 fn rx_events_are_time_ordered() {
     let topo = Topology::dumbbell(2, 2, GBPS);
     let mut sim = netsim::engine::Simulator::new(topo, Default::default());
+    sim.traces.record_packets = true;
     let a = sim.topo().node_by_name("L0").unwrap();
     let b = sim.topo().node_by_name("R0").unwrap();
     let f = sim.add_tcp_flow(TcpFlowSpec::transfer(
@@ -90,6 +91,7 @@ fn simultaneous_flow_starts_are_deterministic() {
     let run = || {
         let topo = Topology::star(8, GBPS);
         let mut sim = netsim::engine::Simulator::new(topo, Default::default());
+        sim.traces.record_packets = true;
         let mut ids = Vec::new();
         for i in 0..4 {
             let src = sim.topo().node_by_name(&format!("H{i}")).unwrap();
@@ -166,6 +168,7 @@ fn priority_inversion_impossible_on_shared_port() {
     // packets still leaves first (head-of-line only within its class).
     let topo = Topology::dumbbell(2, 2, GBPS);
     let mut sim = netsim::engine::Simulator::new(topo, Default::default());
+    sim.traces.record_packets = true;
     let l0 = sim.topo().node_by_name("L0").unwrap();
     let r0 = sim.topo().node_by_name("R0").unwrap();
     let l1 = sim.topo().node_by_name("L1").unwrap();

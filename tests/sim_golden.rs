@@ -13,6 +13,10 @@
 //!   horizon beside the traffic it simulates;
 //! * the lossy dumbbell run drops enough to fire retransmission timeouts,
 //!   so re-armed, superseded and expiring timers all take part.
+//!
+//! The per-packet logs (`TraceSet::record_packets`) only observe: the
+//! fat-tree run leaves the same state with them on, and they agree with
+//! the per-flow totals every run keeps.
 
 use netsim::prelude::*;
 use netsim::workload;
@@ -22,10 +26,12 @@ use switchpointer::testbed::{Testbed, TestbedConfig};
 /// A k = 4 fat tree: a starved victim, a high-priority burst onto its
 /// destination, and a Poisson background of 1 000 flows/s over four
 /// seconds, of which all but the first few dozen still wait to start
-/// when the run stops at 40 ms.
-fn fat_tree_run() -> (String, usize, u64) {
+/// when the run stops at 40 ms. Returns the run and its background's
+/// flow count.
+fn fat_tree_testbed(record_packets: bool) -> (Testbed, usize) {
     let topo = Topology::fat_tree(4, GBPS);
     let mut tb = Testbed::new(topo, TestbedConfig::default_ms());
+    tb.sim.traces.record_packets = record_packets;
     let (a, b) = (tb.node("h0_0_0"), tb.node("h0_0_1"));
     let da = tb.node("h2_0_0");
     tb.sim.add_tcp_flow(TcpFlowSpec::running_until(
@@ -45,8 +51,13 @@ fn fat_tree_run() -> (String, usize, u64) {
     let spec = WorkloadSpec::background(1_000.0, SimTime::from_secs(4));
     let background = workload::install(&mut tb.sim, &spec, 0x5eed_0042);
     tb.sim.run_until(SimTime::from_ms(40));
+    (tb, background.len())
+}
+
+fn fat_tree_run() -> (String, usize, u64) {
+    let (tb, background) = fat_tree_testbed(false);
     let (text, timeouts) = render(&tb);
-    (text, background.len(), timeouts)
+    (text, background, timeouts)
 }
 
 /// A dumbbell whose switches buffer 24 KB: four TCP senders into one
@@ -106,6 +117,37 @@ fn lossy_dumbbell_run_with_timeouts_is_pinned() {
         "lossy dumbbell run moved ({} bytes of state, {timeouts} timeouts)",
         text.len()
     );
+}
+
+#[test]
+fn logging_packets_leaves_the_run_and_its_totals_unchanged() {
+    let (plain, _) = fat_tree_testbed(false);
+    let (logged, _) = fat_tree_testbed(true);
+    assert_eq!(render(&plain), render(&logged));
+    let flows: Vec<_> = plain.sim.flows().map(|(f, _)| f).collect();
+    assert!(flows.len() > 3_000, "{} flows", flows.len());
+    let mut delivered = 0;
+    for f in flows {
+        let (p, l) = (&plain.sim.traces, &logged.sim.traces);
+        assert_eq!(
+            (p.rx_packets(f), p.rx_bytes(f)),
+            (l.rx_packets(f), l.rx_bytes(f))
+        );
+        delivered += p.rx_packets(f);
+    }
+    assert!(delivered > 10_000, "{delivered} packets delivered");
+}
+
+#[test]
+fn the_packet_log_sums_to_the_per_flow_totals() {
+    let (tb, _) = fat_tree_testbed(true);
+    let traces = &tb.sim.traces;
+    for (f, _) in tb.sim.flows() {
+        let events = traces.rx_events(f);
+        assert_eq!(events.len() as u64, traces.rx_packets(f), "{f} packets");
+        let payload: u64 = events.iter().map(|e| u64::from(e.payload)).sum();
+        assert_eq!(payload, traces.rx_bytes(f), "{f} bytes");
+    }
 }
 
 /// `fnv1a(render(..))` of [`fat_tree_run`].
