@@ -14,7 +14,7 @@
 //! Every executor run also produces an [`ExecutionTrace`] — which pointer
 //! sets were pulled (and what the sequential cost model charged for the
 //! round) and which hosts each query wave contacted. The query plane's
-//! batching and pointer-cache accounting replays these traces; the
+//! batching and coalescing accounting replays these traces; the
 //! *answers* never depend on them, which is what makes "same seed + same
 //! queries ⇒ same verdicts, any worker count" hold by construction.
 //!

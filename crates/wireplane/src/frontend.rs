@@ -73,6 +73,7 @@
 //! replies that land afterwards are discarded by whoever next reads the
 //! link.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream};
@@ -226,8 +227,8 @@ impl RemoteShard {
 
     /// One request/reply exchange: [`RemoteShard::issue`], flush,
     /// [`Exchange::wait`] back to back.
-    fn call(&self, req: Frame, observe: bool) -> Result<Frame, WireError> {
-        let exchange = self.issue(req, observe);
+    pub(crate) fn call(&self, req: Frame, observe: bool) -> Result<Frame, WireError> {
+        let exchange = self.issue(Cow::Owned(req), observe);
         self.flush();
         exchange.wait()
     }
@@ -240,9 +241,11 @@ impl RemoteShard {
     /// behind this one's backoff.
     ///
     /// `observe: false` leaves the RPC counter, RTT histogram and tracer
-    /// untouched — the scrape path uses it so pulling metrics never
-    /// perturbs the metrics being pulled.
-    fn issue(&self, req: Frame, observe: bool) -> Exchange<'_> {
+    /// untouched — the scrape and replication paths use it, so pulling
+    /// metrics never perturbs the metrics being pulled. A borrowed `req`
+    /// is kept borrowed for re-sends: a caller issuing one frame on many
+    /// links copies it only into each link's queue.
+    pub(crate) fn issue<'a>(&'a self, req: Cow<'a, Frame>, observe: bool) -> Exchange<'a> {
         let (replica, attempt) = self.send(&req, observe, 0);
         Exchange {
             replica,
@@ -345,7 +348,7 @@ impl RemoteShard {
         req: Frame,
         extract: impl FnOnce(Frame) -> Option<T> + 'a,
     ) -> Deferred<'a, T> {
-        let exchange = self.issue(req, true);
+        let exchange = self.issue(Cow::Owned(req), true);
         Deferred::Pending(Box::new(move || self.expect(exchange.wait(), extract)))
     }
 
@@ -455,15 +458,19 @@ struct Flight {
 /// dies in flight is the first failure of the same
 /// `RetryPolicy::attempts() × replicas` budget a failed dial draws on,
 /// rotates replicas at the same multiples, and `wire.failover_ns` runs
-/// from that first failure. The server keeps no per-connection state and
-/// all shard RPCs are reads, so the re-sent request is idempotent by
-/// construction and a mid-query failover is invisible to the caller.
+/// from that first failure. The server keeps no per-connection state.
+/// A read re-sent after an in-flight death is idempotent, so a mid-query
+/// failover is invisible to the caller. A replication append is not: the
+/// shard may have applied the copy whose ack was lost. The log's seq
+/// check keeps the re-send safe — the applied copy makes the re-sent
+/// one a typed [`WireError::SeqGap`], never a second apply, and the
+/// publisher answers that gap with a bootstrap ([`crate::publish`]).
 ///
 /// Dropped un-waited, the exchange abandons its in-flight attempt: the
 /// [`InFlight`] handle releases the reply slot.
-struct Exchange<'a> {
+pub(crate) struct Exchange<'a> {
     shard: &'a RemoteShard,
-    req: Frame,
+    req: Cow<'a, Frame>,
     observe: bool,
     failures: usize,
     first_failure: Option<Instant>,
@@ -479,7 +486,7 @@ impl Exchange<'_> {
     /// retires the connection and re-sends over fresh dials under the
     /// retry policy, rotating to the next replica when the active one
     /// exhausts its attempts.
-    fn wait(self) -> Result<Frame, WireError> {
+    pub(crate) fn wait(self) -> Result<Frame, WireError> {
         let Exchange {
             shard,
             req,
@@ -907,7 +914,7 @@ impl FrontInner {
         let asked: Vec<_> = self
             .shards
             .iter()
-            .map(|s| s.issue(req.clone(), false))
+            .map(|s| s.issue(Cow::Borrowed(req), false))
             .collect();
         self.flush_shards();
         let mut out = Vec::new();

@@ -30,8 +30,9 @@
 //!   cursor-based resumption after a dropped connection.
 //! * **[`DeltaPublisher`]** — the owner side: state reaches the shard
 //!   servers only in-band, as one sequenced [`Frame::DeltaAppend`] per
-//!   shard per refresh sent over a [`ReplicaWriter`] to every replica
-//!   of the shard; a replica that does not ack is re-bootstrapped with
+//!   shard per refresh sent over a [`ReplicaWriter`] — the same
+//!   enveloped, retried shard link the front-end reads over — to every
+//!   replica of the shard; a replica that does not ack is re-bootstrapped with
 //!   a [`Frame::SnapshotInstall`], or declared dead (`DESIGN.md` §15).
 //!
 //! [`WireCluster`] is the one deployment harness over all four: N

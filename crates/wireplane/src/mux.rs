@@ -4,7 +4,7 @@
 //! pattern serializes every caller sharing a shard link — a 16-worker
 //! query wave degrades to 16 sequential round trips per shard.
 //! [`MuxConn`] is the classic tagged-frame design instead, and the only
-//! way reads and scrapes reach a shard:
+//! way anything reaches a shard — reads, scrapes and replication alike:
 //!
 //! * every request is stamped with a `req_id u32` and travels as
 //!   [`Frame::Tagged`] (or packed with its contemporaries into one
@@ -28,16 +28,17 @@
 //!
 //! Encoding reuses one scratch buffer per connection
 //! ([`Frame::encode_into`]), so a steady-state sender allocates only
-//! for payload bodies. Scrapes and query waves share the link: the
-//! server answers each connection on one thread, envelope after
-//! envelope in arrival order (see [`crate::server`]), so replies come
-//! back in request order and the waiters still pair them by `req_id`. A
-//! `Batch` of thirty requests is thirty serves on that thread, which
-//! costs nothing while a deployment has at least as many shard servers
-//! as cores to run them. Replication does not ride
-//! here — a shard applies sequenced frames only when they arrive bare
-//! (a [`ReplicaWriter`](crate::repl::ReplicaWriter)'s socket) and
-//! refuses an enveloped one with a typed error.
+//! for payload bodies. The server answers each connection on one
+//! thread, envelope after envelope and entry after entry in arrival
+//! order (see [`crate::server`]), so replies come back in request order
+//! and the waiters still pair them by `req_id`. A `Batch` of thirty
+//! requests is thirty serves on that thread, which costs nothing while
+//! a deployment has at least as many shard servers as cores to run
+//! them. The same arrival order is what lets replication ride here: a
+//! [`ReplicaWriter`](crate::repl::ReplicaWriter) is a one-address
+//! [`RemoteShard`](crate::frontend::RemoteShard) over its own link, and
+//! the shard applies its sequenced appends in the order they were
+//! sent.
 //!
 //! An exchange has three steps. `MuxConn::issue` registers the reply
 //! slot, enqueues the request and returns an `InFlight` handle;
@@ -47,7 +48,8 @@
 //! [`MuxConn::call`] is simply the three steps back to back. Who
 //! flushes: the blocking router forms flush the links they issued on,
 //! then collect; the front-end's wave driver flushes every link once per
-//! pass over its queries; and as the safety net a `wait` that is about
+//! pass over its queries; a replication writer flushes its own link as
+//! it issues; and as the safety net a `wait` that is about
 //! to block on a request still in the queue flushes the link itself — a
 //! forgotten flush costs a frame (and the overlap), never a deadlock.
 //! Each reply is stamped with the instant a waiter read it off the link.

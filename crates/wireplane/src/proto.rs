@@ -51,10 +51,10 @@
 //!   `switchpointer::query` reply type itself (store sizes are `u64` in
 //!   process too), so neither end converts a reply on its way through.
 //!
-//! On a shard socket the read and scrape requests (`0x1x`) travel only
-//! inside [`Frame::Tagged`]/[`Frame::Batch`] envelopes and the
-//! replication frames only bare; [`crate::server`] refuses either shape
-//! carrying the other's content. The client plane is bare throughout.
+//! On a shard socket every request — read, scrape or replication —
+//! travels only inside a [`Frame::Tagged`]/[`Frame::Batch`] envelope;
+//! [`crate::server`] refuses a bare frame. The client plane is bare
+//! throughout.
 
 use std::collections::BTreeMap;
 use std::io::{Read, Write};

@@ -5,14 +5,17 @@
 //! A publish is **issue, then collect**. The issue half cuts every
 //! shard's frame — its slice shares the journaled record's patches and
 //! record shards by `Arc`, nothing is copied — and writes it to every
-//! live replica without reading a reply, so all N × R appends are being
-//! decoded and applied at once. The collect half then walks the replicas
-//! in `(shard, replica)` order and runs the ladder below, whose first
-//! step finds its frame already on the wire and only reads the ack.
-//! Sockets are independent, a replica applies bare frames in arrival
-//! order, and an ack is a ≈ 15-byte frame that never fills a buffer, so
-//! neither per-shard seq order nor freedom from deadlock needs anything
-//! the sequential feed did not have.
+//! live replica without waiting for a reply, so all N × R appends are
+//! being decoded and applied at once. The collect half then walks the
+//! replicas in `(shard, replica)` order and runs the ladder below, whose
+//! first step finds its frame already on the wire and only waits for the
+//! ack. Links are independent, a replica serves each link's entries in
+//! arrival order, and an ack is a small frame that never fills a
+//! buffer, so neither per-shard seq order nor freedom from deadlock
+//! needs anything the sequential feed did not have. An append re-sent
+//! after its link died is not idempotent, but the log makes it safe: a
+//! copy already applied turns the re-send into a typed
+//! [`WireError::SeqGap`], and the ladder bootstraps.
 //!
 //! One ladder for every replica count (`DESIGN.md` §15):
 //!
@@ -43,7 +46,7 @@
 //! | `repl.bootstraps`   | counter   | full snapshot installs                    |
 //! | `repl.bootstrap_ns` | histogram | install round-trip wall clock             |
 //! | `repl.lag`          | gauge     | max over shards of `head − min(applied)`  |
-//! | `repl.in_flight`    | gauge     | appends written, none acked, last publish |
+//! | `repl.in_flight`    | gauge     | appends issued, none acked, last publish  |
 //!
 //! plus one replicate-stage root span per `(shard, seq)` in the same
 //! registry's tracer, from the shard's issue to its last ack; each
@@ -59,6 +62,7 @@ use queryplane::{Snapshot, SnapshotDelta};
 use switchpointer::Analyzer;
 use telemetry::frame::{Enc, WireError};
 
+use crate::frontend::Exchange;
 use crate::proto::Frame;
 use crate::repl::ReplicaWriter;
 
@@ -90,33 +94,41 @@ impl ShardFeed {
 
     /// The issue half: writes every live replica the first retained
     /// append past its acked seq — the frame [`ShardFeed::feed`] sends
-    /// first — without reading the ack. Returns how many were written.
-    fn issue(&self) -> usize {
-        let mut written = 0;
-        for slot in &self.replicas {
-            let next = slot
-                .acked
-                .and_then(|acked| self.unacked.iter().find(|(seq, _)| *seq > acked));
-            if let Some((_, frame)) = next {
-                written += usize::from(slot.writer.issue(frame));
-            }
-        }
-        written
+    /// first — without waiting for the ack. One entry per replica, `None`
+    /// for a replica the publisher does not feed.
+    fn issue(&self) -> Vec<Option<Exchange<'_>>> {
+        self.replicas
+            .iter()
+            .map(|slot| {
+                let acked = slot.acked?;
+                let (_, frame) = self.unacked.iter().find(|(seq, _)| *seq > acked)?;
+                Some(slot.writer.issue(frame))
+            })
+            .collect()
     }
 
     /// Brings replica `r` up to the head: the retained appends past its
-    /// acked seq (the first of them already issued), else a bootstrap,
-    /// else declared dead.
-    fn feed(&mut self, r: usize, snapshot: &Snapshot, metrics: &PubMetrics) {
-        let slot = &mut self.replicas[r];
-        let Some(mut acked) = slot.acked else {
-            return;
-        };
+    /// acked seq (the first of them `issued` already), else a bootstrap,
+    /// else declared dead. Returns the replica's new acked seq, `None`
+    /// once it is not fed.
+    fn feed(
+        &self,
+        r: usize,
+        mut issued: Option<Exchange<'_>>,
+        snapshot: &Snapshot,
+        metrics: &PubMetrics,
+    ) -> Option<u64> {
+        let slot = &self.replicas[r];
+        let mut acked = slot.acked?;
         for (seq, frame) in &self.unacked {
             if *seq <= acked {
                 continue;
             }
-            match slot.writer.append_frame(frame) {
+            let reply = match issued.take() {
+                Some(exchange) => slot.writer.ack(exchange),
+                None => slot.writer.append_frame(frame),
+            };
+            match reply {
                 Ok(applied) => {
                     acked = applied;
                     metrics.appends.inc();
@@ -129,26 +141,25 @@ impl ShardFeed {
                 }
             }
         }
-        slot.acked = Some(acked);
-        if acked != self.head {
-            self.bootstrap(r, snapshot, metrics);
+        if acked == self.head {
+            return Some(acked);
         }
+        self.bootstrap(r, snapshot, metrics)
     }
 
-    /// Installs the owner's full current slice at the head seq. A
-    /// replica that cannot even take a bootstrap is declared dead.
-    fn bootstrap(&mut self, r: usize, snapshot: &Snapshot, metrics: &PubMetrics) {
+    /// Installs the owner's full current slice at the head seq and
+    /// returns the seq replica `r` acked. A replica that cannot even take
+    /// a bootstrap is declared dead: `None`.
+    fn bootstrap(&self, r: usize, snapshot: &Snapshot, metrics: &PubMetrics) -> Option<u64> {
         let mut e = Enc::new();
         snapshot.shard_slice(&self.keep).wire_enc(&mut e);
-        let slot = &mut self.replicas[r];
-        slot.acked = match slot.writer.install(self.head, e.into_bytes()) {
-            Ok((applied, took)) => {
-                metrics.bootstraps.inc();
-                metrics.bootstrap_ns.record_duration(took);
-                Some(applied)
-            }
-            Err(_) => None,
-        };
+        let (applied, took) = self.replicas[r]
+            .writer
+            .install(self.head, e.into_bytes())
+            .ok()?;
+        metrics.bootstraps.inc();
+        metrics.bootstrap_ns.record_duration(took);
+        Some(applied)
     }
 }
 
@@ -230,14 +241,13 @@ impl DeltaPublisher {
     pub fn publish(&mut self, analyzer: &Analyzer) -> SnapshotDelta {
         let (delta, record) = self.snapshot.apply_delta_journaled(analyzer);
         let tracer = self.registry.tracer();
-        // Issue. One frame — and one trace — per (shard, seq): the slice
-        // moves into it and every replica is sent the same bytes.
-        let mut in_flight = 0;
-        let mut issued = Vec::with_capacity(self.shards.len());
+        // One frame — and one trace — per (shard, seq): the slice moves
+        // into it and every replica is sent the same bytes.
+        let mut traces = Vec::with_capacity(self.shards.len());
         for (s, shard) in self.shards.iter_mut().enumerate() {
             shard.head += 1;
             let ctx = tracer.mint_trace();
-            issued.push((ctx, Instant::now()));
+            traces.push(ctx);
             shard.unacked.push_back((
                 shard.head,
                 Frame::DeltaAppend {
@@ -247,15 +257,28 @@ impl DeltaPublisher {
                     ctx,
                 },
             ));
-            in_flight += shard.issue();
         }
+        // Issue.
+        let issued: Vec<_> = self
+            .shards
+            .iter()
+            .map(|shard| (Instant::now(), shard.issue()))
+            .collect();
+        let in_flight = issued.iter().flat_map(|(_, ex)| ex).flatten().count();
         self.metrics.in_flight.set(in_flight as i64);
         // Collect, in (shard, replica) order.
-        for (s, (shard, (ctx, started))) in self.shards.iter_mut().zip(issued).enumerate() {
+        let mut acked = Vec::with_capacity(self.shards.len());
+        for (s, ((shard, (started, exchanges)), ctx)) in
+            self.shards.iter().zip(issued).zip(traces).enumerate()
+        {
             let seq = shard.head;
-            for r in 0..shard.replicas.len() {
-                shard.feed(r, &self.snapshot, &self.metrics);
-            }
+            acked.push(
+                exchanges
+                    .into_iter()
+                    .enumerate()
+                    .map(|(r, issued)| shard.feed(r, issued, &self.snapshot, &self.metrics))
+                    .collect::<Vec<_>>(),
+            );
             if let Some(c) = ctx {
                 tracer.submit(
                     SpanEvent {
@@ -273,9 +296,16 @@ impl DeltaPublisher {
                     c.sampled,
                 );
             }
+        }
+        // The exchanges borrowed every feed until the last shard was
+        // collected; only now do the positions move.
+        for (shard, acked) in self.shards.iter_mut().zip(acked) {
+            for (slot, acked) in shard.replicas.iter_mut().zip(acked) {
+                slot.acked = acked;
+            }
             // The derived retention: whatever every live replica has
             // acked is gone, and so is everything once none is left.
-            let floor = shard.min_acked().unwrap_or(seq);
+            let floor = shard.min_acked().unwrap_or(shard.head);
             while shard.unacked.front().is_some_and(|(q, _)| *q <= floor) {
                 shard.unacked.pop_front();
             }
@@ -295,7 +325,7 @@ impl DeltaPublisher {
             acked: None,
         });
         let r = shard.replicas.len() - 1;
-        shard.bootstrap(r, &self.snapshot, &self.metrics);
+        shard.replicas[r].acked = shard.bootstrap(r, &self.snapshot, &self.metrics);
         r
     }
 

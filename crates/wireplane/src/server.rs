@@ -17,17 +17,18 @@
 //! the server greets with a typed [`WireError::Remote`] error frame and
 //! closes instead of queueing unboundedly. A connection's thread reads
 //! and decodes one frame at a time, answers it, then reads the next, and
-//! the socket has one grammar. *A bare frame is a sequenced replication
-//! frame* (`DeltaAppend`, `SnapshotInstall`, `ReplicaStatusReq`), applied
-//! right there, so the log moves in arrival order. *A `Tagged`/`Batch`
-//! envelope is a read or a scrape*, served and answered before the next
-//! frame is read, so replies leave in request order. The thread does not
-//! read while it serves: a client that sends faster than the shard
-//! answers fills the socket buffers and is held back by TCP flow control,
-//! and a server's threads are bounded by `max_conns` plus its accept
-//! thread. Anything else — a bare read or scrape, replication inside an
-//! envelope — is answered with a typed [`WireError::Remote`], moves no
-//! state and leaves the connection serving.
+//! the socket has one grammar: *every request is an entry of a
+//! `Tagged`/`Batch` envelope*, served entry by entry and answered before
+//! the next frame is read, so replies leave in request order. A read or
+//! scrape sees the state as of its arrival position; a sequenced
+//! replication entry (`DeltaAppend`, `SnapshotInstall`,
+//! `ReplicaStatusReq`) is applied right there, so the log moves in
+//! arrival order. The thread does not read while it serves: a client
+//! that sends faster than the shard answers fills the socket buffers and
+//! is held back by TCP flow control, and a server's threads are bounded
+//! by `max_conns` plus its accept thread. A bare frame of any kind is
+//! answered with a typed [`WireError::Remote`], moves no state and
+//! leaves the connection serving.
 //! Listeners always bind `127.0.0.1:0`; the kernel-chosen port travels
 //! back through `ShardServer::local_addr`, so nothing in tests or CI
 //! ever races for a fixed port. Shutdown is graceful: the accept loop is
@@ -131,7 +132,7 @@ impl ReplMetrics {
 /// frame moved the log — the state it retired.
 type Replicated = (Frame, Option<Arc<ShardState>>);
 
-/// Serves one replication frame against the shared state. The retired
+/// Serves one replication entry against the shared state. The retired
 /// state comes back beside the reply so the caller can put the ack on the
 /// wire *before* it pays for freeing what the swap replaced (the owner
 /// waits for the ack, not for the free). Returns `None` for every other
@@ -544,10 +545,8 @@ struct ServeCtx {
 
 impl ServeCtx {
     /// Serves one read-only request (scrape or shard read) and returns
-    /// the reply frame. Replication never comes this way — it travels
-    /// bare and is applied where it arrives on the connection; an
-    /// enveloped replication frame gets [`ShardState::serve`]'s typed
-    /// refusal like any other frame this role does not answer.
+    /// the reply frame. Replication never comes this way —
+    /// [`ServeCtx::serve_entry`] applies it before a read is considered.
     ///
     /// When the request's envelope carried a [`TraceContext`], the whole
     /// serve — *including* any rigged [`ServeDelay`] — records as a
@@ -612,14 +611,15 @@ impl ServeCtx {
 
     /// One connection's life on the thread that accepted it, the only
     /// thread it has: read and decode a frame, answer it, read the next.
-    /// A bare replication frame is applied right there, in arrival order
-    /// (`SeqGap` would fire on any reordering); a bare frame that is not
-    /// replication is refused with a typed error and the loop goes on. A
-    /// `Tagged`/`Batch` envelope is served and its reply written before
-    /// the next frame is read. Decode and encode of an envelope are
-    /// observed in the `wire.*_ns` histograms unless it holds nothing but
-    /// scrapes — scrapes stay side-effect-free. Returns when the peer is
-    /// gone, framing is lost, or a reply could not be written.
+    /// Every request is an entry of a `Tagged`/`Batch` envelope, served
+    /// entry by entry and answered before the next frame is read, so a
+    /// replication entry moves the log in arrival order (`SeqGap` would
+    /// fire on any reordering). A bare frame is refused with a typed
+    /// error and the loop goes on. Decode and encode of an envelope are
+    /// observed in the `wire.*_ns` histograms only if it holds a read —
+    /// scrapes stay side-effect-free, and replication has `repl.apply_ns`.
+    /// Returns when the peer is gone, framing is lost, or a reply could
+    /// not be written.
     fn serve_conn(&self, mut stream: TcpStream) {
         let m = &self.metrics;
         loop {
@@ -643,46 +643,37 @@ impl ServeCtx {
                 }
             };
             let decode_elapsed = decode_started.elapsed();
-            // A read is answered in its envelope: one `Tagged` reply, or
-            // one `BatchRep` for a whole wave batch.
+            // Each entry is answered in its envelope: one `Tagged` reply,
+            // or one `BatchRep` for a whole batch.
+            let mut retired = Vec::new();
             let (observed, reply) = match req {
                 Frame::Tagged {
                     req_id,
                     ctx: tctx,
                     inner,
                 } => (
-                    !is_scrape(&inner),
+                    is_read(&inner),
                     Frame::Tagged {
                         req_id,
                         ctx: None,
-                        inner: Box::new(self.serve_read(&inner, tctx)),
+                        inner: Box::new(self.serve_entry(&inner, tctx, &mut retired)),
                     },
                 ),
                 Frame::Batch(entries) => (
-                    !entries.iter().all(|(_, _, f)| is_scrape(f)),
+                    entries.iter().any(|(_, _, f)| is_read(f)),
                     Frame::BatchRep(
                         entries
                             .iter()
-                            .map(|(id, tctx, f)| (*id, self.serve_read(f, *tctx)))
+                            .map(|(id, tctx, f)| (*id, self.serve_entry(f, *tctx, &mut retired)))
                             .collect(),
                     ),
                 ),
-                bare => {
-                    let (reply, retired) = serve_replication(&bare, self).unwrap_or_else(|| {
-                        let why = format!(
-                            "shard {} serves frame {tag:#04x} only inside a Tagged/Batch \
-                             envelope; bare frames are replication",
-                            self.shard
-                        );
-                        (Frame::Error(WireError::Remote(why)), None)
-                    });
-                    if !write_shared(&stream, &reply, None) {
-                        return;
-                    }
-                    // Only now, with the ack on the wire, is the state the
-                    // frame replaced let go (and freed, if no reader holds it).
-                    drop(retired);
-                    continue;
+                _ => {
+                    let why = format!(
+                        "shard {} serves frame {tag:#04x} only inside a Tagged/Batch envelope",
+                        self.shard
+                    );
+                    (false, Frame::Error(WireError::Remote(why)))
                 }
             };
             if observed {
@@ -691,12 +682,44 @@ impl ServeCtx {
             if !write_shared(&stream, &reply, observed.then_some(m)) {
                 return;
             }
+            // Only now, with the reply on the wire, are the states the
+            // replication entries replaced let go (and freed, if no
+            // reader holds them).
+            drop(retired);
+        }
+    }
+
+    /// Serves one envelope entry. A replication frame moves the log on
+    /// the spot and pushes the state it retired onto `retired`, for the
+    /// caller to drop once the reply is written; anything else is a read
+    /// or a scrape.
+    fn serve_entry(
+        &self,
+        req: &Frame,
+        tctx: Option<TraceContext>,
+        retired: &mut Vec<Arc<ShardState>>,
+    ) -> Frame {
+        match serve_replication(req, self) {
+            Some((reply, old)) => {
+                retired.extend(old);
+                reply
+            }
+            None => self.serve_read(req, tctx),
         }
     }
 }
 
-fn is_scrape(f: &Frame) -> bool {
-    matches!(f, Frame::StatsScrapeReq | Frame::TraceScrapeReq)
+/// Whether serving `f` is a read, observed in the `wire.*` metrics.
+/// Scrapes and replication frames are not.
+fn is_read(f: &Frame) -> bool {
+    !matches!(
+        f,
+        Frame::StatsScrapeReq
+            | Frame::TraceScrapeReq
+            | Frame::DeltaAppend { .. }
+            | Frame::SnapshotInstall { .. }
+            | Frame::ReplicaStatusReq
+    )
 }
 
 /// Writes one whole frame on the connection's socket in a single
@@ -1164,11 +1187,12 @@ mod tests {
         server.shutdown();
     }
 
-    /// Bare replication frames apply in arrival order, and a read sees
-    /// the state as of its own arrival position: 16 appends interleaved
-    /// with 16 stretched horizon reads, all sent before any reply is read,
-    /// ack in sequence — no `SeqGap` — and each read answers the horizon
-    /// the append before it installed, with every reply in request order.
+    /// Enveloped replication entries apply in arrival order, and a read
+    /// sees the state as of its own arrival position: 16 appends
+    /// interleaved with 16 stretched horizon reads, each its own `Tagged`
+    /// frame and all sent before any reply is read, ack in sequence — no
+    /// `SeqGap` — and each read answers the horizon the append before it
+    /// installed, with every reply in request order.
     #[test]
     fn appends_interleaved_with_parked_reads_apply_in_arrival_order() {
         const APPENDS: u64 = 16;
@@ -1186,7 +1210,7 @@ mod tests {
             tagged(1000 + seq as u32, Frame::HorizonReq)
                 .write(&mut stream)
                 .unwrap();
-            Frame::DeltaAppend {
+            let append = Frame::DeltaAppend {
                 shard: 0,
                 seq,
                 record: queryplane::DeltaRecord {
@@ -1194,9 +1218,8 @@ mod tests {
                     ..Default::default()
                 },
                 ctx: None,
-            }
-            .write(&mut stream)
-            .unwrap();
+            };
+            tagged(seq as u32, append).write(&mut stream).unwrap();
         }
         for seq in 1..=APPENDS {
             let before = if seq == 1 { initial } else { 5000 + seq - 1 };
@@ -1211,8 +1234,14 @@ mod tests {
                 other => panic!("expected read {} to answer, got {other:?}", 1000 + seq),
             }
             match Frame::read(&mut stream, MAX_FRAME).unwrap() {
-                Frame::DeltaAck { applied, .. } => assert_eq!(applied, seq),
-                other => panic!("append {seq} was not applied: {other:?}"),
+                Frame::Tagged { req_id, inner, .. } => {
+                    assert_eq!(req_id, seq as u32, "replies left arrival order");
+                    assert!(
+                        matches!(*inner, Frame::DeltaAck { applied, .. } if applied == seq),
+                        "append {seq} was not applied: {inner:?}"
+                    );
+                }
+                other => panic!("expected append {seq} to answer, got {other:?}"),
             }
         }
         assert_eq!(server.applied_seq(), APPENDS);
@@ -1220,20 +1249,87 @@ mod tests {
         server.shutdown();
     }
 
-    /// Random mixes of every shape a shard socket can be sent — bare
-    /// replication, tagged reads, read batches, and the two refused
-    /// shapes (a bare read, replication inside an envelope) — with some
-    /// serves stretched: every frame is answered once and in request
-    /// order, each `req_id` with what `ShardState::serve` answers for that
-    /// request alone, batches whole and in entry order, and a refusal is
-    /// a typed error that moves no state and leaves the link serving.
+    /// Random mixes of every shape a shard socket can be sent — tagged
+    /// reads, read batches, replication entries tagged alone or in a
+    /// batch slot, and the one refused shape, a bare frame of any kind —
+    /// with some serves stretched: every frame is answered once and in
+    /// request order, each entry with what a model of the shard answers
+    /// for that request alone at its arrival position, batches whole and
+    /// in entry order. An enveloped next-seq append is applied in its
+    /// slot, and the reads behind it see it; a bare frame — even the very
+    /// next record of the log — is a typed refusal that moves no state
+    /// and leaves the link serving.
     #[test]
     fn any_frame_mix_on_one_socket_answers_what_each_request_alone_would() {
         use netsim::rng::DetRng;
         use std::collections::VecDeque;
 
+        /// The shard's state and log position, moved by exactly the
+        /// appends the server must apply.
+        struct Model {
+            state: ShardState,
+            applied: u64,
+            horizon: u64,
+        }
+
+        impl Model {
+            /// Replication at the model's position: a status read, an
+            /// append from the future, or the very next record of the log
+            /// — which moves the horizon, so a read served on the wrong
+            /// side of it shows.
+            fn repl(&self, rng: &mut DetRng) -> Frame {
+                let seq = self.applied + 1;
+                match rng.next_below(3) {
+                    0 => Frame::ReplicaStatusReq,
+                    1 => Frame::DeltaAppend {
+                        shard: 0,
+                        seq: seq + 1 + rng.next_below(50),
+                        record: Default::default(),
+                        ctx: None,
+                    },
+                    _ => Frame::DeltaAppend {
+                        shard: 0,
+                        seq,
+                        record: queryplane::DeltaRecord {
+                            epoch_horizon: self.horizon + seq,
+                            ..Default::default()
+                        },
+                        ctx: None,
+                    },
+                }
+            }
+
+            /// What the shard answers one entry alone, here.
+            fn answer(&mut self, req: &Frame) -> Frame {
+                let applied = self.applied;
+                match req {
+                    Frame::ReplicaStatusReq => Frame::ReplicaStatusRep { shard: 0, applied },
+                    Frame::DeltaAppend { seq, record, .. } if *seq == applied + 1 => {
+                        self.state.view.apply_record(record).unwrap();
+                        self.applied = *seq;
+                        Frame::DeltaAck {
+                            shard: 0,
+                            applied: *seq,
+                        }
+                    }
+                    Frame::DeltaAppend { seq, .. } => Frame::Error(WireError::SeqGap {
+                        expected: applied + 1,
+                        got: *seq,
+                    }),
+                    read => self.state.serve(read),
+                }
+            }
+        }
+
         let server = lone_server(WireConfig::default());
-        let state = server.state();
+        let mut model = Model {
+            state: ShardState {
+                shard: Arc::clone(&server.state().shard),
+                view: server.state().view.clone(),
+            },
+            applied: 0,
+            horizon: server.state().view.epoch_horizon(),
+        };
         // Stretch some serves: a later, quicker request must still wait
         // its turn.
         server.set_serve_delay(Some(Arc::new(|f: &Frame| match f {
@@ -1269,44 +1365,6 @@ mod tests {
             // Not a request at all: answered with a typed error.
             _ => Frame::HorizonRep(rng.next_u64()),
         };
-        // Bare replication that never moves the log (the oracle stays
-        // stateless): a status read, or an append from the future.
-        let gen_repl = |rng: &mut DetRng| match rng.next_below(2) {
-            0 => Frame::ReplicaStatusReq,
-            _ => Frame::DeltaAppend {
-                shard: 0,
-                seq: 2 + rng.next_below(50),
-                record: Default::default(),
-                ctx: None,
-            },
-        };
-        let repl_oracle = |req: &Frame| match req {
-            Frame::ReplicaStatusReq => Frame::ReplicaStatusRep {
-                shard: 0,
-                applied: 0,
-            },
-            Frame::DeltaAppend { seq, .. } => Frame::Error(WireError::SeqGap {
-                expected: 1,
-                got: *seq,
-            }),
-            other => panic!("not replication: {other:?}"),
-        };
-        // Replication inside an envelope: the very next record of the
-        // log, so serving it by mistake would move `applied_seq` (and
-        // break every later `SeqGap { expected: 1, .. }` above).
-        let enveloped_append = Frame::DeltaAppend {
-            shard: 0,
-            seq: 1,
-            record: Default::default(),
-            ctx: None,
-        };
-        assert!(
-            matches!(
-                state.serve(&enveloped_append),
-                Frame::Error(WireError::Remote(_))
-            ),
-            "the envelope path must refuse replication"
-        );
 
         for seed in 0..12u64 {
             let mut rng = DetRng::new(0x5EED_0000 + seed);
@@ -1314,52 +1372,43 @@ mod tests {
             assert!(matches!(hello, Frame::Hello { .. }));
             let mut next_id = 0u32;
             // The reply each frame must get, in request order; `None` for
-            // a bare read — any typed refusal.
+            // a bare frame — any typed refusal.
             let mut replies: VecDeque<Option<String>> = VecDeque::new();
             let frames = 24 + rng.next_below(40);
             for _ in 0..frames {
-                // Whatever an envelope carries, it is answered as
-                // `ShardState::serve` answers it.
-                let mut entry = |rng: &mut DetRng, repl: bool| {
-                    let req = if repl {
-                        enveloped_append.clone()
-                    } else {
-                        gen_read(rng)
-                    };
+                let mut entry = |rng: &mut DetRng, model: &mut Model, repl: bool| {
+                    let req = if repl { model.repl(rng) } else { gen_read(rng) };
+                    let want = model.answer(&req);
                     let id = next_id;
                     next_id += 1;
-                    (id, req)
+                    (id, req, want)
                 };
                 let (frame, want) = match rng.next_below(6) {
-                    0 => (gen_read(&mut rng), None),
-                    1 => {
-                        let req = gen_repl(&mut rng);
-                        let want = repl_oracle(&req);
-                        (req, Some(want))
+                    0 => {
+                        let bare = if rng.next_below(2) == 0 {
+                            gen_read(&mut rng)
+                        } else {
+                            model.repl(&mut rng)
+                        };
+                        (bare, None)
                     }
-                    kind @ (2 | 3) => {
-                        let (id, req) = entry(&mut rng, kind == 3);
-                        let want = tagged(id, state.serve(&req));
-                        (tagged(id, req), Some(want))
+                    kind @ (1..=3) => {
+                        let (id, req, want) = entry(&mut rng, &mut model, kind == 1);
+                        (tagged(id, req), Some(tagged(id, want)))
                     }
                     kind => {
                         // A batch of reads; every other one also carries
-                        // a replication entry, refused in its slot.
+                        // a replication entry, served in its slot.
                         let n = 1 + rng.next_below(4);
                         let repl_at = (kind == 5).then(|| rng.next_below(n));
-                        let entries: Vec<_> = (0..n)
+                        let (entries, wants): (Vec<_>, Vec<_>) = (0..n)
                             .map(|i| {
-                                let (id, req) = entry(&mut rng, repl_at == Some(i));
-                                (id, None, req)
+                                let (id, req, want) =
+                                    entry(&mut rng, &mut model, repl_at == Some(i));
+                                ((id, None, req), (id, want))
                             })
-                            .collect();
-                        let want = Frame::BatchRep(
-                            entries
-                                .iter()
-                                .map(|(id, _, req)| (*id, state.serve(req)))
-                                .collect(),
-                        );
-                        (Frame::Batch(entries), Some(want))
+                            .unzip();
+                        (Frame::Batch(entries), Some(Frame::BatchRep(wants)))
                     }
                 };
                 replies.push_back(want.map(|f| format!("{f:?}")));
@@ -1371,12 +1420,21 @@ mod tests {
                     Some(want) => assert_eq!(format!("{got:?}"), want, "seed {seed}: frame {i}"),
                     None => assert!(
                         matches!(got, Frame::Error(WireError::Remote(_))),
-                        "seed {seed}: bare read {i} was answered with {got:?}"
+                        "seed {seed}: bare frame {i} was answered with {got:?}"
                     ),
                 }
             }
         }
-        assert_eq!(server.applied_seq(), 0, "a refused append moved the log");
+        assert!(model.applied > 0, "no enveloped append was drawn");
+        assert_eq!(
+            server.applied_seq(),
+            model.applied,
+            "a bare frame moved the log"
+        );
+        assert!(
+            server.state().view == model.state.view,
+            "the shard is not the chain of applied appends"
+        );
         server.set_serve_delay(None);
         server.shutdown();
     }

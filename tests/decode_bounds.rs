@@ -8,8 +8,9 @@
 //! `SwitchPatch` — so one inflated count over a megabyte of filler used to
 //! make `Frame::decode` ask the allocator for a hundred times the frame
 //! before the typed error came back. `DeltaAppend` and `SnapshotInstall`
-//! are bare frames any peer may write to a shard socket, under a 64 MiB
-//! default frame cap.
+//! are envelope entries any peer may write to a shard socket, and decode
+//! runs before the envelope's grammar is checked, under a 64 MiB default
+//! frame cap.
 //!
 //! This binary installs a counting allocator (largest single request on
 //! the measuring thread while armed) and inflates every count of both

@@ -37,7 +37,7 @@ fn query_set(tb: &Testbed, victim: FlowId) -> Vec<QueryRequest> {
             range: window,
         });
     }
-    // Repeat the first TopK so the cache has something to hit.
+    // Repeat the first TopK so the batch has a repeat to coalesce.
     reqs.push(QueryRequest::TopK {
         switch: tb.node("edge0_0"),
         k: 10,
@@ -379,7 +379,7 @@ fn batching_beats_sequential_accounting() {
     );
     assert!(
         stats.modelled_speedup() >= 2.0,
-        "batched+cached should be ≥2× cheaper, got {:.2}× (seq {}, batched {})",
+        "batched+coalesced should be ≥2× cheaper, got {:.2}× (seq {}, batched {})",
         stats.modelled_speedup(),
         stats.sequential_total,
         stats.batched_total

@@ -331,7 +331,8 @@ fn a_refused_append_climbs_to_a_bootstrap_at_one_replica_and_at_two() {
 }
 
 /// (e) — issue-then-collect, held by a rendezvous instead of a clock.
-/// Four fake replicas (plain listeners: greet, read one append, ack)
+/// Four fake replicas (plain listeners: greet, read one enveloped
+/// append, ack it in its envelope)
 /// withhold their ack until all four have *read* their append. A
 /// publisher that waits for shard 0's ack before it writes shard 1's
 /// frame can never get there: the first replica gives up after 5 s and
@@ -378,9 +379,12 @@ fn a_publish_has_every_shards_append_in_flight_before_the_first_ack() {
                 n_shards: N as u16,
             };
             hello.write(&mut stream).unwrap();
-            let seq = match Frame::read(&mut stream, max_frame).unwrap() {
-                Frame::DeltaAppend { seq, .. } => seq,
-                other => panic!("expected an append, got frame {:#04x}", other.tag()),
+            let (req_id, seq) = match Frame::read(&mut stream, max_frame).unwrap() {
+                Frame::Tagged { req_id, inner, .. } => match *inner {
+                    Frame::DeltaAppend { seq, .. } => (req_id, seq),
+                    other => panic!("expected an append, got frame {:#04x}", other.tag()),
+                },
+                other => panic!("expected an envelope, got frame {:#04x}", other.tag()),
             };
             let (state, cv) = &*meet;
             let mut st = state.lock().unwrap();
@@ -397,9 +401,13 @@ fn a_publish_has_every_shards_append_in_flight_before_the_first_ack() {
             }
             let together = st.arrived == N;
             drop(st);
-            let ack = Frame::DeltaAck {
-                shard: s as u16,
-                applied: seq,
+            let ack = Frame::Tagged {
+                req_id,
+                ctx: None,
+                inner: Box::new(Frame::DeltaAck {
+                    shard: s as u16,
+                    applied: seq,
+                }),
             };
             ack.write(&mut stream).unwrap();
             together
@@ -433,6 +441,135 @@ fn a_publish_has_every_shards_append_in_flight_before_the_first_ack() {
     assert_eq!(owner.counter("repl.appends"), N as u64);
     assert_eq!(owner.counter("repl.bootstraps"), 0);
     assert_eq!(publisher.heads(), vec![1; N]);
+}
+
+/// One publish to a fake replica — the one replica of a one-shard
+/// deployment, a plain listener — that reads the first enveloped append
+/// and hangs up without acking it. On the redial the writer re-sends the
+/// append, which the fake answers with `answer(seq)`; an install that
+/// follows is acked. Returns the owner's registry and the seq of every
+/// append the fake read.
+fn publish_over_a_link_lost_before_the_ack(
+    answer: fn(u64) -> Frame,
+) -> (Arc<MetricsRegistry>, Vec<u64>) {
+    let mut tb = replication_testbed();
+    tb.sim.run_until(SimTime::from_ms(5));
+    let analyzer = tb.analyzer();
+    let dir = ShardedDirectory::new(
+        analyzer.directory().mphf().clone(),
+        &analyzer.all_hosts(),
+        1,
+    );
+    let keep: BTreeSet<NodeId> = dir.shards()[0].hosts().iter().copied().collect();
+    let max_frame = WireConfig::default().max_frame;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let fake = std::thread::spawn(move || {
+        let accept = || {
+            let (mut stream, _) = listener.accept().unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let hello = Frame::Hello {
+                shard: 0,
+                n_shards: 1,
+            };
+            hello.write(&mut stream).unwrap();
+            stream
+        };
+        let mut appends = Vec::new();
+        let mut first = true;
+        let mut stream = accept();
+        // Until the owner hangs up (or a read times out).
+        while let Ok(frame) = Frame::read(&mut stream, max_frame) {
+            let Frame::Tagged { req_id, inner, .. } = frame else {
+                panic!("expected an envelope, got frame {:#04x}", frame.tag());
+            };
+            let reply = match *inner {
+                Frame::DeltaAppend { seq, .. } if first => {
+                    // Hang up without the ack, then take the redial.
+                    appends.push(seq);
+                    first = false;
+                    stream.shutdown(std::net::Shutdown::Both).unwrap();
+                    stream = accept();
+                    continue;
+                }
+                Frame::DeltaAppend { seq, .. } => {
+                    appends.push(seq);
+                    answer(seq)
+                }
+                Frame::SnapshotInstall { seq, .. } => Frame::DeltaAck {
+                    shard: 0,
+                    applied: seq,
+                },
+                other => panic!("expected replication, got frame {:#04x}", other.tag()),
+            };
+            let reply = Frame::Tagged {
+                req_id,
+                ctx: None,
+                inner: Box::new(reply),
+            };
+            reply.write(&mut stream).unwrap();
+        }
+        appends
+    });
+
+    // Room for the re-send: the death in flight is the first failure.
+    let writer = ReplicaWriter::connect(0, addr, max_frame, RetryPolicy::immediate(3)).unwrap();
+    let registry = Arc::new(MetricsRegistry::new());
+    let mut publisher = DeltaPublisher::new(
+        Snapshot::capture_with(&analyzer, 8, 1),
+        vec![keep],
+        vec![vec![writer]],
+        Arc::clone(&registry),
+    );
+    tb.sim.run_until(SimTime::from_ms(6));
+    publisher.publish(&analyzer);
+    assert_eq!(publisher.heads(), vec![1]);
+    drop(publisher);
+    (registry, fake.join().unwrap())
+}
+
+/// (b) — a re-sent append is not idempotent, and the log keeps it safe.
+/// The replica applied the append, then its link died before the ack
+/// left: the writer's retry re-sends the same seq and meets the typed
+/// gap the applied copy left. The publisher bootstraps once and keeps
+/// the replica live.
+#[test]
+fn an_append_applied_before_its_link_died_is_resent_into_a_gap_and_bootstraps_once() {
+    let (registry, appends) = publish_over_a_link_lost_before_the_ack(|seq| {
+        Frame::Error(WireError::SeqGap {
+            expected: seq + 1,
+            got: seq,
+        })
+    });
+    assert_eq!(appends, vec![1, 1], "the append was not re-sent once");
+    let owner = registry.snapshot();
+    assert_eq!(owner.counter("repl.gaps"), 1);
+    assert_eq!(owner.counter("repl.bootstraps"), 1);
+    assert_eq!(owner.counter("repl.appends"), 0);
+    assert_eq!(
+        owner.gauges.get("repl.lag").copied(),
+        Some(0),
+        "the replica was declared dead"
+    );
+}
+
+/// (b) — the other side of the same lost link: the replica had not
+/// applied the append, so the re-sent copy is acked like the first send
+/// would have been, and nothing is bootstrapped.
+#[test]
+fn an_append_resent_before_it_was_applied_acks_without_a_bootstrap() {
+    let (registry, appends) = publish_over_a_link_lost_before_the_ack(|seq| Frame::DeltaAck {
+        shard: 0,
+        applied: seq,
+    });
+    assert_eq!(appends, vec![1, 1], "the append was not re-sent once");
+    let owner = registry.snapshot();
+    assert_eq!(owner.counter("repl.gaps"), 0);
+    assert_eq!(owner.counter("repl.bootstraps"), 0);
+    assert_eq!(owner.counter("repl.appends"), 1);
+    assert_eq!(owner.gauges.get("repl.lag").copied(), Some(0));
 }
 
 /// (e) — copied == named, by pointer identity. On the owner, one

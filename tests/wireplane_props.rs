@@ -2028,44 +2028,38 @@ fn mux_mid_wave_connection_kill_fails_over_without_losing_incidents() {
     cluster.shutdown();
 }
 
-/// Replication does not ride a multiplexed link: a `DeltaAppend` inside
-/// an envelope — even the very next record of the log — is refused with
-/// a typed error, the log does not move, and the connection keeps
-/// serving reads and scrapes. (`SeqGap` enforcement on the bare path is
-/// pinned through `ReplicaWriter` in `tests/replication_props.rs`.)
+/// A shard socket has one grammar: every request is an envelope entry.
+/// A bare `DeltaAppend` — even the very next record of the log — is
+/// refused with a typed error, the log does not move, and the connection
+/// keeps serving reads; the same append inside an envelope on a
+/// multiplexed link acks and moves the log one seq. (`SeqGap`
+/// enforcement is pinned through `ReplicaWriter` in
+/// `tests/replication_props.rs`.)
 #[test]
-fn mux_enveloped_append_is_refused_and_the_link_keeps_serving() {
+fn mux_bare_append_is_refused_and_the_same_append_enveloped_acks() {
     let mut tb = scenarios::watch(0).tb;
     tb.sim.run_until(SimTime::from_ms(20));
     let analyzer = tb.analyzer();
     let cluster = WireCluster::launch(&analyzer, 1, WireConfig::default()).unwrap();
-    let (mux, shard, _) = MuxConn::connect(cluster.shard_addrs()[0], MAX_FRAME).unwrap();
-    assert_eq!(shard, 0);
-
-    let horizon = match mux.call(&Frame::HorizonReq).unwrap() {
-        Frame::HorizonRep(h) => h,
-        other => panic!("expected a horizon reply, got {other:?}"),
-    };
-    assert!(
-        matches!(
-            mux.call(&Frame::StatsScrapeReq).unwrap(),
-            Frame::StatsScrapeRep(_)
-        ),
-        "scrape refused on the multiplexed link"
-    );
-
+    let addr = cluster.shard_addrs()[0];
     let applied = cluster.applied_seqs()[0][0].expect("live primary");
-    let mut rng = rng_for("wireplane mux seqgap");
-    let record = gen_delta_record(&mut rng);
-    match mux
-        .call(&Frame::DeltaAppend {
-            shard: 0,
-            seq: applied + 1,
-            record,
-            ctx: None,
-        })
-        .unwrap()
-    {
+    // An empty record is a valid no-op: applied, it moves only the seq.
+    let append = Frame::DeltaAppend {
+        shard: 0,
+        seq: applied + 1,
+        record: Default::default(),
+        ctx: None,
+    };
+
+    // A raw socket, the only way to put a bare frame on a shard link.
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    assert!(matches!(
+        Frame::read(&mut raw, MAX_FRAME).unwrap(),
+        Frame::Hello { shard: 0, .. }
+    ));
+    append.write(&mut raw).unwrap();
+    match Frame::read(&mut raw, MAX_FRAME).unwrap() {
         Frame::Error(WireError::Remote(_)) => {}
         other => panic!("expected a typed refusal, got {other:?}"),
     }
@@ -2075,10 +2069,30 @@ fn mux_enveloped_append_is_refused_and_the_link_keeps_serving() {
         "a refused append must not move the replication log"
     );
     // The refusal was an answer, not a poisoning: the link keeps serving.
-    match mux.call(&Frame::HorizonReq).unwrap() {
-        Frame::HorizonRep(h) => assert_eq!(h, horizon),
+    let horizon = Frame::Tagged {
+        req_id: 7,
+        ctx: None,
+        inner: Box::new(Frame::HorizonReq),
+    };
+    horizon.write(&mut raw).unwrap();
+    match Frame::read(&mut raw, MAX_FRAME).unwrap() {
+        Frame::Tagged {
+            req_id: 7, inner, ..
+        } if matches!(*inner, Frame::HorizonRep(_)) => {}
         other => panic!("link died after the refusal: {other:?}"),
     }
+
+    // The same append, enveloped on a multiplexed link, is applied.
+    let (mux, shard, _) = MuxConn::connect(addr, MAX_FRAME).unwrap();
+    assert_eq!(shard, 0);
+    match mux.call(&append).unwrap() {
+        Frame::DeltaAck {
+            shard: 0,
+            applied: a,
+        } => assert_eq!(a, applied + 1),
+        other => panic!("expected the enveloped append to ack, got {other:?}"),
+    }
+    assert_eq!(cluster.applied_seqs()[0][0], Some(applied + 1));
     assert!(!mux.is_dead());
     cluster.shutdown();
 }
